@@ -10,13 +10,13 @@ from .backend import (
 from .pipeline import (
     Pipeline,
     break_into_pipelines,
-    chain_source,
     fused_chain,
     is_fused_probe,
     is_fusion_passthrough,
     is_pipeline_breaker,
     is_streaming_operator,
     pipelines_per_device,
+    streams_morsels,
 )
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "GPUBackend",
     "Pipeline",
     "break_into_pipelines",
-    "chain_source",
     "fused_chain",
     "is_fused_probe",
     "is_fusion_passthrough",
@@ -34,4 +33,5 @@ __all__ = [
     "is_streaming_operator",
     "pipelines_per_device",
     "provider_for",
+    "streams_morsels",
 ]

@@ -133,17 +133,30 @@ def is_fused_probe(op: PhysicalOp) -> bool:
             and not op.swapped)
 
 
+def streams_morsels(op: PhysicalOp) -> bool:
+    """Operators a fused morsel stream flows *through*.
+
+    The one statement of the streaming-vs-breaker split for execution:
+    :func:`fused_chain` extends a chain across exactly these operators,
+    and the executor evaluates exactly these morsel-at-a-time (everything
+    else runs on its whole input).  The morsel stream enters through the
+    operator's last child — the only child of a filter/project or
+    exchange, the probe side of a join.
+    """
+    return (isinstance(op, PFilterProject) or is_fusion_passthrough(op)
+            or is_fused_probe(op))
+
+
 def fused_chain(node: PhysicalOp,
                 can_defer: Callable[[PhysicalOp], bool]) -> list[PhysicalOp]:
     """The maximal fused chain whose *top* (output end) is ``node``.
 
-    Walks downward from ``node`` through streaming filter/projects,
-    payload-transparent exchange operators and non-partitioned join probe
-    sides, returning the chain top-down.  The node below the last chain
-    element (``chain[-1].child``, or ``.probe`` for a join) is the chain's
-    *source* — the materialized batch the morsel stream is carved from.
-    An empty list means ``node`` starts no fusable chain and must be
-    executed (and memoized) as a standalone operator.
+    Walks downward from ``node`` through the operators that
+    :func:`streams_morsels`, returning the chain top-down.  The node below
+    the last chain element (its last child) is the chain's *source* — the
+    materialized batch the morsel stream is carved from.  An empty list
+    means ``node`` starts no fusable chain and must be executed (and
+    memoized) as a standalone operator.
 
     ``can_defer`` is the memo-aware deferral hook: it decides whether a
     memoizable operator's output may be *deferred* (streamed through
@@ -157,34 +170,14 @@ def fused_chain(node: PhysicalOp,
     batch to defer and is not worth fusing.
     """
     chain: list[PhysicalOp] = []
-    current: PhysicalOp | None = node
-    while current is not None:
-        if isinstance(current, PFilterProject):
-            if not can_defer(current):
-                break
-            chain.append(current)
-            current = current.child
-        elif is_fusion_passthrough(current):
-            chain.append(current)
-            current = current.child  # type: ignore[union-attr]
-        elif is_fused_probe(current):
-            if not can_defer(current):
-                break
-            chain.append(current)
-            current = current.probe  # type: ignore[union-attr]
-        else:
-            break
-    if not chain or not isinstance(chain[0], (PFilterProject, PJoin)):
+    current = node
+    while streams_morsels(current) and (is_fusion_passthrough(current)
+                                        or can_defer(current)):
+        chain.append(current)
+        current = current.children()[-1]
+    if not chain or is_fusion_passthrough(chain[0]):
         return []
     return chain
-
-
-def chain_source(chain: list[PhysicalOp]) -> PhysicalOp:
-    """The node a fused chain streams from (just below its last element)."""
-    last = chain[-1]
-    if isinstance(last, PJoin):
-        return last.probe
-    return last.child  # type: ignore[return-value]
 
 
 def break_into_pipelines(root: PhysicalOp) -> list[Pipeline]:

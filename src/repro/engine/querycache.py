@@ -198,11 +198,11 @@ class QueryCache:
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes_used = 0
         self._counters = CacheCounters()
-        self.budget_bytes = self._validate_budget(budget_bytes)
-        self.policy = self._validate_policy(policy)
+        self.budget_bytes = self.validate_budget(budget_bytes)
+        self.policy = self.validate_policy(policy)
 
     @staticmethod
-    def _validate_budget(budget_bytes: int | None) -> int | None:
+    def validate_budget(budget_bytes: int | None) -> int | None:
         if budget_bytes is not None:
             budget_bytes = int(budget_bytes)
             if budget_bytes < 0:
@@ -210,7 +210,7 @@ class QueryCache:
         return budget_bytes
 
     @staticmethod
-    def _validate_policy(policy: str) -> str:
+    def validate_policy(policy: str) -> str:
         if policy not in EVICTION_POLICIES:
             raise ValueError(
                 f"cache_eviction must be one of {EVICTION_POLICIES}")
@@ -317,7 +317,7 @@ class QueryCache:
         recompute costs.
         """
         with self._lock:
-            self.policy = self._validate_policy(policy)
+            self.policy = self.validate_policy(policy)
 
     def set_budget(self, budget_bytes: int | None) -> None:
         """Re-tune the byte budget, evicting down to it immediately.
@@ -326,7 +326,7 @@ class QueryCache:
         evictions); ``None`` lifts the bound entirely.
         """
         with self._lock:
-            self.budget_bytes = self._validate_budget(budget_bytes)
+            self.budget_bytes = self.validate_budget(budget_bytes)
             if self.budget_bytes == 0 and self._entries:
                 self._counters = self._bump(evicted=len(self._entries))
                 self._entries.clear()

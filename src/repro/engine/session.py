@@ -9,14 +9,13 @@ information the evaluation figures are built from.
 One engine instance is one session: it owns the catalog, the
 session-lifetime cross-query kernel cache
 (:mod:`repro.engine.querycache`) and the execution knobs that hold across
-queries — most prominently :attr:`HAPEEngine.morsel_rows`, the granularity
-of the morsel-driven batched execution, and
-:attr:`HAPEEngine.cache_budget_bytes`, the retention budget of the query
-cache.  Repeated dashboard-style workloads therefore get warmer with every
-query: kernel results computed once (a dimension scan, a filtered build
-side) are reused functionally by later queries until the catalog
-invalidates them or the LRU budget evicts them.  The :data:`Session` alias
-exists for callers who think in session terms.
+queries (:data:`SESSION_KNOBS`, each documented on its
+:class:`~repro.engine.executor.ExecutorOptions` field).  Repeated
+dashboard-style workloads therefore get warmer with every query: kernel
+results computed once (a dimension scan, a filtered build side) are reused
+functionally by later queries until the catalog invalidates them or the
+LRU budget evicts them.  The :data:`Session` alias exists for callers who
+think in session terms.
 """
 
 from __future__ import annotations
@@ -36,10 +35,24 @@ from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
 from .querycache import CacheCounters, QueryCacheStats
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` (which
-#: means "whole-column packets, no batching" for ``morsel_rows`` and
-#: "unlimited" for ``cache_budget_bytes``).
-_UNSET = object()
+#: The :class:`ExecutorOptions` fields a session exposes as constructor
+#: keywords and as get/set attributes.
+SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "cache_eviction",
+                 "pipeline_fusion", "workers", "tracing")
+
+
+def _knob(name: str) -> property:
+    """A session attribute that reads/re-tunes one executor option."""
+    def get(self: "HAPEEngine"):
+        return getattr(self.executor.options, name)
+
+    def set(self: "HAPEEngine", value: object) -> None:
+        self.executor.retune(**{name: value})
+
+    return property(get, set, doc=(
+        f"The session's ``{name}`` knob: reads "
+        f":attr:`ExecutorOptions.{name}` (documented there); assigning "
+        "re-tunes the executor in place for the following queries."))
 
 
 @dataclass
@@ -126,51 +139,16 @@ class HAPEEngine:
         (2 CPU sockets + 2 GPUs, :func:`~repro.hardware.default_server`).
     optimizer_options / executor_options:
         Fine-grained knob records; usually left at their defaults.
-    morsel_rows:
-        Granularity of morsel-driven batched execution: operator kernels
-        consume their inputs in slices of at most this many rows, which
-        bounds the working set of kernel evaluation.  ``None`` disables
-        batching (whole-column packets).  Simulated seconds are identical
-        for every setting; only real wall-clock/memory behavior changes.
-        Overrides ``executor_options.morsel_rows`` when both are given.
-    cache_budget_bytes:
-        Retention budget of the session's cross-query kernel cache, in
-        bytes of pinned result columns (LRU eviction).  ``0`` disables
-        cross-query caching, ``None`` lifts the bound.  Like
-        ``morsel_rows`` this is wall-clock only — simulated seconds are
-        identical for every setting.  Overrides
-        ``executor_options.cache_budget_bytes`` when both are given.
-    pipeline_fusion:
-        Stream morsels through maximal chains of streaming operators
-        (scan -> filter/project -> exchange routing -> hash-join probes)
-        without materializing a batch at every plan node; batches only
-        form at fusion boundaries (aggregate and join-build inputs).  On
-        by default.  Wall-clock/working-set only — results and simulated
-        seconds are bit-identical with fusion on or off.  Overrides
-        ``executor_options.pipeline_fusion`` when both are given.
-    cache_eviction:
-        Victim-selection policy of the query cache: ``"lru"`` (default)
-        or ``"cost"`` (evict the lowest recompute-cost-per-byte entry
-        first).  Wall-clock only, like the budget.
-    workers:
-        Worker threads driving fused-chain morsel streams and radix
-        partition passes (:mod:`repro.engine.workers`): ``1`` runs
-        everything inline (the exact single-threaded path), ``"auto"``
-        uses the machine's CPU count, and when the knob is not passed the
-        ``REPRO_WORKERS`` environment variable decides (else 1).
-        Wall-clock only — results, simulated seconds, device busy times
-        and cache counters are bit-identical at every worker count.
-        Overrides ``executor_options.workers`` when both are given.
-    tracing:
-        Record a :class:`~repro.obs.QueryTrace` on every
-        :attr:`QueryResult.trace`: operator spans (placement, timing,
-        bytes, rows, estimated-vs-actual rows, cache status), the raw
-        device/link task slices and a critical-path analysis.  Off by
-        default; purely additive — results, simulated seconds and all
-        counters are bit-identical with tracing on or off, and traces
-        are byte-identical at every worker count (see
-        ``docs/OBSERVABILITY.md``).  Overrides
-        ``executor_options.tracing`` when both are given.
+    morsel_rows / cache_budget_bytes / cache_eviction / pipeline_fusion /
+    workers / tracing:
+        The session knobs.  Each is the :class:`ExecutorOptions` field of
+        the same name — documented there, once — and overrides
+        ``executor_options`` when both are given.  After construction the
+        same names are attributes: reading returns the value in force
+        (``workers`` resolved to a concrete count), assigning re-tunes the
+        live session.  All six are wall-clock/working-set only: results
+        and simulated seconds are bit-identical for every setting, and a
+        bad value raises ``ValueError`` whichever way it arrives.
     catalog / query_cache:
         Normally omitted — the session owns a private catalog and cache.
         A :class:`~repro.server.QueryServer` passes its *shared* catalog
@@ -183,15 +161,13 @@ class HAPEEngine:
     def __init__(self, topology: Topology | None = None, *,
                  optimizer_options: OptimizerOptions | None = None,
                  executor_options: ExecutorOptions | None = None,
-                 morsel_rows: int | None = _UNSET,  # type: ignore[assignment]
-                 cache_budget_bytes: int | None = _UNSET,  # type: ignore[assignment]
-                 pipeline_fusion: bool = _UNSET,  # type: ignore[assignment]
-                 cache_eviction: str = _UNSET,  # type: ignore[assignment]
-                 workers: int | str | None = _UNSET,  # type: ignore[assignment]
-                 tracing: bool = _UNSET,  # type: ignore[assignment]
                  catalog: Catalog | None = None,
                  query_cache=None,
-                 ) -> None:
+                 **knobs: object) -> None:
+        unknown = knobs.keys() - SESSION_KNOBS
+        if unknown:
+            raise TypeError("HAPEEngine() got unexpected keyword arguments "
+                            f"{sorted(unknown)}")
         if query_cache is not None and catalog is None:
             # A shared cache is keyed by (and invalidated through) the
             # catalog it was built against; pairing it with a private
@@ -206,120 +182,14 @@ class HAPEEngine:
                                    optimizer_options)
         self.executor = Executor(self.topology, self.catalog, executor_options,
                                  query_cache=query_cache)
-        if morsel_rows is not _UNSET:
-            self.executor.configure_morsels(morsel_rows)
-        if cache_budget_bytes is not _UNSET:
-            self.executor.configure_cache(cache_budget_bytes)
-        if pipeline_fusion is not _UNSET:
-            self.executor.configure_fusion(pipeline_fusion)
-        if cache_eviction is not _UNSET:
-            self.executor.configure_eviction(cache_eviction)
-        if workers is not _UNSET:
-            self.executor.configure_workers(workers)
-        if tracing is not _UNSET:
-            self.executor.configure_tracing(tracing)
+        self.executor.retune(**knobs)
 
-    # ------------------------------------------------------------------
-    # Session knobs
-    # ------------------------------------------------------------------
-    @property
-    def morsel_rows(self) -> int | None:
-        """Rows per morsel for kernel evaluation (``None`` = whole column).
-
-        Assigning re-tunes the executor in place, so the knob can be swept
-        within one session; results and simulated timings are unaffected.
-        Cached kernel results stay valid across re-tunes — outputs are
-        bit-identical for every morsel granularity, so the cache key
-        deliberately ignores this knob.
-        """
-        return self.executor.options.morsel_rows
-
-    @morsel_rows.setter
-    def morsel_rows(self, value: int | None) -> None:
-        self.executor.configure_morsels(value)
-
-    @property
-    def cache_budget_bytes(self) -> int | None:
-        """Byte budget of the cross-query kernel cache.
-
-        Assigning re-tunes the cache in place: shrinking evicts LRU
-        entries down to the new budget immediately, ``0`` disables
-        cross-query caching, ``None`` lifts the bound.  Results and
-        simulated timings are unaffected by any setting.
-        """
-        return self.executor.options.cache_budget_bytes
-
-    @cache_budget_bytes.setter
-    def cache_budget_bytes(self, value: int | None) -> None:
-        self.executor.configure_cache(value)
-
-    @property
-    def cache_eviction(self) -> str:
-        """Victim-selection policy of the query cache (default ``"lru"``).
-
-        ``"lru"`` discards the least-recently-used entry when the byte
-        budget overflows; ``"cost"`` discards the entry with the lowest
-        measured recompute cost per byte, so small-but-expensive results
-        (a filtered join build) outlive large-but-cheap ones.  Assigning
-        re-tunes the cache in place; results and simulated timings are
-        unaffected by either policy.
-        """
-        return self.executor.options.cache_eviction
-
-    @cache_eviction.setter
-    def cache_eviction(self, value: str) -> None:
-        self.executor.configure_eviction(value)
-
-    @property
-    def pipeline_fusion(self) -> bool:
-        """Whether streaming chains fuse across plan nodes (default on).
-
-        Assigning re-tunes the executor in place, so fusion can be toggled
-        per query within one session; results and simulated timings are
-        bit-identical either way — only the peak size of intermediate
-        batches changes.  Cached kernel results survive retuning: fused
-        and unfused evaluations use distinct cache entries, so a toggle
-        can cause cold misses but never wrong reuse.
-        """
-        return self.executor.options.pipeline_fusion
-
-    @pipeline_fusion.setter
-    def pipeline_fusion(self, value: bool) -> None:
-        self.executor.configure_fusion(value)
-
-    @property
-    def workers(self) -> int:
-        """Worker threads for data-parallel execution (default 1).
-
-        The resolved concrete count: assigning ``"auto"`` reads back as
-        the machine's CPU count.  ``1`` runs everything inline on the
-        calling thread — the exact single-threaded code path.  Assigning
-        re-tunes the executor in place, so the knob can be swept within
-        one session; results, simulated timings, device busy times and
-        cache counters are bit-identical at every setting (see
-        :mod:`repro.engine.workers` for the determinism contract).
-        """
-        return self.executor.options.workers
-
-    @workers.setter
-    def workers(self, value: int | str | None) -> None:
-        self.executor.configure_workers(value)
-
-    @property
-    def tracing(self) -> bool:
-        """Whether queries record operator-span traces (default off).
-
-        Assigning re-tunes the executor in place, so tracing can be
-        toggled per query within one session.  Purely additive: the
-        functional result, simulated seconds and every counter are
-        bit-identical with tracing on or off — a traced query only
-        *additionally* carries :attr:`QueryResult.trace`.
-        """
-        return self.executor.options.tracing
-
-    @tracing.setter
-    def tracing(self, value: bool) -> None:
-        self.executor.configure_tracing(value)
+    morsel_rows = _knob("morsel_rows")
+    cache_budget_bytes = _knob("cache_budget_bytes")
+    cache_eviction = _knob("cache_eviction")
+    pipeline_fusion = _knob("pipeline_fusion")
+    workers = _knob("workers")
+    tracing = _knob("tracing")
 
     @property
     def cache_stats(self) -> QueryCacheStats:

@@ -58,7 +58,11 @@ from statistics import median
 
 import numpy as np
 
-from ..engine.querycache import CacheCounters, QueryCacheStats
+from ..engine.querycache import (
+    DEFAULT_CACHE_BUDGET_BYTES,
+    CacheCounters,
+    QueryCacheStats,
+)
 from ..engine.session import HAPEEngine, QueryResult
 from ..engine.workers import WorkerPool, resolve_workers
 from ..errors import (
@@ -342,7 +346,10 @@ class QueryServer:
         paper's testbed.
     cache_budget_bytes / cache_eviction:
         Retention budget and eviction policy of the server-owned
-        :class:`SharedQueryCache`.  Tenant sessions cannot re-tune them.
+        :class:`SharedQueryCache`, with the meaning of the
+        :class:`~repro.engine.ExecutorOptions` fields of the same names
+        (``0`` disables the cache, ``None`` lifts the bound).  Tenant
+        sessions cannot re-tune them.
     occupancy_threshold:
         The scheduler's negligible-work cutoff: resources busy for less
         than this fraction of a query's makespan are not reserved.
@@ -399,7 +406,7 @@ class QueryServer:
     """
 
     def __init__(self, topology: Topology | None = None, *,
-                 cache_budget_bytes: int | None = None,
+                 cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
                  cache_eviction: str = "lru",
                  occupancy_threshold: float = 0.10,
                  fault_plan: FaultPlan | None = None,
@@ -412,11 +419,8 @@ class QueryServer:
                  tracing: bool = False) -> None:
         self.topology = topology if topology is not None else default_server()
         self.catalog = Catalog()
-        if cache_budget_bytes is None:
-            self.query_cache = SharedQueryCache(policy=cache_eviction)
-        else:
-            self.query_cache = SharedQueryCache(cache_budget_bytes,
-                                                policy=cache_eviction)
+        self.query_cache = SharedQueryCache(cache_budget_bytes,
+                                            policy=cache_eviction)
         # The one invalidation subscription for the whole server: tenant
         # sessions share this cache and must not subscribe it again.
         self.catalog.subscribe(self.query_cache.invalidate_table)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExecutorOptions, HAPEEngine, Optimizer, OptimizerOptions
+from repro.engine.workers import available_cpus
 from repro.hardware import DeviceKind, default_server
 from repro.operators import OpCost
 from repro.relational import RoutingPolicy, agg_sum, col, lit, scan
@@ -32,6 +33,87 @@ class TestOpCost:
             OpCost().add("x", -1.0)
         with pytest.raises(ValueError):
             OpCost().scaled(-0.1)
+
+
+#: knob -> (accepted values with the value read back, a rejected value).
+KNOBS = {
+    "morsel_rows": ([(123, 123), (None, None)], 0),
+    "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], -1),
+    "cache_eviction": ([("cost", "cost")], "mru"),
+    "pipeline_fusion": ([(False, False)], "yes"),
+    "workers": ([(2, 2), ("auto", available_cpus())], 0),
+    "tracing": ([(True, True)], 1),
+}
+
+
+def _by_keyword(knob, value):
+    return HAPEEngine(default_server(), **{knob: value})
+
+
+def _by_options_record(knob, value):
+    return HAPEEngine(default_server(),
+                      executor_options=ExecutorOptions(**{knob: value}))
+
+
+def _by_assignment(knob, value):
+    engine = HAPEEngine(default_server())
+    setattr(engine, knob, value)
+    return engine
+
+
+DOORS = [_by_keyword, _by_options_record, _by_assignment]
+
+
+@pytest.mark.parametrize("door", DOORS, ids=lambda door: door.__name__)
+@pytest.mark.parametrize("knob", KNOBS)
+class TestKnobSurface:
+    """Every knob behaves the same through every way of setting it."""
+
+    def test_round_trips_with_derived_state_in_step(self, knob, door):
+        for value, expected in KNOBS[knob][0]:
+            engine = door(knob, value)
+            executor = engine.executor
+            assert getattr(engine, knob) == expected
+            assert getattr(executor.options, knob) == expected
+            options = executor.options
+            assert executor.scheduler.morsel_rows == options.morsel_rows
+            assert executor.pool.workers == options.workers
+            assert executor.query_cache.budget_bytes == options.cache_budget_bytes
+            assert executor.query_cache.policy == options.cache_eviction
+
+    def test_rejects_bad_value(self, knob, door):
+        with pytest.raises(ValueError):
+            door(knob, KNOBS[knob][1])
+
+
+class TestKnobOwnership:
+    def test_failed_assignment_keeps_the_value_in_force(self):
+        engine = HAPEEngine(default_server(), morsel_rows=77)
+        with pytest.raises(ValueError):
+            engine.morsel_rows = -1
+        assert engine.morsel_rows == 77
+        assert engine.executor.scheduler.morsel_rows == 77
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="hybrid_overhead"):
+            HAPEEngine(default_server(), hybrid_overhead=0.5)
+
+    @pytest.mark.parametrize("knob,value", [("cache_budget_bytes", 123),
+                                            ("cache_eviction", "cost")])
+    def test_shared_cache_tenant_cannot_tune_the_cache(self, knob, value):
+        from repro.server import QueryServer
+
+        server = QueryServer(default_server())
+        session = server.open_session("tenant")
+        with pytest.raises(ValueError, match="server-owned"):
+            setattr(session, knob, value)
+        with pytest.raises(ValueError, match="server-owned"):
+            HAPEEngine(server.topology, catalog=server.catalog,
+                       query_cache=server.query_cache, **{knob: value})
+        # The options mirror the server's cache, and other knobs stay free.
+        assert session.cache_budget_bytes == server.query_cache.budget_bytes
+        session.morsel_rows = 99
+        assert session.executor.scheduler.morsel_rows == 99
 
 
 class TestExecutorBehaviour:

@@ -113,18 +113,6 @@ class TestFusionKnobSurface:
     def test_default_session_has_fusion_enabled(self):
         assert HAPEEngine(default_server()).pipeline_fusion is True
 
-    def test_knob_is_retunable_and_validated(self):
-        engine = HAPEEngine(default_server())
-        engine.pipeline_fusion = False
-        assert engine.pipeline_fusion is False
-        assert engine.executor.options.pipeline_fusion is False
-        engine.pipeline_fusion = True
-        assert engine.pipeline_fusion is True
-        with pytest.raises(ValueError):
-            engine.pipeline_fusion = "on"  # type: ignore[assignment]
-        with pytest.raises(ValueError):
-            HAPEEngine(default_server(), pipeline_fusion=1)  # type: ignore[arg-type]
-
     def test_toggling_mid_session_never_reuses_wrong_entries(self,
                                                              tpch_dataset):
         """Fused and unfused cache entries are keyed apart: a toggle can

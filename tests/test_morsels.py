@@ -334,17 +334,6 @@ class TestEngineMorselInvariance:
         engine.executor.execute(physical)
         assert kernel_counts() == with_morsels
 
-    def test_session_knob_is_retunable(self, tpch_dataset):
-        engine = self._engine(tpch_dataset, None)
-        assert engine.morsel_rows is None
-        engine.morsel_rows = 123
-        assert engine.morsel_rows == 123
-        assert engine.executor.scheduler.morsel_rows == 123
-        with pytest.raises(ValueError):
-            engine.morsel_rows = 0
-        engine.morsel_rows = None
-        assert engine.executor.options.morsel_rows is None
-
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_morsel_rows_fails_at_construction(self, bad):
         with pytest.raises(ValueError):
@@ -384,3 +373,86 @@ class TestPipelineMorselStages:
         assert any(is_streaming_operator(op) for op in ops)
         assert all(is_streaming_operator(op)
                    for op in ops if isinstance(op, (PScan, PFilterProject)))
+
+
+# ----------------------------------------------------------------------
+# Streamed operator descriptions vs. the whole-batch kernels
+# ----------------------------------------------------------------------
+class TestStreamedDescriptionsMatchKernels:
+    """Every plan node — fusion on or off — streams through the operator
+    descriptions' per-morsel accumulation, so nothing inside the engine
+    runs ``filter_project_kernel`` / ``hash_join_kernel`` on these paths
+    any more.  This is the independent cross-check: over real TPC-H
+    columns, the streamed columns and the accumulated stats record equal
+    the kernels' own, byte for byte."""
+
+    MORSEL_ROWS = (None, 7, 4096)
+
+    @staticmethod
+    def _stream(node, catalog, morsel_rows):
+        """Drive ``node``'s description as a one-stage chain."""
+        from repro.engine import Executor, ExecutorOptions
+        from repro.engine.descriptions import description
+
+        executor = Executor(default_server(), catalog, ExecutorOptions(
+            morsel_rows=morsel_rows, cache_budget_bytes=0))
+        stage = description(node)(node, executor)  # runs a join's build
+        source = executor._execute(node.children()[-1])
+        columns, ((stats, nbytes, rows),) = executor._evaluate([stage],
+                                                               source)
+        assert nbytes == sum(v.nbytes for v in columns.values())
+        assert rows == (len(next(iter(columns.values()))) if columns else 0)
+        return stage, source, columns, stats
+
+    @staticmethod
+    def _assert_bytes_equal(got, expected):
+        assert list(got) == list(expected)
+        for name in expected:
+            assert got[name].dtype == expected[name].dtype, name
+            assert got[name].tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("cutoff", [24, -1], ids=["rows", "empty"])
+    def test_filter_project(self, engine, morsel_rows, cutoff):
+        from repro.relational import cpu_traits
+
+        predicate = col("l_quantity") < lit(cutoff)
+        projections = {"revenue": col("l_extendedprice") * col("l_discount"),
+                       "l_orderkey": col("l_orderkey")}
+        lineitem = PScan(cpu_traits(), table="lineitem")
+        # Two stages: the first feeds the second an *empty* input when the
+        # cutoff keeps nothing.
+        inner = PFilterProject(cpu_traits(), child=lineitem,
+                               predicate=predicate)
+        node = PFilterProject(cpu_traits(), child=inner,
+                              projections=projections)
+        _, source, columns, stats = self._stream(node, engine.catalog,
+                                                 morsel_rows)
+        if cutoff < 0:
+            assert source.num_rows == 0
+        expected, expected_stats = filter_project_kernel(
+            source.columns, projections=projections, morsel_rows=morsel_rows)
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("cutoff", [10**9, -1], ids=["rows", "empty"])
+    def test_hash_join_probe(self, engine, morsel_rows, cutoff):
+        from repro.relational import PJoin, cpu_traits
+
+        orders = PScan(cpu_traits(), table="orders",
+                       columns=("o_orderkey", "o_custkey"))
+        lineitem = PFilterProject(
+            cpu_traits(), predicate=col("l_orderkey") < lit(cutoff),
+            child=PScan(cpu_traits(), table="lineitem",
+                        columns=("l_orderkey", "l_quantity")))
+        node = PJoin(cpu_traits(), build=orders, probe=lineitem,
+                     build_keys=("o_orderkey",), probe_keys=("l_orderkey",))
+        stage, source, columns, stats = self._stream(node, engine.catalog,
+                                                     morsel_rows)
+        expected, expected_stats = hash_join_kernel(
+            stage.build.columns, source.columns,
+            build_keys=node.build_keys, probe_keys=node.probe_keys,
+            morsel_rows=morsel_rows)
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats

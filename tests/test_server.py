@@ -119,12 +119,17 @@ class TestServedResultsIdentity:
         assert counters["warm-tenant"].misses == 0
         assert counters["warm-tenant"].hits == warm.cache.hits
 
-    def test_tenant_sessions_cannot_retune_shared_cache(self, tpch_server):
-        session = tpch_server.open_session("tenant")
-        with pytest.raises(ValueError, match="server-owned"):
-            session.cache_budget_bytes = 123
-        with pytest.raises(ValueError, match="server-owned"):
-            session.cache_eviction = "cost"
+    def test_cache_budget_means_the_same_as_on_a_session(self):
+        """``None`` is "unlimited" on the server too, not "the default"."""
+        from repro.engine import DEFAULT_CACHE_BUDGET_BYTES
+
+        default = QueryServer(default_server())
+        assert default.query_cache.budget_bytes == DEFAULT_CACHE_BUDGET_BYTES
+        unlimited = QueryServer(default_server(), cache_budget_bytes=None)
+        assert unlimited.query_cache.budget_bytes is None
+        assert unlimited.open_session("t").cache_budget_bytes is None
+        assert not QueryServer(default_server(),
+                               cache_budget_bytes=0).query_cache.enabled
 
     def test_shared_cache_requires_shared_catalog(self, tpch_server):
         # A shared cache with a private catalog would collide catalog

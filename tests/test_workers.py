@@ -86,20 +86,6 @@ class TestWorkersKnob:
         # An explicit knob always beats the environment.
         assert HAPEEngine(default_server(), workers=2).workers == 2
 
-    def test_knob_is_retunable_and_validated(self):
-        engine = HAPEEngine(default_server(), workers=2)
-        assert engine.workers == 2
-        assert engine.executor.pool.parallel
-        engine.workers = 1
-        assert engine.workers == 1
-        assert not engine.executor.pool.parallel
-        engine.workers = "auto"
-        assert engine.workers == available_cpus()
-        with pytest.raises(ValueError):
-            engine.workers = 0
-        with pytest.raises(ValueError):
-            HAPEEngine(default_server(), workers="plenty")
-
 
 # ----------------------------------------------------------------------
 # The pool

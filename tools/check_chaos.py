@@ -34,18 +34,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from bench_history import latest_run
+
 _REPO = Path(__file__).resolve().parent.parent
-
-
-def _latest_run_with(history: dict, suite: str) -> dict | None:
-    for run in reversed(history.get("runs", [])):
-        if suite in run.get("suites", {}):
-            return run
-    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
                              "entry anchors the empty-plan identity check")
     args = parser.parse_args(argv)
 
-    history = json.loads(args.bench.read_text())
-    run = _latest_run_with(history, "chaos")
+    run = latest_run(args.bench, "chaos")
     if run is None:
         print(f"FAIL: no chaos suite recorded in {args.bench}")
         return 1
@@ -92,11 +85,10 @@ def main(argv: list[str] | None = None) -> int:
             "seconds across repetitions of the same query")
 
     if args.baseline is not None and args.baseline.exists():
-        baseline_history = json.loads(args.baseline.read_text())
         checked = False
         for suite, key in (("serve", "simulated_seconds"),
                            ("tpch", "simulated_seconds")):
-            baseline_run = _latest_run_with(baseline_history, suite)
+            baseline_run = latest_run(args.baseline, suite)
             if baseline_run is None:
                 continue
             same_shape = (

@@ -32,18 +32,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from bench_history import latest_run
+
 _REPO = Path(__file__).resolve().parent.parent
-
-
-def _latest_run_with(history: dict, suite: str) -> dict | None:
-    for run in reversed(history.get("runs", [])):
-        if suite in run.get("suites", {}):
-            return run
-    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
                              "speedup gate applies")
     args = parser.parse_args(argv)
 
-    history = json.loads(args.bench.read_text())
-    run = _latest_run_with(history, "scale")
+    run = latest_run(args.bench, "scale")
     if run is None:
         print(f"FAIL: no scale suite recorded in {args.bench}")
         return 1

@@ -48,18 +48,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from bench_history import latest_run
+
 _REPO = Path(__file__).resolve().parent.parent
-
-
-def _latest_run_with(history: dict, suite: str) -> dict | None:
-    for run in reversed(history.get("runs", [])):
-        if suite in run.get("suites", {}):
-            return run
-    return None
 
 
 def _identity_failures(label_sims: dict, run: dict, baseline: Path | None,
@@ -76,8 +70,7 @@ def _identity_failures(label_sims: dict, run: dict, baseline: Path | None,
                     f"{label}: {suite_name}={seconds!r} != "
                     f"tpch={tpch[label]!r} within the same run")
     if baseline is not None and baseline.exists():
-        baseline_history = json.loads(baseline.read_text())
-        baseline_run = _latest_run_with(baseline_history, "tpch")
+        baseline_run = latest_run(baseline, "tpch")
         if baseline_run is not None:
             same_shape = (
                 baseline_run["args"].get("sf") == run["args"].get("sf")
@@ -148,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                              "deterministic replay)")
     args = parser.parse_args(argv)
 
-    history = json.loads(args.bench.read_text())
-    run = _latest_run_with(history, "serve")
+    run = latest_run(args.bench, "serve")
     failures: list[str] = []
     speedup = 0.0
     if run is None and not args.require_open_loop:
@@ -174,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
 
     open_loop = None
     if args.require_open_loop:
-        open_loop_run = _latest_run_with(history, "open_loop")
+        open_loop_run = latest_run(args.bench, "open_loop")
         if open_loop_run is None:
             failures.append(f"no open_loop suite recorded in {args.bench}")
         else:

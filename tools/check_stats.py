@@ -26,17 +26,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
+from bench_history import latest_run
+
 _REPO = Path(__file__).resolve().parent.parent
-
-
-def _latest_run_with(history: dict, suite: str) -> dict | None:
-    for run in reversed(history.get("runs", [])):
-        if suite in run.get("suites", {}):
-            return run
-    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,8 +42,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="largest allowed per-query median q-error")
     args = parser.parse_args(argv)
 
-    history = json.loads(args.bench.read_text())
-    run = _latest_run_with(history, "stats")
+    run = latest_run(args.bench, "stats")
     if run is None:
         print(f"FAIL: no stats suite recorded in {args.bench}")
         return 1

@@ -30,21 +30,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+
+from bench_history import latest_run
 
 _REPO = Path(__file__).resolve().parent.parent
 
 _REQUIRED_EVENTS = ("submit", "admit", "dispatch", "complete",
                     "failover", "retry", "preempt", "device_health")
-
-
-def _latest_run_with(history: dict, suite: str) -> dict | None:
-    for run in reversed(history.get("runs", [])):
-        if suite in run.get("suites", {}):
-            return run
-    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,8 +51,7 @@ def main(argv: list[str] | None = None) -> int:
                              "control, in percent")
     args = parser.parse_args(argv)
 
-    history = json.loads(args.bench.read_text())
-    run = _latest_run_with(history, "trace")
+    run = latest_run(args.bench, "trace")
     if run is None:
         print(f"FAIL: no trace suite recorded in {args.bench}")
         return 1
