@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full serve-bench scale-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc serve-bench scale-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -46,6 +46,22 @@ bench:
 ## Larger TPC-H scale factor for more stable wall-clock numbers.
 bench-full:
 	$(PYTHON) benchmarks/run_benchmarks.py --sf 0.1 --repeat 5
+
+## The two-clock end-to-end benchmark (bench/README.md): all six
+## workloads into $(OUT); with BASELINE=<earlier results file> the run is
+## then compared against it (exit 1 on any metric labelled worse).
+OUT ?= bench/results/e2e.json
+BASELINE ?=
+bench-e2e:
+	python3 bench/run.py --out $(OUT)
+	$(if $(BASELINE),python3 bench/compare.py $(BASELINE) $(OUT))
+
+## Code lines (comments and docstrings excluded) — the figure simplicity
+## PRs quote.  LOC_PATHS=src/repro/server for one package; run the tool
+## with --files for a per-file listing.
+LOC_PATHS ?= src
+loc:
+	$(PYTHON) tools/code_lines.py $(LOC_PATHS)
 
 ## Serving smoke run (CI job "serve"): the cold tpch suite plus the
 ## 4-tenant serve suite into a scratch file, then gate the invariants —

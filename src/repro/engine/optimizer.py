@@ -57,7 +57,6 @@ class OptimizerOptions:
     """Optimizer knobs exposed to the benchmarks and ablations."""
 
     routing_policy: RoutingPolicy = RoutingPolicy.LOAD_AWARE
-    prefer_partitioned_gpu_join: bool = True
     small_build_rows: int = 2_000_000
     #: When true (the default) row estimates come from the catalog's
     #: per-column statistics (:mod:`repro.stats`); when false the legacy
@@ -282,15 +281,13 @@ class Optimizer:
                         "memory"
                     )
                 return JoinAlgorithm.RADIX_GPU
-            if (self.options.prefer_partitioned_gpu_join
-                    and build_rows > self.options.small_build_rows):
+            if build_rows > self.options.small_build_rows:
                 return JoinAlgorithm.RADIX_GPU
             return JoinAlgorithm.NON_PARTITIONED
         # Hybrid: co-process when the inputs exceed the accelerator memory.
         if not fits_in_gpu or build_rows > 4 * self.options.small_build_rows:
             return JoinAlgorithm.COPROCESSED_RADIX
-        if (self.options.prefer_partitioned_gpu_join
-                and build_rows > self.options.small_build_rows):
+        if build_rows > self.options.small_build_rows:
             return JoinAlgorithm.RADIX_GPU
         return JoinAlgorithm.NON_PARTITIONED
 

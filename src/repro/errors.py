@@ -104,11 +104,15 @@ class DeviceUnavailableError(FaultError):
     This is the serving-time analogue of the paper's "DBMS G was unable to
     run" rows: instead of silently producing numbers on hardware that is
     gone, the engine refuses and lets the server fail over to a mode the
-    surviving devices can run.
+    surviving devices can run.  ``device`` names the one device at fault
+    when there is one (an injected device fault), so the circuit breaker
+    can count the failure against it.
     """
 
-    def __init__(self, kind: str, detail: str = "") -> None:
+    def __init__(self, kind: str, detail: str = "", *,
+                 device: str | None = None) -> None:
         self.kind = kind
+        self.device = device
         message = f"no available {kind} device"
         if detail:
             message = f"{message}: {detail}"

@@ -33,8 +33,14 @@ deterministically during :meth:`~repro.server.server.QueryServer.run`,
 failed attempts are retried under per-tenant
 :class:`~repro.server.admission.RetryPolicy` budgets, device-scoped
 failures walk the gpu → hybrid → cpu degradation ladder
-(:data:`~repro.server.server.MODE_DEGRADATION`), and per-query deadlines
-bound the whole recovery dance.
+(:data:`~repro.server.lifecycle.MODE_DEGRADATION`), and per-query
+deadlines bound the whole recovery dance.
+
+What each of those events means for a ticket is one module,
+:mod:`repro.server.lifecycle`: the declared status-transition table, and
+:meth:`~repro.server.lifecycle.TicketLifecycle.end_attempt`, the one exit
+every attempt takes.  :mod:`repro.server.server` is the event loop that
+calls it.
 """
 
 from .admission import (
@@ -45,14 +51,9 @@ from .admission import (
 )
 from .arrivals import Arrival, ArrivalSource, poisson_arrivals, trace_arrivals
 from .metrics import MetricsSnapshot
+from .lifecycle import MODE_DEGRADATION, QueryTicket
 from .scheduler import DeviceScheduler, Placement
-from .server import (
-    MODE_DEGRADATION,
-    QueryServer,
-    QueryTicket,
-    ServerReport,
-    TenantReport,
-)
+from .server import QueryServer, ServerReport, TenantReport
 from .sharedcache import SharedQueryCache
 
 __all__ = [

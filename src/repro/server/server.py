@@ -29,9 +29,13 @@ Two invariants carry over unchanged from the single-session engine:
 The server is also *fault tolerant*: a :class:`~repro.faults.FaultPlan`
 (or an organic failure such as
 :class:`~repro.errors.OutOfDeviceMemoryError` — the paper's Q9-on-GPU
-failure, Section 6.4) no longer aborts the drain.  Failed attempts are
-isolated to their ticket, device-scoped failures walk the mode-degradation
-ladder (gpu → hybrid → cpu), transient failures are retried under the
+failure, Section 6.4) no longer aborts the drain.  This module is the
+event loop — it decides *when* an attempt starts and ends; what that means
+for the ticket is :mod:`repro.server.lifecycle`, which every ending goes
+through (:meth:`~repro.server.lifecycle.TicketLifecycle.end_attempt`).
+Failed attempts are isolated to their ticket, device-scoped failures walk
+the mode-degradation ladder (gpu → hybrid → cpu), transient failures are
+retried under the
 tenant's :class:`~repro.server.admission.RetryPolicy` with simulated
 backoff charged as queue wait, per-query deadlines bound the whole dance,
 and a :class:`~repro.faults.CircuitBreaker` takes chronically failing
@@ -69,14 +73,11 @@ from ..errors import (
     AdmissionError,
     DeviceUnavailableError,
     FaultError,
-    OptimizerError,
-    OutOfDeviceMemoryError,
     ReproError,
-    RetryExhaustedError,
     ServingError,
     UnknownTenantError,
 )
-from ..faults import CircuitBreaker, FaultInjector, FaultPlan, InjectedFault
+from ..faults import CircuitBreaker, FaultInjector, FaultPlan
 from ..hardware.specs import DeviceKind
 from ..hardware.topology import Topology, default_server
 from ..obs.trace import EpochTrace, TracedQuery
@@ -87,102 +88,27 @@ from ..storage.catalog import Catalog
 from ..storage.table import Table
 from .admission import AdmissionController, RetryPolicy, TenantPolicy
 from .arrivals import Arrival, ArrivalSource
+from .lifecycle import (
+    DEADLINE,
+    PREEMPTED,
+    SUCCESS,
+    TERMINAL,
+    QueryTicket,
+    TicketLifecycle,
+    _Attempt,
+)
 from .metrics import MetricsSnapshot
-from .scheduler import DeviceScheduler, Placement
+from .scheduler import DeviceScheduler
 from .sharedcache import CacheBracket, SharedQueryCache
 
-#: Mode-degradation ladder for device-scoped failures: a query that cannot
-#: run in its mode is re-planned one rung down.  CPU-only has no rung left.
-MODE_DEGRADATION = {"gpu": "hybrid", "hybrid": "cpu"}
 
+@dataclass(kw_only=True)
+class TicketCounts:
+    """What a set of tickets came to — one tenant's, or the whole epoch's.
 
-@dataclass
-class QueryTicket:
-    """One submission's lifecycle: queued → completed/failed/timed_out.
-
-    Times are simulated *server* seconds.  ``queue_wait`` spans submission
-    to (final-attempt) execution start — admission blocking, device
-    contention and retry backoff; ``latency`` additionally includes the
-    query's own simulated makespan.  The functional answer is reachable
-    through :attr:`result`.  ``wasted_seconds`` sums the simulated time
-    burned by attempts that a fault killed; the successful attempt's
-    :attr:`simulated_seconds` never includes waste.
+    :class:`TenantReport` and :class:`ServerReport` are the same fold over
+    the epoch's tickets at two granularities; :meth:`count` is its step.
     """
-
-    ticket_id: int
-    tenant: str
-    label: str
-    plan: LogicalPlan
-    mode: str
-    submit_time: float
-    estimated_bytes: int
-    #: "queued" | "rejected" | "running" | "completed" | "failed" |
-    #: "timed_out"
-    status: str = "queued"
-    start_time: float = 0.0
-    finish_time: float = 0.0
-    reserved: tuple[str, ...] = ()
-    result: QueryResult | None = None
-    cache: CacheCounters = field(default_factory=CacheCounters)
-    #: Execution mode of the current/most recent attempt (the failover
-    #: ladder rewrites this; :attr:`mode` keeps the requested mode).
-    current_mode: str = ""
-    deadline_seconds: float | None = None
-    attempts: int = 0
-    retries: int = 0
-    failovers: int = 0
-    preemptions: int = 0
-    wasted_seconds: float = 0.0
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.current_mode:
-            self.current_mode = self.mode
-
-    @property
-    def queue_wait(self) -> float:
-        return self.start_time - self.submit_time
-
-    @property
-    def latency(self) -> float:
-        return self.finish_time - self.submit_time
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.result.simulated_seconds if self.result else 0.0
-
-    @property
-    def final_mode(self) -> str:
-        """The mode of the last attempt (post-failover)."""
-        return self.current_mode
-
-    @property
-    def deadline_time(self) -> float | None:
-        """Absolute server time of the deadline (None = unbounded)."""
-        if self.deadline_seconds is None:
-            return None
-        return self.submit_time + self.deadline_seconds
-
-
-@dataclass
-class _Attempt:
-    """One in-flight execution attempt on the completions heap."""
-
-    ticket: QueryTicket
-    kind: str  # "success" | "fault" | "timeout"
-    start: float
-    finish: float
-    result: QueryResult
-    cache_delta: CacheCounters
-    reserved: tuple[str, ...]
-    placement: Placement | None = None
-    fault: InjectedFault | None = None
-    cancelled: bool = False
-
-
-@dataclass
-class TenantReport:
-    """Aggregated accounting for one tenant over one serving run."""
 
     completed: int = 0
     rejected: int = 0
@@ -192,6 +118,21 @@ class TenantReport:
     failovers: int = 0
     preemptions: int = 0
     wasted_seconds: float = 0.0
+
+    def count(self, ticket: QueryTicket) -> None:
+        if ticket.status in TERMINAL:
+            # Terminal statuses and their counters share names.
+            setattr(self, ticket.status, getattr(self, ticket.status) + 1)
+        self.retries += ticket.retries
+        self.failovers += ticket.failovers
+        self.preemptions += ticket.preemptions
+        self.wasted_seconds += ticket.wasted_seconds
+
+
+@dataclass
+class TenantReport(TicketCounts):
+    """Aggregated accounting for one tenant over one serving run."""
+
     queue_wait_seconds: float = 0.0
     simulated_seconds: float = 0.0
     #: Cost-model busy seconds summed per resource over the tenant's
@@ -203,6 +144,26 @@ class TenantReport:
     #: The tenant policy's latency objective, copied onto the report so
     #: SLO grading travels with the numbers it grades.
     slo_p99_seconds: float | None = None
+
+    def count(self, ticket: QueryTicket) -> None:
+        super().count(ticket)
+        if ticket.status != "completed":
+            return
+        result = ticket.result
+        self.queue_wait_seconds += ticket.queue_wait
+        self.simulated_seconds += result.simulated_seconds
+        for resource, busy in result.device_busy.items():
+            if busy > 0:
+                self.busy_seconds[resource] = (
+                    self.busy_seconds.get(resource, 0.0) + busy)
+        self.cache = CacheCounters(
+            hits=self.cache.hits + ticket.cache.hits,
+            misses=self.cache.misses + ticket.cache.misses,
+            evicted=self.cache.evicted + ticket.cache.evicted,
+            invalidated=self.cache.invalidated + ticket.cache.invalidated)
+        self.peak_intermediate_bytes = max(self.peak_intermediate_bytes,
+                                           result.peak_intermediate_bytes)
+        self.latencies.append(ticket.latency)
 
     def percentile_latency(self, q: float) -> float:
         if not self.latencies:
@@ -225,49 +186,23 @@ class TenantReport:
 
 
 @dataclass
-class ServerReport:
+class ServerReport(TicketCounts):
     """What one :meth:`QueryServer.run` drain produced."""
 
     tickets: list[QueryTicket]
     tenants: dict[str, TenantReport]
-    #: Server time at which the last query finished.
+    #: Server time at which the last ticket reached its terminal status.
     makespan: float
     #: Sum of per-query simulated seconds — the serial-submission baseline
     #: (each query's simulated time is bit-identical either way).
     serial_seconds: float
     cache: QueryCacheStats
 
-    @property
-    def completed(self) -> int:
-        return sum(1 for t in self.tickets if t.status == "completed")
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for t in self.tickets if t.status == "rejected")
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for t in self.tickets if t.status == "failed")
-
-    @property
-    def timed_out(self) -> int:
-        return sum(1 for t in self.tickets if t.status == "timed_out")
-
-    @property
-    def retries(self) -> int:
-        return sum(t.retries for t in self.tickets)
-
-    @property
-    def failovers(self) -> int:
-        return sum(t.failovers for t in self.tickets)
-
-    @property
-    def wasted_seconds(self) -> float:
-        return sum(t.wasted_seconds for t in self.tickets)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(t.preemptions for t in self.tickets)
+    def count(self, ticket: QueryTicket) -> None:
+        super().count(ticket)
+        self.makespan = max(self.makespan, ticket.finish_time)
+        if ticket.status == "completed":
+            self.serial_seconds += ticket.result.simulated_seconds
 
     @property
     def slos_met(self) -> bool:
@@ -350,9 +285,6 @@ class QueryServer:
         :class:`~repro.engine.ExecutorOptions` fields of the same names
         (``0`` disables the cache, ``None`` lifts the bound).  Tenant
         sessions cannot re-tune them.
-    occupancy_threshold:
-        The scheduler's negligible-work cutoff: resources busy for less
-        than this fraction of a query's makespan are not reserved.
     fault_plan:
         Optional deterministic chaos schedule replayed by a
         :class:`~repro.faults.FaultInjector` during :meth:`run`.  Injected
@@ -408,7 +340,6 @@ class QueryServer:
     def __init__(self, topology: Topology | None = None, *,
                  cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
                  cache_eviction: str = "lru",
-                 occupancy_threshold: float = 0.10,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  breaker_threshold: int = 3,
@@ -428,19 +359,19 @@ class QueryServer:
             raise ValueError("preemption must be a bool")
         self.preemption = preemption
         self.admission = AdmissionController(aging_seconds=aging_seconds)
-        self.scheduler = DeviceScheduler(
-            self.topology, occupancy_threshold=occupancy_threshold)
+        self.scheduler = DeviceScheduler(self.topology)
         #: Statistics-backed cardinality estimator over the shared
         #: catalog: admission working-set estimates and auto-mode
         #: placement read it.
         self.estimator = CardinalityEstimator(self.catalog)
         self.fault_plan = fault_plan or FaultPlan()
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
+        #: Trips chronically failing devices; every epoch ends by
+        #: restoring what it tripped, so one breaker serves them all.
+        self.breaker = CircuitBreaker(
+            self.topology, threshold=breaker_threshold,
+            cooldown_seconds=breaker_cooldown_seconds)
         self.workers = resolve_workers(workers)
         self._pool = WorkerPool(self.workers, tier="server")
-        self._retry_policies: dict[str, RetryPolicy] = {}
         self._sessions: dict[str, HAPEEngine] = {}
         self._ticket_ids = itertools.count(1)
         self._event_seq = itertools.count()
@@ -451,19 +382,21 @@ class QueryServer:
         #: The most recent epoch's report — what ``metrics()`` exports.
         self.last_report: ServerReport | None = None
         self._injector: FaultInjector | None = None
-        self._breaker: CircuitBreaker | None = None
+        #: Server time the current (or last) drain has reached.
+        self._now = 0.0
         if not isinstance(tracing, bool):
             raise ValueError("tracing must be a bool")
         self.tracing = tracing
         #: Lifecycle-event recorder (no-op unless ``tracing=True``); all
         #: appends happen on the coordinating thread in canonical order.
         self.tracer = Tracer(enabled=tracing)
+        #: The ticket state machine the serving loop drives.
+        self.lifecycle = TicketLifecycle(
+            self.admission, self.scheduler, self.breaker, self.tracer,
+            retry_policy or RetryPolicy())
         #: The most recent epoch's :class:`~repro.obs.EpochTrace`
         #: (``None`` before the first traced ``run()`` or when off).
         self.last_trace: EpochTrace | None = None
-        #: Device-health baseline for transition events (diffed against
-        #: ``topology.health_report()`` at every fault/breaker step).
-        self._last_health: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Shared catalog
@@ -527,7 +460,7 @@ class QueryServer:
                               slo_p99_seconds=slo_p99_seconds)
         self.admission.open_tenant(tenant, policy)
         if retry is not None:
-            self._retry_policies[tenant] = retry
+            self.lifecycle.retry_policies[tenant] = retry
         session = HAPEEngine(self.topology, catalog=self.catalog,
                              query_cache=self.query_cache,
                              tracing=self.tracing)
@@ -542,7 +475,7 @@ class QueryServer:
 
     def tenant_retry_policy(self, tenant: str) -> RetryPolicy:
         """The retry policy in force for one tenant."""
-        return self._retry_policies.get(tenant, self.retry_policy)
+        return self.lifecycle.retry_policy(tenant)
 
     @property
     def tenants(self) -> tuple[str, ...]:
@@ -587,19 +520,7 @@ class QueryServer:
             estimated_bytes=self._estimate_bytes(plan),
             deadline_seconds=deadline)
         self._epoch_tickets.append(ticket)
-        self.tracer.event(ticket.submit_time, "submit", tenant=tenant,
-                          query=ticket.label, ticket=ticket.ticket_id,
-                          mode=mode)
-        try:
-            self.admission.submit(tenant, ticket,
-                                  estimated_bytes=ticket.estimated_bytes,
-                                  at=ticket.submit_time)
-        except AdmissionError as exc:
-            ticket.status = "rejected"
-            self.tracer.event(ticket.submit_time, "reject", tenant=tenant,
-                              query=ticket.label, ticket=ticket.ticket_id,
-                              reason=str(exc))
-            raise
+        self.lifecycle.submit(ticket)
         return ticket
 
     def _estimate_bytes(self, plan: LogicalPlan) -> int:
@@ -713,22 +634,17 @@ class QueryServer:
         coherent partial report on its ``report`` attribute.  The server
         remains usable for the next epoch either way.
         """
-        injector = FaultInjector(self.fault_plan, self.topology)
-        breaker = CircuitBreaker(
-            self.topology, threshold=self.breaker_threshold,
-            cooldown_seconds=self.breaker_cooldown_seconds)
-        self._injector, self._breaker = injector, breaker
+        self._injector = FaultInjector(self.fault_plan, self.topology)
         self.topology.reset_occupancy()
-        if self.tracer.enabled:
-            self._last_health = dict(self.topology.health_report())
+        self.lifecycle.trace_health(0.0, None)
         # Seed the epoch's canonical cache-key set: commits classify
         # hits/misses against it in pick order (see SharedQueryCache).
         self.query_cache.begin_epoch()
-        completions: list[tuple[float, int, _Attempt]] = []
         try:
-            self._drain(completions)
+            self._drain()
         except Exception as exc:
-            report = self._abort_epoch(completions, exc)
+            self.lifecycle.abort(self._epoch_tickets, self._now, exc)
+            report = self._close_epoch()
             if isinstance(exc, ServingError):
                 exc.report = report
                 raise
@@ -736,18 +652,14 @@ class QueryServer:
             error.report = report
             raise error from exc
         finally:
-            injector.restore_all()
-            breaker.restore_all()
-            self._injector = self._breaker = None
+            self._injector.restore_all()
+            self.breaker.restore_all()
             self._arrival_sources = []
-        report = self._build_report()
-        self.last_report = report
-        self.last_trace = self._build_epoch_trace(report)
-        self._epoch_tickets = []
-        return report
+        return self._close_epoch()
 
-    def _drain(self, completions: list) -> None:
-        now = 0.0
+    def _drain(self) -> None:
+        completions: list[tuple[float, int, _Attempt]] = []
+        now = self._now = 0.0
         self._apply_faults(now, completions)
         self._pump_arrivals(now)
         while True:
@@ -781,70 +693,46 @@ class QueryServer:
             fault_at = self._injector.next_event_time(now)
             if fault_at is not None:
                 events.append(fault_at)
-            probe_at = self._breaker.next_probe_time(now)
+            probe_at = self.breaker.next_probe_time(now)
             if probe_at is not None:
                 events.append(probe_at)
-            now = min(events)
+            now = self._now = min(events)
             while completions and completions[0][0] <= now:
                 _, _, attempt = heapq.heappop(completions)
                 if not attempt.cancelled:
-                    self._finish_attempt(attempt, attempt.finish)
+                    self.lifecycle.end_attempt(
+                        attempt.ticket, attempt.placement.finish,
+                        attempt.outcome, attempt)
             self._apply_faults(now, completions)
             self._pump_arrivals(now)
 
     def _apply_faults(self, now: float, completions: list) -> None:
         """Apply scheduled faults/probes due at ``now``; kill stranded work."""
         newly_failed = self._injector.advance(now)
-        self._breaker.advance(now)
-        self._trace_health(now, "schedule")
+        self.breaker.advance(now)
+        self.lifecycle.trace_health(now, "schedule")
         if not newly_failed:
             return
         for _, _, attempt in completions:
-            if attempt.cancelled or attempt.finish <= now:
+            placement = attempt.placement
+            if attempt.cancelled or placement.finish <= now:
                 continue
-            if not any(name in attempt.reserved for name in newly_failed):
-                continue
-            attempt.cancelled = True
-            ticket = attempt.ticket
-            ticket.wasted_seconds += max(now - attempt.start, 0.0)
-            # Release the tail of the killed attempt's reservation: the
-            # hardware was only occupied until the strike, and a follow-on
-            # query on a freed resource must start at the kill instant,
-            # not at the attempt's originally reserved end.
-            if attempt.placement is not None:
-                self.scheduler.release(
-                    attempt.placement,
-                    fraction=self._elapsed_fraction(attempt, now))
-            self.admission.on_finish(ticket.tenant, ticket.estimated_bytes)
-            lost = next(name for name in newly_failed
-                        if name in attempt.reserved)
-            self._failover_or_fail(
-                ticket, now,
-                DeviceUnavailableError(
-                    self.topology.device(lost).kind.value,
-                    f"device {lost!r} failed mid-query"))
-
-    def _trace_health(self, now: float, cause: str) -> None:
-        """Emit a ``device_health`` event per device whose state changed.
-
-        Runs on the coordinator thread at deterministic simulated times
-        (fault-schedule and breaker edges), so the events land in the
-        trace in the same order at every worker count.
-        """
-        if not self.tracer.enabled:
-            return
-        health = self.topology.health_report()
-        for name in sorted(health):
-            state = health[name]
-            if self._last_health.get(name) != state:
-                self.tracer.event(now, "device_health", device=name,
-                                  state=state, cause=cause)
-        self._last_health = dict(health)
+            lost = next((name for name in newly_failed
+                         if name in placement.resources), None)
+            if lost is not None:
+                # The injector already took the device out of rotation, so
+                # the error blames no device for the breaker to count.
+                self.lifecycle.end_attempt(
+                    attempt.ticket, now,
+                    DeviceUnavailableError(
+                        self.topology.device(lost).kind.value,
+                        f"device {lost!r} failed mid-query"),
+                    attempt)
 
     # ------------------------------------------------------------------
     # Dispatch: one execution attempt
     # ------------------------------------------------------------------
-    def _execute_attempt(self, tenant: str, ticket: QueryTicket) -> tuple[
+    def _execute_attempt(self, ticket: QueryTicket) -> tuple[
             QueryResult | None, CacheBracket, ReproError | None]:
         """Functionally execute one attempt (safe off the drain thread).
 
@@ -856,15 +744,15 @@ class QueryServer:
         thread commits brackets in canonical pick order, which is what
         makes hit/miss attribution deterministic at any worker count.
         """
-        session = self.session(tenant)
-        with self.query_cache.tenant(tenant) as bracket:
+        session = self.session(ticket.tenant)
+        with self.query_cache.tenant(ticket.tenant) as bracket:
             try:
                 result = session.execute(ticket.plan, ticket.current_mode)
             except ReproError as error:
                 return None, bracket, error
         return result, bracket, None
 
-    def _enqueue_attempt(self, tenant: str, ticket: QueryTicket, now: float,
+    def _enqueue_attempt(self, ticket: QueryTicket, now: float,
                          completions: list, result: QueryResult,
                          cache_delta: CacheCounters) -> None:
         """Reserve a successfully executed attempt on the occupancy board.
@@ -872,61 +760,56 @@ class QueryServer:
         Must run on the coordinating thread in canonical pick order —
         occupancy reservations are order-sensitive (list scheduling).
         """
+        tenant = ticket.tenant
         deadline = ticket.deadline_time
-        reservations = self.scheduler.reservations(result)
+        needed = tuple(self.scheduler.reservations(result))
+        board = self.topology.occupancy
         # An interactive arrival that would wait behind running batch work
         # may evict it first (at a morsel boundary), so preemption happens
         # before the start estimate and the reservation.
         if (self.preemption
                 and self.admission.policy(tenant).rank == 0
-                and self.topology.occupancy.available_at(
-                    tuple(reservations)) > now):
-            self._preempt_for(tuple(reservations), now, completions)
-        # Decide — before reserving — whether this attempt survives: an
+                and board.available_at(needed) > now):
+            self._preempt_for(needed, now, completions)
+        # Decide — before reserving — how this attempt will end: an
         # injected fault may kill it mid-run, and the deadline may cut it
         # short.  The start estimate reproduces the occupancy board's own
         # rule (max of availability and now), so the reservation below
         # lands at exactly this start.
-        start = max(self.topology.occupancy.available_at(tuple(reservations)),
-                    now)
+        start = max(board.available_at(needed), now)
         sim = result.simulated_seconds
         fault = self._injector.attempt_fault(tenant, ticket.label,
                                              ticket.attempts)
-        kind, dies_at = "success", start + sim
+        outcome, dies_at = SUCCESS, start + sim
         if fault is not None:
-            kind, dies_at = "fault", start + fault.fraction * sim
+            dies_at = start + fault.fraction * sim
+            if fault.kind == "device" and fault.device is not None:
+                outcome = DeviceUnavailableError(
+                    self.topology.device(fault.device).kind.value,
+                    fault.message, device=fault.device)
+            else:
+                outcome = FaultError(fault.message)
         if deadline is not None and dies_at > deadline:
-            kind, dies_at, fault = "timeout", deadline, None
+            outcome, dies_at = DEADLINE, deadline
         fraction = 1.0
-        if kind != "success" and sim > 0.0:
+        if outcome != SUCCESS and sim > 0.0:
             fraction = min(max((dies_at - start) / sim, 0.0), 1.0)
         placement = self.scheduler.dispatch(
             result, earliest=now, label=f"{tenant}:{ticket.label}",
             fraction=fraction)
-        attempt = _Attempt(ticket=ticket, kind=kind, start=placement.start,
-                           finish=placement.finish, result=result,
-                           cache_delta=cache_delta,
-                           reserved=placement.resources, placement=placement,
-                           fault=fault)
-        self.tracer.event(now, "dispatch", tenant=tenant, query=ticket.label,
-                          ticket=ticket.ticket_id, mode=ticket.current_mode,
-                          start=placement.start, finish=placement.finish,
-                          resources=",".join(placement.resources))
-        heapq.heappush(completions,
-                       (placement.finish, next(self._event_seq), attempt))
+        self.lifecycle.event(ticket, now, "dispatch",
+                             mode=ticket.current_mode,
+                             start=placement.start, finish=placement.finish,
+                             resources=",".join(placement.resources))
+        heapq.heappush(completions, (
+            placement.finish, next(self._event_seq),
+            _Attempt(ticket, outcome, placement, result, cache_delta)))
 
     # ------------------------------------------------------------------
     # Preemption: interactive arrivals evict running batch work
     # ------------------------------------------------------------------
     @staticmethod
-    def _elapsed_fraction(attempt: _Attempt, at: float) -> float:
-        """How far through its reserved span an attempt is at ``at``."""
-        span = attempt.finish - attempt.start
-        if span <= 0.0:
-            return 0.0
-        return min(max((at - attempt.start) / span, 0.0), 1.0)
-
-    def _morsel_boundary(self, attempt: _Attempt, now: float) -> float:
+    def _morsel_boundary(attempt: _Attempt, now: float) -> float:
         """Earliest morsel boundary of ``attempt`` at or after ``now``.
 
         The attempt's span divides evenly over the morsels its execution
@@ -934,16 +817,17 @@ class QueryServer:
         morsels, never mid-kernel.  A cache-served attempt dispatched no
         morsels and is treated as one indivisible unit.
         """
-        span = attempt.finish - attempt.start
+        start, finish = attempt.placement.start, attempt.placement.finish
+        span = finish - start
         if span <= 0.0:
-            return attempt.start
+            return start
         steps = max(attempt.result.morsels_dispatched, 1)
         delta = span / steps
-        index = max(math.ceil((now - attempt.start) / delta - 1e-12), 0)
-        return min(attempt.start + index * delta, attempt.finish)
+        index = max(math.ceil((now - start) / delta - 1e-12), 0)
+        return min(start + index * delta, finish)
 
     def _preempt_for(self, needed: tuple[str, ...], now: float,
-                     completions: list) -> bool:
+                     completions: list) -> None:
         """Evict running batch attempts holding resources in ``needed``.
 
         Victims are considered in completion order (earliest reserved
@@ -952,17 +836,19 @@ class QueryServer:
         batch-priority tenant whose *aged* rank is still below
         interactive — a batch query that has waited long enough to age to
         the top class is starvation-protected and cannot be evicted
-        again.  Each victim is killed at its next morsel boundary; its
-        reservation tail is released there and the query re-queues to run
-        again.  Stops as soon as every needed resource is free.
+        again.  Each victim is killed at its next morsel boundary: the
+        busy time up to the kill stays on the occupancy board (and on the
+        ticket as wasted seconds), the reservation tail is released there
+        and the query re-queues to run again, its eventual result
+        bit-identical.  Stops as soon as every needed resource is free.
         """
-        preempted = False
         for _, _, attempt in sorted(completions, key=lambda e: (e[0], e[1])):
             if self.topology.occupancy.available_at(needed) <= now:
                 break
-            if attempt.cancelled or attempt.kind != "success":
+            placement = attempt.placement
+            if attempt.cancelled or attempt.outcome != SUCCESS:
                 continue
-            if attempt.finish <= now or attempt.placement is None:
+            if placement.finish <= now:
                 continue
             ticket = attempt.ticket
             policy = self.admission.policy(ticket.tenant)
@@ -971,41 +857,11 @@ class QueryServer:
             if self.admission.aged_rank(
                     policy.rank, now - ticket.submit_time) == 0:
                 continue
-            if not set(attempt.reserved) & set(needed):
+            if not set(placement.resources) & set(needed):
                 continue
             kill = self._morsel_boundary(attempt, now)
-            if kill >= attempt.finish:
-                continue
-            self._preempt_attempt(attempt, kill)
-            preempted = True
-        return preempted
-
-    def _preempt_attempt(self, attempt: _Attempt, kill: float) -> None:
-        """Kill one running attempt at ``kill`` and re-queue its ticket.
-
-        The busy time up to the kill stays charged on the occupancy board
-        (exactly what ``dispatch(fraction=)`` would have reserved) and on
-        the ticket as wasted seconds; the reservation tail is released at
-        the kill instant.  Preemption is the server's choice, not the
-        query's failure, so the attempt does not count against the retry
-        budget — the ticket re-queues at the kill time and its eventual
-        re-execution returns a bit-identical result.
-        """
-        ticket = attempt.ticket
-        assert attempt.placement is not None
-        self.scheduler.release(attempt.placement,
-                               fraction=self._elapsed_fraction(attempt, kill))
-        attempt.cancelled = True
-        self.tracer.event(kill, "preempt", tenant=ticket.tenant,
-                          query=ticket.label, ticket=ticket.ticket_id)
-        ticket.wasted_seconds += max(kill - attempt.start, 0.0)
-        ticket.preemptions += 1
-        ticket.attempts -= 1
-        ticket.status = "queued"
-        self.admission.on_finish(ticket.tenant, ticket.estimated_bytes)
-        self.admission.requeue(ticket.tenant, ticket,
-                               estimated_bytes=ticket.estimated_bytes,
-                               at=kill)
+            if kill < placement.finish:
+                self.lifecycle.end_attempt(ticket, kill, PREEMPTED, attempt)
 
     def _dispatch_admissible(self, now: float, completions: list) -> None:
         """Drain every currently admissible pick (workers optional).
@@ -1024,265 +880,68 @@ class QueryServer:
         """
         while True:
             picks = []
-            while True:
-                pick = self.admission.next_admissible(now)
-                if pick is None:
-                    break
-                tenant, ticket, _ = pick
-                picks.append((tenant, ticket))
+            while (pick := self.admission.next_admissible(now)) is not None:
+                picks.append(pick[1])
             if not picks:
                 return
             runnable = []
-            for tenant, ticket in picks:
+            for ticket in picks:
                 deadline = ticket.deadline_time
                 if deadline is not None and now >= deadline:
-                    self.admission.on_finish(tenant, ticket.estimated_bytes)
-                    self._finalize_timeout(ticket, now)
+                    self.lifecycle.end_attempt(ticket, now, DEADLINE)
                     continue
                 if ticket.current_mode == "auto":
                     ticket.current_mode = self._resolve_auto_mode(ticket)
-                ticket.attempts += 1
-                ticket.status = "running"
-                self.tracer.event(now, "admit", tenant=tenant,
-                                  query=ticket.label,
-                                  ticket=ticket.ticket_id,
-                                  attempt=ticket.attempts,
-                                  mode=ticket.current_mode)
-                runnable.append((tenant, ticket))
+                self.lifecycle.admit(ticket, now)
+                runnable.append(ticket)
             groups: dict[str, list[QueryTicket]] = {}
-            for tenant, ticket in runnable:
-                groups.setdefault(tenant, []).append(ticket)
+            for ticket in runnable:
+                groups.setdefault(ticket.tenant, []).append(ticket)
 
-            def run_group(item: tuple[str, list[QueryTicket]]) -> list:
-                tenant, tickets = item
-                return [(ticket, *self._execute_attempt(tenant, ticket))
+            def run_group(tickets: list[QueryTicket]) -> list:
+                return [(ticket.ticket_id, self._execute_attempt(ticket))
                         for ticket in tickets]
 
             outcomes: dict[int, tuple] = {}
             for group in self._pool.map_ordered(run_group,
-                                                list(groups.items())):
-                for ticket, result, bracket, error in group:
-                    outcomes[ticket.ticket_id] = (result, bracket, error)
-            for tenant, ticket in runnable:
+                                                list(groups.values())):
+                outcomes.update(group)
+            for ticket in runnable:
                 result, bracket, error = outcomes[ticket.ticket_id]
                 # Commit in pick order even for failed attempts: the
                 # lookups they performed before failing are real traffic
                 # and keep global/tenant counters reconciled exactly.
                 cache_delta = self.query_cache.commit(bracket)
                 if error is not None:
-                    self.admission.on_finish(tenant, ticket.estimated_bytes)
-                    self._route_failure(ticket, now, error)
+                    self.lifecycle.end_attempt(ticket, now, error)
                 else:
-                    self._enqueue_attempt(tenant, ticket, now, completions,
-                                          result, cache_delta)
-
-    def _finish_attempt(self, attempt: _Attempt, now: float) -> None:
-        """An attempt reached its end (success, injected fault, deadline)."""
-        ticket = attempt.ticket
-        self.admission.on_finish(ticket.tenant, ticket.estimated_bytes)
-        if attempt.kind == "success":
-            ticket.status = "completed"
-            ticket.start_time = attempt.start
-            ticket.finish_time = attempt.finish
-            ticket.reserved = attempt.reserved
-            ticket.result = attempt.result
-            ticket.cache = attempt.cache_delta
-            ticket.error = None
-            self._breaker.record_success(attempt.reserved)
-            self._trace_health(now, "breaker")
-            # Cache attribution on the event comes from the *committed*
-            # counters (deterministic at every worker count), not raw
-            # per-span lookups — see docs/OBSERVABILITY.md.
-            self.tracer.event(attempt.finish, "complete",
-                              tenant=ticket.tenant, query=ticket.label,
-                              ticket=ticket.ticket_id,
-                              simulated_seconds=attempt.result.simulated_seconds,
-                              cache_hits=attempt.cache_delta.hits,
-                              cache_misses=attempt.cache_delta.misses)
-            return
-        # The attempt died part-way: account the simulated time it burned.
-        ticket.wasted_seconds += max(attempt.finish - attempt.start, 0.0)
-        if attempt.kind == "timeout":
-            self._finalize_timeout(ticket, now)
-            return
-        fault = attempt.fault
-        assert fault is not None
-        if fault.kind == "device" and fault.device is not None:
-            self._breaker.record_failure(fault.device, now)
-            self._trace_health(now, "breaker")
-            self._failover_or_fail(
-                ticket, now,
-                DeviceUnavailableError(
-                    self.topology.device(fault.device).kind.value,
-                    fault.message))
-        else:
-            self._retry_or_fail(ticket, now, FaultError(fault.message))
+                    self._enqueue_attempt(ticket, now, completions, result,
+                                          cache_delta)
 
     # ------------------------------------------------------------------
-    # Failure routing: failover ladder, retries, deadlines
+    # Closing an epoch: report and trace
     # ------------------------------------------------------------------
-    def _route_failure(self, ticket: QueryTicket, now: float,
-                       error: ReproError) -> None:
-        """Classify a synchronous execution failure and route it."""
-        if isinstance(error, OutOfDeviceMemoryError):
-            # Organic device-scoped failure (the paper's Q9-on-GPU case):
-            # the breaker learns about the device, the ticket fails over.
-            self._breaker.record_failure(error.device, now)
-            self._trace_health(now, "breaker")
-            self._failover_or_fail(ticket, now, error)
-        elif isinstance(error, (DeviceUnavailableError, OptimizerError)):
-            # The mode cannot run on the surviving devices at all; no
-            # single device to blame, straight to the ladder.
-            self._failover_or_fail(ticket, now, error)
-        else:
-            self._retry_or_fail(ticket, now, error)
+    def _close_epoch(self) -> ServerReport:
+        """Fold the epoch's tickets into its report (and trace); reset.
 
-    def _failover_or_fail(self, ticket: QueryTicket, now: float,
-                          error: Exception) -> None:
-        """Walk the mode-degradation ladder; fail when it is exhausted.
-
-        Failovers do not consume retry attempts: changing mode is the
-        server adapting placement (the paper's core premise), not the
-        query being flaky.
+        Both a drained and an aborted epoch end here: one fold over the
+        tickets in submission order builds the server-wide and per-tenant
+        accounting, and the ticket buffer resets for the next epoch.
         """
-        next_mode = MODE_DEGRADATION.get(ticket.current_mode)
-        if next_mode is None:
-            self._finalize_failure(ticket, now, error)
-            return
-        self.tracer.event(now, "failover", tenant=ticket.tenant,
-                          query=ticket.label, ticket=ticket.ticket_id,
-                          from_mode=ticket.current_mode, to_mode=next_mode,
-                          error=type(error).__name__)
-        ticket.failovers += 1
-        ticket.current_mode = next_mode
-        ticket.status = "queued"
-        self.admission.requeue(ticket.tenant, ticket,
-                               estimated_bytes=ticket.estimated_bytes,
-                               at=now)
-
-    def _retry_or_fail(self, ticket: QueryTicket, now: float,
-                       error: Exception) -> None:
-        """Retry under the tenant policy; exhausted retries fail cleanly."""
-        policy = self.tenant_retry_policy(ticket.tenant)
-        if ticket.attempts >= policy.max_attempts:
-            self._finalize_failure(
-                ticket, now,
-                RetryExhaustedError(ticket.label, ticket.attempts, error))
-            return
-        ticket.retries += 1
-        ticket.status = "queued"
-        resume_at = now + policy.backoff(ticket.attempts)
-        self.tracer.event(now, "retry", tenant=ticket.tenant,
-                          query=ticket.label, ticket=ticket.ticket_id,
-                          attempt=ticket.attempts, resume_at=resume_at,
-                          error=type(error).__name__)
-        # Simulated backoff: the ticket sits out the wait in its queue, so
-        # the backoff surfaces as queue wait, never as device time.
-        self.admission.requeue(ticket.tenant, ticket,
-                               estimated_bytes=ticket.estimated_bytes,
-                               at=resume_at)
-
-    def _finalize_failure(self, ticket: QueryTicket, now: float,
-                          error: Exception) -> None:
-        ticket.status = "failed"
-        ticket.finish_time = now
-        ticket.result = None
-        ticket.error = str(error)
-        self.tracer.event(now, "failed", tenant=ticket.tenant,
-                          query=ticket.label, ticket=ticket.ticket_id,
-                          error=str(error))
-
-    def _finalize_timeout(self, ticket: QueryTicket, now: float) -> None:
-        deadline = ticket.deadline_time
-        assert deadline is not None
-        ticket.status = "timed_out"
-        ticket.finish_time = max(now, deadline)
-        ticket.result = None
-        ticket.error = (f"query {ticket.label!r} exceeded its "
-                        f"{ticket.deadline_seconds:.6f}s deadline")
-        self.tracer.event(ticket.finish_time, "timeout",
-                          tenant=ticket.tenant, query=ticket.label,
-                          ticket=ticket.ticket_id,
-                          deadline_seconds=ticket.deadline_seconds)
-
-    # ------------------------------------------------------------------
-    # Epoch unwind (exception safety)
-    # ------------------------------------------------------------------
-    def _abort_epoch(self, completions: list, cause: Exception
-                     ) -> ServerReport:
-        """Finalize a partially drained epoch into a coherent report.
-
-        In-flight and queued tickets become failed, admission queues and
-        accounting are released, and the ticket buffer resets so the
-        server can serve the next epoch.
-        """
-        for _, _, attempt in completions:
-            attempt.cancelled = True
-        for ticket in self._epoch_tickets:
-            if ticket.status in ("queued", "running"):
-                ticket.status = "failed"
-                ticket.result = None
-                ticket.error = f"epoch aborted: {cause}"
-        self.admission.abort_epoch()
-        report = self._build_report()
+        report = ServerReport(tickets=self._epoch_tickets, tenants={},
+                              makespan=0.0, serial_seconds=0.0,
+                              cache=self.query_cache.stats())
+        for ticket in report.tickets:
+            if ticket.tenant not in report.tenants:
+                report.tenants[ticket.tenant] = TenantReport(
+                    slo_p99_seconds=self.admission.policy(
+                        ticket.tenant).slo_p99_seconds)
+            report.count(ticket)
+            report.tenants[ticket.tenant].count(ticket)
         self.last_report = report
         self.last_trace = self._build_epoch_trace(report)
         self._epoch_tickets = []
         return report
-
-    # ------------------------------------------------------------------
-    def _build_report(self) -> ServerReport:
-        tenants: dict[str, TenantReport] = {}
-        makespan = 0.0
-        serial = 0.0
-        for ticket in self._epoch_tickets:
-            report = tenants.setdefault(ticket.tenant, TenantReport())
-            report.retries += ticket.retries
-            report.failovers += ticket.failovers
-            report.preemptions += ticket.preemptions
-            report.wasted_seconds += ticket.wasted_seconds
-            if ticket.wasted_seconds > 0.0 or ticket.status in (
-                    "failed", "timed_out"):
-                makespan = max(makespan, ticket.finish_time)
-            if ticket.status == "rejected":
-                report.rejected += 1
-                continue
-            if ticket.status == "failed":
-                report.failed += 1
-                continue
-            if ticket.status == "timed_out":
-                report.timed_out += 1
-                continue
-            if ticket.status != "completed":  # pragma: no cover - drained
-                continue
-            assert ticket.result is not None
-            report.completed += 1
-            report.queue_wait_seconds += ticket.queue_wait
-            report.simulated_seconds += ticket.result.simulated_seconds
-            for resource, busy in ticket.result.device_busy.items():
-                if busy > 0:
-                    report.busy_seconds[resource] = (
-                        report.busy_seconds.get(resource, 0.0) + busy)
-            report.cache = CacheCounters(
-                hits=report.cache.hits + ticket.cache.hits,
-                misses=report.cache.misses + ticket.cache.misses,
-                evicted=report.cache.evicted + ticket.cache.evicted,
-                invalidated=(report.cache.invalidated
-                             + ticket.cache.invalidated))
-            report.peak_intermediate_bytes = max(
-                report.peak_intermediate_bytes,
-                ticket.result.peak_intermediate_bytes)
-            report.latencies.append(ticket.latency)
-            makespan = max(makespan, ticket.finish_time)
-            serial += ticket.result.simulated_seconds
-        for name, report in tenants.items():
-            if self.admission.has_tenant(name):
-                report.slo_p99_seconds = (
-                    self.admission.policy(name).slo_p99_seconds)
-        return ServerReport(tickets=list(self._epoch_tickets),
-                            tenants=tenants, makespan=makespan,
-                            serial_seconds=serial,
-                            cache=self.query_cache.stats())
 
     # ------------------------------------------------------------------
     # Observability

@@ -38,6 +38,7 @@ from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
 from repro.hardware import DeviceHealth, default_server, gtx_1080
 from repro.relational import agg_count, agg_sum, col, lit, scan
 from repro.server import QueryServer, RetryPolicy
+from repro.server.lifecycle import EVENT_STATUS, TERMINAL
 from repro.storage import Table
 
 
@@ -303,6 +304,12 @@ class TestCircuitBreaker:
             CircuitBreaker(default_server(), threshold=0)
         with pytest.raises(ValueError, match="cooldown"):
             CircuitBreaker(default_server(), cooldown_seconds=0.0)
+        # The server applies the same rule when it is constructed, not
+        # from inside the first run() after tenants have queued work.
+        with pytest.raises(ValueError, match="threshold"):
+            QueryServer(default_server(), breaker_threshold=0)
+        with pytest.raises(ValueError, match="cooldown"):
+            QueryServer(default_server(), breaker_cooldown_seconds=0)
 
 
 # ----------------------------------------------------------------------
@@ -699,11 +706,11 @@ class TestFaultFreeIdentityAndSafety:
                 _table_bytes(right.result.table)
 
     def test_run_is_exception_safe_and_server_reusable(self, monkeypatch):
-        server = QueryServer(default_server())
+        server = QueryServer(default_server(), tracing=True)
         server.register_dataset(_small_tables())
         session = server.open_session("t")
         server.submit("t", _plan_x(), "cpu", label="boom")
-        server.submit("t", _plan_y(), "cpu", label="after")
+        server.submit("t", _plan_y(), "cpu", label="after", at=0.5)
 
         def explode(*args, **kwargs):
             raise RuntimeError("synthetic engine bug")
@@ -715,6 +722,13 @@ class TestFaultFreeIdentityAndSafety:
         assert partial is not None
         assert all(t.status == "failed" for t in partial.tickets)
         assert all("epoch aborted" in t.error for t in partial.tickets)
+        # Aborted tickets go through the one finalizer: a finish time (never
+        # before their own submission) and exactly one terminal event each.
+        assert all(t.finish_time >= t.submit_time for t in partial.tickets)
+        assert partial.makespan == 0.5
+        terminal = [event.attrs["ticket"] for event in server.last_trace.events
+                    if EVENT_STATUS.get(event.kind) in TERMINAL]
+        assert sorted(terminal) == [t.ticket_id for t in partial.tickets]
 
         # The server survives: admission state unwound, next epoch clean.
         monkeypatch.undo()

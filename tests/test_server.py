@@ -131,6 +131,27 @@ class TestServedResultsIdentity:
         assert not QueryServer(default_server(),
                                cache_budget_bytes=0).query_cache.enabled
 
+    def test_a_dropped_server_is_freed_without_the_cycle_collector(
+            self, tpch_dataset):
+        """A served epoch pins results, tables and the shared cache: a
+        reference cycle through the server would keep all of it resident
+        until the next gc pass (it showed as +40% peak RSS on the
+        serving benchmark)."""
+        import gc
+        import weakref
+
+        server = QueryServer(default_server(), tracing=True)
+        server.register_dataset(tpch_dataset.tables)
+        server.submit("t", all_queries(tpch_dataset)["Q6"].plan, "cpu")
+        server.run()
+        alive = weakref.ref(server)
+        gc.disable()
+        try:
+            del server
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_shared_cache_requires_shared_catalog(self, tpch_server):
         # A shared cache with a private catalog would collide catalog
         # version counters across sessions (cross-catalog poisoning).
