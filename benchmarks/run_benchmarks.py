@@ -1,49 +1,56 @@
 #!/usr/bin/env python
-"""Run every benchmark suite and record the perf trajectory.
+"""Record the simulated-seconds trajectory and gate its invariants.
 
-Executes the fig5-fig9 paper-scale sweeps plus two TPC-H execution suites
-(all evaluated queries in cpu / hybrid / gpu mode on a generated dataset):
-``tpch`` measures cold single-shot executions (the session's cross-query
-kernel cache is reset per run, so numbers stay comparable across PRs) and
-``tpch_warm`` is the repeated-query session benchmark — the same suite run
-``--repeat`` more times in one warm session, reporting the cold/warm
-wall-clock split, the speedup and the cache hit counters.  Every suite
-measures *wall-clock* seconds and captures the *simulated* seconds the
-figures report.  Results are appended to ``BENCH_results.json`` at the
-repository root so successive PRs can compare:
+A small registry of 14 suites.  Each suite is declared once, by the
+``@suite`` decorator above the function that computes its record: its
+one-line summary and its **gates as data** — ``Gate(record key,
+predicate, failure message)`` — plus, for suites whose per-query
+simulated seconds must match another suite's bit for bit, an
+``Identity``.  ``fig5``–``fig9`` are the paper-scale model sweeps;
+``tpch`` (cold) / ``tpch_warm`` / ``mem`` / ``scale`` / ``stats`` execute
+the evaluated TPC-H queries; ``serve`` / ``chaos`` / ``open_loop`` /
+``trace`` drive the multi-tenant server.  Wall-clock numbers (best of
+``--repeat``) ride along; the wall-clock *ledger* is ``bench/``.
 
-* wall-clock — the efficiency of the library itself (the single-evaluation
-  kernel refactor and the cross-query cache show up here), and
-* simulated seconds — the model outputs, which must stay stable unless a
-  PR deliberately changes cost accounting (warm runs are bit-identical to
-  cold ones by construction).
+Every invocation appends one run record to ``--output`` (default
+``BENCH_results.json``, the append-only history).  With ``--gate`` the
+declared gates are applied to the records just written, and the identity
+suites are also compared with the latest same-sf/seed entry of
+``--baseline``; every failure is printed and the exit status is non-zero.
+The Makefile's gate targets (``serve-bench``, ``scale-bench``, ``stats``,
+``chaos``, ``trace``, ``open-loop``) are each one such command.
 
-Usage::
+    python benchmarks/run_benchmarks.py [--sf 0.05] [--seed 2019]
+        [--repeat 3] [--suites tpch serve ...] [--output FILE]
+        [--gate [--baseline BENCH_results.json]]
 
-    python benchmarks/run_benchmarks.py [--sf 0.05] [--repeat 3]
-        [--output BENCH_results.json]
-
-Wall-clock numbers are the best of ``--repeat`` runs (data generation and
-model construction excluded); for ``tpch_warm``, ``--repeat`` is the
-number of warm passes after the cold one.
+One :class:`Workbench` per invocation shares *inputs* (the generated
+dataset and the query plans); engines and servers are built fresh per
+call, so the two sides of every identity gate are separate executions.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterator, Mapping
 
 _REPO = Path(__file__).resolve().parent.parent
 if str(_REPO / "src") not in sys.path:
     sys.path.insert(0, str(_REPO / "src"))
 
-from repro.engine import HAPEEngine  # noqa: E402
+from repro.engine import HAPEEngine, OptimizerOptions  # noqa: E402
+from repro.engine.querycache import DEFAULT_CACHE_BUDGET_BYTES  # noqa: E402
+from repro.engine.workers import available_cpus  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.hardware import default_server  # noqa: E402
 from repro.perf import JoinModels, TPCHModels  # noqa: E402
@@ -56,192 +63,381 @@ from repro.server import (  # noqa: E402
 from repro.storage import generate_tpch  # noqa: E402
 from repro.workloads import (  # noqa: E402
     all_queries,
-    build_query,
     run_all_variants,
     run_coprocessed_join,
 )
 
 MODES = ("cpu", "hybrid", "gpu")
+#: The ``mem`` suite's scale factor — the scale the PR 2 / PR 4 peak-memory
+#: figures quote.
+MEM_SF = 0.2
+#: The serve/chaos tenant mix: a 4-tenant mixed CPU/GPU closed loop.
+SERVE_TENANTS = {"cpu-a": "cpu", "gpu-a": "gpu", "cpu-b": "cpu", "gpu-b": "gpu"}
+SERVE_SESSIONS = dict.fromkeys(SERVE_TENANTS, {})
+#: Closed-loop passes each serve tenant submits.
+SERVE_PASSES = 2
+DEFAULT_SUITES = ("fig5", "fig6", "fig7", "fig8", "fig9",
+                  "tpch", "tpch_warm", "mem", "serve")
 
 
-def _best_wall(repeat: int, run) -> tuple[float, object]:
-    """Best-of-``repeat`` wall-clock seconds plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(max(repeat, 1)):
-        start = time.perf_counter()
-        value = run()
-        best = min(best, time.perf_counter() - start)
-    return best, value
+# ----------------------------------------------------------------------
+# Gates and the suite registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Gate:
+    """One invariant of a suite record: ``passes(value, fields)`` must
+    hold for the value at ``key``.
 
-
-def suite_tpch(args: argparse.Namespace, topology) -> dict:
-    """The TPC-H execution suite: every query in every mode."""
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    # This suite tracks the *cold* single-shot trajectory across PRs:
-    # cross-query caching is disabled outright (cache_budget_bytes=0, which
-    # keeps PR-1 within-query memoization) so no kernel evaluation is ever
-    # served warm — not even between queries/modes of one pass — and the
-    # wall-clock numbers stay comparable with pre-cache history entries.
-    # Suite "tpch_warm" measures the warm repeated-query path.
-    if args.morsel_rows is not None:
-        # 0 disables batching (whole-column packets); anything else is the
-        # morsel granularity.  Leaving the flag off uses the engine default.
-        engine = HAPEEngine(topology, morsel_rows=args.morsel_rows or None,
-                            cache_budget_bytes=0,
-                            pipeline_fusion=args.fusion)
-    else:
-        engine = HAPEEngine(topology, cache_budget_bytes=0,
-                            pipeline_fusion=args.fusion)
-    engine.register_dataset(dataset.tables, replace=True)
-    queries = all_queries(dataset)
-
-    def run():
-        simulated = {}
-        for name, query in queries.items():
-            for mode in MODES:
-                result = engine.execute(query.plan, mode)
-                simulated[f"{name}/{mode}"] = result.simulated_seconds
-        return simulated
-
-    wall, simulated = _best_wall(args.repeat, run)
-    return {
-        "scale_factor": args.sf,
-        "wall_clock_seconds": wall,
-        "simulated_seconds": simulated,
-    }
-
-
-def suite_tpch_warm(args: argparse.Namespace, topology) -> dict:
-    """The repeated-query session benchmark (``--repeat N`` warm passes).
-
-    Runs the whole TPC-H suite ``1 + max(--repeat, 1)`` times in ONE
-    session: the first pass populates the cross-query kernel cache (cold),
-    the remaining passes measure the warm dashboard-style path where
-    repeated scans/builds/joins are served from the cache.  Reports the
-    cold wall-clock, the best warm wall-clock, the speedup, the session
-    cache counters, and whether warm simulated seconds stayed bit-identical
-    to the cold pass (they must — costing never observes the cache).
+    ``key`` is a dotted path into the record; a ``*`` segment applies the
+    gate to every item (``queries.*.median_q_error``).  ``fields`` is the
+    dict holding the value, and ``message`` a format string over it plus
+    ``{value}``.  ``skip`` returns why the gate does not apply to a record
+    (printed as a SKIP line), or ``None``.
     """
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    if args.morsel_rows is not None:
-        engine = HAPEEngine(topology, morsel_rows=args.morsel_rows or None,
-                            pipeline_fusion=args.fusion)
-    else:
-        engine = HAPEEngine(topology, pipeline_fusion=args.fusion)
-    engine.register_dataset(dataset.tables, replace=True)
-    queries = all_queries(dataset)
 
-    def one_pass():
-        simulated = {}
-        for name, query in queries.items():
-            for mode in MODES:
-                result = engine.execute(query.plan, mode)
-                simulated[f"{name}/{mode}"] = result.simulated_seconds
-        return simulated
+    key: str
+    passes: Callable[[object, dict], bool]
+    message: str
+    skip: Callable[[dict], str | None] | None = None
 
-    engine.clear_query_cache()
+
+@dataclass(frozen=True)
+class Identity:
+    """``record[key]`` maps ``query/mode`` labels to simulated seconds that
+    must equal, bit for bit, the ``simulated_seconds`` of each ``against``
+    suite in the same run and of the first ``against`` suite whose latest
+    baseline entry was recorded at the same sf/seed."""
+
+    key: str
+    against: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Suite:
+    run: Callable[["Workbench"], dict]
+    summary: Callable[[dict], str]
+    gates: tuple[Gate, ...] = ()
+    identity: Identity | None = None
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def suite(name: str, **declared):
+    """Register the decorated function as suite ``name``; ``declared`` are
+    the remaining :class:`Suite` fields."""
+    def register(run: Callable[["Workbench"], dict]):
+        SUITES[name] = Suite(run, **declared)
+        return run
+    return register
+
+
+def _true(value, fields) -> bool:
+    return value is True
+
+
+def _at_least(bound: float) -> Callable[[object, dict], bool]:
+    return lambda value, fields: value is not None and value >= bound
+
+
+def _at_most(bound: float) -> Callable[[object, dict], bool]:
+    return lambda value, fields: value is not None and value <= bound
+
+
+_MISSING = object()
+
+
+def _resolve(record: dict, key: str) -> list[tuple[str, object, dict]]:
+    """``(dotted path, value, dict holding it)`` for every match of
+    ``key`` in ``record``; a key that is absent resolves to ``_MISSING``."""
+    found = [("", record, record)]
+    for part in key.split("."):
+        found = [(f"{path}.{name}", node.get(name, _MISSING), node)
+                 for path, node, _ in found if isinstance(node, dict)
+                 for name in (node if part == "*" else (part,))]
+    return found
+
+
+class _Fields(dict):
+    """Record fields for failure messages; an absent one prints as ``?``."""
+
+    def __missing__(self, key: str) -> str:
+        return "?"
+
+
+def latest_run(history: dict, suite_name: str) -> dict | None:
+    """The most recent run of a history (oldest first) holding a suite."""
+    for run in reversed(history.get("runs", [])):
+        if suite_name in run.get("suites", {}):
+            return run
+    return None
+
+
+def _check_identity(name: str, identity: Identity, run: dict,
+                    baseline: dict | None, failures: list[str],
+                    notes: list[str]) -> list[str]:
+    """Apply one identity declaration; returns what was compared, one
+    ``N labels vs <origin>`` phrase per reference."""
+    what = f"{name}.{identity.key}"
+    sims = run["suites"][name].get(identity.key) or {}
+    if not sims:
+        failures.append(f"{what}: no simulated seconds recorded")
+    # (origin, its record, strict): an in-run reference must hold every
+    # label; a recorded one may predate a query but must share a label.
+    references = [(f"the in-run {ref} suite", run["suites"][ref], True)
+                  for ref in identity.against
+                  if ref != name and ref in run["suites"]]
+    if baseline is not None:
+        same_shape = [
+            (ref, recorded) for ref in identity.against
+            if (recorded := latest_run(baseline, ref)) is not None
+            and all(recorded["args"].get(arg) == run["args"].get(arg)
+                    for arg in ("sf", "seed"))]
+        if same_shape:
+            ref, recorded = same_shape[0]
+            references.append((
+                f"the recorded {ref} baseline "
+                f"({recorded.get('git_revision')})",
+                recorded["suites"][ref], False))
+        else:
+            notes.append(
+                f"note: {name}: no {'/'.join(identity.against)} baseline at "
+                "this sf/seed — cross-PR identity check skipped")
+    phrases = []
+    for origin, record, strict in references:
+        reference = record["simulated_seconds"]
+        shared = [label for label in sims if label in reference]
+        if strict:
+            failures += [f"{what}: {label} is absent from {origin}"
+                         for label in sims if label not in reference]
+        elif sims and not shared:
+            failures.append(f"{what}: no label in common with {origin} — "
+                            "nothing was compared")
+        failures += [f"{what}: {label} = {sims[label]!r} != "
+                     f"{reference[label]!r} in {origin}"
+                     for label in shared if reference[label] != sims[label]]
+        phrases.append(f"{len(shared)} labels vs {origin}")
+    return phrases
+
+
+def check_run(run: dict, baseline: dict | None = None
+              ) -> tuple[list[str], list[str]]:
+    """Apply every declared gate to one run record.
+
+    Returns ``(failures, notes)``: each failure names ``suite.key``; notes
+    are the SKIP / skipped-baseline / per-suite OK lines.  ``baseline`` is
+    a loaded history (the recorded ``BENCH_results.json``) or ``None``.
+    """
+    failures: list[str] = []
+    notes: list[str] = []
+    for name, record in run["suites"].items():
+        declared = SUITES[name]
+        before, applied = len(failures), 0
+        for gate in declared.gates:
+            reason = gate.skip(record) if gate.skip else None
+            if reason is not None:
+                notes.append(f"SKIP: {name}.{gate.key}: {reason}")
+                continue
+            applied += 1
+            matches = _resolve(record, gate.key)
+            if not matches:  # a wildcard over nothing gates nothing
+                matches = [(f".{gate.key}", _MISSING, record)]
+            for path, value, fields in matches:
+                if value is _MISSING:
+                    failures.append(f"{name}{path}: not recorded")
+                elif not gate.passes(value, fields):
+                    failures.append(f"{name}{path}: " + gate.message.format_map(
+                        _Fields(fields, value=value)))
+        checked = [f"{applied} gate(s)"] if applied else []
+        if declared.identity is not None:
+            checked += _check_identity(name, declared.identity, run,
+                                       baseline, failures, notes)
+        if len(failures) == before and checked:
+            notes.append(f"{name} ok: " + ", ".join(checked))
+    return failures, notes
+
+
+# ----------------------------------------------------------------------
+# The per-invocation workbench
+# ----------------------------------------------------------------------
+class Workbench:
+    """What the suites of one invocation share — inputs, never results."""
+
+    def __init__(self, sf: float, seed: int, repeat: int) -> None:
+        self.sf, self.seed, self.repeat = sf, seed, max(repeat, 1)
+
+    @cached_property
+    def dataset(self):
+        return generate_tpch(self.sf, seed=self.seed)
+
+    @cached_property
+    def queries(self) -> dict:
+        return all_queries(self.dataset)
+
+    @cached_property
+    def topology(self):
+        """The topology the analytical-model suites share."""
+        return default_server()
+
+    def cold_engine(self, **knobs) -> HAPEEngine:
+        """A fresh session over the dataset.  Cross-query caching is off
+        unless overridden (``cache_budget_bytes=0`` keeps within-query
+        memoization), so no kernel evaluation is ever served warm and
+        wall-clock numbers stay comparable with pre-cache history."""
+        knobs.setdefault("cache_budget_bytes", 0)
+        engine = HAPEEngine(default_server(), **knobs)
+        engine.register_dataset(self.dataset.tables)
+        return engine
+
+    def server(self, sessions: Mapping[str, Mapping] = SERVE_SESSIONS,
+               **knobs) -> QueryServer:
+        """A fresh server over the dataset with ``sessions`` opened
+        (tenant -> ``open_session`` keywords; default: the serve mix)."""
+        server = QueryServer(default_server(), **knobs)
+        server.register_dataset(self.dataset.tables)
+        for tenant, policy in sessions.items():
+            server.open_session(tenant, **policy)
+        return server
+
+    def jobs(self, modes=MODES) -> Iterator[tuple[str, object, str]]:
+        """``(label, plan, mode)`` for every query x every mode."""
+        for name, query in self.queries.items():
+            for mode in modes:
+                yield f"{name}/{mode}", query.plan, mode
+
+    def sweep(self, engine: HAPEEngine, modes=MODES,
+              pick=lambda result: result.simulated_seconds) -> dict:
+        """Every query x every mode on ``engine`` -> simulated seconds."""
+        return {label: pick(engine.execute(plan, mode))
+                for label, plan, mode in self.jobs(modes)}
+
+    def best_wall(self, run: Callable[[], object]) -> tuple[float, object]:
+        """Best-of-``repeat`` wall-clock seconds plus the last value."""
+        best, value = float("inf"), None
+        for _ in range(self.repeat):
+            start = time.perf_counter()
+            value = run()
+            best = min(best, time.perf_counter() - start)
+        return best, value
+
+
+def _sims_by_label(tickets) -> dict[str, set[float]]:
+    """Every simulated-seconds value each ticket label was served with."""
+    served: dict[str, set[float]] = {}
+    for ticket in tickets:
+        served.setdefault(ticket.label, set()).add(
+            ticket.result.simulated_seconds)
+    return served
+
+
+def _cache_record(stats) -> dict:
+    return {"hits": stats.hits, "misses": stats.misses,
+            "evicted": stats.evicted, "invalidated": stats.invalidated,
+            "entries": stats.entries, "bytes_used": stats.bytes_used}
+
+
+# ----------------------------------------------------------------------
+# TPC-H execution suites
+# ----------------------------------------------------------------------
+@suite("tpch",
+       summary=lambda r: f"cold pass {r['wall_clock_seconds']:.3f}s",
+       identity=Identity("simulated_seconds", ("tpch",)))
+def suite_tpch(bench: Workbench) -> dict:
+    """Every query in every mode, cold: the cross-PR trajectory."""
+    engine = bench.cold_engine()
+    wall, simulated = bench.best_wall(lambda: bench.sweep(engine))
+    return {"scale_factor": bench.sf, "wall_clock_seconds": wall,
+            "simulated_seconds": simulated}
+
+
+@suite("tpch_warm",
+       summary=lambda r: (
+           f"cold {r['wall_clock_seconds_cold']:.3f}s, warm "
+           f"{r['wall_clock_seconds_warm']:.3f}s "
+           f"({r['warm_speedup']:.2f}x), cache hits={r['cache']['hits']} "
+           f"misses={r['cache']['misses']}"),
+       gates=(Gate("warm_simulated_seconds_identical", _true,
+                   "warm passes reported simulated seconds different from "
+                   "the cold pass — costing observed the cache"),))
+def suite_tpch_warm(bench: Workbench) -> dict:
+    """The repeated-query session: one cold pass populates the cross-query
+    cache, ``repeat`` warm passes are served from it."""
+    engine = bench.cold_engine(cache_budget_bytes=DEFAULT_CACHE_BUDGET_BYTES)
     start = time.perf_counter()
-    cold_simulated = one_pass()
+    cold = bench.sweep(engine)
     cold_wall = time.perf_counter() - start
-
-    warm_wall = float("inf")
-    warm_simulated = None
-    for _ in range(max(args.repeat, 1)):
-        start = time.perf_counter()
-        warm_simulated = one_pass()
-        warm_wall = min(warm_wall, time.perf_counter() - start)
-
-    stats = engine.cache_stats
+    warm_wall, warm = bench.best_wall(lambda: bench.sweep(engine))
     return {
-        "scale_factor": args.sf,
-        "passes": 1 + max(args.repeat, 1),
+        "scale_factor": bench.sf,
+        "passes": 1 + bench.repeat,
         "wall_clock_seconds_cold": cold_wall,
         "wall_clock_seconds_warm": warm_wall,
         "warm_speedup": cold_wall / warm_wall if warm_wall > 0 else None,
-        "cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evicted": stats.evicted,
-            "invalidated": stats.invalidated,
-            "entries": stats.entries,
-            "bytes_used": stats.bytes_used,
-        },
-        "warm_simulated_seconds_identical": warm_simulated == cold_simulated,
-        "simulated_seconds": cold_simulated,
+        "cache": _cache_record(engine.cache_stats),
+        "warm_simulated_seconds_identical": warm == cold,
+        "simulated_seconds": cold,
     }
 
 
-def suite_scale(args: argparse.Namespace) -> dict:
-    """Wall-clock scaling of the TPC-H suite vs the ``workers`` knob.
+def _too_few_cpus(record: dict) -> str | None:
+    if record.get("cpu_count", 0) >= 4:
+        return None
+    return (f"the speedup gate needs >= 4 CPUs; this host has "
+            f"{record.get('cpu_count')}, so 4 worker threads share cores "
+            f"(measured {record.get('speedup_at_4_workers', 0.0):.2f}x)")
 
-    Runs the cold TPC-H suite (every query x every mode, cross-query
-    caching disabled like suite ``tpch``) at workers in {1, 2, 4, auto}
-    and records per-count wall-clock plus the speedup over ``workers=1``.
-    Alongside the timing it verifies the determinism contract at bench
-    scale: simulated seconds, device busy times and link bytes must be
-    bit-identical at every worker count.  A second leg drains the same
-    workload through a multi-tenant :class:`QueryServer` with the shared
-    query cache ENABLED at workers {1, 2, auto}: ticket statuses,
-    simulated seconds and the tenant-attributed hit/miss counters must
-    be identical at every worker count (the trace/commit attribution
-    contract).  ``tools/check_scale.py`` gates on both records.
-    """
-    from repro.engine.workers import available_cpus
 
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-    counts: list[int | str] = [1, 2, 4, "auto"]
+def _scale_summary(r: dict) -> str:
+    walls = ", ".join(f"w={workers}:{data['wall_clock_seconds']:.3f}s"
+                      for workers, data in r["workers"].items())
+    return (f"{walls}, {r['speedup_at_4_workers']:.2f}x at 4 workers on "
+            f"{r['cpu_count']} CPU(s)")
 
-    def run_at(workers) -> tuple[float, dict]:
-        engine = HAPEEngine(default_server(), cache_budget_bytes=0,
-                            workers=workers)
-        engine.register_dataset(dataset.tables, replace=True)
 
-        def run():
-            record = {}
-            for name, query in queries.items():
-                for mode in MODES:
-                    result = engine.execute(query.plan, mode)
-                    record[f"{name}/{mode}"] = {
-                        "simulated_seconds": result.simulated_seconds,
-                        "device_busy": dict(sorted(
-                            result.device_busy.items())),
-                        "link_bytes": dict(sorted(
-                            result.link_bytes.items())),
-                    }
-            return record
+@suite("scale", summary=_scale_summary,
+       gates=(
+           Gate("simulated_identical_across_workers", _true,
+                "simulated seconds / device busy / link bytes diverged "
+                "across worker counts {{1, 2, 4, auto}}"),
+           Gate("server_cache_identical_across_workers", _true,
+                "server drain with the shared cache enabled diverged "
+                "across worker counts {{1, 2, auto}}"),
+           Gate("speedup_at_4_workers", _at_least(1.5),
+                "4-worker wall-clock speedup {value:.2f}x below the "
+                "required 1.50x (host has {cpu_count} CPUs)",
+                skip=_too_few_cpus),
+       ))
+def suite_scale(bench: Workbench) -> dict:
+    """The cold TPC-H pass at workers {1, 2, 4, auto}: wall-clock scaling,
+    and the determinism contract at bench scale.  A second leg drains the
+    workload through a 3-tenant server with the shared cache ENABLED at
+    workers {1, 2, auto}: statuses, simulated seconds and tenant-attributed
+    hit/miss counters must not depend on the worker count."""
+    def footprint(result) -> dict:
+        return {"simulated_seconds": result.simulated_seconds,
+                "device_busy": dict(sorted(result.device_busy.items())),
+                "link_bytes": dict(sorted(result.link_bytes.items()))}
 
-        wall, record = _best_wall(args.repeat, run)
-        return wall, record
-
-    per_workers: dict[str, dict] = {}
-    baseline_record = None
-    identical = True
-    for workers in counts:
-        wall, record = run_at(workers)
-        if baseline_record is None:
-            baseline_record = record
-        identical = identical and record == baseline_record
-        per_workers[str(workers)] = {
+    walls, footprints = {}, {}
+    for workers in (1, 2, 4, "auto"):
+        engine = bench.cold_engine(workers=workers)
+        walls[workers], footprints[workers] = bench.best_wall(
+            lambda: bench.sweep(engine, pick=footprint))
+    per_workers = {
+        str(workers): {
             "resolved_workers": (available_cpus() if workers == "auto"
                                  else workers),
             "wall_clock_seconds": wall,
-            "speedup_vs_one_worker": (
-                per_workers["1"]["wall_clock_seconds"] / wall
-                if "1" in per_workers and wall > 0 else 1.0),
-        }
-    # ---- server-drain leg: shared cache ON, attribution fingerprint ----
-    server_jobs = [(tenant, name) for name in queries
-                   for tenant in ("alpha", "beta", "gamma")]
+            "speedup_vs_one_worker": walls[1] / wall if wall > 0 else 1.0,
+        } for workers, wall in walls.items()}
 
-    def serve_at(workers) -> dict:
-        server = QueryServer(default_server(), workers=workers)
-        server.register_dataset(dataset.tables, replace=True)
-        for tenant in ("alpha", "beta", "gamma"):
-            server.open_session(tenant)
-        for index, (tenant, name) in enumerate(server_jobs):
-            server.submit(tenant, queries[name].plan, "cpu",
+    tenants = ("alpha", "beta", "gamma")
+    jobs = [(tenant, name) for name in bench.queries for tenant in tenants]
+
+    def drain(workers) -> dict:
+        server = bench.server(dict.fromkeys(tenants, {}), workers=workers)
+        for index, (tenant, name) in enumerate(jobs):
+            server.submit(tenant, bench.queries[name].plan, "cpu",
                           label=f"{tenant}:{name}:{index}")
         report = server.run()
         totals = server.query_cache.counters()
@@ -260,77 +456,68 @@ def suite_scale(args: argparse.Namespace) -> dict:
             "cache_misses": totals.misses,
         }
 
-    server_fingerprints = {str(workers): serve_at(workers)
-                           for workers in (1, 2, "auto")}
-    server_baseline = server_fingerprints["1"]
-    server_identical = all(fingerprint == server_baseline
-                           for fingerprint in server_fingerprints.values())
+    drains = {workers: drain(workers) for workers in (1, 2, "auto")}
     return {
-        "scale_factor": args.sf,
+        "scale_factor": bench.sf,
         "cpu_count": available_cpus(),
         "workers": per_workers,
-        "simulated_identical_across_workers": identical,
+        "simulated_identical_across_workers": all(
+            footprints[workers] == footprints[1] for workers in footprints),
         "server_drain": {
-            "jobs": len(server_jobs),
-            "cache_hits": server_baseline["cache_hits"],
-            "cache_misses": server_baseline["cache_misses"],
-            "tenant_counters": server_baseline["tenant_counters"],
+            "jobs": len(jobs),
+            "cache_hits": drains[1]["cache_hits"],
+            "cache_misses": drains[1]["cache_misses"],
+            "tenant_counters": drains[1]["tenant_counters"],
         },
-        "server_cache_identical_across_workers": server_identical,
-        "wall_clock_seconds": per_workers["1"]["wall_clock_seconds"],
-        "speedup_at_4_workers":
-            per_workers["4"]["speedup_vs_one_worker"],
+        "server_cache_identical_across_workers": all(
+            drains[workers] == drains[1] for workers in drains),
+        "wall_clock_seconds": walls[1],
+        "speedup_at_4_workers": per_workers["4"]["speedup_vs_one_worker"],
     }
 
 
-def suite_stats(args: argparse.Namespace) -> dict:
-    """Cardinality-estimation quality of the statistics subsystem.
-
-    Executes every evaluated TPC-H query in hybrid mode and records the
-    per-operator estimated-vs-actual accounting (median and max q-error
-    per query) plus the mode that ``"auto"`` resolution would pick.  A
-    second engine runs with ``use_statistics=False``: for every
-    query/mode whose chosen physical plan is unchanged by statistics the
-    simulated seconds must be bit-identical (estimates influence plan
-    *choice* only, never what a chosen plan computes).
-    ``tools/check_stats.py`` gates on this record.
-    """
-    from repro.engine import OptimizerOptions
-
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-    engine = HAPEEngine(default_server(), cache_budget_bytes=0)
-    legacy = HAPEEngine(default_server(), cache_budget_bytes=0,
-                        optimizer_options=OptimizerOptions(
-                            use_statistics=False))
-    engine.register_dataset(dataset.tables, replace=True)
-    legacy.register_dataset(dataset.tables, replace=True)
-
+@suite("stats",
+       summary=lambda r: (
+           "median q-errors " + ", ".join(
+               f"{name}:{record['median_q_error']:.2f}"
+               for name, record in sorted(r["queries"].items()))
+           + f" (worst {r['worst_median_q_error']:.2f}, bar 4.00)"),
+       gates=(
+           Gate("queries.*.median_q_error", _at_most(4.0),
+                "median q-error {value:.2f} exceeds the allowed 4.00 "
+                "(max {max_q_error})"),
+           Gate("sims_identical_for_unchanged_plans", _true,
+                "simulated seconds diverged between statistics on/off for "
+                "a query whose chosen plan was unchanged"),
+       ))
+def suite_stats(bench: Workbench) -> dict:
+    """Cardinality-estimation quality: per-operator estimated-vs-actual
+    q-errors of every query in hybrid mode, the mode ``"auto"`` would
+    pick, and — against a ``use_statistics=False`` engine — bit-identical
+    simulated seconds wherever statistics left the chosen plan unchanged
+    (estimates steer plan *choice*, never what a chosen plan computes)."""
+    engine = bench.cold_engine()
+    legacy = bench.cold_engine(
+        optimizer_options=OptimizerOptions(use_statistics=False))
+    wall, results = bench.best_wall(lambda: {
+        name: engine.execute(query.plan, "hybrid")
+        for name, query in bench.queries.items()})
     per_query: dict[str, dict] = {}
     sims_identical = True
-
-    def run():
-        return {name: engine.execute(query.plan, "hybrid")
-                for name, query in queries.items()}
-
-    wall, results = _best_wall(args.repeat, run)
-    for name, query in queries.items():
-        report = results[name].cardinality
-        modes: dict[str, dict] = {}
+    for name, query in bench.queries.items():
+        modes = {}
         for mode in MODES:
-            stats_plan = engine.plan(query.plan, mode).pretty()
-            legacy_plan = legacy.plan(query.plan, mode).pretty()
-            plan_changed = stats_plan != legacy_plan
+            plan_changed = (engine.plan(query.plan, mode).pretty()
+                            != legacy.plan(query.plan, mode).pretty())
             simulated = engine.execute(query.plan, mode).simulated_seconds
             legacy_simulated = legacy.execute(
                 query.plan, mode).simulated_seconds
             if not plan_changed and simulated != legacy_simulated:
                 sims_identical = False
-            modes[mode] = {
-                "plan_changed": plan_changed,
-                "simulated_seconds": simulated,
-                "legacy_simulated_seconds": legacy_simulated,
-            }
+            modes[mode] = {"plan_changed": plan_changed,
+                           "simulated_seconds": simulated,
+                           "legacy_simulated_seconds": legacy_simulated}
+        report = results[name].cardinality
         per_query[name] = {
             "median_q_error": report.median_q_error,
             "max_q_error": report.max_q_error,
@@ -339,7 +526,7 @@ def suite_stats(args: argparse.Namespace) -> dict:
             "modes": modes,
         }
     return {
-        "scale_factor": args.sf,
+        "scale_factor": bench.sf,
         "wall_clock_seconds": wall,
         "queries": per_query,
         "worst_median_q_error": max(
@@ -348,119 +535,82 @@ def suite_stats(args: argparse.Namespace) -> dict:
     }
 
 
-def suite_mem(args: argparse.Namespace, topology) -> dict:
-    """Peak intermediate memory of TPC-H Q5 hybrid (``tracemalloc``).
-
-    The memory acceptance benchmark of the morsel/fusion line of work:
-    executes Q5 in hybrid mode at ``--mem-sf`` (default 0.2, the scale the
-    PR 2 and PR 4 figures quote) under three engine configurations —
-    whole-column packets, morsel-driven batching, and morsel-driven
-    batching with pipeline fusion — reporting the tracemalloc peak of each
-    execution alongside wall-clock and simulated seconds.  Cross-query
-    caching is disabled so every run measures the cold intermediate
-    footprint, and simulated seconds must be identical across the three
-    variants (the knobs are wall-clock/working-set only).
-    """
-    dataset = generate_tpch(args.mem_sf, seed=args.seed)
-    query = build_query("Q5", dataset)
+@suite("mem",
+       summary=lambda r: ", ".join(
+           f"{variant}={data['peak_intermediate_bytes'] / 1e6:.1f}MB"
+           f"/{data['wall_clock_seconds']:.3f}s"
+           for variant, data in r["variants"].items()))
+def suite_mem(bench: Workbench) -> dict:
+    """Peak intermediate memory (``tracemalloc``) of Q5 hybrid at
+    ``MEM_SF`` under the three batching variants: whole-column packets,
+    morsels, morsels with pipeline fusion."""
+    big = Workbench(MEM_SF, bench.seed, bench.repeat)
+    plan = big.queries["Q5"].plan
     variants = {
         "whole_column_packets": {"morsel_rows": None,
                                  "pipeline_fusion": False},
         "morsels": {"pipeline_fusion": False},
         "morsels_fused": {"pipeline_fusion": True},
     }
-    results: dict[str, dict] = {}
+    results = {}
     for name, knobs in variants.items():
-        engine = HAPEEngine(topology, cache_budget_bytes=0, **knobs)
-        engine.register_dataset(dataset.tables, replace=True)
-        best_wall = float("inf")
-        best_peak = None
-        simulated = None
-        for _ in range(max(args.repeat, 1)):
+        engine = big.cold_engine(**knobs)
+        best_wall, best_peak, simulated = float("inf"), None, None
+        for _ in range(big.repeat):
             tracemalloc.start()
             start = time.perf_counter()
-            run = engine.execute(query.plan, "hybrid")
+            run = engine.execute(plan, "hybrid")
             wall = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             best_wall = min(best_wall, wall)
             best_peak = peak if best_peak is None else min(best_peak, peak)
             simulated = run.simulated_seconds
-        results[name] = {
-            "peak_intermediate_bytes": best_peak,
-            "wall_clock_seconds": best_wall,
-            "simulated_seconds": simulated,
-        }
-    return {
-        "scale_factor": args.mem_sf,
-        "query": "Q5",
-        "mode": "hybrid",
-        "variants": results,
-    }
+        results[name] = {"peak_intermediate_bytes": best_peak,
+                         "wall_clock_seconds": best_wall,
+                         "simulated_seconds": simulated}
+    return {"scale_factor": MEM_SF, "query": "Q5", "mode": "hybrid",
+            "variants": results}
 
 
-#: The serve suite's tenant mix: a 4-tenant mixed CPU/GPU closed loop.
-SERVE_TENANTS = (("cpu-a", "cpu"), ("gpu-a", "gpu"),
-                 ("cpu-b", "cpu"), ("gpu-b", "gpu"))
-
-
-def suite_serve(args: argparse.Namespace) -> dict:
-    """Closed-loop multi-tenant serving benchmark (the ``serve`` suite).
-
-    Four tenants — two submitting CPU-mode streams, two GPU-mode — each
-    enqueue ``--serve-passes`` passes of every evaluated TPC-H query to one
-    :class:`~repro.server.QueryServer` (per-tenant concurrency 1, so each
-    tenant is a closed loop).  The device-aware scheduler overlaps the
-    CPU-bound and PCIe/GPU-bound streams on the occupancy board, which is
-    where the throughput gain over serial submission comes from; the
-    shared cache keeps repeat passes functionally warm (wall-clock only).
-
-    Reported: real wall-clock of the served drain, server makespan and
-    serial-submission baseline in simulated seconds, the throughput
-    speedup, p50/p99 latency, cache/tenant counters — and the per-query
-    simulated seconds, which must stay *bit-identical* to the cold
-    single-session ``tpch`` suite (``single_query_simulated_identical``;
-    ``tools/check_serve.py`` gates CI on it).
-    """
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-    passes = max(args.serve_passes, 1)
-
-    def one_served_run():
-        server = QueryServer(default_server())
-        server.register_dataset(dataset.tables)
-        for tenant, _ in SERVE_TENANTS:
-            server.open_session(tenant)
-        for _ in range(passes):
-            for tenant, mode in SERVE_TENANTS:
-                for name, query in queries.items():
-                    server.submit(tenant, query.plan, mode,
-                                  label=f"{name}/{mode}")
+# ----------------------------------------------------------------------
+# Serving suites
+# ----------------------------------------------------------------------
+@suite("serve",
+       summary=lambda r: (
+           f"{r['queries_served']} queries in "
+           f"{r['wall_clock_seconds']:.3f}s, throughput "
+           f"{r['throughput_speedup_vs_serial']:.2f}x serial, p99 "
+           f"{r['latency_p99_seconds'] * 1e3:.3f}ms"),
+       gates=(
+           Gate("single_query_simulated_identical", _true,
+                "served per-query simulated seconds diverged from a cold "
+                "solo session"),
+           Gate("throughput_speedup_vs_serial", _at_least(2.0),
+                "throughput {value:.2f}x serial, below the required 2.00x"),
+       ),
+       identity=Identity("simulated_seconds", ("tpch",)))
+def suite_serve(bench: Workbench) -> dict:
+    """Closed-loop serving: four tenants (two CPU-mode, two GPU-mode,
+    concurrency 1 each) enqueue ``SERVE_PASSES`` passes of every query on
+    one server.  The device-aware scheduler overlaps the CPU-bound and
+    GPU-bound streams — the throughput gain over serial submission — and
+    every served query must charge exactly what a cold solo session
+    charges."""
+    def drain():
+        server = bench.server()
+        for _ in range(SERVE_PASSES):
+            for tenant, mode in SERVE_TENANTS.items():
+                for label, plan, _ in bench.jobs((mode,)):
+                    server.submit(tenant, plan, mode, label=label)
         return server.run()
 
-    wall, report = _best_wall(args.repeat, one_served_run)
-
-    # Per-(query, mode) simulated seconds as served: every repetition must
-    # agree, and the values must equal a cold solo session's bit for bit.
-    served: dict[str, set] = {}
-    for ticket in report.tickets:
-        served.setdefault(ticket.label, set()).add(
-            ticket.result.simulated_seconds)
-    engine = HAPEEngine(default_server(), cache_budget_bytes=0)
-    engine.register_dataset(dataset.tables, replace=True)
-    solo = {}
-    identical = all(len(values) == 1 for values in served.values())
-    for name, query in queries.items():
-        for mode in sorted({mode for _, mode in SERVE_TENANTS}):
-            label = f"{name}/{mode}"
-            solo[label] = engine.execute(query.plan, mode).simulated_seconds
-            identical = identical and served.get(label) == {solo[label]}
-
-    stats = report.cache
+    wall, report = bench.best_wall(drain)
+    solo = bench.sweep(bench.cold_engine(), ("cpu", "gpu"))
     return {
-        "scale_factor": args.sf,
-        "tenants": {tenant: mode for tenant, mode in SERVE_TENANTS},
-        "passes": passes,
+        "scale_factor": bench.sf,
+        "tenants": dict(SERVE_TENANTS),
+        "passes": SERVE_PASSES,
         "queries_served": report.completed,
         "queries_rejected": report.rejected,
         "wall_clock_seconds": wall,
@@ -472,113 +622,92 @@ def suite_serve(args: argparse.Namespace) -> dict:
         "latency_p99_seconds": report.percentile_latency(99),
         "queue_wait_seconds_total": sum(
             tenant.queue_wait_seconds for tenant in report.tenants.values()),
-        "cache": {
-            "hits": stats.hits, "misses": stats.misses,
-            "evicted": stats.evicted, "invalidated": stats.invalidated,
-            "entries": stats.entries, "bytes_used": stats.bytes_used,
-        },
+        "cache": _cache_record(report.cache),
         "tenant_cache_hits": {
             name: tenant.cache.hits
             for name, tenant in sorted(report.tenants.items())},
         "simulated_seconds": solo,
-        "single_query_simulated_identical": identical,
+        # Every repetition of a label agrees, and equals the solo value.
+        "single_query_simulated_identical": _sims_by_label(
+            report.tickets) == {label: {seconds}
+                                for label, seconds in solo.items()},
     }
 
 
-def suite_chaos(args: argparse.Namespace) -> dict:
-    """Fault-injected multi-tenant serving benchmark (the ``chaos`` suite).
+@suite("chaos",
+       summary=lambda r: (
+           f"{r['completed']}/{r['queries_submitted']} completed through "
+           f"{r['failovers']} failovers, makespan "
+           f"{r['makespan_degradation']:.2f}x fault-free, "
+           f"{r['recovered_gpu_queries']} GPU queries after recovery"),
+       gates=(
+           Gate("clean_completion", _true,
+                "epoch did not complete cleanly: {completed} completed, "
+                "{failed} failed, {timed_out} timed out of "
+                "{queries_submitted} submitted"),
+           Gate("failover_results_identical", _true,
+                "a failed-over query diverged (simulated seconds or result "
+                "bytes) from its fault-free solo run in its final mode"),
+           Gate("failovers", _at_least(1),
+                "the fault plan never struck: {value} failovers"),
+           Gate("wasted_simulated_seconds", lambda value, record: value > 0.0,
+                "no simulated seconds were wasted — the outage killed no "
+                "in-flight work, so the kill window missed"),
+           Gate("makespan_degradation", _at_least(1.0),
+                "chaos makespan is {value:.3f}x the fault-free makespan "
+                "(< 1.0): work went missing"),
+           Gate("empty_plan_consistent", _true,
+                "the fault-free reference pass reported diverging simulated "
+                "seconds across repetitions of the same query"),
+       ),
+       identity=Identity("empty_plan_simulated_seconds", ("serve", "tpch")))
+def suite_chaos(bench: Workbench) -> dict:
+    """One pass of the serve mix through a mid-run dual-GPU outage.
 
-    The same 4-tenant mix as the ``serve`` suite submits one pass of every
-    evaluated TPC-H query, but a deterministic :class:`FaultPlan` kills
-    *both* GPUs a quarter of the way through the fault-free makespan and
-    recovers them at 60%.  In-flight GPU work is killed (its simulated
-    seconds are wasted), queued GPU-mode queries walk the degradation
-    ladder to cpu mode, and queries dispatched after recovery run in their
-    requested mode again.
-
-    Reported and gated by ``tools/check_chaos.py``:
-
-    * **clean completion** — every ticket ends ``completed`` (no crashes,
-      no lost queries; the injected outage is survivable by design);
-    * **failover identity** — every failed-over query's result is
-      bit-identical (simulated seconds and table bytes) to a fault-free
-      solo run in its final mode;
-    * **empty-plan identity** — the same submission schedule served with
-      an empty ``FaultPlan`` reports per-query simulated seconds
-      bit-identical to the recorded ``serve``/``tpch`` baseline (fault
-      machinery must cost nothing when idle);
-    * throughput degradation and recovery (makespan ratio, wasted
-      simulated seconds, post-recovery GPU completions).
-    """
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-
-    def one_served_run(fault_plan):
-        server = QueryServer(default_server(), fault_plan=fault_plan)
-        server.register_dataset(dataset.tables)
-        for tenant, _ in SERVE_TENANTS:
-            server.open_session(tenant)
-        # The submission schedule rides the open-loop path as a recorded
-        # trace with every arrival at t=0 — provably identical to direct
+    In-flight GPU work is killed (its simulated seconds are wasted), queued
+    GPU-mode queries walk the degradation ladder to cpu mode, and queries
+    dispatched after recovery use the GPUs again.  The same schedule served
+    with an empty ``FaultPlan`` fixes the outage window and is the
+    empty-plan identity probe: fault machinery must cost nothing when
+    idle."""
+    def drain(fault_plan):
+        server = bench.server(fault_plan=fault_plan)
+        # All arrivals at t=0 on the open-loop path — identical to direct
         # submit() calls (the drain-equivalence property test pins this).
         server.add_arrivals(
-            [Arrival(at=0.0, tenant=tenant, plan=query.plan, mode=mode,
-                     label=f"{name}/{mode}")
-             for tenant, mode in SERVE_TENANTS
-             for name, query in queries.items()],
+            [Arrival(at=0.0, tenant=tenant, plan=plan, mode=mode, label=label)
+             for tenant, mode in SERVE_TENANTS.items()
+             for label, plan, _ in bench.jobs((mode,))],
             name="chaos-trace")
         return server.run()
 
-    # Fault-free reference pass: fixes the outage window and doubles as
-    # the empty-plan identity probe.
-    reference = one_served_run(FaultPlan())
-    kill_at = reference.makespan * 0.25
-    recover_at = reference.makespan * 0.60
-    chaos_plan = (FaultPlan()
-                  .fail_device("gpu0", at=kill_at, recover_at=recover_at)
-                  .fail_device("gpu1", at=kill_at, recover_at=recover_at))
+    # Both GPUs fail a quarter of the way through the fault-free makespan
+    # and recover at 60%.
+    reference = drain(FaultPlan())
+    kill_at, recover_at = reference.makespan * 0.25, reference.makespan * 0.60
+    outage = (FaultPlan()
+              .fail_device("gpu0", at=kill_at, recover_at=recover_at)
+              .fail_device("gpu1", at=kill_at, recover_at=recover_at))
+    wall, report = bench.best_wall(lambda: drain(outage))
 
-    wall, report = _best_wall(args.repeat, lambda: one_served_run(chaos_plan))
-
-    clean = all(ticket.status == "completed" for ticket in report.tickets)
-
-    # Every failed-over query must match a fault-free solo run in its
-    # final mode, bit for bit.
-    engine = HAPEEngine(default_server(), cache_budget_bytes=0)
-    engine.register_dataset(dataset.tables, replace=True)
-    identical = True
-    failed_over = 0
+    engine = bench.cold_engine()
+    identical, failed_over = True, 0
     for ticket in report.tickets:
         if ticket.status != "completed" or ticket.failovers == 0:
             continue
         failed_over += 1
-        name = ticket.label.split("/")[0]
-        solo = engine.execute(queries[name].plan, ticket.final_mode)
+        solo = engine.execute(
+            bench.queries[ticket.label.split("/")[0]].plan, ticket.final_mode)
         identical = identical and (
             solo.simulated_seconds == ticket.result.simulated_seconds
-            and all(
-                solo.table.array(column).tobytes()
-                == ticket.result.table.array(column).tobytes()
-                for column in solo.table.column_names))
+            and all(solo.table.array(column).tobytes()
+                    == ticket.result.table.array(column).tobytes()
+                    for column in solo.table.column_names))
 
-    recovered_gpu = sum(
-        1 for ticket in report.tickets
-        if ticket.status == "completed" and ticket.final_mode == "gpu"
-        and ticket.start_time is not None and ticket.start_time >= recover_at)
-
-    empty_plan_sims: dict[str, float] = {}
-    empty_plan_consistent = True
-    for ticket in reference.tickets:
-        seconds = ticket.result.simulated_seconds
-        if ticket.label in empty_plan_sims:
-            empty_plan_consistent = (empty_plan_consistent
-                                     and empty_plan_sims[ticket.label]
-                                     == seconds)
-        empty_plan_sims[ticket.label] = seconds
-
+    empty_plan = _sims_by_label(reference.tickets)
     return {
-        "scale_factor": args.sf,
-        "tenants": {tenant: mode for tenant, mode in SERVE_TENANTS},
+        "scale_factor": bench.sf,
+        "tenants": dict(SERVE_TENANTS),
         "kill_at_seconds": kill_at,
         "recover_at_seconds": recover_at,
         "wall_clock_seconds": wall,
@@ -595,136 +724,114 @@ def suite_chaos(args: argparse.Namespace) -> dict:
         "makespan_degradation": report.makespan / reference.makespan,
         "throughput_qps_fault_free": reference.throughput_qps,
         "throughput_qps_chaos": report.throughput_qps,
-        "recovered_gpu_queries": recovered_gpu,
-        "clean_completion": clean,
+        "recovered_gpu_queries": sum(
+            1 for ticket in report.tickets
+            if ticket.status == "completed" and ticket.final_mode == "gpu"
+            and ticket.start_time >= recover_at),
+        "clean_completion": all(ticket.status == "completed"
+                                for ticket in report.tickets),
         "failover_results_identical": identical,
-        "empty_plan_consistent": empty_plan_consistent,
-        "empty_plan_simulated_seconds": empty_plan_sims,
+        "empty_plan_consistent": all(
+            len(values) == 1 for values in empty_plan.values()),
+        "empty_plan_simulated_seconds": {
+            label: min(values) for label, values in empty_plan.items()},
     }
 
 
-def suite_open_loop(args: argparse.Namespace) -> dict:
-    """Open-loop 4-tenant serving benchmark (the ``open_loop`` suite).
-
-    Two interactive tenants submit seeded Poisson streams (one CPU-mode,
-    one GPU-mode) of every evaluated TPC-H query while a normal tenant
-    replays a staggered hybrid trace and a batch tenant drains one hybrid
-    pass submitted at t=0.  Preemption and aging are on: interactive
-    arrivals may kill running batch attempts at morsel boundaries, aging
-    bounds how long that can go on.  The shared cache is disabled so every
-    attempt runs cold — preemption then always crosses the real morsel
-    grid and wall-clock numbers stay comparable across history entries.
-
-    Reported and gated by ``tools/check_serve.py --require-open-loop``:
-
-    * **solo bit-identity** — every served query's simulated seconds equal
-      a cold solo session's, bit for bit (open-loop arrivals, preemption
-      and aging only ever add queue wait);
-    * **SLO compliance** — both interactive tenants' p99 latency lands
-      within their ``slo_p99_seconds`` policy (derived from solo sims);
-    * **zero starvation** — every batch query completes, and finishes
-      while the interactive flood is still arriving;
-    * **deterministic replay** — a second run with the same arrival seed
-      reproduces the ticket schedule (labels, starts, finishes, sims,
-      preemption counts) exactly.
-    """
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-    names = list(queries)
-    arrival_seed = args.seed
-
-    engine = HAPEEngine(default_server(), cache_budget_bytes=0)
-    engine.register_dataset(dataset.tables, replace=True)
-    solo = {}
-    for name, query in queries.items():
-        for mode in MODES:
-            solo[f"{name}/{mode}"] = engine.execute(
-                query.plan, mode).simulated_seconds
-    serial_total = (sum(solo[f"{n}/cpu"] for n in names)
-                    + sum(solo[f"{n}/gpu"] for n in names)
-                    + 2 * sum(solo[f"{n}/hybrid"] for n in names))
-    # Interactive SLO: generous but real — a handful of worst-case solo
-    # executions, far below the whole epoch's serial span.
-    slo = {
-        "cpu": 6.0 * max(solo[f"{n}/cpu"] for n in names),
-        "gpu": 6.0 * max(solo[f"{n}/gpu"] for n in names),
-    }
-    # Poisson rate: each interactive stream spreads over ~40% of the
-    # serial span, so arrivals genuinely interleave with running work.
+@suite("open_loop",
+       summary=lambda r: (
+           f"{r['queries_served']}/{r['queries_submitted']} served in "
+           f"{r['wall_clock_seconds']:.3f}s, {r['preemptions']} "
+           f"preemptions, batch {r['batch_completed']} completed"),
+       gates=(
+           Gate("single_query_simulated_identical", _true,
+                "served per-query simulated seconds diverged from a cold "
+                "solo session"),
+           Gate("slos_met", _true, "at least one tenant missed its SLO"),
+           Gate("tenants.*.slo_met",  # None: the tenant has no SLO
+                lambda value, tenant: value is not False,
+                "p99 {latency_p99_seconds}s exceeded the tenant's SLO "
+                "{slo_p99_seconds}s"),
+           Gate("batch_starved", lambda value, record: value is False,
+                "batch tenant starved under the interactive flood "
+                "({batch_completed} completed)"),
+           Gate("deterministic_replay", _true,
+                "replaying the same arrival seed did not reproduce the "
+                "ticket schedule"),
+           Gate("queries_served",
+                lambda value, record: value == record.get("queries_submitted"),
+                "{value} of {queries_submitted} submitted queries "
+                "completed"),
+       ),
+       identity=Identity("simulated_seconds", ("tpch",)))
+def suite_open_loop(bench: Workbench) -> dict:
+    """Open-loop serving: two interactive tenants submit seeded Poisson
+    streams (one CPU-mode, one GPU-mode) while a normal tenant replays a
+    staggered hybrid trace and a batch tenant drains one hybrid pass
+    submitted at t=0.  Preemption and aging are on and the shared cache is
+    off, so preemption always crosses the real morsel grid.  Arrivals,
+    preemption and aging may only ever add queue wait: solo identity, each
+    interactive tenant's p99 SLO, zero batch starvation and exact
+    same-seed replay are gated."""
+    names = list(bench.queries)
+    plans = [bench.queries[name].plan for name in names]
+    solo = bench.sweep(bench.cold_engine())
+    worst = {mode: max(solo[f"{name}/{mode}"] for name in names)
+             for mode in MODES}
+    total = {mode: sum(solo[f"{name}/{mode}"] for name in names)
+             for mode in MODES}
+    serial_total = total["cpu"] + total["gpu"] + 2 * total["hybrid"]
+    # Interactive SLO: a handful of worst-case solo executions, far below
+    # the epoch's serial span.  Poisson rate: each interactive stream
+    # spreads over ~40% of the serial span, so arrivals interleave with
+    # running work.
+    slo = {mode: 6.0 * worst[mode] for mode in ("cpu", "gpu")}
     rate = {mode: len(names) / (serial_total * 0.4) for mode in slo}
-    aging = max(solo[f"{n}/hybrid"] for n in names)
+    aging = worst["hybrid"]
 
     def one_run():
-        server = QueryServer(default_server(), preemption=True,
-                             aging_seconds=aging, cache_budget_bytes=0)
-        server.register_dataset(dataset.tables)
-        server.open_session("lat_cpu", priority="interactive",
-                            slo_p99_seconds=slo["cpu"])
-        server.open_session("lat_gpu", priority="interactive",
-                            slo_p99_seconds=slo["gpu"])
-        server.open_session("adhoc", priority="normal")
-        server.open_session("batch", priority="batch")
-        plans = [queries[name].plan for name in names]
-        server.add_arrivals(poisson_arrivals(
-            "lat_cpu", plans, rate_qps=rate["cpu"], count=len(names),
-            seed=arrival_seed, mode="cpu"))
-        server.add_arrivals(poisson_arrivals(
-            "lat_gpu", plans, rate_qps=rate["gpu"], count=len(names),
-            seed=arrival_seed + 1, mode="gpu"))
+        server = bench.server(
+            {"lat_cpu": {"priority": "interactive",
+                         "slo_p99_seconds": slo["cpu"]},
+             "lat_gpu": {"priority": "interactive",
+                         "slo_p99_seconds": slo["gpu"]},
+             "adhoc": {"priority": "normal"},
+             "batch": {"priority": "batch"}},
+            preemption=True, aging_seconds=aging, cache_budget_bytes=0)
+        for offset, mode in enumerate(("cpu", "gpu")):
+            server.add_arrivals(poisson_arrivals(
+                f"lat_{mode}", plans, rate_qps=rate[mode], count=len(names),
+                seed=bench.seed + offset, mode=mode))
         server.add_arrivals(trace_arrivals(
-            "adhoc", [(index * serial_total / 16, queries[name].plan)
-                      for index, name in enumerate(names)], mode="hybrid"))
+            "adhoc", [(index * serial_total / 16, plan)
+                      for index, plan in enumerate(plans)], mode="hybrid"))
         server.add_arrivals(
-            [Arrival(at=0.0, tenant="batch", plan=queries[name].plan,
-                     mode="hybrid", label=f"{name}/hybrid")
-             for name in names], name="batch-drain")
+            [Arrival(at=0.0, tenant="batch", plan=plan, mode="hybrid",
+                     label=label)
+             for label, plan, _ in bench.jobs(("hybrid",))],
+            name="batch-drain")
         return server.run()
 
-    def _fingerprint(report):
+    def fingerprint(report) -> tuple:
         return tuple(
             (t.label, t.tenant, t.status, t.submit_time, t.start_time,
              t.finish_time, t.preemptions, t.result.simulated_seconds)
             for t in report.tickets)
 
-    wall, report = _best_wall(args.repeat, one_run)
-    deterministic = _fingerprint(one_run()) == _fingerprint(report)
-
-    # Map every ticket back to its (query, mode) solo record: generator
-    # labels index round-robin into the plan list; the batch drain carries
-    # explicit name/mode labels.
+    # Generator labels index round-robin into the plan list; the batch
+    # drain carries explicit query/mode labels.
     def solo_key(ticket) -> str:
         if "-p" in ticket.label or "-t" in ticket.label:
             index = int(ticket.label.rsplit("-", 1)[1][1:]) - 1
             return f"{names[index % len(names)]}/{ticket.mode}"
         return ticket.label
 
-    identical = all(
-        ticket.result.simulated_seconds == solo[solo_key(ticket)]
-        for ticket in report.tickets)
-
-    interactive_flood_end = max(
-        ticket.submit_time for ticket in report.tickets
-        if ticket.tenant in ("lat_cpu", "lat_gpu"))
-    batch_tickets = [t for t in report.tickets if t.tenant == "batch"]
-    batch_completed = sum(1 for t in batch_tickets
-                          if t.status == "completed")
-    batch_starved = batch_completed < len(batch_tickets)
-
-    tenants = {}
-    for name, tenant in sorted(report.tenants.items()):
-        tenants[name] = {
-            "completed": tenant.completed,
-            "latency_p50_seconds": tenant.percentile_latency(50),
-            "latency_p99_seconds": tenant.percentile_latency(99),
-            "queue_wait_seconds": tenant.queue_wait_seconds,
-            "preemptions": tenant.preemptions,
-            "slo_p99_seconds": tenant.slo_p99_seconds,
-            "slo_met": tenant.slo_met,
-        }
-
+    wall, report = bench.best_wall(one_run)
+    batch = [t for t in report.tickets if t.tenant == "batch"]
+    batch_completed = sum(1 for t in batch if t.status == "completed")
     return {
-        "scale_factor": args.sf,
-        "arrival_seed": arrival_seed,
+        "scale_factor": bench.sf,
+        "arrival_seed": bench.seed,
         "queries_served": report.completed,
         "queries_submitted": len(report.tickets),
         "wall_clock_seconds": wall,
@@ -738,64 +845,90 @@ def suite_open_loop(args: argparse.Namespace) -> dict:
         "poisson_rate_qps": rate,
         "slo_p99_seconds": slo,
         "slos_met": report.slos_met,
-        "tenants": tenants,
+        "tenants": {
+            name: {
+                "completed": tenant.completed,
+                "latency_p50_seconds": tenant.percentile_latency(50),
+                "latency_p99_seconds": tenant.percentile_latency(99),
+                "queue_wait_seconds": tenant.queue_wait_seconds,
+                "preemptions": tenant.preemptions,
+                "slo_p99_seconds": tenant.slo_p99_seconds,
+                "slo_met": tenant.slo_met,
+            } for name, tenant in sorted(report.tenants.items())},
         "batch_completed": batch_completed,
-        "batch_starved": batch_starved,
-        "batch_finished_during_flood": bool(batch_tickets) and max(
-            t.finish_time for t in batch_tickets) < report.makespan,
-        "interactive_flood_end_seconds": interactive_flood_end,
-        "deterministic_replay": deterministic,
+        "batch_starved": batch_completed < len(batch),
+        "interactive_flood_end_seconds": max(
+            t.submit_time for t in report.tickets
+            if t.tenant in ("lat_cpu", "lat_gpu")),
+        "deterministic_replay": fingerprint(one_run()) == fingerprint(report),
         "simulated_seconds": solo,
-        "single_query_simulated_identical": identical,
+        "single_query_simulated_identical": all(
+            t.result.simulated_seconds == solo[solo_key(t)]
+            for t in report.tickets),
     }
 
 
-def suite_trace(args: argparse.Namespace) -> dict:
-    """Deterministic-tracing benchmark (the ``trace`` suite).
+#: Event kinds the traced chaos epoch must exercise for its byte-identity
+#: claim to cover the whole lifecycle.
+_REQUIRED_EVENTS = ("submit", "admit", "dispatch", "complete",
+                    "failover", "retry", "preempt", "device_health")
 
-    Serves one chaos epoch — interactive + batch tenants, preemption and
-    aging on, a :class:`FaultPlan` that kills gpu0 mid-epoch and injects
-    transient errors — with ``tracing=True`` at workers {1, 2, auto} plus
-    a same-configuration replay, and asserts the exported epoch JSONL is
-    **byte-identical** across all four drains.  The Chrome trace-event
-    export must round-trip through ``json`` with well-formed events
-    (Perfetto-loadable), and every completed query's critical path must
-    name its binding resource.
 
-    The overhead leg interleaves the cold TPC-H suite on two sessions —
-    one with ``tracing=True``, one default — and reports
-    ``tracing_off_overhead_pct``: how much slower the *untraced* session
-    is than the traced one (≥ 0 means tracing-off costs nothing;
-    ``tools/check_trace.py`` gates it at ≤ 2%, i.e. the off path must be
-    at worst noise-level slower).
-
-    Gated by ``tools/check_trace.py`` (CI job ``obs``).
-    """
-    dataset = generate_tpch(args.sf, seed=args.seed)
-    queries = all_queries(dataset)
-
+@suite("trace",
+       summary=lambda r: (
+           f"{r['trace_lines']} trace lines, "
+           f"{len(r['critical_paths'])} critical paths, tracing-off "
+           f"overhead {r['tracing_off_overhead_pct']:.2f}% (allowed 2.00%)"),
+       gates=(
+           Gate("trace_identical_across_workers_and_replay", _true,
+                "chaos epoch trace was not byte-identical across workers "
+                "{{1, 2, auto}} and replay"),
+           Gate("perfetto_loadable", _true,
+                "Chrome trace export is not Perfetto-loadable (round-trip "
+                "or event-shape check failed)"),
+           Gate("critical_paths_bound", _true,
+                "at least one completed query's critical path failed to "
+                "name its binding resource"),
+           Gate("tracing_off_overhead_pct", _at_most(2.0),
+                "tracing-off path ran {value:.2f}% slower than the traced "
+                "control (allowed 2.00%)"),
+           Gate("event_kinds",
+                lambda kinds, record: set(_REQUIRED_EVENTS) <= set(kinds),
+                "event log {value} lacks some of the required kinds "
+                + ", ".join(_REQUIRED_EVENTS)),
+           *(Gate(counter, _at_least(1),
+                  f"chaos epoch exercised no {counter} — the determinism "
+                  "claim would not cover them")
+             for counter in ("failovers", "retries", "preemptions")),
+       ))
+def suite_trace(bench: Workbench) -> dict:
+    """One chaos epoch — interactive + batch tenants, preemption and aging
+    on, gpu0 killed mid-epoch plus transient errors — served with
+    ``tracing=True`` at workers {1, 2, auto} plus a replay: the exported
+    JSONL must be byte-identical across all four drains, the Chrome export
+    Perfetto-loadable, every critical path bound.  The overhead leg
+    interleaves the cold TPC-H pass on a traced and an untraced session:
+    ``tracing_off_overhead_pct`` is how much slower the *untraced* one is
+    (the off path must be at worst noise-level slower)."""
     def serve(workers, tracing, fault_plan, aging):
-        server = QueryServer(default_server(), workers=workers,
-                             preemption=True, aging_seconds=aging,
-                             fault_plan=fault_plan, tracing=tracing)
-        server.register_dataset(dataset.tables)
-        server.open_session("inter", priority="interactive",
-                            max_concurrency=2)
-        server.open_session("batch", priority="batch", max_concurrency=2)
-        for name, query in queries.items():
+        server = bench.server(
+            {"inter": {"priority": "interactive", "max_concurrency": 2},
+             "batch": {"priority": "batch", "max_concurrency": 2}},
+            workers=workers, preemption=True, aging_seconds=aging,
+            fault_plan=fault_plan, tracing=tracing)
+        for name, query in bench.queries.items():
             server.submit("batch", query.plan, "hybrid",
                           label=f"{name}/hybrid")
             server.submit("inter", query.plan, "gpu", label=f"{name}/gpu")
         return server, server.run()
 
-    # Fault-free reference fixes the outage window and the aging quantum.
+    # The fault-free reference fixes the outage window and aging quantum.
     _, reference = serve(1, False, FaultPlan(), None)
     aging = reference.makespan / 8
     chaos_plan = (FaultPlan(seed=13)
                   .fail_device("gpu0", at=reference.makespan * 0.25,
                                recover_at=reference.makespan * 0.60)
                   .transient_errors(rate=0.2))
-
     jsonl: dict[str, str] = {}
     wall = float("inf")
     for workers in (1, 2, "auto"):
@@ -804,89 +937,64 @@ def suite_trace(args: argparse.Namespace) -> dict:
         wall = min(wall, time.perf_counter() - start)
         jsonl[str(workers)] = server.last_trace.to_jsonl()
     server, report = serve(2, True, chaos_plan, aging)  # replay
-    jsonl["replay"] = server.last_trace.to_jsonl()
-    base = jsonl["1"]
-    identical = all(text == base for text in jsonl.values())
+    trace = server.last_trace
+    jsonl["replay"] = trace.to_jsonl()
 
-    chrome = server.last_trace.to_chrome()
     try:
-        round_trip = json.loads(json.dumps(chrome, allow_nan=False))
-        perfetto_loadable = (
-            isinstance(round_trip.get("traceEvents"), list)
-            and bool(round_trip["traceEvents"])
-            and all("ph" in event and "pid" in event
-                    for event in round_trip["traceEvents"]))
+        events = json.loads(json.dumps(
+            trace.to_chrome(), allow_nan=False)).get("traceEvents")
+        perfetto_loadable = (isinstance(events, list) and bool(events) and all(
+            "ph" in event and "pid" in event for event in events))
     except ValueError:
         perfetto_loadable = False
-
-    paths = server.last_trace.critical_paths()
-    by_ticket = {row.ticket: row for row in server.last_trace.queries}
-    binding = {
-        f"{by_ticket[ticket].tenant}:{by_ticket[ticket].label}":
-            {"resource": path.binding_resource, "bound": path.bound,
-             "idle_seconds": path.idle_seconds}
-        for ticket, path in sorted(paths.items())}
-    paths_bound = bool(paths) and all(
-        path.binding_resource for path in paths.values())
-
-    # Overhead leg: interleaved cold TPC-H passes, traced vs untraced.
-    engine_on = HAPEEngine(default_server(), cache_budget_bytes=0,
-                           tracing=True)
-    engine_off = HAPEEngine(default_server(), cache_budget_bytes=0)
-    engine_on.register_dataset(dataset.tables, replace=True)
-    engine_off.register_dataset(dataset.tables, replace=True)
+    paths = trace.critical_paths()
+    by_ticket = {row.ticket: row for row in trace.queries}
 
     # Whole-pass minimums are too noisy for a 2% gate (scheduler jitter
     # between two *identical* engines already spans ~3% on CI hosts), so
-    # each configuration's wall is the sum of per-(query, mode) minimum
-    # walls over N interleaved passes: per-query minimums shed localized
-    # noise spikes fast, and the sums form stable lower envelopes.  The
-    # engine order alternates per pass and garbage is collected between
-    # passes so the traced side's allocations can't dump GC pauses into
-    # the untraced side's timings.
-    import gc
-
+    # each side's wall is the sum of per-(query, mode) minimums over N
+    # interleaved passes: per-query minimums shed localized noise spikes
+    # fast, and the sums form stable lower envelopes.  The engine order
+    # alternates per pass and garbage is collected between passes so the
+    # traced side's allocations can't dump GC pauses into the untraced
+    # side's timings.
     def envelope_pass(engine, best):
         gc.collect()
-        for name, query in queries.items():
-            for mode in MODES:
-                start = time.perf_counter()
-                engine.execute(query.plan, mode)
-                wall_one = time.perf_counter() - start
-                key = (name, mode)
-                best[key] = min(best.get(key, float("inf")), wall_one)
+        for label, plan, mode in bench.jobs():
+            start = time.perf_counter()
+            engine.execute(plan, mode)
+            best[label] = min(best.get(label, float("inf")),
+                              time.perf_counter() - start)
 
-    best_on: dict = {}
-    best_off: dict = {}
+    sides = [(bench.cold_engine(tracing=True), {}), (bench.cold_engine(), {})]
     for _ in range(2):  # warm-up, untimed
-        envelope_pass(engine_on, {})
-        envelope_pass(engine_off, {})
-    for iteration in range(max(args.repeat, 6)):
-        pair = [(engine_on, best_on), (engine_off, best_off)]
-        if iteration % 2:
-            pair.reverse()
-        for engine, best in pair:
+        for engine, _best in sides:
+            envelope_pass(engine, {})
+    for iteration in range(max(bench.repeat, 6)):
+        for engine, best in (sides if iteration % 2 == 0 else sides[::-1]):
             envelope_pass(engine, best)
-    wall_on = sum(best_on.values())
-    wall_off = sum(best_off.values())
-
-    event_kinds = sorted({event.kind
-                          for event in server.last_trace.events})
+    wall_on, wall_off = (sum(best.values()) for _engine, best in sides)
     return {
-        "scale_factor": args.sf,
+        "scale_factor": bench.sf,
         "wall_clock_seconds": wall,
         "queries_submitted": len(report.tickets),
         "completed": report.completed,
         "failovers": report.failovers,
         "retries": report.retries,
         "preemptions": report.preemptions,
-        "trace_lines": len(base.splitlines()),
-        "trace_bytes": len(base),
-        "event_kinds": event_kinds,
-        "trace_identical_across_workers_and_replay": identical,
+        "trace_lines": len(jsonl["1"].splitlines()),
+        "trace_bytes": len(jsonl["1"]),
+        "event_kinds": sorted({event.kind for event in trace.events}),
+        "trace_identical_across_workers_and_replay": all(
+            text == jsonl["1"] for text in jsonl.values()),
         "perfetto_loadable": perfetto_loadable,
-        "critical_paths": binding,
-        "critical_paths_bound": paths_bound,
+        "critical_paths": {
+            f"{by_ticket[ticket].tenant}:{by_ticket[ticket].label}":
+                {"resource": path.binding_resource, "bound": path.bound,
+                 "idle_seconds": path.idle_seconds}
+            for ticket, path in sorted(paths.items())},
+        "critical_paths_bound": bool(paths) and all(
+            path.binding_resource for path in paths.values()),
         "wall_clock_seconds_traced": wall_on,
         "wall_clock_seconds_untraced": wall_off,
         "tracing_off_overhead_pct": max(
@@ -894,83 +1002,98 @@ def suite_trace(args: argparse.Namespace) -> dict:
     }
 
 
-def suite_fig5(args: argparse.Namespace, join_models: JoinModels) -> dict:
-    wall, series = _best_wall(args.repeat, join_models.figure5_series)
-    return {
-        "wall_clock_seconds": wall,
-        "simulated_seconds": {
-            variant: {str(size): seconds for size, seconds in points}
-            for variant, points in series.items()
-        },
-    }
-
-
-def suite_fig6(args: argparse.Namespace, join_models: JoinModels,
-               topology) -> dict:
-    wall_model, series = _best_wall(args.repeat, join_models.figure6_series)
-    wall_exec, runs = _best_wall(
-        args.repeat, lambda: run_all_variants(200_000, topology=topology))
+# ----------------------------------------------------------------------
+# Paper-figure model sweeps
+# ----------------------------------------------------------------------
+def _model_and_execution(bench: Workbench, series_of, execute) -> dict:
+    """The shape fig6 and fig7 share: the analytical series next to one
+    real execution of each variant."""
+    wall_model, series = bench.best_wall(series_of)
+    wall_exec, runs = bench.best_wall(execute)
     return {
         "wall_clock_seconds_model": wall_model,
         "wall_clock_seconds_execution": wall_exec,
         "simulated_seconds_model": {
             variant: {str(point.tuples_per_side): point.seconds
                       for point in points}
-            for variant, points in series.items()
-        },
+            for variant, points in series.items()},
         "simulated_seconds_execution": {
-            variant: run.simulated_seconds for variant, run in runs.items()
-        },
+            variant: run.simulated_seconds for variant, run in runs.items()},
     }
 
 
-def suite_fig7(args: argparse.Namespace, join_models: JoinModels,
-               topology) -> dict:
-    wall_model, series = _best_wall(args.repeat, join_models.figure7_series)
-
-    def run_execution():
-        return {
-            num_gpus: run_coprocessed_join(300_000, num_gpus=num_gpus,
-                                           topology=topology)
-            for num_gpus in (1, 2)
-        }
-
-    wall_exec, runs = _best_wall(args.repeat, run_execution)
-    return {
-        "wall_clock_seconds_model": wall_model,
-        "wall_clock_seconds_execution": wall_exec,
-        "simulated_seconds_model": {
-            variant: {str(point.tuples_per_side): point.seconds
-                      for point in points}
-            for variant, points in series.items()
-        },
-        "simulated_seconds_execution": {
-            f"{num_gpus}gpu": run.simulated_seconds
-            for num_gpus, run in runs.items()
-        },
-    }
+def _one_wall(r: dict) -> str:
+    return f"model sweep {r['wall_clock_seconds']:.3f}s"
 
 
-def suite_fig8(args: argparse.Namespace, tpch_models: TPCHModels) -> dict:
-    wall, figure = _best_wall(args.repeat, tpch_models.figure8)
-    return {
-        "wall_clock_seconds": wall,
-        "simulated_seconds": {
-            query: {estimate.system: estimate.seconds
-                    for estimate in estimates}
-            for query, estimates in figure.items()
-        },
-    }
+def _two_walls(r: dict) -> str:
+    return (f"model sweep {r['wall_clock_seconds_model']:.3f}s, execution "
+            f"{r['wall_clock_seconds_execution']:.3f}s")
 
 
-def suite_fig9(args: argparse.Namespace, tpch_models: TPCHModels) -> dict:
-    wall, figure = _best_wall(args.repeat, tpch_models.figure9)
-    return {
-        "wall_clock_seconds": wall,
-        "simulated_seconds": {
-            config: dict(variants) for config, variants in figure.items()
-        },
-    }
+@suite("fig5", summary=_one_wall)
+def suite_fig5(bench: Workbench) -> dict:
+    wall, series = bench.best_wall(JoinModels(bench.topology).figure5_series)
+    return {"wall_clock_seconds": wall,
+            "simulated_seconds": {
+                variant: {str(size): seconds for size, seconds in points}
+                for variant, points in series.items()}}
+
+
+@suite("fig6", summary=_two_walls)
+def suite_fig6(bench: Workbench) -> dict:
+    return _model_and_execution(
+        bench, JoinModels(bench.topology).figure6_series,
+        lambda: run_all_variants(200_000, topology=bench.topology))
+
+
+@suite("fig7", summary=_two_walls)
+def suite_fig7(bench: Workbench) -> dict:
+    return _model_and_execution(
+        bench, JoinModels(bench.topology).figure7_series,
+        lambda: {f"{num_gpus}gpu": run_coprocessed_join(
+            300_000, num_gpus=num_gpus, topology=bench.topology)
+            for num_gpus in (1, 2)})
+
+
+@suite("fig8", summary=_one_wall)
+def suite_fig8(bench: Workbench) -> dict:
+    wall, figure = bench.best_wall(TPCHModels(bench.topology).figure8)
+    return {"wall_clock_seconds": wall,
+            "simulated_seconds": {
+                query: {estimate.system: estimate.seconds
+                        for estimate in estimates}
+                for query, estimates in figure.items()}}
+
+
+@suite("fig9", summary=_one_wall)
+def suite_fig9(bench: Workbench) -> dict:
+    wall, figure = bench.best_wall(TPCHModels(bench.topology).figure9)
+    return {"wall_clock_seconds": wall,
+            "simulated_seconds": {config: dict(variants)
+                                  for config, variants in figure.items()}}
+
+
+# ----------------------------------------------------------------------
+# The command line
+# ----------------------------------------------------------------------
+def load_history(path: Path) -> dict:
+    """A ``{"runs": [...]}`` history file; a missing file starts a fresh
+    one, an unreadable one raises ``ValueError`` naming it — the history
+    is the baseline every cross-PR identity gate reads and is never
+    silently replaced."""
+    if not path.exists():
+        return {"runs": []}
+    try:
+        history = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise ValueError(f"{path} is not a readable bench history "
+                         f"({error}); refusing to overwrite it") from error
+    if not isinstance(history, dict) or not isinstance(
+            history.get("runs"), list):
+        raise ValueError(f'{path} is not a bench history (no "runs" list); '
+                         "refusing to overwrite it")
+    return history
 
 
 def _git_revision() -> str | None:
@@ -986,142 +1109,57 @@ def _git_revision() -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sf", type=float, default=0.05,
-                        help="TPC-H scale factor for the execution suite")
+                        help="TPC-H scale factor of the execution suites")
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--repeat", type=int, default=3,
-                        help="wall-clock measurements take the best of N runs")
-    parser.add_argument("--morsel-rows", type=int, default=None,
-                        help="morsel granularity for the TPC-H execution "
-                             "suite (0 = whole-column packets; omit for the "
-                             "engine default)")
-    parser.add_argument("--fusion", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="pipeline-fused morsel streaming for the TPC-H "
-                             "execution suites (--no-fusion to materialize "
-                             "at every plan node)")
-    parser.add_argument("--mem-sf", type=float, default=0.2,
-                        help="TPC-H scale factor for the peak-memory suite")
-    parser.add_argument("--serve-passes", type=int, default=2,
-                        help="closed-loop passes each tenant of the serve "
-                             "suite submits")
+                        help="wall-clock measurements take the best of N")
     parser.add_argument("--output", type=Path,
-                        default=_REPO / "BENCH_results.json")
-    parser.add_argument("--suites", nargs="*",
-                        default=["fig5", "fig6", "fig7", "fig8", "fig9",
-                                 "tpch", "tpch_warm", "mem", "serve"],
-                        help="subset of suites to run")
+                        default=_REPO / "BENCH_results.json",
+                        help="history file the run record is appended to")
+    parser.add_argument("--suites", nargs="*", default=list(DEFAULT_SUITES),
+                        help=f"subset of {', '.join(SUITES)}")
+    parser.add_argument("--gate", action="store_true",
+                        help="apply the suites' declared gates to the run "
+                             "just recorded; exit non-zero on any failure")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="recorded history whose latest same-sf/seed "
+                             "entries anchor the cross-PR identity gates")
     args = parser.parse_args(argv)
+    unknown = [name for name in args.suites if name not in SUITES]
+    if unknown:
+        parser.error(f"unknown suite(s) {unknown}; choose from "
+                     f"{sorted(SUITES)}")
+    try:
+        history = load_history(args.output)
+        # Read before this run is appended: a run is never its own baseline.
+        baseline = (load_history(args.baseline)
+                    if args.gate and args.baseline is not None else None)
+    except ValueError as error:
+        print(f"FAIL: {error}", file=sys.stderr)
+        return 1
 
-    topology = default_server()
-    join_models = JoinModels(topology)
-    tpch_models = TPCHModels(topology)
-
-    runners = {
-        "fig5": lambda: suite_fig5(args, join_models),
-        "fig6": lambda: suite_fig6(args, join_models, topology),
-        "fig7": lambda: suite_fig7(args, join_models, topology),
-        "fig8": lambda: suite_fig8(args, tpch_models),
-        "fig9": lambda: suite_fig9(args, tpch_models),
-        "tpch": lambda: suite_tpch(args, topology),
-        "tpch_warm": lambda: suite_tpch_warm(args, topology),
-        "scale": lambda: suite_scale(args),
-        "stats": lambda: suite_stats(args),
-        "mem": lambda: suite_mem(args, topology),
-        "serve": lambda: suite_serve(args),
-        "chaos": lambda: suite_chaos(args),
-        "open_loop": lambda: suite_open_loop(args),
-        "trace": lambda: suite_trace(args),
-    }
-    suites = {}
+    bench = Workbench(args.sf, args.seed, args.repeat)
+    records = {}
     for name in args.suites:
-        if name not in runners:
-            parser.error(f"unknown suite {name!r}; "
-                         f"choose from {sorted(runners)}")
         print(f"running suite {name} ...", flush=True)
-        suites[name] = runners[name]()
-        wall_keys = [key for key in suites[name] if key.startswith("wall")]
-        summary = ", ".join(f"{key}={suites[name][key]:.3f}s"
-                            for key in wall_keys)
-        if "variants" in suites[name]:
-            summary = ", ".join(
-                f"{variant}={data['peak_intermediate_bytes'] / 1e6:.1f}MB"
-                f"/{data['wall_clock_seconds']:.3f}s"
-                for variant, data in suites[name]["variants"].items())
-        if "warm_speedup" in suites[name]:
-            cache = suites[name]["cache"]
-            summary += (f", speedup={suites[name]['warm_speedup']:.2f}x, "
-                        f"cache hits={cache['hits']} misses={cache['misses']}")
-        if "latency_p99_seconds" in suites[name]:
-            record = suites[name]
-            summary += (
-                f", {record['queries_served']} queries, throughput "
-                f"{record['throughput_speedup_vs_serial']:.2f}x serial, "
-                f"p99 {record['latency_p99_seconds'] * 1e3:.3f}ms, "
-                f"single-query identical="
-                f"{record['single_query_simulated_identical']}")
-        if "speedup_at_4_workers" in suites[name]:
-            record = suites[name]
-            scaling = ", ".join(
-                f"w={workers}:{data['wall_clock_seconds']:.3f}s"
-                for workers, data in record["workers"].items())
-            summary += (
-                f", {scaling}, 4-worker speedup "
-                f"{record['speedup_at_4_workers']:.2f}x, sims identical="
-                f"{record['simulated_identical_across_workers']}")
-        if "worst_median_q_error" in suites[name]:
-            record = suites[name]
-            summary += (
-                f", worst median q-error "
-                f"{record['worst_median_q_error']:.2f}, sims identical for "
-                f"unchanged plans={record['sims_identical_for_unchanged_plans']}")
-        if "deterministic_replay" in suites[name]:
-            record = suites[name]
-            summary += (
-                f", {record['queries_served']}/"
-                f"{record['queries_submitted']} served, "
-                f"{record['preemptions']} preemptions, slos_met="
-                f"{record['slos_met']}, batch_starved="
-                f"{record['batch_starved']}, replay="
-                f"{record['deterministic_replay']}")
-        if "trace_identical_across_workers_and_replay" in suites[name]:
-            record = suites[name]
-            summary += (
-                f", {record['trace_lines']} trace lines, identical="
-                f"{record['trace_identical_across_workers_and_replay']}, "
-                f"perfetto={record['perfetto_loadable']}, off-overhead "
-                f"{record['tracing_off_overhead_pct']:.2f}%")
-        if "makespan_degradation" in suites[name]:
-            record = suites[name]
-            summary += (
-                f", {record['completed']}/{record['queries_submitted']} "
-                f"completed, {record['failovers']} failovers, makespan "
-                f"{record['makespan_degradation']:.2f}x fault-free, "
-                f"clean={record['clean_completion']}, failover identical="
-                f"{record['failover_results_identical']}")
-        print(f"  {summary}")
-
-    run_record = {
+        records[name] = SUITES[name].run(bench)
+        print(f"  {SUITES[name].summary(records[name])}")
+    run = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "git_revision": _git_revision(),
         "python": platform.python_version(),
-        "args": {"sf": args.sf, "seed": args.seed, "repeat": args.repeat,
-                 "morsel_rows": args.morsel_rows, "fusion": args.fusion,
-                 "mem_sf": args.mem_sf, "serve_passes": args.serve_passes},
-        "suites": suites,
+        "args": {"sf": args.sf, "seed": args.seed, "repeat": args.repeat},
+        "suites": records,
     }
-
-    history: dict = {"runs": []}
-    if args.output.exists():
-        try:
-            history = json.loads(args.output.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = {"runs": []}
-        if "runs" not in history:
-            history = {"runs": []}
-    history["runs"].append(run_record)
+    history["runs"].append(run)
     args.output.write_text(json.dumps(history, indent=2) + "\n")
     print(f"wrote {args.output} ({len(history['runs'])} run(s) recorded)")
-    return 0
+    if not args.gate:
+        return 0
+    failures, notes = check_run(run, baseline)
+    for line in notes + [f"FAIL: {failure}" for failure in failures]:
+        print(line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ bit-identical whether fusion is on or off, warm or cold.  Like
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, TypeVar
 
@@ -138,7 +137,7 @@ class ExecutorOptions:
     or assigning a session attribute (all of which end in
     :meth:`Executor.retune`).  Every knob below the two overhead factors
     is wall-clock/working-set only: results, simulated seconds, device
-    busy times, link bytes and — except for the cache knobs — cache
+    busy times, link bytes and — except for the cache budget — cache
     counters are bit-identical for every setting.
     """
 
@@ -159,11 +158,6 @@ class ExecutorOptions:
     #: bound.  Shrinking evicts down to the new budget immediately.  Cost
     #: is charged per occurrence regardless of cache hits.
     cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES
-    #: Victim-selection policy of the query cache: ``"lru"`` (default) or
-    #: ``"cost"`` (evict the lowest measured recompute-cost-per-byte entry
-    #: first, so small-but-expensive results outlive large-but-cheap
-    #: ones).  Takes effect for future evictions.
-    cache_eviction: str = "lru"
     #: Drive maximal chains of streaming operators (scan ->
     #: filter/project -> exchange routing -> hash-join probes)
     #: morsel-at-a-time end to end, materializing only at fusion
@@ -194,7 +188,6 @@ class ExecutorOptions:
         for knob in ("pipeline_fusion", "tracing"):
             if not isinstance(getattr(self, knob), bool):
                 raise ValueError(f"{knob} must be a bool")
-        QueryCache.validate_policy(self.cache_eviction)
         object.__setattr__(self, "cache_budget_bytes",
                            QueryCache.validate_budget(self.cache_budget_bytes))
         object.__setattr__(self, "workers", resolve_workers(self.workers))
@@ -298,12 +291,11 @@ class Executor:
             catalog.subscribe(self.query_cache.invalidate_table)
         else:
             # A server-owned shared cache (multi-tenant serving): its owner
-            # wires catalog invalidation exactly once and owns the budget /
-            # eviction-policy knobs; the options mirror its settings.
+            # wires catalog invalidation exactly once and owns the budget
+            # knob; the options mirror its setting.
             self.query_cache = query_cache
             self.options = replace(
-                self.options, cache_budget_bytes=query_cache.budget_bytes,
-                cache_eviction=query_cache.policy)
+                self.options, cache_budget_bytes=query_cache.budget_bytes)
         self.retune()
         self._cache_mark = self.query_cache.counters()
         #: Largest intermediate batch (bytes of one operator's output
@@ -336,23 +328,21 @@ class Executor:
         takes, at construction and on a live session alike.
 
         The new record validates itself, then the state derived from it
-        (morsel scheduler, worker pool, cache budget and policy) is brought
-        in line, so ``options`` and the objects acting on it cannot
-        disagree.  Takes effect for the next :meth:`execute`.  A session
-        sharing a server-owned cache cannot re-tune the cache knobs —
-        budget and policy belong to the server.
+        (morsel scheduler, worker pool, cache budget) is brought in line,
+        so ``options`` and the objects acting on it cannot disagree.  Takes
+        effect for the next :meth:`execute`.  A session sharing a
+        server-owned cache cannot re-tune the cache budget — it belongs to
+        the server.
         """
-        if not self._owns_cache and changes.keys() & {"cache_budget_bytes",
-                                                      "cache_eviction"}:
+        if not self._owns_cache and "cache_budget_bytes" in changes:
             raise ValueError(
                 "this session shares a server-owned query cache; tune the "
-                "budget and eviction policy on the owning QueryServer")
+                "budget on the owning QueryServer")
         self.options = options = replace(self.options, **changes)
         self.scheduler.morsel_rows = options.morsel_rows
         self.pool = WorkerPool(options.workers, tier="kernel")
         if self._owns_cache:
             self.query_cache.set_budget(options.cache_budget_bytes)
-            self.query_cache.set_policy(options.cache_eviction)
 
     # ------------------------------------------------------------------
     def execute(self, plan: PhysicalOp) -> ExecutionResult:
@@ -482,20 +472,14 @@ class Executor:
             if result is None:
                 status = "miss"
                 morsels_before = self.scheduler.morsels_dispatched
-                started = time.perf_counter()
                 result = run()
                 morsel_delta = (self.scheduler.morsels_dispatched
                                 - morsels_before)
                 if self.query_cache.enabled:
-                    # The measured evaluation time is the recompute-cost
-                    # signal of the "cost" eviction policy; it is recorded
-                    # for every entry so retuning the policy mid-session
-                    # has full information.
                     self.query_cache.put(
                         session_key, result,
                         nbytes=0 if zero_copy else result_nbytes(result),
-                        tables=referenced_tables(node),
-                        cost_seconds=time.perf_counter() - started)
+                        tables=referenced_tables(node))
             else:
                 status = "hit"
             self._query_memo.setdefault(key, {})[tuning] = result

@@ -22,18 +22,11 @@ Retention is bounded by ``budget_bytes`` (the engine's
 ``cache_budget_bytes`` knob): every entry is charged the bytes of the
 result columns it pins (base-table scan entries are zero-copy views over
 catalog-resident arrays and are charged 0 bytes).  A budget of ``0``
-disables cross-query caching entirely; ``None`` means unlimited.  The
-victim-selection *policy* is the ``cache_eviction`` knob: ``"lru"`` (the
-default) discards the least-recently-used entry, ``"cost"`` discards the
-entry with the lowest measured *recompute cost per byte* — entries record
-the wall-clock seconds their kernel evaluation took, so a cheap-to-rebuild
-scan-sized filter result is sacrificed before a small but expensive join
-(ties fall back to LRU order, and zero-byte entries are never victims
-because evicting them frees nothing).  Because the signal is *measured*
-wall-clock time, victim choice — and therefore hit/evict counters — can
-vary between otherwise identical runs under budget pressure; what can
-never vary is anything the cache protects: functional results and
-simulated seconds are bit-identical regardless of what was evicted.
+disables cross-query caching entirely; ``None`` means unlimited.  Over
+budget, the least-recently-used entry is discarded first — a pure
+function of the get/put order, so eviction never depends on the host
+clock; functional results and simulated seconds are bit-identical
+regardless of what was evicted.
 
 Two properties the rest of the engine relies on:
 
@@ -122,10 +115,6 @@ class QueryCacheStats(CacheCounters):
                 f"bytes={self.bytes_used} budget={budget}")
 
 
-#: Eviction policies of the ``cache_eviction`` knob.
-EVICTION_POLICIES = ("lru", "cost")
-
-
 @dataclass
 class _Entry:
     """One cached kernel result plus the metadata retention needs."""
@@ -136,9 +125,6 @@ class _Entry:
     nbytes: int
     #: Base tables the producing subplan read — the invalidation index.
     tables: frozenset[str] = field(default_factory=frozenset)
-    #: Measured wall-clock seconds the producing kernel evaluation took —
-    #: the recompute-cost signal of the ``"cost"`` eviction policy.
-    cost_seconds: float = 0.0
 
 
 def result_nbytes(result: object) -> int:
@@ -192,14 +178,14 @@ class QueryCache:
     how calls interleave.
     """
 
-    def __init__(self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
-                 *, policy: str = "lru") -> None:
+    def __init__(
+            self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
+    ) -> None:
         self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes_used = 0
         self._counters = CacheCounters()
         self.budget_bytes = self.validate_budget(budget_bytes)
-        self.policy = self.validate_policy(policy)
 
     @staticmethod
     def validate_budget(budget_bytes: int | None) -> int | None:
@@ -208,13 +194,6 @@ class QueryCache:
             if budget_bytes < 0:
                 raise ValueError("cache_budget_bytes must be >= 0 or None")
         return budget_bytes
-
-    @staticmethod
-    def validate_policy(policy: str) -> str:
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"cache_eviction must be one of {EVICTION_POLICIES}")
-        return policy
 
     # ------------------------------------------------------------------
     # Introspection
@@ -264,13 +243,9 @@ class QueryCache:
             return entry.value
 
     def put(self, key: Hashable, value: object, *, nbytes: int,
-            tables: frozenset[str] = frozenset(),
-            cost_seconds: float = 0.0) -> None:
+            tables: frozenset[str] = frozenset()) -> None:
         """Retain a kernel result, evicting entries to stay in budget.
 
-        ``cost_seconds`` is the measured wall-clock cost of recomputing the
-        entry (the executor times each kernel evaluation); the ``"cost"``
-        eviction policy uses it to keep expensive-per-byte results warm.
         An entry larger than the whole budget is dropped immediately (and
         counted as evicted) rather than flushing every other entry for an
         insert that could never fit.
@@ -286,8 +261,7 @@ class QueryCache:
             if old is not None:
                 self._bytes_used -= old.nbytes
             self._entries[key] = _Entry(value, nbytes=int(nbytes),
-                                        tables=tables,
-                                        cost_seconds=float(cost_seconds))
+                                        tables=tables)
             self._bytes_used += int(nbytes)
             self._evict_to_budget()
 
@@ -308,16 +282,6 @@ class QueryCache:
             if stale:
                 self._counters = self._bump(invalidated=len(stale))
             return len(stale)
-
-    def set_policy(self, policy: str) -> None:
-        """Re-tune the eviction policy (the ``cache_eviction`` knob).
-
-        Takes effect for future evictions only — nothing is discarded by
-        switching policy, and retained entries keep their recorded
-        recompute costs.
-        """
-        with self._lock:
-            self.policy = self.validate_policy(policy)
 
     def set_budget(self, budget_bytes: int | None) -> None:
         """Re-tune the byte budget, evicting down to it immediately.
@@ -351,34 +315,11 @@ class QueryCache:
             return
         evicted = 0
         while self._bytes_used > self.budget_bytes and self._entries:
-            entry = self._entries.pop(self._pick_victim())
+            _, entry = self._entries.popitem(last=False)  # LRU first
             self._bytes_used -= entry.nbytes
             evicted += 1
         if evicted:
             self._counters = self._bump(evicted=evicted)
-
-    def _pick_victim(self) -> Hashable:
-        """The key the active eviction policy discards next.
-
-        ``"lru"`` takes the least-recently-used entry.  ``"cost"`` takes
-        the lowest recompute-cost-per-byte entry among those that actually
-        pin bytes (evicting a zero-byte entry frees nothing), breaking
-        ties in LRU order — the OrderedDict iterates least-recently-used
-        first, and only a strictly cheaper rate replaces the candidate.
-        """
-        if self.policy == "lru":
-            return next(iter(self._entries))
-        victim: Hashable | None = None
-        victim_rate = None
-        for key, entry in self._entries.items():
-            if entry.nbytes <= 0:
-                continue
-            rate = entry.cost_seconds / entry.nbytes
-            if victim_rate is None or rate < victim_rate:
-                victim, victim_rate = key, rate
-        if victim is None:  # pragma: no cover - bytes_used > 0 implies one
-            return next(iter(self._entries))
-        return victim
 
     def _bump(self, *, hits: int = 0, misses: int = 0, evicted: int = 0,
               invalidated: int = 0) -> CacheCounters:

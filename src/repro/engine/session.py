@@ -37,8 +37,8 @@ from .querycache import CacheCounters, QueryCacheStats
 
 #: The :class:`ExecutorOptions` fields a session exposes as constructor
 #: keywords and as get/set attributes.
-SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "cache_eviction",
-                 "pipeline_fusion", "workers", "tracing")
+SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "pipeline_fusion",
+                 "workers", "tracing")
 
 
 def _knob(name: str) -> property:
@@ -139,14 +139,13 @@ class HAPEEngine:
         (2 CPU sockets + 2 GPUs, :func:`~repro.hardware.default_server`).
     optimizer_options / executor_options:
         Fine-grained knob records; usually left at their defaults.
-    morsel_rows / cache_budget_bytes / cache_eviction / pipeline_fusion /
-    workers / tracing:
+    morsel_rows / cache_budget_bytes / pipeline_fusion / workers / tracing:
         The session knobs.  Each is the :class:`ExecutorOptions` field of
         the same name — documented there, once — and overrides
         ``executor_options`` when both are given.  After construction the
         same names are attributes: reading returns the value in force
         (``workers`` resolved to a concrete count), assigning re-tunes the
-        live session.  All six are wall-clock/working-set only: results
+        live session.  All five are wall-clock/working-set only: results
         and simulated seconds are bit-identical for every setting, and a
         bad value raises ``ValueError`` whichever way it arrives.
     catalog / query_cache:
@@ -154,8 +153,8 @@ class HAPEEngine:
         A :class:`~repro.server.QueryServer` passes its *shared* catalog
         and :class:`~repro.server.SharedQueryCache` here so tenant
         sessions see one table registry and reuse each other's warm
-        kernel results; such sessions cannot re-tune the cache knobs
-        (budget and policy belong to the server).
+        kernel results; such sessions cannot re-tune the cache budget
+        (it belongs to the server).
     """
 
     def __init__(self, topology: Topology | None = None, *,
@@ -186,7 +185,6 @@ class HAPEEngine:
 
     morsel_rows = _knob("morsel_rows")
     cache_budget_bytes = _knob("cache_budget_bytes")
-    cache_eviction = _knob("cache_eviction")
     pipeline_fusion = _knob("pipeline_fusion")
     workers = _knob("workers")
     tracing = _knob("tracing")

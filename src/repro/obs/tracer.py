@@ -11,7 +11,8 @@ locks and no ordering logic.
 When disabled (the default) :meth:`event` returns before touching its
 keyword arguments' storage, so a server constructed without
 ``tracing=True`` pays one attribute check per lifecycle point — the
-measured overhead bound ``tools/check_trace.py`` enforces.
+measured overhead bound ``make trace`` enforces (the ``trace`` suite's
+``tracing_off_overhead_pct`` gate).
 """
 
 from __future__ import annotations

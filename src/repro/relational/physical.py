@@ -3,9 +3,9 @@
 The heterogeneity-aware optimizer produces these plans.  Relational
 operators (scan, filter/project, join, aggregate) are heterogeneity
 *oblivious* — they only know the device type they were generated for — while
-the four HetExchange meta-operators (router, device-crossing, mem-move,
-pack/unpack) plus the co-processing helpers (zip, split) encapsulate all
-inter-device concerns, exactly as Sections 3-5 of the paper prescribe.
+the HetExchange meta-operators (router, device-crossing, mem-move; packing
+is a trait the optimizer sets, :attr:`Traits.packing`) encapsulate all
+inter-device concerns, as Sections 3-5 of the paper prescribe.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 from ..errors import PlanError
 from ..hardware.specs import DeviceKind
 from .expr import AggregateSpec, Expr
-from .traits import Packing, Traits
+from .traits import Traits
 
 _node_ids = itertools.count()
 
@@ -74,7 +74,7 @@ class PhysicalOp:
 
     def is_exchange(self) -> bool:
         """True for HetExchange meta-operators (trait converters)."""
-        return isinstance(self, (Router, DeviceCrossing, MemMove, Pack, Unpack))
+        return isinstance(self, (Router, DeviceCrossing, MemMove))
 
 
 # ----------------------------------------------------------------------
@@ -232,80 +232,6 @@ class MemMove(PhysicalOp):
     def describe(self) -> str:
         mode = "broadcast" if self.broadcast else "move"
         return f"MemMove[{mode}](-> {self.destination})"
-
-
-@dataclass(eq=False)
-class Pack(PhysicalOp):
-    """Packing trait converter: tuples -> packets with shared properties."""
-
-    child: PhysicalOp | None = None
-    properties: tuple[str, ...] = ()
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
-    def describe(self) -> str:
-        return f"Pack({', '.join(self.properties) or '-'})"
-
-
-@dataclass(eq=False)
-class Unpack(PhysicalOp):
-    """Packing trait converter: packets -> tuples."""
-
-    child: PhysicalOp | None = None
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
-    def describe(self) -> str:
-        return "Unpack()"
-
-
-# ----------------------------------------------------------------------
-# Co-processing helpers (Section 5, intra-operator co-processing)
-# ----------------------------------------------------------------------
-@dataclass(eq=False)
-class CpuPartition(PhysicalOp):
-    """CPU-side low-fan-out partitioning of one join input."""
-
-    child: PhysicalOp | None = None
-    key: str = "key"
-    fanout: int = 2
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
-    def describe(self) -> str:
-        return f"CpuPartition(key={self.key}, fanout={self.fanout})"
-
-
-@dataclass(eq=False)
-class Zip(PhysicalOp):
-    """Matches corresponding partitions of two inputs into co-partitions."""
-
-    left: PhysicalOp | None = None
-    right: PhysicalOp | None = None
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        children = [c for c in (self.left, self.right) if c is not None]
-        return tuple(children)
-
-    def describe(self) -> str:
-        return "Zip()"
-
-
-@dataclass(eq=False)
-class Split(PhysicalOp):
-    """Drives the two sides of a co-partition to separate operator chains."""
-
-    child: PhysicalOp | None = None
-    ways: int = 2
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
-    def describe(self) -> str:
-        return f"Split(ways={self.ways})"
 
 
 def structural_key(node: PhysicalOp,

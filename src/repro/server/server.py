@@ -279,12 +279,11 @@ class QueryServer:
     topology:
         The simulated hardware every tenant shares; defaults to the
         paper's testbed.
-    cache_budget_bytes / cache_eviction:
-        Retention budget and eviction policy of the server-owned
-        :class:`SharedQueryCache`, with the meaning of the
-        :class:`~repro.engine.ExecutorOptions` fields of the same names
-        (``0`` disables the cache, ``None`` lifts the bound).  Tenant
-        sessions cannot re-tune them.
+    cache_budget_bytes:
+        Retention budget of the server-owned :class:`SharedQueryCache`,
+        with the meaning of the :class:`~repro.engine.ExecutorOptions`
+        field of the same name (``0`` disables the cache, ``None`` lifts
+        the bound).  Tenant sessions cannot re-tune it.
     fault_plan:
         Optional deterministic chaos schedule replayed by a
         :class:`~repro.faults.FaultInjector` during :meth:`run`.  Injected
@@ -339,7 +338,6 @@ class QueryServer:
 
     def __init__(self, topology: Topology | None = None, *,
                  cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
-                 cache_eviction: str = "lru",
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  breaker_threshold: int = 3,
@@ -350,8 +348,7 @@ class QueryServer:
                  tracing: bool = False) -> None:
         self.topology = topology if topology is not None else default_server()
         self.catalog = Catalog()
-        self.query_cache = SharedQueryCache(cache_budget_bytes,
-                                            policy=cache_eviction)
+        self.query_cache = SharedQueryCache(cache_budget_bytes)
         # The one invalidation subscription for the whole server: tenant
         # sessions share this cache and must not subscribe it again.
         self.catalog.subscribe(self.query_cache.invalidate_table)

@@ -25,7 +25,7 @@ same kernel on worker threads charge exactly one miss (the earlier pick)
 and one hit (the later), identical to what a serial drain charges —
 regardless of which worker finished first.
 
-Attribution never affects retention — budget, eviction policy and
+Attribution never affects retention — budget, LRU eviction and
 invalidation treat all tenants as one workload, and retention itself is
 inherited unchanged from :class:`QueryCache`.  Under byte-budget pressure
 the canonical set can diverge from the live entries (an evicted entry's
@@ -67,9 +67,10 @@ class SharedQueryCache(QueryCache):
     deterministic per-tenant hit/miss attribution (trace at lookup,
     classify at commit)."""
 
-    def __init__(self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
-                 *, policy: str = "lru") -> None:
-        super().__init__(budget_bytes, policy=policy)
+    def __init__(
+            self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
+    ) -> None:
+        super().__init__(budget_bytes)
         self._tenant_counters: dict[str, CacheCounters] = {}
         self._local = threading.local()
         #: Keys considered present by committed state: seeded from the

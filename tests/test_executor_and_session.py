@@ -39,7 +39,6 @@ class TestOpCost:
 KNOBS = {
     "morsel_rows": ([(123, 123), (None, None)], 0),
     "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], -1),
-    "cache_eviction": ([("cost", "cost")], "mru"),
     "pipeline_fusion": ([(False, False)], "yes"),
     "workers": ([(2, 2), ("auto", available_cpus())], 0),
     "tracing": ([(True, True)], 1),
@@ -79,7 +78,6 @@ class TestKnobSurface:
             assert executor.scheduler.morsel_rows == options.morsel_rows
             assert executor.pool.workers == options.workers
             assert executor.query_cache.budget_bytes == options.cache_budget_bytes
-            assert executor.query_cache.policy == options.cache_eviction
 
     def test_rejects_bad_value(self, knob, door):
         with pytest.raises(ValueError):
@@ -98,18 +96,16 @@ class TestKnobOwnership:
         with pytest.raises(TypeError, match="hybrid_overhead"):
             HAPEEngine(default_server(), hybrid_overhead=0.5)
 
-    @pytest.mark.parametrize("knob,value", [("cache_budget_bytes", 123),
-                                            ("cache_eviction", "cost")])
-    def test_shared_cache_tenant_cannot_tune_the_cache(self, knob, value):
+    def test_shared_cache_tenant_cannot_tune_the_cache(self):
         from repro.server import QueryServer
 
         server = QueryServer(default_server())
         session = server.open_session("tenant")
         with pytest.raises(ValueError, match="server-owned"):
-            setattr(session, knob, value)
+            session.cache_budget_bytes = 123
         with pytest.raises(ValueError, match="server-owned"):
             HAPEEngine(server.topology, catalog=server.catalog,
-                       query_cache=server.query_cache, **{knob: value})
+                       query_cache=server.query_cache, cache_budget_bytes=123)
         # The options mirror the server's cache, and other knobs stay free.
         assert session.cache_budget_bytes == server.query_cache.budget_bytes
         session.morsel_rows = 99

@@ -353,84 +353,3 @@ class TestDescribeSurface:
 
     def test_default_session_has_cache_enabled(self):
         assert Session().cache_budget_bytes == DEFAULT_CACHE_BUDGET_BYTES
-
-
-class TestCostAwareEviction:
-    """The ``cache_eviction`` knob: recompute-cost-per-byte retention."""
-
-    def test_default_policy_is_lru(self):
-        assert QueryCache(100).policy == "lru"
-        assert Session().cache_eviction == "lru"
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="cache_eviction"):
-            QueryCache(100, policy="mru")
-        with pytest.raises(ValueError, match="cache_eviction"):
-            Session(cache_eviction="random")
-
-    def _filled(self, policy: str) -> QueryCache:
-        cache = QueryCache(100, policy=policy)
-        # "expensive": 60 bytes that took 10s to compute (rate 1/6 s/B);
-        # "cheap": 50 bytes computed in 1ms (rate 2e-5 s/B).
-        cache.put("expensive", {"a": np.zeros(60, dtype=np.uint8)},
-                  nbytes=60, cost_seconds=10.0)
-        cache.put("cheap", {"a": np.zeros(50, dtype=np.uint8)},
-                  nbytes=50, cost_seconds=0.001)
-        return cache
-
-    def test_lru_evicts_oldest_regardless_of_cost(self):
-        cache = self._filled("lru")
-        assert "expensive" not in cache
-        assert "cheap" in cache
-
-    def test_cost_policy_keeps_expensive_per_byte_entries(self):
-        cache = self._filled("cost")
-        # Over budget at the second insert, but the cheap newcomer is the
-        # lowest recompute-cost-per-byte entry, so it is the victim.
-        assert "expensive" in cache
-        assert "cheap" not in cache
-        assert cache.counters().evicted == 1
-
-    def test_cost_ties_fall_back_to_lru_order(self):
-        cache = QueryCache(100, policy="cost")
-        cache.put("old", {"a": np.zeros(60, dtype=np.uint8)},
-                  nbytes=60, cost_seconds=0.6)
-        cache.put("new", {"a": np.zeros(60, dtype=np.uint8)},
-                  nbytes=60, cost_seconds=0.6)  # same 0.01 s/B rate
-        assert "old" not in cache and "new" in cache
-
-    def test_zero_byte_entries_are_never_victims(self):
-        cache = QueryCache(100, policy="cost")
-        cache.put("scan", {"a": np.zeros(4096, dtype=np.uint8)},
-                  nbytes=0, cost_seconds=0.0)  # zero-copy scan entry
-        cache.put("big1", {"a": np.zeros(80, dtype=np.uint8)},
-                  nbytes=80, cost_seconds=1.0)
-        cache.put("big2", {"a": np.zeros(80, dtype=np.uint8)},
-                  nbytes=80, cost_seconds=2.0)
-        assert "scan" in cache  # evicting it would free nothing
-        assert "big1" not in cache and "big2" in cache
-
-    def test_set_policy_retunes_in_place(self):
-        cache = QueryCache(None, policy="lru")
-        cache.set_policy("cost")
-        assert cache.policy == "cost"
-        with pytest.raises(ValueError, match="cache_eviction"):
-            cache.set_policy("fifo")
-
-    def test_engine_knob_end_to_end(self):
-        """A cost-policy session stays correct and timing-neutral."""
-        results = {}
-        for policy in ("lru", "cost"):
-            session = Session(default_server(), cache_eviction=policy,
-                              cache_budget_bytes=2048)
-            session.register_table(_table("t", 512))
-            first = session.execute(_sum_plan(), "cpu")
-            second = session.execute(_sum_plan(), "cpu")
-            assert first.simulated_seconds == second.simulated_seconds
-            assert np.array_equal(first.table.array("total"),
-                                  second.table.array("total"))
-            results[policy] = first
-        assert results["lru"].simulated_seconds == \
-            results["cost"].simulated_seconds
-        session.cache_eviction = "lru"  # retunable mid-session
-        assert session.cache_eviction == "lru"
