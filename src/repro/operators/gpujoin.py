@@ -35,10 +35,11 @@ from .base import (
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES, composite_key, join_match_indices
+from .hashjoin import HASH_ENTRY_BYTES, composite_key
 from .radix import (
     PartitionPlan,
     PartitionRunStats,
+    _join_copartitions,
     _validate_output_order,
     attach_order_columns,
     estimate_partition_run,
@@ -216,28 +217,7 @@ def gpu_partitioned_join_kernel(
                                                       plan=probe_plan,
                                                       pool=pool)
 
-    outputs: list[ArrayMap] = []
-    for build_part, probe_part in zip(build_parts, probe_parts):
-        if columns_num_rows(build_part) == 0 or columns_num_rows(probe_part) == 0:
-            continue
-        build_indices, probe_indices = join_match_indices(
-            build_part["__key"], probe_part["__key"])
-        merged: ArrayMap = {}
-        for name, values in build_part.items():
-            if name != "__key":
-                merged[name] = values[build_indices]
-        for name, values in probe_part.items():
-            if name != "__key":
-                merged[name] = values[probe_indices]
-        outputs.append(merged)
-    if outputs:
-        columns = {name: np.concatenate([part[name] for part in outputs])
-                   for name in outputs[0]}
-    else:
-        columns = {name: np.asarray(values)[:0]
-                   for name, values in build.items() if name != "__key"}
-        columns.update({name: np.asarray(values)[:0]
-                        for name, values in probe.items() if name != "__key"})
+    columns = _join_copartitions(build_parts, probe_parts, build, probe)
     if output_order is not None:
         columns = restore_canonical_order(columns, output_order=output_order)
     stats = GpuJoinStats(

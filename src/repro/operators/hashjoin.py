@@ -79,12 +79,22 @@ def _materialize_join(build: Mapping[str, np.ndarray],
                       probe: Mapping[str, np.ndarray],
                       build_indices: np.ndarray,
                       probe_indices: np.ndarray) -> ArrayMap:
-    """Gather the output columns of a join (probe columns win name clashes)."""
+    """Gather the output columns of a join (probe columns win name clashes).
+
+    When every probe row matched exactly once, in order, the probe columns
+    pass through un-gathered: batches are immutable engine-wide (as with
+    ``filter_project_morsel``'s aliased inputs), and every ``nbytes`` the
+    cost model is charged is that of the gathered copy.
+    """
     result: ArrayMap = {}
     for name, values in build.items():
         result[name] = np.asarray(values)[build_indices]
+    probe_rows = columns_num_rows(probe)
+    unmoved = (len(probe_indices) == probe_rows
+               and (probe_indices == np.arange(probe_rows)).all())
     for name, values in probe.items():
-        result[name] = np.asarray(values)[probe_indices]
+        values = np.asarray(values)
+        result[name] = values if unmoved else values[probe_indices]
     return result
 
 

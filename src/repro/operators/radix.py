@@ -42,7 +42,12 @@ from .base import (
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES, composite_key, join_match_indices
+from .hashjoin import (
+    HASH_ENTRY_BYTES,
+    _materialize_join,
+    composite_key,
+    join_match_indices,
+)
 
 #: Scalar ops per tuple of one partitioning pass (hash, offset, copy).
 _OPS_PER_PARTITION_STEP = 6.0
@@ -425,28 +430,21 @@ def _join_copartitions(build_parts: Sequence[ArrayMap],
                        build: Mapping[str, np.ndarray],
                        probe: Mapping[str, np.ndarray]) -> ArrayMap:
     """Build & probe each co-partition and concatenate the match output."""
-    outputs: list[ArrayMap] = []
-    for build_part, probe_part in zip(build_parts, probe_parts):
-        if columns_num_rows(build_part) == 0 or columns_num_rows(probe_part) == 0:
-            continue
-        build_indices, probe_indices = join_match_indices(
-            build_part["__key"], probe_part["__key"])
-        merged: ArrayMap = {}
-        for name, values in build_part.items():
-            if name != "__key":
-                merged[name] = values[build_indices]
-        for name, values in probe_part.items():
-            if name != "__key":
-                merged[name] = values[probe_indices]
-        outputs.append(merged)
+    def payload(part: Mapping[str, np.ndarray]) -> ArrayMap:
+        return {name: values for name, values in part.items()
+                if name != "__key"}
+
+    outputs = [
+        _materialize_join(payload(build_part), payload(probe_part),
+                          *join_match_indices(build_part["__key"],
+                                              probe_part["__key"]))
+        for build_part, probe_part in zip(build_parts, probe_parts)
+        if columns_num_rows(build_part) and columns_num_rows(probe_part)]
     if outputs:
         return {name: np.concatenate([part[name] for part in outputs])
                 for name in outputs[0]}
-    columns = {name: np.asarray(values)[:0]
-               for name, values in build.items() if name != "__key"}
-    columns.update({name: np.asarray(values)[:0]
-                    for name, values in probe.items() if name != "__key"})
-    return columns
+    no_rows = np.asarray([], dtype=np.int64)
+    return _materialize_join(payload(build), payload(probe), no_rows, no_rows)
 
 
 def estimate_cpu_radix_join(stats: CpuRadixJoinStats,

@@ -2,8 +2,11 @@
 
 A seeded generator builds random logical plans — filters, projections,
 multi-way joins and aggregates over small generated tables (including
-zero-row tables and predicates that remove every row) — and every plan is
-executed across the full engine configuration grid:
+zero-row tables, predicates that remove every row, and join keys that are
+dense, sparse, negative, unique, duplicate-heavy or clustered beside one
+far outlier, so the join index's radix directory, its binary-search
+fallback and the un-gathered probe pass-through all run) — and every plan
+is executed across the full engine configuration grid:
 
     device mode ∈ {cpu, gpu, hybrid}
   × morsel_rows ∈ {1, 7, engine default}
@@ -86,7 +89,16 @@ class _Case:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.rng = np.random.default_rng(SEED_BASE + seed)
+        self.rng = rng = np.random.default_rng(SEED_BASE + seed)
+        # The ``_k`` join-key style, drawn once per case so that a case's
+        # tables still share key values.  The engine's join index picks
+        # its lookup path from the key shape: small non-negative codes,
+        # sparse codes from a negative base (the radix directory with a
+        # shift), and — independently — one far key in every table, which
+        # clusters the rest into one bucket (the binary-search fallback).
+        self.key_stride = (1, 1, 10**9 + 7)[int(rng.integers(0, 3))]
+        self.key_base = -3 * self.key_stride * int(rng.integers(0, 2))
+        self.far_key = 2**40 if rng.integers(0, 4) == 0 else None
         self.tables: list[Table] = []
         self.plan, self.schema = self._build_plan()
 
@@ -104,8 +116,17 @@ class _Case:
         domain = int(rng.integers(1, max(rows // 2, 2) + 1))
         int_cols = [f"{prefix}_k", f"{prefix}_j"]
         num_cols = [f"{prefix}_v", f"{prefix}_w"]
+        # A third of the tables carry unique keys (a primary-key side: a
+        # probe over it matches every row at most once, and a smaller
+        # unique table probing it passes its columns through un-gathered);
+        # the rest are duplicate-heavy (domain <= rows / 2).
+        codes = (rng.permutation(rows) if rng.integers(0, 3) == 0
+                 else rng.integers(0, domain, rows))
+        keys = self.key_base + self.key_stride * codes.astype(np.int64)
+        if self.far_key is not None:
+            keys[:1] = self.far_key
         arrays = {
-            int_cols[0]: rng.integers(0, domain, rows, dtype=np.int64),
+            int_cols[0]: keys,
             int_cols[1]: rng.integers(-3, 4, rows, dtype=np.int64),
             num_cols[0]: rng.normal(size=rows),
             num_cols[1]: rng.integers(-50, 51, rows).astype(np.int64),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from repro.operators import (
     probe_phase_cost,
     radix_partition,
 )
-from repro.relational import join_indices
+from repro.relational import JoinBuildIndex, join_indices
 from repro.storage import make_join_pair, make_partial_match_pair
 
 
@@ -48,6 +50,101 @@ class TestJoinMatchIndices:
         got = join_match_indices(build, probe)
         expected = join_indices([build], [probe])
         assert _sorted_pairs(*got) == _sorted_pairs(*expected)
+
+
+_INT64 = np.iinfo(np.int64)
+
+#: Key-shape families: (build-key values, minimum build rows).  Each is a
+#: property the index picks its lookup path from.
+_KEY_SHAPES = {
+    "dense": (st.integers(100, 160), 0),
+    "sparse": (st.integers(0, 10**10), 0),
+    "negative": (st.integers(-10**6, 10), 0),
+    "folded": (st.integers(_INT64.min, _INT64.max), 0),   # spans >= 2**63
+    "extremes": (st.sampled_from([_INT64.min, _INT64.min + 1, -1, 0, 7,
+                                  _INT64.max - 1, _INT64.max]), 0),
+    "duplicates": (st.integers(0, 3), 0),
+    "outlier": (st.integers(0, 30), 12),   # + one far key: the fallback
+}
+
+
+@st.composite
+def _join_keys(draw):
+    """``(build, probe)`` key columns of one shape family, any int dtype."""
+    shape = draw(st.sampled_from(sorted(_KEY_SHAPES)))
+    values, min_rows = _KEY_SHAPES[shape]
+    build = draw(st.lists(values, min_size=min_rows, max_size=40))
+    if shape == "outlier":
+        build.insert(draw(st.integers(0, len(build))), 2**40)
+    # Probe keys: hits, near misses between build keys, keys below and
+    # above the build range, and fresh draws from the family.
+    near = [key + step for key in build for step in (-1, 0, 1)]
+    outside = [min(build, default=0) - 5, max(build, default=0) + 5,
+               _INT64.min, _INT64.max]
+    probe = draw(st.lists(
+        st.one_of(st.sampled_from(near + outside), values), max_size=60))
+    probe = [key for key in probe if _INT64.min <= key <= _INT64.max]
+
+    def column(keys):
+        narrow = all(abs(key) < 2**31 for key in keys)
+        dtype = np.int32 if narrow and draw(st.booleans()) else np.int64
+        return np.asarray(keys, dtype=dtype)
+
+    return column(build), column(probe)
+
+
+class TestJoinBuildIndex:
+    def test_probe_matches_dictionary_oracle(self):
+        """Both lookup paths return a dictionary lookup's pairs, in the
+        documented order, whole-side or morsel by morsel."""
+        directory_taken = set()
+
+        @given(_join_keys(), st.integers(0, 60))
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        def check(keys, cut):
+            build, probe = keys
+            positions: dict[int, list[int]] = {}
+            for position, key in enumerate(build.tolist()):
+                positions.setdefault(key, []).append(position)
+            expected = [(b, p) for p, key in enumerate(probe.tolist())
+                        for b in positions.get(key, [])]
+            index = JoinBuildIndex(build)
+            if len(build) and len(probe):   # empty sides search nothing
+                directory_taken.add(index._depth > 0)
+            build_idx, probe_idx = index.probe(probe)
+            assert build_idx.dtype == probe_idx.dtype == np.int64
+            assert list(zip(build_idx.tolist(),
+                            probe_idx.tolist())) == expected
+            head, tail = index.probe(probe[:cut]), index.probe(probe[cut:])
+            assert np.array_equal(np.concatenate([head[0], tail[0]]),
+                                  build_idx)
+            assert np.array_equal(
+                np.concatenate([head[1], tail[1] + len(probe[:cut])]),
+                probe_idx)
+
+        check()
+        assert directory_taken == {True, False}
+
+    def test_non_integer_keys_keep_the_binary_search(self):
+        index = JoinBuildIndex(np.asarray([2.5, 0.5, 2.5]))
+        assert index._depth == 0
+        build_idx, probe_idx = index.probe(np.asarray([2.5, 1.0, 0.5]))
+        assert build_idx.tolist() == [0, 2, 1]
+        assert probe_idx.tolist() == [0, 0, 2]
+        # Integer build keys probed with non-integer keys fall back too.
+        build_idx, probe_idx = JoinBuildIndex(np.asarray([3, 1])).probe(
+            np.asarray([1.0, 1.5, 3.0]))
+        assert (build_idx.tolist(), probe_idx.tolist()) == ([1, 0], [0, 2])
+
+    def test_folded_span_arithmetic_does_not_warn(self):
+        keys = np.asarray([_INT64.min, -3, _INT64.max])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = JoinBuildIndex(keys)
+            build_idx, probe_idx = index.probe(keys[::-1])
+        assert index._depth > 0
+        assert (build_idx.tolist(), probe_idx.tolist()) == ([2, 1, 0],
+                                                            [0, 1, 2])
 
 
 class TestPartitioning:

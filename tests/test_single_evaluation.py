@@ -13,8 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.descriptions import HashJoin, Join, RadixJoin
 from repro.operators import (
+    JoinStats,
     composite_key,
+    hash_join_kernel,
     kernel_counts,
     radix_partition,
     reset_kernel_counts,
@@ -244,3 +247,92 @@ class TestSingleGatherPartition:
                                           columns["payload"][mask])
             total += len(part["key"])
         assert total == len(columns["key"])
+
+
+#: ``peak_intermediate_bytes`` of each query on the ``tpch_dataset``
+#: fixture, every mode — recorded before the join pass-through existed.
+_PEAK_INTERMEDIATE_BYTES = {"Q1": 1_440_288, "Q5": 23_640, "Q6": 5_016,
+                            "Q9": 600_120}
+
+
+def _nbytes(columns) -> int:
+    return sum(np.asarray(values).nbytes for values in columns.values())
+
+
+class TestChargedBytesEqualKernelBytes:
+    """The bytes a join is *charged* for are the bytes its kernel touched.
+
+    Spies on the join descriptions: what each kernel consumed and produced
+    (pass-through probe columns included, which alias their input) is
+    summed from the arrays themselves and compared with the stats record
+    the cost model is handed.
+    """
+
+    @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tpch_join_stats(self, engine, tpch_dataset, monkeypatch,
+                             query_name, mode):
+        touched: dict = {}   # join description -> [probe bytes, output bytes]
+        charged: list = []
+
+        def spy_transform(real):
+            def transform(op, batch):
+                out, in_bytes = real(op, batch)
+                sums = touched.setdefault(op, [0, 0])
+                sums[0] += _nbytes(batch)
+                sums[1] += _nbytes(out)
+                return out, in_bytes
+            return transform
+
+        def spy_run(real):
+            def run(op, batch):
+                columns, stats = real(op, batch)
+                touched[op] = [_nbytes(batch.columns), _nbytes(columns)]
+                return columns, stats
+            return run
+
+        def spy_charge(real):
+            def charge(op, batch, stats, **kwargs):
+                charged.append((op, stats))
+                return real(op, batch, stats, **kwargs)
+            return charge
+
+        monkeypatch.setattr(HashJoin, "transform",
+                            spy_transform(HashJoin.transform))
+        monkeypatch.setattr(HashJoin, "run", spy_run(HashJoin.run))
+        monkeypatch.setattr(RadixJoin, "run", spy_run(RadixJoin.run))
+        monkeypatch.setattr(Join, "charge", spy_charge(Join.charge))
+
+        query = build_query(query_name, tpch_dataset)
+        result = engine.execute(query.plan, mode)
+
+        assert (result.peak_intermediate_bytes
+                == _PEAK_INTERMEDIATE_BYTES[query_name])
+        joins = [node for node in engine.plan(query.plan, mode).walk()
+                 if isinstance(node, PJoin)
+                 and node.algorithm is not JoinAlgorithm.COPROCESSED_RADIX]
+        assert len(charged) == len(touched) == len(joins)
+        for op, stats in charged:
+            probe_nbytes, output_nbytes = touched[op]
+            assert stats.output_nbytes == output_nbytes
+            if isinstance(stats, JoinStats):
+                assert stats.build_nbytes == _nbytes(op.build.columns)
+                assert stats.probe_nbytes == probe_nbytes
+
+    def test_unmoved_probe_columns_alias_their_input(self):
+        """Every probe row matching once, in order: no probe-side gather,
+        and the charged output bytes are those of a gathered copy."""
+        build = {"k": np.arange(50, dtype=np.int64),
+                 "payload": np.arange(50, dtype=np.float64)}
+        probe = {"fk": np.arange(50, dtype=np.int64) % 50,
+                 "value": np.arange(50, dtype=np.int32)}
+        columns, stats = hash_join_kernel(build, probe, build_keys=["k"],
+                                          probe_keys=["fk"])
+        assert columns["value"] is probe["value"]
+        assert stats.output_nbytes == _nbytes(build) + _nbytes(probe)
+        moved = dict(probe, fk=probe["fk"][::-1].copy())
+        columns, stats = hash_join_kernel(build, moved, build_keys=["k"],
+                                          probe_keys=["fk"],
+                                          output_order="build")
+        assert not np.shares_memory(columns["value"], moved["value"])
+        assert stats.output_nbytes == _nbytes(build) + _nbytes(probe)
