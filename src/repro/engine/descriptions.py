@@ -49,7 +49,12 @@ from ..operators.base import (
     columns_num_rows,
     record_kernel_invocation,
 )
-from ..operators.coprocess import coprocessed_radix_join
+from ..operators.coprocess import (
+    charge_coprocessed_join,
+    copartition_nbytes,
+    coprocessed_join_kernel,
+    ensure_copartitions_fit,
+)
 from ..operators.filterproject import (
     FilterProjectStats,
     estimate_filter_project,
@@ -60,7 +65,6 @@ from ..operators.filterproject import (
 from ..operators.gpujoin import (
     ensure_gpu_join_fits,
     estimate_gpu_partitioned_join,
-    gpu_partitioned_join_kernel,
 )
 from ..operators.hashjoin import (
     HashJoinBuild,
@@ -70,9 +74,9 @@ from ..operators.hashjoin import (
     hash_join_kernel,
 )
 from ..operators.radix import (
-    cpu_radix_join_kernel,
     estimate_cpu_radix_join,
     max_fanout,
+    partitioned_join_kernel,
     target_partition_bytes,
 )
 from ..relational.physical import (
@@ -486,12 +490,12 @@ class HashJoin(Join):
             output_order=join_order(self.node))
 
 
-#: The partitioned joins differ only in these four values.
+#: The single-device partitioned joins differ only in these three values
+#: (and in the tuning their device's spec hands the one kernel).
 _RADIX_VARIANTS = {
-    JoinAlgorithm.RADIX_CPU: (DeviceKind.CPU, cpu_radix_join_kernel,
-                              estimate_cpu_radix_join, "radix-join-cpu"),
-    JoinAlgorithm.RADIX_GPU: (DeviceKind.GPU, gpu_partitioned_join_kernel,
-                              estimate_gpu_partitioned_join,
+    JoinAlgorithm.RADIX_CPU: (DeviceKind.CPU, estimate_cpu_radix_join,
+                              "radix-join-cpu"),
+    JoinAlgorithm.RADIX_GPU: (DeviceKind.GPU, estimate_gpu_partitioned_join,
                               "radix-join-gpu"),
 }
 
@@ -504,8 +508,7 @@ class RadixJoin(Join):
 
     def __init__(self, node: PJoin, executor: "Executor") -> None:
         super().__init__(node, executor)
-        (self.kind, self.kernel, self.estimator,
-         self.label) = _RADIX_VARIANTS[node.algorithm]
+        self.kind, self.estimator, self.label = _RADIX_VARIANTS[node.algorithm]
 
     def place(self, devices: list[Device]) -> list[Device]:
         self.input_devices = devices or self.ex.default_devices()
@@ -524,7 +527,7 @@ class RadixJoin(Join):
                                  self.devices[0])
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
-        return self.kernel(
+        return partitioned_join_kernel(
             self.build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
             spec=self.devices[0].spec,
@@ -540,15 +543,17 @@ class RadixJoin(Join):
 
 
 class CoprocessedJoin(Join):
-    """CPU+GPU co-processed radix join.
+    """CPU+GPU co-processed radix join: the anchor CPU co-partitions, the
+    GPUs join the co-partitions.
 
-    :func:`~repro.operators.coprocess.coprocessed_radix_join` schedules
-    its own timeline while it evaluates, so it is neither memoized nor
-    charged here — :meth:`charge` only reads the clocks back.
+    Its cost is a timeline over several devices, not one device's
+    :class:`~repro.operators.base.OpCost`, so :meth:`charge` replays the
+    stats record through
+    :func:`~repro.operators.coprocess.charge_coprocessed_join` instead of
+    :meth:`~repro.engine.executor.Executor.charge_parallel`.
     """
 
     label = "coprocessed-join"
-    memoized = False
 
     def place(self, devices: list[Device]) -> list[Device]:
         gpus = self.ex.topology.available_gpus()
@@ -563,22 +568,30 @@ class CoprocessedJoin(Join):
              tuple(partition_tuning(gpu.spec) for gpu in gpus),
              tuple(gpu.spec.memory_capacity_bytes for gpu in gpus)),)
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, None]:
-        result = coprocessed_radix_join(
-            self.build.columns, batch.columns, self.ex.topology,
-            build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
-            cpu=self.devices[0], gpus=self.devices[1:],
-            output_order=join_order(self.node))
-        return result.columns, None
+    def _on_inputs(self, function, batch: NodeResult, **extra):
+        return function(self.build.columns, batch.columns,
+                        build_keys=self.node.build_keys,
+                        probe_keys=self.node.probe_keys,
+                        gpu_specs=[gpu.spec for gpu in self.devices[1:]],
+                        **extra)
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def check(self, batch: NodeResult) -> None:
+        # Sized from bucket counts, so a cached evaluation is refused too.
+        ensure_copartitions_fit(self._on_inputs(copartition_nbytes, batch),
+                                self.devices[1:])
+
+    def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
+        return self._on_inputs(coprocessed_join_kernel, batch,
+                               output_order=join_order(self.node))
+
+    def charge(self, batch: NodeResult, stats) -> None:
         earliest = max(self.build.ready, batch.ready)
-        ready = max(earliest, max(device.clock.available_at
-                                  for device in self.devices))
-        self.advance(batch, ready, start=earliest,
+        _, finished = charge_coprocessed_join(
+            stats, self.ex.topology, self.devices[0], self.devices[1:])
+        self.advance(batch, max(earliest, finished), start=earliest,
                      location=self.devices[0].name,
-                     build_rows=self.build.num_rows,
-                     probe_rows=batch.num_rows)
+                     build_rows=stats.build_rows,
+                     probe_rows=stats.probe_rows)
 
 
 #: The one node-type dispatch: physical node type (join algorithm for

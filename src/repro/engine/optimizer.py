@@ -56,7 +56,6 @@ GPU_OFFLOAD_MIN_BYTES = 32 << 20
 class OptimizerOptions:
     """Optimizer knobs exposed to the benchmarks and ablations."""
 
-    routing_policy: RoutingPolicy = RoutingPolicy.LOAD_AWARE
     small_build_rows: int = 2_000_000
     #: When true (the default) row estimates come from the catalog's
     #: per-column statistics (:mod:`repro.stats`); when false the legacy
@@ -217,7 +216,6 @@ class Optimizer:
         consumers = tuple(self._devices_for(mode))
         router_traits = scan_traits.with_parallelism(max(len(consumers), 1))
         routed: PhysicalOp = Router(traits=router_traits, child=scan_op,
-                                    policy=self.options.routing_policy,
                                     consumers=consumers)
         if mode is ExecutionMode.GPU_ONLY:
             gpu_names = [d.name for d in self.topology.available_gpus()]

@@ -2,18 +2,17 @@
 
 ``default_server()`` recreates the paper's testbed (Section 6.1): two Xeon
 E5-2650L v3 sockets joined by QPI, and two GTX 1080 GPUs each attached to
-one socket through a dedicated PCIe 3 x16 link.  The topology is held as a
-:mod:`networkx` graph so that routing (used by the ``mem-move`` operator to
-plan broadcasts with minimal copies) is plain shortest-path computation.
+one socket through a dedicated PCIe 3 x16 link.  Routing (used by the
+``mem-move`` operator to plan broadcasts with minimal copies) is plain
+shortest-path computation over the registered links.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import replace
 from typing import Callable, Mapping, Sequence
-
-import networkx as nx
 
 from ..errors import NoRouteError, UnknownDeviceError
 from .clock import SimClock, Timeline
@@ -150,7 +149,6 @@ class Topology:
     def __init__(self) -> None:
         self._devices: dict[str, Device] = {}
         self._links: dict[str, Link] = {}
-        self._graph = nx.Graph()
         #: Server-time occupancy ledgers (multi-tenant serving); survives
         #: :meth:`reset` on purpose — per-query clocks restart at zero for
         #: every execution, server time never rewinds mid-epoch.
@@ -167,7 +165,6 @@ class Topology:
             raise ValueError(f"duplicate device name {spec.name!r}")
         device = Device(spec, numa_node=numa_node)
         self._devices[spec.name] = device
-        self._graph.add_node(spec.name, device=device)
         return device
 
     def connect(self, node_a: str, node_b: str, spec: LinkSpec) -> Link:
@@ -178,8 +175,6 @@ class Topology:
             raise ValueError(f"duplicate link name {spec.name!r}")
         link = Link(spec, node_a, node_b)
         self._links[spec.name] = link
-        self._graph.add_edge(node_a, node_b, link=link,
-                             weight=1.0 / spec.bandwidth_gib_s)
         return link
 
     # ------------------------------------------------------------------
@@ -251,7 +246,6 @@ class Topology:
             device.restore_memory()
         for link in self._links.values():
             link.restore()
-            self._refresh_edge_weight(link)
 
     def health_report(self) -> dict[str, str]:
         """Mapping of device name to its health state value."""
@@ -268,42 +262,50 @@ class Topology:
 
     def degrade_link(self, name: str, factor: float) -> None:
         """Scale a link's bandwidth to ``factor`` of nominal."""
-        link = self.link(name)
-        link.degrade(factor)
-        self._refresh_edge_weight(link)
+        self.link(name).degrade(factor)
 
     def restore_link(self, name: str) -> None:
         """Undo :meth:`degrade_link` for one link."""
-        link = self.link(name)
-        link.restore()
-        self._refresh_edge_weight(link)
-
-    def _refresh_edge_weight(self, link: Link) -> None:
-        """Keep routing weights in sync with a link's current bandwidth."""
-        edge = self._graph.edges[link.endpoint_a, link.endpoint_b]
-        edge["weight"] = 1.0 / link.spec.bandwidth_gib_s
+        self.link(name).restore()
 
     # ------------------------------------------------------------------
     # Routing and transfers
     # ------------------------------------------------------------------
     def route(self, source: str, destination: str) -> Route:
-        """Cheapest path (by inverse bandwidth) between two devices."""
+        """Cheapest path (by inverse bandwidth) between two devices.
+
+        A link weighs ``1 / bandwidth`` at its bandwidth *now*, so a
+        degraded link is routed around as soon as a detour is cheaper.
+        Equally cheap paths tie-break on fewest links, then on link
+        registration order (the earlier-registered link at the first hop
+        where they differ).
+        """
         self.device(source)
         self.device(destination)
-        if source == destination:
-            return Route(source, destination, links=())
-        try:
-            path: Sequence[str] = nx.shortest_path(
-                self._graph, source, destination, weight="weight"
-            )
-        except nx.NetworkXNoPath as exc:
-            raise NoRouteError(
-                f"no interconnect path between {source!r} and {destination!r}"
-            ) from exc
-        links = []
-        for node_a, node_b in zip(path, path[1:]):
-            links.append(self._graph.edges[node_a, node_b]["link"])
-        return Route(source, destination, tuple(links))
+        links = tuple(self._links.values())
+        # Dijkstra; a path is (cost, link count, registration indices).
+        frontier: list[tuple[float, int, tuple[int, ...], str]] = [
+            (0.0, 0, (), source)]
+        settled: set[str] = set()
+        while frontier:
+            cost, hops, path, node = heapq.heappop(frontier)
+            if node == destination:
+                return Route(source, destination,
+                             tuple(links[index] for index in path))
+            if node in settled:
+                continue
+            settled.add(node)
+            for index, link in enumerate(links):
+                if node not in (link.endpoint_a, link.endpoint_b):
+                    continue
+                peer = (link.endpoint_b if node == link.endpoint_a
+                        else link.endpoint_a)
+                if peer not in settled:
+                    heapq.heappush(frontier, (
+                        cost + 1.0 / link.spec.bandwidth_gib_s, hops + 1,
+                        path + (index,), peer))
+        raise NoRouteError(
+            f"no interconnect path between {source!r} and {destination!r}")
 
     def transfer_time(self, nbytes: int, source: str, destination: str) -> float:
         """Pure estimate (no clock side effects) of a device-to-device copy."""

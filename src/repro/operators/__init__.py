@@ -21,10 +21,25 @@ The executor exploits the split twice: a plan node's kernel runs once while
 its cost is estimated per device kind, and kernel results are memoized by
 the structural key of their subplan so repeated subplans (shared dimension
 scans and build sides) are evaluated once per query — and, through the
-session's cross-query cache, once per session while warm.  The classic combined
-helpers (``apply_filter_project``, ``non_partitioned_join``,
-``cpu_radix_join``, ``gpu_partitioned_join``, ``hash_aggregate``, ...)
-remain as kernel+estimate wrappers for single-device callers.
+session's cross-query cache, once per session while warm.
+
+The partitioned joins share one kernel:
+:func:`~repro.operators.radix.partitioned_join_kernel` runs the
+device-invariant skeleton with the tuning of whatever ``spec`` it is
+handed (``cpu_radix_join_kernel`` and ``gpu_partitioned_join_kernel`` are
+its device-named entry points) and returns one ``PartitionedJoinStats``
+record, priced by ``estimate_cpu_radix_join`` or
+``estimate_gpu_partitioned_join``.  The co-processed join is under the
+same contract — ``coprocessed_join_kernel`` returns a
+``CoprocessedJoinStats`` record — but spans several devices, so its
+estimate half is ``charge_coprocessed_join``, which replays the record as
+a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks.
+
+The classic combined helpers (``apply_filter_project``,
+``non_partitioned_join``, ``cpu_radix_join``, ``gpu_partitioned_join``,
+``coprocessed_radix_join``, ``radix_partition``, ``hash_aggregate``,
+``merge_partials``) remain as kernel+estimate wrappers for callers that
+place an operator themselves.
 
 Kernels report invocations through
 :func:`~repro.operators.base.record_kernel_invocation`; tests use the
@@ -51,7 +66,14 @@ from .base import (
     record_kernel_invocation,
     reset_kernel_counts,
 )
-from .coprocess import CoProcessingPlan, coprocessed_radix_join, plan_coprocessing
+from .coprocess import (
+    CoProcessingPlan,
+    CoprocessedJoinStats,
+    charge_coprocessed_join,
+    coprocessed_join_kernel,
+    coprocessed_radix_join,
+    plan_coprocessing,
+)
 from .exchange import (
     Router,
     broadcast,
@@ -74,13 +96,11 @@ from .filterproject import (
 )
 from .gpujoin import (
     GpuJoinConfig,
-    GpuJoinStats,
     L1_BUCKET_ARRAY_BYTES,
     PROBE_VARIANTS,
     ensure_gpu_join_fits,
     estimate_gpu_partitioned_join,
     gpu_partitioned_join,
-    gpu_partitioned_join_kernel,
     probe_phase_cost,
 )
 from .hashjoin import (
@@ -95,18 +115,19 @@ from .hashjoin import (
     non_partitioned_join,
 )
 from .radix import (
-    CpuRadixJoinStats,
     PartitionPlan,
     PartitionRunStats,
+    PartitionedJoinStats,
     cpu_radix_join,
     cpu_radix_join_kernel,
     estimate_cpu_radix_join,
     estimate_partition_run,
     estimate_radix_partition,
+    gpu_partitioned_join_kernel,
     max_fanout,
-    partition_by_plan,
-    partition_by_plan_kernel,
+    partition_passes_kernel,
     partition_tuple_bytes,
+    partitioned_join_kernel,
     plan_partition_passes,
     radix_partition,
     radix_partition_kernel,
@@ -118,10 +139,9 @@ __all__ = [
     "AggregateStats",
     "ArrayMap",
     "CoProcessingPlan",
-    "CpuRadixJoinStats",
+    "CoprocessedJoinStats",
     "FilterProjectStats",
     "GpuJoinConfig",
-    "GpuJoinStats",
     "HASH_ENTRY_BYTES",
     "HashJoinBuild",
     "JoinStats",
@@ -131,13 +151,16 @@ __all__ = [
     "PROBE_VARIANTS",
     "PartitionPlan",
     "PartitionRunStats",
+    "PartitionedJoinStats",
     "Router",
     "apply_filter_project",
     "broadcast",
     "build_table_bytes",
+    "charge_coprocessed_join",
     "columns_nbytes",
     "columns_num_rows",
     "composite_key",
+    "coprocessed_join_kernel",
     "coprocessed_radix_join",
     "cpu_radix_join",
     "cpu_radix_join_kernel",
@@ -167,9 +190,9 @@ __all__ = [
     "merge_partials",
     "merge_partials_kernel",
     "non_partitioned_join",
-    "partition_by_plan",
-    "partition_by_plan_kernel",
+    "partition_passes_kernel",
     "partition_tuple_bytes",
+    "partitioned_join_kernel",
     "plan_coprocessing",
     "plan_partition_passes",
     "probe_phase_cost",

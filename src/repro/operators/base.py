@@ -46,7 +46,11 @@ The classic combined functions (``apply_filter_project``,
 ``non_partitioned_join``, ...) remain as thin wrappers that call the kernel
 and the estimator back to back.  Operators never touch device clocks
 themselves — the executor decides how costs map onto the timeline
-(sequential chains, parallel instances, overlapped transfers).  This
+(sequential chains, parallel instances, overlapped transfers).  The one
+operator that *is* a schedule over several devices, the co-processed
+join, keeps the split all the same: its estimate half
+(:func:`~repro.operators.coprocess.charge_coprocessed_join`) replays the
+stats record onto the clocks it is handed.  This
 separation keeps the operators unit-testable and lets the paper-scale
 analytic models reuse the exact same costing code.
 """

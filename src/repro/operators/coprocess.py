@@ -5,8 +5,8 @@ the in-GPU partitioned join:
 
 1. both inputs are co-partitioned *in CPU memory* with a low fan-out chosen
    so that every co-partition pair fits in GPU memory,
-2. a ``zip`` matches the partitions into co-partitions, which are routed
-   round-robin over the available GPUs,
+2. co-partition ``i`` goes to GPU ``i mod n`` (``zip`` + round-robin
+   routing),
 3. each co-partition crosses the PCIe link of its GPU exactly once
    (``mem-move`` + ``device-crossing``),
 4. the GPU runs the scratchpad-conscious partitioned join on the pair,
@@ -17,9 +17,16 @@ low-fan-out partitioning sustains near-DRAM bandwidth, the end-to-end time
 is bottlenecked by the interconnect — and adding a second GPU on its own
 PCIe bus nearly doubles throughput (Figure 7's 1.7x).
 
-This operator is inherently multi-device, so unlike the single-device
-operators it schedules itself directly onto the topology's clocks and
-returns the interval it occupied.
+In code this is the partitioned-join skeleton
+(:func:`repro.operators.radix.partitioned_join`) tuned a third way: one
+pass at the fan-out :func:`plan_coprocessing` picks, and every
+co-partition joined by the in-GPU partitioned join.  It follows the
+single-evaluation contract like every other operator —
+:func:`coprocessed_join_kernel` evaluates once and returns a
+:class:`CoprocessedJoinStats` record — except that its cost is a timeline
+over several devices rather than one device's :class:`OpCost`, so the
+estimate half is :func:`charge_coprocessed_join`, which replays the record
+onto the topology's clocks.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..hardware.device import Device
+from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology
-from ..storage.block import Block
 from .base import (
     ArrayMap,
     OpCost,
@@ -41,22 +48,17 @@ from .base import (
     payload_nbytes,
     record_kernel_invocation,
 )
-from .exchange import Router, zip_partitions
-from .gpujoin import (
-    GpuJoinConfig,
-    estimate_gpu_partitioned_join,
-    gpu_partitioned_join_kernel,
-)
+from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
 from .hashjoin import HASH_ENTRY_BYTES, composite_key
 from .radix import (
-    _validate_output_order,
-    attach_order_columns,
-    estimate_radix_partition,
+    PartitionedJoinStats,
+    PartitionRunStats,
+    estimate_partition_run,
     partition_tuple_bytes,
-    radix_partition_kernel,
-    restore_canonical_order,
+    partitioned_join,
+    partitioned_join_kernel,
+    radix_buckets,
 )
-from ..relational.physical import RoutingPolicy
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,144 @@ class CoProcessingPlan:
 
 
 def plan_coprocessing(build_rows: int, probe_rows: int, tuple_bytes: int,
-                      gpus: Sequence[Device], *,
+                      gpu_specs: Sequence[DeviceSpec], *,
                       safety_factor: float = 0.4) -> CoProcessingPlan:
     """Choose the CPU-side fan-out so each co-partition pair fits in GPU memory.
 
     ``safety_factor`` leaves room for the GPU-side partitions and hash
     tables next to the raw co-partition pair.
     """
-    if not gpus:
+    if not gpu_specs:
         raise ExecutionError("co-processing requires at least one GPU")
-    budget = int(min(gpu.spec.memory_capacity_bytes for gpu in gpus)
+    budget = int(min(spec.memory_capacity_bytes for spec in gpu_specs)
                  * safety_factor)
     pair_bytes = (build_rows + probe_rows) * tuple_bytes
-    fanout = max(int(np.ceil(pair_bytes / budget)), len(gpus))
+    fanout = max(int(np.ceil(pair_bytes / budget)), len(gpu_specs))
     return CoProcessingPlan(fanout=fanout, gpu_budget_bytes=budget)
+
+
+def _coprocessing_fanout(build_rows: int, probe_rows: int,
+                         gpu_specs: Sequence[DeviceSpec]) -> int:
+    return plan_coprocessing(max(build_rows, 1), max(probe_rows, 1),
+                             HASH_ENTRY_BYTES, gpu_specs).fanout
+
+
+@dataclass(frozen=True)
+class CoprocessedJoinStats:
+    """Data-derived quantities the co-processed join's timeline needs."""
+
+    build_rows: int
+    probe_rows: int
+    #: Shape of the CPU-side co-partitioning pass over each input.
+    build_run: PartitionRunStats
+    probe_run: PartitionRunStats
+    #: Per co-partition, in routing order: the payload bytes that cross
+    #: PCIe and the in-GPU join's own stats record.
+    copartitions: tuple[tuple[int, PartitionedJoinStats], ...]
+
+
+def coprocessed_join_kernel(
+        build: Mapping[str, np.ndarray],
+        probe: Mapping[str, np.ndarray], *,
+        build_keys: Sequence[str],
+        probe_keys: Sequence[str],
+        gpu_specs: Sequence[DeviceSpec],
+        output_order: str | None = "probe",
+) -> tuple[ArrayMap, CoprocessedJoinStats]:
+    """Evaluate the co-processed join once.
+
+    ``gpu_specs`` supply tuning only: the smallest memory sets the CPU-side
+    fan-out, and co-partition ``i`` is joined with the scratchpad tuning of
+    spec ``i mod n``.  The order-bookkeeping columns ``output_order``
+    requires are excluded from every byte count, so the record is
+    identical for every setting.
+    """
+    record_kernel_invocation("coprocessed_radix_join")
+    build_rows, probe_rows = columns_num_rows(build), columns_num_rows(probe)
+    fanout = _coprocessing_fanout(build_rows, probe_rows, gpu_specs)
+    copartitions: list[tuple[int, PartitionedJoinStats]] = []
+
+    def join_on_gpu(build_part: ArrayMap, probe_part: ArrayMap) -> ArrayMap:
+        spec = gpu_specs[len(copartitions) % len(gpu_specs)]
+        columns, stats = partitioned_join_kernel(
+            build_part, probe_part, build_keys=["__key"],
+            probe_keys=["__key"], spec=spec, output_order=None)
+        copartitions.append((payload_nbytes(build_part)
+                             + payload_nbytes(probe_part), stats))
+        return columns
+
+    columns, build_run, probe_run = partitioned_join(
+        build, probe, build_keys=build_keys, probe_keys=probe_keys,
+        fanouts=(fanout,), join_copartition=join_on_gpu,
+        output_order=output_order)
+    return columns, CoprocessedJoinStats(
+        build_rows=build_rows, probe_rows=probe_rows, build_run=build_run,
+        probe_run=probe_run, copartitions=tuple(copartitions))
+
+
+def copartition_nbytes(build: Mapping[str, np.ndarray],
+                       probe: Mapping[str, np.ndarray], *,
+                       build_keys: Sequence[str],
+                       probe_keys: Sequence[str],
+                       gpu_specs: Sequence[DeviceSpec]) -> list[int]:
+    """Payload bytes of every co-partition, from bucket counts alone.
+
+    What :func:`coprocessed_join_kernel` would record, without moving a
+    row: lets an engine refuse an evaluation it already holds cached.
+    """
+    fanout = _coprocessing_fanout(columns_num_rows(build),
+                                  columns_num_rows(probe), gpu_specs)
+    nbytes = np.zeros(fanout, dtype=np.int64)
+    for columns, keys in ((build, build_keys), (probe, probe_keys)):
+        key = composite_key(columns, keys)
+        nbytes += ((partition_tuple_bytes(columns) + key.itemsize)
+                   * np.bincount(radix_buckets(key, fanout),
+                                 minlength=fanout))
+    return nbytes.tolist()
+
+
+def ensure_copartitions_fit(pair_nbytes: Sequence[int],
+                            gpus: Sequence[Device]) -> None:
+    """Raise when a co-partition cannot fit in the memory of its GPU."""
+    for index, pair_bytes in enumerate(pair_nbytes):
+        gpu = gpus[index % len(gpus)]
+        if not gpu.fits_in_memory(pair_bytes):
+            raise ExecutionError(
+                f"co-partition of {pair_bytes} bytes exceeds {gpu.name} memory; "
+                "increase the CPU-side fan-out"
+            )
+
+
+def charge_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,
+                            cpu: Device, gpus: Sequence[Device], *,
+                            config: GpuJoinConfig | None = None,
+                            ) -> tuple[OpCost, float]:
+    """Replay a recorded evaluation onto the topology's clocks.
+
+    The CPU pass runs first; every co-partition then crosses the PCIe
+    route of its GPU once and is joined there.  Transfers and kernels of
+    distinct GPUs overlap because every GPU sits on its own PCIe link.
+    Returns the summed cost and the time the last device finishes.
+    """
+    build_cost = estimate_partition_run(stats.build_run, cpu)
+    probe_cost = estimate_partition_run(stats.probe_run, cpu)
+    partitioned = cpu.charge(build_cost.seconds + probe_cost.seconds,
+                             label="cpu-copartition")
+    total_cost = OpCost().merge(build_cost).merge(probe_cost)
+    finished = partitioned.end
+    for index, (pair_bytes, join_stats) in enumerate(stats.copartitions):
+        gpu = gpus[index % len(gpus)]
+        route = topology.route(cpu.name, gpu.name)
+        arrived = route.transfer(pair_bytes, earliest=partitioned.end,
+                                 label=f"copartition->{gpu.name}")
+        total_cost.add("pcie-transfer", route.transfer_time(pair_bytes))
+        join_cost = estimate_gpu_partitioned_join(join_stats, gpu,
+                                                  config=config)
+        joined = gpu.charge(join_cost.seconds, earliest=arrived,
+                            label=f"gpu-join[p{index}]")
+        total_cost.merge(join_cost)
+        finished = max(finished, joined.end)
+    return total_cost, finished
 
 
 def coprocessed_radix_join(build: Mapping[str, np.ndarray],
@@ -99,99 +225,18 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
                            output_order: str | None = "probe") -> OpOutput:
     """Execute the CPU+GPU co-processed radix join and schedule its timeline.
 
-    ``output_order`` restores the canonical join output order over the
-    merged per-co-partition results (``"probe"``-major by default,
+    Kernel, memory check and charge back to back, for callers that place
+    the join themselves.  ``output_order`` is ``"probe"``-major by default,
     ``"build"``-major for joins whose build side is the logical right
-    input, ``None`` for the raw partition-major order).  The bookkeeping
-    columns it requires are excluded from every transfer size and cost
-    stat, so the simulated timeline is identical for every setting.
+    input, ``None`` for the raw partition-major order.
     """
     cpu = cpu or topology.cpus()[0]
     gpus = list(gpus if gpus is not None else topology.gpus())
-    if not gpus:
-        raise ExecutionError("co-processing requires at least one GPU")
-    config = config or GpuJoinConfig()
-    _validate_output_order(output_order)
-    record_kernel_invocation("coprocessed_radix_join")
-
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
-    build_rows = columns_num_rows(build)
-    probe_rows = columns_num_rows(probe)
-    tuple_bytes = partition_tuple_bytes(build)
-    probe_tuple_bytes = partition_tuple_bytes(probe)
-    if output_order is not None:
-        attach_order_columns(build, probe, build_rows, probe_rows)
-
-    plan = plan_coprocessing(max(build_rows, 1), max(probe_rows, 1),
-                             HASH_ENTRY_BYTES, gpus)
-
-    # 1. CPU-side low-fan-out co-partitioning, local to the input data.
-    # The functional kernel runs once; the CPU cost is estimated separately
-    # from the pass shape (the single-evaluation operator contract).
-    build_parts = radix_partition_kernel(build, key="__key",
-                                         fanout=plan.fanout)
-    probe_parts = radix_partition_kernel(probe, key="__key",
-                                         fanout=plan.fanout)
-    build_cost = estimate_radix_partition(build_rows, tuple_bytes,
-                                          plan.fanout, cpu)
-    probe_cost = estimate_radix_partition(probe_rows, probe_tuple_bytes,
-                                          plan.fanout, cpu)
-    partition_record = cpu.charge(build_cost.seconds + probe_cost.seconds,
-                                  label="cpu-copartition")
-    total_cost = OpCost().merge(build_cost).merge(probe_cost)
-
-    # 2. zip into co-partitions, tag packets with their partition id.
-    build_blocks = [Block(part, location=cpu.name, partition=index)
-                    for index, part in enumerate(build_parts)]
-    probe_blocks = [Block(part, location=cpu.name, partition=index)
-                    for index, part in enumerate(probe_parts)]
-    pairs = zip_partitions(build_blocks, probe_blocks)
-
-    # 3-4. route each co-partition to a GPU, transfer once over PCIe and
-    # run the in-GPU partitioned join; transfers and kernels of distinct
-    # GPUs overlap because every GPU sits on its own PCIe link.
-    router = Router(gpus, RoutingPolicy.ROUND_ROBIN)
-    outputs: list[ArrayMap] = []
-    for build_block, probe_block in pairs:
-        gpu = router.route(build_block)
-        route = topology.route(cpu.name, gpu.name)
-        # The order-bookkeeping columns never cross PCIe in a real
-        # execution — only payload bytes are charged to the link.
-        pair_bytes = (payload_nbytes(build_block.columns)
-                      + payload_nbytes(probe_block.columns))
-        if not gpu.fits_in_memory(pair_bytes):
-            raise ExecutionError(
-                f"co-partition of {pair_bytes} bytes exceeds {gpu.name} memory; "
-                "increase the CPU-side fan-out"
-            )
-        ready = route.transfer(pair_bytes, earliest=partition_record.end,
-                               label=f"copartition->{gpu.name}")
-        total_cost.add("pcie-transfer", route.transfer_time(pair_bytes))
-        result_columns, join_stats = gpu_partitioned_join_kernel(
-            build_block.columns, probe_block.columns,
-            build_keys=["__key"], probe_keys=["__key"], spec=gpu.spec,
-            output_order=None)
-        join_cost = estimate_gpu_partitioned_join(join_stats, gpu,
-                                                  config=config)
-        gpu.charge(join_cost.seconds, earliest=ready,
-                   label=f"gpu-join[p{build_block.partition}]")
-        total_cost.merge(join_cost)
-        columns = {name: values for name, values in result_columns.items()
-                   if name != "__key"}
-        outputs.append(columns)
-
-    # 5. results (already reduced in size) return to CPU memory.
-    if outputs:
-        merged = {name: np.concatenate([part[name] for part in outputs])
-                  for name in outputs[0]}
-    else:
-        merged = {name: np.asarray(values)[:0]
-                  for name, values in build.items() if name != "__key"}
-        merged.update({name: np.asarray(values)[:0]
-                       for name, values in probe.items() if name != "__key"})
-    if output_order is not None:
-        merged = restore_canonical_order(merged, output_order=output_order)
-    return OpOutput(columns=merged, cost=total_cost)
+    columns, stats = coprocessed_join_kernel(
+        build, probe, build_keys=build_keys, probe_keys=probe_keys,
+        gpu_specs=[gpu.spec for gpu in gpus], output_order=output_order)
+    ensure_copartitions_fit([nbytes for nbytes, _ in stats.copartitions],
+                            gpus)
+    cost, _ = charge_coprocessed_join(stats, topology, cpu, gpus,
+                                      config=config)
+    return OpOutput(columns=columns, cost=cost)

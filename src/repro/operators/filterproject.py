@@ -198,16 +198,10 @@ def filter_project_kernel(
 def estimate_filter_project(stats: FilterProjectStats, device: Device, *,
                             predicate: Expr | None = None,
                             projections: Mapping[str, Expr] | None = None,
-                            charge_input_scan: bool = True) -> OpCost:
-    """Cost of one fused filter/project pass on ``device``; no data touched.
-
-    ``charge_input_scan=False`` is used when the input packet was just
-    produced by the previous operator of the same fused pipeline and is
-    therefore still register-/cache-resident (the JIT argument of
-    Section 2.2): only compute is charged, not another memory pass.
-    """
+                            ) -> OpCost:
+    """Cost of one fused filter/project pass on ``device``; no data touched."""
     cost = OpCost()
-    if charge_input_scan and stats.num_rows:
+    if stats.num_rows:
         cost.add("scan", device.cost.seq_scan(stats.touched_bytes))
     ops_per_tuple = expression_op_count(predicate) * _OPS_PER_EXPR_NODE
     if projections:
@@ -226,7 +220,7 @@ def estimate_filter_project(stats: FilterProjectStats, device: Device, *,
 def apply_filter_project(columns: Mapping[str, np.ndarray], device: Device, *,
                          predicate: Expr | None = None,
                          projections: Mapping[str, Expr] | None = None,
-                         charge_input_scan: bool = True) -> OpOutput:
+                         ) -> OpOutput:
     """Filter and/or project one packet of columns (kernel + cost in one).
 
     Thin wrapper over :func:`filter_project_kernel` +
@@ -236,6 +230,5 @@ def apply_filter_project(columns: Mapping[str, np.ndarray], device: Device, *,
     working, stats = filter_project_kernel(columns, predicate=predicate,
                                            projections=projections)
     cost = estimate_filter_project(stats, device, predicate=predicate,
-                                   projections=projections,
-                                   charge_input_scan=charge_input_scan)
+                                   projections=projections)
     return OpOutput(columns=working, cost=cost)

@@ -3,7 +3,10 @@
 The join partitions both inputs with store-consolidating passes (Figure 4)
 until each co-partition fits in the streaming multiprocessor's scratchpad,
 then builds the per-partition hash table in the scratchpad with atomics and
-probes it with the matching partition (Figure 3).
+probes it with the matching partition (Figure 3).  Its data path is the
+shared skeleton of :mod:`repro.operators.radix` run with a GPU's tuning;
+this module holds what is GPU-specific — the memory check and the cost of
+the scratchpad build & probe phase.
 
 Three placements of the per-partition intermediate structures are modelled,
 matching the variants of Figure 5:
@@ -24,28 +27,13 @@ import numpy as np
 from ..errors import ExecutionError
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
-from ..hardware.specs import DeviceSpec
-from ..storage.morsel import MorselSink, iter_morsels
-from .base import (
-    ArrayMap,
-    OpCost,
-    OpOutput,
-    columns_num_rows,
-    payload_nbytes,
-    record_kernel_invocation,
-)
+from .base import OpCost, OpOutput, columns_num_rows
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES, composite_key
+from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
-    PartitionPlan,
-    PartitionRunStats,
-    _join_copartitions,
-    _validate_output_order,
-    attach_order_columns,
+    PartitionedJoinStats,
     estimate_partition_run,
-    partition_by_plan_kernel,
-    plan_partition_passes,
-    restore_canonical_order,
+    partitioned_join_kernel,
 )
 
 PROBE_VARIANTS = ("SM", "L1", "SM+L1")
@@ -66,7 +54,6 @@ class GpuJoinConfig:
     """Tuning of the in-GPU partitioned join."""
 
     probe_variant: str = "SM"
-    partition_tuples: int | None = None
 
     def __post_init__(self) -> None:
         if self.probe_variant not in PROBE_VARIANTS:
@@ -148,87 +135,6 @@ def probe_phase_cost(device: Device, tuples_per_side: int,
     return cost
 
 
-@dataclass(frozen=True)
-class GpuJoinStats:
-    """Data-derived quantities the GPU-join cost estimator needs."""
-
-    build_rows: int
-    probe_rows: int
-    input_nbytes: int
-    plan: PartitionPlan
-    build_run: PartitionRunStats
-    probe_run: PartitionRunStats
-    output_nbytes: int
-
-
-def gpu_partitioned_join_kernel(
-        build: Mapping[str, np.ndarray],
-        probe: Mapping[str, np.ndarray], *,
-        build_keys: Sequence[str],
-        probe_keys: Sequence[str],
-        spec: DeviceSpec,
-        morsel_rows: int | None = None,
-        output_order: str | None = "probe",
-        pool=None,
-) -> tuple[ArrayMap, GpuJoinStats]:
-    """Evaluate the in-GPU partitioned join once.
-
-    ``spec`` only supplies the scratchpad-derived tuning knobs; the data
-    path itself is device-invariant.
-
-    Like the CPU radix join, this is a pipeline breaker on both sides:
-    with ``morsel_rows`` set, each input is consumed as a morsel stream
-    (zero-copy sinks for resident batches) before partitioning, keeping
-    results and pass shapes bit-identical for every morsel size.
-
-    ``output_order`` restores the canonical join output order exactly like
-    :func:`repro.operators.radix.cpu_radix_join_kernel`; the co-processed
-    join passes ``None`` (it canonicalizes the merged result itself) and
-    every byte-based stat ignores the bookkeeping columns either way.
-
-    ``pool`` parallelizes the partition passes (see
-    :func:`repro.operators.radix.partition_by_plan_kernel`); results are
-    bit-identical at every worker count.
-    """
-    record_kernel_invocation("gpu_partitioned_join")
-    _validate_output_order(output_order)
-    if morsel_rows is not None:
-        build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
-        probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
-    build_rows = columns_num_rows(build)
-    probe_rows = columns_num_rows(probe)
-    input_bytes = payload_nbytes(build) + payload_nbytes(probe)
-    if output_order is not None:
-        attach_order_columns(build, probe, build_rows, probe_rows)
-
-    plan = plan_partition_passes(max(build_rows, 1), HASH_ENTRY_BYTES, spec)
-    build_parts, build_run = partition_by_plan_kernel(build, key="__key",
-                                                      plan=plan, pool=pool)
-    probe_plan = PartitionPlan(
-        device_kind=plan.device_kind, tuple_bytes=plan.tuple_bytes,
-        input_tuples=max(probe_rows, 1),
-        fanout_per_pass=plan.fanout_per_pass,
-        target_partition_tuples=plan.target_partition_tuples)
-    probe_parts, probe_run = partition_by_plan_kernel(probe, key="__key",
-                                                      plan=probe_plan,
-                                                      pool=pool)
-
-    columns = _join_copartitions(build_parts, probe_parts, build, probe)
-    if output_order is not None:
-        columns = restore_canonical_order(columns, output_order=output_order)
-    stats = GpuJoinStats(
-        build_rows=build_rows, probe_rows=probe_rows,
-        input_nbytes=input_bytes, plan=plan,
-        build_run=build_run, probe_run=probe_run,
-        output_nbytes=payload_nbytes(columns),
-    )
-    return columns, stats
-
-
 def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
                          probe: Mapping[str, np.ndarray],
                          device: Device) -> None:
@@ -248,18 +154,18 @@ def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
         )
 
 
-def estimate_gpu_partitioned_join(stats: GpuJoinStats, device: Device, *,
+def estimate_gpu_partitioned_join(stats: PartitionedJoinStats,
+                                  device: Device, *,
                                   config: GpuJoinConfig | None = None) -> OpCost:
     """Cost of the scratchpad-conscious join on ``device``; no data touched."""
     config = config or GpuJoinConfig()
     cost = OpCost()
     cost.merge(estimate_partition_run(stats.build_run, device))
     cost.merge(estimate_partition_run(stats.probe_run, device))
-    partition_tuples = config.partition_tuples or max(
-        int(stats.plan.final_partition_tuples), 1)
-    cost.merge(probe_phase_cost(device, max(stats.probe_rows, 1),
-                                partition_tuples,
-                                variant=config.probe_variant))
+    cost.merge(probe_phase_cost(
+        device, max(stats.probe_rows, 1),
+        max(int(stats.plan.final_partition_tuples), 1),
+        variant=config.probe_variant))
     cost.add("materialize-output", device.cost.seq_write(stats.output_nbytes))
     return cost
 
@@ -269,15 +175,12 @@ def gpu_partitioned_join(build: Mapping[str, np.ndarray],
                          device: Device, *,
                          build_keys: Sequence[str],
                          probe_keys: Sequence[str],
-                         config: GpuJoinConfig | None = None,
-                         enforce_memory: bool = True) -> OpOutput:
+                         config: GpuJoinConfig | None = None) -> OpOutput:
     """The full in-GPU partitioned join (partition passes + probe phase)."""
     if not device.is_gpu:
         raise ValueError("gpu_partitioned_join must be placed on a GPU device")
-    config = config or GpuJoinConfig()
-    if enforce_memory:
-        ensure_gpu_join_fits(build, probe, device)
-    columns, stats = gpu_partitioned_join_kernel(
+    ensure_gpu_join_fits(build, probe, device)
+    columns, stats = partitioned_join_kernel(
         build, probe, build_keys=build_keys, probe_keys=probe_keys,
         spec=device.spec)
     cost = estimate_gpu_partitioned_join(stats, device, config=config)

@@ -222,14 +222,13 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
     return columns, stats
 
 
-def estimate_non_partitioned_join(stats: JoinStats, device: Device, *,
-                                  charge_input_scan: bool = True) -> OpCost:
+def estimate_non_partitioned_join(stats: JoinStats,
+                                  device: Device) -> OpCost:
     """Cost of the hardware-oblivious join on ``device``; no data touched."""
     cost = OpCost()
     table_bytes = max(stats.build_rows, 1) * HASH_ENTRY_BYTES
-    if charge_input_scan:
-        cost.add("scan-build", device.cost.seq_scan(stats.build_nbytes))
-        cost.add("scan-probe", device.cost.seq_scan(stats.probe_nbytes))
+    cost.add("scan-build", device.cost.seq_scan(stats.build_nbytes))
+    cost.add("scan-probe", device.cost.seq_scan(stats.probe_nbytes))
     if stats.build_rows:
         cost.add("build", device.cost.hash_build(stats.build_rows,
                                                  HASH_ENTRY_BYTES))
@@ -249,14 +248,12 @@ def non_partitioned_join(build: Mapping[str, np.ndarray],
                          probe: Mapping[str, np.ndarray],
                          device: Device, *,
                          build_keys: Sequence[str],
-                         probe_keys: Sequence[str],
-                         charge_input_scan: bool = True) -> OpOutput:
+                         probe_keys: Sequence[str]) -> OpOutput:
     """Hardware-oblivious hash join of two column maps on one device."""
     columns, stats = hash_join_kernel(build, probe, build_keys=build_keys,
                                       probe_keys=probe_keys)
-    cost = estimate_non_partitioned_join(stats, device,
-                                         charge_input_scan=charge_input_scan)
-    return OpOutput(columns=columns, cost=cost)
+    return OpOutput(columns=columns,
+                    cost=estimate_non_partitioned_join(stats, device))
 
 
 def build_table_bytes(build_rows: int) -> int:

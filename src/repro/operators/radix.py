@@ -13,6 +13,10 @@ that memory — while the *tuning knobs* differ per device:
 
 ``plan_partition_passes`` encodes those rules once; both the executable
 operators and the paper-scale analytic models in :mod:`repro.perf` call it.
+The skeleton itself is written once too: :func:`partitioned_join` is the
+data path of the CPU radix join, the in-GPU partitioned join and the
+co-processed join of :mod:`repro.operators.coprocess` alike — they differ
+in the fan-outs they hand it and in where a co-partition is joined.
 
 Following the single-evaluation operator contract (see
 :mod:`repro.operators`), the functional partitioning lives in
@@ -25,7 +29,7 @@ exact per-pass cost arithmetic from a :class:`PartitionRunStats` record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .base import (
     OpOutput,
     columns_num_rows,
     is_order_column,
+    payload_nbytes,
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
@@ -165,6 +170,12 @@ class PartitionRunStats:
     calls: tuple[tuple[int, int], ...]
 
 
+def radix_buckets(keys: np.ndarray, fanout: int) -> np.ndarray:
+    """The bucket (``0 .. fanout - 1``) every key falls into."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return (keys % fanout + fanout) % fanout
+
+
 def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
                            key: str, fanout: int) -> list[ArrayMap]:
     """Partition one column map into ``fanout`` buckets by key radix.
@@ -185,8 +196,7 @@ def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
         raise KeyError(key)
     if fanout == 1:
         return [dict(columns)]
-    keys = np.asarray(columns[key], dtype=np.int64)
-    bucket = (keys % fanout + fanout) % fanout
+    bucket = radix_buckets(columns[key], fanout)
     order = np.argsort(bucket, kind="stable")
     boundaries = np.searchsorted(bucket[order], np.arange(fanout + 1))
     gathered = {name: values[order] for name, values in columns.items()}
@@ -211,16 +221,15 @@ def partition_tuple_bytes(columns: Mapping[str, np.ndarray]) -> int:
 
 
 def estimate_radix_partition(num_rows: int, tuple_bytes: int, fanout: int,
-                             device: Device, *,
-                             consolidated: bool = True) -> OpCost:
+                             device: Device) -> OpCost:
     """Cost of one partitioning pass on ``device``; no data touched.
 
-    ``consolidated`` selects the store-consolidating variant of Figure 4
-    (scratchpad staging on GPUs, software write-combining on CPUs).
+    The pass is the store-consolidating variant of Figure 4 (scratchpad
+    staging on GPUs, software write-combining on CPUs).
     """
     cost = OpCost()
     cost.add("partition-pass", device.cost.partition_pass(
-        num_rows, tuple_bytes, fanout, consolidated=consolidated))
+        num_rows, tuple_bytes, fanout))
     cost.add("compute", num_rows * _OPS_PER_PARTITION_STEP
              / compute_ops_per_sec(device))
     if device.is_gpu:
@@ -229,20 +238,18 @@ def estimate_radix_partition(num_rows: int, tuple_bytes: int, fanout: int,
     return cost
 
 
-def estimate_partition_run(stats: PartitionRunStats, device: Device, *,
-                           consolidated: bool = True) -> OpCost:
+def estimate_partition_run(stats: PartitionRunStats,
+                           device: Device) -> OpCost:
     """Replay the cost of a recorded sequence of partitioning passes."""
     cost = OpCost()
     for num_rows, fanout in stats.calls:
         cost.merge(estimate_radix_partition(num_rows, stats.tuple_bytes,
-                                            fanout, device,
-                                            consolidated=consolidated))
+                                            fanout, device))
     return cost
 
 
 def radix_partition(columns: Mapping[str, np.ndarray], device: Device, *,
-                    key: str, fanout: int,
-                    consolidated: bool = True) -> tuple[list[ArrayMap], OpCost]:
+                    key: str, fanout: int) -> tuple[list[ArrayMap], OpCost]:
     """Partition one column map on one device (kernel + cost in one).
 
     Returns the partitions (list of column maps) and the cost of the pass.
@@ -250,16 +257,15 @@ def radix_partition(columns: Mapping[str, np.ndarray], device: Device, *,
     num_rows = columns_num_rows(columns)
     tuple_bytes = partition_tuple_bytes(columns)
     partitions = radix_partition_kernel(columns, key=key, fanout=fanout)
-    cost = estimate_radix_partition(num_rows, tuple_bytes, fanout, device,
-                                    consolidated=consolidated)
+    cost = estimate_radix_partition(num_rows, tuple_bytes, fanout, device)
     return partitions, cost
 
 
-def partition_by_plan_kernel(
+def partition_passes_kernel(
         columns: Mapping[str, np.ndarray], *,
-        key: str, plan: PartitionPlan, pool=None,
+        key: str, fanouts: Sequence[int], pool=None,
 ) -> tuple[list[ArrayMap], PartitionRunStats]:
-    """Apply every pass of a :class:`PartitionPlan`, recording run stats.
+    """Apply one partitioning pass per fan-out, recording run stats.
 
     ``pool`` (a :class:`repro.engine.workers.WorkerPool`-shaped object, or
     ``None`` for inline execution) parallelizes the independent chunk
@@ -272,7 +278,7 @@ def partition_by_plan_kernel(
     tuple_bytes = partition_tuple_bytes(columns)
     calls: list[tuple[int, int]] = []
     current = [dict(columns)]
-    for fanout in plan.fanout_per_pass:
+    for fanout in fanouts:
         calls.extend((columns_num_rows(chunk), fanout) for chunk in current)
         if pool is not None and pool.parallel and len(current) > 1:
             partitioned = pool.map_ordered(
@@ -288,30 +294,14 @@ def partition_by_plan_kernel(
                                       calls=tuple(calls))
 
 
-def partition_by_plan(columns: Mapping[str, np.ndarray], device: Device, *,
-                      key: str, plan: PartitionPlan,
-                      consolidated: bool = True) -> tuple[list[ArrayMap], OpCost]:
-    """Apply every pass of a :class:`PartitionPlan` on one device."""
-    partitions, stats = partition_by_plan_kernel(columns, key=key, plan=plan)
-    cost = estimate_partition_run(stats, device, consolidated=consolidated)
-    return partitions, cost
-
-
 # ----------------------------------------------------------------------
-# Canonical output order of the partitioned joins
+# The partitioned join: one skeleton, tuned per device
 # ----------------------------------------------------------------------
 #: Bookkeeping columns threading the original build/probe row positions
 #: through the partition passes, so the bucket-major match output can be
 #: restored to the canonical order.  Excluded from every byte-based stat.
 ORD_BUILD = ORDER_COLUMN_PREFIX + "_build"
 ORD_PROBE = ORDER_COLUMN_PREFIX + "_probe"
-
-
-def attach_order_columns(build: ArrayMap, probe: ArrayMap,
-                         build_rows: int, probe_rows: int) -> None:
-    """Add the original-position bookkeeping columns to both join inputs."""
-    build[ORD_BUILD] = np.arange(build_rows, dtype=np.int64)
-    probe[ORD_PROBE] = np.arange(probe_rows, dtype=np.int64)
 
 
 def restore_canonical_order(columns: ArrayMap, *,
@@ -333,17 +323,87 @@ def restore_canonical_order(columns: ArrayMap, *,
             if not is_order_column(name)}
 
 
-def _validate_output_order(output_order: str | None) -> None:
+def _payload(part: Mapping[str, np.ndarray]) -> ArrayMap:
+    return {name: values for name, values in part.items() if name != "__key"}
+
+
+def partitioned_join(
+        build: Mapping[str, np.ndarray],
+        probe: Mapping[str, np.ndarray], *,
+        build_keys: Sequence[str],
+        probe_keys: Sequence[str],
+        fanouts: Sequence[int],
+        join_copartition: Callable[[ArrayMap, ArrayMap], ArrayMap | None],
+        output_order: str | None,
+        morsel_rows: int | None = None,
+        pool=None,
+) -> tuple[ArrayMap, PartitionRunStats, PartitionRunStats]:
+    """The device-invariant skeleton of every partitioned join.
+
+    Fold the join keys into one ``__key`` column, attach the order
+    positions, run one partitioning pass per entry of ``fanouts`` on both
+    sides, hand every co-partition to ``join_copartition`` (``None`` =
+    the pair produced nothing), concatenate the match output and restore
+    the canonical order.  Returns the columns and both sides' pass shapes.
+
+    What a device (or a set of devices) contributes is tuning only: the
+    fan-outs, and where a co-partition is joined.
+
+    The partitioned join breaks the pipeline on *both* sides — multi-pass
+    partitioning needs each input in full.  With ``morsel_rows`` set, both
+    sides are consumed as morsel streams into
+    :class:`~repro.storage.morsel.MorselSink` instances (zero-copy for
+    resident batches) before partitioning, so results and recorded pass
+    shapes are bit-identical for every morsel size.
+
+    ``output_order`` restores the canonical join output order
+    (``"probe"``-major, or ``"build"``-major for joins whose build side is
+    the logical right input) by threading original-position bookkeeping
+    columns through the passes and sorting the match output once at the
+    end; ``None`` leaves the bucket-major implementation order (a join
+    running inside another's co-partition — the outer one canonicalizes).
+    Pass shapes are identical for every setting.
+
+    ``pool`` parallelizes the partition passes (see
+    :func:`partition_passes_kernel`); results are bit-identical at every
+    worker count.
+    """
     if output_order not in ("probe", "build", None):
         raise ValueError("output_order must be 'probe', 'build' or None")
+    if morsel_rows is not None:
+        build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
+        probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
+    build = {name: np.asarray(values) for name, values in build.items()}
+    probe = {name: np.asarray(values) for name, values in probe.items()}
+    build["__key"] = composite_key(build, build_keys)
+    probe["__key"] = composite_key(probe, probe_keys)
+    if output_order is not None:
+        build[ORD_BUILD] = np.arange(columns_num_rows(build), dtype=np.int64)
+        probe[ORD_PROBE] = np.arange(columns_num_rows(probe), dtype=np.int64)
+
+    build_parts, build_run = partition_passes_kernel(
+        build, key="__key", fanouts=fanouts, pool=pool)
+    probe_parts, probe_run = partition_passes_kernel(
+        probe, key="__key", fanouts=fanouts, pool=pool)
+
+    outputs = [output for output in map(join_copartition,
+                                        build_parts, probe_parts)
+               if output is not None]
+    if outputs:
+        columns = {name: np.concatenate([part[name] for part in outputs])
+                   for name in outputs[0]}
+    else:
+        no_rows = np.asarray([], dtype=np.int64)
+        columns = _materialize_join(_payload(build), _payload(probe),
+                                    no_rows, no_rows)
+    if output_order is not None:
+        columns = restore_canonical_order(columns, output_order=output_order)
+    return columns, build_run, probe_run
 
 
-# ----------------------------------------------------------------------
-# CPU radix join
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CpuRadixJoinStats:
-    """Data-derived quantities the CPU radix-join estimator needs."""
+class PartitionedJoinStats:
+    """Data-derived quantities the partitioned-join estimators need."""
 
     build_rows: int
     probe_rows: int
@@ -353,7 +413,22 @@ class CpuRadixJoinStats:
     output_nbytes: int
 
 
-def cpu_radix_join_kernel(
+def _build_and_probe(build_part: ArrayMap,
+                     probe_part: ArrayMap) -> ArrayMap | None:
+    """Hash-join one co-partition in the device's fast memory."""
+    if not (columns_num_rows(build_part) and columns_num_rows(probe_part)):
+        return None
+    return _materialize_join(
+        _payload(build_part), _payload(probe_part),
+        *join_match_indices(build_part["__key"], probe_part["__key"]))
+
+
+#: Kernel counter a single-device evaluation bumps, by the tuned device.
+_KERNEL_COUNTER = {DeviceKind.CPU: "cpu_radix_join",
+                   DeviceKind.GPU: "gpu_partitioned_join"}
+
+
+def partitioned_join_kernel(
         build: Mapping[str, np.ndarray],
         probe: Mapping[str, np.ndarray], *,
         build_keys: Sequence[str],
@@ -362,92 +437,34 @@ def cpu_radix_join_kernel(
         morsel_rows: int | None = None,
         output_order: str | None = "probe",
         pool=None,
-) -> tuple[ArrayMap, CpuRadixJoinStats]:
-    """Evaluate the partitioned CPU join once.
+) -> tuple[ArrayMap, PartitionedJoinStats]:
+    """Evaluate the partitioned join on one device, once.
 
-    ``spec`` only supplies the partitioning *tuning knobs* (fan-out limits,
-    cache targets); the data path itself is device-invariant.
-
-    The radix join breaks the pipeline on *both* sides — multi-pass
-    partitioning needs each input in full.  With ``morsel_rows`` set, both
-    sides are consumed as morsel streams into
-    :class:`~repro.storage.morsel.MorselSink` instances (zero-copy for
-    resident batches) before partitioning, so results and recorded pass
-    shapes are bit-identical for every morsel size.
-
-    ``output_order`` restores the canonical join output order
-    (``"probe"``-major by default, ``"build"``-major for joins whose build
-    side is the logical right input) by threading original-position
-    bookkeeping columns through the passes and sorting the match output
-    once at the end; ``None`` leaves the bucket-major implementation order
-    (the co-processed join canonicalizes at its own level).  Stats are
-    identical for every setting.
-
-    ``pool`` parallelizes the partition passes (see
-    :func:`partition_by_plan_kernel`); results are bit-identical at every
-    worker count.
+    :func:`partitioned_join` with ``spec``'s tuning: passes planned by
+    :func:`plan_partition_passes` (TLB and cache on a CPU, scratchpad on a
+    GPU) and every co-partition built and probed in place.  ``spec``
+    supplies nothing else — the data path never looks at the device.
     """
-    record_kernel_invocation("cpu_radix_join")
-    _validate_output_order(output_order)
-    if morsel_rows is not None:
-        build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
-        probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
+    record_kernel_invocation(_KERNEL_COUNTER[spec.kind])
     build_rows = columns_num_rows(build)
-    probe_rows = columns_num_rows(probe)
-    if output_order is not None:
-        attach_order_columns(build, probe, build_rows, probe_rows)
-
-    tuple_bytes = HASH_ENTRY_BYTES
-    plan = plan_partition_passes(max(build_rows, 1), tuple_bytes, spec)
-    build_parts, build_run = partition_by_plan_kernel(build, key="__key",
-                                                      plan=plan, pool=pool)
-    probe_plan = PartitionPlan(
-        device_kind=plan.device_kind, tuple_bytes=tuple_bytes,
-        input_tuples=max(probe_rows, 1),
-        fanout_per_pass=plan.fanout_per_pass,
-        target_partition_tuples=plan.target_partition_tuples)
-    probe_parts, probe_run = partition_by_plan_kernel(probe, key="__key",
-                                                      plan=probe_plan,
-                                                      pool=pool)
-
-    columns = _join_copartitions(build_parts, probe_parts, build, probe)
-    if output_order is not None:
-        columns = restore_canonical_order(columns, output_order=output_order)
-    stats = CpuRadixJoinStats(
-        build_rows=build_rows, probe_rows=probe_rows, plan=plan,
+    plan = plan_partition_passes(max(build_rows, 1), HASH_ENTRY_BYTES, spec)
+    columns, build_run, probe_run = partitioned_join(
+        build, probe, build_keys=build_keys, probe_keys=probe_keys,
+        fanouts=plan.fanout_per_pass, join_copartition=_build_and_probe,
+        output_order=output_order, morsel_rows=morsel_rows, pool=pool)
+    stats = PartitionedJoinStats(
+        build_rows=build_rows, probe_rows=columns_num_rows(probe), plan=plan,
         build_run=build_run, probe_run=probe_run,
-        output_nbytes=int(sum(v.nbytes for v in columns.values())),
+        output_nbytes=payload_nbytes(columns),
     )
     return columns, stats
 
 
-def _join_copartitions(build_parts: Sequence[ArrayMap],
-                       probe_parts: Sequence[ArrayMap],
-                       build: Mapping[str, np.ndarray],
-                       probe: Mapping[str, np.ndarray]) -> ArrayMap:
-    """Build & probe each co-partition and concatenate the match output."""
-    def payload(part: Mapping[str, np.ndarray]) -> ArrayMap:
-        return {name: values for name, values in part.items()
-                if name != "__key"}
-
-    outputs = [
-        _materialize_join(payload(build_part), payload(probe_part),
-                          *join_match_indices(build_part["__key"],
-                                              probe_part["__key"]))
-        for build_part, probe_part in zip(build_parts, probe_parts)
-        if columns_num_rows(build_part) and columns_num_rows(probe_part)]
-    if outputs:
-        return {name: np.concatenate([part[name] for part in outputs])
-                for name in outputs[0]}
-    no_rows = np.asarray([], dtype=np.int64)
-    return _materialize_join(payload(build), payload(probe), no_rows, no_rows)
+#: The device-named entry points: the device is whatever ``spec`` says.
+cpu_radix_join_kernel = gpu_partitioned_join_kernel = partitioned_join_kernel
 
 
-def estimate_cpu_radix_join(stats: CpuRadixJoinStats,
+def estimate_cpu_radix_join(stats: PartitionedJoinStats,
                             device: Device) -> OpCost:
     """Cost of the cache/TLB-conscious partitioned join; no data touched."""
     cost = OpCost()
@@ -478,7 +495,7 @@ def cpu_radix_join(build: Mapping[str, np.ndarray],
     """The cache/TLB-conscious CPU partitioned hash join."""
     if not device.is_cpu:
         raise ValueError("cpu_radix_join must be placed on a CPU device")
-    columns, stats = cpu_radix_join_kernel(
+    columns, stats = partitioned_join_kernel(
         build, probe, build_keys=build_keys, probe_keys=probe_keys,
         spec=device.spec)
     return OpOutput(columns=columns,

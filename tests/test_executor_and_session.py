@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ExecutorOptions, HAPEEngine, Optimizer, OptimizerOptions
+from repro.engine import ExecutorOptions, HAPEEngine, Optimizer
 from repro.engine.workers import available_cpus
 from repro.hardware import DeviceKind, default_server
 from repro.operators import OpCost
-from repro.relational import RoutingPolicy, agg_sum, col, lit, scan
+from repro.relational import agg_sum, col, lit, scan
 from repro.storage import Table, generate_tpch
 from repro.workloads import build_query
 
@@ -171,18 +171,6 @@ class TestEngineFacade:
 
 
 class TestOptimizerOptions:
-    def test_routing_policy_option_is_used(self, tpch_dataset):
-        engine = HAPEEngine(
-            default_server(),
-            optimizer_options=OptimizerOptions(
-                routing_policy=RoutingPolicy.LOCALITY_AWARE))
-        engine.register_dataset(tpch_dataset.tables)
-        physical = engine.plan(build_query("Q6", tpch_dataset).plan, "cpu")
-        routers = [node for node in physical.walk()
-                   if type(node).__name__ == "Router"]
-        assert any(router.policy is RoutingPolicy.LOCALITY_AWARE
-                   for router in routers)
-
     def test_estimate_rows_discounts_filters(self, engine):
         optimizer: Optimizer = engine.optimizer
         base = optimizer._estimate_rows(scan("lineitem"))

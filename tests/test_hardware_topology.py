@@ -19,6 +19,65 @@ from repro.hardware import (
 GIB = 1024 ** 3
 
 
+#: The link names of every route, per stock topology: what the NetworkX
+#: shortest path returned before routing moved onto the stdlib.  The
+#: reverse direction is the same links reversed.
+_PINNED_ROUTES = {
+    default_server: {
+        ("cpu0", "cpu1"): ["qpi01"],
+        ("cpu0", "gpu0"): ["pcie0"],
+        ("cpu0", "gpu1"): ["qpi01", "pcie1"],
+        ("cpu1", "gpu0"): ["qpi01", "pcie0"],
+        ("cpu1", "gpu1"): ["pcie1"],
+        ("gpu0", "gpu1"): ["pcie0", "qpi01", "pcie1"],
+    },
+    single_gpu_server: {("cpu0", "gpu0"): ["pcie0"]},
+    lambda: cpu_only_server(4): {
+        (f"cpu{a}", f"cpu{b}"): [f"qpi{a}{b}"]
+        for a in range(4) for b in range(a + 1, 4)},
+}
+
+
+def _route_names(topology, source, destination):
+    return [link.name for link in topology.route(source, destination).links]
+
+
+class TestRouting:
+    @pytest.mark.parametrize("build", _PINNED_ROUTES,
+                             ids=["default", "single-gpu", "cpu-only-4"])
+    def test_routes_of_stock_topologies_are_pinned(self, build):
+        topology, pinned = build(), _PINNED_ROUTES[build]
+        names = [device.name for device in topology.devices]
+        assert set(pinned) == {(a, b) for a in names for b in names if a < b}
+        for (source, destination), links in pinned.items():
+            assert _route_names(topology, source, destination) == links
+            assert _route_names(topology, destination,
+                                source) == links[::-1]
+
+    def test_degraded_link_is_routed_around_while_a_detour_is_cheaper(self):
+        topology = cpu_only_server(3)
+        assert _route_names(topology, "cpu0", "cpu2") == ["qpi02"]
+        topology.degrade_link("qpi02", 0.1)   # 10x the weight: detour wins
+        assert _route_names(topology, "cpu0", "cpu2") == ["qpi01", "qpi12"]
+        assert _route_names(topology, "cpu2", "cpu0") == ["qpi12", "qpi01"]
+        topology.degrade_link("qpi02", 0.5)   # a tie: fewest links wins
+        assert _route_names(topology, "cpu0", "cpu2") == ["qpi02"]
+        topology.degrade_link("qpi02", 0.1)
+        topology.restore_link("qpi02")
+        assert _route_names(topology, "cpu0", "cpu2") == ["qpi02"]
+
+    def test_equal_routes_break_ties_on_link_registration_order(self):
+        topology = Topology()
+        for name in ("cpu0", "cpu1", "cpu2", "cpu3"):
+            topology.add_device(xeon_e5_2650l_v3(name))
+        # A square: two equally cheap two-link paths from cpu0 to cpu3.
+        for a, b in ((0, 2), (0, 1), (1, 3), (2, 3)):   # registration order
+            topology.connect(f"cpu{a}", f"cpu{b}",
+                             LinkSpec(f"link{a}{b}", 10.0, 1.0))
+        assert _route_names(topology, "cpu0", "cpu3") == ["link02", "link23"]
+        assert _route_names(topology, "cpu3", "cpu0") == ["link13", "link01"]
+
+
 class TestDefaultServer:
     def test_paper_testbed_shape(self, topology):
         assert len(topology.cpus()) == 2

@@ -338,23 +338,61 @@ class TestCanonicalJoinOutputOrder:
         assert stats.output_nbytes == sum(v.nbytes
                                           for v in expected.values())
 
+    @classmethod
+    def _input_shapes(cls) -> dict:
+        rng = np.random.default_rng(23)
+        rows = 400
+
+        def side(prefix, keys):
+            return {prefix + "k": np.asarray(keys, dtype=np.int64),
+                    prefix + "v": rng.normal(size=len(keys))}
+
+        dense = rng.permutation(rows)
+        return {
+            "dense": (side("b", dense), side("p", rng.permutation(rows))),
+            # Every second probe key lies outside the build side's range.
+            "half-missing": (side("b", dense),
+                             side("p", rng.permutation(2 * rows))),
+            "duplicate-heavy": cls._inputs(),
+            "empty-build": (side("b", []), side("p", dense)),
+            "empty-probe": (side("b", dense), side("p", [])),
+        }
+
     @pytest.mark.parametrize("order", ["probe", "build"])
     def test_partitioned_kernels_match_reference_order(self, cpu, gpu,
                                                        order):
-        from repro.operators import (cpu_radix_join_kernel,
-                                     gpu_partitioned_join_kernel)
-        build, probe = self._inputs()
-        expected = self._expected(build, probe, order=order)
-        for kernel, spec in ((cpu_radix_join_kernel, cpu.spec),
-                             (gpu_partitioned_join_kernel, gpu.spec)):
-            columns, _ = kernel(build, probe, build_keys=["bk"],
-                                probe_keys=["pk"], spec=spec,
-                                output_order=order)
-            assert not any(name.startswith("__ord") for name in columns)
-            for name in expected:
-                np.testing.assert_array_equal(
-                    columns[name], expected[name],
-                    err_msg=f"{kernel.__name__} order={order} col={name}")
+        """The three tunings of the partitioned-join skeleton agree with
+        the hash join row for row, whatever the input looks like."""
+        from repro.hardware import gtx_1080
+        from repro.operators import (coprocessed_join_kernel,
+                                     cpu_radix_join_kernel,
+                                     gpu_partitioned_join_kernel,
+                                     hash_join_kernel)
+        # 8 KB GPUs: the co-processed join needs more than one
+        # co-partition per GPU for the non-empty inputs.
+        small_gpus = [gtx_1080(f"gpu{index}").with_memory_capacity(8 << 10)
+                      for index in range(2)]
+        kernels = {
+            "cpu": (cpu_radix_join_kernel, {"spec": cpu.spec}),
+            "gpu": (gpu_partitioned_join_kernel, {"spec": gpu.spec}),
+            "coprocessed": (coprocessed_join_kernel,
+                            {"gpu_specs": small_gpus}),
+        }
+        keys = {"build_keys": ["bk"], "probe_keys": ["pk"],
+                "output_order": order}
+        for shape, (build, probe) in self._input_shapes().items():
+            expected, _ = hash_join_kernel(build, probe, **keys)
+            for label, (kernel, tuning) in kernels.items():
+                columns, stats = kernel(build, probe, **keys, **tuning)
+                case = f"{label} join, {shape} input, order={order}"
+                assert list(columns) == list(expected), case
+                for name in expected:
+                    assert columns[name].dtype == expected[name].dtype, case
+                    np.testing.assert_array_equal(
+                        columns[name], expected[name],
+                        err_msg=f"{case}, column {name}")
+                if label == "coprocessed" and "empty" not in shape:
+                    assert len(stats.copartitions) > len(small_gpus), case
 
     def test_coprocessed_join_matches_reference_order(self, topology):
         build, probe = self._inputs(rows=3000)

@@ -13,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.descriptions import HashJoin, Join, RadixJoin
+from repro.engine import HAPEEngine, OptimizerOptions
+from repro.engine.descriptions import (
+    CoprocessedJoin,
+    HashJoin,
+    Join,
+    RadixJoin,
+)
+from repro.errors import ExecutionError
+from repro.hardware import default_server
 from repro.operators import (
     JoinStats,
     composite_key,
@@ -22,6 +30,7 @@ from repro.operators import (
     radix_partition,
     reset_kernel_counts,
 )
+from repro.operators.coprocess import copartition_nbytes
 from repro.relational import (
     JoinAlgorithm,
     PAggregate,
@@ -65,7 +74,47 @@ def _expected_kernel_counts(physical) -> dict[str, int]:
                  else "hash_aggregate")
         elif isinstance(node, PJoin):
             bump(_JOIN_KERNELS[node.algorithm])
+            if node.algorithm is JoinAlgorithm.COPROCESSED_RADIX:
+                # One in-GPU join per co-partition; inputs this small get
+                # the minimum CPU-side fan-out, one co-partition per GPU.
+                bump("gpu_partitioned_join", 2)
     return expected
+
+
+_JOIN_AND_PARTITION_KERNELS = ("hash_join", "cpu_radix_join",
+                               "gpu_partitioned_join",
+                               "coprocessed_radix_join", "radix_partition")
+
+
+@pytest.fixture
+def coprocessing_engine(tpch_dataset):
+    """Hybrid Q5/Q9 plans of this engine contain co-processed joins."""
+    engine = HAPEEngine(default_server(),
+                        optimizer_options=OptimizerOptions(small_build_rows=10))
+    engine.register_dataset(tpch_dataset.tables)
+    return engine
+
+
+def _coprocessed_plan(engine, tpch_dataset, query_name):
+    query = build_query(query_name, tpch_dataset)
+    physical = engine.plan(query.plan, "hybrid")
+    assert any(isinstance(node, PJoin)
+               and node.algorithm is JoinAlgorithm.COPROCESSED_RADIX
+               for node in physical.walk())
+    return query, physical
+
+
+def _assert_counts_match_plan_nodes(engine, physical) -> None:
+    expected = _expected_kernel_counts(physical)
+    reset_kernel_counts()
+    engine.executor.execute(physical)
+    counts = kernel_counts()
+    for kernel in ("filter_project", "hash_aggregate", "merge_partials",
+                   "hash_join", "cpu_radix_join", "gpu_partitioned_join",
+                   "coprocessed_radix_join"):
+        assert counts.get(kernel, 0) == expected.get(kernel, 0), (
+            f"kernel {kernel} ran {counts.get(kernel, 0)}x, expected "
+            f"{expected.get(kernel, 0)}x")
 
 
 class TestKernelRunsOncePerPlanNode:
@@ -74,27 +123,48 @@ class TestKernelRunsOncePerPlanNode:
     def test_tpch_counts_match_plan_nodes(self, engine, tpch_dataset,
                                           query_name, mode):
         query = build_query(query_name, tpch_dataset)
-        physical = engine.plan(query.plan, mode)
-        expected = _expected_kernel_counts(physical)
-        # The co-processed join drives the partition/GPU-join kernels
-        # internally with data-dependent fan-outs; pin counts only for
-        # plans made of single-device operators.
-        assume_exact = "coprocessed_radix_join" not in expected
+        _assert_counts_match_plan_nodes(engine,
+                                        engine.plan(query.plan, mode))
+
+    @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
+    def test_coprocessed_plan_counts_match_plan_nodes(
+            self, coprocessing_engine, tpch_dataset, query_name):
+        _, physical = _coprocessed_plan(coprocessing_engine, tpch_dataset,
+                                        query_name)
+        _assert_counts_match_plan_nodes(coprocessing_engine, physical)
+
+    @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
+    def test_warm_coprocessed_plan_runs_no_join_kernel(
+            self, coprocessing_engine, tpch_dataset, query_name):
+        query, _ = _coprocessed_plan(coprocessing_engine, tpch_dataset,
+                                     query_name)
+        cold = coprocessing_engine.execute(query.plan, "hybrid")
         reset_kernel_counts()
-        engine.executor.execute(physical)
+        warm = coprocessing_engine.execute(query.plan, "hybrid")
         counts = kernel_counts()
-        if assume_exact:
-            for kernel in ("filter_project", "hash_aggregate",
-                           "merge_partials", "hash_join", "cpu_radix_join",
-                           "gpu_partitioned_join"):
-                assert counts.get(kernel, 0) == expected.get(kernel, 0), (
-                    f"{query_name}/{mode}: kernel {kernel} ran "
-                    f"{counts.get(kernel, 0)}x, expected "
-                    f"{expected.get(kernel, 0)}x")
-        else:
-            for kernel in ("filter_project", "hash_aggregate",
-                           "merge_partials"):
-                assert counts.get(kernel, 0) == expected.get(kernel, 0)
+        assert not any(counts.get(kernel, 0)
+                       for kernel in _JOIN_AND_PARTITION_KERNELS), counts
+        assert warm.simulated_seconds == cold.simulated_seconds
+        assert warm.table.equals(cold.table)
+
+    def test_shrunk_gpu_refuses_a_cached_coprocessed_join(
+            self, coprocessing_engine, tpch_dataset):
+        """The co-partition memory check is not part of the kernel, so a
+        cached evaluation cannot carry a query past it."""
+        engine = coprocessing_engine
+        query, _ = _coprocessed_plan(engine, tpch_dataset, "Q9")
+        cold = engine.execute(query.plan, "hybrid")
+        for gpu in engine.topology.gpus():
+            gpu.shrink_memory(1e-5)
+        for _ in range(2):   # refused before evaluating, so never cached
+            with pytest.raises(ExecutionError, match="co-partition of"):
+                engine.execute(query.plan, "hybrid")
+        for gpu in engine.topology.gpus():
+            gpu.restore_memory()
+        reset_kernel_counts()
+        warm = engine.execute(query.plan, "hybrid")
+        assert not kernel_counts().get("coprocessed_radix_join", 0)
+        assert warm.simulated_seconds == cold.simulated_seconds
 
     def test_hybrid_join_kernel_not_duplicated_per_kind(self, engine,
                                                         tpch_dataset):
@@ -268,10 +338,10 @@ class TestChargedBytesEqualKernelBytes:
     the cost model is handed.
     """
 
-    @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tpch_join_stats(self, engine, tpch_dataset, monkeypatch,
-                             query_name, mode):
+    @staticmethod
+    def _spy_on_joins(monkeypatch):
+        """``(touched, charged)``: per join description, the bytes its
+        kernel consumed and produced, and the stats it was charged from."""
         touched: dict = {}   # join description -> [probe bytes, output bytes]
         charged: list = []
 
@@ -299,18 +369,24 @@ class TestChargedBytesEqualKernelBytes:
 
         monkeypatch.setattr(HashJoin, "transform",
                             spy_transform(HashJoin.transform))
-        monkeypatch.setattr(HashJoin, "run", spy_run(HashJoin.run))
-        monkeypatch.setattr(RadixJoin, "run", spy_run(RadixJoin.run))
-        monkeypatch.setattr(Join, "charge", spy_charge(Join.charge))
+        for join in (HashJoin, RadixJoin, CoprocessedJoin):
+            monkeypatch.setattr(join, "run", spy_run(join.run))
+        for join in (Join, CoprocessedJoin):
+            monkeypatch.setattr(join, "charge", spy_charge(join.charge))
+        return touched, charged
 
+    @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tpch_join_stats(self, engine, tpch_dataset, monkeypatch,
+                             query_name, mode):
+        touched, charged = self._spy_on_joins(monkeypatch)
         query = build_query(query_name, tpch_dataset)
         result = engine.execute(query.plan, mode)
 
         assert (result.peak_intermediate_bytes
                 == _PEAK_INTERMEDIATE_BYTES[query_name])
         joins = [node for node in engine.plan(query.plan, mode).walk()
-                 if isinstance(node, PJoin)
-                 and node.algorithm is not JoinAlgorithm.COPROCESSED_RADIX]
+                 if isinstance(node, PJoin)]
         assert len(charged) == len(touched) == len(joins)
         for op, stats in charged:
             probe_nbytes, output_nbytes = touched[op]
@@ -318,6 +394,37 @@ class TestChargedBytesEqualKernelBytes:
             if isinstance(stats, JoinStats):
                 assert stats.build_nbytes == _nbytes(op.build.columns)
                 assert stats.probe_nbytes == probe_nbytes
+
+    @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
+    def test_coprocessed_join_stats(self, coprocessing_engine, tpch_dataset,
+                                    monkeypatch, query_name):
+        """Every input byte (plus its 8-byte folded key) crosses PCIe once,
+        in the co-partitions ``check()`` sized beforehand, and the in-GPU
+        joins are charged for exactly the output rows."""
+        sized: dict = {}
+        real_check = CoprocessedJoin.check
+
+        def spy_check(op, batch):
+            sized[op] = op._on_inputs(copartition_nbytes, batch)
+            return real_check(op, batch)
+
+        monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
+        touched, charged = self._spy_on_joins(monkeypatch)
+        query, _ = _coprocessed_plan(coprocessing_engine, tpch_dataset,
+                                     query_name)
+        coprocessing_engine.execute(query.plan, "hybrid")
+        assert sized
+        for op, stats in charged:
+            if op not in sized:
+                continue
+            probe_nbytes, output_nbytes = touched[op]
+            crossed = [nbytes for nbytes, _ in stats.copartitions]
+            assert crossed == sized[op]
+            assert sum(crossed) == (
+                _nbytes(op.build.columns) + probe_nbytes
+                + 8 * (stats.build_rows + stats.probe_rows))
+            assert sum(join.output_nbytes
+                       for _, join in stats.copartitions) == output_nbytes
 
     def test_unmoved_probe_columns_alias_their_input(self):
         """Every probe row matching once, in order: no probe-side gather,

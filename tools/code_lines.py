@@ -58,7 +58,7 @@ def python_files(root: Path) -> list[Path]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=["src"], type=Path,
+    parser.add_argument("paths", nargs="*", default=[Path("src")], type=Path,
                         help="files or directories to count (default: src)")
     parser.add_argument("--files", action="store_true",
                         help="also print one line per file")
