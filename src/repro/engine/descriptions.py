@@ -180,7 +180,7 @@ class Operator:
                 start=batch.ready if start is None else start, end=ready,
                 devices=tuple(device.name for device in self.devices),
                 location=batch.location, input_bytes=int(batch.nbytes),
-                attrs=attrs))
+                est_rows=self.node.est_rows, attrs=attrs))
         batch.ready = ready
         batch.devices = self.devices
         batch.kernel_tag = self.kernel_tag

@@ -96,6 +96,7 @@ from ..hardware.topology import Topology
 from ..obs.trace import QueryTrace, Span
 from ..operators.base import ArrayMap, OpCost, columns_nbytes, columns_num_rows
 from ..relational.physical import PhysicalOp, referenced_tables, structural_key
+from ..stats.cardinality import q_error
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.morsel import (
@@ -115,16 +116,6 @@ from .querycache import (
 from .workers import WorkerPool, resolve_workers
 
 _KernelResult = TypeVar("_KernelResult")
-
-
-def plan_slots(plan: PhysicalOp) -> dict[int, int]:
-    """Map a plan's global node ids to plan-local ordinals (walk order).
-
-    Node ids come from a process-global counter, so two optimizations of
-    the same query number their nodes differently; traces and span joins
-    use these stable ordinals instead.
-    """
-    return {node.node_id: slot for slot, node in enumerate(plan.walk())}
 
 
 @dataclass(frozen=True)
@@ -407,11 +398,13 @@ class Executor:
         # of the same query number their nodes differently.  Traces use
         # plan-local ordinals (walk order) instead, making the JSONL of
         # identical plans byte-identical across re-plans and sessions.
-        slots = plan_slots(plan)
+        slots = {node.node_id: slot for slot, node in enumerate(plan.walk())}
         for span in spans:
             rows = self._node_rows.get(span.node_id)
             if rows is not None:
                 span.rows = rows
+                if span.est_rows is not None:
+                    span.q_error = q_error(span.est_rows, rows)
             kernel = self._trace_kernel.get(span.node_id)
             if kernel is not None:
                 span.cache, span.morsels = kernel

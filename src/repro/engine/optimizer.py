@@ -43,9 +43,12 @@ from ..relational.physical import (
     RoutingPolicy,
 )
 from ..relational.traits import Packing, Traits
-from ..stats.cardinality import CardinalityEstimator
+from ..stats.cardinality import CardinalityEstimator, RelationEstimate
 from ..storage.catalog import Catalog
 from .modes import ExecutionMode
+
+#: One plan's estimates: ``CardinalityEstimator.estimate_nodes``' record.
+Estimates = dict[int, RelationEstimate]
 
 #: Minimum estimated bytes shipped to the accelerator for a GPU-resident
 #: plan to amortize the PCIe crossing; below it auto mode stays on CPUs.
@@ -94,7 +97,11 @@ class Optimizer:
         if mode.uses_cpus and not self.topology.available_cpus():
             raise DeviceUnavailableError(
                 "cpu", f"mode {mode.value!r} requires a healthy CPU")
-        return self._convert(plan, mode)
+        for table in sorted(plan.referenced_tables()):
+            self.catalog.table(table)  # CatalogError before anything lowers
+        # The plan is estimated once per call; every join choice below
+        # and every stamp on the physical plan reads this record.
+        return self._convert(plan, mode, self.estimator.estimate_nodes(plan))
 
     # ------------------------------------------------------------------
     def _devices_for(self, mode: ExecutionMode) -> list[str]:
@@ -120,44 +127,40 @@ class Optimizer:
         )
 
     #: Legacy per-filter selectivity, used only with
-    #: ``use_statistics=False`` (or when a plan references unregistered
-    #: tables and the estimator cannot back an estimate).
+    #: ``use_statistics=False`` (or when a predicate does not resolve
+    #: against statistics and the estimator cannot back an estimate).
     FILTER_SELECTIVITY = 0.3
 
-    def _estimate_rows(self, plan: LogicalPlan) -> int:
-        """Estimated output rows of a logical (sub-)plan."""
-        rows, _ = self._estimate_rows_backed(plan)
-        return rows
-
-    def _estimate_rows_backed(self, plan: LogicalPlan) -> tuple[int, bool]:
-        """Row estimate plus whether catalog statistics back it."""
-        if self.options.use_statistics:
-            estimate = self.estimator.estimate(plan)
-            if estimate.backed:
-                return max(self.estimator.estimate_rows(plan), 1), True
+    def _side_rows(self, plan: LogicalPlan,
+                   estimates: Estimates) -> tuple[int, bool]:
+        """Rows of one join input plus whether catalog statistics back them."""
+        estimate = estimates[id(plan)]
+        if self.options.use_statistics and estimate.backed:
+            return max(estimate.num_rows, 1), True
         return self._heuristic_rows(plan), False
 
     def _heuristic_rows(self, plan: LogicalPlan) -> int:
         """Row estimate: largest base table underneath, discounted by filters."""
-        tables = plan.referenced_tables()
-        if not tables:
-            return 1
-        base = max(self.catalog.stats(table).num_rows for table in tables
-                   if table in self.catalog)
+        base = max(self.catalog.stats(table).num_rows
+                   for table in plan.referenced_tables())
         filters = sum(1 for node in plan.walk() if isinstance(node, Filter))
         return max(int(base * (self.FILTER_SELECTIVITY ** filters)), 1)
 
     # ------------------------------------------------------------------
-    def choose_mode(self, plan: LogicalPlan) -> ExecutionMode:
+    def choose_mode(self, plan: LogicalPlan,
+                    idle_kind: DeviceKind | None = None) -> ExecutionMode:
         """Resolve ``"auto"``: pick cpu/gpu/hybrid from estimated work.
 
         The decision follows the paper's premise that placement should be
-        chosen from estimated bytes moved per device: plans whose
-        estimated working set cannot fit the accelerator co-process
-        (hybrid), plans too small to amortize the PCIe crossing stay on
-        CPUs, everything else offloads.  Without statistics-backed
-        estimates the hedge is hybrid — both device kinds contribute and
-        nothing is refused on a guess.
+        chosen from estimated bytes moved per device: only one surviving
+        device kind forces that kind, plans whose estimated working set
+        cannot fit the accelerator co-process (hybrid), plans too small
+        to amortize the PCIe crossing stay on CPUs, everything else
+        offloads.  Without statistics-backed estimates the hedge is
+        hybrid — both device kinds contribute and nothing is refused on a
+        guess.  A server shares its devices between queries, so it passes
+        ``idle_kind`` — the device kind its occupancy board reports least
+        loaded — and a working set that fits lands there instead.
         """
         gpus = self.topology.available_gpus()
         if not gpus:
@@ -171,10 +174,12 @@ class Optimizer:
         if (working_set.largest_build_bytes * 4 >= gpu_capacity
                 or working_set.total_bytes * 2 >= gpu_capacity):
             return ExecutionMode.HYBRID
-        moved = self._estimated_scan_bytes(plan)
-        if moved < GPU_OFFLOAD_MIN_BYTES:
-            return ExecutionMode.CPU_ONLY
-        return ExecutionMode.GPU_ONLY
+        if idle_kind is None:
+            moved = self._estimated_scan_bytes(plan)
+            idle_kind = (DeviceKind.CPU if moved < GPU_OFFLOAD_MIN_BYTES
+                         else DeviceKind.GPU)
+        return (ExecutionMode.CPU_ONLY if idle_kind is DeviceKind.CPU
+                else ExecutionMode.GPU_ONLY)
 
     def _estimated_scan_bytes(self, plan: LogicalPlan) -> int:
         """Bytes a GPU-resident plan ships over PCIe: the scanned columns."""
@@ -190,29 +195,37 @@ class Optimizer:
         return total
 
     # ------------------------------------------------------------------
-    def _convert(self, plan: LogicalPlan, mode: ExecutionMode) -> PhysicalOp:
+    # Lowering.  ``estimates`` is the plan's one estimation pass; every
+    # relational node is stamped with the rows of the logical operator it
+    # came from (a merged filter/project: its topmost one).
+    # ------------------------------------------------------------------
+    def _convert(self, plan: LogicalPlan, mode: ExecutionMode,
+                 estimates: Estimates) -> PhysicalOp:
         if isinstance(plan, Scan):
-            return self._convert_scan(plan, mode)
+            return self._convert_scan(plan, mode, estimates)
         if isinstance(plan, Filter):
-            return self._convert_filter(plan, mode)
+            return self._convert_filter(plan, mode, estimates)
         if isinstance(plan, Project):
-            return self._convert_project(plan, mode)
+            return self._convert_project(plan, mode, estimates)
         if isinstance(plan, Join):
-            return self._convert_join(plan, mode)
+            return self._convert_join(plan, mode, estimates)
         if isinstance(plan, Aggregate):
-            return self._convert_aggregate(plan, mode)
+            return self._convert_aggregate(plan, mode, estimates)
         if isinstance(plan, OrderBy):
-            child = self._convert(plan.child, mode)
+            child = self._convert(plan.child, mode, estimates)
             return PSort(traits=Traits(device=DeviceKind.CPU, parallelism=1),
-                         child=child, keys=plan.keys)
+                         child=child, keys=plan.keys,
+                         est_rows=estimates[id(plan)].rows)
         raise PlanError(f"optimizer cannot lower {type(plan).__name__}")
 
-    def _convert_scan(self, plan: Scan, mode: ExecutionMode) -> PhysicalOp:
+    def _convert_scan(self, plan: Scan, mode: ExecutionMode,
+                      estimates: Estimates) -> PhysicalOp:
         table = self.catalog.table(plan.table)
         scan_traits = Traits(device=DeviceKind.CPU, parallelism=1,
                              locality=table.location)
         scan_op: PhysicalOp = PScan(traits=scan_traits, table=plan.table,
-                                    columns=plan.columns)
+                                    columns=plan.columns,
+                                    est_rows=estimates[id(plan)].rows)
         consumers = tuple(self._devices_for(mode))
         router_traits = scan_traits.with_parallelism(max(len(consumers), 1))
         routed: PhysicalOp = Router(traits=router_traits, child=scan_op,
@@ -226,29 +239,31 @@ class Optimizer:
                 child=moved, target_kind=DeviceKind.GPU)
         return routed
 
-    def _convert_filter(self, plan: Filter, mode: ExecutionMode) -> PhysicalOp:
-        child = self._convert(plan.child, mode)
+    def _convert_filter(self, plan: Filter, mode: ExecutionMode,
+                        estimates: Estimates) -> PhysicalOp:
+        child = self._convert(plan.child, mode, estimates)
         # Merging into an existing fused filter/project is only legal when
         # the child carries no projections: the fused kernel applies the
         # predicate *before* the projections, so a filter sitting above a
         # projection (which may reference computed aliases or drop
         # columns) must stay its own operator.
-        if (isinstance(child, PFilterProject) and child.predicate is None
+        if not (isinstance(child, PFilterProject) and child.predicate is None
                 and not child.projections):
-            child.predicate = plan.predicate
-            return child
-        traits = self._worker_traits(mode, locality=child.traits.locality)
-        return PFilterProject(traits=traits, child=child,
-                              predicate=plan.predicate, projections=None)
+            traits = self._worker_traits(mode, locality=child.traits.locality)
+            child = PFilterProject(traits=traits, child=child)
+        child.predicate = plan.predicate
+        child.est_rows = estimates[id(plan)].rows
+        return child
 
-    def _convert_project(self, plan: Project, mode: ExecutionMode) -> PhysicalOp:
-        child = self._convert(plan.child, mode)
-        if isinstance(child, PFilterProject) and not child.projections:
-            child.projections = dict(plan.projections)
-            return child
-        traits = self._worker_traits(mode, locality=child.traits.locality)
-        return PFilterProject(traits=traits, child=child, predicate=None,
-                              projections=dict(plan.projections))
+    def _convert_project(self, plan: Project, mode: ExecutionMode,
+                         estimates: Estimates) -> PhysicalOp:
+        child = self._convert(plan.child, mode, estimates)
+        if not (isinstance(child, PFilterProject) and not child.projections):
+            traits = self._worker_traits(mode, locality=child.traits.locality)
+            child = PFilterProject(traits=traits, child=child)
+        child.projections = dict(plan.projections)
+        child.est_rows = estimates[id(plan)].rows
+        return child
 
     # ------------------------------------------------------------------
     def _choose_join_algorithm(self, build_rows: int, probe_rows: int,
@@ -289,9 +304,10 @@ class Optimizer:
             return JoinAlgorithm.RADIX_GPU
         return JoinAlgorithm.NON_PARTITIONED
 
-    def _convert_join(self, plan: Join, mode: ExecutionMode) -> PhysicalOp:
-        left_rows, left_backed = self._estimate_rows_backed(plan.left)
-        right_rows, right_backed = self._estimate_rows_backed(plan.right)
+    def _convert_join(self, plan: Join, mode: ExecutionMode,
+                      estimates: Estimates) -> PhysicalOp:
+        left_rows, left_backed = self._side_rows(plan.left, estimates)
+        right_rows, right_backed = self._side_rows(plan.right, estimates)
         # The smaller input becomes the build side.  ``swapped`` records
         # when that is the logical *right* input, so the join kernels can
         # emit the canonical (reference-identical) output row order no
@@ -318,19 +334,24 @@ class Optimizer:
         build_mode = (ExecutionMode.CPU_ONLY
                       if algorithm is not JoinAlgorithm.RADIX_GPU
                       or mode is not ExecutionMode.GPU_ONLY else mode)
-        build = self._convert(build_plan, build_mode)
-        probe = self._convert(probe_plan, mode)
+        build = self._convert(build_plan, build_mode, estimates)
+        probe = self._convert(probe_plan, mode, estimates)
         traits = self._worker_traits(mode, locality=probe.traits.locality)
         return PJoin(traits=traits, build=build, probe=probe,
                      build_keys=tuple(build_keys), probe_keys=tuple(probe_keys),
-                     algorithm=algorithm, swapped=swapped)
+                     algorithm=algorithm, swapped=swapped,
+                     est_rows=estimates[id(plan)].rows)
 
-    def _convert_aggregate(self, plan: Aggregate, mode: ExecutionMode) -> PhysicalOp:
-        child = self._convert(plan.child, mode)
+    def _convert_aggregate(self, plan: Aggregate, mode: ExecutionMode,
+                           estimates: Estimates) -> PhysicalOp:
+        child = self._convert(plan.child, mode, estimates)
         worker_traits = self._worker_traits(mode, locality=child.traits.locality)
+        # Both phases produce the logical aggregate's groups.
+        rows = estimates[id(plan)].rows
         partial = PAggregate(traits=worker_traits, child=child,
                              group_by=plan.group_by,
-                             aggregates=plan.aggregates, phase="partial")
+                             aggregates=plan.aggregates, phase="partial",
+                             est_rows=rows)
         gather_traits = Traits(device=DeviceKind.CPU, parallelism=1,
                                locality="cpu0")
         gather = Router(traits=gather_traits, child=partial,
@@ -341,4 +362,4 @@ class Optimizer:
                                       target_kind=DeviceKind.CPU)
         return PAggregate(traits=gather_traits, child=crossing,
                           group_by=plan.group_by, aggregates=plan.aggregates,
-                          phase="final")
+                          phase="final", est_rows=rows)

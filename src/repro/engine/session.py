@@ -30,7 +30,7 @@ from ..relational.physical import PhysicalOp
 from ..stats.cardinality import CardinalityReport, build_report
 from ..storage.catalog import Catalog
 from ..storage.table import Table
-from .executor import ExecutionResult, Executor, ExecutorOptions, plan_slots
+from .executor import ExecutionResult, Executor, ExecutorOptions
 from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
 from .querycache import CacheCounters, QueryCacheStats
@@ -274,24 +274,8 @@ class HAPEEngine:
         physical = self.plan(logical, mode)
         pipelines = break_into_pipelines(physical)
         result: ExecutionResult = self.executor.execute(physical)
-        cardinality = build_report(
-            self.optimizer.estimator.estimate_physical(physical),
-            result.operator_rows)
         if result.trace is not None:
             result.trace.mode = mode.value
-            # Join the optimizer's estimates (and the resulting q-errors)
-            # onto the operator spans — the spans then carry the
-            # estimated-vs-actual story the stats suite aggregates.  Span
-            # node ids were normalized to plan-local ordinals, so the
-            # cardinality report's global ids go through the same map.
-            slots = plan_slots(physical)
-            by_slot = {slots[op.node_id]: op for op in cardinality.operators
-                       if op.node_id in slots}
-            for span in result.trace.spans:
-                op = by_slot.get(span.node_id)
-                if op is not None:
-                    span.est_rows = op.estimated_rows
-                    span.q_error = op.q_error
         return QueryResult(
             table=result.table,
             simulated_seconds=result.simulated_seconds,
@@ -303,7 +287,10 @@ class HAPEEngine:
             morsels_dispatched=result.morsels_dispatched,
             cache=result.cache,
             peak_intermediate_bytes=result.peak_intermediate_bytes,
-            cardinality=cardinality,
+            # Estimates are the stamps on the plan, actual rows the executor's.
+            cardinality=build_report(
+                self.optimizer.estimator.estimate_physical(physical),
+                result.operator_rows),
             trace=result.trace,
         )
 

@@ -98,8 +98,8 @@ class Span:
     #: Actual output rows (merged from the executor's q-error accounting;
     #: ``None`` for exchange operators, which forward batches).
     rows: int | None = None
-    #: Optimizer-estimated output rows and the resulting q-error (PR 9's
-    #: cardinality report, joined by ``node_id``).
+    #: Optimizer-estimated output rows (the plan node's ``est_rows``
+    #: stamp) and the q-error against :attr:`rows`.
     est_rows: float | None = None
     q_error: float | None = None
     #: Session-cache status of the kernel evaluation backing this span:

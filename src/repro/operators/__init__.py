@@ -1,4 +1,9 @@
-"""Executable hardware-conscious operators and HetExchange meta-operators.
+"""Executable hardware-conscious relational operators.
+
+The HetExchange meta-operators (router, mem-move, device crossing) never
+touch tuple payloads, so they have no kernel here: their plan nodes live
+in :mod:`repro.relational.physical` and what they charge is stated once,
+in :mod:`repro.engine.descriptions`.
 
 Single-evaluation operator contract
 -----------------------------------
@@ -67,20 +72,11 @@ from .base import (
     reset_kernel_counts,
 )
 from .coprocess import (
-    CoProcessingPlan,
     CoprocessedJoinStats,
     charge_coprocessed_join,
     coprocessed_join_kernel,
     coprocessed_radix_join,
     plan_coprocessing,
-)
-from .exchange import (
-    Router,
-    broadcast,
-    device_crossing_cost,
-    mem_move,
-    route_morsels,
-    zip_partitions,
 )
 from .filterproject import (
     FilterProjectStats,
@@ -138,7 +134,6 @@ __all__ = [
     "AggregateMorselSink",
     "AggregateStats",
     "ArrayMap",
-    "CoProcessingPlan",
     "CoprocessedJoinStats",
     "FilterProjectStats",
     "GpuJoinConfig",
@@ -152,9 +147,7 @@ __all__ = [
     "PartitionPlan",
     "PartitionRunStats",
     "PartitionedJoinStats",
-    "Router",
     "apply_filter_project",
-    "broadcast",
     "build_table_bytes",
     "charge_coprocessed_join",
     "columns_nbytes",
@@ -164,7 +157,6 @@ __all__ = [
     "coprocessed_radix_join",
     "cpu_radix_join",
     "cpu_radix_join_kernel",
-    "device_crossing_cost",
     "ensure_gpu_join_fits",
     "estimate_cpu_radix_join",
     "estimate_filter_project",
@@ -186,7 +178,6 @@ __all__ = [
     "join_match_indices",
     "kernel_counts",
     "max_fanout",
-    "mem_move",
     "merge_partials",
     "merge_partials_kernel",
     "non_partitioned_join",
@@ -201,9 +192,7 @@ __all__ = [
     "record_kernel_invocation",
     "referenced_columns",
     "reset_kernel_counts",
-    "route_morsels",
     "scan_cost",
     "target_partition_bytes",
     "touched_bytes",
-    "zip_partitions",
 ]

@@ -61,39 +61,26 @@ from .radix import (
 )
 
 
-@dataclass(frozen=True)
-class CoProcessingPlan:
-    """Tuning of the co-processed join."""
-
-    fanout: int
-    gpu_budget_bytes: int
-
-    @property
-    def num_copartitions(self) -> int:
-        return self.fanout
+#: Share of the smallest GPU memory a raw co-partition pair may take; the
+#: rest is room for the GPU-side partitions and hash tables next to it.
+COPARTITION_MEMORY_SHARE = 0.4
 
 
 def plan_coprocessing(build_rows: int, probe_rows: int, tuple_bytes: int,
-                      gpu_specs: Sequence[DeviceSpec], *,
-                      safety_factor: float = 0.4) -> CoProcessingPlan:
-    """Choose the CPU-side fan-out so each co-partition pair fits in GPU memory.
-
-    ``safety_factor`` leaves room for the GPU-side partitions and hash
-    tables next to the raw co-partition pair.
-    """
+                      gpu_specs: Sequence[DeviceSpec]) -> int:
+    """The CPU-side fan-out: every co-partition pair must fit in GPU memory."""
     if not gpu_specs:
         raise ExecutionError("co-processing requires at least one GPU")
     budget = int(min(spec.memory_capacity_bytes for spec in gpu_specs)
-                 * safety_factor)
+                 * COPARTITION_MEMORY_SHARE)
     pair_bytes = (build_rows + probe_rows) * tuple_bytes
-    fanout = max(int(np.ceil(pair_bytes / budget)), len(gpu_specs))
-    return CoProcessingPlan(fanout=fanout, gpu_budget_bytes=budget)
+    return max(int(np.ceil(pair_bytes / budget)), len(gpu_specs))
 
 
 def _coprocessing_fanout(build_rows: int, probe_rows: int,
                          gpu_specs: Sequence[DeviceSpec]) -> int:
     return plan_coprocessing(max(build_rows, 1), max(probe_rows, 1),
-                             HASH_ENTRY_BYTES, gpu_specs).fanout
+                             HASH_ENTRY_BYTES, gpu_specs)
 
 
 @dataclass(frozen=True)

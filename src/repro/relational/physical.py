@@ -54,6 +54,12 @@ class PhysicalOp:
 
     traits: Traits
     node_id: int = field(default_factory=lambda: next(_node_ids), init=False)
+    #: The optimizer's estimate of the logical operator this node was
+    #: lowered from (output rows), stamped on relational nodes while
+    #: lowering; ``None`` on exchanges, which forward batches, and on
+    #: hand-built plans.  Like ``traits`` it never changes what the node
+    #: computes, so :func:`structural_key` skips it.
+    est_rows: float | None = field(default=None, kw_only=True)
 
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
@@ -242,10 +248,11 @@ def structural_key(node: PhysicalOp,
     Two nodes with equal structural keys produce identical output columns
     when executed against the same catalog: the key covers operator types,
     expressions, key lists, algorithms and children, but deliberately skips
-    ``traits`` and ``node_id`` — device placement changes cost, never
-    results.  The executor uses this to evaluate repeated subplans (e.g. a
-    dimension scan feeding several joins) exactly once, and — through the
-    session-lifetime query cache — to reuse them across queries.
+    ``traits``, ``node_id`` and ``est_rows`` — device placement and row
+    estimates change cost and plan choice, never results.  The executor
+    uses this to evaluate repeated subplans (e.g. a dimension scan feeding
+    several joins) exactly once, and — through the session-lifetime query
+    cache — to reuse them across queries.
 
     ``table_versions`` (name → catalog version, usually
     :attr:`~repro.storage.catalog.Catalog.table_versions`) adds a
@@ -273,7 +280,7 @@ def structural_key(node: PhysicalOp,
         parts.append(("catalog-version",
                       table_versions.get(node.table, -1)))
     for spec in dataclasses.fields(node):
-        if spec.name in ("traits", "node_id"):
+        if spec.name in ("traits", "node_id", "est_rows"):
             continue
         parts.append(_structural_field(getattr(node, spec.name), cache,
                                        table_versions=table_versions))

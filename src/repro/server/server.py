@@ -78,12 +78,10 @@ from ..errors import (
     UnknownTenantError,
 )
 from ..faults import CircuitBreaker, FaultInjector, FaultPlan
-from ..hardware.specs import DeviceKind
 from ..hardware.topology import Topology, default_server
 from ..obs.trace import EpochTrace, TracedQuery
 from ..obs.tracer import Tracer
 from ..relational.logical import LogicalPlan
-from ..stats.cardinality import CardinalityEstimator
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from .admission import AdmissionController, RetryPolicy, TenantPolicy
@@ -357,10 +355,6 @@ class QueryServer:
         self.preemption = preemption
         self.admission = AdmissionController(aging_seconds=aging_seconds)
         self.scheduler = DeviceScheduler(self.topology)
-        #: Statistics-backed cardinality estimator over the shared
-        #: catalog: admission working-set estimates and auto-mode
-        #: placement read it.
-        self.estimator = CardinalityEstimator(self.catalog)
         self.fault_plan = fault_plan or FaultPlan()
         #: Trips chronically failing devices; every epoch ends by
         #: restoring what it tripped, so one breaker serves them all.
@@ -488,10 +482,12 @@ class QueryServer:
         """Queue one query for ``tenant``; may raise :class:`AdmissionError`.
 
         ``mode`` may be ``"auto"``: the server resolves it at dispatch
-        time — cpu/gpu when only one kind survives, hybrid when the
-        statistics-backed working set overflows GPU memory (or is
-        unbacked), otherwise whichever device kind the occupancy board
-        reports least loaded (see :meth:`_resolve_auto_mode`).
+        time with the optimizer's own policy
+        (:meth:`~repro.engine.optimizer.Optimizer.choose_mode`) — cpu/gpu
+        when only one kind survives, hybrid when the statistics-backed
+        working set overflows GPU memory (or is unbacked) — except that a
+        working set that fits goes to whichever device kind the occupancy
+        board reports least loaded.
 
         ``at`` is the simulated submission time (seconds of server time;
         queries of one tenant dispatch FIFO).  ``deadline`` (seconds after
@@ -514,13 +510,13 @@ class QueryServer:
             ticket_id=next(self._ticket_ids), tenant=tenant,
             label=label or f"q{len(self._epoch_tickets) + 1}", plan=plan,
             mode=mode, submit_time=float(at),
-            estimated_bytes=self._estimate_bytes(plan),
+            estimated_bytes=self._estimate_bytes(tenant, plan),
             deadline_seconds=deadline)
         self._epoch_tickets.append(ticket)
         self.lifecycle.submit(ticket)
         return ticket
 
-    def _estimate_bytes(self, plan: LogicalPlan) -> int:
+    def _estimate_bytes(self, tenant: str, plan: LogicalPlan) -> int:
         """Admission-time working-set estimate for memory budgeting.
 
         Statistics-backed when every referenced table has catalog
@@ -531,38 +527,13 @@ class QueryServer:
         Falls back to the conservative legacy estimate (the full bytes of
         every referenced table) when the estimate is unbacked.
         """
-        working_set = self.estimator.working_set(plan)
+        estimator = self.session(tenant).optimizer.estimator
+        working_set = estimator.working_set(plan)
         if working_set.backed:
             return int(working_set.total_bytes)
         return int(sum(self.catalog.stats(name).nbytes
                        for name in plan.referenced_tables()
                        if name in self.catalog))
-
-    def _resolve_auto_mode(self, ticket: QueryTicket) -> str:
-        """Pick a concrete mode for a mode-unconstrained submission.
-
-        Resolved at dispatch bookkeeping time (not submit time) so the
-        decision sees the breaker/fault state of the devices and the
-        occupancy the epoch has accumulated so far: no surviving GPUs
-        forces cpu, no surviving CPUs forces gpu, an unbacked or
-        GPU-oversized working set co-processes (hybrid), and otherwise
-        the query lands on whichever device kind the occupancy board
-        says is least loaded.  The resolved mode then walks the normal
-        failover ladder like any explicit mode.
-        """
-        gpus = self.topology.available_gpus()
-        if not gpus:
-            return "cpu"
-        if not self.topology.available_cpus():
-            return "gpu"
-        working_set = self.estimator.working_set(ticket.plan)
-        gpu_capacity = min(gpu.spec.memory_capacity_bytes for gpu in gpus)
-        if (not working_set.backed
-                or working_set.largest_build_bytes * 4 >= gpu_capacity
-                or working_set.total_bytes * 2 >= gpu_capacity):
-            return "hybrid"
-        kind = self.scheduler.least_loaded_kind()
-        return "cpu" if kind is DeviceKind.CPU else "gpu"
 
     # ------------------------------------------------------------------
     # Open-loop arrivals
@@ -888,7 +859,14 @@ class QueryServer:
                     self.lifecycle.end_attempt(ticket, now, DEADLINE)
                     continue
                 if ticket.current_mode == "auto":
-                    ticket.current_mode = self._resolve_auto_mode(ticket)
+                    # Resolved here, not at submit, so the choice sees the
+                    # breaker/fault state of the devices and the occupancy
+                    # the epoch has accumulated; the resolved mode then
+                    # walks the failover ladder like any explicit one.
+                    optimizer = self.session(ticket.tenant).optimizer
+                    ticket.current_mode = optimizer.choose_mode(
+                        ticket.plan,
+                        self.scheduler.least_loaded_kind()).value
                 self.lifecycle.admit(ticket, now)
                 runnable.append(ticket)
             groups: dict[str, list[QueryTicket]] = {}

@@ -29,11 +29,16 @@ estimate is statistics-backed; a guessed default selectivity is never
 grounds to reject a plan (the executor's fault ladder handles genuine
 overflow at run time).
 
-The physical-plan walk (:meth:`CardinalityEstimator.estimate_physical`)
-produces per-operator row estimates keyed by ``node_id``, which the
-session joins with the executor's recorded actual rows into a
-:class:`CardinalityReport` — the estimated-vs-actual/q-error accounting
-the ``stats`` benchmark suite tracks over time.
+A plan is estimated **once**: :meth:`CardinalityEstimator.estimate_nodes`
+is the only walk, and ``estimate`` / ``estimate_rows`` / ``working_set``
+are reads of it.  The optimizer runs it once per ``optimize`` call, picks
+every join from it and stamps each relational physical node with its
+estimate (:attr:`~repro.relational.physical.PhysicalOp.est_rows`);
+:meth:`CardinalityEstimator.estimate_physical` reads those stamps back
+keyed by ``node_id``, which the session joins with the executor's
+recorded actual rows into a :class:`CardinalityReport` — the
+estimated-vs-actual/q-error accounting the ``stats`` benchmark suite
+tracks over time.
 """
 
 from __future__ import annotations
@@ -59,14 +64,7 @@ from ..relational.logical import (
     Project,
     Scan,
 )
-from ..relational.physical import (
-    PAggregate,
-    PFilterProject,
-    PhysicalOp,
-    PJoin,
-    PScan,
-    PSort,
-)
+from ..relational.physical import PAggregate, PhysicalOp, PJoin, PScan, PSort
 from .statistics import Histogram
 
 #: Selectivity assumed for predicates the estimator cannot resolve
@@ -100,6 +98,11 @@ class RelationEstimate:
     #: True only when every involved base table had collected statistics
     #: and every predicate resolved against them.
     backed: bool = True
+
+    @property
+    def num_rows(self) -> int:
+        """The row estimate as an integer (>= 0)."""
+        return int(round(max(self.rows, 0.0)))
 
     @property
     def row_bytes(self) -> float:
@@ -387,78 +390,73 @@ class CardinalityEstimator:
                                 backed=child.backed)
 
     # ------------------------------------------------------------------
-    # Logical plans
+    # Logical plans: the one pass
     # ------------------------------------------------------------------
+    def estimate_nodes(self, plan: LogicalPlan
+                       ) -> dict[int, RelationEstimate]:
+        """Estimate ``plan`` once, bottom-up: every node's output shape.
+
+        The one dispatch over logical node types: each rule is applied
+        exactly once per node and the result recorded under ``id(node)``
+        (logical nodes hold dicts and expressions, so they are not safe
+        dict keys themselves), in post-order.  Everything that needs a
+        row estimate — join choice, auto mode, admission, the cardinality
+        report — reads this record; it is only valid while the caller
+        keeps ``plan`` alive and is never stored across calls.
+        """
+        out: dict[int, RelationEstimate] = {}
+        self._estimate_into(plan, out)
+        return out
+
+    def _estimate_into(self, plan: LogicalPlan,
+                       out: dict[int, RelationEstimate]) -> RelationEstimate:
+        if isinstance(plan, Scan):
+            rel = self.table_estimate(plan.table, plan.columns)
+        elif isinstance(plan, Filter):
+            rel = self._filtered(self._estimate_into(plan.child, out),
+                                 plan.predicate)
+        elif isinstance(plan, Project):
+            rel = self._projected(self._estimate_into(plan.child, out),
+                                  plan.projections)
+        elif isinstance(plan, Join):
+            rel = self._joined(self._estimate_into(plan.left, out),
+                               self._estimate_into(plan.right, out),
+                               plan.left_keys, plan.right_keys)
+        elif isinstance(plan, Aggregate):
+            rel = self._aggregated(self._estimate_into(plan.child, out),
+                                   plan.group_by, plan.aggregates)
+        elif isinstance(plan, OrderBy):
+            rel = self._estimate_into(plan.child, out)
+        else:
+            rel = RelationEstimate(rows=1.0, columns={}, backed=False)
+        out[id(plan)] = rel
+        return rel
+
     def estimate(self, plan: LogicalPlan) -> RelationEstimate:
         """Estimated output shape of a logical plan."""
-        if isinstance(plan, Scan):
-            return self.table_estimate(plan.table, plan.columns)
-        if isinstance(plan, Filter):
-            return self._filtered(self.estimate(plan.child), plan.predicate)
-        if isinstance(plan, Project):
-            return self._projected(self.estimate(plan.child),
-                                   plan.projections)
-        if isinstance(plan, Join):
-            return self._joined(self.estimate(plan.left),
-                                self.estimate(plan.right),
-                                plan.left_keys, plan.right_keys)
-        if isinstance(plan, Aggregate):
-            return self._aggregated(self.estimate(plan.child),
-                                    plan.group_by, plan.aggregates)
-        if isinstance(plan, OrderBy):
-            return self.estimate(plan.child)
-        return RelationEstimate(rows=1.0, columns={}, backed=False)
+        return self.estimate_nodes(plan)[id(plan)]
 
     def estimate_rows(self, plan: LogicalPlan) -> int:
         """Estimated output rows of a logical plan (an integer, >= 0)."""
-        return int(round(max(self.estimate(plan).rows, 0.0)))
+        return self.estimate(plan).num_rows
 
     # ------------------------------------------------------------------
     # Physical plans
     # ------------------------------------------------------------------
     def estimate_physical(self, plan: PhysicalOp
                           ) -> dict[int, OperatorEstimate]:
-        """Per-operator row estimates for a physical plan.
+        """Per-operator row estimates of an optimized physical plan.
 
-        Keys are ``node_id``s; exchange operators (routers, mem-moves,
-        device crossings) forward their child's batch untouched and are
-        deliberately absent from the accounting.
+        Reads the estimates the optimizer stamped on the relational nodes
+        while lowering (:attr:`PhysicalOp.est_rows`) — nothing is
+        re-estimated.  Keys are ``node_id``s; exchange operators (routers,
+        mem-moves, device crossings) forward their child's batch untouched,
+        carry no stamp and are deliberately absent from the accounting.
         """
-        out: dict[int, OperatorEstimate] = {}
-        self._walk_physical(plan, out)
-        return out
-
-    def _walk_physical(self, node: PhysicalOp,
-                       out: dict[int, OperatorEstimate]) -> RelationEstimate:
-        if isinstance(node, PScan):
-            rel = self.table_estimate(node.table, node.columns)
-            label = f"scan({node.table})"
-        elif isinstance(node, PFilterProject):
-            rel = self._walk_physical(node.child, out)
-            if node.predicate is not None:
-                rel = self._filtered(rel, node.predicate)
-            if node.projections:
-                rel = self._projected(rel, node.projections)
-            label = "filter-project"
-        elif isinstance(node, PJoin):
-            build = self._walk_physical(node.build, out)
-            probe = self._walk_physical(node.probe, out)
-            rel = self._joined(build, probe, node.build_keys,
-                               node.probe_keys)
-            label = f"join[{node.algorithm.value}]"
-        elif isinstance(node, PAggregate):
-            child = self._walk_physical(node.child, out)
-            rel = self._aggregated(child, node.group_by, node.aggregates)
-            label = f"aggregate-{node.phase}"
-        elif isinstance(node, PSort):
-            rel = self._walk_physical(node.child, out)
-            out[node.node_id] = OperatorEstimate(node.node_id, "sort",
-                                                 rel.rows)
-            return rel
-        else:  # exchanges: forward the child estimate, record nothing
-            return self._walk_physical(node.child, out)
-        out[node.node_id] = OperatorEstimate(node.node_id, label, rel.rows)
-        return rel
+        return {node.node_id: OperatorEstimate(node.node_id,
+                                               _operator_label(node),
+                                               node.est_rows)
+                for node in plan.walk() if node.est_rows is not None}
 
     # ------------------------------------------------------------------
     # Working sets (admission control, mode choice)
@@ -467,71 +465,40 @@ class CardinalityEstimator:
         """Estimated memory working set of executing ``plan``.
 
         Scans stream morsel-at-a-time and pin nothing; what occupies
-        memory is the widest estimated intermediate batch plus the hash
-        tables of every join build side (resident while probes stream).
+        memory is the widest estimated intermediate batch (an ``OrderBy``
+        counts for its sorted copy) plus the hash tables of every join's
+        smaller side (resident while probes stream).
         """
-        state = _WorkingSetState()
-        rel = self._walk_working_set(plan, state)
-        total = int(round(state.peak + state.builds))
+        estimates = self.estimate_nodes(plan)
+        peak = builds = largest_build = 0.0
+        for node in plan.walk():
+            if isinstance(node, Scan):
+                continue
+            if isinstance(node, Join):
+                nbytes = HASH_ENTRY_BYTES * min(
+                    max(estimates[id(side)].rows, 0.0)
+                    for side in node.children())
+                builds += nbytes
+                largest_build = max(largest_build, nbytes)
+            rel = estimates[id(node)]
+            peak = max(peak, max(rel.rows, 0.0) * rel.row_bytes)
         return WorkingSetEstimate(
-            total_bytes=max(total, 0),
-            peak_intermediate_bytes=int(round(state.peak)),
-            build_bytes=int(round(state.builds)),
-            largest_build_bytes=int(round(state.largest_build)),
-            backed=rel.backed and state.backed)
-
-    def _walk_working_set(self, plan: LogicalPlan,
-                          state: "_WorkingSetState") -> RelationEstimate:
-        if isinstance(plan, Scan):
-            return self.table_estimate(plan.table, plan.columns)
-        if isinstance(plan, Filter):
-            child = self._walk_working_set(plan.child, state)
-            rel = self._filtered(child, plan.predicate)
-            state.see(rel)
-            return rel
-        if isinstance(plan, Project):
-            child = self._walk_working_set(plan.child, state)
-            rel = self._projected(child, plan.projections)
-            state.see(rel)
-            return rel
-        if isinstance(plan, Join):
-            left = self._walk_working_set(plan.left, state)
-            right = self._walk_working_set(plan.right, state)
-            build_rows = min(max(left.rows, 0.0), max(right.rows, 0.0))
-            state.build(build_rows * HASH_ENTRY_BYTES)
-            rel = self._joined(left, right, plan.left_keys, plan.right_keys)
-            state.see(rel)
-            return rel
-        if isinstance(plan, Aggregate):
-            child = self._walk_working_set(plan.child, state)
-            rel = self._aggregated(child, plan.group_by, plan.aggregates)
-            state.see(rel)
-            return rel
-        if isinstance(plan, OrderBy):
-            rel = self._walk_working_set(plan.child, state)
-            state.see(rel)  # the sorted copy
-            return rel
-        state.backed = False
-        return RelationEstimate(rows=1.0, columns={}, backed=False)
+            total_bytes=max(int(round(peak + builds)), 0),
+            peak_intermediate_bytes=int(round(peak)),
+            build_bytes=int(round(builds)),
+            largest_build_bytes=int(round(largest_build)),
+            backed=estimates[id(plan)].backed)
 
 
-class _WorkingSetState:
-    """Accumulator for :meth:`CardinalityEstimator.working_set`."""
-
-    __slots__ = ("peak", "builds", "largest_build", "backed")
-
-    def __init__(self) -> None:
-        self.peak = 0.0
-        self.builds = 0.0
-        self.largest_build = 0.0
-        self.backed = True
-
-    def see(self, rel: RelationEstimate) -> None:
-        self.peak = max(self.peak, max(rel.rows, 0.0) * rel.row_bytes)
-
-    def build(self, nbytes: float) -> None:
-        self.builds += nbytes
-        self.largest_build = max(self.largest_build, nbytes)
+def _operator_label(node: PhysicalOp) -> str:
+    """Name of a relational physical operator in the cardinality report."""
+    if isinstance(node, PScan):
+        return f"scan({node.table})"
+    if isinstance(node, PJoin):
+        return f"join[{node.algorithm.value}]"
+    if isinstance(node, PAggregate):
+        return f"aggregate-{node.phase}"
+    return "sort" if isinstance(node, PSort) else "filter-project"
 
 
 def _cap_columns(columns: dict[str, ColumnEstimate],

@@ -1,6 +1,5 @@
-"""Columnar storage substrate: columns, tables, catalog, packets, data gen."""
+"""Columnar storage substrate: columns, tables, catalog, morsels, data gen."""
 
-from .block import Block, blocks_from_table, concat_blocks
 from .morsel import (
     DEFAULT_MORSEL_ROWS,
     Morsel,
@@ -48,7 +47,6 @@ from .tpch import (
 __all__ = [
     "BASE_CARDINALITIES",
     "BOOL",
-    "Block",
     "Catalog",
     "Column",
     "DATE",
@@ -69,8 +67,6 @@ __all__ = [
     "TPCHDataset",
     "Table",
     "TableStats",
-    "blocks_from_table",
-    "concat_blocks",
     "concat_columns",
     "date_to_int",
     "dtype_from_name",

@@ -30,8 +30,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .block import Block
-
 #: Default morsel granularity of the engine: 512 Ki rows per morsel.  Large
 #: enough that per-morsel NumPy dispatch and output reassembly stay
 #: negligible against the kernel work, small enough that million-row scans
@@ -93,10 +91,6 @@ class Morsel:
     @property
     def is_last(self) -> bool:
         return self.index == self.count - 1
-
-    def to_block(self, location: str) -> Block:
-        """Wrap the morsel as a routable packet (metadata only, no copy)."""
-        return Block(columns=dict(self.columns), location=location)
 
 
 def iter_morsels(columns: Mapping[str, np.ndarray],

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ExecutorOptions, HAPEEngine, Optimizer
+from repro.engine import ExecutorOptions, HAPEEngine, OptimizerOptions
 from repro.engine.workers import available_cpus
+from repro.errors import CatalogError
 from repro.hardware import DeviceKind, default_server
 from repro.operators import OpCost
 from repro.relational import agg_sum, col, lit, scan
@@ -170,11 +171,30 @@ class TestEngineFacade:
         assert result.mode.value == "hybrid"
 
 
+class TestUnregisteredTables:
+    """A plan over a table nobody registered is the catalog's error —
+    whatever its shape, mode or the optimizer's estimation source."""
+
+    @pytest.mark.parametrize("mode", ["cpu", "gpu", "hybrid", "auto"])
+    @pytest.mark.parametrize("use_statistics", [True, False])
+    def test_scan_and_join_raise_catalog_error(self, tpch_dataset, mode,
+                                               use_statistics):
+        engine = HAPEEngine(default_server(), optimizer_options=
+                            OptimizerOptions(use_statistics=use_statistics))
+        engine.register_dataset(tpch_dataset.tables)
+        lone = scan("nowhere")
+        joined = scan("lineitem", ["l_orderkey"]).join(
+            scan("nowhere"), ["l_orderkey"], ["k"])
+        for plan in (lone, joined, joined.filter(col("k") > lit(1))):
+            with pytest.raises(CatalogError, match="unknown table 'nowhere'"):
+                engine.execute(plan, mode)
+
+
 class TestOptimizerOptions:
     def test_estimate_rows_discounts_filters(self, engine):
-        optimizer: Optimizer = engine.optimizer
-        base = optimizer._estimate_rows(scan("lineitem"))
-        filtered = optimizer._estimate_rows(
+        estimator = engine.optimizer.estimator
+        base = estimator.estimate_rows(scan("lineitem"))
+        filtered = estimator.estimate_rows(
             scan("lineitem").filter(col("l_quantity") < lit(10.0)))
         assert filtered < base
 

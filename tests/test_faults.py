@@ -40,6 +40,7 @@ from repro.relational import agg_count, agg_sum, col, lit, scan
 from repro.server import QueryServer, RetryPolicy
 from repro.server.lifecycle import EVENT_STATUS, TERMINAL
 from repro.storage import Table
+from repro.workloads import build_query
 
 
 def _table_bytes(result_table) -> tuple:
@@ -736,6 +737,25 @@ class TestFaultFreeIdentityAndSafety:
         report = server.run()
         assert ticket.status == "completed"
         assert report.completed == 1
+
+    def test_join_over_unregistered_table_fails_only_its_ticket(
+            self, tpch_dataset):
+        # The optimizer used to die on this join with a bare ValueError,
+        # which is not a per-query failure: the whole epoch aborted and
+        # the other tenant's ticket was reported failed with it.
+        server = QueryServer(default_server())
+        server.register_dataset(tpch_dataset.tables)
+        bad_join = server.submit(
+            "careless", scan("lineitem", ["l_orderkey"]).join(
+                scan("nowhere"), ["l_orderkey"], ["k"]), "hybrid")
+        bad_scan = server.submit("careless", scan("nowhere"), "auto")
+        good = server.submit(
+            "careful", build_query("Q6", tpch_dataset).plan, "hybrid")
+        report = server.run()
+        assert bad_join.status == bad_scan.status == "failed"
+        assert "unknown table 'nowhere'" in bad_join.error
+        assert good.status == "completed"
+        assert (report.completed, report.failed) == (1, 2)
 
     def test_fault_taxonomy_hierarchy(self):
         assert issubclass(FaultError, ReproError)

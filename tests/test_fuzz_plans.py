@@ -311,6 +311,19 @@ def _assert_cell_exact(result, reference, context: str) -> None:
                     "part of the contract)")
 
 
+def _assert_stamped(physical, estimated_rows: float, context: str) -> None:
+    """Every relational node carries the optimizer's estimate (exchanges
+    carry none), and the topmost one carries the logical plan's own."""
+    relational = []
+    for node in physical.walk():
+        assert (node.est_rows is None) == node.is_exchange(), (
+            f"{context}: {node.describe()} has est_rows={node.est_rows!r}")
+        if not node.is_exchange():
+            relational.append(node)
+    assert relational[-1].est_rows == estimated_rows, (
+        f"{context}: the plan's estimate is not the top operator's stamp")
+
+
 class TestZeroRowEdges:
     """Regression pins for the zero-row edges the fuzzer exposed.
 
@@ -428,6 +441,7 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
             engine.register_table(table)
         stats_off.register_table(table)
     reference = execute_logical(case.plan, first.catalog)
+    estimated_rows = first.optimizer.estimator.estimate(case.plan).rows
     context_base = (f"seed={seed} (aggressive={aggressive})\n"
                     f"plan:\n{case.plan.pretty()}")
     baseline_simulated: dict[str, float] = {}
@@ -438,6 +452,7 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
                 context = (f"{context_base}\nmode={mode} fusion={fusion} "
                            f"morsel_rows={morsel_rows} workers={workers}")
                 _assert_cell_exact(result.table, reference, context)
+                _assert_stamped(result.physical_plan, estimated_rows, context)
                 # Simulated seconds must agree across the whole grid too.
                 simulated = baseline_simulated.setdefault(
                     mode, result.simulated_seconds)

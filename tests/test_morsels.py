@@ -26,7 +26,6 @@ from repro.hardware import default_server
 from repro.operators import (
     AggregateMorselSink,
     HashJoinBuild,
-    Router,
     cpu_radix_join_kernel,
     filter_project_kernel,
     gpu_partitioned_join_kernel,
@@ -34,7 +33,6 @@ from repro.operators import (
     hash_join_kernel,
     kernel_counts,
     reset_kernel_counts,
-    route_morsels,
 )
 from repro.relational import (
     PFilterProject,
@@ -127,17 +125,6 @@ class TestMorselPrimitives:
         finished = sink.finish()
         _assert_columns_identical(finished, columns)
         assert finished["k"] is not columns["k"]
-
-    def test_route_morsels_streams_and_accounts(self, topology):
-        columns = _random_columns(1024)
-        router = Router(topology.cpus() + topology.gpus())
-        routed = list(route_morsels(router, iter_morsels(columns, 128),
-                                    location="cpu0"))
-        assert len(routed) == 8
-        total_bytes = sum(morsel.nbytes for _, morsel in routed)
-        assert sum(router.assignments().values()) == total_bytes
-        # Every consumer device received at least one morsel (load-aware).
-        assert len({device.name for device, _ in routed}) > 1
 
 
 # ----------------------------------------------------------------------

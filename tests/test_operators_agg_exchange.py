@@ -1,23 +1,12 @@
-"""Tests for aggregation, filter/project and the HetExchange operators."""
+"""Tests for aggregation and filter/project."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
-from repro.operators import (
-    Router,
-    apply_filter_project,
-    broadcast,
-    device_crossing_cost,
-    hash_aggregate,
-    mem_move,
-    merge_partials,
-    zip_partitions,
-)
-from repro.relational import RoutingPolicy, agg_avg, agg_count, agg_sum, col, lit
-from repro.storage import Block
+from repro.operators import apply_filter_project, hash_aggregate, merge_partials
+from repro.relational import agg_avg, agg_count, agg_sum, col, lit
 
 
 @pytest.fixture
@@ -100,90 +89,3 @@ class TestAggregation:
         result = hash_aggregate({}, cpu, group_by=[],
                                 aggregates=[agg_count("n")])
         assert result.num_rows in (0, 1)
-
-
-class TestRouter:
-    def test_load_aware_balances_by_throughput(self, topology):
-        cpu, gpu = topology.device("cpu0"), topology.device("gpu0")
-        router = Router([cpu, gpu], RoutingPolicy.LOAD_AWARE)
-        for _ in range(100):
-            block = Block({"x": np.zeros(1000, dtype=np.int64)}, location="cpu0")
-            router.route(block)
-        assignments = router.assignments()
-        # The GPU has higher memory bandwidth, so it gets more packets.
-        assert assignments[gpu.name] > assignments[cpu.name]
-
-    def test_round_robin_policy(self, topology):
-        devices = list(topology.cpus())
-        router = Router(devices, RoutingPolicy.ROUND_ROBIN)
-        block = Block({"x": np.zeros(8)}, location="cpu0")
-        picks = [router.route(block).name for _ in range(4)]
-        assert picks == ["cpu0", "cpu1", "cpu0", "cpu1"]
-
-    def test_hash_policy_requires_partition_metadata(self, topology):
-        router = Router(list(topology.gpus()), RoutingPolicy.HASH)
-        tagged = Block({"x": np.zeros(4)}, location="cpu0", partition=3)
-        assert router.route(tagged).name == "gpu1"
-        untagged = Block({"x": np.zeros(4)}, location="cpu0")
-        with pytest.raises(ExecutionError):
-            router.route(untagged)
-
-    def test_locality_aware_prefers_local(self, topology):
-        devices = [topology.device("cpu0"), topology.device("cpu1")]
-        router = Router(devices, RoutingPolicy.LOCALITY_AWARE)
-        block = Block({"x": np.zeros(4)}, location="cpu1")
-        assert router.route(block).name == "cpu1"
-
-    def test_empty_consumer_list_rejected(self):
-        with pytest.raises(ExecutionError):
-            Router([], RoutingPolicy.LOAD_AWARE)
-
-
-class TestDataMovement:
-    def test_mem_move_charges_link(self, topology):
-        block = Block({"x": np.zeros(1_000_000, dtype=np.int64)},
-                      location="cpu0")
-        moved, ready = mem_move(block, topology, "gpu0")
-        assert moved.location == "gpu0"
-        assert ready > 0
-        assert topology.link("pcie0").bytes_moved == block.nbytes
-
-    def test_mem_move_to_same_location_is_free(self, topology):
-        block = Block({"x": np.zeros(10)}, location="cpu0")
-        moved, ready = mem_move(block, topology, "cpu0", earliest=1.5)
-        assert ready == 1.5
-        assert moved is block
-
-    def test_mem_move_respects_gpu_capacity(self, topology):
-        gpu = topology.device("gpu0")
-        gpu.allocate(gpu.memory.free_bytes - 10)
-        block = Block({"x": np.zeros(1000, dtype=np.int64)}, location="cpu0")
-        with pytest.raises(ExecutionError):
-            mem_move(block, topology, "gpu0")
-
-    def test_broadcast_shares_common_links(self, topology):
-        block = Block({"x": np.zeros(1_000_000, dtype=np.int64)},
-                      location="cpu0")
-        copies, ready = broadcast(block, topology, ["gpu0", "gpu1"])
-        assert set(copies) == {"gpu0", "gpu1"}
-        assert ready > 0
-        # The QPI hop towards gpu1's socket is paid exactly once.
-        assert topology.link("qpi01").bytes_moved == block.nbytes
-
-    def test_device_crossing_cost(self, topology):
-        gpu_cost = device_crossing_cost(topology.device("gpu0"))
-        cpu_cost = device_crossing_cost(topology.device("cpu0"))
-        assert gpu_cost.seconds > cpu_cost.seconds
-
-    def test_zip_partitions_validates_alignment(self):
-        left = [Block({"x": np.zeros(2)}, location="cpu0", partition=i)
-                for i in range(3)]
-        right = [Block({"x": np.zeros(2)}, location="cpu0", partition=i)
-                 for i in range(3)]
-        assert len(zip_partitions(left, right)) == 3
-        with pytest.raises(ExecutionError):
-            zip_partitions(left, right[:2])
-        misaligned = [Block({"x": np.zeros(2)}, location="cpu0", partition=9)
-                      for _ in range(3)]
-        with pytest.raises(ExecutionError):
-            zip_partitions(left, misaligned)

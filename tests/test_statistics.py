@@ -22,6 +22,8 @@ Covers the contracts of ``docs/STATISTICS.md``:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from repro.engine.optimizer import OptimizerOptions
 from repro.errors import CatalogError, OptimizerError, OutOfDeviceMemoryError
 from repro.hardware import default_server, gtx_1080
 from repro.relational import agg_count, agg_sum, col, lit, scan
+from repro.relational.logical import Aggregate, OrderBy
+from repro.relational.physical import PAggregate, structural_key
 from repro.stats import (
     CONJUNCTION_FLOOR,
     CardinalityEstimator,
@@ -403,6 +407,174 @@ class TestBackedRefusal:
                       ["o_orderkey"], ["l_orderkey"]))
         with pytest.raises(OptimizerError, match="exceeds GPU memory"):
             engine.plan(plan, "gpu")
+
+
+# ----------------------------------------------------------------------
+# Estimate once: one pass per plan, stamped onto the physical plan
+# ----------------------------------------------------------------------
+#: The five estimation rules; every one applies at a distinct kind of
+#: logical node (``OrderBy`` passes its child's estimate through).
+RULES = ("table_estimate", "_filtered", "_projected", "_joined",
+         "_aggregated")
+
+# Recorded at the parent commit (three walks, re-estimation per join side)
+# on the suite's SF 0.005 dataset: the one pass must reproduce them bit
+# for bit.
+Q5_HYBRID_ESTIMATES = [
+    ("scan(region)", "0x1.4000000000000p+2"),
+    ("filter-project", "0x1.0000000000000p+0"),
+    ("scan(nation)", "0x1.9000000000000p+4"),
+    ("join[non-partitioned]", "0x1.4000000000000p+2"),
+    ("scan(supplier)", "0x1.9000000000000p+5"),
+    ("join[non-partitioned]", "0x1.7cf3cf3cf3cf4p+3"),
+    ("scan(customer)", "0x1.7700000000000p+9"),
+    ("scan(orders)", "0x1.d4c0000000000p+12"),
+    ("filter-project", "0x1.2d5088510e3abp+11"),
+    ("join[non-partitioned]", "0x1.2d5088510e3abp+11"),
+    ("scan(lineitem)", "0x1.d4d8000000000p+14"),
+    ("join[non-partitioned]", "0x1.3310d7fc7e1edp+13"),
+    ("join[non-partitioned]", "0x1.7653ec7a815dap+6"),
+    ("filter-project", "0x1.7653ec7a815dap+6"),
+    ("aggregate-partial", "0x1.4000000000000p+2"),
+    ("aggregate-final", "0x1.4000000000000p+2"),
+    ("sort", "0x1.4000000000000p+2"),
+]
+Q9_HYBRID_ESTIMATES = [
+    ("scan(nation)", "0x1.9000000000000p+4"),
+    ("scan(supplier)", "0x1.9000000000000p+5"),
+    ("join[non-partitioned]", "0x1.9000000000000p+5"),
+    ("scan(orders)", "0x1.d4c0000000000p+12"),
+    ("scan(partsupp)", "0x1.f400000000000p+11"),
+    ("scan(lineitem)", "0x1.d4d8000000000p+14"),
+    ("join[non-partitioned]", "0x1.d4d8000000000p+14"),
+    ("join[non-partitioned]", "0x1.d4d8000000000p+14"),
+    ("join[non-partitioned]", "0x1.d4d8000000000p+14"),
+    ("filter-project", "0x1.d4d8000000000p+14"),
+    ("aggregate-partial", "0x1.d4d8000000000p+14"),
+    ("aggregate-final", "0x1.d4d8000000000p+14"),
+    ("sort", "0x1.d4d8000000000p+14"),
+]
+#: (total, peak intermediate, build, largest build) bytes, backed.
+WORKING_SETS = {
+    "Q1": (1440288, 1440288, 0, 0, True),
+    "Q5": (483203, 432349, 50855, 38568, True),
+    "Q6": (55469, 55469, 0, 0, True),
+    "Q9": (2465656, 2280456, 185200, 120000, True),
+}
+#: Build side = logical right: filtered orders under filtered lineitem.
+SWAPPED_JOIN_ESTIMATES = [
+    ("scan(orders)", "0x1.d4c0000000000p+12"),
+    ("filter-project", "0x1.a132292f40cbfp+11"),
+    ("scan(lineitem)", "0x1.d4d8000000000p+14"),
+    ("filter-project", "0x1.4da00a07f0f41p+12"),
+    ("join[non-partitioned]", "0x1.a132292f40cbfp+11"),
+]
+SWAPPED_JOIN_WORKING_SET = (120152, 66751, 53401, 53401, True)
+
+
+def _swapped_join():
+    return (scan("lineitem", ["l_orderkey", "l_quantity"])
+            .filter(col("l_quantity") < lit(10.0))
+            .join(scan("orders", ["o_orderkey", "o_orderdate"])
+                  .filter(col("o_orderdate") >= lit(19950601)),
+                  ["l_orderkey"], ["o_orderkey"]))
+
+
+def _estimated(result) -> list[tuple[str, str]]:
+    return [(op.label, float(op.estimated_rows).hex())
+            for op in result.cardinality.operators]
+
+
+def _rule_bearing_nodes(plan) -> int:
+    return sum(1 for node in plan.walk() if not isinstance(node, OrderBy))
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Every application of an estimation rule while the test runs."""
+    calls: list[str] = []
+    for name in RULES:
+        def counted(self, *args, _rule=getattr(CardinalityEstimator, name),
+                    _name=name, **kwargs):
+            calls.append(_name)
+            return _rule(self, *args, **kwargs)
+        monkeypatch.setattr(CardinalityEstimator, name, counted)
+    return calls
+
+
+class TestEstimateOnce:
+    @pytest.mark.parametrize("mode", ["cpu", "hybrid", "gpu"])
+    @pytest.mark.parametrize("name, nodes", [("Q1", 4), ("Q5", 15),
+                                             ("Q6", 4), ("Q9", 11)])
+    def test_execute_applies_each_rule_once_per_node(
+            self, engine, tpch_dataset, rule_calls, name, nodes, mode):
+        plan = all_queries(tpch_dataset)[name].plan
+        assert _rule_bearing_nodes(plan) == nodes
+        engine.execute(plan, mode)
+        assert len(rule_calls) == nodes, sorted(rule_calls)
+
+    def test_served_ticket_estimates_at_submit_and_at_execute(
+            self, tpch_dataset, rule_calls):
+        from repro.server import QueryServer
+        server = QueryServer(default_server())
+        server.register_dataset(tpch_dataset.tables)
+        plan = all_queries(tpch_dataset)["Q5"].plan
+        ticket = server.submit("t", plan, "hybrid")
+        assert len(rule_calls) == 15            # admission's working set
+        server.run()
+        assert ticket.status == "completed"
+        assert len(rule_calls) == 30            # + the optimizer's pass
+
+    def test_estimates_match_the_three_walk_estimator(self, engine,
+                                                      tpch_dataset):
+        queries = all_queries(tpch_dataset)
+        assert _estimated(engine.execute(queries["Q5"].plan, "hybrid")) \
+            == Q5_HYBRID_ESTIMATES
+        assert _estimated(engine.execute(queries["Q9"].plan, "hybrid")) \
+            == Q9_HYBRID_ESTIMATES
+        estimator = engine.optimizer.estimator
+        for name, expected in WORKING_SETS.items():
+            assert dataclasses.astuple(
+                estimator.working_set(queries[name].plan)) == expected, name
+
+    def test_swapped_join_keeps_the_logical_estimate(self, engine):
+        plan = _swapped_join()
+        result = engine.execute(plan, "hybrid")
+        assert result.physical_plan.swapped
+        assert _estimated(result) == SWAPPED_JOIN_ESTIMATES
+        assert dataclasses.astuple(engine.optimizer.estimator.working_set(
+            plan)) == SWAPPED_JOIN_WORKING_SET
+
+    def test_reads_agree_with_the_pass(self, engine, tpch_dataset):
+        estimator = engine.optimizer.estimator
+        plan = all_queries(tpch_dataset)["Q5"].plan
+        nodes = estimator.estimate_nodes(plan)
+        # Keyed by identity, one entry per node, recorded bottom-up.
+        assert list(nodes) == [id(node) for node in plan.walk()]
+        assert estimator.estimate(plan) == nodes[id(plan)]
+        assert estimator.estimate_rows(plan) == nodes[id(plan)].num_rows
+        for node in plan.walk():
+            assert estimator.estimate(node) == nodes[id(node)]
+
+    def test_stamps_are_not_part_of_the_structural_key(self, engine,
+                                                       tpch_dataset):
+        plan = all_queries(tpch_dataset)["Q5"].plan
+        stamped = engine.plan(plan, "hybrid")
+        bare = engine.plan(plan, "hybrid")
+        for node in bare.walk():
+            node.est_rows = None
+        assert structural_key(stamped) == structural_key(bare)
+
+    def test_both_aggregate_phases_carry_the_logical_estimate(
+            self, engine, tpch_dataset):
+        plan = all_queries(tpch_dataset)["Q1"].plan
+        aggregate = next(node for node in plan.walk()
+                         if isinstance(node, Aggregate))
+        expected = engine.optimizer.estimator.estimate(aggregate).rows
+        phases = {node.phase: node.est_rows
+                  for node in engine.plan(plan, "hybrid").walk()
+                  if isinstance(node, PAggregate)}
+        assert phases == {"partial": expected, "final": expected}
 
 
 # ----------------------------------------------------------------------

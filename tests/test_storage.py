@@ -8,12 +8,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import CatalogError, SchemaError
 from repro.storage import (
-    Block,
     Catalog,
     Column,
     Table,
-    blocks_from_table,
-    concat_blocks,
     date_to_int,
     int_to_date,
     make_join_pair,
@@ -119,31 +116,6 @@ class TestCatalog:
         catalog.register(Table.from_arrays("t", {"a": np.arange(3)}))
         catalog.drop("t")
         assert "t" not in catalog
-
-
-class TestBlocks:
-    def test_blocks_from_table_cover_all_rows(self):
-        table = Table.from_arrays("t", {"a": np.arange(10)})
-        blocks = list(blocks_from_table(table, 3))
-        assert [block.num_rows for block in blocks] == [3, 3, 3, 1]
-        merged = concat_blocks(blocks)
-        assert merged.array("a").tolist() == list(range(10))
-
-    def test_block_metadata(self):
-        block = Block({"a": np.arange(4)}, location="cpu0", partition=7)
-        moved = block.with_location("gpu1")
-        assert moved.location == "gpu1"
-        assert moved.partition == 7
-        assert block.location == "cpu0"
-
-    def test_invalid_blocks(self):
-        with pytest.raises(SchemaError):
-            Block({}, location="cpu0")
-        with pytest.raises(SchemaError):
-            Block({"a": np.arange(3), "b": np.arange(2)}, location="cpu0")
-        with pytest.raises(ValueError):
-            list(blocks_from_table(
-                Table.from_arrays("t", {"a": np.arange(3)}), 0))
 
 
 class TestDataGenerators:
