@@ -533,7 +533,7 @@ class RadixJoin(Join):
             spec=self.devices[0].spec,
             morsel_rows=self.ex.scheduler.grant(self.build.num_rows,
                                                 batch.num_rows),
-            output_order=join_order(self.node), pool=self.ex.pool)
+            output_order=join_order(self.node))
 
     def charge(self, batch: NodeResult, stats) -> None:
         super().charge(batch, stats, location=self.devices[0].name)

@@ -157,8 +157,8 @@ class ExecutorOptions:
     #: entries, so retuning mid-session can cause cold misses but never
     #: wrong reuse.
     pipeline_fusion: bool = True
-    #: Worker threads driving fused-chain morsel streams and radix
-    #: partition passes (:mod:`repro.engine.workers`): ``1`` = run inline
+    #: Worker threads driving fused-chain morsel streams
+    #: (:mod:`repro.engine.workers`): ``1`` = run inline
     #: (the exact single-threaded path), ``"auto"`` = the machine's CPU
     #: count, ``None`` = the ``REPRO_WORKERS`` environment variable (else
     #: 1).  Resolved to the concrete count when the record is built.  The

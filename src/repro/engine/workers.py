@@ -1,7 +1,7 @@
 """Worker pools: true multicore execution with a determinism contract.
 
 The engine's data-parallel work — morsels streamed through a fused chain,
-radix partition passes, admitted queries of *different* tenants inside
+admitted queries of *different* tenants inside
 :class:`repro.server.server.QueryServer` — is pure NumPy kernels that
 release the GIL, so plain threads scale it across cores.  What must NOT
 scale with it is any *observable* quantity: tables, simulated seconds,
@@ -10,8 +10,8 @@ at every worker count.
 
 The contract that guarantees this (see ``docs/ARCHITECTURE.md``):
 
-* Worker threads run **only pure functional work** (``transform`` a batch,
-  partition a chunk).  Each unit returns its output *plus* an integer
+* Worker threads run **only pure functional work** (``transform`` a
+  batch).  Each unit returns its output *plus* an integer
   contribution record instead of mutating shared stage state.
 * The driving thread submits units in canonical plan/morsel order and
   :meth:`WorkerPool.map_ordered` returns results in **submission order**,
@@ -27,8 +27,8 @@ is set (how CI sweeps worker counts without touching call sites).
 
 Pools are shared process-wide, keyed by ``(tier, thread-count)``:
 
-* ``"kernel"`` tier — leaf work (morsel transforms, partition passes);
-  never submits further pool work.
+* ``"kernel"`` tier — leaf work (morsel transforms); never submits
+  further pool work.
 * ``"server"`` tier — per-tenant query execution inside ``QueryServer``;
   may *wait* on kernel-tier work but never on server-tier work.
 

@@ -38,7 +38,12 @@ record, priced by ``estimate_cpu_radix_join`` or
 same contract — ``coprocessed_join_kernel`` returns a
 ``CoprocessedJoinStats`` record — but spans several devices, so its
 estimate half is ``charge_coprocessed_join``, which replays the record as
-a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks.
+a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks.  The
+skeleton moves row positions, not payloads — keys folded once, one
+position vector permuted per side and pass, canonical order restored on
+the positions, every payload column gathered once at the end — while the
+stats records keep charging the paper's algorithm from sizes (rows x
+item sizes per pass, per PCIe crossing and per output row).
 
 The classic combined helpers (``apply_filter_project``,
 ``non_partitioned_join``, ``cpu_radix_join``, ``gpu_partitioned_join``,
@@ -121,7 +126,6 @@ from .radix import (
     estimate_radix_partition,
     gpu_partitioned_join_kernel,
     max_fanout,
-    partition_passes_kernel,
     partition_tuple_bytes,
     partitioned_join_kernel,
     plan_partition_passes,
@@ -181,7 +185,6 @@ __all__ = [
     "merge_partials",
     "merge_partials_kernel",
     "non_partitioned_join",
-    "partition_passes_kernel",
     "partition_tuple_bytes",
     "partitioned_join_kernel",
     "plan_coprocessing",

@@ -38,9 +38,11 @@ The contract has three invariants the executor (and the tests) rely on:
    :class:`~repro.storage.morsel.MorselSink` before emitting.  Either way
    the output columns and the stats are bit-identical to whole-column
    evaluation — only the peak working set and the wall-clock schedule
-   change.  (Helper kernels that already operate on bounded inputs —
-   ``merge_partials_kernel`` over per-device partials, the single-pass
-   ``radix_partition_kernel`` — take no such argument.)
+   change.  (``merge_partials_kernel`` already operates on bounded
+   inputs, the per-device partials, and takes no such argument; neither
+   does the single-pass ``radix_partition_kernel``, which the executor
+   never drives — the partitioned joins partition row positions, through
+   :func:`~repro.operators.radix.partition_positions`.)
 
 The classic combined functions (``apply_filter_project``,
 ``non_partitioned_join``, ...) remain as thin wrappers that call the kernel
@@ -67,17 +69,18 @@ ArrayMap = dict[str, np.ndarray]
 
 #: Number of functional-kernel invocations per kernel name since the last
 #: :func:`reset_kernel_counts` call.  Cost estimators never show up here.
-#: Guarded by a lock: single-pass partition kernels run on worker-pool
-#: threads, and counts are order-independent sums, so locked increments
-#: keep the totals exact at every worker count.
+#: Guarded by a lock: a multi-worker server runs its tenants' queries —
+#: and so their kernels — on several threads at once; counts are
+#: order-independent sums, so locked increments keep the totals exact at
+#: every worker count.
 _KERNEL_COUNTS: dict[str, int] = {}
 _KERNEL_COUNTS_LOCK = threading.Lock()
 
 
-def record_kernel_invocation(name: str) -> None:
-    """Count one functional-kernel execution (for single-evaluation tests)."""
+def record_kernel_invocation(name: str, count: int = 1) -> None:
+    """Count functional-kernel executions (for single-evaluation tests)."""
     with _KERNEL_COUNTS_LOCK:
-        _KERNEL_COUNTS[name] = _KERNEL_COUNTS.get(name, 0) + 1
+        _KERNEL_COUNTS[name] = _KERNEL_COUNTS.get(name, 0) + count
 
 
 def kernel_counts() -> dict[str, int]:
@@ -149,36 +152,9 @@ class OpOutput:
         return int(sum(values.nbytes for values in self.columns.values()))
 
 
-#: Name prefix of the bookkeeping columns the partitioned join kernels
-#: thread through their passes to restore the canonical output row order
-#: (original build/probe positions).  These columns are pure row-order
-#: bookkeeping: they are dropped from every kernel output and excluded from
-#: every byte-based stats quantity, so threading them through a kernel can
-#: never change a simulated cost.
-ORDER_COLUMN_PREFIX = "__ord"
-
-
-def is_order_column(name: str) -> bool:
-    """True for the row-order bookkeeping columns of the join kernels."""
-    return name.startswith(ORDER_COLUMN_PREFIX)
-
-
 def columns_nbytes(columns: Mapping[str, np.ndarray]) -> int:
     """Total payload bytes of a column map."""
     return int(sum(np.asarray(values).nbytes for values in columns.values()))
-
-
-def payload_nbytes(columns: Mapping[str, np.ndarray]) -> int:
-    """Payload bytes excluding row-order bookkeeping columns.
-
-    Stats records must charge exactly the data a real execution would touch;
-    the ``__ord*`` position columns exist only to restore the canonical
-    output order, so every byte-derived stats quantity uses this instead of
-    :func:`columns_nbytes` wherever such columns may be present.
-    """
-    return int(sum(np.asarray(values).nbytes
-                   for name, values in columns.items()
-                   if not is_order_column(name)))
 
 
 def columns_num_rows(columns: Mapping[str, np.ndarray]) -> int:

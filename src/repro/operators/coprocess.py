@@ -20,7 +20,9 @@ PCIe bus nearly doubles throughput (Figure 7's 1.7x).
 In code this is the partitioned-join skeleton
 (:func:`repro.operators.radix.partitioned_join`) tuned a third way: one
 pass at the fan-out :func:`plan_coprocessing` picks, and every
-co-partition joined by the in-GPU partitioned join.  It follows the
+co-partition joined by the in-GPU partitioned join — the skeleton again,
+on the co-partition's key slices, so no payload moves until the outer
+join gathers it once.  It follows the
 single-evaluation contract like every other operator —
 :func:`coprocessed_join_kernel` evaluates once and returns a
 :class:`CoprocessedJoinStats` record — except that its cost is a timeline
@@ -45,18 +47,17 @@ from .base import (
     OpCost,
     OpOutput,
     columns_num_rows,
-    payload_nbytes,
     record_kernel_invocation,
 )
 from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
 from .hashjoin import HASH_ENTRY_BYTES, composite_key
 from .radix import (
+    JoinSides,
     PartitionedJoinStats,
     PartitionRunStats,
     estimate_partition_run,
     partition_tuple_bytes,
     partitioned_join,
-    partitioned_join_kernel,
     radix_buckets,
 )
 
@@ -109,31 +110,36 @@ def coprocessed_join_kernel(
 
     ``gpu_specs`` supply tuning only: the smallest memory sets the CPU-side
     fan-out, and co-partition ``i`` is joined with the scratchpad tuning of
-    spec ``i mod n``.  The order-bookkeeping columns ``output_order``
-    requires are excluded from every byte count, so the record is
-    identical for every setting.
+    spec ``i mod n`` — the same position-level skeleton again, its passes
+    bucketing on the key digits above the CPU pass's.  Every byte count is
+    rows x item sizes, so the record is identical for every
+    ``output_order``.
     """
     record_kernel_invocation("coprocessed_radix_join")
-    build_rows, probe_rows = columns_num_rows(build), columns_num_rows(probe)
+    sides = JoinSides(build, probe, build_keys=build_keys,
+                      probe_keys=probe_keys, output_order=output_order)
+    build_rows, probe_rows = len(sides.build_keys), len(sides.probe_keys)
     fanout = _coprocessing_fanout(build_rows, probe_rows, gpu_specs)
     copartitions: list[tuple[int, PartitionedJoinStats]] = []
 
-    def join_on_gpu(build_part: ArrayMap, probe_part: ArrayMap) -> ArrayMap:
-        spec = gpu_specs[len(copartitions) % len(gpu_specs)]
-        columns, stats = partitioned_join_kernel(
-            build_part, probe_part, build_keys=["__key"],
-            probe_keys=["__key"], spec=spec, output_order=None)
-        copartitions.append((payload_nbytes(build_part)
-                             + payload_nbytes(probe_part), stats))
-        return columns
+    def join_on_gpu(build_part: np.ndarray, probe_part: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        build_idx, probe_idx, stats = sides.join_on(
+            gpu_specs[len(copartitions) % len(gpu_specs)],
+            build_part, probe_part, stride=fanout)
+        copartitions.append((len(build_part) * sides.build_tuple_bytes
+                             + len(probe_part) * sides.probe_tuple_bytes,
+                             stats))
+        return build_idx, probe_idx
 
-    columns, build_run, probe_run = partitioned_join(
-        build, probe, build_keys=build_keys, probe_keys=probe_keys,
-        fanouts=(fanout,), join_copartition=join_on_gpu,
-        output_order=output_order)
-    return columns, CoprocessedJoinStats(
-        build_rows=build_rows, probe_rows=probe_rows, build_run=build_run,
-        probe_run=probe_run, copartitions=tuple(copartitions))
+    build_idx, probe_idx, build_calls, probe_calls = partitioned_join(
+        sides.build_keys, sides.probe_keys, fanouts=(fanout,),
+        match=join_on_gpu)
+    return sides.gather(build_idx, probe_idx), CoprocessedJoinStats(
+        build_rows=build_rows, probe_rows=probe_rows,
+        build_run=PartitionRunStats(sides.build_tuple_bytes, build_calls),
+        probe_run=PartitionRunStats(sides.probe_tuple_bytes, probe_calls),
+        copartitions=tuple(copartitions))
 
 
 def copartition_nbytes(build: Mapping[str, np.ndarray],

@@ -140,8 +140,8 @@ def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
                          device: Device) -> None:
     """Raise before any join work when the inputs cannot fit in GPU memory.
 
-    The budget covers both inputs, their folded ``__key`` columns (8 bytes
-    per row and side) and a 2.5x allowance for partitions and hash tables.
+    The budget covers both inputs, their folded join keys (8 bytes per
+    row and side) and a 2.5x allowance for partitions and hash tables.
     """
     input_bytes = int(
         sum(np.asarray(v).nbytes for v in build.values())

@@ -18,9 +18,20 @@ data path of the CPU radix join, the in-GPU partitioned join and the
 co-processed join of :mod:`repro.operators.coprocess` alike — they differ
 in the fan-outs they hand it and in where a co-partition is joined.
 
+The skeleton works on **positions, not payloads** (late materialisation):
+the join keys are folded once and kept apart from the payload, a
+partitioning pass permutes one position vector per side
+(:func:`partition_positions`, the one bucket-ordering implementation),
+co-partitions are matched on key slices, the canonical output order is
+restored on the two position vectors, and every payload column is
+gathered exactly once, at the end (:class:`JoinSides`).  The cost model
+keeps charging the paper's algorithm — every pass moves every payload
+byte — because charges come from sizes (rows x item sizes, held by
+:class:`JoinSides`), not from the arrays the kernel happens to build.
+
 Following the single-evaluation operator contract (see
-:mod:`repro.operators`), the functional partitioning lives in
-:func:`radix_partition_kernel` — one stable argsort plus one gather per
+:mod:`repro.operators`), the functional partitioning of a column map lives
+in :func:`radix_partition_kernel` — one position pass plus one gather per
 column, with the ``fanout`` buckets sliced out as zero-copy views — while
 :func:`estimate_radix_partition` / :func:`estimate_partition_run` replay the
 exact per-pass cost arithmetic from a :class:`PartitionRunStats` record.
@@ -28,6 +39,7 @@ exact per-pass cost arithmetic from a :class:`PartitionRunStats` record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -37,13 +49,10 @@ from ..hardware.device import Device
 from ..hardware.specs import DeviceKind, DeviceSpec
 from ..storage.morsel import MorselSink, iter_morsels
 from .base import (
-    ORDER_COLUMN_PREFIX,
     ArrayMap,
     OpCost,
     OpOutput,
     columns_num_rows,
-    is_order_column,
-    payload_nbytes,
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
@@ -160,64 +169,93 @@ def plan_partition_passes(input_tuples: int, tuple_bytes: int,
 class PartitionRunStats:
     """Shape of an executed sequence of partitioning passes.
 
-    ``calls`` records one ``(num_rows, fanout)`` entry per
-    :func:`radix_partition_kernel` invocation, in execution order, so that
-    :func:`estimate_partition_run` can replay the exact cost arithmetic of
-    the run on any device without touching the data again.
+    ``calls`` records one ``(num_rows, fanout)`` entry per chunk a pass
+    partitioned, in execution order (pass by pass, chunks in partition
+    order), so that :func:`estimate_partition_run` can replay the exact
+    cost arithmetic of the run on any device without touching the data
+    again.
     """
 
     tuple_bytes: int
     calls: tuple[tuple[int, int], ...]
 
 
-def radix_buckets(keys: np.ndarray, fanout: int) -> np.ndarray:
-    """The bucket (``0 .. fanout - 1``) every key falls into."""
+def radix_buckets(keys: np.ndarray, fanout: int,
+                  stride: int = 1) -> np.ndarray:
+    """The bucket (``0 .. fanout - 1``) every key falls into.
+
+    The digit ``(key // stride) % fanout``: a pass that follows others
+    takes the product of their fan-outs as its ``stride``, so it splits on
+    a digit the earlier ones left untouched.
+    """
     keys = np.asarray(keys, dtype=np.int64)
-    return (keys % fanout + fanout) % fanout
+    if stride != 1:
+        keys = keys // stride
+    return keys % fanout
+
+
+def partition_positions(
+        keys: np.ndarray, fanouts: Sequence[int], *, stride: int = 1,
+) -> tuple[np.ndarray, list[int], tuple[tuple[int, int], ...]]:
+    """One partitioning pass per fan-out, applied to row *positions*.
+
+    Returns ``(order, bounds, calls)``: ``order`` lists the positions of
+    ``keys`` partition by partition, every partition in input order (each
+    pass is stable); final partition ``i`` is
+    ``order[bounds[i]:bounds[i + 1]]``; ``calls`` is the
+    :class:`PartitionRunStats` record of the passes.  Pass ``i`` buckets on
+    digit ``i`` of the key (:func:`radix_buckets` with the fan-outs already
+    applied as stride) inside every chunk pass ``i - 1`` produced, so the
+    whole sequence is one stable sort of a composite id whose most
+    significant digit is the first pass's — ids of at most 16 bits, where
+    NumPy's stable sort is an O(n) radix sort, unless the total fan-out
+    needs more.
+    """
+    total = math.prod(fanouts)
+    ids = radix_buckets(keys, total, stride)
+    if len(fanouts) > 1:
+        # Chunks nest, so the digit the first pass buckets on — the key's
+        # least significant — is the partition id's most significant.
+        rest, ids = ids, 0
+        for fanout in fanouts:
+            ids = ids * fanout + rest % fanout
+            rest //= fanout
+    counts = np.bincount(ids, minlength=total)
+    if total <= 1 << 16:   # a larger fan-out keeps the int64 ids
+        ids = ids.astype(np.uint16)
+    order = np.argsort(ids, kind="stable")
+    bounds = [0, *np.cumsum(counts).tolist()]
+    calls, chunks = [], 1
+    for fanout in fanouts:
+        calls.extend((rows, fanout) for rows in
+                     counts.reshape(chunks, -1).sum(axis=1).tolist())
+        chunks *= fanout
+    record_kernel_invocation("radix_partition", len(calls))
+    return order, bounds, tuple(calls)
 
 
 def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
                            key: str, fanout: int) -> list[ArrayMap]:
     """Partition one column map into ``fanout`` buckets by key radix.
 
-    One stable argsort of the bucket ids plus a single gather per column;
-    the buckets are then sliced out of the gathered arrays as zero-copy
-    views (the store-consolidation analogue of Figure 4: every input tuple
-    is moved exactly once).
+    One position pass (:func:`partition_positions`) plus a single gather
+    per column; the buckets are then sliced out of the gathered arrays as
+    zero-copy views (the store-consolidation analogue of Figure 4: every
+    input tuple is moved exactly once).
     """
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
-    record_kernel_invocation("radix_partition")
     columns = {name: np.asarray(values) for name, values in columns.items()}
-    num_rows = columns_num_rows(columns)
-    if num_rows == 0:
-        return [dict(columns) for _ in range(fanout)]
-    if key not in columns:
-        raise KeyError(key)
-    if fanout == 1:
-        return [dict(columns)]
-    bucket = radix_buckets(columns[key], fanout)
-    order = np.argsort(bucket, kind="stable")
-    boundaries = np.searchsorted(bucket[order], np.arange(fanout + 1))
+    order, bounds, _ = partition_positions(columns[key], (fanout,))
     gathered = {name: values[order] for name, values in columns.items()}
-    return [
-        {name: values[boundaries[index]:boundaries[index + 1]]
-         for name, values in gathered.items()}
-        for index in range(fanout)
-    ]
+    return [{name: values[low:high] for name, values in gathered.items()}
+            for low, high in zip(bounds, bounds[1:])]
 
 
 def partition_tuple_bytes(columns: Mapping[str, np.ndarray]) -> int:
-    """Bytes one tuple of a column map occupies during a partition pass.
-
-    Row-order bookkeeping columns (``__ord*``) are excluded: they only
-    exist to restore the canonical join output order and must never change
-    a stats record (simulated costs derive from stats alone).
-    """
-    return max(
-        int(sum(np.asarray(values).dtype.itemsize
-                for name, values in columns.items()
-                if not is_order_column(name))), 1)
+    """Bytes one tuple of a column map occupies during a partition pass."""
+    return max(int(sum(np.asarray(values).dtype.itemsize
+                       for values in columns.values())), 1)
 
 
 def estimate_radix_partition(num_rows: int, tuple_bytes: int, fanout: int,
@@ -261,144 +299,83 @@ def radix_partition(columns: Mapping[str, np.ndarray], device: Device, *,
     return partitions, cost
 
 
-def partition_passes_kernel(
-        columns: Mapping[str, np.ndarray], *,
-        key: str, fanouts: Sequence[int], pool=None,
-) -> tuple[list[ArrayMap], PartitionRunStats]:
-    """Apply one partitioning pass per fan-out, recording run stats.
-
-    ``pool`` (a :class:`repro.engine.workers.WorkerPool`-shaped object, or
-    ``None`` for inline execution) parallelizes the independent chunk
-    partitionings *within* one pass.  Determinism contract: chunks are
-    submitted in level order and merged back in submission order, and the
-    ``calls`` record is written on the calling thread in that same order
-    — partitions, stats and therefore replayed costs are bit-identical at
-    every worker count.
-    """
-    tuple_bytes = partition_tuple_bytes(columns)
-    calls: list[tuple[int, int]] = []
-    current = [dict(columns)]
-    for fanout in fanouts:
-        calls.extend((columns_num_rows(chunk), fanout) for chunk in current)
-        if pool is not None and pool.parallel and len(current) > 1:
-            partitioned = pool.map_ordered(
-                lambda chunk: radix_partition_kernel(chunk, key=key,
-                                                     fanout=fanout),
-                current)
-        else:
-            partitioned = [radix_partition_kernel(chunk, key=key,
-                                                  fanout=fanout)
-                           for chunk in current]
-        current = [part for buckets in partitioned for part in buckets]
-    return current, PartitionRunStats(tuple_bytes=tuple_bytes,
-                                      calls=tuple(calls))
-
-
 # ----------------------------------------------------------------------
 # The partitioned join: one skeleton, tuned per device
 # ----------------------------------------------------------------------
-#: Bookkeeping columns threading the original build/probe row positions
-#: through the partition passes, so the bucket-major match output can be
-#: restored to the canonical order.  Excluded from every byte-based stat.
-ORD_BUILD = ORDER_COLUMN_PREFIX + "_build"
-ORD_PROBE = ORDER_COLUMN_PREFIX + "_probe"
-
-
-def restore_canonical_order(columns: ArrayMap, *,
-                            output_order: str) -> ArrayMap:
-    """Sort a partitioned join's output into the canonical row order.
-
-    ``"probe"`` orders by original probe position with ties by build
-    position (the natural order of the non-partitioned join); ``"build"``
-    is build-major.  The bookkeeping columns are dropped from the result.
-    """
-    build_pos = np.asarray(columns[ORD_BUILD])
-    probe_pos = np.asarray(columns[ORD_PROBE])
-    if output_order == "probe":
-        order = np.lexsort((build_pos, probe_pos))
-    else:
-        order = np.lexsort((probe_pos, build_pos))
-    return {name: np.asarray(values)[order]
-            for name, values in columns.items()
-            if not is_order_column(name)}
-
-
-def _payload(part: Mapping[str, np.ndarray]) -> ArrayMap:
-    return {name: values for name, values in part.items() if name != "__key"}
-
-
 def partitioned_join(
-        build: Mapping[str, np.ndarray],
-        probe: Mapping[str, np.ndarray], *,
-        build_keys: Sequence[str],
-        probe_keys: Sequence[str],
-        fanouts: Sequence[int],
-        join_copartition: Callable[[ArrayMap, ArrayMap], ArrayMap | None],
-        output_order: str | None,
-        morsel_rows: int | None = None,
-        pool=None,
-) -> tuple[ArrayMap, PartitionRunStats, PartitionRunStats]:
-    """The device-invariant skeleton of every partitioned join.
+        build_keys: np.ndarray, probe_keys: np.ndarray, *,
+        fanouts: Sequence[int], stride: int = 1,
+        match: Callable[[np.ndarray, np.ndarray],
+                        "tuple[np.ndarray, np.ndarray] | None"],
+) -> tuple[np.ndarray, np.ndarray,
+           tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The device-invariant skeleton of every partitioned join, on positions.
 
-    Fold the join keys into one ``__key`` column, attach the order
-    positions, run one partitioning pass per entry of ``fanouts`` on both
-    sides, hand every co-partition to ``join_copartition`` (``None`` =
-    the pair produced nothing), concatenate the match output and restore
-    the canonical order.  Returns the columns and both sides' pass shapes.
+    Run one partitioning pass per entry of ``fanouts`` over the positions
+    of both folded key vectors, hand the key slices of every co-partition
+    to ``match``, and translate the local match indices back into
+    positions of ``build_keys`` / ``probe_keys``.  Returns the matching
+    ``(build, probe)`` positions in partition-major order and both sides'
+    ``calls`` records.  No payload column is touched: the caller gathers
+    them once, from the positions (:class:`JoinSides`).
+
+    ``match(build_keys, probe_keys)`` joins one co-partition: it is handed
+    the folded keys of one build and one probe partition and returns the
+    matching ``(build, probe)`` index pairs local to those slices —
+    ordered by probe index, the matches of one probe index contiguous and
+    build-ascending, which is what :func:`restore_canonical_order` relies
+    on — or ``None`` when the pair produced nothing.
 
     What a device (or a set of devices) contributes is tuning only: the
-    fan-outs, and where a co-partition is joined.
-
-    The partitioned join breaks the pipeline on *both* sides — multi-pass
-    partitioning needs each input in full.  With ``morsel_rows`` set, both
-    sides are consumed as morsel streams into
-    :class:`~repro.storage.morsel.MorselSink` instances (zero-copy for
-    resident batches) before partitioning, so results and recorded pass
-    shapes are bit-identical for every morsel size.
-
-    ``output_order`` restores the canonical join output order
-    (``"probe"``-major, or ``"build"``-major for joins whose build side is
-    the logical right input) by threading original-position bookkeeping
-    columns through the passes and sorting the match output once at the
-    end; ``None`` leaves the bucket-major implementation order (a join
-    running inside another's co-partition — the outer one canonicalizes).
-    Pass shapes are identical for every setting.
-
-    ``pool`` parallelizes the partition passes (see
-    :func:`partition_passes_kernel`); results are bit-identical at every
-    worker count.
+    fan-outs, and where a co-partition is joined — ``match`` may itself be
+    this function with further fan-outs and the product of the ones
+    already applied as ``stride`` (the co-processed join's in-GPU join).
     """
-    if output_order not in ("probe", "build", None):
-        raise ValueError("output_order must be 'probe', 'build' or None")
-    if morsel_rows is not None:
-        build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
-        probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build["__key"] = composite_key(build, build_keys)
-    probe["__key"] = composite_key(probe, probe_keys)
-    if output_order is not None:
-        build[ORD_BUILD] = np.arange(columns_num_rows(build), dtype=np.int64)
-        probe[ORD_PROBE] = np.arange(columns_num_rows(probe), dtype=np.int64)
+    build_order, build_bounds, build_calls = partition_positions(
+        build_keys, fanouts, stride=stride)
+    probe_order, probe_bounds, probe_calls = partition_positions(
+        probe_keys, fanouts, stride=stride)
+    build_sorted = build_keys[build_order]
+    probe_sorted = probe_keys[probe_order]
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    for part in range(len(build_bounds) - 1):
+        build_low, probe_low = build_bounds[part], probe_bounds[part]
+        pairs = match(build_sorted[build_low:build_bounds[part + 1]],
+                      probe_sorted[probe_low:probe_bounds[part + 1]])
+        if pairs is not None:
+            found.append((pairs[0] + build_low, pairs[1] + probe_low))
+    build_found, probe_found = map(np.concatenate, zip(*found))
+    return (build_order[build_found], probe_order[probe_found],
+            build_calls, probe_calls)
 
-    build_parts, build_run = partition_passes_kernel(
-        build, key="__key", fanouts=fanouts, pool=pool)
-    probe_parts, probe_run = partition_passes_kernel(
-        probe, key="__key", fanouts=fanouts, pool=pool)
 
-    outputs = [output for output in map(join_copartition,
-                                        build_parts, probe_parts)
-               if output is not None]
-    if outputs:
-        columns = {name: np.concatenate([part[name] for part in outputs])
-                   for name in outputs[0]}
-    else:
-        no_rows = np.asarray([], dtype=np.int64)
-        columns = _materialize_join(_payload(build), _payload(probe),
-                                    no_rows, no_rows)
-    if output_order is not None:
-        columns = restore_canonical_order(columns, output_order=output_order)
-    return columns, build_run, probe_run
+def restore_canonical_order(build_idx: np.ndarray, probe_idx: np.ndarray, *,
+                            probe_rows: int, output_order: str,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Permute partition-major match positions into the canonical order.
+
+    ``"probe"`` orders by probe position with ties by build position (the
+    natural order of the non-partitioned join).  It needs no sort: all
+    matches of one probe row sit in one co-partition, contiguous and
+    already build-ascending, so every run is scattered to where a count of
+    the matches per probe row says it starts.  ``"build"`` is build-major:
+    the matches of one build row are probe-ascending wherever they sit, so
+    one stable sort of the build positions orders them.
+    """
+    if output_order == "build":
+        order = np.argsort(build_idx, kind="stable")
+        return build_idx[order], probe_idx[order]
+    counts = np.bincount(probe_idx, minlength=probe_rows)
+    starts_run = np.ones(len(probe_idx), dtype=bool)
+    starts_run[1:] = probe_idx[1:] != probe_idx[:-1]
+    run_first = np.flatnonzero(starts_run)
+    run_rows = probe_idx[run_first]
+    starts = np.cumsum(counts) - counts
+    destination = (np.repeat(starts[run_rows] - run_first, counts[run_rows])
+                   + np.arange(len(probe_idx)))
+    restored = np.empty_like(build_idx)
+    restored[destination] = build_idx
+    return restored, np.repeat(np.arange(probe_rows), counts)
 
 
 @dataclass(frozen=True)
@@ -413,19 +390,99 @@ class PartitionedJoinStats:
     output_nbytes: int
 
 
-def _build_and_probe(build_part: ArrayMap,
-                     probe_part: ArrayMap) -> ArrayMap | None:
+def _build_and_probe(build_keys: np.ndarray, probe_keys: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
     """Hash-join one co-partition in the device's fast memory."""
-    if not (columns_num_rows(build_part) and columns_num_rows(probe_part)):
+    if not (len(build_keys) and len(probe_keys)):
         return None
-    return _materialize_join(
-        _payload(build_part), _payload(probe_part),
-        *join_match_indices(build_part["__key"], probe_part["__key"]))
+    return join_match_indices(build_keys, probe_keys)
 
 
 #: Kernel counter a single-device evaluation bumps, by the tuned device.
 _KERNEL_COUNTER = {DeviceKind.CPU: "cpu_radix_join",
                    DeviceKind.GPU: "gpu_partitioned_join"}
+
+
+class JoinSides:
+    """Both column-map ends of a partitioned join, payload left in place.
+
+    Construction is everything before positions: the join keys of each
+    side are folded once and kept apart from the payload.
+    :meth:`gather` is everything after: canonical order restored on the
+    two position vectors, then every payload column fetched exactly once.
+    In between, :meth:`join_on` runs the skeleton with one device's tuning.
+
+    The partitioned join breaks the pipeline on *both* sides — multi-pass
+    partitioning needs each input in full.  With ``morsel_rows`` set, both
+    sides are consumed as morsel streams into
+    :class:`~repro.storage.morsel.MorselSink` instances (zero-copy for
+    resident batches) before partitioning, so results and recorded pass
+    shapes are bit-identical for every morsel size.
+
+    ``output_order`` is the canonical join output order to restore
+    (``"probe"``-major, or ``"build"``-major for joins whose build side is
+    the logical right input); ``None`` leaves the partition-major
+    implementation order.  Stats records are identical for every setting.
+    """
+
+    def __init__(self, build: Mapping[str, np.ndarray],
+                 probe: Mapping[str, np.ndarray], *,
+                 build_keys: Sequence[str], probe_keys: Sequence[str],
+                 output_order: str | None,
+                 morsel_rows: int | None = None) -> None:
+        if output_order not in ("probe", "build", None):
+            raise ValueError("output_order must be 'probe', 'build' or None")
+        if morsel_rows is not None:
+            build, probe = (
+                MorselSink().extend(iter_morsels(side, morsel_rows)).finish()
+                for side in (build, probe))
+        self.build, self.probe = (
+            {name: np.asarray(values) for name, values in side.items()}
+            for side in (build, probe))
+        self.build_keys = composite_key(self.build, build_keys)
+        self.probe_keys = composite_key(self.probe, probe_keys)
+        self.output_order = output_order
+        # Charges come from sizes, not from the arrays a kernel happens to
+        # build: a tuple moves its payload columns plus the 8-byte folded
+        # key through every pass (and across PCIe), and an output row holds
+        # every column once, probe columns winning name clashes.
+        self.build_tuple_bytes = partition_tuple_bytes(self.build) + 8
+        self.probe_tuple_bytes = partition_tuple_bytes(self.probe) + 8
+        self.output_row_bytes = partition_tuple_bytes(
+            {**self.build, **self.probe})
+
+    def join_on(self, spec: DeviceSpec, build_keys: np.ndarray,
+                probe_keys: np.ndarray, *, stride: int = 1,
+                ) -> tuple[np.ndarray, np.ndarray, PartitionedJoinStats]:
+        """:func:`partitioned_join` with one device's tuning.
+
+        Joins the given folded keys — both sides in full, or one
+        co-partition's slices with the fan-outs already applied as
+        ``stride``.  Passes planned by :func:`plan_partition_passes` (TLB
+        and cache on a CPU, scratchpad on a GPU) and every co-partition
+        built and probed in place.  ``spec`` supplies nothing else — the
+        data path never looks at the device.  Returns the match positions
+        and the stats record.
+        """
+        record_kernel_invocation(_KERNEL_COUNTER[spec.kind])
+        plan = plan_partition_passes(max(len(build_keys), 1),
+                                     HASH_ENTRY_BYTES, spec)
+        build_idx, probe_idx, build_calls, probe_calls = partitioned_join(
+            build_keys, probe_keys, fanouts=plan.fanout_per_pass,
+            match=_build_and_probe, stride=stride)
+        return build_idx, probe_idx, PartitionedJoinStats(
+            build_rows=len(build_keys), probe_rows=len(probe_keys), plan=plan,
+            build_run=PartitionRunStats(self.build_tuple_bytes, build_calls),
+            probe_run=PartitionRunStats(self.probe_tuple_bytes, probe_calls),
+            output_nbytes=len(build_idx) * self.output_row_bytes)
+
+    def gather(self, build_idx: np.ndarray, probe_idx: np.ndarray) -> ArrayMap:
+        """The join's output columns for partition-major match positions."""
+        if self.output_order is not None:
+            build_idx, probe_idx = restore_canonical_order(
+                build_idx, probe_idx, probe_rows=len(self.probe_keys),
+                output_order=self.output_order)
+        return _materialize_join(self.build, self.probe, build_idx, probe_idx)
 
 
 def partitioned_join_kernel(
@@ -436,28 +493,14 @@ def partitioned_join_kernel(
         spec: DeviceSpec,
         morsel_rows: int | None = None,
         output_order: str | None = "probe",
-        pool=None,
 ) -> tuple[ArrayMap, PartitionedJoinStats]:
-    """Evaluate the partitioned join on one device, once.
-
-    :func:`partitioned_join` with ``spec``'s tuning: passes planned by
-    :func:`plan_partition_passes` (TLB and cache on a CPU, scratchpad on a
-    GPU) and every co-partition built and probed in place.  ``spec``
-    supplies nothing else — the data path never looks at the device.
-    """
-    record_kernel_invocation(_KERNEL_COUNTER[spec.kind])
-    build_rows = columns_num_rows(build)
-    plan = plan_partition_passes(max(build_rows, 1), HASH_ENTRY_BYTES, spec)
-    columns, build_run, probe_run = partitioned_join(
-        build, probe, build_keys=build_keys, probe_keys=probe_keys,
-        fanouts=plan.fanout_per_pass, join_copartition=_build_and_probe,
-        output_order=output_order, morsel_rows=morsel_rows, pool=pool)
-    stats = PartitionedJoinStats(
-        build_rows=build_rows, probe_rows=columns_num_rows(probe), plan=plan,
-        build_run=build_run, probe_run=probe_run,
-        output_nbytes=payload_nbytes(columns),
-    )
-    return columns, stats
+    """Evaluate the partitioned join on one device, once."""
+    sides = JoinSides(build, probe, build_keys=build_keys,
+                      probe_keys=probe_keys, output_order=output_order,
+                      morsel_rows=morsel_rows)
+    build_idx, probe_idx, stats = sides.join_on(spec, sides.build_keys,
+                                                sides.probe_keys)
+    return sides.gather(build_idx, probe_idx), stats
 
 
 #: The device-named entry points: the device is whatever ``spec`` says.

@@ -21,7 +21,15 @@ from repro.operators import (
     probe_phase_cost,
     radix_partition,
 )
-from repro.relational import JoinBuildIndex, join_indices
+from repro.operators.radix import (
+    _build_and_probe,
+    partition_positions,
+    partitioned_join,
+    radix_buckets,
+    radix_partition_kernel,
+    restore_canonical_order,
+)
+from repro.relational import JoinBuildIndex, fold_keys, join_indices
 from repro.storage import make_join_pair, make_partial_match_pair
 
 
@@ -182,6 +190,139 @@ class TestPartitioning:
             plan_partition_passes(0, 16, cpu.spec)
         with pytest.raises(ValueError):
             radix_partition({"key": np.arange(5)}, cpu, key="key", fanout=0)
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_missing_key_column_raises_whatever_the_row_count(self, rows):
+        with pytest.raises(KeyError):
+            radix_partition_kernel({"payload": np.arange(rows)}, key="key",
+                                   fanout=4)
+
+
+def _awkward_keys(rows: int = 4_000) -> dict[str, np.ndarray]:
+    """Key columns whose ``%`` is easy to get wrong: negative, and folded
+    two-column composites that use all 64 bits, both signs."""
+    rng = np.random.default_rng(31)
+    return {
+        "negative": rng.integers(-10**9, 10**3, rows, dtype=np.int64),
+        "folded": fold_keys([rng.integers(-10**12, 10**12, rows),
+                             rng.integers(0, 10**6, rows)]),
+    }
+
+
+def _final_partitions(keys, fanouts, **kwargs) -> list[np.ndarray]:
+    order, bounds, _ = partition_positions(keys, fanouts, **kwargs)
+    return [order[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
+class TestPositionPasses:
+    """:func:`partition_positions`, the one bucket-ordering implementation."""
+
+    @pytest.mark.parametrize("shape", ["negative", "folded"])
+    @pytest.mark.parametrize("fanout", [1, 7, 128, 70_000])
+    def test_radix_buckets_divide_once(self, shape, fanout):
+        keys = _awkward_keys()[shape]
+        assert (keys < 0).any()
+        buckets = radix_buckets(keys, fanout)
+        assert buckets.min() >= 0 and buckets.max() < fanout
+        np.testing.assert_array_equal(
+            buckets, (keys % fanout + fanout) % fanout)
+
+    @pytest.mark.parametrize("fanouts", [(128, 8), (64, 64), (4, 4, 4)])
+    def test_every_pass_splits_on_its_own_digit(self, fanouts):
+        """Fan-outs sharing factors used to re-bucket on the same digit:
+        ``(128, 8)`` left 128 of 1,024 final partitions non-empty."""
+        rows = 100_000
+        keys = np.random.default_rng(3).permutation(rows)
+        sizes = [len(part) for part in _final_partitions(keys, fanouts)]
+        total = int(np.prod(fanouts))
+        assert len(sizes) == total and sum(sizes) == rows
+        assert min(sizes) > 0
+        assert max(sizes) <= -(-rows // total)
+
+    @pytest.mark.parametrize("shape", ["negative", "folded"])
+    @pytest.mark.parametrize("fanouts,stride",
+                             [((128, 8), 1), ((4, 4, 4), 1), ((6, 4), 10)])
+    def test_equal_keys_meet_in_one_final_partition(self, shape, fanouts,
+                                                    stride):
+        build = _awkward_keys()[shape]
+        probe = np.random.default_rng(5).permutation(
+            np.concatenate([build[::3], build[::7] + 1]))
+        home = {}
+        for index, part in enumerate(
+                _final_partitions(build, fanouts, stride=stride)):
+            home.update(dict.fromkeys(build[part].tolist(), index))
+        met = 0
+        for index, part in enumerate(
+                _final_partitions(probe, fanouts, stride=stride)):
+            for key in probe[part].tolist():
+                met += key in home
+                assert home.get(key, index) == index
+        assert met >= len(build[::3])
+
+    @pytest.mark.parametrize("shape", ["dense", "negative", "folded"])
+    @pytest.mark.parametrize("fanouts", [(5,), (8, 4), (4, 4, 3), (3, 1, 5)])
+    def test_passes_match_successive_single_pass_kernels(self, shape,
+                                                         fanouts):
+        """Oracle: ``radix_partition_kernel`` applied chunk by chunk, pass
+        by pass, each pass on the key with the earlier fan-outs divided
+        out.  Same final partitions row for row, same ``calls``."""
+        keys = {"dense": np.random.default_rng(9).permutation(4_000),
+                **_awkward_keys()}[shape]
+        chunks = [{"key": keys, "position": np.arange(len(keys))}]
+        calls, stride = [], 1
+        for fanout in fanouts:
+            calls += [(len(chunk["key"]), fanout) for chunk in chunks]
+            chunks = [part for chunk in chunks
+                      for part in radix_partition_kernel(
+                          dict(chunk, digit=chunk["key"] // stride),
+                          key="digit", fanout=fanout)]
+            stride *= fanout
+        order, bounds, recorded = partition_positions(keys, fanouts)
+        assert recorded == tuple(calls)
+        assert len(chunks) == len(bounds) - 1
+        np.testing.assert_array_equal(
+            order, np.concatenate([chunk["position"] for chunk in chunks]))
+        assert bounds == np.cumsum(
+            [0] + [len(chunk["key"]) for chunk in chunks]).tolist()
+
+    def test_wide_fanout_partitions_like_a_narrow_one(self):
+        """Ids that do not fit 16 bits take the int64 path: same buckets,
+        same order within a bucket."""
+        keys = np.random.default_rng(17).integers(0, 60_000, 200)
+        narrow = radix_partition_kernel({"key": keys}, key="key",
+                                        fanout=60_000)
+        wide = radix_partition_kernel({"key": keys}, key="key",
+                                      fanout=70_000)
+        assert len(narrow) == 60_000 and len(wide) == 70_000
+        for low, high in zip(narrow, wide):
+            np.testing.assert_array_equal(low["key"], high["key"])
+        assert not any(len(part["key"]) for part in wide[60_000:])
+        negative = radix_partition_kernel({"key": keys - 30_000}, key="key",
+                                          fanout=70_000)
+        for index in np.flatnonzero([len(p["key"]) for p in negative]):
+            assert set(negative[index]["key"] % 70_000) == {index}
+
+    def test_degenerate_passes_keep_their_calls_entries(self, cpu):
+        """``fanout=1``, an empty side and an empty chunk in a later pass
+        are all charged as before, ``(0, fanout)`` entries included."""
+        empty = np.asarray([], dtype=np.int64)
+        order, bounds, calls = partition_positions(empty, (4, 3))
+        assert calls == ((0, 4),) + 4 * ((0, 3),)
+        assert len(order) == 0 and bounds == 13 * [0]
+        order, bounds, calls = partition_positions(np.arange(6)[::-1], (1,))
+        assert calls == ((6, 1),)
+        assert order.tolist() == list(range(6)) and bounds == [0, 6]
+        evens = np.arange(0, 20, 2)
+        _, bounds, calls = partition_positions(evens, (2, 3))
+        assert calls == ((10, 2), (10, 3), (0, 3))
+        assert np.diff(bounds).tolist() == [4, 3, 3, 0, 0, 0]
+        from repro.operators import cpu_radix_join_kernel
+        side = {"k": np.arange(50), "v": np.arange(50.0)}
+        none = {"k": empty, "v": empty.astype(float)}
+        _, stats = cpu_radix_join_kernel(none, side, build_keys=["k"],
+                                         probe_keys=["k"], spec=cpu.spec)
+        assert stats.build_run.calls == ((0, 1),)
+        assert stats.probe_run.calls == ((50, 1),)
 
 
 class TestJoinAlgorithms:
@@ -393,6 +534,41 @@ class TestCanonicalJoinOutputOrder:
                         err_msg=f"{case}, column {name}")
                 if label == "coprocessed" and "empty" not in shape:
                     assert len(stats.copartitions) > len(small_gpus), case
+
+    @given(st.lists(st.integers(-6, 12), max_size=50),
+           st.lists(st.integers(-6, 18), max_size=70),
+           st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           st.lists(st.integers(1, 4), max_size=2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_order_restoration_matches_a_lexsort_oracle(
+            self, build, probe, fanouts, inner_fanouts):
+        """Duplicate keys on both sides and rows without a partner, through
+        one to three passes and — with ``inner_fanouts`` — through the
+        co-processed nesting, the inner passes striding over the outer
+        digits: counting (probe-major) and the single-key sort
+        (build-major) order the matches exactly as sorting the position
+        pairs on both keys would."""
+        build = np.asarray(build, dtype=np.int64)
+        probe = np.asarray(probe, dtype=np.int64)
+        match = _build_and_probe
+        if inner_fanouts:
+            def match(build_part, probe_part):
+                return partitioned_join(
+                    build_part, probe_part, fanouts=inner_fanouts,
+                    match=_build_and_probe, stride=int(np.prod(fanouts)))[:2]
+        build_idx, probe_idx, _, _ = partitioned_join(
+            build, probe, fanouts=fanouts, match=match)
+        for order, sort_keys in (("build", (probe_idx, build_idx)),
+                                 ("probe", (build_idx, probe_idx))):
+            oracle = np.lexsort(sort_keys)
+            restored = restore_canonical_order(
+                build_idx, probe_idx, probe_rows=len(probe),
+                output_order=order)
+            np.testing.assert_array_equal(restored[0], build_idx[oracle])
+            np.testing.assert_array_equal(restored[1], probe_idx[oracle])
+        # Probe-major is the reference executor's order.
+        for got, expected in zip(restored, join_indices([build], [probe])):
+            np.testing.assert_array_equal(got, expected)
 
     def test_coprocessed_join_matches_reference_order(self, topology):
         build, probe = self._inputs(rows=3000)

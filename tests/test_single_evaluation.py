@@ -10,6 +10,8 @@ execution mode.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,22 @@ from repro.engine.descriptions import (
     RadixJoin,
 )
 from repro.errors import ExecutionError
-from repro.hardware import default_server
+from repro.hardware import default_server, gtx_1080
 from repro.operators import (
     JoinStats,
+    charge_coprocessed_join,
     composite_key,
+    coprocessed_join_kernel,
+    cpu_radix_join_kernel,
+    estimate_cpu_radix_join,
+    estimate_gpu_partitioned_join,
+    gpu_partitioned_join_kernel,
     hash_join_kernel,
     kernel_counts,
     radix_partition,
     reset_kernel_counts,
 )
+from repro.operators import radix as radix_module
 from repro.operators.coprocess import copartition_nbytes
 from repro.relational import (
     JoinAlgorithm,
@@ -329,13 +338,64 @@ def _nbytes(columns) -> int:
     return sum(np.asarray(values).nbytes for values in columns.values())
 
 
+def _small_gpu_specs(memory_bytes: int, count: int = 2) -> list:
+    """GPUs small enough that the co-processed join of a few thousand rows
+    needs several co-partitions per GPU."""
+    return [gtx_1080(f"gpu{index}").with_memory_capacity(memory_bytes)
+            for index in range(count)]
+
+
+def _clashing_inputs() -> dict:
+    """``shape -> (build, probe)``: both sides call their columns ``key``
+    and ``payload`` but disagree on the dtypes; probe columns win."""
+    rng = np.random.default_rng(41)
+    rows = 2_000
+
+    def sides(build_keys, probe_keys):
+        return ({"key": np.asarray(build_keys, dtype=np.int32),
+                 "payload": rng.normal(size=len(build_keys)),
+                 "extra": rng.integers(0, 5, len(build_keys), dtype=np.int8)},
+                {"key": np.asarray(probe_keys, dtype=np.int64),
+                 "payload": rng.integers(0, 9, len(probe_keys),
+                                         dtype=np.int16)})
+
+    return {
+        "dense": sides(rng.permutation(rows), rng.permutation(rows)),
+        "half-missing": sides(rng.permutation(rows),
+                              rng.permutation(2 * rows)),
+        "duplicate-heavy": sides(rng.integers(0, 40, rows),
+                                 rng.integers(0, 40, rows // 10)),
+    }
+
+
+#: Payload item sizes of :func:`_clashing_inputs` plus the 8-byte folded
+#: key, per build and per probe tuple; and one output row (probe's int64
+#: ``key`` and int16 ``payload``, build's int8 ``extra``).
+_BUILD_TUPLE_BYTES, _PROBE_TUPLE_BYTES, _OUTPUT_ROW_BYTES = 21, 18, 11
+
+#: Simulated seconds of the three partitioned joins on
+#: :func:`_clashing_inputs`, recorded at 766723b (column maps carried
+#: through every pass): ``shape -> (cpu radix, gpu partitioned,
+#: co-processed cost, co-processed finish)``.
+_PINNED_JOIN_SECONDS = {
+    "dense": ("0x1.860107314ca93p-18", "0x1.3da786331883dp-16",
+              "0x1.4e44fe795c878p-12", "0x1.ec9171b78709ap-14"),
+    "half-missing": ("0x1.0adf231998e6ap-17", "0x1.46a0246b4dda1p-16",
+                     "0x1.06b6d2f8ee458p-11", "0x1.93bd112391188p-13"),
+    "duplicate-heavy": ("0x1.5f92709e86f78p-18", "0x1.3a96188c69b4cp-16",
+                        "0x1.81b444cf52f61p-13", "0x1.2b2f60e83b055p-14"),
+}
+
+
 class TestChargedBytesEqualKernelBytes:
     """The bytes a join is *charged* for are the bytes its kernel touched.
 
     Spies on the join descriptions: what each kernel consumed and produced
     (pass-through probe columns included, which alias their input) is
     summed from the arrays themselves and compared with the stats record
-    the cost model is handed.
+    the cost model is handed.  The partitioned joins never build the
+    per-pass copies they are charged for: their charges come from sizes —
+    rows x item sizes — and must equal what the output arrays hold.
     """
 
     @staticmethod
@@ -426,7 +486,85 @@ class TestChargedBytesEqualKernelBytes:
             assert sum(join.output_nbytes
                        for _, join in stats.copartitions) == output_nbytes
 
-    def test_unmoved_probe_columns_alias_their_input(self):
+    @pytest.mark.parametrize("shape", sorted(_PINNED_JOIN_SECONDS))
+    def test_partitioned_join_charges_come_from_sizes(self, topology, shape):
+        build, probe = _clashing_inputs()[shape]
+        keys = {"build_keys": ["key"], "probe_keys": ["key"]}
+        cpu, gpus = topology.cpus()[0], list(topology.gpus())
+        expected, _ = hash_join_kernel(build, probe, **keys)
+        matches = len(expected["key"])
+        assert _nbytes(expected) == matches * _OUTPUT_ROW_BYTES
+
+        def check_passes(stats, build_rows, probe_rows):
+            """Every pass is charged rows x item sizes (+ the folded key)."""
+            assert (stats.build_rows, stats.probe_rows) == (build_rows,
+                                                            probe_rows)
+            assert stats.build_run.tuple_bytes == _BUILD_TUPLE_BYTES
+            assert stats.probe_run.tuple_bytes == _PROBE_TUPLE_BYTES
+            assert stats.build_run.calls[0][0] == build_rows
+            assert stats.probe_run.calls[0][0] == probe_rows
+
+        seconds = []
+        for kernel, estimate, device in (
+                (cpu_radix_join_kernel, estimate_cpu_radix_join, cpu),
+                (gpu_partitioned_join_kernel, estimate_gpu_partitioned_join,
+                 gpus[0])):
+            columns, stats = kernel(build, probe, spec=device.spec, **keys)
+            assert [(name, values.dtype) for name, values in columns.items()] \
+                == [(name, values.dtype) for name, values in expected.items()]
+            check_passes(stats, len(build["key"]), len(probe["key"]))
+            assert stats.output_nbytes == _nbytes(columns) == _nbytes(expected)
+            seconds.append(estimate(stats, device).seconds.hex())
+
+        columns, stats = coprocessed_join_kernel(
+            build, probe, gpu_specs=_small_gpu_specs(16 << 10), **keys)
+        check_passes(stats, len(build["key"]), len(probe["key"]))
+        fanout = stats.build_run.calls[0][1]
+        assert len(stats.copartitions) == fanout > 2 * len(gpus)
+        for (crossed, join), build_rows, probe_rows in zip(
+                stats.copartitions,
+                np.bincount(build["key"] % fanout, minlength=fanout).tolist(),
+                np.bincount(probe["key"] % fanout, minlength=fanout).tolist()):
+            check_passes(join, build_rows, probe_rows)
+            assert crossed == (build_rows * _BUILD_TUPLE_BYTES
+                               + probe_rows * _PROBE_TUPLE_BYTES)
+            assert join.output_nbytes % _OUTPUT_ROW_BYTES == 0
+        assert sum(join.output_nbytes for _, join in stats.copartitions) \
+            == _nbytes(columns) == _nbytes(expected)
+        cost, finished = charge_coprocessed_join(stats, topology, cpu, gpus)
+        seconds += [cost.seconds.hex(), finished.hex()]
+        assert tuple(seconds) == _PINNED_JOIN_SECONDS[shape]
+
+    def test_payload_is_gathered_once_per_partitioned_join(self, cpu, gpu,
+                                                           monkeypatch):
+        """Late materialisation: whatever the passes and the nesting, the
+        payload columns are fetched by one ``_materialize_join`` call."""
+        gathers = []
+
+        def spy(build, probe, build_idx, probe_idx):
+            gathers.append(len(build_idx))
+            return real(build, probe, build_idx, probe_idx)
+
+        real = radix_module._materialize_join
+        monkeypatch.setattr(radix_module, "_materialize_join", spy)
+        build, probe = _clashing_inputs()["half-missing"]
+        keys = {"build_keys": ["key"], "probe_keys": ["key"]}
+        tiny_scratchpad = replace(gpu.spec, scratchpad=replace(
+            gpu.spec.scratchpad, capacity_bytes=1 << 10))
+        for kernel, tuning, shape in (
+                (cpu_radix_join_kernel, {"spec": cpu.spec},
+                 lambda stats: stats.plan.num_passes == 1),
+                (gpu_partitioned_join_kernel, {"spec": tiny_scratchpad},
+                 lambda stats: stats.plan.num_passes > 1),
+                (coprocessed_join_kernel,
+                 {"gpu_specs": _small_gpu_specs(16 << 10)},
+                 lambda stats: len(stats.copartitions) > 4)):
+            del gathers[:]
+            columns, stats = kernel(build, probe, **keys, **tuning)
+            assert shape(stats)
+            assert gathers == [len(columns["key"])] == [len(build["key"])]
+
+    def test_unmoved_probe_columns_alias_their_input(self, cpu, gpu):
         """Every probe row matching once, in order: no probe-side gather,
         and the charged output bytes are those of a gathered copy."""
         build = {"k": np.arange(50, dtype=np.int64),
@@ -437,6 +575,31 @@ class TestChargedBytesEqualKernelBytes:
                                           probe_keys=["fk"])
         assert columns["value"] is probe["value"]
         assert stats.output_nbytes == _nbytes(build) + _nbytes(probe)
+        # The rule reaches the partitioned joins: a dense PK-FK join whose
+        # foreign keys arrive shuffled still leaves every probe row where
+        # it was, however many partitions its matches were found in.
+        rows = 5_000
+        rng = np.random.default_rng(2)
+        build = {"k": rng.permutation(rows),
+                 "payload": np.arange(rows, dtype=np.float64)}
+        probe = {"fk": rng.permutation(rows),
+                 "value": np.arange(rows, dtype=np.int32)}
+        for kernel, tuning in (
+                (cpu_radix_join_kernel, {"spec": cpu.spec}),
+                (gpu_partitioned_join_kernel, {"spec": gpu.spec}),
+                (coprocessed_join_kernel,
+                 {"gpu_specs": _small_gpu_specs(64 << 10)})):
+            columns, stats = kernel(build, probe, build_keys=["k"],
+                                    probe_keys=["fk"], **tuning)
+            assert columns["value"] is probe["value"]
+            assert columns["fk"] is probe["fk"]
+            np.testing.assert_array_equal(columns["k"], probe["fk"])
+            assert not np.shares_memory(columns["payload"], build["payload"])
+            charged = (stats.output_nbytes
+                       if hasattr(stats, "output_nbytes") else
+                       sum(join.output_nbytes
+                           for _, join in stats.copartitions))
+            assert charged == _nbytes(build) + _nbytes(probe)
         moved = dict(probe, fk=probe["fk"][::-1].copy())
         columns, stats = hash_join_kernel(build, moved, build_keys=["k"],
                                           probe_keys=["fk"],
