@@ -539,11 +539,25 @@ def suite_stats(bench: Workbench) -> dict:
        summary=lambda r: ", ".join(
            f"{variant}={data['peak_intermediate_bytes'] / 1e6:.1f}MB"
            f"/{data['wall_clock_seconds']:.3f}s"
-           for variant, data in r["variants"].items()))
+           for variant, data in r["variants"].items()),
+       gates=(
+           Gate("morsels_peak_vs_whole_column", _at_most(0.75),
+                "morsels peak at {value:.2f}x whole-column packets', over "
+                "the allowed 0.75x — streaming no longer bounds the "
+                "working set"),
+           Gate("fused_peak_vs_morsels", _at_most(1.0),
+                "fused chains peak at {value:.2f}x unfused morsels' — "
+                "fusion materializes more, not less"),
+           Gate("simulated_seconds_identical", _true,
+                "simulated seconds differ between the batching variants — "
+                "morsel_rows / pipeline_fusion are working-set knobs only"),
+       ))
 def suite_mem(bench: Workbench) -> dict:
     """Peak intermediate memory (``tracemalloc``) of Q5 hybrid at
     ``MEM_SF`` under the three batching variants: whole-column packets,
-    morsels, morsels with pipeline fusion."""
+    morsels, morsels with pipeline fusion.  The one recorded use of
+    ``morsel_rows=None`` and ``pipeline_fusion=False``: the gates hold
+    what the two knobs buy."""
     big = Workbench(MEM_SF, bench.seed, bench.repeat)
     plan = big.queries["Q5"].plan
     variants = {
@@ -569,8 +583,15 @@ def suite_mem(bench: Workbench) -> dict:
         results[name] = {"peak_intermediate_bytes": best_peak,
                          "wall_clock_seconds": best_wall,
                          "simulated_seconds": simulated}
+    peak = {name: data["peak_intermediate_bytes"]
+            for name, data in results.items()}
     return {"scale_factor": MEM_SF, "query": "Q5", "mode": "hybrid",
-            "variants": results}
+            "variants": results,
+            "morsels_peak_vs_whole_column":
+                peak["morsels"] / peak["whole_column_packets"],
+            "fused_peak_vs_morsels": peak["morsels_fused"] / peak["morsels"],
+            "simulated_seconds_identical": len(
+                {data["simulated_seconds"] for data in results.values()}) == 1}
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from .pipeline import (
     is_fused_probe,
     is_fusion_passthrough,
     is_pipeline_breaker,
-    is_streaming_operator,
     pipelines_per_device,
     streams_morsels,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "is_fused_probe",
     "is_fusion_passthrough",
     "is_pipeline_breaker",
-    "is_streaming_operator",
     "pipelines_per_device",
     "provider_for",
     "streams_morsels",

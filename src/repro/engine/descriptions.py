@@ -91,7 +91,6 @@ from ..relational.physical import (
     PSort,
     Router,
 )
-from ..storage.morsel import iter_morsels
 
 if TYPE_CHECKING:
     from .executor import Executor
@@ -343,10 +342,10 @@ class Aggregate(Operator):
             return merge_partials_kernel([batch.columns],
                                          group_by=node.group_by,
                                          aggregates=node.aggregates)
+        self.ex.scheduler.grant(batch.num_rows)
         return hash_aggregate_kernel(
             batch.columns, group_by=node.group_by,
-            aggregates=node.aggregates, phase=node.phase,
-            morsel_rows=self.ex.scheduler.grant(batch.num_rows))
+            aggregates=node.aggregates, phase=node.phase)
 
     def charge(self, batch: NodeResult, stats: object) -> None:
         phase = self.node.phase
@@ -466,10 +465,9 @@ class HashJoin(Join):
 
     def begin(self) -> None:
         record_kernel_invocation("hash_join")
-        morsel_rows = self.ex.scheduler.grant(self.build.num_rows)
-        self.builder = HashJoinBuild.from_morsels(
-            iter_morsels(self.build.columns, morsel_rows),
-            build_keys=self.node.build_keys)
+        self.ex.scheduler.grant(self.build.num_rows)
+        self.builder = HashJoinBuild(self.build.columns,
+                                     build_keys=self.node.build_keys)
 
     def transform(self, batch: ArrayMap) -> tuple[ArrayMap, int]:
         return (self.builder.probe(batch, probe_keys=self.node.probe_keys),
@@ -482,11 +480,10 @@ class HashJoin(Join):
                          probe_nbytes=in_bytes, output_nbytes=out_nbytes)
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, JoinStats]:
+        self.ex.scheduler.grant(self.build.num_rows, batch.num_rows)
         return hash_join_kernel(
             self.build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
-            morsel_rows=self.ex.scheduler.grant(self.build.num_rows,
-                                                batch.num_rows),
             output_order=join_order(self.node))
 
 
@@ -527,13 +524,11 @@ class RadixJoin(Join):
                                  self.devices[0])
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
+        self.ex.scheduler.grant(self.build.num_rows, batch.num_rows)
         return partitioned_join_kernel(
             self.build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
-            spec=self.devices[0].spec,
-            morsel_rows=self.ex.scheduler.grant(self.build.num_rows,
-                                                batch.num_rows),
-            output_order=join_order(self.node))
+            spec=self.devices[0].spec, output_order=join_order(self.node))
 
     def charge(self, batch: NodeResult, stats) -> None:
         super().charge(batch, stats, location=self.devices[0].name)

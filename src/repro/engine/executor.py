@@ -42,15 +42,18 @@ kernel memo, then replay each operator's charge bottom-up.
 Morsel-driven batching
 ----------------------
 
-Kernels do not consume whole-column packets in one gulp: the
-:class:`MorselScheduler` grants every kernel evaluation a *morsel*
-granularity (``ExecutorOptions.morsel_rows``, surfaced as the
-``morsel_rows`` knob on :class:`~repro.engine.session.HAPEEngine`), and the
-operators process their inputs in bounded row-count slices — streaming for
-filter/project and join probes, build-then-probe for joins and aggregates.
-Morsel granularity is *wall-clock only*: kernel outputs, stats records and
-therefore every simulated second are bit-identical for every setting, and
-the per-subplan kernel memo keyed by structural keys works unchanged
+The driver streams, kernels take batches.  :meth:`Executor._evaluate` is
+the only carve -> stream -> reassemble loop in the package: it carves a
+chain's source batch into morsels of ``ExecutorOptions.morsel_rows`` rows
+(surfaced as the ``morsel_rows`` knob on
+:class:`~repro.engine.session.HAPEEngine`) and sends each one through the
+per-morsel bodies the streaming operators give it (filter/project, join
+probes); a pipeline breaker (aggregate, join build, partitioned join) is
+handed the resident batch.  The :class:`MorselScheduler` is asked once per
+evaluation either way — for a breaker the grant is its yield grid, not a
+data path.  Morsel granularity is *wall-clock only*: outputs, stats records
+and therefore every simulated second are bit-identical for every setting,
+and the per-subplan kernel memo keyed by structural keys works unchanged
 because memo entries hold fully reassembled batches, never partial streams.
 
 Pipeline-fused streaming
@@ -137,9 +140,10 @@ class ExecutorOptions:
     hybrid_overhead: float = 0.10
     #: Extra overhead for hybrid pipelines that shuffle join state.
     hybrid_join_overhead: float = 0.30
-    #: Rows per morsel for kernel evaluation: operator kernels consume
-    #: their inputs in slices of at most this many rows, which bounds the
-    #: working set of kernel evaluation.  ``None`` disables batching
+    #: Rows per morsel: the driver carves every chain source into slices
+    #: of at most this many rows and streams them through the chain, which
+    #: bounds the working set of the streaming operators (breakers take
+    #: their input whole).  A positive ``int``; ``None`` disables batching
     #: (whole-column packets).  The cache key deliberately ignores this
     #: knob, so cached results stay valid across re-tunes.
     morsel_rows: int | None = DEFAULT_MORSEL_ROWS
@@ -174,8 +178,11 @@ class ExecutorOptions:
     tracing: bool = False
 
     def __post_init__(self) -> None:
-        if self.morsel_rows is not None and self.morsel_rows <= 0:
-            raise ValueError("morsel_rows must be positive or None")
+        rows = self.morsel_rows
+        # ``type is int``: a float would die inside the first kernel, and
+        # ``True`` is an int that means one-row morsels.
+        if rows is not None and (type(rows) is not int or rows <= 0):
+            raise ValueError("morsel_rows must be a positive int or None")
         for knob in ("pipeline_fusion", "tracing"):
             if not isinstance(getattr(self, knob), bool):
                 raise ValueError(f"{knob} must be a bool")
@@ -188,16 +195,20 @@ class ExecutorOptions:
 class MorselScheduler:
     """Grants morsel granularity to kernel evaluations and accounts for it.
 
-    The scheduler is the engine-side half of the morsel contract: for each
-    plan node whose kernel is about to run, :meth:`grant` decides the
-    morsel size the operator must honor and records how many morsels the
-    node's input batches will be carved into.  The per-morsel loops live in
-    the operator kernels (they own the data path); the scheduler owns the
-    granularity policy and the bookkeeping that
-    :attr:`ExecutionResult.morsels_dispatched` reports.
+    The scheduler owns the granularity policy and the bookkeeping that
+    :attr:`ExecutionResult.morsels_dispatched` reports: for each evaluation
+    about to run, :meth:`grant` returns the morsel size and records how
+    many morsels the input batches amount to.  Only
+    :meth:`Executor._evaluate` carves with the answer (a chain source,
+    streamed through the chain).  A pipeline breaker takes its batches
+    whole; its grant is a *yield grid* — the morsel boundaries at which a
+    running evaluation could be interrupted — and the server's preemption
+    reads it: ``QueryServer`` divides an attempt's span by
+    ``morsels_dispatched`` to place a kill, so a grant that moved would
+    move served simulated seconds.
 
-    Morsels bound the *real* working set of kernel evaluation (and are the
-    unit :class:`~repro.engine.workers.WorkerPool` threads pick up);
+    Morsels bound the *real* working set of the streamed chains (and are
+    the unit :class:`~repro.engine.workers.WorkerPool` threads pick up);
     simulated seconds never observe them — "parallel workers" in the cost
     model exist only inside the device clocks ``estimate_*`` prices.
     """
@@ -212,12 +223,12 @@ class MorselScheduler:
         self.morsels_dispatched = 0
 
     def grant(self, *batch_rows: int) -> int | None:
-        """Morsel size for a kernel over the given input batch sizes.
+        """Morsel size for an evaluation over the given input batch sizes.
 
         Call once per actual kernel evaluation (inside the memo, so cached
         subplans grant nothing) with the row count of every input batch the
-        kernel will carve: one for a unary operator, build and probe for a
-        join.
+        evaluation consumes: one for a unary operator, build and probe for
+        a join.
         """
         if self.morsel_rows is None:
             return None
@@ -600,9 +611,8 @@ class Executor:
             return source.columns, (None,)
         for stage in stages:
             stage.begin()
-        morsel_rows = self.scheduler.grant(source.num_rows)
-        morsels = [dict(morsel.columns)
-                   for morsel in iter_morsels(source.columns, morsel_rows)]
+        morsels = list(iter_morsels(source.columns,
+                                    self.scheduler.grant(source.num_rows)))
 
         def run_span(span: range) -> tuple[list[ArrayMap], list[list]]:
             outs: list[ArrayMap] = []

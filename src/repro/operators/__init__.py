@@ -22,6 +22,15 @@ per-device *tuning knobs*:
   touches array data, so an engine can cost the same kernel execution on
   every device kind that participates in a hybrid pipeline.
 
+Kernels take whole batches.  Carving a batch into morsels and streaming
+them is the executor's job, not an operator's: a *streaming* operator
+(filter/project, the hash join's probe) additionally exposes the pure
+per-morsel body its kernel applies to the whole batch
+(``filter_project_morsel``, ``HashJoinBuild.probe``), and the one driver in
+:mod:`repro.engine.executor` applies that body slice by slice; a *breaker*
+(aggregate, join build, partitioned join) is handed the resident batch.
+See invariant 3 in :mod:`repro.operators.base`.
+
 The executor exploits the split twice: a plan node's kernel runs once while
 its cost is estimated per device kind, and kernel results are memoized by
 the structural key of their subplan so repeated subplans (shared dimension
@@ -57,7 +66,6 @@ counters to prove the single-evaluation property.
 """
 
 from .aggregate import (
-    AggregateMorselSink,
     AggregateStats,
     estimate_hash_aggregate,
     estimate_merge_partials,
@@ -90,7 +98,6 @@ from .filterproject import (
     expression_op_count,
     filter_project_kernel,
     filter_project_morsel,
-    filter_project_morsels,
     referenced_columns,
     scan_cost,
     touched_bytes,
@@ -135,7 +142,6 @@ from .radix import (
 )
 
 __all__ = [
-    "AggregateMorselSink",
     "AggregateStats",
     "ArrayMap",
     "CoprocessedJoinStats",
@@ -173,7 +179,6 @@ __all__ = [
     "expression_op_count",
     "filter_project_kernel",
     "filter_project_morsel",
-    "filter_project_morsels",
     "gpu_partitioned_join",
     "gpu_partitioned_join_kernel",
     "hash_aggregate",

@@ -13,18 +13,18 @@ Following the single-evaluation operator contract (see
 :func:`estimate_hash_aggregate` / :func:`estimate_merge_partials` cost the
 same work on any device from an :class:`AggregateStats` record alone.
 
-Under the morsel contract the aggregate is a pipeline *breaker*: its build
-phase consumes every input morsel before a single output row is emitted.
-:class:`AggregateMorselSink` is that surface — it accumulates the stream
-(zero-copy when the morsels carve one resident batch) and finalizes with
-one vectorized aggregation, which keeps the floating-point accumulation
-order, and therefore every output bit, identical to whole-column execution.
+Under the morsel contract the aggregate is a pipeline *breaker*: no output
+row exists before the last input row has been seen, so the executor hands
+:func:`hash_aggregate_kernel` the resident batch — the reassembled boundary
+of the morsel stream below it — and the kernel runs one vectorized
+aggregation over it.  One pass fixes the floating-point accumulation order,
+and therefore every output bit, whatever the engine's morsel size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
 from ..relational.expr import AggregateSpec
 from ..relational.keys import composite_key_map
-from ..storage.morsel import Morsel, MorselSink, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -101,7 +100,6 @@ def hash_aggregate_kernel(
         group_by: Sequence[str],
         aggregates: Sequence[AggregateSpec],
         phase: str = "complete",
-        morsel_rows: int | None = None,
 ) -> tuple[ArrayMap, AggregateStats]:
     """Aggregate one packet once; device-independent.
 
@@ -109,17 +107,8 @@ def hash_aggregate_kernel(
     ``sum`` and ``count`` so that the final merge can recombine them; the
     reference output shape (one ``avg`` column) is produced by the final /
     complete phase.
-
-    The aggregate is a pipeline breaker: with ``morsel_rows`` set, the
-    input is consumed as a morsel stream into a
-    :class:`~repro.storage.morsel.MorselSink` (zero-copy for resident
-    batches) before the single vectorized aggregation runs, so outputs and
-    stats are bit-identical for every morsel size.
     """
     record_kernel_invocation("hash_aggregate")
-    if morsel_rows is not None:
-        columns = MorselSink().extend(
-            iter_morsels(columns, morsel_rows)).finish()
     columns = {name: np.asarray(values) for name, values in columns.items()}
     num_rows = columns_num_rows(columns)
 
@@ -152,37 +141,6 @@ def hash_aggregate_kernel(
                                           grand=not group_by))
     return result, AggregateStats(num_rows=num_rows,
                                   num_groups=len(unique_keys))
-
-
-class AggregateMorselSink:
-    """Build phase of the aggregate as a morsel consumer.
-
-    Producers push input morsels with :meth:`consume`; :meth:`finish` runs
-    the aggregation exactly once over the reassembled batch.  The sink is
-    the aggregate's pipeline-breaker surface: no output exists until the
-    last input morsel has been consumed.
-    """
-
-    def __init__(self, *, group_by: Sequence[str],
-                 aggregates: Sequence[AggregateSpec],
-                 phase: str = "complete") -> None:
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-        self.phase = phase
-        self._sink = MorselSink()
-
-    def consume(self, morsel: Morsel) -> None:
-        self._sink.consume(morsel)
-
-    def extend(self, morsels: Iterable[Morsel]) -> "AggregateMorselSink":
-        self._sink.extend(morsels)
-        return self
-
-    def finish(self) -> tuple[ArrayMap, AggregateStats]:
-        """Aggregate the consumed stream; one kernel invocation."""
-        return hash_aggregate_kernel(
-            self._sink.finish(), group_by=self.group_by,
-            aggregates=self.aggregates, phase=self.phase)
 
 
 def hash_aggregate(columns: Mapping[str, np.ndarray], device: Device, *,

@@ -28,21 +28,19 @@ The contract has three invariants the executor (and the tests) rely on:
    input data and operator arguments, never of the device, the morsel
    granularity or the schedule.  Simulated seconds derive only from stats,
    which is what keeps timing figures reproducible.
-3. **Morsel transparency** — every relational-operator kernel the
-   executor drives (filter/project, the hash/radix joins, the hash
-   aggregate) accepts a ``morsel_rows`` argument.  *Streaming* operators
-   (filter/project, the hash join's probe phase, exchange routing)
-   evaluate one bounded morsel at a time and concatenate; *breakers*
-   (aggregates, join build sides, radix partitioning) consume their
-   entire input morsel stream through a
-   :class:`~repro.storage.morsel.MorselSink` before emitting.  Either way
-   the output columns and the stats are bit-identical to whole-column
-   evaluation — only the peak working set and the wall-clock schedule
-   change.  (``merge_partials_kernel`` already operates on bounded
-   inputs, the per-device partials, and takes no such argument; neither
-   does the single-pass ``radix_partition_kernel``, which the executor
-   never drives — the partitioned joins partition row positions, through
-   :func:`~repro.operators.radix.partition_positions`.)
+3. **Morsel transparency** — kernels take whole batches; no operator
+   carves its own input.  The one carve -> stream -> reassemble loop is the
+   executor's driver (``Executor._evaluate``).  A *streaming* operator
+   (filter/project, the hash join's probe phase; exchange routing forwards
+   morsels untouched) gives that driver a pure per-morsel body —
+   :func:`~repro.operators.filterproject.filter_project_morsel`,
+   :meth:`~repro.operators.hashjoin.HashJoinBuild.probe` — which its own
+   whole-batch kernel applies once to everything.  A *breaker* (aggregates,
+   join build sides, the partitioned joins) is handed the resident batch.
+   The whole-batch kernel is therefore the reference the driver's
+   streaming is tested against: for every engine ``morsel_rows`` the
+   streamed columns and the accumulated stats equal the kernel's, bit for
+   bit — only the peak working set and the wall-clock schedule change.
 
 The classic combined functions (``apply_filter_project``,
 ``non_partitioned_join``, ...) remain as thin wrappers that call the kernel

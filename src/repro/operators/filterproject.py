@@ -7,16 +7,18 @@ materialization of intermediates — the contrast with the vector-at-a-time
 baseline (DBMS C), which pays one in-cache materialization per primitive.
 
 Filter/project is a *streaming* operator under the morsel contract (see
-:mod:`repro.operators`): :func:`filter_project_morsel` transforms one
-morsel independently of every other, so :func:`filter_project_kernel` with
-``morsel_rows`` set evaluates the batch morsel-at-a-time and concatenates —
-bit-identical output and stats, bounded per-morsel working set (predicate
-masks and expression temporaries never exceed one morsel).
+:mod:`repro.operators.base`): :func:`filter_project_morsel` transforms one
+morsel independently of every other, so the executor's driver may apply it
+slice by slice — bounded per-morsel working set (predicate masks and
+expression temporaries never exceed one morsel) — and concatenate.
+:func:`filter_project_kernel` is the same body applied to the whole batch
+plus the stats record: the reference the driver's streaming is tested
+against, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 from ..hardware.device import Device
 from ..relational.expr import Expr
-from ..storage.morsel import Morsel, concat_columns, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -116,9 +117,10 @@ def filter_project_morsel(
 ) -> ArrayMap:
     """Transform one morsel (or a whole batch) of columns; pure, no stats.
 
-    This is the per-morsel body both execution paths share: masking and
-    expression evaluation are row-local, so applying it slice-by-slice and
-    concatenating reproduces the whole-batch result exactly.
+    This is the body the executor's morsel stream and the whole-batch
+    kernel share: masking and expression evaluation are row-local, so
+    applying it slice-by-slice and concatenating reproduces the whole-batch
+    result exactly.
     """
     columns = {name: np.asarray(values) for name, values in columns.items()}
     num_rows = columns_num_rows(columns)
@@ -142,57 +144,23 @@ def filter_project_morsel(
     return working
 
 
-def filter_project_morsels(
-        morsels: Iterable[Morsel], *,
-        predicate: Expr | None = None,
-        projections: Mapping[str, Expr] | None = None,
-) -> Iterator[ArrayMap]:
-    """Stream a morsel sequence through the fused filter/project.
-
-    Yields one output batch per input morsel; concatenating the outputs
-    equals the whole-batch result.  This is the streaming surface a morsel
-    scheduler (or a downstream streaming operator) consumes.
-    """
-    for morsel in morsels:
-        yield filter_project_morsel(morsel.columns, predicate=predicate,
-                                    projections=projections)
-
-
 def filter_project_kernel(
         columns: Mapping[str, np.ndarray], *,
         predicate: Expr | None = None,
         projections: Mapping[str, Expr] | None = None,
-        morsel_rows: int | None = None,
 ) -> tuple[ArrayMap, FilterProjectStats]:
     """Evaluate the fused filter/project once; device-independent.
 
     Returns the output columns plus the :class:`FilterProjectStats` that
     :func:`estimate_filter_project` consumes to cost the pass on any device.
-
-    With ``morsel_rows`` set, the batch is evaluated morsel-at-a-time
-    (bounding the working set of masks and expression temporaries) and the
-    per-morsel outputs are concatenated; results and stats are bit-identical
-    to the whole-batch evaluation.
     """
     record_kernel_invocation("filter_project")
     columns = {name: np.asarray(values) for name, values in columns.items()}
-    num_rows = columns_num_rows(columns)
-
     referenced = referenced_columns(predicate, projections)
-    stats = FilterProjectStats(num_rows=num_rows,
+    stats = FilterProjectStats(num_rows=columns_num_rows(columns),
                                touched_bytes=touched_bytes(columns, referenced))
-
-    if (morsel_rows is None or num_rows <= morsel_rows
-            or (predicate is None and not projections)):
-        # A pass-through (no predicate, no projections) copies nothing in
-        # the whole-batch path; morselizing it would only add a concat.
-        return filter_project_morsel(columns, predicate=predicate,
-                                     projections=projections), stats
-
-    parts = list(filter_project_morsels(
-        iter_morsels(columns, morsel_rows),
-        predicate=predicate, projections=projections))
-    return concat_columns(parts), stats
+    return filter_project_morsel(columns, predicate=predicate,
+                                 projections=projections), stats
 
 
 def estimate_filter_project(stats: FilterProjectStats, device: Device, *,

@@ -13,11 +13,13 @@ once while :func:`estimate_non_partitioned_join` prices the same work on any
 device from a :class:`JoinStats` record alone.
 
 Under the morsel contract the join is *build-then-probe*: the build side is
-a pipeline breaker (:class:`HashJoinBuild` consumes it entirely — morsel
-streams arrive through a :class:`~repro.storage.morsel.MorselSink`), after
-which the probe side streams: :meth:`HashJoinBuild.probe` matches one probe
-morsel at a time, and because the match list is ordered by probe position,
+a pipeline breaker (:class:`HashJoinBuild` takes the resident build batch
+whole), after which the probe side may stream: :meth:`HashJoinBuild.probe`
+is the per-morsel body the executor's driver applies to one probe morsel at
+a time, and because the match list is ordered by probe position,
 concatenated per-morsel outputs equal the whole-column join bit for bit.
+:func:`hash_join_kernel` is build once, probe once — the reference that
+streaming is tested against.
 
 That probe surface is also what makes this join *fusable*
 (:func:`repro.codegen.pipeline.is_fused_probe`): the executor's
@@ -31,13 +33,12 @@ therefore always break the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..hardware.device import Device
 from ..relational.keys import JoinBuildIndex, composite_key_map, match_indices
-from ..storage.morsel import Morsel, MorselSink, concat_columns, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -126,13 +127,6 @@ class HashJoinBuild:
                         for name, values in build.items()}
         self.index = JoinBuildIndex(composite_key(self.columns, build_keys))
 
-    @classmethod
-    def from_morsels(cls, morsels: Iterable[Morsel], *,
-                     build_keys: Sequence[str]) -> "HashJoinBuild":
-        """Consume a build-side morsel stream, then build the index."""
-        sink = MorselSink().extend(morsels)
-        return cls(sink.finish(), build_keys=build_keys)
-
     @property
     def num_rows(self) -> int:
         return columns_num_rows(self.columns)
@@ -155,14 +149,9 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
                      probe: Mapping[str, np.ndarray], *,
                      build_keys: Sequence[str],
                      probe_keys: Sequence[str],
-                     morsel_rows: int | None = None,
                      output_order: str = "probe",
                      ) -> tuple[ArrayMap, JoinStats]:
     """Evaluate the equi-join once; device-independent.
-
-    With ``morsel_rows`` set, the probe side streams through the build
-    state morsel-at-a-time (build-then-probe); output and stats are
-    bit-identical to the whole-column evaluation.
 
     ``output_order`` selects the canonical output row order (see
     ``docs/ARCHITECTURE.md``): ``"probe"`` (the default, and the join's
@@ -173,48 +162,27 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
     right-major order row for row.  The order never changes stats, only the
     permutation of the output rows.
     """
-    record_kernel_invocation("hash_join")
     if output_order not in ("probe", "build"):
         raise ValueError("output_order must be 'probe' or 'build'")
-    if morsel_rows is None:
-        builder = HashJoinBuild(build, build_keys=build_keys)
-    else:
-        builder = HashJoinBuild.from_morsels(
-            iter_morsels(build, morsel_rows), build_keys=build_keys)
+    record_kernel_invocation("hash_join")
+    builder = HashJoinBuild(build, build_keys=build_keys)
     probe = {name: np.asarray(values) for name, values in probe.items()}
-    probe_rows = columns_num_rows(probe)
     if output_order == "build":
-        # Collect the (build, probe) match positions — streamed per morsel
-        # with global probe offsets, so the concatenated index lists equal
-        # the whole-side probe — then re-sort build-major.  Stats see the
-        # same rows and bytes as the probe-major path.
-        build_parts: list[np.ndarray] = []
-        probe_parts: list[np.ndarray] = []
-        offset = 0
-        for morsel in iter_morsels(probe, morsel_rows):
-            build_idx, probe_idx = builder.index.probe(
-                composite_key(dict(morsel.columns), probe_keys))
-            build_parts.append(build_idx)
-            probe_parts.append(probe_idx + offset)
-            offset += morsel.num_rows
-        build_indices = (np.concatenate(build_parts) if build_parts
-                         else np.asarray([], dtype=np.int64))
-        probe_indices = (np.concatenate(probe_parts) if probe_parts
-                         else np.asarray([], dtype=np.int64))
-        order = np.lexsort((probe_indices, build_indices))
+        # The match list arrives probe-major with ties build-ascending (the
+        # JoinBuildIndex.probe contract), so one stable sort of the build
+        # positions is build-major with ties probe-ascending.  Stats see
+        # the same rows and bytes as the probe-major path.
+        build_indices, probe_indices = builder.index.probe(
+            composite_key(probe, probe_keys))
+        order = np.argsort(build_indices, kind="stable")
         columns = _materialize_join(builder.columns, probe,
                                     build_indices[order],
                                     probe_indices[order])
-    elif morsel_rows is None or probe_rows <= morsel_rows:
-        columns = builder.probe(probe, probe_keys=probe_keys)
     else:
-        columns = concat_columns([
-            builder.probe(morsel.columns, probe_keys=probe_keys)
-            for morsel in iter_morsels(probe, morsel_rows)
-        ])
+        columns = builder.probe(probe, probe_keys=probe_keys)
     stats = JoinStats(
         build_rows=builder.num_rows,
-        probe_rows=probe_rows,
+        probe_rows=columns_num_rows(probe),
         build_nbytes=builder.nbytes,
         probe_nbytes=int(sum(v.nbytes for v in probe.values())),
         output_nbytes=int(sum(v.nbytes for v in columns.values())),

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..hardware.device import Device
 from ..hardware.specs import DeviceKind, DeviceSpec
-from ..storage.morsel import MorselSink, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -413,11 +412,9 @@ class JoinSides:
     In between, :meth:`join_on` runs the skeleton with one device's tuning.
 
     The partitioned join breaks the pipeline on *both* sides — multi-pass
-    partitioning needs each input in full.  With ``morsel_rows`` set, both
-    sides are consumed as morsel streams into
-    :class:`~repro.storage.morsel.MorselSink` instances (zero-copy for
-    resident batches) before partitioning, so results and recorded pass
-    shapes are bit-identical for every morsel size.
+    partitioning needs each input in full — so both arrive as resident
+    batches, and results and recorded pass shapes cannot depend on the
+    engine's morsel size.
 
     ``output_order`` is the canonical join output order to restore
     (``"probe"``-major, or ``"build"``-major for joins whose build side is
@@ -428,14 +425,9 @@ class JoinSides:
     def __init__(self, build: Mapping[str, np.ndarray],
                  probe: Mapping[str, np.ndarray], *,
                  build_keys: Sequence[str], probe_keys: Sequence[str],
-                 output_order: str | None,
-                 morsel_rows: int | None = None) -> None:
+                 output_order: str | None) -> None:
         if output_order not in ("probe", "build", None):
             raise ValueError("output_order must be 'probe', 'build' or None")
-        if morsel_rows is not None:
-            build, probe = (
-                MorselSink().extend(iter_morsels(side, morsel_rows)).finish()
-                for side in (build, probe))
         self.build, self.probe = (
             {name: np.asarray(values) for name, values in side.items()}
             for side in (build, probe))
@@ -491,13 +483,11 @@ def partitioned_join_kernel(
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         spec: DeviceSpec,
-        morsel_rows: int | None = None,
         output_order: str | None = "probe",
 ) -> tuple[ArrayMap, PartitionedJoinStats]:
     """Evaluate the partitioned join on one device, once."""
     sides = JoinSides(build, probe, build_keys=build_keys,
-                      probe_keys=probe_keys, output_order=output_order,
-                      morsel_rows=morsel_rows)
+                      probe_keys=probe_keys, output_order=output_order)
     build_idx, probe_idx, stats = sides.join_on(spec, sides.build_keys,
                                                 sides.probe_keys)
     return sides.gather(build_idx, probe_idx), stats

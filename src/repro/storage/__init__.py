@@ -2,8 +2,6 @@
 
 from .morsel import (
     DEFAULT_MORSEL_ROWS,
-    Morsel,
-    MorselSink,
     concat_columns,
     iter_morsels,
     morsel_count,
@@ -60,8 +58,6 @@ __all__ = [
     "INT64",
     "JoinWorkload",
     "MICROBENCH_TUPLE_BYTES",
-    "Morsel",
-    "MorselSink",
     "NATIONS",
     "REGIONS",
     "TPCHDataset",

@@ -53,7 +53,10 @@ PASSING = {
                   "cache": {"hits": 127, "misses": 53},
                   "warm_simulated_seconds_identical": True},
     "mem": {"variants": {"morsels": {"peak_intermediate_bytes": 18_600_000,
-                                     "wall_clock_seconds": 0.07}}},
+                                     "wall_clock_seconds": 0.07}},
+            "morsels_peak_vs_whole_column": 0.56,
+            "fused_peak_vs_morsels": 0.85,
+            "simulated_seconds_identical": True},
     "scale": {"cpu_count": 8, "speedup_at_4_workers": 1.8,
               "workers": {"1": {"wall_clock_seconds": 0.5},
                           "4": {"wall_clock_seconds": 0.28}},
@@ -100,6 +103,11 @@ PASSING = {
 DOCTORED = {
     ("tpch_warm", "warm_simulated_seconds_identical"):
         ("warm_simulated_seconds_identical", False),
+    ("mem", "morsels_peak_vs_whole_column"):
+        ("morsels_peak_vs_whole_column", 0.76),
+    ("mem", "fused_peak_vs_morsels"): ("fused_peak_vs_morsels", 1.01),
+    ("mem", "simulated_seconds_identical"):
+        ("simulated_seconds_identical", False),
     ("scale", "simulated_identical_across_workers"):
         ("simulated_identical_across_workers", False),
     ("scale", "server_cache_identical_across_workers"):

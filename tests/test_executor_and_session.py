@@ -36,13 +36,15 @@ class TestOpCost:
             OpCost().scaled(-0.1)
 
 
-#: knob -> (accepted values with the value read back, a rejected value).
+#: knob -> (accepted values with the value read back, rejected values).
 KNOBS = {
-    "morsel_rows": ([(123, 123), (None, None)], 0),
-    "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], -1),
-    "pipeline_fusion": ([(False, False)], "yes"),
-    "workers": ([(2, 2), ("auto", available_cpus())], 0),
-    "tracing": ([(True, True)], 1),
+    # A non-integer morsel size used to pass construction and kill the
+    # first execute with a bare TypeError; ``True`` ran one-row morsels.
+    "morsel_rows": ([(123, 123), (None, None)], [0, 2.5, 1000.0, "7", True]),
+    "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], [-1]),
+    "pipeline_fusion": ([(False, False)], ["yes"]),
+    "workers": ([(2, 2), ("auto", available_cpus())], [0]),
+    "tracing": ([(True, True)], [1]),
 }
 
 
@@ -81,8 +83,9 @@ class TestKnobSurface:
             assert executor.query_cache.budget_bytes == options.cache_budget_bytes
 
     def test_rejects_bad_value(self, knob, door):
-        with pytest.raises(ValueError):
-            door(knob, KNOBS[knob][1])
+        for bad in KNOBS[knob][1]:
+            with pytest.raises(ValueError):
+                door(knob, bad)
 
 
 class TestKnobOwnership:
@@ -111,6 +114,22 @@ class TestKnobOwnership:
         assert session.cache_budget_bytes == server.query_cache.budget_bytes
         session.morsel_rows = 99
         assert session.executor.scheduler.morsel_rows == 99
+
+    def test_bad_morsel_rows_cannot_reach_a_served_epoch(self, tpch_dataset):
+        """A float morsel size used to be accepted, blow up inside the
+        first kernel with a bare ``TypeError`` — which the serving loop
+        does not catch — and abort the epoch for every tenant."""
+        from repro.server import QueryServer
+
+        server = QueryServer(default_server())
+        server.register_dataset(tpch_dataset.tables)
+        plan = build_query("Q6", tpch_dataset).plan
+        session = server.open_session("a")
+        with pytest.raises(ValueError, match="morsel_rows"):
+            session.morsel_rows = 1000.0
+        tickets = [server.submit(tenant, plan, "cpu") for tenant in "ab"]
+        server.run()
+        assert [ticket.status for ticket in tickets] == ["completed"] * 2
 
 
 class TestExecutorBehaviour:

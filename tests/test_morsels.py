@@ -2,16 +2,19 @@
 
 Three layers of guarantees:
 
-* the storage primitives (:mod:`repro.storage.morsel`) carve zero-copy
-  morsels and reassemble them — with no copy at all when a stream
-  round-trips a resident batch;
-* every operator kernel is morsel-transparent: outputs *and* stats are
-  bit-identical for any ``morsel_rows``, including the edge cases (morsels
-  larger than the input, exactly one row, a non-divisor of the row count,
-  and empty inputs);
+* the storage primitives (:mod:`repro.storage.morsel`) carve a batch into
+  zero-copy slices that tile it in order, and reassemble per-morsel
+  outputs;
+* the driver is morsel-transparent: kernels take whole batches, the
+  executor streams — and for every engine ``morsel_rows`` the columns
+  *and* the stats record an operator description produces equal its
+  whole-batch kernel's byte for byte, including the edge cases (a morsel
+  boundary inside a run of duplicate keys, a morsel larger than the
+  input, a filter that keeps nothing, and empty inputs);
 * the engine is morsel-invariant: for every morsel setting the results
   match the reference executor, simulated seconds are unchanged bit for
-  bit, and the single-evaluation kernel memo keeps working across morsel
+  bit, the morsel accounting the server's preemption reads stays put, and
+  the single-evaluation kernel memo keeps working across morsel
   boundaries.
 """
 
@@ -20,44 +23,43 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen import break_into_pipelines, is_streaming_operator
-from repro.engine import HAPEEngine, Session
-from repro.hardware import default_server
+from repro.engine import Executor, ExecutorOptions, HAPEEngine, Session
+from repro.engine.descriptions import description
+from repro.hardware import default_server, gtx_1080
 from repro.operators import (
-    AggregateMorselSink,
-    HashJoinBuild,
-    cpu_radix_join_kernel,
+    coprocessed_join_kernel,
     filter_project_kernel,
-    gpu_partitioned_join_kernel,
     hash_aggregate_kernel,
     hash_join_kernel,
     kernel_counts,
+    merge_partials_kernel,
+    partitioned_join_kernel,
     reset_kernel_counts,
 )
 from repro.relational import (
+    JoinAlgorithm,
+    PAggregate,
     PFilterProject,
+    PJoin,
     PScan,
     agg_avg,
     agg_count,
     agg_sum,
     col,
+    cpu_traits,
     execute_logical,
     lit,
     scan,
 )
 from repro.storage import (
     DEFAULT_MORSEL_ROWS,
-    MorselSink,
+    Catalog,
+    Table,
     concat_columns,
     iter_morsels,
     morsel_count,
 )
 from repro.workloads import build_query
-
-#: The edge cases the morsel machinery must be transparent for: one row at
-#: a time, a non-divisor of typical row counts, and larger than any input.
-EDGE_MORSEL_ROWS = (1, 7, 977, 10**9)
-
 
 def _random_columns(num_rows: int, seed: int = 0) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -83,21 +85,38 @@ class TestMorselPrimitives:
         columns = _random_columns(1000)
         morsels = list(iter_morsels(columns, 256))
         assert len(morsels) == morsel_count(1000, 256) == 4
-        assert [m.num_rows for m in morsels] == [256, 256, 256, 232]
-        assert morsels[0].is_first and morsels[-1].is_last
+        assert [len(m["k"]) for m in morsels] == [256, 256, 256, 232]
+        offset = 0
         for morsel in morsels:
-            for name, values in morsel.columns.items():
-                # Zero-copy: every morsel column is a view of the batch.
+            assert list(morsel) == list(columns)
+            for name, values in morsel.items():
+                # Zero-copy: every slice is a view of the batch, and the
+                # slices tile it in row order.
                 assert np.shares_memory(values, columns[name])
-        reassembled = concat_columns([m.columns for m in morsels])
-        _assert_columns_identical(reassembled, columns)
+                np.testing.assert_array_equal(
+                    values, columns[name][offset:offset + len(values)])
+            offset += len(morsel["k"])
+        assert offset == 1000
+        _assert_columns_identical(concat_columns(morsels), columns)
 
     def test_empty_batch_yields_single_empty_morsel(self):
-        columns = {"k": np.asarray([], dtype=np.int64)}
+        columns = {"k": np.asarray([], dtype=np.int64),
+                   "v": np.asarray([], dtype=np.float64)}
         morsels = list(iter_morsels(columns, 8))
         assert len(morsels) == 1
-        assert morsels[0].num_rows == 0
-        assert morsels[0].columns["k"].dtype == np.int64
+        # Consumers still see the schema: names, order and dtypes.
+        assert list(morsels[0]) == ["k", "v"]
+        assert morsels[0]["k"].shape == morsels[0]["v"].shape == (0,)
+        assert morsels[0]["k"].dtype == np.int64
+        assert morsels[0]["v"].dtype == np.float64
+
+    @pytest.mark.parametrize("morsel_rows", [None, 500, 10**9])
+    def test_batch_that_fits_one_morsel_is_yielded_itself(self, morsel_rows):
+        columns = _random_columns(500)
+        (morsel,) = iter_morsels(columns, morsel_rows)
+        assert list(morsel) == list(columns)
+        for name in columns:
+            assert morsel[name] is columns[name]
 
     def test_morsel_count_edge_cases(self):
         assert morsel_count(0, 16) == 1
@@ -106,143 +125,8 @@ class TestMorselPrimitives:
         assert morsel_count(5, None) == 1
         with pytest.raises(ValueError):
             morsel_count(5, 0)
-
-    def test_sink_round_trip_is_zero_copy(self):
-        columns = _random_columns(500)
-        sink = MorselSink().extend(iter_morsels(columns, 64))
-        finished = sink.finish()
-        for name in columns:
-            # The sink recognised the untouched carving of one batch and
-            # handed the original arrays back — no concatenation copy.
-            assert finished[name] is columns[name]
-
-    def test_sink_concatenates_foreign_morsels(self):
-        columns = _random_columns(100)
-        morsels = list(iter_morsels(columns, 32))
-        # Streams from two different carvings do not share a source.
-        other = list(iter_morsels(columns, 32))
-        sink = MorselSink().extend(morsels[:2]).extend(other[2:])
-        finished = sink.finish()
-        _assert_columns_identical(finished, columns)
-        assert finished["k"] is not columns["k"]
-
-
-# ----------------------------------------------------------------------
-# Operator kernels: morsel transparency
-# ----------------------------------------------------------------------
-class TestKernelMorselTransparency:
-    @pytest.mark.parametrize("num_rows", [0, 1, 100, 1000])
-    @pytest.mark.parametrize("morsel_rows", EDGE_MORSEL_ROWS)
-    def test_filter_project(self, num_rows, morsel_rows):
-        columns = _random_columns(num_rows, seed=num_rows)
-        predicate = (col("w") >= lit(0)) & (col("v") < lit(1.0))
-        projections = {"k": col("k"), "scaled": col("v") * lit(2.5),
-                       "flag": lit(7)}
-        expected, expected_stats = filter_project_kernel(
-            columns, predicate=predicate, projections=projections)
-        got, stats = filter_project_kernel(
-            columns, predicate=predicate, projections=projections,
-            morsel_rows=morsel_rows)
-        assert stats == expected_stats
-        _assert_columns_identical(got, expected)
-
-    def test_filter_project_removing_every_row(self):
-        columns = _random_columns(64)
-        predicate = col("w") > lit(10**6)
-        expected, _ = filter_project_kernel(columns, predicate=predicate)
-        got, _ = filter_project_kernel(columns, predicate=predicate,
-                                       morsel_rows=7)
-        assert next(iter(got.values())).shape == (0,)
-        _assert_columns_identical(got, expected)
-
-    @pytest.mark.parametrize("build_rows,probe_rows", [
-        (0, 50), (50, 0), (40, 160), (128, 1000),
-    ])
-    @pytest.mark.parametrize("morsel_rows", EDGE_MORSEL_ROWS)
-    def test_hash_join_duplicate_keys(self, build_rows, probe_rows,
-                                      morsel_rows):
-        rng = np.random.default_rng(build_rows + probe_rows)
-        build = {"bk": rng.integers(0, 12, build_rows, dtype=np.int64),
-                 "bp": rng.normal(size=build_rows)}
-        probe = {"pk": rng.integers(0, 12, probe_rows, dtype=np.int64),
-                 "pp": rng.integers(0, 99, probe_rows, dtype=np.int64)}
-        expected, expected_stats = hash_join_kernel(
-            build, probe, build_keys=["bk"], probe_keys=["pk"])
-        got, stats = hash_join_kernel(
-            build, probe, build_keys=["bk"], probe_keys=["pk"],
-            morsel_rows=morsel_rows)
-        assert stats == expected_stats
-        _assert_columns_identical(got, expected)
-
-    @pytest.mark.parametrize("morsel_rows", EDGE_MORSEL_ROWS)
-    def test_hash_join_unique_keys_fast_path(self, morsel_rows):
-        rng = np.random.default_rng(3)
-        build = {"bk": rng.permutation(200).astype(np.int64)}
-        probe = {"pk": rng.integers(0, 300, 700, dtype=np.int64)}
-        expected, _ = hash_join_kernel(build, probe, build_keys=["bk"],
-                                       probe_keys=["pk"])
-        got, _ = hash_join_kernel(build, probe, build_keys=["bk"],
-                                  probe_keys=["pk"], morsel_rows=morsel_rows)
-        _assert_columns_identical(got, expected)
-
-    @pytest.mark.parametrize("num_rows", [0, 1, 500])
-    @pytest.mark.parametrize("morsel_rows", EDGE_MORSEL_ROWS)
-    @pytest.mark.parametrize("phase", ["complete", "partial"])
-    def test_hash_aggregate(self, num_rows, morsel_rows, phase):
-        columns = _random_columns(num_rows, seed=17)
-        aggregates = [agg_sum(col("v"), "total"), agg_count("cnt"),
-                      agg_avg(col("v"), "mean")]
-        expected, expected_stats = hash_aggregate_kernel(
-            columns, group_by=["k"], aggregates=aggregates, phase=phase)
-        got, stats = hash_aggregate_kernel(
-            columns, group_by=["k"], aggregates=aggregates, phase=phase,
-            morsel_rows=morsel_rows)
-        assert stats == expected_stats
-        _assert_columns_identical(got, expected)
-
-    @pytest.mark.parametrize("morsel_rows", EDGE_MORSEL_ROWS)
-    def test_radix_joins(self, cpu, gpu, morsel_rows):
-        rng = np.random.default_rng(23)
-        build = {"bk": rng.integers(0, 400, 2000, dtype=np.int64),
-                 "bp": rng.integers(0, 9, 2000, dtype=np.int64)}
-        probe = {"pk": rng.integers(0, 400, 3000, dtype=np.int64),
-                 "pp": rng.normal(size=3000)}
-        for kernel, spec in ((cpu_radix_join_kernel, cpu.spec),
-                             (gpu_partitioned_join_kernel, gpu.spec)):
-            expected, expected_stats = kernel(
-                build, probe, build_keys=["bk"], probe_keys=["pk"], spec=spec)
-            got, stats = kernel(
-                build, probe, build_keys=["bk"], probe_keys=["pk"],
-                spec=spec, morsel_rows=morsel_rows)
-            assert stats == expected_stats
-            _assert_columns_identical(got, expected)
-
-    def test_hash_join_build_then_probe_streaming(self):
-        """Per-morsel probing through HashJoinBuild equals one-shot join."""
-        rng = np.random.default_rng(5)
-        build = {"bk": rng.integers(0, 40, 300, dtype=np.int64)}
-        probe = {"pk": rng.integers(0, 40, 900, dtype=np.int64)}
-        builder = HashJoinBuild.from_morsels(iter_morsels(build, 64),
-                                             build_keys=["bk"])
-        streamed = concat_columns([
-            builder.probe(morsel.columns, probe_keys=["pk"])
-            for morsel in iter_morsels(probe, 100)
-        ])
-        expected, _ = hash_join_kernel(build, probe, build_keys=["bk"],
-                                       probe_keys=["pk"])
-        _assert_columns_identical(streamed, expected)
-
-    def test_aggregate_sink_consumes_stream_then_finalizes(self):
-        columns = _random_columns(400, seed=9)
-        aggregates = [agg_sum(col("v"), "total"), agg_count("cnt")]
-        sink = AggregateMorselSink(group_by=["k"], aggregates=aggregates)
-        for morsel in iter_morsels(columns, 32):
-            sink.consume(morsel)
-        got, stats = sink.finish()
-        expected, expected_stats = hash_aggregate_kernel(
-            columns, group_by=["k"], aggregates=aggregates)
-        assert stats == expected_stats
-        _assert_columns_identical(got, expected)
+        with pytest.raises(ValueError):
+            list(iter_morsels(_random_columns(5), 0))
 
 
 # ----------------------------------------------------------------------
@@ -336,55 +220,69 @@ class TestEngineMorselInvariance:
         assert fine.morsels_dispatched > coarse.morsels_dispatched
         assert fine.simulated_seconds == coarse.simulated_seconds
 
+    #: ``morsels_dispatched`` of a cold run per (query, ``morsel_rows``),
+    #: recorded at e9e02cf — when every breaker kernel still carved its own
+    #: input — on this suite's dataset; the same in all three modes.  A
+    #: breaker's grant is its yield grid: the server's preemption divides a
+    #: running attempt's span by this count to place the kill, so a grant
+    #: that moved would move served simulated seconds.
+    PINNED_MORSELS = {
+        ("Q1", DEFAULT_MORSEL_ROWS): 2, ("Q1", 4096): 16,
+        ("Q5", DEFAULT_MORSEL_ROWS): 11, ("Q5", 4096): 19,
+        ("Q6", DEFAULT_MORSEL_ROWS): 2, ("Q6", 4096): 9,
+        ("Q9", DEFAULT_MORSEL_ROWS): 7, ("Q9", 4096): 22,
+    }
 
-class TestPipelineMorselStages:
-    def test_streaming_prefix_excludes_breaker_sink(self, engine,
-                                                    tpch_dataset):
-        from repro.relational import PAggregate, PJoin, PSort
-
-        query = build_query("Q5", tpch_dataset)
-        physical = engine.plan(query.plan, "cpu")
-        pipelines = break_into_pipelines(physical)
-        assert pipelines
-        for pipeline in pipelines:
-            # A breaker may only appear as the pipeline's *source* (its
-            # output stream starts the pipeline); never downstream of the
-            # source inside the streaming prefix.
-            assert not any(isinstance(op, (PAggregate, PJoin, PSort))
-                           for op in pipeline.streaming_prefix()[1:])
-
-    def test_scan_and_filter_are_streaming(self, engine, tpch_dataset):
-        query = build_query("Q6", tpch_dataset)
-        physical = engine.plan(query.plan, "cpu")
-        ops = list(physical.walk())
-        assert any(is_streaming_operator(op) for op in ops)
-        assert all(is_streaming_operator(op)
-                   for op in ops if isinstance(op, (PScan, PFilterProject)))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("query,morsel_rows", PINNED_MORSELS)
+    def test_morsels_dispatched_is_pinned(self, tpch_dataset, query,
+                                          morsel_rows, mode):
+        engine = self._engine(tpch_dataset, morsel_rows)
+        plan = build_query(query, tpch_dataset).plan
+        cold = engine.execute(plan, mode)
+        assert cold.morsels_dispatched == self.PINNED_MORSELS[
+            query, morsel_rows]
+        # Warm: every evaluation is a cache hit and grants nothing.
+        assert engine.execute(plan, mode).morsels_dispatched == 0
 
 
 # ----------------------------------------------------------------------
-# Streamed operator descriptions vs. the whole-batch kernels
+# Operator descriptions under the driver vs. the whole-batch kernels
 # ----------------------------------------------------------------------
+def _catalog(**tables) -> Catalog:
+    catalog = Catalog()
+    for name, columns in tables.items():
+        catalog.register(Table.from_arrays(name, columns))
+    return catalog
+
+
+def _scan(table: str) -> PScan:
+    return PScan(cpu_traits(), table=table)
+
+
 class TestStreamedDescriptionsMatchKernels:
-    """Every plan node — fusion on or off — streams through the operator
-    descriptions' per-morsel accumulation, so nothing inside the engine
-    runs ``filter_project_kernel`` / ``hash_join_kernel`` on these paths
-    any more.  This is the independent cross-check: over real TPC-H
-    columns, the streamed columns and the accumulated stats record equal
-    the kernels' own, byte for byte."""
+    """Kernels take whole batches; carving and streaming is the driver's
+    job alone.  This is the cross-check between the two: for every engine
+    ``morsel_rows`` — whole-column packets, a size that puts a morsel
+    boundary inside runs of duplicate keys, and one larger than most
+    inputs — the columns (names, order, dtypes, row order) and the stats
+    record an operator description produces under the driver equal its
+    whole-batch kernel's, byte for byte."""
 
     MORSEL_ROWS = (None, 7, 4096)
 
     @staticmethod
-    def _stream(node, catalog, morsel_rows):
-        """Drive ``node``'s description as a one-stage chain."""
-        from repro.engine import Executor, ExecutorOptions
-        from repro.engine.descriptions import description
-
-        executor = Executor(default_server(), catalog, ExecutorOptions(
-            morsel_rows=morsel_rows, cache_budget_bytes=0))
+    def _stream(node, catalog, morsel_rows, topology=None):
+        """Drive ``node``'s description as a one-stage chain, the way
+        :meth:`Executor._execute` does: place, check, evaluate."""
+        executor = Executor(topology or default_server(), catalog,
+                            ExecutorOptions(morsel_rows=morsel_rows,
+                                            cache_budget_bytes=0))
         stage = description(node)(node, executor)  # runs a join's build
         source = executor._execute(node.children()[-1])
+        stage.devices = stage.place(source.devices)
+        stage.kernel_tag = stage.tag(source.kernel_tag)
+        stage.check(source)
         columns, ((stats, nbytes, rows),) = executor._evaluate([stage],
                                                                source)
         assert nbytes == sum(v.nbytes for v in columns.values())
@@ -398,18 +296,16 @@ class TestStreamedDescriptionsMatchKernels:
             assert got[name].dtype == expected[name].dtype, name
             assert got[name].tobytes() == expected[name].tobytes(), name
 
+    # -- filter/project ------------------------------------------------
     @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
     @pytest.mark.parametrize("cutoff", [24, -1], ids=["rows", "empty"])
     def test_filter_project(self, engine, morsel_rows, cutoff):
-        from repro.relational import cpu_traits
-
         predicate = col("l_quantity") < lit(cutoff)
         projections = {"revenue": col("l_extendedprice") * col("l_discount"),
                        "l_orderkey": col("l_orderkey")}
-        lineitem = PScan(cpu_traits(), table="lineitem")
         # Two stages: the first feeds the second an *empty* input when the
         # cutoff keeps nothing.
-        inner = PFilterProject(cpu_traits(), child=lineitem,
+        inner = PFilterProject(cpu_traits(), child=_scan("lineitem"),
                                predicate=predicate)
         node = PFilterProject(cpu_traits(), child=inner,
                               projections=projections)
@@ -418,15 +314,68 @@ class TestStreamedDescriptionsMatchKernels:
         if cutoff < 0:
             assert source.num_rows == 0
         expected, expected_stats = filter_project_kernel(
-            source.columns, projections=projections, morsel_rows=morsel_rows)
+            source.columns, projections=projections)
         self._assert_bytes_equal(columns, expected)
         assert stats == expected_stats
 
     @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("num_rows", [0, 1, 100, 1000])
+    @pytest.mark.parametrize("keep", ["some", "none"])
+    def test_filter_project_predicate_and_literal(self, num_rows, keep,
+                                                  morsel_rows):
+        """A predicate and projections in one stage — a literal column
+        included — over inputs from empty to many morsels; ``none`` is the
+        filter that removes every row of a non-empty input."""
+        predicate = ((col("w") >= lit(0)) & (col("v") < lit(1.0))
+                     if keep == "some" else col("w") > lit(10**6))
+        projections = {"k": col("k"), "scaled": col("v") * lit(2.5),
+                       "flag": lit(7)}
+        node = PFilterProject(cpu_traits(), child=_scan("t"),
+                              predicate=predicate, projections=projections)
+        catalog = _catalog(t=_random_columns(num_rows, seed=num_rows))
+        _, source, columns, stats = self._stream(node, catalog, morsel_rows)
+        expected, expected_stats = filter_project_kernel(
+            source.columns, predicate=predicate, projections=projections)
+        if keep == "none":
+            assert columns["flag"].shape == (0,)
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    # -- joins ---------------------------------------------------------
+    @staticmethod
+    def _join_sides(shape: str):
+        """Build / probe column maps of the removed kernel-level cases."""
+        if shape == "unique":  # the index's unique-key fast path
+            rng = np.random.default_rng(3)
+            return ({"bk": rng.permutation(200).astype(np.int64)},
+                    {"pk": rng.integers(0, 300, 700, dtype=np.int64)})
+        # Few distinct keys: runs of duplicates on both sides, so 7-row
+        # morsel boundaries fall inside them.  ``partitioned`` is large
+        # enough that every partitioned join plans a real fan-out.
+        build_rows, probe_rows, keys = {
+            "empty-build": (0, 50, 12), "empty-probe": (50, 0, 12),
+            "duplicates": (128, 1000, 12),
+            "partitioned": (20_000, 30_000, 4_000)}[shape]
+        rng = np.random.default_rng(build_rows + probe_rows)
+        return ({"bk": rng.integers(0, keys, build_rows, dtype=np.int64),
+                 "bp": rng.normal(size=build_rows)},
+                {"pk": rng.integers(0, keys, probe_rows, dtype=np.int64),
+                 "pp": rng.integers(0, 99, probe_rows, dtype=np.int64)})
+
+    JOIN_SHAPES = ("unique", "duplicates", "empty-build", "empty-probe")
+    PARTITIONED_SHAPES = JOIN_SHAPES + ("partitioned",)
+
+    def _join(self, shape, morsel_rows, topology=None, **join):
+        build, probe = self._join_sides(shape)
+        node = PJoin(cpu_traits(), build=_scan("build"), probe=_scan("probe"),
+                     build_keys=("bk",), probe_keys=("pk",), **join)
+        stage, source, columns, stats = self._stream(
+            node, _catalog(build=build, probe=probe), morsel_rows, topology)
+        return stage, stage.build.columns, source.columns, columns, stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
     @pytest.mark.parametrize("cutoff", [10**9, -1], ids=["rows", "empty"])
     def test_hash_join_probe(self, engine, morsel_rows, cutoff):
-        from repro.relational import PJoin, cpu_traits
-
         orders = PScan(cpu_traits(), table="orders",
                        columns=("o_orderkey", "o_custkey"))
         lineitem = PFilterProject(
@@ -439,7 +388,79 @@ class TestStreamedDescriptionsMatchKernels:
                                                      morsel_rows)
         expected, expected_stats = hash_join_kernel(
             stage.build.columns, source.columns,
-            build_keys=node.build_keys, probe_keys=node.probe_keys,
-            morsel_rows=morsel_rows)
+            build_keys=node.build_keys, probe_keys=node.probe_keys)
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("swapped", [False, True],
+                             ids=["streamed", "swapped"])
+    @pytest.mark.parametrize("shape", JOIN_SHAPES)
+    def test_hash_join(self, shape, swapped, morsel_rows):
+        """The probe streams through ``HashJoinBuild.probe``; a swapped
+        join (build-major output) runs whole.  Both equal the kernel."""
+        _, build, probe, columns, stats = self._join(
+            shape, morsel_rows, swapped=swapped)
+        expected, expected_stats = hash_join_kernel(
+            build, probe, build_keys=["bk"], probe_keys=["pk"],
+            output_order="build" if swapped else "probe")
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("algorithm", [JoinAlgorithm.RADIX_CPU,
+                                           JoinAlgorithm.RADIX_GPU],
+                             ids=["cpu", "gpu"])
+    @pytest.mark.parametrize("shape", PARTITIONED_SHAPES)
+    def test_radix_join(self, shape, algorithm, morsel_rows):
+        stage, build, probe, columns, stats = self._join(
+            shape, morsel_rows, algorithm=algorithm)
+        expected, expected_stats = partitioned_join_kernel(
+            build, probe, build_keys=["bk"], probe_keys=["pk"],
+            spec=stage.devices[0].spec)
+        if shape == "partitioned":
+            assert stats.plan.total_fanout > 1
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("shape", PARTITIONED_SHAPES)
+    def test_coprocessed_join(self, shape, morsel_rows):
+        # 256 KB GPUs: the large shape needs several co-partitions each.
+        small_gpus = default_server(
+            gpu_spec=gtx_1080().with_memory_capacity(256 << 10))
+        stage, build, probe, columns, stats = self._join(
+            shape, morsel_rows, small_gpus,
+            algorithm=JoinAlgorithm.COPROCESSED_RADIX)
+        expected, expected_stats = coprocessed_join_kernel(
+            build, probe, build_keys=["bk"], probe_keys=["pk"],
+            gpu_specs=[gpu.spec for gpu in stage.devices[1:]])
+        if shape == "partitioned":
+            assert len(stats.copartitions) > 2
+        self._assert_bytes_equal(columns, expected)
+        assert stats == expected_stats
+
+    # -- aggregate -----------------------------------------------------
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("num_rows", [0, 1, 500])
+    @pytest.mark.parametrize("phase", ["complete", "partial", "final"])
+    def test_aggregate(self, phase, num_rows, morsel_rows):
+        aggregates = (agg_sum(col("v"), "total"), agg_count("cnt"),
+                      agg_avg(col("v"), "mean"))
+        child = _scan("t")
+        if phase == "final":  # merges what a partial aggregate emitted
+            child = PAggregate(cpu_traits(), child=child, group_by=("k",),
+                               aggregates=aggregates, phase="partial")
+        node = PAggregate(cpu_traits(), child=child, group_by=("k",),
+                          aggregates=aggregates, phase=phase)
+        catalog = _catalog(t=_random_columns(num_rows, seed=17))
+        _, source, columns, stats = self._stream(node, catalog, morsel_rows)
+        if phase == "final":
+            expected, expected_stats = merge_partials_kernel(
+                [source.columns], group_by=["k"], aggregates=aggregates)
+        else:
+            expected, expected_stats = hash_aggregate_kernel(
+                source.columns, group_by=["k"], aggregates=aggregates,
+                phase=phase)
         self._assert_bytes_equal(columns, expected)
         assert stats == expected_stats

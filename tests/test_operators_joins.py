@@ -466,18 +466,31 @@ class TestCanonicalJoinOutputOrder:
                 "pk": probe["pk"][probe_idx], "pv": probe["pv"][probe_idx]}
 
     @pytest.mark.parametrize("order", ["probe", "build"])
-    @pytest.mark.parametrize("morsel_rows", [None, 37])
-    def test_hash_join_kernel_orders(self, order, morsel_rows):
+    def test_hash_join_kernel_orders(self, order):
         from repro.operators import hash_join_kernel
         build, probe = self._inputs()
         columns, stats = hash_join_kernel(
             build, probe, build_keys=["bk"], probe_keys=["pk"],
-            morsel_rows=morsel_rows, output_order=order)
+            output_order=order)
         expected = self._expected(build, probe, order=order)
         for name in expected:
             np.testing.assert_array_equal(columns[name], expected[name])
         assert stats.output_nbytes == sum(v.nbytes
                                           for v in expected.values())
+
+    def test_rejected_output_order_is_not_counted(self):
+        """A call the kernel refuses is not an evaluation: the counter the
+        single-evaluation tests read moves only for work that ran."""
+        from repro.operators import (hash_join_kernel, kernel_counts,
+                                     reset_kernel_counts)
+        build, probe = self._inputs()
+        reset_kernel_counts()
+        with pytest.raises(ValueError, match="output_order"):
+            hash_join_kernel(build, probe, build_keys=["bk"],
+                             probe_keys=["pk"], output_order="sideways")
+        assert kernel_counts().get("hash_join", 0) == 0
+        hash_join_kernel(build, probe, build_keys=["bk"], probe_keys=["pk"])
+        assert kernel_counts()["hash_join"] == 1
 
     @classmethod
     def _input_shapes(cls) -> dict:

@@ -114,6 +114,42 @@ class TestPipelines:
         assert ops.get("MemMove", 0) >= 1
         assert ops.get("DeviceCrossing", 0) >= 1
 
+    def test_breakers_only_start_pipelines(self, engine, tpch_dataset):
+        from repro.relational import PAggregate, PJoin, PSort
+        from repro.workloads import build_query
+        physical = engine.plan(build_query("Q5", tpch_dataset).plan, "cpu")
+        pipelines = break_into_pipelines(physical)
+        assert pipelines
+        for pipeline in pipelines:
+            # A breaker's output stream starts a pipeline; it never sits
+            # downstream of the source inside one.
+            assert not any(isinstance(op, (PAggregate, PJoin, PSort))
+                           for op in pipeline.operators[1:])
+
+    def test_streams_morsels_is_the_execution_split(self, engine,
+                                                    tpch_dataset):
+        """What the driver streams: filter/projects, exchanges and plain
+        hash-join probes.  Sources and everything that needs its input
+        whole — or emits build-major order — do not."""
+        from repro.codegen import streams_morsels
+        from repro.relational import (JoinAlgorithm, PAggregate,
+                                      PFilterProject, PJoin, PScan)
+        from repro.workloads import build_query
+        ops = [op for query in ("Q5", "Q9")
+               for op in engine.plan(build_query(query, tpch_dataset).plan,
+                                     "hybrid").walk()]
+        joins = [op for op in ops if isinstance(op, PJoin)]
+        assert joins and any(op.is_exchange() for op in ops)
+        for op in ops:
+            if isinstance(op, PFilterProject) or op.is_exchange():
+                assert streams_morsels(op)
+            elif isinstance(op, (PScan, PAggregate)):
+                assert not streams_morsels(op)
+        for join in joins:
+            assert streams_morsels(join) == (
+                join.algorithm is JoinAlgorithm.NON_PARTITIONED
+                and not join.swapped)
+
 
 class TestBackends:
     def test_provider_registry(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -11,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it, rounded
 #: up to the next 10.
-MAX_SRC_CODE_LINES = 9_130
+MAX_SRC_CODE_LINES = 8_970
 
 
 def _code_lines_tool():
@@ -58,3 +59,29 @@ def test_src_code_lines_stay_under_the_ratchet():
         f"{MAX_SRC_CODE_LINES:,}: lower MAX_SRC_CODE_LINES in a simplicity "
         "PR, or raise it deliberately in the same diff as the code that "
         "needs the lines")
+
+
+def test_no_operator_takes_morsel_rows():
+    """The morsel contract: kernels take whole batches, and the one carve
+    -> stream -> reassemble loop is the executor's.  A ``morsel_rows``
+    parameter on anything :mod:`repro.operators` exports is a second loop
+    coming back."""
+    import repro.operators as operators
+
+    callables = {name: getattr(operators, name) for name in operators.__all__
+                 if callable(getattr(operators, name))}
+    assert "hash_join_kernel" in callables
+    offenders = []
+    for name, value in callables.items():
+        targets = [value]
+        if inspect.isclass(value):  # methods and classmethods too
+            targets += [member for _, member in inspect.getmembers(
+                value, inspect.isroutine)]
+        for target in targets:
+            try:
+                parameters = inspect.signature(target).parameters
+            except ValueError:  # no signature: type aliases, builtins
+                continue
+            if "morsel_rows" in parameters:
+                offenders.append(getattr(target, "__qualname__", name))
+    assert not offenders, offenders
