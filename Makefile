@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc serve-bench scale-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc figures serve-bench scale-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -38,8 +38,8 @@ examples:
 		$(PYTHON) $$script > /dev/null; \
 	done; echo "all examples ran cleanly"
 
-## Quick benchmark pass: fig5-fig9 sweeps + TPC-H execution suite,
-## appending wall-clock and simulated seconds to BENCH_results.json.
+## The default suites (fig5-fig9, claims, tpch, tpch_warm, mem, serve) at
+## SF 0.05, appending one run record to BENCH_results.json.
 bench:
 	$(PYTHON) benchmarks/run_benchmarks.py --sf 0.05 --repeat 3
 
@@ -64,12 +64,22 @@ LOC_PATHS ?= src
 loc:
 	$(PYTHON) tools/code_lines.py $(LOC_PATHS)
 
-## The six smoke gates below are each ONE command: run the named suites
+## The seven smoke gates below are each ONE command: run the named suites
 ## at SF 0.05 into a scratch history file, then (--gate) apply the gates
 ## those suites declare in benchmarks/run_benchmarks.py — the gate table
 ## is the @suite(...) declaration above each suite — to the run just
 ## recorded.  --baseline adds the cross-PR identity check against the
 ## committed BENCH_results.json.  Any failure is printed; exit non-zero.
+
+## Paper figures: the Fig. 5-9 model sweeps and the headline claims hold
+## the shape the paper reports (SM below L1; partitioned GPU join fastest;
+## 2 GPUs < 1 GPU < DBMS C < DBMS G; hybrid never slower; the partitioned
+## join gains most on GPU-only Q5; every claimed speed-up above 1x).
+figures:
+	$(PYTHON) benchmarks/run_benchmarks.py \
+		--suites fig5 fig6 fig7 fig8 fig9 claims \
+		--sf 0.05 --repeat 1 --output /tmp/BENCH_figures_smoke.json \
+		--gate
 
 ## Serving (CI job "serve"): served per-query simulated seconds
 ## bit-identical to a cold solo session, to the in-run tpch suite AND to

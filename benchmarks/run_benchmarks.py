@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Record the simulated-seconds trajectory and gate its invariants.
 
-A small registry of 14 suites.  Each suite is declared once, by the
+A small registry of 15 suites.  Each suite is declared once, by the
 ``@suite`` decorator above the function that computes its record: its
 one-line summary and its **gates as data** — ``Gate(record key,
 predicate, failure message)`` — plus, for suites whose per-query
 simulated seconds must match another suite's bit for bit, an
-``Identity``.  ``fig5``–``fig9`` are the paper-scale model sweeps;
+``Identity``.  Every suite declares at least one of the two.
+``fig5``–``fig9`` are the paper-scale model sweeps, gated on the shape of
+the paper's figures, and ``claims`` the abstract's speed-ups;
 ``tpch`` (cold) / ``tpch_warm`` / ``mem`` / ``scale`` / ``stats`` execute
 the evaluated TPC-H queries; ``serve`` / ``chaos`` / ``open_loop`` /
 ``trace`` drive the multi-tenant server.  Wall-clock numbers (best of
@@ -17,8 +19,8 @@ Every invocation appends one run record to ``--output`` (default
 declared gates are applied to the records just written, and the identity
 suites are also compared with the latest same-sf/seed entry of
 ``--baseline``; every failure is printed and the exit status is non-zero.
-The Makefile's gate targets (``serve-bench``, ``scale-bench``, ``stats``,
-``chaos``, ``trace``, ``open-loop``) are each one such command.
+The Makefile's gate targets (``figures``, ``serve-bench``, ``scale-bench``,
+``stats``, ``chaos``, ``trace``, ``open-loop``) are each one such command.
 
     python benchmarks/run_benchmarks.py [--sf 0.05] [--seed 2019]
         [--repeat 3] [--suites tpch serve ...] [--output FILE]
@@ -53,7 +55,7 @@ from repro.engine.querycache import DEFAULT_CACHE_BUDGET_BYTES  # noqa: E402
 from repro.engine.workers import available_cpus  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.hardware import default_server  # noqa: E402
-from repro.perf import JoinModels, TPCHModels  # noqa: E402
+from repro.perf import JoinModels, TPCHModels, headline_claims  # noqa: E402
 from repro.server import (  # noqa: E402
     Arrival,
     QueryServer,
@@ -76,7 +78,7 @@ SERVE_TENANTS = {"cpu-a": "cpu", "gpu-a": "gpu", "cpu-b": "cpu", "gpu-b": "gpu"}
 SERVE_SESSIONS = dict.fromkeys(SERVE_TENANTS, {})
 #: Closed-loop passes each serve tenant submits.
 SERVE_PASSES = 2
-DEFAULT_SUITES = ("fig5", "fig6", "fig7", "fig8", "fig9",
+DEFAULT_SUITES = ("fig5", "fig6", "fig7", "fig8", "fig9", "claims",
                   "tpch", "tpch_warm", "mem", "serve")
 
 
@@ -142,6 +144,10 @@ def _at_least(bound: float) -> Callable[[object, dict], bool]:
 
 def _at_most(bound: float) -> Callable[[object, dict], bool]:
     return lambda value, fields: value is not None and value <= bound
+
+
+def _above(bound: float) -> Callable[[object, dict], bool]:
+    return lambda value, fields: value is not None and value > bound
 
 
 _MISSING = object()
@@ -1040,6 +1046,8 @@ def _model_and_execution(bench: Workbench, series_of, execute) -> dict:
             for variant, points in series.items()},
         "simulated_seconds_execution": {
             variant: run.simulated_seconds for variant, run in runs.items()},
+        "output_rows_execution": {
+            variant: run.output_rows for variant, run in runs.items()},
     }
 
 
@@ -1052,7 +1060,33 @@ def _two_walls(r: dict) -> str:
             f"{r['wall_clock_seconds_execution']:.3f}s")
 
 
-@suite("fig5", summary=_one_wall)
+def _at_largest(model: dict) -> dict:
+    """variant -> seconds at the sweep's largest size (``None`` = the
+    variant cannot run there)."""
+    return {variant: list(points.values())[-1]
+            for variant, points in model.items()}
+
+
+def _partitioned_gpu_fastest(model, fields) -> bool:
+    largest = _at_largest(model)
+    best = largest.pop("Partitioned GPU")
+    return best is not None and all(
+        best < seconds for seconds in largest.values() if seconds is not None)
+
+
+def _coprocessing_order(model, fields) -> bool:
+    largest = _at_largest(model)
+    return (largest["2 GPUs"] < largest["1 GPU"] < largest["DBMS C"]
+            < largest["DBMS G"])
+
+
+@suite("fig5", summary=_one_wall,
+       gates=(Gate("simulated_seconds",
+                   lambda sims, fields: all(
+                       sims["SM"][size] < sims["L1"][size]
+                       for size in sims["SM"]),
+                   "the scratchpad probe is not below the L1 probe at every "
+                   "partition size"),))
 def suite_fig5(bench: Workbench) -> dict:
     wall, series = bench.best_wall(JoinModels(bench.topology).figure5_series)
     return {"wall_clock_seconds": wall,
@@ -1061,14 +1095,32 @@ def suite_fig5(bench: Workbench) -> dict:
                 for variant, points in series.items()}}
 
 
-@suite("fig6", summary=_two_walls)
+@suite("fig6", summary=_two_walls,
+       gates=(
+           Gate("simulated_seconds_model", _partitioned_gpu_fastest,
+                "Partitioned GPU is not strictly the fastest supported "
+                "variant at the largest size"),
+           Gate("output_rows_execution",
+                lambda rows, fields: len(set(rows.values())) == 1,
+                "the executed variants returned different row counts: "
+                "{value}"),
+       ))
 def suite_fig6(bench: Workbench) -> dict:
     return _model_and_execution(
         bench, JoinModels(bench.topology).figure6_series,
         lambda: run_all_variants(200_000, topology=bench.topology))
 
 
-@suite("fig7", summary=_two_walls)
+@suite("fig7", summary=_two_walls,
+       gates=(
+           Gate("simulated_seconds_model", _coprocessing_order,
+                "not 2 GPUs < 1 GPU < DBMS C < DBMS G at the largest size"),
+           Gate("output_rows_execution",
+                lambda rows, fields: rows == {"1gpu": 300_000,
+                                              "2gpu": 300_000},
+                "the executed co-processed joins returned {value}, not "
+                "300,000 rows each"),
+       ))
 def suite_fig7(bench: Workbench) -> dict:
     return _model_and_execution(
         bench, JoinModels(bench.topology).figure7_series,
@@ -1077,7 +1129,18 @@ def suite_fig7(bench: Workbench) -> dict:
             for num_gpus in (1, 2)})
 
 
-@suite("fig8", summary=_one_wall)
+@suite("fig8", summary=_one_wall,
+       gates=(
+           Gate("simulated_seconds.*.Proteus Hybrid",
+                lambda hybrid, systems: all(
+                    hybrid <= seconds * 1.001
+                    for seconds in systems.values() if seconds is not None),
+                "hybrid ({value:.3f}s) is slower than a supported "
+                "single-device configuration or baseline"),
+           Gate("simulated_seconds.Q5.DBMS G",
+                lambda seconds, fields: seconds is None,
+                "DBMS G reports {value}s on Q5, which it cannot run"),
+       ))
 def suite_fig8(bench: Workbench) -> dict:
     wall, figure = bench.best_wall(TPCHModels(bench.topology).figure8)
     return {"wall_clock_seconds": wall,
@@ -1087,12 +1150,44 @@ def suite_fig8(bench: Workbench) -> dict:
                 for query, estimates in figure.items()}}
 
 
-@suite("fig9", summary=_one_wall)
+@suite("fig9", summary=_one_wall,
+       gates=(
+           Gate("partitioned_gain.GPU", _above(1.1),
+                "the partitioned join gains only {value:.2f}x on GPU-only "
+                "Q5 (bar 1.10x)"),
+           Gate("partitioned_gain.Hybrid", _above(1.05),
+                "the partitioned join gains only {value:.2f}x on hybrid Q5 "
+                "(bar 1.05x)"),
+           Gate("gpu_gain_vs_hybrid_gain", _above(1.0),
+                "the GPU-only gain is {value:.2f}x the hybrid gain — the "
+                "partitioned join must matter most where the GPU does all "
+                "the joining"),
+       ))
 def suite_fig9(bench: Workbench) -> dict:
     wall, figure = bench.best_wall(TPCHModels(bench.topology).figure9)
+    gain = {config: variants["Non partitioned join"]
+            / variants["Partitioned join"]
+            for config, variants in figure.items()}
     return {"wall_clock_seconds": wall,
             "simulated_seconds": {config: dict(variants)
-                                  for config, variants in figure.items()}}
+                                  for config, variants in figure.items()},
+            "partitioned_gain": gain,
+            "gpu_gain_vs_hybrid_gain": gain["GPU"] / gain["Hybrid"]}
+
+
+@suite("claims",
+       summary=lambda r: f"{len(r['claims'])} headline claims in "
+                         f"{r['wall_clock_seconds']:.3f}s",
+       gates=(Gate("claims.*.measured", _above(1.0),
+                   "measured {value:.2f}x (paper {paper}) — the claimed "
+                   "speed-up is not a speed-up"),))
+def suite_claims(bench: Workbench) -> dict:
+    """The abstract's speed-ups, paper value beside the models' ratio."""
+    wall, claims = bench.best_wall(lambda: headline_claims(bench.topology))
+    return {"wall_clock_seconds": wall,
+            "claims": {claim.name: {"paper": claim.paper_value,
+                                    "measured": claim.measured}
+                       for claim in claims}}
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""A tour of the HAPE internals: traits, HetExchange operators, JIT pipelines.
+"""A tour of the HAPE internals: traits, HetExchange operators, pipelines.
 
 Walks through what the engine does between a logical plan and execution:
-heterogeneity-aware physical plans with explicit trait converters, pipeline
-extraction, and the per-device JIT back-ends that generate specialized
-kernel source for the same operators.
+heterogeneity-aware physical plans with explicit trait converters, and
+pipeline extraction.  Pipelines are descriptive — nothing is generated;
+the executor interprets expressions with ``Expr.evaluate``.
 """
 
 from __future__ import annotations
 
-from repro.codegen import CPUBackend, GPUBackend, break_into_pipelines
+from repro.codegen import break_into_pipelines
 from repro.engine import HAPEEngine
 from repro.hardware import default_server
-from repro.relational import col, count_operators, lit
+from repro.relational import count_operators
 from repro.storage import generate_tpch
 from repro.workloads import build_query
 
@@ -33,15 +33,6 @@ def main() -> None:
         pipelines = break_into_pipelines(physical)
         print(f"         pipelines: {len(pipelines)} "
               f"({sum(1 for p in pipelines if p.device.value == 'gpu')} on GPU)")
-    print()
-
-    predicate = (col("l_shipdate") >= lit(19940101)) & (col("l_discount") > lit(0.05))
-    projections = {"rev": col("l_extendedprice") * (lit(1.0) - col("l_discount"))}
-    for backend in (CPUBackend(), GPUBackend()):
-        kernel = backend.compile_filter_project(
-            "q_pipeline", predicate=predicate, projections=projections)
-        print(f"--- generated source ({backend.device_kind.value} back-end) ---")
-        print(kernel.source)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Analytical Engines" (Chrysogelos, Sioulas, Ailamaki — CIDR 2019).
 The public entry points most users need:
 
 * :func:`repro.hardware.default_server` — build the simulated testbed.
-* :class:`repro.engine.HAPEEngine` — plan, generate and execute queries on
+* :class:`repro.engine.HAPEEngine` — plan and execute queries on
   CPU-only, GPU-only or hybrid configurations.
 * :mod:`repro.workloads` — the join microbenchmarks and TPC-H queries used
   by the paper's evaluation.

@@ -1,12 +1,11 @@
-"""Just-in-time code generation: pipelines and per-device back-ends."""
+"""Pipelines: where a physical plan breaks, streams and fuses.
 
-from .backend import (
-    CompiledKernel,
-    CPUBackend,
-    DeviceProvider,
-    GPUBackend,
-    provider_for,
-)
+Descriptive only — the executor reads :func:`streams_morsels` and
+:func:`fused_chain` to split its work, ``explain`` and the pipeline counts
+read :class:`Pipeline`.  Nothing is generated or compiled: expressions are
+interpreted by ``Expr.evaluate``.
+"""
+
 from .pipeline import (
     Pipeline,
     break_into_pipelines,
@@ -19,10 +18,6 @@ from .pipeline import (
 )
 
 __all__ = [
-    "CompiledKernel",
-    "CPUBackend",
-    "DeviceProvider",
-    "GPUBackend",
     "Pipeline",
     "break_into_pipelines",
     "fused_chain",
@@ -30,6 +25,5 @@ __all__ = [
     "is_fusion_passthrough",
     "is_pipeline_breaker",
     "pipelines_per_device",
-    "provider_for",
     "streams_morsels",
 ]

@@ -79,6 +79,7 @@ from ..operators.radix import (
     partitioned_join_kernel,
     target_partition_bytes,
 )
+from ..relational.keys import key_columns
 from ..relational.physical import (
     DeviceCrossing,
     JoinAlgorithm,
@@ -372,8 +373,8 @@ class Sort(Operator):
         return [self.ex.anchor_cpu()]
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, None]:
-        order = np.lexsort([np.asarray(batch.columns[key])
-                            for key in reversed(self.node.keys)])
+        order = np.lexsort(
+            key_columns(batch.columns, self.node.keys)[::-1])
         return {name: np.asarray(values)[order]
                 for name, values in batch.columns.items()}, None
 

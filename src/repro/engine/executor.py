@@ -5,10 +5,12 @@ optimizer.  Functional results are computed with the executable operator
 *kernels* of :mod:`repro.operators` — exactly once per plan node — while the
 per-device ``estimate_*`` cost functions price the same work on every
 device kind that participates; simulated time is produced by
-list-scheduling those costs onto the clocks of the devices the traits (and
-the routers feeding an operator) designate, and every cross-device byte is
-charged to the interconnect link it crosses.  The makespan of the resulting
-timeline is the "execution time" the evaluation figures report.
+list-scheduling those costs onto the clocks of the devices each operator's
+description places it on (``Operator.place``: a router's consumers, else
+the devices of the operator below — ``traits`` are never read here), and
+every cross-device byte is charged to the interconnect link it crosses.
+The makespan of the resulting timeline is the "execution time" the
+evaluation figures report.
 
 Because kernels are device-invariant, their results are additionally
 memoized by the structural key of the subplan that produced them — and the

@@ -1,7 +1,7 @@
 """The HAPE engine facade (the user-facing *session*).
 
 :class:`HAPEEngine` ties the pieces together: a simulated server topology, a
-catalog of registered tables, the heterogeneity-aware optimizer, the JIT
+catalog of registered tables, the heterogeneity-aware optimizer, the
 pipeline extraction and the executor.  A query is submitted as a logical
 plan; the result bundles the actual output table with the simulated timing
 information the evaluation figures are built from.

@@ -62,10 +62,6 @@ class ExpressionError(PlanError):
     """Raised when an expression references unknown columns or mixes types."""
 
 
-class CodegenError(ReproError):
-    """Raised when pipeline extraction or code generation fails."""
-
-
 class ExecutionError(ReproError):
     """Raised when a plan cannot be executed on the simulated server."""
 

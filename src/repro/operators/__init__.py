@@ -99,7 +99,6 @@ from .filterproject import (
     filter_project_kernel,
     filter_project_morsel,
     referenced_columns,
-    scan_cost,
     touched_bytes,
 )
 from .gpujoin import (
@@ -200,7 +199,6 @@ __all__ = [
     "record_kernel_invocation",
     "referenced_columns",
     "reset_kernel_counts",
-    "scan_cost",
     "target_partition_bytes",
     "touched_bytes",
 ]

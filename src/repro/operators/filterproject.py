@@ -62,14 +62,6 @@ def expression_op_count(expr: Expr | None) -> int:
     return count
 
 
-def scan_cost(device: Device, nbytes: int, *, parallelism: int = 1) -> OpCost:
-    """Cost of streaming ``nbytes`` of base-table data on ``device``."""
-    cost = OpCost()
-    fraction = min(max(parallelism, 1) / device.spec.compute_units, 1.0)
-    cost.add("scan", device.cost.seq_scan(nbytes, parallel_fraction=max(fraction, 1.0 / device.spec.compute_units)))
-    return cost
-
-
 @dataclass(frozen=True)
 class FilterProjectStats:
     """Data-derived quantities the cost estimator needs — no arrays."""

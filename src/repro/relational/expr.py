@@ -1,9 +1,8 @@
 """Expression AST used by filters, projections and aggregations.
 
-Expressions evaluate vectorized over a mapping of column name to NumPy
-array, and can also render themselves to Python source (``to_source``) —
-the JIT back-ends in :mod:`repro.codegen` embed that source into the
-generated pipeline functions.
+Expressions are interpreted: :meth:`Expr.evaluate` walks the tree,
+vectorized over a mapping of column name to NumPy array.  That is the one
+evaluator; nothing renders an expression to source.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class Expr:
 
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
         """Vectorized evaluation over a block of columns."""
-        raise NotImplementedError
-
-    def to_source(self, columns_var: str = "cols") -> str:
-        """Python source of the expression over a dict named ``columns_var``."""
         raise NotImplementedError
 
     # --- operator sugar -------------------------------------------------
@@ -76,9 +71,6 @@ class ColumnRef(Expr):
                 f"unknown column {self.name!r}; available: {sorted(columns)}"
             ) from exc
 
-    def to_source(self, columns_var: str = "cols") -> str:
-        return f"{columns_var}[{self.name!r}]"
-
     def __repr__(self) -> str:
         return f"col({self.name!r})"
 
@@ -94,9 +86,6 @@ class Literal(Expr):
 
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
         return np.asarray(self.value)
-
-    def to_source(self, columns_var: str = "cols") -> str:
-        return repr(self.value)
 
     def __repr__(self) -> str:
         return f"lit({self.value!r})"
@@ -139,10 +128,6 @@ class Arithmetic(Expr):
         return _ARITH[self.op](self.left.evaluate(columns),
                                self.right.evaluate(columns))
 
-    def to_source(self, columns_var: str = "cols") -> str:
-        return (f"({self.left.to_source(columns_var)} {self.op} "
-                f"{self.right.to_source(columns_var)})")
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -165,10 +150,6 @@ class Comparison(Expr):
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
         return _COMPARE[self.op](self.left.evaluate(columns),
                                  self.right.evaluate(columns))
-
-    def to_source(self, columns_var: str = "cols") -> str:
-        return (f"({self.left.to_source(columns_var)} {self.op} "
-                f"{self.right.to_source(columns_var)})")
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -194,11 +175,6 @@ class BooleanOp(Expr):
         right = np.asarray(self.right.evaluate(columns), dtype=bool)
         return left & right if self.op == "and" else left | right
 
-    def to_source(self, columns_var: str = "cols") -> str:
-        symbol = "&" if self.op == "and" else "|"
-        return (f"({self.left.to_source(columns_var)} {symbol} "
-                f"{self.right.to_source(columns_var)})")
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -214,9 +190,6 @@ class BooleanNot(Expr):
 
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
         return ~np.asarray(self.operand.evaluate(columns), dtype=bool)
-
-    def to_source(self, columns_var: str = "cols") -> str:
-        return f"(~{self.operand.to_source(columns_var)})"
 
     def __repr__(self) -> str:
         return f"(not {self.operand!r})"

@@ -12,9 +12,9 @@ well-defined modular arithmetic (NumPy's ``int64`` wraparound is identical
 bit-for-bit, but going through ``uint64`` keeps the semantics explicit and
 silences any overflow warnings), then reinterpreted as ``int64``.
 
-This module intentionally depends only on NumPy so that both the relational
-reference executor and the hardware-conscious operators can import it
-without creating an import cycle.
+This module intentionally depends only on NumPy and the expression AST so
+that both the relational reference executor and the hardware-conscious
+operators can import it without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .expr import ColumnRef
 
 #: Multiplier of the polynomial key fold.  Prime, so consecutive small key
 #: domains (dictionary codes, date ints) rarely collide after folding.
@@ -49,6 +51,14 @@ def fold_keys(arrays: Sequence[np.ndarray], *,
     return combined.view(np.int64)
 
 
+def key_columns(columns: Mapping[str, np.ndarray],
+                keys: Sequence[str]) -> list[np.ndarray]:
+    """The key columns ``keys`` names, resolved as column references: a
+    name the input lacks is the ``ExpressionError`` a filter or projection
+    over it raises, never a bare ``KeyError``."""
+    return [ColumnRef(name).evaluate(columns) for name in keys]
+
+
 def composite_key_map(columns: Mapping[str, np.ndarray],
                       keys: Sequence[str], *,
                       num_rows: int | None = None) -> np.ndarray:
@@ -56,8 +66,7 @@ def composite_key_map(columns: Mapping[str, np.ndarray],
     if not keys and num_rows is None:
         first = next(iter(columns.values()), None)
         num_rows = 0 if first is None else len(np.asarray(first))
-    return fold_keys([np.asarray(columns[name]) for name in keys],
-                     num_rows=num_rows)
+    return fold_keys(key_columns(columns, keys), num_rows=num_rows)
 
 
 #: Radix-directory sizing: about this many buckets per build row, and at

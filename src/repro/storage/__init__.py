@@ -27,7 +27,6 @@ from .dtypes import (
     INT32,
     INT64,
     date_to_int,
-    dtype_from_name,
     int_to_date,
     year_of,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TableStats",
     "concat_columns",
     "date_to_int",
-    "dtype_from_name",
     "generate_tpch",
     "int_to_date",
     "iter_morsels",

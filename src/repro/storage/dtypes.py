@@ -46,20 +46,6 @@ DATE = DataType("date", np.dtype(np.int32), is_date=True)
 DICT32 = DataType("dict32", np.dtype(np.int32), is_dictionary=True)
 BOOL = DataType("bool", np.dtype(np.bool_))
 
-_BY_NAME = {
-    dtype.name: dtype
-    for dtype in (INT32, INT64, FLOAT32, FLOAT64, DATE, DICT32, BOOL)
-}
-
-
-def dtype_from_name(name: str) -> DataType:
-    """Look a :class:`DataType` up by its name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError as exc:
-        raise SchemaError(f"unknown data type {name!r}") from exc
-
-
 def dtype_for_array(values: np.ndarray) -> DataType:
     """Infer the storage type for a NumPy array."""
     kind = values.dtype.kind

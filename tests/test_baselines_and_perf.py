@@ -1,4 +1,10 @@
-"""Tests for the commercial-system baselines and the paper-scale models."""
+"""Tests for the commercial-system baselines and the paper-scale models.
+
+The paper-shape assertions the bench gates state (``fig5``-``fig9`` and
+``claims`` in ``benchmarks/run_benchmarks.py``) are checked on the real
+models by ``tests/test_bench_gates.py``; what is here is what no gate
+states.
+"""
 
 from __future__ import annotations
 
@@ -66,11 +72,9 @@ class TestDBMSG:
 
 
 class TestFigure5Model:
-    def test_scratchpad_beats_l1_everywhere(self):
+    def test_scratchpad_is_not_behind_the_combined_variant(self):
         series = JoinModels().figure5_series()
-        for (size, sm), (_, l1), (_, both) in zip(series["SM"], series["L1"],
-                                                  series["SM+L1"]):
-            assert sm < l1, f"SM must beat L1 at partition size {size}"
+        for (_, sm), (_, both) in zip(series["SM"], series["SM+L1"]):
             assert sm <= both * 1.05
 
     def test_scratchpad_curve_is_flat(self):
@@ -141,31 +145,13 @@ class TestFigure8And9Models:
         estimates = {e.system: e.seconds for e in figure8["Q5"]}
         assert estimates["Proteus GPUs"] < estimates["Proteus CPUs"]
 
-    def test_hybrid_always_wins(self, figure8):
-        for query, estimates in figure8.items():
-            by_system = {e.system: e.seconds for e in estimates}
-            hybrid = by_system["Proteus Hybrid"]
-            for system, seconds in by_system.items():
-                if seconds is not None:
-                    assert hybrid <= seconds * 1.001
-
-    def test_unsupported_configurations(self, figure8):
+    def test_q9_exceeds_gpu_memory(self, figure8):
         q9 = {e.system: e for e in figure8["Q9"]}
         assert not q9["Proteus GPUs"].supported
         assert not q9["DBMS G"].supported
-        q5 = {e.system: e for e in figure8["Q5"]}
-        assert not q5["DBMS G"].supported
 
-    def test_figure9_partitioned_join_wins(self):
-        figure9 = TPCHModels().figure9()
-        for config in ("GPU", "Hybrid"):
-            assert figure9[config]["Partitioned join"] \
-                < figure9[config]["Non partitioned join"]
-
-    def test_headline_claims_positive_and_formatted(self):
-        claims = headline_claims()
-        assert len(claims) >= 10
-        assert all(claim.measured > 1.0 for claim in claims)
+    def test_headline_claims_listed_and_formatted(self):
+        assert len(headline_claims()) >= 10
         text = format_headline_claims()
         assert "paper" in text and "measured" in text
 

@@ -3,8 +3,10 @@
 Three parts: (a) a mutation check over the declared gate table — a
 hand-built passing record passes, and doctoring the one key a gate reads
 makes exactly that gate fail by name — plus the identity gates' vacuous
-cases; (b) registry sanity against the Makefile; (c) one smoke run of the
-command line, including the never-overwrite-an-unreadable-history rule.
+cases and the figure gates applied to the real models; (b) registry
+sanity against the Makefile and the ``benchmarks/`` directory; (c) one
+smoke run of the command line, including the
+never-overwrite-an-unreadable-history rule.
 """
 
 from __future__ import annotations
@@ -40,13 +42,37 @@ ARGS = {"sf": 0.05, "seed": 2019, "repeat": 1}
 
 #: Per suite, the smallest record its gates and its summary read, passing.
 PASSING = {
-    "fig5": {"wall_clock_seconds": 0.001},
+    "fig5": {"wall_clock_seconds": 0.001,
+             "simulated_seconds": {"SM": {"128": 0.011, "4096": 0.004},
+                                   "L1": {"128": 0.037, "4096": 0.027}}},
     "fig6": {"wall_clock_seconds_model": 0.001,
-             "wall_clock_seconds_execution": 0.3},
+             "wall_clock_seconds_execution": 0.3,
+             "simulated_seconds_model": {
+                 "Partitioned CPU": {"1000000": 0.002, "128000000": 0.34},
+                 "Partitioned GPU": {"1000000": 0.003, "128000000": 0.05},
+                 "DBMS G": {"1000000": 0.001, "128000000": None}},
+             "output_rows_execution": {"Partitioned CPU": 200_000,
+                                       "Partitioned GPU": 200_000}},
     "fig7": {"wall_clock_seconds_model": 0.001,
-             "wall_clock_seconds_execution": 0.4},
-    "fig8": {"wall_clock_seconds": 0.001},
-    "fig9": {"wall_clock_seconds": 0.001},
+             "wall_clock_seconds_execution": 0.4,
+             "simulated_seconds_model": {
+                 "1 GPU": {"256000000": 0.35, "2048000000": 2.8},
+                 "2 GPUs": {"256000000": 0.18, "2048000000": 1.5},
+                 "DBMS C": {"256000000": 0.77, "2048000000": 6.2},
+                 "DBMS G": {"256000000": 2.9, "2048000000": 22.9}},
+             "output_rows_execution": {"1gpu": 300_000, "2gpu": 300_000}},
+    "fig8": {"wall_clock_seconds": 0.001,
+             "simulated_seconds": {
+                 "Q1": {"DBMS C": 0.51, "Proteus CPUs": 0.26,
+                        "Proteus Hybrid": 0.23, "DBMS G": 1.54},
+                 "Q5": {"DBMS C": 1.13, "Proteus CPUs": 0.80,
+                        "Proteus Hybrid": 0.51, "DBMS G": None}}},
+    "fig9": {"wall_clock_seconds": 0.001,
+             "partitioned_gain": {"GPU": 1.93, "Hybrid": 1.33},
+             "gpu_gain_vs_hybrid_gain": 1.45},
+    "claims": {"wall_clock_seconds": 0.001,
+               "claims": {"2-GPU vs 1-GPU co-processing (2B tuples)":
+                          {"paper": "1.7x", "measured": 1.91}}},
     "tpch": {"wall_clock_seconds": 0.5, "simulated_seconds": SIMS},
     "tpch_warm": {"wall_clock_seconds_cold": 0.5,
                   "wall_clock_seconds_warm": 0.01, "warm_speedup": 50.0,
@@ -101,6 +127,34 @@ PASSING = {
 
 #: (suite, declared gate key) -> (concrete path to doctor, failing value).
 DOCTORED = {
+    ("fig5", "simulated_seconds"):  # L1 ties the scratchpad at one size
+        ("simulated_seconds", {"SM": {"128": 0.011, "4096": 0.004},
+                               "L1": {"128": 0.037, "4096": 0.004}}),
+    ("fig6", "simulated_seconds_model"):  # fastest at 1 M, not at 128 M
+        ("simulated_seconds_model", {
+            "Partitioned CPU": {"1000000": 0.002, "128000000": 0.05},
+            "Partitioned GPU": {"1000000": 0.001, "128000000": 0.05},
+            "DBMS G": {"1000000": 0.003, "128000000": None}}),
+    ("fig6", "output_rows_execution"):
+        ("output_rows_execution", {"Partitioned CPU": 200_000,
+                                   "Partitioned GPU": 199_999}),
+    ("fig7", "simulated_seconds_model"):  # DBMS C overtakes one GPU at 2 B
+        ("simulated_seconds_model", {
+            "1 GPU": {"256000000": 0.35, "2048000000": 6.3},
+            "2 GPUs": {"256000000": 0.18, "2048000000": 1.5},
+            "DBMS C": {"256000000": 0.77, "2048000000": 6.2},
+            "DBMS G": {"256000000": 2.9, "2048000000": 22.9}}),
+    ("fig7", "output_rows_execution"):
+        ("output_rows_execution", {"1gpu": 300_000, "2gpu": 299_999}),
+    ("fig8", "simulated_seconds.*.Proteus Hybrid"):
+        ("simulated_seconds.Q1.Proteus Hybrid", 0.27),
+    ("fig8", "simulated_seconds.Q5.DBMS G"):
+        ("simulated_seconds.Q5.DBMS G", 0.9),
+    ("fig9", "partitioned_gain.GPU"): ("partitioned_gain.GPU", 1.1),
+    ("fig9", "partitioned_gain.Hybrid"): ("partitioned_gain.Hybrid", 1.05),
+    ("fig9", "gpu_gain_vs_hybrid_gain"): ("gpu_gain_vs_hybrid_gain", 1.0),
+    ("claims", "claims.*.measured"):
+        ("claims.2-GPU vs 1-GPU co-processing (2B tuples).measured", 1.0),
     ("tpch_warm", "warm_simulated_seconds_identical"):
         ("warm_simulated_seconds_identical", False),
     ("mem", "morsels_peak_vs_whole_column"):
@@ -320,11 +374,25 @@ def test_tpch_is_never_compared_with_itself():
     assert rb.check_run(_run("tpch")) == ([], [])  # nothing to compare with
 
 
+def test_the_figure_gates_hold_on_the_real_models():
+    """Figs. 5-9 and the headline claims, recorded through the registry
+    from the calibrated models (and, for Figs. 6-7, one real execution):
+    the paper-shape assertions of the figures live in the gates alone."""
+    bench = rb.Workbench(sf=0.01, seed=2019, repeat=1)
+    suites = ("fig5", "fig6", "fig7", "fig8", "fig9", "claims")
+    run = {"args": dict(ARGS), "git_revision": "test",
+           "suites": {name: rb.SUITES[name].run(bench) for name in suites}}
+    failures, notes = rb.check_run(run)
+    assert failures == []
+    assert [note.split(":")[0] for note in notes] == [
+        f"{name} ok" for name in suites]
+
+
 # ----------------------------------------------------------------------
 # (b) the registry against the Makefile
 # ----------------------------------------------------------------------
-GATE_TARGETS = ("serve-bench", "scale-bench", "stats", "chaos", "trace",
-                "open-loop")
+GATE_TARGETS = ("figures", "serve-bench", "scale-bench", "stats", "chaos",
+                "trace", "open-loop")
 
 
 def _makefile_recipes() -> dict[str, list[str]]:
@@ -344,7 +412,23 @@ def _makefile_recipes() -> dict[str, list[str]]:
 
 def test_default_suites_exist():
     assert set(rb.DEFAULT_SUITES) <= set(rb.SUITES)
-    assert len(rb.SUITES) == 14
+    assert len(rb.SUITES) == 15
+    assert "claims" in rb.DEFAULT_SUITES
+
+
+def test_every_suite_declares_a_gate_or_an_identity():
+    """A suite that records numbers nothing checks is how Figs. 5-9 went
+    ungated for twenty PRs."""
+    assert [name for name, declared in rb.SUITES.items()
+            if not (declared.gates or declared.identity)] == []
+
+
+def test_benchmarks_holds_the_one_harness():
+    """The standalone ``bench_*.py`` scripts (and their ``conftest.py``)
+    asserted the figures' shape where no Makefile target or CI job ran
+    them; those assertions are gates now, and a new one belongs there."""
+    assert sorted(path.name for path in (REPO / "benchmarks").iterdir()
+                  if path.name != "__pycache__") == ["run_benchmarks.py"]
 
 
 def test_makefile_gate_targets_are_one_gated_command_over_gated_suites():

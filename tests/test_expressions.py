@@ -1,4 +1,4 @@
-"""Tests for the expression AST: evaluation, source generation, aggregates."""
+"""Tests for the expression AST: evaluation and aggregates."""
 
 from __future__ import annotations
 
@@ -70,18 +70,6 @@ class TestEvaluation:
             Comparison("<>", col("a"), lit(2))
         with pytest.raises(ExpressionError):
             BooleanOp("xor", col("a"), col("b"))
-
-
-class TestSourceGeneration:
-    def test_to_source_round_trip(self, columns):
-        expr = (col("a") * lit(3.0) + col("b")) >= lit(20.0)
-        source = expr.to_source("cols")
-        evaluated = eval(source, {"np": np}, {"cols": columns})  # noqa: S307
-        np.testing.assert_array_equal(evaluated, expr.evaluate(columns))
-
-    def test_source_references_columns_dict(self):
-        assert col("x").to_source("packet") == "packet['x']"
-        assert "&" in ((col("a") > lit(1)) & (col("b") > lit(2))).to_source()
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False),
            st.floats(min_value=-100, max_value=100, allow_nan=False))

@@ -27,6 +27,7 @@ import pytest
 from repro.engine import HAPEEngine
 from repro.errors import (
     DeviceUnavailableError,
+    ExpressionError,
     FaultError,
     OutOfDeviceMemoryError,
     QueryTimeoutError,
@@ -756,6 +757,37 @@ class TestFaultFreeIdentityAndSafety:
         assert "unknown table 'nowhere'" in bad_join.error
         assert good.status == "completed"
         assert (report.completed, report.failed) == (1, 2)
+
+    @pytest.mark.parametrize("typo", [
+        scan("tx").aggregate(["zzz"], [agg_count("n")]),
+        scan("tx").join(scan("ty"), ["zzz"], ["yk"]),
+        scan("tx").join(scan("ty"), ["xk"], ["zzz"]),
+        scan("tx").order_by(["zzz"]),
+    ], ids=["group_by", "left_keys", "right_keys", "order_by"])
+    def test_unknown_key_column_fails_only_its_ticket(self, typo):
+        # A key column the input lacks used to surface as a bare
+        # KeyError('zzz') from the kernel — not a per-query failure, so
+        # the epoch aborted and alice's and carol's tickets failed with
+        # bob's.  It is the ExpressionError the same typo gives in a
+        # filter or a projection.
+        for mode in ("cpu", "hybrid"):
+            engine = HAPEEngine(default_server())
+            engine.register_dataset(_small_tables())
+            with pytest.raises(ExpressionError,
+                               match="unknown column 'zzz'; available:"):
+                engine.execute(typo, mode)
+
+        server = QueryServer(default_server())
+        server.register_dataset(_small_tables())
+        count = scan("tx").aggregate([], [agg_count("n")])
+        alice = server.submit("alice", count, "cpu")
+        bob = server.submit("bob", typo, "cpu")
+        carol = server.submit("carol", count, "cpu")
+        report = server.run()
+        assert alice.status == carol.status == "completed"
+        assert bob.status == "failed"
+        assert "unknown column 'zzz'" in bob.error
+        assert (report.completed, report.failed) == (2, 1)
 
     def test_fault_taxonomy_hierarchy(self):
         assert issubclass(FaultError, ReproError)

@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it, rounded
 #: up to the next 10.
-MAX_SRC_CODE_LINES = 8_970
+MAX_SRC_CODE_LINES = 8_820
 
 
 def _code_lines_tool():
@@ -85,3 +85,19 @@ def test_no_operator_takes_morsel_rows():
             if "morsel_rows" in parameters:
                 offenders.append(getattr(target, "__qualname__", name))
     assert not offenders, offenders
+
+
+def test_expressions_have_one_evaluator():
+    """Expressions are interpreted by ``Expr.evaluate``.  A ``to_source``
+    rendering was a second encoding of every node, emitted for a JIT
+    back-end no execution path ran; generated code comes back only
+    together with the path that executes it."""
+    import repro.codegen as codegen
+    import repro.relational.expr as expr
+
+    nodes = [value for value in vars(expr).values()
+             if inspect.isclass(value) and issubclass(value, expr.Expr)]
+    assert len(nodes) >= 7
+    assert [node.__name__ for node in nodes
+            if hasattr(node, "to_source")] == []
+    assert not hasattr(codegen, "backend")
