@@ -48,7 +48,7 @@ same contract — ``coprocessed_join_kernel`` returns a
 ``CoprocessedJoinStats`` record — but spans several devices, so its
 estimate half is ``charge_coprocessed_join``, which replays the record as
 a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks.  The
-skeleton moves row positions, not payloads — keys folded once, one
+skeleton moves row positions, not payloads — keys coded once, one
 position vector permuted per side and pass, canonical order restored on
 the positions, every payload column gathered once at the end — while the
 stats records keep charging the paper's algorithm from sizes (rows x
@@ -115,10 +115,8 @@ from .hashjoin import (
     HashJoinBuild,
     JoinStats,
     build_table_bytes,
-    composite_key,
     estimate_non_partitioned_join,
     hash_join_kernel,
-    join_match_indices,
     non_partitioned_join,
 )
 from .radix import (
@@ -161,7 +159,6 @@ __all__ = [
     "charge_coprocessed_join",
     "columns_nbytes",
     "columns_num_rows",
-    "composite_key",
     "coprocessed_join_kernel",
     "coprocessed_radix_join",
     "cpu_radix_join",
@@ -183,7 +180,6 @@ __all__ = [
     "hash_aggregate",
     "hash_aggregate_kernel",
     "hash_join_kernel",
-    "join_match_indices",
     "kernel_counts",
     "max_fanout",
     "merge_partials",

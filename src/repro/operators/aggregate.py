@@ -31,7 +31,7 @@ import numpy as np
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
 from ..relational.expr import AggregateSpec
-from ..relational.keys import composite_key_map
+from ..relational.keys import KeyDomain, group_ids
 from .base import (
     ArrayMap,
     OpCost,
@@ -95,6 +95,21 @@ def estimate_hash_aggregate(stats: AggregateStats, device: Device, *,
     return cost
 
 
+def _group_rows(columns: Mapping[str, np.ndarray], group_by: Sequence[str],
+                ) -> tuple[ArrayMap, np.ndarray, np.ndarray]:
+    """Group a batch on its exact key codes.
+
+    Returns the group-by columns (one row per group, groups in
+    lexicographic order of those columns), every row's group id and every
+    group's row count.
+    """
+    ids, counts = group_ids(KeyDomain(columns, group_by).codes)
+    representative = np.empty(len(counts), dtype=np.int64)
+    representative[ids] = np.arange(len(ids))
+    return ({name: np.asarray(columns[name])[representative]
+             for name in group_by}, ids, counts)
+
+
 def hash_aggregate_kernel(
         columns: Mapping[str, np.ndarray], *,
         group_by: Sequence[str],
@@ -112,35 +127,16 @@ def hash_aggregate_kernel(
     columns = {name: np.asarray(values) for name, values in columns.items()}
     num_rows = columns_num_rows(columns)
 
-    group_keys = composite_key_map(columns, group_by, num_rows=num_rows)
-    if num_rows:
-        unique_keys, group_ids = np.unique(group_keys, return_inverse=True)
-    else:
+    result, ids, counts = _group_rows(columns, group_by)
+    if not (num_rows or group_by):
         # SQL semantics for the empty input: a grouped aggregate has no
         # groups, but a *grand* aggregate still emits its single row
         # (count=0, sum=0, min=inf, ...), matching the reference executor.
-        unique_keys = (np.asarray([], dtype=np.int64) if group_by
-                       else np.zeros(1, dtype=np.int64))
-        group_ids = np.asarray([], dtype=np.int64)
-
-    result: ArrayMap = {}
-    if num_rows:
-        representative = np.zeros(len(unique_keys), dtype=np.int64)
-        representative[group_ids] = np.arange(num_rows)
-        for name in group_by:
-            result[name] = np.asarray(columns[name])[representative]
-    else:
-        for name in group_by:
-            result[name] = np.asarray(columns.get(name, np.asarray([])))[:0]
-
-    counts = (np.bincount(group_ids, minlength=len(unique_keys))
-              if len(unique_keys) else np.asarray([], dtype=np.int64))
+        counts = np.zeros(1, dtype=np.int64)
     for spec in aggregates:
-        result.update(_evaluate_aggregate(spec, columns, group_ids,
-                                          len(unique_keys), counts, phase,
+        result.update(_evaluate_aggregate(spec, columns, ids, counts, phase,
                                           grand=not group_by))
-    return result, AggregateStats(num_rows=num_rows,
-                                  num_groups=len(unique_keys))
+    return result, AggregateStats(num_rows=num_rows, num_groups=len(counts))
 
 
 def hash_aggregate(columns: Mapping[str, np.ndarray], device: Device, *,
@@ -155,18 +151,8 @@ def hash_aggregate(columns: Mapping[str, np.ndarray], device: Device, *,
 
 
 def _evaluate_aggregate(spec: AggregateSpec, columns: Mapping[str, np.ndarray],
-                        group_ids: np.ndarray, num_groups: int,
-                        counts: np.ndarray, phase: str, *,
+                        ids: np.ndarray, counts: np.ndarray, phase: str, *,
                         grand: bool = False) -> ArrayMap:
-    if num_groups == 0:
-        empty = np.asarray([], dtype=np.float64)
-        if spec.func == "avg" and phase == "partial":
-            return {f"{spec.alias}__sum": empty, f"{spec.alias}__count": empty}
-        if spec.func in ("count", "sum"):
-            # Match the reference executor: counts are int64, and
-            # np.bincount returns int64 for empty input even with weights.
-            return {spec.alias: np.asarray([], dtype=np.int64)}
-        return {spec.alias: empty}
     if spec.func == "count":
         return {spec.alias: counts.astype(np.int64)}
     values = np.asarray(spec.expr.evaluate(columns), dtype=np.float64)
@@ -177,7 +163,7 @@ def _evaluate_aggregate(spec: AggregateSpec, columns: Mapping[str, np.ndarray],
         # last ulp for large inputs.
         sums = np.asarray([values.sum()])
     else:
-        sums = np.bincount(group_ids, weights=values, minlength=num_groups)
+        sums = np.bincount(ids, weights=values, minlength=len(counts))
     if spec.func == "sum":
         return {spec.alias: sums}
     if spec.func == "avg":
@@ -185,13 +171,17 @@ def _evaluate_aggregate(spec: AggregateSpec, columns: Mapping[str, np.ndarray],
             return {f"{spec.alias}__sum": sums,
                     f"{spec.alias}__count": counts.astype(np.float64)}
         return {spec.alias: sums / np.maximum(counts, 1)}
-    if spec.func == "min":
-        out = np.full(num_groups, np.inf)
-        np.minimum.at(out, group_ids, values)
-        return {spec.alias: out}
-    out = np.full(num_groups, -np.inf)
-    np.maximum.at(out, group_ids, values)
-    return {spec.alias: out}
+    return {spec.alias: _extreme(spec.func, ids, len(counts), values)}
+
+
+def _extreme(func: str, ids: np.ndarray, num_groups: int,
+             values: np.ndarray) -> np.ndarray:
+    """Per-group ``min`` / ``max``; an empty group keeps the identity."""
+    reduce, identity = ((np.minimum, np.inf) if func == "min"
+                        else (np.maximum, -np.inf))
+    out = np.full(num_groups, identity)
+    reduce.at(out, ids, values)
+    return out
 
 
 def estimate_merge_partials(nbytes: int, device: Device) -> OpCost:
@@ -212,62 +202,33 @@ def merge_partials_kernel(
     streaming pass for.
     """
     record_kernel_invocation("merge_partials")
-    non_empty = [dict(partial) for partial in partials
-                 if columns_num_rows(partial)]
-    if not non_empty:
-        # Shape- and dtype-correct empty result (group-by columns keep the
-        # dtype the empty partials carry), built inline so the merge does
-        # not also count as a hash_aggregate kernel invocation.
-        template = dict(partials[0]) if partials else {}
-        columns: ArrayMap = {
-            name: np.asarray(template[name])[:0] if name in template
-            else np.asarray([])[:0]
-            for name in group_by
-        }
-        empty_ids = np.asarray([], dtype=np.int64)
-        for spec in aggregates:
-            columns.update(_evaluate_aggregate(
-                spec, {}, empty_ids, 0, empty_ids, "final"))
-        return columns, 0
+    # No rows anywhere: the first partial alone keeps the merge shape- and
+    # dtype-correct (group-by columns keep the dtype the partials carry).
+    non_empty = [partial for partial in partials
+                 if columns_num_rows(partial)] or partials[:1]
     concatenated: ArrayMap = {
         name: np.concatenate([partial[name] for partial in non_empty])
         for name in non_empty[0]
     }
-    num_rows = columns_num_rows(concatenated)
     nbytes = int(sum(values.nbytes for values in concatenated.values()))
 
-    group_keys = composite_key_map(concatenated, group_by, num_rows=num_rows)
-    unique_keys, group_ids = np.unique(group_keys, return_inverse=True)
-    representative = np.zeros(len(unique_keys), dtype=np.int64)
-    representative[group_ids] = np.arange(num_rows)
-    result: ArrayMap = {
-        name: concatenated[name][representative] for name in group_by
-    }
+    result, ids, counts = _group_rows(concatenated, group_by)
+
+    def total(name: str) -> np.ndarray:
+        return np.bincount(ids, weights=concatenated[name],
+                           minlength=len(counts))
+
     for spec in aggregates:
         if spec.func == "count":
-            result[spec.alias] = np.bincount(
-                group_ids, weights=concatenated[spec.alias],
-                minlength=len(unique_keys)).astype(np.int64)
+            result[spec.alias] = total(spec.alias).astype(np.int64)
         elif spec.func == "sum":
-            result[spec.alias] = np.bincount(
-                group_ids, weights=concatenated[spec.alias],
-                minlength=len(unique_keys))
+            result[spec.alias] = total(spec.alias)
         elif spec.func == "avg":
-            sums = np.bincount(group_ids,
-                               weights=concatenated[f"{spec.alias}__sum"],
-                               minlength=len(unique_keys))
-            cnts = np.bincount(group_ids,
-                               weights=concatenated[f"{spec.alias}__count"],
-                               minlength=len(unique_keys))
-            result[spec.alias] = sums / np.maximum(cnts, 1)
-        elif spec.func == "min":
-            out = np.full(len(unique_keys), np.inf)
-            np.minimum.at(out, group_ids, concatenated[spec.alias])
-            result[spec.alias] = out
-        else:  # max
-            out = np.full(len(unique_keys), -np.inf)
-            np.maximum.at(out, group_ids, concatenated[spec.alias])
-            result[spec.alias] = out
+            result[spec.alias] = (total(f"{spec.alias}__sum") / np.maximum(
+                total(f"{spec.alias}__count"), 1))
+        else:
+            result[spec.alias] = _extreme(spec.func, ids, len(counts),
+                                          concatenated[spec.alias])
     return result, nbytes
 
 

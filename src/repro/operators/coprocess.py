@@ -42,6 +42,7 @@ from ..errors import ExecutionError
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology
+from ..relational.keys import KEY_CODE_BYTES, KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
@@ -50,7 +51,7 @@ from .base import (
     record_kernel_invocation,
 )
 from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
-from .hashjoin import HASH_ENTRY_BYTES, composite_key
+from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
     JoinSides,
     PartitionedJoinStats,
@@ -110,8 +111,8 @@ def coprocessed_join_kernel(
 
     ``gpu_specs`` supply tuning only: the smallest memory sets the CPU-side
     fan-out, and co-partition ``i`` is joined with the scratchpad tuning of
-    spec ``i mod n`` — the same position-level skeleton again, its passes
-    bucketing on the key digits above the CPU pass's.  Every byte count is
+    spec ``i mod n`` — the same position-level skeleton again, on the key
+    digits the CPU pass left.  Every byte count is
     rows x item sizes, so the record is identical for every
     ``output_order``.
     """
@@ -126,7 +127,7 @@ def coprocessed_join_kernel(
                     ) -> tuple[np.ndarray, np.ndarray]:
         build_idx, probe_idx, stats = sides.join_on(
             gpu_specs[len(copartitions) % len(gpu_specs)],
-            build_part, probe_part, stride=fanout)
+            build_part, probe_part)
         copartitions.append((len(build_part) * sides.build_tuple_bytes
                              + len(probe_part) * sides.probe_tuple_bytes,
                              stats))
@@ -154,11 +155,12 @@ def copartition_nbytes(build: Mapping[str, np.ndarray],
     """
     fanout = _coprocessing_fanout(columns_num_rows(build),
                                   columns_num_rows(probe), gpu_specs)
+    domain = KeyDomain(build, build_keys)
     nbytes = np.zeros(fanout, dtype=np.int64)
-    for columns, keys in ((build, build_keys), (probe, probe_keys)):
-        key = composite_key(columns, keys)
-        nbytes += ((partition_tuple_bytes(columns) + key.itemsize)
-                   * np.bincount(radix_buckets(key, fanout),
+    for columns, codes in ((build, domain.codes),
+                           (probe, domain.encode(probe, probe_keys))):
+        nbytes += ((partition_tuple_bytes(columns) + KEY_CODE_BYTES)
+                   * np.bincount(radix_buckets(codes, fanout),
                                  minlength=fanout))
     return nbytes.tolist()
 

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..hardware.device import Device
-from ..relational.keys import JoinBuildIndex, composite_key_map, match_indices
+from ..relational.keys import JoinBuildIndex, KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
@@ -53,27 +53,6 @@ HASH_ENTRY_BYTES = 16
 
 #: Scalar ops per build/probe step in generated code (hashing + compare).
 _OPS_PER_STEP = 8.0
-
-
-def join_match_indices(build_keys: np.ndarray,
-                       probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of all matching (build, probe) pairs for an equi-join.
-
-    Vectorized with a sort + binary search; handles duplicate build keys.
-    Returns ``(build_indices, probe_indices)``.
-    """
-    return match_indices(build_keys, probe_keys)
-
-
-def composite_key(columns: Mapping[str, np.ndarray],
-                  keys: Sequence[str]) -> np.ndarray:
-    """Fold multi-column join keys into one int64 key column.
-
-    Delegates to the shared overflow-safe fold in
-    :mod:`repro.relational.keys`.
-    """
-    return composite_key_map(columns, keys,
-                             num_rows=columns_num_rows(columns))
 
 
 def _materialize_join(build: Mapping[str, np.ndarray],
@@ -114,18 +93,20 @@ class HashJoinBuild:
     """The build-then-probe state of the non-partitioned hash join.
 
     Constructing it consumes the *entire* build side (the join's pipeline
-    breaker) and sorts the folded keys once — the simulated analogue of
-    building the global hash table.  :meth:`probe` then matches one probe
-    batch at a time; per-morsel probe outputs concatenate to exactly the
-    whole-column join result, so a morsel scheduler can stream the probe
-    side without changing a single output byte.
+    breaker): its key tuples define the join's :class:`KeyDomain` and their
+    codes are indexed once — the simulated analogue of building the global
+    hash table.  :meth:`probe` then matches one probe batch at a time;
+    per-morsel probe outputs concatenate to exactly the whole-column join
+    result, so a morsel scheduler can stream the probe side without
+    changing a single output byte.
     """
 
     def __init__(self, build: Mapping[str, np.ndarray], *,
                  build_keys: Sequence[str]) -> None:
         self.columns = {name: np.asarray(values)
                         for name, values in build.items()}
-        self.index = JoinBuildIndex(composite_key(self.columns, build_keys))
+        self.domain = KeyDomain(self.columns, build_keys)
+        self.index = JoinBuildIndex(self.domain.codes)
 
     @property
     def num_rows(self) -> int:
@@ -135,14 +116,17 @@ class HashJoinBuild:
     def nbytes(self) -> int:
         return int(sum(v.nbytes for v in self.columns.values()))
 
+    def match(self, probe: Mapping[str, np.ndarray],
+              probe_keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(build, probe)`` positions of one probe batch's matches."""
+        return self.index.probe(self.domain.encode(probe, probe_keys))
+
     def probe(self, probe: Mapping[str, np.ndarray], *,
               probe_keys: Sequence[str]) -> ArrayMap:
         """Join one probe batch (whole side or a single morsel)."""
         probe = {name: np.asarray(values) for name, values in probe.items()}
-        build_indices, probe_indices = self.index.probe(
-            composite_key(probe, probe_keys))
         return _materialize_join(self.columns, probe,
-                                 build_indices, probe_indices)
+                                 *self.match(probe, probe_keys))
 
 
 def hash_join_kernel(build: Mapping[str, np.ndarray],
@@ -172,8 +156,7 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
         # JoinBuildIndex.probe contract), so one stable sort of the build
         # positions is build-major with ties probe-ascending.  Stats see
         # the same rows and bytes as the probe-major path.
-        build_indices, probe_indices = builder.index.probe(
-            composite_key(probe, probe_keys))
+        build_indices, probe_indices = builder.match(probe, probe_keys)
         order = np.argsort(build_indices, kind="stable")
         columns = _materialize_join(builder.columns, probe,
                                     build_indices[order],
@@ -238,9 +221,7 @@ __all__ = [
     "HashJoinBuild",
     "JoinStats",
     "build_table_bytes",
-    "composite_key",
     "estimate_non_partitioned_join",
     "hash_join_kernel",
-    "join_match_indices",
     "non_partitioned_join",
 ]

@@ -19,12 +19,14 @@ co-processed join of :mod:`repro.operators.coprocess` alike — they differ
 in the fan-outs they hand it and in where a co-partition is joined.
 
 The skeleton works on **positions, not payloads** (late materialisation):
-the join keys are folded once and kept apart from the payload, a
-partitioning pass permutes one position vector per side
+the join keys are coded once (:class:`~repro.relational.keys.KeyDomain`,
+exact and as dense as the build side allows) and kept apart from the
+payload, a partitioning pass permutes one position vector per side
 (:func:`partition_positions`, the one bucket-ordering implementation),
-co-partitions are matched on key slices, the canonical output order is
-restored on the two position vectors, and every payload column is
-gathered exactly once, at the end (:class:`JoinSides`).  The cost model
+co-partitions are matched on the code digits the passes did not consume,
+the canonical output order is restored on the two position vectors, and
+every payload column is gathered exactly once, at the end
+(:class:`JoinSides`).  The cost model
 keeps charging the paper's algorithm — every pass moves every payload
 byte — because charges come from sizes (rows x item sizes, held by
 :class:`JoinSides`), not from the arrays the kernel happens to build.
@@ -47,6 +49,7 @@ import numpy as np
 
 from ..hardware.device import Device
 from ..hardware.specs import DeviceKind, DeviceSpec
+from ..relational.keys import KEY_CODE_BYTES, JoinBuildIndex, KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
@@ -55,12 +58,7 @@ from .base import (
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import (
-    HASH_ENTRY_BYTES,
-    _materialize_join,
-    composite_key,
-    join_match_indices,
-)
+from .hashjoin import HASH_ENTRY_BYTES, _materialize_join
 
 #: Scalar ops per tuple of one partitioning pass (hash, offset, copy).
 _OPS_PER_PARTITION_STEP = 6.0
@@ -179,22 +177,14 @@ class PartitionRunStats:
     calls: tuple[tuple[int, int], ...]
 
 
-def radix_buckets(keys: np.ndarray, fanout: int,
-                  stride: int = 1) -> np.ndarray:
-    """The bucket (``0 .. fanout - 1``) every key falls into.
-
-    The digit ``(key // stride) % fanout``: a pass that follows others
-    takes the product of their fan-outs as its ``stride``, so it splits on
-    a digit the earlier ones left untouched.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    if stride != 1:
-        keys = keys // stride
-    return keys % fanout
+def radix_buckets(keys: np.ndarray, fanout: int) -> np.ndarray:
+    """The bucket (``0 .. fanout - 1``) every key falls into: its least
+    significant base-``fanout`` digit, ``key % fanout``."""
+    return np.asarray(keys, dtype=np.int64) % fanout
 
 
 def partition_positions(
-        keys: np.ndarray, fanouts: Sequence[int], *, stride: int = 1,
+        keys: np.ndarray, fanouts: Sequence[int],
 ) -> tuple[np.ndarray, list[int], tuple[tuple[int, int], ...]]:
     """One partitioning pass per fan-out, applied to row *positions*.
 
@@ -203,15 +193,15 @@ def partition_positions(
     pass is stable); final partition ``i`` is
     ``order[bounds[i]:bounds[i + 1]]``; ``calls`` is the
     :class:`PartitionRunStats` record of the passes.  Pass ``i`` buckets on
-    digit ``i`` of the key (:func:`radix_buckets` with the fan-outs already
-    applied as stride) inside every chunk pass ``i - 1`` produced, so the
-    whole sequence is one stable sort of a composite id whose most
-    significant digit is the first pass's — ids of at most 16 bits, where
-    NumPy's stable sort is an O(n) radix sort, unless the total fan-out
-    needs more.
+    digit ``i`` of the key (:func:`radix_buckets` of the key with the
+    earlier fan-outs divided out) inside every chunk pass ``i - 1``
+    produced, so the whole sequence is one stable sort of a composite id
+    whose most significant digit is the first pass's — ids of at most 16
+    bits, where NumPy's stable sort is an O(n) radix sort, unless the
+    total fan-out needs more.
     """
     total = math.prod(fanouts)
-    ids = radix_buckets(keys, total, stride)
+    ids = radix_buckets(keys, total)
     if len(fanouts) > 1:
         # Chunks nest, so the digit the first pass buckets on — the key's
         # least significant — is the partition id's most significant.
@@ -303,7 +293,7 @@ def radix_partition(columns: Mapping[str, np.ndarray], device: Device, *,
 # ----------------------------------------------------------------------
 def partitioned_join(
         build_keys: np.ndarray, probe_keys: np.ndarray, *,
-        fanouts: Sequence[int], stride: int = 1,
+        fanouts: Sequence[int],
         match: Callable[[np.ndarray, np.ndarray],
                         "tuple[np.ndarray, np.ndarray] | None"],
 ) -> tuple[np.ndarray, np.ndarray,
@@ -311,15 +301,19 @@ def partitioned_join(
     """The device-invariant skeleton of every partitioned join, on positions.
 
     Run one partitioning pass per entry of ``fanouts`` over the positions
-    of both folded key vectors, hand the key slices of every co-partition
+    of both key-code vectors, hand the key slices of every co-partition
     to ``match``, and translate the local match indices back into
     positions of ``build_keys`` / ``probe_keys``.  Returns the matching
     ``(build, probe)`` positions in partition-major order and both sides'
     ``calls`` records.  No payload column is touched: the caller gathers
     them once, from the positions (:class:`JoinSides`).
 
-    ``match(build_keys, probe_keys)`` joins one co-partition: it is handed
-    the folded keys of one build and one probe partition and returns the
+    ``match(build_keys, probe_keys)`` joins one co-partition.  The passes
+    consumed the keys' low digits — all keys of a partition share them —
+    so it is handed the digits they left, ``key // prod(fanouts)``: equal
+    inside a partition iff the keys are, and dense where the keys were
+    (the co-partitions of dense unique keys index by counting, see
+    :class:`~repro.relational.keys.JoinBuildIndex`).  It returns the
     matching ``(build, probe)`` index pairs local to those slices —
     ordered by probe index, the matches of one probe index contiguous and
     build-ascending, which is what :func:`restore_canonical_order` relies
@@ -327,15 +321,17 @@ def partitioned_join(
 
     What a device (or a set of devices) contributes is tuning only: the
     fan-outs, and where a co-partition is joined — ``match`` may itself be
-    this function with further fan-outs and the product of the ones
-    already applied as ``stride`` (the co-processed join's in-GPU join).
+    this function with further fan-outs (the co-processed join's in-GPU
+    join): what it is handed starts at the first digit no pass has used,
+    so there is no stride for a caller to carry along.
     """
     build_order, build_bounds, build_calls = partition_positions(
-        build_keys, fanouts, stride=stride)
+        build_keys, fanouts)
     probe_order, probe_bounds, probe_calls = partition_positions(
-        probe_keys, fanouts, stride=stride)
-    build_sorted = build_keys[build_order]
-    probe_sorted = probe_keys[probe_order]
+        probe_keys, fanouts)
+    consumed = math.prod(fanouts)
+    build_sorted = build_keys[build_order] // consumed
+    probe_sorted = probe_keys[probe_order] // consumed
     found = [(np.empty(0, dtype=np.int64),) * 2]
     for part in range(len(build_bounds) - 1):
         build_low, probe_low = build_bounds[part], probe_bounds[part]
@@ -394,7 +390,7 @@ def _build_and_probe(build_keys: np.ndarray, probe_keys: np.ndarray,
     """Hash-join one co-partition in the device's fast memory."""
     if not (len(build_keys) and len(probe_keys)):
         return None
-    return join_match_indices(build_keys, probe_keys)
+    return JoinBuildIndex(build_keys).probe(probe_keys)
 
 
 #: Kernel counter a single-device evaluation bumps, by the tuned device.
@@ -405,8 +401,10 @@ _KERNEL_COUNTER = {DeviceKind.CPU: "cpu_radix_join",
 class JoinSides:
     """Both column-map ends of a partitioned join, payload left in place.
 
-    Construction is everything before positions: the join keys of each
-    side are folded once and kept apart from the payload.
+    Construction is everything before positions: the build side's key
+    tuples define the :class:`~repro.relational.keys.KeyDomain`, both
+    sides are coded in it once, and the codes are kept apart from the
+    payload.
     :meth:`gather` is everything after: canonical order restored on the
     two position vectors, then every payload column fetched exactly once.
     In between, :meth:`join_on` runs the skeleton with one device's tuning.
@@ -431,28 +429,31 @@ class JoinSides:
         self.build, self.probe = (
             {name: np.asarray(values) for name, values in side.items()}
             for side in (build, probe))
-        self.build_keys = composite_key(self.build, build_keys)
-        self.probe_keys = composite_key(self.probe, probe_keys)
+        domain = KeyDomain(self.build, build_keys)
+        self.build_keys = domain.codes
+        self.probe_keys = domain.encode(self.probe, probe_keys)
         self.output_order = output_order
         # Charges come from sizes, not from the arrays a kernel happens to
-        # build: a tuple moves its payload columns plus the 8-byte folded
-        # key through every pass (and across PCIe), and an output row holds
+        # build: a tuple moves its payload columns plus its key code
+        # through every pass (and across PCIe), and an output row holds
         # every column once, probe columns winning name clashes.
-        self.build_tuple_bytes = partition_tuple_bytes(self.build) + 8
-        self.probe_tuple_bytes = partition_tuple_bytes(self.probe) + 8
+        self.build_tuple_bytes = (partition_tuple_bytes(self.build)
+                                  + KEY_CODE_BYTES)
+        self.probe_tuple_bytes = (partition_tuple_bytes(self.probe)
+                                  + KEY_CODE_BYTES)
         self.output_row_bytes = partition_tuple_bytes(
             {**self.build, **self.probe})
 
     def join_on(self, spec: DeviceSpec, build_keys: np.ndarray,
-                probe_keys: np.ndarray, *, stride: int = 1,
+                probe_keys: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, PartitionedJoinStats]:
         """:func:`partitioned_join` with one device's tuning.
 
-        Joins the given folded keys — both sides in full, or one
-        co-partition's slices with the fan-outs already applied as
-        ``stride``.  Passes planned by :func:`plan_partition_passes` (TLB
-        and cache on a CPU, scratchpad on a GPU) and every co-partition
-        built and probed in place.  ``spec`` supplies nothing else — the
+        Joins the given key codes — both sides in full, or the slices an
+        outer :func:`partitioned_join` hands one co-partition.  Passes
+        planned by :func:`plan_partition_passes` (TLB and cache on a CPU,
+        scratchpad on a GPU) and every co-partition built and probed in
+        place.  ``spec`` supplies nothing else — the
         data path never looks at the device.  Returns the match positions
         and the stats record.
         """
@@ -461,7 +462,7 @@ class JoinSides:
                                      HASH_ENTRY_BYTES, spec)
         build_idx, probe_idx, build_calls, probe_calls = partitioned_join(
             build_keys, probe_keys, fanouts=plan.fanout_per_pass,
-            match=_build_and_probe, stride=stride)
+            match=_build_and_probe)
         return build_idx, probe_idx, PartitionedJoinStats(
             build_rows=len(build_keys), probe_rows=len(probe_keys), plan=plan,
             build_run=PartitionRunStats(self.build_tuple_bytes, build_calls),

@@ -15,7 +15,6 @@ from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.table import Table
 from .expr import AggregateSpec
-from .keys import fold_keys, match_indices
 from .logical import Aggregate, Filter, Join, LogicalPlan, OrderBy, Project, Scan
 
 
@@ -69,46 +68,81 @@ def _execute_join(plan: Join, catalog: Catalog) -> dict[str, np.ndarray]:
     return result
 
 
+def _same(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Element-wise key equality for grouping: ``==``, and ``NaN`` is
+    ``NaN``."""
+    return (left == right) | ((left != left) & (right != right))
+
+
+def _joint_ranks(left_keys: list[np.ndarray], right_keys: list[np.ndarray],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One rank per row of each side, equal iff the key tuples are.
+
+    Column by column over both sides at once: the rank so far and the
+    column's rank among its distinct values are re-ranked as a pair, so
+    nothing is ever wider than the row count squared.  A tuple holding a
+    ``NaN`` equals nothing — the sides get different negative ranks.
+    """
+    split = len(left_keys[0])
+    ranks = np.zeros(split + len(right_keys[0]), dtype=np.int64)
+    missing = np.zeros(len(ranks), dtype=bool)
+    for left, right in zip(left_keys, right_keys):
+        values = np.concatenate([left, right])
+        missing |= values != values
+        distinct, column_ranks = np.unique(values, return_inverse=True)
+        _, ranks = np.unique(ranks * len(distinct) + column_ranks,
+                             return_inverse=True)
+    ranks[missing] = -1
+    ranks[split:][missing[split:]] = -2
+    return ranks[:split], ranks[split:]
+
+
 def join_indices(left_keys: list[np.ndarray],
                  right_keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """All (left, right) index pairs whose composite keys are equal.
+    """All (left, right) index pairs whose key tuples are equal.
 
     The semantic reference for every join algorithm in
-    :mod:`repro.operators`.  Vectorized via the shared sort + binary-search
-    matcher in :mod:`repro.relational.keys`; pair order (by right index,
-    ties by ascending left index) is identical to the historical
-    dictionary-based implementation, which survives as
-    :func:`join_indices_dict` — the cross-check oracle for small inputs.
+    :mod:`repro.operators`, sharing no code with them: keys are compared
+    as joint ranks of the column values, matched by one stable sort of the
+    left ranks and two binary searches per right row.  Pair order (by
+    right index, ties by ascending left index) is that of the dictionary
+    loop :func:`join_indices_dict`, the cross-check oracle for small
+    inputs.
     """
-    return match_indices(_composite(left_keys), _composite(right_keys))
+    left, right = _joint_ranks([np.asarray(key) for key in left_keys],
+                               [np.asarray(key) for key in right_keys])
+    order = np.argsort(left, kind="stable")
+    ordered = left[order]
+    first = np.searchsorted(ordered, right, side="left")
+    counts = np.searchsorted(ordered, right, side="right") - first
+    right_indices = np.repeat(np.arange(len(right)), counts)
+    within = np.arange(len(right_indices)) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    return (order[np.repeat(first, counts) + within].astype(np.int64),
+            right_indices.astype(np.int64))
 
 
 def join_indices_dict(left_keys: list[np.ndarray],
                       right_keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary-based multi-way equi-join: the obviously-correct oracle.
 
-    Quadratic-ish pure-Python loop kept for the test-suite to cross-check
-    the vectorized :func:`join_indices` on small inputs; do not use it on
-    anything large.
+    A pure-Python loop over tuples of the column values, kept for the
+    test-suite to cross-check the vectorized :func:`join_indices` on small
+    inputs; do not use it on anything large.
     """
-    composite_left = _composite(left_keys)
-    composite_right = _composite(right_keys)
-    buckets: dict[int, list[int]] = {}
-    for index, key in enumerate(composite_left):
-        buckets.setdefault(int(key), []).append(index)
+    buckets: dict[tuple, list[int]] = {}
+    for index, key in enumerate(zip(*(np.asarray(column).tolist()
+                                      for column in left_keys))):
+        buckets.setdefault(key, []).append(index)
     left_out: list[int] = []
     right_out: list[int] = []
-    for index, key in enumerate(composite_right):
-        for match in buckets.get(int(key), ()):
+    for index, key in enumerate(zip(*(np.asarray(column).tolist()
+                                      for column in right_keys))):
+        for match in buckets.get(key, ()):
             left_out.append(match)
             right_out.append(index)
     return (np.asarray(left_out, dtype=np.int64),
             np.asarray(right_out, dtype=np.int64))
-
-
-def _composite(keys: list[np.ndarray]) -> np.ndarray:
-    """Combine multi-column keys into a single int64 key (shared fold)."""
-    return fold_keys(keys)
 
 
 def _execute_aggregate(plan: Aggregate, catalog: Catalog) -> dict[str, np.ndarray]:
@@ -116,9 +150,17 @@ def _execute_aggregate(plan: Aggregate, catalog: Catalog) -> dict[str, np.ndarra
     if not plan.group_by:
         return _grand_aggregate(child, plan.aggregates)
     group_arrays = [np.asarray(child[key]) for key in plan.group_by]
-    composite = _composite(group_arrays)
-    unique_keys, group_ids = np.unique(composite, return_inverse=True)
-    num_groups = len(unique_keys)
+    # Groups in lexicographic order of the group-by columns: sort the rows
+    # on them, start a group wherever any column differs from the row before.
+    order = np.lexsort(group_arrays[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for values in group_arrays:
+        values = values[order]
+        starts[1:] |= ~_same(values[1:], values[:-1])
+    group_ids = np.empty(len(order), dtype=np.int64)
+    group_ids[order] = np.cumsum(starts) - 1
+    num_groups = int(starts.sum())
     representative = np.zeros(num_groups, dtype=np.int64)
     representative[group_ids] = np.arange(len(group_ids))
     result: dict[str, np.ndarray] = {

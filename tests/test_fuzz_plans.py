@@ -5,8 +5,11 @@ multi-way joins and aggregates over small generated tables (including
 zero-row tables, predicates that remove every row, and join keys that are
 dense, sparse, negative, unique, duplicate-heavy or clustered beside one
 far outlier, so the join index's radix directory, its binary-search
-fallback and the un-gathered probe pass-through all run) — and every plan
-is executed across the full engine configuration grid:
+fallback and the un-gathered probe pass-through all run; and a second key
+column that is small, spans more than 2**20 or 2**40, or is a float
+column, so two-column joins and group-bys reach every path of the exact
+key code: mixed-radix, ranked, and float against integer) — and every
+plan is executed across the full engine configuration grid:
 
     device mode ∈ {cpu, gpu, hybrid}
   × morsel_rows ∈ {1, 7, engine default}
@@ -99,6 +102,15 @@ class _Case:
         self.key_stride = (1, 1, 10**9 + 7)[int(rng.integers(0, 3))]
         self.key_base = -3 * self.key_stride * int(rng.integers(0, 2))
         self.far_key = 2**40 if rng.integers(0, 4) == 0 else None
+        # The ``_j`` column (second join key, second group-by column):
+        # -3..3 times this factor; 0.5 makes it a float column.  Drawn from
+        # a stream of its own, so the plans of every seed stay what they
+        # were before the column had a style.
+        self.j_factor = (1, 2**21, 2**41, 0.5)[int(np.random.default_rng(
+            [SEED_BASE + seed, 1]).integers(0, 4))]
+        self.columns: dict[str, np.ndarray] = {}
+        #: Key shapes this case's joins have (see ``KEY_SHAPES``).
+        self.shapes: set[str] = set()
         self.tables: list[Table] = []
         self.plan, self.schema = self._build_plan()
 
@@ -127,13 +139,33 @@ class _Case:
             keys[:1] = self.far_key
         arrays = {
             int_cols[0]: keys,
-            int_cols[1]: rng.integers(-3, 4, rows, dtype=np.int64),
+            int_cols[1]: (rng.integers(-3, 4, rows, dtype=np.int64)
+                          * self.j_factor),
             num_cols[0]: rng.normal(size=rows),
             num_cols[1]: rng.integers(-50, 51, rows).astype(np.int64),
         }
         table = Table.from_arrays(f"tbl_{prefix}", arrays)
         self.tables.append(table)
+        self.columns.update(arrays)
         return table, int_cols, int_cols + num_cols
+
+    def _note_shapes(self, left_keys: list[str],
+                     right_keys: list[str]) -> None:
+        if len(left_keys) > 1:
+            self.shapes.add("multi-column")
+        for position, names in enumerate(zip(left_keys, right_keys)):
+            for values in map(self.columns.get, names):
+                if values.dtype.kind == "f":
+                    self.shapes.add("float")
+                if not len(values):
+                    continue
+                if values.min() < 0:
+                    self.shapes.add("negative")
+                span = float(values.max()) - float(values.min())
+                if position and span > 2**20:
+                    self.shapes.add("second column past 2**40"
+                                    if span > 2**40 else
+                                    "second column past 2**20")
 
     # -- expressions ----------------------------------------------------
     def _predicate(self, columns: list[str]) -> Expr:
@@ -205,6 +237,7 @@ class _Case:
             right_keys = [other_keys[int(rng.integers(0, len(other_keys)))]
                           for _ in range(num_keys)]
             plan = plan.join(other_plan, left_keys, right_keys)
+            self._note_shapes(left_keys, right_keys)
             schema = schema + list(other_schema)
             key_cols = key_cols + list(other_keys)
 
@@ -245,6 +278,22 @@ class _Case:
                     if rng.integers(0, 2)] or [schema[0]]
             plan = plan.order_by(keys)
         return plan, schema
+
+
+#: Join-key shapes the exact key code is accepted on; the tier-1 seeds
+#: must keep generating every one of them.
+KEY_SHAPES = {"multi-column", "negative", "float",
+              "second column past 2**20", "second column past 2**40"}
+
+
+def test_default_seeds_cover_every_key_shape():
+    """CI's ``fuzz`` job only adds seeds to the 200 tier-1 runs: if a
+    generator change stopped those producing a shape, nothing would say."""
+    seen: dict[str, int] = dict.fromkeys(sorted(KEY_SHAPES), 0)
+    for seed in range(200):
+        for shape in _Case(seed).shapes:
+            seen[shape] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.operators import (
@@ -14,7 +14,6 @@ from repro.operators import (
     coprocessed_radix_join,
     cpu_radix_join,
     gpu_partitioned_join,
-    join_match_indices,
     max_fanout,
     non_partitioned_join,
     plan_partition_passes,
@@ -29,12 +28,16 @@ from repro.operators.radix import (
     radix_partition_kernel,
     restore_canonical_order,
 )
-from repro.relational import JoinBuildIndex, fold_keys, join_indices
+from repro.relational import JoinBuildIndex, join_indices
 from repro.storage import make_join_pair, make_partial_match_pair
 
 
 def _sorted_pairs(build_idx, probe_idx):
     return sorted(zip(build_idx.tolist(), probe_idx.tolist()))
+
+
+def join_match_indices(build_keys, probe_keys):
+    return JoinBuildIndex(build_keys).probe(probe_keys)
 
 
 class TestJoinMatchIndices:
@@ -73,6 +76,7 @@ _KEY_SHAPES = {
                                   _INT64.max - 1, _INT64.max]), 0),
     "duplicates": (st.integers(0, 3), 0),
     "outlier": (st.integers(0, 30), 12),   # + one far key: the fallback
+    "unique": (st.integers(100, 160), 0),  # shuffled, dense: the scatter
 }
 
 
@@ -81,7 +85,8 @@ def _join_keys(draw):
     """``(build, probe)`` key columns of one shape family, any int dtype."""
     shape = draw(st.sampled_from(sorted(_KEY_SHAPES)))
     values, min_rows = _KEY_SHAPES[shape]
-    build = draw(st.lists(values, min_size=min_rows, max_size=40))
+    build = draw(st.lists(values, min_size=min_rows, max_size=40,
+                          unique=shape == "unique"))
     if shape == "outlier":
         build.insert(draw(st.integers(0, len(build))), 2**40)
     # Probe keys: hits, near misses between build keys, keys below and
@@ -102,10 +107,16 @@ def _join_keys(draw):
 
 
 class TestJoinBuildIndex:
-    def test_probe_matches_dictionary_oracle(self):
-        """Both lookup paths return a dictionary lookup's pairs, in the
+    def test_probe_matches_dictionary_oracle(self, monkeypatch):
+        """Both lookup paths and both ways of ordering the build keys — the
+        scatter for unique keys no denser than the buckets, the stable sort
+        for the rest — return a dictionary lookup's pairs, in the
         documented order, whole-side or morsel by morsel."""
-        directory_taken = set()
+        directory_taken, sorted_when = set(), set()
+        sorts = []
+        monkeypatch.setattr(
+            np, "argsort", lambda *args, _argsort=np.argsort, **kwargs:
+            sorts.append(1) or _argsort(*args, **kwargs))
 
         @given(_join_keys(), st.integers(0, 60))
         @settings(max_examples=400, deadline=None, derandomize=True)
@@ -116,7 +127,10 @@ class TestJoinBuildIndex:
                 positions.setdefault(key, []).append(position)
             expected = [(b, p) for p, key in enumerate(probe.tolist())
                         for b in positions.get(key, [])]
+            del sorts[:]
             index = JoinBuildIndex(build)
+            sorted_when.add((bool(sorts), index.unique_keys))
+            assert not sorts or index._depth != 1
             if len(build) and len(probe):   # empty sides search nothing
                 directory_taken.add(index._depth > 0)
             build_idx, probe_idx = index.probe(probe)
@@ -132,6 +146,8 @@ class TestJoinBuildIndex:
 
         check()
         assert directory_taken == {True, False}
+        # Duplicates always sort; unique keys sort only when clustered.
+        assert sorted_when == {(True, False), (True, True), (False, True)}
 
     def test_non_integer_keys_keep_the_binary_search(self):
         index = JoinBuildIndex(np.asarray([2.5, 0.5, 2.5]))
@@ -199,18 +215,19 @@ class TestPartitioning:
 
 
 def _awkward_keys(rows: int = 4_000) -> dict[str, np.ndarray]:
-    """Key columns whose ``%`` is easy to get wrong: negative, and folded
-    two-column composites that use all 64 bits, both signs."""
+    """Key columns whose ``%`` is easy to get wrong: negative, and wide
+    keys that use all 64 bits, both signs."""
     rng = np.random.default_rng(31)
+    info = np.iinfo(np.int64)
     return {
         "negative": rng.integers(-10**9, 10**3, rows, dtype=np.int64),
-        "folded": fold_keys([rng.integers(-10**12, 10**12, rows),
-                             rng.integers(0, 10**6, rows)]),
+        "folded": rng.integers(info.min, info.max, rows, dtype=np.int64,
+                               endpoint=True),
     }
 
 
-def _final_partitions(keys, fanouts, **kwargs) -> list[np.ndarray]:
-    order, bounds, _ = partition_positions(keys, fanouts, **kwargs)
+def _final_partitions(keys, fanouts) -> list[np.ndarray]:
+    order, bounds, _ = partition_positions(keys, fanouts)
     return [order[low:high] for low, high in zip(bounds, bounds[1:])]
 
 
@@ -248,12 +265,14 @@ class TestPositionPasses:
         probe = np.random.default_rng(5).permutation(
             np.concatenate([build[::3], build[::7] + 1]))
         home = {}
+        # ``stride``: passes that follow others see the keys with the
+        # earlier fan-outs divided out, as ``partitioned_join`` nests them.
         for index, part in enumerate(
-                _final_partitions(build, fanouts, stride=stride)):
+                _final_partitions(build // stride, fanouts)):
             home.update(dict.fromkeys(build[part].tolist(), index))
         met = 0
         for index, part in enumerate(
-                _final_partitions(probe, fanouts, stride=stride)):
+                _final_partitions(probe // stride, fanouts)):
             for key in probe[part].tolist():
                 met += key in home
                 assert home.get(key, index) == index
@@ -552,13 +571,14 @@ class TestCanonicalJoinOutputOrder:
            st.lists(st.integers(-6, 18), max_size=70),
            st.lists(st.integers(1, 5), min_size=1, max_size=3),
            st.lists(st.integers(1, 4), max_size=2))
+    @example([0], [2], [2], [1])   # 0 and 2 share the digit the pass used
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_order_restoration_matches_a_lexsort_oracle(
             self, build, probe, fanouts, inner_fanouts):
         """Duplicate keys on both sides and rows without a partner, through
         one to three passes and — with ``inner_fanouts`` — through the
-        co-processed nesting, the inner passes striding over the outer
-        digits: counting (probe-major) and the single-key sort
+        co-processed nesting, the inner join handed the digits the outer
+        passes left: counting (probe-major) and the single-key sort
         (build-major) order the matches exactly as sorting the position
         pairs on both keys would."""
         build = np.asarray(build, dtype=np.int64)
@@ -568,7 +588,7 @@ class TestCanonicalJoinOutputOrder:
             def match(build_part, probe_part):
                 return partitioned_join(
                     build_part, probe_part, fanouts=inner_fanouts,
-                    match=_build_and_probe, stride=int(np.prod(fanouts)))[:2]
+                    match=_build_and_probe)[:2]
         build_idx, probe_idx, _, _ = partitioned_join(
             build, probe, fanouts=fanouts, match=match)
         for order, sort_keys in (("build", (probe_idx, build_idx)),
@@ -582,6 +602,26 @@ class TestCanonicalJoinOutputOrder:
         # Probe-major is the reference executor's order.
         for got, expected in zip(restored, join_indices([build], [probe])):
             np.testing.assert_array_equal(got, expected)
+
+    def test_nested_join_restarts_at_the_first_unused_digit(self):
+        """Named regression: ``partitioned_join`` hands a co-partition
+        ``key // prod(fanouts)``, so a nested join starts over at digit 0
+        of what it is handed.  Carrying the outer fan-out along as a
+        stride (the interface this replaced) would divide twice: build
+        ``[0]`` and probe ``[2]`` under ``fanouts=[2]`` become 0 and 1,
+        and ``(0 // 2, 1 // 2)`` would match."""
+        seen = []
+
+        def inner(build_part, probe_part):
+            seen.append((build_part.tolist(), probe_part.tolist()))
+            return partitioned_join(build_part, probe_part, fanouts=[1],
+                                    match=_build_and_probe)[:2]
+
+        build_idx, probe_idx, _, _ = partitioned_join(
+            np.asarray([0]), np.asarray([2]), fanouts=[2], match=inner)
+        assert seen == [([0], [1]), ([], [])]
+        assert len(build_idx) == len(probe_idx) == 0
+        assert "stride" not in partitioned_join.__code__.co_varnames
 
     def test_coprocessed_join_matches_reference_order(self, topology):
         build, probe = self._inputs(rows=3000)

@@ -27,7 +27,6 @@ from repro.hardware import default_server, gtx_1080
 from repro.operators import (
     JoinStats,
     charge_coprocessed_join,
-    composite_key,
     coprocessed_join_kernel,
     cpu_radix_join_kernel,
     estimate_cpu_radix_join,
@@ -49,7 +48,7 @@ from repro.relational import (
     agg_sum,
     col,
     execute_logical,
-    fold_keys,
+    KeyDomain,
     join_indices,
     join_indices_dict,
     lit,
@@ -276,33 +275,52 @@ class TestVectorizedReferenceJoin:
 
 
 class TestSharedKeyFold:
-    def test_operators_and_reference_fold_agree(self):
+    """The one key code every join and group-by shares is injective."""
+
+    def test_operators_share_the_one_key_code(self):
+        from repro.operators import HashJoinBuild
+        from repro.operators.radix import JoinSides
         columns = {
             "a": np.asarray([1, 2, 3, 4], dtype=np.int64),
             "b": np.asarray([10, 20, 30, 40], dtype=np.int64),
         }
-        folded = composite_key(columns, ["a", "b"])
-        np.testing.assert_array_equal(folded, fold_keys([columns["a"],
-                                                         columns["b"]]))
+        codes = KeyDomain(columns, ["a", "b"]).codes
+        assert len(set(codes.tolist())) == 4
+        np.testing.assert_array_equal(
+            HashJoinBuild(columns, build_keys=["a", "b"]).domain.codes, codes)
+        sides = JoinSides(columns, columns, build_keys=["a", "b"],
+                          probe_keys=["a", "b"], output_order=None)
+        np.testing.assert_array_equal(sides.build_keys, codes)
+        np.testing.assert_array_equal(sides.probe_keys, codes)
 
     def test_single_key_is_identity(self):
         values = np.asarray([5, -3, 2**40], dtype=np.int64)
-        np.testing.assert_array_equal(fold_keys([values]), values)
+        domain = KeyDomain({"k": values}, ["k"])
+        np.testing.assert_array_equal(domain.codes, values)
+        narrow = np.asarray([5, -3, 7], dtype=np.int32)
+        codes = domain.encode({"k": narrow}, ["k"])
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, narrow)
 
-    def test_overflow_wraps_without_warning(self):
-        huge = np.asarray([2**62, -(2**62), 2**63 - 1], dtype=np.int64)
-        with np.errstate(over="raise"):
-            folded = fold_keys([huge, huge])
-        # Matches explicit two's-complement modular arithmetic.
-        expected = (huge.astype(np.uint64) * np.uint64(1_000_003)
-                    + huge.astype(np.uint64)).view(np.int64)
-        np.testing.assert_array_equal(folded, expected)
+    def test_wide_columns_stay_injective_without_warning(self):
+        """What the wrapping fold collapsed: two columns that each use 63
+        bits cannot be a mixed-radix number, so they are ranked — still
+        one code per distinct tuple, in tuple order."""
+        huge = np.asarray([2**62, -(2**62), 2**63 - 1, 2**62],
+                          dtype=np.int64)
+        other = np.asarray([2**63 - 1, 2**62, -(2**62), 2**63 - 1],
+                           dtype=np.int64)
+        with np.errstate(all="raise"):
+            domain = KeyDomain({"a": huge, "b": other}, ["a", "b"])
+            swapped = domain.encode({"a": other, "b": huge}, ["a", "b"])
+        assert domain.codes.tolist() == [5, 1, 6, 5]   # rank_a * 3 + rank_b
+        # (b, a) tuples: none is an (a, b) tuple of the defining side.
+        assert set(swapped.tolist()).isdisjoint(domain.codes.tolist())
 
-    def test_empty_key_list_needs_num_rows(self):
-        np.testing.assert_array_equal(fold_keys([], num_rows=3),
-                                      np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            fold_keys([])
+    def test_no_key_columns_is_one_group(self):
+        codes = KeyDomain({"v": np.arange(3.0)}, []).codes
+        np.testing.assert_array_equal(codes, np.zeros(3, dtype=np.int64))
+        assert len(KeyDomain({}, []).codes) == 0
 
 
 class TestSingleGatherPartition:

@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it, rounded
 #: up to the next 10.
-MAX_SRC_CODE_LINES = 8_820
+MAX_SRC_CODE_LINES = 8_850
 
 
 def _code_lines_tool():
@@ -39,6 +39,23 @@ def test_src_imports_only_numpy_beyond_the_stdlib():
                 module.split(".")[0] for module in modules
                 if module.split(".")[0] not in sys.stdlib_module_names)
     assert third_party - {"repro"} == {"numpy"}
+
+
+def test_reference_executor_shares_no_code_with_the_key_module():
+    """The oracle stays an oracle: ``relational/reference.py`` groups and
+    matches on column values and imports nothing from ``relational/keys.py``
+    (whose fold it once shared, agreeing with every collision)."""
+    tree = ast.parse((REPO / "src" / "repro" / "relational"
+                      / "reference.py").read_bytes())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not [name for name in imported if "keys" in name.split(".")]
 
 
 def test_code_lines_defaults_to_src(monkeypatch, capsys):
