@@ -1074,6 +1074,16 @@ def _partitioned_gpu_fastest(model, fields) -> bool:
         best < seconds for seconds in largest.values() if seconds is not None)
 
 
+def _replay_is_exact(ratios, fields) -> bool:
+    """Executed seconds == replayed seconds, bit for bit: a GPU variant
+    runs on the one GPU the model prices, a CPU variant on one socket of
+    the ``cpu_sockets`` the model divides by."""
+    return bool(ratios) and all(
+        ratio == (fields.get("cpu_sockets") if variant.endswith("CPU")
+                  else 1.0)
+        for variant, ratio in ratios.items())
+
+
 def _coprocessing_order(model, fields) -> bool:
     largest = _at_largest(model)
     return (largest["2 GPUs"] < largest["1 GPU"] < largest["DBMS C"]
@@ -1104,11 +1114,23 @@ def suite_fig5(bench: Workbench) -> dict:
                 lambda rows, fields: len(set(rows.values())) == 1,
                 "the executed variants returned different row counts: "
                 "{value}"),
+           Gate("executed_over_replayed", _replay_is_exact,
+                "executed seconds over the model's at the executed size "
+                "are {value}, not exactly 1.0 (GPU) / {cpu_sockets} (CPU, "
+                "one socket of the model's) — the figure and the engine "
+                "price the join differently"),
        ))
 def suite_fig6(bench: Workbench) -> dict:
-    return _model_and_execution(
-        bench, JoinModels(bench.topology).figure6_series,
+    models = JoinModels(bench.topology)
+    record = _model_and_execution(
+        bench, models.figure6_series,
         lambda: run_all_variants(200_000, topology=bench.topology))
+    replayed = models.figure6_series(sizes_mtuples=(0.2,))
+    record["cpu_sockets"] = models.num_cpus
+    record["executed_over_replayed"] = {
+        variant: seconds / replayed[variant][0].seconds
+        for variant, seconds in record["simulated_seconds_execution"].items()}
+    return record
 
 
 @suite("fig7", summary=_two_walls,

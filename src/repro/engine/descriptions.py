@@ -227,7 +227,7 @@ class RouterOp(Operator):
     def charge(self, batch: NodeResult, stats: object) -> None:
         # Routing decisions are packet-metadata only; charge a token
         # control cost on the CPU that hosts the router.
-        record = self.ex.anchor_cpu().charge(
+        record = self.ex.topology.anchor_cpu().charge(
             1e-6 * max(len(self.devices), 1), earliest=batch.ready,
             label="router")
         self.advance(batch, record.end)
@@ -335,7 +335,7 @@ class Aggregate(Operator):
     def place(self, devices: list[Device]) -> list[Device]:
         if self.node.phase == "partial":
             return devices or self.ex.default_devices()
-        return [self.ex.anchor_cpu()]
+        return [self.ex.topology.anchor_cpu()]
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
         node = self.node
@@ -370,7 +370,7 @@ class Sort(Operator):
     memoized = False
 
     def place(self, devices: list[Device]) -> list[Device]:
-        return [self.ex.anchor_cpu()]
+        return [self.ex.topology.anchor_cpu()]
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, None]:
         order = np.lexsort(
@@ -555,7 +555,7 @@ class CoprocessedJoin(Join):
         gpus = self.ex.topology.available_gpus()
         if not gpus:
             raise ExecutionError("co-processed join requires GPUs")
-        return [self.ex.anchor_cpu(), *gpus]
+        return [self.ex.topology.anchor_cpu(), *gpus]
 
     def tag(self, tag: tuple) -> tuple:
         gpus = self.devices[1:]

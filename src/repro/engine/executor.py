@@ -122,6 +122,12 @@ from .workers import WorkerPool, resolve_workers
 
 _KernelResult = TypeVar("_KernelResult")
 
+#: Extra fractional cost charged when a pipeline spans CPUs and GPUs,
+#: covering packet routing, pinned staging buffers and synchronization.
+HYBRID_OVERHEAD = 0.10
+#: The same for hybrid pipelines that shuffle join state.
+HYBRID_JOIN_OVERHEAD = 0.30
+
 
 @dataclass(frozen=True)
 class ExecutorOptions:
@@ -131,17 +137,12 @@ class ExecutorOptions:
     bad value raises ``ValueError`` through every door alike: building
     the record, the :class:`~repro.engine.session.HAPEEngine` keywords,
     or assigning a session attribute (all of which end in
-    :meth:`Executor.retune`).  Every knob below the two overhead factors
-    is wall-clock/working-set only: results, simulated seconds, device
-    busy times, link bytes and — except for the cache budget — cache
-    counters are bit-identical for every setting.
+    :meth:`Executor.retune`).  Every knob is wall-clock/working-set
+    only: results, simulated seconds, device busy times, link bytes and —
+    except for the cache budget — cache counters are bit-identical for
+    every setting.
     """
 
-    #: Extra fractional cost charged when a pipeline spans CPUs and GPUs,
-    #: covering packet routing, pinned staging buffers and synchronization.
-    hybrid_overhead: float = 0.10
-    #: Extra overhead for hybrid pipelines that shuffle join state.
-    hybrid_join_overhead: float = 0.30
     #: Rows per morsel: the driver carves every chain source into slices
     #: of at most this many rows and streams them through the chain, which
     #: bounds the working set of the streaming operators (breakers take
@@ -654,20 +655,8 @@ class Executor:
     # ------------------------------------------------------------------
     # Cost charging helpers the descriptions share
     # ------------------------------------------------------------------
-    def anchor_cpu(self) -> Device:
-        """The CPU that hosts routers, final merges and sorts.
-
-        The first *available* CPU socket; with every device healthy this
-        is exactly ``cpus()[0]``, preserving bit-identical placement and
-        timing for fault-free runs.  The structural fallback keeps
-        non-serving callers working even if someone fails every CPU by
-        hand (the optimizer rejects such plans before execution).
-        """
-        available = self.topology.available_cpus()
-        return available[0] if available else self.topology.cpus()[0]
-
     def default_devices(self) -> list[Device]:
-        return [self.anchor_cpu()]
+        return [self.topology.anchor_cpu()]
 
     def charge_parallel(self, devices: Sequence[Device],
                         estimate: Callable[[Device], OpCost],
@@ -685,8 +674,8 @@ class Executor:
                 seconds_by_kind[device.kind] = estimate(device).seconds
         overhead = 0.0
         if len(seconds_by_kind) > 1:  # the pipeline spans CPUs and GPUs
-            overhead = (self.options.hybrid_join_overhead if join_shuffle
-                        else self.options.hybrid_overhead)
+            overhead = (HYBRID_JOIN_OVERHEAD if join_shuffle
+                        else HYBRID_OVERHEAD)
         # A GPU reading CPU-resident input is fed over its route: that
         # bounds its throughput, and its share of the input crosses first.
         routes = {}

@@ -352,10 +352,11 @@ class Optimizer:
                              group_by=plan.group_by,
                              aggregates=plan.aggregates, phase="partial",
                              est_rows=rows)
+        anchor = self.topology.anchor_cpu().name
         gather_traits = Traits(device=DeviceKind.CPU, parallelism=1,
-                               locality="cpu0")
+                               locality=anchor)
         gather = Router(traits=gather_traits, child=partial,
-                        policy=RoutingPolicy.ROUND_ROBIN, consumers=("cpu0",))
+                        policy=RoutingPolicy.ROUND_ROBIN, consumers=(anchor,))
         crossing: PhysicalOp = gather
         if mode is ExecutionMode.GPU_ONLY:
             crossing = DeviceCrossing(traits=gather_traits, child=gather,

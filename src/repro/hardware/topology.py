@@ -227,6 +227,20 @@ class Topology:
         return tuple(d for d in self._devices.values()
                      if d.is_gpu and d.is_available)
 
+    def anchor_cpu(self) -> Device:
+        """The CPU that hosts routers, final merges and sorts.
+
+        The first *available* CPU socket — the optimizer names it in the
+        gather router it plans and the executor charges it, so the two
+        cannot disagree.  With every device healthy this is exactly
+        ``cpus()[0]``, preserving bit-identical placement and timing for
+        fault-free runs.  The structural fallback keeps non-serving
+        callers working even if someone fails every CPU by hand (the
+        optimizer rejects CPU-using plans before execution).
+        """
+        available = self.available_cpus()
+        return available[0] if available else self.cpus()[0]
+
     def fail_device(self, name: str) -> None:
         """Mark a device FAILED; placement skips it until restored."""
         self.device(name).fail()

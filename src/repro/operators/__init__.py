@@ -52,13 +52,14 @@ skeleton moves row positions, not payloads — keys coded once, one
 position vector permuted per side and pass, canonical order restored on
 the positions, every payload column gathered once at the end — while the
 stats records keep charging the paper's algorithm from sizes (rows x
-item sizes per pass, per PCIe crossing and per output row).
+the columns' item sizes per pass — one charge per *pass*, not per chunk
+— per PCIe crossing and per output row).
 
-The classic combined helpers (``apply_filter_project``,
-``non_partitioned_join``, ``cpu_radix_join``, ``gpu_partitioned_join``,
-``coprocessed_radix_join``, ``radix_partition``, ``hash_aggregate``,
-``merge_partials``) remain as kernel+estimate wrappers for callers that
-place an operator themselves.
+The four join helpers (``non_partitioned_join``, ``cpu_radix_join``,
+``gpu_partitioned_join``, ``coprocessed_radix_join``) call a kernel and its
+estimate back to back for the join microbenchmarks, which place an
+operator themselves; every other operator is priced through its
+``*_kernel`` + ``estimate_*`` pair only.
 
 Kernels report invocations through
 :func:`~repro.operators.base.record_kernel_invocation`; tests use the
@@ -69,9 +70,7 @@ from .aggregate import (
     AggregateStats,
     estimate_hash_aggregate,
     estimate_merge_partials,
-    hash_aggregate,
     hash_aggregate_kernel,
-    merge_partials,
     merge_partials_kernel,
 )
 from .base import (
@@ -93,7 +92,6 @@ from .coprocess import (
 )
 from .filterproject import (
     FilterProjectStats,
-    apply_filter_project,
     estimate_filter_project,
     expression_op_count,
     filter_project_kernel,
@@ -133,7 +131,6 @@ from .radix import (
     partition_tuple_bytes,
     partitioned_join_kernel,
     plan_partition_passes,
-    radix_partition,
     radix_partition_kernel,
     target_partition_bytes,
 )
@@ -154,7 +151,6 @@ __all__ = [
     "PartitionPlan",
     "PartitionRunStats",
     "PartitionedJoinStats",
-    "apply_filter_project",
     "build_table_bytes",
     "charge_coprocessed_join",
     "columns_nbytes",
@@ -177,12 +173,10 @@ __all__ = [
     "filter_project_morsel",
     "gpu_partitioned_join",
     "gpu_partitioned_join_kernel",
-    "hash_aggregate",
     "hash_aggregate_kernel",
     "hash_join_kernel",
     "kernel_counts",
     "max_fanout",
-    "merge_partials",
     "merge_partials_kernel",
     "non_partitioned_join",
     "partition_tuple_bytes",
@@ -190,7 +184,6 @@ __all__ = [
     "plan_coprocessing",
     "plan_partition_passes",
     "probe_phase_cost",
-    "radix_partition",
     "radix_partition_kernel",
     "record_kernel_invocation",
     "referenced_columns",

@@ -35,7 +35,6 @@ from ..relational.keys import KeyDomain, group_ids
 from .base import (
     ArrayMap,
     OpCost,
-    OpOutput,
     columns_num_rows,
     record_kernel_invocation,
 )
@@ -139,17 +138,6 @@ def hash_aggregate_kernel(
     return result, AggregateStats(num_rows=num_rows, num_groups=len(counts))
 
 
-def hash_aggregate(columns: Mapping[str, np.ndarray], device: Device, *,
-                   group_by: Sequence[str],
-                   aggregates: Sequence[AggregateSpec],
-                   phase: str = "complete") -> OpOutput:
-    """Aggregate one packet on one device (kernel + cost in one)."""
-    result, stats = hash_aggregate_kernel(columns, group_by=group_by,
-                                          aggregates=aggregates, phase=phase)
-    cost = estimate_hash_aggregate(stats, device, aggregates=aggregates)
-    return OpOutput(columns=result, cost=cost)
-
-
 def _evaluate_aggregate(spec: AggregateSpec, columns: Mapping[str, np.ndarray],
                         ids: np.ndarray, counts: np.ndarray, phase: str, *,
                         grand: bool = False) -> ArrayMap:
@@ -230,13 +218,3 @@ def merge_partials_kernel(
             result[spec.alias] = _extreme(spec.func, ids, len(counts),
                                           concatenated[spec.alias])
     return result, nbytes
-
-
-def merge_partials(partials: Sequence[Mapping[str, np.ndarray]], device: Device, *,
-                   group_by: Sequence[str],
-                   aggregates: Sequence[AggregateSpec]) -> OpOutput:
-    """Merge per-device partial aggregates into the final result."""
-    columns, nbytes = merge_partials_kernel(partials, group_by=group_by,
-                                            aggregates=aggregates)
-    return OpOutput(columns=columns,
-                    cost=estimate_merge_partials(nbytes, device))

@@ -42,9 +42,9 @@ The contract has three invariants the executor (and the tests) rely on:
    streamed columns and the accumulated stats equal the kernel's, bit for
    bit — only the peak working set and the wall-clock schedule change.
 
-The classic combined functions (``apply_filter_project``,
-``non_partitioned_join``, ...) remain as thin wrappers that call the kernel
-and the estimator back to back.  Operators never touch device clocks
+The join helpers of the microbenchmarks (``non_partitioned_join``,
+``cpu_radix_join``, ...) call the kernel and the estimator back to back.
+Operators never touch device clocks
 themselves — the executor decides how costs map onto the timeline
 (sequential chains, parallel instances, overlapped transfers).  The one
 operator that *is* a schedule over several devices, the co-processed

@@ -42,7 +42,7 @@ from ..errors import ExecutionError
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology
-from ..relational.keys import KEY_CODE_BYTES, KeyDomain
+from ..relational.keys import KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
@@ -159,9 +159,8 @@ def copartition_nbytes(build: Mapping[str, np.ndarray],
     nbytes = np.zeros(fanout, dtype=np.int64)
     for columns, codes in ((build, domain.codes),
                            (probe, domain.encode(probe, probe_keys))):
-        nbytes += ((partition_tuple_bytes(columns) + KEY_CODE_BYTES)
-                   * np.bincount(radix_buckets(codes, fanout),
-                                 minlength=fanout))
+        nbytes += partition_tuple_bytes(columns) * np.bincount(
+            radix_buckets(codes, fanout), minlength=fanout)
     return nbytes.tolist()
 
 

@@ -29,7 +29,6 @@ from ..relational.expr import Expr
 from .base import (
     ArrayMap,
     OpCost,
-    OpOutput,
     columns_num_rows,
     record_kernel_invocation,
 )
@@ -175,20 +174,3 @@ def estimate_filter_project(stats: FilterProjectStats, device: Device, *,
     if device.is_gpu:
         cost.add("kernel-launch", device.cost.kernel_launch())
     return cost
-
-
-def apply_filter_project(columns: Mapping[str, np.ndarray], device: Device, *,
-                         predicate: Expr | None = None,
-                         projections: Mapping[str, Expr] | None = None,
-                         ) -> OpOutput:
-    """Filter and/or project one packet of columns (kernel + cost in one).
-
-    Thin wrapper over :func:`filter_project_kernel` +
-    :func:`estimate_filter_project` for callers that only place the operator
-    on a single device.
-    """
-    working, stats = filter_project_kernel(columns, predicate=predicate,
-                                           projections=projections)
-    cost = estimate_filter_project(stats, device, predicate=predicate,
-                                   projections=projections)
-    return OpOutput(columns=working, cost=cost)

@@ -27,8 +27,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
-from ..relational.keys import KEY_CODE_BYTES
-from .base import OpCost, OpOutput, columns_num_rows
+from .base import OpCost, OpOutput
 from .filterproject import compute_ops_per_sec
 from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
@@ -141,14 +140,12 @@ def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
                          device: Device) -> None:
     """Raise before any join work when the inputs cannot fit in GPU memory.
 
-    The budget covers both inputs, their key codes (one per row and side)
-    and a 2.5x allowance for partitions and hash tables.
+    The budget covers both inputs and a 2.5x allowance for partitions and
+    hash tables.
     """
     input_bytes = int(
         sum(np.asarray(v).nbytes for v in build.values())
-        + sum(np.asarray(v).nbytes for v in probe.values())
-        + KEY_CODE_BYTES * (columns_num_rows(build)
-                            + columns_num_rows(probe)))
+        + sum(np.asarray(v).nbytes for v in probe.values()))
     if not device.fits_in_memory(int(input_bytes * 2.5)):
         raise ExecutionError(
             f"GPU join inputs ({input_bytes} bytes plus intermediates) exceed "

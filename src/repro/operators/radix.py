@@ -27,16 +27,23 @@ co-partitions are matched on the code digits the passes did not consume,
 the canonical output order is restored on the two position vectors, and
 every payload column is gathered exactly once, at the end
 (:class:`JoinSides`).  The cost model
-keeps charging the paper's algorithm — every pass moves every payload
-byte — because charges come from sizes (rows x item sizes, held by
-:class:`JoinSides`), not from the arrays the kernel happens to build.
+keeps charging the paper's algorithm — every pass moves every tuple, key
+column and payload alike — because charges come from sizes (rows x the
+columns' own item sizes, held by :class:`JoinSides`), not from the arrays
+the kernel happens to build: the ``int64`` key codes are the kernel's
+business and are charged to nobody.
 
 Following the single-evaluation operator contract (see
 :mod:`repro.operators`), the functional partitioning of a column map lives
 in :func:`radix_partition_kernel` — one position pass plus one gather per
 column, with the ``fanout`` buckets sliced out as zero-copy views — while
-:func:`estimate_radix_partition` / :func:`estimate_partition_run` replay the
-exact per-pass cost arithmetic from a :class:`PartitionRunStats` record.
+:func:`estimate_radix_partition` / :func:`estimate_partition_run` price a
+:class:`PartitionRunStats` record, one ``(rows, fanout)`` entry per *pass*:
+a pass reads and writes its whole input once whatever chunks the earlier
+passes left (one kernel launch per pass on a GPU), so its price depends on
+rows and fan-out only — which is what lets :mod:`repro.perf` write the
+record of a paper-scale join down in closed form and replay it through
+the same estimators.
 """
 
 from __future__ import annotations
@@ -49,12 +56,11 @@ import numpy as np
 
 from ..hardware.device import Device
 from ..hardware.specs import DeviceKind, DeviceSpec
-from ..relational.keys import KEY_CODE_BYTES, JoinBuildIndex, KeyDomain
+from ..relational.keys import JoinBuildIndex, KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
     OpOutput,
-    columns_num_rows,
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
@@ -129,15 +135,14 @@ def target_partition_bytes(spec: DeviceSpec) -> int:
 
 
 def plan_partition_passes(input_tuples: int, tuple_bytes: int,
-                          spec: DeviceSpec, *,
-                          target_bytes: int | None = None) -> PartitionPlan:
+                          spec: DeviceSpec) -> PartitionPlan:
     """Choose the number of passes and per-pass fan-out for one device."""
     if input_tuples <= 0:
         raise ValueError("input_tuples must be positive")
     if tuple_bytes <= 0:
         raise ValueError("tuple_bytes must be positive")
-    target = target_bytes if target_bytes is not None else target_partition_bytes(spec)
-    target_tuples = max(int(target // (tuple_bytes * 2)), 1)
+    target_tuples = max(
+        int(target_partition_bytes(spec) // (tuple_bytes * 2)), 1)
     fanout_limit = max_fanout(spec)
     required_fanout = max(
         int(np.ceil(input_tuples / target_tuples)), 1
@@ -166,11 +171,11 @@ def plan_partition_passes(input_tuples: int, tuple_bytes: int,
 class PartitionRunStats:
     """Shape of an executed sequence of partitioning passes.
 
-    ``calls`` records one ``(num_rows, fanout)`` entry per chunk a pass
-    partitioned, in execution order (pass by pass, chunks in partition
-    order), so that :func:`estimate_partition_run` can replay the exact
-    cost arithmetic of the run on any device without touching the data
-    again.
+    ``calls`` records one ``(num_rows, fanout)`` entry per pass, in
+    execution order — every pass moves all the rows, however the earlier
+    passes chunked them — so that :func:`estimate_partition_run` can price
+    the run on any device without touching the data again, and a closed
+    form can write the record down without running anything.
     """
 
     tuple_bytes: int
@@ -192,13 +197,13 @@ def partition_positions(
     ``keys`` partition by partition, every partition in input order (each
     pass is stable); final partition ``i`` is
     ``order[bounds[i]:bounds[i + 1]]``; ``calls`` is the
-    :class:`PartitionRunStats` record of the passes.  Pass ``i`` buckets on
-    digit ``i`` of the key (:func:`radix_buckets` of the key with the
-    earlier fan-outs divided out) inside every chunk pass ``i - 1``
-    produced, so the whole sequence is one stable sort of a composite id
-    whose most significant digit is the first pass's — ids of at most 16
-    bits, where NumPy's stable sort is an O(n) radix sort, unless the
-    total fan-out needs more.
+    :class:`PartitionRunStats` record of the passes, ``(len(keys),
+    fanout)`` each.  Pass ``i`` buckets on digit ``i`` of the key
+    (:func:`radix_buckets` of the key with the earlier fan-outs divided
+    out) inside every chunk pass ``i - 1`` produced, so the whole sequence
+    is one stable sort of a composite id whose most significant digit is
+    the first pass's — ids of at most 16 bits, where NumPy's stable sort
+    is an O(n) radix sort, unless the total fan-out needs more.
     """
     total = math.prod(fanouts)
     ids = radix_buckets(keys, total)
@@ -214,13 +219,8 @@ def partition_positions(
         ids = ids.astype(np.uint16)
     order = np.argsort(ids, kind="stable")
     bounds = [0, *np.cumsum(counts).tolist()]
-    calls, chunks = [], 1
-    for fanout in fanouts:
-        calls.extend((rows, fanout) for rows in
-                     counts.reshape(chunks, -1).sum(axis=1).tolist())
-        chunks *= fanout
-    record_kernel_invocation("radix_partition", len(calls))
-    return order, bounds, tuple(calls)
+    record_kernel_invocation("radix_partition", len(fanouts))
+    return order, bounds, tuple((len(order), fanout) for fanout in fanouts)
 
 
 def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
@@ -273,19 +273,6 @@ def estimate_partition_run(stats: PartitionRunStats,
         cost.merge(estimate_radix_partition(num_rows, stats.tuple_bytes,
                                             fanout, device))
     return cost
-
-
-def radix_partition(columns: Mapping[str, np.ndarray], device: Device, *,
-                    key: str, fanout: int) -> tuple[list[ArrayMap], OpCost]:
-    """Partition one column map on one device (kernel + cost in one).
-
-    Returns the partitions (list of column maps) and the cost of the pass.
-    """
-    num_rows = columns_num_rows(columns)
-    tuple_bytes = partition_tuple_bytes(columns)
-    partitions = radix_partition_kernel(columns, key=key, fanout=fanout)
-    cost = estimate_radix_partition(num_rows, tuple_bytes, fanout, device)
-    return partitions, cost
 
 
 # ----------------------------------------------------------------------
@@ -434,13 +421,11 @@ class JoinSides:
         self.probe_keys = domain.encode(self.probe, probe_keys)
         self.output_order = output_order
         # Charges come from sizes, not from the arrays a kernel happens to
-        # build: a tuple moves its payload columns plus its key code
+        # build: a tuple moves its columns — the key column among them —
         # through every pass (and across PCIe), and an output row holds
         # every column once, probe columns winning name clashes.
-        self.build_tuple_bytes = (partition_tuple_bytes(self.build)
-                                  + KEY_CODE_BYTES)
-        self.probe_tuple_bytes = (partition_tuple_bytes(self.probe)
-                                  + KEY_CODE_BYTES)
+        self.build_tuple_bytes = partition_tuple_bytes(self.build)
+        self.probe_tuple_bytes = partition_tuple_bytes(self.probe)
         self.output_row_bytes = partition_tuple_bytes(
             {**self.build, **self.probe})
 

@@ -1,4 +1,6 @@
-"""Paper-scale analytic performance models for every evaluation figure."""
+"""Paper-scale performance models for every evaluation figure: Figs. 5-6
+replay the join operators' own estimates on closed-form stats records,
+Figs. 7-9 are closed-form pipeline models."""
 
 from .join_models import (
     FIGURE5_PARTITION_SIZES,
@@ -7,6 +9,8 @@ from .join_models import (
     FIGURE7_SIZES_MTUPLES,
     JoinModels,
     JoinPoint,
+    dense_hash_stats,
+    dense_join_stats,
 )
 from .report import HeadlineClaim, format_headline_claims, format_series, headline_claims
 from .tpch_models import (
@@ -28,6 +32,8 @@ __all__ = [
     "PAPER_SCALE_FACTOR",
     "QueryEstimate",
     "TPCHModels",
+    "dense_hash_stats",
+    "dense_join_stats",
     "format_headline_claims",
     "format_series",
     "headline_claims",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.executor import ExecutorOptions
+from ..engine.executor import HYBRID_JOIN_OVERHEAD, HYBRID_OVERHEAD
 from ..engine.modes import ExecutionMode
 from ..hardware.topology import Topology, default_server
 from ..operators.filterproject import compute_ops_per_sec
@@ -56,8 +56,7 @@ class TPCHModels:
     """Per-query analytic cost models at the paper's scale factor."""
 
     def __init__(self, topology: Topology | None = None, *,
-                 scale_factor: float = PAPER_SCALE_FACTOR,
-                 executor_options: ExecutorOptions | None = None) -> None:
+                 scale_factor: float = PAPER_SCALE_FACTOR) -> None:
         self.topology = topology if topology is not None else default_server()
         self.scale_factor = scale_factor
         self.cards = tpch_cardinalities(scale_factor)
@@ -65,7 +64,6 @@ class TPCHModels:
         self.gpu = self.topology.gpus()[0]
         self.num_cpus = len(self.topology.cpus())
         self.num_gpus = len(self.topology.gpus())
-        self.options = executor_options or ExecutorOptions()
 
     # ------------------------------------------------------------------
     # Shared building blocks
@@ -98,8 +96,7 @@ class TPCHModels:
         throughputs; routing, staging and (for joins) state shuffling expose
         a fraction of that, matching the efficiency ratios of Section 6.4.
         """
-        overhead = (self.options.hybrid_join_overhead if join_heavy
-                    else self.options.hybrid_overhead)
+        overhead = HYBRID_JOIN_OVERHEAD if join_heavy else HYBRID_OVERHEAD
         aggregate_throughput = 1.0 / cpu_seconds + 1.0 / gpu_seconds
         return (1.0 + overhead) / aggregate_throughput
 

@@ -36,10 +36,6 @@ import numpy as np
 
 from .expr import ColumnRef
 
-#: Bytes of one key code: what a partitioned tuple carries beside its
-#: payload through every pass and across PCIe.
-KEY_CODE_BYTES = np.dtype(np.int64).itemsize
-
 #: Codes are non-negative ``int64``: a domain holds fewer tuples than this.
 _CODE_LIMIT = 1 << 63
 

@@ -12,16 +12,24 @@ import pytest
 
 from repro.baselines import DBMSC, DBMSG
 from repro.errors import UnsupportedQueryError
+from repro.operators import (
+    cpu_radix_join_kernel,
+    gpu_partitioned_join_kernel,
+    hash_join_kernel,
+)
 from repro.perf import (
     FIGURE8_SYSTEMS,
     JoinModels,
     TPCHModels,
+    dense_hash_stats,
+    dense_join_stats,
     format_headline_claims,
     format_series,
     headline_claims,
 )
 from repro.relational import execute_logical
-from repro.workloads import build_query
+from repro.storage import make_join_pair
+from repro.workloads import build_query, run_all_variants
 
 
 class TestDBMSC:
@@ -83,6 +91,41 @@ class TestFigure5Model:
         assert max(values) / min(values) < 2.0
 
 
+class TestFigure6IsAReplay:
+    """One derivation: the figure prices the record an executed join of
+    the microbenchmark leaves, through the operators' own estimates."""
+
+    TUPLES = 250_000
+
+    def test_synthesized_stats_equal_the_kernels_records(self, cpu, gpu):
+        workload = make_join_pair(self.TUPLES)
+        sides = dict(build=workload.build.arrays(),
+                     probe=workload.probe.arrays(),
+                     build_keys=["key"], probe_keys=["key"])
+        for kernel, spec in ((cpu_radix_join_kernel, cpu.spec),
+                             (gpu_partitioned_join_kernel, gpu.spec)):
+            _, stats = kernel(**sides, spec=spec)
+            assert stats == dense_join_stats(self.TUPLES, spec)
+            assert len(stats.build_run.calls) == stats.plan.num_passes
+        _, stats = hash_join_kernel(**sides)
+        assert stats == dense_hash_stats(self.TUPLES)
+
+    def test_model_seconds_equal_executed_seconds_bit_for_bit(self):
+        models = JoinModels()
+        executed = {variant: run.simulated_seconds for variant, run
+                    in run_all_variants(self.TUPLES).items()}
+        sockets = models.num_cpus
+        assert executed == {
+            "Partitioned CPU":
+                models.partitioned_cpu_seconds(self.TUPLES) * sockets,
+            "Partitioned GPU": models.partitioned_gpu_seconds(self.TUPLES),
+            "Non-partitioned CPU":
+                models.non_partitioned_cpu_seconds(self.TUPLES) * sockets,
+            "Non-partitioned GPU":
+                models.non_partitioned_gpu_seconds(self.TUPLES),
+        }
+
+
 class TestFigure6Model:
     def test_gpu_radix_join_wins(self):
         models = JoinModels()
@@ -94,9 +137,9 @@ class TestFigure6Model:
 
     def test_partitioned_cpu_beats_non_partitioned_at_scale(self):
         models = JoinModels()
-        n = 128_000_000
-        assert models.partitioned_cpu_seconds(n) \
-            < models.non_partitioned_cpu_seconds(n)
+        for n in (32_000_000, 128_000_000):
+            assert models.partitioned_cpu_seconds(n) \
+                < models.non_partitioned_cpu_seconds(n)
 
     def test_gpu_variants_stop_at_memory_capacity(self):
         models = JoinModels()

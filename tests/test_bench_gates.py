@@ -52,7 +52,10 @@ PASSING = {
                  "Partitioned GPU": {"1000000": 0.003, "128000000": 0.05},
                  "DBMS G": {"1000000": 0.001, "128000000": None}},
              "output_rows_execution": {"Partitioned CPU": 200_000,
-                                       "Partitioned GPU": 200_000}},
+                                       "Partitioned GPU": 200_000},
+             "cpu_sockets": 2,
+             "executed_over_replayed": {"Partitioned CPU": 2.0,
+                                        "Partitioned GPU": 1.0}},
     "fig7": {"wall_clock_seconds_model": 0.001,
              "wall_clock_seconds_execution": 0.4,
              "simulated_seconds_model": {
@@ -138,6 +141,9 @@ DOCTORED = {
     ("fig6", "output_rows_execution"):
         ("output_rows_execution", {"Partitioned CPU": 200_000,
                                    "Partitioned GPU": 199_999}),
+    ("fig6", "executed_over_replayed"):  # the parent's per-chunk launches
+        ("executed_over_replayed", {"Partitioned CPU": 2.0,
+                                    "Partitioned GPU": 1.5}),
     ("fig7", "simulated_seconds_model"):  # DBMS C overtakes one GPU at 2 B
         ("simulated_seconds_model", {
             "1 GPU": {"256000000": 0.35, "2048000000": 6.3},

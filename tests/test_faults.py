@@ -37,11 +37,11 @@ from repro.errors import (
 )
 from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
 from repro.hardware import DeviceHealth, default_server, gtx_1080
-from repro.relational import agg_count, agg_sum, col, lit, scan
+from repro.relational import Router, agg_count, agg_sum, col, lit, scan
 from repro.server import QueryServer, RetryPolicy
 from repro.server.lifecycle import EVENT_STATUS, TERMINAL
 from repro.storage import Table
-from repro.workloads import build_query
+from repro.workloads import EVALUATED_QUERIES, build_query
 
 
 def _table_bytes(result_table) -> tuple:
@@ -190,6 +190,29 @@ class TestHealthAwarePlacement:
         survived = engine.execute(plan, "cpu")
         assert _table_bytes(survived.table) == _table_bytes(reference.table)
         assert survived.device_busy.get("cpu0", 0.0) == 0.0
+
+    @pytest.mark.parametrize("mode", ["cpu", "hybrid"])
+    @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
+    def test_plans_under_a_cpu_outage_name_no_failed_device(
+            self, tpch_dataset, query_name, mode):
+        """The gather router used to be planned onto a hard-coded ``cpu0``
+        (and traced there) while the executor charged the surviving CPU."""
+        topology = default_server()
+        engine = HAPEEngine(topology, tracing=True)
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query(query_name, tpch_dataset).plan
+        healthy_routers = [node.consumers
+                           for node in engine.plan(plan, mode).walk()
+                           if isinstance(node, Router)]
+        assert ("cpu0",) in healthy_routers
+        topology.fail_device("cpu0")
+        routers = [node for node in engine.plan(plan, mode).walk()
+                   if isinstance(node, Router)]
+        assert routers and not any("cpu0" in node.consumers
+                                   for node in routers)
+        result = engine.execute(plan, mode)
+        assert not any("cpu0" in span.devices for span in result.trace.spans)
+        assert result.device_busy["cpu0"] == 0.0
 
 
 def _q1_like(tpch_dataset):

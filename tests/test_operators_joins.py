@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,20 +17,26 @@ from repro.operators import (
     gpu_partitioned_join,
     max_fanout,
     non_partitioned_join,
+    partitioned_join_kernel,
     plan_partition_passes,
     probe_phase_cost,
-    radix_partition,
 )
 from repro.operators.radix import (
     _build_and_probe,
+    estimate_radix_partition,
     partition_positions,
+    partition_tuple_bytes,
     partitioned_join,
     radix_buckets,
     radix_partition_kernel,
     restore_canonical_order,
 )
 from repro.relational import JoinBuildIndex, join_indices
-from repro.storage import make_join_pair, make_partial_match_pair
+from repro.storage import (
+    make_join_pair,
+    make_partial_match_pair,
+    make_skewed_relation,
+)
 
 
 def _sorted_pairs(build_idx, probe_idx):
@@ -173,12 +180,12 @@ class TestJoinBuildIndex:
 
 class TestPartitioning:
     def test_radix_partition_preserves_rows(self, cpu):
-        workload = make_join_pair(3_000, seed=5)
-        parts, cost = radix_partition(workload.build.arrays(), cpu,
-                                      key="key", fanout=16)
+        columns = make_join_pair(3_000, seed=5).build.arrays()
+        parts = radix_partition_kernel(columns, key="key", fanout=16)
         assert len(parts) == 16
         assert sum(len(part["key"]) for part in parts) == 3_000
-        assert cost.seconds > 0
+        assert estimate_radix_partition(
+            3_000, partition_tuple_bytes(columns), 16, cpu).seconds > 0
         # Every tuple landed in the partition its key maps to.
         for index, part in enumerate(parts):
             if len(part["key"]):
@@ -205,7 +212,7 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             plan_partition_passes(0, 16, cpu.spec)
         with pytest.raises(ValueError):
-            radix_partition({"key": np.arange(5)}, cpu, key="key", fanout=0)
+            radix_partition_kernel({"key": np.arange(5)}, key="key", fanout=0)
 
     @pytest.mark.parametrize("rows", [0, 5])
     def test_missing_key_column_raises_whatever_the_row_count(self, rows):
@@ -284,20 +291,20 @@ class TestPositionPasses:
                                                          fanouts):
         """Oracle: ``radix_partition_kernel`` applied chunk by chunk, pass
         by pass, each pass on the key with the earlier fan-outs divided
-        out.  Same final partitions row for row, same ``calls``."""
+        out.  Same final partitions row for row; ``calls`` holds one entry
+        per pass, each moving every row."""
         keys = {"dense": np.random.default_rng(9).permutation(4_000),
                 **_awkward_keys()}[shape]
         chunks = [{"key": keys, "position": np.arange(len(keys))}]
-        calls, stride = [], 1
+        stride = 1
         for fanout in fanouts:
-            calls += [(len(chunk["key"]), fanout) for chunk in chunks]
             chunks = [part for chunk in chunks
                       for part in radix_partition_kernel(
                           dict(chunk, digit=chunk["key"] // stride),
                           key="digit", fanout=fanout)]
             stride *= fanout
         order, bounds, recorded = partition_positions(keys, fanouts)
-        assert recorded == tuple(calls)
+        assert recorded == tuple((len(keys), fanout) for fanout in fanouts)
         assert len(chunks) == len(bounds) - 1
         np.testing.assert_array_equal(
             order, np.concatenate([chunk["position"] for chunk in chunks]))
@@ -322,18 +329,18 @@ class TestPositionPasses:
             assert set(negative[index]["key"] % 70_000) == {index}
 
     def test_degenerate_passes_keep_their_calls_entries(self, cpu):
-        """``fanout=1``, an empty side and an empty chunk in a later pass
-        are all charged as before, ``(0, fanout)`` entries included."""
+        """``fanout=1``, an empty side and a later pass that finds an empty
+        chunk each record one entry per pass, ``(0, fanout)`` included."""
         empty = np.asarray([], dtype=np.int64)
         order, bounds, calls = partition_positions(empty, (4, 3))
-        assert calls == ((0, 4),) + 4 * ((0, 3),)
+        assert calls == ((0, 4), (0, 3))
         assert len(order) == 0 and bounds == 13 * [0]
         order, bounds, calls = partition_positions(np.arange(6)[::-1], (1,))
         assert calls == ((6, 1),)
         assert order.tolist() == list(range(6)) and bounds == [0, 6]
         evens = np.arange(0, 20, 2)
         _, bounds, calls = partition_positions(evens, (2, 3))
-        assert calls == ((10, 2), (10, 3), (0, 3))
+        assert calls == ((10, 2), (10, 3))
         assert np.diff(bounds).tolist() == [4, 3, 3, 0, 0, 0]
         from repro.operators import cpu_radix_join_kernel
         side = {"k": np.arange(50), "v": np.arange(50.0)}
@@ -342,6 +349,35 @@ class TestPositionPasses:
                                          probe_keys=["k"], spec=cpu.spec)
         assert stats.build_run.calls == ((0, 1),)
         assert stats.probe_run.calls == ((50, 1),)
+
+    def test_a_pass_is_priced_by_rows_and_fanout_alone(self, cpu, gpu):
+        """Skewed and half-missing inputs record the passes a dense input
+        of equal size does: one ``(rows, fanout)`` entry per pass."""
+        rows = 20_000
+        dense = make_join_pair(rows, seed=3)
+        partial = make_partial_match_pair(rows, rows)
+        shapes = {
+            "dense": (dense.build, dense.probe),
+            "skewed": (make_skewed_relation(rows, key_space=1 << 10),
+                       dense.probe),
+            "half-missing": (partial.build, partial.probe),
+        }
+        tiny_scratchpad = replace(gpu.spec, scratchpad=replace(
+            gpu.spec.scratchpad, capacity_bytes=1 << 10))
+        for spec in (cpu.spec, gpu.spec, tiny_scratchpad):
+            recorded = {}
+            for shape, (build, probe) in shapes.items():
+                _, stats = partitioned_join_kernel(
+                    build.arrays(), probe.arrays(), build_keys=["key"],
+                    probe_keys=["key"], spec=spec)
+                recorded[shape] = (stats.plan, stats.build_run,
+                                   stats.probe_run)
+            plan, build_run, probe_run = recorded["dense"]
+            assert build_run.calls == probe_run.calls == tuple(
+                (rows, fanout) for fanout in plan.fanout_per_pass)
+            assert recorded["skewed"] == recorded["half-missing"] \
+                == recorded["dense"]
+        assert plan.num_passes > 1
 
 
 class TestJoinAlgorithms:

@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it, rounded
 #: up to the next 10.
-MAX_SRC_CODE_LINES = 8_850
+MAX_SRC_CODE_LINES = 8_790
 
 
 def _code_lines_tool():
@@ -118,3 +118,13 @@ def test_expressions_have_one_evaluator():
     assert [node.__name__ for node in nodes
             if hasattr(node, "to_source")] == []
     assert not hasattr(codegen, "backend")
+
+
+def test_join_models_hold_no_second_cost_derivation():
+    """Figs. 5-6 replay the operators' ``estimate_*`` on closed-form stats;
+    the per-operator arithmetic those functions own must not come back."""
+    import repro.perf.join_models as join_models
+
+    source = inspect.getsource(join_models)
+    for banned in ("hash_build", "hash_probe", "_OPS_PER_"):
+        assert banned not in source, banned
