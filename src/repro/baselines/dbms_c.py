@@ -72,9 +72,6 @@ class DBMSC:
         self.cpus = list(self.topology.cpus())
 
     # ------------------------------------------------------------------
-    def _aggregate_bandwidth_fraction(self) -> float:
-        return 1.0
-
     def execute(self, plan: LogicalPlan, catalog: Catalog) -> BaselineResult:
         """Run a query functionally and cost it with vector-at-a-time rules."""
         table = execute_logical(plan, catalog)

@@ -55,14 +55,6 @@ class Pipeline:
     operators: list[PhysicalOp] = field(default_factory=list)
     depends_on: list[int] = field(default_factory=list)
 
-    @property
-    def source_op(self) -> PhysicalOp:
-        return self.operators[0]
-
-    @property
-    def sink_op(self) -> PhysicalOp:
-        return self.operators[-1]
-
     def describe(self) -> str:
         chain = " -> ".join(op.describe() for op in self.operators)
         deps = f" (after {self.depends_on})" if self.depends_on else ""

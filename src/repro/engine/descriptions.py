@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..hardware.device import Device
 from ..hardware.specs import DeviceKind
-from ..obs.trace import Span
+from ..obs.trace import Span, holders_label
 from ..operators.aggregate import (
     estimate_hash_aggregate,
     estimate_merge_partials,
@@ -97,20 +97,39 @@ if TYPE_CHECKING:
     from .executor import Executor
 
 
+@dataclass(frozen=True)
+class Residency:
+    """Where a batch lives: memory node -> the fraction of the batch it holds.
+
+    A GPU's memory goes by the GPU's name.  Host memory is one node however
+    many CPU sockets read it — it goes by the name it is reached through
+    (the table's location, else the first CPU that produced the batch).
+    The first holder is the node missing bytes are shipped from; only
+    :meth:`repro.engine.executor.Executor.deliver` ships any.
+    """
+
+    shares: dict[str, float]
+
+    @classmethod
+    def on(cls, node: str) -> "Residency":
+        return cls({node: 1.0})
+
+
 @dataclass
 class NodeResult:
     """An operator's output on its way up the plan.
 
-    Placement and timing are always present; ``columns`` only where the
-    batch is materialized (chain sources and boundaries — the stages
-    inside a fused chain exist one morsel at a time, so while the charge
-    replay walks them the record carries their ``nbytes`` alone).  Every
-    result has exactly one consumer, so operators advance it in place.
+    Placement, residency and timing are always present; ``columns`` only
+    where the batch is materialized (chain sources and boundaries — the
+    stages inside a fused chain exist one morsel at a time, so while the
+    charge replay walks them the record carries their ``nbytes`` alone).
+    Every result has exactly one consumer, so operators advance it in
+    place.
     """
 
     columns: ArrayMap | None
     ready: float
-    location: str
+    residency: Residency
     devices: list[Device]
     #: Device-spec-derived tuning knobs baked into the row order of this
     #: subtree's columns (partition plans of radix joins).  Parents fold the
@@ -165,9 +184,11 @@ class Operator:
         raise NotImplementedError
 
     def advance(self, batch: NodeResult, ready: float, *,
-                start: float | None = None, location: str | None = None,
+                start: float | None = None,
+                residency: Residency | None = None,
                 **attrs: object) -> None:
-        """Record the span and move ``batch`` past this operator.
+        """Record the span and move ``batch`` past this operator, into
+        ``residency`` when the operator moved or re-split it.
 
         Only ever called from :meth:`charge` — on the query thread, in
         canonical plan order — so the span list is byte-identical at
@@ -179,13 +200,14 @@ class Operator:
                 node_id=self.node.node_id, op=self.label,
                 start=batch.ready if start is None else start, end=ready,
                 devices=tuple(device.name for device in self.devices),
-                location=batch.location, input_bytes=int(batch.nbytes),
+                location=holders_label(batch.residency.shares),
+                input_bytes=int(batch.nbytes),
                 est_rows=self.node.est_rows, attrs=attrs))
         batch.ready = ready
         batch.devices = self.devices
         batch.kernel_tag = self.kernel_tag
-        if location is not None:
-            batch.location = location
+        if residency is not None:
+            batch.residency = residency
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +227,8 @@ class Scan(Operator):
         return columns, columns_nbytes(columns)
 
     def charge(self, batch: NodeResult, nbytes: int) -> None:
-        batch.location = self.ex.catalog.table(self.node.table).location
+        batch.residency = Residency.on(
+            self.ex.catalog.table(self.node.table).location)
         batch.nbytes = nbytes
         self.advance(batch, 0.0, table=self.node.table)
 
@@ -243,22 +266,12 @@ class MemMoveOp(Operator):
                         if name.strip()]
         if not destinations:
             raise ExecutionError("mem-move needs at least one destination")
-        topology = self.ex.topology
-        share = batch.nbytes // len(destinations)
-        ready = batch.ready
-        for destination in destinations:
-            if destination == batch.location:
-                continue
-            device = topology.device(destination)
-            payload = batch.nbytes if self.node.broadcast else share
-            if device.is_gpu:
-                device.allocate(payload, label="mem-move staging").free()
-            route = topology.route(batch.location, destination)
-            ready = max(ready, route.transfer(payload, earliest=batch.ready,
-                                              label="mem-move"))
-        location = (destinations[0] if len(destinations) == 1
-                    else "distributed:" + ",".join(destinations))
-        self.advance(batch, ready, location=location, destination=location,
+        residency, arrivals = self.ex.deliver(
+            batch, [self.ex.topology.device(name) for name in destinations],
+            earliest=batch.ready, label="mem-move", whole=self.node.broadcast)
+        self.advance(batch, max(arrival for _, _, arrival in arrivals),
+                     residency=residency,
+                     destination=holders_label(residency.shares),
                      broadcast=self.node.broadcast)
 
 
@@ -318,12 +331,12 @@ class FilterProject(Operator):
     def charge(self, batch: NodeResult, stats: FilterProjectStats) -> None:
         # The functional kernel is device-invariant: it ran once, and the
         # identical work is priced per participating device kind.
-        ready = self.ex.charge_parallel(
+        ready, residency = self.ex.charge_parallel(
             self.devices, lambda device: estimate_filter_project(
                 stats, device, predicate=self.node.predicate,
                 projections=self.node.projections),
             batch, earliest=batch.ready, label=self.label)
-        self.advance(batch, ready)
+        self.advance(batch, ready, residency=residency)
 
 
 class Aggregate(Operator):
@@ -357,12 +370,10 @@ class Aggregate(Operator):
             def estimate(device):
                 return estimate_hash_aggregate(
                     stats, device, aggregates=self.node.aggregates)
-        ready = self.ex.charge_parallel(self.devices, estimate, batch,
-                                        earliest=batch.ready,
-                                        label=f"aggregate-{phase}")
-        self.advance(batch, ready, phase=phase,
-                     location=(None if phase == "partial"
-                               else self.devices[0].name))
+        ready, residency = self.ex.charge_parallel(
+            self.devices, estimate, batch, earliest=batch.ready,
+            label=f"aggregate-{phase}")
+        self.advance(batch, ready, residency=residency, phase=phase)
 
 
 class Sort(Operator):
@@ -382,7 +393,7 @@ class Sort(Operator):
         cpu = self.devices[0]
         record = cpu.charge(cpu.cost.seq_scan(batch.nbytes) * 2,
                             earliest=batch.ready, label="sort")
-        self.advance(batch, record.end, location=cpu.name)
+        self.advance(batch, record.end, residency=Residency.on(cpu.name))
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +425,9 @@ class Join(Operator):
 
     #: ``estimate_*`` function pricing the join from its stats on a device.
     estimator = None
+    #: A partitioned join co-partitions its build side, so a device needs
+    #: only its share of it; a non-partitioned one needs all of it.
+    copartitions_build = False
 
     def __init__(self, node: PJoin, executor: "Executor") -> None:
         super().__init__(node, executor)
@@ -422,15 +436,15 @@ class Join(Operator):
     def tag(self, tag: tuple) -> tuple:
         return self.build.kernel_tag + tag
 
-    def charge(self, batch: NodeResult, stats, *,
-               location: str | None = None) -> None:
+    def charge(self, batch: NodeResult, stats) -> None:
         earliest = max(self.build.ready, batch.ready)
         ready_build = self.ex.broadcast_build(
-            self.build, [d for d in self.devices if d.is_gpu], earliest)
-        ready = self.ex.charge_parallel(
+            self.build, [d for d in self.devices if d.is_gpu], earliest,
+            whole=not self.copartitions_build)
+        ready, residency = self.ex.charge_parallel(
             self.devices, lambda device: self.estimator(stats, device), batch,
             earliest=ready_build, label=self.label, join_shuffle=True)
-        self.advance(batch, ready, start=earliest, location=location,
+        self.advance(batch, ready, start=earliest, residency=residency,
                      build_rows=stats.build_rows, probe_rows=stats.probe_rows)
 
 
@@ -504,6 +518,8 @@ class RadixJoin(Join):
     Both inputs are re-ordered, so it needs them whole (a breaker).
     """
 
+    copartitions_build = True
+
     def __init__(self, node: PJoin, executor: "Executor") -> None:
         super().__init__(node, executor)
         self.kind, self.estimator, self.label = _RADIX_VARIANTS[node.algorithm]
@@ -532,7 +548,7 @@ class RadixJoin(Join):
             spec=self.devices[0].spec, output_order=join_order(self.node))
 
     def charge(self, batch: NodeResult, stats) -> None:
-        super().charge(batch, stats, location=self.devices[0].name)
+        super().charge(batch, stats)
         if self.kind is DeviceKind.GPU:
             # The GPU join hands its input's placement on to its parent.
             batch.devices = self.input_devices
@@ -585,7 +601,7 @@ class CoprocessedJoin(Join):
         _, finished = charge_coprocessed_join(
             stats, self.ex.topology, self.devices[0], self.devices[1:])
         self.advance(batch, max(earliest, finished), start=earliest,
-                     location=self.devices[0].name,
+                     residency=Residency.on(self.devices[0].name),
                      build_rows=stats.build_rows,
                      probe_rows=stats.probe_rows)
 

@@ -111,7 +111,7 @@ from ..storage.morsel import (
     morsel_count,
 )
 from ..storage.table import Table
-from .descriptions import NodeResult, Operator, description
+from .descriptions import NodeResult, Operator, Residency, description
 from .querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
     CacheCounters,
@@ -303,6 +303,9 @@ class Executor:
                 self.options, cache_budget_bytes=query_cache.budget_bytes)
         self.retune()
         self._cache_mark = self.query_cache.counters()
+        #: What tells a GPU's memory from host memory among a batch's
+        #: holders (:meth:`deliver` asks per operator).
+        self._gpu_names = frozenset(gpu.name for gpu in topology.gpus())
         #: Largest intermediate batch (bytes of one operator's output
         #: columns, base-table scans excluded) materialized by the current
         #: query — a wall-clock/working-set diagnostic for serving reports.
@@ -553,7 +556,7 @@ class Executor:
         ops = [description(op)(op, self) for op in nodes]
         inputs = nodes[-1].children()
         batch = (self._execute(inputs[-1]) if inputs
-                 else NodeResult(None, 0.0, "", []))
+                 else NodeResult(None, 0.0, Residency({}), []))
         ops.reverse()  # bottom-up: the order morsels flow
         devices, tag = batch.devices, batch.kernel_tag
         for op in ops:
@@ -658,15 +661,81 @@ class Executor:
     def default_devices(self) -> list[Device]:
         return [self.topology.anchor_cpu()]
 
+    def deliver(self, batch: NodeResult, devices: Sequence[Device], *,
+                earliest: float, label: str, whole: bool = False,
+                ) -> tuple[Residency, list[tuple[Device, float, float]]]:
+        """Bring ``batch`` to the devices about to consume it — the one
+        place that puts bytes on a link.
+
+        Each device consumes a share of the batch (all of it with
+        ``whole``: a broadcast).  The split is inherited while the
+        consumers' memories are the batch's holders and computed afresh
+        where they differ: by memory bandwidth, except that a GPU holding
+        none of the batch weighs in with the bottleneck of the route that
+        feeds it.  A GPU is shipped the part of its share it does not hold
+        yet, from the batch's first holder over :meth:`Topology.route`,
+        and must have room to stage it.  CPU sockets share host memory and
+        split what it holds by memory bandwidth; gathering GPU-resident
+        bytes back to it is not charged.
+
+        Returns the batch's residency once consumed and one ``(device,
+        share, arrival time)`` per device; the clocks of the links crossed
+        are the only state touched.
+        """
+        if not devices:
+            return batch.residency, []
+        held = batch.residency.shares
+        source = next(iter(held))
+        gpu_names = self._gpu_names
+        host = next((name for name in held if name not in gpu_names), None)
+        names, memories, host_bandwidth = [], [], 0.0
+        for device in devices:
+            name = device.spec.name
+            names.append(name)
+            if name not in gpu_names:
+                host = host or name
+                host_bandwidth += device.spec.memory_bandwidth_gib_s
+            memories.append(name if name in gpu_names else host)
+        placed, routes = held, {}  # as is: each share is where it is needed
+        if whole or held.keys() != set(memories):
+            routes = {name: self.topology.route(source, name)
+                      for name in names if name in gpu_names}
+            placed = dict.fromkeys(memories, 1.0 if whole else 0.0)
+            if not whole:
+                weights = [routes[name].bottleneck_bandwidth_gib_s
+                           if name in routes and name not in held
+                           else device.spec.memory_bandwidth_gib_s
+                           for name, device in zip(names, devices)]
+                total = sum(weights)
+                for memory, weight in zip(memories, weights):
+                    placed[memory] += weight / total
+        arrivals = []
+        for name, memory, device in zip(names, memories, devices):
+            share, arrival = placed[memory], earliest
+            if not whole and name not in gpu_names:
+                share = (share * device.spec.memory_bandwidth_gib_s
+                         / host_bandwidth)
+            missing = share - held.get(name, 0.0)
+            if name in routes and missing > 0.0:
+                payload = int(batch.nbytes * missing)
+                device.allocate(payload, label=f"{label} staging").free()
+                arrival = routes[name].transfer(payload, earliest=earliest,
+                                                label=label)
+            arrivals.append((device, share, arrival))
+        return (batch.residency if placed is held
+                else Residency(placed)), arrivals
+
     def charge_parallel(self, devices: Sequence[Device],
                         estimate: Callable[[Device], OpCost],
                         batch: NodeResult, *, earliest: float, label: str,
-                        join_shuffle: bool = False) -> float:
+                        join_shuffle: bool = False,
+                        ) -> tuple[float, Residency]:
         """Charge a parallel operator over ``batch`` across its devices.
 
         The work is priced once per participating device kind (on that
-        kind's first device) and split by relative throughput; returns the
-        time the last device finishes.
+        kind's first device) and each device is charged its share of it
+        from the moment its share has arrived (:meth:`deliver`); returns
+        the time the last device finishes and where the output lives.
         """
         seconds_by_kind: dict = {}
         for device in devices:
@@ -676,57 +745,27 @@ class Executor:
         if len(seconds_by_kind) > 1:  # the pipeline spans CPUs and GPUs
             overhead = (HYBRID_JOIN_OVERHEAD if join_shuffle
                         else HYBRID_OVERHEAD)
-        # A GPU reading CPU-resident input is fed over its route: that
-        # bounds its throughput, and its share of the input crosses first.
-        routes = {}
-        if not batch.location.startswith(("gpu", "distributed")):
-            routes = {device.name: self.topology.route(batch.location,
-                                                       device.name)
-                      for device in devices if device.is_gpu}
-        weights = {
-            device.name: (routes[device.name].bottleneck_bandwidth_gib_s
-                          if device.name in routes
-                          else device.spec.memory_bandwidth_gib_s)
-            for device in devices}
-        total = sum(weights.values())
+        residency, arrivals = self.deliver(batch, devices, earliest=earliest,
+                                           label=f"{label}:h2d")
         ready = earliest
-        for device in devices:
-            fraction = weights[device.name] / total
-            seconds = seconds_by_kind[device.kind] * fraction
+        for device, share, arrival in arrivals:
+            seconds = seconds_by_kind[device.kind] * share
             seconds *= 1.0 + overhead
-            start = earliest
-            if device.name in routes:
-                start = routes[device.name].transfer(
-                    int(batch.nbytes * fraction), earliest=earliest,
-                    label=f"{label}:h2d")
-            record = device.charge(seconds, earliest=start, label=label)
+            record = device.charge(seconds, earliest=arrival, label=label)
             ready = max(ready, record.end)
-        return ready
+        return ready, residency
 
     def broadcast_build(self, build: NodeResult, gpus: Sequence[Device],
-                        earliest: float) -> float:
-        """Send the build-side data to every GPU participating in the probe.
+                        earliest: float, *, whole: bool) -> float:
+        """Bring a join's build side to the GPUs that probe it: all of it
+        to each for a non-partitioned join (``whole``), its share of the
+        co-partitions to each for a partitioned one.
 
-        A ``distributed:a,b`` location (from a multi-destination mem-move)
-        marks the build as already living across the member devices, so no
-        transfer is charged to members; non-members receive it from the
-        first member.  In the plans this optimizer emits, distributed
-        builds only occur for the partitioned GPU join in GPU-only mode —
-        where each member working on its *share* of co-partitioned data is
-        exactly the partitioned-join model, and GPU capacity is enforced
-        separately (``ensure_gpu_join_fits``).  Non-partitioned joins
-        always receive CPU-resident builds and take the transfer path.
+        In the plans this optimizer emits a build is either host-resident
+        or — for the partitioned GPU join in GPU-only mode — already split
+        across the GPUs that join it, where nothing is shipped; GPU
+        capacity is enforced separately (``ensure_gpu_join_fits``).
         """
-        members: list[str] = []
-        if build.location.startswith("distributed:"):
-            members = build.location.split(":", 1)[1].split(",")
-        source = members[0] if members else build.location
-        ready = earliest
-        for gpu in gpus:
-            if gpu.name == build.location or gpu.name in members:
-                continue
-            gpu.allocate(build.nbytes, label="broadcast build side").free()
-            route = self.topology.route(source, gpu.name)
-            ready = max(ready, route.transfer(build.nbytes, earliest=earliest,
-                                              label="broadcast-build"))
-        return ready
+        _, arrivals = self.deliver(build, gpus, earliest=earliest,
+                                   label="broadcast-build", whole=whole)
+        return max([earliest, *(arrival for _, _, arrival in arrivals)])

@@ -173,10 +173,6 @@ class DeviceGroup:
     def aggregate_memory_bytes(self) -> int:
         return sum(device.spec.memory_capacity_bytes for device in self.devices)
 
-    @property
-    def aggregate_bandwidth_gib_s(self) -> float:
-        return sum(device.spec.memory_bandwidth_gib_s for device in self.devices)
-
     def __len__(self) -> int:
         return len(self.devices)
 

@@ -120,10 +120,6 @@ class Route:
             return float("inf")
         return min(link.spec.bandwidth_gib_s for link in self.links)
 
-    @property
-    def total_latency_us(self) -> float:
-        return sum(link.spec.latency_us for link in self.links)
-
     def transfer_time(self, nbytes: int) -> float:
         """Store-and-forward time over the whole route."""
         if not self.links:

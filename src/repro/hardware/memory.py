@@ -98,10 +98,6 @@ class MemoryPool:
         """High-water mark of concurrent usage."""
         return self._state().peak_bytes
 
-    @property
-    def live_allocations(self) -> tuple[Allocation, ...]:
-        return tuple(self._state().live.values())
-
     def can_fit(self, nbytes: int) -> bool:
         """Whether ``nbytes`` could currently be allocated."""
         return int(nbytes) <= self.free_bytes

@@ -215,10 +215,6 @@ class Topology:
     # resurrect a GPU that failed mid-epoch.  Only explicit restore calls
     # (or :meth:`reset_health`) bring devices back.
 
-    def available_devices(self) -> tuple[Device, ...]:
-        """Every device that is not FAILED."""
-        return tuple(d for d in self._devices.values() if d.is_available)
-
     def available_cpus(self) -> tuple[Device, ...]:
         return tuple(d for d in self._devices.values()
                      if d.is_cpu and d.is_available)

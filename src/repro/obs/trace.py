@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..hardware.clock import TaskRecord
 from .critical import CriticalPath, critical_path
@@ -53,6 +53,7 @@ __all__ = [
     "TraceEvent",
     "TracedQuery",
     "dumps_line",
+    "holders_label",
 ]
 
 
@@ -72,6 +73,12 @@ def dumps_line(payload: Mapping[str, object]) -> str:
 #: but a warm run legitimately differs from a cold one here (and only
 #: here).  :meth:`QueryTrace.timing_jsonl` strips them.
 VOLATILE_SPAN_KEYS = ("cache", "morsels")
+
+
+def holders_label(holders: Iterable[str]) -> str:
+    """:attr:`Span.location` of a batch held by the named memory nodes."""
+    names = list(holders)
+    return ("distributed:" if len(names) > 1 else "") + ",".join(names)
 
 
 @dataclass

@@ -64,10 +64,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self._tables)
 
-    @property
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(self._tables.keys())
-
     def register(self, table: Table, *, replace: bool = False) -> None:
         """Add a table; refuses to silently overwrite unless ``replace``.
 

@@ -60,10 +60,6 @@ class Table:
         return len(next(iter(self._columns.values())))
 
     @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(self._columns.keys())
 
@@ -78,9 +74,6 @@ class Table:
 
     def schema(self) -> dict[str, DataType]:
         return {name: column.dtype for name, column in self._columns.items()}
-
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
 
     def column(self, name: str) -> Column:
         try:

@@ -138,6 +138,30 @@ class TestQueryTrace:
         assert {span.cache for span in trace.spans} & {"miss", "hit",
                                                        "overlay"}
 
+    @pytest.mark.parametrize("mode,by_op", [
+        ("cpu", {"filter-project": "cpu0", "aggregate": "cpu0",
+                 "sort": "cpu0"}),
+        ("gpu", {"mem-move": "cpu0", "filter-project": "distributed:gpu0,gpu1",
+                 "aggregate": "distributed:gpu0,gpu1", "sort": "cpu0"}),
+        # The first four-device operator finds the scan in host memory;
+        # what follows it finds the GPUs' shares where they were shipped.
+        ("hybrid", {"filter-project": "cpu0",
+                    "aggregate": "distributed:cpu0,gpu0,gpu1",
+                    "sort": "cpu0"}),
+    ])
+    def test_span_location_names_the_holders(self, tpch_dataset, plans,
+                                             mode, by_op):
+        trace = _traced_engine(tpch_dataset).execute(plans["Q1"], mode).trace
+        located = {span.op: span.location for span in trace.spans}
+        assert {op: located[op] for op in by_op} == by_op
+        # Both aggregate phases read the same holders; a mem-move names
+        # where it left the batch.
+        assert len({span.location for span in trace.spans
+                    if span.op == "aggregate"}) == 1
+        assert [span.attrs["destination"] for span in trace.spans
+                if span.op == "mem-move"] == (
+            ["distributed:gpu0,gpu1"] if mode == "gpu" else [])
+
     def test_byte_identical_across_workers_and_replay(self, tpch_dataset,
                                                       plans):
         texts = {}

@@ -54,6 +54,7 @@ from repro.relational import (
     lit,
     scan,
 )
+from repro.storage import generate_tpch
 from repro.workloads import EVALUATED_QUERIES, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
@@ -92,6 +93,11 @@ def _expected_kernel_counts(physical) -> dict[str, int]:
 _JOIN_AND_PARTITION_KERNELS = ("hash_join", "cpu_radix_join",
                                "gpu_partitioned_join",
                                "coprocessed_radix_join", "radix_partition")
+
+
+@pytest.fixture(scope="module")
+def tpch_sf001():
+    return generate_tpch(scale_factor=0.01, seed=2019)
 
 
 @pytest.fixture
@@ -472,6 +478,77 @@ class TestChargedBytesEqualKernelBytes:
             if isinstance(stats, JoinStats):
                 assert stats.build_nbytes == _nbytes(op.build.columns)
                 assert stats.probe_nbytes == probe_nbytes
+
+    @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tpch_link_bytes_in_closed_form(self, tpch_sf001, monkeypatch,
+                                            query_name, mode):
+        """Every link carries, once, what the GPUs behind it consumed.
+
+        The network volume is written down from the plan and the spans'
+        ``devices`` / ``input_bytes`` alone: walking up a pipeline, a GPU
+        that does not hold the batch yet is shipped ``int(bytes x share)``
+        (its feed route's bottleneck against the other consumers' memory
+        bandwidth) and holds it from then on; every GPU of a join also
+        gets the whole build side, which comes off a CPU pipeline.  The
+        bytes are summed over the hops of ``Topology.route``; nothing is
+        imported from the code that charges them, so a (batch, GPU) pair
+        that crossed twice breaks both the volumes and the transfer count.
+        """
+        _, charged = self._spy_on_joins(monkeypatch)
+        topology = default_server()
+        engine = HAPEEngine(topology, tracing=True)
+        engine.register_dataset(tpch_sf001.tables)
+        result = engine.execute(build_query(query_name, tpch_sf001).plan,
+                                mode)
+        builds = {op.node.node_id: stats.build_nbytes
+                  for op, stats in charged}
+        spans = {span.node_id: span for span in result.trace.spans}
+        slots = {node.node_id: slot
+                 for slot, node in enumerate(result.physical_plan.walk())}
+        volume = dict.fromkeys(result.link_bytes, 0)
+        transfers = dict.fromkeys(result.link_bytes, 0)
+
+        def ship(nbytes, source, gpu):
+            for link in topology.route(source, gpu).links:
+                volume[link.name] += nbytes
+                transfers[link.name] += 1
+
+        def holders(node) -> list[str]:
+            """Ship what ``node`` consumes; who holds its output."""
+            span = spans[slots[node.node_id]]
+            if not node.children():
+                return ["cpu0"]  # every TPC-H table is in host memory
+            held = holders(node.children()[-1])
+            if span.op in ("router", "device-crossing"):
+                return held
+            gpus = [name for name in span.devices
+                    if topology.device(name).is_gpu]
+            if isinstance(node, PJoin):
+                assert holders(node.build) == ["cpu0"]
+                for gpu in gpus:
+                    ship(builds[node.node_id], "cpu0", gpu)
+            fed = [gpu for gpu in gpus if gpu not in held]
+            weights = {
+                name: min(link.spec.bandwidth_gib_s for link in
+                          topology.route(held[0], name).links)
+                if name in fed
+                else topology.device(name).spec.memory_bandwidth_gib_s
+                for name in span.devices}
+            for gpu in fed:
+                ship(int(span.input_bytes
+                         * (weights[gpu] / sum(weights.values()))),
+                     held[0], gpu)
+            memories = list(dict.fromkeys(
+                name if name in gpus else "cpu0" for name in span.devices))
+            return held if set(memories) == set(held) else memories
+
+        assert holders(result.physical_plan) == ["cpu0"]
+        assert result.link_bytes == volume
+        assert {link: sum(task.resource == link
+                          for task in result.trace.tasks)
+                for link in transfers} == transfers
+        assert any(volume.values()) == (mode != "cpu")
 
     @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
     def test_coprocessed_join_stats(self, coprocessing_engine, tpch_dataset,

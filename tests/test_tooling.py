@@ -10,9 +10,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
-#: pointed the other way): the figure of the PR that last set it, rounded
-#: up to the next 10.
-MAX_SRC_CODE_LINES = 8_790
+#: pointed the other way): the figure of the PR that last set it.
+MAX_SRC_CODE_LINES = 8_784
 
 
 def _code_lines_tool():
@@ -76,6 +75,19 @@ def test_src_code_lines_stay_under_the_ratchet():
         f"{MAX_SRC_CODE_LINES:,}: lower MAX_SRC_CODE_LINES in a simplicity "
         "PR, or raise it deliberately in the same diff as the code that "
         "needs the lines")
+
+
+def test_the_engine_moves_bytes_in_one_place():
+    """A batch's whereabouts are a ``Residency`` record and
+    ``Executor.deliver`` is the one caller of ``Route.transfer`` (the
+    co-processed join's own timeline lives in ``operators/``): no location
+    string to build or parse, no second transfer loop."""
+    source = "".join(path.read_text() for path in sorted(
+        (REPO / "src" / "repro" / "engine").glob("*.py")))
+    assert "class Residency" in source
+    assert source.count(".transfer(") == 1
+    for banned in ('"distributed', '.startswith(("gpu"'):
+        assert banned not in source, banned
 
 
 def test_no_operator_takes_morsel_rows():
