@@ -474,8 +474,7 @@ class HashJoin(Join):
         # failure mode) is refused before anything streams or is cached.
         for device in self.devices:
             if device.is_gpu:
-                device.allocate(build_table_bytes(self.build.num_rows),
-                                label="join hash table").free()
+                device.ensure_fits(build_table_bytes(self.build.num_rows))
                 break
 
     def begin(self) -> None:

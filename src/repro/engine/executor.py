@@ -718,7 +718,7 @@ class Executor:
             missing = share - held.get(name, 0.0)
             if name in routes and missing > 0.0:
                 payload = int(batch.nbytes * missing)
-                device.allocate(payload, label=f"{label} staging").free()
+                device.ensure_fits(payload)
                 arrival = routes[name].transfer(payload, earliest=earliest,
                                                 label=label)
             arrivals.append((device, share, arrival))

@@ -55,6 +55,13 @@ Estimates = dict[int, RelationEstimate]
 GPU_OFFLOAD_MIN_BYTES = 32 << 20
 
 
+def gpu_join_state_fits(build_rows: int, gpu_capacity: int) -> bool:
+    """The plan-time GPU rule: a join's hash table takes under a quarter of
+    GPU memory, leaving room for the probe stream, partitions and the
+    result buffers."""
+    return build_rows * HASH_ENTRY_BYTES * 4 < gpu_capacity
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Optimizer knobs exposed to the benchmarks and ablations."""
@@ -141,7 +148,7 @@ class Optimizer:
 
     def _heuristic_rows(self, plan: LogicalPlan) -> int:
         """Row estimate: largest base table underneath, discounted by filters."""
-        base = max(self.catalog.stats(table).num_rows
+        base = max(self.catalog.statistics(table).num_rows
                    for table in plan.referenced_tables())
         filters = sum(1 for node in plan.walk() if isinstance(node, Filter))
         return max(int(base * (self.FILTER_SELECTIVITY ** filters)), 1)
@@ -277,9 +284,8 @@ class Optimizer:
                 return JoinAlgorithm.RADIX_CPU
             return JoinAlgorithm.NON_PARTITIONED
         gpus = self.topology.available_gpus()
-        gpu_capacity = min(gpu.spec.memory_capacity_bytes for gpu in gpus)
-        # Leave room for the probe stream, partitions and the result buffers.
-        fits_in_gpu = build_bytes * 4 < gpu_capacity
+        fits_in_gpu = gpu_join_state_fits(
+            build_rows, min(gpu.spec.memory_capacity_bytes for gpu in gpus))
         if mode is ExecutionMode.GPU_ONLY:
             if not fits_in_gpu:
                 # Refuse only on statistics-backed estimates.  A guessed

@@ -17,11 +17,14 @@ class HardwareError(ReproError):
 
 
 class OutOfDeviceMemoryError(HardwareError):
-    """Raised when an allocation does not fit in a device's memory pool.
+    """Raised when the bytes an operator needs exceed a device's memory.
 
     The paper relies on this failure mode: DBMS G and the GPU-only Proteus
     configuration cannot run TPC-H Q9 because the intermediate hash tables
-    exceed the aggregate GPU memory (Section 6.4).
+    exceed the aggregate GPU memory (Section 6.4).  Raised in one place,
+    :meth:`repro.hardware.Device.ensure_fits`, against the device's whole
+    capacity; ``device`` names it, so the serving layer fails the query
+    over to a mode that does not need it.
     """
 
     def __init__(self, device: str, requested: int, available: int) -> None:

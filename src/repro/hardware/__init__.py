@@ -2,16 +2,16 @@
 
 This package stands in for the physical multi-CPU multi-GPU server of the
 paper's evaluation (two Xeon E5-2650L v3 sockets, two GTX 1080 GPUs over
-dedicated PCIe 3 x16 links).  It provides device specifications, memory
-pools with capacity enforcement, an analytical cost model for memory-system
+dedicated PCIe 3 x16 links).  It provides device specifications (a
+device's ``memory_capacity_bytes`` is the one capacity record, enforced by
+``Device.ensure_fits``), an analytical cost model for memory-system
 behaviour and per-resource simulated clocks.
 """
 
 from .clock import SimClock, TaskRecord, Timeline
 from .costmodel import AccessProfile, CostModel
-from .device import Device, DeviceGroup, DeviceHealth
+from .device import Device, DeviceHealth
 from .interconnect import Link, Route
-from .memory import Allocation, MemoryPool
 from .specs import (
     CacheSpec,
     DeviceKind,
@@ -28,17 +28,14 @@ from .topology import Topology, cpu_only_server, default_server, single_gpu_serv
 
 __all__ = [
     "AccessProfile",
-    "Allocation",
     "CacheSpec",
     "CostModel",
     "Device",
-    "DeviceGroup",
     "DeviceHealth",
     "DeviceKind",
     "DeviceSpec",
     "Link",
     "LinkSpec",
-    "MemoryPool",
     "Route",
     "ScratchpadSpec",
     "SimClock",

@@ -1,9 +1,9 @@
 """Simulated compute devices.
 
 A :class:`Device` bundles everything execution needs from one CPU socket or
-one GPU: its :class:`~repro.hardware.specs.DeviceSpec`, a memory pool
-enforcing capacity, a cost model converting work into time and a simulated
-clock that accumulates that time.
+one GPU: its :class:`~repro.hardware.specs.DeviceSpec` (whose
+``memory_capacity_bytes`` is the one record of how much fits), a cost model
+converting work into time and a simulated clock that accumulates that time.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import threading
-from dataclasses import dataclass
 
+from ..errors import OutOfDeviceMemoryError
 from .clock import SimClock, TaskRecord
 from .costmodel import CostModel
-from .memory import Allocation, MemoryPool
 from .specs import DeviceKind, DeviceSpec
 
 
@@ -37,18 +36,17 @@ class DeviceHealth(enum.Enum):
 class Device:
     """One compute device of the simulated heterogeneous server.
 
-    The simulated clock (and the memory pool's usage ledger) are
-    **thread-local**: each thread charging the device sees its own
-    simulated-seconds ledger, so concurrent per-tenant query executions
-    on a shared topology produce exactly the timings they would produce
-    running alone.  Spec, cost model and health are shared — fault
-    injection is a topology-wide event every thread must observe.
+    The simulated clock is **thread-local**: each thread charging the
+    device sees its own simulated-seconds ledger, so concurrent per-tenant
+    query executions on a shared topology produce exactly the timings they
+    would produce running alone.  Spec (memory capacity included), cost
+    model and health are shared — fault injection is a topology-wide event
+    every thread must observe.
     """
 
     def __init__(self, spec: DeviceSpec, *, numa_node: int = 0) -> None:
         self.spec = spec
         self.numa_node = numa_node
-        self.memory = MemoryPool(spec.name, spec.memory_capacity_bytes)
         self.cost = CostModel(spec)
         self._local = threading.local()
         self.health = DeviceHealth.HEALTHY
@@ -105,16 +103,15 @@ class Device:
         """Shrink usable memory to ``factor`` of the nominal capacity.
 
         Models partial memory loss (ECC page retirement, a co-located
-        tenant pinning HBM).  The cost model and the paper's Q9-style
-        capacity checks read ``spec.memory_capacity_bytes``, so the spec is
-        replaced rather than just the pool.
+        tenant pinning HBM).  The cost model and :meth:`ensure_fits` both
+        read ``spec.memory_capacity_bytes``, so replacing the spec is the
+        whole change.
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError("memory shrink factor must be in (0, 1]")
         new_capacity = max(1, int(self._nominal_memory_bytes * factor))
         self.spec = dataclasses.replace(
             self.spec, memory_capacity_bytes=new_capacity)
-        self.memory.resize(new_capacity)
         self.cost = CostModel(self.spec)
 
     def restore_memory(self) -> None:
@@ -122,16 +119,22 @@ class Device:
         if self.spec.memory_capacity_bytes != self._nominal_memory_bytes:
             self.spec = dataclasses.replace(
                 self.spec, memory_capacity_bytes=self._nominal_memory_bytes)
-            self.memory.resize(self._nominal_memory_bytes)
             self.cost = CostModel(self.spec)
 
     # Memory -------------------------------------------------------------
-    def allocate(self, nbytes: int, label: str = "buffer") -> Allocation:
-        """Allocate device-local memory, enforcing the capacity limit."""
-        return self.memory.allocate(nbytes, label)
+    def ensure_fits(self, nbytes: int) -> None:
+        """Raise when ``nbytes`` exceed this device's memory capacity.
 
-    def fits_in_memory(self, nbytes: int) -> bool:
-        return self.memory.can_fit(nbytes)
+        The one capacity check: the paper's limits (the in-GPU join's
+        ceiling, GPU-only Q9) surface as :class:`OutOfDeviceMemoryError`,
+        which names the device, so the serving layer fails the query over
+        to a mode that does not need it.  A check holds nothing: every
+        buffer an operator needs is checked on its own against the whole
+        capacity.
+        """
+        capacity = self.spec.memory_capacity_bytes
+        if nbytes > capacity:
+            raise OutOfDeviceMemoryError(self.name, nbytes, capacity)
 
     # Time ---------------------------------------------------------------
     def charge(self, seconds: float, *, earliest: float = 0.0,
@@ -140,41 +143,5 @@ class Device:
         return self.clock.reserve(seconds, earliest=earliest, label=label)
 
     def reset(self) -> None:
-        """Reset clock and free all allocations (between experiments)."""
+        """Reset this thread's clock (between experiments)."""
         self.clock.reset()
-        self.memory.release_all()
-
-
-@dataclass(frozen=True)
-class DeviceGroup:
-    """A named homogeneous group of devices (e.g. "all GPUs").
-
-    The optimizer reasons about groups when it decides the degree of
-    parallelism of each plan fragment — the parallelism trait of Section 3.
-    """
-
-    name: str
-    devices: tuple[Device, ...]
-
-    def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError(f"device group {self.name!r} cannot be empty")
-        kinds = {device.kind for device in self.devices}
-        if len(kinds) != 1:
-            raise ValueError(
-                f"device group {self.name!r} mixes device kinds: {kinds}"
-            )
-
-    @property
-    def kind(self) -> DeviceKind:
-        return self.devices[0].kind
-
-    @property
-    def aggregate_memory_bytes(self) -> int:
-        return sum(device.spec.memory_capacity_bytes for device in self.devices)
-
-    def __len__(self) -> int:
-        return len(self.devices)
-
-    def __iter__(self):
-        return iter(self.devices)

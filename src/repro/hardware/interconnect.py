@@ -58,11 +58,6 @@ class Link:
         """Bytes that crossed this link so far (this thread's ledger)."""
         return getattr(self._local, "bytes_moved", 0)
 
-    def connects(self, node_a: str, node_b: str) -> bool:
-        """Whether this link directly connects the two named nodes."""
-        ends = {self.endpoint_a, self.endpoint_b}
-        return {node_a, node_b} == ends
-
     def transfer_time(self, nbytes: int) -> float:
         """Time to move ``nbytes`` across the link (one direction)."""
         if nbytes <= 0:

@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Sequence
 
 from ..errors import NoRouteError, UnknownDeviceError
 from .clock import SimClock, Timeline
-from .device import Device, DeviceGroup
+from .device import Device
 from .interconnect import Link, Route
-from .specs import DeviceKind, DeviceSpec, LinkSpec, gtx_1080, pcie3_x16, qpi_link, xeon_e5_2650l_v3
+from .specs import DeviceSpec, LinkSpec, gtx_1080, pcie3_x16, qpi_link, xeon_e5_2650l_v3
 
 
 class OccupancyBoard:
@@ -203,10 +203,6 @@ class Topology:
     def gpus(self) -> tuple[Device, ...]:
         return tuple(d for d in self._devices.values() if d.is_gpu)
 
-    def group(self, kind: DeviceKind) -> DeviceGroup:
-        devices = tuple(d for d in self._devices.values() if d.kind is kind)
-        return DeviceGroup(name=f"all-{kind.value}s", devices=devices)
-
     # ------------------------------------------------------------------
     # Health (fault injection / failover)
     # ------------------------------------------------------------------
@@ -334,7 +330,7 @@ class Topology:
         return timeline
 
     def reset(self) -> None:
-        """Reset all clocks and memory pools (between experiments).
+        """Reset all device and link clocks (between experiments).
 
         Occupancy ledgers are *not* touched: they track server time across
         queries (see :class:`OccupancyBoard`); use

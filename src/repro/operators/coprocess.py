@@ -168,12 +168,7 @@ def ensure_copartitions_fit(pair_nbytes: Sequence[int],
                             gpus: Sequence[Device]) -> None:
     """Raise when a co-partition cannot fit in the memory of its GPU."""
     for index, pair_bytes in enumerate(pair_nbytes):
-        gpu = gpus[index % len(gpus)]
-        if not gpu.fits_in_memory(pair_bytes):
-            raise ExecutionError(
-                f"co-partition of {pair_bytes} bytes exceeds {gpu.name} memory; "
-                "increase the CPU-side fan-out"
-            )
+        gpus[index % len(gpus)].ensure_fits(pair_bytes)
 
 
 def charge_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,

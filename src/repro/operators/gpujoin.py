@@ -5,8 +5,8 @@ until each co-partition fits in the streaming multiprocessor's scratchpad,
 then builds the per-partition hash table in the scratchpad with atomics and
 probes it with the matching partition (Figure 3).  Its data path is the
 shared skeleton of :mod:`repro.operators.radix` run with a GPU's tuning;
-this module holds what is GPU-specific — the memory check and the cost of
-the scratchpad build & probe phase.
+this module holds what is GPU-specific — the memory footprint and the cost
+of the scratchpad build & probe phase.
 
 Three placements of the per-partition intermediate structures are modelled,
 matching the variants of Figure 5:
@@ -24,10 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
-from .base import OpCost, OpOutput
+from .base import OpCost, OpOutput, columns_nbytes
 from .filterproject import compute_ops_per_sec
 from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
@@ -135,22 +134,18 @@ def probe_phase_cost(device: Device, tuples_per_side: int,
     return cost
 
 
+def gpu_join_footprint(input_bytes: int) -> int:
+    """GPU memory the in-GPU join of ``input_bytes`` of inputs needs: 2.5x,
+    the inputs themselves plus room for partitions and hash tables."""
+    return int(input_bytes * 2.5)
+
+
 def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
                          probe: Mapping[str, np.ndarray],
                          device: Device) -> None:
-    """Raise before any join work when the inputs cannot fit in GPU memory.
-
-    The budget covers both inputs and a 2.5x allowance for partitions and
-    hash tables.
-    """
-    input_bytes = int(
-        sum(np.asarray(v).nbytes for v in build.values())
-        + sum(np.asarray(v).nbytes for v in probe.values()))
-    if not device.fits_in_memory(int(input_bytes * 2.5)):
-        raise ExecutionError(
-            f"GPU join inputs ({input_bytes} bytes plus intermediates) exceed "
-            f"the memory of {device.name}; use the co-processing join instead"
-        )
+    """Raise before any join work when the inputs cannot fit in GPU memory."""
+    device.ensure_fits(gpu_join_footprint(columns_nbytes(build)
+                                          + columns_nbytes(probe)))
 
 
 def estimate_gpu_partitioned_join(stats: PartitionedJoinStats,

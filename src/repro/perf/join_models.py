@@ -24,6 +24,7 @@ from ..hardware.topology import Topology, default_server
 from ..operators.gpujoin import (
     PROBE_VARIANTS,
     estimate_gpu_partitioned_join,
+    gpu_join_footprint,
     probe_phase_cost,
 )
 from ..operators.hashjoin import (
@@ -133,8 +134,8 @@ class JoinModels:
 
     def gpu_memory_fits(self, tuples: int) -> bool:
         """Whether the in-GPU join (inputs + intermediates) fits in memory."""
-        needed = tuples * MICROBENCH_TUPLE_BYTES * 2 * 2.5
-        return needed < self.gpu.spec.memory_capacity_bytes
+        return (gpu_join_footprint(2 * tuples * MICROBENCH_TUPLE_BYTES)
+                <= self.gpu.spec.memory_capacity_bytes)
 
     def partitioned_gpu_seconds(self, tuples: int) -> float | None:
         """In-GPU scratchpad-conscious radix join (single GPU)."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..engine.executor import HYBRID_JOIN_OVERHEAD, HYBRID_OVERHEAD
 from ..engine.modes import ExecutionMode
+from ..engine.optimizer import gpu_join_state_fits
 from ..hardware.topology import Topology, default_server
 from ..operators.filterproject import compute_ops_per_sec
 from ..operators.hashjoin import HASH_ENTRY_BYTES
@@ -119,10 +120,6 @@ class TPCHModels:
         build = self.gpu.cost.hash_build(build_rows, HASH_ENTRY_BYTES)
         return broadcast + probe + build
 
-    def gpu_join_state_fits(self, build_rows: int) -> bool:
-        """Whether a join's hash-table state fits in one GPU's memory."""
-        return build_rows * HASH_ENTRY_BYTES * 4 < self.gpu.spec.memory_capacity_bytes
-
     # ------------------------------------------------------------------
     # Q1 / Q6: scan-bound aggregation queries
     # ------------------------------------------------------------------
@@ -226,7 +223,8 @@ class TPCHModels:
             return cpu
         if system in ("Proteus GPUs", "DBMS G"):
             # The orders join state alone exceeds GPU memory: no GPU-only run.
-            if not self.gpu_join_state_fits(orders):
+            if not gpu_join_state_fits(orders,
+                                       self.gpu.spec.memory_capacity_bytes):
                 return None
             return cpu  # pragma: no cover - unreachable with paper specs
         if system == "Proteus Hybrid":

@@ -21,8 +21,8 @@ Two invariants carry over unchanged from the single-session engine:
   multi-tenant runs return exactly the tables a serial run returns, in a
   reproducible order.  With ``workers > 1`` admitted queries from
   *different tenants* execute genuinely concurrently on worker threads —
-  per-query simulated time stays bit-identical (hardware clocks and
-  memory ledgers are thread-local), and all scheduling (admission picks,
+  per-query simulated time stays bit-identical (hardware clocks are
+  thread-local), and all scheduling (admission picks,
   occupancy reservations, completion processing) stays on the
   coordinating thread in canonical pick order.
 
@@ -531,7 +531,7 @@ class QueryServer:
         working_set = estimator.working_set(plan)
         if working_set.backed:
             return int(working_set.total_bytes)
-        return int(sum(self.catalog.stats(name).nbytes
+        return int(sum(self.catalog.statistics(name).nbytes
                        for name in plan.referenced_tables()
                        if name in self.catalog))
 

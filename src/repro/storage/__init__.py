@@ -6,7 +6,7 @@ from .morsel import (
     iter_morsels,
     morsel_count,
 )
-from .catalog import Catalog, TableStats
+from .catalog import Catalog
 from .column import Column
 from .datagen import (
     JoinWorkload,
@@ -61,7 +61,6 @@ __all__ = [
     "REGIONS",
     "TPCHDataset",
     "Table",
-    "TableStats",
     "concat_columns",
     "date_to_int",
     "generate_tpch",

@@ -16,25 +16,11 @@ cross-query kernel cache (:mod:`repro.engine.querycache`) relies on:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import CatalogError
 from ..stats.statistics import TableStatistics, collect_table_statistics
 from .table import Table
-
-
-@dataclass(frozen=True)
-class TableStats:
-    """Basic statistics the optimizer and the cost model consume."""
-
-    num_rows: int
-    nbytes: int
-    distinct_counts: dict[str, int]
-
-    def distinct(self, column: str) -> int:
-        """Distinct count for a column (falls back to row count)."""
-        return self.distinct_counts.get(column, self.num_rows)
 
 
 class Catalog:
@@ -52,7 +38,6 @@ class Catalog:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._tables: dict[str, Table] = {}
-        self._stats: dict[str, TableStats] = {}
         self._statistics: dict[str, TableStatistics] = {}
         self._versions: dict[str, int] = {}
         self._next_version = 1
@@ -79,14 +64,12 @@ class Catalog:
         # counts, histograms) happens outside the lock; only the swap-in
         # is atomic with the version bump and invalidation delivery.
         statistics = collect_table_statistics(table)
-        stats = _basic_stats(table, statistics)
         with self._lock:
             replacing = table.name in self._tables
             if replacing and not replace:
                 raise CatalogError(
                     f"table {table.name!r} is already registered")
             self._tables[table.name] = table
-            self._stats[table.name] = stats
             self._statistics[table.name] = statistics
             self._versions[table.name] = self._next_version
             self._next_version += 1
@@ -100,10 +83,6 @@ class Catalog:
             raise CatalogError(
                 f"unknown table {name!r}; registered: {list(self._tables)}"
             ) from exc
-
-    def stats(self, name: str) -> TableStats:
-        self.table(name)
-        return self._stats[name]
 
     def statistics(self, name: str) -> TableStatistics:
         """Full per-column statistics (NDV, min/max, histograms).
@@ -158,30 +137,10 @@ class Catalog:
             if name not in self._tables:
                 raise CatalogError(f"unknown table {name!r}")
             del self._tables[name]
-            del self._stats[name]
             del self._statistics[name]
             del self._versions[name]
             self._notify(name)
 
-    def total_bytes(self) -> int:
-        """Aggregate footprint of every registered table."""
-        return sum(table.nbytes for table in self._tables.values())
-
     def _notify(self, name: str) -> None:
         for listener in list(self._listeners):
             listener(name)
-
-
-def _basic_stats(table: Table, statistics: TableStatistics) -> TableStats:
-    """Derive the legacy basic stats from the full per-column statistics.
-
-    The full collection uses the identical sampling discipline (seeded
-    100k-row sample above 200k rows), so the distinct counts here are the
-    same numbers the old standalone computation produced.
-    """
-    return TableStats(
-        num_rows=table.num_rows,
-        nbytes=table.nbytes,
-        distinct_counts={name: stats.ndv
-                         for name, stats in statistics.columns.items()},
-    )

@@ -29,6 +29,7 @@ from repro.errors import (
     DeviceUnavailableError,
     ExpressionError,
     FaultError,
+    OptimizerError,
     OutOfDeviceMemoryError,
     QueryTimeoutError,
     RetryExhaustedError,
@@ -40,7 +41,7 @@ from repro.hardware import DeviceHealth, default_server, gtx_1080
 from repro.relational import Router, agg_count, agg_sum, col, lit, scan
 from repro.server import QueryServer, RetryPolicy
 from repro.server.lifecycle import EVENT_STATUS, TERMINAL
-from repro.storage import Table
+from repro.storage import Table, generate_tpch
 from repro.workloads import EVALUATED_QUERIES, build_query
 
 
@@ -109,11 +110,12 @@ class TestDeviceHealth:
         nominal = gpu.spec.memory_capacity_bytes
         topology.shrink_device_memory("gpu0", 0.25)
         assert gpu.spec.memory_capacity_bytes == nominal // 4
-        assert gpu.memory.capacity_bytes == nominal // 4
+        gpu.ensure_fits(nominal // 4)
         with pytest.raises(OutOfDeviceMemoryError):
-            gpu.allocate(nominal // 2)
+            gpu.ensure_fits(nominal // 4 + 1)
         topology.restore_device_memory("gpu0")
         assert gpu.spec.memory_capacity_bytes == nominal
+        gpu.ensure_fits(nominal)
         with pytest.raises(ValueError, match="factor"):
             gpu.shrink_memory(0.0)
 
@@ -256,14 +258,14 @@ class TestFaultPlanAndInjector:
         assert injector.advance(0.5) == []
         assert injector.advance(1.0) == ["gpu0"]
         assert not topology.device("gpu0").is_available
-        assert topology.device("gpu1").memory.capacity_bytes < \
+        assert topology.device("gpu1").spec.memory_capacity_bytes < \
             gtx_1080().memory_capacity_bytes
         assert injector.next_event_time(1.0) == 2.0
         assert injector.advance(2.0) == []  # recovery, not a new failure
         assert topology.device("gpu0").is_available
         # Epoch teardown undoes what the plan never restored.
         injector.restore_all()
-        assert topology.device("gpu1").memory.capacity_bytes == \
+        assert topology.device("gpu1").spec.memory_capacity_bytes == \
             gtx_1080().memory_capacity_bytes
 
     def test_attempt_faults_are_seed_deterministic(self):
@@ -509,6 +511,82 @@ class TestModeFailover:
         assert ticket.status == "failed"
         assert ticket.failovers == 0
         assert report.failed == 1
+
+
+# ----------------------------------------------------------------------
+# Resilient serving: a GPU that is too small
+# ----------------------------------------------------------------------
+#: GPU memories swept, 16 KB to 8 MB: from "nothing fits" to "Q9 fits".
+SWEPT_GPU_CAPACITIES = tuple((16 * 1024) << i for i in range(10))
+
+DEVICE_SCOPED = (OutOfDeviceMemoryError, OptimizerError,
+                 DeviceUnavailableError)
+
+
+@pytest.fixture(scope="module")
+def sf01_dataset():
+    return generate_tpch(0.01, seed=5)
+
+
+def _tiny_gpu_server(capacity: int):
+    return default_server(gpu_spec=gtx_1080().with_memory_capacity(capacity))
+
+
+class TestCapacityFailsOver:
+    """Whatever cannot fit a GPU is device-scoped: the lifecycle walks the
+    gpu -> hybrid -> cpu ladder for it and never burns a retry re-running
+    the same mode, which can only fail the same way."""
+
+    @pytest.mark.parametrize("capacity", SWEPT_GPU_CAPACITIES)
+    def test_capacity_sweep_fails_over_without_retries(self, sf01_dataset,
+                                                       capacity):
+        plans = {name: build_query(name, sf01_dataset).plan
+                 for name in EVALUATED_QUERIES}
+        engine = HAPEEngine(_tiny_gpu_server(capacity))
+        engine.register_dataset(sf01_dataset.tables)
+        for name, plan in plans.items():
+            for mode in ("gpu", "hybrid"):
+                try:
+                    engine.execute(plan, mode)
+                except ReproError as error:
+                    assert isinstance(error, DEVICE_SCOPED), (name, mode,
+                                                              error)
+
+        server = QueryServer(_tiny_gpu_server(capacity), cache_budget_bytes=0)
+        server.register_dataset(sf01_dataset.tables)
+        tickets = [server.submit("t", plan, mode, label=f"{name}-{mode}")
+                   for name, plan in plans.items()
+                   for mode in ("gpu", "hybrid")]
+        server.run()
+        assert [(t.label, t.status, t.retries) for t in tickets] == \
+            [(t.label, "completed", 0) for t in tickets]
+
+    def test_oversized_gpu_radix_join_fails_over_to_hybrid(self,
+                                                           sf01_dataset):
+        # The arithmetic predicate does not resolve against statistics, so
+        # the build estimate is a guess and the optimizer lets a GPU radix
+        # join through; its inputs then overflow the 200 KB GPU.
+        plan = (scan("orders", ["o_orderkey"])
+                .filter((col("o_orderkey") + lit(0)) >= lit(0))
+                .join(scan("lineitem", ["l_orderkey"]),
+                      ["o_orderkey"], ["l_orderkey"]))
+        engine = HAPEEngine(_tiny_gpu_server(200 * 1024))
+        engine.register_dataset(sf01_dataset.tables)
+        with pytest.raises(OutOfDeviceMemoryError, match="gpu0"):
+            engine.execute(plan, "gpu")
+        reference = engine.execute(plan, "hybrid")
+
+        server = QueryServer(_tiny_gpu_server(200 * 1024),
+                             cache_budget_bytes=0)
+        server.register_dataset(sf01_dataset.tables)
+        ticket = server.submit("t", plan, "gpu", label="radix")
+        server.run()
+        assert ticket.status == "completed"
+        assert ticket.final_mode == "hybrid"
+        assert (ticket.failovers, ticket.retries) == (1, 0)
+        assert _table_bytes(ticket.result.table) == \
+            _table_bytes(reference.table)
+        assert ticket.result.simulated_seconds == reference.simulated_seconds
 
 
 # ----------------------------------------------------------------------

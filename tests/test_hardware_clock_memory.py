@@ -1,12 +1,11 @@
-"""Tests for simulated clocks, timelines and memory pools."""
+"""Tests for simulated clocks, timelines and the device capacity check."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import OutOfDeviceMemoryError
-from repro.hardware import MemoryPool, SimClock, Timeline
+from repro.hardware import Device, SimClock, Timeline, gtx_1080
 
 
 class TestSimClock:
@@ -70,58 +69,32 @@ class TestTimeline:
         assert Timeline().makespan == 0.0
 
 
-class TestMemoryPool:
-    def test_allocate_and_free(self):
-        pool = MemoryPool("gpu0", 1000)
-        allocation = pool.allocate(400, "hash table")
-        assert pool.used_bytes == 400
-        assert pool.free_bytes == 600
-        allocation.free()
-        assert pool.used_bytes == 0
-        allocation.free()  # idempotent
-        assert pool.used_bytes == 0
+class TestCapacityCheck:
+    """``Device.ensure_fits``: the one answer to "does this fit?"."""
 
-    def test_out_of_memory_raises(self):
-        pool = MemoryPool("gpu0", 100)
-        pool.allocate(80)
+    @staticmethod
+    def _gpu(capacity: int) -> Device:
+        return Device(gtx_1080("gpu0").with_memory_capacity(capacity))
+
+    def test_exactly_the_capacity_fits_every_time(self):
+        gpu = self._gpu(1000)
+        for _ in range(3):  # a check holds nothing
+            gpu.ensure_fits(1000)
+
+    def test_one_byte_over_raises_naming_device_and_bytes(self):
         with pytest.raises(OutOfDeviceMemoryError) as excinfo:
-            pool.allocate(21)
-        assert excinfo.value.device == "gpu0"
-        assert excinfo.value.available == 20
+            self._gpu(1000).ensure_fits(1001)
+        error = excinfo.value
+        assert (error.device, error.requested, error.available) == \
+            ("gpu0", 1001, 1000)
+        assert "gpu0" in str(error) and "1001" in str(error)
 
-    def test_context_manager_frees(self):
-        pool = MemoryPool("cpu0", 100)
-        with pool.allocate(50):
-            assert pool.used_bytes == 50
-        assert pool.used_bytes == 0
-
-    def test_peak_tracking(self):
-        pool = MemoryPool("gpu0", 1000)
-        first = pool.allocate(300)
-        second = pool.allocate(400)
-        first.free()
-        second.free()
-        assert pool.peak_bytes == 700
-
-    def test_negative_and_invalid(self):
-        with pytest.raises(ValueError):
-            MemoryPool("x", 0)
-        pool = MemoryPool("x", 10)
-        with pytest.raises(ValueError):
-            pool.allocate(-1)
-
-    @given(st.lists(st.integers(min_value=0, max_value=200), max_size=30))
-    def test_usage_never_exceeds_capacity(self, sizes):
-        """Property: whatever the allocation pattern, usage <= capacity."""
-        pool = MemoryPool("gpu0", 1000)
-        live = []
-        for size in sizes:
-            try:
-                live.append(pool.allocate(size))
-            except OutOfDeviceMemoryError:
-                if live:
-                    live.pop().free()
-            assert 0 <= pool.used_bytes <= pool.capacity_bytes
-        for allocation in live:
-            allocation.free()
-        assert pool.used_bytes == 0
+    def test_shrink_and_restore_are_seen_by_the_check(self):
+        gpu = self._gpu(1000)
+        gpu.shrink_memory(0.5)
+        gpu.ensure_fits(500)
+        with pytest.raises(OutOfDeviceMemoryError) as excinfo:
+            gpu.ensure_fits(501)
+        assert excinfo.value.available == 500
+        gpu.restore_memory()
+        gpu.ensure_fits(1000)

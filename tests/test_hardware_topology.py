@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import NoRouteError, UnknownDeviceError
 from repro.hardware import (
-    DeviceKind,
     LinkSpec,
     Topology,
     cpu_only_server,
@@ -113,12 +112,6 @@ class TestDefaultServer:
         with pytest.raises(UnknownDeviceError):
             topology.route("cpu0", "tpu0")
 
-    def test_device_groups(self, topology):
-        gpus = topology.group(DeviceKind.GPU)
-        assert len(gpus) == 2
-        assert gpus.aggregate_memory_bytes == 16 * GIB
-        assert gpus.kind is DeviceKind.GPU
-
     def test_describe_mentions_every_device(self, topology):
         text = topology.describe()
         for name in ("cpu0", "cpu1", "gpu0", "gpu1", "pcie0", "pcie1"):
@@ -145,14 +138,13 @@ class TestTransfersAndReset:
         # Both finish at (roughly) the same simulated time: no serialization.
         assert end0 == pytest.approx(end1, rel=0.01)
 
-    def test_reset_clears_clocks_and_memory(self, topology):
+    def test_reset_clears_clocks(self, topology):
         gpu = topology.device("gpu0")
-        gpu.allocate(GIB)
         topology.route("cpu0", "gpu0").transfer(GIB)
         gpu.charge(1.0)
         topology.reset()
-        assert gpu.memory.used_bytes == 0
         assert gpu.clock.busy_time == 0.0
+        assert topology.link("pcie0").clock.busy_time == 0.0
         assert topology.timeline().makespan == 0.0
 
     def test_no_route_in_disconnected_topology(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, OutOfDeviceMemoryError
 from repro.operators import (
     GpuJoinConfig,
     coprocessed_radix_join,
@@ -422,8 +422,8 @@ class TestJoinAlgorithms:
 
     def test_gpu_join_memory_enforcement(self, workload, topology):
         gpu = topology.device("gpu0")
-        gpu.allocate(gpu.memory.free_bytes - 1024)  # nearly fill the GPU
-        with pytest.raises(ExecutionError):
+        gpu.shrink_memory(1024 / gpu.spec.memory_capacity_bytes)
+        with pytest.raises(OutOfDeviceMemoryError, match="gpu0"):
             gpu_partitioned_join(workload.build.arrays(),
                                  workload.probe.arrays(), gpu,
                                  build_keys=["key"], probe_keys=["key"])

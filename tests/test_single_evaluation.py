@@ -22,7 +22,7 @@ from repro.engine.descriptions import (
     Join,
     RadixJoin,
 )
-from repro.errors import ExecutionError
+from repro.errors import OutOfDeviceMemoryError
 from repro.hardware import default_server, gtx_1080
 from repro.operators import (
     JoinStats,
@@ -171,7 +171,7 @@ class TestKernelRunsOncePerPlanNode:
         for gpu in engine.topology.gpus():
             gpu.shrink_memory(1e-5)
         for _ in range(2):   # refused before evaluating, so never cached
-            with pytest.raises(ExecutionError, match="co-partition of"):
+            with pytest.raises(OutOfDeviceMemoryError, match="gpu"):
                 engine.execute(query.plan, "hybrid")
         for gpu in engine.topology.gpus():
             gpu.restore_memory()

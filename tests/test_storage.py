@@ -96,8 +96,9 @@ class TestCatalog:
         catalog.register(table)
         assert "t" in catalog
         assert catalog.table("t") is table
-        assert catalog.stats("t").num_rows == 10
-        assert catalog.stats("t").distinct("a") == 10
+        assert catalog.statistics("t").num_rows == 10
+        assert catalog.statistics("t").nbytes == table.nbytes
+        assert catalog.statistics("t").column("a").ndv == 10
 
     def test_duplicate_registration(self):
         catalog = Catalog()
