@@ -90,8 +90,9 @@ bit-identical whether fusion is on or off, warm or cold.  Like
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -240,6 +241,23 @@ class MorselScheduler:
         return self.morsel_rows
 
 
+class PlanKeys(NamedTuple):
+    """The kernel memo's view of one physical plan, built by
+    :meth:`Executor.plan_keys` and never changed afterwards.
+
+    A session keeps it on the plan's prepared record, so a repeated query
+    does not rebuild its keys; it stays valid while the catalog versions
+    the keys embed do (the record is dropped when they change).
+    """
+
+    #: ``id(node) ->`` catalog-versioned structural key, every node.
+    keys: dict[int, tuple]
+    #: Occurrences per key of every node the memo serves.  The deferral
+    #: predicate (:meth:`Executor._defer_ok`) reads these initial counts;
+    #: each query decays its own copy.
+    refs: dict[tuple, int]
+
+
 @dataclass
 class ExecutionResult:
     """What :class:`Executor.execute` returns."""
@@ -314,16 +332,12 @@ class Executor:
         self._node_rows: dict[int, int] = {}
         # Per-query state: an overlay memo over the session cache (keeps
         # within-plan repeats single-evaluated regardless of cache budget),
-        # the structural-key id-cache for the current plan, and the
-        # remaining-occurrence counts that bound the overlay's footprint.
+        # the current plan's keys (:class:`PlanKeys`), and this query's
+        # copy of their remaining-occurrence counts that bound the
+        # overlay's footprint.
         self._query_memo: dict[tuple, dict[object, object]] = {}
-        self._key_cache: dict[int, tuple] = {}
+        self._keys = PlanKeys({}, {})
         self._key_refs: dict[tuple, int] = {}
-        #: Immutable snapshot of the per-plan occurrence counts: the
-        #: memo-aware deferral predicate (:meth:`_defer_ok`) must see the
-        #: *initial* counts, not the ones :meth:`_memoized_kernel` decays.
-        self._plan_refs: dict[tuple, int] = {}
-        self._table_versions: dict[str, int] = {}
         # Tracing state: a span list while the current query traces
         # (``None`` = off — the single check every trace point makes) and
         # the per-node cache status / morsel counts recorded inside the
@@ -353,30 +367,42 @@ class Executor:
             self.query_cache.set_budget(options.cache_budget_bytes)
 
     # ------------------------------------------------------------------
-    def execute(self, plan: PhysicalOp) -> ExecutionResult:
-        """Run a physical plan and report result plus simulated timing."""
+    def plan_keys(self, plan: PhysicalOp) -> PlanKeys:
+        """Key every node of ``plan`` and count the memoized occurrences.
+
+        The keys embed the catalog versions read here, once: the catalog
+        cannot change mid-query.
+        """
+        keys: dict[int, tuple] = {}
+        versions = self.catalog.table_versions
+        refs = Counter(structural_key(node, keys, table_versions=versions)
+                       for node in plan.walk() if description(node).memoized)
+        return PlanKeys(keys, refs)
+
+    def execute(self, plan: PhysicalOp,
+                keys: PlanKeys | None = None) -> ExecutionResult:
+        """Run a physical plan and report result plus simulated timing.
+
+        ``keys`` is the plan's :meth:`plan_keys` when the caller kept them
+        (a session's prepared record); without them they are built here.
+        """
         self.topology.reset()
         self.scheduler.reset()
         self._peak_intermediate = 0
         self._node_rows = {}
         self._trace_spans = [] if self.options.tracing else None
         self._trace_kernel = {}
-        # Snapshot the catalog versions once: the catalog cannot change
-        # mid-query, and cached structural keys embed these versions.
-        self._table_versions = self.catalog.table_versions
         try:
-            self._key_refs = self._count_kernel_occurrences(plan)
-            self._plan_refs = dict(self._key_refs)
+            self._keys = keys or self.plan_keys(plan)
+            self._key_refs = dict(self._keys.refs)
             # Fusion starts below the root: the root is a chain of its own.
             result = self._execute(plan, fuse=False)
         finally:
             # Overlay entries are evicted after their last structural
             # occurrence; clear the rest so only the budget-bounded
-            # session cache (self.query_cache) outlives the query.
+            # session cache (self.query_cache) outlives the query.  (The
+            # keys hold no data; the next query replaces them.)
             self._query_memo = {}
-            self._key_cache = {}
-            self._key_refs = {}
-            self._plan_refs = {}
             # Advance the counter mark even on failure, so an aborted
             # query's cache activity is not misattributed to the next
             # query's per-query delta.
@@ -435,11 +461,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _structural(self, node: PhysicalOp) -> tuple:
-        """Catalog-versioned structural key of a subtree (per-plan cached)."""
-        return structural_key(node, self._key_cache,
-                              table_versions=self._table_versions)
-
     def _memoized_kernel(self, node: PhysicalOp,
                          run: Callable[[], _KernelResult],
                          tuning: object = None, *,
@@ -470,7 +491,7 @@ class Executor:
         outlives the query is governed solely by the session cache's LRU
         byte budget.
         """
-        key = self._structural(node)
+        key = self._keys.keys[id(node)]
         variants = self._query_memo.get(key)
         result = None if variants is None else variants.get(tuning)
         status = "overlay"
@@ -509,15 +530,6 @@ class Executor:
             self._key_refs[key] = remaining
         return result  # type: ignore[return-value]
 
-    def _count_kernel_occurrences(self, plan: PhysicalOp) -> dict[tuple, int]:
-        """Occurrences per structural key of every node the memo serves."""
-        refs: dict[tuple, int] = {}
-        for node in plan.walk():
-            if description(node).memoized:
-                key = self._structural(node)
-                refs[key] = refs.get(key, 0) + 1
-        return refs
-
     def _defer_ok(self, node: PhysicalOp) -> bool:
         """May ``node``'s output be deferred (streamed, not materialized)?
 
@@ -526,7 +538,7 @@ class Executor:
         materialized so other occurrences can reuse it — so only
         single-occurrence subplans join a fused chain.
         """
-        return self._plan_refs.get(self._structural(node), 0) == 1
+        return self._keys.refs.get(self._keys.keys[id(node)], 0) == 1
 
     # ------------------------------------------------------------------
     # The driver

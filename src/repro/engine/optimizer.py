@@ -87,8 +87,14 @@ class Optimizer:
 
     # ------------------------------------------------------------------
     def optimize(self, plan: LogicalPlan,
-                 mode: ExecutionMode | str = ExecutionMode.HYBRID) -> PhysicalOp:
-        """Produce the physical plan for the requested engine configuration."""
+                 mode: ExecutionMode | str = ExecutionMode.HYBRID,
+                 estimates: Estimates | None = None) -> PhysicalOp:
+        """Produce the physical plan for the requested engine configuration.
+
+        ``estimates`` is the plan's ``estimate_nodes`` pass when the caller
+        kept it (a session's prepared records); without it the plan is
+        estimated here.
+        """
         mode = ExecutionMode.parse(mode)
         if mode.uses_gpus and not self.topology.gpus():
             raise OptimizerError(
@@ -106,9 +112,10 @@ class Optimizer:
                 "cpu", f"mode {mode.value!r} requires a healthy CPU")
         for table in sorted(plan.referenced_tables()):
             self.catalog.table(table)  # CatalogError before anything lowers
-        # The plan is estimated once per call; every join choice below
-        # and every stamp on the physical plan reads this record.
-        return self._convert(plan, mode, self.estimator.estimate_nodes(plan))
+        # The plan is estimated once; every join choice below and every
+        # stamp on the physical plan reads this record.
+        return self._convert(plan, mode,
+                             estimates or self.estimator.estimate_nodes(plan))
 
     # ------------------------------------------------------------------
     def _devices_for(self, mode: ExecutionMode) -> list[str]:

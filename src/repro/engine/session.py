@@ -16,11 +16,22 @@ results computed once (a dimension scan, a filtered build side) are reused
 functionally by later queries until the catalog invalidates them or the
 LRU budget evicts them.  The :data:`Session` alias exists for callers who
 think in session terms.
+
+The session also keeps its *decisions*: one :class:`PreparedPlan` per
+(logical plan, resolved mode) holds the physical plan, its pipelines, its
+estimates and its kernel-memo keys, so a query whose plan *object* is
+executed again is planned once (an equal but rebuilt plan is planned
+anew).  Records are dropped when the catalog registers, replaces or drops
+a table (its table versions change), when device health, a GPU's memory or
+a link's bandwidth changes, when the optimizer or executor options change,
+and one by one as their logical plans are collected (``docs/CACHING.md``).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..codegen.pipeline import Pipeline, break_into_pipelines
 from ..hardware.topology import Topology, default_server
@@ -30,7 +41,7 @@ from ..relational.physical import PhysicalOp
 from ..stats.cardinality import CardinalityReport, build_report
 from ..storage.catalog import Catalog
 from ..storage.table import Table
-from .executor import ExecutionResult, Executor, ExecutorOptions
+from .executor import Executor, ExecutorOptions, PlanKeys
 from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
 from .querycache import CacheCounters, QueryCacheStats
@@ -123,6 +134,26 @@ class QueryResult:
         return "\n".join(lines)
 
 
+class PreparedPlan(NamedTuple):
+    """Every decision one (logical plan, mode) pair takes before it runs.
+
+    Each field is a pure function of the logical plan, the mode, the
+    optimizer options, the catalog versions of the tables it reads and
+    device health, so it is built on the first request and read by every
+    later ``plan`` / ``explain`` / ``execute`` until one of those changes.
+    Nothing is charged from it: results, simulated seconds, reports and
+    traces are those of a fresh planning.
+    """
+
+    physical: PhysicalOp
+    pipelines: list[Pipeline]
+    #: ``estimate_physical(physical)`` (``node_id -> OperatorEstimate``),
+    #: joined with actual rows into the cardinality report.
+    estimates: dict
+    #: The executor's structural keys and occurrence counts.
+    keys: PlanKeys
+
+
 class HAPEEngine:
     """Heterogeneity-conscious Analytical query Processing Engine.
 
@@ -182,6 +213,10 @@ class HAPEEngine:
         self.executor = Executor(self.topology, self.catalog, executor_options,
                                  query_cache=query_cache)
         self.executor.retune(**knobs)
+        #: ``(stamp, {id(logical plan): (weak reference to the plan, its
+        #: estimate_nodes pass, {mode: PreparedPlan})})``: the records made
+        #: under one stamp (see :meth:`_plan_records`).
+        self._records: tuple[tuple, dict[int, tuple]] = ((), {})
 
     morsel_rows = _knob("morsel_rows")
     cache_budget_bytes = _knob("cache_budget_bytes")
@@ -242,20 +277,71 @@ class HAPEEngine:
             return self.optimizer.choose_mode(logical)
         return ExecutionMode.parse(mode)
 
+    def _plan_records(self, logical: LogicalPlan) -> tuple[dict, dict]:
+        """``logical``'s records: its ``estimate_nodes`` pass, which no
+        mode changes (admission and the optimizer read it), and a
+        :class:`PreparedPlan` per mode it was asked for.
+
+        Records are made under a stamp: the catalog's table versions, the
+        topology's health fingerprint and the optimizer and executor
+        options.  A call under another stamp starts an empty set, swapped
+        in whole.  The stamp is read before anything is estimated, so a
+        record built while another thread registers or drops a table lands
+        in the set of the old versions, which the next call drops.
+
+        Logical plans hold dicts and cannot be dict keys, so records are
+        filed under ``id(plan)`` beside a weak reference to the plan: a
+        collected plan's records go before its ``id`` can be reused.
+        """
+        stamp = (self.optimizer.options, self.executor.options,
+                 self.catalog.table_versions, self.topology.health_fingerprint())
+        taken, records = self._records
+        if taken != stamp:
+            records = {}
+            self._records = (stamp, records)
+        key = id(logical)
+        entry = records.get(key)
+        if entry is None or entry[0]() is not logical:
+            entry = records[key] = (
+                weakref.ref(logical, lambda _, key=key: records.pop(key, None)),
+                self.optimizer.estimator.estimate_nodes(logical), {})
+        return entry[1:]
+
+    def _prepared(self, logical: LogicalPlan,
+                  mode: ExecutionMode) -> PreparedPlan:
+        """The record of (``logical``, ``mode``); a miss plans the query."""
+        estimates, modes = self._plan_records(logical)
+        if mode not in modes:
+            physical = self.optimizer.optimize(logical, mode, estimates)
+            modes[mode] = PreparedPlan(
+                physical, break_into_pipelines(physical),
+                self.optimizer.estimator.estimate_physical(physical),
+                self.executor.plan_keys(physical))
+        return modes[mode]
+
+    def estimates(self, logical: LogicalPlan) -> dict:
+        """``logical``'s one estimation pass
+        (:meth:`~repro.stats.CardinalityEstimator.estimate_nodes`), kept on
+        its records: what a server's admission sizes a submission by."""
+        return self._plan_records(logical)[0]
+
     def plan(self, logical: LogicalPlan,
              mode: ExecutionMode | str = ExecutionMode.HYBRID) -> PhysicalOp:
-        """Lower a logical plan without executing it."""
-        return self.optimizer.optimize(logical,
-                                       self.resolve_mode(logical, mode))
+        """The physical plan :meth:`execute` runs, without running it.
+
+        Read from the prepared record of (``logical``, resolved mode), so
+        repeated calls return the same object until the record is
+        dropped; treat it as read-only.
+        """
+        return self._prepared(logical, self.resolve_mode(logical, mode)).physical
 
     def explain(self, logical: LogicalPlan,
                 mode: ExecutionMode | str = ExecutionMode.HYBRID) -> str:
-        """Human-readable physical plan plus its pipelines."""
-        physical = self.plan(logical, mode)
-        pipelines = break_into_pipelines(physical)
-        lines = [physical.pretty(), "", "pipelines:"]
-        lines.extend("  " + pipeline.describe() for pipeline in pipelines)
-        return "\n".join(lines)
+        """Human-readable physical plan plus its pipelines (from the same
+        prepared record :meth:`plan` and :meth:`execute` read)."""
+        prepared = self._prepared(logical, self.resolve_mode(logical, mode))
+        return "\n".join([prepared.physical.pretty(), "", "pipelines:"] + [
+            "  " + pipeline.describe() for pipeline in prepared.pipelines])
 
     def execute(self, logical: LogicalPlan,
                 mode: ExecutionMode | str = ExecutionMode.HYBRID) -> QueryResult:
@@ -266,14 +352,15 @@ class HAPEEngine:
         morsel-driven execution on the simulated topology — with kernel
         evaluations served from the session's cross-query cache when a
         structurally identical subplan already ran against the same
-        catalog state.  The returned :class:`QueryResult` carries the
+        catalog state.  Planning, pipelines and estimates come from the
+        prepared record of (``logical``, resolved mode): a repeated query
+        only executes.  The returned :class:`QueryResult` carries the
         functional answer, the simulated timing/utilization breakdown and
         the cache counters for this query.
         """
         mode = self.resolve_mode(logical, mode)
-        physical = self.plan(logical, mode)
-        pipelines = break_into_pipelines(physical)
-        result: ExecutionResult = self.executor.execute(physical)
+        prepared = self._prepared(logical, mode)
+        result = self.executor.execute(prepared.physical, prepared.keys)
         if result.trace is not None:
             result.trace.mode = mode.value
         return QueryResult(
@@ -282,15 +369,13 @@ class HAPEEngine:
             device_busy=result.device_busy,
             link_bytes=result.link_bytes,
             mode=mode,
-            physical_plan=physical,
-            pipelines=pipelines,
+            physical_plan=prepared.physical,
+            pipelines=prepared.pipelines,
             morsels_dispatched=result.morsels_dispatched,
             cache=result.cache,
             peak_intermediate_bytes=result.peak_intermediate_bytes,
             # Estimates are the stamps on the plan, actual rows the executor's.
-            cardinality=build_report(
-                self.optimizer.estimator.estimate_physical(physical),
-                result.operator_rows),
+            cardinality=build_report(prepared.estimates, result.operator_rows),
             trace=result.trace,
         )
 

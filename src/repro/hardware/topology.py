@@ -211,6 +211,20 @@ class Topology:
     # resurrect a GPU that failed mid-epoch.  Only explicit restore calls
     # (or :meth:`reset_health`) bring devices back.
 
+    def health_fingerprint(self) -> tuple:
+        """Everything placement and routing read that faults can change:
+        each device's health and memory capacity, each link's bandwidth.
+
+        Read from the devices and links themselves, so a change made
+        directly on one (``gpu.shrink_memory``, a breaker trip) shows too.
+        A session stamps its prepared plans with it and drops them when it
+        changes.
+        """
+        return (tuple([(device.health, device.spec.memory_capacity_bytes)
+                       for device in self._devices.values()]),
+                tuple([link.spec.bandwidth_gib_s
+                       for link in self._links.values()]))
+
     def available_cpus(self) -> tuple[Device, ...]:
         return tuple(d for d in self._devices.values()
                      if d.is_cpu and d.is_available)

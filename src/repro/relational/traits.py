@@ -60,11 +60,6 @@ class Traits:
         """The conversion performed by a ``mem-move`` operator."""
         return replace(self, locality=locality)
 
-    def with_packing(self, packing: Packing,
-                     properties: tuple[str, ...] = ()) -> "Traits":
-        """The conversion performed by ``pack``/``unpack`` operators."""
-        return replace(self, packing=packing, packet_properties=tuple(properties))
-
     def describe(self) -> str:
         props = ",".join(self.packet_properties) or "-"
         return (

@@ -525,10 +525,13 @@ class QueryServer:
         hash tables — so a highly selective query over a huge table
         charges only what it materializes, not the table it streams.
         Falls back to the conservative legacy estimate (the full bytes of
-        every referenced table) when the estimate is unbacked.
+        every referenced table) when the estimate is unbacked.  The
+        estimate is the one kept on the plan's records in the tenant's
+        session, so a resubmitted plan is not estimated again.
         """
-        estimator = self.session(tenant).optimizer.estimator
-        working_set = estimator.working_set(plan)
+        session = self.session(tenant)
+        working_set = session.optimizer.estimator.working_set(
+            plan, session.estimates(plan))
         if working_set.backed:
             return int(working_set.total_bytes)
         return int(sum(self.catalog.statistics(name).nbytes

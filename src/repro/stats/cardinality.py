@@ -402,7 +402,8 @@ class CardinalityEstimator:
         dict keys themselves), in post-order.  Everything that needs a
         row estimate — join choice, auto mode, admission, the cardinality
         report — reads this record; it is only valid while the caller
-        keeps ``plan`` alive and is never stored across calls.
+        keeps ``plan`` alive and the statistics it read stand, which is
+        how a session's prepared record keeps it.
         """
         out: dict[int, RelationEstimate] = {}
         self._estimate_into(plan, out)
@@ -461,15 +462,18 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # Working sets (admission control, mode choice)
     # ------------------------------------------------------------------
-    def working_set(self, plan: LogicalPlan) -> WorkingSetEstimate:
+    def working_set(self, plan: LogicalPlan, estimates: dict | None = None
+                    ) -> WorkingSetEstimate:
         """Estimated memory working set of executing ``plan``.
 
         Scans stream morsel-at-a-time and pin nothing; what occupies
         memory is the widest estimated intermediate batch (an ``OrderBy``
         counts for its sorted copy) plus the hash tables of every join's
-        smaller side (resident while probes stream).
+        smaller side (resident while probes stream).  ``estimates`` is
+        the plan's :meth:`estimate_nodes` when the caller kept it (a
+        session's prepared record); without it the plan is estimated here.
         """
-        estimates = self.estimate_nodes(plan)
+        estimates = estimates or self.estimate_nodes(plan)
         peak = builds = largest_build = 0.0
         for node in plan.walk():
             if isinstance(node, Scan):

@@ -66,9 +66,6 @@ class Column:
         """A zero-copy horizontal slice (used to form blocks/packets)."""
         return Column(self.name, self.values[start:stop], self.dtype, self.dictionary)
 
-    def rename(self, name: str) -> "Column":
-        return Column(name, self.values, self.dtype, self.dictionary)
-
     def decoded(self) -> list[str] | np.ndarray:
         """Human-readable values (decodes dictionary columns)."""
         if self.dictionary is not None:

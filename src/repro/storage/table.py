@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,11 +95,6 @@ class Table:
     # ------------------------------------------------------------------
     # Row-wise operations
     # ------------------------------------------------------------------
-    def select(self, names: Iterable[str]) -> "Table":
-        """Project to a subset of columns, preserving order of ``names``."""
-        return Table(self.name, [self.column(name) for name in names],
-                     location=self.location)
-
     def take(self, indices: np.ndarray) -> "Table":
         """Gather rows by position."""
         return Table(self.name, [col.take(indices) for col in self.columns],
@@ -114,13 +109,6 @@ class Table:
         """Horizontal slice (used to carve morsels/packets)."""
         return Table(self.name, [col.slice(start, stop) for col in self.columns],
                      location=self.location)
-
-    def rename(self, name: str) -> "Table":
-        return Table(name, list(self.columns), location=self.location)
-
-    def with_location(self, location: str) -> "Table":
-        """Same data, recorded as resident on a different memory node."""
-        return Table(self.name, list(self.columns), location=location)
 
     def head(self, n: int = 5) -> dict[str, list]:
         """First ``n`` rows in decoded, human-readable form."""

@@ -278,6 +278,8 @@ class TestStreamedDescriptionsMatchKernels:
         executor = Executor(topology or default_server(), catalog,
                             ExecutorOptions(morsel_rows=morsel_rows,
                                             cache_budget_bytes=0))
+        # As ``execute`` does before driving the plan.
+        executor._keys = executor.plan_keys(node)
         stage = description(node)(node, executor)  # runs a join's build
         source = executor._execute(node.children()[-1])
         stage.devices = stage.place(source.devices)

@@ -9,7 +9,6 @@ from repro.codegen import break_into_pipelines, pipelines_per_device
 from repro.errors import PlanError
 from repro.hardware import DeviceKind
 from repro.relational import (
-    Packing,
     Traits,
     agg_count,
     agg_sum,
@@ -78,8 +77,6 @@ class TestTraits:
         assert traits.with_device(DeviceKind.GPU).device is DeviceKind.GPU
         assert traits.with_parallelism(4).parallelism == 4
         assert traits.with_locality("gpu1").locality == "gpu1"
-        packed = traits.with_packing(Packing.PACKET, ("partition",))
-        assert packed.packet_properties == ("partition",)
         assert "dop=2" in traits.describe()
 
     def test_invalid_parallelism(self):

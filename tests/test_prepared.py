@@ -1,0 +1,383 @@
+"""Prepared plans: a repeated query is planned once, and only once.
+
+A session keeps one record per (logical plan, resolved mode) — physical
+plan, pipelines, estimates, kernel-memo keys — stamped with the catalog's
+table versions, the topology's health fingerprint and the options.  These
+tests pin both halves of that contract: a hit plans nothing and changes
+nothing (results, simulated seconds, reports and traces are those of a
+fresh planning), and every change the decisions depend on is a miss.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+
+import numpy as np
+import pytest
+
+from repro.engine import HAPEEngine
+from repro.engine.optimizer import Optimizer
+from repro.errors import CatalogError, OptimizerError
+from repro.faults import FaultPlan
+from repro.hardware import default_server
+from repro.hardware.specs import pcie3_x16
+from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
+from repro.server import QueryServer
+from repro.stats import CardinalityEstimator
+from repro.storage import Table, generate_tpch
+from repro.workloads import all_queries, build_query
+
+MODES = ("cpu", "hybrid", "gpu")
+
+
+@pytest.fixture
+def optimize_calls(monkeypatch):
+    """Every ``Optimizer.optimize`` call, as its resolved mode value."""
+    calls: list[str] = []
+    original = Optimizer.optimize
+
+    def counting(self, plan, mode="hybrid", *args, **kwargs):
+        calls.append(getattr(mode, "value", mode))
+        return original(self, plan, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Optimizer, "optimize", counting)
+    return calls
+
+
+@pytest.fixture
+def q5(tpch_dataset):
+    return build_query("Q5", tpch_dataset).plan
+
+
+def _replans(engine, plan, mode, optimize_calls, change) -> object:
+    """Run ``plan``, apply ``change``, run it again; assert the second run
+    planned anew, and return its result."""
+    first = engine.execute(plan, mode)
+    before = len(optimize_calls)
+    change()
+    second = engine.execute(plan, mode)
+    assert len(optimize_calls) == before + 1
+    assert second.physical_plan is not first.physical_plan
+    return second
+
+
+# ----------------------------------------------------------------------
+# Hits
+# ----------------------------------------------------------------------
+class TestHit:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_repeated_query_is_planned_once(self, engine, q5, mode,
+                                              optimize_calls):
+        first = engine.execute(q5, mode)
+        assert len(optimize_calls) == 1
+        second = engine.execute(q5, mode)
+        assert second.physical_plan is first.physical_plan
+        assert second.pipelines is first.pipelines
+        assert engine.plan(q5, mode) is first.physical_plan
+        assert "pipelines:" in engine.explain(q5, mode)
+        assert len(optimize_calls) == 1
+        assert second.simulated_seconds == first.simulated_seconds
+        assert second.cardinality == first.cardinality
+
+    def test_each_mode_has_its_own_record(self, engine, q5, optimize_calls):
+        plans = {mode: engine.plan(q5, mode) for mode in MODES}
+        assert len({id(plan) for plan in plans.values()}) == len(MODES)
+        for mode in MODES:
+            assert engine.execute(q5, mode).physical_plan is plans[mode]
+        assert optimize_calls == list(MODES)
+
+    def test_auto_reads_the_record_of_the_mode_it_picked(self, engine, q5,
+                                                         optimize_calls):
+        picked = engine.resolve_mode(q5, "auto")
+        result = engine.execute(q5, "auto")
+        assert result.mode is picked
+        assert engine.execute(q5, "auto").physical_plan \
+            is result.physical_plan
+        assert engine.plan(q5, picked) is result.physical_plan
+        assert optimize_calls == [picked.value]
+
+    def test_an_equal_plan_object_is_its_own_record(self, engine,
+                                                    tpch_dataset,
+                                                    optimize_calls):
+        one = build_query("Q6", tpch_dataset).plan
+        two = build_query("Q6", tpch_dataset).plan
+        engine.execute(one, "cpu")
+        engine.execute(two, "cpu")
+        assert len(optimize_calls) == 2
+
+    def test_a_failed_planning_is_not_recorded(self, engine, tpch_dataset,
+                                               optimize_calls):
+        plan = scan("nowhere").aggregate([], [agg_sum(col("x"), "s")])
+        for _ in range(2):
+            with pytest.raises(CatalogError):
+                engine.execute(plan, "cpu")
+        assert len(optimize_calls) == 2
+
+
+# ----------------------------------------------------------------------
+# Misses: every change the decisions depend on
+# ----------------------------------------------------------------------
+class TestMiss:
+    def test_register_replace(self, engine, q5, tpch_dataset,
+                              optimize_calls):
+        _replans(engine, q5, "hybrid", optimize_calls,
+                 lambda: engine.register_table(
+                     tpch_dataset.tables["nation"], replace=True))
+
+    def test_drop_then_register_again(self, engine, q5, tpch_dataset,
+                                      optimize_calls):
+        def change():
+            engine.drop_table("region")
+            engine.register_table(tpch_dataset.tables["region"])
+
+        _replans(engine, q5, "hybrid", optimize_calls, change)
+
+    def test_a_drop_alone_is_a_miss(self, engine, q5, optimize_calls):
+        engine.execute(q5, "hybrid")
+        engine.drop_table("region")
+        with pytest.raises(CatalogError):
+            engine.execute(q5, "hybrid")
+
+    def test_a_change_while_the_record_is_built(self, engine, q5,
+                                                tpch_dataset, monkeypatch,
+                                                optimize_calls):
+        """A table replaced while the plan is being estimated (another
+        thread's registration, then another thread's lookup under the new
+        versions) leaves no record on the old statistics."""
+        estimator = engine.optimizer.estimator
+        original = estimator.estimate_nodes
+        nation = tpch_dataset.tables["nation"]
+        other = build_query("Q6", tpch_dataset).plan
+
+        def rows(estimates):
+            return [estimates[id(node)].rows for node in q5.walk()]
+
+        stale = []
+
+        def estimate_then_replace(plan):
+            estimates = original(plan)  # on the statistics before
+            stale.append(rows(estimates))
+            monkeypatch.setattr(estimator, "estimate_nodes", original)
+            engine.register_table(nation.slice(0, 5), replace=True)
+            engine.estimates(other)  # records under the new versions
+            return estimates
+
+        monkeypatch.setattr(estimator, "estimate_nodes",
+                            estimate_then_replace)
+        first = engine.execute(q5, "hybrid")
+        second = engine.execute(q5, "hybrid")
+        assert second.physical_plan is not first.physical_plan
+        assert len(optimize_calls) == 2
+        assert rows(engine.estimates(q5)) == rows(original(q5)) != stale[0]
+
+    def test_a_first_registration_refreshes_the_estimates(self,
+                                                          tpch_dataset):
+        engine = HAPEEngine(default_server())
+        plan = build_query("Q6", tpch_dataset).plan
+        assert not engine.optimizer.estimator.working_set(
+            plan, engine.estimates(plan)).backed
+        engine.register_dataset(tpch_dataset.tables)
+        assert engine.optimizer.estimator.working_set(
+            plan, engine.estimates(plan)).backed
+
+    def test_retune(self, engine, q5, optimize_calls):
+        _replans(engine, q5, "hybrid", optimize_calls,
+                 lambda: engine.executor.retune(pipeline_fusion=False))
+        # The knob attribute is the same door.
+        _replans(engine, q5, "hybrid", optimize_calls,
+                 lambda: setattr(engine, "pipeline_fusion", True))
+
+    def test_fail_and_restore_a_device(self, engine, q5, optimize_calls):
+        healthy = engine.execute(q5, "hybrid")
+        failed = _replans(engine, q5, "hybrid", optimize_calls,
+                          lambda: engine.topology.fail_device("gpu0"))
+        assert failed.device_busy.get("gpu0", 0.0) == 0.0
+        restored = _replans(engine, q5, "hybrid", optimize_calls,
+                            lambda: engine.topology.restore_device("gpu0"))
+        assert restored.physical_plan.pretty() \
+            == healthy.physical_plan.pretty()
+        assert restored.simulated_seconds == healthy.simulated_seconds
+
+    def test_a_direct_memory_shrink_reaches_the_gpu_fit_rule(
+            self, engine, q5, optimize_calls):
+        def algorithms():
+            return {node.algorithm for node in engine.plan(q5, "hybrid").walk()
+                    if hasattr(node, "algorithm")}
+
+        assert algorithms() == {JoinAlgorithm.NON_PARTITIONED}
+        engine.plan(q5, "gpu")
+        gpu = engine.topology.device("gpu0")
+        gpu.shrink_memory(1e-5)  # on the device, not through the topology
+        # The hash tables no longer fit: hybrid co-processes, GPU-only is
+        # refused — neither is served from the records made before.
+        assert JoinAlgorithm.COPROCESSED_RADIX in algorithms()
+        with pytest.raises(OptimizerError):
+            engine.plan(q5, "gpu")
+        gpu.restore_memory()
+        assert algorithms() == {JoinAlgorithm.NON_PARTITIONED}
+
+    def test_a_degraded_link_replans_and_prices_the_new_bandwidth(
+            self, engine, q5, tpch_dataset, optimize_calls):
+        degraded = _replans(
+            engine, q5, "gpu", optimize_calls,
+            lambda: engine.topology.degrade_link("pcie1", 0.25))
+        fresh = HAPEEngine(default_server())
+        fresh.register_dataset(tpch_dataset.tables)
+        fresh.topology.degrade_link("pcie1", 0.25)
+        alone = fresh.execute(q5, "gpu")
+        assert degraded.simulated_seconds == alone.simulated_seconds
+        assert degraded.link_bytes == alone.link_bytes
+
+    def test_options_are_part_of_the_stamp(self, engine, q5,
+                                           optimize_calls):
+        _replans(engine, q5, "hybrid", optimize_calls,
+                 lambda: setattr(engine.optimizer, "options",
+                                 dataclasses.replace(engine.optimizer.options,
+                                                     small_build_rows=10)))
+
+    def test_a_breaker_trip_inside_an_epoch(self, tpch_dataset,
+                                            optimize_calls):
+        plan = (scan("lineitem", ["l_orderkey", "l_extendedprice"])
+                .aggregate(["l_orderkey"],
+                           [agg_sum(col("l_extendedprice"), "s")]))
+        fault_plan = FaultPlan().fail_attempt("victim", attempt=1,
+                                              device="gpu0", fraction=0.5)
+        server = QueryServer(default_server(), fault_plan=fault_plan,
+                             cache_budget_bytes=0, breaker_threshold=1,
+                             breaker_cooldown_seconds=10.0)
+        server.register_dataset(tpch_dataset.tables)
+        # One tenant, one plan object: the follower would find the
+        # victim's two-GPU record if the trip did not drop it.
+        victim = server.submit("t", plan, "gpu", label="victim")
+        follower = server.submit("t", plan, "gpu", label="follower", at=1.0)
+        server.run()
+        assert victim.status == follower.status == "completed"
+        assert victim.failovers == 1
+        assert follower.final_mode == "gpu"
+        assert follower.result.device_busy.get("gpu0", 0.0) == 0.0
+        assert optimize_calls.count("gpu") == 2
+
+
+# ----------------------------------------------------------------------
+# Identity: a record changes nothing a query reports
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sf001():
+    return generate_tpch(0.01, seed=2019)
+
+
+def _fingerprint(result):
+    # Plan node ids come from a global counter, so two plannings number
+    # their nodes differently; the report is compared in plan order.
+    report = [(op.label, op.estimated_rows, op.actual_rows, op.q_error)
+              for op in result.cardinality.operators]
+    return (result.table.column_names,
+            [result.table.array(name).tobytes()
+             for name in result.table.column_names],
+            repr(result.simulated_seconds), result.device_busy,
+            result.link_bytes, report, result.trace.to_jsonl(),
+            result.morsels_dispatched)
+
+
+def test_warm_records_are_bit_identical_to_a_fresh_session(sf001):
+    queries = all_queries(sf001)
+    sessions = []
+    for _ in range(2):
+        session = HAPEEngine(default_server(), tracing=True,
+                             cache_budget_bytes=0)
+        session.register_dataset(sf001.tables)
+        sessions.append(session)
+    warm, fresh = sessions
+    for name in ("Q1", "Q5", "Q6", "Q9"):
+        for mode in MODES:
+            plan = queries[name].plan
+            first = warm.execute(plan, mode)
+            hit = warm.execute(plan, mode)
+            assert hit.cardinality == first.cardinality
+            assert _fingerprint(hit) == _fingerprint(
+                fresh.execute(plan, mode)), (name, mode)
+
+
+# ----------------------------------------------------------------------
+# Bounded by live plans
+# ----------------------------------------------------------------------
+def test_records_are_bounded_by_live_plans():
+    engine = HAPEEngine(default_server())
+    engine.register_table(Table.from_arrays("t", {
+        "k": np.arange(64, dtype=np.int64),
+        "v": np.arange(64, dtype=np.float64)}))
+    kept = scan("t").filter(col("k") > lit(-1))
+    engine.execute(kept, "cpu")
+    for cutoff in range(500):
+        plan = (scan("t").filter(col("k") > lit(cutoff % 64))
+                .aggregate([], [agg_sum(col("v"), "s")]))
+        engine.execute(plan, "cpu")
+        del plan
+    gc.collect()
+    _, records = engine._records
+    assert list(records) == [id(kept)]
+    assert engine.execute(kept, "cpu").table.num_rows == 64
+
+
+# ----------------------------------------------------------------------
+# The submit path reads the record
+# ----------------------------------------------------------------------
+def test_admission_estimates_are_unchanged(tpch_dataset):
+    queries = all_queries(tpch_dataset)
+    server = QueryServer(default_server(), workers=1)
+    server.register_dataset(tpch_dataset.tables)
+    tenants = (("cpu-a", "cpu"), ("gpu-a", "gpu"),
+               ("cpu-b", "cpu"), ("gpu-b", "gpu"))
+    for tenant, _ in tenants:
+        server.open_session(tenant, max_concurrency=1, max_queue_depth=64)
+    # What admission charged before records: a fresh estimate per submit.
+    estimator = CardinalityEstimator(server.catalog)
+    expected = {}
+    for name, query in queries.items():
+        working_set = estimator.working_set(query.plan)
+        assert working_set.backed
+        expected[name] = working_set.total_bytes
+    for epoch in range(2):
+        tickets = [server.submit(tenant, query.plan, mode,
+                                 label=f"{name}/{mode}")
+                   for _ in range(2) for tenant, mode in tenants
+                   for name, query in queries.items()]
+        server.run()
+        for ticket in tickets:
+            assert ticket.status == "completed"
+            assert ticket.estimated_bytes == expected[
+                ticket.label.split("/")[0]], (epoch, ticket.label)
+
+
+# ----------------------------------------------------------------------
+# The health fingerprint
+# ----------------------------------------------------------------------
+class TestHealthFingerprint:
+    @pytest.mark.parametrize("change, undo", [
+        (lambda t: t.device("gpu1").fail(), lambda t: t.device("gpu1").restore()),
+        (lambda t: t.device("gpu0").shrink_memory(0.5),
+         lambda t: t.device("gpu0").restore_memory()),
+        (lambda t: t.degrade_link("pcie1", 0.25),
+         lambda t: t.restore_link("pcie1")),
+    ], ids=["health", "memory", "bandwidth"])
+    def test_read_from_the_devices_and_links(self, topology, change, undo):
+        healthy = topology.health_fingerprint()
+        change(topology)
+        assert topology.health_fingerprint() != healthy
+        undo(topology)
+        assert topology.health_fingerprint() == healthy
+
+    def test_a_route_follows_the_bandwidth(self):
+        topology = default_server(num_cpus=2, num_gpus=1)
+        topology.connect("cpu1", "gpu0", pcie3_x16("pcie9"))
+
+        def hops():
+            return [link.name for link in topology.route("cpu1",
+                                                         "gpu0").links]
+
+        assert hops() == ["pcie9"]
+        topology.degrade_link("pcie9", 0.25)  # a detour is now cheaper
+        assert hops() == ["qpi01", "pcie0"]
+        topology.restore_link("pcie9")
+        assert hops() == ["pcie9"]

@@ -71,8 +71,6 @@ class TestColumnAndTable:
         assert filtered.num_rows == 3
         sliced = table.slice(1, 3)
         assert sliced.array("a").tolist() == [1, 2]
-        selected = table.select(["b"])
-        assert selected.column_names == ("b",)
         with pytest.raises(SchemaError):
             table.column("missing")
 
@@ -81,12 +79,6 @@ class TestColumnAndTable:
         shuffled = Table.from_arrays("t", {"a": np.asarray([1, 2, 3])})
         assert table.equals(shuffled, check_order=False)
         assert not table.equals(shuffled, check_order=True)
-
-    def test_with_location(self):
-        table = Table.from_arrays("t", {"a": np.arange(3)})
-        moved = table.with_location("gpu0")
-        assert moved.location == "gpu0"
-        assert table.location == "cpu0"
 
 
 class TestCatalog:
