@@ -1075,9 +1075,9 @@ def _partitioned_gpu_fastest(model, fields) -> bool:
 
 
 def _replay_is_exact(ratios, fields) -> bool:
-    """Executed seconds == replayed seconds, bit for bit: a GPU variant
-    runs on the one GPU the model prices, a CPU variant on one socket of
-    the ``cpu_sockets`` the model divides by."""
+    """Executed seconds == replayed seconds, bit for bit: a GPU or
+    co-processed variant runs on the devices the model prices, a CPU
+    variant on one socket of the ``cpu_sockets`` the model divides by."""
     return bool(ratios) and all(
         ratio == (fields.get("cpu_sockets") if variant.endswith("CPU")
                   else 1.0)
@@ -1142,13 +1142,24 @@ def suite_fig6(bench: Workbench) -> dict:
                                               "2gpu": 300_000},
                 "the executed co-processed joins returned {value}, not "
                 "300,000 rows each"),
+           Gate("executed_over_replayed", _replay_is_exact,
+                "executed seconds over the model's at the executed size "
+                "are {value}, not exactly 1.0 — the figure and the engine "
+                "price the co-processed join differently"),
        ))
 def suite_fig7(bench: Workbench) -> dict:
-    return _model_and_execution(
-        bench, JoinModels(bench.topology).figure7_series,
-        lambda: {f"{num_gpus}gpu": run_coprocessed_join(
+    models = JoinModels(bench.topology)
+    gpu_counts = {f"{num_gpus}gpu": num_gpus for num_gpus in (1, 2)}
+    record = _model_and_execution(
+        bench, models.figure7_series,
+        lambda: {variant: run_coprocessed_join(
             300_000, num_gpus=num_gpus, topology=bench.topology)
-            for num_gpus in (1, 2)})
+            for variant, num_gpus in gpu_counts.items()})
+    record["executed_over_replayed"] = {
+        variant: record["simulated_seconds_execution"][variant]
+        / models.coprocessing_seconds(300_000, num_gpus=num_gpus)
+        for variant, num_gpus in gpu_counts.items()}
+    return record
 
 
 #: The scan-bound queries: a hybrid pipeline adds the GPUs' share of the

@@ -554,8 +554,8 @@ class RadixJoin(Join):
 
 
 class CoprocessedJoin(Join):
-    """CPU+GPU co-processed radix join: the anchor CPU co-partitions, the
-    GPUs join the co-partitions.
+    """CPU+GPU co-processed radix join: every available CPU socket
+    co-partitions, the GPUs join the co-partitions.
 
     Its cost is a timeline over several devices, not one device's
     :class:`~repro.operators.base.OpCost`, so :meth:`charge` replays the
@@ -567,29 +567,29 @@ class CoprocessedJoin(Join):
     label = "coprocessed-join"
 
     def place(self, devices: list[Device]) -> list[Device]:
-        gpus = self.ex.topology.available_gpus()
-        if not gpus:
+        topology = self.ex.topology
+        self.cpus, self.gpus = (topology.available_cpus(),
+                                topology.available_gpus())
+        if not self.gpus:
             raise ExecutionError("co-processed join requires GPUs")
-        return [self.ex.topology.anchor_cpu(), *gpus]
+        return [*self.cpus, *self.gpus]
 
     def tag(self, tag: tuple) -> tuple:
-        gpus = self.devices[1:]
         return super().tag(tag) + (
             ("coprocessed",
-             tuple(partition_tuning(gpu.spec) for gpu in gpus),
-             tuple(gpu.spec.memory_capacity_bytes for gpu in gpus)),)
+             tuple(partition_tuning(gpu.spec) for gpu in self.gpus),
+             tuple(gpu.spec.memory_capacity_bytes for gpu in self.gpus)),)
 
     def _on_inputs(self, function, batch: NodeResult, **extra):
         return function(self.build.columns, batch.columns,
                         build_keys=self.node.build_keys,
                         probe_keys=self.node.probe_keys,
-                        gpu_specs=[gpu.spec for gpu in self.devices[1:]],
-                        **extra)
+                        gpu_specs=[gpu.spec for gpu in self.gpus], **extra)
 
     def check(self, batch: NodeResult) -> None:
         # Sized from bucket counts, so a cached evaluation is refused too.
         ensure_copartitions_fit(self._on_inputs(copartition_nbytes, batch),
-                                self.devices[1:])
+                                self.gpus)
 
     def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
         return self._on_inputs(coprocessed_join_kernel, batch,
@@ -598,9 +598,9 @@ class CoprocessedJoin(Join):
     def charge(self, batch: NodeResult, stats) -> None:
         earliest = max(self.build.ready, batch.ready)
         _, finished = charge_coprocessed_join(
-            stats, self.ex.topology, self.devices[0], self.devices[1:])
-        self.advance(batch, max(earliest, finished), start=earliest,
-                     residency=Residency.on(self.devices[0].name),
+            stats, self.ex.topology, self.cpus, self.gpus, earliest=earliest)
+        self.advance(batch, finished, start=earliest,
+                     residency=Residency.on(self.cpus[0].name),
                      build_rows=stats.build_rows,
                      probe_rows=stats.probe_rows)
 

@@ -47,7 +47,8 @@ record, priced by ``estimate_cpu_radix_join`` or
 same contract — ``coprocessed_join_kernel`` returns a
 ``CoprocessedJoinStats`` record — but spans several devices, so its
 estimate half is ``charge_coprocessed_join``, which replays the record as
-a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks.  The
+a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks,
+pipelined per co-partition.  The
 skeleton moves row positions, not payloads — keys coded once, one
 position vector permuted per side and pass, canonical order restored on
 the positions, every payload column gathered once at the end — while the

@@ -28,7 +28,13 @@ single-evaluation contract like every other operator —
 :class:`CoprocessedJoinStats` record — except that its cost is a timeline
 over several devices rather than one device's :class:`OpCost`, so the
 estimate half is :func:`charge_coprocessed_join`, which replays the record
-onto the topology's clocks.
+onto the topology's clocks, pipelined per co-partition.
+
+That replay is Figure 7: :func:`repro.perf.dense_coprocessed_stats` writes
+down the record a microbenchmark run leaves and the figure prices it
+through :func:`charge_coprocessed_join`, so at any executable size figure
+and engine agree to the bit — as Figures 5-6 replay the single-device
+estimators; only Figures 8-9 stay closed-form models.
 """
 
 from __future__ import annotations
@@ -43,15 +49,8 @@ from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology
 from ..relational.keys import KeyDomain
-from .base import (
-    ArrayMap,
-    OpCost,
-    OpOutput,
-    columns_num_rows,
-    record_kernel_invocation,
-)
+from .base import ArrayMap, OpCost, OpOutput, record_kernel_invocation
 from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
-from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
     JoinSides,
     PartitionedJoinStats,
@@ -68,21 +67,19 @@ from .radix import (
 COPARTITION_MEMORY_SHARE = 0.4
 
 
-def plan_coprocessing(build_rows: int, probe_rows: int, tuple_bytes: int,
+def plan_coprocessing(pair_bytes: int,
                       gpu_specs: Sequence[DeviceSpec]) -> int:
-    """The CPU-side fan-out: every co-partition pair must fit in GPU memory."""
+    """The CPU-side fan-out: every co-partition pair must fit in GPU memory.
+
+    ``pair_bytes`` is both inputs at their columns' own widths — build rows
+    x build tuple bytes + probe rows x probe tuple bytes — the bytes the
+    co-partitions carry across PCIe, so the mean pair is within budget.
+    """
     if not gpu_specs:
         raise ExecutionError("co-processing requires at least one GPU")
     budget = int(min(spec.memory_capacity_bytes for spec in gpu_specs)
                  * COPARTITION_MEMORY_SHARE)
-    pair_bytes = (build_rows + probe_rows) * tuple_bytes
     return max(int(np.ceil(pair_bytes / budget)), len(gpu_specs))
-
-
-def _coprocessing_fanout(build_rows: int, probe_rows: int,
-                         gpu_specs: Sequence[DeviceSpec]) -> int:
-    return plan_coprocessing(max(build_rows, 1), max(probe_rows, 1),
-                             HASH_ENTRY_BYTES, gpu_specs)
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,9 @@ def coprocessed_join_kernel(
     sides = JoinSides(build, probe, build_keys=build_keys,
                       probe_keys=probe_keys, output_order=output_order)
     build_rows, probe_rows = len(sides.build_keys), len(sides.probe_keys)
-    fanout = _coprocessing_fanout(build_rows, probe_rows, gpu_specs)
+    fanout = plan_coprocessing(build_rows * sides.build_tuple_bytes
+                               + probe_rows * sides.probe_tuple_bytes,
+                               gpu_specs)
     copartitions: list[tuple[int, PartitionedJoinStats]] = []
 
     def join_on_gpu(build_part: np.ndarray, probe_part: np.ndarray,
@@ -153,14 +152,16 @@ def copartition_nbytes(build: Mapping[str, np.ndarray],
     What :func:`coprocessed_join_kernel` would record, without moving a
     row: lets an engine refuse an evaluation it already holds cached.
     """
-    fanout = _coprocessing_fanout(columns_num_rows(build),
-                                  columns_num_rows(probe), gpu_specs)
     domain = KeyDomain(build, build_keys)
+    sides = [(partition_tuple_bytes(columns), codes) for columns, codes in (
+        (build, domain.codes), (probe, domain.encode(probe, probe_keys)))]
+    fanout = plan_coprocessing(
+        sum(tuple_bytes * len(codes) for tuple_bytes, codes in sides),
+        gpu_specs)
     nbytes = np.zeros(fanout, dtype=np.int64)
-    for columns, codes in ((build, domain.codes),
-                           (probe, domain.encode(probe, probe_keys))):
-        nbytes += partition_tuple_bytes(columns) * np.bincount(
-            radix_buckets(codes, fanout), minlength=fanout)
+    for tuple_bytes, codes in sides:
+        nbytes += tuple_bytes * np.bincount(radix_buckets(codes, fanout),
+                                            minlength=fanout)
     return nbytes.tolist()
 
 
@@ -172,26 +173,39 @@ def ensure_copartitions_fit(pair_nbytes: Sequence[int],
 
 
 def charge_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,
-                            cpu: Device, gpus: Sequence[Device], *,
+                            cpus: Sequence[Device], gpus: Sequence[Device], *,
+                            earliest: float = 0.0,
                             config: GpuJoinConfig | None = None,
                             ) -> tuple[OpCost, float]:
-    """Replay a recorded evaluation onto the topology's clocks.
+    """Replay a recorded evaluation onto the topology's clocks, pipelined
+    per co-partition.
 
-    The CPU pass runs first; every co-partition then crosses the PCIe
-    route of its GPU once and is joined there.  Transfers and kernels of
-    distinct GPUs overlap because every GPU sits on its own PCIe link.
-    Returns the summed cost and the time the last device finishes.
+    The CPU pass is priced once, on ``cpus[0]``, and charged in slices:
+    co-partition ``i``'s slice is the pass's cost times its share of the
+    rows, spread evenly over every socket of ``cpus``, none starting
+    before ``earliest`` (the inputs' ready time).  When its slice ends,
+    co-partition ``i`` crosses the route from ``cpus[0]`` to GPU
+    ``i mod n`` once and is joined there when it arrives — so the CPU pass,
+    the transfers and the joins overlap, and distinct GPUs overlap on their
+    own PCIe links.  Returns the summed cost and the time the last device
+    finishes.
     """
-    build_cost = estimate_partition_run(stats.build_run, cpu)
-    probe_cost = estimate_partition_run(stats.probe_run, cpu)
-    partitioned = cpu.charge(build_cost.seconds + probe_cost.seconds,
-                             label="cpu-copartition")
+    build_cost = estimate_partition_run(stats.build_run, cpus[0])
+    probe_cost = estimate_partition_run(stats.probe_run, cpus[0])
+    pass_seconds = build_cost.seconds + probe_cost.seconds
+    total_rows = max(stats.build_rows + stats.probe_rows, 1)
     total_cost = OpCost().merge(build_cost).merge(probe_cost)
-    finished = partitioned.end
+    finished = earliest
     for index, (pair_bytes, join_stats) in enumerate(stats.copartitions):
+        slice_seconds = (pass_seconds * (join_stats.build_rows
+                                         + join_stats.probe_rows)
+                         / total_rows / len(cpus))
+        sliced = max(cpu.charge(slice_seconds, earliest=earliest,
+                                label="cpu-copartition").end
+                     for cpu in cpus)
         gpu = gpus[index % len(gpus)]
-        route = topology.route(cpu.name, gpu.name)
-        arrived = route.transfer(pair_bytes, earliest=partitioned.end,
+        route = topology.route(cpus[0].name, gpu.name)
+        arrived = route.transfer(pair_bytes, earliest=sliced,
                                  label=f"copartition->{gpu.name}")
         total_cost.add("pcie-transfer", route.transfer_time(pair_bytes))
         join_cost = estimate_gpu_partitioned_join(join_stats, gpu,
@@ -208,24 +222,24 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
                            topology: Topology, *,
                            build_keys: Sequence[str],
                            probe_keys: Sequence[str],
-                           cpu: Device | None = None,
                            gpus: Sequence[Device] | None = None,
                            config: GpuJoinConfig | None = None,
                            output_order: str | None = "probe") -> OpOutput:
     """Execute the CPU+GPU co-processed radix join and schedule its timeline.
 
     Kernel, memory check and charge back to back, for callers that place
-    the join themselves.  ``output_order`` is ``"probe"``-major by default,
-    ``"build"``-major for joins whose build side is the logical right
-    input, ``None`` for the raw partition-major order.
+    the join themselves: every available CPU socket co-partitions, ``gpus``
+    (default: all of them) join.  ``output_order`` is ``"probe"``-major by
+    default, ``"build"``-major for joins whose build side is the logical
+    right input, ``None`` for the raw partition-major order.
     """
-    cpu = cpu or topology.cpus()[0]
     gpus = list(gpus if gpus is not None else topology.gpus())
     columns, stats = coprocessed_join_kernel(
         build, probe, build_keys=build_keys, probe_keys=probe_keys,
         gpu_specs=[gpu.spec for gpu in gpus], output_order=output_order)
     ensure_copartitions_fit([nbytes for nbytes, _ in stats.copartitions],
                             gpus)
-    cost, _ = charge_coprocessed_join(stats, topology, cpu, gpus,
+    cost, _ = charge_coprocessed_join(stats, topology,
+                                      topology.available_cpus(), gpus,
                                       config=config)
     return OpOutput(columns=columns, cost=cost)

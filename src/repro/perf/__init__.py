@@ -1,6 +1,7 @@
-"""Paper-scale performance models for every evaluation figure: Figs. 5-6
-replay the join operators' own estimates on closed-form stats records,
-Figs. 7-9 are closed-form pipeline models."""
+"""Paper-scale performance models for every evaluation figure: Figs. 5-7
+replay the join operators' own estimates (Fig. 7: the co-processed join's
+own timeline) on closed-form stats records, Figs. 8-9 are closed-form
+pipeline models."""
 
 from .join_models import (
     FIGURE5_PARTITION_SIZES,
@@ -9,6 +10,7 @@ from .join_models import (
     FIGURE7_SIZES_MTUPLES,
     JoinModels,
     JoinPoint,
+    dense_coprocessed_stats,
     dense_hash_stats,
     dense_join_stats,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "PAPER_SCALE_FACTOR",
     "QueryEstimate",
     "TPCHModels",
+    "dense_coprocessed_stats",
     "dense_hash_stats",
     "dense_join_stats",
     "format_headline_claims",

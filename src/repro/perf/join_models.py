@@ -2,25 +2,32 @@
 
 These regenerate Figures 5, 6 and 7 at the sizes the paper uses (up to 2
 billion tuples per table), which cannot be materialized inside a Python
-process.  Figures 5 and 6 are a *replay*, not a second derivation: the
-stats record an executed join of the microbenchmark would leave is written
-down in closed form (:func:`dense_join_stats` / :func:`dense_hash_stats` —
-rows x the schema's field widths, no data) and priced by the operators' own
-``estimate_*`` functions, so at any size that can be executed the figure
-and the engine agree to the bit.  Figure 7's CPU and PCIe stages stay a
-closed-form pipeline model (its GPU stage is the Figure 6 replay).
+process.  All three are a *replay*, not a second derivation: the stats
+record an executed join of the microbenchmark would leave is written down
+in closed form (:func:`dense_join_stats` / :func:`dense_hash_stats` /
+:func:`dense_coprocessed_stats` — rows x the schema's field widths, no
+data) and priced by the operators' own ``estimate_*`` functions — for
+Figure 7, the co-processed join's own timeline,
+:func:`~repro.operators.coprocess.charge_coprocessed_join` — so at any
+size that can be executed the figure and the engine agree to the bit.
+Figures 8-9 (:mod:`repro.perf.tpch_models`) stay closed-form models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from typing import Sequence
 
 from ..baselines.dbms_c import DBMSC
 from ..baselines.dbms_g import DBMSG
 from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology, default_server
+from ..operators.coprocess import (
+    CoprocessedJoinStats,
+    charge_coprocessed_join,
+    plan_coprocessing,
+)
 from ..operators.gpujoin import (
     PROBE_VARIANTS,
     estimate_gpu_partitioned_join,
@@ -36,7 +43,6 @@ from ..operators.radix import (
     PartitionedJoinStats,
     PartitionRunStats,
     estimate_cpu_radix_join,
-    estimate_radix_partition,
     plan_partition_passes,
 )
 from ..storage.datagen import MICROBENCH_TUPLE_BYTES
@@ -75,6 +81,26 @@ def dense_hash_stats(tuples: int) -> JoinStats:
                      output_nbytes=nbytes)
 
 
+def dense_coprocessed_stats(tuples: int, gpu_specs: Sequence[DeviceSpec],
+                            ) -> CoprocessedJoinStats:
+    """The record the co-processed join of the same two tables leaves on
+    ``gpu_specs``: one CPU pass per side at the fan-out
+    :func:`~repro.operators.coprocess.plan_coprocessing` picks, and
+    co-partition ``i`` — the keys ``i mod fanout``, dense again once that
+    digit is consumed — joined on spec ``i mod n`` as the
+    :func:`dense_join_stats` of its rows."""
+    fanout = plan_coprocessing(2 * tuples * MICROBENCH_TUPLE_BYTES, gpu_specs)
+    run = PartitionRunStats(MICROBENCH_TUPLE_BYTES, ((tuples, fanout),))
+    rows = [tuples // fanout + (index < tuples % fanout)
+            for index in range(fanout)]
+    return CoprocessedJoinStats(
+        build_rows=tuples, probe_rows=tuples, build_run=run, probe_run=run,
+        copartitions=tuple(
+            (2 * count * MICROBENCH_TUPLE_BYTES,
+             dense_join_stats(count, gpu_specs[index % len(gpu_specs)]))
+            for index, count in enumerate(rows)))
+
+
 @dataclass(frozen=True)
 class JoinPoint:
     """One (variant, size) point of a join figure."""
@@ -88,15 +114,22 @@ class JoinPoint:
         return self.seconds is not None
 
 
+def _series(models: dict, sizes_mtuples) -> dict[str, list[JoinPoint]]:
+    """legend label -> the label's model at every size (million tuples)."""
+    return {variant: [JoinPoint(variant, int(mtuples * 1e6),
+                                model(int(mtuples * 1e6)))
+                      for mtuples in sizes_mtuples]
+            for variant, model in models.items()}
+
+
 class JoinModels:
-    """Analytic single-device and co-processing join models."""
+    """Paper-scale single-device and co-processing join replays."""
 
     def __init__(self, topology: Topology | None = None) -> None:
         self.topology = topology if topology is not None else default_server()
         self.cpu = self.topology.cpus()[0]
         self.gpu = self.topology.gpus()[0]
         self.num_cpus = len(self.topology.cpus())
-        self.num_gpus = len(self.topology.gpus())
         self.dbms_c = DBMSC(self.topology)
         self.dbms_g = DBMSG(self.topology)
 
@@ -162,55 +195,28 @@ class JoinModels:
     def figure6_series(self, *, sizes_mtuples=FIGURE6_SIZES_MTUPLES
                        ) -> dict[str, list[JoinPoint]]:
         """All Figure-6 curves keyed by the figure's legend labels."""
-        variants = {
+        return _series({
             "Partitioned CPU": self.partitioned_cpu_seconds,
             "Partitioned GPU": self.partitioned_gpu_seconds,
             "Non-partitioned CPU": self.non_partitioned_cpu_seconds,
             "Non-partitioned GPU": self.non_partitioned_gpu_seconds,
             "DBMS C": self.dbms_c_seconds,
             "DBMS G": self.dbms_g_seconds,
-        }
-        series: dict[str, list[JoinPoint]] = {}
-        for variant, model in variants.items():
-            points = []
-            for mtuples in sizes_mtuples:
-                tuples = int(mtuples * 1e6)
-                points.append(JoinPoint(variant, tuples, model(tuples)))
-            series[variant] = points
-        return series
+        }, sizes_mtuples)
 
     # ------------------------------------------------------------------
     # Figure 7: out-of-GPU co-processing join, data CPU-resident
     # ------------------------------------------------------------------
     def coprocessing_seconds(self, tuples: int, *, num_gpus: int = 1) -> float:
-        """The CPU+GPU co-processed radix join of Section 5 / Figure 7."""
-        num_gpus = max(min(num_gpus, self.num_gpus), 1)
-        cpu, gpu = self.cpu, self.gpu
-        input_bytes = 2 * tuples * MICROBENCH_TUPLE_BYTES
-        gpu_budget = gpu.spec.memory_capacity_bytes * 0.4
-        fanout = max(int(np.ceil(input_bytes / gpu_budget)), num_gpus)
-        # Stage 1: CPU-side low-fan-out co-partitioning at DRAM bandwidth,
-        # parallel over both sockets.
-        cpu_stage = 2 * estimate_radix_partition(
-            tuples, MICROBENCH_TUPLE_BYTES, fanout, cpu
-        ).seconds / self.num_cpus
-        # Stage 2: a single pass over PCIe, one dedicated link per GPU.
-        route = self.topology.route(cpu.name, gpu.name)
-        pcie_stage = route.transfer_time(int(input_bytes / num_gpus))
-        # Stage 3: in-GPU partitioned join of each co-partition.
-        per_gpu_tuples = int(np.ceil(tuples / num_gpus))
-        gpu_stage = self.partitioned_gpu_seconds(
-            min(per_gpu_tuples, int(gpu_budget // (2 * MICROBENCH_TUPLE_BYTES))))
-        if gpu_stage is None:  # pragma: no cover - defensive
-            gpu_stage = pcie_stage
-        gpu_stage *= per_gpu_tuples / max(
-            min(per_gpu_tuples, int(gpu_budget // (2 * MICROBENCH_TUPLE_BYTES))), 1)
-        # The three stages pipeline over the co-partitions; the slowest stage
-        # dominates and the others are partially exposed at ramp-up/drain.
-        stages = [cpu_stage, pcie_stage, gpu_stage]
-        bottleneck = max(stages)
-        exposed = 0.15 * (sum(stages) - bottleneck)
-        return bottleneck + exposed
+        """The CPU+GPU co-processed radix join of Section 5 / Figure 7 on
+        the first ``num_gpus`` GPUs: :func:`dense_coprocessed_stats`
+        replayed onto the (reset) clocks by the operator's own charge."""
+        gpus = self.topology.gpus()[:num_gpus]
+        self.topology.reset()
+        _, finished = charge_coprocessed_join(
+            dense_coprocessed_stats(tuples, [gpu.spec for gpu in gpus]),
+            self.topology, self.topology.available_cpus(), gpus)
+        return finished
 
     def dbms_g_out_of_gpu_seconds(self, tuples: int) -> float:
         return self.dbms_g.join_seconds(tuples, data_on_gpu=False)
@@ -218,18 +224,9 @@ class JoinModels:
     def figure7_series(self, *, sizes_mtuples=FIGURE7_SIZES_MTUPLES
                        ) -> dict[str, list[JoinPoint]]:
         """All Figure-7 curves keyed by the figure's legend labels."""
-        series: dict[str, list[JoinPoint]] = {
-            "1 GPU": [], "2 GPUs": [], "DBMS C": [], "DBMS G": [],
-        }
-        for mtuples in sizes_mtuples:
-            tuples = int(mtuples * 1e6)
-            series["1 GPU"].append(JoinPoint(
-                "1 GPU", tuples, self.coprocessing_seconds(tuples, num_gpus=1)))
-            series["2 GPUs"].append(JoinPoint(
-                "2 GPUs", tuples,
-                self.coprocessing_seconds(tuples, num_gpus=min(2, self.num_gpus))))
-            series["DBMS C"].append(JoinPoint(
-                "DBMS C", tuples, self.dbms_c_seconds(tuples)))
-            series["DBMS G"].append(JoinPoint(
-                "DBMS G", tuples, self.dbms_g_out_of_gpu_seconds(tuples)))
-        return series
+        return _series({
+            "1 GPU": self.coprocessing_seconds,
+            "2 GPUs": partial(self.coprocessing_seconds, num_gpus=2),
+            "DBMS C": self.dbms_c_seconds,
+            "DBMS G": self.dbms_g_out_of_gpu_seconds,
+        }, sizes_mtuples)

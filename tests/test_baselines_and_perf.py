@@ -12,7 +12,9 @@ import pytest
 
 from repro.baselines import DBMSC, DBMSG
 from repro.errors import UnsupportedQueryError
+from repro.hardware import default_server
 from repro.operators import (
+    coprocessed_join_kernel,
     cpu_radix_join_kernel,
     gpu_partitioned_join_kernel,
     hash_join_kernel,
@@ -21,6 +23,7 @@ from repro.perf import (
     FIGURE8_SYSTEMS,
     JoinModels,
     TPCHModels,
+    dense_coprocessed_stats,
     dense_hash_stats,
     dense_join_stats,
     format_headline_claims,
@@ -29,7 +32,7 @@ from repro.perf import (
 )
 from repro.relational import execute_logical
 from repro.storage import make_join_pair
-from repro.workloads import build_query, run_all_variants
+from repro.workloads import build_query, run_all_variants, run_coprocessed_join
 
 
 class TestDBMSC:
@@ -147,6 +150,31 @@ class TestFigure6Model:
         series = models.figure6_series(sizes_mtuples=(128, 512))
         assert series["Partitioned GPU"][1].seconds is None
         assert not series["Partitioned GPU"][1].supported
+
+
+class TestFigure7IsAReplay:
+    """One derivation: Figure 7 replays the record an executed co-processed
+    join of the microbenchmark leaves through the operator's own
+    timeline."""
+
+    TUPLES = 300_000
+
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    def test_synthesized_stats_equal_the_kernels_record(self, num_gpus):
+        specs = [gpu.spec for gpu in default_server().gpus()[:num_gpus]]
+        workload = make_join_pair(self.TUPLES)
+        _, stats = coprocessed_join_kernel(
+            workload.build.arrays(), workload.probe.arrays(),
+            build_keys=["key"], probe_keys=["key"], gpu_specs=specs)
+        assert stats == dense_coprocessed_stats(self.TUPLES, specs)
+        assert len(stats.copartitions) == num_gpus
+
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    def test_model_seconds_equal_executed_seconds_bit_for_bit(self,
+                                                              num_gpus):
+        executed = run_coprocessed_join(self.TUPLES, num_gpus=num_gpus)
+        assert executed.simulated_seconds == JoinModels().coprocessing_seconds(
+            self.TUPLES, num_gpus=num_gpus)
 
 
 class TestFigure7Model:

@@ -436,7 +436,7 @@ class TestStreamedDescriptionsMatchKernels:
             algorithm=JoinAlgorithm.COPROCESSED_RADIX)
         expected, expected_stats = coprocessed_join_kernel(
             build, probe, build_keys=["bk"], probe_keys=["pk"],
-            gpu_specs=[gpu.spec for gpu in stage.devices[1:]])
+            gpu_specs=[gpu.spec for gpu in stage.devices if gpu.is_gpu])
         if shape == "partitioned":
             assert len(stats.copartitions) > 2
         self._assert_bytes_equal(columns, expected)

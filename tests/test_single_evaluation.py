@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.engine import HAPEEngine, OptimizerOptions
+from repro.engine import HAPEEngine, OptimizerOptions, descriptions
 from repro.engine.descriptions import (
     CoprocessedJoin,
     HashJoin,
@@ -38,7 +38,10 @@ from repro.operators import (
     reset_kernel_counts,
 )
 from repro.operators import radix as radix_module
-from repro.operators.coprocess import copartition_nbytes
+from repro.operators.coprocess import (
+    COPARTITION_MEMORY_SHARE,
+    copartition_nbytes,
+)
 from repro.relational import (
     JoinAlgorithm,
     PAggregate,
@@ -215,6 +218,60 @@ class TestKernelRunsOncePerPlanNode:
         first = engine.execute(query.plan, "hybrid").simulated_seconds
         second = engine.execute(query.plan, "hybrid").simulated_seconds
         assert first == second
+
+
+class TestCoprocessedJoinInTheEngine:
+    def test_copartitioning_starts_once_its_inputs_exist(self, tpch_sf001,
+                                                         monkeypatch):
+        """Every slice of a join's CPU pass is charged no earlier than the
+        join's span starts — the later of its two inputs' ready times."""
+        passes = []
+        real = descriptions.charge_coprocessed_join
+
+        def spy(stats, topology, *args, **kwargs):
+            before = set(topology.timeline().records())
+            charged = real(stats, topology, *args, **kwargs)
+            passes.append([task for task in topology.timeline().records()
+                           if task not in before
+                           and task.label == "cpu-copartition"])
+            return charged
+
+        monkeypatch.setattr(descriptions, "charge_coprocessed_join", spy)
+        engine = HAPEEngine(default_server(), tracing=True,
+                            optimizer_options=OptimizerOptions(
+                                small_build_rows=10))
+        engine.register_dataset(tpch_sf001.tables)
+        result = engine.execute(build_query("Q9", tpch_sf001).plan, "hybrid")
+        spans = [span for span in result.trace.spans
+                 if span.op == "coprocessed-join"]
+        assert len(spans) == len(passes) == 3
+        for span, tasks in zip(spans, passes):
+            assert tasks and all(task.start >= span.start for task in tasks)
+
+    def test_mean_copartition_pair_fits_the_budget(self, tpch_sf001,
+                                                   monkeypatch):
+        """The fan-out is sized at the columns' own widths — the bytes that
+        cross PCIe — so the mean pair is within the GPU memory share."""
+        sized = []
+        real_check = CoprocessedJoin.check
+
+        def spy_check(op, batch):
+            sized.append(op._on_inputs(copartition_nbytes, batch))
+            return real_check(op, batch)
+
+        monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
+        capacity = 64 << 10
+        engine = HAPEEngine(default_server(
+            gpu_spec=gtx_1080().with_memory_capacity(capacity)))
+        engine.register_dataset(tpch_sf001.tables)
+        # Q9 does not finish on so small a GPU (a hash join's table does
+        # not fit); every co-processed join is sized before that.
+        with pytest.raises(OutOfDeviceMemoryError):
+            engine.execute(build_query("Q9", tpch_sf001).plan, "hybrid")
+        assert sized
+        for pairs in sized:
+            assert (sum(pairs) / len(pairs)
+                    <= COPARTITION_MEMORY_SHARE * capacity)
 
 
 class TestEngineMatchesReference:
@@ -398,16 +455,18 @@ _BUILD_TUPLE_BYTES, _PROBE_TUPLE_BYTES, _OUTPUT_ROW_BYTES = 13, 10, 11
 
 #: Simulated seconds of the three partitioned joins on
 #: :func:`_clashing_inputs`: ``shape -> (cpu radix, gpu partitioned,
-#: co-processed cost, co-processed finish)``.  Re-recorded by PR 23, which
-#: deliberately moved them: a tuple is charged its columns' item sizes
-#: (no 8-byte key code on top) and a pass is charged once, not per chunk.
+#: co-processed cost, co-processed finish)``.  The co-processed pair was
+#: re-recorded when it deliberately moved: the fan-out is sized at the
+#: columns' own widths (fewer co-partitions) and the CPU pass is charged
+#: per co-partition over both sockets, each transfer leaving when its
+#: slice ends.
 _PINNED_JOIN_SECONDS = {
     "dense": ("0x1.43565c86a1fe8p-18", "0x1.3a069263db900p-16",
-              "0x1.49e04491be0d8p-12", "0x1.e67d533d9f6b5p-14"),
+              "0x1.043a95e68a734p-12", "0x1.7ec28d5d76814p-14"),
     "half-missing": ("0x1.b1be463331cd4p-18", "0x1.412eb6b4726c5p-16",
-                     "0x1.0371f235e214dp-11", "0x1.8fba814a93888p-13"),
+                     "0x1.710ab09125649p-12", "0x1.1d9c5a0c1eca2p-13"),
     "duplicate-heavy": ("0x1.3ae7c5f3dc4cep-18", "0x1.38972c0da1c84p-16",
-                        "0x1.7cdcefc802810p-13", "0x1.27431e1117d07p-14"),
+                        "0x1.3af2df9d2768ep-13", "0x1.1c0ee4bcec7c4p-14"),
 }
 
 
@@ -629,7 +688,8 @@ class TestChargedBytesEqualKernelBytes:
             assert join.output_nbytes % _OUTPUT_ROW_BYTES == 0
         assert sum(join.output_nbytes for _, join in stats.copartitions) \
             == _nbytes(columns) == _nbytes(expected)
-        cost, finished = charge_coprocessed_join(stats, topology, cpu, gpus)
+        cost, finished = charge_coprocessed_join(stats, topology,
+                                                 topology.cpus(), gpus)
         seconds += [cost.seconds.hex(), finished.hex()]
         assert tuple(seconds) == _PINNED_JOIN_SECONDS[shape]
 
