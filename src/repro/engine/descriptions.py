@@ -45,7 +45,7 @@ from ..operators.aggregate import (
 )
 from ..operators.base import (
     ArrayMap,
-    columns_nbytes,
+    Rows,
     columns_num_rows,
     record_kernel_invocation,
 )
@@ -60,7 +60,6 @@ from ..operators.filterproject import (
     estimate_filter_project,
     filter_project_morsel,
     referenced_columns,
-    touched_bytes,
 )
 from ..operators.gpujoin import (
     ensure_gpu_join_fits,
@@ -153,7 +152,7 @@ class Operator:
     #: Results that are views over catalog-resident arrays pin no memory
     #: and are cached at a byte cost of 0.
     zero_copy = False
-    #: Per-morsel body of a streaming operator: ``batch -> (out, bytes
+    #: Per-morsel body of a streaming operator: ``Rows -> (Rows, bytes
     #: read)``.  Pure, so worker threads may run morsels concurrently.
     transform = None
     #: Whole-batch evaluation of a breaker or source:
@@ -224,7 +223,7 @@ class Scan(Operator):
         table = self.ex.catalog.table(self.node.table)
         names = self.node.columns if self.node.columns else table.column_names
         columns = {name: table.array(name) for name in names}
-        return columns, columns_nbytes(columns)
+        return columns, Rows.of(columns).nbytes()
 
     def charge(self, batch: NodeResult, nbytes: int) -> None:
         batch.residency = Residency.on(
@@ -319,10 +318,10 @@ class FilterProject(Operator):
         self.referenced = referenced_columns(self.node.predicate,
                                              self.node.projections)
 
-    def transform(self, batch: ArrayMap) -> tuple[ArrayMap, int]:
+    def transform(self, batch: Rows) -> tuple[Rows, int]:
         return (filter_project_morsel(batch, predicate=self.node.predicate,
                                       projections=self.node.projections),
-                touched_bytes(batch, self.referenced))
+                batch.nbytes(self.referenced))
 
     def stats(self, in_rows: int, in_bytes: int,
               out_nbytes: int) -> FilterProjectStats:
@@ -483,9 +482,9 @@ class HashJoin(Join):
         self.builder = HashJoinBuild(self.build.columns,
                                      build_keys=self.node.build_keys)
 
-    def transform(self, batch: ArrayMap) -> tuple[ArrayMap, int]:
+    def transform(self, batch: Rows) -> tuple[Rows, int]:
         return (self.builder.probe(batch, probe_keys=self.node.probe_keys),
-                columns_nbytes(batch))
+                batch.nbytes())
 
     def stats(self, in_rows: int, in_bytes: int,
               out_nbytes: int) -> JoinStats:

@@ -69,9 +69,13 @@ of streaming operators (scan source -> filter/project -> exchange routing
 :func:`~repro.codegen.pipeline.fused_chain`) are driven end to end — each
 source morsel flows through the *whole* chain before the next one is
 carved, and only the chain's boundary batch (the input of the breaker that
-consumes it) is ever reassembled.  Intermediate filter/project and join
-outputs exist one morsel at a time.  With fusion off every chain simply
-has length one: the same driver, the same per-morsel accumulation, one
+consumes it) is ever reassembled.  Inside the chain a morsel is a
+:class:`~repro.operators.base.Rows` view: filters and probes compose row
+positions, each column is gathered once and only when a stage reads it,
+and the view is materialized — every column gathered once, through its
+composed positions — only at the boundary.  Stage stats read the view's
+byte counts, which equal the gathered arrays'.  With fusion off every
+chain simply has length one: the same driver, the same views, one
 materialized batch per plan node.
 
 Fusion requires *memo-aware deferral*: an operator whose output is never
@@ -100,7 +104,7 @@ from ..codegen.pipeline import fused_chain, streams_morsels
 from ..hardware.device import Device
 from ..hardware.topology import Topology
 from ..obs.trace import QueryTrace, Span
-from ..operators.base import ArrayMap, OpCost, columns_nbytes, columns_num_rows
+from ..operators.base import ArrayMap, OpCost, Rows
 from ..relational.physical import PhysicalOp, referenced_tables, structural_key
 from ..stats.cardinality import q_error
 from ..storage.catalog import Catalog
@@ -622,8 +626,8 @@ class Executor:
         top = ops[-1]
         if not streams_morsels(top.node):
             columns, stats = top.run(source)
-            return columns, ((stats, columns_nbytes(columns),
-                              columns_num_rows(columns)),)
+            out = Rows.of(columns)
+            return columns, ((stats, out.nbytes(), out.num_rows),)
         stages = [op for op in ops if op.transform is not None]
         if not stages:  # a lone exchange
             return source.columns, (None,)
@@ -636,14 +640,14 @@ class Executor:
             outs: list[ArrayMap] = []
             flows: list[list] = []
             for index in span:
-                batch = morsels[index]
+                batch = Rows.of(morsels[index])
                 flow = []
                 for stage in stages:
                     out, in_bytes = stage.transform(batch)
-                    flow.append((columns_num_rows(batch), in_bytes,
-                                 columns_nbytes(out), columns_num_rows(out)))
+                    flow.append((batch.num_rows, in_bytes, out.nbytes(),
+                                 out.num_rows))
                     batch = out
-                outs.append(batch)
+                outs.append(dict(batch))  # each column gathered once
                 flows.append(flow)
             return outs, flows
 

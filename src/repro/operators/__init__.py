@@ -26,7 +26,8 @@ Kernels take whole batches.  Carving a batch into morsels and streaming
 them is the executor's job, not an operator's: a *streaming* operator
 (filter/project, the hash join's probe) additionally exposes the pure
 per-morsel body its kernel applies to the whole batch
-(``filter_project_morsel``, ``HashJoinBuild.probe``), and the one driver in
+(``filter_project_morsel``, ``HashJoinBuild.probe``) over a ``Rows`` view
+that composes row positions, and the one driver in
 :mod:`repro.engine.executor` applies that body slice by slice; a *breaker*
 (aggregate, join build, partitioned join) is handed the resident batch.
 See invariant 3 in :mod:`repro.operators.base`.
@@ -78,7 +79,7 @@ from .base import (
     ArrayMap,
     OpCost,
     OpOutput,
-    columns_nbytes,
+    Rows,
     columns_num_rows,
     kernel_counts,
     record_kernel_invocation,
@@ -98,7 +99,6 @@ from .filterproject import (
     filter_project_kernel,
     filter_project_morsel,
     referenced_columns,
-    touched_bytes,
 )
 from .gpujoin import (
     GpuJoinConfig,
@@ -152,9 +152,9 @@ __all__ = [
     "PartitionPlan",
     "PartitionRunStats",
     "PartitionedJoinStats",
+    "Rows",
     "build_table_bytes",
     "charge_coprocessed_join",
-    "columns_nbytes",
     "columns_num_rows",
     "coprocessed_join_kernel",
     "coprocessed_radix_join",
@@ -190,5 +190,4 @@ __all__ = [
     "referenced_columns",
     "reset_kernel_counts",
     "target_partition_bytes",
-    "touched_bytes",
 ]

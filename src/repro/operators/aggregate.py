@@ -30,7 +30,7 @@ import numpy as np
 
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
-from ..relational.expr import AggregateSpec
+from ..relational.expr import AggregateSpec, evaluate_all
 from ..relational.keys import KeyDomain, group_ids
 from .base import (
     ArrayMap,
@@ -120,7 +120,8 @@ def hash_aggregate_kernel(
     ``phase`` only affects how ``avg`` is handled: partial aggregation keeps
     ``sum`` and ``count`` so that the final merge can recombine them; the
     reference output shape (one ``avg`` column) is produced by the final /
-    complete phase.
+    complete phase.  Specs over the same input expression share one
+    evaluated array and one sum (Q1's ``avg_qty`` divides ``sum_qty``'s).
     """
     record_kernel_invocation("hash_aggregate")
     columns = {name: np.asarray(values) for name, values in columns.items()}
@@ -132,34 +133,36 @@ def hash_aggregate_kernel(
         # groups, but a *grand* aggregate still emits its single row
         # (count=0, sum=0, min=inf, ...), matching the reference executor.
         counts = np.zeros(1, dtype=np.int64)
+    exprs = {repr(spec.expr): spec.expr for spec in aggregates
+             if spec.func != "count"}
+    inputs = {key: np.asarray(values, dtype=np.float64) for key, values
+              in zip(exprs, evaluate_all(list(exprs.values()), columns))}
+    sums: dict[str, np.ndarray] = {}
     for spec in aggregates:
-        result.update(_evaluate_aggregate(spec, columns, ids, counts, phase,
-                                          grand=not group_by))
+        key = repr(spec.expr)
+        if spec.func == "count":
+            result[spec.alias] = counts.astype(np.int64)
+            continue
+        if spec.func in ("min", "max"):
+            result[spec.alias] = _extreme(spec.func, ids, len(counts),
+                                          inputs[key])
+            continue
+        if key not in sums:
+            # One global group: accumulate with NumPy's pairwise reduction,
+            # exactly as the reference executor's grand aggregate does —
+            # the sequential per-group ``np.bincount`` path would differ in
+            # the last ulp for large inputs.
+            sums[key] = (np.asarray([inputs[key].sum()]) if not group_by
+                         else np.bincount(ids, weights=inputs[key],
+                                          minlength=len(counts)))
+        if spec.func == "sum":
+            result[spec.alias] = sums[key]
+        elif phase == "partial":
+            result[f"{spec.alias}__sum"] = sums[key]
+            result[f"{spec.alias}__count"] = counts.astype(np.float64)
+        else:
+            result[spec.alias] = sums[key] / np.maximum(counts, 1)
     return result, AggregateStats(num_rows=num_rows, num_groups=len(counts))
-
-
-def _evaluate_aggregate(spec: AggregateSpec, columns: Mapping[str, np.ndarray],
-                        ids: np.ndarray, counts: np.ndarray, phase: str, *,
-                        grand: bool = False) -> ArrayMap:
-    if spec.func == "count":
-        return {spec.alias: counts.astype(np.int64)}
-    values = np.asarray(spec.expr.evaluate(columns), dtype=np.float64)
-    if grand:
-        # One global group: accumulate with NumPy's pairwise reduction,
-        # exactly as the reference executor's grand aggregate does — the
-        # sequential per-group ``np.bincount`` path would differ in the
-        # last ulp for large inputs.
-        sums = np.asarray([values.sum()])
-    else:
-        sums = np.bincount(ids, weights=values, minlength=len(counts))
-    if spec.func == "sum":
-        return {spec.alias: sums}
-    if spec.func == "avg":
-        if phase == "partial":
-            return {f"{spec.alias}__sum": sums,
-                    f"{spec.alias}__count": counts.astype(np.float64)}
-        return {spec.alias: sums / np.maximum(counts, 1)}
-    return {spec.alias: _extreme(spec.func, ids, len(counts), values)}
 
 
 def _extreme(func: str, ids: np.ndarray, num_groups: int,

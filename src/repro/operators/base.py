@@ -35,8 +35,12 @@ The contract has three invariants the executor (and the tests) rely on:
    morsels untouched) gives that driver a pure per-morsel body —
    :func:`~repro.operators.filterproject.filter_project_morsel`,
    :meth:`~repro.operators.hashjoin.HashJoinBuild.probe` — which its own
-   whole-batch kernel applies once to everything.  A *breaker* (aggregates,
-   join build sides, the partitioned joins) is handed the resident batch.
+   whole-batch kernel applies once to everything.  Inside a stream a
+   morsel is a :class:`Rows` view: a filter or a probe composes row
+   positions, each column is gathered once and only when read, and the
+   driver materializes the view at the chain's boundary.  A *breaker*
+   (aggregates, join build sides, the partitioned joins) is handed the
+   resident batch, a plain column map.
    The whole-batch kernel is therefore the reference the driver's
    streaming is tested against: for every engine ``morsel_rows`` the
    streamed columns and the accumulated stats equal the kernel's, bit for
@@ -58,8 +62,8 @@ analytic models reuse the exact same costing code.
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -141,18 +145,7 @@ class OpOutput:
 
     @property
     def num_rows(self) -> int:
-        if not self.columns:
-            return 0
-        return int(len(next(iter(self.columns.values()))))
-
-    @property
-    def nbytes(self) -> int:
-        return int(sum(values.nbytes for values in self.columns.values()))
-
-
-def columns_nbytes(columns: Mapping[str, np.ndarray]) -> int:
-    """Total payload bytes of a column map."""
-    return int(sum(np.asarray(values).nbytes for values in columns.values()))
+        return columns_num_rows(self.columns)
 
 
 def columns_num_rows(columns: Mapping[str, np.ndarray]) -> int:
@@ -162,6 +155,83 @@ def columns_num_rows(columns: Mapping[str, np.ndarray]) -> int:
     return int(len(next(iter(columns.values()))))
 
 
-def empty_like(columns: Mapping[str, np.ndarray]) -> ArrayMap:
-    """A zero-row column map with the same names and dtypes."""
-    return {name: np.asarray(values)[:0] for name, values in columns.items()}
+class Rows(Mapping):
+    """A batch as row positions into the arrays its columns came from.
+
+    Each column name maps to a pair: the source array and the positions to
+    read from it (``None``: the array as is).  A column is gathered the
+    first time it is read, and only once — a view taken from this one reads
+    the gathered array; a filter or a join probe composes positions
+    (:meth:`take`) instead of moving any column.  Being a ``Mapping``, a
+    view goes wherever a column map does — ``Expr.evaluate``,
+    ``KeyDomain.encode`` — and ``dict(rows)`` materializes it.  Its bytes
+    are rows x item size per column, which is what the gathered 1-D arrays
+    hold, so stats read them without gathering.  Reading a column fills
+    the view's cache, so a view that worker threads share — a join's build
+    side — is only ever :meth:`take`\\ n, which reads nothing but the
+    cache.
+    """
+
+    __slots__ = ("pairs", "num_rows", "_read")
+
+    def __init__(self, pairs: dict[str, tuple[np.ndarray, np.ndarray | None]],
+                 num_rows: int) -> None:
+        self.pairs = pairs
+        self.num_rows = num_rows
+        self._read: ArrayMap = {}
+
+    @classmethod
+    def of(cls, columns: Mapping[str, np.ndarray]) -> "Rows":
+        """``columns`` as a view (a view is returned as is)."""
+        if isinstance(columns, Rows):
+            return columns
+        arrays = {name: np.asarray(values) for name, values in columns.items()}
+        return cls({name: (values, None) for name, values in arrays.items()},
+                   columns_num_rows(arrays))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        values = self._read.get(name)
+        if values is None:
+            source, positions = self.pairs[name]
+            values = self._read[name] = (source if positions is None
+                                         else source[positions])
+        return values
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def nbytes(self, names: set[str] | None = None) -> int:
+        """Bytes of the named columns (all with ``None``) once gathered."""
+        return int(sum(self.num_rows * source.itemsize
+                       for name, (source, _) in self.pairs.items()
+                       if names is None or name in names))
+
+    def take(self, positions: np.ndarray | None) -> "Rows":
+        """A view of the rows at ``positions`` (``None``: all, in order).
+
+        A column this view has gathered is read from its gathered array;
+        every other distinct positions array is composed once.
+        """
+        composed = {id(None): positions}
+        pairs = {}
+        for name, (source, own) in self.pairs.items():
+            if name in self._read:
+                source, own = self._read[name], None
+            if id(own) not in composed:
+                composed[id(own)] = own if positions is None else own[positions]
+            pairs[name] = (source, composed[id(own)])
+        return Rows(pairs, self.num_rows if positions is None
+                    else len(positions))
+
+    @staticmethod
+    def joined(build: "Rows", probe: "Rows", build_positions: np.ndarray,
+               probe_positions: np.ndarray | None) -> "Rows":
+        """A join's output: the build columns at the build match positions,
+        then the probe columns at theirs (probe columns win name clashes;
+        ``None`` keeps the probe rows as they are)."""
+        return Rows({**build.take(build_positions).pairs,
+                     **probe.take(probe_positions).pairs},
+                    len(build_positions))

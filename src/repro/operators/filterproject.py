@@ -6,6 +6,13 @@ referenced input columns plus the vectorized compute, with *no*
 materialization of intermediates — the contrast with the vector-at-a-time
 baseline (DBMS C), which pays one in-cache materialization per primitive.
 
+The data path does the same.  A predicate selects row *positions*: the
+filter's output is a :class:`~repro.operators.base.Rows` view of its input
+at those positions, so no column moves until something reads it.
+Projections read only the columns they reference, on the selected rows,
+and a subtree repeated across the projection set is evaluated once
+(:func:`~repro.relational.expr.evaluate_all`).
+
 Filter/project is a *streaming* operator under the morsel contract (see
 :mod:`repro.operators.base`): :func:`filter_project_morsel` transforms one
 morsel independently of every other, so the executor's driver may apply it
@@ -18,18 +25,17 @@ against, bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from ..hardware.device import Device
-from ..relational.expr import Expr
+from ..relational.expr import Expr, evaluate_all
 from .base import (
     ArrayMap,
     OpCost,
-    columns_num_rows,
+    Rows,
     record_kernel_invocation,
 )
 
@@ -53,12 +59,7 @@ def expression_op_count(expr: Expr | None) -> int:
     """Approximate per-tuple scalar op count of an expression tree."""
     if expr is None:
         return 0
-    count = 1
-    for attr in ("left", "right", "operand"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr):
-            count += expression_op_count(child)
-    return count
+    return 1 + sum(map(expression_op_count, expr.children))
 
 
 @dataclass(frozen=True)
@@ -70,69 +71,46 @@ class FilterProjectStats:
 
 
 def referenced_columns(predicate: Expr | None,
-                       projections: Mapping[str, Expr] | None) -> set[str]:
+                       projections: Mapping[str, Expr] | None,
+                       ) -> set[str] | None:
     """Input columns a fused filter/project reads.
 
-    An empty set means "every input column" (a pass-through touches all of
-    its input).  Shared by :func:`filter_project_kernel` and the executor's
+    ``None`` means "every input column" (a pass-through touches all of its
+    input) — the argument :meth:`Rows.nbytes` takes for the bytes the pass
+    streams.  Shared by :func:`filter_project_kernel` and the executor's
     fused-chain stage so both accumulate identical ``touched_bytes``.
     """
-    referenced: set[str] = set()
-    if predicate is not None:
-        referenced |= predicate.columns()
-    if projections:
-        for expr in projections.values():
-            referenced |= expr.columns()
-    return referenced
-
-
-def touched_bytes(columns: Mapping[str, np.ndarray],
-                  referenced: set[str]) -> int:
-    """Bytes of ``columns`` a pass referencing ``referenced`` streams.
-
-    With ``referenced`` empty every column counts (pass-through).  Summing
-    this per morsel equals the whole-batch figure exactly: morsels
-    partition each column's rows, and ``nbytes`` is additive over slices.
-    """
-    if not referenced:
-        return int(sum(np.asarray(values).nbytes
-                       for values in columns.values()))
-    return int(sum(np.asarray(columns[name]).nbytes
-                   for name in referenced if name in columns))
+    exprs = [predicate, *(projections or {}).values()]
+    return set().union(*(expr.columns() for expr in exprs
+                         if expr is not None)) or None
 
 
 def filter_project_morsel(
         columns: Mapping[str, np.ndarray], *,
         predicate: Expr | None = None,
         projections: Mapping[str, Expr] | None = None,
-) -> ArrayMap:
+) -> Rows:
     """Transform one morsel (or a whole batch) of columns; pure, no stats.
 
     This is the body the executor's morsel stream and the whole-batch
-    kernel share: masking and expression evaluation are row-local, so
+    kernel share: selection and expression evaluation are row-local, so
     applying it slice-by-slice and concatenating reproduces the whole-batch
-    result exactly.
+    result exactly.  A constant predicate keeps every row or none.
     """
-    columns = {name: np.asarray(values) for name, values in columns.items()}
-    num_rows = columns_num_rows(columns)
-
-    working: ArrayMap = dict(columns)
-    if predicate is not None and num_rows:
-        mask = np.asarray(predicate.evaluate(working), dtype=bool)
-        working = {name: values[mask] for name, values in working.items()}
-    elif predicate is not None:
-        working = {name: values[:0] for name, values in working.items()}
-
-    if projections:
-        selectivity_rows = columns_num_rows(working)
-        projected: ArrayMap = {}
-        for alias, expr in projections.items():
-            values = np.asarray(expr.evaluate(working))
-            if values.ndim == 0:
-                values = np.full(selectivity_rows, values)
-            projected[alias] = values
-        working = projected
-    return working
+    rows = Rows.of(columns)
+    if predicate is not None:
+        mask = np.asarray(predicate.evaluate(rows), dtype=bool)
+        rows = rows.take(np.flatnonzero(
+            np.broadcast_to(mask, (rows.num_rows,))))
+    if not projections:
+        return rows
+    projected: ArrayMap = {}
+    for alias, values in zip(projections, evaluate_all(
+            list(projections.values()), rows)):
+        values = np.asarray(values)
+        projected[alias] = (np.full(rows.num_rows, values) if values.ndim == 0
+                            else values)
+    return Rows.of(projected)
 
 
 def filter_project_kernel(
@@ -146,12 +124,12 @@ def filter_project_kernel(
     :func:`estimate_filter_project` consumes to cost the pass on any device.
     """
     record_kernel_invocation("filter_project")
-    columns = {name: np.asarray(values) for name, values in columns.items()}
-    referenced = referenced_columns(predicate, projections)
-    stats = FilterProjectStats(num_rows=columns_num_rows(columns),
-                               touched_bytes=touched_bytes(columns, referenced))
-    return filter_project_morsel(columns, predicate=predicate,
-                                 projections=projections), stats
+    rows = Rows.of(columns)
+    stats = FilterProjectStats(
+        num_rows=rows.num_rows,
+        touched_bytes=rows.nbytes(referenced_columns(predicate, projections)))
+    return dict(filter_project_morsel(rows, predicate=predicate,
+                                      projections=projections)), stats
 
 
 def estimate_filter_project(stats: FilterProjectStats, device: Device, *,

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
-from .base import OpCost, OpOutput, columns_nbytes
+from .base import OpCost, OpOutput, Rows
 from .filterproject import compute_ops_per_sec
 from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
@@ -144,8 +144,8 @@ def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
                          probe: Mapping[str, np.ndarray],
                          device: Device) -> None:
     """Raise before any join work when the inputs cannot fit in GPU memory."""
-    device.ensure_fits(gpu_join_footprint(columns_nbytes(build)
-                                          + columns_nbytes(probe)))
+    device.ensure_fits(gpu_join_footprint(Rows.of(build).nbytes()
+                                          + Rows.of(probe).nbytes()))
 
 
 def estimate_gpu_partitioned_join(stats: PartitionedJoinStats,

@@ -25,9 +25,13 @@ That probe surface is also what makes this join *fusable*
 (:func:`repro.codegen.pipeline.is_fused_probe`): the executor's
 pipeline-fused chains build the index once and then drive each chain
 morsel through :meth:`HashJoinBuild.probe` on its way to the fusion
-boundary, so the join output never materializes as a standalone batch.
-The partitioned joins cannot offer this — they re-order both inputs — and
-therefore always break the chain.
+boundary.  A probe moves no column: its output is a
+:class:`~repro.operators.base.Rows` view — build columns at the build
+match positions, probe columns at the probe match positions composed onto
+theirs — so a build column nothing above reads is never gathered.  The
+partitioned joins cannot offer this — they re-order both inputs — and
+therefore always break the chain; they gather their output through the
+same view, once (:class:`~repro.operators.radix.JoinSides`).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .base import (
     ArrayMap,
     OpCost,
     OpOutput,
-    columns_num_rows,
+    Rows,
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
@@ -53,29 +57,6 @@ HASH_ENTRY_BYTES = 16
 
 #: Scalar ops per build/probe step in generated code (hashing + compare).
 _OPS_PER_STEP = 8.0
-
-
-def _materialize_join(build: Mapping[str, np.ndarray],
-                      probe: Mapping[str, np.ndarray],
-                      build_indices: np.ndarray,
-                      probe_indices: np.ndarray) -> ArrayMap:
-    """Gather the output columns of a join (probe columns win name clashes).
-
-    When every probe row matched exactly once, in order, the probe columns
-    pass through un-gathered: batches are immutable engine-wide (as with
-    ``filter_project_morsel``'s aliased inputs), and every ``nbytes`` the
-    cost model is charged is that of the gathered copy.
-    """
-    result: ArrayMap = {}
-    for name, values in build.items():
-        result[name] = np.asarray(values)[build_indices]
-    probe_rows = columns_num_rows(probe)
-    unmoved = (len(probe_indices) == probe_rows
-               and (probe_indices == np.arange(probe_rows)).all())
-    for name, values in probe.items():
-        values = np.asarray(values)
-        result[name] = values if unmoved else values[probe_indices]
-    return result
 
 
 @dataclass(frozen=True)
@@ -103,18 +84,9 @@ class HashJoinBuild:
 
     def __init__(self, build: Mapping[str, np.ndarray], *,
                  build_keys: Sequence[str]) -> None:
-        self.columns = {name: np.asarray(values)
-                        for name, values in build.items()}
-        self.domain = KeyDomain(self.columns, build_keys)
+        self.rows = Rows.of(build)
+        self.domain = KeyDomain(self.rows, build_keys)
         self.index = JoinBuildIndex(self.domain.codes)
-
-    @property
-    def num_rows(self) -> int:
-        return columns_num_rows(self.columns)
-
-    @property
-    def nbytes(self) -> int:
-        return int(sum(v.nbytes for v in self.columns.values()))
 
     def match(self, probe: Mapping[str, np.ndarray],
               probe_keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +94,20 @@ class HashJoinBuild:
         return self.index.probe(self.domain.encode(probe, probe_keys))
 
     def probe(self, probe: Mapping[str, np.ndarray], *,
-              probe_keys: Sequence[str]) -> ArrayMap:
-        """Join one probe batch (whole side or a single morsel)."""
-        probe = {name: np.asarray(values) for name, values in probe.items()}
-        return _materialize_join(self.columns, probe,
-                                 *self.match(probe, probe_keys))
+              probe_keys: Sequence[str]) -> Rows:
+        """Join one probe batch (whole side or a single morsel).
+
+        The output is a view: build columns at the build match positions,
+        probe columns at the probe's composed onto theirs.  Over unique
+        build keys the probe positions ascend, so when every probe row
+        matched they are the rows as they are, and the probe columns stay
+        put.
+        """
+        probe = Rows.of(probe)
+        build_idx, probe_idx = self.match(probe, probe_keys)
+        unmoved = self.index.unique_keys and len(probe_idx) == probe.num_rows
+        return Rows.joined(self.rows, probe, build_idx,
+                           None if unmoved else probe_idx)
 
 
 def hash_join_kernel(build: Mapping[str, np.ndarray],
@@ -150,7 +131,7 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
         raise ValueError("output_order must be 'probe' or 'build'")
     record_kernel_invocation("hash_join")
     builder = HashJoinBuild(build, build_keys=build_keys)
-    probe = {name: np.asarray(values) for name, values in probe.items()}
+    probe = Rows.of(probe)
     if output_order == "build":
         # The match list arrives probe-major with ties build-ascending (the
         # JoinBuildIndex.probe contract), so one stable sort of the build
@@ -158,19 +139,18 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
         # the same rows and bytes as the probe-major path.
         build_indices, probe_indices = builder.match(probe, probe_keys)
         order = np.argsort(build_indices, kind="stable")
-        columns = _materialize_join(builder.columns, probe,
-                                    build_indices[order],
-                                    probe_indices[order])
+        rows = Rows.joined(builder.rows, probe, build_indices[order],
+                           probe_indices[order])
     else:
-        columns = builder.probe(probe, probe_keys=probe_keys)
+        rows = builder.probe(probe, probe_keys=probe_keys)
     stats = JoinStats(
-        build_rows=builder.num_rows,
-        probe_rows=columns_num_rows(probe),
-        build_nbytes=builder.nbytes,
-        probe_nbytes=int(sum(v.nbytes for v in probe.values())),
-        output_nbytes=int(sum(v.nbytes for v in columns.values())),
+        build_rows=builder.rows.num_rows,
+        probe_rows=probe.num_rows,
+        build_nbytes=builder.rows.nbytes(),
+        probe_nbytes=probe.nbytes(),
+        output_nbytes=rows.nbytes(),
     )
-    return columns, stats
+    return dict(rows), stats
 
 
 def estimate_non_partitioned_join(stats: JoinStats,

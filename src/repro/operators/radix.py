@@ -61,10 +61,11 @@ from .base import (
     ArrayMap,
     OpCost,
     OpOutput,
+    Rows,
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES, _materialize_join
+from .hashjoin import HASH_ENTRY_BYTES
 
 #: Scalar ops per tuple of one partitioning pass (hash, offset, copy).
 _OPS_PER_PARTITION_STEP = 6.0
@@ -413,9 +414,7 @@ class JoinSides:
                  output_order: str | None) -> None:
         if output_order not in ("probe", "build", None):
             raise ValueError("output_order must be 'probe', 'build' or None")
-        self.build, self.probe = (
-            {name: np.asarray(values) for name, values in side.items()}
-            for side in (build, probe))
+        self.build, self.probe = Rows.of(build), Rows.of(probe)
         domain = KeyDomain(self.build, build_keys)
         self.build_keys = domain.codes
         self.probe_keys = domain.encode(self.probe, probe_keys)
@@ -455,12 +454,20 @@ class JoinSides:
             output_nbytes=len(build_idx) * self.output_row_bytes)
 
     def gather(self, build_idx: np.ndarray, probe_idx: np.ndarray) -> ArrayMap:
-        """The join's output columns for partition-major match positions."""
+        """The join's output columns for partition-major match positions.
+
+        When every probe row matched exactly once, in order, the probe
+        columns pass through as they are.
+        """
+        probe_rows = len(self.probe_keys)
         if self.output_order is not None:
             build_idx, probe_idx = restore_canonical_order(
-                build_idx, probe_idx, probe_rows=len(self.probe_keys),
+                build_idx, probe_idx, probe_rows=probe_rows,
                 output_order=self.output_order)
-        return _materialize_join(self.build, self.probe, build_idx, probe_idx)
+        unmoved = (len(probe_idx) == probe_rows
+                   and (probe_idx == np.arange(probe_rows)).all())
+        return dict(Rows.joined(self.build, self.probe, build_idx,
+                                None if unmoved else probe_idx))
 
 
 def partitioned_join_kernel(

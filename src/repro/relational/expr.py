@@ -2,13 +2,18 @@
 
 Expressions are interpreted: :meth:`Expr.evaluate` walks the tree,
 vectorized over a mapping of column name to NumPy array.  That is the one
-evaluator; nothing renders an expression to source.
+evaluator; nothing renders an expression to source.  :func:`evaluate_all`
+runs it over an expression set (a projection list, an aggregate's inputs)
+evaluating each repeated subtree once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from collections import ChainMap, Counter
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -28,6 +33,13 @@ class Expr:
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
         """Vectorized evaluation over a block of columns."""
         raise NotImplementedError
+
+    @cached_property
+    def children(self) -> tuple["Expr", ...]:
+        """The operand subtrees (none for a column or a literal); kept on
+        the node, which never changes — cost estimates walk it per query."""
+        return tuple(value for value in vars(self).values()
+                     if isinstance(value, Expr))
 
     # --- operator sugar -------------------------------------------------
     def _wrap(self, other: "Expr | Scalar") -> "Expr":
@@ -208,6 +220,46 @@ def lit(value: Scalar) -> Literal:
 def between(expr: Expr, low: Scalar, high: Scalar) -> Expr:
     """Inclusive range predicate ``low <= expr <= high``."""
     return (expr >= lit(low)) & (expr <= lit(high))
+
+
+def evaluate_all(exprs: Sequence[Expr], columns: ArrayMap) -> list[np.ndarray]:
+    """Evaluate several expressions over one batch.
+
+    A subtree occurring more than once among them — the same structure,
+    its ``repr`` — is evaluated once and its array reused.  Nothing is
+    reassociated, so every result has the bits of evaluating it alone; and
+    only repeated subtrees are kept, so one-off temporaries are freed as
+    evaluation goes.
+    """
+    seen: Counter[str] = Counter()
+    for expr in exprs:
+        _count(expr, seen)
+    scope = ChainMap({}, columns)
+    return [_bind(expr, seen, scope).evaluate(scope) for expr in exprs]
+
+
+# Module-level, not closures: a recursive closure is a reference cycle,
+# and it would keep the batch it evaluated alive until the cyclic GC ran.
+def _count(expr: Expr, seen: Counter[str]) -> None:
+    """Count each subtree; a repeat's operands count with its first."""
+    seen[repr(expr)] += 1
+    if seen[repr(expr)] == 1:
+        for child in expr.children:
+            _count(child, seen)
+
+
+def _bind(expr: Expr, seen: Counter[str], scope: ChainMap,
+          top: bool = False) -> Expr:
+    """``expr`` reading each repeated subtree in it — itself too, unless
+    ``top`` — from ``scope``'s first map, evaluated there operands first."""
+    name = "\0" + repr(expr)
+    if top or seen[name[1:]] == 1 or not expr.children:
+        return replace(expr, **{field: _bind(value, seen, scope)
+                                for field, value in vars(expr).items()
+                                if isinstance(value, Expr)})
+    if name not in scope.maps[0]:
+        scope.maps[0][name] = _bind(expr, seen, scope, True).evaluate(scope)
+    return ColumnRef(name)
 
 
 @dataclass(frozen=True)

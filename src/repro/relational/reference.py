@@ -35,7 +35,10 @@ def _execute(plan: LogicalPlan, catalog: Catalog) -> dict[str, np.ndarray]:
         return {name: table.array(name) for name in names}
     if isinstance(plan, Filter):
         child = _execute(plan.child, catalog)
-        mask = np.asarray(plan.predicate.evaluate(child), dtype=bool)
+        num_rows = len(next(iter(child.values()))) if child else 0
+        # A constant predicate evaluates to one value: every row or none.
+        mask = np.broadcast_to(np.asarray(plan.predicate.evaluate(child),
+                                          dtype=bool), (num_rows,))
         return {name: values[mask] for name, values in child.items()}
     if isinstance(plan, Project):
         child = _execute(plan.child, catalog)

@@ -3,9 +3,13 @@
 Morsel-driven batched execution processes data in fixed-size horizontal
 slices instead of whole-column packets, so that operator working sets stay
 bounded and pipelines can overlap (the paper's bounded "data packing"
-blocks, Section 3).  A morsel is nothing but a column map — zero-copy
-views of at most ``morsel_rows`` consecutive rows of a batch — so whatever
-takes a batch takes a morsel.
+blocks, Section 3).  A carved morsel is a column map — zero-copy views of
+at most ``morsel_rows`` consecutive rows of a batch — so whatever takes a
+batch takes a morsel.  Inside a fused chain the driver wraps it in a
+:class:`~repro.operators.base.Rows` view, which filters and join probes
+narrow by composing row positions; each column is gathered once, when
+something reads it, and the view is materialized back into a column map
+at the chain's boundary.
 
 The module provides the two ends of the engine's one carve -> stream ->
 reassemble loop (``Executor._evaluate`` in :mod:`repro.engine.executor`)

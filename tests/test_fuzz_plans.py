@@ -8,8 +8,11 @@ far outlier, so the join index's radix directory, its binary-search
 fallback and the un-gathered probe pass-through all run; and a second key
 column that is small, spans more than 2**20 or 2**40, or is a float
 column, so two-column joins and group-bys reach every path of the exact
-key code: mixed-radix, ranked, and float against integer) — and every
-plan is executed across the full engine configuration grid:
+key code: mixed-radix, ranked, and float against integer; and constant
+predicates that keep every row or none, projections repeating a subtree
+of another projection, and ``sum`` + ``avg`` over one expression, so the
+shared evaluation of repeated expressions runs) — and every plan is
+executed across the full engine configuration grid:
 
     device mode ∈ {cpu, gpu, hybrid}
   × morsel_rows ∈ {1, 7, engine default}
@@ -108,6 +111,9 @@ class _Case:
         # were before the column had a style.
         self.j_factor = (1, 2**21, 2**41, 0.5)[int(np.random.default_rng(
             [SEED_BASE + seed, 1]).integers(0, 4))]
+        #: Constant predicates and repeated expressions draw from a third
+        #: stream, for the same reason.
+        self.extra = np.random.default_rng([SEED_BASE + seed, 2])
         self.columns: dict[str, np.ndarray] = {}
         #: Key shapes this case's joins have (see ``KEY_SHAPES``).
         self.shapes: set[str] = set()
@@ -185,6 +191,8 @@ class _Case:
             pred = (col(name) >= lit(0)) & (col(other) < lit(25))
         if rng.integers(0, 4) == 0:
             pred = ~pred
+        if self.extra.integers(0, 8) == 0:   # every row, or none
+            pred = lit(1) == lit(int(self.extra.integers(1, 3)))
         return pred
 
     def _projection(self, schema: list[str],
@@ -213,6 +221,14 @@ class _Case:
                 projections[alias] = col(name) + col(other)
             else:
                 projections[alias] = col(name) - lit(int(rng.integers(0, 7)))
+        if self.extra.integers(0, 2):
+            # Two projections sharing a subtree (equal structure, distinct
+            # objects): evaluated once, read twice.
+            left, right = (source[int(self.extra.integers(0, len(source)))]
+                           for _ in range(2))
+            projections[f"r{self.seed}_0"] = col(left) - col(right)
+            projections[f"r{self.seed}_1"] = ((col(left) - col(right))
+                                              * lit(0.5) + col(right))
         return projections
 
     # -- the plan -------------------------------------------------------
@@ -271,6 +287,10 @@ class _Case:
                 expr = (col(name) if rng.integers(0, 2)
                         else col(name) * lit(1.5))
                 specs.append(func(expr, alias))
+            if self.extra.integers(0, 2):   # sum + avg over one input
+                name = numeric[int(self.extra.integers(0, len(numeric)))]
+                specs += [agg_sum(col(name) * lit(1.5), f"s{self.seed}_sum"),
+                          agg_avg(col(name) * lit(1.5), f"s{self.seed}_avg")]
             plan = plan.aggregate(group_by, specs)
             schema = list(group_by) + [spec.alias for spec in specs]
         elif schema and rng.integers(0, 2):
@@ -379,9 +399,11 @@ class TestZeroRowEdges:
     The engine-level fixes: a grand aggregate over an empty input emits
     its single SQL row (count=0, sum=0, min=inf) like the reference; a
     filter above a projection stays its own operator (the fused
-    filter/project kernel applies predicates *before* projections); and
-    empty build sides / empty morsel streams produce typed empty columns
-    through fused chains instead of crashing or drifting dtypes.
+    filter/project kernel applies predicates *before* projections); empty
+    build sides / empty morsel streams produce typed empty columns
+    through fused chains instead of crashing or drifting dtypes; and a
+    constant predicate keeps every row or none instead of indexing with a
+    0-d mask.
     """
 
     def test_empty_build_side_probe_is_typed(self):
@@ -449,6 +471,25 @@ class TestZeroRowEdges:
         reference = execute_logical(plan, engine.catalog)
         result = engine.execute(plan, "cpu")
         _assert_cell_exact(result.table, reference, "filter after project")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("keep", [True, False], ids=["all", "none"])
+    def test_constant_predicate_keeps_all_rows_or_none(self, mode, keep):
+        """A predicate over no column evaluates to one value; engine and
+        reference both broadcast it to the rows."""
+        engine = HAPEEngine(default_server())
+        engine.register_table(Table.from_arrays("const_t", {
+            "a": np.arange(40, dtype=np.int64),
+            "b": np.arange(40, dtype=np.float64) * 0.5,
+        }))
+        filtered = scan("const_t", ["a", "b"]).filter(
+            lit(1) == lit(1 if keep else 2))
+        for plan in (filtered, filtered.aggregate(
+                ["a"], [agg_sum(col("b"), "s"), agg_avg(col("b"), "m")])):
+            reference = execute_logical(plan, engine.catalog)
+            assert reference.num_rows == (40 if keep else 0)
+            _assert_cell_exact(engine.execute(plan, mode).table, reference,
+                               f"constant predicate mode={mode}")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_morsel_stream_through_fused_join_chain(self, mode):

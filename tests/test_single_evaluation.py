@@ -696,15 +696,15 @@ class TestChargedBytesEqualKernelBytes:
     def test_payload_is_gathered_once_per_partitioned_join(self, cpu, gpu,
                                                            monkeypatch):
         """Late materialisation: whatever the passes and the nesting, the
-        payload columns are fetched by one ``_materialize_join`` call."""
+        payload columns are fetched through one ``Rows.joined`` view."""
         gathers = []
 
         def spy(build, probe, build_idx, probe_idx):
             gathers.append(len(build_idx))
             return real(build, probe, build_idx, probe_idx)
 
-        real = radix_module._materialize_join
-        monkeypatch.setattr(radix_module, "_materialize_join", spy)
+        real = radix_module.Rows.joined
+        monkeypatch.setattr(radix_module.Rows, "joined", staticmethod(spy))
         build, probe = _clashing_inputs()["half-missing"]
         keys = {"build_keys": ["key"], "probe_keys": ["key"]}
         tiny_scratchpad = replace(gpu.spec, scratchpad=replace(
