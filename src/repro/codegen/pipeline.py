@@ -87,11 +87,11 @@ def is_fused_probe(op: PhysicalOp) -> bool:
     Only the non-partitioned hash join qualifies: its build side is a
     breaker, but after the build the probe is row-local (match lists are
     ordered by probe position), so probe morsels flow through without the
-    join output ever materializing.  Radix/partitioned joins re-order both
-    inputs and need them whole, so they break the chain.  A *swapped* join
-    (build side is the logical right input) breaks it too: its canonical
-    output order is build-major, which cannot be emitted as a probe-order
-    morsel stream.
+    join output ever materializing.  Radix/partitioned joins are charged
+    for partitioning both inputs whole, so they break the chain.  A
+    *swapped* join (build side is the logical right input) breaks it too:
+    its canonical output order is build-major, which cannot be emitted as
+    a probe-order morsel stream.
     """
     return (isinstance(op, PJoin)
             and op.algorithm is JoinAlgorithm.NON_PARTITIONED

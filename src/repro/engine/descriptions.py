@@ -513,7 +513,8 @@ _RADIX_VARIANTS = {
 class RadixJoin(Join):
     """Partitioned join on the CPUs or the GPUs of the probe pipeline.
 
-    Both inputs are re-ordered, so it needs them whole (a breaker).
+    The algorithm it is charged for partitions both inputs whole, so it
+    needs them whole (a breaker).
     """
 
     copartitions_build = True

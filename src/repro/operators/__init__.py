@@ -39,23 +39,23 @@ scans and build sides) are evaluated once per query — and, through the
 session's cross-query cache, once per session while warm.
 
 The partitioned joins share one kernel:
-:func:`~repro.operators.radix.partitioned_join_kernel` runs the
-device-invariant skeleton with the tuning of whatever ``spec`` it is
-handed (``cpu_radix_join_kernel`` and ``gpu_partitioned_join_kernel`` are
-its device-named entry points) and returns one ``PartitionedJoinStats``
-record, priced by ``estimate_cpu_radix_join`` or
+:func:`~repro.operators.radix.partitioned_join_kernel` finds the matches
+as the hash join does — keys coded once, one index probe in the canonical
+order, every payload column gathered once — and writes one
+``PartitionedJoinStats`` record from the row and match counts with the
+tuning of whatever ``spec`` it is handed (``cpu_radix_join_kernel`` and
+``gpu_partitioned_join_kernel`` are its device-named entry points),
+priced by ``estimate_cpu_radix_join`` or
 ``estimate_gpu_partitioned_join``.  The co-processed join is under the
 same contract — ``coprocessed_join_kernel`` returns a
-``CoprocessedJoinStats`` record — but spans several devices, so its
-estimate half is ``charge_coprocessed_join``, which replays the record as
-a CPU-pass -> PCIe -> GPU-join timeline on the topology's clocks,
-pipelined per co-partition.  The
-skeleton moves row positions, not payloads — keys coded once, one
-position vector permuted per side and pass, canonical order restored on
-the positions, every payload column gathered once at the end — while the
-stats records keep charging the paper's algorithm from sizes (rows x
-the columns' item sizes per pass — one charge per *pass*, not per chunk
-— per PCIe crossing and per output row).
+``CoprocessedJoinStats`` record, written from bucket counts per
+co-partition — but spans several devices, so its estimate half is
+``charge_coprocessed_join``, which replays the record as a CPU-pass ->
+PCIe -> GPU-join timeline on the topology's clocks, pipelined per
+co-partition.  The host never partitions for a join; the records charge
+the paper's algorithm from sizes (rows x the columns' item sizes per
+pass — one charge per *pass*, not per chunk — per PCIe crossing and per
+output row).
 
 The four join helpers (``non_partitioned_join``, ``cpu_radix_join``,
 ``gpu_partitioned_join``, ``coprocessed_radix_join``) call a kernel and its

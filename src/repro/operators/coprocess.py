@@ -17,13 +17,14 @@ low-fan-out partitioning sustains near-DRAM bandwidth, the end-to-end time
 is bottlenecked by the interconnect — and adding a second GPU on its own
 PCIe bus nearly doubles throughput (Figure 7's 1.7x).
 
-In code this is the partitioned-join skeleton
-(:func:`repro.operators.radix.partitioned_join`) tuned a third way: one
-pass at the fan-out :func:`plan_coprocessing` picks, and every
-co-partition joined by the in-GPU partitioned join — the skeleton again,
-on the co-partition's key slices, so no payload moves until the outer
-join gathers it once.  It follows the
-single-evaluation contract like every other operator —
+In code this is the partitioned join of :mod:`repro.operators.radix`
+tuned a third way: one CPU pass at the fan-out :func:`plan_coprocessing`
+picks, and co-partition ``i`` — the keys ``i mod fanout`` — joined by the
+in-GPU partitioned join with the tuning of GPU ``i mod n``.  The host
+finds the matches once, as every partitioned join does, and writes each
+co-partition's record from bucket counts of its build, probe and match
+rows (:func:`copartition_rows`, :func:`coprocessed_stats`).  It follows
+the single-evaluation contract like every other operator —
 :func:`coprocessed_join_kernel` evaluates once and returns a
 :class:`CoprocessedJoinStats` record — except that its cost is a timeline
 over several devices rather than one device's :class:`OpCost`, so the
@@ -53,11 +54,10 @@ from .base import ArrayMap, OpCost, OpOutput, record_kernel_invocation
 from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
 from .radix import (
     JoinSides,
+    JoinWidths,
     PartitionedJoinStats,
     PartitionRunStats,
     estimate_partition_run,
-    partition_tuple_bytes,
-    partitioned_join,
     radix_buckets,
 )
 
@@ -96,50 +96,76 @@ class CoprocessedJoinStats:
     copartitions: tuple[tuple[int, PartitionedJoinStats], ...]
 
 
+def coprocessed_stats(widths: JoinWidths, gpu_specs: Sequence[DeviceSpec],
+                      build_rows: Sequence[int], probe_rows: Sequence[int],
+                      matches: Sequence[int]) -> CoprocessedJoinStats:
+    """The record of a co-processed join, from the build, probe and match
+    rows of every co-partition.
+
+    One CPU pass per side at a fan-out of one co-partition per entry, and
+    co-partition ``i`` — its rows at the columns' widths across PCIe —
+    joined with the scratchpad tuning of spec ``i mod n``: the
+    :meth:`~repro.operators.radix.JoinWidths.record` of its rows.
+    """
+    fanout = len(build_rows)
+    build_total, probe_total = sum(build_rows), sum(probe_rows)
+    return CoprocessedJoinStats(
+        build_rows=build_total, probe_rows=probe_total,
+        build_run=PartitionRunStats(widths.build, ((build_total, fanout),)),
+        probe_run=PartitionRunStats(widths.probe, ((probe_total, fanout),)),
+        copartitions=tuple(
+            (widths.pair_bytes(build, probe),
+             widths.record(gpu_specs[index % len(gpu_specs)], build, probe,
+                           matched))
+            for index, (build, probe, matched) in enumerate(
+                zip(build_rows, probe_rows, matches))))
+
+
+def copartition_rows(widths: JoinWidths, build_codes: np.ndarray,
+                     probe_codes: np.ndarray,
+                     gpu_specs: Sequence[DeviceSpec],
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The co-partition of every build row, and each side's rows per
+    co-partition.
+
+    The fan-out is :func:`plan_coprocessing`'s, and co-partition ``i``
+    holds the key codes ``i mod fanout`` (:func:`radix_buckets`), so equal
+    keys meet in one co-partition.
+    """
+    fanout = plan_coprocessing(
+        widths.pair_bytes(len(build_codes), len(probe_codes)), gpu_specs)
+    build_buckets = radix_buckets(build_codes, fanout)
+    return (build_buckets, np.bincount(build_buckets, minlength=fanout),
+            np.bincount(radix_buckets(probe_codes, fanout), minlength=fanout))
+
+
 def coprocessed_join_kernel(
         build: Mapping[str, np.ndarray],
         probe: Mapping[str, np.ndarray], *,
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         gpu_specs: Sequence[DeviceSpec],
-        output_order: str | None = "probe",
+        output_order: str = "probe",
 ) -> tuple[ArrayMap, CoprocessedJoinStats]:
     """Evaluate the co-processed join once.
 
-    ``gpu_specs`` supply tuning only: the smallest memory sets the CPU-side
-    fan-out, and co-partition ``i`` is joined with the scratchpad tuning of
-    spec ``i mod n`` — the same position-level skeleton again, on the key
-    digits the CPU pass left.  Every byte count is
-    rows x item sizes, so the record is identical for every
-    ``output_order``.
+    The matches are found once, as every partitioned join finds them
+    (:class:`~repro.operators.radix.JoinSides`); each co-partition's
+    build, probe and match rows are bucket counts (:func:`copartition_rows`,
+    the build bucket of every match), and :func:`coprocessed_stats` writes
+    the record from them.  ``gpu_specs`` supply tuning only, and the
+    record is identical for every ``output_order``.
     """
-    record_kernel_invocation("coprocessed_radix_join")
     sides = JoinSides(build, probe, build_keys=build_keys,
                       probe_keys=probe_keys, output_order=output_order)
-    build_rows, probe_rows = len(sides.build_keys), len(sides.probe_keys)
-    fanout = plan_coprocessing(build_rows * sides.build_tuple_bytes
-                               + probe_rows * sides.probe_tuple_bytes,
-                               gpu_specs)
-    copartitions: list[tuple[int, PartitionedJoinStats]] = []
-
-    def join_on_gpu(build_part: np.ndarray, probe_part: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        build_idx, probe_idx, stats = sides.join_on(
-            gpu_specs[len(copartitions) % len(gpu_specs)],
-            build_part, probe_part)
-        copartitions.append((len(build_part) * sides.build_tuple_bytes
-                             + len(probe_part) * sides.probe_tuple_bytes,
-                             stats))
-        return build_idx, probe_idx
-
-    build_idx, probe_idx, build_calls, probe_calls = partitioned_join(
-        sides.build_keys, sides.probe_keys, fanouts=(fanout,),
-        match=join_on_gpu)
-    return sides.gather(build_idx, probe_idx), CoprocessedJoinStats(
-        build_rows=build_rows, probe_rows=probe_rows,
-        build_run=PartitionRunStats(sides.build_tuple_bytes, build_calls),
-        probe_run=PartitionRunStats(sides.probe_tuple_bytes, probe_calls),
-        copartitions=tuple(copartitions))
+    record_kernel_invocation("coprocessed_radix_join")
+    build_buckets, build_rows, probe_rows = copartition_rows(
+        sides.widths, sides.build.domain.codes, sides.probe_codes, gpu_specs)
+    matches = np.bincount(build_buckets[sides.build_idx],
+                          minlength=len(build_rows))
+    return sides.gather(), coprocessed_stats(
+        sides.widths, gpu_specs, build_rows.tolist(), probe_rows.tolist(),
+        matches.tolist())
 
 
 def copartition_nbytes(build: Mapping[str, np.ndarray],
@@ -149,20 +175,14 @@ def copartition_nbytes(build: Mapping[str, np.ndarray],
                        gpu_specs: Sequence[DeviceSpec]) -> list[int]:
     """Payload bytes of every co-partition, from bucket counts alone.
 
-    What :func:`coprocessed_join_kernel` would record, without moving a
+    What :func:`coprocessed_join_kernel` would record, without matching a
     row: lets an engine refuse an evaluation it already holds cached.
     """
     domain = KeyDomain(build, build_keys)
-    sides = [(partition_tuple_bytes(columns), codes) for columns, codes in (
-        (build, domain.codes), (probe, domain.encode(probe, probe_keys)))]
-    fanout = plan_coprocessing(
-        sum(tuple_bytes * len(codes) for tuple_bytes, codes in sides),
-        gpu_specs)
-    nbytes = np.zeros(fanout, dtype=np.int64)
-    for tuple_bytes, codes in sides:
-        nbytes += tuple_bytes * np.bincount(radix_buckets(codes, fanout),
-                                            minlength=fanout)
-    return nbytes.tolist()
+    widths = JoinWidths.of(build, probe)
+    _, build_rows, probe_rows = copartition_rows(
+        widths, domain.codes, domain.encode(probe, probe_keys), gpu_specs)
+    return widths.pair_bytes(build_rows, probe_rows).tolist()
 
 
 def ensure_copartitions_fit(pair_nbytes: Sequence[int],
@@ -224,14 +244,14 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
                            probe_keys: Sequence[str],
                            gpus: Sequence[Device] | None = None,
                            config: GpuJoinConfig | None = None,
-                           output_order: str | None = "probe") -> OpOutput:
+                           output_order: str = "probe") -> OpOutput:
     """Execute the CPU+GPU co-processed radix join and schedule its timeline.
 
     Kernel, memory check and charge back to back, for callers that place
     the join themselves: every available CPU socket co-partitions, ``gpus``
     (default: all of them) join.  ``output_order`` is ``"probe"``-major by
     default, ``"build"``-major for joins whose build side is the logical
-    right input, ``None`` for the raw partition-major order.
+    right input.
     """
     gpus = list(gpus if gpus is not None else topology.gpus())
     columns, stats = coprocessed_join_kernel(

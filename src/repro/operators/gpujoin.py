@@ -3,10 +3,11 @@
 The join partitions both inputs with store-consolidating passes (Figure 4)
 until each co-partition fits in the streaming multiprocessor's scratchpad,
 then builds the per-partition hash table in the scratchpad with atomics and
-probes it with the matching partition (Figure 3).  Its data path is the
-shared skeleton of :mod:`repro.operators.radix` run with a GPU's tuning;
-this module holds what is GPU-specific — the memory footprint and the cost
-of the scratchpad build & probe phase.
+probes it with the matching partition (Figure 3).  Its kernel is the
+shared partitioned-join kernel of :mod:`repro.operators.radix`, whose
+record is written with a GPU's tuning; this module holds what is
+GPU-specific — the memory footprint and the cost of the scratchpad build &
+probe phase.
 
 Three placements of the per-partition intermediate structures are modelled,
 matching the variants of Figure 5:

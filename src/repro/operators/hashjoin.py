@@ -29,9 +29,10 @@ boundary.  A probe moves no column: its output is a
 :class:`~repro.operators.base.Rows` view — build columns at the build
 match positions, probe columns at the probe match positions composed onto
 theirs — so a build column nothing above reads is never gathered.  The
-partitioned joins cannot offer this — they re-order both inputs — and
-therefore always break the chain; they gather their output through the
-same view, once (:class:`~repro.operators.radix.JoinSides`).
+partitioned joins find their matches through this same build, index and
+view (:class:`~repro.operators.radix.JoinSides`), once over the whole
+probe side; they still break the chain, because the algorithm they are
+charged for partitions both inputs in full before joining.
 """
 
 from __future__ import annotations
@@ -95,19 +96,36 @@ class HashJoinBuild:
 
     def probe(self, probe: Mapping[str, np.ndarray], *,
               probe_keys: Sequence[str]) -> Rows:
-        """Join one probe batch (whole side or a single morsel).
-
-        The output is a view: build columns at the build match positions,
-        probe columns at the probe's composed onto theirs.  Over unique
-        build keys the probe positions ascend, so when every probe row
-        matched they are the rows as they are, and the probe columns stay
-        put.
-        """
+        """Join one probe batch (whole side or a single morsel)."""
         probe = Rows.of(probe)
-        build_idx, probe_idx = self.match(probe, probe_keys)
+        return self.joined(probe, *self.match(probe, probe_keys))
+
+    def joined(self, probe: Rows, build_idx: np.ndarray,
+               probe_idx: np.ndarray, output_order: str = "probe") -> Rows:
+        """The output view of one probe batch's matches, in the canonical
+        order ``output_order``: build columns at the build match positions,
+        probe columns at the probe's composed onto theirs.
+
+        The matches arrive probe-major with ties build-ascending (the
+        :meth:`JoinBuildIndex.probe` contract).  Over unique build keys the
+        probe positions ascend, so when every probe row matched they are
+        the rows as they are, and the probe columns stay put.  Build-major
+        is one stable sort of the build positions away: ties stay
+        probe-ascending.
+        """
+        if output_order == "build":
+            order = np.argsort(build_idx, kind="stable")
+            return Rows.joined(self.rows, probe, build_idx[order],
+                               probe_idx[order])
         unmoved = self.index.unique_keys and len(probe_idx) == probe.num_rows
         return Rows.joined(self.rows, probe, build_idx,
                            None if unmoved else probe_idx)
+
+
+def check_output_order(output_order: str) -> None:
+    """Refuse an order that is not one of the two canonical ones."""
+    if output_order not in ("probe", "build"):
+        raise ValueError("output_order must be 'probe' or 'build'")
 
 
 def hash_join_kernel(build: Mapping[str, np.ndarray],
@@ -127,22 +145,12 @@ def hash_join_kernel(build: Mapping[str, np.ndarray],
     right-major order row for row.  The order never changes stats, only the
     permutation of the output rows.
     """
-    if output_order not in ("probe", "build"):
-        raise ValueError("output_order must be 'probe' or 'build'")
+    check_output_order(output_order)
     record_kernel_invocation("hash_join")
     builder = HashJoinBuild(build, build_keys=build_keys)
     probe = Rows.of(probe)
-    if output_order == "build":
-        # The match list arrives probe-major with ties build-ascending (the
-        # JoinBuildIndex.probe contract), so one stable sort of the build
-        # positions is build-major with ties probe-ascending.  Stats see
-        # the same rows and bytes as the probe-major path.
-        build_indices, probe_indices = builder.match(probe, probe_keys)
-        order = np.argsort(build_indices, kind="stable")
-        rows = Rows.joined(builder.rows, probe, build_indices[order],
-                           probe_indices[order])
-    else:
-        rows = builder.probe(probe, probe_keys=probe_keys)
+    rows = builder.joined(probe, *builder.match(probe, probe_keys),
+                          output_order)
     stats = JoinStats(
         build_rows=builder.rows.num_rows,
         probe_rows=probe.num_rows,
@@ -201,6 +209,7 @@ __all__ = [
     "HashJoinBuild",
     "JoinStats",
     "build_table_bytes",
+    "check_output_order",
     "estimate_non_partitioned_join",
     "hash_join_kernel",
     "non_partitioned_join",

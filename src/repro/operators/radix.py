@@ -13,50 +13,45 @@ that memory — while the *tuning knobs* differ per device:
 
 ``plan_partition_passes`` encodes those rules once; both the executable
 operators and the paper-scale analytic models in :mod:`repro.perf` call it.
-The skeleton itself is written once too: :func:`partitioned_join` is the
-data path of the CPU radix join, the in-GPU partitioned join and the
-co-processed join of :mod:`repro.operators.coprocess` alike — they differ
-in the fan-outs they hand it and in where a co-partition is joined.
 
-The skeleton works on **positions, not payloads** (late materialisation):
-the join keys are coded once (:class:`~repro.relational.keys.KeyDomain`,
-exact and as dense as the build side allows) and kept apart from the
-payload, a partitioning pass permutes one position vector per side
-(:func:`partition_positions`, the one bucket-ordering implementation),
-co-partitions are matched on the code digits the passes did not consume,
-the canonical output order is restored on the two position vectors, and
-every payload column is gathered exactly once, at the end
-(:class:`JoinSides`).  The cost model
-keeps charging the paper's algorithm — every pass moves every tuple, key
-column and payload alike — because charges come from sizes (rows x the
-columns' own item sizes, held by :class:`JoinSides`), not from the arrays
-the kernel happens to build: the ``int64`` key codes are the kernel's
-business and are charged to nobody.
+What the simulated devices run is that algorithm; what the host runs is
+only its *result*.  A partitioned join matches exactly the rows the
+non-partitioned join matches, and its record — the passes, their row
+counts, the output bytes — is a closed form of row counts and the
+device's tuning (:meth:`JoinWidths.record`): a pass reads and writes its
+whole input once whatever chunks the earlier passes left (one kernel
+launch per pass on a GPU), so its price depends on rows and fan-out only.
+So the host never partitions: :class:`JoinSides` codes the keys once
+(:class:`~repro.relational.keys.KeyDomain`), finds every match with one
+:class:`~repro.relational.keys.JoinBuildIndex` probe in the canonical
+order, gathers every payload column once, and writes the record from the
+row and match counts.  The CPU radix join, the in-GPU partitioned join
+and the co-processed join of :mod:`repro.operators.coprocess` differ only
+in the tuning the record is written with.  Charges come from sizes (rows x
+the columns' own item sizes, :class:`JoinWidths`), so the ``int64`` key
+codes are the kernel's business and are charged to nobody, and
+:mod:`repro.perf` writes the record of a paper-scale join with the same
+:meth:`JoinWidths.record` and replays it through the same estimators.
 
 Following the single-evaluation operator contract (see
 :mod:`repro.operators`), the functional partitioning of a column map lives
-in :func:`radix_partition_kernel` — one position pass plus one gather per
-column, with the ``fanout`` buckets sliced out as zero-copy views — while
+in :func:`radix_partition_kernel` — one position pass
+(:func:`partition_positions`) plus one gather per column, with the
+``fanout`` buckets sliced out as zero-copy views — while
 :func:`estimate_radix_partition` / :func:`estimate_partition_run` price a
-:class:`PartitionRunStats` record, one ``(rows, fanout)`` entry per *pass*:
-a pass reads and writes its whole input once whatever chunks the earlier
-passes left (one kernel launch per pass on a GPU), so its price depends on
-rows and fan-out only — which is what lets :mod:`repro.perf` write the
-record of a paper-scale join down in closed form and replay it through
-the same estimators.
+:class:`PartitionRunStats` record, one ``(rows, fanout)`` entry per pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..hardware.device import Device
 from ..hardware.specs import DeviceKind, DeviceSpec
-from ..relational.keys import JoinBuildIndex, KeyDomain
 from .base import (
     ArrayMap,
     OpCost,
@@ -65,7 +60,7 @@ from .base import (
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES
+from .hashjoin import HASH_ENTRY_BYTES, HashJoinBuild, check_output_order
 
 #: Scalar ops per tuple of one partitioning pass (hash, offset, copy).
 _OPS_PER_PARTITION_STEP = 6.0
@@ -220,7 +215,6 @@ def partition_positions(
         ids = ids.astype(np.uint16)
     order = np.argsort(ids, kind="stable")
     bounds = [0, *np.cumsum(counts).tolist()]
-    record_kernel_invocation("radix_partition", len(fanouts))
     return order, bounds, tuple((len(order), fanout) for fanout in fanouts)
 
 
@@ -237,6 +231,7 @@ def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
         raise ValueError("fanout must be at least 1")
     columns = {name: np.asarray(values) for name, values in columns.items()}
     order, bounds, _ = partition_positions(columns[key], (fanout,))
+    record_kernel_invocation("radix_partition")
     gathered = {name: values[order] for name, values in columns.items()}
     return [{name: values[low:high] for name, values in gathered.items()}
             for low, high in zip(bounds, bounds[1:])]
@@ -277,90 +272,8 @@ def estimate_partition_run(stats: PartitionRunStats,
 
 
 # ----------------------------------------------------------------------
-# The partitioned join: one skeleton, tuned per device
+# The partitioned join: one algorithm, tuned per device
 # ----------------------------------------------------------------------
-def partitioned_join(
-        build_keys: np.ndarray, probe_keys: np.ndarray, *,
-        fanouts: Sequence[int],
-        match: Callable[[np.ndarray, np.ndarray],
-                        "tuple[np.ndarray, np.ndarray] | None"],
-) -> tuple[np.ndarray, np.ndarray,
-           tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The device-invariant skeleton of every partitioned join, on positions.
-
-    Run one partitioning pass per entry of ``fanouts`` over the positions
-    of both key-code vectors, hand the key slices of every co-partition
-    to ``match``, and translate the local match indices back into
-    positions of ``build_keys`` / ``probe_keys``.  Returns the matching
-    ``(build, probe)`` positions in partition-major order and both sides'
-    ``calls`` records.  No payload column is touched: the caller gathers
-    them once, from the positions (:class:`JoinSides`).
-
-    ``match(build_keys, probe_keys)`` joins one co-partition.  The passes
-    consumed the keys' low digits — all keys of a partition share them —
-    so it is handed the digits they left, ``key // prod(fanouts)``: equal
-    inside a partition iff the keys are, and dense where the keys were
-    (the co-partitions of dense unique keys index by counting, see
-    :class:`~repro.relational.keys.JoinBuildIndex`).  It returns the
-    matching ``(build, probe)`` index pairs local to those slices —
-    ordered by probe index, the matches of one probe index contiguous and
-    build-ascending, which is what :func:`restore_canonical_order` relies
-    on — or ``None`` when the pair produced nothing.
-
-    What a device (or a set of devices) contributes is tuning only: the
-    fan-outs, and where a co-partition is joined — ``match`` may itself be
-    this function with further fan-outs (the co-processed join's in-GPU
-    join): what it is handed starts at the first digit no pass has used,
-    so there is no stride for a caller to carry along.
-    """
-    build_order, build_bounds, build_calls = partition_positions(
-        build_keys, fanouts)
-    probe_order, probe_bounds, probe_calls = partition_positions(
-        probe_keys, fanouts)
-    consumed = math.prod(fanouts)
-    build_sorted = build_keys[build_order] // consumed
-    probe_sorted = probe_keys[probe_order] // consumed
-    found = [(np.empty(0, dtype=np.int64),) * 2]
-    for part in range(len(build_bounds) - 1):
-        build_low, probe_low = build_bounds[part], probe_bounds[part]
-        pairs = match(build_sorted[build_low:build_bounds[part + 1]],
-                      probe_sorted[probe_low:probe_bounds[part + 1]])
-        if pairs is not None:
-            found.append((pairs[0] + build_low, pairs[1] + probe_low))
-    build_found, probe_found = map(np.concatenate, zip(*found))
-    return (build_order[build_found], probe_order[probe_found],
-            build_calls, probe_calls)
-
-
-def restore_canonical_order(build_idx: np.ndarray, probe_idx: np.ndarray, *,
-                            probe_rows: int, output_order: str,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Permute partition-major match positions into the canonical order.
-
-    ``"probe"`` orders by probe position with ties by build position (the
-    natural order of the non-partitioned join).  It needs no sort: all
-    matches of one probe row sit in one co-partition, contiguous and
-    already build-ascending, so every run is scattered to where a count of
-    the matches per probe row says it starts.  ``"build"`` is build-major:
-    the matches of one build row are probe-ascending wherever they sit, so
-    one stable sort of the build positions orders them.
-    """
-    if output_order == "build":
-        order = np.argsort(build_idx, kind="stable")
-        return build_idx[order], probe_idx[order]
-    counts = np.bincount(probe_idx, minlength=probe_rows)
-    starts_run = np.ones(len(probe_idx), dtype=bool)
-    starts_run[1:] = probe_idx[1:] != probe_idx[:-1]
-    run_first = np.flatnonzero(starts_run)
-    run_rows = probe_idx[run_first]
-    starts = np.cumsum(counts) - counts
-    destination = (np.repeat(starts[run_rows] - run_first, counts[run_rows])
-                   + np.arange(len(probe_idx)))
-    restored = np.empty_like(build_idx)
-    restored[destination] = build_idx
-    return restored, np.repeat(np.arange(probe_rows), counts)
-
-
 @dataclass(frozen=True)
 class PartitionedJoinStats:
     """Data-derived quantities the partitioned-join estimators need."""
@@ -373,12 +286,53 @@ class PartitionedJoinStats:
     output_nbytes: int
 
 
-def _build_and_probe(build_keys: np.ndarray, probe_keys: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Hash-join one co-partition in the device's fast memory."""
-    if not (len(build_keys) and len(probe_keys)):
-        return None
-    return JoinBuildIndex(build_keys).probe(probe_keys)
+@dataclass(frozen=True)
+class JoinWidths:
+    """Bytes per build tuple, per probe tuple and per output row.
+
+    Charges come from sizes, not from the arrays a kernel happens to
+    build: a tuple moves its columns — the key column among them — through
+    every pass (and across PCIe), and an output row holds every column
+    once, probe columns winning name clashes.
+    """
+
+    build: int
+    probe: int
+    output: int
+
+    @classmethod
+    def of(cls, build: Mapping[str, np.ndarray],
+           probe: Mapping[str, np.ndarray]) -> "JoinWidths":
+        return cls(partition_tuple_bytes(build), partition_tuple_bytes(probe),
+                   partition_tuple_bytes({**build, **probe}))
+
+    def pair_bytes(self, build_rows, probe_rows):
+        """Bytes of ``build_rows`` build and ``probe_rows`` probe tuples
+        (counts or arrays of counts)."""
+        return build_rows * self.build + probe_rows * self.probe
+
+    def record(self, spec: DeviceSpec, build_rows: int, probe_rows: int,
+               matches: int) -> PartitionedJoinStats:
+        """The record of a partitioned join on ``spec``, from row counts.
+
+        :func:`plan_partition_passes` plans the passes from the build rows
+        and the device's tuning (TLB and cache on a CPU, scratchpad on a
+        GPU); every pass moves every row of its side, so it is priced by
+        rows and fan-out alone, and the output is matches x output row
+        bytes.
+        """
+        plan = plan_partition_passes(max(build_rows, 1), HASH_ENTRY_BYTES,
+                                     spec)
+
+        def run(rows: int, tuple_bytes: int) -> PartitionRunStats:
+            return PartitionRunStats(tuple_bytes, tuple(
+                (rows, fanout) for fanout in plan.fanout_per_pass))
+
+        return PartitionedJoinStats(
+            build_rows=build_rows, probe_rows=probe_rows, plan=plan,
+            build_run=run(build_rows, self.build),
+            probe_run=run(probe_rows, self.probe),
+            output_nbytes=matches * self.output)
 
 
 #: Kernel counter a single-device evaluation bumps, by the tuned device.
@@ -387,87 +341,45 @@ _KERNEL_COUNTER = {DeviceKind.CPU: "cpu_radix_join",
 
 
 class JoinSides:
-    """Both column-map ends of a partitioned join, payload left in place.
+    """Both ends of a partitioned join, matched once.
 
-    Construction is everything before positions: the build side's key
-    tuples define the :class:`~repro.relational.keys.KeyDomain`, both
-    sides are coded in it once, and the codes are kept apart from the
-    payload.
-    :meth:`gather` is everything after: canonical order restored on the
-    two position vectors, then every payload column fetched exactly once.
-    In between, :meth:`join_on` runs the skeleton with one device's tuning.
+    The build side is a :class:`~repro.operators.hashjoin.HashJoinBuild`
+    (key coding, :class:`~repro.relational.keys.JoinBuildIndex`); the probe
+    side is coded in its domain and matched in one probe, in the canonical
+    probe-major order, and :meth:`gather` fetches every payload column
+    once through the build's ``Rows.joined`` view.  What is
+    partition-specific is kept here: the tuple widths the record is
+    charged by.
 
-    The partitioned join breaks the pipeline on *both* sides — multi-pass
-    partitioning needs each input in full — so both arrive as resident
-    batches, and results and recorded pass shapes cannot depend on the
-    engine's morsel size.
-
-    ``output_order`` is the canonical join output order to restore
-    (``"probe"``-major, or ``"build"``-major for joins whose build side is
-    the logical right input); ``None`` leaves the partition-major
-    implementation order.  Stats records are identical for every setting.
+    The partitioned join breaks the pipeline on *both* sides — the
+    algorithm it is charged for partitions each input in full — so both
+    arrive as resident batches.  ``output_order`` is ``"probe"``-major, or
+    ``"build"``-major for joins whose build side is the logical right
+    input; it never changes the record.
     """
 
     def __init__(self, build: Mapping[str, np.ndarray],
                  probe: Mapping[str, np.ndarray], *,
                  build_keys: Sequence[str], probe_keys: Sequence[str],
-                 output_order: str | None) -> None:
-        if output_order not in ("probe", "build", None):
-            raise ValueError("output_order must be 'probe', 'build' or None")
-        self.build, self.probe = Rows.of(build), Rows.of(probe)
-        domain = KeyDomain(self.build, build_keys)
-        self.build_keys = domain.codes
-        self.probe_keys = domain.encode(self.probe, probe_keys)
+                 output_order: str) -> None:
+        check_output_order(output_order)
         self.output_order = output_order
-        # Charges come from sizes, not from the arrays a kernel happens to
-        # build: a tuple moves its columns — the key column among them —
-        # through every pass (and across PCIe), and an output row holds
-        # every column once, probe columns winning name clashes.
-        self.build_tuple_bytes = partition_tuple_bytes(self.build)
-        self.probe_tuple_bytes = partition_tuple_bytes(self.probe)
-        self.output_row_bytes = partition_tuple_bytes(
-            {**self.build, **self.probe})
+        self.build = HashJoinBuild(build, build_keys=build_keys)
+        self.probe = Rows.of(probe)
+        self.probe_codes = self.build.domain.encode(self.probe, probe_keys)
+        self.build_idx, self.probe_idx = self.build.index.probe(
+            self.probe_codes)
+        self.widths = JoinWidths.of(self.build.rows, self.probe)
 
-    def join_on(self, spec: DeviceSpec, build_keys: np.ndarray,
-                probe_keys: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray, PartitionedJoinStats]:
-        """:func:`partitioned_join` with one device's tuning.
+    def record(self, spec: DeviceSpec) -> PartitionedJoinStats:
+        """The whole join's record with ``spec``'s tuning."""
+        return self.widths.record(spec, self.build.rows.num_rows,
+                                  self.probe.num_rows, len(self.build_idx))
 
-        Joins the given key codes — both sides in full, or the slices an
-        outer :func:`partitioned_join` hands one co-partition.  Passes
-        planned by :func:`plan_partition_passes` (TLB and cache on a CPU,
-        scratchpad on a GPU) and every co-partition built and probed in
-        place.  ``spec`` supplies nothing else — the
-        data path never looks at the device.  Returns the match positions
-        and the stats record.
-        """
-        record_kernel_invocation(_KERNEL_COUNTER[spec.kind])
-        plan = plan_partition_passes(max(len(build_keys), 1),
-                                     HASH_ENTRY_BYTES, spec)
-        build_idx, probe_idx, build_calls, probe_calls = partitioned_join(
-            build_keys, probe_keys, fanouts=plan.fanout_per_pass,
-            match=_build_and_probe)
-        return build_idx, probe_idx, PartitionedJoinStats(
-            build_rows=len(build_keys), probe_rows=len(probe_keys), plan=plan,
-            build_run=PartitionRunStats(self.build_tuple_bytes, build_calls),
-            probe_run=PartitionRunStats(self.probe_tuple_bytes, probe_calls),
-            output_nbytes=len(build_idx) * self.output_row_bytes)
-
-    def gather(self, build_idx: np.ndarray, probe_idx: np.ndarray) -> ArrayMap:
-        """The join's output columns for partition-major match positions.
-
-        When every probe row matched exactly once, in order, the probe
-        columns pass through as they are.
-        """
-        probe_rows = len(self.probe_keys)
-        if self.output_order is not None:
-            build_idx, probe_idx = restore_canonical_order(
-                build_idx, probe_idx, probe_rows=probe_rows,
-                output_order=self.output_order)
-        unmoved = (len(probe_idx) == probe_rows
-                   and (probe_idx == np.arange(probe_rows)).all())
-        return dict(Rows.joined(self.build, self.probe, build_idx,
-                                None if unmoved else probe_idx))
+    def gather(self) -> ArrayMap:
+        """The join's output columns, in the canonical order."""
+        return dict(self.build.joined(self.probe, self.build_idx,
+                                      self.probe_idx, self.output_order))
 
 
 def partitioned_join_kernel(
@@ -476,14 +388,17 @@ def partitioned_join_kernel(
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         spec: DeviceSpec,
-        output_order: str | None = "probe",
+        output_order: str = "probe",
 ) -> tuple[ArrayMap, PartitionedJoinStats]:
-    """Evaluate the partitioned join on one device, once."""
+    """Evaluate the partitioned join on one device, once.
+
+    ``spec`` supplies the tuning the record is written with, nothing
+    else: the data path never looks at the device.
+    """
     sides = JoinSides(build, probe, build_keys=build_keys,
                       probe_keys=probe_keys, output_order=output_order)
-    build_idx, probe_idx, stats = sides.join_on(spec, sides.build_keys,
-                                                sides.probe_keys)
-    return sides.gather(build_idx, probe_idx), stats
+    record_kernel_invocation(_KERNEL_COUNTER[spec.kind])
+    return sides.gather(), sides.record(spec)
 
 
 #: The device-named entry points: the device is whatever ``spec`` says.

@@ -6,7 +6,8 @@ process.  All three are a *replay*, not a second derivation: the stats
 record an executed join of the microbenchmark would leave is written down
 in closed form (:func:`dense_join_stats` / :func:`dense_hash_stats` /
 :func:`dense_coprocessed_stats` — rows x the schema's field widths, no
-data) and priced by the operators' own ``estimate_*`` functions — for
+data; the partitioned ones by the kernels' own row-count record builders)
+and priced by the operators' own ``estimate_*`` functions — for
 Figure 7, the co-processed join's own timeline,
 :func:`~repro.operators.coprocess.charge_coprocessed_join` — so at any
 size that can be executed the figure and the engine agree to the bit.
@@ -26,6 +27,7 @@ from ..hardware.topology import Topology, default_server
 from ..operators.coprocess import (
     CoprocessedJoinStats,
     charge_coprocessed_join,
+    coprocessed_stats,
     plan_coprocessing,
 )
 from ..operators.gpujoin import (
@@ -34,16 +36,11 @@ from ..operators.gpujoin import (
     gpu_join_footprint,
     probe_phase_cost,
 )
-from ..operators.hashjoin import (
-    HASH_ENTRY_BYTES,
-    JoinStats,
-    estimate_non_partitioned_join,
-)
+from ..operators.hashjoin import JoinStats, estimate_non_partitioned_join
 from ..operators.radix import (
+    JoinWidths,
     PartitionedJoinStats,
-    PartitionRunStats,
     estimate_cpu_radix_join,
-    plan_partition_passes,
 )
 from ..storage.datagen import MICROBENCH_TUPLE_BYTES
 
@@ -60,17 +57,17 @@ FIGURE5_PARTITION_SIZES = (128, 256, 512, 1024, 2048, 4096)
 FIGURE5_TUPLES = 32_000_000
 
 
+#: The microbenchmark's 8-byte tuples; an output row holds ``key`` and
+#: ``payload`` once.
+_MICROBENCH_WIDTHS = JoinWidths(MICROBENCH_TUPLE_BYTES, MICROBENCH_TUPLE_BYTES,
+                                MICROBENCH_TUPLE_BYTES)
+
+
 def dense_join_stats(tuples: int, spec: DeviceSpec) -> PartitionedJoinStats:
     """The record a partitioned join of the microbenchmark leaves on
-    ``spec``: two tables of ``tuples`` dense unique keys, every pass moving
-    every 8-byte tuple, an output row holding ``key`` and ``payload`` once."""
-    plan = plan_partition_passes(tuples, HASH_ENTRY_BYTES, spec)
-    run = PartitionRunStats(
-        MICROBENCH_TUPLE_BYTES,
-        tuple((tuples, fanout) for fanout in plan.fanout_per_pass))
-    return PartitionedJoinStats(
-        build_rows=tuples, probe_rows=tuples, plan=plan, build_run=run,
-        probe_run=run, output_nbytes=tuples * MICROBENCH_TUPLE_BYTES)
+    ``spec``: two tables of ``tuples`` dense unique keys, every key
+    matching once."""
+    return _MICROBENCH_WIDTHS.record(spec, tuples, tuples, tuples)
 
 
 def dense_hash_stats(tuples: int) -> JoinStats:
@@ -84,21 +81,14 @@ def dense_hash_stats(tuples: int) -> JoinStats:
 def dense_coprocessed_stats(tuples: int, gpu_specs: Sequence[DeviceSpec],
                             ) -> CoprocessedJoinStats:
     """The record the co-processed join of the same two tables leaves on
-    ``gpu_specs``: one CPU pass per side at the fan-out
-    :func:`~repro.operators.coprocess.plan_coprocessing` picks, and
-    co-partition ``i`` — the keys ``i mod fanout``, dense again once that
-    digit is consumed — joined on spec ``i mod n`` as the
-    :func:`dense_join_stats` of its rows."""
-    fanout = plan_coprocessing(2 * tuples * MICROBENCH_TUPLE_BYTES, gpu_specs)
-    run = PartitionRunStats(MICROBENCH_TUPLE_BYTES, ((tuples, fanout),))
+    ``gpu_specs``: co-partition ``i`` of the fan-out
+    :func:`~repro.operators.coprocess.plan_coprocessing` picks holds the
+    keys ``i mod fanout`` of both sides, each matching once."""
+    fanout = plan_coprocessing(
+        _MICROBENCH_WIDTHS.pair_bytes(tuples, tuples), gpu_specs)
     rows = [tuples // fanout + (index < tuples % fanout)
             for index in range(fanout)]
-    return CoprocessedJoinStats(
-        build_rows=tuples, probe_rows=tuples, build_run=run, probe_run=run,
-        copartitions=tuple(
-            (2 * count * MICROBENCH_TUPLE_BYTES,
-             dense_join_stats(count, gpu_specs[index % len(gpu_specs)]))
-            for index, count in enumerate(rows)))
+    return coprocessed_stats(_MICROBENCH_WIDTHS, gpu_specs, rows, rows, rows)
 
 
 @dataclass(frozen=True)

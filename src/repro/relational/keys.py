@@ -20,8 +20,7 @@ For a join the build side defines the domain and :meth:`KeyDomain.encode`
 codes the probe side: a tuple outside the domain gets a code no build
 tuple has, a miss by construction.  Codes order like the key tuples, and
 are as dense as the data allows — which is what lets :func:`group_ids`
-number groups and :class:`JoinBuildIndex` order unique build keys by
-counting, without a sort.
+number groups and :class:`JoinBuildIndex` index build keys by counting.
 
 This module depends only on NumPy and the expression AST.  The reference
 executor (:mod:`repro.relational.reference`) must not import it: the oracle
@@ -173,48 +172,76 @@ class JoinBuildIndex:
     whole-column match list bit for bit.
 
     Integer keys also get a *radix directory* over the sorted keys: bucket
-    ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``,
-    so finding a probe key is one gather plus ``depth - 1`` (``depth`` =
-    rows in the fullest bucket) vectorised steps — the position
-    ``np.searchsorted`` would return, without a cache-missing binary
-    search per probe key.  The bucket counts are taken *before* the keys
-    are ordered: unique keys no denser than the buckets (``depth == 1`` —
-    primary keys, dense key codes, direct addressing) are placed by one
-    scatter to ``starts[bucket]``, and only the rest pay a stable sort.
-    The data picks the path at build time; the index is read-only
-    afterwards, so worker threads may share it.
+    ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``.
+    The bucket counts are taken *before* the keys are ordered, and the
+    data picks one of three paths at build time:
+
+    * keys spanning fewer values than the directory has buckets
+      (``shift == 0``) put one key value in each bucket, so the directory
+      is *exact* whatever the duplicates: a probe key's run of equal build
+      keys starts at ``starts[bucket]`` and is ``counts[bucket]`` long.
+      The rows are ordered by one stable sort of the bucket ids — 16-bit
+      ids where the span allows, which NumPy sorts by radix in O(n);
+    * sparser keys find a probe key with one gather plus ``depth - 1``
+      (``depth`` = rows in the fullest bucket) vectorised steps — the
+      position ``np.searchsorted`` would return, without a cache-missing
+      binary search per probe key — and a stable sort of the keys;
+    * a fuller bucket than ``DIRECTORY_MAX_DEPTH``, or keys that are not
+      integers, keep the binary search.
+
+    Unique keys no denser than the buckets (``depth == 1`` — primary keys,
+    dense key codes, direct addressing) are placed by one scatter to
+    ``starts[bucket]``, nothing sorted.  The index is read-only after
+    construction, so worker threads may share it.
     """
 
-    __slots__ = ("order", "sorted_keys", "unique_keys",
-                 "_padded", "_base", "_shift", "_starts", "_depth")
+    __slots__ = ("order", "sorted_keys", "unique_keys", "_keys",
+                 "_padded", "_base", "_shift", "_starts", "_counts", "_depth")
 
     def __init__(self, left_keys: np.ndarray) -> None:
-        left_keys = np.asarray(left_keys)
+        left_keys = self._keys = np.asarray(left_keys)
         rows = len(left_keys)
-        depth = 0
+        #: Rows in the fullest bucket (0: no directory), and the run length
+        #: of every bucket when the directory is exact (``None``: it steps).
+        depth, self._counts = 0, None
         if rows and left_keys.dtype.kind == "i":
             # Spans reach 2**64 - 1 on keys that use every bit: a Python int
             # here, wrapping int64 differences read as uint64 on the arrays.
             self._base = left_keys.min().astype(np.int64)
             span = int(left_keys.max()) - int(self._base)
-            self._shift = np.uint64(
-                (span // (DIRECTORY_BUCKETS_PER_ROW * rows)).bit_length())
-            buckets = self._buckets(left_keys).view(np.int64)
-            counts = np.bincount(buckets)
-            if counts.max() <= DIRECTORY_MAX_DEPTH:
-                depth = int(counts.max())
-                self._starts = np.cumsum(counts) - counts
+            shift = (span // (DIRECTORY_BUCKETS_PER_ROW * rows)).bit_length()
+            self._shift = np.uint64(shift)
+            buckets = self._buckets(left_keys)
+            buckets = (buckets.astype(np.uint16) if span >> shift < 1 << 16
+                       else buckets.view(np.int64))
+            # An exact directory's last, empty bucket takes every key
+            # outside the span.
+            counts = np.bincount(buckets, minlength=0 if shift else span + 2)
+            depth = int(counts.max())
+            if not shift or depth <= DIRECTORY_MAX_DEPTH:
+                self._starts = np.cumsum(counts)
+                self._starts -= counts
+                if not shift:   # run lengths, as narrow as they fit
+                    self._counts = counts.astype(np.min_scalar_type(depth))
+            else:
+                depth = 0
         if depth == 1:
             # No bucket holds two keys, so bucket order is key order: the
             # counts place every row, nothing is sorted.
             self.order = np.empty(rows, dtype=np.int64)
             self.order[self._starts[buckets]] = np.arange(rows)
         else:
-            self.order = np.argsort(left_keys, kind="stable")
+            # One key value per bucket: bucket order is key order too.
+            self.order = np.argsort(
+                left_keys if self._counts is None else buckets, kind="stable")
+        self._depth = depth
+        if self._counts is not None:
+            # Nothing searches an exact directory's keys (see ``probe``).
+            self.sorted_keys, self.unique_keys = None, depth == 1
+            return
         self.sorted_keys = left_keys[self.order]
         self.unique_keys = depth == 1 or not np.any(
             self.sorted_keys[1:] == self.sorted_keys[:-1])
-        self._depth = depth
         if not depth:
             return
         # Sentinel-padded int64 keys: stepping past the last key stops.
@@ -229,7 +256,8 @@ class JoinBuildIndex:
         Keys outside the build range wrap to offsets past the span.
         """
         buckets = np.subtract(keys, self._base, dtype=np.int64).view(np.uint64)
-        buckets >>= self._shift
+        if self._shift:
+            buckets >>= self._shift
         return buckets
 
     def _locate(self, keys: np.ndarray) -> np.ndarray:
@@ -257,37 +285,50 @@ class JoinBuildIndex:
         produce.
         """
         right_keys = np.asarray(right_keys)
-        sorted_keys = self.sorted_keys
         empty = (np.asarray([], dtype=np.int64),
                  np.asarray([], dtype=np.int64))
-        if len(sorted_keys) == 0 or len(right_keys) == 0:
+        if len(self.order) == 0 or len(right_keys) == 0:
             return empty
-        directory = self._depth > 0 and right_keys.dtype.kind == "i"
-        left = (self._locate(right_keys) if directory else
-                np.searchsorted(sorted_keys, right_keys, side="left"))
-        if self.unique_keys:
-            # Unique build keys (the common PK-FK case): one lower bound
-            # and a membership test instead of the two bounds below.
-            positions = np.minimum(left, len(sorted_keys) - 1, out=left)
-            matched = sorted_keys[positions] == right_keys
-            right_indices = np.flatnonzero(matched)
-            if len(right_indices) == 0:
-                return empty
-            if len(right_indices) < len(positions):
-                positions = positions[right_indices]
-            return (self.order[positions].astype(np.int64, copy=False),
-                    right_indices.astype(np.int64, copy=False))
-        if directory:
-            # Right bound = left bound + run length: a run of equal keys
-            # is at most ``depth`` long.  Only an int64-max probe key can
-            # count the padding, hence the clamp.
-            right = left.copy()
-            for _ in range(self._depth):
-                right += self._padded[right] == right_keys
-            np.minimum(right, len(sorted_keys), out=right)
+        integral = right_keys.dtype.kind == "i"
+        if self._counts is not None and integral:
+            # The exact directory: every run's start and length, one
+            # gather each.
+            buckets = self._buckets(right_keys)
+            np.minimum(buckets, np.uint64(len(self._counts) - 1), out=buckets)
+            buckets = buckets.view(np.int64)
+            left, counts = self._starts[buckets], self._counts[buckets]
         else:
-            right = np.searchsorted(sorted_keys, right_keys, side="right")
-        counts = right - left
+            # Keys an exact directory cannot address search a sorted copy.
+            sorted_keys = (self.sorted_keys if self.sorted_keys is not None
+                           else self._keys[self.order])
+            stepping = self._depth > 0 and integral
+            left = (self._locate(right_keys) if stepping else
+                    np.searchsorted(sorted_keys, right_keys, side="left"))
+            if self.unique_keys:
+                # One lower bound and a membership test instead of the
+                # two bounds below.
+                np.minimum(left, len(sorted_keys) - 1, out=left)
+                counts = sorted_keys[left] == right_keys
+            elif stepping:
+                # Right bound = left bound + run length: a run of equal
+                # keys is at most ``depth`` long.  Only an int64-max probe
+                # key can count the padding, hence the clamp.
+                right = left.copy()
+                for _ in range(self._depth):
+                    right += self._padded[right] == right_keys
+                np.minimum(right, len(sorted_keys), out=right)
+                counts = right - left
+            else:
+                counts = np.searchsorted(sorted_keys, right_keys,
+                                         side="right") - left
+        if self.unique_keys:
+            # Unique build keys (the common PK-FK case): a probe key
+            # matches once or not at all.
+            right_indices = np.flatnonzero(counts)
+            if len(right_indices) < len(left):
+                left = left[right_indices]
+            return self.order[left], right_indices
+        counts = counts.astype(np.int64, copy=False)   # narrow run lengths
         right_indices = np.repeat(np.arange(len(right_keys)), counts)
         if len(right_indices) == 0:
             return empty
@@ -295,8 +336,7 @@ class JoinBuildIndex:
         starts = np.repeat(left, counts)
         run_offsets = np.arange(len(right_indices)) - np.repeat(
             np.cumsum(counts) - counts, counts)
-        return (self.order[starts + run_offsets].astype(np.int64, copy=False),
-                right_indices.astype(np.int64, copy=False))
+        return self.order[starts + run_offsets], right_indices
 
 
 def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,27 +11,30 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ExecutionError, OutOfDeviceMemoryError
 from repro.operators import (
+    HASH_ENTRY_BYTES,
+    CoprocessedJoinStats,
     GpuJoinConfig,
+    PartitionedJoinStats,
+    PartitionRunStats,
     coprocessed_radix_join,
     cpu_radix_join,
     gpu_partitioned_join,
     max_fanout,
     non_partitioned_join,
     partitioned_join_kernel,
+    plan_coprocessing,
     plan_partition_passes,
     probe_phase_cost,
 )
 from repro.operators.radix import (
-    _build_and_probe,
     estimate_radix_partition,
     partition_positions,
     partition_tuple_bytes,
-    partitioned_join,
     radix_buckets,
     radix_partition_kernel,
-    restore_canonical_order,
 )
-from repro.relational import JoinBuildIndex, join_indices
+from repro.relational import JoinBuildIndex, join_indices, join_indices_dict
+from repro.relational.keys import DIRECTORY_MAX_DEPTH
 from repro.storage import (
     make_join_pair,
     make_partial_match_pair,
@@ -156,6 +159,55 @@ class TestJoinBuildIndex:
         # Duplicates always sort; unique keys sort only when clustered.
         assert sorted_when == {(True, False), (True, True), (False, True)}
 
+    def test_exact_directory_matches_dictionary_oracle(self, monkeypatch):
+        """Keys spanning fewer values than the directory's buckets get an
+        exact directory whatever the duplicates — each run's start and
+        length, the rows ordered by one stable sort of the bucket ids,
+        16 bits wide up to a span of 2**16 values — and probe like the
+        dictionary loop, keys outside the span and of another dtype
+        included."""
+        sorted_dtypes = []
+        monkeypatch.setattr(
+            np, "argsort", lambda values, *args, _argsort=np.argsort,
+            **kwargs: sorted_dtypes.append(values.dtype)
+            or _argsort(values, *args, **kwargs))
+        rng = np.random.default_rng(7)
+        zipf = np.minimum(rng.zipf(1.3, 5_000), 500) - 250
+        probe = np.concatenate([
+            rng.permutation(np.arange(-260, 261)),
+            [zipf.min() - 1, zipf.max() + 1, _INT64.min, _INT64.max]])
+        floats = np.concatenate([probe[:-2] + 0.5, probe[:-2], [np.nan]])
+
+        def spanning(values: int) -> np.ndarray:
+            keys = rng.integers(0, values, 20_000)
+            keys[:3] = [0, values - 1, values - 1]
+            return keys - values // 2
+
+        cases = {   # name: (build, probe, narrowed sort, duplicates)
+            "zipf": (zipf, probe, np.uint16, True),
+            "empty probe": (zipf, probe[:0], np.uint16, True),
+            "float probe": (zipf, floats, np.uint16, True),
+            "one-row build": (np.asarray([5]), np.asarray([4, 5, 6, 5]),
+                              None, False),
+            "span 2**16": (spanning(1 << 16), probe, np.uint16, True),
+            "span 2**16 + 1": (spanning((1 << 16) + 1), probe, np.int64,
+                               True),
+        }
+        for name, (build, keys, sort_dtype, duplicates) in cases.items():
+            del sorted_dtypes[:]
+            index = JoinBuildIndex(build)
+            assert index._counts is not None, name
+            assert index.unique_keys is not duplicates, name
+            assert sorted_dtypes == ([sort_dtype] if sort_dtype else []), name
+            got = index.probe(keys)
+            expected = join_indices_dict([build], [keys])
+            for got_idx, expected_idx in zip(got, expected):
+                assert got_idx.dtype == np.int64, name
+                np.testing.assert_array_equal(got_idx, expected_idx,
+                                              err_msg=name)
+        # Runs longer than a stepping directory would walk.
+        assert JoinBuildIndex(zipf)._depth > DIRECTORY_MAX_DEPTH
+
     def test_non_integer_keys_keep_the_binary_search(self):
         index = JoinBuildIndex(np.asarray([2.5, 0.5, 2.5]))
         assert index._depth == 0
@@ -273,7 +325,7 @@ class TestPositionPasses:
             np.concatenate([build[::3], build[::7] + 1]))
         home = {}
         # ``stride``: passes that follow others see the keys with the
-        # earlier fan-outs divided out, as ``partitioned_join`` nests them.
+        # earlier fan-outs divided out, as a nested join would.
         for index, part in enumerate(
                 _final_partitions(build // stride, fanouts)):
             home.update(dict.fromkeys(build[part].tolist(), index))
@@ -603,61 +655,109 @@ class TestCanonicalJoinOutputOrder:
                 if label == "coprocessed" and "empty" not in shape:
                     assert len(stats.copartitions) > len(small_gpus), case
 
-    @given(st.lists(st.integers(-6, 12), max_size=50),
-           st.lists(st.integers(-6, 18), max_size=70),
-           st.lists(st.integers(1, 5), min_size=1, max_size=3),
-           st.lists(st.integers(1, 4), max_size=2))
-    @example([0], [2], [2], [1])   # 0 and 2 share the digit the pass used
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_order_restoration_matches_a_lexsort_oracle(
-            self, build, probe, fanouts, inner_fanouts):
-        """Duplicate keys on both sides and rows without a partner, through
-        one to three passes and — with ``inner_fanouts`` — through the
-        co-processed nesting, the inner join handed the digits the outer
-        passes left: counting (probe-major) and the single-key sort
-        (build-major) order the matches exactly as sorting the position
-        pairs on both keys would."""
-        build = np.asarray(build, dtype=np.int64)
-        probe = np.asarray(probe, dtype=np.int64)
-        match = _build_and_probe
-        if inner_fanouts:
-            def match(build_part, probe_part):
-                return partitioned_join(
-                    build_part, probe_part, fanouts=inner_fanouts,
-                    match=_build_and_probe)[:2]
-        build_idx, probe_idx, _, _ = partitioned_join(
-            build, probe, fanouts=fanouts, match=match)
-        for order, sort_keys in (("build", (probe_idx, build_idx)),
-                                 ("probe", (build_idx, probe_idx))):
-            oracle = np.lexsort(sort_keys)
-            restored = restore_canonical_order(
-                build_idx, probe_idx, probe_rows=len(probe),
-                output_order=order)
-            np.testing.assert_array_equal(restored[0], build_idx[oracle])
-            np.testing.assert_array_equal(restored[1], probe_idx[oracle])
-        # Probe-major is the reference executor's order.
-        for got, expected in zip(restored, join_indices([build], [probe])):
-            np.testing.assert_array_equal(got, expected)
+    def test_kernels_and_records_match_a_partitioning_oracle(self):
+        """Duplicate, negative and missing keys, through one to several
+        passes and the co-processed join on 8 KB GPUs: (a) every
+        partitioned kernel returns the hash join's rows, row for row, in
+        both orders; (b) its record equals an oracle that really runs the
+        passes (``partition_positions``) and joins every final partition
+        on its own (``join_indices``), so the record counts the rows and
+        matches of the paper's algorithm."""
+        from repro.hardware import default_server, gtx_1080
+        from repro.operators import (coprocessed_join_kernel,
+                                     cpu_radix_join_kernel,
+                                     gpu_partitioned_join_kernel,
+                                     hash_join_kernel)
+        cpu_spec = default_server().cpus()[0].spec
+        passes_seen, most_copartitions = set(), 0
 
-    def test_nested_join_restarts_at_the_first_unused_digit(self):
-        """Named regression: ``partitioned_join`` hands a co-partition
-        ``key // prod(fanouts)``, so a nested join starts over at digit 0
-        of what it is handed.  Carrying the outer fan-out along as a
-        stride (the interface this replaced) would divide twice: build
-        ``[0]`` and probe ``[2]`` under ``fanouts=[2]`` become 0 and 1,
-        and ``(0 // 2, 1 // 2)`` would match."""
-        seen = []
+        def tiny(spec, scratchpad):
+            return replace(spec, scratchpad=replace(
+                spec.scratchpad, capacity_bytes=scratchpad))
 
-        def inner(build_part, probe_part):
-            seen.append((build_part.tolist(), probe_part.tolist()))
-            return partitioned_join(build_part, probe_part, fanouts=[1],
-                                    match=_build_and_probe)[:2]
+        def record(build_keys, probe_keys, spec):
+            plan = plan_partition_passes(max(len(build_keys), 1),
+                                         HASH_ENTRY_BYTES, spec)
+            build_order, build_bounds, build_calls = partition_positions(
+                build_keys, plan.fanout_per_pass)
+            probe_order, probe_bounds, probe_calls = partition_positions(
+                probe_keys, plan.fanout_per_pass)
+            matches = sum(
+                len(join_indices([build_keys[build_order[bl:bh]]],
+                                 [probe_keys[probe_order[pl:ph]]])[0])
+                for bl, bh, pl, ph in zip(build_bounds, build_bounds[1:],
+                                          probe_bounds, probe_bounds[1:]))
+            passes_seen.add(plan.num_passes)
+            return PartitionedJoinStats(
+                build_rows=len(build_keys), probe_rows=len(probe_keys),
+                plan=plan, build_run=PartitionRunStats(16, build_calls),
+                probe_run=PartitionRunStats(6, probe_calls),
+                output_nbytes=matches * 22)
 
-        build_idx, probe_idx, _, _ = partitioned_join(
-            np.asarray([0]), np.asarray([2]), fanouts=[2], match=inner)
-        assert seen == [([0], [1]), ([], [])]
-        assert len(build_idx) == len(probe_idx) == 0
-        assert "stride" not in partitioned_join.__code__.co_varnames
+        # A build row at least: an empty build side codes every probe key
+        # as one miss code, not as itself (its partitions are
+        # ``test_partitioned_kernels_match_reference_order``'s).
+        @given(st.lists(st.integers(-6, 12), min_size=1, max_size=50),
+               st.lists(st.integers(-9, 18), max_size=70),
+               st.integers(1, 40), st.sampled_from([128, 256, 1024]))
+        @example([0], [2], 1, 128)   # 0 and 2 share the first pass's digit
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        def check(build, probe, copies, scratchpad):
+            nonlocal most_copartitions
+            # Widths 16 (build), 6 (probe) and 22 (an output row).
+            build_keys = np.tile(np.asarray(build, dtype=np.int64), copies)
+            probe_keys = np.tile(np.asarray(probe, dtype=np.int64), copies)
+            build = {"bk": build_keys,
+                     "bv": np.arange(len(build_keys), dtype=np.float64)}
+            probe = {"pk": probe_keys.astype(np.int32),
+                     "pv": np.arange(len(probe_keys), dtype=np.int16)}
+            gpu_spec = tiny(gtx_1080(), scratchpad)
+            gpu_specs = [tiny(gtx_1080(f"gpu{index}"), scratchpad)
+                         .with_memory_capacity(8 << 10) for index in range(2)]
+            kernels = (
+                (cpu_radix_join_kernel, {"spec": cpu_spec},
+                 record(build_keys, probe_keys, cpu_spec)),
+                (gpu_partitioned_join_kernel, {"spec": gpu_spec},
+                 record(build_keys, probe_keys, gpu_spec)),
+                (coprocessed_join_kernel, {"gpu_specs": gpu_specs}, None))
+            fanout = plan_coprocessing(
+                len(build_keys) * 16 + len(probe_keys) * 6, gpu_specs)
+            build_order, build_bounds, build_calls = partition_positions(
+                build_keys, (fanout,))
+            probe_order, probe_bounds, probe_calls = partition_positions(
+                probe_keys, (fanout,))
+            copartitions = []
+            for index in range(fanout):
+                build_part = build_keys[build_order[
+                    build_bounds[index]:build_bounds[index + 1]]]
+                probe_part = probe_keys[probe_order[
+                    probe_bounds[index]:probe_bounds[index + 1]]]
+                copartitions.append((
+                    len(build_part) * 16 + len(probe_part) * 6,
+                    record(build_part // fanout, probe_part // fanout,
+                           gpu_specs[index % len(gpu_specs)])))
+            most_copartitions = max(most_copartitions, fanout)
+            expected_record = CoprocessedJoinStats(
+                build_rows=len(build_keys), probe_rows=len(probe_keys),
+                build_run=PartitionRunStats(16, build_calls),
+                probe_run=PartitionRunStats(6, probe_calls),
+                copartitions=tuple(copartitions))
+            keys = {"build_keys": ["bk"], "probe_keys": ["pk"]}
+            for order in ("probe", "build"):
+                expected, _ = hash_join_kernel(build, probe, **keys,
+                                               output_order=order)
+                for kernel, tuning, oracle in kernels:
+                    columns, stats = kernel(build, probe, **keys, **tuning,
+                                            output_order=order)
+                    assert stats == (oracle or expected_record)
+                    assert list(columns) == list(expected)
+                    for name, values in expected.items():
+                        assert columns[name].dtype == values.dtype
+                        np.testing.assert_array_equal(columns[name], values)
+
+        check()
+        assert {1, 2, 3} <= passes_seen
+        assert most_copartitions > 2
 
     def test_coprocessed_join_matches_reference_order(self, topology):
         build, probe = self._inputs(rows=3000)
@@ -672,11 +772,11 @@ class TestCanonicalJoinOutputOrder:
         from repro.operators import cpu_radix_join_kernel
         build, probe = self._inputs()
         stats = {}
-        for order in ("probe", "build", None):
+        for order in ("probe", "build"):
             _, stats[order] = cpu_radix_join_kernel(
                 build, probe, build_keys=["bk"], probe_keys=["pk"],
                 spec=cpu.spec, output_order=order)
-        assert stats["probe"] == stats["build"] == stats[None]
+        assert stats["probe"] == stats["build"]
 
     def test_invalid_output_order_rejected(self, cpu):
         from repro.operators import cpu_radix_join_kernel, hash_join_kernel

@@ -85,11 +85,8 @@ def _expected_kernel_counts(physical) -> dict[str, int]:
             bump("merge_partials" if node.phase == "final"
                  else "hash_aggregate")
         elif isinstance(node, PJoin):
+            # A co-processed join's in-GPU joins are records, not kernels.
             bump(_JOIN_KERNELS[node.algorithm])
-            if node.algorithm is JoinAlgorithm.COPROCESSED_RADIX:
-                # One in-GPU join per co-partition; inputs this small get
-                # the minimum CPU-side fan-out, one co-partition per GPU.
-                bump("gpu_partitioned_join", 2)
     return expected
 
 
@@ -352,9 +349,9 @@ class TestSharedKeyFold:
         np.testing.assert_array_equal(
             HashJoinBuild(columns, build_keys=["a", "b"]).domain.codes, codes)
         sides = JoinSides(columns, columns, build_keys=["a", "b"],
-                          probe_keys=["a", "b"], output_order=None)
-        np.testing.assert_array_equal(sides.build_keys, codes)
-        np.testing.assert_array_equal(sides.probe_keys, codes)
+                          probe_keys=["a", "b"], output_order="probe")
+        np.testing.assert_array_equal(sides.build.domain.codes, codes)
+        np.testing.assert_array_equal(sides.probe_codes, codes)
 
     def test_single_key_is_identity(self):
         values = np.asarray([5, -3, 2**40], dtype=np.int64)
