@@ -5,21 +5,31 @@ operator, once:
 
 * **placement** — :meth:`Operator.place` maps the devices its input
   arrives on to the devices it runs on (router consumers, crossing
-  targets, the anchor CPU of a final aggregate, ...);
+  targets, the anchor CPU of a final aggregate, ...) and
+  :meth:`Operator.tag` names the kernel tag of its output.  Both run once,
+  when the executor compiles a plan
+  (:meth:`~repro.engine.executor.Executor.compile`): a description is a
+  piece of a compiled program, kept on the prepared record and run by
+  every later execution of the plan;
 * **limits** — :meth:`Operator.check` refuses work that cannot be placed
   (the GPU hash-table capacity check) *before* anything is evaluated or
-  cached;
-* **evaluation** — streaming operators give a pure per-morsel
-  ``transform`` (plus ``begin`` / ``stats`` around the stream), pipeline
-  breakers and sources a whole-batch ``run``; exchanges have neither and
-  forward their input untouched;
-* **charging** — :meth:`Operator.charge` prices the work on the simulated
-  clocks from the recorded stats alone and :meth:`Operator.advance`\\ s the
-  batch past the operator, recording the trace span with the attributes
-  the operator carries.
+  cached, on every execution;
+* **evaluation** — streaming operators' :meth:`Operator.begin` returns a
+  pure per-morsel transform (a probe's holds the build index it made),
+  pipeline breakers and sources give a whole-batch ``run``; exchanges have
+  neither and forward their input untouched;
+* **charging** — :meth:`Operator.charge` prices the work from the recorded
+  stats — once per distinct (stats, input bytes, input residency), kept in
+  the description's ``prices`` — and reserves the simulated clocks with
+  that price on every execution; :meth:`Operator.advance` moves the batch
+  past the operator and records the trace span.
 
-:meth:`repro.engine.executor.Executor._execute` is the one driver that
-walks these.  Which nodes stream is *not* restated here: the driver asks
+A description holds no batch: what one execution makes — a join's build
+batch, its index, columns — is handed to the methods that read it
+(``build``) and dropped with the execution.
+
+:meth:`repro.engine.executor.Executor._run` is the one driver that walks
+these.  Which nodes stream is *not* restated here: the driver asks
 :func:`repro.codegen.pipeline.streams_morsels`, the same predicate
 :func:`~repro.codegen.pipeline.fused_chain` is built on.
 
@@ -28,13 +38,15 @@ Adding an operator is one subclass here plus one :data:`OPERATORS` entry.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..hardware.device import Device
+from ..hardware.interconnect import Route
 from ..hardware.specs import DeviceKind
 from ..obs.trace import Span, holders_label
 from ..operators.aggregate import (
@@ -45,15 +57,17 @@ from ..operators.aggregate import (
 )
 from ..operators.base import (
     ArrayMap,
+    OpCost,
     Rows,
     columns_num_rows,
     record_kernel_invocation,
 )
 from ..operators.coprocess import (
-    charge_coprocessed_join,
     copartition_nbytes,
     coprocessed_join_kernel,
     ensure_copartitions_fit,
+    price_coprocessed_join,
+    reserve_coprocessed_join,
 )
 from ..operators.filterproject import (
     FilterProjectStats,
@@ -93,7 +107,16 @@ from ..relational.physical import (
 )
 
 if TYPE_CHECKING:
-    from .executor import Executor
+    from .executor import Chain, Executor
+
+_Priced = TypeVar("_Priced")
+#: Extra fractional cost charged when a pipeline spans CPUs and GPUs,
+#: covering packet routing, pinned staging buffers and synchronization.
+HYBRID_OVERHEAD = 0.10
+#: The same for hybrid pipelines that shuffle join state.
+HYBRID_JOIN_OVERHEAD = 0.30
+#: A per-morsel body: ``Rows -> (Rows, bytes read)``.
+Transform = Callable[[Rows], "tuple[Rows, int]"]
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,7 @@ class Residency:
     many CPU sockets read it — it goes by the name it is reached through
     (the table's location, else the first CPU that produced the batch).
     The first holder is the node missing bytes are shipped from; only
-    :meth:`repro.engine.executor.Executor.deliver` ships any.
+    :meth:`repro.engine.executor.Executor.ship` ships any.
     """
 
     shares: dict[str, float]
@@ -118,28 +141,38 @@ class Residency:
 class NodeResult:
     """An operator's output on its way up the plan.
 
-    Placement, residency and timing are always present; ``columns`` only
-    where the batch is materialized (chain sources and boundaries — the
-    stages inside a fused chain exist one morsel at a time, so while the
-    charge replay walks them the record carries their ``nbytes`` alone).
-    Every result has exactly one consumer, so operators advance it in
-    place.
+    Residency and timing are always present; ``columns`` only where the
+    batch is materialized (chain sources and boundaries — the stages inside
+    a fused chain exist one morsel at a time, so while the charge replay
+    walks them the record carries their ``nbytes`` alone).  Where it runs
+    is the compiled program's, not the batch's.  Every result has exactly
+    one consumer, so operators advance it in place.
     """
 
     columns: ArrayMap | None
     ready: float
     residency: Residency
-    devices: list[Device]
-    #: Device-spec-derived tuning knobs baked into the row order of this
-    #: subtree's columns (partition plans of radix joins).  Parents fold the
-    #: tag into their kernel memo key so two structurally equal subplans
-    #: only share an evaluation when their row order provably matches.
-    kernel_tag: tuple = ()
     nbytes: int = 0
 
     @property
     def num_rows(self) -> int:
         return columns_num_rows(self.columns)
+
+    def where(self) -> tuple:
+        """Bytes and holders, in holder order: what a delivery of this
+        batch is priced from."""
+        return self.nbytes, tuple(self.residency.shares.items())
+
+
+class Price(NamedTuple):
+    """One charge, priced: where the batch lives once consumed and, per
+    device, ``(device, seconds, route, payload)`` — the seconds it
+    computes (its share, for a delivery alone), the route its missing
+    share crosses (``None``: nothing crosses) and the bytes that cross.
+    """
+
+    residency: Residency
+    legs: tuple[tuple[Device, float, Route | None, int], ...]
 
 
 class Operator:
@@ -152,35 +185,100 @@ class Operator:
     #: Results that are views over catalog-resident arrays pin no memory
     #: and are cached at a byte cost of 0.
     zero_copy = False
-    #: Per-morsel body of a streaming operator: ``Rows -> (Rows, bytes
-    #: read)``.  Pure, so worker threads may run morsels concurrently.
-    transform = None
     #: Whole-batch evaluation of a breaker or source:
-    #: ``input -> (columns, stats)``.
+    #: ``(input, build) -> (columns, stats)``.
     run = None
 
     def __init__(self, node: PhysicalOp, executor: "Executor") -> None:
         self.node = node
-        self.ex = executor
+        # Weak: a program is kept on a session's records, which sit in a
+        # reference cycle, and must not keep the executor — its cache and
+        # catalog — alive past the session until the cyclic GC runs.
+        self.ex = weakref.proxy(executor)
         #: Devices the operator runs on and the kernel tag of its output;
-        #: the driver's placement pass fills both in before evaluation.
+        #: the compile-time placement pass fills both in.
         self.devices: list[Device] = []
         self.kernel_tag: tuple = ()
+        #: A join's compiled build side (``None``: the operator has none).
+        self.build: "Chain | None" = None
+        #: The pricing memo: what :meth:`charge` derived, per key of what
+        #: it derived it from (stats, input bytes and residency).
+        self.prices: dict = {}
 
     def place(self, devices: list[Device]) -> list[Device]:
-        return devices
+        """The devices the operator runs on, given its input's: the same
+        ones, or the anchor CPU for an input on none (a scan)."""
+        return devices or [self.ex.topology.anchor_cpu()]
 
     def tag(self, tag: tuple) -> tuple:
         return tag
 
-    def check(self, batch: NodeResult) -> None:
+    def handoff(self) -> list[Device]:
+        """The devices the output is placed on for the parent's placement."""
+        return self.devices
+
+    def check(self, batch: NodeResult, build: NodeResult | None) -> None:
         """Raise if the placement cannot hold the operator's state."""
 
-    def begin(self) -> None:
-        """Set up a cold stream (kernel bookkeeping, build the index)."""
+    def begin(self, build: NodeResult | None) -> Transform | None:
+        """Set up a cold stream (kernel bookkeeping, build the index) and
+        return the per-morsel body: pure, so worker threads may run morsels
+        concurrently.  ``None``: an exchange forwards morsels untouched."""
+        return None
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def charge(self, batch: NodeResult, stats: object,
+               build: NodeResult | None) -> None:
         raise NotImplementedError
+
+    def estimate(self, stats: object, device: Device) -> OpCost:
+        """The work of a parallel operator on one device."""
+        raise NotImplementedError
+
+    def priced(self, key: object, price: Callable[[], _Priced]) -> _Priced:
+        """The price kept under ``key``, made by ``price()`` the first time."""
+        found = self.prices.get(key)
+        if found is None:
+            found = self.prices[key] = price()
+        return found
+
+    def charge_parallel(self, batch: NodeResult, stats: object, *,
+                        earliest: float, label: str,
+                        join_shuffle: bool = False) -> tuple[float, Residency]:
+        """Charge :meth:`estimate`'s work over ``batch`` across the
+        devices: each device is charged its share from the moment the
+        share has arrived.  Returns the time the last device finishes and
+        where the output lives.  Priced once per stats record, bytes and
+        residency (:meth:`price_parallel`); the clocks are reserved every
+        time."""
+        price = self.priced((stats, batch.where()), lambda: (
+            self.price_parallel(stats, batch, join_shuffle)))
+        ready = earliest
+        arrivals = self.ex.ship(price, earliest, f"{label}:h2d")
+        for (device, seconds, _, _), arrival in zip(price.legs, arrivals):
+            record = device.charge(seconds, earliest=arrival, label=label)
+            ready = max(ready, record.end)
+        return ready, price.residency
+
+    def price_parallel(self, stats: object, batch: NodeResult,
+                       join_shuffle: bool) -> Price:
+        """The work priced once per participating device kind (on that
+        kind's first device), plus the hybrid overhead when the kinds mix;
+        each device computes its
+        :meth:`~repro.engine.executor.Executor.deliver` share of it."""
+        seconds_by_kind: dict = {}
+        for device in self.devices:
+            if device.kind not in seconds_by_kind:
+                seconds_by_kind[device.kind] = self.estimate(stats,
+                                                             device).seconds
+        overhead = 0.0
+        if len(seconds_by_kind) > 1:  # the pipeline spans CPUs and GPUs
+            overhead = (HYBRID_JOIN_OVERHEAD if join_shuffle
+                        else HYBRID_OVERHEAD)
+        residency, legs = self.ex.deliver(batch, self.devices)
+        return Price(residency, tuple(
+            (device, seconds_by_kind[device.kind] * share * (1.0 + overhead),
+             route, payload)
+            for device, share, route, payload in legs))
 
     def advance(self, batch: NodeResult, ready: float, *,
                 start: float | None = None,
@@ -203,8 +301,6 @@ class Operator:
                 input_bytes=int(batch.nbytes),
                 est_rows=self.node.est_rows, attrs=attrs))
         batch.ready = ready
-        batch.devices = self.devices
-        batch.kernel_tag = self.kernel_tag
         if residency is not None:
             batch.residency = residency
 
@@ -217,17 +313,18 @@ class Scan(Operator):
     zero_copy = True
 
     def place(self, devices: list[Device]) -> list[Device]:
-        return self.ex.default_devices()
+        self.residency = Residency.on(
+            self.ex.catalog.table(self.node.table).location)
+        return super().place(devices)
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, int]:
+    def run(self, batch: NodeResult, build: None) -> tuple[ArrayMap, int]:
         table = self.ex.catalog.table(self.node.table)
         names = self.node.columns if self.node.columns else table.column_names
         columns = {name: table.array(name) for name in names}
         return columns, Rows.of(columns).nbytes()
 
-    def charge(self, batch: NodeResult, nbytes: int) -> None:
-        batch.residency = Residency.on(
-            self.ex.catalog.table(self.node.table).location)
+    def charge(self, batch: NodeResult, nbytes: int, build: None) -> None:
+        batch.residency = self.residency
         batch.nbytes = nbytes
         self.advance(batch, 0.0, table=self.node.table)
 
@@ -241,15 +338,16 @@ class RouterOp(Operator):
     memoized = False
 
     def place(self, devices: list[Device]) -> list[Device]:
+        self.anchor = self.ex.topology.anchor_cpu()
         if self.node.consumers:
             return [self.ex.topology.device(name)
                     for name in self.node.consumers]
         return devices
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def charge(self, batch: NodeResult, stats: object, build: None) -> None:
         # Routing decisions are packet-metadata only; charge a token
         # control cost on the CPU that hosts the router.
-        record = self.ex.topology.anchor_cpu().charge(
+        record = self.anchor.charge(
             1e-6 * max(len(self.devices), 1), earliest=batch.ready,
             label="router")
         self.advance(batch, record.end)
@@ -259,18 +357,20 @@ class MemMoveOp(Operator):
     label = "mem-move"
     memoized = False
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
-        destinations = [name.strip()
-                        for name in self.node.destination.split(",")
-                        if name.strip()]
-        if not destinations:
+    def place(self, devices: list[Device]) -> list[Device]:
+        names = [name.strip() for name in self.node.destination.split(",")
+                 if name.strip()]
+        if not names:
             raise ExecutionError("mem-move needs at least one destination")
-        residency, arrivals = self.ex.deliver(
-            batch, [self.ex.topology.device(name) for name in destinations],
-            earliest=batch.ready, label="mem-move", whole=self.node.broadcast)
-        self.advance(batch, max(arrival for _, _, arrival in arrivals),
-                     residency=residency,
-                     destination=holders_label(residency.shares),
+        self.destinations = [self.ex.topology.device(name) for name in names]
+        return devices
+
+    def charge(self, batch: NodeResult, stats: object, build: None) -> None:
+        price = self.priced(batch.where(), lambda: self.ex.deliver(
+            batch, self.destinations, whole=self.node.broadcast))
+        self.advance(batch, max(self.ex.ship(price, batch.ready, "mem-move")),
+                     residency=price.residency,
+                     destination=holders_label(price.residency.shares),
                      broadcast=self.node.broadcast)
 
 
@@ -287,7 +387,7 @@ class DeviceCrossingOp(Operator):
                 f"no available devices of kind {kind.value} in the topology")
         return targets
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def charge(self, batch: NodeResult, stats: object, build: None) -> None:
         ready = batch.ready
         for device in self.devices:
             record = device.charge(device.cost.kernel_launch() or 1e-6,
@@ -310,31 +410,34 @@ class FilterProject(Operator):
 
     label = "filter-project"
 
-    def place(self, devices: list[Device]) -> list[Device]:
-        return devices or self.ex.default_devices()
+    def __init__(self, node: PFilterProject, executor: "Executor") -> None:
+        super().__init__(node, executor)
+        self.referenced = referenced_columns(node.predicate, node.projections)
 
-    def begin(self) -> None:
+    def begin(self, build: None) -> Transform:
         record_kernel_invocation("filter_project")
-        self.referenced = referenced_columns(self.node.predicate,
-                                             self.node.projections)
+        return self.transform
 
     def transform(self, batch: Rows) -> tuple[Rows, int]:
         return (filter_project_morsel(batch, predicate=self.node.predicate,
                                       projections=self.node.projections),
                 batch.nbytes(self.referenced))
 
-    def stats(self, in_rows: int, in_bytes: int,
+    def stats(self, build: None, in_rows: int, in_bytes: int,
               out_nbytes: int) -> FilterProjectStats:
         return FilterProjectStats(num_rows=in_rows, touched_bytes=in_bytes)
 
-    def charge(self, batch: NodeResult, stats: FilterProjectStats) -> None:
+    def estimate(self, stats: FilterProjectStats, device: Device) -> OpCost:
         # The functional kernel is device-invariant: it ran once, and the
         # identical work is priced per participating device kind.
-        ready, residency = self.ex.charge_parallel(
-            self.devices, lambda device: estimate_filter_project(
-                stats, device, predicate=self.node.predicate,
-                projections=self.node.projections),
-            batch, earliest=batch.ready, label=self.label)
+        return estimate_filter_project(stats, device,
+                                       predicate=self.node.predicate,
+                                       projections=self.node.projections)
+
+    def charge(self, batch: NodeResult, stats: FilterProjectStats,
+               build: None) -> None:
+        ready, residency = self.charge_parallel(
+            batch, stats, earliest=batch.ready, label=self.label)
         self.advance(batch, ready, residency=residency)
 
 
@@ -346,10 +449,10 @@ class Aggregate(Operator):
 
     def place(self, devices: list[Device]) -> list[Device]:
         if self.node.phase == "partial":
-            return devices or self.ex.default_devices()
+            return super().place(devices)
         return [self.ex.topology.anchor_cpu()]
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
+    def run(self, batch: NodeResult, build: None) -> tuple[ArrayMap, object]:
         node = self.node
         if node.phase == "final":
             return merge_partials_kernel([batch.columns],
@@ -360,18 +463,16 @@ class Aggregate(Operator):
             batch.columns, group_by=node.group_by,
             aggregates=node.aggregates, phase=node.phase)
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def estimate(self, stats: object, device: Device) -> OpCost:
+        if self.node.phase == "final":  # stats = merged partial bytes
+            return estimate_merge_partials(stats, device)
+        return estimate_hash_aggregate(stats, device,
+                                       aggregates=self.node.aggregates)
+
+    def charge(self, batch: NodeResult, stats: object, build: None) -> None:
         phase = self.node.phase
-        if phase == "final":  # stats = merged partial bytes
-            def estimate(device):
-                return estimate_merge_partials(stats, device)
-        else:
-            def estimate(device):
-                return estimate_hash_aggregate(
-                    stats, device, aggregates=self.node.aggregates)
-        ready, residency = self.ex.charge_parallel(
-            self.devices, estimate, batch, earliest=batch.ready,
-            label=f"aggregate-{phase}")
+        ready, residency = self.charge_parallel(
+            batch, stats, earliest=batch.ready, label=f"aggregate-{phase}")
         self.advance(batch, ready, residency=residency, phase=phase)
 
 
@@ -382,13 +483,13 @@ class Sort(Operator):
     def place(self, devices: list[Device]) -> list[Device]:
         return [self.ex.topology.anchor_cpu()]
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, None]:
+    def run(self, batch: NodeResult, build: None) -> tuple[ArrayMap, None]:
         order = np.lexsort(
             key_columns(batch.columns, self.node.keys)[::-1])
         return {name: np.asarray(values)[order]
                 for name, values in batch.columns.items()}, None
 
-    def charge(self, batch: NodeResult, stats: object) -> None:
+    def charge(self, batch: NodeResult, stats: object, build: None) -> None:
         cpu = self.devices[0]
         record = cpu.charge(cpu.cost.seq_scan(batch.nbytes) * 2,
                             earliest=batch.ready, label="sort")
@@ -420,7 +521,7 @@ def partition_tuning(spec) -> tuple:
 
 class Join(Operator):
     """Shared by every join: the build side is a breaker, executed (and
-    charged) when the description is created — before the probe input."""
+    charged) before the probe input."""
 
     #: ``estimate_*`` function pricing the join from its stats on a device.
     estimator = None
@@ -428,21 +529,28 @@ class Join(Operator):
     #: only its share of it; a non-partitioned one needs all of it.
     copartitions_build = False
 
-    def __init__(self, node: PJoin, executor: "Executor") -> None:
-        super().__init__(node, executor)
-        self.build = executor._execute(node.build)
-
     def tag(self, tag: tuple) -> tuple:
         return self.build.kernel_tag + tag
 
-    def charge(self, batch: NodeResult, stats) -> None:
-        earliest = max(self.build.ready, batch.ready)
-        ready_build = self.ex.broadcast_build(
-            self.build, [d for d in self.devices if d.is_gpu], earliest,
-            whole=not self.copartitions_build)
-        ready, residency = self.ex.charge_parallel(
-            self.devices, lambda device: self.estimator(stats, device), batch,
-            earliest=ready_build, label=self.label, join_shuffle=True)
+    def estimate(self, stats: object, device: Device) -> OpCost:
+        return self.estimator(stats, device)
+
+    def charge(self, batch: NodeResult, stats, build: NodeResult) -> None:
+        # The build goes to the GPUs that probe it: all of it to each for a
+        # non-partitioned join, its share of the co-partitions to each for
+        # a partitioned one.  In the plans this optimizer emits a build is
+        # host-resident or — for the partitioned GPU join in GPU-only mode
+        # — already split across the GPUs that join it, where nothing is
+        # shipped; GPU capacity is enforced by ``check``.
+        earliest = max(build.ready, batch.ready)
+        broadcast = self.priced(("build", build.where()), lambda: (
+            self.ex.deliver(build, [d for d in self.devices if d.is_gpu],
+                            whole=not self.copartitions_build)))
+        ready_build = max([earliest, *self.ex.ship(broadcast, earliest,
+                                                   "broadcast-build")])
+        ready, residency = self.charge_parallel(
+            batch, stats, earliest=ready_build, label=self.label,
+            join_shuffle=True)
         self.advance(batch, ready, start=earliest, residency=residency,
                      build_rows=stats.build_rows, probe_rows=stats.probe_rows)
 
@@ -456,46 +564,42 @@ class HashJoin(Join):
     match list is ordered by probe position, the streamed outputs
     concatenate to exactly the whole-column join and the accumulated
     :class:`JoinStats` equals :func:`~repro.operators.hash_join_kernel`'s
-    record.  After :meth:`begin` the index is read-only, so
-    :meth:`transform` is safe on worker threads.  A *swapped* join's
-    build-major order cannot be emitted as a probe-order stream; it
-    :meth:`run`\\ s whole.
+    record.  The index is read-only once built, so the transform is safe
+    on worker threads.  A *swapped* join's build-major order cannot be
+    emitted as a probe-order stream; it :meth:`run`\\ s whole.
     """
 
     label = "hash-join"
     estimator = staticmethod(estimate_non_partitioned_join)
 
-    def place(self, devices: list[Device]) -> list[Device]:
-        return devices or self.ex.default_devices()
-
-    def check(self, batch: NodeResult) -> None:
+    def check(self, batch: NodeResult, build: NodeResult) -> None:
         # The global hash table an oversized build would allocate (the Q9
         # failure mode) is refused before anything streams or is cached.
         for device in self.devices:
             if device.is_gpu:
-                device.ensure_fits(build_table_bytes(self.build.num_rows))
+                device.ensure_fits(build_table_bytes(build.num_rows))
                 break
 
-    def begin(self) -> None:
+    def begin(self, build: NodeResult) -> Transform:
         record_kernel_invocation("hash_join")
-        self.ex.scheduler.grant(self.build.num_rows)
-        self.builder = HashJoinBuild(self.build.columns,
-                                     build_keys=self.node.build_keys)
+        self.ex.scheduler.grant(build.num_rows)
+        builder = HashJoinBuild(build.columns,
+                                build_keys=self.node.build_keys)
+        probe_keys = self.node.probe_keys
+        return lambda batch: (builder.probe(batch, probe_keys=probe_keys),
+                              batch.nbytes())
 
-    def transform(self, batch: Rows) -> tuple[Rows, int]:
-        return (self.builder.probe(batch, probe_keys=self.node.probe_keys),
-                batch.nbytes())
-
-    def stats(self, in_rows: int, in_bytes: int,
+    def stats(self, build: NodeResult, in_rows: int, in_bytes: int,
               out_nbytes: int) -> JoinStats:
-        return JoinStats(build_rows=self.build.num_rows, probe_rows=in_rows,
-                         build_nbytes=self.build.nbytes,
+        return JoinStats(build_rows=build.num_rows, probe_rows=in_rows,
+                         build_nbytes=build.nbytes,
                          probe_nbytes=in_bytes, output_nbytes=out_nbytes)
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, JoinStats]:
-        self.ex.scheduler.grant(self.build.num_rows, batch.num_rows)
+    def run(self, batch: NodeResult,
+            build: NodeResult) -> tuple[ArrayMap, JoinStats]:
+        self.ex.scheduler.grant(build.num_rows, batch.num_rows)
         return hash_join_kernel(
-            self.build.columns, batch.columns,
+            build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
             output_order=join_order(self.node))
 
@@ -524,7 +628,7 @@ class RadixJoin(Join):
         self.kind, self.estimator, self.label = _RADIX_VARIANTS[node.algorithm]
 
     def place(self, devices: list[Device]) -> list[Device]:
-        self.input_devices = devices or self.ex.default_devices()
+        self.input_devices = super().place(devices)
         everywhere = [device for device in self.ex.topology.devices
                       if device.kind is self.kind]
         return ([d for d in self.input_devices if d.kind is self.kind]
@@ -534,23 +638,23 @@ class RadixJoin(Join):
         return super().tag(tag) + (
             ("radix", partition_tuning(self.devices[0].spec)),)
 
-    def check(self, batch: NodeResult) -> None:
+    def handoff(self) -> list[Device]:
+        # The GPU join hands its input's placement on to its parent.
+        return (self.input_devices if self.kind is DeviceKind.GPU
+                else self.devices)
+
+    def check(self, batch: NodeResult, build: NodeResult) -> None:
         if self.kind is DeviceKind.GPU:
-            ensure_gpu_join_fits(self.build.columns, batch.columns,
+            ensure_gpu_join_fits(build.columns, batch.columns,
                                  self.devices[0])
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
-        self.ex.scheduler.grant(self.build.num_rows, batch.num_rows)
+    def run(self, batch: NodeResult,
+            build: NodeResult) -> tuple[ArrayMap, object]:
+        self.ex.scheduler.grant(build.num_rows, batch.num_rows)
         return partitioned_join_kernel(
-            self.build.columns, batch.columns,
+            build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
             spec=self.devices[0].spec, output_order=join_order(self.node))
-
-    def charge(self, batch: NodeResult, stats) -> None:
-        super().charge(batch, stats)
-        if self.kind is DeviceKind.GPU:
-            # The GPU join hands its input's placement on to its parent.
-            batch.devices = self.input_devices
 
 
 class CoprocessedJoin(Join):
@@ -558,10 +662,12 @@ class CoprocessedJoin(Join):
     co-partitions, the GPUs join the co-partitions.
 
     Its cost is a timeline over several devices, not one device's
-    :class:`~repro.operators.base.OpCost`, so :meth:`charge` replays the
-    stats record through
-    :func:`~repro.operators.coprocess.charge_coprocessed_join` instead of
-    :meth:`~repro.engine.executor.Executor.charge_parallel`.
+    :class:`~repro.operators.base.OpCost`, so :meth:`charge` prices the
+    stats record once with
+    :func:`~repro.operators.coprocess.price_coprocessed_join` and replays
+    the steps through
+    :func:`~repro.operators.coprocess.reserve_coprocessed_join` instead of
+    :meth:`Operator.charge_parallel`.
     """
 
     label = "coprocessed-join"
@@ -580,25 +686,29 @@ class CoprocessedJoin(Join):
              tuple(partition_tuning(gpu.spec) for gpu in self.gpus),
              tuple(gpu.spec.memory_capacity_bytes for gpu in self.gpus)),)
 
-    def _on_inputs(self, function, batch: NodeResult, **extra):
-        return function(self.build.columns, batch.columns,
+    def _on_inputs(self, function, batch: NodeResult, build: NodeResult,
+                   **extra):
+        return function(build.columns, batch.columns,
                         build_keys=self.node.build_keys,
                         probe_keys=self.node.probe_keys,
                         gpu_specs=[gpu.spec for gpu in self.gpus], **extra)
 
-    def check(self, batch: NodeResult) -> None:
+    def check(self, batch: NodeResult, build: NodeResult) -> None:
         # Sized from bucket counts, so a cached evaluation is refused too.
-        ensure_copartitions_fit(self._on_inputs(copartition_nbytes, batch),
-                                self.gpus)
+        ensure_copartitions_fit(
+            self._on_inputs(copartition_nbytes, batch, build), self.gpus)
 
-    def run(self, batch: NodeResult) -> tuple[ArrayMap, object]:
-        return self._on_inputs(coprocessed_join_kernel, batch,
+    def run(self, batch: NodeResult,
+            build: NodeResult) -> tuple[ArrayMap, object]:
+        return self._on_inputs(coprocessed_join_kernel, batch, build,
                                output_order=join_order(self.node))
 
-    def charge(self, batch: NodeResult, stats) -> None:
-        earliest = max(self.build.ready, batch.ready)
-        _, finished = charge_coprocessed_join(
-            stats, self.ex.topology, self.cpus, self.gpus, earliest=earliest)
+    def charge(self, batch: NodeResult, stats, build: NodeResult) -> None:
+        earliest = max(build.ready, batch.ready)
+        _, steps = self.priced(stats, lambda: price_coprocessed_join(
+            stats, self.ex.topology, self.cpus, self.gpus))
+        finished = reserve_coprocessed_join(steps, self.cpus,
+                                            earliest=earliest)
         self.advance(batch, finished, start=earliest,
                      residency=Residency.on(self.cpus[0].name),
                      build_rows=stats.build_rows,

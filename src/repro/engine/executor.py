@@ -33,13 +33,21 @@ One description per operator, one driver
 
 The executor holds no per-operator code.  Every physical operator kind is
 described once in :mod:`repro.engine.descriptions` — how it places itself
-on devices, how it evaluates (a per-morsel ``transform`` for streaming
+on devices, how it evaluates (a per-morsel transform for streaming
 operators, a whole-batch ``run`` for pipeline breakers and sources), how
 it charges the simulated clocks from its stats record and which
-attributes its trace span carries — and :meth:`Executor._execute` is the
-one generic driver that walks those descriptions: execute the join build
-sides and the source, place every operator, evaluate the chain inside the
-kernel memo, then replay each operator's charge bottom-up.
+attributes its trace span carries.
+
+A plan is compiled once (:meth:`Executor.compile`) into a
+:class:`Program`: its chains, each with its placed descriptions, kernel
+tags, memo key and tuning, and every description's pricing memo.  A
+session keeps the program on the plan's prepared record, so a repeated
+query derives none of it again.  :meth:`Executor._run` is the one driver
+that walks the prepared program: execute the join build sides and the
+source, check capacities, evaluate the chain inside the kernel memo, then
+charge each operator bottom-up — a price derived once per (stats record,
+input bytes, input residency), clocks reserved on every execution, so the
+list scheduling itself is never stored.
 
 Morsel-driven batching
 ----------------------
@@ -85,7 +93,7 @@ granularity** — one memo/cache entry per chain, keyed by the structural
 key of the chain's top operator with a fused-chain tuning marker, storing
 the boundary batch *plus* the per-stage stats records needed to replay
 every stage's cost on warm runs.  Subplans that occur more than once in a
-plan are sharing points and are never deferred (:meth:`Executor._defer_ok`
+plan are sharing points and are never deferred (:meth:`Executor.compile`
 cuts the chain there), which preserves single evaluation; and because cost
 charging is replayed per stage from the recorded stats in exactly the
 unfused order, simulated seconds, device busy times and link bytes are
@@ -104,8 +112,13 @@ from ..codegen.pipeline import fused_chain, streams_morsels
 from ..hardware.device import Device
 from ..hardware.topology import Topology
 from ..obs.trace import QueryTrace, Span
-from ..operators.base import ArrayMap, OpCost, Rows
-from ..relational.physical import PhysicalOp, referenced_tables, structural_key
+from ..operators.base import ArrayMap, Rows
+from ..relational.physical import (
+    PhysicalOp,
+    PJoin,
+    referenced_tables,
+    structural_key,
+)
 from ..stats.cardinality import q_error
 from ..storage.catalog import Catalog
 from ..storage.column import Column
@@ -116,7 +129,7 @@ from ..storage.morsel import (
     morsel_count,
 )
 from ..storage.table import Table
-from .descriptions import NodeResult, Operator, Residency, description
+from .descriptions import NodeResult, Operator, Price, Residency, description
 from .querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
     CacheCounters,
@@ -126,12 +139,6 @@ from .querycache import (
 from .workers import WorkerPool, resolve_workers
 
 _KernelResult = TypeVar("_KernelResult")
-
-#: Extra fractional cost charged when a pipeline spans CPUs and GPUs,
-#: covering packet routing, pinned staging buffers and synchronization.
-HYBRID_OVERHEAD = 0.10
-#: The same for hybrid pipelines that shuffle join state.
-HYBRID_JOIN_OVERHEAD = 0.30
 
 
 @dataclass(frozen=True)
@@ -245,20 +252,43 @@ class MorselScheduler:
         return self.morsel_rows
 
 
-class PlanKeys(NamedTuple):
-    """The kernel memo's view of one physical plan, built by
-    :meth:`Executor.plan_keys` and never changed afterwards.
+class Chain(NamedTuple):
+    """One chain of a compiled plan: the maximal fused chain of streaming
+    operators below its top node (just the node when it starts none), and
+    the chains that feed it."""
 
-    A session keeps it on the plan's prepared record, so a repeated query
-    does not rebuild its keys; it stays valid while the catalog versions
-    the keys embed do (the record is dropped when they change).
+    #: The descriptions bottom-up — the order morsels flow — placed.
+    ops: tuple[Operator, ...]
+    #: The chain producing the source batch (``None``: the chain is a scan).
+    source: "Chain | None"
+    #: Kernel-memo key of the top node (``None``: not memoized) and the
+    #: tuning marker: the output's kernel tag and the chain depth, which
+    #: pins the stats records an entry carries.
+    key: tuple | None
+    tuning: tuple
+    #: Where the output is placed and the kernel tag it carries, as the
+    #: consumer's placement reads them.  The tag names the device-spec
+    #: tuning baked into the output's row order (partition plans of radix
+    #: joins); consumers fold it into their tuning, so two structurally
+    #: equal subplans only share an evaluation when their row order
+    #: provably matches.
+    devices: list[Device]
+    kernel_tag: tuple
+
+
+class Program(NamedTuple):
+    """A physical plan compiled for one executor (:meth:`Executor.compile`).
+
+    Holds decisions and prices, never a batch.  A session keeps it on the
+    plan's prepared record, valid while the catalog versions, device
+    health, memories, link bandwidths and options it was compiled under
+    hold — the record's stamp drops it when any of them changes.
     """
 
-    #: ``id(node) ->`` catalog-versioned structural key, every node.
-    keys: dict[int, tuple]
-    #: Occurrences per key of every node the memo serves.  The deferral
-    #: predicate (:meth:`Executor._defer_ok`) reads these initial counts;
-    #: each query decays its own copy.
+    root: Chain
+    #: Occurrences per memo key of every node the memo serves: chains are
+    #: cut at keys occurring more than once, and each query decays its own
+    #: copy to evict the overlay after a key's last occurrence.
     refs: dict[tuple, int]
 
 
@@ -335,12 +365,10 @@ class Executor:
         #: Actual output rows per relational plan node of the current query.
         self._node_rows: dict[int, int] = {}
         # Per-query state: an overlay memo over the session cache (keeps
-        # within-plan repeats single-evaluated regardless of cache budget),
-        # the current plan's keys (:class:`PlanKeys`), and this query's
-        # copy of their remaining-occurrence counts that bound the
-        # overlay's footprint.
+        # within-plan repeats single-evaluated regardless of cache budget)
+        # and this query's copy of the program's remaining-occurrence
+        # counts that bound the overlay's footprint.
         self._query_memo: dict[tuple, dict[object, object]] = {}
-        self._keys = PlanKeys({}, {})
         self._key_refs: dict[tuple, int] = {}
         # Tracing state: a span list while the current query traces
         # (``None`` = off — the single check every trace point makes) and
@@ -371,24 +399,59 @@ class Executor:
             self.query_cache.set_budget(options.cache_budget_bytes)
 
     # ------------------------------------------------------------------
-    def plan_keys(self, plan: PhysicalOp) -> PlanKeys:
-        """Key every node of ``plan`` and count the memoized occurrences.
+    def compile(self, plan: PhysicalOp) -> Program:
+        """Compile ``plan``: key every node, cut the chains, place them.
 
-        The keys embed the catalog versions read here, once: the catalog
-        cannot change mid-query.
+        The keys embed the catalog versions read here, once; placement
+        reads device health, the anchor CPU and the router consumers.
+        Every description starts with an empty pricing memo, filled by the
+        first execution that charges it.
         """
         keys: dict[int, tuple] = {}
         versions = self.catalog.table_versions
         refs = Counter(structural_key(node, keys, table_versions=versions)
                        for node in plan.walk() if description(node).memoized)
-        return PlanKeys(keys, refs)
+        # Fusion starts below the root: the root is a chain of its own.
+        return Program(self._chain(plan, keys, refs, fuse=False), refs)
+
+    def _chain(self, node: PhysicalOp, keys: dict[int, tuple],
+               refs: Counter, *, fuse: bool = True) -> Chain:
+        """Compile the chain topped by ``node`` and the chains it reads:
+        the build side of every join (top-down), then the source — the
+        order execution reaches them.
+
+        A subplan occurring more than once in the plan is a sharing point
+        (memo-aware deferral): its single evaluation must be materialized
+        so the other occurrences can reuse it, so only single-occurrence
+        subplans join a fused chain.  Placement threads devices and kernel
+        tags bottom-up.
+        """
+        nodes = (fused_chain(node, lambda op: refs[keys[id(op)]] == 1)
+                 if fuse and self.options.pipeline_fusion else []) or [node]
+        ops = [description(op)(op, self) for op in nodes]
+        for op in ops:
+            if isinstance(op.node, PJoin):
+                op.build = self._chain(op.node.build, keys, refs)
+        inputs = nodes[-1].children()
+        source = self._chain(inputs[-1], keys, refs) if inputs else None
+        ops.reverse()  # bottom-up: the order morsels flow
+        devices, tag = (source.devices, source.kernel_tag) if source else (
+            [], ())
+        for op in ops:
+            devices = op.devices = op.place(devices)
+            tag = op.kernel_tag = op.tag(tag)
+        top = ops[-1]
+        return Chain(tuple(ops), source,
+                     keys[id(node)] if top.memoized else None,
+                     (tag, ("fused-chain", len(ops))), top.handoff(), tag)
 
     def execute(self, plan: PhysicalOp,
-                keys: PlanKeys | None = None) -> ExecutionResult:
+                program: Program | None = None) -> ExecutionResult:
         """Run a physical plan and report result plus simulated timing.
 
-        ``keys`` is the plan's :meth:`plan_keys` when the caller kept them
-        (a session's prepared record); without them they are built here.
+        ``program`` is the plan's :meth:`compile` when the caller kept it
+        (a session's prepared record); without it the plan is compiled
+        here.
         """
         self.topology.reset()
         self.scheduler.reset()
@@ -397,10 +460,10 @@ class Executor:
         self._trace_spans = [] if self.options.tracing else None
         self._trace_kernel = {}
         try:
-            self._keys = keys or self.plan_keys(plan)
-            self._key_refs = dict(self._keys.refs)
-            # Fusion starts below the root: the root is a chain of its own.
-            result = self._execute(plan, fuse=False)
+            if program is None:
+                program = self.compile(plan)
+            self._key_refs = dict(program.refs)
+            result = self._run(program.root)
         finally:
             # Overlay entries are evicted after their last structural
             # occurrence; clear the rest so only the budget-bounded
@@ -465,29 +528,29 @@ class Executor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _memoized_kernel(self, node: PhysicalOp,
-                         run: Callable[[], _KernelResult],
-                         tuning: object = None, *,
-                         zero_copy: bool = False) -> _KernelResult:
-        """Evaluate a functional kernel at most once per distinct subplan.
+    def _memoized_kernel(self, chain: Chain,
+                         run: Callable[[], _KernelResult]) -> _KernelResult:
+        """Evaluate a chain's functional kernels at most once per distinct
+        subplan.
 
         Keyed by the catalog-versioned structural key of the subtree rooted
-        at ``node``.  Lookups go through two layers: the per-query overlay
-        first (within-plan repeats, not counted as cache traffic), then the
-        session-lifetime :class:`QueryCache` (cross-query reuse, counted as
-        hits/misses per distinct subplan).  Misses evaluate the kernel and
-        retain the result in both layers; costing happens outside this
-        cache, per occurrence, so simulated seconds never observe it.
+        at the chain's top node and the chain's tuning.  Lookups go through
+        two layers: the per-query overlay first (within-plan repeats, not
+        counted as cache traffic), then the session-lifetime
+        :class:`QueryCache` (cross-query reuse, counted as hits/misses per
+        distinct subplan).  Misses evaluate the kernel and retain the
+        result in both layers; costing happens outside this cache, per
+        occurrence, so simulated seconds never observe it.
 
-        ``tuning`` must identify any device-spec-derived knobs the kernel
-        bakes into its result or inherits from its inputs (partition plans
-        of the radix joins, via :attr:`NodeResult.kernel_tag`): two
-        occurrences only share an evaluation when their tuning matches,
-        keeping per-occurrence cost replays and row orders exact.
+        The tuning identifies any device-spec-derived knobs the kernels
+        bake into their result or inherit from their inputs (partition
+        plans of the radix joins, via the kernel tags placement threads):
+        two occurrences only share an evaluation when their tuning
+        matches, keeping per-occurrence cost replays and row orders exact.
 
-        ``zero_copy`` marks results whose columns are views over
-        catalog-resident arrays (base-table scans): they are retained at a
-        byte cost of 0 since they pin no memory beyond the catalog.
+        Results whose columns are views over catalog-resident arrays
+        (base-table scans, ``zero_copy``) are retained at a byte cost of 0
+        since they pin no memory beyond the catalog.
 
         An overlay entry is evicted right after its *last* structural
         occurrence in the plan, so the per-query layer only pins
@@ -495,7 +558,7 @@ class Executor:
         outlives the query is governed solely by the session cache's LRU
         byte budget.
         """
-        key = self._keys.keys[id(node)]
+        key, tuning, top = chain.key, chain.tuning, chain.ops[-1]
         variants = self._query_memo.get(key)
         result = None if variants is None else variants.get(tuning)
         status = "overlay"
@@ -513,8 +576,8 @@ class Executor:
                 if self.query_cache.enabled:
                     self.query_cache.put(
                         session_key, result,
-                        nbytes=0 if zero_copy else result_nbytes(result),
-                        tables=referenced_tables(node))
+                        nbytes=0 if top.zero_copy else result_nbytes(result),
+                        tables=referenced_tables(top.node))
             else:
                 status = "hit"
             self._query_memo.setdefault(key, {})[tuning] = result
@@ -525,7 +588,7 @@ class Executor:
             # activity from the committed counters instead (the server's
             # "complete" event).  VOLATILE_SPAN_KEYS strips these for the
             # warm-vs-cold timing contract.
-            self._trace_kernel[node.node_id] = (status, morsel_delta)
+            self._trace_kernel[top.node.node_id] = (status, morsel_delta)
         remaining = self._key_refs.get(key, 0) - 1
         if remaining <= 0:
             self._query_memo.pop(key, None)
@@ -534,75 +597,57 @@ class Executor:
             self._key_refs[key] = remaining
         return result  # type: ignore[return-value]
 
-    def _defer_ok(self, node: PhysicalOp) -> bool:
-        """May ``node``'s output be deferred (streamed, not materialized)?
-
-        Memo-aware deferral: a subplan that occurs more than once in the
-        current plan is a sharing point — its single evaluation must be
-        materialized so other occurrences can reuse it — so only
-        single-occurrence subplans join a fused chain.
-        """
-        return self._keys.refs.get(self._keys.keys[id(node)], 0) == 1
-
     # ------------------------------------------------------------------
     # The driver
     # ------------------------------------------------------------------
-    def _execute(self, node: PhysicalOp, *, fuse: bool = True) -> NodeResult:
-        """Execute the subtree rooted at ``node`` and return its batch.
+    def _run(self, chain: Chain) -> NodeResult:
+        """Execute one compiled chain and return its output batch.
 
-        ``node`` tops a *chain*: the maximal fused chain of streaming
-        operators below it when fusion is on and it starts one, else just
-        ``node`` itself — unfused execution is the one-stage case, not a
-        second code path.  Every chain runs the same four steps:
+        The chain is the maximal fused chain of streaming operators below
+        its top node when fusion is on and the node starts one, else just
+        the node — unfused execution is the one-stage case, not a second
+        code path.  Every chain runs the same four steps:
 
-        1. assembly walks top-down, executing the build side of every join
-           (creating its description does) and finally the chain's source,
-           so all their charges land on the simulated clocks first;
-        2. a placement pass threads devices and kernel tags bottom-up and
-           lets every operator refuse placements it cannot hold (the join's
-           GPU capacity check) — before anything streams or is cached;
+        1. the build side of every join (top-down) and then the source are
+           executed, so all their charges land on the simulated clocks
+           first;
+        2. every operator refuses what its compiled placement cannot hold
+           (the join's GPU capacity check) — before anything streams or is
+           cached;
         3. the functional evaluation runs inside the kernel memo, keyed at
-           chain granularity: the chain top's structural key plus a tuning
-           marker, storing the boundary batch and the per-stage stats
-           records (warm runs skip the evaluation and reuse both);
-        4. the per-stage costs are replayed bottom-up from the records.
+           chain granularity, storing the boundary batch and the per-stage
+           stats records (warm runs skip the evaluation and reuse both);
+        4. the per-stage costs are charged bottom-up from the records.
+
+        The builds are this execution's and are dropped with it.
         """
-        nodes = (fused_chain(node, self._defer_ok)
-                 if fuse and self.options.pipeline_fusion else []) or [node]
-        ops = [description(op)(op, self) for op in nodes]
-        inputs = nodes[-1].children()
-        batch = (self._execute(inputs[-1]) if inputs
-                 else NodeResult(None, 0.0, Residency({}), []))
-        ops.reverse()  # bottom-up: the order morsels flow
-        devices, tag = batch.devices, batch.kernel_tag
-        for op in ops:
-            devices = op.devices = op.place(devices)
-            tag = op.kernel_tag = op.tag(tag)
-            op.check(batch)
-        top = ops[-1]
-        if top.memoized:
-            # The tuning marker's chain depth pins which stats records the
-            # entry carries, keeping differently-shaped entries for the
-            # same key apart.
-            columns, records = self._memoized_kernel(
-                node, lambda: self._evaluate(ops, batch),
-                tuning=(tag, ("fused-chain", len(ops))),
-                zero_copy=top.zero_copy)
+        ops = chain.ops
+        builds = [None if op.build is None else self._run(op.build)
+                  for op in reversed(ops)]
+        builds.reverse()
+        batch = (NodeResult(None, 0.0, Residency({})) if chain.source is None
+                 else self._run(chain.source))
+        for op, build in zip(ops, builds):
+            op.check(batch, build)
+        if chain.key is None:
+            columns, records = self._evaluate(chain, batch, builds)
         else:
-            columns, records = self._evaluate(ops, batch)
-        for op, record in zip(ops, records):
+            columns, records = self._memoized_kernel(
+                chain, lambda: self._evaluate(chain, batch, builds))
+        for op, build, record in zip(ops, builds, records):
             stats, nbytes, rows = record or (None, batch.nbytes, None)
-            op.charge(batch, stats)
+            op.charge(batch, stats, build)
             batch.nbytes = nbytes
             if record:  # exchanges forward batches and report no rows
                 self._node_rows[op.node.node_id] = rows
         batch.columns = columns
-        if inputs:
+        if chain.source is not None:
             self._peak_intermediate = max(self._peak_intermediate,
                                           batch.nbytes)
         return batch
 
-    def _evaluate(self, ops: Sequence[Operator], source: NodeResult,
+    def _evaluate(self, chain: Chain, source: NodeResult,
+                  builds: Sequence[NodeResult | None],
                   ) -> tuple[ArrayMap, tuple]:
         """Evaluate a chain over its source batch (cold runs only).
 
@@ -623,16 +668,16 @@ class Executor:
         summing the per-morsel flows — happens on this thread, so columns
         and records are bit-identical at every worker count.
         """
-        top = ops[-1]
-        if not streams_morsels(top.node):
-            columns, stats = top.run(source)
+        ops = chain.ops
+        if not streams_morsels(ops[-1].node):
+            columns, stats = ops[-1].run(source, builds[-1])
             out = Rows.of(columns)
             return columns, ((stats, out.nbytes(), out.num_rows),)
-        stages = [op for op in ops if op.transform is not None]
+        stages = [(index, transform) for index, transform in enumerate(
+            op.begin(build) for op, build in zip(ops, builds))
+            if transform is not None]
         if not stages:  # a lone exchange
             return source.columns, (None,)
-        for stage in stages:
-            stage.begin()
         morsels = list(iter_morsels(source.columns,
                                     self.scheduler.grant(source.num_rows)))
 
@@ -642,8 +687,8 @@ class Executor:
             for index in span:
                 batch = Rows.of(morsels[index])
                 flow = []
-                for stage in stages:
-                    out, in_bytes = stage.transform(batch)
+                for _, transform in stages:
+                    out, in_bytes = transform(batch)
                     flow.append((batch.num_rows, in_bytes, out.nbytes(),
                                  out.num_rows))
                     batch = out
@@ -659,29 +704,24 @@ class Executor:
             flows.extend(span_flows)
         columns = concat_columns(parts, consume=True)
         # Transpose morsels x stages, then sum each stage's four counters.
-        totals = {stage: [sum(counter) for counter in zip(*stage_flows)]
-                  for stage, stage_flows in zip(stages, zip(*flows))}
+        totals = {index: [sum(counter) for counter in zip(*stage_flows)]
+                  for (index, _), stage_flows in zip(stages, zip(*flows))}
 
-        def record(op: Operator) -> tuple | None:
-            if op not in totals:
+        def record(index: int) -> tuple | None:
+            if index not in totals:
                 return None
-            in_rows, in_bytes, out_nbytes, out_rows = totals[op]
-            return (op.stats(in_rows, in_bytes, out_nbytes), out_nbytes,
-                    out_rows)
+            in_rows, in_bytes, out_nbytes, out_rows = totals[index]
+            return (ops[index].stats(builds[index], in_rows, in_bytes,
+                                     out_nbytes), out_nbytes, out_rows)
 
-        return columns, tuple(map(record, ops))
+        return columns, tuple(map(record, range(len(ops))))
 
     # ------------------------------------------------------------------
-    # Cost charging helpers the descriptions share
+    # Pricing and reserving: the helpers the descriptions share
     # ------------------------------------------------------------------
-    def default_devices(self) -> list[Device]:
-        return [self.topology.anchor_cpu()]
-
     def deliver(self, batch: NodeResult, devices: Sequence[Device], *,
-                earliest: float, label: str, whole: bool = False,
-                ) -> tuple[Residency, list[tuple[Device, float, float]]]:
-        """Bring ``batch`` to the devices about to consume it — the one
-        place that puts bytes on a link.
+                whole: bool = False) -> Price:
+        """Price bringing ``batch`` to the devices about to consume it.
 
         Each device consumes a share of the batch (all of it with
         ``whole``: a broadcast).  The split is inherited while the
@@ -689,17 +729,17 @@ class Executor:
         where they differ: by memory bandwidth, except that a GPU holding
         none of the batch weighs in with the bottleneck of the route that
         feeds it.  A GPU is shipped the part of its share it does not hold
-        yet, from the batch's first holder over :meth:`Topology.route`,
-        and must have room to stage it.  CPU sockets share host memory and
-        split what it holds by memory bandwidth; gathering GPU-resident
-        bytes back to it is not charged.
+        yet, from the batch's first holder over :meth:`Topology.route`.
+        CPU sockets share host memory and split what it holds by memory
+        bandwidth; gathering GPU-resident bytes back to it is not charged.
 
-        Returns the batch's residency once consumed and one ``(device,
-        share, arrival time)`` per device; the clocks of the links crossed
-        are the only state touched.
+        Returns the batch's residency once consumed and, per device, its
+        share, the route its missing part crosses and the bytes: a pure
+        function of the batch's bytes and residency, which :meth:`ship`
+        reserves.
         """
         if not devices:
-            return batch.residency, []
+            return Price(batch.residency, ())
         held = batch.residency.shares
         source = next(iter(held))
         gpu_names = self._gpu_names
@@ -725,63 +765,30 @@ class Executor:
                 total = sum(weights)
                 for memory, weight in zip(memories, weights):
                     placed[memory] += weight / total
-        arrivals = []
+        legs = []
         for name, memory, device in zip(names, memories, devices):
-            share, arrival = placed[memory], earliest
+            share = placed[memory]
             if not whole and name not in gpu_names:
                 share = (share * device.spec.memory_bandwidth_gib_s
                          / host_bandwidth)
             missing = share - held.get(name, 0.0)
-            if name in routes and missing > 0.0:
-                payload = int(batch.nbytes * missing)
+            route = routes.get(name) if missing > 0.0 else None
+            legs.append((device, share, route,
+                         0 if route is None else int(batch.nbytes * missing)))
+        return Price(batch.residency if placed is held
+                     else Residency(placed), tuple(legs))
+
+    def ship(self, price: Price, earliest: float, label: str) -> list[float]:
+        """Reserve the links a priced delivery crosses — the one place that
+        puts bytes on a link.  A GPU must have room to stage what it is
+        shipped.  Returns when each leg's share has arrived (``earliest``
+        where nothing crosses)."""
+        arrivals = []
+        for device, _, route, payload in price.legs:
+            arrival = earliest
+            if route is not None:
                 device.ensure_fits(payload)
-                arrival = routes[name].transfer(payload, earliest=earliest,
-                                                label=label)
-            arrivals.append((device, share, arrival))
-        return (batch.residency if placed is held
-                else Residency(placed)), arrivals
-
-    def charge_parallel(self, devices: Sequence[Device],
-                        estimate: Callable[[Device], OpCost],
-                        batch: NodeResult, *, earliest: float, label: str,
-                        join_shuffle: bool = False,
-                        ) -> tuple[float, Residency]:
-        """Charge a parallel operator over ``batch`` across its devices.
-
-        The work is priced once per participating device kind (on that
-        kind's first device) and each device is charged its share of it
-        from the moment its share has arrived (:meth:`deliver`); returns
-        the time the last device finishes and where the output lives.
-        """
-        seconds_by_kind: dict = {}
-        for device in devices:
-            if device.kind not in seconds_by_kind:
-                seconds_by_kind[device.kind] = estimate(device).seconds
-        overhead = 0.0
-        if len(seconds_by_kind) > 1:  # the pipeline spans CPUs and GPUs
-            overhead = (HYBRID_JOIN_OVERHEAD if join_shuffle
-                        else HYBRID_OVERHEAD)
-        residency, arrivals = self.deliver(batch, devices, earliest=earliest,
-                                           label=f"{label}:h2d")
-        ready = earliest
-        for device, share, arrival in arrivals:
-            seconds = seconds_by_kind[device.kind] * share
-            seconds *= 1.0 + overhead
-            record = device.charge(seconds, earliest=arrival, label=label)
-            ready = max(ready, record.end)
-        return ready, residency
-
-    def broadcast_build(self, build: NodeResult, gpus: Sequence[Device],
-                        earliest: float, *, whole: bool) -> float:
-        """Bring a join's build side to the GPUs that probe it: all of it
-        to each for a non-partitioned join (``whole``), its share of the
-        co-partitions to each for a partitioned one.
-
-        In the plans this optimizer emits a build is either host-resident
-        or — for the partitioned GPU join in GPU-only mode — already split
-        across the GPUs that join it, where nothing is shipped; GPU
-        capacity is enforced separately (``ensure_gpu_join_fits``).
-        """
-        _, arrivals = self.deliver(build, gpus, earliest=earliest,
-                                   label="broadcast-build", whole=whole)
-        return max([earliest, *(arrival for _, _, arrival in arrivals)])
+                arrival = route.transfer(payload, earliest=earliest,
+                                         label=label)
+            arrivals.append(arrival)
+        return arrivals

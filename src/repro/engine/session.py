@@ -19,12 +19,13 @@ think in session terms.
 
 The session also keeps its *decisions*: one :class:`PreparedPlan` per
 (logical plan, resolved mode) holds the physical plan, its pipelines, its
-estimates and its kernel-memo keys, so a query whose plan *object* is
-executed again is planned once (an equal but rebuilt plan is planned
-anew).  Records are dropped when the catalog registers, replaces or drops
-a table (its table versions change), when device health, a GPU's memory or
-a link's bandwidth changes, when the optimizer or executor options change,
-and one by one as their logical plans are collected (``docs/CACHING.md``).
+estimates and, from its first execution on, the executor's compiled
+program, so a query whose plan *object* is executed again is planned and
+compiled once (an equal but rebuilt plan is planned anew).  Records are
+dropped when the catalog registers, replaces or drops a table (its table
+versions change), when device health, a GPU's memory or a link's
+bandwidth changes, when the optimizer or executor options change, and one
+by one as their logical plans are collected (``docs/CACHING.md``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..relational.physical import PhysicalOp
 from ..stats.cardinality import CardinalityReport, build_report
 from ..storage.catalog import Catalog
 from ..storage.table import Table
-from .executor import Executor, ExecutorOptions, PlanKeys
+from .executor import Executor, ExecutorOptions, Program
 from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
 from .querycache import CacheCounters, QueryCacheStats
@@ -138,11 +139,12 @@ class PreparedPlan(NamedTuple):
     """Every decision one (logical plan, mode) pair takes before it runs.
 
     Each field is a pure function of the logical plan, the mode, the
-    optimizer options, the catalog versions of the tables it reads and
-    device health, so it is built on the first request and read by every
-    later ``plan`` / ``explain`` / ``execute`` until one of those changes.
-    Nothing is charged from it: results, simulated seconds, reports and
-    traces are those of a fresh planning.
+    optimizer and executor options, the catalog versions of the tables it
+    reads and device health, so it is built on the first request and read
+    by every later ``plan`` / ``explain`` / ``execute`` until one of those
+    changes.  Prices are derived once; clocks are reserved per execute:
+    results, simulated seconds, reports and traces are those of a fresh
+    planning.
     """
 
     physical: PhysicalOp
@@ -150,8 +152,9 @@ class PreparedPlan(NamedTuple):
     #: ``estimate_physical(physical)`` (``node_id -> OperatorEstimate``),
     #: joined with actual rows into the cardinality report.
     estimates: dict
-    #: The executor's structural keys and occurrence counts.
-    keys: PlanKeys
+    #: The executor's compiled program (chains, placement, memo keys,
+    #: pricing memos), made by the first ``execute``; ``None`` until then.
+    program: Program | None = None
 
 
 class HAPEEngine:
@@ -307,17 +310,22 @@ class HAPEEngine:
                 self.optimizer.estimator.estimate_nodes(logical), {})
         return entry[1:]
 
-    def _prepared(self, logical: LogicalPlan,
-                  mode: ExecutionMode) -> PreparedPlan:
-        """The record of (``logical``, ``mode``); a miss plans the query."""
+    def _prepared(self, logical: LogicalPlan, mode: ExecutionMode, *,
+                  compiled: bool = False) -> PreparedPlan:
+        """The record of (``logical``, ``mode``); a miss plans the query.
+        With ``compiled`` the record carries its program, compiled here
+        the first time."""
         estimates, modes = self._plan_records(logical)
-        if mode not in modes:
+        prepared = modes.get(mode)
+        if prepared is None:
             physical = self.optimizer.optimize(logical, mode, estimates)
-            modes[mode] = PreparedPlan(
+            prepared = modes[mode] = PreparedPlan(
                 physical, break_into_pipelines(physical),
-                self.optimizer.estimator.estimate_physical(physical),
-                self.executor.plan_keys(physical))
-        return modes[mode]
+                self.optimizer.estimator.estimate_physical(physical))
+        if compiled and prepared.program is None:
+            prepared = modes[mode] = prepared._replace(
+                program=self.executor.compile(prepared.physical))
+        return prepared
 
     def estimates(self, logical: LogicalPlan) -> dict:
         """``logical``'s one estimation pass
@@ -353,14 +361,15 @@ class HAPEEngine:
         evaluations served from the session's cross-query cache when a
         structurally identical subplan already ran against the same
         catalog state.  Planning, pipelines and estimates come from the
-        prepared record of (``logical``, resolved mode): a repeated query
-        only executes.  The returned :class:`QueryResult` carries the
+        prepared record of (``logical``, resolved mode), and so does the
+        compiled program: a repeated query only looks up kernels and
+        reserves clocks.  The returned :class:`QueryResult` carries the
         functional answer, the simulated timing/utilization breakdown and
         the cache counters for this query.
         """
         mode = self.resolve_mode(logical, mode)
-        prepared = self._prepared(logical, mode)
-        result = self.executor.execute(prepared.physical, prepared.keys)
+        prepared = self._prepared(logical, mode, compiled=True)
+        result = self.executor.execute(prepared.physical, prepared.program)
         if result.trace is not None:
             result.trace.mode = mode.value
         return QueryResult(

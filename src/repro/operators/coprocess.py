@@ -192,49 +192,78 @@ def ensure_copartitions_fit(pair_nbytes: Sequence[int],
         gpus[index % len(gpus)].ensure_fits(pair_bytes)
 
 
-def charge_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,
-                            cpus: Sequence[Device], gpus: Sequence[Device], *,
-                            earliest: float = 0.0,
-                            config: GpuJoinConfig | None = None,
-                            ) -> tuple[OpCost, float]:
-    """Replay a recorded evaluation onto the topology's clocks, pipelined
-    per co-partition.
+def price_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,
+                           cpus: Sequence[Device], gpus: Sequence[Device], *,
+                           config: GpuJoinConfig | None = None,
+                           ) -> tuple[OpCost, tuple]:
+    """Price a recorded evaluation without touching a clock.
 
-    The CPU pass is priced once, on ``cpus[0]``, and charged in slices:
+    The CPU pass is priced once, on ``cpus[0]``, and cut into slices:
     co-partition ``i``'s slice is the pass's cost times its share of the
-    rows, spread evenly over every socket of ``cpus``, none starting
-    before ``earliest`` (the inputs' ready time).  When its slice ends,
-    co-partition ``i`` crosses the route from ``cpus[0]`` to GPU
-    ``i mod n`` once and is joined there when it arrives — so the CPU pass,
-    the transfers and the joins overlap, and distinct GPUs overlap on their
-    own PCIe links.  Returns the summed cost and the time the last device
-    finishes.
+    rows, spread evenly over every socket of ``cpus``.  Co-partition ``i``
+    crosses the route from ``cpus[0]`` to GPU ``i mod n`` once and is
+    joined there.  Returns the summed cost and one step per co-partition,
+    ``(slice seconds, route, payload bytes, GPU, join seconds)``, which
+    :func:`reserve_coprocessed_join` schedules.
     """
     build_cost = estimate_partition_run(stats.build_run, cpus[0])
     probe_cost = estimate_partition_run(stats.probe_run, cpus[0])
     pass_seconds = build_cost.seconds + probe_cost.seconds
     total_rows = max(stats.build_rows + stats.probe_rows, 1)
     total_cost = OpCost().merge(build_cost).merge(probe_cost)
-    finished = earliest
+    steps = []
     for index, (pair_bytes, join_stats) in enumerate(stats.copartitions):
         slice_seconds = (pass_seconds * (join_stats.build_rows
                                          + join_stats.probe_rows)
                          / total_rows / len(cpus))
-        sliced = max(cpu.charge(slice_seconds, earliest=earliest,
-                                label="cpu-copartition").end
-                     for cpu in cpus)
         gpu = gpus[index % len(gpus)]
         route = topology.route(cpus[0].name, gpu.name)
-        arrived = route.transfer(pair_bytes, earliest=sliced,
-                                 label=f"copartition->{gpu.name}")
         total_cost.add("pcie-transfer", route.transfer_time(pair_bytes))
         join_cost = estimate_gpu_partitioned_join(join_stats, gpu,
                                                   config=config)
-        joined = gpu.charge(join_cost.seconds, earliest=arrived,
-                            label=f"gpu-join[p{index}]")
         total_cost.merge(join_cost)
+        steps.append((slice_seconds, route, pair_bytes, gpu,
+                      join_cost.seconds))
+    return total_cost, tuple(steps)
+
+
+def reserve_coprocessed_join(steps: Sequence[tuple], cpus: Sequence[Device],
+                             *, earliest: float = 0.0) -> float:
+    """Schedule :func:`price_coprocessed_join`'s steps onto the clocks,
+    pipelined per co-partition.
+
+    No slice starts before ``earliest`` (the inputs' ready time).  When its
+    slice ends, co-partition ``i`` crosses its route and is joined when it
+    arrives — so the CPU pass, the transfers and the joins overlap, and
+    distinct GPUs overlap on their own PCIe links.  Returns the time the
+    last device finishes.
+    """
+    finished = earliest
+    for index, (slice_seconds, route, pair_bytes, gpu,
+                join_seconds) in enumerate(steps):
+        sliced = max(cpu.charge(slice_seconds, earliest=earliest,
+                                label="cpu-copartition").end
+                     for cpu in cpus)
+        arrived = route.transfer(pair_bytes, earliest=sliced,
+                                 label=f"copartition->{gpu.name}")
+        joined = gpu.charge(join_seconds, earliest=arrived,
+                            label=f"gpu-join[p{index}]")
         finished = max(finished, joined.end)
-    return total_cost, finished
+    return finished
+
+
+def charge_coprocessed_join(stats: CoprocessedJoinStats, topology: Topology,
+                            cpus: Sequence[Device], gpus: Sequence[Device], *,
+                            earliest: float = 0.0,
+                            config: GpuJoinConfig | None = None,
+                            ) -> tuple[OpCost, float]:
+    """Replay a recorded evaluation onto the topology's clocks: price it
+    (:func:`price_coprocessed_join`), then reserve the steps
+    (:func:`reserve_coprocessed_join`).  Returns the summed cost and the
+    time the last device finishes."""
+    cost, steps = price_coprocessed_join(stats, topology, cpus, gpus,
+                                         config=config)
+    return cost, reserve_coprocessed_join(steps, cpus, earliest=earliest)
 
 
 def coprocessed_radix_join(build: Mapping[str, np.ndarray],

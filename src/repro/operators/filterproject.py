@@ -95,13 +95,16 @@ def filter_project_morsel(
     This is the body the executor's morsel stream and the whole-batch
     kernel share: selection and expression evaluation are row-local, so
     applying it slice-by-slice and concatenating reproduces the whole-batch
-    result exactly.  A constant predicate keeps every row or none.
+    result exactly.  A constant predicate keeps every row or none; a
+    predicate that keeps every row moves nothing (the view is returned as
+    it is).
     """
     rows = Rows.of(columns)
     if predicate is not None:
         mask = np.asarray(predicate.evaluate(rows), dtype=bool)
-        rows = rows.take(np.flatnonzero(
-            np.broadcast_to(mask, (rows.num_rows,))))
+        if not mask.all():
+            rows = rows.take(np.flatnonzero(
+                np.broadcast_to(mask, (rows.num_rows,))))
     if not projections:
         return rows
     projected: ArrayMap = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.executor import HYBRID_JOIN_OVERHEAD, HYBRID_OVERHEAD
+from ..engine.descriptions import HYBRID_JOIN_OVERHEAD, HYBRID_OVERHEAD
 from ..engine.modes import ExecutionMode
 from ..engine.optimizer import gpu_join_state_fits
 from ..hardware.topology import Topology, default_server

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Executor, ExecutorOptions, HAPEEngine, Session
-from repro.engine.descriptions import description
 from repro.hardware import default_server, gtx_1080
 from repro.operators import (
     coprocessed_join_kernel,
@@ -274,22 +273,22 @@ class TestStreamedDescriptionsMatchKernels:
     @staticmethod
     def _stream(node, catalog, morsel_rows, topology=None):
         """Drive ``node``'s description as a one-stage chain, the way
-        :meth:`Executor._execute` does: place, check, evaluate."""
+        :meth:`Executor._run` does: build, source, check, evaluate.
+        Returns the description, its build batch (``None`` without one),
+        its source batch, the output columns and the stats record."""
         executor = Executor(topology or default_server(), catalog,
                             ExecutorOptions(morsel_rows=morsel_rows,
                                             cache_budget_bytes=0))
-        # As ``execute`` does before driving the plan.
-        executor._keys = executor.plan_keys(node)
-        stage = description(node)(node, executor)  # runs a join's build
-        source = executor._execute(node.children()[-1])
-        stage.devices = stage.place(source.devices)
-        stage.kernel_tag = stage.tag(source.kernel_tag)
-        stage.check(source)
-        columns, ((stats, nbytes, rows),) = executor._evaluate([stage],
-                                                               source)
+        chain = executor.compile(node).root  # the root is a chain of its own
+        (stage,) = chain.ops
+        build = None if stage.build is None else executor._run(stage.build)
+        source = executor._run(chain.source)
+        stage.check(source, build)
+        columns, ((stats, nbytes, rows),) = executor._evaluate(
+            chain, source, [build])
         assert nbytes == sum(v.nbytes for v in columns.values())
         assert rows == (len(next(iter(columns.values()))) if columns else 0)
-        return stage, source, columns, stats
+        return stage, build, source, columns, stats
 
     @staticmethod
     def _assert_bytes_equal(got, expected):
@@ -311,8 +310,8 @@ class TestStreamedDescriptionsMatchKernels:
                                predicate=predicate)
         node = PFilterProject(cpu_traits(), child=inner,
                               projections=projections)
-        _, source, columns, stats = self._stream(node, engine.catalog,
-                                                 morsel_rows)
+        _, _, source, columns, stats = self._stream(node, engine.catalog,
+                                                    morsel_rows)
         if cutoff < 0:
             assert source.num_rows == 0
         expected, expected_stats = filter_project_kernel(
@@ -335,7 +334,8 @@ class TestStreamedDescriptionsMatchKernels:
         node = PFilterProject(cpu_traits(), child=_scan("t"),
                               predicate=predicate, projections=projections)
         catalog = _catalog(t=_random_columns(num_rows, seed=num_rows))
-        _, source, columns, stats = self._stream(node, catalog, morsel_rows)
+        _, _, source, columns, stats = self._stream(node, catalog,
+                                                    morsel_rows)
         expected, expected_stats = filter_project_kernel(
             source.columns, predicate=predicate, projections=projections)
         if keep == "none":
@@ -371,9 +371,9 @@ class TestStreamedDescriptionsMatchKernels:
         build, probe = self._join_sides(shape)
         node = PJoin(cpu_traits(), build=_scan("build"), probe=_scan("probe"),
                      build_keys=("bk",), probe_keys=("pk",), **join)
-        stage, source, columns, stats = self._stream(
+        stage, build, source, columns, stats = self._stream(
             node, _catalog(build=build, probe=probe), morsel_rows, topology)
-        return stage, stage.build.columns, source.columns, columns, stats
+        return stage, build.columns, source.columns, columns, stats
 
     @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
     @pytest.mark.parametrize("cutoff", [10**9, -1], ids=["rows", "empty"])
@@ -386,10 +386,10 @@ class TestStreamedDescriptionsMatchKernels:
                         columns=("l_orderkey", "l_quantity")))
         node = PJoin(cpu_traits(), build=orders, probe=lineitem,
                      build_keys=("o_orderkey",), probe_keys=("l_orderkey",))
-        stage, source, columns, stats = self._stream(node, engine.catalog,
-                                                     morsel_rows)
+        _, build, source, columns, stats = self._stream(
+            node, engine.catalog, morsel_rows)
         expected, expected_stats = hash_join_kernel(
-            stage.build.columns, source.columns,
+            build.columns, source.columns,
             build_keys=node.build_keys, probe_keys=node.probe_keys)
         self._assert_bytes_equal(columns, expected)
         assert stats == expected_stats
@@ -456,7 +456,8 @@ class TestStreamedDescriptionsMatchKernels:
         node = PAggregate(cpu_traits(), child=child, group_by=("k",),
                           aggregates=aggregates, phase=phase)
         catalog = _catalog(t=_random_columns(num_rows, seed=17))
-        _, source, columns, stats = self._stream(node, catalog, morsel_rows)
+        _, _, source, columns, stats = self._stream(node, catalog,
+                                                    morsel_rows)
         if phase == "final":
             expected, expected_stats = merge_partials_kernel(
                 [source.columns], group_by=["k"], aggregates=aggregates)

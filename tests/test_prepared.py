@@ -1,22 +1,29 @@
-"""Prepared plans: a repeated query is planned once, and only once.
+"""Prepared plans: a repeated query is planned and compiled once, and only
+once.
 
 A session keeps one record per (logical plan, resolved mode) — physical
-plan, pipelines, estimates, kernel-memo keys — stamped with the catalog's
-table versions, the topology's health fingerprint and the options.  These
-tests pin both halves of that contract: a hit plans nothing and changes
-nothing (results, simulated seconds, reports and traces are those of a
-fresh planning), and every change the decisions depend on is a miss.
+plan, pipelines, estimates and, from the first execution on, the
+executor's compiled program (chains, placement, memo keys, prices) —
+stamped with the catalog's table versions, the topology's health
+fingerprint and the options.  These tests pin both halves of that
+contract: a hit plans and derives nothing and changes nothing (results,
+simulated seconds, reports and traces are those of a fresh planning), and
+every change the decisions depend on is a miss.
 """
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
 import gc
+import pstats
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.engine import HAPEEngine
+from repro.engine import Executor, HAPEEngine, descriptions
 from repro.engine.optimizer import Optimizer
 from repro.errors import CatalogError, OptimizerError
 from repro.faults import FaultPlan
@@ -42,6 +49,20 @@ def optimize_calls(monkeypatch):
         return original(self, plan, mode, *args, **kwargs)
 
     monkeypatch.setattr(Optimizer, "optimize", counting)
+    return calls
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every ``Executor.compile`` call, as the plan it compiled."""
+    calls: list = []
+    original = Executor.compile
+
+    def counting(self, plan):
+        calls.append(plan)
+        return original(self, plan)
+
+    monkeypatch.setattr(Executor, "compile", counting)
     return calls
 
 
@@ -297,6 +318,160 @@ def test_warm_records_are_bit_identical_to_a_fresh_session(sf001):
             assert hit.cardinality == first.cardinality
             assert _fingerprint(hit) == _fingerprint(
                 fresh.execute(plan, mode)), (name, mode)
+
+
+def _timing(result):
+    """What every execution of one plan reports alike, warm or cold."""
+    report = [(op.label, op.estimated_rows, op.actual_rows, op.q_error)
+              for op in result.cardinality.operators]
+    return (repr(result.simulated_seconds), result.device_busy,
+            result.link_bytes, report, result.trace.timing_jsonl())
+
+
+def _replay(result):
+    """What an execution reports, cache warmth included."""
+    return (_timing(result), result.cache, result.morsels_dispatched,
+            result.trace.to_jsonl())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, workers,
+                                                        fusion):
+    """Every TPC-H (query, mode): runs through a program an earlier run
+    compiled and priced equal runs through a new one — cold kernels
+    (cache off), warm kernels (an equal plan object, so a new program over
+    the same cache entries) and a fresh session — in simulated seconds,
+    device busy, link bytes, operator rows, cache counters and traces."""
+    def session(**knobs):
+        engine = HAPEEngine(default_server(), tracing=True, workers=workers,
+                            pipeline_fusion=fusion, **knobs)
+        engine.register_dataset(sf001.tables)
+        return engine
+
+    queries, rebuilt = all_queries(sf001), all_queries(sf001)
+    cold, warm, fresh = session(cache_budget_bytes=0), session(), session()
+    for name in ("Q1", "Q5", "Q6", "Q9"):
+        for mode in MODES:
+            plan = queries[name].plan
+            cold_runs = [cold.execute(plan, mode) for _ in range(2)]
+            compiled, kept = (warm.execute(plan, mode) for _ in range(2))
+            recompiled = warm.execute(rebuilt[name].plan, mode)
+            alone = fresh.execute(plan, mode)
+            assert kept.cache.hits and not kept.cache.misses
+            assert _replay(cold_runs[0]) == _replay(cold_runs[1])
+            assert _replay(compiled) == _replay(alone), (name, mode)
+            assert _replay(kept) == _replay(recompiled), (name, mode)
+            assert len({repr(_timing(result)) for result in (
+                *cold_runs, compiled, kept, recompiled, alone)}) == 1
+
+
+class TestProgram:
+    def test_compiled_by_the_first_execute_only(self, engine, q5,
+                                                compile_calls):
+        engine.plan(q5, "hybrid")
+        engine.explain(q5, "hybrid")
+        assert compile_calls == []
+        first = engine.execute(q5, "hybrid")
+        second = engine.execute(q5, "hybrid")
+        assert compile_calls == [first.physical_plan]
+        assert second.simulated_seconds == first.simulated_seconds
+
+    @pytest.mark.parametrize("change", [
+        lambda engine, dataset: engine.topology.fail_device("gpu0"),
+        lambda engine, dataset: engine.register_table(
+            dataset.tables["nation"], replace=True),
+        lambda engine, dataset: engine.executor.retune(pipeline_fusion=False),
+    ], ids=["fail_device", "register_replace", "retune"])
+    def test_rebuilt_after_a_change(self, engine, q5, tpch_dataset,
+                                    compile_calls, change):
+        for _ in range(2):
+            engine.execute(q5, "hybrid")
+        change(engine, tpch_dataset)
+        for _ in range(2):
+            engine.execute(q5, "hybrid")
+        assert len(compile_calls) == 2
+        assert compile_calls[0] is not compile_calls[1]
+
+    def test_rebuilt_after_a_restore(self, engine, q5, compile_calls):
+        healthy = engine.execute(q5, "hybrid")
+        engine.topology.fail_device("gpu0")
+        failed = engine.execute(q5, "hybrid")
+        engine.topology.restore_device("gpu0")
+        restored = engine.execute(q5, "hybrid")
+        assert len(compile_calls) == 3
+        assert failed.device_busy.get("gpu0", 0.0) == 0.0
+        assert restored.simulated_seconds == healthy.simulated_seconds
+        assert restored.device_busy == healthy.device_busy
+
+    def test_a_warm_execute_derives_nothing(self, engine, q5):
+        """Once compiled and priced, an execution only looks up kernels and
+        reserves clocks: no chain is cut, no description made, no route
+        searched, nothing estimated."""
+        for mode in MODES:
+            engine.execute(q5, mode)
+        profile = cProfile.Profile()
+        profile.enable()
+        for mode in MODES:
+            engine.execute(q5, mode)
+        profile.disable()
+        called = {(Path(path).name, name)
+                  for path, _, name in pstats.Stats(profile).stats}
+        derived = {(path, name) for path, name in called
+                   if name in ("fused_chain", "route", "compile", "_chain")
+                   or name.startswith("estimate_")
+                   or (path == "descriptions.py" and name == "__init__")}
+        assert not derived, derived
+        assert ("interconnect.py", "transfer") in called
+
+    def test_a_dropped_session_frees_its_cache_at_once(self, tpch_dataset):
+        """The records sit in a reference cycle (a plan's weak reference
+        calls back into them); the program on them must not reach the
+        executor strongly, or a dropped session's cache and catalog would
+        wait for the cyclic GC."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query("Q5", tpch_dataset).plan
+        engine.execute(plan, "hybrid")
+        cache = weakref.ref(engine.executor.query_cache)
+        gc.disable()
+        try:
+            del engine
+            assert cache() is None
+        finally:
+            gc.enable()
+
+    def test_holds_no_batch(self, tpch_dataset, monkeypatch):
+        """What one cold execution makes — chain outputs, join indexes —
+        is gone once it returns, although the program stays."""
+        engine = HAPEEngine(default_server(), cache_budget_bytes=0)
+        engine.register_dataset(tpch_dataset.tables)
+        catalog = {id(values) for table in tpch_dataset.tables.values()
+                   for values in table.arrays().values()}
+        made: list[weakref.ref] = []
+
+        class Build(descriptions.HashJoinBuild):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        real_run = Executor._run
+
+        def run(self, chain):
+            batch = real_run(self, chain)
+            made.extend(weakref.ref(values)
+                        for values in batch.columns.values()
+                        if id(values) not in catalog)
+            return batch
+
+        monkeypatch.setattr(descriptions, "HashJoinBuild", Build)
+        monkeypatch.setattr(Executor, "_run", run)
+        plan = build_query("Q5", tpch_dataset).plan
+        for _ in range(2):
+            engine.execute(plan, "hybrid")
+            gc.collect()
+            assert made and all(ref() is None for ref in made)
+            made.clear()
 
 
 # ----------------------------------------------------------------------

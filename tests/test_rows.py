@@ -14,8 +14,9 @@ reads it, once.  Three layers of guarantees:
   aggregates over one input share one sum — with the bits of independent
   evaluation.
 
-A constant predicate — every row or none — is pinned beside the fuzzer's
-other edges (``tests/test_fuzz_plans.py::TestZeroRowEdges``).
+A filter that keeps every row moves nothing: it returns its input view as
+it is.  A constant predicate — every row or none — is pinned beside the
+fuzzer's other edges (``tests/test_fuzz_plans.py::TestZeroRowEdges``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ from repro.relational import (
     lit,
 )
 from repro.relational.expr import Arithmetic
-from repro.storage import DEFAULT_MORSEL_ROWS, generate_tpch, iter_morsels
+from repro.storage import (
+    DEFAULT_MORSEL_ROWS,
+    concat_columns,
+    generate_tpch,
+    iter_morsels,
+)
 from repro.workloads import build_query
 
 
@@ -97,6 +103,44 @@ def test_view_gathers_a_column_once_and_carries_it():
 
 
 # ----------------------------------------------------------------------
+# A filter that keeps every row moves nothing
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("predicate", [
+    col("i64") > lit(-10**13), lit(1) == lit(1)],
+    ids=["all-true", "constant-true"])
+def test_a_filter_that_keeps_every_row_returns_its_input(predicate):
+    columns = _typed_columns(100)
+    out = filter_project_morsel(columns, predicate=predicate)
+    assert out.num_rows == 100
+    for name, values in columns.items():
+        assert out[name] is values, name
+
+
+@pytest.mark.parametrize("morsel_rows", [1, 7, 64])
+def test_kept_and_filtered_morsels_concatenate_to_the_kernel(morsel_rows):
+    """Morsels the filter keeps whole pass through untouched, the others
+    are gathered; reassembled, they are the whole-batch kernel's bits."""
+    columns = _typed_columns(300)
+    columns["i64"][:150] = 10**13  # the first half passes every morsel
+    predicate = col("i64") > lit(0)
+    projections = {"i32": col("i32"), "scaled": col("f64") * lit(2.0)}
+    parts, kept = [], []
+    for morsel in iter_morsels(columns, morsel_rows):
+        out = filter_project_morsel(morsel, predicate=predicate)
+        kept.append(out.num_rows == len(morsel["i64"]))
+        parts.append(dict(filter_project_morsel(
+            out, projections=projections)))
+    assert any(kept) and not all(kept)
+    expected, _ = filter_project_kernel(columns, predicate=predicate,
+                                        projections=projections)
+    streamed = concat_columns(parts)
+    assert list(streamed) == list(expected)
+    for name, values in expected.items():
+        assert streamed[name].dtype == values.dtype
+        assert streamed[name].tobytes() == values.tobytes(), name
+
+
+# ----------------------------------------------------------------------
 # Fused chains gather only what they read
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -133,10 +177,10 @@ def test_fused_chain_gathers_what_it_reads_once(small_engine, monkeypatch,
             gathers.append(name)
         return real_getitem(self, name)
 
-    def evaluate(self, ops, source):
-        in_chain.append(ops[-1].node is top)
+    def evaluate(self, chain, source, builds):
+        in_chain.append(chain.ops[-1].node is top)
         try:
-            return real_evaluate(self, ops, source)
+            return real_evaluate(self, chain, source, builds)
         finally:
             in_chain.pop()
 

@@ -223,17 +223,17 @@ class TestCoprocessedJoinInTheEngine:
         """Every slice of a join's CPU pass is charged no earlier than the
         join's span starts — the later of its two inputs' ready times."""
         passes = []
-        real = descriptions.charge_coprocessed_join
+        real = descriptions.reserve_coprocessed_join
 
-        def spy(stats, topology, *args, **kwargs):
-            before = set(topology.timeline().records())
-            charged = real(stats, topology, *args, **kwargs)
-            passes.append([task for task in topology.timeline().records()
+        def spy(steps, cpus, **kwargs):
+            before = {task for cpu in cpus for task in cpu.clock.records}
+            finished = real(steps, cpus, **kwargs)
+            passes.append([task for cpu in cpus for task in cpu.clock.records
                            if task not in before
                            and task.label == "cpu-copartition"])
-            return charged
+            return finished
 
-        monkeypatch.setattr(descriptions, "charge_coprocessed_join", spy)
+        monkeypatch.setattr(descriptions, "reserve_coprocessed_join", spy)
         engine = HAPEEngine(default_server(), tracing=True,
                             optimizer_options=OptimizerOptions(
                                 small_build_rows=10))
@@ -252,9 +252,9 @@ class TestCoprocessedJoinInTheEngine:
         sized = []
         real_check = CoprocessedJoin.check
 
-        def spy_check(op, batch):
-            sized.append(op._on_inputs(copartition_nbytes, batch))
-            return real_check(op, batch)
+        def spy_check(op, batch, build):
+            sized.append(op._on_inputs(copartition_nbytes, batch, build))
+            return real_check(op, batch, build)
 
         monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
         capacity = 64 << 10
@@ -485,30 +485,33 @@ class TestChargedBytesEqualKernelBytes:
         touched: dict = {}   # join description -> [probe bytes, output bytes]
         charged: list = []
 
-        def spy_transform(real):
-            def transform(op, batch):
-                out, in_bytes = real(op, batch)
-                sums = touched.setdefault(op, [0, 0])
-                sums[0] += _nbytes(batch)
-                sums[1] += _nbytes(out)
-                return out, in_bytes
-            return transform
+        def spy_begin(real):
+            def begin(op, build):
+                transform = real(op, build)
+
+                def spied(batch):
+                    out, in_bytes = transform(batch)
+                    sums = touched.setdefault(op, [0, 0])
+                    sums[0] += _nbytes(batch)
+                    sums[1] += _nbytes(out)
+                    return out, in_bytes
+                return spied
+            return begin
 
         def spy_run(real):
-            def run(op, batch):
-                columns, stats = real(op, batch)
+            def run(op, batch, build):
+                columns, stats = real(op, batch, build)
                 touched[op] = [_nbytes(batch.columns), _nbytes(columns)]
                 return columns, stats
             return run
 
         def spy_charge(real):
-            def charge(op, batch, stats, **kwargs):
-                charged.append((op, stats))
-                return real(op, batch, stats, **kwargs)
+            def charge(op, batch, stats, build):
+                charged.append((op, stats, build.columns))
+                return real(op, batch, stats, build)
             return charge
 
-        monkeypatch.setattr(HashJoin, "transform",
-                            spy_transform(HashJoin.transform))
+        monkeypatch.setattr(HashJoin, "begin", spy_begin(HashJoin.begin))
         for join in (HashJoin, RadixJoin, CoprocessedJoin):
             monkeypatch.setattr(join, "run", spy_run(join.run))
         for join in (Join, CoprocessedJoin):
@@ -528,11 +531,11 @@ class TestChargedBytesEqualKernelBytes:
         joins = [node for node in engine.plan(query.plan, mode).walk()
                  if isinstance(node, PJoin)]
         assert len(charged) == len(touched) == len(joins)
-        for op, stats in charged:
+        for op, stats, build in charged:
             probe_nbytes, output_nbytes = touched[op]
             assert stats.output_nbytes == output_nbytes
             if isinstance(stats, JoinStats):
-                assert stats.build_nbytes == _nbytes(op.build.columns)
+                assert stats.build_nbytes == _nbytes(build)
                 assert stats.probe_nbytes == probe_nbytes
 
     @pytest.mark.parametrize("query_name", EVALUATED_QUERIES)
@@ -558,7 +561,7 @@ class TestChargedBytesEqualKernelBytes:
         result = engine.execute(build_query(query_name, tpch_sf001).plan,
                                 mode)
         builds = {op.node.node_id: stats.build_nbytes
-                  for op, stats in charged}
+                  for op, stats, _ in charged}
         spans = {span.node_id: span for span in result.trace.spans}
         slots = {node.node_id: slot
                  for slot, node in enumerate(result.physical_plan.walk())}
@@ -616,9 +619,9 @@ class TestChargedBytesEqualKernelBytes:
         sized: dict = {}
         real_check = CoprocessedJoin.check
 
-        def spy_check(op, batch):
-            sized[op] = op._on_inputs(copartition_nbytes, batch)
-            return real_check(op, batch)
+        def spy_check(op, batch, build):
+            sized[op] = op._on_inputs(copartition_nbytes, batch, build)
+            return real_check(op, batch, build)
 
         monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
         touched, charged = self._spy_on_joins(monkeypatch)
@@ -626,13 +629,13 @@ class TestChargedBytesEqualKernelBytes:
                                      query_name)
         coprocessing_engine.execute(query.plan, "hybrid")
         assert sized
-        for op, stats in charged:
+        for op, stats, build in charged:
             if op not in sized:
                 continue
             probe_nbytes, output_nbytes = touched[op]
             crossed = [nbytes for nbytes, _ in stats.copartitions]
             assert crossed == sized[op]
-            assert sum(crossed) == _nbytes(op.build.columns) + probe_nbytes
+            assert sum(crossed) == _nbytes(build) + probe_nbytes
             assert sum(join.output_nbytes
                        for _, join in stats.copartitions) == output_nbytes
 

@@ -11,7 +11,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it.
-MAX_SRC_CODE_LINES = 8_637
+MAX_SRC_CODE_LINES = 8_707
 
 
 def _code_lines_tool():
@@ -79,7 +79,7 @@ def test_src_code_lines_stay_under_the_ratchet():
 
 def test_the_engine_moves_bytes_in_one_place():
     """A batch's whereabouts are a ``Residency`` record and
-    ``Executor.deliver`` is the one caller of ``Route.transfer`` (the
+    ``Executor.ship`` is the one caller of ``Route.transfer`` (the
     co-processed join's own timeline lives in ``operators/``): no location
     string to build or parse, no second transfer loop."""
     source = "".join(path.read_text() for path in sorted(
