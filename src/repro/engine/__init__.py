@@ -1,6 +1,6 @@
 """HAPE engine: optimizer, executor, query cache and the engine facade."""
 
-from .executor import ExecutionResult, Executor, ExecutorOptions, MorselScheduler
+from .executor import Executor, ExecutorOptions
 from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
 from .querycache import (
@@ -16,11 +16,9 @@ __all__ = [
     "CacheCounters",
     "DEFAULT_CACHE_BUDGET_BYTES",
     "ExecutionMode",
-    "ExecutionResult",
     "Executor",
     "ExecutorOptions",
     "HAPEEngine",
-    "MorselScheduler",
     "Optimizer",
     "OptimizerOptions",
     "QueryCache",

@@ -6,8 +6,8 @@ operator, once:
 * **placement** — :meth:`Operator.place` maps the devices its input
   arrives on to the devices it runs on (router consumers, crossing
   targets, the anchor CPU of a final aggregate, ...) and
-  :meth:`Operator.tag` names the kernel tag of its output.  Both run once,
-  when the executor compiles a plan
+  :meth:`Operator.tuning` names the device values its stats record is
+  written with.  Both are read once, when the executor compiles a plan
   (:meth:`~repro.engine.executor.Executor.compile`): a description is a
   piece of a compiled program, kept on the prepared record and run by
   every later execution of the plan;
@@ -195,10 +195,9 @@ class Operator:
         # reference cycle, and must not keep the executor — its cache and
         # catalog — alive past the session until the cyclic GC runs.
         self.ex = weakref.proxy(executor)
-        #: Devices the operator runs on and the kernel tag of its output;
-        #: the compile-time placement pass fills both in.
+        #: Devices the operator runs on; the compile-time placement pass
+        #: fills them in.
         self.devices: list[Device] = []
-        self.kernel_tag: tuple = ()
         #: A join's compiled build side (``None``: the operator has none).
         self.build: "Chain | None" = None
         #: The pricing memo: what :meth:`charge` derived, per key of what
@@ -210,8 +209,12 @@ class Operator:
         ones, or the anchor CPU for an input on none (a scan)."""
         return devices or [self.ex.topology.anchor_cpu()]
 
-    def tag(self, tag: tuple) -> tuple:
-        return tag
+    def tuning(self) -> tuple:
+        """The device-spec values the stats record is written with, placed
+        (none: the record is device-invariant).  Part of the kernel-memo
+        key, so a cached record is only read under the tuning it was
+        written with."""
+        return ()
 
     def handoff(self) -> list[Device]:
         """The devices the output is placed on for the parent's placement."""
@@ -458,7 +461,7 @@ class Aggregate(Operator):
             return merge_partials_kernel([batch.columns],
                                          group_by=node.group_by,
                                          aggregates=node.aggregates)
-        self.ex.scheduler.grant(batch.num_rows)
+        self.ex.grant(batch.num_rows)
         return hash_aggregate_kernel(
             batch.columns, group_by=node.group_by,
             aggregates=node.aggregates, phase=node.phase)
@@ -529,9 +532,6 @@ class Join(Operator):
     #: only its share of it; a non-partitioned one needs all of it.
     copartitions_build = False
 
-    def tag(self, tag: tuple) -> tuple:
-        return self.build.kernel_tag + tag
-
     def estimate(self, stats: object, device: Device) -> OpCost:
         return self.estimator(stats, device)
 
@@ -582,7 +582,7 @@ class HashJoin(Join):
 
     def begin(self, build: NodeResult) -> Transform:
         record_kernel_invocation("hash_join")
-        self.ex.scheduler.grant(build.num_rows)
+        self.ex.grant(build.num_rows)
         builder = HashJoinBuild(build.columns,
                                 build_keys=self.node.build_keys)
         probe_keys = self.node.probe_keys
@@ -597,7 +597,7 @@ class HashJoin(Join):
 
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, JoinStats]:
-        self.ex.scheduler.grant(build.num_rows, batch.num_rows)
+        self.ex.grant(build.num_rows, batch.num_rows)
         return hash_join_kernel(
             build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
@@ -634,9 +634,8 @@ class RadixJoin(Join):
         return ([d for d in self.input_devices if d.kind is self.kind]
                 or [d for d in everywhere if d.is_available] or everywhere)
 
-    def tag(self, tag: tuple) -> tuple:
-        return super().tag(tag) + (
-            ("radix", partition_tuning(self.devices[0].spec)),)
+    def tuning(self) -> tuple:
+        return ("radix", partition_tuning(self.devices[0].spec))
 
     def handoff(self) -> list[Device]:
         # The GPU join hands its input's placement on to its parent.
@@ -650,7 +649,7 @@ class RadixJoin(Join):
 
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, object]:
-        self.ex.scheduler.grant(build.num_rows, batch.num_rows)
+        self.ex.grant(build.num_rows, batch.num_rows)
         return partitioned_join_kernel(
             build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
@@ -680,11 +679,11 @@ class CoprocessedJoin(Join):
             raise ExecutionError("co-processed join requires GPUs")
         return [*self.cpus, *self.gpus]
 
-    def tag(self, tag: tuple) -> tuple:
-        return super().tag(tag) + (
-            ("coprocessed",
-             tuple(partition_tuning(gpu.spec) for gpu in self.gpus),
-             tuple(gpu.spec.memory_capacity_bytes for gpu in self.gpus)),)
+    def tuning(self) -> tuple:
+        # The GPUs' capacities set the co-partition fan-out.
+        return ("coprocessed",
+                tuple(partition_tuning(gpu.spec) for gpu in self.gpus),
+                tuple(gpu.spec.memory_capacity_bytes for gpu in self.gpus))
 
     def _on_inputs(self, function, batch: NodeResult, build: NodeResult,
                    **extra):

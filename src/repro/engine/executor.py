@@ -39,8 +39,8 @@ it charges the simulated clocks from its stats record and which
 attributes its trace span carries.
 
 A plan is compiled once (:meth:`Executor.compile`) into a
-:class:`Program`: its chains, each with its placed descriptions, kernel
-tags, memo key and tuning, and every description's pricing memo.  A
+:class:`Program`: its chains, each with its placed descriptions, memo
+key and tuning, and every description's pricing memo.  A
 session keeps the program on the plan's prepared record, so a repeated
 query derives none of it again.  :meth:`Executor._run` is the one driver
 that walks the prepared program: execute the join build sides and the
@@ -59,7 +59,7 @@ chain's source batch into morsels of ``ExecutorOptions.morsel_rows`` rows
 :class:`~repro.engine.session.HAPEEngine`) and sends each one through the
 per-morsel bodies the streaming operators give it (filter/project, join
 probes); a pipeline breaker (aggregate, join build, partitioned join) is
-handed the resident batch.  The :class:`MorselScheduler` is asked once per
+handed the resident batch.  :meth:`Executor.grant` is asked once per
 evaluation either way — for a breaker the grant is its yield grid, not a
 data path.  Morsel granularity is *wall-clock only*: outputs, stats records
 and therefore every simulated second are bit-identical for every setting,
@@ -108,7 +108,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from ..codegen.pipeline import fused_chain, streams_morsels
+from ..codegen.pipeline import Pipeline, fused_chain, streams_morsels
 from ..hardware.device import Device
 from ..hardware.topology import Topology
 from ..obs.trace import QueryTrace, Span
@@ -119,7 +119,7 @@ from ..relational.physical import (
     referenced_tables,
     structural_key,
 )
-from ..stats.cardinality import q_error
+from ..stats.cardinality import CardinalityReport, q_error
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.morsel import (
@@ -130,6 +130,7 @@ from ..storage.morsel import (
 )
 from ..storage.table import Table
 from .descriptions import NodeResult, Operator, Price, Residency, description
+from .modes import ExecutionMode
 from .querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
     CacheCounters,
@@ -185,7 +186,7 @@ class ExecutorOptions:
     #: keeps everything bit-identical at every worker count.
     workers: int | str | None = None
     #: Record a :class:`~repro.obs.trace.QueryTrace` on
-    #: :attr:`ExecutionResult.trace`: operator spans (placement, timing,
+    #: :attr:`QueryResult.trace`: operator spans (placement, timing,
     #: bytes, rows, cache status), the raw device/link task slices and a
     #: critical-path analysis.  Spans are appended on the query thread at
     #: the cost-charging points — canonical plan order — so a trace is
@@ -206,52 +207,6 @@ class ExecutorOptions:
         object.__setattr__(self, "workers", resolve_workers(self.workers))
 
 
-@dataclass
-class MorselScheduler:
-    """Grants morsel granularity to kernel evaluations and accounts for it.
-
-    The scheduler owns the granularity policy and the bookkeeping that
-    :attr:`ExecutionResult.morsels_dispatched` reports: for each evaluation
-    about to run, :meth:`grant` returns the morsel size and records how
-    many morsels the input batches amount to.  Only
-    :meth:`Executor._evaluate` carves with the answer (a chain source,
-    streamed through the chain).  A pipeline breaker takes its batches
-    whole; its grant is a *yield grid* — the morsel boundaries at which a
-    running evaluation could be interrupted — and the server's preemption
-    reads it: ``QueryServer`` divides an attempt's span by
-    ``morsels_dispatched`` to place a kill, so a grant that moved would
-    move served simulated seconds.
-
-    Morsels bound the *real* working set of the streamed chains (and are
-    the unit :class:`~repro.engine.workers.WorkerPool` threads pick up);
-    simulated seconds never observe them — "parallel workers" in the cost
-    model exist only inside the device clocks ``estimate_*`` prices.
-    """
-
-    #: Rows per morsel granted to kernels; ``None`` = whole-column packets.
-    morsel_rows: int | None = DEFAULT_MORSEL_ROWS
-    #: Morsels carved across all kernel evaluations since the last reset.
-    morsels_dispatched: int = 0
-
-    def reset(self) -> None:
-        """Zero the per-query counters (one :meth:`Executor.execute`)."""
-        self.morsels_dispatched = 0
-
-    def grant(self, *batch_rows: int) -> int | None:
-        """Morsel size for an evaluation over the given input batch sizes.
-
-        Call once per actual kernel evaluation (inside the memo, so cached
-        subplans grant nothing) with the row count of every input batch the
-        evaluation consumes: one for a unary operator, build and probe for
-        a join.
-        """
-        if self.morsel_rows is None:
-            return None
-        for num_rows in batch_rows:
-            self.morsels_dispatched += morsel_count(num_rows, self.morsel_rows)
-        return self.morsel_rows
-
-
 class Chain(NamedTuple):
     """One chain of a compiled plan: the maximal fused chain of streaming
     operators below its top node (just the node when it starts none), and
@@ -262,18 +217,13 @@ class Chain(NamedTuple):
     #: The chain producing the source batch (``None``: the chain is a scan).
     source: "Chain | None"
     #: Kernel-memo key of the top node (``None``: not memoized) and the
-    #: tuning marker: the output's kernel tag and the chain depth, which
-    #: pins the stats records an entry carries.
+    #: tuning marker: the device tuning the top's stats record is written
+    #: with (:meth:`Operator.tuning`) and the chain depth, which pins the
+    #: stats records an entry carries.
     key: tuple | None
     tuning: tuple
-    #: Where the output is placed and the kernel tag it carries, as the
-    #: consumer's placement reads them.  The tag names the device-spec
-    #: tuning baked into the output's row order (partition plans of radix
-    #: joins); consumers fold it into their tuning, so two structurally
-    #: equal subplans only share an evaluation when their row order
-    #: provably matches.
+    #: Where the output is placed, as the consumer's placement reads it.
     devices: list[Device]
-    kernel_tag: tuple
 
 
 class Program(NamedTuple):
@@ -293,40 +243,79 @@ class Program(NamedTuple):
 
 
 @dataclass
-class ExecutionResult:
-    """What :class:`Executor.execute` returns."""
+class QueryResult:
+    """Everything a query run produces: :meth:`Executor.execute` fills it,
+    and a session adds the mode, the pipelines and the cardinality report.
+
+    The functional output lives in :attr:`table`; :attr:`simulated_seconds`
+    and :attr:`device_busy` are what the paper's evaluation figures plot.
+    :attr:`morsels_dispatched` and :attr:`cache` are wall-clock/working-set
+    diagnostics that never influence the simulated timings (warm and cold
+    runs report bit-identical simulated seconds).
+    """
 
     table: Table
     simulated_seconds: float
     device_busy: dict[str, float]
     link_bytes: dict[str, int]
-    plan: PhysicalOp
-    #: Morsels the scheduler dispatched to kernels for this query: one per
-    #: input batch that fits a single morsel, more when batches stream,
-    #: zero when batching is disabled (``morsel_rows=None``) and for
-    #: kernel evaluations the session cache served.
+    physical_plan: PhysicalOp
+    #: Morsels granted to kernels for this query (:meth:`Executor.grant`):
+    #: one per input batch that fits a single morsel, more when batches
+    #: stream, zero when batching is disabled (``morsel_rows=None``) and
+    #: for kernel evaluations the session cache served.
     morsels_dispatched: int = 0
     #: Session-cache activity attributable to this query: hits/misses of
     #: distinct subplans, evictions during the query, plus invalidations
     #: since the previous query (catalog changes happen between executes).
     cache: CacheCounters = field(default_factory=CacheCounters)
-    #: Bytes of the largest intermediate batch the query materialized (the
-    #: widest single operator output; base-table scans excluded).  A
-    #: wall-clock/working-set diagnostic — never part of simulated time.
+    #: Bytes of the widest single intermediate batch the query
+    #: materialized (scans excluded) — the per-query working-set figure
+    #: multi-tenant serving reports account against memory budgets.
     peak_intermediate_bytes: int = 0
     #: Actual output rows per plan ``node_id`` for the relational
     #: operators (scans, filter/projects, joins, aggregates, sorts;
     #: exchanges forward batches and are excluded).  Identical warm and
     #: cold: warm runs recover the counts from the cached stats records.
     operator_rows: dict[int, int] = field(default_factory=dict)
-    #: Operator spans plus raw task slices (``ExecutorOptions.tracing``);
-    #: ``None`` when tracing is off.
+    #: Operator spans, raw task slices and critical-path analysis for this
+    #: query (the ``tracing`` knob); ``None`` when tracing is off.  Purely
+    #: additive — every other field is bit-identical with tracing on or off.
     trace: QueryTrace | None = None
+    #: The resolved mode and the plan's pipelines (set by the session).
+    mode: ExecutionMode | None = None
+    pipelines: list[Pipeline] = field(default_factory=list)
+    #: Estimated vs. actual output rows per executed operator, with
+    #: q-errors — the estimation-quality accounting the ``stats`` bench
+    #: suite tracks over time (set by the session).  Purely diagnostic:
+    #: estimates influence plan *choice* only, never what a chosen plan
+    #: computes.
+    cardinality: CardinalityReport = field(default_factory=CardinalityReport)
 
-    def utilization(self, resource: str) -> float:
+    @property
+    def makespan_ms(self) -> float:
+        return self.simulated_seconds * 1e3
+
+    def busy_fraction(self, resource: str) -> float:
         if self.simulated_seconds <= 0:
             return 0.0
         return self.device_busy.get(resource, 0.0) / self.simulated_seconds
+
+    def describe(self) -> str:
+        lines = [
+            f"mode={self.mode} simulated_time={self.simulated_seconds * 1e3:.3f} ms",
+            f"result rows={self.table.num_rows}",
+        ]
+        if self.cache.lookups or self.cache.evicted or self.cache.invalidated:
+            lines.append(f"  cache: {self.cache.describe()}")
+        if self.cardinality.operators:
+            lines.append(f"  cardinality: median q-error "
+                         f"{self.cardinality.median_q_error:.2f} "
+                         f"(max {self.cardinality.max_q_error:.2f})")
+        for resource, busy in sorted(self.device_busy.items()):
+            if busy > 0:
+                lines.append(f"  {resource:>8}: busy {busy * 1e3:.3f} ms "
+                             f"({100 * self.busy_fraction(resource):.0f}%)")
+        return "\n".join(lines)
 
 
 class Executor:
@@ -338,7 +327,8 @@ class Executor:
         self.topology = topology
         self.catalog = catalog
         self.options = options or ExecutorOptions()
-        self.scheduler = MorselScheduler()
+        #: Morsels granted to the current query's kernels (:meth:`grant`).
+        self.morsels_dispatched = 0
         self._owns_cache = query_cache is None
         if query_cache is None:
             #: Session-lifetime cross-query kernel cache; subscribes to the
@@ -382,7 +372,7 @@ class Executor:
         takes, at construction and on a live session alike.
 
         The new record validates itself, then the state derived from it
-        (morsel scheduler, worker pool, cache budget) is brought in line,
+        (worker pool, cache budget) is brought in line,
         so ``options`` and the objects acting on it cannot disagree.  Takes
         effect for the next :meth:`execute`.  A session sharing a
         server-owned cache cannot re-tune the cache budget — it belongs to
@@ -393,7 +383,6 @@ class Executor:
                 "this session shares a server-owned query cache; tune the "
                 "budget on the owning QueryServer")
         self.options = options = replace(self.options, **changes)
-        self.scheduler.morsel_rows = options.morsel_rows
         self.pool = WorkerPool(options.workers, tier="kernel")
         if self._owns_cache:
             self.query_cache.set_budget(options.cache_budget_bytes)
@@ -423,8 +412,7 @@ class Executor:
         A subplan occurring more than once in the plan is a sharing point
         (memo-aware deferral): its single evaluation must be materialized
         so the other occurrences can reuse it, so only single-occurrence
-        subplans join a fused chain.  Placement threads devices and kernel
-        tags bottom-up.
+        subplans join a fused chain.  Placement threads devices bottom-up.
         """
         nodes = (fused_chain(node, lambda op: refs[keys[id(op)]] == 1)
                  if fuse and self.options.pipeline_fusion else []) or [node]
@@ -435,18 +423,16 @@ class Executor:
         inputs = nodes[-1].children()
         source = self._chain(inputs[-1], keys, refs) if inputs else None
         ops.reverse()  # bottom-up: the order morsels flow
-        devices, tag = (source.devices, source.kernel_tag) if source else (
-            [], ())
+        devices = source.devices if source else []
         for op in ops:
             devices = op.devices = op.place(devices)
-            tag = op.kernel_tag = op.tag(tag)
         top = ops[-1]
         return Chain(tuple(ops), source,
                      keys[id(node)] if top.memoized else None,
-                     (tag, ("fused-chain", len(ops))), top.handoff(), tag)
+                     (top.tuning(), ("fused-chain", len(ops))), top.handoff())
 
     def execute(self, plan: PhysicalOp,
-                program: Program | None = None) -> ExecutionResult:
+                program: Program | None = None) -> QueryResult:
         """Run a physical plan and report result plus simulated timing.
 
         ``program`` is the plan's :meth:`compile` when the caller kept it
@@ -454,7 +440,7 @@ class Executor:
         here.
         """
         self.topology.reset()
-        self.scheduler.reset()
+        self.morsels_dispatched = 0
         self._peak_intermediate = 0
         self._node_rows = {}
         self._trace_spans = [] if self.options.tracing else None
@@ -484,13 +470,13 @@ class Executor:
         table = Table("result", [Column(name, values)
                                  for name, values in result.columns.items()]) \
             if result.columns else Table.from_arrays("result", {"empty": np.asarray([0])[:0]})
-        return ExecutionResult(
+        return QueryResult(
             table=table,
             simulated_seconds=makespan,
             device_busy={clock.resource: clock.busy_time for clock in timeline},
             link_bytes=link_bytes,
-            plan=plan,
-            morsels_dispatched=self.scheduler.morsels_dispatched,
+            physical_plan=plan,
+            morsels_dispatched=self.morsels_dispatched,
             cache=cache_delta,
             peak_intermediate_bytes=self._peak_intermediate,
             operator_rows=dict(self._node_rows),
@@ -523,11 +509,34 @@ class Executor:
         return QueryTrace(
             spans=spans, tasks=tuple(timeline.records()), makespan=makespan,
             link_bytes=dict(link_bytes),
-            morsels_dispatched=self.scheduler.morsels_dispatched)
+            morsels_dispatched=self.morsels_dispatched)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def grant(self, *batch_rows: int) -> int | None:
+        """The morsel size for an evaluation over the given input batch
+        sizes, counting the morsels they amount to into
+        :attr:`morsels_dispatched`.
+
+        Called once per actual kernel evaluation (inside the memo, so
+        cached subplans grant nothing) with the row count of every input
+        batch it consumes: one for a unary operator, build and probe for a
+        join.  Only :meth:`_evaluate` carves with the answer (a chain
+        source, streamed through the chain).  A breaker takes its batches
+        whole; its grant is a *yield grid* — the morsel boundaries at which
+        a running evaluation could be interrupted — and the server's
+        preemption reads it: ``QueryServer`` divides an attempt's span by
+        ``morsels_dispatched`` to place a kill, so a grant that moved would
+        move served simulated seconds.  Simulated seconds never observe
+        morsels otherwise.
+        """
+        rows = self.options.morsel_rows
+        if rows is not None:
+            for num_rows in batch_rows:
+                self.morsels_dispatched += morsel_count(num_rows, rows)
+        return rows
+
     def _memoized_kernel(self, chain: Chain,
                          run: Callable[[], _KernelResult]) -> _KernelResult:
         """Evaluate a chain's functional kernels at most once per distinct
@@ -542,11 +551,13 @@ class Executor:
         result in both layers; costing happens outside this cache, per
         occurrence, so simulated seconds never observe it.
 
-        The tuning identifies any device-spec-derived knobs the kernels
-        bake into their result or inherit from their inputs (partition
-        plans of the radix joins, via the kernel tags placement threads):
-        two occurrences only share an evaluation when their tuning
-        matches, keeping per-occurrence cost replays and row orders exact.
+        The tuning names the device-spec values the top's own stats record
+        is written with (a partitioned join's pass plan, the co-processed
+        join's fan-out) and the chain depth: two occurrences only share an
+        evaluation when their tuning matches, keeping per-occurrence cost
+        replays exact.  Every join emits the canonical row order whatever
+        its tuning, so no consumer's columns or records depend on an
+        upstream tuning.
 
         Results whose columns are views over catalog-resident arrays
         (base-table scans, ``zero_copy``) are retained at a byte cost of 0
@@ -569,10 +580,9 @@ class Executor:
                 result = self.query_cache.get(session_key)
             if result is None:
                 status = "miss"
-                morsels_before = self.scheduler.morsels_dispatched
+                morsels_before = self.morsels_dispatched
                 result = run()
-                morsel_delta = (self.scheduler.morsels_dispatched
-                                - morsels_before)
+                morsel_delta = self.morsels_dispatched - morsels_before
                 if self.query_cache.enabled:
                     self.query_cache.put(
                         session_key, result,
@@ -679,7 +689,7 @@ class Executor:
         if not stages:  # a lone exchange
             return source.columns, (None,)
         morsels = list(iter_morsels(source.columns,
-                                    self.scheduler.grant(source.num_rows)))
+                                    self.grant(source.num_rows)))
 
         def run_span(span: range) -> tuple[list[ArrayMap], list[list]]:
             outs: list[ArrayMap] = []

@@ -3,8 +3,11 @@
 :class:`HAPEEngine` ties the pieces together: a simulated server topology, a
 catalog of registered tables, the heterogeneity-aware optimizer, the
 pipeline extraction and the executor.  A query is submitted as a logical
-plan; the result bundles the actual output table with the simulated timing
-information the evaluation figures are built from.
+plan; the result — the executor's
+:class:`~repro.engine.executor.QueryResult`, re-exported here, with the
+mode, pipelines and cardinality report set — bundles the actual output
+table with the simulated timing information the evaluation figures are
+built from.
 
 One engine instance is one session: it owns the catalog, the
 session-lifetime cross-query kernel cache
@@ -31,21 +34,19 @@ by one as their logical plans are collected (``docs/CACHING.md``).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..codegen.pipeline import Pipeline, break_into_pipelines
 from ..hardware.topology import Topology, default_server
-from ..obs.trace import QueryTrace
 from ..relational.logical import LogicalPlan
 from ..relational.physical import PhysicalOp
-from ..stats.cardinality import CardinalityReport, build_report
+from ..stats.cardinality import build_report
 from ..storage.catalog import Catalog
 from ..storage.table import Table
-from .executor import Executor, ExecutorOptions, Program
+from .executor import Executor, ExecutorOptions, Program, QueryResult
 from .modes import ExecutionMode
 from .optimizer import Optimizer, OptimizerOptions
-from .querycache import CacheCounters, QueryCacheStats
+from .querycache import QueryCacheStats
 
 #: The :class:`ExecutorOptions` fields a session exposes as constructor
 #: keywords and as get/set attributes.
@@ -67,74 +68,6 @@ def _knob(name: str) -> property:
         "re-tunes the executor in place for the following queries."))
 
 
-@dataclass
-class QueryResult:
-    """Everything a query run produces.
-
-    The functional output lives in :attr:`table`; :attr:`simulated_seconds`
-    and :attr:`device_busy` are what the paper's evaluation figures plot.
-    :attr:`morsels_dispatched` reports how many morsels the executor's
-    scheduler carved for this query and :attr:`cache` reports the session
-    cache's hit/miss/evicted/invalidated activity attributable to it —
-    both are wall-clock/working-set diagnostics that never influence the
-    simulated timings (warm and cold runs report bit-identical simulated
-    seconds).
-    """
-
-    table: Table
-    simulated_seconds: float
-    device_busy: dict[str, float]
-    link_bytes: dict[str, int]
-    mode: ExecutionMode
-    physical_plan: PhysicalOp
-    pipelines: list[Pipeline]
-    morsels_dispatched: int = 0
-    #: Cross-query kernel-cache counters for this query: hits/misses count
-    #: distinct subplans, ``invalidated`` covers catalog changes since the
-    #: previous query of the session.
-    cache: CacheCounters = field(default_factory=CacheCounters)
-    #: Bytes of the widest single intermediate batch the query
-    #: materialized (scans excluded) — the per-query working-set figure
-    #: multi-tenant serving reports account against memory budgets.
-    peak_intermediate_bytes: int = 0
-    #: Estimated vs. actual output rows per executed operator, with
-    #: q-errors — the estimation-quality accounting the ``stats`` bench
-    #: suite tracks over time.  Purely diagnostic: estimates influence
-    #: plan *choice* only, never what a chosen plan computes.
-    cardinality: CardinalityReport = field(default_factory=CardinalityReport)
-    #: Operator spans, raw task slices and critical-path analysis for this
-    #: query (the session's ``tracing`` knob); ``None`` when tracing is
-    #: off.  Purely additive — every other field is bit-identical with
-    #: tracing on or off.
-    trace: QueryTrace | None = None
-
-    @property
-    def makespan_ms(self) -> float:
-        return self.simulated_seconds * 1e3
-
-    def busy_fraction(self, resource: str) -> float:
-        if self.simulated_seconds <= 0:
-            return 0.0
-        return self.device_busy.get(resource, 0.0) / self.simulated_seconds
-
-    def describe(self) -> str:
-        lines = [
-            f"mode={self.mode.value} simulated_time={self.simulated_seconds * 1e3:.3f} ms",
-            f"result rows={self.table.num_rows}",
-        ]
-        if self.cache.lookups or self.cache.evicted or self.cache.invalidated:
-            lines.append(f"  cache: {self.cache.describe()}")
-        if self.cardinality.operators:
-            lines.append(f"  cardinality: median q-error "
-                         f"{self.cardinality.median_q_error:.2f} "
-                         f"(max {self.cardinality.max_q_error:.2f})")
-        for resource, busy in sorted(self.device_busy.items()):
-            if busy > 0:
-                lines.append(f"  {resource:>8}: busy {busy * 1e3:.3f} ms "
-                             f"({100 * self.busy_fraction(resource):.0f}%)")
-        return "\n".join(lines)
-
-
 class PreparedPlan(NamedTuple):
     """Every decision one (logical plan, mode) pair takes before it runs.
 
@@ -152,8 +85,9 @@ class PreparedPlan(NamedTuple):
     #: ``estimate_physical(physical)`` (``node_id -> OperatorEstimate``),
     #: joined with actual rows into the cardinality report.
     estimates: dict
-    #: The executor's compiled program (chains, placement, memo keys,
-    #: pricing memos), made by the first ``execute``; ``None`` until then.
+    #: The executor's compiled program (chains, placement, memo keys and
+    #: tunings, pricing memos), made by the first ``execute``; ``None``
+    #: until then.
     program: Program | None = None
 
 
@@ -372,21 +306,11 @@ class HAPEEngine:
         result = self.executor.execute(prepared.physical, prepared.program)
         if result.trace is not None:
             result.trace.mode = mode.value
-        return QueryResult(
-            table=result.table,
-            simulated_seconds=result.simulated_seconds,
-            device_busy=result.device_busy,
-            link_bytes=result.link_bytes,
-            mode=mode,
-            physical_plan=prepared.physical,
-            pipelines=prepared.pipelines,
-            morsels_dispatched=result.morsels_dispatched,
-            cache=result.cache,
-            peak_intermediate_bytes=result.peak_intermediate_bytes,
-            # Estimates are the stamps on the plan, actual rows the executor's.
-            cardinality=build_report(prepared.estimates, result.operator_rows),
-            trace=result.trace,
-        )
+        result.mode, result.pipelines = mode, prepared.pipelines
+        # Estimates are the stamps on the plan, actual rows the executor's.
+        result.cardinality = build_report(prepared.estimates,
+                                          result.operator_rows)
+        return result
 
 
 #: Session-centric alias: one :class:`HAPEEngine` instance is one session

@@ -38,7 +38,6 @@ from .tpch import (
     TPCHDataset,
     generate_tpch,
     tpch_cardinalities,
-    working_set_bytes,
 )
 
 __all__ = [
@@ -72,6 +71,5 @@ __all__ = [
     "make_skewed_relation",
     "morsel_count",
     "tpch_cardinalities",
-    "working_set_bytes",
     "year_of",
 ]

@@ -13,7 +13,7 @@ at the chain's boundary.
 
 The module provides the two ends of the engine's one carve -> stream ->
 reassemble loop (``Executor._evaluate`` in :mod:`repro.engine.executor`)
-and the count the morsel scheduler's accounting shares with it:
+and the count ``Executor.grant``'s accounting shares with it:
 
 * :func:`iter_morsels` — carve a column batch into a stream of morsels
   (the producer side),

@@ -243,18 +243,3 @@ def generate_tpch(scale_factor: float = 0.01, *, seed: int = 2019,
         location=location,
     )
     return TPCHDataset(scale_factor=scale_factor, tables=tables)
-
-
-def working_set_bytes(scale_factor: float, tables: list[str]) -> int:
-    """Estimated binary-columnar footprint of the listed tables.
-
-    Used by the paper-scale models: at SF 100, the per-query working sets
-    land in the 15-27 GB range the paper reports.
-    """
-    counts = tpch_cardinalities(scale_factor)
-    per_row = {
-        "region": 8, "nation": 12, "supplier": 8, "customer": 8,
-        "part": 12, "partsupp": 16,
-        "orders": 12, "lineitem": 54,
-    }
-    return sum(counts[name] * per_row[name] for name in tables)

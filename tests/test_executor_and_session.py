@@ -80,7 +80,6 @@ class TestKnobSurface:
             assert getattr(engine, knob) == expected
             assert getattr(executor.options, knob) == expected
             options = executor.options
-            assert executor.scheduler.morsel_rows == options.morsel_rows
             assert executor.pool.workers == options.workers
             assert executor.query_cache.budget_bytes == options.cache_budget_bytes
 
@@ -96,7 +95,24 @@ class TestKnobOwnership:
         with pytest.raises(ValueError):
             engine.morsel_rows = -1
         assert engine.morsel_rows == 77
-        assert engine.executor.scheduler.morsel_rows == 77
+
+    @pytest.mark.parametrize("rows", [500, None])
+    def test_retuned_morsel_rows_drives_the_next_execute(self, tpch_dataset,
+                                                         rows):
+        plan = build_query("Q5", tpch_dataset).plan
+
+        def session(**knobs):
+            engine = HAPEEngine(default_server(), cache_budget_bytes=0,
+                                **knobs)
+            engine.register_dataset(tpch_dataset.tables)
+            return engine
+
+        live = session()
+        before = live.execute(plan, "hybrid").morsels_dispatched
+        live.executor.retune(morsel_rows=rows)
+        after = live.execute(plan, "hybrid").morsels_dispatched
+        fresh = session(morsel_rows=rows).execute(plan, "hybrid")
+        assert after == fresh.morsels_dispatched != before
 
     def test_unknown_keyword_is_a_type_error(self):
         with pytest.raises(TypeError, match="hybrid_overhead"):
@@ -120,7 +136,7 @@ class TestKnobOwnership:
         # The options mirror the server's cache, and other knobs stay free.
         assert session.cache_budget_bytes == server.query_cache.budget_bytes
         session.morsel_rows = 99
-        assert session.executor.scheduler.morsel_rows == 99
+        assert session.morsel_rows == 99
 
     def test_bad_morsel_rows_cannot_reach_a_served_epoch(self, tpch_dataset):
         """A float morsel size used to be accepted, blow up inside the
@@ -152,14 +168,12 @@ class TestExecutorBehaviour:
         assert result.link_bytes.get("pcie1", 0) > 0
 
     def test_busy_fraction_bounded(self, engine, tpch_dataset):
-        result = engine.execute(build_query("Q5", tpch_dataset).plan, "hybrid")
-        for resource in result.device_busy:
-            assert 0.0 <= result.busy_fraction(resource) <= 1.0 + 1e-9
-
-    def test_execution_result_utilization_helper(self, engine, tpch_dataset):
-        result = engine.executor.execute(
-            engine.plan(build_query("Q6", tpch_dataset).plan, "cpu"))
-        assert 0.0 <= result.utilization("cpu0") <= 1.0
+        plan = build_query("Q5", tpch_dataset).plan
+        # The session's result and the executor's own are one record.
+        for result in (engine.execute(plan, "hybrid"),
+                       engine.executor.execute(engine.plan(plan, "cpu"))):
+            for resource in result.device_busy:
+                assert 0.0 <= result.busy_fraction(resource) <= 1.0 + 1e-9
 
 
 class TestEngineFacade:

@@ -245,6 +245,37 @@ class TestCoprocessedJoinInTheEngine:
         for span, tasks in zip(spans, passes):
             assert tasks and all(task.start >= span.start for task in tasks)
 
+    def test_memory_change_misses_only_the_join_record(self, tpch_sf001):
+        """The GPUs' capacities set the co-partition fan-out the join's
+        stats record is written with, so they are part of its memo tuning:
+        after a shrink that still fits, the join is evaluated again (its
+        inputs stay cached) and is priced as on a fresh session."""
+        plan = scan("orders", ["o_orderkey", "o_orderdate"]).join(
+            scan("lineitem", ["l_orderkey", "l_quantity"]),
+            ["o_orderkey"], ["l_orderkey"])
+
+        def session(topology):
+            engine = HAPEEngine(topology, optimizer_options=OptimizerOptions(
+                small_build_rows=10))
+            engine.register_dataset(tpch_sf001.tables)
+            return engine
+
+        def shrunk(topology):
+            for gpu in topology.gpus():
+                topology.shrink_device_memory(gpu.name, 1 / 8192)
+            return topology
+
+        engine = session(default_server())
+        assert any(getattr(node, "algorithm", None)
+                   is JoinAlgorithm.COPROCESSED_RADIX
+                   for node in engine.plan(plan, "hybrid").walk())
+        engine.execute(plan, "hybrid")
+        shrunk(engine.topology)
+        second = engine.execute(plan, "hybrid")
+        assert (second.cache.misses, second.cache.hits) == (1, 2)
+        fresh = session(shrunk(default_server())).execute(plan, "hybrid")
+        assert second.simulated_seconds == fresh.simulated_seconds
+
     def test_mean_copartition_pair_fits_the_budget(self, tpch_sf001,
                                                    monkeypatch):
         """The fan-out is sized at the columns' own widths — the bytes that

@@ -11,7 +11,6 @@ from repro.storage import (
     REGIONS,
     generate_tpch,
     tpch_cardinalities,
-    working_set_bytes,
 )
 
 
@@ -30,15 +29,6 @@ class TestCardinalities:
     def test_invalid_scale_factor(self):
         with pytest.raises(ValueError):
             tpch_cardinalities(0.0)
-
-    def test_sf100_working_sets_match_paper_range(self):
-        """The paper reports 15-27 GB working sets per query at SF 100."""
-        q1 = working_set_bytes(100.0, ["lineitem"])
-        q5 = working_set_bytes(
-            100.0, ["lineitem", "orders", "customer", "supplier",
-                    "nation", "region"])
-        assert 10e9 < q1 < 40e9
-        assert 15e9 < q5 < 45e9
 
 
 class TestGeneratedData:
