@@ -12,12 +12,19 @@ versioned exactly like the table itself — a ``register(replace=True)`` or
 ``drop`` retires the statistics together with the data, so an estimate
 can never be derived from statistics of replaced data.
 
-Collection is sampled: columns longer than :data:`SAMPLE_THRESHOLD_ROWS`
+Collection is sampled: tables longer than :data:`SAMPLE_THRESHOLD_ROWS`
 are summarized from a deterministic :data:`SAMPLE_ROWS`-row sample
-(``default_rng(0)``), keeping registration cheap for big tables while the
-histogram *fractions* (all the estimator consumes) stay accurate; NDV is
+(``default_rng(0)``; one set of positions per table, gathered for every
+column), keeping registration cheap for big tables while the histogram
+*fractions* (all the estimator consumes) stay accurate; NDV is
 extrapolated from the sample with the GEE estimator (the catalog's basic
-``distinct_counts`` are derived from the same numbers).  NaNs are excluded from
+``distinct_counts`` are derived from the same numbers).  An integer or
+bool column is summarized from its (distinct value, count) pairs —
+counted with ``np.bincount`` when its span is small, sorted otherwise —
+and its histogram bins the distinct values weighted by their counts,
+which puts every value in the bin it would fall in alone.  A float column
+is sorted and binned value by value: NaNs, infinities and signed zeros
+make binning its distinct values inexact.  NaNs are excluded from
 min/max and histogram mass; infinities are excluded from the histogram's
 bin range but still count toward its total, so range selectivities stay
 in ``[0, 1]``.  Dictionary-encoded string columns are summarized over
@@ -150,57 +157,61 @@ class TableStatistics:
         return "\n".join(lines)
 
 
-def _sample(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Deterministic sample plus the scale back to full-column counts."""
-    if len(values) <= SAMPLE_THRESHOLD_ROWS:
-        return values, 1.0
-    rng = np.random.default_rng(0)
-    sampled = rng.choice(values, size=SAMPLE_ROWS, replace=False)
-    return sampled, len(values) / SAMPLE_ROWS
+def _distinct(sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sample, ascending, and how often each occurs.
 
-
-def _estimate_ndv(sampled: np.ndarray, scale: float, num_rows: int) -> int:
-    """Distinct-count estimate from a (possibly sampled) column.
-
-    Exact below the sampling threshold.  Above it the GEE estimator
-    (Charikar et al.): ``d + (sqrt(scale) - 1) * f1``, where ``f1`` is the
-    number of sample values seen exactly once — repeated values are taken
-    at face value (a low-cardinality column stays low) while singletons
-    extrapolate toward the unsampled remainder (a key column scales up).
+    An integer or bool sample whose span is at most 4x its length is
+    counted (``np.bincount``); anything else is sorted (``np.unique``).
     """
-    uniques, counts = np.unique(sampled, return_counts=True)
-    distinct = float(len(uniques))
-    if scale > 1.0:
-        singletons = int(np.count_nonzero(counts == 1))
-        distinct += (scale ** 0.5 - 1.0) * singletons
-    return int(min(num_rows, int(distinct)))
+    if sampled.dtype.kind in "biu" and sampled.size:
+        ints = (sampled.astype(np.int64) if sampled.dtype.itemsize < 8
+                else sampled)
+        low = ints.min()
+        if int(ints.max()) - int(low) <= 4 * ints.size:
+            counts = np.bincount((ints - low).astype(np.intp))
+            present = np.flatnonzero(counts)
+            return present.astype(ints.dtype) + low, counts[present]
+    return np.unique(sampled, return_counts=True)
 
 
-def _column_stats(name: str, values: np.ndarray, nbytes: int,
+def _column_stats(name: str, sampled: np.ndarray, scale: float, nbytes: int,
                   num_rows: int, bins: int) -> ColumnStats:
-    values = np.asarray(values)
-    sampled, scale = _sample(values)
-    ndv = _estimate_ndv(sampled, scale, num_rows)
-    if values.dtype.kind not in "biuf":
+    distinct, counts = _distinct(sampled)
+    # NDV is exact below the sampling threshold.  Above it the GEE
+    # estimator (Charikar et al.): ``d + (sqrt(scale) - 1) * f1``, where
+    # ``f1`` is the number of sample values seen exactly once — repeated
+    # values are taken at face value (a low-cardinality column stays low)
+    # while singletons extrapolate toward the unsampled remainder (a key
+    # column scales up).
+    singletons = int(np.count_nonzero(counts == 1))
+    ndv = min(num_rows, int(len(counts) + (scale ** 0.5 - 1.0) * singletons))
+    if sampled.dtype.kind not in "biuf":
         # Non-numeric payloads (should not occur: strings are
         # dictionary-encoded) get counts only, no range or histogram.
         return ColumnStats(name=name, num_rows=num_rows,
                            ndv=ndv, nbytes=nbytes)
-    as_float = sampled.astype(np.float64, copy=False)
-    finite = as_float[np.isfinite(as_float)]
-    non_nan = int(np.count_nonzero(~np.isnan(as_float)))
-    if finite.size == 0:
+    if sampled.dtype.kind == "f":
+        # Binned value by value: NaN, infinities and signed zeros make
+        # binning the distinct values inexact.
+        points, weights = sampled.astype(np.float64, copy=False), None
+        non_nan = int(np.count_nonzero(~np.isnan(points)))
+        points = points[np.isfinite(points)]
+    else:
+        points, weights = distinct.astype(np.float64), counts
+        non_nan = int(sampled.size)
+    if points.size == 0:
         return ColumnStats(name=name, num_rows=num_rows, ndv=ndv,
                            nbytes=nbytes)
-    low = float(finite.min())
-    high = float(finite.max())
+    low, high = float(points.min()), float(points.max())
     if low == high:
-        histogram = Histogram(edges=(low, high), counts=(int(finite.size),),
+        finite = points.size if weights is None else non_nan  # no inf in ints
+        histogram = Histogram(edges=(low, high), counts=(int(finite),),
                               total=non_nan)
     else:
-        counts, edges = np.histogram(finite, bins=bins, range=(low, high))
+        binned, edges = np.histogram(points, bins=bins, range=(low, high),
+                                     weights=weights)
         histogram = Histogram(edges=tuple(float(e) for e in edges),
-                              counts=tuple(int(c) for c in counts),
+                              counts=tuple(int(c) for c in binned),
                               total=non_nan)
     return ColumnStats(name=name, num_rows=num_rows, ndv=ndv, nbytes=nbytes,
                        min_value=low, max_value=high, histogram=histogram)
@@ -212,11 +223,18 @@ def collect_table_statistics(table, *,
     """Summarize every column of ``table`` (a :class:`repro.storage.Table`).
 
     Deterministic: the sample is seeded, so re-registering identical data
-    yields identical statistics (and therefore identical plans).
+    yields identical statistics (and therefore identical plans).  One set
+    of sample positions serves every column of the table.
     """
+    positions, scale = slice(None), 1.0
+    if table.num_rows > SAMPLE_THRESHOLD_ROWS:
+        positions = np.random.default_rng(0).choice(
+            table.num_rows, size=SAMPLE_ROWS, replace=False)
+        scale = table.num_rows / SAMPLE_ROWS
     columns = {
-        column.name: _column_stats(column.name, column.values,
-                                   int(column.nbytes), table.num_rows, bins)
+        column.name: _column_stats(column.name, column.values[positions],
+                                   scale, int(column.nbytes),
+                                   table.num_rows, bins)
         for column in table.columns
     }
     return TableStatistics(table=table.name, num_rows=table.num_rows,

@@ -35,10 +35,9 @@ class Column:
     @classmethod
     def from_strings(cls, name: str, values: Iterable[str]) -> "Column":
         """Build a dictionary-encoded column from raw strings."""
-        values = list(values)
-        dictionary = Dictionary(sorted(set(values)))
-        codes = dictionary.encode(values)
-        return cls(name, codes, DICT32, dictionary)
+        labels, codes = np.unique(np.asarray(list(values), dtype=str),
+                                  return_inverse=True)
+        return cls(name, codes, DICT32, Dictionary(labels.tolist()))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

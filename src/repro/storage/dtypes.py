@@ -105,10 +105,6 @@ class Dictionary:
         """Decode a code back to its value."""
         return self._values[code]
 
-    def encode(self, values: list[str] | np.ndarray) -> np.ndarray:
-        """Encode a sequence of values into int32 codes."""
-        return np.asarray([self._codes[value] for value in values], dtype=np.int32)
-
     def decode(self, codes: np.ndarray) -> list[str]:
         """Decode an array of codes into their string values."""
         return [self._values[int(code)] for code in codes]

@@ -12,6 +12,11 @@ queries at hand: correct table cardinality ratios, 25 nations in 5 regions,
 partsupp with four suppliers per part (and lineitem picking one of those
 four), order dates in 1992-1998 with ship dates 1-121 days later, prices,
 discounts and taxes in their specification ranges.
+
+Every table is built in vectorized passes, with no Python work per row:
+dates are gathered from a table of the days the rows span, and the
+lineitem flag columns are dictionary-encoded straight from the label
+indices drawn for them, without building a string per row.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .column import Column
-from .dtypes import DATE, FLOAT64, INT32, date_to_int
+from .dtypes import DATE, DICT32, FLOAT64, INT32, Dictionary, date_to_int
 from .table import Table
 
 #: TPC-H base cardinalities at scale factor 1.
@@ -84,12 +89,29 @@ def tpch_cardinalities(scale_factor: float) -> dict[str, int]:
 
 
 def _days_to_yyyymmdd(days: np.ndarray) -> np.ndarray:
-    """Convert day offsets from 1992-01-01 into YYYYMMDD integers."""
-    dates = _EPOCH + days.astype("timedelta64[D]")
+    """Convert day offsets from 1992-01-01 into YYYYMMDD integers.
+
+    Each day in ``0..days.max()`` is converted once; rows gather the table.
+    """
+    dates = _EPOCH + np.arange(days.max() + 1).astype("timedelta64[D]")
     years = dates.astype("datetime64[Y]").astype(np.int64) + 1970
     months = dates.astype("datetime64[M]").astype(np.int64) % 12 + 1
     day_of_month = (dates - dates.astype("datetime64[M]")).astype(np.int64) + 1
-    return (years * 10000 + months * 100 + day_of_month).astype(np.int32)
+    return (years * 10000 + months * 100 + day_of_month).astype(np.int32)[days]
+
+
+def _label_column(name: str, labels: list[str], picks: np.ndarray) -> Column:
+    """Dictionary-encode ``labels[picks]`` without building a string per row.
+
+    The dictionary is the labels that occur, sorted, as
+    :meth:`Column.from_strings` would build it from the strings.
+    """
+    present = sorted(np.flatnonzero(np.bincount(picks)).tolist(),
+                     key=labels.__getitem__)
+    remap = np.zeros(len(labels), dtype=np.int32)
+    remap[present] = np.arange(len(present))
+    return Column(name, remap[picks], DICT32,
+                  Dictionary([labels[pick] for pick in present]))
 
 
 def _suppliers_of_part(partkeys: np.ndarray, picks: np.ndarray,
@@ -178,19 +200,12 @@ def generate_tpch(scale_factor: float = 0.01, *, seed: int = 2019,
     num_orders = counts["orders"]
     o_orderdate_days = rng.integers(0, _ORDER_DATE_SPAN_DAYS - 151,
                                     size=num_orders, dtype=np.int64)
-    tables["orders"] = Table.from_arrays(
-        "orders",
-        {"o_orderkey": np.arange(1, num_orders + 1, dtype=np.int32),
-         "o_custkey": rng.integers(1, num_customers + 1, size=num_orders,
-                                   dtype=np.int32),
-         "o_orderdate": _days_to_yyyymmdd(o_orderdate_days)},
-        location=location,
-    )
     tables["orders"] = Table(
         "orders",
-        [tables["orders"].column("o_orderkey"),
-         tables["orders"].column("o_custkey"),
-         Column("o_orderdate", tables["orders"].array("o_orderdate"), DATE)],
+        [Column("o_orderkey", np.arange(1, num_orders + 1, dtype=np.int32)),
+         Column("o_custkey", rng.integers(1, num_customers + 1,
+                                          size=num_orders, dtype=np.int32)),
+         Column("o_orderdate", _days_to_yyyymmdd(o_orderdate_days), DATE)],
         location=location,
     )
 
@@ -213,21 +228,13 @@ def generate_tpch(scale_factor: float = 0.01, *, seed: int = 2019,
     # Return flag / line status per the spec's currentdate = 1995-06-17 rule.
     currentdate = date_to_int("1995-06-17")
     shipped_before_current = l_shipdate <= currentdate
-    returnflag_codes = np.where(
+    returnflag = _label_column("l_returnflag", ["A", "R", "N"], np.where(
         shipped_before_current,
         rng.integers(0, 2, size=num_lineitems),  # 0 -> 'A', 1 -> 'R'
         2,                                       # 2 -> 'N'
-    ).astype(np.int32)
-    linestatus_codes = np.where(shipped_before_current, 0, 1).astype(np.int32)
-
-    returnflag = Column.from_strings(
-        "l_returnflag",
-        np.array(["A", "R", "N"])[returnflag_codes],
-    )
-    linestatus = Column.from_strings(
-        "l_linestatus",
-        np.array(["F", "O"])[linestatus_codes],
-    )
+    ))
+    linestatus = _label_column("l_linestatus", ["F", "O"],
+                               np.where(shipped_before_current, 0, 1))
     tables["lineitem"] = Table(
         "lineitem",
         [Column("l_orderkey", l_orderkey, INT32),

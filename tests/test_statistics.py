@@ -13,6 +13,9 @@ Covers the contracts of ``docs/STATISTICS.md``:
   query at SF 0.05;
 * lifecycle — statistics are collected at ``register()`` time, swapped
   atomically on ``register(replace=True)`` and retired by ``drop``;
+* identity — collection (one sample per table, integer columns counted by
+  value) equals a column-by-column reference that sorts every column,
+  repr for repr;
 * the refusal contract — GPU-only plans are refused at plan time only on
   statistics-backed estimates; guessed estimates defer to the executor's
   runtime memory enforcement (and the legacy ``use_statistics=False``
@@ -38,11 +41,14 @@ from repro.relational.physical import PAggregate, structural_key
 from repro.stats import (
     CONJUNCTION_FLOOR,
     CardinalityEstimator,
+    ColumnStats,
     Histogram,
+    TableStatistics,
     collect_table_statistics,
     q_error,
 )
-from repro.storage import Catalog, Table, generate_tpch
+from repro.stats.statistics import SAMPLE_ROWS, SAMPLE_THRESHOLD_ROWS
+from repro.storage import Catalog, Column, DataType, Table, generate_tpch
 from repro.workloads.tpch_queries import all_queries
 
 
@@ -146,6 +152,93 @@ class TestCollection:
         second = collect_table_statistics(table)
         assert first.column("v").ndv == second.column("v").ndv
         assert first.column("v").histogram == second.column("v").histogram
+
+
+def _oracle_statistics(table, bins=64):
+    """The reference algorithm, column by column: its own sample,
+    ``np.unique`` and a histogram over every sampled value."""
+    columns = {}
+    for column in table.columns:
+        values, scale = column.values, 1.0
+        if len(values) > SAMPLE_THRESHOLD_ROWS:
+            rng = np.random.default_rng(0)
+            values = rng.choice(values, size=SAMPLE_ROWS, replace=False)
+            scale = len(column.values) / SAMPLE_ROWS
+        _, counts = np.unique(values, return_counts=True)
+        distinct = float(len(counts))
+        if scale > 1.0:
+            distinct += (scale ** 0.5 - 1.0) * int(np.count_nonzero(counts == 1))
+        as_float = values.astype(np.float64, copy=False)
+        finite = as_float[np.isfinite(as_float)]
+        non_nan = int(np.count_nonzero(~np.isnan(as_float)))
+        summary = {}
+        if finite.size:
+            low, high = float(finite.min()), float(finite.max())
+            if low == high:
+                histogram = Histogram((low, high), (int(finite.size),), non_nan)
+            else:
+                binned, edges = np.histogram(finite, bins=bins,
+                                             range=(low, high))
+                histogram = Histogram(tuple(float(e) for e in edges),
+                                      tuple(int(c) for c in binned), non_nan)
+            summary = dict(min_value=low, max_value=high, histogram=histogram)
+        columns[column.name] = ColumnStats(
+            column.name, table.num_rows, int(min(table.num_rows, int(distinct))),
+            int(column.nbytes), **summary)
+    return TableStatistics(table.name, table.num_rows, int(table.nbytes),
+                           columns)
+
+
+def _odd_columns(rows):
+    rng = np.random.default_rng(5)
+    normal = rng.normal(size=rows)
+    return {
+        "dense": rng.integers(0, rows // 3, rows),
+        "sparse": rng.integers(-2 ** 62, 2 ** 62, rows),
+        "negative": rng.integers(-50, 50, rows).astype(np.int32),
+        "int8": rng.integers(-128, 128, rows).astype(np.int8),
+        "bool": rng.random(rows) < 0.3,
+        "uint8": rng.integers(0, 256, rows).astype(np.uint8),
+        "uint64": rng.integers(0, 2 ** 63, rows).astype(np.uint64) * np.uint64(2),
+        "uint64_top": np.uint64(2 ** 64 - 1000)
+        + rng.integers(0, 900, rows).astype(np.uint64),
+        "nan": np.where(rng.random(rows) < 0.1, np.nan, normal),
+        "inf": np.where(rng.random(rows) < 0.05, np.inf,
+                        np.where(rng.random(rows) < 0.05, -np.inf, normal)),
+        "const_int": np.full(rows, 7, dtype=np.int32),
+        "const_float": np.full(rows, 2.5),
+        "signed_zero": np.where(rng.random(rows) < 0.5, -0.0, 0.0),
+        "float32": rng.random(rows).astype(np.float32),
+    }
+
+
+class TestCollectionIdentity:
+    """Collection equals the column-by-column reference, bit for bit
+    (``repr``, because ``-0.0 == 0.0``)."""
+
+    @pytest.mark.parametrize("rows", [SAMPLE_THRESHOLD_ROWS + 50_000, 5_000],
+                             ids=["sampled", "exact"])
+    def test_odd_columns(self, rows):
+        # Each column keeps its own NumPy dtype (uint8, uint64, ...).
+        table = Table("odd", [
+            Column(name, values, DataType(str(values.dtype), values.dtype))
+            for name, values in _odd_columns(rows).items()])
+        assert {column.values.dtype.str for column in table.columns} >= {
+            "|u1", "<u8", "|i1", "|b1", "<f4"}
+        assert (repr(collect_table_statistics(table))
+                == repr(_oracle_statistics(table)))
+
+    def test_signed_zero_keeps_its_sign(self):
+        table = Table.from_arrays("z", {"x": np.array([0.0, -0.0, 1.0])})
+        assert repr(collect_table_statistics(table).column("x").min_value) \
+            == repr(_oracle_statistics(table).column("x").min_value)
+
+    def test_tpch_tables(self):
+        dataset = generate_tpch(0.05, seed=7)
+        assert dataset.table("lineitem").num_rows > SAMPLE_THRESHOLD_ROWS
+        for table in dataset.tables.values():
+            assert (repr(collect_table_statistics(table))
+                    == repr(_oracle_statistics(table))), table.name
 
 
 # ----------------------------------------------------------------------

@@ -51,9 +51,20 @@ class TestColumnAndTable:
         assert column.nbytes == 40
         assert column.take(np.asarray([1, 3])).values.tolist() == [1, 3]
 
-    def test_dictionary_column(self):
-        column = Column.from_strings("flag", ["A", "N", "A", "R"])
-        assert sorted(set(column.decoded())) == ["A", "N", "R"]
+    @pytest.mark.parametrize("values, feed", [
+        (["A", "N", "A", "R"], list),
+        ([], list),
+        (["b", "a", "c", "a"], lambda values: (v for v in values)),
+        (["x"] * 5, list),
+        (["é", "z", "ß", "日本", "a", "é"], list),
+    ], ids=["flags", "empty", "generator", "repeated", "non-ascii"])
+    def test_dictionary_column(self, values, feed):
+        column = Column.from_strings("flag", feed(values))
+        labels = sorted(set(values))
+        assert list(column.dictionary.values) == labels
+        assert all(type(label) is str for label in column.dictionary.values)
+        assert column.values.tolist() == [labels.index(v) for v in values]
+        assert column.decoded() == values
         assert column.values.dtype == np.int32
 
     def test_mismatched_lengths_rejected(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,17 @@ class TestGeneratedData:
         assert set(lineitem.column("l_returnflag").decoded()) <= {"A", "N", "R"}
         assert set(lineitem.column("l_linestatus").decoded()) <= {"F", "O"}
 
+    def test_dictionaries_hold_python_str(self, dataset):
+        for table in dataset.tables.values():
+            head = table.head()
+            for column in table.columns:
+                if column.dictionary is None:
+                    continue
+                labels = column.dictionary.values
+                assert all(type(label) is str for label in labels), column.name
+                assert list(labels) == sorted(set(column.decoded()))
+                assert all(type(value) is str for value in head[column.name])
+
     def test_deterministic_generation(self):
         first = generate_tpch(0.002, seed=5)
         second = generate_tpch(0.002, seed=5)
@@ -98,3 +111,30 @@ class TestGeneratedData:
 
     def test_total_bytes_positive(self, dataset):
         assert dataset.total_bytes > 0
+
+
+def _digest(dataset) -> str:
+    """sha256 over every column's (table, name, dtype, bytes, dictionary)."""
+    digest = hashlib.sha256()
+    for table in dataset.tables.values():
+        for column in table.columns:
+            labels = [] if column.dictionary is None else column.dictionary.values
+            digest.update(repr((table.name, column.name, column.dtype.name,
+                                column.values.dtype.str,
+                                [str(label) for label in labels])).encode())
+            digest.update(column.values.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed, scale_factor, expected", [
+    (2019, 0.01,
+     "6f1526ca632442e147c1ee806bc3cd26ff05660f5f31151525b4d4224908b474"),
+    (7, 0.01,
+     "8644f769c82c283e01f75843a1ce0486bea602cdc5e73a0b2c29614552b1076b"),
+    (2019, 0.00002,  # 120 lineitems
+     "f843c145ba94017dd8fa4a93b3b141f849eb65ec359e2d1c9a7a331ca57e340b"),
+])
+def test_generated_bytes_are_pinned(seed, scale_factor, expected):
+    """Any change to the generated bytes, types or dictionaries shows here
+    (and moves every plan, statistic and simulated second downstream)."""
+    assert _digest(generate_tpch(scale_factor, seed=seed)) == expected

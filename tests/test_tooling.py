@@ -11,7 +11,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it.
-MAX_SRC_CODE_LINES = 8_653
+MAX_SRC_CODE_LINES = 8_651
 
 
 def _code_lines_tool():
