@@ -2,45 +2,32 @@
 
 The paper describes DBMS G as "a GPU-based DBMS that supports multi-GPU
 execution and uses just-in-time code generation for the in-GPU kernels"
-(Section 6.1), but:
+(Section 6.1).  It is one model, stated here:
 
-* it executes operator-at-a-time, shipping inputs and intermediate results
-  over the interconnect for every operator (Section 2.2's discussion of
-  [32, 15, 8]),
-* it "is optimized for star-schema based queries and in-GPU processing and
-  thus it was unable to run on 3 queries" (Section 6.4) — here it supports
-  only Q1 of the four evaluated queries,
-* it "is not designed for out-of-GPU datasets, and thus performs poorly even
-  after 512 million tuples" (Section 6.3): out-of-memory joins fall back to
-  zero-copy (UVA-style) random accesses across PCIe.
+* Figures 6 and 7 (:meth:`DBMSG.join_seconds`): a hardware-oblivious
+  non-partitioned GPU join; it "is not designed for out-of-GPU datasets,
+  and thus performs poorly even after 512 million tuples" (Section 6.3),
+  so out-of-memory joins fall back to zero-copy (UVA-style) random
+  accesses across PCIe;
+* Figure 8 (:meth:`DBMSG.query_seconds`): it "is optimized for
+  star-schema based queries and in-GPU processing and thus it was unable
+  to run on 3 queries" (Section 6.4) — of the four evaluated queries it
+  runs only Q1, operator-at-a-time, priced over Proteus' GPU-only run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import UnsupportedQueryError
-from ..hardware.costmodel import AccessProfile
-from ..hardware.device import Device
 from ..hardware.topology import Topology, default_server
 from ..operators.hashjoin import HASH_ENTRY_BYTES
-from ..relational.expr import Expr
-from ..relational.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    LogicalPlan,
-    OrderBy,
-    Project,
-    Scan,
-)
-from ..relational.reference import execute_logical
-from ..storage.catalog import Catalog
-from .dbms_c import BaselineResult, _expression_primitives
 
 #: Effective access granularity of zero-copy (UVA) accesses over PCIe: each
 #: random probe drags a whole cache line across the interconnect.
 UVA_ACCESS_BYTES = 64
+
+#: DBMS G's Q1 seconds over Proteus' GPU-only seconds (Figure 8): every
+#: operator materializes its result in GPU memory before the next one
+#: reads it, on top of the same PCIe-bound scan.
+OPERATOR_AT_A_TIME_FACTOR = 1.5
 
 
 class DBMSG:
@@ -58,79 +45,13 @@ class DBMSG:
             raise ValueError("DBMS G requires a topology with GPUs")
         self.cpu = self.topology.cpus()[0]
 
-    # ------------------------------------------------------------------
-    def supports(self, plan: LogicalPlan) -> bool:
-        """Star-schema-only support: at most one join below any aggregation."""
-        joins = sum(1 for node in plan.walk() if isinstance(node, Join))
-        return joins <= 1
+    def query_seconds(self, query: str, gpu_seconds: float) -> float | None:
+        """DBMS G's time on a TPC-H query Proteus runs GPU-only in
+        ``gpu_seconds``; ``None`` for a query it cannot run."""
+        if query not in self.supported_queries:
+            return None
+        return gpu_seconds * OPERATOR_AT_A_TIME_FACTOR
 
-    def execute(self, plan: LogicalPlan, catalog: Catalog,
-                *, query_name: str | None = None) -> BaselineResult:
-        """Run a supported query; raises UnsupportedQueryError otherwise."""
-        if query_name is not None and query_name not in self.supported_queries:
-            raise UnsupportedQueryError(
-                f"{self.name} cannot execute {query_name}: it only supports "
-                f"{self.supported_queries} of the evaluated queries"
-            )
-        if query_name is None and not self.supports(plan):
-            raise UnsupportedQueryError(
-                f"{self.name} only supports star-schema style plans"
-            )
-        table = execute_logical(plan, catalog)
-        seconds = self._cost_plan(plan, catalog)
-        return BaselineResult(table=table, simulated_seconds=seconds,
-                              system=self.name)
-
-    # ------------------------------------------------------------------
-    def _pcie_seconds(self, gpu: Device, nbytes: int) -> float:
-        route = self.topology.route(self.cpu.name, gpu.name)
-        return route.transfer_time(int(nbytes))
-
-    def _cost_plan(self, plan: LogicalPlan, catalog: Catalog) -> float:
-        """Operator-at-a-time costing: ship in, compute, ship out, per op."""
-        gpu = self.gpus[0]
-        num_gpus = max(len(self.gpus), 1)
-        total = 0.0
-        for node in plan.walk():
-            result = execute_logical(node, catalog)
-            out_bytes = result.nbytes
-            if isinstance(node, Scan):
-                in_bytes = out_bytes
-            else:
-                in_bytes = sum(execute_logical(child, catalog).nbytes
-                               for child in node.children())
-            # Every operator round-trips over the interconnect (the traffic
-            # is split over the available GPUs).
-            total += self._pcie_seconds(gpu, (in_bytes + out_bytes) / num_gpus)
-            total += gpu.cost.kernel_launch()
-            rows = result.num_rows
-            if isinstance(node, (Filter, Project)):
-                primitives = 1
-                if isinstance(node, Filter):
-                    primitives = _expression_primitives(node.predicate)
-                elif isinstance(node, Project):
-                    primitives = sum(_expression_primitives(expr)
-                                     for expr in node.projections.values())
-                total += gpu.cost.seq_scan(in_bytes) * max(primitives, 1) / num_gpus
-                total += gpu.cost.materialize(out_bytes) / num_gpus
-            elif isinstance(node, Join):
-                build_rows = min(execute_logical(child, catalog).num_rows
-                                 for child in node.children())
-                probe_rows = max(execute_logical(child, catalog).num_rows
-                                 for child in node.children())
-                total += gpu.cost.hash_build(build_rows, HASH_ENTRY_BYTES) / num_gpus
-                total += gpu.cost.hash_probe(
-                    probe_rows, HASH_ENTRY_BYTES,
-                    build_rows * HASH_ENTRY_BYTES) / num_gpus
-                total += gpu.cost.materialize(out_bytes) / num_gpus
-            elif isinstance(node, (Aggregate, OrderBy)):
-                total += gpu.cost.seq_scan(in_bytes) / num_gpus
-                total += gpu.cost.materialize(out_bytes) / num_gpus
-        return total
-
-    # ------------------------------------------------------------------
-    # Analytic microbenchmark models (Figures 6 and 7)
-    # ------------------------------------------------------------------
     def join_seconds(self, tuples_per_side: int, *, tuple_bytes: int = 8,
                      data_on_gpu: bool = True) -> float:
         """Equi-join time of DBMS G on the microbenchmark workload.
@@ -158,11 +79,3 @@ class DBMSG:
         random_bytes = 2 * tuples_per_side * UVA_ACCESS_BYTES
         streamed = input_bytes
         return (random_bytes + streamed) / pcie_bw
-
-    def supports_out_of_gpu(self, tuples_per_side: int, *,
-                            tuple_bytes: int = 8) -> bool:
-        """Whether the inputs plus the hash table fit in a single GPU."""
-        gpu = self.gpus[0]
-        needed = 2 * tuples_per_side * tuple_bytes \
-            + tuples_per_side * HASH_ENTRY_BYTES
-        return needed < gpu.spec.memory_capacity_bytes

@@ -69,15 +69,6 @@ class ExecutionError(ReproError):
     """Raised when a plan cannot be executed on the simulated server."""
 
 
-class UnsupportedQueryError(ExecutionError):
-    """Raised by engines (notably the baselines) for unsupported queries.
-
-    DBMS G in the paper "was unable to run on 3 queries"; the simulated
-    baseline reports that through this exception instead of silently
-    producing numbers.
-    """
-
-
 class OptimizerError(ReproError):
     """Raised when the heterogeneity-aware optimizer cannot place a plan."""
 

@@ -1,7 +1,9 @@
 """Paper-scale performance models for every evaluation figure: Figs. 5-7
 replay the join operators' own estimates (Fig. 7: the co-processed join's
 own timeline) on closed-form stats records, Figs. 8-9 are closed-form
-pipeline models."""
+pipeline models of Proteus.  DBMS C and DBMS G are priced by their one
+model each in :mod:`repro.baselines`: ``join_seconds`` for Figs. 6-7,
+``query_seconds`` over Proteus' own CPU-only / GPU-only bars for Fig. 8."""
 
 from .join_models import (
     FIGURE5_PARTITION_SIZES,

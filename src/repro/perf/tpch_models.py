@@ -1,18 +1,22 @@
 """Paper-scale analytic models for the TPC-H experiments (Figures 8 and 9).
 
 The paper evaluates TPC-H at scale factor 100 with CPU-resident data.  These
-models compute per-query, per-configuration execution times from the SF-100
-cardinalities, the simulated device specifications and the same cost
-primitives used by the executable operators.  The reduced-scale executable
-runs of the engine cross-validate the relative orderings.
+models compute each query's Proteus CPU-only, hybrid and GPU-only times from
+the SF-100 cardinalities, the simulated device specifications and the same
+cost primitives used by the executable operators.  The two commercial
+comparators are priced from those bars by their own models in
+:mod:`repro.baselines` (``DBMSC.query_seconds`` over CPU-only,
+``DBMSG.query_seconds`` over GPU-only).  The reduced-scale executable runs
+of the engine cross-validate the relative orderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..baselines.dbms_c import DBMSC
+from ..baselines.dbms_g import DBMSG
 from ..engine.descriptions import HYBRID_JOIN_OVERHEAD, HYBRID_OVERHEAD
-from ..engine.modes import ExecutionMode
 from ..engine.optimizer import gpu_join_state_fits
 from ..hardware.topology import Topology, default_server
 from ..operators.filterproject import compute_ops_per_sec
@@ -54,17 +58,22 @@ class QueryEstimate:
 
 
 class TPCHModels:
-    """Per-query analytic cost models at the paper's scale factor."""
+    """Per-query analytic cost models at the paper's scale factor.
 
-    def __init__(self, topology: Topology | None = None, *,
-                 scale_factor: float = PAPER_SCALE_FACTOR) -> None:
+    Each ``q*_seconds`` returns Proteus' ``(CPU-only, hybrid, GPU-only)``
+    seconds, GPU-only ``None`` where the query's join state does not fit
+    in GPU memory.
+    """
+
+    def __init__(self, topology: Topology | None = None) -> None:
         self.topology = topology if topology is not None else default_server()
-        self.scale_factor = scale_factor
-        self.cards = tpch_cardinalities(scale_factor)
+        self.cards = tpch_cardinalities(PAPER_SCALE_FACTOR)
         self.cpu = self.topology.cpus()[0]
         self.gpu = self.topology.gpus()[0]
         self.num_cpus = len(self.topology.cpus())
         self.num_gpus = len(self.topology.gpus())
+        self.dbms_c = DBMSC(self.topology)
+        self.dbms_g = DBMSG(self.topology)
 
     # ------------------------------------------------------------------
     # Shared building blocks
@@ -101,6 +110,14 @@ class TPCHModels:
         aggregate_throughput = 1.0 / cpu_seconds + 1.0 / gpu_seconds
         return (1.0 + overhead) / aggregate_throughput
 
+    def _scan_query(self, columns: list[str], ops_per_tuple: float
+                    ) -> tuple[float, float, float]:
+        lineitem = self.cards["lineitem"]
+        nbytes = self._bytes("lineitem", columns)
+        cpu = self._cpu_scan_seconds(nbytes, ops_per_tuple, lineitem)
+        gpu = self._gpu_scan_seconds(nbytes, ops_per_tuple, lineitem)
+        return cpu, self._hybrid_seconds(cpu, gpu, join_heavy=False), gpu
+
     def _cpu_probe_seconds(self, probes: int, build_rows: int) -> float:
         table_bytes = build_rows * HASH_ENTRY_BYTES
         target = ("L3" if table_bytes
@@ -120,55 +137,32 @@ class TPCHModels:
         build = self.gpu.cost.hash_build(build_rows, HASH_ENTRY_BYTES)
         return broadcast + probe + build
 
+    def _gpu_join_pipeline_seconds(self, stream_bytes: int,
+                                   gpu_join: float) -> float:
+        """GPU-only join pipeline: the inputs stream over PCIe while the
+        GPUs probe broadcast hash tables (``gpu_join`` seconds)."""
+        route = self.topology.route(self.cpu.name, self.gpu.name)
+        stream = route.transfer_time(stream_bytes // max(self.num_gpus, 1))
+        return max(stream, gpu_join) + 0.3 * min(stream, gpu_join)
+
     # ------------------------------------------------------------------
     # Q1 / Q6: scan-bound aggregation queries
     # ------------------------------------------------------------------
-    def q1_seconds(self, system: str) -> float | None:
-        lineitem = self.cards["lineitem"]
-        nbytes = self._bytes("lineitem", [
+    def q1_seconds(self) -> tuple[float, float, float]:
+        # Eight aggregates plus the date filter: 30 operations per tuple.
+        return self._scan_query([
             "l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-            "l_discount", "l_tax", "l_shipdate"])
-        ops = 30.0  # eight aggregates plus the date filter
-        cpu = self._cpu_scan_seconds(nbytes, ops, lineitem)
-        gpu = self._gpu_scan_seconds(nbytes, ops, lineitem)
-        if system == "Proteus CPUs":
-            return cpu
-        if system == "Proteus GPUs":
-            return gpu
-        if system == "Proteus Hybrid":
-            return self._hybrid_seconds(cpu, gpu, join_heavy=False)
-        if system == "DBMS C":
-            # One extra in-cache pass (and vector materialization) per
-            # aggregate primitive.
-            return cpu * (1.0 + 0.12 * 8)
-        if system == "DBMS G":
-            return gpu * 1.5  # operator-at-a-time materialization on top
-        raise KeyError(system)
+            "l_discount", "l_tax", "l_shipdate"], 30.0)
 
-    def q6_seconds(self, system: str) -> float | None:
-        lineitem = self.cards["lineitem"]
-        nbytes = self._bytes("lineitem", [
-            "l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
-        ops = 12.0
-        cpu = self._cpu_scan_seconds(nbytes, ops, lineitem)
-        gpu = self._gpu_scan_seconds(nbytes, ops, lineitem)
-        if system == "Proteus CPUs":
-            return cpu
-        if system == "Proteus GPUs":
-            return gpu
-        if system == "Proteus Hybrid":
-            return self._hybrid_seconds(cpu, gpu, join_heavy=False)
-        if system == "DBMS C":
-            return cpu * (1.0 + 0.12 * 4)
-        if system == "DBMS G":
-            return None  # unsupported (one of the three queries it cannot run)
-        raise KeyError(system)
+    def q6_seconds(self) -> tuple[float, float, float]:
+        return self._scan_query([
+            "l_shipdate", "l_discount", "l_quantity", "l_extendedprice"], 12.0)
 
     # ------------------------------------------------------------------
     # Q5 / Q9: join-heavy queries
     # ------------------------------------------------------------------
-    def q5_seconds(self, system: str, *,
-                   gpu_partitioned_join: bool = True) -> float | None:
+    def q5_seconds(self, *, gpu_partitioned_join: bool = True
+                   ) -> tuple[float, float, float]:
         lineitem = self.cards["lineitem"]
         orders = self.cards["orders"]
         customer = self.cards["customer"]
@@ -189,23 +183,10 @@ class TPCHModels:
                     + self._gpu_probe_seconds(filtered_orders, customer)
                     + self._gpu_probe_seconds(lineitem, self.cards["supplier"])
                     ) * join_factor
-        route = self.topology.route(self.cpu.name, self.gpu.name)
-        gpu_stream = route.transfer_time(
-            (probe_bytes + dim_bytes) // max(self.num_gpus, 1))
-        gpu = max(gpu_stream, gpu_join) + 0.3 * min(gpu_stream, gpu_join)
-        if system == "Proteus CPUs":
-            return cpu
-        if system == "Proteus GPUs":
-            return gpu
-        if system == "Proteus Hybrid":
-            return self._hybrid_seconds(cpu, gpu, join_heavy=True)
-        if system == "DBMS C":
-            return cpu * 1.4
-        if system == "DBMS G":
-            return None  # non-star-schema join graph
-        raise KeyError(system)
+        gpu = self._gpu_join_pipeline_seconds(probe_bytes + dim_bytes, gpu_join)
+        return cpu, self._hybrid_seconds(cpu, gpu, join_heavy=True), gpu
 
-    def q9_seconds(self, system: str) -> float | None:
+    def q9_seconds(self) -> tuple[float, float, float | None]:
         lineitem = self.cards["lineitem"]
         orders = self.cards["orders"]
         partsupp = self.cards["partsupp"]
@@ -219,55 +200,54 @@ class TPCHModels:
                + self._cpu_probe_seconds(lineitem, partsupp)
                + self._cpu_probe_seconds(lineitem, orders)
                + self._cpu_probe_seconds(lineitem, self.cards["supplier"]))
-        if system == "Proteus CPUs":
-            return cpu
-        if system in ("Proteus GPUs", "DBMS G"):
-            # The orders join state alone exceeds GPU memory: no GPU-only run.
-            if not gpu_join_state_fits(orders,
-                                       self.gpu.spec.memory_capacity_bytes):
-                return None
-            return cpu  # pragma: no cover - unreachable with paper specs
-        if system == "Proteus Hybrid":
-            # The co-processed radix join offloads the two large joins to the
-            # GPUs while the CPUs keep partitioning/probing the rest.
-            coproc_bytes = probe_bytes + dim_bytes
-            route = self.topology.route(self.cpu.name, self.gpu.name)
-            pcie = route.transfer_time(coproc_bytes // max(self.num_gpus, 1))
-            cpu_partition = self.cpu.cost.partition_pass(
-                lineitem, 16, 32, consolidated=True) / self.num_cpus
-            gpu_join = self._gpu_probe_seconds(lineitem, partsupp) * 0.5
-            hybrid = max(pcie, cpu_partition, gpu_join) \
-                + 0.25 * (cpu_partition + gpu_join)
-            return min(hybrid, cpu * 0.75)
-        if system == "DBMS C":
-            return cpu * 1.3
-        raise KeyError(system)
+        # The co-processed radix join offloads the two large joins to the
+        # GPUs while the CPUs keep partitioning/probing the rest.
+        coproc_bytes = probe_bytes + dim_bytes
+        route = self.topology.route(self.cpu.name, self.gpu.name)
+        pcie = route.transfer_time(coproc_bytes // max(self.num_gpus, 1))
+        cpu_partition = self.cpu.cost.partition_pass(
+            lineitem, 16, 32, consolidated=True) / self.num_cpus
+        gpu_join = self._gpu_probe_seconds(lineitem, partsupp) * 0.5
+        hybrid = max(pcie, cpu_partition, gpu_join) \
+            + 0.25 * (cpu_partition + gpu_join)
+        # At SF 100 the orders join state alone exceeds GPU memory: no
+        # GPU-only run (Section 6.4).
+        gpu = None
+        if gpu_join_state_fits(orders, self.gpu.spec.memory_capacity_bytes):
+            gpu = self._gpu_join_pipeline_seconds(
+                coproc_bytes,
+                self._gpu_probe_seconds(lineitem, partsupp)
+                + self._gpu_probe_seconds(lineitem, orders)
+                + self._gpu_probe_seconds(lineitem, self.cards["supplier"]))
+        return cpu, min(hybrid, cpu * 0.75), gpu
 
     # ------------------------------------------------------------------
     # Figures
     # ------------------------------------------------------------------
     def figure8(self) -> dict[str, list[QueryEstimate]]:
-        """Figure 8: per-query bars for every system configuration."""
+        """Figure 8: per-query bars for every system configuration, the
+        commercial comparators priced from Proteus' own CPU-only and
+        GPU-only bars."""
         models = {"Q1": self.q1_seconds, "Q5": self.q5_seconds,
                   "Q6": self.q6_seconds, "Q9": self.q9_seconds}
         figure: dict[str, list[QueryEstimate]] = {}
         for query, model in models.items():
-            estimates = []
-            for system in FIGURE8_SYSTEMS:
-                seconds = model(system)
-                note = "" if seconds is not None else "unsupported"
-                estimates.append(QueryEstimate(query, system, seconds, note))
-            figure[query] = estimates
+            cpu, hybrid, gpu = model()
+            bars = {"DBMS C": self.dbms_c.query_seconds(query, cpu),
+                    "Proteus CPUs": cpu, "Proteus Hybrid": hybrid,
+                    "Proteus GPUs": gpu,
+                    "DBMS G": self.dbms_g.query_seconds(query, gpu)}
+            figure[query] = [
+                QueryEstimate(query, system, bars[system],
+                              "" if bars[system] is not None else "unsupported")
+                for system in FIGURE8_SYSTEMS]
         return figure
 
     def figure9(self) -> dict[str, dict[str, float]]:
         """Figure 9: Q5 with partitioned vs non-partitioned GPU-side joins."""
-        gpu_part = self.q5_seconds("Proteus GPUs", gpu_partitioned_join=True)
-        gpu_nonpart = self.q5_seconds("Proteus GPUs", gpu_partitioned_join=False)
-        hybrid_part = self._hybrid_seconds(
-            self.q5_seconds("Proteus CPUs"), gpu_part, join_heavy=True)
-        hybrid_nonpart = self._hybrid_seconds(
-            self.q5_seconds("Proteus CPUs"), gpu_nonpart, join_heavy=True)
+        _, hybrid_part, gpu_part = self.q5_seconds(gpu_partitioned_join=True)
+        _, hybrid_nonpart, gpu_nonpart = self.q5_seconds(
+            gpu_partitioned_join=False)
         return {
             "GPU": {"Partitioned join": gpu_part,
                     "Non partitioned join": gpu_nonpart},

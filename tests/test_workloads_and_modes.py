@@ -95,6 +95,3 @@ class TestErrorHierarchy:
         assert error.device == "gpu0"
         assert error.requested == 100
         assert "gpu0" in str(error)
-
-    def test_unsupported_query_is_execution_error(self):
-        assert issubclass(errors.UnsupportedQueryError, errors.ExecutionError)
