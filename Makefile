@@ -53,8 +53,8 @@ bench-full:
 OUT ?= bench/results/e2e.json
 BASELINE ?=
 bench-e2e:
-	python3 bench/run.py --out $(OUT)
-	$(if $(BASELINE),python3 bench/compare.py $(BASELINE) $(OUT))
+	$(PYTHON) bench/run.py --out $(OUT)
+	$(if $(BASELINE),$(PYTHON) bench/compare.py $(BASELINE) $(OUT))
 
 ## Code lines (comments and docstrings excluded) — the figure simplicity
 ## PRs quote.  LOC_PATHS=src/repro/server for one package; run the tool
