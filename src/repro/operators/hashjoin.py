@@ -109,7 +109,9 @@ class HashJoinBuild:
         The matches arrive probe-major with ties build-ascending (the
         :meth:`JoinBuildIndex.probe` contract).  Over unique build keys the
         probe positions ascend, so when every probe row matched they are
-        the rows as they are, and the probe columns stay put.  Build-major
+        the rows as they are, and the probe columns stay put — a foreign
+        key probing its primary key's slot table: the gathered slots are
+        the build positions, nothing compacted or composed.  Build-major
         is one stable sort of the build positions away: ties stay
         probe-ascending.
         """

@@ -159,84 +159,113 @@ class KeyDomain:
 #: values, heavy duplicates) keeps the binary search.
 DIRECTORY_BUCKETS_PER_ROW = 4
 DIRECTORY_MAX_DEPTH = 8
+#: Unique keys spanning fewer values than this many per build row get a
+#: slot table instead of a directory.
+SLOT_SPAN_PER_ROW = 32
 
 
 class JoinBuildIndex:
-    """Sorted key index over a join's build side (build once, probe many).
+    """Key index over a join's build side (build once, probe many).
 
     The build-then-probe surface of every equi-join: constructing the index
-    orders the build keys once; :meth:`probe` can then be called per probe
-    batch — the whole probe side at once, or one morsel at a time.  Because
-    each probe batch is matched independently and results are ordered by
-    probe position, concatenating per-morsel probe results reproduces the
-    whole-column match list bit for bit.
+    lays out the build keys once; :meth:`probe` can then be called per
+    probe batch — the whole probe side at once, or one morsel at a time.
+    Because each probe batch is matched independently and results are
+    ordered by probe position, concatenating per-morsel probe results
+    reproduces the whole-column match list bit for bit.
 
-    Integer keys also get a *radix directory* over the sorted keys: bucket
-    ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``.
-    The bucket counts are taken *before* the keys are ordered, and the
-    data picks one of three paths at build time:
+    Integer keys are counted by their offset ``key - min`` before anything
+    is ordered, and the counts pick one of four paths at build time:
 
-    * keys spanning fewer values than the directory has buckets
+    * unique keys spanning fewer than ``SLOT_SPAN_PER_ROW`` values per row
+      (primary keys, dense key codes, a filtered primary key) get a *slot
+      table*: slot ``key - min + 1`` holds the build row with that key, or
+      -1.  A probe is one offset, one gather that clamps it (a key outside
+      the span reads an empty end slot) and one ``>= 0`` test; when every
+      probe key hits, the gathered rows are the match list as they stand.
+      Nothing is ordered.  Such keys are counted one per value, so a
+      duplicate shows before anything is placed;
+    * other keys get a *radix directory* over the sorted keys: bucket
+      ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``.
+      Keys spanning fewer values than the directory has buckets
       (``shift == 0``) put one key value in each bucket, so the directory
-      is *exact* whatever the duplicates: a probe key's run of equal build
-      keys starts at ``starts[bucket]`` and is ``counts[bucket]`` long.
-      The rows are ordered by one stable sort of the bucket ids — 16-bit
-      ids where the span allows, which NumPy sorts by radix in O(n);
-    * sparser keys find a probe key with one gather plus ``depth - 1``
-      (``depth`` = rows in the fullest bucket) vectorised steps — the
-      position ``np.searchsorted`` would return, without a cache-missing
-      binary search per probe key — and a stable sort of the keys;
+      is *exact*: a probe key's run of equal build keys starts at
+      ``starts[bucket]`` and is ``counts[bucket]`` long.  The rows are
+      ordered by one stable sort of the bucket ids — 16-bit ids where the
+      span allows, which NumPy sorts by radix in O(n);
+    * sparser keys — repeated ones spanning fewer than
+      ``SLOT_SPAN_PER_ROW`` values a row included, their per-value counts
+      summed into the buckets — find a probe key with one gather plus
+      ``depth - 1`` (``depth`` = rows in the fullest bucket) vectorised
+      steps: the position ``np.searchsorted`` would return, without a
+      cache-missing binary search per probe key.  The rows are ordered by
+      a stable sort of the keys, or by one scatter to ``starts[bucket]``
+      when no bucket holds two keys;
     * a fuller bucket than ``DIRECTORY_MAX_DEPTH``, or keys that are not
       integers, keep the binary search.
 
-    Unique keys no denser than the buckets (``depth == 1`` — primary keys,
-    dense key codes, direct addressing) are placed by one scatter to
-    ``starts[bucket]``, nothing sorted.  The index is read-only after
-    construction, so worker threads may share it.
+    The index is read-only after construction — no probe caches anything
+    on it — so worker threads may share it.
     """
 
-    __slots__ = ("order", "sorted_keys", "unique_keys", "_keys",
-                 "_padded", "_base", "_shift", "_starts", "_counts", "_depth")
+    __slots__ = ("order", "sorted_keys", "unique_keys", "_keys", "_padded",
+                 "_base", "_shift", "_starts", "_counts", "_slots", "_depth")
 
     def __init__(self, left_keys: np.ndarray) -> None:
         left_keys = self._keys = np.asarray(left_keys)
         rows = len(left_keys)
-        #: Rows in the fullest bucket (0: no directory), and the run length
-        #: of every bucket when the directory is exact (``None``: it steps).
-        depth, self._counts = 0, None
+        #: Rows in the fullest bucket (0: no directory), the run length of
+        #: every bucket when the directory is exact, and the build row at
+        #: every key offset of a slot table (``None``: not that path).
+        depth, self._counts, self._slots, fine = 0, None, None, False
         if rows and left_keys.dtype.kind == "i":
             # Spans reach 2**64 - 1 on keys that use every bit: a Python int
             # here, wrapping int64 differences read as uint64 on the arrays.
             self._base = left_keys.min().astype(np.int64)
             span = int(left_keys.max()) - int(self._base)
             shift = (span // (DIRECTORY_BUCKETS_PER_ROW * rows)).bit_length()
-            self._shift = np.uint64(shift)
+            # Keys a slot table could hold are counted one per value (their
+            # ``fine`` bucket ids order like them), so the counts tell a
+            # unique build before anything is placed; the last bucket of
+            # such a count is empty.
+            fine = span < SLOT_SPAN_PER_ROW * rows
+            self._shift = np.uint64(0 if fine else shift)
             buckets = self._buckets(left_keys)
-            buckets = (buckets.astype(np.uint16) if span >> shift < 1 << 16
-                       else buckets.view(np.int64))
-            # An exact directory's last, empty bucket takes every key
-            # outside the span.
-            counts = np.bincount(buckets, minlength=0 if shift else span + 2)
+            if span >> int(self._shift) < 1 << 16:
+                buckets = buckets.astype(np.uint16)
+            counts = np.bincount(buckets, minlength=span + 2 if fine else 0)
             depth = int(counts.max())
-            if not shift or depth <= DIRECTORY_MAX_DEPTH:
+            if fine and shift and depth > 1:   # repeated keys step
+                self._shift = np.uint64(shift)
+                counts = np.add.reduceat(counts,
+                                         np.arange(0, span + 2, 1 << shift))
+                depth = int(counts.max())
+            if fine and depth == 1:
+                # Unique keys: the slot table, a key's row at slot
+                # ``key - min + 1``; the first and the last slot are empty.
+                self._base = np.subtract(self._base, 1, dtype=np.int64)
+                self._slots = np.full(span + 3, -1, dtype=np.int64)
+                self._slots[1:][buckets] = np.arange(rows)
+                self.order = None
+            elif not shift or depth <= DIRECTORY_MAX_DEPTH:
                 self._starts = np.cumsum(counts)
                 self._starts -= counts
                 if not shift:   # run lengths, as narrow as they fit
                     self._counts = counts.astype(np.min_scalar_type(depth))
             else:
                 depth = 0
-        if depth == 1:
+        if depth == 1 and not fine:
             # No bucket holds two keys, so bucket order is key order: the
             # counts place every row, nothing is sorted.
             self.order = np.empty(rows, dtype=np.int64)
             self.order[self._starts[buckets]] = np.arange(rows)
-        else:
-            # One key value per bucket: bucket order is key order too.
-            self.order = np.argsort(
-                left_keys if self._counts is None else buckets, kind="stable")
+        elif self._slots is None:
+            self.order = np.argsort(buckets if fine else left_keys,
+                                    kind="stable")
         self._depth = depth
-        if self._counts is not None:
-            # Nothing searches an exact directory's keys (see ``probe``).
+        if self._slots is not None or self._counts is not None:
+            # Nothing searches these keys (see ``probe``): the slot table's
+            # are unique, an exact directory's repeat.
             self.sorted_keys, self.unique_keys = None, depth == 1
             return
         self.sorted_keys = left_keys[self.order]
@@ -250,15 +279,19 @@ class JoinBuildIndex:
         self._padded[:rows] = self.sorted_keys
         self.sorted_keys = self._padded[:rows]
 
-    def _buckets(self, keys: np.ndarray) -> np.ndarray:
-        """``(key - min) >> shift`` of signed-integer keys, as ``uint64``.
+    def _buckets(self, keys: np.ndarray,
+                 table: np.ndarray | None = None) -> np.ndarray:
+        """``(key - min) >> shift`` of signed-integer keys.
 
-        Keys outside the build range wrap to offsets past the span.
+        A key outside the build range wraps to an offset past the span,
+        which is clamped to the last entry of ``table`` when one is given.
         """
         buckets = np.subtract(keys, self._base, dtype=np.int64).view(np.uint64)
         if self._shift:
             buckets >>= self._shift
-        return buckets
+        if table is not None:
+            np.minimum(buckets, np.uint64(len(table) - 1), out=buckets)
+        return buckets.view(np.int64)
 
     def _locate(self, keys: np.ndarray) -> np.ndarray:
         """Sorted position of the first build key equal to each probe key.
@@ -267,10 +300,8 @@ class JoinBuildIndex:
         holds; an absent key lands on a position (``num_rows`` at most)
         whose key differs from it, which is all :meth:`probe` asks.
         """
-        buckets = self._buckets(keys)
         # Out-of-range keys land in the last bucket, where they equal nothing.
-        np.minimum(buckets, np.uint64(len(self._starts) - 1), out=buckets)
-        positions = self._starts[buckets.view(np.int64)]
+        positions = self._starts[self._buckets(keys, self._starts)]
         # A key that is present sits among its bucket's first ``depth`` rows.
         for _ in range(self._depth - 1):
             positions += self._padded[positions] < keys
@@ -285,31 +316,43 @@ class JoinBuildIndex:
         produce.
         """
         right_keys = np.asarray(right_keys)
-        empty = (np.asarray([], dtype=np.int64),
-                 np.asarray([], dtype=np.int64))
-        if len(self.order) == 0 or len(right_keys) == 0:
-            return empty
+        if not len(self._keys):   # no build key: nothing matches
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         integral = right_keys.dtype.kind == "i"
+        if self._slots is not None and integral:
+            # One gather, in place: a key outside the span (its offset
+            # wrapped or not) is clamped to an empty end slot.
+            left = np.subtract(right_keys, self._base, dtype=np.int64)
+            np.take(self._slots, left, mode="clip", out=left)
+            hits = left >= 0
+            if hits.all():   # every probe key matched: nothing to compact
+                return left, np.arange(len(left))
+            right_indices = np.flatnonzero(hits)
+            return left[right_indices], right_indices
         if self._counts is not None and integral:
             # The exact directory: every run's start and length, one
             # gather each.
-            buckets = self._buckets(right_keys)
-            np.minimum(buckets, np.uint64(len(self._counts) - 1), out=buckets)
-            buckets = buckets.view(np.int64)
+            buckets = self._buckets(right_keys, self._counts)
             left, counts = self._starts[buckets], self._counts[buckets]
         else:
-            # Keys an exact directory cannot address search a sorted copy.
+            # Keys the table or an exact directory cannot address search a
+            # sorted copy, made for this batch: the index stays as it is.
+            order = (self.order if self._slots is None
+                     else self._slots[self._slots >= 0])
             sorted_keys = (self.sorted_keys if self.sorted_keys is not None
-                           else self._keys[self.order])
+                           else self._keys[order])
             stepping = self._depth > 0 and integral
             left = (self._locate(right_keys) if stepping else
                     np.searchsorted(sorted_keys, right_keys, side="left"))
             if self.unique_keys:
                 # One lower bound and a membership test instead of the
-                # two bounds below.
+                # two bounds below: a probe key matches once or not at all.
                 np.minimum(left, len(sorted_keys) - 1, out=left)
-                counts = sorted_keys[left] == right_keys
-            elif stepping:
+                right_indices = np.flatnonzero(sorted_keys[left] == right_keys)
+                if len(right_indices) < len(left):
+                    left = left[right_indices]
+                return order[left], right_indices
+            if stepping:
                 # Right bound = left bound + run length: a run of equal
                 # keys is at most ``depth`` long.  Only an int64-max probe
                 # key can count the padding, hence the clamp.
@@ -321,17 +364,8 @@ class JoinBuildIndex:
             else:
                 counts = np.searchsorted(sorted_keys, right_keys,
                                          side="right") - left
-        if self.unique_keys:
-            # Unique build keys (the common PK-FK case): a probe key
-            # matches once or not at all.
-            right_indices = np.flatnonzero(counts)
-            if len(right_indices) < len(left):
-                left = left[right_indices]
-            return self.order[left], right_indices
         counts = counts.astype(np.int64, copy=False)   # narrow run lengths
         right_indices = np.repeat(np.arange(len(right_keys)), counts)
-        if len(right_indices) == 0:
-            return empty
         # For each probe tuple, enumerate the run of matching build positions.
         starts = np.repeat(left, counts)
         run_offsets = np.arange(len(right_indices)) - np.repeat(

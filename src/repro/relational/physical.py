@@ -62,7 +62,11 @@ class PhysicalOp:
     est_rows: float | None = field(default=None, kw_only=True)
 
     def children(self) -> tuple["PhysicalOp", ...]:
-        return ()
+        """The inputs that are set: a join's build then probe side, the
+        one child of every other operator but a scan."""
+        return tuple(node for node in (getattr(self, name, None)
+                                       for name in ("build", "probe", "child"))
+                     if node is not None)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -106,9 +110,6 @@ class PFilterProject(PhysicalOp):
     predicate: Expr | None = None
     projections: dict[str, Expr] | None = None
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
     def describe(self) -> str:
         parts = []
         if self.predicate is not None:
@@ -146,14 +147,6 @@ class PJoin(PhysicalOp):
         if len(self.build_keys) != len(self.probe_keys):
             raise PlanError("join build/probe key lists must have equal length")
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        children = []
-        if self.build is not None:
-            children.append(self.build)
-        if self.probe is not None:
-            children.append(self.probe)
-        return tuple(children)
-
     def describe(self) -> str:
         pairs = ", ".join(
             f"{b}={p}" for b, p in zip(self.build_keys, self.probe_keys)
@@ -170,9 +163,6 @@ class PAggregate(PhysicalOp):
     aggregates: tuple[AggregateSpec, ...] = ()
     phase: str = "complete"  # "partial" | "final" | "complete"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
     def describe(self) -> str:
         keys = ", ".join(self.group_by) or "()"
         return f"Aggregate[{self.phase}](by [{keys}])"
@@ -184,9 +174,6 @@ class PSort(PhysicalOp):
 
     child: PhysicalOp | None = None
     keys: tuple[str, ...] = ()
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
 
     def describe(self) -> str:
         return f"Sort({', '.join(self.keys)})"
@@ -203,9 +190,6 @@ class Router(PhysicalOp):
     policy: RoutingPolicy = RoutingPolicy.LOAD_AWARE
     consumers: tuple[str, ...] = ()
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
-
     def describe(self) -> str:
         return f"Router[{self.policy.value}] -> {list(self.consumers)}"
 
@@ -216,9 +200,6 @@ class DeviceCrossing(PhysicalOp):
 
     child: PhysicalOp | None = None
     target_kind: DeviceKind = DeviceKind.GPU
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
 
     def describe(self) -> str:
         return f"DeviceCrossing(-> {self.target_kind.value})"
@@ -231,9 +212,6 @@ class MemMove(PhysicalOp):
     child: PhysicalOp | None = None
     destination: str = "gpu0"
     broadcast: bool = False
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,) if self.child is not None else ()
 
     def describe(self) -> str:
         mode = "broadcast" if self.broadcast else "move"

@@ -60,6 +60,7 @@ from repro.relational import (
     scan,
 )
 from repro.relational.expr import Expr
+from repro.relational.keys import DIRECTORY_BUCKETS_PER_ROW, SLOT_SPAN_PER_ROW
 from repro.storage import DEFAULT_MORSEL_ROWS, Table
 
 #: Seeded cases run in CI; ``make fuzz`` raises this via the environment.
@@ -103,6 +104,11 @@ class _Case:
         # shift), and — independently — one far key in every table, which
         # clusters the rest into one bucket (the binary-search fallback).
         self.key_stride = (1, 1, 10**9 + 7)[int(rng.integers(0, 3))]
+        # A quarter of the cases space their keys 8 apart instead, so a
+        # unique key spans 4x to 32x its rows (the slot table).  Drawn from
+        # a stream of its own: every seed keeps its plan.
+        if np.random.default_rng([SEED_BASE + seed, 3]).integers(0, 4) == 0:
+            self.key_stride = 8
         self.key_base = -3 * self.key_stride * int(rng.integers(0, 2))
         self.far_key = 2**40 if rng.integers(0, 4) == 0 else None
         # The ``_j`` column (second join key, second group-by column):
@@ -168,6 +174,11 @@ class _Case:
                 if values.min() < 0:
                     self.shapes.add("negative")
                 span = float(values.max()) - float(values.min())
+                if (values.dtype.kind == "i"
+                        and len(np.unique(values)) == len(values)
+                        and DIRECTORY_BUCKETS_PER_ROW * len(values) <= span
+                        < SLOT_SPAN_PER_ROW * len(values)):
+                    self.shapes.add("unique, spanning 4x to 32x its rows")
                 if position and span > 2**20:
                     self.shapes.add("second column past 2**40"
                                     if span > 2**40 else
@@ -303,7 +314,8 @@ class _Case:
 #: Join-key shapes the exact key code is accepted on; the tier-1 seeds
 #: must keep generating every one of them.
 KEY_SHAPES = {"multi-column", "negative", "float",
-              "second column past 2**20", "second column past 2**40"}
+              "second column past 2**20", "second column past 2**40",
+              "unique, spanning 4x to 32x its rows"}
 
 
 def test_default_seeds_cover_every_key_shape():

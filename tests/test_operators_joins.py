@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +36,11 @@ from repro.operators.radix import (
     radix_partition_kernel,
 )
 from repro.relational import JoinBuildIndex, join_indices, join_indices_dict
-from repro.relational.keys import DIRECTORY_MAX_DEPTH
+from repro.relational.keys import (
+    DIRECTORY_BUCKETS_PER_ROW,
+    DIRECTORY_MAX_DEPTH,
+    SLOT_SPAN_PER_ROW,
+)
 from repro.storage import (
     make_join_pair,
     make_partial_match_pair,
@@ -86,8 +92,16 @@ _KEY_SHAPES = {
                                   _INT64.max - 1, _INT64.max]), 0),
     "duplicates": (st.integers(0, 3), 0),
     "outlier": (st.integers(0, 30), 12),   # + one far key: the fallback
-    "unique": (st.integers(100, 160), 0),  # shuffled, dense: the scatter
+    "unique": (st.integers(100, 160), 0),  # shuffled, dense: the slots
 }
+
+
+def _int_column(draw, keys) -> np.ndarray:
+    """``keys`` as ``int32`` when they fit and the draw says so, else
+    ``int64``."""
+    narrow = all(abs(key) < 2**31 for key in keys)
+    dtype = np.int32 if narrow and draw(st.booleans()) else np.int64
+    return np.asarray(keys, dtype=dtype)
 
 
 @st.composite
@@ -107,21 +121,65 @@ def _join_keys(draw):
     probe = draw(st.lists(
         st.one_of(st.sampled_from(near + outside), values), max_size=60))
     probe = [key for key in probe if _INT64.min <= key <= _INT64.max]
+    return _int_column(draw, build), _int_column(draw, probe)
 
-    def column(keys):
-        narrow = all(abs(key) < 2**31 for key in keys)
-        dtype = np.int32 if narrow and draw(st.booleans()) else np.int64
-        return np.asarray(keys, dtype=dtype)
 
-    return column(build), column(probe)
+@st.composite
+def _slot_band_keys(draw):
+    """``(build, probe, duplicates)``: integer build keys spanning 4x to
+    32x their row count — unique, or with some keys repeated — anywhere in
+    ``int64``, and probe keys half of which miss: between the build keys,
+    below and above the span, and at the ``int64`` extremes."""
+    rows = draw(st.integers(2, 40))
+    repeats = draw(st.integers(0, rows)) if draw(st.booleans()) else 0
+    total = rows + repeats
+    span = draw(st.integers(DIRECTORY_BUCKETS_PER_ROW * total,
+                            SLOT_SPAN_PER_ROW * total - 1))
+    low = draw(st.one_of(st.integers(-10**6, 10**6),
+                         st.sampled_from([_INT64.min, _INT64.max - span])))
+    inner = draw(st.lists(st.integers(low + 1, low + span - 1),
+                          min_size=rows - 2, max_size=rows - 2, unique=True))
+    unique = [low, low + span, *inner]
+    build = draw(st.permutations(
+        unique + draw(st.lists(st.sampled_from(unique), min_size=repeats,
+                               max_size=repeats))))
+    outside = [key for key in (low - 5, low - 1, low + span + 1,
+                               low + span + 9, _INT64.min, _INT64.max)
+               if _INT64.min <= key <= _INT64.max and key not in unique]
+    misses = st.integers(low, low + span).filter(lambda key: key not in
+                                                 unique)
+    probe = draw(st.lists(st.one_of(
+        st.sampled_from(unique), st.one_of(misses, st.sampled_from(outside))),
+        max_size=60))
+    return _int_column(draw, build), _int_column(draw, probe), repeats > 0
+
+
+def _check_dictionary_oracle(index: JoinBuildIndex, build: np.ndarray,
+                             probe: np.ndarray, cut: int) -> None:
+    """``index.probe`` returns a dictionary lookup's pairs, in the
+    documented order, whole-side or split into morsels at ``cut``."""
+    positions: dict[int, list[int]] = {}
+    for position, key in enumerate(build.tolist()):
+        positions.setdefault(key, []).append(position)
+    expected = [(b, p) for p, key in enumerate(probe.tolist())
+                for b in positions.get(key, [])]
+    build_idx, probe_idx = index.probe(probe)
+    assert build_idx.dtype == probe_idx.dtype == np.int64
+    assert list(zip(build_idx.tolist(), probe_idx.tolist())) == expected
+    head, tail = index.probe(probe[:cut]), index.probe(probe[cut:])
+    assert np.array_equal(np.concatenate([head[0], tail[0]]), build_idx)
+    assert np.array_equal(
+        np.concatenate([head[1], tail[1] + len(probe[:cut])]), probe_idx)
 
 
 class TestJoinBuildIndex:
     def test_probe_matches_dictionary_oracle(self, monkeypatch):
-        """Both lookup paths and both ways of ordering the build keys — the
-        scatter for unique keys no denser than the buckets, the stable sort
-        for the rest — return a dictionary lookup's pairs, in the
-        documented order, whole-side or morsel by morsel."""
+        """Every lookup path and every way of laying out the build keys —
+        the slot table for unique keys spanning under
+        ``SLOT_SPAN_PER_ROW`` values a row, the scatter for sparser unique
+        keys no denser than the buckets, the stable sort for the rest —
+        returns a dictionary lookup's pairs, in the documented order,
+        whole-side or morsel by morsel."""
         directory_taken, sorted_when = set(), set()
         sorts = []
         monkeypatch.setattr(
@@ -132,27 +190,13 @@ class TestJoinBuildIndex:
         @settings(max_examples=400, deadline=None, derandomize=True)
         def check(keys, cut):
             build, probe = keys
-            positions: dict[int, list[int]] = {}
-            for position, key in enumerate(build.tolist()):
-                positions.setdefault(key, []).append(position)
-            expected = [(b, p) for p, key in enumerate(probe.tolist())
-                        for b in positions.get(key, [])]
             del sorts[:]
             index = JoinBuildIndex(build)
             sorted_when.add((bool(sorts), index.unique_keys))
             assert not sorts or index._depth != 1
             if len(build) and len(probe):   # empty sides search nothing
                 directory_taken.add(index._depth > 0)
-            build_idx, probe_idx = index.probe(probe)
-            assert build_idx.dtype == probe_idx.dtype == np.int64
-            assert list(zip(build_idx.tolist(),
-                            probe_idx.tolist())) == expected
-            head, tail = index.probe(probe[:cut]), index.probe(probe[cut:])
-            assert np.array_equal(np.concatenate([head[0], tail[0]]),
-                                  build_idx)
-            assert np.array_equal(
-                np.concatenate([head[1], tail[1] + len(probe[:cut])]),
-                probe_idx)
+            _check_dictionary_oracle(index, build, probe, cut)
 
         check()
         assert directory_taken == {True, False}
@@ -160,12 +204,12 @@ class TestJoinBuildIndex:
         assert sorted_when == {(True, False), (True, True), (False, True)}
 
     def test_exact_directory_matches_dictionary_oracle(self, monkeypatch):
-        """Keys spanning fewer values than the directory's buckets get an
-        exact directory whatever the duplicates — each run's start and
-        length, the rows ordered by one stable sort of the bucket ids,
-        16 bits wide up to a span of 2**16 values — and probe like the
-        dictionary loop, keys outside the span and of another dtype
-        included."""
+        """Repeated keys spanning fewer values than the directory's
+        buckets get an exact directory — each run's start and length, the
+        rows ordered by one stable sort of the bucket ids, 16 bits wide up
+        to a span of 2**16 values — and unique ones the slot table, nothing
+        sorted; both probe like the dictionary loop, keys outside the span
+        and of another dtype included."""
         sorted_dtypes = []
         monkeypatch.setattr(
             np, "argsort", lambda values, *args, _argsort=np.argsort,
@@ -196,7 +240,9 @@ class TestJoinBuildIndex:
         for name, (build, keys, sort_dtype, duplicates) in cases.items():
             del sorted_dtypes[:]
             index = JoinBuildIndex(build)
-            assert index._counts is not None, name
+            # Duplicates get the exact directory, a unique key the slots.
+            assert (index._counts if duplicates else index._slots) \
+                is not None, name
             assert index.unique_keys is not duplicates, name
             assert sorted_dtypes == ([sort_dtype] if sort_dtype else []), name
             got = index.probe(keys)
@@ -207,6 +253,82 @@ class TestJoinBuildIndex:
                                               err_msg=name)
         # Runs longer than a stepping directory would walk.
         assert JoinBuildIndex(zipf)._depth > DIRECTORY_MAX_DEPTH
+
+    def test_slot_table_matches_dictionary_oracle(self):
+        """Unique integer keys spanning 4x to 32x their row count — where
+        the directory would step — take the slot table, ``int32`` or
+        ``int64``, wherever in ``int64`` the span sits; the same band
+        with a key repeated keeps the stepping directory (or the binary
+        search).  Both return the dictionary lookup's pairs."""
+        taken = set()
+
+        @given(_slot_band_keys(), st.integers(0, 60))
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        def check(keys, cut):
+            build, probe, duplicates = keys
+            index = JoinBuildIndex(build)
+            assert (index._slots is None) is duplicates
+            assert index._counts is None   # the band is no exact directory
+            taken.add((duplicates, build.dtype.name))
+            _check_dictionary_oracle(index, build, probe, cut)
+
+        check()
+        assert taken == {(duplicates, dtype) for duplicates in (False, True)
+                         for dtype in ("int32", "int64")}
+
+    def test_probing_changes_nothing_in_the_index(self):
+        """The index is read-only after construction, which is what lets
+        ``workers=2`` share one: a probe that has to search a sorted copy
+        (keys that are not integers) leaves no state behind on any path,
+        and two threads probing one index at once both get the
+        dictionary's pairs."""
+        rng = np.random.default_rng(5)
+        builds = {
+            "slots": rng.permutation(np.arange(0, 16_000, 8)),
+            "exact": rng.integers(0, 500, 2_000),
+            "stepping": rng.integers(0, 10**7, 2_000),
+            "scatter": rng.permutation(np.arange(0, 2_000_000, 1_000)),
+            "binary search": rng.integers(0, 60, 2_000).astype(float),
+        }
+        floats = np.concatenate([rng.integers(-10, 16_010, 3_000) + 0.0,
+                                 [0.5, np.nan, -np.inf]])
+        ints = rng.integers(-10, 16_010, 3_000)
+
+        def path(index):
+            if index._slots is not None:
+                return "slots"
+            if index._counts is not None:
+                return "exact"
+            return {0: "binary search", 1: "scatter"}.get(index._depth,
+                                                          "stepping")
+
+        for name, build in builds.items():
+            index = JoinBuildIndex(build)
+            assert path(index) == name
+            state = {slot: getattr(index, slot, None)
+                     for slot in JoinBuildIndex.__slots__}
+            copies = {slot: value.copy() for slot, value in state.items()
+                      if isinstance(value, np.ndarray)}
+            index.probe(floats)
+            for slot, value in state.items():
+                assert getattr(index, slot, None) is value, (name, slot)
+            for slot, value in copies.items():
+                np.testing.assert_array_equal(getattr(index, slot), value,
+                                              err_msg=f"{name} {slot}")
+            barrier = threading.Barrier(2)
+
+            def probe_many(keys):
+                barrier.wait()
+                return [index.probe(keys) for _ in range(20)]
+
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(probe_many, (ints, floats)))
+            for keys, got in zip((ints, floats), results):
+                expected = join_indices_dict([build], [keys])
+                for pair in got:
+                    for got_idx, expected_idx in zip(pair, expected):
+                        np.testing.assert_array_equal(got_idx, expected_idx,
+                                                      err_msg=name)
 
     def test_non_integer_keys_keep_the_binary_search(self):
         index = JoinBuildIndex(np.asarray([2.5, 0.5, 2.5]))
