@@ -31,7 +31,7 @@ import numpy as np
 from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
 from ..relational.expr import AggregateSpec, evaluate_all
-from ..relational.keys import KeyDomain, group_ids
+from ..relational.keys import DIRECTORY_BUCKETS_PER_ROW, KeyDomain, group_ids
 from .base import (
     ArrayMap,
     OpCost,
@@ -95,18 +95,44 @@ def estimate_hash_aggregate(stats: AggregateStats, device: Device, *,
 
 
 def _group_rows(columns: Mapping[str, np.ndarray], group_by: Sequence[str],
-                ) -> tuple[ArrayMap, np.ndarray, np.ndarray]:
+                ) -> tuple[ArrayMap, np.ndarray, np.ndarray, np.ndarray]:
     """Group a batch on its exact key codes.
 
     Returns the group-by columns (one row per group, groups in
-    lexicographic order of those columns), every row's group id and every
-    group's row count.
+    lexicographic order of those columns), every row's slot, every slot's
+    row count and the occupied slots, one per group.
+
+    A key domain no sparser than the join directory's buckets (at most
+    ``DIRECTORY_BUCKETS_PER_ROW`` codes per row) is grouped *slot-major*:
+    a row's code, less the domain's lowest, is its slot and one
+    ``bincount`` counts every slot.  Per-group outputs are taken over the
+    slots, then compacted once to the occupied ones — O(rows) work.  A
+    sparser domain is numbered by :func:`group_ids`' sort, every slot a
+    group.  Either way the group-by columns are decoded from the groups'
+    codes; only keys a step ranks (floats: ``-0.0`` and ``0.0`` group
+    together) take each group's columns from its last row, as the
+    reference executor does.
     """
-    ids, counts = group_ids(KeyDomain(columns, group_by).codes)
-    representative = np.empty(len(counts), dtype=np.int64)
-    representative[ids] = np.arange(len(ids))
-    return ({name: np.asarray(columns[name])[representative]
-             for name in group_by}, ids, counts)
+    domain = KeyDomain(columns, group_by)
+    slots, low, size = domain.codes, 0, domain.size
+    if size is None:   # a column that is its own code: its range
+        low = int(slots.min())
+        size = int(slots.max()) - low + 1
+    if size <= DIRECTORY_BUCKETS_PER_ROW * len(slots):
+        slots = slots - low if low else slots
+        counts = np.bincount(slots, minlength=size)
+        occupied = np.flatnonzero(counts)
+        codes = occupied + low
+    else:
+        codes, slots, counts = group_ids(slots)
+        occupied = np.arange(len(codes))
+    arrays = [columns[name] for name in group_by]
+    keys = domain.decode(codes, arrays)
+    if keys is None:
+        representative = np.empty(len(counts), dtype=np.int64)
+        representative[slots] = np.arange(len(slots))
+        keys = [values[representative[occupied]] for values in arrays]
+    return dict(zip(group_by, keys)), slots, counts, occupied
 
 
 def hash_aggregate_kernel(
@@ -127,17 +153,18 @@ def hash_aggregate_kernel(
     columns = {name: np.asarray(values) for name, values in columns.items()}
     num_rows = columns_num_rows(columns)
 
-    result, ids, counts = _group_rows(columns, group_by)
+    keys, ids, counts, occupied = _group_rows(columns, group_by)
     if not (num_rows or group_by):
         # SQL semantics for the empty input: a grouped aggregate has no
         # groups, but a *grand* aggregate still emits its single row
         # (count=0, sum=0, min=inf, ...), matching the reference executor.
-        counts = np.zeros(1, dtype=np.int64)
+        counts = occupied = np.zeros(1, dtype=np.int64)
     exprs = {repr(spec.expr): spec.expr for spec in aggregates
              if spec.func != "count"}
     inputs = {key: np.asarray(values, dtype=np.float64) for key, values
               in zip(exprs, evaluate_all(list(exprs.values()), columns))}
     sums: dict[str, np.ndarray] = {}
+    result: dict[str, np.ndarray] = {}
     for spec in aggregates:
         key = repr(spec.expr)
         if spec.func == "count":
@@ -162,7 +189,10 @@ def hash_aggregate_kernel(
             result[f"{spec.alias}__count"] = counts.astype(np.float64)
         else:
             result[spec.alias] = sums[key] / np.maximum(counts, 1)
-    return result, AggregateStats(num_rows=num_rows, num_groups=len(counts))
+    result = {**keys, **{name: values[occupied]
+                         for name, values in result.items()}}
+    return result, AggregateStats(num_rows=num_rows,
+                                  num_groups=len(occupied))
 
 
 def _extreme(func: str, ids: np.ndarray, num_groups: int,
@@ -203,7 +233,8 @@ def merge_partials_kernel(
     }
     nbytes = int(sum(values.nbytes for values in concatenated.values()))
 
-    result, ids, counts = _group_rows(concatenated, group_by)
+    keys, ids, counts, occupied = _group_rows(concatenated, group_by)
+    result: dict[str, np.ndarray] = {}
 
     def total(name: str) -> np.ndarray:
         return np.bincount(ids, weights=concatenated[name],
@@ -220,4 +251,5 @@ def merge_partials_kernel(
         else:
             result[spec.alias] = _extreme(spec.func, ids, len(counts),
                                           concatenated[spec.alias])
-    return result, nbytes
+    return {**keys, **{name: values[occupied]
+                       for name, values in result.items()}}, nbytes

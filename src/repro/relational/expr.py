@@ -146,7 +146,14 @@ class Arithmetic(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Comparison(Expr):
-    """A binary comparison producing a boolean mask."""
+    """A binary comparison producing a boolean mask.
+
+    An integer column compared with a Python ``int`` literal its dtype
+    holds is compared at the column's width: the literal goes in as the
+    Python ``int`` (a weak scalar), not as the ``int64`` array
+    :meth:`Literal.evaluate` makes, which would widen the column first.
+    The booleans are the same.
+    """
 
     op: str
     left: Expr
@@ -160,11 +167,23 @@ class Comparison(Expr):
         return self.left.columns() | self.right.columns()
 
     def evaluate(self, columns: ArrayMap) -> np.ndarray:
-        return _COMPARE[self.op](self.left.evaluate(columns),
-                                 self.right.evaluate(columns))
+        left, right = self.left.evaluate(columns), self.right.evaluate(columns)
+        return _COMPARE[self.op](_at_width(self.left, left, right),
+                                 _at_width(self.right, right, left))
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
+
+
+def _at_width(expr: Expr, value: np.ndarray, other: np.ndarray):
+    """The comparison operand ``value`` that ``expr`` evaluated to, or the
+    Python ``int`` of an ``int`` literal that ``other``'s integer dtype
+    holds."""
+    literal = expr.value if isinstance(expr, Literal) else None
+    if type(literal) is int and other.dtype.kind in "iu" and (
+            np.iinfo(other.dtype).min <= literal <= np.iinfo(other.dtype).max):
+        return literal
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,17 +10,23 @@ takes the code's domain from the data of one *defining* side:
 * a single integer column is its own code (the value as ``int64``);
 * several integer columns are the digits of a mixed-radix number,
   ``sum((value_i - min_i) * stride_i)`` with the first column most
-  significant, while the product of the column ranges fits 63 bits;
+  significant, while the product of the column ranges fits 63 bits.  One
+  Horner pass folds the values themselves (``codes * span + value``) and
+  subtracts the lows, folded the same way into one wrapped offset, once;
 * a column that is not integral, or whose range no longer fits, is first
   replaced by its rank among the side's distinct values (one
   ``np.unique``), and when even that does not fit, the columns coded so
   far are re-ranked the same way — row counts bound every rank.
 
 For a join the build side defines the domain and :meth:`KeyDomain.encode`
-codes the probe side: a tuple outside the domain gets a code no build
-tuple has, a miss by construction.  Codes order like the key tuples, and
-are as dense as the data allows — which is what lets :func:`group_ids`
-number groups and :class:`JoinBuildIndex` index build keys by counting.
+codes the probe side with the same fold: a tuple outside the domain gets a
+code no build tuple has, a miss by construction.  A probe column whose
+minimum and maximum lie in the build column's range is trusted and not
+compared row by row.  Codes order like the key tuples, and are as dense as
+the data allows — ``KeyDomain.size`` bounds them — which is what lets a
+group-by count its groups slot by slot (:meth:`KeyDomain.decode` gives
+back their key columns) and :class:`JoinBuildIndex` index build keys by
+counting.
 
 This module depends only on NumPy and the expression AST.  The reference
 executor (:mod:`repro.relational.reference`) must not import it: the oracle
@@ -69,10 +75,12 @@ class KeyDomain:
     ``KeyDomain(columns, keys).codes`` are the codes of the defining side's
     own rows (a group-by's input, a join's build side);
     :meth:`encode` codes another side against the same domain.  With no
-    key columns every row is the one empty tuple, code 0.
+    key columns every row is the one empty tuple, code 0.  ``size`` bounds
+    the codes: they lie in ``0 .. size - 1`` (``None`` for a column that
+    is its own code).
     """
 
-    __slots__ = ("codes", "_steps")
+    __slots__ = ("codes", "size", "_steps")
 
     def __init__(self, columns: Mapping[str, np.ndarray],
                  keys: Sequence[str]) -> None:
@@ -82,73 +90,128 @@ class KeyDomain:
         #: ``distinct``; ``prefix`` re-ranks the code so far before it.
         self._steps: list[tuple] = []
         rows = len(next(iter(columns.values()), ()))
+        self.size = None   # a column that is its own code: no bound
         if not rows or not arrays:   # no tuples, or only the empty one
-            self.codes = np.zeros(rows, dtype=np.int64)
-            return
-        if len(arrays) == 1 and _is_integral(arrays[0]):
+            self.codes, self.size = np.zeros(rows, dtype=np.int64), min(rows, 1)
+        elif len(arrays) == 1 and _is_integral(arrays[0]):
             self._steps.append((None, 0, None, None))   # its own code
             self.codes = arrays[0].astype(np.int64, copy=False)
-            return
-        codes, size = None, 1
-        for values in arrays:
-            prefix = distinct = None
-            low, span = 0, _CODE_LIMIT   # not integral: ranked below
-            if _is_integral(values):
-                low = int(values.min())
-                span = int(values.max()) - low + 1
-            if size * span < _CODE_LIMIT:
-                digits = values.astype(np.int64)
-                digits -= low
-            else:
-                distinct, digits = np.unique(values, return_inverse=True)
-                low, span = 0, len(distinct)
+        else:
+            self.codes, self.size = self._fold(arrays)
+
+    def _fold(self, arrays: Sequence[np.ndarray],
+              checks: Sequence[bool] | None = None,
+              valid: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """Fold the key columns into codes by Horner's rule, first column
+        most significant: ``codes = codes * span + digit``; returns the
+        codes and the size of their domain.
+
+        Without ``checks`` the columns are the defining side's, and each
+        one's step is taken from it; with them the steps are the domain's,
+        and ``valid`` is cleared where a column ``checks`` names, or a
+        rank, falls outside its step (a column that is its own code has no
+        range, only non-integers to catch).  An integral digit is folded
+        as the value itself: the lows fold the same way into one offset,
+        wrapped to ``int64`` and subtracted once, which wrapping arithmetic
+        leaves exact for every true code below 2**63.
+        """
+        codes, offset, size = None, 0, 1
+        for index, values in enumerate(arrays):
+            digits = values
+            if checks is None:
+                prefix = distinct = None
+                low, span = 0, _CODE_LIMIT   # not integral: ranked below
+                if _is_integral(values):
+                    low = int(values.min())
+                    span = int(values.max()) - low + 1
                 if size * span >= _CODE_LIMIT:
-                    prefix, codes = np.unique(codes, return_inverse=True)
+                    distinct, digits = np.unique(values, return_inverse=True)
+                    low, span = 0, len(distinct)
+                    if size * span >= _CODE_LIMIT:
+                        codes -= offset
+                        prefix, codes = np.unique(codes, return_inverse=True)
+                        offset, size = 0, len(prefix)
+                self._steps.append((prefix, low, span, distinct))
+            else:
+                prefix, low, span, distinct = self._steps[index]
+                if prefix is not None:
+                    codes -= offset
+                    codes, offset = _ranks(prefix, codes, valid), 0
                     size = len(prefix)
-            if codes is None:
-                codes = digits
+                if distinct is not None:
+                    digits = _ranks(distinct, values, valid)
+                elif checks[index]:
+                    if not _is_integral(values):
+                        with np.errstate(invalid="ignore"):   # NaN, inf
+                            digits = values.astype(np.int64)
+                        valid &= digits == values
+                    if span is not None:
+                        # One unsigned compare: a value below ``low`` wraps
+                        # to a difference past every span.
+                        valid &= np.subtract(digits, low, dtype=np.int64
+                                             ).view(np.uint64) < np.uint64(span)
+            if codes is None:   # widened once; later digits add as they are
+                codes = values.astype(np.int64) if digits is values else digits
+                offset, size = low, span
             else:
                 codes *= span
                 codes += digits
-            size *= span
-            self._steps.append((prefix, low, span, distinct))
-        self.codes = codes
+                # The offset, wrapped into int64 as the codes wrap.
+                offset = ((offset * span + low + _CODE_LIMIT)
+                          % (2 * _CODE_LIMIT) - _CODE_LIMIT)
+                size *= span
+        if offset:
+            codes -= offset
+        return codes, size
+
+    def decode(self, codes: np.ndarray,
+               like: Sequence[np.ndarray]) -> list[np.ndarray] | None:
+        """The key columns of the tuples ``codes`` stand for, typed like
+        the columns ``like``: ``low + digit`` per column.
+
+        ``None`` when a step ranks (a rank stands for values that compare
+        equal, not for their bits: ``-0.0`` and ``0.0`` share one) or the
+        domain has no step per column (it saw no rows).
+        """
+        if len(self._steps) != len(like) or any(
+                prefix is not None or distinct is not None
+                for prefix, _, _, distinct in self._steps):
+            return None
+        columns = []
+        for index in reversed(range(len(like))):
+            _, low, span, _ = self._steps[index]
+            digits = codes
+            if index:
+                codes, digits = np.divmod(codes, span)
+            columns.append((digits + low).astype(like[index].dtype))
+        return columns[::-1]
 
     def encode(self, columns: Mapping[str, np.ndarray],
                keys: Sequence[str]) -> np.ndarray:
         """Codes of another side's key tuples; a tuple the defining side
-        does not span gets a code none of its tuples has."""
+        does not span gets a code none of its tuples has.
+
+        An integral column whose values all lie in its step's range is
+        trusted: no compare is made on it, and when every column is
+        trusted no validity mask either.
+        """
         arrays = key_columns(columns, keys)
         rows = len(arrays[0])   # a join has at least one key column
-        if not len(self.codes):
+        if not (rows and len(self.codes)):
             return np.full(rows, -1, dtype=np.int64)
-        valid = np.ones(rows, dtype=bool)
-        codes = None
-        for values, (prefix, low, span, distinct) in zip(arrays, self._steps):
-            if prefix is not None:
-                codes = _ranks(prefix, codes, valid)
-            if distinct is not None:
-                digits = _ranks(distinct, values, valid)
-            else:
-                with np.errstate(invalid="ignore"):   # NaN, inf: no match
-                    digits = values.astype(np.int64)
-                if not _is_integral(values):
-                    valid &= digits == values
-                if span is not None:
-                    # One unsigned compare: a value below ``low`` wraps
-                    # to a difference past every span.
-                    digits -= low
-                    valid &= digits.view(np.uint64) < np.uint64(span)
-            if codes is None:
-                codes = digits
-            else:
-                codes *= span
-                codes += digits
-        if not valid.all():
+        # A column is checked when it is ranked, not integral, or strays
+        # out of its step's range; a column that is its own code has none.
+        checks = [distinct is not None or not _is_integral(values)
+                  or span is not None and not low <= int(values.min())
+                  <= int(values.max()) < low + span
+                  for values, (_, low, span, distinct)
+                  in zip(arrays, self._steps)]
+        valid = np.ones(rows, dtype=bool) if any(checks) else None
+        codes, _ = self._fold(arrays, checks, valid)
+        if valid is not None and not valid.all():
             # Coded domains are non-negative; a column that is its own
-            # code (the one step without a span) may hold any int64, but
-            # not all of ``0 .. rows``.
-            codes[~valid] = (-1 if span is not None else
+            # code may hold any int64, but not all of ``0 .. rows``.
+            codes[~valid] = (-1 if self.size is not None else
                              np.setdiff1d(np.arange(len(self.codes) + 1),
                                           self.codes)[0])
         return codes
@@ -346,12 +409,13 @@ class JoinBuildIndex:
                     np.searchsorted(sorted_keys, right_keys, side="left"))
             if self.unique_keys:
                 # One lower bound and a membership test instead of the
-                # two bounds below: a probe key matches once or not at all.
-                np.minimum(left, len(sorted_keys) - 1, out=left)
-                right_indices = np.flatnonzero(sorted_keys[left] == right_keys)
-                if len(right_indices) < len(left):
-                    left = left[right_indices]
-                return order[left], right_indices
+                # two bounds below: a probe key matches once or not at all
+                # (a bound past the last key reads the last, clipped).
+                hits = np.take(sorted_keys, left, mode="clip") == right_keys
+                if hits.all():   # every bound is a match
+                    return order[left], np.arange(len(left))
+                right_indices = np.flatnonzero(hits)
+                return order[left[right_indices]], right_indices
             if stepping:
                 # Right bound = left bound + run length: a run of equal
                 # keys is at most ``depth`` long.  Only an int64-max probe
@@ -373,23 +437,14 @@ class JoinBuildIndex:
         return self.order[starts + run_offsets], right_indices
 
 
-def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_ids(codes: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the distinct codes ``0 .. n - 1`` in ascending order.
 
-    Returns ``(ids, counts)``: the group of every row and the rows of
-    every group.  Codes no sparser than the join directory's buckets are
-    numbered by counting — occupied slots of one ``bincount``, ids by one
-    gather; sparser ones (a single wide column, a pair of foreign keys)
-    by the sort inside ``np.unique``.
+    Returns ``(distinct, ids, counts)``: the distinct codes, the group of
+    every row and the rows of every group — by the sort inside
+    ``np.unique``, for codes sparser than their rows (a single wide
+    column, a pair of foreign keys) that a group-by cannot count slot by
+    slot.
     """
-    if len(codes) == 0:
-        return codes, codes
-    low = codes.min()
-    if int(codes.max()) - int(low) >= DIRECTORY_BUCKETS_PER_ROW * len(codes):
-        _, ids, counts = np.unique(codes, return_inverse=True,
-                                   return_counts=True)
-        return ids, counts
-    slots = codes - low
-    per_slot = np.bincount(slots)
-    occupied = per_slot > 0
-    return (np.cumsum(occupied) - 1)[slots], per_slot[occupied]
+    return np.unique(codes, return_inverse=True, return_counts=True)

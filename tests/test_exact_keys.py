@@ -40,7 +40,9 @@ from repro.relational import (
     join_indices_dict,
     scan,
 )
+from repro.operators import aggregate as aggregate_module
 from repro.relational import keys as keys_module
+from repro.relational.keys import group_ids
 from repro.storage import Table, make_join_pair, make_skewed_relation
 from repro.workloads import build_query
 
@@ -255,6 +257,19 @@ def _sides(draw):
     probe = draw(st.lists(
         st.one_of(row, *(st.sampled_from(pool)
                          for pool in (build, strays) if pool)), max_size=40))
+    probe_range = path == "mixed-radix" and build and draw(st.sampled_from(
+        ["all columns", "all but one"] * 2 + ["any"]))
+    if probe_range in ("all columns", "all but one"):
+        # Each column's value is one the build column holds, so every
+        # probe column is in range (trusted); the tuples need not be build
+        # tuples.  Or all but one: some strays leave the range in one
+        # column.
+        probe = draw(st.lists(st.tuples(*(
+            st.sampled_from(column) for column in zip(*build))),
+            min_size=1, max_size=40))
+        if probe_range == "all but one":
+            probe += draw(st.lists(st.sampled_from(strays), min_size=1,
+                                   max_size=3))
     width = len(_PATHS[path])
     return path, _columns(build, width), _columns(probe, width)
 
@@ -288,8 +303,19 @@ class TestInjectivity:
                 for i, left in enumerate(built):
                     assert (probe_codes[p] == codes[i]) == (left == right), (
                         path, left, right)
+            steps = domain._steps
+            in_range = [values.dtype.kind in "iu" and step[3] is None
+                        and step[2] is not None
+                        and step[1] <= values.min() <= values.max()
+                        < step[1] + step[2]
+                        for values, step in zip(probe.values(), steps)
+                        if len(values)]
+            if path == "mixed-radix" and any(in_range):
+                # Every probe column trusted, or some trusted and one
+                # straying, which alone is checked.
+                taken["trusted" if all(in_range) else
+                      "one column strays"] += 1
             if len(codes) > 1:
-                steps = domain._steps
                 taken[path] += (
                     steps[0][2] is None if path == "pass-through" else
                     all(step[3] is None for step in steps)
@@ -300,7 +326,9 @@ class TestInjectivity:
                     and all(step[0] is None for step in steps))
 
         check()
-        assert set(taken) == set(_PATHS) and min(taken.values()) > 20, taken
+        assert set(taken) == set(_PATHS) | {"trusted", "one column strays"}, (
+            taken)
+        assert min(taken.values()) > 20, taken
 
     def test_a_probe_miss_against_a_column_that_is_its_own_code(self):
         """A single integer column is passed through, so its miss code has
@@ -351,10 +379,16 @@ class TestNoSortWhereTheCodeIsDense:
     @pytest.mark.parametrize("query", ["Q1", "Q9"])
     @pytest.mark.parametrize("mode", ["cpu", "hybrid"])
     def test_tpch_aggregates_number_groups_by_counting(
-            self, engine, tpch_dataset, keys_spy, query, mode):
+            self, engine, tpch_dataset, keys_spy, monkeypatch, query, mode):
+        """Their partial aggregates and the merge count slots: neither
+        ``np.unique`` nor ``group_ids`` runs."""
+        numbered = []
+        monkeypatch.setattr(
+            aggregate_module, "group_ids",
+            lambda codes: numbered.append(len(codes)) or group_ids(codes))
         plan = build_query(query, tpch_dataset).plan
         result = engine.execute(plan, mode)
-        assert keys_spy.calls["unique"] == 0
+        assert keys_spy.calls["unique"] == 0 and not numbered
         assert result.table.equals(execute_logical(plan, engine.catalog))
 
     def test_sparse_group_keys_still_sort(self, keys_spy):

@@ -17,7 +17,8 @@ from repro.relational import (
     col,
     lit,
 )
-from repro.relational.expr import AggregateSpec
+from repro.relational import expr as expr_module
+from repro.relational.expr import AggregateSpec, Comparison
 
 
 @pytest.fixture
@@ -77,6 +78,80 @@ class TestEvaluation:
         columns = {"a": np.asarray([x]), "b": np.asarray([y])}
         expr = col("a") * lit(2.0) + col("b")
         assert expr.evaluate(columns)[0] == pytest.approx(2.0 * x + y)
+
+
+_INTEGER_DTYPES = [np.dtype(f"{kind}{bits}") for kind in ("int", "uint")
+                   for bits in (8, 16, 32, 64)]
+_OPS = sorted(expr_module._COMPARE)
+
+
+def _literals(dtype: np.dtype) -> list[int]:
+    """Literals inside, at, just past and far past ``dtype``'s limits."""
+    info = np.iinfo(dtype)
+    near = {info.min - 1, info.min, info.min + 1, -1, 0, 1, info.max // 3,
+            info.max - 1, info.max, info.max + 1}
+    return sorted(near | {-2**63, 2**63, 2**64 - 1})
+
+
+def _column(dtype: np.dtype) -> np.ndarray:
+    info = np.iinfo(dtype)
+    values = {info.min, info.min + 1, 0, 1, info.max // 3, info.max - 1,
+              info.max}
+    return np.asarray(sorted(values), dtype=dtype)
+
+
+@pytest.fixture
+def operands(monkeypatch):
+    """The operand types each comparison ufunc is called with."""
+    seen = []
+    for op, ufunc in expr_module._COMPARE.items():
+        monkeypatch.setitem(
+            expr_module._COMPARE, op,
+            lambda left, right, ufunc=ufunc: seen.append(
+                (type(left), type(right))) or ufunc(left, right))
+    return seen
+
+
+class TestComparisonWidth:
+    """An integer column meets an ``int`` literal its dtype holds at the
+    column's width; every other pairing keeps the widened literal."""
+
+    @pytest.mark.parametrize("dtype", _INTEGER_DTYPES, ids=str)
+    def test_same_booleans_as_the_widened_literal(self, dtype, operands):
+        columns = {"x": _column(dtype)}
+        info = np.iinfo(dtype)
+        for value in _literals(dtype):
+            for op in _OPS:
+                reference = expr_module._COMPARE[op]
+                for expr, expected in (
+                        (Comparison(op, col("x"), lit(value)),
+                         reference(columns["x"], np.asarray(value))),
+                        (Comparison(op, lit(value), col("x")),
+                         reference(np.asarray(value), columns["x"]))):
+                    operands.clear()
+                    got = expr.evaluate(columns)
+                    assert got.dtype == bool and got.tolist() == (
+                        expected.tolist()), (dtype, op, value)
+                    fits = info.min <= value <= info.max
+                    assert (int in operands[-1]) == fits, (dtype, op, value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_columns_keep_the_widened_literal(self, dtype, operands):
+        # 2**24 + 1 is no float32: at the column's width it would round.
+        columns = {"x": np.asarray([2.0**24, 2.0**24 + 2, -1.0], dtype=dtype)}
+        for value in (2**24 + 1, 0, -1):
+            got = (col("x") == lit(value)).evaluate(columns)
+            assert got.tolist() == (columns["x"] == np.asarray(value)).tolist()
+            assert operands[-1] == (np.ndarray, np.ndarray)
+        assert not (col("x") == lit(2**24 + 1)).evaluate(columns).any()
+
+    def test_bool_and_numpy_literals_keep_the_widened_literal(
+            self, operands):
+        columns = {"x": np.asarray([0, 1, 2], dtype=np.int8)}
+        for value in (True, False, np.int64(1), np.int8(2), 1.0):
+            got = (col("x") >= lit(value)).evaluate(columns)
+            assert got.tolist() == (columns["x"] >= np.asarray(value)).tolist()
+            assert operands[-1] == (np.ndarray, np.ndarray), value
 
 
 class TestAggregateSpecs:
