@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 import numpy as np
@@ -136,6 +137,10 @@ class Residency:
     def on(cls, node: str) -> "Residency":
         return cls({node: 1.0})
 
+    #: :attr:`~repro.obs.trace.Span.location` of a batch living here,
+    #: derived once: a program's prices keep their residencies.
+    label = cached_property(lambda self: holders_label(self.shares))
+
 
 @dataclass
 class NodeResult:
@@ -196,7 +201,9 @@ class Operator:
         # catalog — alive past the session until the cyclic GC runs.
         self.ex = weakref.proxy(executor)
         #: Devices the operator runs on; the compile-time placement pass
-        #: fills them in.
+        #: fills them in, with the span skeleton: ``slot``, the node's
+        #: plan-walk ordinal (a trace's node id, stable across plannings),
+        #: and ``device_names``.
         self.devices: list[Device] = []
         #: A join's compiled build side (``None``: the operator has none).
         self.build: "Chain | None" = None
@@ -292,17 +299,22 @@ class Operator:
 
         Only ever called from :meth:`charge` — on the query thread, in
         canonical plan order — so the span list is byte-identical at
-        every worker count.
+        every worker count.  The skeleton is compiled; the span is
+        completed here from what this execution recorded before charging:
+        the node's actual rows and its kernel's cache status.
         """
-        spans = self.ex._trace_spans
+        ex = self.ex
+        spans = ex._trace_spans
         if spans is not None:
+            node_id = self.node.node_id
+            cache, morsels = ex._trace_kernel.get(node_id, (None, None))
+            # Positional, in field order: a span is made per operator and
+            # execution, and keywords triple what its construction costs.
             spans.append(Span(
-                node_id=self.node.node_id, op=self.label,
-                start=batch.ready if start is None else start, end=ready,
-                devices=tuple(device.name for device in self.devices),
-                location=holders_label(batch.residency.shares),
-                input_bytes=int(batch.nbytes),
-                est_rows=self.node.est_rows, attrs=attrs))
+                self.slot, self.label, batch.ready if start is None else start,
+                ready, self.device_names, batch.residency.label,
+                int(batch.nbytes), ex._node_rows.get(node_id),
+                self.node.est_rows, cache, morsels, attrs))
         batch.ready = ready
         if residency is not None:
             batch.residency = residency
@@ -373,7 +385,7 @@ class MemMoveOp(Operator):
             batch, self.destinations, whole=self.node.broadcast))
         self.advance(batch, max(self.ex.ship(price, batch.ready, "mem-move")),
                      residency=price.residency,
-                     destination=holders_label(price.residency.shares),
+                     destination=price.residency.label,
                      broadcast=self.node.broadcast)
 
 

@@ -119,7 +119,7 @@ from ..relational.physical import (
     referenced_tables,
     structural_key,
 )
-from ..stats.cardinality import CardinalityReport, q_error
+from ..stats.cardinality import CardinalityReport
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.morsel import (
@@ -229,7 +229,9 @@ class Chain(NamedTuple):
 class Program(NamedTuple):
     """A physical plan compiled for one executor (:meth:`Executor.compile`).
 
-    Holds decisions and prices, never a batch.  A session keeps it on the
+    Holds decisions, prices and the span skeleton (each placed
+    description's plan-walk ordinal and device names, so a traced
+    execution walks no plan), never a batch.  A session keeps it on the
     plan's prepared record, valid while the catalog versions, device
     health, memories, link bandwidths and options it was compiled under
     hold — the record's stamp drops it when any of them changes.
@@ -394,17 +396,24 @@ class Executor:
         The keys embed the catalog versions read here, once; placement
         reads device health, the anchor CPU and the router consumers.
         Every description starts with an empty pricing memo, filled by the
-        first execution that charges it.
+        first execution that charges it, and is given its span skeleton:
+        its node's plan-walk ordinal and its placed devices' names.
         """
         keys: dict[int, tuple] = {}
         versions = self.catalog.table_versions
+        nodes = list(plan.walk())
+        # Plan node ids come from a global counter, so two optimizations
+        # of the same query number their nodes differently.  Spans carry
+        # plan-local ordinals (walk order) instead, making the JSONL of
+        # identical plans byte-identical across re-plans and sessions.
+        slots = {node.node_id: slot for slot, node in enumerate(nodes)}
         refs = Counter(structural_key(node, keys, table_versions=versions)
-                       for node in plan.walk() if description(node).memoized)
+                       for node in nodes if description(node).memoized)
         # Fusion starts below the root: the root is a chain of its own.
-        return Program(self._chain(plan, keys, refs, fuse=False), refs)
+        return Program(self._chain(plan, keys, refs, slots, fuse=False), refs)
 
-    def _chain(self, node: PhysicalOp, keys: dict[int, tuple],
-               refs: Counter, *, fuse: bool = True) -> Chain:
+    def _chain(self, node: PhysicalOp, keys: dict[int, tuple], refs: Counter,
+               slots: dict[int, int], *, fuse: bool = True) -> Chain:
         """Compile the chain topped by ``node`` and the chains it reads:
         the build side of every join (top-down), then the source — the
         order execution reaches them.
@@ -412,20 +421,23 @@ class Executor:
         A subplan occurring more than once in the plan is a sharing point
         (memo-aware deferral): its single evaluation must be materialized
         so the other occurrences can reuse it, so only single-occurrence
-        subplans join a fused chain.  Placement threads devices bottom-up.
+        subplans join a fused chain.  Placement threads devices bottom-up,
+        and each placed description takes its span skeleton from it.
         """
         nodes = (fused_chain(node, lambda op: refs[keys[id(op)]] == 1)
                  if fuse and self.options.pipeline_fusion else []) or [node]
         ops = [description(op)(op, self) for op in nodes]
         for op in ops:
             if isinstance(op.node, PJoin):
-                op.build = self._chain(op.node.build, keys, refs)
+                op.build = self._chain(op.node.build, keys, refs, slots)
         inputs = nodes[-1].children()
-        source = self._chain(inputs[-1], keys, refs) if inputs else None
+        source = self._chain(inputs[-1], keys, refs, slots) if inputs else None
         ops.reverse()  # bottom-up: the order morsels flow
         devices = source.devices if source else []
         for op in ops:
             devices = op.devices = op.place(devices)
+            op.slot = slots[op.node.node_id]
+            op.device_names = tuple(device.name for device in devices)
         top = ops[-1]
         return Chain(tuple(ops), source,
                      keys[id(node)] if top.memoized else None,
@@ -444,7 +456,6 @@ class Executor:
         self._peak_intermediate = 0
         self._node_rows = {}
         self._trace_spans = [] if self.options.tracing else None
-        self._trace_kernel = {}
         try:
             if program is None:
                 program = self.compile(plan)
@@ -456,6 +467,8 @@ class Executor:
             # session cache (self.query_cache) outlives the query.  (The
             # keys hold no data; the next query replaces them.)
             self._query_memo = {}
+            spans, self._trace_spans, self._trace_kernel = (
+                self._trace_spans, None, {})
             # Advance the counter mark even on failure, so an aborted
             # query's cache activity is not misattributed to the next
             # query's per-query delta.
@@ -466,50 +479,22 @@ class Executor:
         makespan = max(timeline.makespan, result.ready)
         link_bytes = {link.name: link.bytes_moved
                       for link in self.topology.links}
-        trace = self._assemble_trace(plan, timeline, makespan, link_bytes)
-        table = Table("result", [Column(name, values)
-                                 for name, values in result.columns.items()]) \
-            if result.columns else Table.from_arrays("result", {"empty": np.asarray([0])[:0]})
-        return QueryResult(
-            table=table,
-            simulated_seconds=makespan,
-            device_busy={clock.resource: clock.busy_time for clock in timeline},
-            link_bytes=link_bytes,
-            physical_plan=plan,
-            morsels_dispatched=self.morsels_dispatched,
-            cache=cache_delta,
-            peak_intermediate_bytes=self._peak_intermediate,
-            operator_rows=dict(self._node_rows),
-            trace=trace,
-        )
-
-    def _assemble_trace(self, plan: PhysicalOp, timeline, makespan: float,
-                        link_bytes: dict[str, int]) -> QueryTrace | None:
-        """Join the recorded spans with rows/cache info into a QueryTrace."""
-        spans = self._trace_spans
-        if spans is None:
-            return None
-        self._trace_spans = None
-        # Plan node ids come from a global counter, so two optimizations
-        # of the same query number their nodes differently.  Traces use
-        # plan-local ordinals (walk order) instead, making the JSONL of
-        # identical plans byte-identical across re-plans and sessions.
-        slots = {node.node_id: slot for slot, node in enumerate(plan.walk())}
-        for span in spans:
-            rows = self._node_rows.get(span.node_id)
-            if rows is not None:
-                span.rows = rows
-                if span.est_rows is not None:
-                    span.q_error = q_error(span.est_rows, rows)
-            kernel = self._trace_kernel.get(span.node_id)
-            if kernel is not None:
-                span.cache, span.morsels = kernel
-            span.node_id = slots.get(span.node_id, span.node_id)
-        self._trace_kernel = {}
-        return QueryTrace(
+        # Spans are complete as recorded (Operator.advance).
+        trace = None if spans is None else QueryTrace(
             spans=spans, tasks=tuple(timeline.records()), makespan=makespan,
             link_bytes=dict(link_bytes),
             morsels_dispatched=self.morsels_dispatched)
+        table = Table("result", [Column(name, values)
+                                 for name, values in result.columns.items()]) \
+            if result.columns else Table.from_arrays("result", {"empty": np.asarray([0])[:0]})
+        # Each execution starts a new ``_node_rows``: the result keeps it.
+        return QueryResult(
+            table=table, simulated_seconds=makespan,
+            device_busy={clock.resource: clock.busy_time for clock in timeline},
+            link_bytes=link_bytes, physical_plan=plan,
+            morsels_dispatched=self.morsels_dispatched, cache=cache_delta,
+            peak_intermediate_bytes=self._peak_intermediate,
+            operator_rows=self._node_rows, trace=trace)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -646,10 +631,12 @@ class Executor:
                 chain, lambda: self._evaluate(chain, batch, builds))
         for op, build, record in zip(ops, builds, records):
             stats, nbytes, rows = record or (None, batch.nbytes, None)
+            # Exchanges forward batches and report no rows; the rows are
+            # recorded before the charge, whose span reads them.
+            if record:
+                self._node_rows[op.node.node_id] = rows
             op.charge(batch, stats, build)
             batch.nbytes = nbytes
-            if record:  # exchanges forward batches and report no rows
-                self._node_rows[op.node.node_id] = rows
         batch.columns = columns
         if chain.source is not None:
             self._peak_intermediate = max(self._peak_intermediate,

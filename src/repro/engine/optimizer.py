@@ -43,7 +43,11 @@ from ..relational.physical import (
     RoutingPolicy,
 )
 from ..relational.traits import Packing, Traits
-from ..stats.cardinality import CardinalityEstimator, RelationEstimate
+from ..stats.cardinality import (
+    CardinalityEstimator,
+    RelationEstimate,
+    WorkingSetEstimate,
+)
 from ..storage.catalog import Catalog
 from .modes import ExecutionMode
 
@@ -161,7 +165,7 @@ class Optimizer:
         return max(int(base * (self.FILTER_SELECTIVITY ** filters)), 1)
 
     # ------------------------------------------------------------------
-    def choose_mode(self, plan: LogicalPlan,
+    def choose_mode(self, plan: LogicalPlan, working_set: WorkingSetEstimate,
                     idle_kind: DeviceKind | None = None) -> ExecutionMode:
         """Resolve ``"auto"``: pick cpu/gpu/hybrid from estimated work.
 
@@ -175,13 +179,15 @@ class Optimizer:
         guess.  A server shares its devices between queries, so it passes
         ``idle_kind`` — the device kind its occupancy board reports least
         loaded — and a working set that fits lands there instead.
+        ``working_set`` is the plan's
+        :meth:`~repro.stats.CardinalityEstimator.working_set`, as a
+        session keeps it on the plan's records.
         """
         gpus = self.topology.available_gpus()
         if not gpus:
             return ExecutionMode.CPU_ONLY
         if not self.topology.available_cpus():
             return ExecutionMode.GPU_ONLY
-        working_set = self.estimator.working_set(plan)
         if not (self.options.use_statistics and working_set.backed):
             return ExecutionMode.HYBRID
         gpu_capacity = min(gpu.spec.memory_capacity_bytes for gpu in gpus)

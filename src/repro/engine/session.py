@@ -21,26 +21,30 @@ LRU budget evicts them.  The :data:`Session` alias exists for callers who
 think in session terms.
 
 The session also keeps its *decisions*: one :class:`PreparedPlan` per
-(logical plan, resolved mode) holds the physical plan, its pipelines, its
-estimates and, from its first execution on, the executor's compiled
-program, so a query whose plan *object* is executed again is planned and
-compiled once (an equal but rebuilt plan is planned anew).  Records are
-dropped when the catalog registers, replaces or drops a table (its table
-versions change), when device health, a GPU's memory or a link's
-bandwidth changes, when the optimizer or executor options change, and one
-by one as their logical plans are collected (``docs/CACHING.md``).
+(logical plan, resolved mode) holds the physical plan, its pipelines, the
+estimated half of its cardinality report and, from its first execution
+on, the executor's compiled program (span skeleton included), so a query
+whose plan *object* is executed again is planned and compiled once (an
+equal but rebuilt plan is planned anew); one :class:`LogicalRecord` per
+logical plan holds what no mode changes — its estimates and the working
+set admission and ``"auto"`` read.  Records are dropped when the catalog
+registers, replaces or drops a table (its table versions change), when
+device health, a GPU's memory or a link's bandwidth changes, when the
+optimizer or executor options change, and one by one as their logical
+plans are collected (``docs/CACHING.md``).
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..codegen.pipeline import Pipeline, break_into_pipelines
 from ..hardware.topology import Topology, default_server
 from ..relational.logical import LogicalPlan
 from ..relational.physical import PhysicalOp
-from ..stats.cardinality import build_report
+from ..stats.cardinality import WorkingSetEstimate, pair_report
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from .executor import Executor, ExecutorOptions, Program, QueryResult
@@ -75,20 +79,36 @@ class PreparedPlan(NamedTuple):
     optimizer and executor options, the catalog versions of the tables it
     reads and device health, so it is built on the first request and read
     by every later ``plan`` / ``explain`` / ``execute`` until one of those
-    changes.  Prices are derived once; clocks are reserved per execute:
+    changes.  Prices and the span skeleton are derived once; clocks are
+    reserved and actual rows paired with the estimated report per execute:
     results, simulated seconds, reports and traces are those of a fresh
     planning.
     """
 
     physical: PhysicalOp
     pipelines: list[Pipeline]
-    #: ``estimate_physical(physical)`` (``node_id -> OperatorEstimate``),
-    #: joined with actual rows into the cardinality report.
-    estimates: dict
+    #: The estimated half of the cardinality report:
+    #: ``estimate_physical(physical)``'s items in node order, paired with
+    #: each execution's actual rows
+    #: (:func:`~repro.stats.cardinality.pair_report`).
+    estimated: list
     #: The executor's compiled program (chains, placement, memo keys and
-    #: tunings, pricing memos), made by the first ``execute``; ``None``
-    #: until then.
+    #: tunings, span skeleton, pricing memos), made by the first
+    #: ``execute``; ``None`` until then.
     program: Program | None = None
+
+
+@dataclass(slots=True)
+class LogicalRecord:
+    """What no mode changes about one logical plan, kept under a stamp:
+    its ``estimate_nodes`` pass, its working set (folded from that pass on
+    first use) and a :class:`PreparedPlan` per mode it was asked for."""
+
+    #: A weak reference to the plan the record is filed for.
+    plan: weakref.ref
+    estimates: dict
+    working_set: WorkingSetEstimate | None = None
+    modes: dict[ExecutionMode, PreparedPlan] = field(default_factory=dict)
 
 
 class HAPEEngine:
@@ -150,10 +170,9 @@ class HAPEEngine:
         self.executor = Executor(self.topology, self.catalog, executor_options,
                                  query_cache=query_cache)
         self.executor.retune(**knobs)
-        #: ``(stamp, {id(logical plan): (weak reference to the plan, its
-        #: estimate_nodes pass, {mode: PreparedPlan})})``: the records made
-        #: under one stamp (see :meth:`_plan_records`).
-        self._records: tuple[tuple, dict[int, tuple]] = ((), {})
+        #: ``(stamp, {id(logical plan): LogicalRecord})``: the records
+        #: made under one stamp (see :meth:`_plan_records`).
+        self._records: tuple[tuple, dict[int, LogicalRecord]] = ((), {})
 
     morsel_rows = _knob("morsel_rows")
     cache_budget_bytes = _knob("cache_budget_bytes")
@@ -206,18 +225,17 @@ class HAPEEngine:
         """Parse a mode request, resolving ``"auto"`` from estimated work.
 
         ``"auto"`` asks the optimizer to pick cpu/gpu/hybrid from the
-        statistics-backed working-set estimate of the plan
+        statistics-backed working set kept on the plan's records
         (:meth:`repro.engine.optimizer.Optimizer.choose_mode`); every
         other spelling parses as usual.
         """
         if isinstance(mode, str) and mode.lower() == "auto":
-            return self.optimizer.choose_mode(logical)
+            return self.optimizer.choose_mode(logical,
+                                              self.working_set(logical))
         return ExecutionMode.parse(mode)
 
-    def _plan_records(self, logical: LogicalPlan) -> tuple[dict, dict]:
-        """``logical``'s records: its ``estimate_nodes`` pass, which no
-        mode changes (admission and the optimizer read it), and a
-        :class:`PreparedPlan` per mode it was asked for.
+    def _plan_records(self, logical: LogicalPlan) -> LogicalRecord:
+        """``logical``'s :class:`LogicalRecord`.
 
         Records are made under a stamp: the catalog's table versions, the
         topology's health fingerprint and the optimizer and executor
@@ -237,35 +255,40 @@ class HAPEEngine:
             records = {}
             self._records = (stamp, records)
         key = id(logical)
-        entry = records.get(key)
-        if entry is None or entry[0]() is not logical:
-            entry = records[key] = (
+        record = records.get(key)
+        if record is None or record.plan() is not logical:
+            record = records[key] = LogicalRecord(
                 weakref.ref(logical, lambda _, key=key: records.pop(key, None)),
-                self.optimizer.estimator.estimate_nodes(logical), {})
-        return entry[1:]
+                self.optimizer.estimator.estimate_nodes(logical))
+        return record
 
     def _prepared(self, logical: LogicalPlan, mode: ExecutionMode, *,
                   compiled: bool = False) -> PreparedPlan:
         """The record of (``logical``, ``mode``); a miss plans the query.
         With ``compiled`` the record carries its program, compiled here
         the first time."""
-        estimates, modes = self._plan_records(logical)
-        prepared = modes.get(mode)
+        record = self._plan_records(logical)
+        prepared = record.modes.get(mode)
         if prepared is None:
-            physical = self.optimizer.optimize(logical, mode, estimates)
-            prepared = modes[mode] = PreparedPlan(
-                physical, break_into_pipelines(physical),
-                self.optimizer.estimator.estimate_physical(physical))
+            physical = self.optimizer.optimize(logical, mode, record.estimates)
+            prepared = record.modes[mode] = PreparedPlan(
+                physical, break_into_pipelines(physical), sorted(
+                    self.optimizer.estimator.estimate_physical(physical)
+                    .items()))
         if compiled and prepared.program is None:
-            prepared = modes[mode] = prepared._replace(
+            prepared = record.modes[mode] = prepared._replace(
                 program=self.executor.compile(prepared.physical))
         return prepared
 
-    def estimates(self, logical: LogicalPlan) -> dict:
-        """``logical``'s one estimation pass
-        (:meth:`~repro.stats.CardinalityEstimator.estimate_nodes`), kept on
-        its records: what a server's admission sizes a submission by."""
-        return self._plan_records(logical)[0]
+    def working_set(self, logical: LogicalPlan) -> WorkingSetEstimate:
+        """``logical``'s estimated working set, folded from its estimates
+        once and kept on its records: what a server's admission sizes a
+        submission by and what ``"auto"`` picks a mode from."""
+        record = self._plan_records(logical)
+        if record.working_set is None:
+            record.working_set = self.optimizer.estimator.working_set(
+                logical, record.estimates)
+        return record.working_set
 
     def plan(self, logical: LogicalPlan,
              mode: ExecutionMode | str = ExecutionMode.HYBRID) -> PhysicalOp:
@@ -308,8 +331,8 @@ class HAPEEngine:
             result.trace.mode = mode.value
         result.mode, result.pipelines = mode, prepared.pipelines
         # Estimates are the stamps on the plan, actual rows the executor's.
-        result.cardinality = build_report(prepared.estimates,
-                                          result.operator_rows)
+        result.cardinality = pair_report(prepared.estimated,
+                                         result.operator_rows)
         return result
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import NoRouteError, UnknownDeviceError
 from .clock import SimClock, Timeline
@@ -62,7 +62,7 @@ class OccupancyBoard:
                 self._clocks[resource] = SimClock(resource)
             return self._clocks[resource]
 
-    def available_at(self, resources: Sequence[str]) -> float:
+    def available_at(self, resources: Iterable[str]) -> float:
         """Earliest server time at which *all* given resources are free."""
         with self._lock:
             return max((self.clock(name).available_at for name in resources),

@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Mapping
 
 from ..hardware.clock import TaskRecord
+from ..stats.cardinality import q_error
 from .critical import CriticalPath, critical_path
 
 __all__ = [
@@ -75,10 +76,9 @@ def dumps_line(payload: Mapping[str, object]) -> str:
 VOLATILE_SPAN_KEYS = ("cache", "morsels")
 
 
-def holders_label(holders: Iterable[str]) -> str:
+def holders_label(holders: Collection[str]) -> str:
     """:attr:`Span.location` of a batch held by the named memory nodes."""
-    names = list(holders)
-    return ("distributed:" if len(names) > 1 else "") + ",".join(names)
+    return ("distributed:" if len(holders) > 1 else "") + ",".join(holders)
 
 
 @dataclass
@@ -106,9 +106,8 @@ class Span:
     #: ``None`` for exchange operators, which forward batches).
     rows: int | None = None
     #: Optimizer-estimated output rows (the plan node's ``est_rows``
-    #: stamp) and the q-error against :attr:`rows`.
+    #: stamp); :attr:`q_error` compares it with :attr:`rows`.
     est_rows: float | None = None
-    q_error: float | None = None
     #: Session-cache status of the kernel evaluation backing this span:
     #: ``"hit"`` / ``"miss"`` / ``"overlay"`` (within-plan repeat).  Only
     #: recorded for session-owned caches — under a server-shared cache
@@ -124,6 +123,13 @@ class Span:
     #: aggregate phase ...).  Values must be plain JSON scalars.
     attrs: dict[str, object] = field(default_factory=dict)
 
+    @property
+    def q_error(self) -> float | None:
+        """The q-error of :attr:`est_rows` against :attr:`rows`, derived
+        when read (``None`` unless both are known)."""
+        return (None if self.rows is None or self.est_rows is None
+                else q_error(self.est_rows, self.rows))
+
     def to_dict(self) -> dict[str, object]:
         payload: dict[str, object] = {
             "node": self.node_id, "op": self.op,
@@ -135,7 +141,7 @@ class Span:
             payload["rows"] = self.rows
         if self.est_rows is not None:
             payload["est_rows"] = self.est_rows
-        if self.q_error is not None:
+        if self.rows is not None and self.est_rows is not None:
             payload["q_error"] = self.q_error
         if self.cache is not None:
             payload["cache"] = self.cache

@@ -110,9 +110,11 @@ class DeviceScheduler:
                 best, best_load = kind, load
         return best
 
-    def dispatch(self, result: QueryResult, *, earliest: float,
-                 label: str, fraction: float = 1.0) -> Placement:
-        """Reserve the query's resources; returns the :class:`Placement`.
+    def dispatch(self, result: QueryResult, reservations: dict[str, float],
+                 *, earliest: float, label: str,
+                 fraction: float = 1.0) -> Placement:
+        """Reserve the query's :meth:`reservations` (computed once per
+        attempt by the caller); returns the :class:`Placement`.
 
         The start is the earliest server time at which every reserved
         resource is free (and not before ``earliest``); the query finishes
@@ -126,15 +128,13 @@ class DeviceScheduler:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("dispatch fraction must be in [0, 1]")
-        reservations = self.reservations(result)
+        makespan = result.simulated_seconds
         if fraction != 1.0:
             reservations = {name: busy * fraction
                             for name, busy in reservations.items()}
+            makespan = makespan * fraction
         start, records = self.topology.occupancy.reserve_records(
             reservations, earliest=earliest, label=label)
-        makespan = result.simulated_seconds
-        if fraction != 1.0:
-            makespan = makespan * fraction
         return Placement(start=start, finish=start + makespan,
                          resources=tuple(sorted(reservations)),
                          records=records)

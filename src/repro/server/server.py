@@ -526,12 +526,11 @@ class QueryServer:
         charges only what it materializes, not the table it streams.
         Falls back to the conservative legacy estimate (the full bytes of
         every referenced table) when the estimate is unbacked.  The
-        estimate is the one kept on the plan's records in the tenant's
-        session, so a resubmitted plan is not estimated again.
+        working set is the one kept on the plan's records in the tenant's
+        session (:meth:`~repro.engine.session.HAPEEngine.working_set`), so
+        a resubmitted plan is neither estimated nor folded again.
         """
-        session = self.session(tenant)
-        working_set = session.optimizer.estimator.working_set(
-            plan, session.estimates(plan))
+        working_set = self.session(tenant).working_set(plan)
         if working_set.backed:
             return int(working_set.total_bytes)
         return int(sum(self.catalog.statistics(name).nbytes
@@ -733,7 +732,7 @@ class QueryServer:
         """
         tenant = ticket.tenant
         deadline = ticket.deadline_time
-        needed = tuple(self.scheduler.reservations(result))
+        needed = self.scheduler.reservations(result)
         board = self.topology.occupancy
         # An interactive arrival that would wait behind running batch work
         # may evict it first (at a morsel boundary), so preemption happens
@@ -766,8 +765,8 @@ class QueryServer:
         if outcome != SUCCESS and sim > 0.0:
             fraction = min(max((dies_at - start) / sim, 0.0), 1.0)
         placement = self.scheduler.dispatch(
-            result, earliest=now, label=f"{tenant}:{ticket.label}",
-            fraction=fraction)
+            result, needed, earliest=now,
+            label=f"{tenant}:{ticket.label}", fraction=fraction)
         self.lifecycle.event(ticket, now, "dispatch",
                              mode=ticket.current_mode,
                              start=placement.start, finish=placement.finish,
@@ -797,14 +796,15 @@ class QueryServer:
         index = max(math.ceil((now - start) / delta - 1e-12), 0)
         return min(start + index * delta, finish)
 
-    def _preempt_for(self, needed: tuple[str, ...], now: float,
+    def _preempt_for(self, needed: dict[str, float], now: float,
                      completions: list) -> None:
         """Evict running batch attempts holding resources in ``needed``.
 
-        Victims are considered in completion order (earliest reserved
-        finish first — the canonical deterministic order): a victim must
-        be an uncancelled, still-running successful attempt of a
-        batch-priority tenant whose *aged* rank is still below
+        ``needed`` is the arriving attempt's reservations (resource name
+        -> busy seconds).  Victims are considered in completion order
+        (earliest reserved finish first — the canonical deterministic
+        order): a victim must be an uncancelled, still-running successful
+        attempt of a batch-priority tenant whose *aged* rank is still below
         interactive — a batch query that has waited long enough to age to
         the top class is starvation-protected and cannot be evicted
         again.  Each victim is killed at its next morsel boundary: the
@@ -866,9 +866,9 @@ class QueryServer:
                     # breaker/fault state of the devices and the occupancy
                     # the epoch has accumulated; the resolved mode then
                     # walks the failover ladder like any explicit one.
-                    optimizer = self.session(ticket.tenant).optimizer
-                    ticket.current_mode = optimizer.choose_mode(
-                        ticket.plan,
+                    session = self.session(ticket.tenant)
+                    ticket.current_mode = session.optimizer.choose_mode(
+                        ticket.plan, session.working_set(ticket.plan),
                         self.scheduler.least_loaded_kind()).value
                 self.lifecycle.admit(ticket, now)
                 runnable.append(ticket)

@@ -35,16 +35,19 @@ are reads of it.  The optimizer runs it once per ``optimize`` call, picks
 every join from it and stamps each relational physical node with its
 estimate (:attr:`~repro.relational.physical.PhysicalOp.est_rows`);
 :meth:`CardinalityEstimator.estimate_physical` reads those stamps back
-keyed by ``node_id``, which the session joins with the executor's
-recorded actual rows into a :class:`CardinalityReport` — the
+keyed by ``node_id``, which the session keeps in node order on the
+plan's prepared record and pairs with the executor's recorded actual
+rows into a :class:`CardinalityReport` (:func:`pair_report`) — the
 estimated-vs-actual/q-error accounting the ``stats`` benchmark suite
-tracks over time.
+tracks over time.  A session keeps the working set on the record too,
+folded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from statistics import median
+from typing import NamedTuple
 
 from ..operators.hashjoin import HASH_ENTRY_BYTES
 from ..relational.expr import (
@@ -143,9 +146,9 @@ def q_error(estimated: float, actual: float) -> float:
     return max(est / act, act / est)
 
 
-@dataclass(frozen=True)
-class OperatorCardinality:
-    """Estimated vs. actual output rows of one executed operator."""
+class OperatorCardinality(NamedTuple):
+    """Estimated vs. actual output rows of one executed operator (a tuple:
+    every execution pairs its report anew, cheaply)."""
 
     node_id: int
     label: str
@@ -186,16 +189,21 @@ class CardinalityReport:
         return "\n".join(lines)
 
 
+def pair_report(estimated: list[tuple[int, OperatorEstimate]],
+                actual_rows: dict[int, int]) -> CardinalityReport:
+    """Pair ``(node_id, estimate)`` items, in node order — the estimated
+    half of the report, which a session keeps on the plan's prepared
+    record — with recorded actual rows."""
+    return CardinalityReport(operators=tuple(
+        OperatorCardinality(node_id, estimate.label, estimate.rows,
+                            actual_rows[node_id])
+        for node_id, estimate in estimated if node_id in actual_rows))
+
+
 def build_report(estimates: dict[int, OperatorEstimate],
                  actual_rows: dict[int, int]) -> CardinalityReport:
     """Join per-operator estimates with recorded actual rows."""
-    operators = tuple(
-        OperatorCardinality(node_id=node_id, label=estimate.label,
-                            estimated_rows=estimate.rows,
-                            actual_rows=actual_rows[node_id])
-        for node_id, estimate in sorted(estimates.items())
-        if node_id in actual_rows)
-    return CardinalityReport(operators=operators)
+    return pair_report(sorted(estimates.items()), actual_rows)
 
 
 class CardinalityEstimator:
@@ -471,7 +479,8 @@ class CardinalityEstimator:
         counts for its sorted copy) plus the hash tables of every join's
         smaller side (resident while probes stream).  ``estimates`` is
         the plan's :meth:`estimate_nodes` when the caller kept it (a
-        session's prepared record); without it the plan is estimated here.
+        session's prepared record, which also keeps the result); without
+        it the plan is estimated here.
         """
         estimates = estimates or self.estimate_nodes(plan)
         peak = builds = largest_build = 0.0

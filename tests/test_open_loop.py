@@ -22,15 +22,19 @@ Pins the contracts of the open-loop serving layer (``docs/SERVING.md``):
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.engine import HAPEEngine
 from repro.errors import ServingError
+from repro.faults import FaultPlan
 from repro.hardware import default_server
 from repro.server import (
     Arrival,
     ArrivalSource,
+    DeviceScheduler,
     QueryServer,
     poisson_arrivals,
     trace_arrivals,
@@ -540,11 +544,13 @@ class TestReservationRelease:
         topology = engine.topology
         topology.reset_occupancy()
         scheduler = DeviceScheduler(topology)
-        victim = scheduler.dispatch(result, earliest=0.0, label="victim")
+        reservations = scheduler.reservations(result)
+        victim = scheduler.dispatch(result, reservations, earliest=0.0,
+                                    label="victim")
         released = scheduler.release(victim, fraction=0.25)
         assert released.finish == pytest.approx(
             victim.start + 0.25 * (victim.finish - victim.start))
-        follow_on = scheduler.dispatch(result, earliest=0.0,
+        follow_on = scheduler.dispatch(result, reservations, earliest=0.0,
                                        label="follow-on")
         kill_ends = {r.resource: r.end for r in released.records}
         expected_start = max(kill_ends[name] for name in follow_on.resources
@@ -558,6 +564,70 @@ class TestReservationRelease:
         engine.register_dataset(tpch_dataset.tables)
         result = engine.execute(build_query("Q6", tpch_dataset).plan, "cpu")
         scheduler = DeviceScheduler(engine.topology)
-        placement = scheduler.dispatch(result, earliest=0.0, label="q")
+        placement = scheduler.dispatch(result, scheduler.reservations(result),
+                                       earliest=0.0, label="q")
         with pytest.raises(ValueError):
             scheduler.release(placement, fraction=1.5)
+
+
+# ----------------------------------------------------------------------
+# One reservation per attempt
+# ----------------------------------------------------------------------
+class TestOneReservationPerAttempt:
+    #: sha256 of the epoch's ticket schedule and trace JSONL (below) as
+    #: the server produced them while it derived each attempt's
+    #: reservations twice: once to preempt, once to reserve.
+    DIGEST = "2d308cfb6f7de52b519154aec87a1887eca7accd6b3225589d104cdb6719036d"
+
+    @staticmethod
+    def _epoch(tpch_dataset, workers: int) -> QueryServer:
+        """A traced open-loop epoch that preempts, fails over and retries:
+        interactive hybrid arrivals over cpu batch work, gpu0 down for a
+        while and seeded transient faults."""
+        fault_plan = (FaultPlan(seed=3)
+                      .transient_errors(rate=0.2, fraction=0.5)
+                      .fail_device("gpu0", at=1e-4, recover_at=3e-4))
+        server = QueryServer(default_server(), preemption=True,
+                             aging_seconds=2e-4, fault_plan=fault_plan,
+                             tracing=True, workers=workers)
+        server.register_dataset(tpch_dataset.tables)
+        server.open_session("inter", priority="interactive",
+                            max_concurrency=2)
+        server.open_session("batch", priority="batch", max_concurrency=2)
+        plans = {q: build_query(q, tpch_dataset).plan
+                 for q in EVALUATED_QUERIES}
+        server.add_arrivals(poisson_arrivals(
+            "inter", [plans["Q1"], plans["Q6"], plans["Q5"]],
+            rate_qps=20_000.0, count=9, seed=11, mode="hybrid"))
+        server.add_arrivals(trace_arrivals(
+            "batch", [(0.0, plans["Q9"]), (0.0, plans["Q5"]),
+                      (5e-5, plans["Q9"])], mode="cpu"))
+        return server
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reserved_once_and_byte_identical(self, tpch_dataset, workers,
+                                              monkeypatch):
+        calls = []
+        original = DeviceScheduler.reservations
+
+        def counting(self, result):
+            calls.append(result)
+            return original(self, result)
+
+        monkeypatch.setattr(DeviceScheduler, "reservations", counting)
+        server = self._epoch(tpch_dataset, workers)
+        report = server.run()
+        trace = server.last_trace
+        dispatched = sum(event.kind == "dispatch" for event in trace.events)
+        assert report.completed == len(report.tickets) == 12
+        assert report.preemptions and any(
+            ticket.failovers for ticket in report.tickets) and any(
+            ticket.retries for ticket in report.tickets)
+        assert len(calls) == dispatched > len(report.tickets)
+        schedule = [(t.ticket_id, t.tenant, t.label, t.status, t.final_mode,
+                     t.submit_time, t.start_time, t.finish_time, t.attempts,
+                     t.retries, t.failovers, t.preemptions, t.wasted_seconds)
+                    for t in report.tickets]
+        digest = hashlib.sha256(
+            (repr(schedule) + trace.to_jsonl()).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -181,7 +181,7 @@ class TestMiss:
             stale.append(rows(estimates))
             monkeypatch.setattr(estimator, "estimate_nodes", original)
             engine.register_table(nation.slice(0, 5), replace=True)
-            engine.estimates(other)  # records under the new versions
+            engine.working_set(other)  # records under the new versions
             return estimates
 
         monkeypatch.setattr(estimator, "estimate_nodes",
@@ -190,17 +190,16 @@ class TestMiss:
         second = engine.execute(q5, "hybrid")
         assert second.physical_plan is not first.physical_plan
         assert len(optimize_calls) == 2
-        assert rows(engine.estimates(q5)) == rows(original(q5)) != stale[0]
+        assert rows(engine._plan_records(q5).estimates) \
+            == rows(original(q5)) != stale[0]
 
     def test_a_first_registration_refreshes_the_estimates(self,
                                                           tpch_dataset):
         engine = HAPEEngine(default_server())
         plan = build_query("Q6", tpch_dataset).plan
-        assert not engine.optimizer.estimator.working_set(
-            plan, engine.estimates(plan)).backed
+        assert not engine.working_set(plan).backed
         engine.register_dataset(tpch_dataset.tables)
-        assert engine.optimizer.estimator.working_set(
-            plan, engine.estimates(plan)).backed
+        assert engine.working_set(plan).backed
 
     def test_retune(self, engine, q5, optimize_calls):
         _replans(engine, q5, "hybrid", optimize_calls,
@@ -404,10 +403,14 @@ class TestProgram:
         assert restored.simulated_seconds == healthy.simulated_seconds
         assert restored.device_busy == healthy.device_busy
 
-    def test_a_warm_execute_derives_nothing(self, engine, q5):
+    @pytest.mark.parametrize("tracing", [False, True],
+                             ids=["untraced", "traced"])
+    def test_a_warm_execute_derives_nothing(self, engine, q5, tracing):
         """Once compiled and priced, an execution only looks up kernels and
         reserves clocks: no chain is cut, no description made, no route
-        searched, nothing estimated."""
+        searched, nothing estimated — and, traced, no plan walked: the
+        span skeleton and the estimated report are on the record."""
+        engine.tracing = tracing
         for mode in MODES:
             engine.execute(q5, mode)
         profile = cProfile.Profile()
@@ -418,11 +421,14 @@ class TestProgram:
         called = {(Path(path).name, name)
                   for path, _, name in pstats.Stats(profile).stats}
         derived = {(path, name) for path, name in called
-                   if name in ("fused_chain", "route", "compile", "_chain")
+                   if name in ("fused_chain", "route", "compile", "_chain",
+                               "walk", "working_set")
                    or name.startswith("estimate_")
                    or (path == "descriptions.py" and name == "__init__")}
         assert not derived, derived
         assert ("interconnect.py", "transfer") in called
+        if tracing:
+            assert ("descriptions.py", "advance") in called
 
     def test_a_dropped_session_frees_its_cache_at_once(self, tpch_dataset):
         """The records sit in a reference cycle (a plan's weak reference
@@ -498,31 +504,137 @@ def test_records_are_bounded_by_live_plans():
 # ----------------------------------------------------------------------
 # The submit path reads the record
 # ----------------------------------------------------------------------
-def test_admission_estimates_are_unchanged(tpch_dataset):
-    queries = all_queries(tpch_dataset)
+@pytest.fixture
+def estimator_calls(monkeypatch):
+    """Every ``estimate_nodes`` / ``working_set`` call, by name."""
+    calls: list[str] = []
+    for name in ("estimate_nodes", "working_set"):
+        original = getattr(CardinalityEstimator, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CardinalityEstimator, name, counting)
+    return calls
+
+
+TENANTS = (("cpu-a", "cpu"), ("gpu-a", "gpu"), ("cpu-b", "cpu"),
+           ("gpu-b", "gpu"))
+
+
+def _served(tpch_dataset, tenants=TENANTS) -> QueryServer:
     server = QueryServer(default_server(), workers=1)
     server.register_dataset(tpch_dataset.tables)
-    tenants = (("cpu-a", "cpu"), ("gpu-a", "gpu"),
-               ("cpu-b", "cpu"), ("gpu-b", "gpu"))
     for tenant, _ in tenants:
         server.open_session(tenant, max_concurrency=1, max_queue_depth=64)
-    # What admission charged before records: a fresh estimate per submit.
-    estimator = CardinalityEstimator(server.catalog)
-    expected = {}
-    for name, query in queries.items():
-        working_set = estimator.working_set(query.plan)
-        assert working_set.backed
-        expected[name] = working_set.total_bytes
-    for epoch in range(2):
+    return server
+
+
+def test_admission_estimates_are_unchanged(tpch_dataset):
+    """Admission charges what a fresh estimate per submit would, also
+    after a replaced table (another row count) and a failed and restored
+    GPU: the stamp drops the kept working set with the rest."""
+    queries = all_queries(tpch_dataset)
+    server = _served(tpch_dataset)
+    orders = tpch_dataset.tables["orders"]
+    changes = [
+        lambda: None, lambda: None,
+        lambda: server.register_table(
+            orders.slice(0, orders.num_rows // 3), replace=True),
+        lambda: server.topology.fail_device("gpu0"),
+        lambda: server.topology.restore_device("gpu0"),
+        lambda: server.register_table(orders, replace=True),
+    ]
+    for epoch, change in enumerate(changes):
+        change()
+        # What admission charged before records: a fresh estimate.
+        estimator = CardinalityEstimator(server.catalog)
+        expected = {}
+        for name, query in queries.items():
+            working_set = estimator.working_set(query.plan)
+            assert working_set.backed
+            expected[name] = working_set.total_bytes
         tickets = [server.submit(tenant, query.plan, mode,
                                  label=f"{name}/{mode}")
-                   for _ in range(2) for tenant, mode in tenants
+                   for _ in range(2) for tenant, mode in TENANTS
                    for name, query in queries.items()]
         server.run()
         for ticket in tickets:
             assert ticket.status == "completed"
             assert ticket.estimated_bytes == expected[
                 ticket.label.split("/")[0]], (epoch, ticket.label)
+        if epoch == 0:
+            healthy = expected
+        elif epoch == 2:  # the replaced table moved the working sets
+            assert expected != healthy
+
+
+def test_a_resubmitted_plan_is_neither_estimated_nor_folded(
+        tpch_dataset, estimator_calls):
+    queries = all_queries(tpch_dataset)
+    server = _served(tpch_dataset)
+
+    def epoch():
+        for tenant, mode in TENANTS:
+            for name, query in queries.items():
+                server.submit(tenant, query.plan, mode, label=name)
+        return server.run()
+
+    epoch()
+    assert estimator_calls
+    estimator_calls.clear()
+    assert epoch().completed == len(TENANTS) * len(queries)
+    assert estimator_calls == []
+
+
+class TestAutoReadsTheRecord:
+    def test_a_repeated_auto_execute_estimates_nothing(
+            self, sf001, estimator_calls):
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(sf001.tables)
+        queries = all_queries(sf001)
+        for query in queries.values():
+            engine.execute(query.plan, "auto")
+        estimator_calls.clear()
+        for query in queries.values():
+            engine.execute(query.plan, "auto")
+            engine.resolve_mode(query.plan, "auto")
+        assert estimator_calls == []
+
+    def test_a_repeated_auto_dispatch_estimates_nothing(
+            self, tpch_dataset, estimator_calls):
+        queries = all_queries(tpch_dataset)
+        server = _served(tpch_dataset, (("auto", "auto"),))
+
+        def epoch():
+            tickets = [server.submit("auto", query.plan, "auto", label=name)
+                       for name, query in queries.items()]
+            server.run()
+            return [ticket.final_mode for ticket in tickets]
+
+        modes = epoch()
+        estimator_calls.clear()
+        assert epoch() == modes
+        assert estimator_calls == []
+
+    def test_the_chosen_modes_are_a_fresh_sessions(self, sf001):
+        """The mode read from the record is the one a fresh session — and
+        the optimizer over a fresh working set — picks."""
+        kept = HAPEEngine(default_server())
+        kept.register_dataset(sf001.tables)
+        queries = all_queries(sf001)
+        for query in queries.values():
+            kept.execute(query.plan, "auto")
+        for name in ("Q1", "Q5", "Q6", "Q9"):
+            fresh = HAPEEngine(default_server())
+            fresh.register_dataset(sf001.tables)
+            plan = all_queries(sf001)[name].plan
+            estimator = CardinalityEstimator(fresh.catalog)
+            chosen = kept.resolve_mode(queries[name].plan, "auto")
+            assert chosen is fresh.resolve_mode(plan, "auto")
+            assert chosen is fresh.optimizer.choose_mode(
+                plan, estimator.working_set(plan))
 
 
 # ----------------------------------------------------------------------
