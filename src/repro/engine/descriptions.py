@@ -128,7 +128,8 @@ class Residency:
     many CPU sockets read it — it goes by the name it is reached through
     (the table's location, else the first CPU that produced the batch).
     The first holder is the node missing bytes are shipped from; only
-    :meth:`repro.engine.executor.Executor.ship` ships any.
+    :meth:`repro.engine.executor.Executor.ship` ships any.  A residency is
+    replaced, never mutated, so what is derived from it is derived once.
     """
 
     shares: dict[str, float]
@@ -140,6 +141,12 @@ class Residency:
     #: :attr:`~repro.obs.trace.Span.location` of a batch living here,
     #: derived once: a program's prices keep their residencies.
     label = cached_property(lambda self: holders_label(self.shares))
+    #: The holders in holder order: a pricing-memo key.
+    key = cached_property(lambda self: tuple(self.shares.items()))
+
+
+#: Where a chain source's input lives: nowhere (a scan reads no batch).
+NOWHERE = Residency({})
 
 
 @dataclass
@@ -166,7 +173,7 @@ class NodeResult:
     def where(self) -> tuple:
         """Bytes and holders, in holder order: what a delivery of this
         batch is priced from."""
-        return self.nbytes, tuple(self.residency.shares.items())
+        return self.nbytes, self.residency.key
 
 
 class Price(NamedTuple):

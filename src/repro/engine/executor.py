@@ -129,7 +129,8 @@ from ..storage.morsel import (
     morsel_count,
 )
 from ..storage.table import Table
-from .descriptions import NodeResult, Operator, Price, Residency, description
+from .descriptions import (NOWHERE, NodeResult, Operator, Price, Residency,
+                           description)
 from .modes import ExecutionMode
 from .querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
@@ -238,9 +239,10 @@ class Program(NamedTuple):
     """
 
     root: Chain
-    #: Occurrences per memo key of every node the memo serves: chains are
-    #: cut at keys occurring more than once, and each query decays its own
-    #: copy to evict the overlay after a key's last occurrence.
+    #: Occurrences per memo key the plan repeats (keys occurring once are
+    #: left out): only these enter the per-query overlay, and each query
+    #: decays its own copy to evict an entry after its key's last
+    #: occurrence.
     refs: dict[tuple, int]
 
 
@@ -410,7 +412,8 @@ class Executor:
         refs = Counter(structural_key(node, keys, table_versions=versions)
                        for node in nodes if description(node).memoized)
         # Fusion starts below the root: the root is a chain of its own.
-        return Program(self._chain(plan, keys, refs, slots, fuse=False), refs)
+        return Program(self._chain(plan, keys, refs, slots, fuse=False),
+                       {key: count for key, count in refs.items() if count > 1})
 
     def _chain(self, node: PhysicalOp, keys: dict[int, tuple], refs: Counter,
                slots: dict[int, int], *, fuse: bool = True) -> Chain:
@@ -533,7 +536,8 @@ class Executor:
         counted as cache traffic), then the session-lifetime
         :class:`QueryCache` (cross-query reuse, counted as hits/misses per
         distinct subplan).  Misses evaluate the kernel and retain the
-        result in both layers; costing happens outside this cache, per
+        result in the session cache, and in the overlay when the plan
+        repeats the subplan; costing happens outside this cache, per
         occurrence, so simulated seconds never observe it.
 
         The tuning names the device-spec values the top's own stats record
@@ -555,7 +559,10 @@ class Executor:
         byte budget.
         """
         key, tuning, top = chain.key, chain.tuning, chain.ops[-1]
-        variants = self._query_memo.get(key)
+        # A repeated subplan's occurrences left, this one included (0: the
+        # key occurs once and never enters the overlay).
+        left = self._key_refs.get(key, 0) if self._key_refs else 0
+        variants = self._query_memo.get(key) if left else None
         result = None if variants is None else variants.get(tuning)
         status = "overlay"
         morsel_delta = 0
@@ -575,7 +582,8 @@ class Executor:
                         tables=referenced_tables(top.node))
             else:
                 status = "hit"
-            self._query_memo.setdefault(key, {})[tuning] = result
+            if left > 1:
+                self._query_memo.setdefault(key, {})[tuning] = result
         if self._trace_spans is not None and self._owns_cache:
             # Cache warmth is a per-span diagnostic only for session-owned
             # caches: raw lookup outcomes against a server-shared cache
@@ -584,12 +592,11 @@ class Executor:
             # "complete" event).  VOLATILE_SPAN_KEYS strips these for the
             # warm-vs-cold timing contract.
             self._trace_kernel[top.node.node_id] = (status, morsel_delta)
-        remaining = self._key_refs.get(key, 0) - 1
-        if remaining <= 0:
+        if left > 1:
+            self._key_refs[key] = left - 1
+        elif left:
+            del self._key_refs[key]
             self._query_memo.pop(key, None)
-            self._key_refs.pop(key, None)
-        else:
-            self._key_refs[key] = remaining
         return result  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -620,7 +627,7 @@ class Executor:
         builds = [None if op.build is None else self._run(op.build)
                   for op in reversed(ops)]
         builds.reverse()
-        batch = (NodeResult(None, 0.0, Residency({})) if chain.source is None
+        batch = (NodeResult(None, 0.0, NOWHERE) if chain.source is None
                  else self._run(chain.source))
         for op, build in zip(ops, builds):
             op.check(batch, build)

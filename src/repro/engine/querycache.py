@@ -184,7 +184,9 @@ class QueryCache:
         self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes_used = 0
-        self._counters = CacheCounters()
+        # Plain ints under the lock: a lookup adds 1, and a snapshot is
+        # built only when one is read (counters(), stats()).
+        self._hits = self._misses = self._evicted = self._invalidated = 0
         self.budget_bytes = self.validate_budget(budget_bytes)
 
     @staticmethod
@@ -215,15 +217,15 @@ class QueryCache:
 
     def counters(self) -> CacheCounters:
         """Snapshot of the cumulative hit/miss/evict/invalidate counters."""
-        return self._counters
+        with self._lock:
+            return CacheCounters(self._hits, self._misses, self._evicted,
+                                 self._invalidated)
 
     def stats(self) -> QueryCacheStats:
         """Counters plus occupancy, as one frozen snapshot."""
         with self._lock:
-            counters = self._counters
             return QueryCacheStats(
-                hits=counters.hits, misses=counters.misses,
-                evicted=counters.evicted, invalidated=counters.invalidated,
+                self._hits, self._misses, self._evicted, self._invalidated,
                 entries=len(self._entries), bytes_used=self._bytes_used,
                 budget_bytes=self.budget_bytes,
             )
@@ -236,10 +238,10 @@ class QueryCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._counters = self._bump(misses=1)
+                self._misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._counters = self._bump(hits=1)
+            self._hits += 1
             return entry.value
 
     def put(self, key: Hashable, value: object, *, nbytes: int,
@@ -254,7 +256,7 @@ class QueryCache:
             if not self.enabled:
                 return
             if self.budget_bytes is not None and nbytes > self.budget_bytes:
-                self._counters = self._bump(evicted=1)
+                self._evicted += 1
                 return
             freeze_result(value)
             old = self._entries.pop(key, None)
@@ -279,8 +281,7 @@ class QueryCache:
             for key in stale:
                 entry = self._entries.pop(key)
                 self._bytes_used -= entry.nbytes
-            if stale:
-                self._counters = self._bump(invalidated=len(stale))
+            self._invalidated += len(stale)
             return len(stale)
 
     def set_budget(self, budget_bytes: int | None) -> None:
@@ -292,7 +293,7 @@ class QueryCache:
         with self._lock:
             self.budget_bytes = self.validate_budget(budget_bytes)
             if self.budget_bytes == 0 and self._entries:
-                self._counters = self._bump(evicted=len(self._entries))
+                self._evicted += len(self._entries)
                 self._entries.clear()
                 self._bytes_used = 0
                 return
@@ -313,20 +314,7 @@ class QueryCache:
     def _evict_to_budget(self) -> None:
         if self.budget_bytes is None:
             return
-        evicted = 0
         while self._bytes_used > self.budget_bytes and self._entries:
             _, entry = self._entries.popitem(last=False)  # LRU first
             self._bytes_used -= entry.nbytes
-            evicted += 1
-        if evicted:
-            self._counters = self._bump(evicted=evicted)
-
-    def _bump(self, *, hits: int = 0, misses: int = 0, evicted: int = 0,
-              invalidated: int = 0) -> CacheCounters:
-        current = self._counters
-        return CacheCounters(
-            hits=current.hits + hits,
-            misses=current.misses + misses,
-            evicted=current.evicted + evicted,
-            invalidated=current.invalidated + invalidated,
-        )
+            self._evicted += 1

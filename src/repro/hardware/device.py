@@ -13,7 +13,7 @@ import enum
 import threading
 
 from ..errors import OutOfDeviceMemoryError
-from .clock import SimClock, TaskRecord
+from .clock import LocalClock, TaskRecord
 from .costmodel import CostModel
 from .specs import DeviceKind, DeviceSpec
 
@@ -33,7 +33,7 @@ class DeviceHealth(enum.Enum):
     FAILED = "failed"
 
 
-class Device:
+class Device(LocalClock):
     """One compute device of the simulated heterogeneous server.
 
     The simulated clock is **thread-local**: each thread charging the
@@ -51,15 +51,6 @@ class Device:
         self._local = threading.local()
         self.health = DeviceHealth.HEALTHY
         self._nominal_memory_bytes = int(spec.memory_capacity_bytes)
-
-    @property
-    def clock(self) -> SimClock:
-        """This thread's simulated clock for the device."""
-        clock = getattr(self._local, "clock", None)
-        if clock is None:
-            clock = SimClock(self.spec.name)
-            self._local.clock = clock
-        return clock
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Device({self.spec.name!r}, kind={self.spec.kind.value})"

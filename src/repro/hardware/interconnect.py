@@ -14,13 +14,13 @@ import dataclasses
 import threading
 from dataclasses import dataclass
 
-from .clock import SimClock, TaskRecord
+from .clock import LocalClock, TaskRecord
 from .specs import LinkSpec
 
 _GIB = 1024.0 ** 3
 
 
-class Link:
+class Link(LocalClock):
     """A physical interconnect link (PCIe bus, QPI) between two endpoints.
 
     Clock and byte counter are **thread-local**, like
@@ -39,15 +39,6 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Link({self.spec.name!r}, {self.endpoint_a!r}<->{self.endpoint_b!r})"
-
-    @property
-    def clock(self) -> SimClock:
-        """This thread's simulated clock for the link."""
-        clock = getattr(self._local, "clock", None)
-        if clock is None:
-            clock = SimClock(self.spec.name)
-            self._local.clock = clock
-        return clock
 
     @property
     def name(self) -> str:

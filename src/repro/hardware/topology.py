@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import replace
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import NoRouteError, UnknownDeviceError
@@ -125,8 +126,7 @@ class OccupancyBoard:
         with self._lock:
             merged = [record for clock in self._clocks.values()
                       for record in clock.records]
-        merged.sort(key=lambda record: (record.start, record.resource,
-                                        record.label))
+        merged.sort(key=attrgetter("start", "resource", "label"))
         return tuple(merged)
 
     @property

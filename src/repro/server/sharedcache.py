@@ -71,7 +71,8 @@ class SharedQueryCache(QueryCache):
             self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
     ) -> None:
         super().__init__(budget_bytes)
-        self._tenant_counters: dict[str, CacheCounters] = {}
+        #: Per tenant, ``[hits, misses]``: ints, like the global counters.
+        self._tenant_counts: dict[str, list[int]] = {}
         self._local = threading.local()
         #: Keys considered present by committed state: seeded from the
         #: live entries at ``begin_epoch`` and grown by committed misses.
@@ -95,7 +96,7 @@ class SharedQueryCache(QueryCache):
         bracket = CacheBracket(tenant=name)
         self._local.bracket = bracket
         with self._lock:
-            self._tenant_counters.setdefault(name, CacheCounters())
+            self._tenant_counts.setdefault(name, [0, 0])
         try:
             yield bracket
         finally:
@@ -151,13 +152,12 @@ class SharedQueryCache(QueryCache):
                     misses += 1
                     if self.enabled:
                         self._canonical.add(key)
-            self._counters = self._bump(hits=hits, misses=misses)
-            current = self._tenant_counters.setdefault(bracket.tenant,
-                                                       CacheCounters())
-            self._tenant_counters[bracket.tenant] = CacheCounters(
-                hits=current.hits + hits, misses=current.misses + misses,
-                evicted=current.evicted, invalidated=current.invalidated)
-        return CacheCounters(hits=hits, misses=misses)
+            self._hits += hits
+            self._misses += misses
+            counts = self._tenant_counts.setdefault(bracket.tenant, [0, 0])
+            counts[0] += hits
+            counts[1] += misses
+        return CacheCounters(hits, misses)
 
     # ------------------------------------------------------------------
     # Canonical-set maintenance on explicit discards.  Keys are catalog-
@@ -183,4 +183,5 @@ class SharedQueryCache(QueryCache):
     def tenant_counters(self) -> dict[str, CacheCounters]:
         """Per-tenant hit/miss attribution (a snapshot copy)."""
         with self._lock:
-            return dict(self._tenant_counters)
+            return {name: CacheCounters(hits, misses)
+                    for name, (hits, misses) in self._tenant_counts.items()}

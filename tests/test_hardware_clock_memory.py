@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.engine import HAPEEngine
 from repro.errors import OutOfDeviceMemoryError
-from repro.hardware import Device, SimClock, Timeline, gtx_1080
+from repro.hardware import (
+    Device,
+    SimClock,
+    TaskRecord,
+    Timeline,
+    default_server,
+    gtx_1080,
+)
+from repro.workloads import build_query
 
 
 class TestSimClock:
@@ -67,6 +78,72 @@ class TestTimeline:
 
     def test_empty_timeline(self):
         assert Timeline().makespan == 0.0
+
+
+class TestTaskRecord:
+    """A record is a named tuple: the contract its readers (traces, the
+    scheduler, the occupancy board) rely on."""
+
+    def test_fields_duration_and_overlaps(self):
+        record = TaskRecord("gpu0", "probe", 1.0, 3.5)
+        assert TaskRecord._fields == ("resource", "label", "start", "end")
+        assert (record.resource, record.label, record.start,
+                record.end) == ("gpu0", "probe", 1.0, 3.5)
+        assert record.duration == 2.5
+        assert record.overlaps(TaskRecord("cpu0", "x", 3.0, 4.0))
+        assert not record.overlaps(TaskRecord("cpu0", "x", 3.5, 4.0))
+        assert record == TaskRecord("gpu0", "probe", 1.0, 3.5)
+        assert hash(record) == hash(TaskRecord("gpu0", "probe", 1.0, 3.5))
+
+    def test_reserve_starts_at_the_later_of_free_and_earliest(self):
+        clock = SimClock("x")
+        clock.reserve(2.0)
+        assert clock.reserve(1.0, earliest=1.0).start == 2.0
+        assert clock.reserve(1.0, earliest=4.0).start == 4.0
+        assert clock.reserve(0.0, earliest=5.0) == TaskRecord(
+            "x", "task", 5.0, 5.0)
+
+    def test_truncate_replaces_the_identical_record(self):
+        # Two zero-length reservations with one label at one start are
+        # equal records; truncation must find the very object it is given.
+        clock = SimClock("x")
+        clock.reserve(1.0, label="before")
+        first = clock.reserve(0.0, label="z")
+        second = clock.reserve(0.0, label="z")
+        assert first == second and first is not second
+        replacement = clock.truncate(second, 0.5)
+        assert replacement == second
+        records = clock.records
+        assert records[1] is first
+        assert records[2] is replacement and records[2] is not second
+        with pytest.raises(ValueError):
+            clock.truncate(second, 0.5)
+
+    def test_timeline_records_tie_by_resource_stably(self):
+        a, b, c = SimClock("a"), SimClock("b"), SimClock("c")
+        timeline = Timeline([c, b, a])
+        c.reserve(1.0, label="c0")
+        b.reserve(1.0, label="b0")
+        b.reserve(0.0, earliest=1.0, label="b1")
+        b.reserve(0.0, earliest=1.0, label="b2")
+        a.reserve(1.0, earliest=1.0, label="a0")
+        # (start, resource); equal keys keep their clock's order.
+        assert [record.label for record in timeline.records()] == [
+            "b0", "c0", "a0", "b1", "b2"]
+
+    def test_traced_q5_hybrid_jsonl_is_pinned(self, tpch_dataset):
+        """The trace bytes of a cold and a warm traced Q5 in hybrid mode,
+        pinned: record construction and ordering must not move them."""
+        engine = HAPEEngine(default_server(), tracing=True)
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query("Q5", tpch_dataset).plan
+        digests = [hashlib.sha256(engine.execute(plan, "hybrid").trace
+                                  .to_jsonl().encode()).hexdigest()
+                   for _ in ("cold", "warm")]
+        assert digests == [
+            "1917a92a4240b4b5a7b810c4c5bce8449dca35b2e058bfee9e069fc4fd2ac08d",
+            "644242290e1409047e9048e6d7e747c197c6773ba156e342242ef02eb3c77cc4",
+        ]
 
 
 class TestCapacityCheck:

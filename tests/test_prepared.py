@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+from collections import Counter
 import gc
 import pstats
 import weakref
@@ -29,7 +30,9 @@ from repro.errors import CatalogError, OptimizerError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
 from repro.hardware.specs import pcie3_x16
+from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
+from repro.relational.physical import structural_key
 from repro.server import QueryServer
 from repro.stats import CardinalityEstimator
 from repro.storage import Table, generate_tpch
@@ -478,6 +481,91 @@ class TestProgram:
             gc.collect()
             assert made and all(ref() is None for ref in made)
             made.clear()
+
+
+# ----------------------------------------------------------------------
+# The per-query overlay holds repeated subplans only
+# ----------------------------------------------------------------------
+class _OverlayWrites(dict):
+    """A per-query overlay that records every key written into it."""
+
+    def __init__(self, written: list) -> None:
+        super().__init__()
+        self.written = written
+
+    def setdefault(self, key, default=None):
+        self.written.append(key)
+        return super().setdefault(key, default)
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def overlay_writes(monkeypatch):
+    """Per execution, the plan's occurrences of every key written into its
+    overlay (counted afresh from the plan, not read from the program)."""
+    executions: list[list[int]] = []
+    original = Executor.execute
+
+    def spying(self, plan, program=None):
+        written: list = []
+        self._query_memo = _OverlayWrites(written)
+        try:
+            return original(self, plan, program)
+        finally:
+            keys: dict = {}
+            versions = self.catalog.table_versions
+            occurrences = Counter(
+                structural_key(node, keys, table_versions=versions)
+                for node in plan.walk())
+            executions.append([occurrences[key] for key in written])
+
+    monkeypatch.setattr(Executor, "execute", spying)
+    return executions
+
+
+class TestOverlay:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_single_occurrence_key_is_written(self, sf001, mode,
+                                                 overlay_writes):
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(sf001.tables)
+        for name, query in all_queries(sf001).items():
+            cold = engine.execute(query.plan, mode)
+            warm = engine.execute(query.plan, mode)
+            assert cold.cache.misses and warm.cache.hits, name
+        assert len(overlay_writes) == 2 * len(all_queries(sf001))
+        assert [count for written in overlay_writes for count in written
+                if count < 2] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget", [0, None])
+    def test_a_repeated_subplan_runs_once(self, tpch_dataset, workers,
+                                          budget, overlay_writes):
+        """Two identical filtered scans share one evaluation through the
+        overlay, cold and warm, with and without the session cache."""
+        engine = HAPEEngine(default_server(), workers=workers,
+                            cache_budget_bytes=budget)
+        engine.register_dataset(tpch_dataset.tables)
+
+        def side():
+            return scan("supplier", ["s_suppkey", "s_nationkey"]).filter(
+                col("s_nationkey") >= lit(0))
+
+        plan = side().join(side(), ["s_suppkey"], ["s_suppkey"])
+        counts, rows = [], set()
+        for _ in ("cold", "warm"):
+            reset_kernel_counts()
+            rows.add(engine.execute(plan, "cpu").table.num_rows)
+            counts.append(kernel_counts().get("filter_project", 0))
+        # Cold evaluates once; warm evaluates once more only when there is
+        # no session cache to serve it.
+        assert counts == [1, 1 if budget == 0 else 0]
+        assert rows == {tpch_dataset.tables["supplier"].num_rows}
+        assert [sorted(set(written)) for written in overlay_writes] == [
+            [2], [2]]
 
 
 # ----------------------------------------------------------------------

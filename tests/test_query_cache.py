@@ -11,6 +11,9 @@ losing within-query single evaluation).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,9 @@ from repro.errors import CatalogError
 from repro.hardware import default_server
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import agg_count, agg_sum, col, execute_logical, lit, scan
+from repro.server import QueryServer, SharedQueryCache
 from repro.storage import Table
+from repro.workloads import all_queries
 
 MODES = ("cpu", "gpu", "hybrid")
 
@@ -116,6 +121,106 @@ class TestQueryCacheUnit:
         cache.clear()
         assert len(cache) == 0 and cache.bytes_used == 0
         assert cache.counters().hits == 1
+
+
+# ----------------------------------------------------------------------
+# Counters under threads: ints under the cache lock, snapshots on read
+# ----------------------------------------------------------------------
+class TestCountersUnderThreads:
+    THREADS = 8
+    OPS = 400
+
+    def _on_threads(self, worker) -> None:
+        barrier = threading.Barrier(self.THREADS)
+        errors: list[BaseException] = []
+
+        def run(index: int) -> None:
+            try:
+                barrier.wait()
+                worker(index)
+            except BaseException as error:  # re-raised on the test thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often: a lost update shows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+    def test_every_lookup_is_counted_once(self):
+        # Room for 3 of the 12 keys, so puts evict; every tenth operation
+        # drops one table's entries.
+        cache = QueryCache(budget_bytes=3 * 32)
+        gets = [0] * self.THREADS
+        found = [0] * self.THREADS
+
+        def worker(index: int) -> None:
+            for op in range(self.OPS):
+                table = f"t{(index + op // 10) % 3}"
+                key = (table, (op + 1) // 2 % 4)  # a get reads the last put
+                if op % 10 == 9:
+                    cache.invalidate_table(table)
+                elif op % 2:
+                    cache.put(key, {"x": np.arange(4, dtype=np.int64)},
+                              nbytes=32, tables=frozenset({table}))
+                else:
+                    gets[index] += 1
+                    found[index] += cache.get(key) is not None
+
+        self._on_threads(worker)
+        counters, stats = cache.counters(), cache.stats()
+        assert counters.lookups == sum(gets)
+        assert counters.hits == sum(found) > 0
+        assert counters.misses == sum(gets) - sum(found) > 0
+        assert counters.evicted > 0 and counters.invalidated > 0
+        assert (stats.hits, stats.misses, stats.evicted,
+                stats.invalidated) == (counters.hits, counters.misses,
+                                       counters.evicted, counters.invalidated)
+        assert stats.entries == len(cache)
+        assert stats.bytes_used == 32 * len(cache) <= cache.budget_bytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_commit_deltas_sum_to_the_global_counters(
+            self, tpch_dataset, workers, monkeypatch):
+        deltas: list = []
+        original = SharedQueryCache.commit
+
+        def spying(self, bracket):
+            delta = original(self, bracket)
+            deltas.append((bracket.tenant, delta))
+            return delta
+
+        monkeypatch.setattr(SharedQueryCache, "commit", spying)
+        server = QueryServer(default_server(), workers=workers)
+        server.register_dataset(tpch_dataset.tables)
+        tenants = ("alpha", "beta", "gamma")
+        for tenant in tenants:
+            server.open_session(tenant)
+        queries = all_queries(tpch_dataset)
+        for _ in range(2):
+            for tenant in tenants:
+                for query in queries.values():
+                    server.submit(tenant, query.plan, "hybrid")
+            server.run()
+        totals = server.query_cache.counters()
+        assert totals.hits and totals.misses
+        assert (sum(delta.hits for _, delta in deltas),
+                sum(delta.misses for _, delta in deltas)) == (
+            totals.hits, totals.misses)
+        for tenant, counters in server.query_cache.tenant_counters().items():
+            mine = [delta for name, delta in deltas if name == tenant]
+            assert (counters.hits, counters.misses) == (
+                sum(delta.hits for delta in mine),
+                sum(delta.misses for delta in mine))
+            assert counters.evicted == counters.invalidated == 0
 
 
 # ----------------------------------------------------------------------
