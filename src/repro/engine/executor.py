@@ -91,8 +91,10 @@ materialized cannot be memoized (or session-cached) as a standalone batch.
 The executor therefore keys fused evaluations at **fusion-boundary
 granularity** — one memo/cache entry per chain, keyed by the structural
 key of the chain's top operator with a fused-chain tuning marker, storing
-the boundary batch *plus* the per-stage stats records needed to replay
-every stage's cost on warm runs.  Subplans that occur more than once in a
+the boundary batch *plus* one stats record per relational stage, what a
+warm run needs to replay every stage's cost.  The key looks through the
+exchanges inside and below the chain, so one entry serves every placement
+of the subplan.  Subplans that occur more than once in a
 plan are sharing points and are never deferred (:meth:`Executor.compile`
 cuts the chain there), which preserves single evaluation; and because cost
 charging is replayed per stage from the recorded stats in exactly the
@@ -104,6 +106,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -121,7 +124,6 @@ from ..relational.physical import (
 )
 from ..stats.cardinality import CardinalityReport
 from ..storage.catalog import Catalog
-from ..storage.column import Column
 from ..storage.morsel import (
     DEFAULT_MORSEL_ROWS,
     concat_columns,
@@ -219,10 +221,13 @@ class Chain(NamedTuple):
     source: "Chain | None"
     #: Kernel-memo key of the top node (``None``: not memoized) and the
     #: tuning marker: the device tuning the top's stats record is written
-    #: with (:meth:`Operator.tuning`) and the chain depth, which pins the
-    #: stats records an entry carries.
+    #: with (:meth:`Operator.tuning`) and the chain's relational stage
+    #: count, which pins the stats records an entry carries.
     key: tuple | None
     tuning: tuple
+    #: Per op, the index of its stats record among the relational stages'
+    #: (``None``: an exchange, which has none).
+    layout: tuple[int | None, ...]
     #: Where the output is placed, as the consumer's placement reads it.
     devices: list[Device]
 
@@ -441,10 +446,14 @@ class Executor:
             devices = op.devices = op.place(devices)
             op.slot = slots[op.node.node_id]
             op.device_names = tuple(device.name for device in devices)
-        top = ops[-1]
+        top, stage = ops[-1], count()
+        layout = tuple(None if op.node.is_exchange() else next(stage)
+                       for op in ops)
+        # The next stage index is the number of relational stages.
         return Chain(tuple(ops), source,
                      keys[id(node)] if top.memoized else None,
-                     (top.tuning(), ("fused-chain", len(ops))), top.handoff())
+                     (top.tuning(), ("fused-chain", next(stage))), layout,
+                     top.handoff())
 
     def execute(self, plan: PhysicalOp,
                 program: Program | None = None) -> QueryResult:
@@ -487,9 +496,8 @@ class Executor:
             spans=spans, tasks=tuple(timeline.records()), makespan=makespan,
             link_bytes=dict(link_bytes),
             morsels_dispatched=self.morsels_dispatched)
-        table = Table("result", [Column(name, values)
-                                 for name, values in result.columns.items()]) \
-            if result.columns else Table.from_arrays("result", {"empty": np.asarray([0])[:0]})
+        table = Table.from_arrays("result", result.columns
+                                  or {"empty": np.asarray([0])[:0]})
         # Each execution starts a new ``_node_rows``: the result keeps it.
         return QueryResult(
             table=table, simulated_seconds=makespan,
@@ -542,11 +550,13 @@ class Executor:
 
         The tuning names the device-spec values the top's own stats record
         is written with (a partitioned join's pass plan, the co-processed
-        join's fan-out) and the chain depth: two occurrences only share an
-        evaluation when their tuning matches, keeping per-occurrence cost
-        replays exact.  Every join emits the canonical row order whatever
-        its tuning, so no consumer's columns or records depend on an
-        upstream tuning.
+        join's fan-out) and the chain's relational stage count: two
+        occurrences only share an evaluation when their tuning matches,
+        keeping per-occurrence cost replays exact.  The key looks through
+        exchanges, so occurrences placed differently — the cpu and the
+        hybrid lowering of one subplan — share one entry.  Every join emits
+        the canonical row order whatever its tuning, so no consumer's
+        columns or records depend on an upstream tuning.
 
         Results whose columns are views over catalog-resident arrays
         (base-table scans, ``zero_copy``) are retained at a byte cost of 0
@@ -619,7 +629,8 @@ class Executor:
         3. the functional evaluation runs inside the kernel memo, keyed at
            chain granularity, storing the boundary batch and the per-stage
            stats records (warm runs skip the evaluation and reuse both);
-        4. the per-stage costs are charged bottom-up from the records.
+        4. the per-stage costs are charged bottom-up from the records,
+           each op reading its own through the chain's compiled layout.
 
         The builds are this execution's and are dropped with it.
         """
@@ -636,12 +647,12 @@ class Executor:
         else:
             columns, records = self._memoized_kernel(
                 chain, lambda: self._evaluate(chain, batch, builds))
-        for op, build, record in zip(ops, builds, records):
-            stats, nbytes, rows = record or (None, batch.nbytes, None)
-            # Exchanges forward batches and report no rows; the rows are
-            # recorded before the charge, whose span reads them.
-            if record:
-                self._node_rows[op.node.node_id] = rows
+        for op, build, stage in zip(ops, builds, chain.layout):
+            if stage is None:  # an exchange forwards the batch as it is
+                op.charge(batch, None, build)
+                continue
+            # The rows are recorded before the charge, whose span reads them.
+            stats, nbytes, self._node_rows[op.node.node_id] = records[stage]
             op.charge(batch, stats, build)
             batch.nbytes = nbytes
         batch.columns = columns
@@ -655,12 +666,12 @@ class Executor:
                   ) -> tuple[ArrayMap, tuple]:
         """Evaluate a chain over its source batch (cold runs only).
 
-        Returns the boundary columns plus one record per operator —
-        ``(stats, output bytes, output rows)``, or ``None`` for an
-        exchange — which is everything the charge replay (and a warm run)
-        needs.  A breaker or source runs on its whole input.  A streaming
-        chain carves the source into morsels and each morsel flows through
-        the *entire* chain before the next one is touched, so intermediate
+        Returns the boundary columns plus one record per relational stage
+        — ``(stats, output bytes, output rows)``; an exchange has none —
+        which is everything the charge replay (and a warm run) needs.  A
+        breaker or source runs on its whole input.  A streaming chain
+        carves the source into morsels and each morsel flows through the
+        *entire* chain before the next one is touched, so intermediate
         outputs only ever exist one morsel at a time; the boundary batch
         is reassembled with the consuming concatenation to keep the
         materialization spike near the output's own size.
@@ -677,11 +688,10 @@ class Executor:
             columns, stats = ops[-1].run(source, builds[-1])
             out = Rows.of(columns)
             return columns, ((stats, out.nbytes(), out.num_rows),)
-        stages = [(index, transform) for index, transform in enumerate(
-            op.begin(build) for op, build in zip(ops, builds))
-            if transform is not None]
+        stages = [(op, build, transform) for op, build in zip(ops, builds)
+                  if (transform := op.begin(build)) is not None]
         if not stages:  # a lone exchange
-            return source.columns, (None,)
+            return source.columns, ()
         morsels = list(iter_morsels(source.columns,
                                     self.grant(source.num_rows)))
 
@@ -691,7 +701,7 @@ class Executor:
             for index in span:
                 batch = Rows.of(morsels[index])
                 flow = []
-                for _, transform in stages:
+                for _, _, transform in stages:
                     out, in_bytes = transform(batch)
                     flow.append((batch.num_rows, in_bytes, out.nbytes(),
                                  out.num_rows))
@@ -706,19 +716,14 @@ class Executor:
                 run_span, self.pool.chunks(len(morsels))):
             parts.extend(outs)
             flows.extend(span_flows)
-        columns = concat_columns(parts, consume=True)
+        records = []
         # Transpose morsels x stages, then sum each stage's four counters.
-        totals = {index: [sum(counter) for counter in zip(*stage_flows)]
-                  for (index, _), stage_flows in zip(stages, zip(*flows))}
-
-        def record(index: int) -> tuple | None:
-            if index not in totals:
-                return None
-            in_rows, in_bytes, out_nbytes, out_rows = totals[index]
-            return (ops[index].stats(builds[index], in_rows, in_bytes,
-                                     out_nbytes), out_nbytes, out_rows)
-
-        return columns, tuple(map(record, range(len(ops))))
+        for (op, build, _), stage_flows in zip(stages, zip(*flows)):
+            in_rows, in_bytes, out_nbytes, out_rows = map(sum,
+                                                          zip(*stage_flows))
+            records.append((op.stats(build, in_rows, in_bytes, out_nbytes),
+                            out_nbytes, out_rows))
+        return concat_columns(parts, consume=True), tuple(records)
 
     # ------------------------------------------------------------------
     # Pricing and reserving: the helpers the descriptions share

@@ -41,12 +41,19 @@ Two properties the rest of the engine relies on:
 * **Fusion-boundary granularity.**  Under pipeline-fused streaming the
   executor defers a fused chain's intermediate outputs (they stream, one
   morsel at a time, and never materialize), so such chains are cached as
-  ONE entry keyed at the chain top with a fused-chain tuning marker; the
-  value couples the boundary batch with the per-stage stats records that
-  let warm runs replay every deferred stage's cost.  The marker keeps
-  fused and standalone entries for the same subplan apart, so retuning
+  ONE entry keyed at the chain top with a fused-chain tuning marker (the
+  chain's count of relational stages); the value couples the boundary
+  batch with one stats record per relational stage, which lets warm runs
+  replay every deferred stage's cost.  The marker keeps fused and
+  standalone entries for the same subplan apart, so retuning
   ``pipeline_fusion`` mid-session can cause cold misses but never wrong
   reuse (see ``docs/CACHING.md``).
+* **Placement transparency.**  Structural keys look through the exchange
+  operators (routers, mem-moves, device crossings), which move or route
+  packets without changing them, so the cpu, hybrid and gpu placements
+  of one subplan share one entry; what a placement changes in a stats
+  record (a partitioned join's pass plan) is in the tuning half of the
+  key.
 """
 
 from __future__ import annotations

@@ -227,7 +227,11 @@ def structural_key(node: PhysicalOp,
     when executed against the same catalog: the key covers operator types,
     expressions, key lists, algorithms and children, but deliberately skips
     ``traits``, ``node_id`` and ``est_rows`` — device placement and row
-    estimates change cost and plan choice, never results.  The executor
+    estimates change cost and plan choice, never results.  For the same
+    reason a child that is an exchange (router, mem-move, device crossing)
+    is keyed as its first non-exchange descendant: the cpu, hybrid and gpu
+    lowerings of one subplan have one key.  An exchange node itself keeps
+    a key of its own (its type and fields over its child's key).  The executor
     uses this to evaluate repeated subplans (e.g. a dimension scan feeding
     several joins) exactly once, and — through the session-lifetime query
     cache — to reuse them across queries.
@@ -273,15 +277,17 @@ def _structural_field(value: object,
                       table_versions: Mapping[str, int] | None = None,
                       ) -> object:
     if isinstance(value, PhysicalOp):
+        # Exchanges move or route packets without changing them: a child
+        # that is one is keyed as the first node below it that computes.
+        while value.is_exchange() and value.child is not None:
+            value = value.child
         return structural_key(value, cache, table_versions=table_versions)
     if isinstance(value, Expr):
         return repr(value)
     if isinstance(value, AggregateSpec):
         return (value.func, repr(value.expr), value.alias)
-    if isinstance(value, dict):
-        return tuple((name, _structural_field(item, cache,
-                                              table_versions=table_versions))
-                     for name, item in value.items())
+    if isinstance(value, dict):  # keyed as its (name, value) pairs
+        value = tuple(value.items())
     if isinstance(value, (tuple, list)):
         return tuple(_structural_field(item, cache,
                                        table_versions=table_versions)

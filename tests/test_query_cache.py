@@ -20,16 +20,18 @@ import pytest
 from repro.engine import (
     DEFAULT_CACHE_BUDGET_BYTES,
     HAPEEngine,
+    OptimizerOptions,
     QueryCache,
     Session,
 )
-from repro.errors import CatalogError
+from repro.errors import CatalogError, OutOfDeviceMemoryError
 from repro.hardware import default_server
 from repro.operators import kernel_counts, reset_kernel_counts
-from repro.relational import agg_count, agg_sum, col, execute_logical, lit, scan
+from repro.relational import (JoinAlgorithm, agg_count, agg_sum, col,
+                              execute_logical, lit, scan)
 from repro.server import QueryServer, SharedQueryCache
-from repro.storage import Table
-from repro.workloads import all_queries
+from repro.storage import Table, generate_tpch
+from repro.workloads import all_queries, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
 
@@ -44,6 +46,27 @@ def _table(name: str, n: int = 64, *, offset: int = 0) -> Table:
 def _sum_plan(table: str = "t"):
     return (scan(table).filter(col("v") >= lit(2))
             .aggregate([], [agg_sum(col("k"), "total")]))
+
+
+@pytest.fixture(scope="module")
+def sf001():
+    return generate_tpch(0.01, seed=2019)
+
+
+def _tpch_session(dataset, **options) -> HAPEEngine:
+    engine = HAPEEngine(default_server(), **options)
+    engine.register_dataset(dataset.tables)
+    return engine
+
+
+def _report(result):
+    """Everything a run reports that placement may set, in plan order."""
+    return ([result.table.array(name).tobytes()
+             for name in result.table.column_names],
+            repr(result.simulated_seconds), result.device_busy,
+            result.link_bytes,
+            [(op.label, op.estimated_rows, op.actual_rows)
+             for op in result.cardinality.operators])
 
 
 @pytest.fixture
@@ -304,6 +327,68 @@ class TestWarmSessions:
         # different join/aggregate miss.
         assert second.cache.hits > 0
         assert second.cache.misses > 0
+
+    def test_placements_share_one_entry(self, sf001):
+        """Exchanges are left out of the key: a query run in one mode
+        serves every later mode from its entries, reporting what a cold
+        session in that mode reports."""
+        queries = ("Q1", "Q5", "Q6", "Q9")
+        plans = {name: build_query(name, sf001).plan for name in queries}
+        session = _tpch_session(sf001)
+        for name in queries:
+            session.execute(plans[name], "cpu")
+        entries = session.cache_stats.entries
+        for mode in ("hybrid", "gpu"):
+            cold = _tpch_session(sf001)
+            for name in queries:
+                reset_kernel_counts()
+                warm = session.execute(plans[name], mode)
+                assert kernel_counts() == {}, (name, mode)
+                assert warm.cache.misses == 0
+                assert warm.morsels_dispatched == 0
+                assert _report(warm) == _report(
+                    cold.execute(plans[name], mode)), (name, mode)
+        assert session.cache_stats.entries == entries
+
+    def test_a_partitioned_join_keeps_its_tuning_apart(self, sf001):
+        """A partitioned join is lowered per device (`radix-cpu` /
+        `radix-gpu`, each record written with its device's pass plan):
+        the gpu placement evaluates its partitioned joins again."""
+        options = {"optimizer_options": OptimizerOptions(small_build_rows=500)}
+        plan = build_query("Q5", sf001).plan
+        session = _tpch_session(sf001, **options)
+        session.execute(plan, "cpu")
+        reset_kernel_counts()
+        gpu = session.execute(plan, "gpu")
+        radix = sum(getattr(node, "algorithm", None) is JoinAlgorithm.RADIX_GPU
+                    for node in gpu.physical_plan.walk())
+        assert radix and kernel_counts()["gpu_partitioned_join"] == radix
+        assert gpu.cache.misses and gpu.cache.hits
+        cold = _tpch_session(sf001, **options).execute(plan, "gpu")
+        assert _report(gpu) == _report(cold)
+
+    def test_a_gpu_join_that_no_longer_fits_is_refused_over_a_warm_entry(
+            self, sf001):
+        """The capacity check runs before the cache lookup, so the cpu
+        placement's entries cannot carry a gpu placement past it."""
+        plan = build_query("Q9", sf001).plan
+        refusals = []
+        for warm in (False, True):
+            session = _tpch_session(sf001)
+            lowered = session.plan(plan, "gpu")  # lowered while it fits
+            if warm:
+                session.execute(plan, "cpu")
+            for gpu in session.topology.gpus():
+                gpu.shrink_memory(2e-5)
+            reset_kernel_counts()
+            with pytest.raises(OutOfDeviceMemoryError) as refused:
+                session.executor.execute(lowered)
+            refusals.append((str(refused.value), kernel_counts()))
+        (cold_refusal, cold_kernels), (warm_refusal, warm_kernels) = refusals
+        assert warm_refusal == cold_refusal
+        # Cold, the inputs below the join were evaluated; warm, every one
+        # was served, and the join was refused all the same.
+        assert cold_kernels and warm_kernels == {}
 
     # The whole-suite warm-vs-cold TPC-H identity sweep (outputs,
     # simulated seconds and stats records bit-identical for every query ×

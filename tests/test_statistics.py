@@ -37,7 +37,8 @@ from repro.errors import CatalogError, OptimizerError, OutOfDeviceMemoryError
 from repro.hardware import default_server, gtx_1080
 from repro.relational import agg_count, agg_sum, col, lit, scan
 from repro.relational.logical import Aggregate, OrderBy
-from repro.relational.physical import PAggregate, structural_key
+from repro.relational.physical import (PAggregate, PScan, referenced_tables,
+                                       structural_key)
 from repro.stats import (
     CONJUNCTION_FLOOR,
     CardinalityEstimator,
@@ -653,6 +654,41 @@ class TestEstimateOnce:
         for node in bare.walk():
             node.est_rows = None
         assert structural_key(stamped) == structural_key(bare)
+
+    def test_the_key_looks_through_exchanges(self, engine, tpch_dataset):
+        plan = all_queries(tpch_dataset)["Q5"].plan
+
+        def relational(mode):
+            return [node for node in engine.plan(plan, mode).walk()
+                    if not node.is_exchange()]
+
+        def keys(nodes):
+            versions = engine.catalog.table_versions
+            return [structural_key(node, table_versions=versions)
+                    for node in nodes]
+
+        # Placement only inserts exchanges: what the relational nodes
+        # compute, and so their keys, is one thing in every mode.
+        assert keys(relational("cpu")) == keys(relational("hybrid")) == keys(
+            relational("gpu"))
+        exchanges = [node for node in engine.plan(plan, "hybrid").walk()
+                     if node.is_exchange()]
+        assert exchanges
+        for node in exchanges:
+            assert structural_key(node) != structural_key(node.child)
+        # What a scan reads still sets the key: its columns, and the
+        # catalog version of its table.
+        nodes = relational("cpu")
+        scan_node = next(node for node in nodes if isinstance(node, PScan)
+                         and len(node.columns) > 1)
+        assert structural_key(scan_node) != structural_key(
+            dataclasses.replace(scan_node, columns=scan_node.columns[1:]))
+        before = keys(nodes)
+        engine.register_table(tpch_dataset.tables["nation"], replace=True)
+        moved = [old != new for old, new in zip(before, keys(nodes))]
+        assert moved == ["nation" in referenced_tables(node)
+                         for node in nodes]
+        assert any(moved) and not all(moved)
 
     def test_both_aggregate_phases_carry_the_logical_estimate(
             self, engine, tpch_dataset):
