@@ -975,7 +975,7 @@ def suite_trace(bench: Workbench) -> dict:
     except ValueError:
         perfetto_loadable = False
     paths = trace.critical_paths()
-    by_ticket = {row.ticket: row for row in trace.queries}
+    by_ticket = {row.ticket_id: row for row in trace.queries}
 
     # Whole-pass minimums are too noisy for a 2% gate (scheduler jitter
     # between two *identical* engines already spans ~3% on CI hosts), so

@@ -159,7 +159,7 @@ def main() -> int:
     print(f"epoch JSONL byte-identical at workers {WORKER_COUNTS} and "
           f"across a replay ({len(drains[0].splitlines())} lines)")
 
-    by_ticket = {q.ticket: q for q in epoch.queries}
+    by_ticket = {q.ticket_id: q for q in epoch.queries}
     print("\nper-query critical paths:")
     for ticket_id, cp in sorted(epoch.critical_paths().items()):
         traced = by_ticket[ticket_id]

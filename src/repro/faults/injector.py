@@ -13,11 +13,21 @@ places.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..hardware import Topology
-from .plan import FaultPlan
+from .plan import FaultEvent, FaultPlan
+
+#: Per fault kind, the topology methods that strike it (passing the
+#: event's factor, except to a failure) and that undo it.
+_METHODS = {
+    "device_failure": ("fail_device", "restore_device"),
+    "link_degradation": ("degrade_link", "restore_link"),
+    "memory_shrink": ("shrink_device_memory", "restore_device_memory"),
+}
 
 
 @dataclass(frozen=True)
@@ -43,37 +53,25 @@ class FaultInjector:
         self.plan = plan
         self.topology = topology
         self._rng = np.random.default_rng(plan.seed)
-        # Expand events into (time, seq, op) tuples; seq breaks ties so
-        # that application order is deterministic.
-        ops: list[tuple[float, int, tuple]] = []
-        seq = 0
+        # Each event strikes at ``at`` and, when it heals, is undone at
+        # ``until``: (time, seq, event, heals) tuples, where seq breaks
+        # ties so that application order is deterministic.
+        ops: list[tuple[float, int, FaultEvent, bool]] = []
         for event in plan.events:
-            if event.kind == "device_failure":
-                apply_op = ("fail_device", event.target)
-                undo_op = ("restore_device", event.target)
-            elif event.kind == "link_degradation":
-                apply_op = ("degrade_link", event.target, event.factor)
-                undo_op = ("restore_link", event.target)
-            else:  # memory_shrink
-                apply_op = ("shrink_memory", event.target, event.factor)
-                undo_op = ("restore_memory", event.target)
-            ops.append((event.at, seq, apply_op))
-            seq += 1
+            ops.append((event.at, len(ops), event, False))
             if event.until is not None:
-                ops.append((event.until, seq, undo_op))
-                seq += 1
+                ops.append((event.until, len(ops), event, True))
         self._ops = sorted(ops)
         self._cursor = 0
-        # Tracks what must be undone at epoch end (faults are epoch-scoped;
-        # manual topology mutations made outside the injector persist).
-        self._failed_devices: set[str] = set()
-        self._degraded_links: set[str] = set()
-        self._shrunk_devices: set[str] = set()
+        # The undo of every fault in force, keyed by (kind, target), is
+        # what epoch end restores (faults are epoch-scoped; manual
+        # topology mutations made outside the injector persist).
+        self._applied: dict[tuple[str, str], Callable[[], None]] = {}
 
     # Timeline -----------------------------------------------------------
     def next_event_time(self, now: float) -> float | None:
         """Earliest scheduled fault strictly after ``now`` (None if done)."""
-        for at, _seq, _op in self._ops[self._cursor:]:
+        for at, _seq, _event, _heals in self._ops[self._cursor:]:
             if at > now:
                 return at
         return None
@@ -86,35 +84,24 @@ class FaultInjector:
         """
         newly_failed: list[str] = []
         while self._cursor < len(self._ops):
-            at, _seq, op = self._ops[self._cursor]
+            at, _seq, event, heals = self._ops[self._cursor]
             if at > now:
                 break
-            self._apply(op, newly_failed)
+            key = (event.kind, event.target)
+            strike, heal = _METHODS[event.kind]
+            undo = partial(getattr(self.topology, heal), event.target)
+            if heals:
+                self._applied.pop(key, None)
+                undo()
+            else:
+                failure = event.kind == "device_failure"
+                if failure and self.topology.device(event.target).is_available:
+                    newly_failed.append(event.target)
+                getattr(self.topology, strike)(
+                    event.target, *(() if failure else (event.factor,)))
+                self._applied[key] = undo
             self._cursor += 1
         return newly_failed
-
-    def _apply(self, op: tuple, newly_failed: list[str]) -> None:
-        kind = op[0]
-        if kind == "fail_device":
-            if self.topology.device(op[1]).is_available:
-                newly_failed.append(op[1])
-            self.topology.fail_device(op[1])
-            self._failed_devices.add(op[1])
-        elif kind == "restore_device":
-            self.topology.restore_device(op[1])
-            self._failed_devices.discard(op[1])
-        elif kind == "degrade_link":
-            self.topology.degrade_link(op[1], op[2])
-            self._degraded_links.add(op[1])
-        elif kind == "restore_link":
-            self.topology.restore_link(op[1])
-            self._degraded_links.discard(op[1])
-        elif kind == "shrink_memory":
-            self.topology.shrink_device_memory(op[1], op[2])
-            self._shrunk_devices.add(op[1])
-        elif kind == "restore_memory":
-            self.topology.restore_device_memory(op[1])
-            self._shrunk_devices.discard(op[1])
 
     # Per-attempt faults -------------------------------------------------
     def attempt_fault(self, tenant: str, label: str,
@@ -148,12 +135,8 @@ class FaultInjector:
         after ``run()`` the topology is as healthy as the injector found
         it, even when the plan scheduled no recovery.
         """
-        for name in sorted(self._failed_devices):
-            self.topology.restore_device(name)
-        for name in sorted(self._degraded_links):
-            self.topology.restore_link(name)
-        for name in sorted(self._shrunk_devices):
-            self.topology.restore_device_memory(name)
-        self._failed_devices.clear()
-        self._degraded_links.clear()
-        self._shrunk_devices.clear()
+        # Kinds sort device failures, then link degradations, then memory
+        # shrinks; targets sort by name within a kind.
+        for key in sorted(self._applied):
+            self._applied[key]()
+        self._applied.clear()

@@ -23,7 +23,6 @@ from .trace import (
     QueryTrace,
     Span,
     TraceEvent,
-    TracedQuery,
     dumps_line,
 )
 from .tracer import Tracer
@@ -35,7 +34,6 @@ __all__ = [
     "QueryTrace",
     "Span",
     "TraceEvent",
-    "TracedQuery",
     "Tracer",
     "VOLATILE_SPAN_KEYS",
     "critical_path",

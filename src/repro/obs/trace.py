@@ -20,9 +20,10 @@ Two trace granularities share one vocabulary:
   seconds starting at zero.
 * :class:`EpochTrace` — one serving epoch: the server's lifecycle
   :class:`TraceEvent` log (submit/admit/dispatch, preemption, retries,
-  failovers, breaker and fault transitions, SLO grading), one
-  :class:`TracedQuery` row per ticket, the per-query traces shifted to
-  server time, and the occupancy board's server-time reservations.
+  failovers, breaker and fault transitions, SLO grading), the epoch's
+  own :class:`~repro.server.lifecycle.QueryTicket`\\ s with their
+  per-query traces shifted to server time, and the occupancy board's
+  server-time reservations.
 
 Both render to two formats:
 
@@ -41,18 +42,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from ..hardware.clock import TaskRecord
 from ..stats.cardinality import q_error
 from .critical import CriticalPath, critical_path
+
+if TYPE_CHECKING:
+    from ..server.lifecycle import QueryTicket
 
 __all__ = [
     "EpochTrace",
     "QueryTrace",
     "Span",
     "TraceEvent",
-    "TracedQuery",
     "dumps_line",
     "holders_label",
 ]
@@ -165,8 +168,28 @@ class TraceEvent:
         return payload
 
 
+class _Exporter:
+    """The JSONL and Chrome file writers both trace classes share.
+
+    A subclass supplies ``_lines`` (the JSONL objects) and ``to_chrome``.
+    """
+
+    def to_jsonl(self) -> str:
+        """Canonical byte-stable structured log (one JSON object per line)."""
+        return "\n".join(dumps_line(line) for line in self._lines()) + "\n"
+
+    def write_jsonl(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.to_jsonl())
+
+    def write_chrome(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(dumps_line(self.to_chrome()))
+            handle.write("\n")
+
+
 @dataclass
-class QueryTrace:
+class QueryTrace(_Exporter):
     """Operator spans plus raw task slices of one executed query."""
 
     spans: list[Span]
@@ -195,20 +218,33 @@ class QueryTrace:
             "morsels": self.morsels_dispatched,
             "spans": len(self.spans), "tasks": len(self.tasks),
         }]
-        for span in self.spans:
-            lines.append({"kind": "span", **span.to_dict()})
-        for record in self.tasks:
-            lines.append({"kind": "task", "resource": record.resource,
-                          "label": record.label, "start": record.start,
-                          "end": record.end})
+        lines.extend(self._timed_lines())
         for name in sorted(self.link_bytes):
             lines.append({"kind": "link", "link": name,
                           "bytes": self.link_bytes[name]})
         return lines
 
-    def to_jsonl(self) -> str:
-        """Canonical byte-stable structured log (one JSON object per line)."""
-        return "\n".join(dumps_line(line) for line in self._lines()) + "\n"
+    def _timed_lines(self, offset: float = 0.0,
+                     ticket: int | None = None) -> list[dict[str, object]]:
+        """The span and task lines, times shifted by ``offset``.
+
+        An epoch trace passes the ticket's server-time start and id: its
+        lines carry a ``ticket`` tag and its task lines are ``qtask``.
+        """
+        tag = {} if ticket is None else {"ticket": ticket}
+        task = "task" if ticket is None else "qtask"
+        lines: list[dict[str, object]] = []
+        for span in self.spans:
+            payload = span.to_dict()
+            payload["start"] = offset + span.start
+            payload["end"] = offset + span.end
+            lines.append({"kind": "span", **tag, **payload})
+        for record in self.tasks:
+            lines.append({"kind": task, **tag, "resource": record.resource,
+                          "label": record.label,
+                          "start": offset + record.start,
+                          "end": offset + record.end})
+        return lines
 
     def timing_jsonl(self) -> str:
         """Like :meth:`to_jsonl` with cache-warmth attributes stripped.
@@ -238,17 +274,8 @@ class QueryTrace:
             _meta("process_name", 2, 0, "operators"),
             _meta("thread_name", 2, 1, "plan"),
         ]
-        resources = sorted({record.resource for record in self.tasks})
-        tids = {name: index + 1 for index, name in enumerate(resources)}
-        for name in resources:
-            events.append(_meta("thread_name", 1, tids[name], name))
-        for record in self.tasks:
-            events.append({
-                "ph": "X", "pid": 1, "tid": tids[record.resource],
-                "cat": "task", "name": record.label,
-                "ts": record.start * 1e6,
-                "dur": (record.end - record.start) * 1e6,
-            })
+        tids = _threads(events, 1, {record.resource for record in self.tasks})
+        events.extend(_busy(record, tids, "task") for record in self.tasks)
         for span in self.spans:
             args = {key: value for key, value in span.to_dict().items()
                     if key not in ("start", "end")}
@@ -275,52 +302,25 @@ class QueryTrace:
                           "makespan_ms": self.makespan * 1e3},
         }
 
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-
-    def write_chrome(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dumps_line(self.to_chrome()))
-            handle.write("\n")
-
 
 @dataclass
-class TracedQuery:
-    """One ticket's row in an epoch trace (server-time seconds)."""
-
-    ticket: int
-    tenant: str
-    label: str
-    status: str
-    mode: str
-    final_mode: str
-    submit: float
-    start: float
-    finish: float
-    simulated_seconds: float = 0.0
-    #: The successful attempt's query trace (query-local times; shift by
-    #: :attr:`start` for server time).  ``None`` for failed/rejected
-    #: tickets and for epochs served without session tracing.
-    trace: QueryTrace | None = None
-
-
-@dataclass
-class EpochTrace:
-    """One serving epoch: event log, per-ticket rows, occupancy slices."""
+class EpochTrace(_Exporter):
+    """One serving epoch: event log, the epoch's tickets, occupancy slices."""
 
     makespan: float
     events: list[TraceEvent]
-    queries: list[TracedQuery]
+    #: The epoch report's own ticket list, in submission order (server
+    #: times; a ticket's :attr:`~repro.server.lifecycle.QueryTicket.trace`
+    #: is query-local, shifted by its ``start_time``).
+    queries: list[QueryTicket]
     #: The occupancy board's server-time reservations, sorted by
     #: (start, resource, label); labels are ``tenant:query``.
     occupancy: list[TaskRecord]
 
     # ------------------------------------------------------------------
     def query(self, label: str, *, tenant: str | None = None
-              ) -> TracedQuery | None:
-        """The first ticket row matching ``label`` (and ``tenant``)."""
+              ) -> QueryTicket | None:
+        """The first ticket matching ``label`` (and ``tenant``)."""
         for row in self.queries:
             if row.label == label and (tenant is None or row.tenant == tenant):
                 return row
@@ -328,7 +328,7 @@ class EpochTrace:
 
     def critical_paths(self) -> dict[int, CriticalPath]:
         """Per-ticket critical paths for every completed traced query."""
-        return {row.ticket: row.trace.critical_path()
+        return {row.ticket_id: row.trace.critical_path()
                 for row in self.queries
                 if row.status == "completed" and row.trace is not None}
 
@@ -342,35 +342,21 @@ class EpochTrace:
             lines.append({"kind": "event", **event.to_dict()})
         for row in self.queries:
             lines.append({
-                "kind": "query", "ticket": row.ticket, "tenant": row.tenant,
-                "label": row.label, "status": row.status, "mode": row.mode,
-                "final_mode": row.final_mode, "submit": row.submit,
-                "start": row.start, "finish": row.finish,
+                "kind": "query", "ticket": row.ticket_id,
+                "tenant": row.tenant, "label": row.label,
+                "status": row.status, "mode": row.mode,
+                "final_mode": row.final_mode, "submit": row.submit_time,
+                "start": row.start_time, "finish": row.finish_time,
                 "simulated_seconds": row.simulated_seconds,
             })
-            if row.trace is None:
-                continue
-            for span in row.trace.spans:
-                payload = span.to_dict()
-                payload["start"] = row.start + span.start
-                payload["end"] = row.start + span.end
-                lines.append({"kind": "span", "ticket": row.ticket, **payload})
-            for record in row.trace.tasks:
-                lines.append({
-                    "kind": "qtask", "ticket": row.ticket,
-                    "resource": record.resource, "label": record.label,
-                    "start": row.start + record.start,
-                    "end": row.start + record.end,
-                })
+            if row.trace is not None:
+                lines.extend(row.trace._timed_lines(row.start_time,
+                                                    row.ticket_id))
         for record in self.occupancy:
             lines.append({"kind": "occupancy", "resource": record.resource,
                           "label": record.label, "start": record.start,
                           "end": record.end})
         return lines
-
-    def to_jsonl(self) -> str:
-        """Canonical byte-stable structured log of the whole epoch."""
-        return "\n".join(dumps_line(line) for line in self._lines()) + "\n"
 
     # ------------------------------------------------------------------
     def to_chrome(self) -> dict:
@@ -378,7 +364,8 @@ class EpochTrace:
 
         Track layout: pid 1 has one thread per device/link carrying the
         occupancy board's server-time reservations; pid 2 has one thread
-        per tenant carrying a slice per completed/failed ticket; pid 3
+        per tenant carrying a slice per ticket that was not rejected —
+        from its start when it completed, else from its submission; pid 3
         carries the server's lifecycle events as instants.
         """
         events: list[dict[str, object]] = [
@@ -387,34 +374,26 @@ class EpochTrace:
             _meta("process_name", 3, 0, "server"),
             _meta("thread_name", 3, 1, "events"),
         ]
-        resources = sorted({record.resource for record in self.occupancy})
-        resource_tids = {name: index + 1
-                         for index, name in enumerate(resources)}
-        for name in resources:
-            events.append(_meta("thread_name", 1, resource_tids[name], name))
-        tenants = sorted({row.tenant for row in self.queries})
-        tenant_tids = {name: index + 1 for index, name in enumerate(tenants)}
-        for name in tenants:
-            events.append(_meta("thread_name", 2, tenant_tids[name], name))
-        for record in self.occupancy:
-            events.append({
-                "ph": "X", "pid": 1, "tid": resource_tids[record.resource],
-                "cat": "occupancy", "name": record.label,
-                "ts": record.start * 1e6,
-                "dur": (record.end - record.start) * 1e6,
-            })
+        resource_tids = _threads(
+            events, 1, {record.resource for record in self.occupancy})
+        tenant_tids = _threads(events, 2, {row.tenant for row in self.queries})
+        events.extend(_busy(record, resource_tids, "occupancy")
+                      for record in self.occupancy)
         for row in self.queries:
-            if row.status in ("rejected",) or row.finish < row.start:
+            completed = row.status == "completed"
+            start = row.start_time if completed else row.submit_time
+            if row.status == "rejected" or row.finish_time < start:
                 continue
+            args = {"ticket": row.ticket_id, "mode": row.mode,
+                    "final_mode": row.final_mode,
+                    "simulated_seconds": row.simulated_seconds}
+            if completed:
+                args["queue_wait_s"] = row.queue_wait
             events.append({
                 "ph": "X", "pid": 2, "tid": tenant_tids[row.tenant],
                 "cat": "query", "name": f"{row.label} [{row.status}]",
-                "ts": row.start * 1e6,
-                "dur": max(row.finish - row.start, 0.0) * 1e6,
-                "args": {"ticket": row.ticket, "mode": row.mode,
-                         "final_mode": row.final_mode,
-                         "queue_wait_s": row.start - row.submit,
-                         "simulated_seconds": row.simulated_seconds},
+                "ts": start * 1e6,
+                "dur": (row.finish_time - start) * 1e6, "args": args,
             })
         for event in self.events:
             events.append({
@@ -429,18 +408,26 @@ class EpochTrace:
                           "queries": len(self.queries)},
         }
 
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-
-    def write_chrome(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dumps_line(self.to_chrome()))
-            handle.write("\n")
-
 
 def _meta(name: str, pid: int, tid: int, value: str) -> dict[str, object]:
     """A Chrome trace metadata event (process/thread naming)."""
     return {"ph": "M", "pid": pid, "tid": tid, "name": name,
             "args": {"name": value}}
+
+
+def _threads(events: list[dict[str, object]], pid: int,
+             names: Iterable[str]) -> dict[str, int]:
+    """Number one thread of ``pid`` per name (sorted, from 1), append
+    their naming events and return the numbering."""
+    tids = {name: index + 1 for index, name in enumerate(sorted(names))}
+    events.extend(_meta("thread_name", pid, tid, name)
+                  for name, tid in tids.items())
+    return tids
+
+
+def _busy(record: TaskRecord, tids: Mapping[str, int],
+          cat: str) -> dict[str, object]:
+    """A device/link busy slice on its resource's pid-1 thread."""
+    return {"ph": "X", "pid": 1, "tid": tids[record.resource], "cat": cat,
+            "name": record.label, "ts": record.start * 1e6,
+            "dur": (record.end - record.start) * 1e6}

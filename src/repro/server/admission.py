@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import AdmissionError, ServingError, UnknownTenantError
@@ -126,6 +126,19 @@ class _Queued:
     at: float
 
 
+@dataclass
+class _Tenant:
+    """One tenant's admission state: its fixed policy, its queue and what
+    it has in flight."""
+
+    policy: TenantPolicy
+    queue: deque[_Queued] = field(default_factory=deque)
+    running: int = 0
+    in_flight_bytes: int = 0
+    #: Dispatches granted so far (round-robin fairness within a class).
+    dispatched: int = 0
+
+
 class AdmissionController:
     """Bounded, budgeted, priority-and-fairness-aware dispatch queues.
 
@@ -142,12 +155,7 @@ class AdmissionController:
         if aging_seconds is not None and aging_seconds <= 0.0:
             raise ValueError("aging_seconds must be positive or None")
         self.aging_seconds = aging_seconds
-        self._policies: dict[str, TenantPolicy] = {}
-        self._queues: dict[str, deque[_Queued]] = {}
-        self._running: dict[str, int] = {}
-        self._in_flight_bytes: dict[str, int] = {}
-        self._dispatched: dict[str, int] = {}
-        self._rejected: dict[str, int] = {}
+        self._tenants: dict[str, _Tenant] = {}
         self._arrivals = itertools.count()
 
     # ------------------------------------------------------------------
@@ -156,25 +164,23 @@ class AdmissionController:
     def open_tenant(self, name: str,
                     policy: TenantPolicy | None = None) -> TenantPolicy:
         """Register a tenant; its policy is fixed for the tenant's lifetime."""
-        if name in self._policies:
+        if name in self._tenants:
             raise ServingError(f"tenant {name!r} is already open")
         policy = policy or TenantPolicy()
-        self._policies[name] = policy
-        self._queues[name] = deque()
-        self._running[name] = 0
-        self._in_flight_bytes[name] = 0
-        self._dispatched[name] = 0
-        self._rejected[name] = 0
+        self._tenants[name] = _Tenant(policy)
         return policy
 
     def has_tenant(self, name: str) -> bool:
-        return name in self._policies
+        return name in self._tenants
 
-    def policy(self, name: str) -> TenantPolicy:
+    def _tenant(self, name: str) -> _Tenant:
         try:
-            return self._policies[name]
+            return self._tenants[name]
         except KeyError as exc:
             raise UnknownTenantError(f"unknown tenant {name!r}") from exc
+
+    def policy(self, name: str) -> TenantPolicy:
+        return self._tenant(name).policy
 
     # ------------------------------------------------------------------
     # Submission (backpressure happens here)
@@ -183,20 +189,19 @@ class AdmissionController:
                at: float = 0.0) -> None:
         """Queue one submission or raise :class:`AdmissionError`.
 
-        Rejections are immediate and counted: a full queue (backpressure)
-        or an estimate that exceeds the tenant's whole memory budget (the
-        query could never be admitted).
+        Rejections are immediate: a full queue (backpressure) or an
+        estimate that exceeds the tenant's whole memory budget (the query
+        could never be admitted).
         """
-        policy = self.policy(tenant)
+        state = self._tenant(tenant)
+        policy = state.policy
         if (policy.memory_budget_bytes is not None
                 and estimated_bytes > policy.memory_budget_bytes):
-            self._rejected[tenant] += 1
             raise AdmissionError(
                 tenant, f"query needs ~{estimated_bytes} bytes, over the "
                         f"{policy.memory_budget_bytes} byte tenant budget")
-        queue = self._queues[tenant]
+        queue = state.queue
         if len(queue) >= policy.max_queue_depth:
-            self._rejected[tenant] += 1
             raise AdmissionError(
                 tenant, f"queue full at depth {len(queue)} (backpressure); "
                         "retry after completions drain")
@@ -216,8 +221,7 @@ class AdmissionController:
         any queued entry with a later submit time — a retry must not be
         head-of-line blocked by a query that has not yet arrived.
         """
-        self.policy(tenant)
-        queue = self._queues[tenant]
+        queue = self._tenant(tenant).queue
         entry = _Queued(seq=next(self._arrivals), item=item,
                         estimated_bytes=int(estimated_bytes), at=float(at))
         index = len(queue)
@@ -253,35 +257,37 @@ class AdmissionController:
         """
         best_key: tuple[int, int, int] | None = None
         best_tenant: str | None = None
-        for tenant, queue in self._queues.items():
-            if not queue:
+        for tenant, state in self._tenants.items():
+            if not state.queue:
                 continue
-            head = queue[0]
+            head = state.queue[0]
             if head.at > now:
                 continue
-            policy = self._policies[tenant]
-            if self._running[tenant] >= policy.max_concurrency:
+            policy = state.policy
+            if state.running >= policy.max_concurrency:
                 continue
             if (policy.memory_budget_bytes is not None
-                    and self._in_flight_bytes[tenant] + head.estimated_bytes
+                    and state.in_flight_bytes + head.estimated_bytes
                     > policy.memory_budget_bytes):
                 continue
             key = (self.aged_rank(policy.rank, now - head.at),
-                   self._dispatched[tenant], head.seq)
+                   state.dispatched, head.seq)
             if best_key is None or key < best_key:
                 best_key, best_tenant = key, tenant
         if best_tenant is None:
             return None
-        head = self._queues[best_tenant].popleft()
-        self._running[best_tenant] += 1
-        self._in_flight_bytes[best_tenant] += head.estimated_bytes
-        self._dispatched[best_tenant] += 1
+        state = self._tenants[best_tenant]
+        head = state.queue.popleft()
+        state.running += 1
+        state.in_flight_bytes += head.estimated_bytes
+        state.dispatched += 1
         return best_tenant, head.item, head.estimated_bytes
 
     def on_finish(self, tenant: str, estimated_bytes: int) -> None:
         """Release the concurrency slot and memory headroom of one query."""
-        self._running[tenant] -= 1
-        self._in_flight_bytes[tenant] -= int(estimated_bytes)
+        state = self._tenants[tenant]
+        state.running -= 1
+        state.in_flight_bytes -= int(estimated_bytes)
 
     def abort_epoch(self) -> None:
         """Drop all queued work and in-flight accounting (epoch unwind).
@@ -289,39 +295,32 @@ class AdmissionController:
         Used by the server's exception-safe drain: after a fatal epoch
         error the queues are cleared and every concurrency slot and memory
         reservation is released, so the controller is coherent for the
-        next epoch.  Dispatch counters (fairness) and rejection counters
-        survive — they describe history, not in-flight state.
+        next epoch.  Dispatch counters (fairness) survive — they describe
+        history, not in-flight state.
         """
-        for queue in self._queues.values():
-            queue.clear()
-        for tenant in self._running:
-            self._running[tenant] = 0
-            self._in_flight_bytes[tenant] = 0
+        for state in self._tenants.values():
+            state.queue.clear()
+            state.running = 0
+            state.in_flight_bytes = 0
 
     # ------------------------------------------------------------------
     # Event-loop introspection
     # ------------------------------------------------------------------
     def has_queued(self) -> bool:
-        return any(self._queues.values())
+        return any(state.queue for state in self._tenants.values())
 
     def earliest_future_submit(self, now: float) -> float | None:
         """Next queue-head submit time strictly after ``now`` (if any)."""
-        future = [queue[0].at for queue in self._queues.values()
-                  if queue and queue[0].at > now]
+        future = [state.queue[0].at for state in self._tenants.values()
+                  if state.queue and state.queue[0].at > now]
         return min(future) if future else None
 
     def queue_depth(self, tenant: str) -> int:
-        self.policy(tenant)
-        return len(self._queues[tenant])
+        return len(self._tenant(tenant).queue)
 
     def running(self, tenant: str) -> int:
-        self.policy(tenant)
-        return self._running[tenant]
-
-    def rejected(self, tenant: str) -> int:
-        self.policy(tenant)
-        return self._rejected[tenant]
+        return self._tenant(tenant).running
 
     @property
     def tenants(self) -> tuple[str, ...]:
-        return tuple(self._policies)
+        return tuple(self._tenants)

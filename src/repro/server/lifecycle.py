@@ -49,6 +49,7 @@ from ..errors import (
     ServingError,
 )
 from ..faults import CircuitBreaker
+from ..obs.trace import QueryTrace
 from ..obs.tracer import Tracer
 from ..relational.logical import LogicalPlan
 from .admission import AdmissionController, RetryPolicy
@@ -141,6 +142,13 @@ class QueryTicket:
     @property
     def simulated_seconds(self) -> float:
         return self.result.simulated_seconds if self.result else 0.0
+
+    @property
+    def trace(self) -> QueryTrace | None:
+        """The successful attempt's query trace (query-local times; shift
+        by :attr:`start_time` for server time).  ``None`` for a ticket
+        that did not complete and in an epoch served without tracing."""
+        return self.result.trace if self.result is not None else None
 
     @property
     def final_mode(self) -> str:

@@ -79,7 +79,7 @@ from ..errors import (
 )
 from ..faults import CircuitBreaker, FaultInjector, FaultPlan
 from ..hardware.topology import Topology, default_server
-from ..obs.trace import EpochTrace, TracedQuery
+from ..obs.trace import EpochTrace
 from ..obs.tracer import Tracer
 from ..relational.logical import LogicalPlan
 from ..storage.catalog import Catalog
@@ -928,10 +928,10 @@ class QueryServer:
         """Assemble the epoch's trace from the tracer's committed events.
 
         Called once per epoch on the coordinator thread after the report
-        is built: SLO grades are appended (sorted by tenant), per-query
-        traces are collected in submission (ticket) order and the shared
-        occupancy board is snapshotted.  Draining the tracer here also
-        guarantees an aborted epoch cannot leak events into the next one.
+        is built: SLO grades are appended (sorted by tenant), the report's
+        tickets become the trace's rows and the shared occupancy board is
+        snapshotted.  Draining the tracer here also guarantees an aborted
+        epoch cannot leak events into the next one.
         """
         if not self.tracer.enabled:
             return None
@@ -943,21 +943,9 @@ class QueryServer:
                               met=bool(tenant.slo_met),
                               p99=tenant.percentile_latency(99),
                               objective=tenant.slo_p99_seconds)
-        queries = []
-        for ticket in report.tickets:
-            result = ticket.result
-            queries.append(TracedQuery(
-                ticket=ticket.ticket_id, tenant=ticket.tenant,
-                label=ticket.label, status=ticket.status,
-                mode=ticket.mode, final_mode=ticket.current_mode,
-                submit=ticket.submit_time, start=ticket.start_time,
-                finish=ticket.finish_time,
-                simulated_seconds=(result.simulated_seconds
-                                   if result is not None else 0.0),
-                trace=result.trace if result is not None else None))
         return EpochTrace(makespan=report.makespan,
                           events=self.tracer.drain(),
-                          queries=queries,
+                          queries=report.tickets,
                           occupancy=list(self.topology.occupancy.records()))
 
     def metrics(self) -> MetricsSnapshot:

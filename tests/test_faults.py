@@ -226,6 +226,23 @@ def _q1_like(tpch_dataset):
 # ----------------------------------------------------------------------
 # FaultPlan / FaultInjector
 # ----------------------------------------------------------------------
+def _faulted(topology) -> set[tuple[str, str]]:
+    """What differs from a fresh topology, as (device or link, fault)."""
+    nominal = default_server()
+    faulted = set()
+    for device in topology.devices:
+        if not device.is_available:
+            faulted.add((device.name, "failed"))
+        if (device.spec.memory_capacity_bytes
+                != nominal.device(device.name).spec.memory_capacity_bytes):
+            faulted.add((device.name, "shrunk"))
+    for link in topology.links:
+        if (link.spec.bandwidth_gib_s
+                != nominal.link(link.name).spec.bandwidth_gib_s):
+            faulted.add((link.name, "degraded"))
+    return faulted
+
+
 class TestFaultPlanAndInjector:
     def test_plan_builder_and_validation(self):
         plan = (FaultPlan(seed=13)
@@ -248,25 +265,47 @@ class TestFaultPlanAndInjector:
             from repro.faults import FaultEvent
             FaultEvent(kind="meteor", target="gpu0", at=0.0)
 
-    def test_injector_timeline_apply_and_restore(self):
+    @pytest.mark.parametrize("plan,failed_outside,steps,after_restore", [
+        # A failure healed by its recovery; a shrink nothing restores.
+        (FaultPlan().fail_device("gpu0", at=1.0, recover_at=2.0)
+         .shrink_device_memory("gpu1", at=1.0, factor=0.5), (),
+         [(0.5, [], set(), 1.0),
+          (1.0, ["gpu0"], {("gpu0", "failed"), ("gpu1", "shrunk")}, 2.0),
+          # Recovery, not a new failure.
+          (2.0, [], {("gpu1", "shrunk")}, None)], set()),
+        # One degradation undone by its ``until``, one by epoch teardown.
+        (FaultPlan().degrade_link("pcie0", at=1.0, factor=0.25, restore_at=2.0)
+         .degrade_link("pcie1", at=1.5, factor=0.5), (),
+         [(1.0, [], {("pcie0", "degraded")}, 1.5),
+          (1.5, [], {("pcie0", "degraded"), ("pcie1", "degraded")}, 2.0),
+          (2.0, [], {("pcie1", "degraded")}, None)], set()),
+        # Overlapping failures of one device: the second is not a new
+        # failure, and the first recovery heals the device.
+        (FaultPlan().fail_device("gpu0", at=1.0, recover_at=3.0)
+         .fail_device("gpu0", at=2.0, recover_at=4.0), (),
+         [(1.0, ["gpu0"], {("gpu0", "failed")}, 2.0),
+          (2.0, [], {("gpu0", "failed")}, 3.0),
+          (3.0, [], set(), 4.0),
+          (4.0, [], set(), None)], set()),
+        # A device failed outside the injector stays failed at teardown.
+        (FaultPlan().fail_device("gpu0", at=1.0), ("gpu1",),
+         [(1.0, ["gpu0"], {("gpu0", "failed"), ("gpu1", "failed")}, None)],
+         {("gpu1", "failed")}),
+    ], ids=["failure-and-shrink", "link-degradation", "overlapping-failures",
+            "failed-outside"])
+    def test_injector_timeline_apply_and_restore(self, plan, failed_outside,
+                                                 steps, after_restore):
         topology = default_server()
-        plan = (FaultPlan()
-                .fail_device("gpu0", at=1.0, recover_at=2.0)
-                .shrink_device_memory("gpu1", at=1.0, factor=0.5))
+        for name in failed_outside:
+            topology.fail_device(name)
         injector = FaultInjector(plan, topology)
-        assert injector.next_event_time(0.0) == 1.0
-        assert injector.advance(0.5) == []
-        assert injector.advance(1.0) == ["gpu0"]
-        assert not topology.device("gpu0").is_available
-        assert topology.device("gpu1").spec.memory_capacity_bytes < \
-            gtx_1080().memory_capacity_bytes
-        assert injector.next_event_time(1.0) == 2.0
-        assert injector.advance(2.0) == []  # recovery, not a new failure
-        assert topology.device("gpu0").is_available
+        for now, newly_failed, faulted, next_time in steps:
+            assert injector.advance(now) == newly_failed
+            assert _faulted(topology) == faulted
+            assert injector.next_event_time(now) == next_time
         # Epoch teardown undoes what the plan never restored.
         injector.restore_all()
-        assert topology.device("gpu1").spec.memory_capacity_bytes == \
-            gtx_1080().memory_capacity_bytes
+        assert _faulted(topology) == after_restore
 
     def test_attempt_faults_are_seed_deterministic(self):
         def draws(seed):

@@ -277,7 +277,8 @@ class TestEpochTrace:
         # The chaos epoch exercises the full lifecycle vocabulary.
         assert {"submit", "admit", "dispatch", "complete", "failover",
                 "retry", "preempt", "device_health", "slo"} <= kinds
-        assert len(trace.queries) == len(report.tickets)
+        # The trace's rows are the report's own tickets.
+        assert trace.queries is report.tickets
         assert trace.query("Q1", tenant="batch") is not None
         assert trace.occupancy
         # Completed queries carry shifted per-query traces and paths.
@@ -329,6 +330,31 @@ class TestEpochTrace:
         server.drop_table("region")
         kinds = [event.kind for event in server.tracer.drain()]
         assert kinds.count("cache_invalidation") == 2
+
+    def test_chrome_draws_unfinished_ticket_from_submit(self, tpch_dataset,
+                                                        plans):
+        probe = HAPEEngine(default_server())
+        probe.register_dataset(tpch_dataset.tables)
+        sim = probe.execute(plans["Q9"], "cpu").simulated_seconds
+        server = QueryServer(default_server(), tracing=True)
+        server.register_dataset(tpch_dataset.tables)
+        first = server.submit("t", plans["Q9"], "cpu", label="first")
+        # Times out in its queue, behind ``first``, without ever starting.
+        starved = server.submit("t", plans["Q9"], "cpu", label="starved",
+                                at=sim * 0.25, deadline=sim * 0.25)
+        server.run()
+        assert (first.status, starved.status) == ("completed", "timed_out")
+        slices = {event["args"]["ticket"]: event
+                  for event in server.last_trace.to_chrome()["traceEvents"]
+                  if event.get("cat") == "query"}
+        assert slices[first.ticket_id]["ts"] == first.start_time * 1e6
+        assert (slices[first.ticket_id]["args"]["queue_wait_s"]
+                == first.queue_wait)
+        drawn = slices[starved.ticket_id]
+        assert drawn["ts"] == starved.submit_time * 1e6
+        assert drawn["dur"] == pytest.approx(
+            (starved.finish_time - starved.submit_time) * 1e6)
+        assert "queue_wait_s" not in drawn["args"]
 
     def test_epoch_chrome_export(self, tpch_dataset, plans, tmp_path):
         server = _chaos_server(tpch_dataset, plans)

@@ -31,6 +31,7 @@ from repro.engine import HAPEEngine
 from repro.errors import ServingError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
+from repro.obs import dumps_line
 from repro.server import (
     Arrival,
     ArrivalSource,
@@ -584,6 +585,13 @@ class TestOneReservationPerAttempt:
     #: shared kernel-cache entries (three hybrid tickets read entries their
     #: cpu predecessors wrote); the schedule digest above did not.
     DIGEST = "677e271fe3d31161ce10cf37e2fa65c76bdd398a013392d34b2457ac1491e545"
+    #: sha256 of the Chrome exports: the epoch's, and the first ticket's
+    #: query trace.  Every ticket of the epoch completes, so no slice is
+    #: drawn for an unfinished one.
+    CHROME_DIGEST = (
+        "0c1a04abb1c9d8e7f82882816e70a10406302554e93a6b0946b63635d6ed9cc0")
+    QUERY_CHROME_DIGEST = (
+        "e4758d6e0f0422bcfa0b039fa980b36f4d42e7c0c473f40221298eb01ebd9ac7")
 
     @staticmethod
     def _epoch(tpch_dataset, workers: int) -> QueryServer:
@@ -639,3 +647,8 @@ class TestOneReservationPerAttempt:
         digest = hashlib.sha256(
             (repr(schedule) + trace.to_jsonl()).encode()).hexdigest()
         assert digest == self.DIGEST
+        assert hashlib.sha256(dumps_line(
+            trace.to_chrome()).encode()).hexdigest() == self.CHROME_DIGEST
+        assert hashlib.sha256(dumps_line(
+            report.tickets[0].result.trace.to_chrome()).encode()
+        ).hexdigest() == self.QUERY_CHROME_DIGEST
