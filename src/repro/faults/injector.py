@@ -13,8 +13,6 @@ places.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -63,10 +61,11 @@ class FaultInjector:
                 ops.append((event.until, len(ops), event, True))
         self._ops = sorted(ops)
         self._cursor = 0
-        # The undo of every fault in force, keyed by (kind, target), is
-        # what epoch end restores (faults are epoch-scoped; manual
+        # The events in force on every (kind, target), oldest first: the
+        # newest is what the target shows, and epoch end undoes every
+        # target still holding one (faults are epoch-scoped; manual
         # topology mutations made outside the injector persist).
-        self._applied: dict[tuple[str, str], Callable[[], None]] = {}
+        self._applied: dict[tuple[str, str], list[FaultEvent]] = {}
 
     # Timeline -----------------------------------------------------------
     def next_event_time(self, now: float) -> float | None:
@@ -88,20 +87,29 @@ class FaultInjector:
             if at > now:
                 break
             key = (event.kind, event.target)
-            strike, heal = _METHODS[event.kind]
-            undo = partial(getattr(self.topology, heal), event.target)
-            if heals:
-                self._applied.pop(key, None)
-                undo()
+            in_force = self._applied.setdefault(key, [])
+            if heals:   # its own event ends; an overlapping one may not
+                in_force.remove(event)
             else:
-                failure = event.kind == "device_failure"
-                if failure and self.topology.device(event.target).is_available:
+                if (event.kind == "device_failure"
+                        and self.topology.device(event.target).is_available):
                     newly_failed.append(event.target)
-                getattr(self.topology, strike)(
-                    event.target, *(() if failure else (event.factor,)))
-                self._applied[key] = undo
+                in_force.append(event)
+            self._show(*key)
             self._cursor += 1
         return newly_failed
+
+    def _show(self, kind: str, target: str) -> None:
+        """Put the newest ``kind`` of fault in force on ``target`` (a
+        failure takes no factor), or take that kind off the target when
+        none is left."""
+        in_force = self._applied[kind, target]
+        if in_force:
+            args = () if kind == "device_failure" else (in_force[-1].factor,)
+            getattr(self.topology, _METHODS[kind][0])(target, *args)
+        else:
+            del self._applied[kind, target]
+            getattr(self.topology, _METHODS[kind][1])(target)
 
     # Per-attempt faults -------------------------------------------------
     def attempt_fault(self, tenant: str, label: str,
@@ -138,5 +146,5 @@ class FaultInjector:
         # Kinds sort device failures, then link degradations, then memory
         # shrinks; targets sort by name within a kind.
         for key in sorted(self._applied):
-            self._applied[key]()
-        self._applied.clear()
+            self._applied[key].clear()
+            self._show(*key)

@@ -119,7 +119,8 @@ def _group_rows(columns: Mapping[str, np.ndarray], group_by: Sequence[str],
         low = int(slots.min())
         size = int(slots.max()) - low + 1
     if size <= DIRECTORY_BUCKETS_PER_ROW * len(slots):
-        slots = slots - low if low else slots
+        # Widened: a narrow key's span may not fit its own width.
+        slots = np.subtract(slots, low, dtype=np.int64) if low else slots
         counts = np.bincount(slots, minlength=size)
         occupied = np.flatnonzero(counts)
         codes = occupied + low

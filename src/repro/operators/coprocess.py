@@ -152,8 +152,9 @@ def coprocessed_join_kernel(
     The matches are found once, as every partitioned join finds them
     (:class:`~repro.operators.radix.JoinSides`); each co-partition's
     build, probe and match rows are bucket counts (:func:`copartition_rows`,
-    the build bucket of every match), and :func:`coprocessed_stats` writes
-    the record from them.  ``gpu_specs`` supply tuning only, and the
+    the build bucket of every match — or the probe rows, when every probe
+    row matched once), and :func:`coprocessed_stats` writes the record
+    from them.  ``gpu_specs`` supply tuning only, and the
     record is identical for every ``output_order``.
     """
     sides = JoinSides(build, probe, build_keys=build_keys,
@@ -161,8 +162,10 @@ def coprocessed_join_kernel(
     record_kernel_invocation("coprocessed_radix_join")
     build_buckets, build_rows, probe_rows = copartition_rows(
         sides.widths, sides.build.domain.codes, sides.probe_codes, gpu_specs)
-    matches = np.bincount(build_buckets[sides.build_idx],
-                          minlength=len(build_rows))
+    # Every probe row matched once: a co-partition's matches are its probe
+    # rows, with no gather and no count.
+    matches = probe_rows if sides.probe_idx is None else np.bincount(
+        build_buckets[sides.build_idx], minlength=len(build_rows))
     return sides.gather(), coprocessed_stats(
         sides.widths, gpu_specs, build_rows.tolist(), probe_rows.tolist(),
         matches.tolist())

@@ -101,27 +101,26 @@ class HashJoinBuild:
         return self.joined(probe, *self.match(probe, probe_keys))
 
     def joined(self, probe: Rows, build_idx: np.ndarray,
-               probe_idx: np.ndarray, output_order: str = "probe") -> Rows:
+               probe_idx: np.ndarray | None,
+               output_order: str = "probe") -> Rows:
         """The output view of one probe batch's matches, in the canonical
         order ``output_order``: build columns at the build match positions,
         probe columns at the probe's composed onto theirs.
 
         The matches arrive probe-major with ties build-ascending (the
-        :meth:`JoinBuildIndex.probe` contract).  Over unique build keys the
-        probe positions ascend, so when every probe row matched they are
-        the rows as they are, and the probe columns stay put — a foreign
-        key probing its primary key's slot table: the gathered slots are
-        the build positions, nothing compacted or composed.  Build-major
-        is one stable sort of the build positions away: ties stay
-        probe-ascending.
+        :meth:`JoinBuildIndex.probe` contract); probe positions ``None``
+        are every probe row once, in order — a foreign key probing its
+        primary key's slot table: the gathered slots are the build
+        positions, and the probe columns stay put.  Build-major is one
+        stable sort of the build positions away: ties stay
+        probe-ascending, and over ``None`` the sort's permutation is the
+        probe positions.
         """
         if output_order == "build":
             order = np.argsort(build_idx, kind="stable")
-            return Rows.joined(self.rows, probe, build_idx[order],
-                               probe_idx[order])
-        unmoved = self.index.unique_keys and len(probe_idx) == probe.num_rows
-        return Rows.joined(self.rows, probe, build_idx,
-                           None if unmoved else probe_idx)
+            build_idx, probe_idx = build_idx[order], (
+                order if probe_idx is None else probe_idx[order])
+        return Rows.joined(self.rows, probe, build_idx, probe_idx)
 
 
 def check_output_order(output_order: str) -> None:

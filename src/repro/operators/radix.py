@@ -28,8 +28,8 @@ order, gathers every payload column once, and writes the record from the
 row and match counts.  The CPU radix join, the in-GPU partitioned join
 and the co-processed join of :mod:`repro.operators.coprocess` differ only
 in the tuning the record is written with.  Charges come from sizes (rows x
-the columns' own item sizes, :class:`JoinWidths`), so the ``int64`` key
-codes are the kernel's business and are charged to nobody, and
+the columns' own item sizes, :class:`JoinWidths`), so the key codes are
+the kernel's business and are charged to nobody, and
 :mod:`repro.perf` writes the record of a paper-scale join with the same
 :meth:`JoinWidths.record` and replays it through the same estimators.
 
@@ -180,8 +180,13 @@ class PartitionRunStats:
 
 def radix_buckets(keys: np.ndarray, fanout: int) -> np.ndarray:
     """The bucket (``0 .. fanout - 1``) every key falls into: its least
-    significant base-``fanout`` digit, ``key % fanout``."""
-    return np.asarray(keys, dtype=np.int64) % fanout
+    significant base-``fanout`` digit, ``key % fanout`` (floored), as
+    ``int64``.  For a power-of-two fan-out that digit is the key's low
+    bits, ``key & (fanout - 1)`` in two's complement, negative keys
+    included: one mask, no division."""
+    if fanout & (fanout - 1):
+        return np.asarray(keys, dtype=np.int64) % fanout
+    return np.bitwise_and(keys, fanout - 1, dtype=np.int64, casting="unsafe")
 
 
 def partition_positions(
@@ -346,7 +351,8 @@ class JoinSides:
     The build side is a :class:`~repro.operators.hashjoin.HashJoinBuild`
     (key coding, :class:`~repro.relational.keys.JoinBuildIndex`); the probe
     side is coded in its domain and matched in one probe, in the canonical
-    probe-major order, and :meth:`gather` fetches every payload column
+    probe-major order (``probe_idx`` ``None``: every probe row matched
+    once, in order), and :meth:`gather` fetches every payload column
     once through the build's ``Rows.joined`` view.  What is
     partition-specific is kept here: the tuple widths the record is
     charged by.

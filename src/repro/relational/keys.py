@@ -1,13 +1,16 @@
 """Exact key codes, and the equi-join index and group numbering over them.
 
-Every join and group-by reduces its key columns to one ``int64`` *code* per
+Every join and group-by reduces its key columns to one integer *code* per
 row before hashing, partitioning or matching, and nothing looks at the
 columns again — so the code is **injective**: two rows share a code iff
 their key tuples are equal, as NumPy ``==`` compares them (``1.0`` equals
 ``1``; ``NaN`` groups with ``NaN`` and joins nothing).  :class:`KeyDomain`
 takes the code's domain from the data of one *defining* side:
 
-* a single integer column is its own code (the value as ``int64``);
+* a single signed-integer column is its own code, as it stands and at its
+  own width (whoever subtracts a low from a code widens the difference
+  to ``int64``); an unsigned or bool column is widened to ``int64``, the
+  kind the index's fast paths take;
 * several integer columns are the digits of a mixed-radix number,
   ``sum((value_i - min_i) * stride_i)`` with the first column most
   significant, while the product of the column ranges fits 63 bits.  One
@@ -25,8 +28,8 @@ minimum and maximum lie in the build column's range is trusted and not
 compared row by row.  Codes order like the key tuples, and are as dense as
 the data allows — ``KeyDomain.size`` bounds them — which is what lets a
 group-by count its groups slot by slot (:meth:`KeyDomain.decode` gives
-back their key columns) and :class:`JoinBuildIndex` index build keys by
-counting.
+back their key columns) and :class:`JoinBuildIndex` place build keys by
+scattering or counting.
 
 This module depends only on NumPy and the expression AST.  The reference
 executor (:mod:`repro.relational.reference`) must not import it: the oracle
@@ -69,15 +72,24 @@ def _ranks(distinct: np.ndarray, values: np.ndarray,
     return ranks
 
 
+def _own_code(values: np.ndarray) -> np.ndarray:
+    """An integral column as its own code: a signed one as it is, at its
+    width (whoever subtracts a low from it widens the difference), others
+    widened to the ``int64`` the join index's fast paths take."""
+    return values if values.dtype.kind == "i" else values.astype(np.int64)
+
+
 class KeyDomain:
-    """The exact ``int64`` code of the key tuples of one defining side.
+    """The exact integer code of the key tuples of one defining side.
 
     ``KeyDomain(columns, keys).codes`` are the codes of the defining side's
     own rows (a group-by's input, a join's build side);
     :meth:`encode` codes another side against the same domain.  With no
     key columns every row is the one empty tuple, code 0.  ``size`` bounds
     the codes: they lie in ``0 .. size - 1`` (``None`` for a column that
-    is its own code).
+    is its own code — a signed one kept as it is, any width, so a
+    consumer subtracting a low takes the difference as ``int64``).  Every
+    other code is ``int64``.
     """
 
     __slots__ = ("codes", "size", "_steps")
@@ -95,7 +107,7 @@ class KeyDomain:
             self.codes, self.size = np.zeros(rows, dtype=np.int64), min(rows, 1)
         elif len(arrays) == 1 and _is_integral(arrays[0]):
             self._steps.append((None, 0, None, None))   # its own code
-            self.codes = arrays[0].astype(np.int64, copy=False)
+            self.codes = _own_code(arrays[0])
         else:
             self.codes, self.size = self._fold(arrays)
 
@@ -199,6 +211,8 @@ class KeyDomain:
         rows = len(arrays[0])   # a join has at least one key column
         if not (rows and len(self.codes)):
             return np.full(rows, -1, dtype=np.int64)
+        if self.size is None and _is_integral(arrays[0]):
+            return _own_code(arrays[0])
         # A column is checked when it is ranked, not integral, or strays
         # out of its step's range; a column that is its own code has none.
         checks = [distinct is not None or not _is_integral(values)
@@ -237,17 +251,21 @@ class JoinBuildIndex:
     ordered by probe position, concatenating per-morsel probe results
     reproduces the whole-column match list bit for bit.
 
-    Integer keys are counted by their offset ``key - min`` before anything
-    is ordered, and the counts pick one of four paths at build time:
+    Integer keys spanning fewer than ``SLOT_SPAN_PER_ROW`` values per row
+    that are not pigeonholed (``span + 1 >= rows``) are scattered, row by
+    row, into slots first; every other integer build — and one whose
+    scatter leaves fewer occupied slots than rows — is counted by offset
+    ``key - min`` before anything is ordered.  Four paths in all:
 
     * unique keys spanning fewer than ``SLOT_SPAN_PER_ROW`` values per row
       (primary keys, dense key codes, a filtered primary key) get a *slot
       table*: slot ``key - min + 1`` holds the build row with that key, or
-      -1.  A probe is one offset, one gather that clamps it (a key outside
-      the span reads an empty end slot) and one ``>= 0`` test; when every
-      probe key hits, the gathered rows are the match list as they stand.
-      Nothing is ordered.  Such keys are counted one per value, so a
-      duplicate shows before anything is placed;
+      -1.  The scatter that fills it proves the keys unique — ``rows``
+      occupied slots, no row overwritten — so nothing is counted or
+      ordered.  A probe is one offset, one gather that clamps it (a key
+      outside the span reads an empty end slot) and one ``>= 0`` test;
+      when every probe key hits, the gathered rows are the build positions
+      as they stand and the probe positions ``None``;
     * other keys get a *radix directory* over the sorted keys: bucket
       ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``.
       Keys spanning fewer values than the directory has buckets
@@ -287,13 +305,25 @@ class JoinBuildIndex:
             self._base = left_keys.min().astype(np.int64)
             span = int(left_keys.max()) - int(self._base)
             shift = (span // (DIRECTORY_BUCKETS_PER_ROW * rows)).bit_length()
-            # Keys a slot table could hold are counted one per value (their
-            # ``fine`` bucket ids order like them), so the counts tell a
-            # unique build before anything is placed; the last bucket of
-            # such a count is empty.
+            # Keys a slot table could hold have ``fine`` bucket ids, one
+            # per value, ordering like them.
             fine = span < SLOT_SPAN_PER_ROW * rows
             self._shift = np.uint64(0 if fine else shift)
             buckets = self._buckets(left_keys)
+            if fine and span + 1 >= rows:   # not pigeonholed: may be unique
+                # Every row scattered to slot ``key - min + 1``: when no
+                # row overwrote another, the keys are unique and this is
+                # the slot table, its first and last slot empty.
+                slots = np.full(span + 3, -1, dtype=np.int64)
+                slots[1:][buckets] = np.arange(rows)
+                if np.count_nonzero(slots >= 0) == rows:
+                    # No sorted copy is kept (see ``probe``).
+                    self._base = np.subtract(self._base, 1, dtype=np.int64)
+                    self._slots, self.order, self._depth = slots, None, 1
+                    self.sorted_keys, self.unique_keys = None, True
+                    return
+            # Repeated keys, or keys no slot table holds, are counted per
+            # bucket; a ``fine`` count's last bucket is empty.
             if span >> int(self._shift) < 1 << 16:
                 buckets = buckets.astype(np.uint16)
             counts = np.bincount(buckets, minlength=span + 2 if fine else 0)
@@ -303,33 +333,26 @@ class JoinBuildIndex:
                 counts = np.add.reduceat(counts,
                                          np.arange(0, span + 2, 1 << shift))
                 depth = int(counts.max())
-            if fine and depth == 1:
-                # Unique keys: the slot table, a key's row at slot
-                # ``key - min + 1``; the first and the last slot are empty.
-                self._base = np.subtract(self._base, 1, dtype=np.int64)
-                self._slots = np.full(span + 3, -1, dtype=np.int64)
-                self._slots[1:][buckets] = np.arange(rows)
-                self.order = None
-            elif not shift or depth <= DIRECTORY_MAX_DEPTH:
+            if not shift or depth <= DIRECTORY_MAX_DEPTH:
                 self._starts = np.cumsum(counts)
                 self._starts -= counts
                 if not shift:   # run lengths, as narrow as they fit
                     self._counts = counts.astype(np.min_scalar_type(depth))
             else:
                 depth = 0
-        if depth == 1 and not fine:
+        if depth == 1:
             # No bucket holds two keys, so bucket order is key order: the
             # counts place every row, nothing is sorted.
             self.order = np.empty(rows, dtype=np.int64)
             self.order[self._starts[buckets]] = np.arange(rows)
-        elif self._slots is None:
+        else:
             self.order = np.argsort(buckets if fine else left_keys,
                                     kind="stable")
         self._depth = depth
-        if self._slots is not None or self._counts is not None:
-            # Nothing searches these keys (see ``probe``): the slot table's
-            # are unique, an exact directory's repeat.
-            self.sorted_keys, self.unique_keys = None, depth == 1
+        if self._counts is not None:
+            # Nothing searches these keys (see ``probe``): an exact
+            # directory's repeat.
+            self.sorted_keys, self.unique_keys = None, False
             return
         self.sorted_keys = left_keys[self.order]
         self.unique_keys = depth == 1 or not np.any(
@@ -371,12 +394,13 @@ class JoinBuildIndex:
         return positions
 
     def probe(self, right_keys: np.ndarray,
-              ) -> tuple[np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray | None]:
         """Positions of all matching ``(left, right)`` pairs for one batch.
 
         The result is ordered by right index, ties ordered by ascending
         left index — the same order a nested dictionary lookup would
-        produce.
+        produce.  Right positions ``None`` mean every right row once, in
+        order: unique build keys that every probe key hit.
         """
         right_keys = np.asarray(right_keys)
         if not len(self._keys):   # no build key: nothing matches
@@ -389,7 +413,7 @@ class JoinBuildIndex:
             np.take(self._slots, left, mode="clip", out=left)
             hits = left >= 0
             if hits.all():   # every probe key matched: nothing to compact
-                return left, np.arange(len(left))
+                return left, None
             right_indices = np.flatnonzero(hits)
             return left[right_indices], right_indices
         if self._counts is not None and integral:
@@ -413,7 +437,7 @@ class JoinBuildIndex:
                 # (a bound past the last key reads the last, clipped).
                 hits = np.take(sorted_keys, left, mode="clip") == right_keys
                 if hits.all():   # every bound is a match
-                    return order[left], np.arange(len(left))
+                    return order[left], None
                 right_indices = np.flatnonzero(hits)
                 return order[left[right_indices]], right_indices
             if stepping:
@@ -430,11 +454,13 @@ class JoinBuildIndex:
                                          side="right") - left
         counts = counts.astype(np.int64, copy=False)   # narrow run lengths
         right_indices = np.repeat(np.arange(len(right_keys)), counts)
-        # For each probe tuple, enumerate the run of matching build positions.
-        starts = np.repeat(left, counts)
-        run_offsets = np.arange(len(right_indices)) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        return self.order[starts + run_offsets], right_indices
+        # For each probe tuple, enumerate the run of matching build
+        # positions: output slot ``first + j`` of a run reads sorted
+        # position ``left + j``, i.e. the run's ``left - first`` plus the
+        # slot's own number.
+        positions = np.repeat(left + counts - np.cumsum(counts), counts)
+        positions += np.arange(len(positions))
+        return self.order[positions], right_indices
 
 
 def group_ids(codes: np.ndarray,

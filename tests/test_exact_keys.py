@@ -44,6 +44,8 @@ from repro.operators import aggregate as aggregate_module
 from repro.relational import keys as keys_module
 from repro.relational.keys import group_ids
 from repro.storage import Table, make_join_pair, make_skewed_relation
+from repro.storage.column import Column
+from repro.storage.dtypes import DataType
 from repro.workloads import build_query
 
 FOLD = 1_000_003   # the multiplier of the fold this suite saw off
@@ -204,6 +206,70 @@ def test_partitioned_joins_on_wide_two_column_keys(cpu, gpu, order):
                                       err_msg=label)
         if label == "coprocessed":
             assert len(stats.copartitions) > len(small_gpus)
+
+
+#: Storage infers ``int32`` for narrower integers; a column given this
+#: type keeps its ``int8`` values as they are.
+_INT8 = DataType("int8", np.dtype(np.int8))
+
+
+def _int8_tables() -> list[Table]:
+    """``n8_b``: every ``int8`` value once, shuffled; ``n8_p``: 600 draws
+    over the whole range.  Both key columns are ``int8``."""
+    rng = np.random.default_rng(8)
+    every = np.arange(-128, 128, dtype=np.int8)
+    probe = rng.choice(every, 600)
+    probe[:2] = [-128, 127]
+    return [Table("n8_b", [Column("k", rng.permutation(every), _INT8),
+                           Column("bv", np.arange(256) * 1.5)]),
+            Table("n8_p", [Column("p_k", probe, _INT8),
+                           Column("pv", np.arange(600) * 2.5)])]
+
+
+class TestNarrowSignedKeys:
+    """An ``int8`` key is its own code at its own width, spanning
+    -128..127: a slot taken as ``code - low`` at ``int8`` width wraps
+    127 - (-128) to -1."""
+
+    def test_kernels_join_and_group_like_the_oracle(self, cpu, gpu):
+        build, probe = (table.arrays() for table in _int8_tables())
+        assert build["k"].dtype == probe["p_k"].dtype == np.int8
+        oracle = join_indices([build["k"]], [probe["p_k"]])
+        small_gpus = [gtx_1080(f"gpu{index}").with_memory_capacity(16 << 10)
+                      for index in range(2)]
+        keys = {"build_keys": ["k"], "probe_keys": ["p_k"]}
+        for label, kernel, tuning in (
+                ("hash", hash_join_kernel, {}),
+                ("radix", cpu_radix_join_kernel, {"spec": cpu.spec}),
+                ("gpu", gpu_partitioned_join_kernel, {"spec": gpu.spec}),
+                ("coprocessed", coprocessed_join_kernel,
+                 {"gpu_specs": small_gpus})):
+            columns, _ = kernel(build, probe, **keys, **tuning)
+            np.testing.assert_array_equal(columns["bv"],
+                                          build["bv"][oracle[0]], label)
+            np.testing.assert_array_equal(columns["pv"],
+                                          probe["pv"][oracle[1]], label)
+        columns, stats = hash_aggregate_kernel(
+            probe, group_by=["p_k"], aggregates=[agg_count("n")])
+        values, counts = np.unique(probe["p_k"], return_counts=True)
+        assert stats.num_groups == len(values)
+        np.testing.assert_array_equal(columns["p_k"], values)
+        assert columns["p_k"].dtype == np.int8
+        np.testing.assert_array_equal(columns["n"], counts)
+
+    @pytest.mark.parametrize("mode", ["cpu", "hybrid", "gpu"])
+    def test_engine(self, mode):
+        engine = HAPEEngine(default_server())
+        for table in _int8_tables():
+            engine.register_table(table)
+        joined = scan("n8_b").join(scan("n8_p"), ["k"], ["p_k"])
+        for plan in (joined,
+                     joined.aggregate(["k"], [agg_count("n"),
+                                              agg_sum(col("pv"), "s")]),
+                     scan("n8_p").aggregate(["p_k"], [agg_count("n")])):
+            _assert_same_cells(engine.execute(plan, mode).table,
+                               execute_logical(plan, engine.catalog),
+                               f"{plan!r}, mode={mode}")
 
 
 # ----------------------------------------------------------------------

@@ -227,7 +227,8 @@ def _q1_like(tpch_dataset):
 # FaultPlan / FaultInjector
 # ----------------------------------------------------------------------
 def _faulted(topology) -> set[tuple[str, str]]:
-    """What differs from a fresh topology, as (device or link, fault)."""
+    """What differs from a fresh topology, as (device or link, fault); a
+    degraded link names the factor of nominal bandwidth in force."""
     nominal = default_server()
     faulted = set()
     for device in topology.devices:
@@ -237,9 +238,10 @@ def _faulted(topology) -> set[tuple[str, str]]:
                 != nominal.device(device.name).spec.memory_capacity_bytes):
             faulted.add((device.name, "shrunk"))
     for link in topology.links:
-        if (link.spec.bandwidth_gib_s
-                != nominal.link(link.name).spec.bandwidth_gib_s):
-            faulted.add((link.name, "degraded"))
+        factor = (link.spec.bandwidth_gib_s
+                  / nominal.link(link.name).spec.bandwidth_gib_s)
+        if factor != 1.0:
+            faulted.add((link.name, f"degraded x{factor:g}"))
     return faulted
 
 
@@ -276,22 +278,39 @@ class TestFaultPlanAndInjector:
         # One degradation undone by its ``until``, one by epoch teardown.
         (FaultPlan().degrade_link("pcie0", at=1.0, factor=0.25, restore_at=2.0)
          .degrade_link("pcie1", at=1.5, factor=0.5), (),
-         [(1.0, [], {("pcie0", "degraded")}, 1.5),
-          (1.5, [], {("pcie0", "degraded"), ("pcie1", "degraded")}, 2.0),
-          (2.0, [], {("pcie1", "degraded")}, None)], set()),
+         [(1.0, [], {("pcie0", "degraded x0.25")}, 1.5),
+          (1.5, [], {("pcie0", "degraded x0.25"),
+                     ("pcie1", "degraded x0.5")}, 2.0),
+          (2.0, [], {("pcie1", "degraded x0.5")}, None)], set()),
         # Overlapping failures of one device: the second is not a new
-        # failure, and the first recovery heals the device.
+        # failure, and the device stays failed until the last recovery.
         (FaultPlan().fail_device("gpu0", at=1.0, recover_at=3.0)
          .fail_device("gpu0", at=2.0, recover_at=4.0), (),
          [(1.0, ["gpu0"], {("gpu0", "failed")}, 2.0),
           (2.0, [], {("gpu0", "failed")}, 3.0),
-          (3.0, [], set(), 4.0),
+          (3.0, [], {("gpu0", "failed")}, 4.0),
+          (4.0, [], set(), None)], set()),
+        # A second failure that never recovers outlasts the first's
+        # recovery; epoch teardown heals it.
+        (FaultPlan().fail_device("gpu0", at=1.0, recover_at=3.0)
+         .fail_device("gpu0", at=2.0), (),
+         [(1.0, ["gpu0"], {("gpu0", "failed")}, 2.0),
+          (2.0, [], {("gpu0", "failed")}, 3.0),
+          (3.0, [], {("gpu0", "failed")}, None)], set()),
+        # A milder degradation inside a harsher one: the harsher factor is
+        # back in force when the milder one ends.
+        (FaultPlan().degrade_link("pcie0", at=1.0, factor=0.25, restore_at=4.0)
+         .degrade_link("pcie0", at=2.0, factor=0.5, restore_at=3.0), (),
+         [(1.0, [], {("pcie0", "degraded x0.25")}, 2.0),
+          (2.0, [], {("pcie0", "degraded x0.5")}, 3.0),
+          (3.0, [], {("pcie0", "degraded x0.25")}, 4.0),
           (4.0, [], set(), None)], set()),
         # A device failed outside the injector stays failed at teardown.
         (FaultPlan().fail_device("gpu0", at=1.0), ("gpu1",),
          [(1.0, ["gpu0"], {("gpu0", "failed"), ("gpu1", "failed")}, None)],
          {("gpu1", "failed")}),
     ], ids=["failure-and-shrink", "link-degradation", "overlapping-failures",
+            "unrecovered-second-failure", "overlapping-degradations",
             "failed-outside"])
     def test_injector_timeline_apply_and_restore(self, plan, failed_outside,
                                                  steps, after_restore):

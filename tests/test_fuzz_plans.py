@@ -5,7 +5,9 @@ multi-way joins and aggregates over small generated tables (including
 zero-row tables, predicates that remove every row, and join keys that are
 dense, sparse, negative, unique, duplicate-heavy or clustered beside one
 far outlier, so the join index's radix directory, its binary-search
-fallback and the un-gathered probe pass-through all run; and a second key
+fallback and the un-gathered probe pass-through all run; every integer
+column stored as a signed type from ``int8`` to ``int64`` its values fit,
+so narrow keys are coded at their own width; and a second key
 column that is small, spans more than 2**20 or 2**40, or is a float
 column, so two-column joins and group-bys reach every path of the exact
 key code: mixed-radix, ranked, and float against integer; and constant
@@ -62,6 +64,8 @@ from repro.relational import (
 from repro.relational.expr import Expr
 from repro.relational.keys import DIRECTORY_BUCKETS_PER_ROW, SLOT_SPAN_PER_ROW
 from repro.storage import DEFAULT_MORSEL_ROWS, Table
+from repro.storage.column import Column
+from repro.storage.dtypes import DataType
 
 #: Seeded cases run in CI; ``make fuzz`` raises this via the environment.
 FUZZ_PLAN_CASES = int(os.environ.get("FUZZ_PLAN_CASES", "200"))
@@ -75,6 +79,12 @@ FUSION_SETTINGS = (False, True)
 #: every row is its own morsel, so worker completion order is maximally
 #: decoupled from canonical plan order.
 WORKER_SETTINGS = (1, 2)
+
+#: Integer column types, narrowest first.  Storage infers ``int32`` for
+#: the two narrowest; a column given its type keeps it.
+_SIGNED = (np.int8, np.int16, np.int32, np.int64)
+_NARROW = {np.dtype(dtype): DataType(np.dtype(dtype).name, np.dtype(dtype))
+           for dtype in _SIGNED[:2]}
 
 #: Every third seed runs with an optimizer that prefers partitioned /
 #: co-processed joins even for tiny builds, covering the radix paths.
@@ -120,6 +130,8 @@ class _Case:
         #: Constant predicates and repeated expressions draw from a third
         #: stream, for the same reason.
         self.extra = np.random.default_rng([SEED_BASE + seed, 2])
+        #: Integer column widths draw from a fourth.
+        self.widths = np.random.default_rng([SEED_BASE + seed, 4])
         self.columns: dict[str, np.ndarray] = {}
         #: Key shapes this case's joins have (see ``KEY_SHAPES``).
         self.shapes: set[str] = set()
@@ -156,10 +168,24 @@ class _Case:
             num_cols[0]: rng.normal(size=rows),
             num_cols[1]: rng.integers(-50, 51, rows).astype(np.int64),
         }
-        table = Table.from_arrays(f"tbl_{prefix}", arrays)
+        for name in (int_cols[0], int_cols[1], num_cols[1]):
+            arrays[name] = self._narrowed(arrays[name])
+        table = Table(f"tbl_{prefix}", [
+            Column(name, values, _NARROW.get(values.dtype))
+            for name, values in arrays.items()])
         self.tables.append(table)
         self.columns.update(arrays)
         return table, int_cols, int_cols + num_cols
+
+    def _narrowed(self, values: np.ndarray) -> np.ndarray:
+        """An integer column as a signed type drawn among those its values
+        fit, ``int8`` to ``int64`` (a float column as it is)."""
+        if values.dtype.kind != "i":
+            return values
+        fits = [dtype for dtype in _SIGNED if not len(values)
+                or np.iinfo(dtype).min <= values.min()
+                and values.max() <= np.iinfo(dtype).max]
+        return values.astype(fits[int(self.widths.integers(0, len(fits)))])
 
     def _note_shapes(self, left_keys: list[str],
                      right_keys: list[str]) -> None:
@@ -169,6 +195,8 @@ class _Case:
             for values in map(self.columns.get, names):
                 if values.dtype.kind == "f":
                     self.shapes.add("float")
+                if values.dtype.kind == "i" and values.itemsize < 4:
+                    self.shapes.add("narrow signed key")
                 if not len(values):
                     continue
                 if values.min() < 0:
@@ -315,7 +343,7 @@ class _Case:
 #: must keep generating every one of them.
 KEY_SHAPES = {"multi-column", "negative", "float",
               "second column past 2**20", "second column past 2**40",
-              "unique, spanning 4x to 32x its rows"}
+              "unique, spanning 4x to 32x its rows", "narrow signed key"}
 
 
 def test_default_seeds_cover_every_key_shape():

@@ -56,6 +56,18 @@ def join_match_indices(build_keys, probe_keys):
     return JoinBuildIndex(build_keys).probe(probe_keys)
 
 
+def _expanded_probe(index: JoinBuildIndex, build: np.ndarray,
+                    probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``index.probe(probe)`` with probe positions ``None`` expanded to
+    every probe row.  ``None`` must appear exactly when every probe row
+    matched once — unique build keys, every probe key among them."""
+    build_idx, probe_idx = index.probe(probe)
+    unique = len(build) > 0 and len(np.unique(build)) == len(build)
+    assert (probe_idx is None) == (unique and len(build_idx) == len(probe))
+    return build_idx, (np.arange(len(probe)) if probe_idx is None
+                       else probe_idx)
+
+
 class TestJoinMatchIndices:
     def test_matches_reference_on_duplicates(self):
         build = np.asarray([1, 2, 2, 3, 5])
@@ -74,7 +86,7 @@ class TestJoinMatchIndices:
     def test_matches_reference_property(self, build, probe):
         build = np.asarray(build, dtype=np.int64)
         probe = np.asarray(probe, dtype=np.int64)
-        got = join_match_indices(build, probe)
+        got = _expanded_probe(JoinBuildIndex(build), build, probe)
         expected = join_indices([build], [probe])
         assert _sorted_pairs(*got) == _sorted_pairs(*expected)
 
@@ -163,10 +175,11 @@ def _check_dictionary_oracle(index: JoinBuildIndex, build: np.ndarray,
         positions.setdefault(key, []).append(position)
     expected = [(b, p) for p, key in enumerate(probe.tolist())
                 for b in positions.get(key, [])]
-    build_idx, probe_idx = index.probe(probe)
+    build_idx, probe_idx = _expanded_probe(index, build, probe)
     assert build_idx.dtype == probe_idx.dtype == np.int64
     assert list(zip(build_idx.tolist(), probe_idx.tolist())) == expected
-    head, tail = index.probe(probe[:cut]), index.probe(probe[cut:])
+    head = _expanded_probe(index, build, probe[:cut])
+    tail = _expanded_probe(index, build, probe[cut:])
     assert np.array_equal(np.concatenate([head[0], tail[0]]), build_idx)
     assert np.array_equal(
         np.concatenate([head[1], tail[1] + len(probe[:cut])]), probe_idx)
@@ -276,6 +289,46 @@ class TestJoinBuildIndex:
         assert taken == {(duplicates, dtype) for duplicates in (False, True)
                          for dtype in ("int32", "int64")}
 
+    def test_dense_band_with_one_repeated_key_takes_the_directory(self):
+        """Keys spanning ``rows - 1`` to ``32 * rows - 1`` values are not
+        pigeonholed, so the build scatters them into a slot table first;
+        one repeated key leaves fewer occupied slots than rows, and the
+        build counts its keys into a directory instead."""
+        rng = np.random.default_rng(11)
+        rows = 200
+        for span in (rows - 1, rows, 2 * rows, 4 * rows - 1, 4 * rows,
+                     SLOT_SPAN_PER_ROW * rows - 1):
+            unique = np.concatenate([
+                [0, span], rng.choice(np.arange(1, span), rows - 3,
+                                      replace=False)]) - span // 2
+            build = rng.permutation(np.append(unique, unique[2]))
+            index = JoinBuildIndex(build)
+            assert index._slots is None, span
+            assert index._counts is not None or index._depth > 0, span
+            assert not index.unique_keys, span
+            probe = np.concatenate([build, np.arange(-span, span, 7)])
+            _check_dictionary_oracle(index, build, probe, rows // 3)
+
+    def test_a_pigeonholed_build_never_builds_a_slot_table(self,
+                                                           monkeypatch):
+        """More rows than the keys span values must repeat a key: such a
+        build goes straight to the counts, with no slot table scattered
+        (no ``-1``-filled array allocated)."""
+        fills = []
+        monkeypatch.setattr(
+            np, "full", lambda shape, fill, *args, _full=np.full, **kwargs:
+            fills.append(fill) or _full(shape, fill, *args, **kwargs))
+        rng = np.random.default_rng(12)
+        for rows, span in ((2, 0), (100, 98), (5_000, 64), (5_000, 4_998)):
+            build = rng.integers(0, span + 1, rows) - 7
+            build[:2] = [-7, span - 7]
+            del fills[:]
+            index = JoinBuildIndex(build)
+            assert -1 not in fills, (rows, span)
+            assert index._slots is None and index._counts is not None
+            probe = np.arange(-10, span)
+            _check_dictionary_oracle(index, build, probe, len(probe) // 2)
+
     def test_probing_changes_nothing_in_the_index(self):
         """The index is read-only after construction, which is what lets
         ``workers=2`` share one: a probe that has to search a sorted copy
@@ -348,8 +401,8 @@ class TestJoinBuildIndex:
             index = JoinBuildIndex(keys)
             build_idx, probe_idx = index.probe(keys[::-1])
         assert index._depth > 0
-        assert (build_idx.tolist(), probe_idx.tolist()) == ([2, 1, 0],
-                                                            [0, 1, 2])
+        # Unique keys, every probe key hit: the probe rows as they are.
+        assert build_idx.tolist() == [2, 1, 0] and probe_idx is None
 
 
 class TestPartitioning:

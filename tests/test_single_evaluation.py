@@ -388,10 +388,20 @@ class TestSharedKeyFold:
         values = np.asarray([5, -3, 2**40], dtype=np.int64)
         domain = KeyDomain({"k": values}, ["k"])
         np.testing.assert_array_equal(domain.codes, values)
+        # A signed column is coded as it is, at its width; unsigned and
+        # bool columns are widened to int64.
+        assert domain.codes is values
         narrow = np.asarray([5, -3, 7], dtype=np.int32)
-        codes = domain.encode({"k": narrow}, ["k"])
-        assert codes.dtype == np.int64
-        np.testing.assert_array_equal(codes, narrow)
+        assert domain.encode({"k": narrow}, ["k"]) is narrow
+        assert KeyDomain({"k": narrow}, ["k"]).codes is narrow
+        for dtype in (np.uint16, np.bool_):
+            column = np.asarray([1, 0, 1], dtype=dtype)
+            codes = KeyDomain({"k": column}, ["k"]).codes
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes, column)
+            codes = domain.encode({"k": column}, ["k"])
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes, column)
 
     def test_wide_columns_stay_injective_without_warning(self):
         """What the wrapping fold collapsed: two columns that each use 63

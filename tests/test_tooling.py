@@ -1,4 +1,5 @@
-"""Repository-level checks: declared dependencies and the line counter."""
+"""Repository-level checks: declared dependencies, the line counter and
+the benchmark-pairs summary."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it.
-MAX_SRC_CODE_LINES = 8_438
+MAX_SRC_CODE_LINES = 8_448
 
 
 def _code_lines_tool():
@@ -164,3 +167,32 @@ def test_device_memory_is_checked_in_one_place():
             if "threading.local" in text] == [
         "hardware/device.py", "hardware/interconnect.py",
         "server/sharedcache.py"]
+
+
+def test_bench_pairs_counts_wins_against_the_parents_spread():
+    """``tools/bench_pairs.py``'s summary on fixed numbers: wins and ties
+    pair by pair, the parent's quartiles, and a gain that holds only with
+    nine wins in ten and a median gain wider than the parent's IQR."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent = [5.0, 5.2, 5.1, 5.3, 4.9, 5.0, 5.4, 5.1, 5.2, 5.0]
+    change = [3.8, 3.7, 3.9, 3.8, 5.0, 3.6, 3.8, 3.9, 3.7, 3.8]
+    summary = tool.pair_summary(parent, change, lower_is_better=True)
+    assert (summary["pairs"], summary["wins"], summary["ties"]) == (10, 9, 0)
+    assert (summary["parent_median"], summary["change_median"]) == (5.1, 3.8)
+    assert (summary["parent_q1"], summary["parent_q3"]) \
+        == pytest.approx((5.0, 5.225))
+    assert summary["holds"]
+    # Eight wins in ten is not enough, however wide the gain.
+    assert not tool.pair_summary(parent, change[:4] + [5.5, 5.5] + change[6:],
+                                 lower_is_better=True)["holds"]
+    # Ten wins by less than the parent's IQR are not a gain either.
+    assert not tool.pair_summary(parent, [value - 0.01 for value in parent],
+                                 lower_is_better=True)["holds"]
+    # Higher-is-better metrics win the other way; equal runs tie.
+    summary = tool.pair_summary([1.0, 1.0], [1.0, 2.0],
+                                lower_is_better=False)
+    assert (summary["wins"], summary["ties"]) == (1, 1)
+    assert tool.quartiles([4.0]) == (4.0, 4.0)
