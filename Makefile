@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc figures serve-bench scale-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc figures serve-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -64,7 +64,7 @@ LOC_PATHS ?= src
 loc:
 	$(PYTHON) tools/code_lines.py $(LOC_PATHS)
 
-## The seven smoke gates below are each ONE command: run the named suites
+## The six smoke gates below are each ONE command: run the named suites
 ## at SF 0.05 into a scratch history file, then (--gate) apply the gates
 ## those suites declare in benchmarks/run_benchmarks.py — the gate table
 ## is the @suite(...) declaration above each suite — to the run just
@@ -89,15 +89,6 @@ serve-bench:
 		--sf 0.05 --repeat 1 --output /tmp/BENCH_serve_smoke.json \
 		--gate --baseline BENCH_results.json
 
-## Worker scaling (CI job "parallel"): simulated seconds / device busy /
-## link bytes and the shared-cache server drain bit-identical at every
-## worker count; on hosts with >= 4 CPUs, wall-clock >= 1.5x faster at 4
-## workers than at 1 (an explicit SKIP below 4 CPUs).
-scale-bench:
-	$(PYTHON) benchmarks/run_benchmarks.py --suites scale \
-		--sf 0.05 --repeat 3 --output /tmp/BENCH_scale_smoke.json \
-		--gate
-
 ## Statistics (CI job "stats"): per-query median q-error <= 4, and
 ## simulated seconds bit-identical between statistics on/off whenever the
 ## chosen plan is unchanged.
@@ -115,10 +106,10 @@ chaos:
 		--sf 0.05 --repeat 1 --output /tmp/BENCH_chaos_smoke.json \
 		--gate --baseline BENCH_results.json
 
-## Tracing (CI job "obs"): a fault-injected, preempting epoch traced at
-## workers {1,2,auto} plus a replay — JSONL byte-identical across all
-## four drains, Chrome export Perfetto-loadable, every critical path
-## bound, tracing-off path at most 2% slower than the traced control.
+## Tracing (CI job "obs"): a fault-injected, preempting epoch traced,
+## then replayed — JSONL byte-identical on replay, Chrome export
+## Perfetto-loadable, every critical path bound, tracing-off path at most
+## 2% slower than the traced control.
 trace:
 	$(PYTHON) benchmarks/run_benchmarks.py --suites trace \
 		--sf 0.05 --repeat 1 --output /tmp/BENCH_trace_smoke.json \

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record the simulated-seconds trajectory and gate its invariants.
 
-A small registry of 15 suites.  Each suite is declared once, by the
+A small registry of 14 suites.  Each suite is declared once, by the
 ``@suite`` decorator above the function that computes its record: its
 one-line summary and its **gates as data** — ``Gate(record key,
 predicate, failure message)`` — plus, for suites whose per-query
@@ -9,7 +9,7 @@ simulated seconds must match another suite's bit for bit, an
 ``Identity``.  Every suite declares at least one of the two.
 ``fig5``–``fig9`` are the paper-scale model sweeps, gated on the shape of
 the paper's figures, and ``claims`` the abstract's speed-ups;
-``tpch`` (cold) / ``tpch_warm`` / ``mem`` / ``scale`` / ``stats`` execute
+``tpch`` (cold) / ``tpch_warm`` / ``mem`` / ``stats`` execute
 the evaluated TPC-H queries; ``serve`` / ``chaos`` / ``open_loop`` /
 ``trace`` drive the multi-tenant server.  Wall-clock numbers (best of
 ``--repeat``) ride along; the wall-clock *ledger* is ``bench/``.
@@ -19,8 +19,8 @@ Every invocation appends one run record to ``--output`` (default
 declared gates are applied to the records just written, and the identity
 suites are also compared with the latest same-sf/seed entry of
 ``--baseline``; every failure is printed and the exit status is non-zero.
-The Makefile's gate targets (``figures``, ``serve-bench``, ``scale-bench``,
-``stats``, ``chaos``, ``trace``, ``open-loop``) are each one such command.
+The Makefile's gate targets (``figures``, ``serve-bench``, ``stats``,
+``chaos``, ``trace``, ``open-loop``) are each one such command.
 
     python benchmarks/run_benchmarks.py [--sf 0.05] [--seed 2019]
         [--repeat 3] [--suites tpch serve ...] [--output FILE]
@@ -52,7 +52,6 @@ if str(_REPO / "src") not in sys.path:
 
 from repro.engine import HAPEEngine, OptimizerOptions  # noqa: E402
 from repro.engine.querycache import DEFAULT_CACHE_BUDGET_BYTES  # noqa: E402
-from repro.engine.workers import available_cpus  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.hardware import default_server  # noqa: E402
 from repro.perf import JoinModels, TPCHModels, headline_claims  # noqa: E402
@@ -93,14 +92,12 @@ class Gate:
     ``key`` is a dotted path into the record; a ``*`` segment applies the
     gate to every item (``queries.*.median_q_error``).  ``fields`` is the
     dict holding the value, and ``message`` a format string over it plus
-    ``{value}``.  ``skip`` returns why the gate does not apply to a record
-    (printed as a SKIP line), or ``None``.
+    ``{value}``.
     """
 
     key: str
     passes: Callable[[object, dict], bool]
     message: str
-    skip: Callable[[dict], str | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -231,20 +228,15 @@ def check_run(run: dict, baseline: dict | None = None
     """Apply every declared gate to one run record.
 
     Returns ``(failures, notes)``: each failure names ``suite.key``; notes
-    are the SKIP / skipped-baseline / per-suite OK lines.  ``baseline`` is
+    are the skipped-baseline / per-suite OK lines.  ``baseline`` is
     a loaded history (the recorded ``BENCH_results.json``) or ``None``.
     """
     failures: list[str] = []
     notes: list[str] = []
     for name, record in run["suites"].items():
         declared = SUITES[name]
-        before, applied = len(failures), 0
+        before = len(failures)
         for gate in declared.gates:
-            reason = gate.skip(record) if gate.skip else None
-            if reason is not None:
-                notes.append(f"SKIP: {name}.{gate.key}: {reason}")
-                continue
-            applied += 1
             matches = _resolve(record, gate.key)
             if not matches:  # a wildcard over nothing gates nothing
                 matches = [(f".{gate.key}", _MISSING, record)]
@@ -254,7 +246,8 @@ def check_run(run: dict, baseline: dict | None = None
                 elif not gate.passes(value, fields):
                     failures.append(f"{name}{path}: " + gate.message.format_map(
                         _Fields(fields, value=value)))
-        checked = [f"{applied} gate(s)"] if applied else []
+        checked = ([f"{len(declared.gates)} gate(s)"] if declared.gates
+                   else [])
         if declared.identity is not None:
             checked += _check_identity(name, declared.identity, run,
                                        baseline, failures, notes)
@@ -382,103 +375,6 @@ def suite_tpch_warm(bench: Workbench) -> dict:
         "cache": _cache_record(engine.cache_stats),
         "warm_simulated_seconds_identical": warm == cold,
         "simulated_seconds": cold,
-    }
-
-
-def _too_few_cpus(record: dict) -> str | None:
-    if record.get("cpu_count", 0) >= 4:
-        return None
-    return (f"the speedup gate needs >= 4 CPUs; this host has "
-            f"{record.get('cpu_count')}, so 4 worker threads share cores "
-            f"(measured {record.get('speedup_at_4_workers', 0.0):.2f}x)")
-
-
-def _scale_summary(r: dict) -> str:
-    walls = ", ".join(f"w={workers}:{data['wall_clock_seconds']:.3f}s"
-                      for workers, data in r["workers"].items())
-    return (f"{walls}, {r['speedup_at_4_workers']:.2f}x at 4 workers on "
-            f"{r['cpu_count']} CPU(s)")
-
-
-@suite("scale", summary=_scale_summary,
-       gates=(
-           Gate("simulated_identical_across_workers", _true,
-                "simulated seconds / device busy / link bytes diverged "
-                "across worker counts {{1, 2, 4, auto}}"),
-           Gate("server_cache_identical_across_workers", _true,
-                "server drain with the shared cache enabled diverged "
-                "across worker counts {{1, 2, auto}}"),
-           Gate("speedup_at_4_workers", _at_least(1.5),
-                "4-worker wall-clock speedup {value:.2f}x below the "
-                "required 1.50x (host has {cpu_count} CPUs)",
-                skip=_too_few_cpus),
-       ))
-def suite_scale(bench: Workbench) -> dict:
-    """The cold TPC-H pass at workers {1, 2, 4, auto}: wall-clock scaling,
-    and the determinism contract at bench scale.  A second leg drains the
-    workload through a 3-tenant server with the shared cache ENABLED at
-    workers {1, 2, auto}: statuses, simulated seconds and tenant-attributed
-    hit/miss counters must not depend on the worker count."""
-    def footprint(result) -> dict:
-        return {"simulated_seconds": result.simulated_seconds,
-                "device_busy": dict(sorted(result.device_busy.items())),
-                "link_bytes": dict(sorted(result.link_bytes.items()))}
-
-    walls, footprints = {}, {}
-    for workers in (1, 2, 4, "auto"):
-        engine = bench.cold_engine(workers=workers)
-        walls[workers], footprints[workers] = bench.best_wall(
-            lambda: bench.sweep(engine, pick=footprint))
-    per_workers = {
-        str(workers): {
-            "resolved_workers": (available_cpus() if workers == "auto"
-                                 else workers),
-            "wall_clock_seconds": wall,
-            "speedup_vs_one_worker": walls[1] / wall if wall > 0 else 1.0,
-        } for workers, wall in walls.items()}
-
-    tenants = ("alpha", "beta", "gamma")
-    jobs = [(tenant, name) for name in bench.queries for tenant in tenants]
-
-    def drain(workers) -> dict:
-        server = bench.server(dict.fromkeys(tenants, {}), workers=workers)
-        for index, (tenant, name) in enumerate(jobs):
-            server.submit(tenant, bench.queries[name].plan, "cpu",
-                          label=f"{tenant}:{name}:{index}")
-        report = server.run()
-        totals = server.query_cache.counters()
-        return {
-            "tickets": [
-                {"label": ticket.label, "status": ticket.status,
-                 "simulated_seconds": ticket.simulated_seconds,
-                 "cache_hits": ticket.cache.hits,
-                 "cache_misses": ticket.cache.misses}
-                for ticket in report.tickets],
-            "tenant_counters": {
-                name: {"hits": c.hits, "misses": c.misses}
-                for name, c in sorted(
-                    server.query_cache.tenant_counters().items())},
-            "cache_hits": totals.hits,
-            "cache_misses": totals.misses,
-        }
-
-    drains = {workers: drain(workers) for workers in (1, 2, "auto")}
-    return {
-        "scale_factor": bench.sf,
-        "cpu_count": available_cpus(),
-        "workers": per_workers,
-        "simulated_identical_across_workers": all(
-            footprints[workers] == footprints[1] for workers in footprints),
-        "server_drain": {
-            "jobs": len(jobs),
-            "cache_hits": drains[1]["cache_hits"],
-            "cache_misses": drains[1]["cache_misses"],
-            "tenant_counters": drains[1]["tenant_counters"],
-        },
-        "server_cache_identical_across_workers": all(
-            drains[workers] == drains[1] for workers in drains),
-        "wall_clock_seconds": walls[1],
-        "speedup_at_4_workers": per_workers["4"]["speedup_vs_one_worker"],
     }
 
 
@@ -907,9 +803,8 @@ _REQUIRED_EVENTS = ("submit", "admit", "dispatch", "complete",
            f"{len(r['critical_paths'])} critical paths, tracing-off "
            f"overhead {r['tracing_off_overhead_pct']:.2f}% (allowed 2.00%)"),
        gates=(
-           Gate("trace_identical_across_workers_and_replay", _true,
-                "chaos epoch trace was not byte-identical across workers "
-                "{{1, 2, auto}} and replay"),
+           Gate("trace_identical_on_replay", _true,
+                "chaos epoch trace was not byte-identical on replay"),
            Gate("perfetto_loadable", _true,
                 "Chrome trace export is not Perfetto-loadable (round-trip "
                 "or event-shape check failed)"),
@@ -931,17 +826,17 @@ _REQUIRED_EVENTS = ("submit", "admit", "dispatch", "complete",
 def suite_trace(bench: Workbench) -> dict:
     """One chaos epoch — interactive + batch tenants, preemption and aging
     on, gpu0 killed mid-epoch plus transient errors — served with
-    ``tracing=True`` at workers {1, 2, auto} plus a replay: the exported
-    JSONL must be byte-identical across all four drains, the Chrome export
+    ``tracing=True``, then replayed: the exported JSONL must be
+    byte-identical across the two drains, the Chrome export
     Perfetto-loadable, every critical path bound.  The overhead leg
     interleaves the cold TPC-H pass on a traced and an untraced session:
     ``tracing_off_overhead_pct`` is how much slower the *untraced* one is
     (the off path must be at worst noise-level slower)."""
-    def serve(workers, tracing, fault_plan, aging):
+    def serve(tracing, fault_plan, aging):
         server = bench.server(
             {"inter": {"priority": "interactive", "max_concurrency": 2},
              "batch": {"priority": "batch", "max_concurrency": 2}},
-            workers=workers, preemption=True, aging_seconds=aging,
+            preemption=True, aging_seconds=aging,
             fault_plan=fault_plan, tracing=tracing)
         for name, query in bench.queries.items():
             server.submit("batch", query.plan, "hybrid",
@@ -950,22 +845,20 @@ def suite_trace(bench: Workbench) -> dict:
         return server, server.run()
 
     # The fault-free reference fixes the outage window and aging quantum.
-    _, reference = serve(1, False, FaultPlan(), None)
+    _, reference = serve(False, FaultPlan(), None)
     aging = reference.makespan / 8
     chaos_plan = (FaultPlan(seed=13)
                   .fail_device("gpu0", at=reference.makespan * 0.25,
                                recover_at=reference.makespan * 0.60)
                   .transient_errors(rate=0.2))
-    jsonl: dict[str, str] = {}
+    jsonl: list[str] = []
     wall = float("inf")
-    for workers in (1, 2, "auto"):
+    for _ in range(2):  # the traced run, then its replay
         start = time.perf_counter()
-        server, report = serve(workers, True, chaos_plan, aging)
+        server, report = serve(True, chaos_plan, aging)
         wall = min(wall, time.perf_counter() - start)
-        jsonl[str(workers)] = server.last_trace.to_jsonl()
-    server, report = serve(2, True, chaos_plan, aging)  # replay
+        jsonl.append(server.last_trace.to_jsonl())
     trace = server.last_trace
-    jsonl["replay"] = trace.to_jsonl()
 
     try:
         events = json.loads(json.dumps(
@@ -1009,11 +902,10 @@ def suite_trace(bench: Workbench) -> dict:
         "failovers": report.failovers,
         "retries": report.retries,
         "preemptions": report.preemptions,
-        "trace_lines": len(jsonl["1"].splitlines()),
-        "trace_bytes": len(jsonl["1"]),
+        "trace_lines": len(jsonl[0].splitlines()),
+        "trace_bytes": len(jsonl[0]),
         "event_kinds": sorted({event.kind for event in trace.events}),
-        "trace_identical_across_workers_and_replay": all(
-            text == jsonl["1"] for text in jsonl.values()),
+        "trace_identical_on_replay": jsonl[0] == jsonl[1],
         "perfetto_loadable": perfetto_loadable,
         "critical_paths": {
             f"{by_ticket[ticket].tenant}:{by_ticket[ticket].label}":

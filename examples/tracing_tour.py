@@ -7,8 +7,8 @@ Walks the observability subsystem end to end (see
 1. a traced solo query: operator-level spans with placement, busy
    slices, est-vs-actual cardinalities and cache status, plus the
    critical path naming the device or link that bounded the makespan;
-2. the determinism contract: the exported JSONL is byte-identical at
-   workers {1, 2, auto} and across a replay;
+2. the determinism contract: the exported JSONL is byte-identical
+   across a replay;
 3. warm vs cold: a warm run differs only in the declared
    ``VOLATILE_SPAN_KEYS``; the timing view is byte-identical;
 4. tracing off: ``result.trace`` is ``None`` and simulated seconds are
@@ -43,7 +43,6 @@ from repro.workloads import all_queries  # noqa: E402
 
 SCALE_FACTOR = 0.01
 SEED = 2019
-WORKER_COUNTS = (1, 2, "auto")
 
 
 def main() -> int:
@@ -73,19 +72,18 @@ def main() -> int:
     assert path.binding_resource
 
     # ------------------------------------------------------------------
-    # 2. Byte-identity at every worker count and across a replay.
+    # 2. Byte-identity across a replay.
     # ------------------------------------------------------------------
-    def solo_jsonl(workers) -> str:
+    def solo_jsonl() -> str:
         eng = HAPEEngine(default_server(), cache_budget_bytes=0,
-                         workers=workers, tracing=True)
+                         tracing=True)
         eng.register_dataset(dataset.tables)
         return eng.execute(queries["Q5"].plan, "hybrid").trace.to_jsonl()
 
-    texts = [solo_jsonl(w) for w in WORKER_COUNTS]
-    texts.append(solo_jsonl(WORKER_COUNTS[0]))      # same-config replay
-    assert all(text == texts[0] for text in texts)
-    print(f"\nJSONL export byte-identical at workers {WORKER_COUNTS} "
-          f"and across a replay ({len(texts[0].splitlines())} lines)")
+    run, replay = solo_jsonl(), solo_jsonl()
+    assert run == replay
+    print(f"\nJSONL export byte-identical across a replay "
+          f"({len(run.splitlines())} lines)")
 
     # ------------------------------------------------------------------
     # 3. Warm vs cold: only the declared volatile keys move.
@@ -118,9 +116,8 @@ def main() -> int:
     # ------------------------------------------------------------------
     # 5. A served chaos epoch, traced.
     # ------------------------------------------------------------------
-    def serve(workers, *, fault_plan=None, tracing=True, aging=None):
-        server = QueryServer(default_server(), workers=workers,
-                             preemption=True,
+    def serve(*, fault_plan=None, tracing=True, aging=None):
+        server = QueryServer(default_server(), preemption=True,
                              aging_seconds=aging,
                              fault_plan=fault_plan, tracing=tracing)
         server.register_dataset(dataset.tables)
@@ -134,14 +131,14 @@ def main() -> int:
 
     # Fault-free reference first, to place the outage window inside the
     # epoch (same recipe as the `trace` benchmark suite).
-    _, reference = serve(1, tracing=False, aging=1.0)
+    _, reference = serve(tracing=False, aging=1.0)
     aging = reference.makespan / 8
     chaos = (FaultPlan(seed=13)
              .fail_device("gpu0", at=reference.makespan * 0.25,
                           recover_at=reference.makespan * 0.60)
              .transient_errors(rate=0.2))
 
-    server, report = serve(1, fault_plan=chaos, aging=aging)
+    server, report = serve(fault_plan=chaos, aging=aging)
     epoch = server.last_trace
     kinds = sorted({event.kind for event in epoch.events})
     print("\n== served chaos epoch, traced ==")
@@ -151,13 +148,10 @@ def main() -> int:
           f"preemptions={report.preemptions}")
     assert report.failovers > 0
 
-    drains = [serve(w, fault_plan=chaos, aging=aging)[0]
-              .last_trace.to_jsonl() for w in WORKER_COUNTS]
-    drains.append(serve(WORKER_COUNTS[0], fault_plan=chaos,
-                        aging=aging)[0].last_trace.to_jsonl())
-    assert all(text == drains[0] for text in drains)
-    print(f"epoch JSONL byte-identical at workers {WORKER_COUNTS} and "
-          f"across a replay ({len(drains[0].splitlines())} lines)")
+    replay = serve(fault_plan=chaos, aging=aging)[0].last_trace.to_jsonl()
+    assert replay == epoch.to_jsonl()
+    print(f"epoch JSONL byte-identical across a replay "
+          f"({len(replay.splitlines())} lines)")
 
     by_ticket = {q.ticket_id: q for q in epoch.queries}
     print("\nper-query critical paths:")

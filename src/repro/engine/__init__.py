@@ -10,7 +10,6 @@ from .querycache import (
     QueryCacheStats,
 )
 from .session import HAPEEngine, QueryResult, Session
-from .workers import WorkerPool, available_cpus, default_workers, resolve_workers
 
 __all__ = [
     "CacheCounters",
@@ -25,8 +24,4 @@ __all__ = [
     "QueryCacheStats",
     "QueryResult",
     "Session",
-    "WorkerPool",
-    "available_cpus",
-    "default_workers",
-    "resolve_workers",
 ]

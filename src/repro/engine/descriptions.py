@@ -239,8 +239,8 @@ class Operator:
 
     def begin(self, build: NodeResult | None) -> Transform | None:
         """Set up a cold stream (kernel bookkeeping, build the index) and
-        return the per-morsel body: pure, so worker threads may run morsels
-        concurrently.  ``None``: an exchange forwards morsels untouched."""
+        return the per-morsel body, a pure function of the morsel.
+        ``None``: an exchange forwards morsels untouched."""
         return None
 
     def charge(self, batch: NodeResult, stats: object,
@@ -304,9 +304,9 @@ class Operator:
         """Record the span and move ``batch`` past this operator, into
         ``residency`` when the operator moved or re-split it.
 
-        Only ever called from :meth:`charge` — on the query thread, in
-        canonical plan order — so the span list is byte-identical at
-        every worker count.  The skeleton is compiled; the span is
+        Only ever called from :meth:`charge`, in canonical plan order, so
+        the span list is byte-identical across replays.  The skeleton is
+        compiled; the span is
         completed here from what this execution recorded before charging:
         the node's actual rows and its kernel's cache status.
         """
@@ -583,8 +583,7 @@ class HashJoin(Join):
     match list is ordered by probe position, the streamed outputs
     concatenate to exactly the whole-column join and the accumulated
     :class:`JoinStats` equals :func:`~repro.operators.hash_join_kernel`'s
-    record.  The index is read-only once built, so the transform is safe
-    on worker threads.  A *swapped* join's build-major order cannot be
+    record.  The index is read-only once built.  A *swapped* join's build-major order cannot be
     emitted as a probe-order stream; it :meth:`run`\\ s whole.
     """
 

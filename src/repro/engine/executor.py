@@ -140,7 +140,6 @@ from .querycache import (
     QueryCache,
     result_nbytes,
 )
-from .workers import WorkerPool, resolve_workers
 
 _KernelResult = TypeVar("_KernelResult")
 
@@ -180,20 +179,12 @@ class ExecutorOptions:
     #: entries, so retuning mid-session can cause cold misses but never
     #: wrong reuse.
     pipeline_fusion: bool = True
-    #: Worker threads driving fused-chain morsel streams
-    #: (:mod:`repro.engine.workers`): ``1`` = run inline
-    #: (the exact single-threaded path), ``"auto"`` = the machine's CPU
-    #: count, ``None`` = the ``REPRO_WORKERS`` environment variable (else
-    #: 1).  Resolved to the concrete count when the record is built.  The
-    #: ordered-merge contract of :class:`~repro.engine.workers.WorkerPool`
-    #: keeps everything bit-identical at every worker count.
-    workers: int | str | None = None
     #: Record a :class:`~repro.obs.trace.QueryTrace` on
     #: :attr:`QueryResult.trace`: operator spans (placement, timing,
     #: bytes, rows, cache status), the raw device/link task slices and a
-    #: critical-path analysis.  Spans are appended on the query thread at
-    #: the cost-charging points — canonical plan order — so a trace is
-    #: byte-identical at every worker count (``docs/OBSERVABILITY.md``).
+    #: critical-path analysis.  Spans are appended at the cost-charging
+    #: points — canonical plan order — so a trace is byte-identical across
+    #: replays (``docs/OBSERVABILITY.md``).
     tracing: bool = False
 
     def __post_init__(self) -> None:
@@ -207,7 +198,6 @@ class ExecutorOptions:
                 raise ValueError(f"{knob} must be a bool")
         object.__setattr__(self, "cache_budget_bytes",
                            QueryCache.validate_budget(self.cache_budget_bytes))
-        object.__setattr__(self, "workers", resolve_workers(self.workers))
 
 
 class Chain(NamedTuple):
@@ -381,7 +371,7 @@ class Executor:
         takes, at construction and on a live session alike.
 
         The new record validates itself, then the state derived from it
-        (worker pool, cache budget) is brought in line,
+        (the cache budget) is brought in line,
         so ``options`` and the objects acting on it cannot disagree.  Takes
         effect for the next :meth:`execute`.  A session sharing a
         server-owned cache cannot re-tune the cache budget — it belongs to
@@ -392,7 +382,6 @@ class Executor:
                 "this session shares a server-owned query cache; tune the "
                 "budget on the owning QueryServer")
         self.options = options = replace(self.options, **changes)
-        self.pool = WorkerPool(options.workers, tier="kernel")
         if self._owns_cache:
             self.query_cache.set_budget(options.cache_budget_bytes)
 
@@ -675,13 +664,6 @@ class Executor:
         outputs only ever exist one morsel at a time; the boundary batch
         is reassembled with the consuming concatenation to keep the
         materialization spike near the output's own size.
-
-        With ``workers > 1`` the morsel stream is split into at most
-        ``workers`` contiguous chunks and each chunk flows through the
-        (pure) transforms on a pool thread.  Chunk results come back in
-        morsel order and everything else — ``begin``, the morsel grant,
-        summing the per-morsel flows — happens on this thread, so columns
-        and records are bit-identical at every worker count.
         """
         ops = chain.ops
         if not streams_morsels(ops[-1].node):
@@ -692,30 +674,19 @@ class Executor:
                   if (transform := op.begin(build)) is not None]
         if not stages:  # a lone exchange
             return source.columns, ()
-        morsels = list(iter_morsels(source.columns,
-                                    self.grant(source.num_rows)))
-
-        def run_span(span: range) -> tuple[list[ArrayMap], list[list]]:
-            outs: list[ArrayMap] = []
-            flows: list[list] = []
-            for index in span:
-                batch = Rows.of(morsels[index])
-                flow = []
-                for _, _, transform in stages:
-                    out, in_bytes = transform(batch)
-                    flow.append((batch.num_rows, in_bytes, out.nbytes(),
-                                 out.num_rows))
-                    batch = out
-                outs.append(dict(batch))  # each column gathered once
-                flows.append(flow)
-            return outs, flows
-
         parts: list[ArrayMap] = []
         flows: list[list] = []
-        for outs, span_flows in self.pool.map_ordered(
-                run_span, self.pool.chunks(len(morsels))):
-            parts.extend(outs)
-            flows.extend(span_flows)
+        for morsel in iter_morsels(source.columns,
+                                   self.grant(source.num_rows)):
+            batch = Rows.of(morsel)
+            flow = []
+            for _, _, transform in stages:
+                out, in_bytes = transform(batch)
+                flow.append((batch.num_rows, in_bytes, out.nbytes(),
+                             out.num_rows))
+                batch = out
+            parts.append(dict(batch))  # each column gathered once
+            flows.append(flow)
         records = []
         # Transpose morsels x stages, then sum each stage's four counters.
         for (op, build, _), stage_flows in zip(stages, zip(*flows)):

@@ -58,7 +58,6 @@ Two properties the rest of the engine relies on:
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
@@ -176,23 +175,19 @@ class QueryCache:
     only retains, evicts (LRU under ``budget_bytes``) and invalidates
     (:meth:`invalidate_table`, driven by catalog subscriptions).
 
-    **Thread safety.**  Every mutating or compound operation holds one
-    re-entrant lock: worker-driven serving executes tenant queries (and
-    therefore cache lookups, inserts and catalog-driven invalidations)
-    from multiple threads against one shared cache.  The lock makes each
-    get/put/invalidate atomic — counters always reconcile exactly
-    (``lookups == hits + misses``; bytes match the live entries) no matter
-    how calls interleave.
+    One thread drives a session or a server, so every get, put and
+    invalidation runs to completion before the next starts and the
+    counters reconcile exactly (``lookups == hits + misses``; bytes match
+    the live entries) without a lock.
     """
 
     def __init__(
             self, budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES,
     ) -> None:
-        self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes_used = 0
-        # Plain ints under the lock: a lookup adds 1, and a snapshot is
-        # built only when one is read (counters(), stats()).
+        # Plain ints: a lookup adds 1, and a snapshot is built only when
+        # one is read (counters(), stats()).
         self._hits = self._misses = self._evicted = self._invalidated = 0
         self.budget_bytes = self.validate_budget(budget_bytes)
 
@@ -224,32 +219,29 @@ class QueryCache:
 
     def counters(self) -> CacheCounters:
         """Snapshot of the cumulative hit/miss/evict/invalidate counters."""
-        with self._lock:
-            return CacheCounters(self._hits, self._misses, self._evicted,
-                                 self._invalidated)
+        return CacheCounters(self._hits, self._misses, self._evicted,
+                             self._invalidated)
 
     def stats(self) -> QueryCacheStats:
         """Counters plus occupancy, as one frozen snapshot."""
-        with self._lock:
-            return QueryCacheStats(
-                self._hits, self._misses, self._evicted, self._invalidated,
-                entries=len(self._entries), bytes_used=self._bytes_used,
-                budget_bytes=self.budget_bytes,
-            )
+        return QueryCacheStats(
+            self._hits, self._misses, self._evicted, self._invalidated,
+            entries=len(self._entries), bytes_used=self._bytes_used,
+            budget_bytes=self.budget_bytes,
+        )
 
     # ------------------------------------------------------------------
     # The cache protocol
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> object | None:
         """Look up a kernel result; counts a hit or a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry.value
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return entry.value
 
     def put(self, key: Hashable, value: object, *, nbytes: int,
             tables: frozenset[str] = frozenset()) -> None:
@@ -259,20 +251,19 @@ class QueryCache:
         counted as evicted) rather than flushing every other entry for an
         insert that could never fit.
         """
-        with self._lock:
-            if not self.enabled:
-                return
-            if self.budget_bytes is not None and nbytes > self.budget_bytes:
-                self._evicted += 1
-                return
-            freeze_result(value)
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes_used -= old.nbytes
-            self._entries[key] = _Entry(value, nbytes=int(nbytes),
-                                        tables=tables)
-            self._bytes_used += int(nbytes)
-            self._evict_to_budget()
+        if not self.enabled:
+            return
+        if self.budget_bytes is not None and nbytes > self.budget_bytes:
+            self._evicted += 1
+            return
+        freeze_result(value)
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes_used -= old.nbytes
+        self._entries[key] = _Entry(value, nbytes=int(nbytes),
+                                    tables=tables)
+        self._bytes_used += int(nbytes)
+        self._evict_to_budget()
 
     def invalidate_table(self, name: str) -> int:
         """Discard every entry whose subplan read ``name``.
@@ -282,14 +273,13 @@ class QueryCache:
         results that depended on the changed table — entries over other
         tables stay warm.  Returns how many entries were discarded.
         """
-        with self._lock:
-            stale = [key for key, entry in self._entries.items()
-                     if name in entry.tables]
-            for key in stale:
-                entry = self._entries.pop(key)
-                self._bytes_used -= entry.nbytes
-            self._invalidated += len(stale)
-            return len(stale)
+        stale = [key for key, entry in self._entries.items()
+                 if name in entry.tables]
+        for key in stale:
+            entry = self._entries.pop(key)
+            self._bytes_used -= entry.nbytes
+        self._invalidated += len(stale)
+        return len(stale)
 
     def set_budget(self, budget_bytes: int | None) -> None:
         """Re-tune the byte budget, evicting down to it immediately.
@@ -297,14 +287,13 @@ class QueryCache:
         ``0`` disables cross-query caching (drops everything, counted as
         evictions); ``None`` lifts the bound entirely.
         """
-        with self._lock:
-            self.budget_bytes = self.validate_budget(budget_bytes)
-            if self.budget_bytes == 0 and self._entries:
-                self._evicted += len(self._entries)
-                self._entries.clear()
-                self._bytes_used = 0
-                return
-            self._evict_to_budget()
+        self.budget_bytes = self.validate_budget(budget_bytes)
+        if self.budget_bytes == 0 and self._entries:
+            self._evicted += len(self._entries)
+            self._entries.clear()
+            self._bytes_used = 0
+            return
+        self._evict_to_budget()
 
     def clear(self) -> None:
         """Drop every entry without touching the counters.
@@ -313,9 +302,8 @@ class QueryCache:
         long-lived engine) — unlike eviction/invalidation this is not an
         observable cache event.
         """
-        with self._lock:
-            self._entries.clear()
-            self._bytes_used = 0
+        self._entries.clear()
+        self._bytes_used = 0
 
     # ------------------------------------------------------------------
     def _evict_to_budget(self) -> None:

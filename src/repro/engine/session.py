@@ -55,7 +55,7 @@ from .querycache import QueryCacheStats
 #: The :class:`ExecutorOptions` fields a session exposes as constructor
 #: keywords and as get/set attributes.
 SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "pipeline_fusion",
-                 "workers", "tracing")
+                 "tracing")
 
 
 def _knob(name: str) -> property:
@@ -127,15 +127,15 @@ class HAPEEngine:
         (2 CPU sockets + 2 GPUs, :func:`~repro.hardware.default_server`).
     optimizer_options / executor_options:
         Fine-grained knob records; usually left at their defaults.
-    morsel_rows / cache_budget_bytes / pipeline_fusion / workers / tracing:
+    morsel_rows / cache_budget_bytes / pipeline_fusion / tracing:
         The session knobs.  Each is the :class:`ExecutorOptions` field of
         the same name — documented there, once — and overrides
         ``executor_options`` when both are given.  After construction the
-        same names are attributes: reading returns the value in force
-        (``workers`` resolved to a concrete count), assigning re-tunes the
-        live session.  All five are wall-clock/working-set only: results
-        and simulated seconds are bit-identical for every setting, and a
-        bad value raises ``ValueError`` whichever way it arrives.
+        same names are attributes: reading returns the value in force,
+        assigning re-tunes the live session.  All four are
+        wall-clock/working-set only: results and simulated seconds are
+        bit-identical for every setting, and a bad value raises
+        ``ValueError`` whichever way it arrives.
     catalog / query_cache:
         Normally omitted — the session owns a private catalog and cache.
         A :class:`~repro.server.QueryServer` passes its *shared* catalog
@@ -143,6 +143,9 @@ class HAPEEngine:
         sessions see one table registry and reuse each other's warm
         kernel results; such sessions cannot re-tune the cache budget
         (it belongs to the server).
+    workers:
+        Not a knob: one thread drives a session.  Kept for callers that
+        still pass ``workers=1``; any other value raises ``ValueError``.
     """
 
     def __init__(self, topology: Topology | None = None, *,
@@ -150,7 +153,11 @@ class HAPEEngine:
                  executor_options: ExecutorOptions | None = None,
                  catalog: Catalog | None = None,
                  query_cache=None,
+                 workers: int = 1,
                  **knobs: object) -> None:
+        if workers != 1:
+            raise ValueError(f"one thread drives a session: workers must "
+                             f"be 1, got {workers!r}")
         unknown = knobs.keys() - SESSION_KNOBS
         if unknown:
             raise TypeError("HAPEEngine() got unexpected keyword arguments "
@@ -177,7 +184,6 @@ class HAPEEngine:
     morsel_rows = _knob("morsel_rows")
     cache_budget_bytes = _knob("cache_budget_bytes")
     pipeline_fusion = _knob("pipeline_fusion")
-    workers = _knob("workers")
     tracing = _knob("tracing")
 
     @property
@@ -240,9 +246,7 @@ class HAPEEngine:
         Records are made under a stamp: the catalog's table versions, the
         topology's health fingerprint and the optimizer and executor
         options.  A call under another stamp starts an empty set, swapped
-        in whole.  The stamp is read before anything is estimated, so a
-        record built while another thread registers or drops a table lands
-        in the set of the old versions, which the next call drops.
+        in whole.
 
         Logical plans hold dicts and cannot be dict keys, so records are
         filed under ``id(plan)`` beside a weak reference to the plan: a

@@ -119,21 +119,6 @@ class SimClock:
         self._records.clear()
 
 
-class LocalClock:
-    """Mixin of a resource with a thread-local simulated clock (a device,
-    a link).  The owner sets ``spec``, whose ``name`` names the clock, and
-    ``_local``, its thread-local namespace."""
-
-    @property
-    def clock(self) -> SimClock:
-        """This thread's simulated clock for the resource."""
-        try:
-            return self._local.clock
-        except AttributeError:
-            clock = self._local.clock = SimClock(self.spec.name)
-            return clock
-
-
 class Timeline:
     """Aggregates the clocks of a whole simulated server."""
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import threading
 
 from ..errors import OutOfDeviceMemoryError
-from .clock import LocalClock, TaskRecord
+from .clock import SimClock, TaskRecord
 from .costmodel import CostModel
 from .specs import DeviceKind, DeviceSpec
 
@@ -33,22 +32,21 @@ class DeviceHealth(enum.Enum):
     FAILED = "failed"
 
 
-class Device(LocalClock):
+class Device:
     """One compute device of the simulated heterogeneous server.
 
-    The simulated clock is **thread-local**: each thread charging the
-    device sees its own simulated-seconds ledger, so concurrent per-tenant
-    query executions on a shared topology produce exactly the timings they
+    One thread drives a session or a server, and every execution resets
+    the clock before it charges, so each query's timings are those it
     would produce running alone.  Spec (memory capacity included), cost
-    model and health are shared — fault injection is a topology-wide event
-    every thread must observe.
+    model and health outlive executions — fault injection is a
+    topology-wide event every later execution observes.
     """
 
     def __init__(self, spec: DeviceSpec, *, numa_node: int = 0) -> None:
         self.spec = spec
         self.numa_node = numa_node
         self.cost = CostModel(spec)
-        self._local = threading.local()
+        self.clock = SimClock(spec.name)
         self.health = DeviceHealth.HEALTHY
         self._nominal_memory_bytes = int(spec.memory_capacity_bytes)
 
@@ -134,5 +132,5 @@ class Device(LocalClock):
         return self.clock.reserve(seconds, earliest=earliest, label=label)
 
     def reset(self) -> None:
-        """Reset this thread's clock (between experiments)."""
+        """Reset the clock (between experiments)."""
         self.clock.reset()

@@ -11,30 +11,31 @@ scale by 1.7x in Figure 7.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass
 
-from .clock import LocalClock, TaskRecord
+from .clock import SimClock, TaskRecord
 from .specs import LinkSpec
 
 _GIB = 1024.0 ** 3
 
 
-class Link(LocalClock):
+class Link:
     """A physical interconnect link (PCIe bus, QPI) between two endpoints.
 
-    Clock and byte counter are **thread-local**, like
-    :class:`~repro.hardware.device.Device` clocks: concurrent per-tenant
-    query executions each account the link as if they ran alone, so
-    per-query ``link_bytes`` and timings are bit-identical to solo runs.
-    The spec (bandwidth, fault-injected degradation) is shared.
+    Clock and byte counter are reset with the
+    :class:`~repro.hardware.device.Device` clocks before every execution,
+    so per-query ``link_bytes`` and timings are bit-identical to solo
+    runs.  The spec (bandwidth, fault-injected degradation) outlives
+    executions.
     """
 
     def __init__(self, spec: LinkSpec, endpoint_a: str, endpoint_b: str) -> None:
         self.spec = spec
         self.endpoint_a = endpoint_a
         self.endpoint_b = endpoint_b
-        self._local = threading.local()
+        self.clock = SimClock(spec.name)
+        #: Bytes that crossed this link since the last :meth:`reset`.
+        self.bytes_moved = 0
         self._nominal_bandwidth_gib_s = float(spec.bandwidth_gib_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -43,11 +44,6 @@ class Link(LocalClock):
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def bytes_moved(self) -> int:
-        """Bytes that crossed this link so far (this thread's ledger)."""
-        return getattr(self._local, "bytes_moved", 0)
 
     def transfer_time(self, nbytes: int) -> float:
         """Time to move ``nbytes`` across the link (one direction)."""
@@ -58,7 +54,7 @@ class Link(LocalClock):
     def transfer(self, nbytes: int, *, earliest: float = 0.0,
                  label: str = "transfer") -> TaskRecord:
         """Schedule a transfer on the link's clock and account the bytes."""
-        self._local.bytes_moved = self.bytes_moved + max(int(nbytes), 0)
+        self.bytes_moved += max(int(nbytes), 0)
         return self.clock.reserve(
             self.transfer_time(nbytes), earliest=earliest, label=label
         )
@@ -85,7 +81,7 @@ class Link(LocalClock):
 
     def reset(self) -> None:
         self.clock.reset()
-        self._local.bytes_moved = 0
+        self.bytes_moved = 0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ shortest-path computation over the registered links.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import replace
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,35 +38,28 @@ class OccupancyBoard:
     charged to it, so board contention mirrors what the per-query
     timelines measured.
 
-    The board is shared mutable state across serving worker threads, so
-    every compound operation (on-demand clock creation, the
-    read-availability-then-reserve sequence of :meth:`reserve`) holds one
-    re-entrant lock.  Note that SimClock list scheduling makes the
-    *order* of reservations observable — deterministic serving therefore
-    keeps all :meth:`reserve` calls on the coordinating thread in
-    canonical dispatch order; the lock protects integrity, not ordering.
+    SimClock list scheduling makes the *order* of reservations
+    observable, so the serving loop — one thread, like a session —
+    reserves in canonical dispatch order.
     """
 
     def __init__(self, known: Callable[[str], bool]) -> None:
         self._known = known
         self._clocks: dict[str, SimClock] = {}
-        self._lock = threading.RLock()
 
     def clock(self, resource: str) -> SimClock:
         """The server-time ledger of one resource (created on demand)."""
-        with self._lock:
-            if resource not in self._clocks:
-                if not self._known(resource):
-                    raise UnknownDeviceError(
-                        f"unknown resource {resource!r} for occupancy tracking")
-                self._clocks[resource] = SimClock(resource)
-            return self._clocks[resource]
+        if resource not in self._clocks:
+            if not self._known(resource):
+                raise UnknownDeviceError(
+                    f"unknown resource {resource!r} for occupancy tracking")
+            self._clocks[resource] = SimClock(resource)
+        return self._clocks[resource]
 
     def available_at(self, resources: Iterable[str]) -> float:
         """Earliest server time at which *all* given resources are free."""
-        with self._lock:
-            return max((self.clock(name).available_at for name in resources),
-                       default=0.0)
+        return max((self.clock(name).available_at for name in resources),
+                   default=0.0)
 
     def reserve(self, resources: Mapping[str, float], *,
                 earliest: float = 0.0, label: str = "query") -> float:
@@ -78,8 +70,6 @@ class OccupancyBoard:
         each resource is then occupied for its own duration, so a
         PCIe-bound query frees the GPU clock early while a saturating scan
         holds its CPUs to the end.  Returns the common start time.
-        Atomic: no other thread can reserve between the availability read
-        and the reservations.
         """
         start, _ = self.reserve_records(resources, earliest=earliest,
                                         label=label)
@@ -94,13 +84,12 @@ class OccupancyBoard:
         later kill the reservation early (fault, preemption) keeps them to
         release the occupied tail.
         """
-        with self._lock:
-            start = max(self.available_at(tuple(resources)), earliest)
-            records = tuple(
-                self.clock(name).reserve(float(duration), earliest=start,
-                                         label=label)
-                for name, duration in resources.items())
-            return start, records
+        start = max(self.available_at(tuple(resources)), earliest)
+        records = tuple(
+            self.clock(name).reserve(float(duration), earliest=start,
+                                     label=label)
+            for name, duration in resources.items())
+        return start, records
 
     def truncate(self, records: Sequence, fraction: float) -> tuple:
         """Shrink reservations to ``fraction`` of their durations.
@@ -110,9 +99,8 @@ class OccupancyBoard:
         the kill instant, exactly what a ``dispatch(fraction=...)`` of the
         killed attempt would have reserved.  Returns the replacements.
         """
-        with self._lock:
-            return tuple(self.clock(record.resource).truncate(record, fraction)
-                         for record in records)
+        return tuple(self.clock(record.resource).truncate(record, fraction)
+                     for record in records)
 
     def busy_time(self, resource: str) -> float:
         return self.clock(resource).busy_time
@@ -123,24 +111,21 @@ class OccupancyBoard:
         The server-time busy slices of a whole serving epoch — what the
         epoch trace exports as per-device/link occupancy tracks.
         """
-        with self._lock:
-            merged = [record for clock in self._clocks.values()
-                      for record in clock.records]
+        merged = [record for clock in self._clocks.values()
+                  for record in clock.records]
         merged.sort(key=attrgetter("start", "resource", "label"))
         return tuple(merged)
 
     @property
     def makespan(self) -> float:
         """Latest reservation end across every tracked resource."""
-        with self._lock:
-            return max((clock.available_at for clock in self._clocks.values()),
-                       default=0.0)
+        return max((clock.available_at for clock in self._clocks.values()),
+                   default=0.0)
 
     def clear(self) -> None:
         """Forget every reservation (a new serving epoch)."""
-        with self._lock:
-            for clock in self._clocks.values():
-                clock.reset()
+        for clock in self._clocks.values():
+            clock.reset()
 
 
 class Topology:

@@ -7,13 +7,13 @@ decisions — into byte-stable artifacts:
 * :class:`QueryTrace` / :class:`EpochTrace` — the data model, with JSONL
   and Chrome-trace (Perfetto-loadable) exporters;
 * :class:`Tracer` — the append-only event recorder the server writes
-  lifecycle events into (coordinator thread only, canonical order);
+  lifecycle events into (canonical order);
 * :func:`critical_path` — which device or link bounded a makespan, with
   idle-gap accounting.
 
 See ``docs/OBSERVABILITY.md`` for the span/event schema and the
-determinism contract (byte-identical at every worker count and across
-replays; warm differs from cold only in ``VOLATILE_SPAN_KEYS``).
+determinism contract (byte-identical across replays; warm differs from
+cold only in ``VOLATILE_SPAN_KEYS``).
 """
 
 from .critical import CriticalPath, PathStep, critical_path

@@ -3,13 +3,11 @@
 Everything observability exports is derived from *simulated* time: the
 executor's per-query device/link clocks and the server's event-driven
 drain.  No wall clocks, no thread identities, no randomness ever enter a
-trace — worker threads only run pure morsel transforms while every span
-append and event append happens on the query/coordinating thread in
-canonical plan/admission order (the same trace/commit discipline
-:class:`~repro.server.sharedcache.SharedQueryCache` uses for hit/miss
-attribution).  A trace is therefore **byte-identical at every worker
-count and across replays**, which turns the repo's bit-identity gates
-into diffable artifacts (``tools/trace_tool.py diff``).
+trace — one thread drives a session or a server, and every span append
+and event append happens in canonical plan/admission order.  A trace is
+therefore **byte-identical across replays**, which turns the repo's
+bit-identity gates into diffable artifacts (``tools/trace_tool.py
+diff``).
 
 Two trace granularities share one vocabulary:
 
@@ -114,9 +112,8 @@ class Span:
     #: Session-cache status of the kernel evaluation backing this span:
     #: ``"hit"`` / ``"miss"`` / ``"overlay"`` (within-plan repeat).  Only
     #: recorded for session-owned caches — under a server-shared cache
-    #: raw lookup outcomes race between tenants, so per-attempt cache
-    #: attribution comes from the committed counters on the ``complete``
-    #: event instead (see ``docs/OBSERVABILITY.md``).
+    #: per-attempt cache attribution is the tenant's shared-cache delta
+    #: on the ``complete`` event instead (see ``docs/OBSERVABILITY.md``).
     cache: str | None = None
     #: Morsels the kernel evaluation behind this span dispatched (zero
     #: when the cache served it); session-owned caches only, like

@@ -3,10 +3,9 @@
 A :class:`Tracer` is deliberately minimal: an append-only list of
 :class:`~repro.obs.trace.TraceEvent` plus an ``enabled`` flag.  All the
 determinism heavy lifting happens at the *call sites* — every
-:meth:`Tracer.event` call is made from the coordinating thread at a
-canonical point in the drain (admission pick order, plan order, commit
-order), never from worker threads — so the recorder itself needs no
-locks and no ordering logic.
+:meth:`Tracer.event` call is made at a canonical point in the one-thread
+drain (admission pick order, plan order) — so the recorder itself needs
+no ordering logic.
 
 When disabled (the default) :meth:`event` returns before touching its
 keyword arguments' storage, so a server constructed without

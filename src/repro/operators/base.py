@@ -61,7 +61,6 @@ analytic models reuse the exact same costing code.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -71,30 +70,23 @@ ArrayMap = dict[str, np.ndarray]
 
 #: Number of functional-kernel invocations per kernel name since the last
 #: :func:`reset_kernel_counts` call.  Cost estimators never show up here.
-#: Guarded by a lock: a multi-worker server runs its tenants' queries —
-#: and so their kernels — on several threads at once; counts are
-#: order-independent sums, so locked increments keep the totals exact at
-#: every worker count.
+#: One thread drives a session or a server, so plain increments are exact.
 _KERNEL_COUNTS: dict[str, int] = {}
-_KERNEL_COUNTS_LOCK = threading.Lock()
 
 
 def record_kernel_invocation(name: str, count: int = 1) -> None:
     """Count functional-kernel executions (for single-evaluation tests)."""
-    with _KERNEL_COUNTS_LOCK:
-        _KERNEL_COUNTS[name] = _KERNEL_COUNTS.get(name, 0) + count
+    _KERNEL_COUNTS[name] = _KERNEL_COUNTS.get(name, 0) + count
 
 
 def kernel_counts() -> dict[str, int]:
     """Snapshot of the per-kernel invocation counters."""
-    with _KERNEL_COUNTS_LOCK:
-        return dict(_KERNEL_COUNTS)
+    return dict(_KERNEL_COUNTS)
 
 
 def reset_kernel_counts() -> None:
     """Zero the per-kernel invocation counters."""
-    with _KERNEL_COUNTS_LOCK:
-        _KERNEL_COUNTS.clear()
+    _KERNEL_COUNTS.clear()
 
 
 @dataclass
@@ -167,9 +159,7 @@ class Rows(Mapping):
     ``KeyDomain.encode`` — and ``dict(rows)`` materializes it.  Its bytes
     are rows x item size per column, which is what the gathered 1-D arrays
     hold, so stats read them without gathering.  Reading a column fills
-    the view's cache, so a view that worker threads share — a join's build
-    side — is only ever :meth:`take`\\ n, which reads nothing but the
-    cache.
+    the view's cache.
     """
 
     __slots__ = ("pairs", "num_rows", "_read")

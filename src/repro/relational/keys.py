@@ -286,7 +286,7 @@ class JoinBuildIndex:
       integers, keep the binary search.
 
     The index is read-only after construction — no probe caches anything
-    on it — so worker threads may share it.
+    on it.
     """
 
     __slots__ = ("order", "sorted_keys", "unique_keys", "_keys", "_padded",

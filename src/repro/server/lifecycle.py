@@ -233,9 +233,9 @@ class TicketLifecycle:
         """Emit a ``device_health`` event per device whose state changed.
 
         ``cause=None`` only takes the baseline (the start of an epoch).
-        Runs on the coordinator thread at deterministic simulated times
-        (fault-schedule and breaker edges), so the events land in the
-        trace in the same order at every worker count.
+        Runs at deterministic simulated times (fault-schedule and breaker
+        edges), so the events land in the trace in the same order on
+        every replay.
         """
         if not self.tracer.enabled:
             return
@@ -326,9 +326,8 @@ class TicketLifecycle:
         ticket.error = None
         self.breaker.record_success(placement.resources)
         self.trace_health(at, "breaker")
-        # Cache attribution on the event comes from the *committed*
-        # counters (deterministic at every worker count), not raw
-        # per-span lookups — see docs/OBSERVABILITY.md.
+        # Cache attribution on the event is the attempt's shared-cache
+        # delta, not raw per-span lookups — see docs/OBSERVABILITY.md.
         self._move(ticket, at, "complete",
                    simulated_seconds=attempt.result.simulated_seconds,
                    cache_hits=attempt.cache_delta.hits,

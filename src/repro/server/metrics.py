@@ -65,10 +65,8 @@ _TENANT_METRICS = (
     ("slo_p99_seconds", "Tenant p99 latency objective (0 = none).", "gauge"),
     ("slo_met", "1 tenant met its SLO, 0 missed, absent without SLO.",
      "gauge"),
-    ("cache_hits_total", "Tenant shared-cache hits (committed attribution).",
-     "counter"),
-    ("cache_misses_total",
-     "Tenant shared-cache misses (committed attribution).", "counter"),
+    ("cache_hits_total", "Tenant shared-cache hits.", "counter"),
+    ("cache_misses_total", "Tenant shared-cache misses.", "counter"),
 )
 
 
@@ -102,8 +100,8 @@ class MetricsSnapshot:
                 ) -> "MetricsSnapshot":
         """Build a snapshot from a report (``None`` = no epoch yet).
 
-        ``tenant_cache`` carries the shared cache's committed per-tenant
-        hit/miss attribution; ``extra`` carries derived gauges (epoch
+        ``tenant_cache`` carries the shared cache's per-tenant hit/miss
+        attribution; ``extra`` carries derived gauges (epoch
         median q-error, per-device occupancy) whose keys may embed a
         Prometheus label set (``'device_occupancy{device="gpu0"}'``).
         """

@@ -17,14 +17,11 @@ Two invariants carry over unchanged from the single-session engine:
   private session — concurrency only adds *queue wait* and changes server
   wall-clock, never a query's own simulated execution.
 * **Functional determinism.**  The serving loop is event-driven over
-  simulated server time and coordinated from one thread, so interleaved
+  simulated server time and driven by one thread, which executes the
+  admitted queries one at a time in admission pick order, so interleaved
   multi-tenant runs return exactly the tables a serial run returns, in a
-  reproducible order.  With ``workers > 1`` admitted queries from
-  *different tenants* execute genuinely concurrently on worker threads —
-  per-query simulated time stays bit-identical (hardware clocks are
-  thread-local), and all scheduling (admission picks,
-  occupancy reservations, completion processing) stays on the
-  coordinating thread in canonical pick order.
+  reproducible order, and the shared cache counts each lookup as it
+  happens.
 
 The server is also *fault tolerant*: a :class:`~repro.faults.FaultPlan`
 (or an organic failure such as
@@ -68,7 +65,6 @@ from ..engine.querycache import (
     QueryCacheStats,
 )
 from ..engine.session import HAPEEngine, QueryResult
-from ..engine.workers import WorkerPool, resolve_workers
 from ..errors import (
     AdmissionError,
     DeviceUnavailableError,
@@ -97,7 +93,7 @@ from .lifecycle import (
 )
 from .metrics import MetricsSnapshot
 from .scheduler import DeviceScheduler
-from .sharedcache import CacheBracket, SharedQueryCache
+from .sharedcache import SharedQueryCache
 
 
 @dataclass(kw_only=True)
@@ -296,15 +292,8 @@ class QueryServer:
         attempts is marked failed and probed for recovery after the
         cooldown elapses in server time.
     workers:
-        Worker threads the drain uses to execute admitted queries from
-        different tenants concurrently (``"auto"`` = CPU count).  The
-        default ``1`` keeps the fully serial drain.  Functional results,
-        per-query simulated seconds *and* shared-cache hit/miss
-        attribution are identical at every worker count: cache traffic
-        is traced per attempt and committed on the coordinating thread
-        in canonical admission pick order, so two tenants racing to
-        compute the same kernel charge exactly one miss (the earlier
-        pick) and one hit, just as a serial drain would.
+        Not a knob: one thread drives a server.  Kept for callers that
+        still pass ``workers=1``; any other value raises ``ValueError``.
     preemption:
         When ``True``, an interactive arrival that would otherwise wait
         may kill a running batch-priority attempt at its next morsel
@@ -327,9 +316,9 @@ class QueryServer:
         and fault transitions, SLO grading) on the simulated server
         clock, plus per-query operator traces (tenant sessions open with
         session tracing on) and the occupancy board's busy slices.  All
-        events are recorded on the coordinating thread in canonical
-        admission pick order, so the trace is byte-identical at every
-        worker count and across replays.  Off by default with near-zero
+        events are recorded in canonical admission pick order, so the
+        trace is byte-identical across replays.  Off by default with
+        near-zero
         overhead (one flag check per lifecycle point); serving results,
         reports and metrics are bit-identical with tracing on or off.
     """
@@ -340,10 +329,13 @@ class QueryServer:
                  retry_policy: RetryPolicy | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown_seconds: float = 1.0,
-                 workers: int | str = 1,
+                 workers: int = 1,
                  preemption: bool = False,
                  aging_seconds: float | None = None,
                  tracing: bool = False) -> None:
+        if workers != 1:
+            raise ValueError(f"one thread drives a server: workers must "
+                             f"be 1, got {workers!r}")
         self.topology = topology if topology is not None else default_server()
         self.catalog = Catalog()
         self.query_cache = SharedQueryCache(cache_budget_bytes)
@@ -361,8 +353,6 @@ class QueryServer:
         self.breaker = CircuitBreaker(
             self.topology, threshold=breaker_threshold,
             cooldown_seconds=breaker_cooldown_seconds)
-        self.workers = resolve_workers(workers)
-        self._pool = WorkerPool(self.workers, tier="server")
         self._sessions: dict[str, HAPEEngine] = {}
         self._ticket_ids = itertools.count(1)
         self._event_seq = itertools.count()
@@ -379,7 +369,7 @@ class QueryServer:
             raise ValueError("tracing must be a bool")
         self.tracing = tracing
         #: Lifecycle-event recorder (no-op unless ``tracing=True``); all
-        #: appends happen on the coordinating thread in canonical order.
+        #: appends happen in canonical order.
         self.tracer = Tracer(enabled=tracing)
         #: The ticket state machine the serving loop drives.
         self.lifecycle = TicketLifecycle(
@@ -607,9 +597,6 @@ class QueryServer:
         self._injector = FaultInjector(self.fault_plan, self.topology)
         self.topology.reset_occupancy()
         self.lifecycle.trace_health(0.0, None)
-        # Seed the epoch's canonical cache-key set: commits classify
-        # hits/misses against it in pick order (see SharedQueryCache).
-        self.query_cache.begin_epoch()
         try:
             self._drain()
         except Exception as exc:
@@ -633,11 +620,6 @@ class QueryServer:
         self._apply_faults(now, completions)
         self._pump_arrivals(now)
         while True:
-            # One dispatch path at every worker count: the serial pool
-            # simply maps execution groups in order on this thread, so
-            # workers=1 exercises the same bookkeeping/execute/commit
-            # phases (and the same deterministic cache attribution) as a
-            # concurrent drain.
             self._dispatch_admissible(now, completions)
             events = []
             while completions and completions[0][2].cancelled:
@@ -703,32 +685,32 @@ class QueryServer:
     # Dispatch: one execution attempt
     # ------------------------------------------------------------------
     def _execute_attempt(self, ticket: QueryTicket) -> tuple[
-            QueryResult | None, CacheBracket, ReproError | None]:
-        """Functionally execute one attempt (safe off the drain thread).
+            QueryResult | None, CacheCounters, ReproError | None]:
+        """Functionally execute one attempt in the tenant's session.
 
-        Touches only thread-safe state: the tenant's session (one thread
-        runs a given tenant at a time), the shared cache and the
-        catalog.  No admission, occupancy or ticket bookkeeping happens
-        here — that stays on the coordinating thread.  Cache traffic is
-        *traced* into the returned bracket, not counted: the coordinating
-        thread commits brackets in canonical pick order, which is what
-        makes hit/miss attribution deterministic at any worker count.
+        Touches only the session, the shared cache and the catalog; no
+        admission, occupancy or ticket bookkeeping happens here.  The
+        shared cache's hits and misses during the attempt — failed or not,
+        its lookups are real traffic — are the attempt's cache delta,
+        attributed to its tenant as they are counted.
         """
-        session = self.session(ticket.tenant)
-        with self.query_cache.tenant(ticket.tenant) as bracket:
-            try:
-                result = session.execute(ticket.plan, ticket.current_mode)
-            except ReproError as error:
-                return None, bracket, error
-        return result, bracket, None
+        before = self.query_cache.counters()
+        result = error = None
+        try:
+            result = self.session(ticket.tenant).execute(
+                ticket.plan, ticket.current_mode)
+        except ReproError as exc:
+            error = exc
+        return (result, self.query_cache.attribute(ticket.tenant, before),
+                error)
 
     def _enqueue_attempt(self, ticket: QueryTicket, now: float,
                          completions: list, result: QueryResult,
                          cache_delta: CacheCounters) -> None:
         """Reserve a successfully executed attempt on the occupancy board.
 
-        Must run on the coordinating thread in canonical pick order —
-        occupancy reservations are order-sensitive (list scheduling).
+        Runs in canonical pick order — occupancy reservations are
+        order-sensitive (list scheduling).
         """
         tenant = ticket.tenant
         deadline = ticket.deadline_time
@@ -835,19 +817,14 @@ class QueryServer:
                 self.lifecycle.end_attempt(ticket, kill, PREEMPTED, attempt)
 
     def _dispatch_admissible(self, now: float, completions: list) -> None:
-        """Drain every currently admissible pick (workers optional).
+        """Drain every currently admissible pick.
 
-        Three phases per batch, repeated until nothing is admissible:
-        bookkeeping (deadline checks, attempt counting, auto-mode
-        resolution) in pick order on this thread; functional execution
-        grouped by tenant on worker threads (sessions are not reentrant,
-        so one tenant's picks run sequentially inside their group); then
-        post-processing — cache-bracket commits, failure routing and
-        occupancy reservations — back on this thread in pick order, which
-        keeps both the board's order-sensitive ledgers and the shared
-        cache's hit/miss attribution canonical.  With ``workers=1`` the
-        pool maps the groups serially on this thread, same phases, same
-        attribution.
+        Three phases per batch, repeated until nothing is admissible, each
+        in pick order: bookkeeping (deadline checks, attempt counting,
+        auto-mode resolution), so ``"auto"`` sees the board as it stood
+        before the batch; functional execution; then failure routing and
+        occupancy reservations, which keeps the board's order-sensitive
+        ledgers canonical.
         """
         while True:
             picks = []
@@ -872,24 +849,9 @@ class QueryServer:
                         self.scheduler.least_loaded_kind()).value
                 self.lifecycle.admit(ticket, now)
                 runnable.append(ticket)
-            groups: dict[str, list[QueryTicket]] = {}
-            for ticket in runnable:
-                groups.setdefault(ticket.tenant, []).append(ticket)
-
-            def run_group(tickets: list[QueryTicket]) -> list:
-                return [(ticket.ticket_id, self._execute_attempt(ticket))
-                        for ticket in tickets]
-
-            outcomes: dict[int, tuple] = {}
-            for group in self._pool.map_ordered(run_group,
-                                                list(groups.values())):
-                outcomes.update(group)
-            for ticket in runnable:
-                result, bracket, error = outcomes[ticket.ticket_id]
-                # Commit in pick order even for failed attempts: the
-                # lookups they performed before failing are real traffic
-                # and keep global/tenant counters reconciled exactly.
-                cache_delta = self.query_cache.commit(bracket)
+            outcomes = [self._execute_attempt(ticket) for ticket in runnable]
+            for ticket, (result, cache_delta, error) in zip(runnable,
+                                                            outcomes):
                 if error is not None:
                     self.lifecycle.end_attempt(ticket, now, error)
                 else:
@@ -927,8 +889,7 @@ class QueryServer:
     def _build_epoch_trace(self, report: ServerReport) -> EpochTrace | None:
         """Assemble the epoch's trace from the tracer's committed events.
 
-        Called once per epoch on the coordinator thread after the report
-        is built: SLO grades are appended (sorted by tenant), the report's
+        Called once per epoch after the report is built: SLO grades are appended (sorted by tenant), the report's
         tickets become the trace's rows and the shared occupancy board is
         snapshotted.  Draining the tracer here also guarantees an aborted
         epoch cannot leak events into the next one.

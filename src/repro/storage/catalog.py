@@ -15,7 +15,6 @@ cross-query kernel cache (:mod:`repro.engine.querycache`) relies on:
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 from ..errors import CatalogError
@@ -26,17 +25,15 @@ from .table import Table
 class Catalog:
     """Registry of the tables known to an engine instance.
 
-    Thread-safe: a re-entrant lock makes each registration (version bump
-    plus listener notification) atomic, so sessions running on concurrent
-    worker threads observe table versions strictly monotonically — a
-    reader can never see the new version of a table before the
-    invalidation for the old one has been delivered.  Listeners are
-    invoked *under* the lock; they must not call back into the catalog's
-    mutating methods (the engine's cache invalidation does not).
+    One thread drives a session or a server, so each registration
+    (version bump plus listener notification) completes before anything
+    reads the catalog again: table versions are strictly monotonic, and
+    no reader sees a table's new version before the invalidation for the
+    old one has been delivered.  Listeners must not call back into the
+    catalog's mutating methods (the engine's cache invalidation does not).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._tables: dict[str, Table] = {}
         self._statistics: dict[str, TableStatistics] = {}
         self._versions: dict[str, int] = {}
@@ -60,21 +57,17 @@ class Catalog:
         registration notifies nobody — no cached entry can reference a
         table that was never scannable.
         """
-        # Statistics collection (the expensive part: sampling, unique
-        # counts, histograms) happens outside the lock; only the swap-in
-        # is atomic with the version bump and invalidation delivery.
         statistics = collect_table_statistics(table)
-        with self._lock:
-            replacing = table.name in self._tables
-            if replacing and not replace:
-                raise CatalogError(
-                    f"table {table.name!r} is already registered")
-            self._tables[table.name] = table
-            self._statistics[table.name] = statistics
-            self._versions[table.name] = self._next_version
-            self._next_version += 1
-            if replacing:
-                self._notify(table.name)
+        replacing = table.name in self._tables
+        if replacing and not replace:
+            raise CatalogError(
+                f"table {table.name!r} is already registered")
+        self._tables[table.name] = table
+        self._statistics[table.name] = statistics
+        self._versions[table.name] = self._next_version
+        self._next_version += 1
+        if replacing:
+            self._notify(table.name)
 
     def table(self, name: str) -> Table:
         try:
@@ -102,15 +95,13 @@ class Catalog:
         (or dropping and registering it again) always yields a version no
         earlier registration ever had.
         """
-        with self._lock:
-            self.table(name)
-            return self._versions[name]
+        self.table(name)
+        return self._versions[name]
 
     @property
     def table_versions(self) -> dict[str, int]:
         """Snapshot of every registered table's current catalog version."""
-        with self._lock:
-            return dict(self._versions)
+        return dict(self._versions)
 
     def subscribe(self, listener: Callable[[str], None]) -> None:
         """Add an invalidation listener.
@@ -119,12 +110,11 @@ class Catalog:
         changes from a reader's point of view: a ``register(replace=True)``
         over an existing table, or a :meth:`drop`.  The engine's query
         cache subscribes to discard cached kernel results that read the
-        table.  Delivery is atomic with the version bump that caused it
-        (both happen under the catalog lock), so a subscriber can never
-        observe a new version whose invalidation has not yet arrived.
+        table.  Delivery happens inside the call that bumped the version,
+        so a subscriber can never observe a new version whose
+        invalidation has not yet arrived.
         """
-        with self._lock:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     def drop(self, name: str) -> None:
         """Remove a table and notify invalidation listeners.
@@ -133,13 +123,12 @@ class Catalog:
         of the same name gets a fresh version, so caches cannot confuse
         results computed against the dropped data with the new table's.
         """
-        with self._lock:
-            if name not in self._tables:
-                raise CatalogError(f"unknown table {name!r}")
-            del self._tables[name]
-            del self._statistics[name]
-            del self._versions[name]
-            self._notify(name)
+        if name not in self._tables:
+            raise CatalogError(f"unknown table {name!r}")
+        del self._tables[name]
+        del self._statistics[name]
+        del self._versions[name]
+        self._notify(name)
 
     def _notify(self, name: str) -> None:
         for listener in list(self._listeners):

@@ -92,11 +92,6 @@ PASSING = {
             "morsels_peak_vs_whole_column": 0.56,
             "fused_peak_vs_morsels": 0.85,
             "simulated_seconds_identical": True},
-    "scale": {"cpu_count": 8, "speedup_at_4_workers": 1.8,
-              "workers": {"1": {"wall_clock_seconds": 0.5},
-                          "4": {"wall_clock_seconds": 0.28}},
-              "simulated_identical_across_workers": True,
-              "server_cache_identical_across_workers": True},
     "stats": {"worst_median_q_error": 2.0,
               "queries": {"Q1": {"median_q_error": 2.0, "max_q_error": 3.0},
                           "Q5": {"median_q_error": 1.0, "max_q_error": 7.5}},
@@ -125,7 +120,7 @@ PASSING = {
                                 "latency_p99_seconds": 0.08}},
                   "simulated_seconds": SIMS},
     "trace": {"trace_lines": 493, "critical_paths": {"batch:Q1/hybrid": {}},
-              "trace_identical_across_workers_and_replay": True,
+              "trace_identical_on_replay": True,
               "perfetto_loadable": True, "critical_paths_bound": True,
               "tracing_off_overhead_pct": 0.4,
               "event_kinds": ["admit", "complete", "device_health",
@@ -182,11 +177,6 @@ DOCTORED = {
     ("mem", "fused_peak_vs_morsels"): ("fused_peak_vs_morsels", 1.01),
     ("mem", "simulated_seconds_identical"):
         ("simulated_seconds_identical", False),
-    ("scale", "simulated_identical_across_workers"):
-        ("simulated_identical_across_workers", False),
-    ("scale", "server_cache_identical_across_workers"):
-        ("server_cache_identical_across_workers", False),
-    ("scale", "speedup_at_4_workers"): ("speedup_at_4_workers", 1.49),
     ("stats", "queries.*.median_q_error"):
         ("queries.Q5.median_q_error", 4.01),
     ("stats", "sims_identical_for_unchanged_plans"):
@@ -209,8 +199,8 @@ DOCTORED = {
     ("open_loop", "batch_starved"): ("batch_starved", True),
     ("open_loop", "deterministic_replay"): ("deterministic_replay", False),
     ("open_loop", "queries_served"): ("queries_served", 15),
-    ("trace", "trace_identical_across_workers_and_replay"):
-        ("trace_identical_across_workers_and_replay", False),
+    ("trace", "trace_identical_on_replay"):
+        ("trace_identical_on_replay", False),
     ("trace", "perfetto_loadable"): ("perfetto_loadable", False),
     ("trace", "critical_paths_bound"): ("critical_paths_bound", False),
     ("trace", "tracing_off_overhead_pct"):
@@ -276,19 +266,6 @@ def test_a_wildcard_gate_over_nothing_fails():
     run["suites"]["stats"]["queries"] = {}
     failures, _ = rb.check_run(run)
     assert failures == ["stats.queries.*.median_q_error: not recorded"]
-
-
-def test_speedup_gate_is_skipped_below_four_cpus_not_passed_silently():
-    run = _run("scale")
-    run["suites"]["scale"].update(cpu_count=2, speedup_at_4_workers=0.84)
-    failures, notes = rb.check_run(run)
-    assert failures == []
-    assert any(note.startswith("SKIP: scale.speedup_at_4_workers")
-               and "2" in note and "0.84x" in note for note in notes)
-    run["suites"]["scale"]["cpu_count"] = 4  # enough CPUs: the gate applies
-    failures, _ = rb.check_run(run)
-    assert [f.split(":")[0] for f in failures] == [
-        "scale.speedup_at_4_workers"]
 
 
 # ---- identity gates: two independent records, never nothing ------------
@@ -411,8 +388,8 @@ def test_the_figure_gates_hold_on_the_real_models():
 # ----------------------------------------------------------------------
 # (b) the registry against the Makefile
 # ----------------------------------------------------------------------
-GATE_TARGETS = ("figures", "serve-bench", "scale-bench", "stats", "chaos",
-                "trace", "open-loop")
+GATE_TARGETS = ("figures", "serve-bench", "stats", "chaos", "trace",
+                "open-loop")
 
 
 def _makefile_recipes() -> dict[str, list[str]]:
@@ -432,7 +409,7 @@ def _makefile_recipes() -> dict[str, list[str]]:
 
 def test_default_suites_exist():
     assert set(rb.DEFAULT_SUITES) <= set(rb.SUITES)
-    assert len(rb.SUITES) == 15
+    assert len(rb.SUITES) == 14
     assert "claims" in rb.DEFAULT_SUITES
 
 

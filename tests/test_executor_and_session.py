@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExecutorOptions, HAPEEngine, OptimizerOptions
-from repro.engine.workers import available_cpus
+from repro.engine.session import SESSION_KNOBS
 from repro.errors import CatalogError
 from repro.hardware import DeviceKind, default_server
 from repro.operators import OpCost
@@ -45,7 +45,6 @@ KNOBS = {
     "morsel_rows": ([(123, 123), (None, None)], [0, 2.5, 1000.0, "7", True]),
     "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], [-1]),
     "pipeline_fusion": ([(False, False)], ["yes"]),
-    "workers": ([(2, 2), ("auto", available_cpus())], [0]),
     "tracing": ([(True, True)], [1]),
 }
 
@@ -79,9 +78,8 @@ class TestKnobSurface:
             executor = engine.executor
             assert getattr(engine, knob) == expected
             assert getattr(executor.options, knob) == expected
-            options = executor.options
-            assert executor.pool.workers == options.workers
-            assert executor.query_cache.budget_bytes == options.cache_budget_bytes
+            assert (executor.query_cache.budget_bytes
+                    == executor.options.cache_budget_bytes)
 
     def test_rejects_bad_value(self, knob, door):
         for bad in KNOBS[knob][1]:
@@ -90,6 +88,18 @@ class TestKnobSurface:
 
 
 class TestKnobOwnership:
+    def test_workers_is_not_a_knob(self):
+        """One thread drives a session or a server: ``workers=1`` is
+        accepted and changes nothing, any other count is refused."""
+        from repro.server import QueryServer
+        assert "workers" not in SESSION_KNOBS
+        assert not hasattr(HAPEEngine(default_server(), workers=1), "workers")
+        QueryServer(default_server(), workers=1)
+        for build in (HAPEEngine, QueryServer):
+            for bad in (2, "auto", 0):
+                with pytest.raises(ValueError):
+                    build(default_server(), workers=bad)
+
     def test_failed_assignment_keeps_the_value_in_force(self):
         engine = HAPEEngine(default_server(), morsel_rows=77)
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ executed across the full engine configuration grid:
     device mode ∈ {cpu, gpu, hybrid}
   × morsel_rows ∈ {1, 7, engine default}
   × pipeline_fusion ∈ {off, on}
-  × workers ∈ {1, 2}
 
 with results compared *cell-exact and order-sensitive* (values, dtypes
 and row order — the engine's canonical join output order makes every plan
@@ -75,10 +74,6 @@ SEED_BASE = int(os.environ.get("FUZZ_PLAN_SEED_BASE", "20260700"))
 MODES = ("cpu", "gpu", "hybrid")
 MORSEL_SETTINGS = (1, 7, DEFAULT_MORSEL_ROWS)
 FUSION_SETTINGS = (False, True)
-#: ``morsel_rows=1`` with two workers is the nastiest determinism case:
-#: every row is its own morsel, so worker completion order is maximally
-#: decoupled from canonical plan order.
-WORKER_SETTINGS = (1, 2)
 
 #: Integer column types, narrowest first.  Storage infers ``int32`` for
 #: the two narrowest; a column given its type keeps it.
@@ -367,12 +362,9 @@ def engine_grid():
                    if aggressive else None)
         for fusion in FUSION_SETTINGS:
             for morsel_rows in MORSEL_SETTINGS:
-                for workers in WORKER_SETTINGS:
-                    grid[(aggressive, fusion, morsel_rows,
-                          workers)] = HAPEEngine(
-                        default_server(), optimizer_options=options,
-                        morsel_rows=morsel_rows, pipeline_fusion=fusion,
-                        workers=workers)
+                grid[(aggressive, fusion, morsel_rows)] = HAPEEngine(
+                    default_server(), optimizer_options=options,
+                    morsel_rows=morsel_rows, pipeline_fusion=fusion)
     return grid
 
 
@@ -576,11 +568,11 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
                     f"plan:\n{case.plan.pretty()}")
     baseline_simulated: dict[str, float] = {}
     try:
-        for (_, fusion, morsel_rows, workers), engine in engines.items():
+        for (_, fusion, morsel_rows), engine in engines.items():
             for mode in MODES:
                 result = engine.execute(case.plan, mode)
                 context = (f"{context_base}\nmode={mode} fusion={fusion} "
-                           f"morsel_rows={morsel_rows} workers={workers}")
+                           f"morsel_rows={morsel_rows}")
                 _assert_cell_exact(result.table, reference, context)
                 _assert_stamped(result.physical_plan, estimated_rows, context)
                 # Simulated seconds must agree across the whole grid too.
@@ -606,8 +598,8 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
 # Served fuzzing: the same plans through the open-loop server
 # ----------------------------------------------------------------------
 #: Every fifth fuzz seed replays through :class:`QueryServer` — arrival
-#: pattern chosen by seed, workers swept — and must stay cell-exact
-#: against the reference and sim-exact against a solo engine.
+#: pattern chosen by seed — and must stay cell-exact against the
+#: reference and sim-exact against a solo engine.
 SERVED_EVERY = 5
 ARRIVAL_PATTERNS = ("drain", "poisson", "trace")
 
@@ -626,42 +618,39 @@ def test_fuzzed_plan_served_identically(seed):
     solo_sims = {mode: solo.execute(case.plan, mode).simulated_seconds
                  for mode in MODES}
     tenants = ("inter", "norm", "batch")
-    for workers in WORKER_SETTINGS:
-        context_base = (f"seed={seed} workers={workers} "
-                        f"arrivals={pattern} arrival_seed={arrival_seed}\n"
-                        f"plan:\n{case.plan.pretty()}")
-        server = QueryServer(default_server(), workers=workers,
-                             preemption=True, aging_seconds=1e-4,
-                             cache_budget_bytes=0)
-        server.register_dataset({table.name: table
-                                 for table in case.tables})
-        server.open_session("inter", priority="interactive")
-        server.open_session("norm", priority="normal")
-        server.open_session("batch", priority="batch")
-        jobs = [(tenants[index], mode) for index, mode in enumerate(MODES)]
-        if pattern == "drain":
-            for tenant, mode in jobs:
-                server.submit(tenant, case.plan, mode, label=f"m:{mode}")
-        elif pattern == "poisson":
-            rng = np.random.default_rng(arrival_seed)
-            at = 0.0
-            arrivals = []
-            for tenant, mode in jobs:
-                at += float(rng.exponential(2e-5))
-                arrivals.append(Arrival(at=at, tenant=tenant, plan=case.plan,
-                                        mode=mode, label=f"m:{mode}"))
-            for index, arrival in enumerate(arrivals):
-                server.add_arrivals([arrival], name=f"src{index}")
-        else:
-            for index, (tenant, mode) in enumerate(jobs):
-                server.add_arrivals(trace_arrivals(
-                    tenant, [(index * 1e-5, case.plan, mode)]))
-        report = server.run()
-        assert report.completed == len(jobs), (
-            f"{context_base}\nserved epoch did not complete every query")
-        for ticket in report.tickets:
-            context = f"{context_base}\nticket mode={ticket.mode}"
-            _assert_cell_exact(ticket.result.table, reference, context)
-            assert ticket.simulated_seconds == solo_sims[ticket.mode], (
-                f"{context}: served simulated seconds diverged from the "
-                f"solo engine run")
+    context_base = (f"seed={seed} arrivals={pattern} "
+                    f"arrival_seed={arrival_seed}\n"
+                    f"plan:\n{case.plan.pretty()}")
+    server = QueryServer(default_server(), preemption=True,
+                         aging_seconds=1e-4, cache_budget_bytes=0)
+    server.register_dataset({table.name: table for table in case.tables})
+    server.open_session("inter", priority="interactive")
+    server.open_session("norm", priority="normal")
+    server.open_session("batch", priority="batch")
+    jobs = [(tenants[index], mode) for index, mode in enumerate(MODES)]
+    if pattern == "drain":
+        for tenant, mode in jobs:
+            server.submit(tenant, case.plan, mode, label=f"m:{mode}")
+    elif pattern == "poisson":
+        rng = np.random.default_rng(arrival_seed)
+        at = 0.0
+        arrivals = []
+        for tenant, mode in jobs:
+            at += float(rng.exponential(2e-5))
+            arrivals.append(Arrival(at=at, tenant=tenant, plan=case.plan,
+                                    mode=mode, label=f"m:{mode}"))
+        for index, arrival in enumerate(arrivals):
+            server.add_arrivals([arrival], name=f"src{index}")
+    else:
+        for index, (tenant, mode) in enumerate(jobs):
+            server.add_arrivals(trace_arrivals(
+                tenant, [(index * 1e-5, case.plan, mode)]))
+    report = server.run()
+    assert report.completed == len(jobs), (
+        f"{context_base}\nserved epoch did not complete every query")
+    for ticket in report.tickets:
+        context = f"{context_base}\nticket mode={ticket.mode}"
+        _assert_cell_exact(ticket.result.table, reference, context)
+        assert ticket.simulated_seconds == solo_sims[ticket.mode], (
+            f"{context}: served simulated seconds diverged from the "
+            f"solo engine run")

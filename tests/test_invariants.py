@@ -1,23 +1,19 @@
-"""Engine-wide invariant matrix: (workers × fusion × morsel × warm/cold).
+"""Engine-wide invariant matrix: (fusion × morsel × warm/cold).
 
 One parametrized grid replaces the ad-hoc identity checks that used to be
 scattered across ``test_morsels.py`` (morsel invariance over TPC-H) and
 ``test_query_cache.py`` (warm-vs-cold TPC-H timings): for **every** TPC-H
 workload query in **every** device mode, every configuration of
 
-    workers ∈ {1, 2, "auto"}
-  × pipeline_fusion ∈ {off, on}
+    pipeline_fusion ∈ {off, on}
   × morsel_rows ∈ {None, 977, engine default}
   × cache {cold, warm}
 
 must report bit-identical outputs, bit-identical simulated seconds and
 bit-identical execution stats records (per-device busy seconds and
-per-link bytes) to the canonical baseline — one worker, fusion off,
-whole-column packets, cold.  These knobs tune the *real*
-wall-clock/working-set behavior of the engine; nothing the paper's
-figures plot may move.  The worker axis is the parallel-execution
-determinism contract: worker threads run only pure kernel work, all
-merging/accounting happens on the query thread in canonical plan order.
+per-link bytes) to the canonical baseline — fusion off, whole-column
+packets, cold.  These knobs tune the *real* wall-clock/working-set
+behavior of the engine; nothing the paper's figures plot may move.
 """
 
 from __future__ import annotations
@@ -35,16 +31,12 @@ MODES = ("cpu", "gpu", "hybrid")
 #: Whole-column packets, a non-divisor morsel size, and the default.
 MORSEL_SETTINGS = (None, 977, DEFAULT_MORSEL_ROWS)
 FUSION_SETTINGS = (False, True)
-#: Serial, genuinely threaded, and whatever the host resolves "auto" to.
-WORKER_SETTINGS = (1, 2, "auto")
 
 CONFIGS = [
-    pytest.param(fusion, morsel_rows, workers,
-                 id=(f"fusion={'on' if fusion else 'off'}"
-                     f"-morsel={morsel_rows}-workers={workers}"))
+    pytest.param(fusion, morsel_rows,
+                 id=f"fusion={'on' if fusion else 'off'}-morsel={morsel_rows}")
     for fusion in FUSION_SETTINGS
     for morsel_rows in MORSEL_SETTINGS
-    for workers in WORKER_SETTINGS
 ]
 
 
@@ -77,19 +69,18 @@ def baseline(tpch_dataset):
     return records, references
 
 
-@pytest.mark.parametrize("fusion,morsel_rows,workers", CONFIGS)
+@pytest.mark.parametrize("fusion,morsel_rows", CONFIGS)
 def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, fusion,
-                                    morsel_rows, workers):
+                                    morsel_rows):
     records, references = baseline
     engine = HAPEEngine(default_server(), morsel_rows=morsel_rows,
-                        pipeline_fusion=fusion, workers=workers)
+                        pipeline_fusion=fusion)
     engine.register_dataset(tpch_dataset.tables)
     for query_name in EVALUATED_QUERIES:
         query = build_query(query_name, tpch_dataset)
         for mode in MODES:
             context = (f"{query_name}/{mode} fusion={fusion} "
-                       f"morsel_rows={morsel_rows} "
-                       f"workers={workers} (resolved={engine.workers})")
+                       f"morsel_rows={morsel_rows}")
             cold = engine.execute(query.plan, mode)
             assert _record(cold) == records[(query_name, mode)], (
                 f"{context}: cold run diverged from the canonical baseline")
@@ -145,32 +136,25 @@ class TestFusionKnobSurface:
 
 
 # ----------------------------------------------------------------------
-# Serving-layer invariance: arrival pattern × workers
+# Serving-layer invariance: arrival pattern
 # ----------------------------------------------------------------------
 #: How the same 12 (query, mode) submissions reach the server: all before
 #: run() (the PR 5 drain), as a seeded Poisson stream, or as a recorded
 #: trace — open-loop arrivals may only add queue wait, never change what
 #: any single query computes or charges.
 ARRIVAL_PATTERNS = ("drain", "poisson", "trace")
-SERVE_WORKERS = (1, 2)
-
-SERVE_CONFIGS = [
-    pytest.param(pattern, workers, id=f"arrivals={pattern}-workers={workers}")
-    for pattern in ARRIVAL_PATTERNS
-    for workers in SERVE_WORKERS
-]
 
 
-@pytest.mark.parametrize("pattern,workers", SERVE_CONFIGS)
-def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern,
-                                      workers):
+@pytest.mark.parametrize("pattern", ARRIVAL_PATTERNS,
+                         ids="arrivals={}".format)
+def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern):
     """Every served query's record matches the canonical solo baseline,
-    however it arrived and however many dispatch workers ran."""
+    however it arrived."""
     from repro.server import Arrival, QueryServer, trace_arrivals
 
     records, _ = baseline
-    server = QueryServer(default_server(), workers=workers,
-                         preemption=True, aging_seconds=2e-4)
+    server = QueryServer(default_server(), preemption=True,
+                         aging_seconds=2e-4)
     server.register_dataset(tpch_dataset.tables)
     tenants = ("inter", "norm", "batch")
     server.open_session("inter", priority="interactive", max_concurrency=2)
@@ -216,7 +200,7 @@ def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern,
         else:
             key = next(job_key for _, _, _, label, job_key in jobs
                        if label == ticket.label)
-        context = (f"{key[0]}/{key[1]} arrivals={pattern} workers={workers} "
+        context = (f"{key[0]}/{key[1]} arrivals={pattern} "
                    f"tenant={ticket.tenant}")
         assert _record(ticket.result) == records[key], (
             f"{context}: served record diverged from the solo baseline")

@@ -3,7 +3,7 @@
 ``repro.server.lifecycle.TRANSITIONS`` is the model; these tests check
 the server against it.  Small serving epochs are *generated* from a seed
 — fault plan (dual-GPU outage, transient attempt faults) x deadlines x
-retry policies x preemption/aging x workers x ``mode="auto"`` — and every
+retry policies x preemption/aging x ``mode="auto"`` — and every
 ticket's traced event sequence must be a path through the table.  A
 failing case names its seed in the test id; seeds are stable across runs.
 """
@@ -48,7 +48,7 @@ def solo(tpch_dataset, plans):
             for name, plan in plans.items() for mode in MODES[:3]}
 
 
-def _serve(seed, workers, dataset, plans, solo):
+def _serve(seed, dataset, plans, solo):
     """Build and drain the epoch ``seed`` describes; returns the server."""
     rng = np.random.default_rng(seed)
     service = float(np.mean([r.simulated_seconds for r in solo.values()]))
@@ -72,7 +72,7 @@ def _serve(seed, workers, dataset, plans, solo):
         preemption=bool(rng.random() < 0.7),
         aging_seconds=(None if rng.random() < 0.5
                        else float(rng.uniform(0.5, 4.0)) * service),
-        workers=workers, tracing=True)
+        tracing=True)
     server.register_dataset(dataset.tables)
     tenants = ("interactive", "normal", "batch")
     for priority in tenants:
@@ -106,11 +106,10 @@ def _ticket_facts(ticket):
             ticket.wasted_seconds, ticket.error, ticket.simulated_seconds)
 
 
-@pytest.mark.parametrize("workers", (1, 2), ids="workers={}".format)
 @pytest.mark.parametrize("seed", SEEDS, ids="seed={}".format)
 def test_generated_epochs_follow_the_declared_lifecycle(
-        seed, workers, tpch_dataset, plans, solo):
-    server = _serve(seed, workers, tpch_dataset, plans, solo)
+        seed, tpch_dataset, plans, solo):
+    server = _serve(seed, tpch_dataset, plans, solo)
     report, trace = server.last_report, server.last_trace
     assert report.tickets, f"seed={seed}: the generator submitted nothing"
 
@@ -119,7 +118,7 @@ def test_generated_epochs_follow_the_declared_lifecycle(
         if "ticket" in event.attrs:
             events.setdefault(event.attrs["ticket"], []).append(event.kind)
     for ticket in report.tickets:
-        where = f"seed={seed} workers={workers} ticket {ticket.label}"
+        where = f"seed={seed} ticket {ticket.label}"
         kinds = events[ticket.ticket_id]
         assert kinds[0] == "submit", where
         status = "queued"
@@ -152,7 +151,7 @@ def test_generated_epochs_follow_the_declared_lifecycle(
         assert server.admission.queue_depth(tenant) == 0, (
             f"seed={seed} {tenant}")
 
-    replay = _serve(seed, workers, tpch_dataset, plans, solo)
+    replay = _serve(seed, tpch_dataset, plans, solo)
     assert ([_ticket_facts(t) for t in replay.last_report.tickets]
             == [_ticket_facts(t) for t in report.tickets]), f"seed={seed}"
     assert replay.last_report.makespan == report.makespan, f"seed={seed}"
@@ -165,7 +164,7 @@ def test_the_generator_reaches_every_edge(tpch_dataset, plans, solo):
     """The seeds above are only a test of the grammar if they cover it."""
     seen = set()
     for seed in SEEDS:
-        trace = _serve(seed, 1, tpch_dataset, plans, solo).last_trace
+        trace = _serve(seed, tpch_dataset, plans, solo).last_trace
         seen.update(event.kind for event in trace.events)
     assert set(EVENT_STATUS) <= seen, sorted(set(EVENT_STATUS) - seen)
 

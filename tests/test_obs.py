@@ -2,10 +2,9 @@
 
 The battery pins the PR's contracts:
 
-* **Byte-identity** — a traced query's JSONL is byte-identical at every
-  worker count and across replays; a served chaos epoch (faults,
-  failovers, retries, preemption) exports byte-identical epoch JSONL at
-  workers {1, 2, auto} and on a same-configuration replay.
+* **Byte-identity** — a traced query's JSONL is byte-identical across
+  replays; a served chaos epoch (faults, failovers, retries, preemption)
+  exports byte-identical epoch JSONL on a same-configuration replay.
 * **Warm/cold** — only the ``VOLATILE_SPAN_KEYS`` (cache status, morsel
   counts) may differ between a cold and a warm run;
   :meth:`QueryTrace.timing_jsonl` is bit-identical across warmth.
@@ -41,8 +40,6 @@ from repro.obs import (
 )
 from repro.server import QueryServer
 from repro.workloads.tpch_queries import EVALUATED_QUERIES, build_query
-
-WORKER_COUNTS = (1, 2, "auto")
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +159,10 @@ class TestQueryTrace:
                 if span.op == "mem-move"] == (
             ["distributed:gpu0,gpu1"] if mode == "gpu" else [])
 
-    def test_byte_identical_across_workers_and_replay(self, tpch_dataset,
-                                                      plans):
-        texts = {}
-        for workers in WORKER_COUNTS:
-            engine = _traced_engine(tpch_dataset, workers=workers)
-            texts[workers] = engine.execute(
-                plans["Q9"], "hybrid").trace.to_jsonl()
-        replay = _traced_engine(tpch_dataset).execute(
-            plans["Q9"], "hybrid").trace.to_jsonl()
-        assert len({*texts.values(), replay}) == 1
+    def test_byte_identical_on_replay(self, tpch_dataset, plans):
+        first, replay = (_traced_engine(tpch_dataset).execute(
+            plans["Q9"], "hybrid").trace.to_jsonl() for _ in range(2))
+        assert first == replay
 
     def test_warm_differs_only_in_volatile_keys(self, tpch_dataset, plans):
         engine = _traced_engine(tpch_dataset)
@@ -238,13 +229,13 @@ class TestQueryTrace:
 # ----------------------------------------------------------------------
 # Served epoch traces under chaos
 # ----------------------------------------------------------------------
-def _chaos_server(tpch_dataset, plans, *, workers=1, tracing=True):
+def _chaos_server(tpch_dataset, plans, *, tracing=True):
     fault_plan = (FaultPlan(seed=13)
                   .fail_device("gpu0", at=2e-4, recover_at=5e-3)
                   .transient_errors(rate=0.3))
-    server = QueryServer(default_server(), workers=workers,
-                         preemption=True, aging_seconds=2e-4,
-                         fault_plan=fault_plan, tracing=tracing)
+    server = QueryServer(default_server(), preemption=True,
+                         aging_seconds=2e-4, fault_plan=fault_plan,
+                         tracing=tracing)
     server.register_dataset(tpch_dataset.tables)
     server.open_session("inter", priority="interactive",
                         max_concurrency=2, slo_p99_seconds=0.05)
@@ -257,15 +248,12 @@ def _chaos_server(tpch_dataset, plans, *, workers=1, tracing=True):
 
 class TestEpochTrace:
     def test_chaos_epoch_byte_identical(self, tpch_dataset, plans):
-        texts = {}
-        for workers in WORKER_COUNTS:
-            server = _chaos_server(tpch_dataset, plans, workers=workers)
+        texts = []
+        for _ in range(2):  # a run and its replay
+            server = _chaos_server(tpch_dataset, plans)
             server.run()
-            texts[workers] = server.last_trace.to_jsonl()
-        replay = _chaos_server(tpch_dataset, plans, workers=2)
-        replay.run()
-        texts["replay"] = replay.last_trace.to_jsonl()
-        assert len(set(texts.values())) == 1
+            texts.append(server.last_trace.to_jsonl())
+        assert texts[0] == texts[1]
 
     def test_epoch_trace_contents(self, tpch_dataset, plans):
         server = _chaos_server(tpch_dataset, plans)

@@ -248,21 +248,15 @@ class TestOpenLoopDeterminism:
 # The PR 5 drain is a provable special case of the open-loop path
 # ----------------------------------------------------------------------
 class TestDrainStyleEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset,
-                                                      workers):
+    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset):
         plans = {q: build_query(q, tpch_dataset).plan
                  for q in EVALUATED_QUERIES}
         jobs = [("alpha", "Q1", "cpu"), ("beta", "Q5", "gpu"),
                 ("alpha", "Q6", "hybrid"), ("gamma", "Q9", "cpu"),
                 ("beta", "Q1", "hybrid"), ("gamma", "Q6", "gpu")]
-        # Shared cache ON at every worker count: trace-at-lookup /
-        # commit-in-pick-order attribution makes hit/miss counters a
-        # pure function of the admission schedule, so the fingerprint —
-        # cache counters included — matches exactly even when tenants
-        # with overlapping kernel footprints execute concurrently.
-        knobs = {}
-
+        # Shared cache ON: hit/miss counters are a pure function of the
+        # admission schedule, so the fingerprint — cache counters
+        # included — matches exactly.
         def build(server):
             server.register_dataset(tpch_dataset.tables)
             server.open_session("alpha", priority="interactive",
@@ -270,14 +264,13 @@ class TestDrainStyleEquivalence:
             server.open_session("beta", priority="normal")
             server.open_session("gamma", priority="batch")
 
-        legacy = QueryServer(default_server(), workers=workers, **knobs)
+        legacy = QueryServer(default_server())
         build(legacy)
         for tenant, query, mode in jobs:
             legacy.submit(tenant, plans[query], mode)
         legacy_report = legacy.run()
 
-        open_loop = QueryServer(default_server(), workers=workers,
-                                preemption=False, **knobs)
+        open_loop = QueryServer(default_server(), preemption=False)
         build(open_loop)
         open_loop.add_arrivals(
             Arrival(at=0.0, tenant=tenant, plan=plans[query], mode=mode)
@@ -594,7 +587,7 @@ class TestOneReservationPerAttempt:
         "e4758d6e0f0422bcfa0b039fa980b36f4d42e7c0c473f40221298eb01ebd9ac7")
 
     @staticmethod
-    def _epoch(tpch_dataset, workers: int) -> QueryServer:
+    def _epoch(tpch_dataset) -> QueryServer:
         """A traced open-loop epoch that preempts, fails over and retries:
         interactive hybrid arrivals over cpu batch work, gpu0 down for a
         while and seeded transient faults."""
@@ -603,7 +596,7 @@ class TestOneReservationPerAttempt:
                       .fail_device("gpu0", at=1e-4, recover_at=3e-4))
         server = QueryServer(default_server(), preemption=True,
                              aging_seconds=2e-4, fault_plan=fault_plan,
-                             tracing=True, workers=workers)
+                             tracing=True)
         server.register_dataset(tpch_dataset.tables)
         server.open_session("inter", priority="interactive",
                             max_concurrency=2)
@@ -618,8 +611,7 @@ class TestOneReservationPerAttempt:
                       (5e-5, plans["Q9"])], mode="cpu"))
         return server
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reserved_once_and_byte_identical(self, tpch_dataset, workers,
+    def test_reserved_once_and_byte_identical(self, tpch_dataset,
                                               monkeypatch):
         calls = []
         original = DeviceScheduler.reservations
@@ -629,7 +621,7 @@ class TestOneReservationPerAttempt:
             return original(self, result)
 
         monkeypatch.setattr(DeviceScheduler, "reservations", counting)
-        server = self._epoch(tpch_dataset, workers)
+        server = self._epoch(tpch_dataset)
         report = server.run()
         trace = server.last_trace
         dispatched = sum(event.kind == "dispatch" for event in trace.events)

@@ -336,17 +336,15 @@ def _replay(result):
             result.trace.to_jsonl())
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
-def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, workers,
-                                                        fusion):
+def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, fusion):
     """Every TPC-H (query, mode): runs through a program an earlier run
     compiled and priced equal runs through a new one — cold kernels
     (cache off), warm kernels (an equal plan object, so a new program over
     the same cache entries) and a fresh session — in simulated seconds,
     device busy, link bytes, operator rows, cache counters and traces."""
     def session(**knobs):
-        engine = HAPEEngine(default_server(), tracing=True, workers=workers,
+        engine = HAPEEngine(default_server(), tracing=True,
                             pipeline_fusion=fusion, **knobs)
         engine.register_dataset(sf001.tables)
         return engine
@@ -540,14 +538,12 @@ class TestOverlay:
         assert [count for written in overlay_writes for count in written
                 if count < 2] == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("budget", [0, None])
-    def test_a_repeated_subplan_runs_once(self, tpch_dataset, workers,
-                                          budget, overlay_writes):
+    def test_a_repeated_subplan_runs_once(self, tpch_dataset, budget,
+                                          overlay_writes):
         """Two identical filtered scans share one evaluation through the
         overlay, cold and warm, with and without the session cache."""
-        engine = HAPEEngine(default_server(), workers=workers,
-                            cache_budget_bytes=budget)
+        engine = HAPEEngine(default_server(), cache_budget_bytes=budget)
         engine.register_dataset(tpch_dataset.tables)
 
         def side():
@@ -612,7 +608,7 @@ TENANTS = (("cpu-a", "cpu"), ("gpu-a", "gpu"), ("cpu-b", "cpu"),
 
 
 def _served(tpch_dataset, tenants=TENANTS) -> QueryServer:
-    server = QueryServer(default_server(), workers=1)
+    server = QueryServer(default_server())
     server.register_dataset(tpch_dataset.tables)
     for tenant, _ in tenants:
         server.open_session(tenant, max_concurrency=1, max_queue_depth=64)

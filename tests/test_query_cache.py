@@ -11,9 +11,6 @@ losing within-query single evaluation).
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -147,47 +144,17 @@ class TestQueryCacheUnit:
 
 
 # ----------------------------------------------------------------------
-# Counters under threads: ints under the cache lock, snapshots on read
+# Counters: plain ints, snapshots on read
 # ----------------------------------------------------------------------
-class TestCountersUnderThreads:
-    THREADS = 8
-    OPS = 400
-
-    def _on_threads(self, worker) -> None:
-        barrier = threading.Barrier(self.THREADS)
-        errors: list[BaseException] = []
-
-        def run(index: int) -> None:
-            try:
-                barrier.wait()
-                worker(index)
-            except BaseException as error:  # re-raised on the test thread
-                errors.append(error)
-
-        threads = [threading.Thread(target=run, args=(index,))
-                   for index in range(self.THREADS)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch often: a lost update shows
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-
+class TestCounters:
     def test_every_lookup_is_counted_once(self):
         # Room for 3 of the 12 keys, so puts evict; every tenth operation
         # drops one table's entries.
         cache = QueryCache(budget_bytes=3 * 32)
-        gets = [0] * self.THREADS
-        found = [0] * self.THREADS
-
-        def worker(index: int) -> None:
-            for op in range(self.OPS):
-                table = f"t{(index + op // 10) % 3}"
+        gets = found = 0
+        for stream in range(8):
+            for op in range(400):
+                table = f"t{(stream + op // 10) % 3}"
                 key = (table, (op + 1) // 2 % 4)  # a get reads the last put
                 if op % 10 == 9:
                     cache.invalidate_table(table)
@@ -195,34 +162,33 @@ class TestCountersUnderThreads:
                     cache.put(key, {"x": np.arange(4, dtype=np.int64)},
                               nbytes=32, tables=frozenset({table}))
                 else:
-                    gets[index] += 1
-                    found[index] += cache.get(key) is not None
-
-        self._on_threads(worker)
+                    gets += 1
+                    found += cache.get(key) is not None
         counters, stats = cache.counters(), cache.stats()
-        assert counters.lookups == sum(gets)
-        assert counters.hits == sum(found) > 0
-        assert counters.misses == sum(gets) - sum(found) > 0
+        assert counters.lookups == counters.hits + counters.misses == gets
+        assert counters.hits == found > 0
+        assert counters.misses == gets - found > 0
         assert counters.evicted > 0 and counters.invalidated > 0
         assert (stats.hits, stats.misses, stats.evicted,
                 stats.invalidated) == (counters.hits, counters.misses,
                                        counters.evicted, counters.invalidated)
         assert stats.entries == len(cache)
+        assert stats.bytes_used == sum(
+            entry.nbytes for entry in cache._entries.values())
         assert stats.bytes_used == 32 * len(cache) <= cache.budget_bytes
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_commit_deltas_sum_to_the_global_counters(
-            self, tpch_dataset, workers, monkeypatch):
+    def test_attempt_deltas_sum_to_the_global_counters(
+            self, tpch_dataset, monkeypatch):
         deltas: list = []
-        original = SharedQueryCache.commit
+        original = SharedQueryCache.attribute
 
-        def spying(self, bracket):
-            delta = original(self, bracket)
-            deltas.append((bracket.tenant, delta))
+        def spying(self, tenant, before):
+            delta = original(self, tenant, before)
+            deltas.append((tenant, delta))
             return delta
 
-        monkeypatch.setattr(SharedQueryCache, "commit", spying)
-        server = QueryServer(default_server(), workers=workers)
+        monkeypatch.setattr(SharedQueryCache, "attribute", spying)
+        server = QueryServer(default_server())
         server.register_dataset(tpch_dataset.tables)
         tenants = ("alpha", "beta", "gamma")
         for tenant in tenants:
@@ -253,9 +219,15 @@ class TestCatalogVersioning:
     def test_versions_are_unique_per_registration(self, session):
         catalog = session.catalog
         first = catalog.version("t")
-        session.register_table(_table("t", offset=5), replace=True)
+        observed: list[int] = []
+        catalog.subscribe(
+            lambda name: observed.append(catalog.table_versions.get(name)))
+        for offset in range(5, 10):
+            session.register_table(_table("t", offset=offset), replace=True)
         second = catalog.version("t")
-        assert second > first
+        # Each replacement is delivered with its own, newer version.
+        assert observed == sorted(set(observed)) and observed[-1] == second
+        assert len(observed) == 5 and observed[0] > first
         session.drop_table("t")
         session.register_table(_table("t"))
         assert catalog.version("t") > second

@@ -14,7 +14,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 #: Ratchet on ``tools/code_lines.py src`` (the coverage ratchet's rule,
 #: pointed the other way): the figure of the PR that last set it.
-MAX_SRC_CODE_LINES = 8_448
+MAX_SRC_CODE_LINES = 8_244
 
 
 def _code_lines_tool():
@@ -149,8 +149,8 @@ def test_device_memory_is_checked_in_one_place():
     """A device's memory is its spec's capacity: ``Device.ensure_fits`` is
     the one check and the one site that raises ``OutOfDeviceMemoryError``,
     so every "does not fit" is device-scoped and fails over.  No ledger,
-    no second way of asking; the only per-thread state is the simulated
-    clocks and the shared cache's."""
+    no second way of asking, and no per-thread state: one thread drives a
+    session or a server."""
     root = REPO / "src" / "repro"
     sources = {path.relative_to(root).as_posix(): path.read_text()
                for path in sorted(root.rglob("*.py"))}
@@ -164,9 +164,7 @@ def test_device_memory_is_checked_in_one_place():
         assert not [name for name, text in sources.items()
                     if banned in text], banned
     assert [name for name, text in sources.items()
-            if "threading.local" in text] == [
-        "hardware/device.py", "hardware/interconnect.py",
-        "server/sharedcache.py"]
+            if "threading" in text] == []
 
 
 def test_bench_pairs_counts_wins_against_the_parents_spread():
