@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import AdmissionError, ServingError, UnknownTenantError
 
@@ -282,6 +282,18 @@ class AdmissionController:
         state.in_flight_bytes += head.estimated_bytes
         state.dispatched += 1
         return best_tenant, head.item, head.estimated_bytes
+
+    def withdraw(self, tenant: str, item: Any) -> None:
+        """Take a queued item out of its tenant's queue (its deadline
+        passed while it waited); it never held a slot."""
+        queue = self._tenant(tenant).queue
+        queue.remove(next(entry for entry in queue if entry.item is item))
+
+    def queued(self) -> Iterator[Any]:
+        """Every queued item, tenant by tenant in queue order."""
+        for state in self._tenants.values():
+            for entry in state.queue:
+                yield entry.item
 
     def on_finish(self, tenant: str, estimated_bytes: int) -> None:
         """Release the concurrency slot and memory headroom of one query."""

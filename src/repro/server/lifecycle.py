@@ -23,7 +23,7 @@ breaker, and then re-queues the ticket or finalizes it:
 outcome                       edge                           charges
 ============================  =============================  ==========
 ``SUCCESS``                   running → completed            breaker success
-``DEADLINE``                  queued/running → timed_out     waste
+``DEADLINE``                  queued/running → timed_out     waste (running)
 ``PREEMPTED``                 running → queued               waste; the attempt is refunded
 device-scoped error           running → queued (failover)    waste; breaker when a device is blamed
   … ladder exhausted          running → failed
@@ -266,6 +266,14 @@ class TicketLifecycle:
         except AdmissionError as exc:
             self._move(ticket, ticket.submit_time, "reject", reason=str(exc))
             raise
+
+    def expire(self, ticket: QueryTicket) -> None:
+        """A queued ticket's deadline passed while it waited: it leaves
+        its queue and times out at its deadline."""
+        self.admission.withdraw(ticket.tenant, ticket)
+        self._finalize(ticket, ticket.deadline_time,
+                       QueryTimeoutError(ticket.label,
+                                         ticket.deadline_seconds))
 
     def admit(self, ticket: QueryTicket, at: float) -> None:
         """Start one attempt of a ticket the admission controller picked."""

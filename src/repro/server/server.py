@@ -55,6 +55,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from statistics import median
 
 import numpy as np
@@ -621,6 +622,14 @@ class QueryServer:
         self._pump_arrivals(now)
         while True:
             self._dispatch_admissible(now, completions)
+            # A ticket still queued past its deadline ends there, not at
+            # whatever dispatch point the loop reaches next.
+            deadlines = [ticket for ticket in self.admission.queued()
+                         if ticket.deadline_time is not None]
+            for ticket in sorted(deadlines,
+                                 key=attrgetter("deadline_time", "ticket_id")):
+                if ticket.deadline_time <= now:
+                    self.lifecycle.expire(ticket)
             events = []
             while completions and completions[0][2].cancelled:
                 heapq.heappop(completions)
@@ -648,6 +657,8 @@ class QueryServer:
             probe_at = self.breaker.next_probe_time(now)
             if probe_at is not None:
                 events.append(probe_at)
+            events.extend(ticket.deadline_time for ticket in deadlines
+                          if ticket.deadline_time > now)
             now = self._now = min(events)
             while completions and completions[0][0] <= now:
                 _, _, attempt = heapq.heappop(completions)

@@ -282,6 +282,26 @@ class TestAdmission:
         assert late.start_time >= 1.0
         assert late.queue_wait == late.start_time - 1.0
 
+    def test_a_queued_ticket_times_out_at_its_deadline(self):
+        """A Q9 queued behind another Q9 at concurrency 1, whose deadline
+        passes while it waits, ends at that deadline (85.75 us), not
+        when the Q9 ahead of it finishes (171.50 us)."""
+        dataset = generate_tpch(0.005, seed=2019)
+        plan = build_query("Q9", dataset).plan
+        server = QueryServer(default_server())
+        server.register_dataset(dataset.tables)
+        server.open_session("t", max_concurrency=1)
+        first = server.submit("t", plan, "cpu")
+        quarter = 0.00017150039994684856 / 4  # Q9 cpu's solo seconds / 4
+        second = server.submit("t", plan, "cpu", at=quarter, deadline=quarter)
+        server.run()
+        assert first.status == "completed"
+        assert round(first.finish_time * 1e6, 2) == 171.50
+        assert second.status == "timed_out" and second.attempts == 0
+        assert second.finish_time == second.deadline_time
+        assert round(second.finish_time * 1e6, 2) == 85.75
+        assert server.admission.queue_depth("t") == 0
+
     def test_unknown_tenant_and_duplicate_open(self):
         server = QueryServer(default_server())
         with pytest.raises(UnknownTenantError):
