@@ -13,8 +13,9 @@ so a traced ticket's event sequence *is* its path through the table.
 
 The event loop (:mod:`repro.server.server`) decides *when* things happen;
 :class:`TicketLifecycle` decides what they mean.  The loop calls
-:meth:`~TicketLifecycle.submit`, :meth:`~TicketLifecycle.admit` and — for
-every way an attempt can end — :meth:`~TicketLifecycle.end_attempt`, which
+:meth:`~TicketLifecycle.submit`, :meth:`~TicketLifecycle.admit`,
+:meth:`~TicketLifecycle.expire` (a queued ticket whose deadline passed)
+and — for every way an attempt can end — :meth:`~TicketLifecycle.end_attempt`, which
 is the one place that releases the admission slot, frees a killed
 attempt's reservation tail, charges wasted seconds, tells the circuit
 breaker, and then re-queues the ticket or finalizes it:

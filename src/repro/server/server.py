@@ -319,9 +319,9 @@ class QueryServer:
         session tracing on) and the occupancy board's busy slices.  All
         events are recorded in canonical admission pick order, so the
         trace is byte-identical across replays.  Off by default with
-        near-zero
-        overhead (one flag check per lifecycle point); serving results,
-        reports and metrics are bit-identical with tracing on or off.
+        near-zero overhead (one flag check per lifecycle point); serving
+        results, reports and metrics are bit-identical with tracing on or
+        off.
     """
 
     def __init__(self, topology: Topology | None = None, *,
