@@ -93,7 +93,7 @@ from .lifecycle import (
     _Attempt,
 )
 from .metrics import MetricsSnapshot
-from .scheduler import DeviceScheduler
+from .scheduler import DeviceScheduler, Placement
 from .sharedcache import SharedQueryCache
 
 
@@ -757,13 +757,18 @@ class QueryServer:
         fraction = 1.0
         if outcome != SUCCESS and sim > 0.0:
             fraction = min(max((dies_at - start) / sim, 0.0), 1.0)
-        placement = self.scheduler.dispatch(
-            result, needed, earliest=now,
-            label=f"{tenant}:{ticket.label}", fraction=fraction)
-        self.lifecycle.event(ticket, now, "dispatch",
-                             mode=ticket.current_mode,
-                             start=placement.start, finish=placement.finish,
-                             resources=",".join(placement.resources))
+        if start > dies_at:
+            # The board frees only after the deadline: the attempt never
+            # starts, reserves nothing and ends at its deadline.
+            placement = Placement(dies_at, dies_at, (), ())
+        else:
+            placement = self.scheduler.dispatch(
+                result, needed, earliest=now,
+                label=f"{tenant}:{ticket.label}", fraction=fraction)
+            self.lifecycle.event(
+                ticket, now, "dispatch", mode=ticket.current_mode,
+                start=placement.start, finish=placement.finish,
+                resources=",".join(placement.resources))
         heapq.heappush(completions, (
             placement.finish, next(self._event_seq),
             _Attempt(ticket, outcome, placement, result, cache_delta)))

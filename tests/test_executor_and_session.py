@@ -87,18 +87,51 @@ class TestKnobSurface:
                 door(knob, bad)
 
 
+def _server(topology, **kwargs):
+    from repro.server import QueryServer
+    return QueryServer(topology, **kwargs)
+
+
+#: The two constructors that keep a one-value ``workers`` keyword.
+BUILDERS = [pytest.param(HAPEEngine, id="session"),
+            pytest.param(_server, id="server")]
+
+
 class TestKnobOwnership:
     def test_workers_is_not_a_knob(self):
-        """One thread drives a session or a server: ``workers=1`` is
-        accepted and changes nothing, any other count is refused."""
-        from repro.server import QueryServer
+        """One thread drives a session or a server: ``workers`` is no
+        session knob and no session attribute."""
         assert "workers" not in SESSION_KNOBS
         assert not hasattr(HAPEEngine(default_server(), workers=1), "workers")
-        QueryServer(default_server(), workers=1)
-        for build in (HAPEEngine, QueryServer):
-            for bad in (2, "auto", 0):
-                with pytest.raises(ValueError):
-                    build(default_server(), workers=bad)
+        assert not hasattr(_server(default_server(), workers=1), "workers")
+
+    @pytest.mark.parametrize("bad", [0, 2, -2, 4, 1.5, "auto", "1"],
+                             ids=repr)
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_any_worker_count_but_one_is_refused(self, build, bad):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            build(default_server(), workers=bad)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_one_worker_is_the_default(self, build):
+        """``workers=1`` builds the same serial session or server as no
+        keyword: equal results and simulated seconds."""
+        tiny_table = Table.from_arrays("tiny", {
+            "k": np.arange(16, dtype=np.int64)})
+
+        def run(**kwargs):
+            built = build(default_server(), **kwargs)
+            if isinstance(built, HAPEEngine):
+                built.register_table(tiny_table)
+                result = built.execute(scan("tiny"), "cpu")
+                return result.table.num_rows, result.simulated_seconds
+            built.register_dataset({"tiny": tiny_table})
+            built.open_session("t")
+            ticket = built.submit("t", scan("tiny"), "cpu")
+            built.run()
+            return ticket.result.table.num_rows, ticket.simulated_seconds
+
+        assert run(workers=1) == run()
 
     def test_failed_assignment_keeps_the_value_in_force(self):
         engine = HAPEEngine(default_server(), morsel_rows=77)

@@ -168,3 +168,74 @@ class TestTransfersAndReset:
         timeline = topology.timeline()
         assert "cpu0" in timeline
         assert "pcie1" in timeline
+
+
+class TestOccupancyBoard:
+    """The server-time ledgers: kept apart from the per-query clocks."""
+
+    def test_a_reservation_starts_on_every_resource_together(self, topology):
+        board = topology.occupancy
+        assert board.reserve({"cpu0": 1.0}) == 0.0
+        start = board.reserve({"cpu0": 0.5, "gpu0": 2.0})
+        # gpu0 was free, but the query waits for cpu0 and then holds each
+        # resource for its own duration.
+        assert start == 1.0
+        assert board.clock("cpu0").available_at == 1.5
+        assert board.clock("gpu0").available_at == 3.0
+        assert board.available_at(("cpu0", "gpu0")) == board.makespan == 3.0
+
+    def test_no_reservation_is_lost_or_double_booked(self, topology):
+        board = topology.occupancy
+        duration = 0.001
+        for op in range(600):
+            pair = ("cpu0", "gpu0") if op % 2 else ("cpu1", "gpu1")
+            board.reserve({name: duration for name in pair},
+                          label=f"q{op}")
+        for pair in (("cpu0", "gpu0"), ("cpu1", "gpu1")):
+            for name in pair:
+                assert board.busy_time(name) == pytest.approx(
+                    300 * duration, rel=1e-9)
+            # Co-booked resources move together.
+            assert board.busy_time(pair[0]) == board.busy_time(pair[1])
+            assert (board.clock(pair[0]).available_at
+                    == board.clock(pair[1]).available_at)
+        assert len(board.records()) == 1200
+
+    def test_a_topology_reset_keeps_the_ledgers(self, topology):
+        topology.occupancy.reserve({"gpu0": 2.0, "pcie0": 1.0})
+        topology.device("gpu0").charge(5.0)
+        topology.reset()
+        assert topology.device("gpu0").clock.busy_time == 0.0
+        assert topology.occupancy.busy_time("gpu0") == 2.0
+        topology.reset_occupancy()
+        assert topology.occupancy.busy_time("gpu0") == 0.0
+        assert topology.occupancy.makespan == 0.0
+
+    def test_unknown_resource_is_refused(self, topology):
+        with pytest.raises(UnknownDeviceError):
+            topology.occupancy.reserve({"gpu7": 1.0})
+
+
+class TestDeviceAndLinkClocks:
+    def test_a_device_charges_one_clock(self, topology):
+        cpu = topology.device("cpu0")
+        first = cpu.charge(1.0, label="scan")
+        second = cpu.charge(0.5, earliest=3.0, label="join")
+        assert (first.start, first.end) == (0.0, 1.0)
+        assert (second.start, second.end) == (3.0, 3.5)
+        assert cpu.clock.busy_time == 1.5
+        assert cpu.clock.available_at == 3.5
+        cpu.reset()
+        assert cpu.clock.busy_time == 0.0 and cpu.clock.available_at == 0.0
+
+    def test_a_link_counts_the_bytes_it_moved(self, topology):
+        link = topology.link("pcie0")
+        link.transfer(GIB)
+        link.transfer(0)
+        link.transfer(-5)  # nothing moves, and nothing is subtracted
+        link.transfer(GIB // 2)
+        assert link.bytes_moved == GIB + GIB // 2
+        assert link.clock.busy_time == pytest.approx(
+            link.transfer_time(GIB) + link.transfer_time(GIB // 2))
+        link.reset()
+        assert link.bytes_moved == 0 and link.clock.busy_time == 0.0

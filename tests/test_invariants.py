@@ -1,4 +1,4 @@
-"""Engine-wide invariant matrix: (fusion × morsel × warm/cold).
+"""Engine-wide invariant matrix: (fusion × morsel × cache × warm/cold).
 
 One parametrized grid replaces the ad-hoc identity checks that used to be
 scattered across ``test_morsels.py`` (morsel invariance over TPC-H) and
@@ -7,6 +7,7 @@ workload query in **every** device mode, every configuration of
 
     pipeline_fusion ∈ {off, on}
   × morsel_rows ∈ {None, 977, engine default}
+  × cache_budget_bytes ∈ {engine default, 256 KiB (evicts), 0 (off)}
   × cache {cold, warm}
 
 must report bit-identical outputs, bit-identical simulated seconds and
@@ -31,12 +32,17 @@ MODES = ("cpu", "gpu", "hybrid")
 #: Whole-column packets, a non-divisor morsel size, and the default.
 MORSEL_SETTINGS = (None, 977, DEFAULT_MORSEL_ROWS)
 FUSION_SETTINGS = (False, True)
+#: A budget that holds every entry, one that evicts some of the grid's
+#: entries before their warm run, and none.
+CACHE_SETTINGS = {"whole": None, "evicting": 256 * 1024, "off": 0}
 
 CONFIGS = [
-    pytest.param(fusion, morsel_rows,
-                 id=f"fusion={'on' if fusion else 'off'}-morsel={morsel_rows}")
+    pytest.param(fusion, morsel_rows, cache,
+                 id=(f"fusion={'on' if fusion else 'off'}"
+                     f"-morsel={morsel_rows}-cache={cache}"))
     for fusion in FUSION_SETTINGS
     for morsel_rows in MORSEL_SETTINGS
+    for cache in CACHE_SETTINGS
 ]
 
 
@@ -69,35 +75,45 @@ def baseline(tpch_dataset):
     return records, references
 
 
-@pytest.mark.parametrize("fusion,morsel_rows", CONFIGS)
+@pytest.mark.parametrize("fusion,morsel_rows,cache", CONFIGS)
 def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, fusion,
-                                    morsel_rows):
+                                    morsel_rows, cache):
     records, references = baseline
+    budget = CACHE_SETTINGS[cache]
+    knobs = {} if budget is None else {"cache_budget_bytes": budget}
     engine = HAPEEngine(default_server(), morsel_rows=morsel_rows,
-                        pipeline_fusion=fusion)
+                        pipeline_fusion=fusion, **knobs)
     engine.register_dataset(tpch_dataset.tables)
     for query_name in EVALUATED_QUERIES:
         query = build_query(query_name, tpch_dataset)
         for mode in MODES:
             context = (f"{query_name}/{mode} fusion={fusion} "
-                       f"morsel_rows={morsel_rows}")
+                       f"morsel_rows={morsel_rows} cache={cache}")
             cold = engine.execute(query.plan, mode)
             assert _record(cold) == records[(query_name, mode)], (
                 f"{context}: cold run diverged from the canonical baseline")
             warm = engine.execute(query.plan, mode)
             assert _record(warm) == records[(query_name, mode)], (
                 f"{context}: warm run diverged from the canonical baseline")
-            # Warm runs are functionally served by the session cache:
-            # no kernel ran, so no morsels were dispatched — while the
-            # records above prove the timings never notice.
-            assert warm.morsels_dispatched == 0, (
-                f"{context}: warm run dispatched morsels")
+            # Warm runs are functionally served by the session cache: with
+            # room for every entry no kernel ran, so no morsels were
+            # dispatched; with no cache every kernel ran again — while the
+            # records above prove the timings never notice either way.
+            if cache == "whole":
+                assert warm.morsels_dispatched == 0, (
+                    f"{context}: warm run dispatched morsels")
+            elif cache == "off":
+                assert warm.morsels_dispatched == cold.morsels_dispatched, (
+                    f"{context}: an uncached warm run skipped kernels")
             # The engine output also matches the reference oracle row for
             # row — the canonical join output order makes engine results
             # order-identical to the reference, not just set-identical.
             assert cold.table.equals(references[query_name],
                                      check_order=True), (
                 f"{context}: engine output diverged from the reference")
+    # The evicting budget is only a test of eviction if it evicted.
+    if cache == "evicting":
+        assert engine.cache_stats.evicted > 0
 
 
 class TestFusionKnobSurface:
@@ -136,7 +152,7 @@ class TestFusionKnobSurface:
 
 
 # ----------------------------------------------------------------------
-# Serving-layer invariance: arrival pattern
+# Serving-layer invariance: arrival pattern × tracing
 # ----------------------------------------------------------------------
 #: How the same 12 (query, mode) submissions reach the server: all before
 #: run() (the PR 5 drain), as a seeded Poisson stream, or as a recorded
@@ -144,17 +160,24 @@ class TestFusionKnobSurface:
 #: any single query computes or charges.
 ARRIVAL_PATTERNS = ("drain", "poisson", "trace")
 
+SERVE_CONFIGS = [
+    pytest.param(pattern, tracing,
+                 id=f"arrivals={pattern}-tracing={'on' if tracing else 'off'}")
+    for pattern in ARRIVAL_PATTERNS
+    for tracing in (False, True)
+]
 
-@pytest.mark.parametrize("pattern", ARRIVAL_PATTERNS,
-                         ids="arrivals={}".format)
-def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern):
+
+@pytest.mark.parametrize("pattern,tracing", SERVE_CONFIGS)
+def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern,
+                                      tracing):
     """Every served query's record matches the canonical solo baseline,
-    however it arrived."""
+    however it arrived and whether or not the epoch was traced."""
     from repro.server import Arrival, QueryServer, trace_arrivals
 
     records, _ = baseline
     server = QueryServer(default_server(), preemption=True,
-                         aging_seconds=2e-4)
+                         aging_seconds=2e-4, tracing=tracing)
     server.register_dataset(tpch_dataset.tables)
     tenants = ("inter", "norm", "batch")
     server.open_session("inter", priority="interactive", max_concurrency=2)
@@ -201,8 +224,15 @@ def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern):
             key = next(job_key for _, _, _, label, job_key in jobs
                        if label == ticket.label)
         context = (f"{key[0]}/{key[1]} arrivals={pattern} "
-                   f"tenant={ticket.tenant}")
+                   f"tracing={tracing} tenant={ticket.tenant}")
         assert _record(ticket.result) == records[key], (
             f"{context}: served record diverged from the solo baseline")
         assert ticket.start_time >= ticket.submit_time, (
             f"{context}: query started before it arrived")
+    # The traced epoch really was traced: one trace row per ticket, each
+    # with its query's operator trace.
+    if tracing:
+        assert len(server.last_trace.queries) == len(jobs)
+        assert all(row.trace is not None for row in server.last_trace.queries)
+    else:
+        assert server.last_trace is None

@@ -28,7 +28,8 @@ from repro.workloads import build_query
 
 QUERIES = ("Q1", "Q5", "Q6", "Q9")
 MODES = ("cpu", "gpu", "hybrid", "auto")
-SEEDS = range(12)
+#: Twenty-four generated epochs; each is a few tenths of a second.
+SEEDS = range(24)
 #: Events that explain simulated seconds burned by a killed attempt
 #: (``failed``: the kill exhausted the retry budget or the mode ladder).
 WASTEFUL = {"preempt", "retry", "failover", "timeout", "failed"}

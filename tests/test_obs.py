@@ -159,9 +159,10 @@ class TestQueryTrace:
                 if span.op == "mem-move"] == (
             ["distributed:gpu0,gpu1"] if mode == "gpu" else [])
 
-    def test_byte_identical_on_replay(self, tpch_dataset, plans):
+    @pytest.mark.parametrize("mode", ("cpu", "gpu", "hybrid"))
+    def test_byte_identical_on_replay(self, tpch_dataset, plans, mode):
         first, replay = (_traced_engine(tpch_dataset).execute(
-            plans["Q9"], "hybrid").trace.to_jsonl() for _ in range(2))
+            plans["Q9"], mode).trace.to_jsonl() for _ in range(2))
         assert first == replay
 
     def test_warm_differs_only_in_volatile_keys(self, tpch_dataset, plans):

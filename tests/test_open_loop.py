@@ -248,15 +248,20 @@ class TestOpenLoopDeterminism:
 # The PR 5 drain is a provable special case of the open-loop path
 # ----------------------------------------------------------------------
 class TestDrainStyleEquivalence:
-    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset):
+    @pytest.mark.parametrize("budget", [None, 256 * 1024, 0],
+                             ids=["shared", "evicting", "off"])
+    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset,
+                                                      budget):
         plans = {q: build_query(q, tpch_dataset).plan
                  for q in EVALUATED_QUERIES}
         jobs = [("alpha", "Q1", "cpu"), ("beta", "Q5", "gpu"),
                 ("alpha", "Q6", "hybrid"), ("gamma", "Q9", "cpu"),
                 ("beta", "Q1", "hybrid"), ("gamma", "Q6", "gpu")]
-        # Shared cache ON: hit/miss counters are a pure function of the
-        # admission schedule, so the fingerprint — cache counters
-        # included — matches exactly.
+        # Hit/miss counters are a pure function of the admission schedule
+        # — with the shared cache whole, evicting or off — so the
+        # fingerprint, cache counters included, matches exactly.
+        knobs = {} if budget is None else {"cache_budget_bytes": budget}
+
         def build(server):
             server.register_dataset(tpch_dataset.tables)
             server.open_session("alpha", priority="interactive",
@@ -264,13 +269,13 @@ class TestDrainStyleEquivalence:
             server.open_session("beta", priority="normal")
             server.open_session("gamma", priority="batch")
 
-        legacy = QueryServer(default_server())
+        legacy = QueryServer(default_server(), **knobs)
         build(legacy)
         for tenant, query, mode in jobs:
             legacy.submit(tenant, plans[query], mode)
         legacy_report = legacy.run()
 
-        open_loop = QueryServer(default_server(), preemption=False)
+        open_loop = QueryServer(default_server(), preemption=False, **knobs)
         build(open_loop)
         open_loop.add_arrivals(
             Arrival(at=0.0, tenant=tenant, plan=plans[query], mode=mode)

@@ -336,16 +336,21 @@ def _replay(result):
             result.trace.to_jsonl())
 
 
+@pytest.mark.parametrize("morsel_rows", [None, 977],
+                         ids=["whole", "morsels"])
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
-def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, fusion):
+def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, fusion,
+                                                        morsel_rows):
     """Every TPC-H (query, mode): runs through a program an earlier run
     compiled and priced equal runs through a new one — cold kernels
     (cache off), warm kernels (an equal plan object, so a new program over
     the same cache entries) and a fresh session — in simulated seconds,
-    device busy, link bytes, operator rows, cache counters and traces."""
+    device busy, link bytes, operator rows, cache counters and traces,
+    with whole-column packets and with a non-divisor morsel size."""
     def session(**knobs):
         engine = HAPEEngine(default_server(), tracing=True,
-                            pipeline_fusion=fusion, **knobs)
+                            pipeline_fusion=fusion, morsel_rows=morsel_rows,
+                            **knobs)
         engine.register_dataset(sf001.tables)
         return engine
 
@@ -538,12 +543,16 @@ class TestOverlay:
         assert [count for written in overlay_writes for count in written
                 if count < 2] == []
 
+    @pytest.mark.parametrize("morsel_rows", [None, 7],
+                             ids=["whole", "morsels"])
     @pytest.mark.parametrize("budget", [0, None])
     def test_a_repeated_subplan_runs_once(self, tpch_dataset, budget,
-                                          overlay_writes):
+                                          morsel_rows, overlay_writes):
         """Two identical filtered scans share one evaluation through the
-        overlay, cold and warm, with and without the session cache."""
-        engine = HAPEEngine(default_server(), cache_budget_bytes=budget)
+        overlay, cold and warm, with and without the session cache,
+        whole-column or streamed in morsels."""
+        engine = HAPEEngine(default_server(), cache_budget_bytes=budget,
+                            morsel_rows=morsel_rows)
         engine.register_dataset(tpch_dataset.tables)
 
         def side():

@@ -144,6 +144,77 @@ class TestQueryCacheUnit:
 
 
 # ----------------------------------------------------------------------
+# SharedQueryCache: each attempt's lookups charged to its tenant
+# ----------------------------------------------------------------------
+class TestSharedQueryCacheUnit:
+    @staticmethod
+    def _attempt(cache, tenant, lookups):
+        """One server attempt: snapshot, run ``lookups``, attribute."""
+        before = cache.counters()
+        lookups(cache)
+        return cache.attribute(tenant, before)
+
+    def test_a_shared_entry_misses_once_then_hits_for_every_tenant(self):
+        def compute_or_reuse(cache):
+            if cache.get("shared") is None:
+                cache.put("shared", {"x": np.arange(2, dtype=np.int64)},
+                          nbytes=16)
+
+        cache = SharedQueryCache(budget_bytes=None)
+        deltas = [self._attempt(cache, f"tenant{index}", compute_or_reuse)
+                  for index in range(8)]
+        assert (deltas[0].hits, deltas[0].misses) == (0, 1)
+        assert all((delta.hits, delta.misses) == (1, 0)
+                   for delta in deltas[1:])
+        totals = cache.counters()
+        assert (totals.hits, totals.misses) == (7, 1)
+
+    def test_each_attempt_is_charged_only_its_own_traffic(self):
+        cache = SharedQueryCache(budget_bytes=None)
+        cache.put("warm", {"x": np.arange(2, dtype=np.int64)}, nbytes=16)
+        for index in range(8):
+            delta = self._attempt(cache, f"tenant{index}", lambda cache: [
+                cache.get("warm" if op % 2 else ("cold", index, op))
+                for op in range(300)])
+            assert (delta.hits, delta.misses) == (150, 150)
+        per_tenant = cache.tenant_counters()
+        assert len(per_tenant) == 8
+        assert all((counters.hits, counters.misses) == (150, 150)
+                   for counters in per_tenant.values())
+        totals = cache.counters()
+        assert totals.hits == sum(c.hits for c in per_tenant.values())
+        assert totals.misses == sum(c.misses for c in per_tenant.values())
+
+    def test_traffic_outside_an_attempt_is_not_attributed(self):
+        cache = SharedQueryCache(budget_bytes=None)
+        for op in range(50):
+            cache.get(("anon", op))
+        assert cache.tenant_counters() == {}
+        delta = self._attempt(cache, "a", lambda cache: cache.get("k"))
+        assert (delta.hits, delta.misses) == (0, 1)
+        assert cache.counters().misses == 51
+        assert cache.tenant_counters()["a"].misses == 1
+
+    def test_an_entry_evicted_between_tenants_misses_for_both(self):
+        """Room for one entry: what tenant a computed is evicted before
+        tenant b looks, so b misses too — the count is what the cache
+        did, not what a never-evicting cache would have served."""
+        def compute_or_reuse(cache):
+            if cache.get("shared") is None:
+                cache.put("shared", {"x": np.arange(2, dtype=np.int64)},
+                          nbytes=16)
+
+        cache = SharedQueryCache(budget_bytes=16)
+        first = self._attempt(cache, "a", compute_or_reuse)
+        self._attempt(cache, "filler", lambda cache: cache.put(
+            "other", {"x": np.arange(2, dtype=np.int64)}, nbytes=16))
+        second = self._attempt(cache, "b", compute_or_reuse)
+        assert (first.hits, first.misses) == (second.hits, second.misses) == (
+            0, 1)
+        assert cache.counters().evicted == 2
+
+
+# ----------------------------------------------------------------------
 # Counters: plain ints, snapshots on read
 # ----------------------------------------------------------------------
 class TestCounters:
@@ -176,6 +247,56 @@ class TestCounters:
         assert stats.bytes_used == sum(
             entry.nbytes for entry in cache._entries.values())
         assert stats.bytes_used == 32 * len(cache) <= cache.budget_bytes
+
+    def test_mixed_put_get_invalidate_reconciles_exactly(self):
+        # No budget, so nothing is evicted: every entry that leaves goes
+        # through an invalidation whose count the caller was told.
+        cache = QueryCache(budget_bytes=None)
+        rng = np.random.default_rng(2019)
+        gets = invalidated = 0
+        for op in range(2400):
+            key = ("k", int(rng.integers(0, 24)))
+            if op % 3 == 0:
+                cache.put(key, {"x": np.arange(4, dtype=np.int64)},
+                          nbytes=32, tables=frozenset({f"t{key[1] % 4}"}))
+            elif op % 3 == 1:
+                cache.get(key)
+                gets += 1
+            else:
+                invalidated += cache.invalidate_table(
+                    f"t{int(rng.integers(0, 4))}")
+        counters = cache.counters()
+        assert counters.lookups == counters.hits + counters.misses == gets
+        assert counters.invalidated == invalidated > 0
+        assert counters.evicted == 0
+        assert cache.bytes_used == sum(
+            entry.nbytes for entry in cache._entries.values())
+        assert cache.bytes_used == 32 * len(cache)
+
+    def test_the_byte_ledger_stays_within_budget_under_eviction(self):
+        # Room for four entries; every put of a fifth distinct key evicts.
+        cache = QueryCache(budget_bytes=128)
+        for stream in range(8):
+            for op in range(300):
+                key = (stream, op % 40)
+                cache.put(key, {"x": np.arange(4, dtype=np.int64)},
+                          nbytes=32)
+                assert cache.get(key) is not None  # the newest entry stays
+                assert 0 <= cache.bytes_used <= 128
+        assert cache.bytes_used == sum(
+            entry.nbytes for entry in cache._entries.values()) == 128
+        # Each put adds one entry; all but the four live ones were evicted.
+        assert cache.counters().evicted == 8 * 300 - len(cache) == 2396
+
+    def test_cached_arrays_stay_frozen_across_gets(self):
+        cache = QueryCache(budget_bytes=None)
+        cache.put("k", {"x": np.arange(8, dtype=np.int64)}, nbytes=64)
+        for _ in range(3):
+            array = cache.get("k")["x"]
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError):
+                array[0] = 99
+        assert int(cache.get("k")["x"][0]) == 0
 
     def test_attempt_deltas_sum_to_the_global_counters(
             self, tpch_dataset, monkeypatch):

@@ -66,15 +66,17 @@ def solo(tpch_dataset, plans):
 #: waits: it must end at its deadline, not when the Q9 ahead finishes.
 QUEUED_PAST_ITS_DEADLINE = ((1, 1), [(0, "Q9", "cpu", 0.0, None),
                                      (0, "Q9", "cpu", 0.25, 0.25)], [])
+#: A ticket admitted at 0 behind its tenant's two earlier Q1s, whose
+#: CPUs another tenant's Q1 then holds past its deadline: it never
+#: starts, and must end at its deadline, not when the CPUs free.
+ADMITTED_PAST_ITS_DEADLINE = ((1, 1), [(0, "Q1", "cpu", 0.0, None),
+                                       (0, "Q1", "cpu", 0.0, None),
+                                       (0, "Q1", "cpu", 0.0, 0.5),
+                                       (1, "Q1", "cpu", 0.25, None)], [])
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(concurrency=st.lists(st.integers(1, 2), min_size=2, max_size=3)
-       .map(tuple), jobs=submissions, gpu_outages=outages)
-@example(*QUEUED_PAST_ITS_DEADLINE)
-def test_generated_epochs_keep_their_invariants(
-        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages):
-    unit = solo["Q9", "cpu"]
+def _serve(dataset, plans, unit, concurrency, jobs, gpu_outages):
+    """Build and drain the epoch a drawn schedule describes."""
     fault_plan = FaultPlan()
     for at, duration in gpu_outages:
         for gpu in ("gpu0", "gpu1"):
@@ -83,7 +85,7 @@ def test_generated_epochs_keep_their_invariants(
                 recover_at=None if duration is None
                 else (at + duration) * unit)
     server = QueryServer(default_server(), fault_plan=fault_plan)
-    server.register_dataset(tpch_dataset.tables)
+    server.register_dataset(dataset.tables)
     tenants = [f"t{index}" for index in range(len(concurrency))]
     for tenant, limit in zip(tenants, concurrency):
         server.open_session(tenant, max_concurrency=limit)
@@ -91,7 +93,27 @@ def test_generated_epochs_keep_their_invariants(
         server.submit(tenants[who % len(tenants)], plans[name], mode,
                       label=f"{name}#{index}", at=at * unit,
                       deadline=None if deadline is None else deadline * unit)
-    report = server.run()
+    server.run()
+    return server
+
+
+schedules = {
+    "concurrency": st.lists(st.integers(1, 2), min_size=2, max_size=3)
+    .map(tuple),
+    "jobs": submissions,
+    "gpu_outages": outages,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(**schedules)
+@example(*QUEUED_PAST_ITS_DEADLINE)
+@example(*ADMITTED_PAST_ITS_DEADLINE)
+def test_generated_epochs_keep_their_invariants(
+        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages):
+    server = _serve(tpch_dataset, plans, solo["Q9", "cpu"], concurrency,
+                    jobs, gpu_outages)
+    report = server.last_report
 
     for ticket in report.tickets:
         where = f"{ticket.tenant}:{ticket.label} ({ticket.status})"
@@ -108,3 +130,28 @@ def test_generated_epochs_keep_their_invariants(
     assert sum(counters.misses for counters in per_tenant) == totals.misses
     assert set(server.topology.health_report().values()) == {"healthy"}
     assert not server._injector._applied
+
+
+def _facts(report) -> list[tuple]:
+    return [(ticket.ticket_id, ticket.status, ticket.final_mode,
+             ticket.start_time, ticket.finish_time, ticket.attempts,
+             ticket.failovers, ticket.wasted_seconds,
+             ticket.simulated_seconds, ticket.cache.hits,
+             ticket.cache.misses)
+            for ticket in report.tickets]
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(**schedules)
+@example(*QUEUED_PAST_ITS_DEADLINE)
+def test_generated_epochs_replay_exactly(
+        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages):
+    """One thread drives the server, so an epoch is a function of its
+    schedule: a second server fed the same schedule reports the same
+    tickets, times and cache counts."""
+    first, replay = (
+        _serve(tpch_dataset, plans, solo["Q9", "cpu"], concurrency, jobs,
+               gpu_outages).last_report
+        for _ in range(2))
+    assert _facts(replay) == _facts(first)
+    assert replay.makespan == first.makespan

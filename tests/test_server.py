@@ -28,6 +28,7 @@ from repro.errors import (
 from repro.hardware import default_server
 from repro.relational import agg_count, agg_sum, col, lit, scan
 from repro.server import (
+    Arrival,
     DeviceScheduler,
     QueryServer,
     TenantPolicy,
@@ -322,6 +323,119 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
+# Deadlines of queued tickets: each ends at its own deadline
+# ----------------------------------------------------------------------
+#: Q9 cpu's solo simulated seconds at SF 0.005, seed 2019 (171.50 us).
+Q9_CPU_SECONDS = 0.00017150039994684856
+QUARTER = Q9_CPU_SECONDS / 4
+
+
+@pytest.fixture(scope="module")
+def q9_sf0005():
+    dataset = generate_tpch(0.005, seed=2019)
+    return dataset, build_query("Q9", dataset).plan
+
+
+class TestQueuedDeadlines:
+    """One tenant at concurrency 1 runs a Q9 from 0 to 171.50 us; what is
+    submitted behind it waits in the queue."""
+
+    @staticmethod
+    def _busy_server(q9_sf0005, *, tracing=False):
+        dataset, plan = q9_sf0005
+        server = QueryServer(default_server(), tracing=tracing)
+        server.register_dataset(dataset.tables)
+        server.open_session("t", max_concurrency=1)
+        first = server.submit("t", plan, "cpu", label="first")
+        return server, plan, first
+
+    def test_queued_tickets_time_out_in_deadline_order(self, q9_sf0005):
+        server, plan, first = self._busy_server(q9_sf0005, tracing=True)
+        waiting = [server.submit("t", plan, "cpu", label=f"w{index}",
+                                 at=QUARTER, deadline=quarters * QUARTER)
+                   for index, quarters in enumerate((1.5, 0.5, 2.5))]
+        server.run()
+        assert first.status == "completed"
+        assert first.finish_time == pytest.approx(Q9_CPU_SECONDS)
+        for ticket in waiting:
+            assert ticket.status == "timed_out" and ticket.attempts == 0
+            assert ticket.finish_time == ticket.deadline_time
+            assert ticket.finish_time < first.finish_time
+        timeouts = [(event.at, event.attrs["ticket"])
+                    for event in server.last_trace.events
+                    if event.kind == "timeout"]
+        assert timeouts == sorted(
+            (ticket.deadline_time, ticket.ticket_id) for ticket in waiting)
+        assert [ticket_id for _, ticket_id in timeouts] == [
+            waiting[1].ticket_id, waiting[0].ticket_id, waiting[2].ticket_id]
+
+    def test_a_queued_timeout_is_a_submit_then_a_timeout(self, q9_sf0005):
+        server, plan, _ = self._busy_server(q9_sf0005, tracing=True)
+        late = server.submit("t", plan, "cpu", at=QUARTER, deadline=QUARTER)
+        server.run()
+        events = [event for event in server.last_trace.events
+                  if event.attrs.get("ticket") == late.ticket_id]
+        assert [event.kind for event in events] == ["submit", "timeout"]
+        assert events[-1].at == late.deadline_time == 2 * QUARTER
+
+    def test_a_deadline_that_outlasts_the_wait_runs_the_ticket(self,
+                                                               q9_sf0005):
+        server, plan, first = self._busy_server(q9_sf0005)
+        patient = server.submit("t", plan, "cpu", at=QUARTER,
+                                deadline=8 * QUARTER)
+        server.run()
+        assert patient.status == "completed" and patient.attempts == 1
+        assert patient.start_time == first.finish_time
+        assert patient.finish_time <= patient.deadline_time
+
+    def test_the_ticket_behind_an_expired_one_waits_only_for_the_slot(
+            self, q9_sf0005):
+        server, plan, first = self._busy_server(q9_sf0005)
+        expired = server.submit("t", plan, "cpu", at=QUARTER,
+                                deadline=QUARTER)
+        behind = server.submit("t", plan, "cpu", at=QUARTER)
+        report = server.run()
+        assert expired.status == "timed_out"
+        assert expired.finish_time == 2 * QUARTER
+        assert behind.status == "completed"
+        assert behind.start_time == first.finish_time
+        assert report.completed == 2
+        assert server.admission.queue_depth("t") == 0
+
+    def test_an_admitted_ticket_the_board_holds_past_its_deadline_ends_there(
+            self, q9_sf0005):
+        """Another tenant's ticket is admitted at once, but the CPUs it
+        needs are busy until 171.50 us: it reserves nothing and ends at
+        its deadline (85.75 us), not when the CPUs free."""
+        server, plan, first = self._busy_server(q9_sf0005, tracing=True)
+        server.open_session("u", max_concurrency=1)
+        blocked = server.submit("u", plan, "cpu", at=QUARTER,
+                                deadline=QUARTER)
+        server.run()
+        assert first.status == "completed"
+        assert blocked.status == "timed_out" and blocked.attempts == 1
+        assert blocked.finish_time == blocked.deadline_time
+        assert round(blocked.finish_time * 1e6, 2) == 85.75
+        assert blocked.wasted_seconds == 0.0
+        kinds = [event.kind for event in server.last_trace.events
+                 if event.attrs.get("ticket") == blocked.ticket_id]
+        assert kinds == ["submit", "admit", "timeout"]
+        assert not [record for record in server.topology.occupancy.records()
+                    if record.label.startswith("u:")]
+
+    def test_an_open_loop_arrival_times_out_in_its_queue(self, q9_sf0005):
+        server, plan, _ = self._busy_server(q9_sf0005)
+        server.add_arrivals([Arrival(at=QUARTER, tenant="t", plan=plan,
+                                     mode="cpu", label="late",
+                                     deadline=QUARTER)])
+        report = server.run()
+        late = next(ticket for ticket in report.tickets
+                    if ticket.label == "late")
+        assert late.status == "timed_out" and late.attempts == 0
+        assert round(late.finish_time * 1e6, 2) == 85.75
+
+
+# ----------------------------------------------------------------------
 # Fairness and priority classes
 # ----------------------------------------------------------------------
 class TestFairnessAndPriority:
@@ -468,6 +582,13 @@ class TestStatisticsAdmission:
 # ----------------------------------------------------------------------
 # Shared-cache attribution: each lookup counted as it happens
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sf001_plans():
+    dataset = generate_tpch(0.01, seed=2019)
+    return dataset, {name: build_query(name, dataset).plan
+                     for name in ("Q1", "Q5", "Q6", "Q9")}
+
+
 class TestSharedCacheAttribution:
     JOBS = (("alpha", "Q1"), ("beta", "Q1"), ("gamma", "Q1"),
             ("alpha", "Q5"), ("beta", "Q5"), ("gamma", "Q9"))
@@ -539,6 +660,46 @@ class TestSharedCacheAttribution:
         assert served_kernels == sum(kernel_counts().values()) == 28
         assert sum(ticket.cache.hits for ticket in report.tickets) == 29
         assert sum(ticket.cache.misses for ticket in report.tickets) == 31
+
+    @pytest.mark.parametrize("mode", ("cpu", "gpu", "hybrid"))
+    @pytest.mark.parametrize("budget_mib", (1, 4, 16), ids="{}MiB".format)
+    def test_an_epoch_counts_what_a_serial_session_counts(
+            self, sf001_plans, budget_mib, mode):
+        """Whatever the budget evicts, the epoch's hits, misses, evictions
+        and kernel runs are those of one serial session executing the
+        same queries in the server's admission order."""
+        dataset, plans = sf001_plans
+        budget = budget_mib << 20
+        server = QueryServer(default_server(), cache_budget_bytes=budget,
+                             tracing=True)
+        server.register_dataset(dataset.tables)
+        for tenant in ("a", "b"):
+            server.open_session(tenant)
+            for name, plan in plans.items():
+                server.submit(tenant, plan, mode, label=name)
+        reset_kernel_counts()
+        report = server.run()
+        served_kernels = sum(kernel_counts().values())
+        served = server.query_cache.stats()
+        by_id = {ticket.ticket_id: ticket for ticket in report.tickets}
+        admitted = [by_id[event.attrs["ticket"]]
+                    for event in server.last_trace.events
+                    if event.kind == "admit"]
+        assert len(admitted) == len(report.tickets) == report.completed
+
+        serial = HAPEEngine(default_server(), cache_budget_bytes=budget)
+        serial.register_dataset(dataset.tables)
+        reset_kernel_counts()
+        for ticket in admitted:
+            serial.execute(ticket.plan, mode)
+        alone = serial.cache_stats
+        assert (served.hits, served.misses, served.evicted) == (
+            alone.hits, alone.misses, alone.evicted)
+        assert served_kernels == sum(kernel_counts().values())
+        assert sum(ticket.cache.hits for ticket in report.tickets) == (
+            served.hits)
+        assert sum(ticket.cache.misses for ticket in report.tickets) == (
+            served.misses)
 
 
 # ----------------------------------------------------------------------

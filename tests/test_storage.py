@@ -121,6 +121,35 @@ class TestCatalog:
         catalog.drop("t")
         assert "t" not in catalog
 
+    def test_every_registration_gets_its_own_version(self):
+        catalog = Catalog()
+        for index in range(200):
+            catalog.register(Table.from_arrays(f"t{index}",
+                                               {"a": np.arange(3)}))
+        versions = list(catalog.table_versions.values())
+        assert len(versions) == len(set(versions)) == 200
+        assert versions == sorted(versions)
+
+    def test_versions_only_move_forward(self):
+        """A subscriber sees each replacement once, with a newer version
+        than the last; a drop and re-registration moves forward too."""
+        catalog = Catalog()
+        catalog.register(Table.from_arrays("t", {"a": np.arange(3)}))
+        observed: list[int] = []
+        catalog.subscribe(lambda name: observed.append(
+            catalog.table_versions.get(name, -1)))
+        history = [catalog.version("t")]
+        for seed in range(100):
+            catalog.register(Table.from_arrays("t", {"a": np.arange(seed)}),
+                             replace=True)
+            history.append(catalog.version("t"))
+        assert history == sorted(set(history))
+        assert observed == history[1:]
+        catalog.drop("t")
+        assert observed[-1] == -1  # delivered after the table is gone
+        catalog.register(Table.from_arrays("t", {"a": np.arange(3)}))
+        assert catalog.version("t") > history[-1]
+
 
 class TestDataGenerators:
     def test_join_pair_has_identical_key_sets(self):
