@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full bench-e2e loc figures serve-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full bench-e2e bench-pairs loc figures serve-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -55,6 +55,18 @@ BASELINE ?=
 bench-e2e:
 	$(PYTHON) bench/run.py --out $(OUT)
 	$(if $(BASELINE),$(PYTHON) bench/compare.py $(BASELINE) $(OUT))
+
+## Alternating before/after pairs of one bench/run.py workload
+## (tools/bench_pairs.py): PARENT is a second checkout, e.g. a `git
+## archive` of the parent commit; the change is this tree.  Prints
+## compare.py's verdicts and, per end-to-end metric, the change's wins
+## out of the pairs and the parent's IQR.
+PAIRS ?= 10
+bench-pairs:
+	$(if $(PARENT),,$(error set PARENT=<checkout of the parent commit>))
+	$(if $(WORKLOAD),,$(error set WORKLOAD=<bench/run.py workload>))
+	$(PYTHON) tools/bench_pairs.py $(PARENT) . --workload $(WORKLOAD) \
+		--pairs $(PAIRS)
 
 ## Code lines (comments and docstrings excluded) — the figure simplicity
 ## PRs quote.  LOC_PATHS=src/repro/server for one package; run the tool

@@ -46,8 +46,20 @@ query derives none of it again.  :meth:`Executor._run` is the one driver
 that walks the prepared program: execute the join build sides and the
 source, check capacities, evaluate the chain inside the kernel memo, then
 charge each operator bottom-up — a price derived once per (stats record,
-input bytes, input residency), clocks reserved on every execution, so the
-list scheduling itself is never stored.
+input bytes, input residency), clocks reserved with it.
+
+A warm timeline is a pure function of the program and the stats records
+its cache hits return, so the program also keeps the timeline of its last
+execution in which no kernel ran: every device and link clock, the link
+bytes, the root's ready time, the keys it looked up and, traced, the
+spans.  While every one of those keys is still cached (asked without
+counting), an execution replays it: the driver walks as it would charge
+— the same counted lookups in the same order, capacity checks, rows,
+bytes and peak — and skips every charge, then restores the clocks and
+hands out fresh spans.  A key gone from the cache, a disabled cache or a
+new program (the prepared record's stamp — catalog versions, device
+health, memories, link bandwidths, options — drops the old one with its
+timeline) stops the replay; the next all-hit execution charges again.
 
 Morsel-driven batching
 ----------------------
@@ -105,7 +117,7 @@ bit-identical whether fusion is on or off, warm or cold.  Like
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from itertools import count
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -222,15 +234,36 @@ class Chain(NamedTuple):
     devices: list[Device]
 
 
-class Program(NamedTuple):
+class Replay(NamedTuple):
+    """The timeline of a program's last execution in which no kernel ran:
+    what a later all-hit execution of the program restores instead of
+    charging the operators again.  Holds clocks and spans, never a batch.
+    """
+
+    #: Every device and link clock, and each link's bytes moved
+    #: (:meth:`Topology.clock_state`).
+    clocks: tuple
+    #: When the root batch was ready.
+    ready: float
+    #: The session-cache keys the execution looked up: while all are
+    #: cached, an execution of the program runs no kernel.
+    lookups: tuple
+    #: Each span's fields in field order but its ``attrs``, and its
+    #: ``attrs`` (``None``: untraced): copied into new spans per result.
+    spans: tuple | None
+
+
+@dataclass(eq=False)
+class Program:
     """A physical plan compiled for one executor (:meth:`Executor.compile`).
 
     Holds decisions, prices and the span skeleton (each placed
     description's plan-walk ordinal and device names, so a traced
-    execution walks no plan), never a batch.  A session keeps it on the
-    plan's prepared record, valid while the catalog versions, device
-    health, memories, link bandwidths and options it was compiled under
-    hold — the record's stamp drops it when any of them changes.
+    execution walks no plan), and the :class:`Replay` of its last
+    execution in which no kernel ran — never a batch.  A session keeps it
+    on the plan's prepared record, valid while the catalog versions,
+    device health, memories, link bandwidths and options it was compiled
+    under hold — the record's stamp drops it when any of them changes.
     """
 
     root: Chain
@@ -239,6 +272,7 @@ class Program(NamedTuple):
     #: decays its own copy to evict an entry after its key's last
     #: occurrence.
     refs: dict[tuple, int]
+    replay: Replay | None = None
 
 
 @dataclass
@@ -365,6 +399,12 @@ class Executor:
         # kernel memo (session-owned caches only; see _memoized_kernel).
         self._trace_spans: list[Span] | None = None
         self._trace_kernel: dict[int, tuple[str, int]] = {}
+        # Whether the current execution charges its operators (else it
+        # replays its program's timeline), whether a kernel ran in it and
+        # the session-cache keys it looked up.
+        self._charging = True
+        self._kernel_ran = False
+        self._lookups: list[tuple] = []
 
     def retune(self, **changes: object) -> None:
         """Change :class:`ExecutorOptions` fields — the one path every knob
@@ -451,15 +491,29 @@ class Executor:
         ``program`` is the plan's :meth:`compile` when the caller kept it
         (a session's prepared record); without it the plan is compiled
         here.
+
+        An execution of a kept program in which no kernel ran (the cache
+        on, every memoized chain a hit or an overlay read) leaves its
+        timeline on the program.  While every key it looked up is still
+        cached, the next execution runs no kernel either and so would
+        reserve the same clocks again: it replays that timeline instead —
+        the same lookups, checks and rows, no charge.
         """
-        self.topology.reset()
         self.morsels_dispatched = 0
         self._peak_intermediate = 0
         self._node_rows = {}
         self._trace_spans = [] if self.options.tracing else None
+        self._kernel_ran, self._lookups = False, []
+        kept = program is not None
         try:
-            if program is None:
+            if not kept:
                 program = self.compile(plan)
+            replay = self._replay(program)
+            self._charging = replay is None
+            if replay is None:
+                self.topology.reset()
+            else:
+                self.topology.restore_clocks(replay.clocks)
             self._key_refs = dict(program.refs)
             result = self._run(program.root)
         finally:
@@ -476,8 +530,21 @@ class Executor:
             counters = self.query_cache.counters()
             cache_delta = counters.since(self._cache_mark)
             self._cache_mark = counters
+        if replay is not None:
+            ready = replay.ready
+            if spans is not None:
+                spans = [Span(*fields, dict(attrs))
+                         for fields, attrs in replay.spans]
+        else:
+            ready = result.ready
+            if kept and self.query_cache.enabled and not self._kernel_ran:
+                program.replay = Replay(
+                    self.topology.clock_state(), ready, tuple(self._lookups),
+                    None if spans is None else tuple(
+                        (astuple(span)[:-1], dict(span.attrs))
+                        for span in spans))
         timeline = self.topology.timeline()
-        makespan = max(timeline.makespan, result.ready)
+        makespan = max(timeline.makespan, ready)
         link_bytes = {link.name: link.bytes_moved
                       for link in self.topology.links}
         # Spans are complete as recorded (Operator.advance).
@@ -499,6 +566,19 @@ class Executor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _replay(self, program: Program) -> Replay | None:
+        """``program``'s kept timeline when this execution may replay it:
+        traced alike, and every key that execution looked up still cached
+        (asked with an uncounted ``in``), so no lookup can miss."""
+        replay, cache = program.replay, self.query_cache
+        if (replay is None or (replay.spans is None) == self.options.tracing
+                or not cache.enabled):
+            return None
+        for key in replay.lookups:
+            if key not in cache:
+                return None
+        return replay
+
     def grant(self, *batch_rows: int) -> int | None:
         """The morsel size for an evaluation over the given input batch
         sizes, counting the morsels they amount to into
@@ -568,9 +648,11 @@ class Executor:
         if result is None:
             session_key = (key, tuning)
             if self.query_cache.enabled:
+                self._lookups.append(session_key)
                 result = self.query_cache.get(session_key)
             if result is None:
                 status = "miss"
+                self._kernel_ran = True
                 morsels_before = self.morsels_dispatched
                 result = run()
                 morsel_delta = self.morsels_dispatched - morsels_before
@@ -619,7 +701,10 @@ class Executor:
            chain granularity, storing the boundary batch and the per-stage
            stats records (warm runs skip the evaluation and reuse both);
         4. the per-stage costs are charged bottom-up from the records,
-           each op reading its own through the chain's compiled layout.
+           each op reading its own through the chain's compiled layout —
+           unless the execution replays its program's timeline
+           (:meth:`execute`), when the records only give the rows and
+           bytes.
 
         The builds are this execution's and are dropped with it.
         """
@@ -636,13 +721,16 @@ class Executor:
         else:
             columns, records = self._memoized_kernel(
                 chain, lambda: self._evaluate(chain, batch, builds))
+        charging = self._charging
         for op, build, stage in zip(ops, builds, chain.layout):
             if stage is None:  # an exchange forwards the batch as it is
-                op.charge(batch, None, build)
+                if charging:
+                    op.charge(batch, None, build)
                 continue
             # The rows are recorded before the charge, whose span reads them.
             stats, nbytes, self._node_rows[op.node.node_id] = records[stage]
-            op.charge(batch, stats, build)
+            if charging:
+                op.charge(batch, stats, build)
             batch.nbytes = nbytes
         batch.columns = columns
         if chain.source is not None:

@@ -118,6 +118,16 @@ class SimClock:
         self._busy_time = 0.0
         self._records.clear()
 
+    def snapshot(self) -> tuple:
+        """The clock's whole state — its records, free time and busy time
+        — for :meth:`restore`."""
+        return tuple(self._records), self._available_at, self._busy_time
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`, whatever was reserved since."""
+        records, self._available_at, self._busy_time = state
+        self._records = list(records)
+
 
 class Timeline:
     """Aggregates the clocks of a whole simulated server."""

@@ -340,6 +340,25 @@ class Topology:
         for link in self._links.values():
             link.reset()
 
+    def clock_state(self) -> tuple:
+        """Every device and link clock's :meth:`~SimClock.snapshot` and
+        each link's bytes moved: one execution's timeline, for
+        :meth:`restore_clocks`."""
+        return (tuple([device.clock.snapshot()
+                       for device in self._devices.values()]),
+                tuple([(link.clock.snapshot(), link.bytes_moved)
+                       for link in self._links.values()]))
+
+    def restore_clocks(self, state: tuple) -> None:
+        """Put back a :meth:`clock_state` — instead of a :meth:`reset`, it
+        overwrites every clock and link counter."""
+        devices, links = state
+        for device, clock in zip(self._devices.values(), devices):
+            device.clock.restore(clock)
+        for link, (clock, moved) in zip(self._links.values(), links):
+            link.clock.restore(clock)
+            link.bytes_moved = moved
+
     def reset_occupancy(self) -> None:
         """Clear the server-time occupancy ledgers (new serving epoch)."""
         self.occupancy.clear()

@@ -25,10 +25,12 @@ import numpy as np
 import pytest
 
 from repro.engine import Executor, HAPEEngine, descriptions
+from repro.engine.modes import ExecutionMode
 from repro.engine.optimizer import Optimizer
 from repro.errors import CatalogError, OptimizerError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
+from repro.hardware.clock import SimClock
 from repro.hardware.specs import pcie3_x16
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
@@ -413,16 +415,19 @@ class TestProgram:
                              ids=["untraced", "traced"])
     def test_a_warm_execute_derives_nothing(self, engine, q5, tracing):
         """Once compiled and priced, an execution only looks up kernels and
-        reserves clocks: no chain is cut, no description made, no route
-        searched, nothing estimated — and, traced, no plan walked: the
-        span skeleton and the estimated report are on the record."""
+        reserves clocks — or, all hits again, replays the timeline it
+        kept: no chain is cut, no description made, no route searched,
+        nothing estimated — and, traced, no plan walked: the span skeleton
+        and the estimated report are on the record.  (The cold cpu run ran
+        kernels and kept nothing, so the first profiled cpu run charges.)"""
         engine.tracing = tracing
         for mode in MODES:
             engine.execute(q5, mode)
         profile = cProfile.Profile()
         profile.enable()
-        for mode in MODES:
-            engine.execute(q5, mode)
+        for _ in range(2):
+            for mode in MODES:
+                engine.execute(q5, mode)
         profile.disable()
         called = {(Path(path).name, name)
                   for path, _, name in pstats.Stats(profile).stats}
@@ -432,7 +437,8 @@ class TestProgram:
                    or name.startswith("estimate_")
                    or (path == "descriptions.py" and name == "__init__")}
         assert not derived, derived
-        assert ("interconnect.py", "transfer") in called
+        assert ("clock.py", "reserve") in called
+        assert ("topology.py", "restore_clocks") in called
         if tracing:
             assert ("descriptions.py", "advance") in called
 
@@ -453,10 +459,14 @@ class TestProgram:
         finally:
             gc.enable()
 
-    def test_holds_no_batch(self, tpch_dataset, monkeypatch):
-        """What one cold execution makes — chain outputs, join indexes —
-        is gone once it returns, although the program stays."""
-        engine = HAPEEngine(default_server(), cache_budget_bytes=0)
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["cache_off", "replayed"])
+    def test_holds_no_batch(self, tpch_dataset, monkeypatch, cached):
+        """What one execution makes — chain outputs, join indexes — is
+        gone once it returns, or, with the cache on, once the cache drops
+        it, although the program stays, with the timeline it kept."""
+        engine = HAPEEngine(default_server(),
+                            cache_budget_bytes=None if cached else 0)
         engine.register_dataset(tpch_dataset.tables)
         catalog = {id(values) for table in tpch_dataset.tables.values()
                    for values in table.arrays().values()}
@@ -479,11 +489,283 @@ class TestProgram:
         monkeypatch.setattr(descriptions, "HashJoinBuild", Build)
         monkeypatch.setattr(Executor, "_run", run)
         plan = build_query("Q5", tpch_dataset).plan
-        for _ in range(2):
+        # Cached: cold, then all hits (kept), then a replay.
+        for _ in range(3):
             engine.execute(plan, "hybrid")
+            if cached:
+                continue
             gc.collect()
             assert made and all(ref() is None for ref in made)
             made.clear()
+        program = engine._plan_records(plan).modes[ExecutionMode.HYBRID].program
+        assert (program.replay is not None) == cached
+        if cached:
+            engine.clear_query_cache()
+            gc.collect()
+            assert made and all(ref() is None for ref in made)
+
+
+# ----------------------------------------------------------------------
+# Replay: an all-hit execution restores the timeline its program kept
+# ----------------------------------------------------------------------
+@pytest.fixture
+def reserves(monkeypatch):
+    """The clock of every ``SimClock.reserve`` call."""
+    calls: list[SimClock] = []
+    original = SimClock.reserve
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimClock, "reserve", counting)
+    return calls
+
+
+def _charged(calls: list, topology) -> int:
+    """How many of ``calls`` reserved per-query clocks of ``topology``
+    (not its occupancy board); clears ``calls``."""
+    clocks = {id(clock) for clock in topology.timeline()}
+    charged = sum(id(clock) in clocks for clock in calls)
+    calls.clear()
+    return charged
+
+
+def _charging(session: HAPEEngine) -> HAPEEngine:
+    """``session``, made to charge every execution: its executor finds
+    no timeline to replay."""
+    session.executor._replay = lambda program: None
+    return session
+
+
+def _executed(result) -> tuple:
+    """What one execution reports, in plan order (node ids differ between
+    plannings)."""
+    report = [(op.label, op.estimated_rows, op.actual_rows, op.q_error)
+              for op in result.cardinality.operators]
+    return ([(name, result.table.array(name).tobytes())
+             for name in result.table.column_names],
+            repr(result.simulated_seconds), result.device_busy,
+            result.link_bytes, report, result.cache,
+            result.morsels_dispatched, result.peak_intermediate_bytes,
+            None if result.trace is None else result.trace.to_jsonl())
+
+
+def _left(session: HAPEEngine) -> tuple:
+    """What an execution leaves behind: the per-query timeline and the
+    cache's LRU order."""
+    return (session.topology.timeline().records(),
+            list(session.executor.query_cache._entries))
+
+
+@pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+def test_a_replay_equals_a_charged_execution(sf001, reserves, tracing):
+    """Every TPC-H (query, mode), three rounds on one session and on a twin
+    that charges every execution: an execution runs kernels or charges
+    all hits (keeping the timeline) until its program replays — by the
+    third round every one does, and reserves no clock — and every
+    execution reports and leaves behind what its charged twin does."""
+    queries = all_queries(sf001)
+    sessions = []
+    for _ in range(2):
+        session = HAPEEngine(default_server(), tracing=tracing)
+        session.register_dataset(sf001.tables)
+        sessions.append(session)
+    replaying, charged = sessions[0], _charging(sessions[1])
+    reserved = []
+    for round_ in range(3):
+        for name in ("Q1", "Q5", "Q6", "Q9"):
+            for mode in MODES:
+                plan = queries[name].plan
+                result = replaying.execute(plan, mode)
+                reserved.append(_charged(reserves, replaying.topology))
+                twin = charged.execute(plan, mode)
+                assert _charged(reserves, charged.topology) > 0
+                assert _executed(result) == _executed(twin), (name, mode)
+                assert _left(replaying) == _left(charged), (name, mode)
+    assert reserved[0] > 0 and reserved[24:] == [0] * 12
+
+
+@pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+def test_a_served_replay_equals_a_charged_one(sf001, reserves, tracing):
+    """The same on a server's shared cache: two tenants submit every
+    (query, mode) for three epochs; the last epoch's executions all replay,
+    and tickets, tenant attribution, LRU order and the epoch trace are a
+    charging twin server's."""
+    queries = all_queries(sf001)
+    servers = []
+    for _ in range(2):
+        server = QueryServer(default_server(), tracing=tracing)
+        server.register_dataset(sf001.tables)
+        for tenant in ("a", "b"):
+            server.open_session(tenant)
+        servers.append(server)
+    replaying, charged = servers
+    for tenant in charged.tenants:
+        _charging(charged.session(tenant))
+    for epoch in range(3):
+        reports = []
+        for server in servers:
+            for tenant in server.tenants:
+                for name in ("Q1", "Q5", "Q6", "Q9"):
+                    for mode in MODES:
+                        server.submit(tenant, queries[name].plan, mode,
+                                      label=f"{name}/{mode}")
+            reports.append(server.run())
+            reserved = _charged(reserves, server.topology)
+            assert (reserved == 0) == (server is replaying and epoch == 2)
+        mine, twin = reports
+        assert [(ticket.tenant, ticket.label, ticket.cache, ticket.finish_time,
+                 _executed(ticket.result)) for ticket in mine.tickets] == [
+            (ticket.tenant, ticket.label, ticket.cache, ticket.finish_time,
+             _executed(ticket.result)) for ticket in twin.tickets]
+        assert mine.makespan == twin.makespan
+        assert (replaying.query_cache.tenant_counters()
+                == charged.query_cache.tenant_counters())
+        assert (list(replaying.query_cache._entries)
+                == list(charged.query_cache._entries))
+        assert (replaying.topology.timeline().records()
+                == charged.topology.timeline().records())
+        if tracing:
+            assert (replaying.last_trace.to_jsonl()
+                    == charged.last_trace.to_jsonl())
+
+
+def test_replayed_results_share_no_trace(engine, q5, reserves):
+    """Each replay hands out its own trace and spans: mutating one
+    result's changes neither the next replay's nor an earlier one's."""
+    engine.tracing = True
+    engine.execute(q5, "hybrid")
+    kept = engine.execute(q5, "hybrid")
+    _charged(reserves, engine.topology)
+    first, second = (engine.execute(q5, "hybrid") for _ in range(2))
+    assert _charged(reserves, engine.topology) == 0
+    assert first.trace is not second.trace
+    assert first.trace.spans is not second.trace.spans
+    for result in (kept, first):
+        assert not ({id(span) for span in result.trace.spans}
+                    & {id(span) for span in second.trace.spans})
+        assert not ({id(span.attrs) for span in result.trace.spans}
+                    & {id(span.attrs) for span in second.trace.spans})
+    expected = second.trace.to_jsonl()
+    for result in (kept, first):
+        for span in result.trace.spans:
+            span.end = -1.0
+            span.attrs["mutated"] = True
+        result.trace.spans.pop()
+    assert second.trace.to_jsonl() == expected
+    assert engine.execute(q5, "hybrid").trace.to_jsonl() == expected
+
+
+def test_a_timeline_kept_untraced_is_not_replayed_traced(engine, q5,
+                                                          reserves):
+    """A caller that keeps a program itself has no stamp to drop it when
+    it re-tunes ``tracing``: the first traced execution charges (and
+    records spans), the next replays them."""
+    executor = engine.executor
+    physical = engine.plan(q5, "hybrid")
+    program = executor.compile(physical)
+    for _ in range(3):
+        executor.execute(physical, program)
+    executor.retune(tracing=True)
+    _charged(reserves, engine.topology)
+    traced = executor.execute(physical, program)
+    assert _charged(reserves, engine.topology) > 0 and traced.trace.spans
+    replayed = executor.execute(physical, program)
+    assert _charged(reserves, engine.topology) == 0
+    assert replayed.trace.to_jsonl() == traced.trace.to_jsonl()
+
+
+#: Holds Q5's entries (24 KB at SF 0.005) and Q1's filtered lineitem
+#: (1.44 MB) but not both.
+EVICTING_BUDGET = 1_450_000
+
+
+def _session(dataset, **knobs) -> HAPEEngine:
+    knobs.setdefault("cache_budget_bytes", EVICTING_BUDGET)
+    engine = HAPEEngine(default_server(), tracing=True, **knobs)
+    engine.register_dataset(dataset.tables)
+    return engine
+
+
+def _evict(engine, dataset):
+    """Another query's entry pushes some of Q5's out; no option moves, so
+    the program and its timeline stay.  (A fresh session has nothing to
+    evict.)"""
+    before = engine.cache_stats
+    engine.execute(build_query("Q1", dataset).plan, "cpu")
+    assert engine.cache_stats.evicted > before.evicted or not before.entries
+
+
+def _drop_and_register(engine, dataset):
+    engine.drop_table("region")
+    engine.register_table(dataset.tables["region"])
+
+
+def _fail_run_restore(engine, dataset):
+    engine.topology.fail_device("gpu0")
+    engine.execute(build_query("Q5", dataset).plan, "hybrid")
+    engine.topology.restore_device("gpu0")
+
+
+@pytest.mark.parametrize("change", [
+    _evict,
+    lambda engine, dataset: engine.clear_query_cache(),
+    lambda engine, dataset: engine.register_table(
+        dataset.tables["nation"], replace=True),
+    _drop_and_register,
+    _fail_run_restore,
+    lambda engine, dataset: engine.topology.shrink_device_memory("gpu0",
+                                                                 0.5),
+    lambda engine, dataset: engine.topology.degrade_link("pcie0", 0.25),
+    lambda engine, dataset: setattr(engine, "tracing", False),
+    lambda engine, dataset: setattr(engine, "morsel_rows", 977),
+    lambda engine, dataset: setattr(engine, "pipeline_fusion", False),
+], ids=["evicted", "clear_query_cache", "register_replace",
+        "drop", "fail_and_restore", "shrink_memory", "degrade_link",
+        "tracing", "morsel_rows", "pipeline_fusion"])
+@pytest.mark.parametrize("mode", MODES)
+def test_no_replay_after_a_change(tpch_dataset, reserves, change, mode):
+    """After anything that drops a cached entry or the program, the next
+    execution charges and equals a fresh session's under the change."""
+    engine = _session(tpch_dataset)
+    plan = build_query("Q5", tpch_dataset).plan
+    for _ in range(3):
+        engine.execute(plan, mode)
+    assert _charged(reserves, engine.topology) > 0
+    engine.execute(plan, mode)
+    assert _charged(reserves, engine.topology) == 0  # it replays
+    change(engine, tpch_dataset)
+    _charged(reserves, engine.topology)
+    after = engine.execute(plan, mode)
+    assert _charged(reserves, engine.topology) > 0
+    fresh = _session(tpch_dataset)
+    change(fresh, tpch_dataset)
+    alone = fresh.execute(plan, mode)
+    assert _executed(after)[:5] == _executed(alone)[:5]
+    assert (None if after.trace is None else after.trace.timing_jsonl()) \
+        == (None if alone.trace is None else alone.trace.timing_jsonl())
+    assert (engine.topology.timeline().records()
+            == fresh.topology.timeline().records())
+
+
+@pytest.mark.parametrize("morsel_rows", [None, 977], ids=["whole", "morsels"])
+def test_a_cache_off_session_never_replays(tpch_dataset, reserves,
+                                           morsel_rows):
+    """With the cache off every execution runs kernels — counted as no
+    miss, and, with ``morsel_rows=None``, as no morsel — so none keeps
+    or replays a timeline."""
+    engine = _session(tpch_dataset, cache_budget_bytes=0,
+                      morsel_rows=morsel_rows)
+    plan = build_query("Q5", tpch_dataset).plan
+    results = []
+    for _ in range(3):
+        results.append(engine.execute(plan, "hybrid"))
+        assert _charged(reserves, engine.topology) > 0
+    assert not any(result.cache.lookups for result in results)
+    program = engine._plan_records(plan).modes[ExecutionMode.HYBRID].program
+    assert program.replay is None
+    assert len({repr(_executed(result)) for result in results}) == 1
 
 
 # ----------------------------------------------------------------------

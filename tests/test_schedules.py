@@ -4,7 +4,8 @@ Hypothesis draws small serving epochs — two or three tenants with a
 concurrency of one or two, two to eight submissions of Q1 / Q6 / Q9 in
 random modes at random arrival times, optional deadlines, optional GPU
 outages (both GPUs at once, overlapping windows and outages that never
-recover included) — and every drained epoch must satisfy:
+recover included) and a shared-cache budget (the default, one that
+evicts, none) — and every drained epoch must satisfy:
 
 * every ticket is terminal;
 * no ticket finishes after its deadline, queued or running;
@@ -15,7 +16,9 @@ recover included) — and every drained epoch must satisfy:
   fault.
 
 Times are drawn in eighths of a service unit, Q9's solo cpu time, so the
-schedules scale with the dataset.
+schedules scale with the dataset.  A repeated (tenant, query, mode) whose
+kernels are all cached replays the timeline its program kept, so replays
+meet evictions and outages mid-epoch.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import HAPEEngine
+from repro.engine.querycache import DEFAULT_CACHE_BUDGET_BYTES
 from repro.faults import FaultPlan
 from repro.hardware import default_server
 from repro.server import QueryServer
@@ -47,6 +51,11 @@ outages = st.lists(
     st.tuples(eighths, st.none() | st.integers(1, 16).map(lambda k: k / 8)),
     max_size=3)
 
+#: Fits Q1's largest entry but not Q9's beside it (SF 0.005), so the
+#: queries evict each other.
+EVICTING_BUDGET = 1_500_000
+budgets = st.sampled_from([DEFAULT_CACHE_BUDGET_BYTES, EVICTING_BUDGET, 0])
+
 
 @pytest.fixture(scope="module")
 def plans(tpch_dataset):
@@ -65,17 +74,19 @@ def solo(tpch_dataset, plans):
 #: A ticket queued behind a running Q9 whose deadline passes while it
 #: waits: it must end at its deadline, not when the Q9 ahead finishes.
 QUEUED_PAST_ITS_DEADLINE = ((1, 1), [(0, "Q9", "cpu", 0.0, None),
-                                     (0, "Q9", "cpu", 0.25, 0.25)], [])
+                                     (0, "Q9", "cpu", 0.25, 0.25)], [],
+                            DEFAULT_CACHE_BUDGET_BYTES)
 #: A ticket admitted at 0 behind its tenant's two earlier Q1s, whose
 #: CPUs another tenant's Q1 then holds past its deadline: it never
 #: starts, and must end at its deadline, not when the CPUs free.
 ADMITTED_PAST_ITS_DEADLINE = ((1, 1), [(0, "Q1", "cpu", 0.0, None),
                                        (0, "Q1", "cpu", 0.0, None),
                                        (0, "Q1", "cpu", 0.0, 0.5),
-                                       (1, "Q1", "cpu", 0.25, None)], [])
+                                       (1, "Q1", "cpu", 0.25, None)], [],
+                              DEFAULT_CACHE_BUDGET_BYTES)
 
 
-def _serve(dataset, plans, unit, concurrency, jobs, gpu_outages):
+def _serve(dataset, plans, unit, concurrency, jobs, gpu_outages, budget):
     """Build and drain the epoch a drawn schedule describes."""
     fault_plan = FaultPlan()
     for at, duration in gpu_outages:
@@ -84,7 +95,8 @@ def _serve(dataset, plans, unit, concurrency, jobs, gpu_outages):
                 gpu, at=at * unit,
                 recover_at=None if duration is None
                 else (at + duration) * unit)
-    server = QueryServer(default_server(), fault_plan=fault_plan)
+    server = QueryServer(default_server(), fault_plan=fault_plan,
+                         cache_budget_bytes=budget)
     server.register_dataset(dataset.tables)
     tenants = [f"t{index}" for index in range(len(concurrency))]
     for tenant, limit in zip(tenants, concurrency):
@@ -102,6 +114,7 @@ schedules = {
     .map(tuple),
     "jobs": submissions,
     "gpu_outages": outages,
+    "budget": budgets,
 }
 
 
@@ -110,9 +123,9 @@ schedules = {
 @example(*QUEUED_PAST_ITS_DEADLINE)
 @example(*ADMITTED_PAST_ITS_DEADLINE)
 def test_generated_epochs_keep_their_invariants(
-        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages):
+        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages, budget):
     server = _serve(tpch_dataset, plans, solo["Q9", "cpu"], concurrency,
-                    jobs, gpu_outages)
+                    jobs, gpu_outages, budget)
     report = server.last_report
 
     for ticket in report.tickets:
@@ -145,13 +158,13 @@ def _facts(report) -> list[tuple]:
 @given(**schedules)
 @example(*QUEUED_PAST_ITS_DEADLINE)
 def test_generated_epochs_replay_exactly(
-        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages):
+        tpch_dataset, plans, solo, concurrency, jobs, gpu_outages, budget):
     """One thread drives the server, so an epoch is a function of its
     schedule: a second server fed the same schedule reports the same
     tickets, times and cache counts."""
     first, replay = (
         _serve(tpch_dataset, plans, solo["Q9", "cpu"], concurrency, jobs,
-               gpu_outages).last_report
+               gpu_outages, budget).last_report
         for _ in range(2))
     assert _facts(replay) == _facts(first)
     assert replay.makespan == first.makespan
