@@ -51,14 +51,17 @@ input bytes, input residency), clocks reserved with it.
 A warm timeline is a pure function of the program and the stats records
 its cache hits return, so the program also keeps the timeline of its last
 execution in which no kernel ran: every device and link clock, the link
-bytes, the root's ready time, the keys it looked up and, traced, the
-spans.  While every one of those keys is still cached (asked without
-counting), an execution replays it: the driver walks as it would charge
-— the same counted lookups in the same order, capacity checks, rows,
-bytes and peak — and skips every charge, then restores the clocks and
-hands out fresh spans.  A key gone from the cache, a disabled cache or a
-new program (the prepared record's stamp — catalog versions, device
-health, memories, link bandwidths, options — drops the old one with its
+bytes, the root's ready time, the keys it looked up, the node rows,
+morsels, peak bytes and cardinality report and, traced, the spans.  While
+every one of those keys is still cached, an execution replays it without
+walking the driver: it counts a hit for each key in the kept order
+(:meth:`QueryCache.get_all`), restores the clocks, hands out the kept
+figures and fresh spans, and takes the result from the root chain's
+entry.  It runs no capacity check: those are pure functions of rows and
+device specs, and both are fixed while the keys are cached and the
+program stands.  A key gone from the cache, a disabled cache or a new
+program (the prepared record's stamp — catalog versions, device health,
+memories, link bandwidths, options — drops the old one with its
 timeline) stops the replay; the next all-hit execution charges again.
 
 Morsel-driven batching
@@ -134,7 +137,7 @@ from ..relational.physical import (
     referenced_tables,
     structural_key,
 )
-from ..stats.cardinality import CardinalityReport
+from ..stats.cardinality import CardinalityReport, pair_report
 from ..storage.catalog import Catalog
 from ..storage.morsel import (
     DEFAULT_MORSEL_ROWS,
@@ -236,8 +239,9 @@ class Chain(NamedTuple):
 
 class Replay(NamedTuple):
     """The timeline of a program's last execution in which no kernel ran:
-    what a later all-hit execution of the program restores instead of
-    charging the operators again.  Holds clocks and spans, never a batch.
+    what a later all-hit execution of the program hands out instead of
+    walking the driver again.  Holds clocks, figures and spans, never a
+    batch: the result's columns stay in the cache entries.
     """
 
     #: Every device and link clock, and each link's bytes moved
@@ -245,22 +249,30 @@ class Replay(NamedTuple):
     clocks: tuple
     #: When the root batch was ready.
     ready: float
-    #: The session-cache keys the execution looked up: while all are
-    #: cached, an execution of the program runs no kernel.
+    #: The session-cache keys the execution looked up, in order: while
+    #: all are cached, an execution of the program runs no kernel.
     lookups: tuple
     #: Each span's fields in field order but its ``attrs``, and its
     #: ``attrs`` (``None``: untraced): copied into new spans per result.
     spans: tuple | None
+    #: :attr:`QueryResult.operator_rows` (copied per result),
+    #: ``morsels_dispatched`` and ``peak_intermediate_bytes``.
+    rows: dict[int, int]
+    morsels: int
+    peak: int
+    #: The cardinality report paired with :attr:`rows` (frozen, shared).
+    report: CardinalityReport
 
 
 @dataclass(eq=False)
 class Program:
     """A physical plan compiled for one executor (:meth:`Executor.compile`).
 
-    Holds decisions, prices and the span skeleton (each placed
+    Holds decisions, prices, the span skeleton (each placed
     description's plan-walk ordinal and device names, so a traced
-    execution walks no plan), and the :class:`Replay` of its last
-    execution in which no kernel ran — never a batch.  A session keeps it
+    execution walks no plan), the estimated report and the
+    :class:`Replay` of its last execution in which no kernel ran — never
+    a batch.  A session keeps it
     on the plan's prepared record, valid while the catalog versions,
     device health, memories, link bandwidths and options it was compiled
     under hold — the record's stamp drops it when any of them changes.
@@ -272,13 +284,17 @@ class Program:
     #: decays its own copy to evict an entry after its key's last
     #: occurrence.
     refs: dict[tuple, int]
+    #: The estimated half of the cardinality report, ``(node_id,
+    #: estimate)`` items in node order (a session sets it; empty: the
+    #: report is): a charged execution pairs it with its actual rows.
+    estimated: list = field(default_factory=list)
     replay: Replay | None = None
 
 
 @dataclass
 class QueryResult:
     """Everything a query run produces: :meth:`Executor.execute` fills it,
-    and a session adds the mode, the pipelines and the cardinality report.
+    and a session adds the mode and the pipelines.
 
     The functional output lives in :attr:`table`; :attr:`simulated_seconds`
     and :attr:`device_busy` are what the paper's evaluation figures plot.
@@ -319,7 +335,7 @@ class QueryResult:
     pipelines: list[Pipeline] = field(default_factory=list)
     #: Estimated vs. actual output rows per executed operator, with
     #: q-errors — the estimation-quality accounting the ``stats`` bench
-    #: suite tracks over time (set by the session).  Purely diagnostic:
+    #: suite tracks over time (:attr:`Program.estimated`).  Purely diagnostic:
     #: estimates influence plan *choice* only, never what a chosen plan
     #: computes.
     cardinality: CardinalityReport = field(default_factory=CardinalityReport)
@@ -399,10 +415,8 @@ class Executor:
         # kernel memo (session-owned caches only; see _memoized_kernel).
         self._trace_spans: list[Span] | None = None
         self._trace_kernel: dict[int, tuple[str, int]] = {}
-        # Whether the current execution charges its operators (else it
-        # replays its program's timeline), whether a kernel ran in it and
-        # the session-cache keys it looked up.
-        self._charging = True
+        # Whether a kernel ran in the current execution and the
+        # session-cache keys it looked up.
         self._kernel_ran = False
         self._lookups: list[tuple] = []
 
@@ -494,10 +508,14 @@ class Executor:
 
         An execution of a kept program in which no kernel ran (the cache
         on, every memoized chain a hit or an overlay read) leaves its
-        timeline on the program.  While every key it looked up is still
-        cached, the next execution runs no kernel either and so would
-        reserve the same clocks again: it replays that timeline instead —
-        the same lookups, checks and rows, no charge.
+        :class:`Replay` on the program.  While every key it looked up is
+        still cached, the next execution runs no kernel either and would
+        reserve the same clocks again, so it replays instead, walking no
+        driver: it counts a hit for every kept key in the kept order (the
+        counters and LRU order a charged walk leaves), restores the
+        clocks, hands out the kept rows, morsels, peak bytes and report,
+        and takes the result columns from the root chain's entry
+        (:meth:`_output`).
         """
         self.morsels_dispatched = 0
         self._peak_intermediate = 0
@@ -508,14 +526,21 @@ class Executor:
         try:
             if not kept:
                 program = self.compile(plan)
-            replay = self._replay(program)
-            self._charging = replay is None
-            if replay is None:
+            replayed = self._replay(program)
+            if replayed is None:
                 self.topology.reset()
+                self._key_refs = dict(program.refs)
+                result = self._run(program.root)
+                columns, ready = result.columns, result.ready
             else:
+                replay, hits = replayed
+                columns = self._output(program.root,
+                                       dict(zip(replay.lookups, hits)))
                 self.topology.restore_clocks(replay.clocks)
-            self._key_refs = dict(program.refs)
-            result = self._run(program.root)
+                ready = replay.ready
+                self.morsels_dispatched = replay.morsels
+                self._peak_intermediate = replay.peak
+                self._node_rows = dict(replay.rows)
         finally:
             # Overlay entries are evicted after their last structural
             # occurrence; clear the rest so only the budget-bounded
@@ -530,19 +555,21 @@ class Executor:
             counters = self.query_cache.counters()
             cache_delta = counters.since(self._cache_mark)
             self._cache_mark = counters
-        if replay is not None:
-            ready = replay.ready
+        if replayed is not None:
+            report = replay.report
             if spans is not None:
                 spans = [Span(*fields, dict(attrs))
                          for fields, attrs in replay.spans]
         else:
-            ready = result.ready
+            report = pair_report(program.estimated, self._node_rows)
             if kept and self.query_cache.enabled and not self._kernel_ran:
                 program.replay = Replay(
                     self.topology.clock_state(), ready, tuple(self._lookups),
                     None if spans is None else tuple(
                         (astuple(span)[:-1], dict(span.attrs))
-                        for span in spans))
+                        for span in spans),
+                    dict(self._node_rows), self.morsels_dispatched,
+                    self._peak_intermediate, report)
         timeline = self.topology.timeline()
         makespan = max(timeline.makespan, ready)
         link_bytes = {link.name: link.bytes_moved
@@ -552,7 +579,7 @@ class Executor:
             spans=spans, tasks=tuple(timeline.records()), makespan=makespan,
             link_bytes=dict(link_bytes),
             morsels_dispatched=self.morsels_dispatched)
-        table = Table.from_arrays("result", result.columns
+        table = Table.from_arrays("result", columns
                                   or {"empty": np.asarray([0])[:0]})
         # Each execution starts a new ``_node_rows``: the result keeps it.
         return QueryResult(
@@ -561,23 +588,33 @@ class Executor:
             link_bytes=link_bytes, physical_plan=plan,
             morsels_dispatched=self.morsels_dispatched, cache=cache_delta,
             peak_intermediate_bytes=self._peak_intermediate,
-            operator_rows=self._node_rows, trace=trace)
+            operator_rows=self._node_rows, trace=trace, cardinality=report)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _replay(self, program: Program) -> Replay | None:
-        """``program``'s kept timeline when this execution may replay it:
-        traced alike, and every key that execution looked up still cached
-        (asked with an uncounted ``in``), so no lookup can miss."""
+    def _replay(self, program: Program) -> tuple[Replay, list] | None:
+        """``program``'s kept timeline and the values of its lookups when
+        this execution may replay it: traced alike, and every key that
+        execution looked up still cached — then each lookup is counted as
+        a hit here, in the kept order; else nothing is counted."""
         replay, cache = program.replay, self.query_cache
         if (replay is None or (replay.spans is None) == self.options.tracing
                 or not cache.enabled):
             return None
-        for key in replay.lookups:
-            if key not in cache:
-                return None
-        return replay
+        hits = cache.get_all(replay.lookups)
+        return None if hits is None else (replay, hits)
+
+    def _output(self, chain: Chain, hits: dict) -> ArrayMap:
+        """A replayed chain's output columns: its cache entry's, or — a
+        chain the memo does not key, one sort or exchange — its source's,
+        sorted by a sort.  Every memoized chain of an all-hit execution
+        was looked up, so ``hits`` holds its entry."""
+        if chain.key is not None:
+            return hits[chain.key, chain.tuning][0]
+        columns, run = self._output(chain.source, hits), chain.ops[-1].run
+        return columns if run is None else run(
+            NodeResult(columns, 0.0, NOWHERE), None)[0]
 
     def grant(self, *batch_rows: int) -> int | None:
         """The morsel size for an evaluation over the given input batch
@@ -701,10 +738,7 @@ class Executor:
            chain granularity, storing the boundary batch and the per-stage
            stats records (warm runs skip the evaluation and reuse both);
         4. the per-stage costs are charged bottom-up from the records,
-           each op reading its own through the chain's compiled layout —
-           unless the execution replays its program's timeline
-           (:meth:`execute`), when the records only give the rows and
-           bytes.
+           each op reading its own through the chain's compiled layout.
 
         The builds are this execution's and are dropped with it.
         """
@@ -721,16 +755,13 @@ class Executor:
         else:
             columns, records = self._memoized_kernel(
                 chain, lambda: self._evaluate(chain, batch, builds))
-        charging = self._charging
         for op, build, stage in zip(ops, builds, chain.layout):
             if stage is None:  # an exchange forwards the batch as it is
-                if charging:
-                    op.charge(batch, None, build)
+                op.charge(batch, None, build)
                 continue
             # The rows are recorded before the charge, whose span reads them.
             stats, nbytes, self._node_rows[op.node.node_id] = records[stage]
-            if charging:
-                op.charge(batch, stats, build)
+            op.charge(batch, stats, build)
             batch.nbytes = nbytes
         batch.columns = columns
         if chain.source is not None:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -242,6 +242,19 @@ class QueryCache:
         self._entries.move_to_end(key)
         self._hits += 1
         return entry.value
+
+    def get_all(self, keys: Sequence[Hashable]) -> list | None:
+        """Look up every key, all or nothing: when each is cached, count a
+        hit per key in order — the counters and LRU order a :meth:`get`
+        per key leaves — and return their values; else count nothing and
+        return ``None``."""
+        entries = self._entries
+        if not all(map(entries.__contains__, keys)):
+            return None
+        for key in keys:
+            entries.move_to_end(key)
+        self._hits += len(keys)
+        return [entries[key].value for key in keys]
 
     def put(self, key: Hashable, value: object, *, nbytes: int,
             tables: frozenset[str] = frozenset()) -> None:

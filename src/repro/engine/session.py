@@ -21,17 +21,17 @@ LRU budget evicts them.  The :data:`Session` alias exists for callers who
 think in session terms.
 
 The session also keeps its *decisions*: one :class:`PreparedPlan` per
-(logical plan, resolved mode) holds the physical plan, its pipelines, the
-estimated half of its cardinality report and, from its first execution
-on, the executor's compiled program (span skeleton included), so a query
-whose plan *object* is executed again is planned and compiled once (an
-equal but rebuilt plan is planned anew); one :class:`LogicalRecord` per
-logical plan holds what no mode changes — its estimates and the working
-set admission and ``"auto"`` read.  Records are dropped when the catalog
-registers, replaces or drops a table (its table versions change), when
-device health, a GPU's memory or a link's bandwidth changes, when the
-optimizer or executor options change, and one by one as their logical
-plans are collected (``docs/CACHING.md``).
+(logical plan, resolved mode) holds the physical plan, its pipelines and,
+from its first execution on, the executor's compiled program (span
+skeleton and the estimated half of the cardinality report included), so
+a query whose plan *object* is executed again is planned and compiled
+once (an equal but rebuilt plan is planned anew); one
+:class:`LogicalRecord` per logical plan holds what no mode changes — its
+estimates and the working set admission and ``"auto"`` read.  Records
+are dropped when the catalog registers, replaces or drops a table (its
+table versions change), when device health, a GPU's memory or a link's
+bandwidth changes, when the optimizer or executor options change, and
+one by one as their logical plans are collected (``docs/CACHING.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..codegen.pipeline import Pipeline, break_into_pipelines
 from ..hardware.topology import Topology, default_server
 from ..relational.logical import LogicalPlan
 from ..relational.physical import PhysicalOp
-from ..stats.cardinality import WorkingSetEstimate, pair_report
+from ..stats.cardinality import WorkingSetEstimate
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from .executor import Executor, ExecutorOptions, Program, QueryResult
@@ -79,21 +79,19 @@ class PreparedPlan(NamedTuple):
     optimizer and executor options, the catalog versions of the tables it
     reads and device health, so it is built on the first request and read
     by every later ``plan`` / ``explain`` / ``execute`` until one of those
-    changes.  Prices and the span skeleton are derived once; clocks are
-    reserved and actual rows paired with the estimated report per execute:
+    changes.  Prices, the span skeleton and the estimated report are
+    derived once; clocks are reserved and actual rows paired with the
+    estimated report per charged execute (a replay restores both):
     results, simulated seconds, reports and traces are those of a fresh
     planning.
     """
 
     physical: PhysicalOp
     pipelines: list[Pipeline]
-    #: The estimated half of the cardinality report:
-    #: ``estimate_physical(physical)``'s items in node order, paired with
-    #: each execution's actual rows
-    #: (:func:`~repro.stats.cardinality.pair_report`).
-    estimated: list
     #: The executor's compiled program (chains, placement, memo keys and
-    #: tunings, span skeleton, pricing memos), made by the first
+    #: tunings, span skeleton, pricing memos) with the estimated half of
+    #: the cardinality report (``estimate_physical(physical)``'s items in
+    #: node order, :attr:`Program.estimated`), made by the first
     #: ``execute``; ``None`` until then.
     program: Program | None = None
 
@@ -276,12 +274,13 @@ class HAPEEngine:
         if prepared is None:
             physical = self.optimizer.optimize(logical, mode, record.estimates)
             prepared = record.modes[mode] = PreparedPlan(
-                physical, break_into_pipelines(physical), sorted(
-                    self.optimizer.estimator.estimate_physical(physical)
-                    .items()))
+                physical, break_into_pipelines(physical))
         if compiled and prepared.program is None:
-            prepared = record.modes[mode] = prepared._replace(
-                program=self.executor.compile(prepared.physical))
+            program = self.executor.compile(prepared.physical)
+            program.estimated = sorted(self.optimizer.estimator
+                                       .estimate_physical(prepared.physical)
+                                       .items())
+            prepared = record.modes[mode] = prepared._replace(program=program)
         return prepared
 
     def working_set(self, logical: LogicalPlan) -> WorkingSetEstimate:
@@ -324,8 +323,9 @@ class HAPEEngine:
         catalog state.  Planning, pipelines and estimates come from the
         prepared record of (``logical``, resolved mode), and so does the
         compiled program: a repeated query only looks up kernels and
-        reserves clocks.  The returned :class:`QueryResult` carries the
-        functional answer, the simulated timing/utilization breakdown and
+        reserves clocks, or replays the timeline its program kept.  The
+        returned :class:`QueryResult` carries the functional answer, the
+        simulated timing/utilization breakdown, the cardinality report and
         the cache counters for this query.
         """
         mode = self.resolve_mode(logical, mode)
@@ -334,9 +334,6 @@ class HAPEEngine:
         if result.trace is not None:
             result.trace.mode = mode.value
         result.mode, result.pipelines = mode, prepared.pipelines
-        # Estimates are the stamps on the plan, actual rows the executor's.
-        result.cardinality = pair_report(prepared.estimated,
-                                         result.operator_rows)
         return result
 
 

@@ -26,15 +26,15 @@ import pytest
 
 from repro.engine import Executor, HAPEEngine, descriptions
 from repro.engine.modes import ExecutionMode
-from repro.engine.optimizer import Optimizer
-from repro.errors import CatalogError, OptimizerError
+from repro.engine.optimizer import Optimizer, OptimizerOptions
+from repro.errors import CatalogError, OptimizerError, OutOfDeviceMemoryError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
 from repro.hardware.clock import SimClock
 from repro.hardware.specs import pcie3_x16
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
-from repro.relational.physical import structural_key
+from repro.relational.physical import PJoin, structural_key
 from repro.server import QueryServer
 from repro.stats import CardinalityEstimator
 from repro.storage import Table, generate_tpch
@@ -674,6 +674,107 @@ def test_a_timeline_kept_untraced_is_not_replayed_traced(engine, q5,
     replayed = executor.execute(physical, program)
     assert _charged(reserves, engine.topology) == 0
     assert replayed.trace.to_jsonl() == traced.trace.to_jsonl()
+
+
+def _spy(monkeypatch, owner, name: str, calls: list) -> None:
+    """Record ``name`` in ``calls`` on every call of ``owner.name``."""
+    original = owner.__dict__[name]
+
+    def spying(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spying)
+
+
+def _rows_in_walk_order(result) -> list:
+    """``operator_rows`` by plan-walk position (node ids differ between
+    plannings)."""
+    return [result.operator_rows.get(node.node_id)
+            for node in result.physical_plan.walk()]
+
+
+@pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("mode", MODES)
+def test_a_replay_walks_no_driver(sf001, monkeypatch, reserves, mode,
+                                  tracing):
+    """Every TPC-H query, replayed: no chain is run, no capacity checked
+    and no kernel memo asked — yet the cache counters, the LRU order, the
+    rows, morsels, peak bytes and cardinality report are those of a twin
+    session that charges the same executions."""
+    queries = all_queries(sf001)
+    sessions = []
+    for _ in range(2):
+        session = HAPEEngine(default_server(), tracing=tracing)
+        session.register_dataset(sf001.tables)
+        sessions.append(session)
+    replaying, charged = sessions[0], _charging(sessions[1])
+    for session in sessions:  # cold, then all hits: the timeline is kept
+        for _ in range(2):
+            for name in ("Q1", "Q5", "Q6", "Q9"):
+                session.execute(queries[name].plan, mode)
+    walked: list[str] = []
+    _spy(monkeypatch, Executor, "_run", walked)
+    _spy(monkeypatch, Executor, "_memoized_kernel", walked)
+    for kind in {descriptions.Operator, *descriptions.OPERATORS.values()}:
+        if "check" in kind.__dict__:
+            _spy(monkeypatch, kind, "check", walked)
+    _charged(reserves, replaying.topology)
+    for name in ("Q1", "Q5", "Q6", "Q9"):
+        plan = queries[name].plan
+        result = replaying.execute(plan, mode)
+        assert _charged(reserves, replaying.topology) == 0, name
+        assert walked == [], (name, walked)
+        twin = charged.execute(plan, mode)
+        assert {"_run", "_memoized_kernel", "check"} <= set(walked)
+        walked.clear()
+        # Morsels, peak bytes and the cardinality report are in _executed.
+        assert _executed(result) == _executed(twin), name
+        assert _rows_in_walk_order(result) == _rows_in_walk_order(twin)
+        assert _left(replaying) == _left(charged), name
+        assert replaying.cache_stats == charged.cache_stats, name
+
+
+@pytest.mark.parametrize("mode, algorithm, gpus, factor", [
+    ("hybrid", JoinAlgorithm.COPROCESSED_RADIX, ("gpu0", "gpu1"), 1e-7),
+    ("gpu", JoinAlgorithm.RADIX_GPU, ("gpu0",), 3e-4),
+], ids=["coprocessed", "radix_gpu"])
+def test_a_replay_hides_no_refusal(sf001, monkeypatch, reserves, mode,
+                                   algorithm, gpus, factor):
+    """Q5 with its joins forced to partition: a replay sizes no
+    partitioned join against GPU memory, and once the memory shrinks
+    below the join's need the next execution charges and is refused
+    exactly as a fresh session under the shrink is."""
+    def session() -> HAPEEngine:
+        engine = HAPEEngine(default_server(), optimizer_options=(
+            OptimizerOptions(small_build_rows=500)))
+        engine.register_dataset(sf001.tables)
+        return engine
+
+    sized: list[str] = []
+    for name in ("copartition_nbytes", "ensure_gpu_join_fits"):
+        _spy(monkeypatch, descriptions, name, sized)
+    engine, plan = session(), build_query("Q5", sf001).plan
+    assert algorithm in {node.algorithm for node in
+                         engine.plan(plan, mode).walk()
+                         if isinstance(node, PJoin)}
+    for _ in range(2):  # cold, then all hits: the timeline is kept
+        engine.execute(plan, mode)
+    assert sized
+    sized.clear()
+    _charged(reserves, engine.topology)
+    engine.execute(plan, mode)
+    assert _charged(reserves, engine.topology) == 0 and sized == []
+    fresh = session()
+    for topology in (engine.topology, fresh.topology):
+        for gpu in gpus:
+            topology.shrink_device_memory(gpu, factor)
+    with pytest.raises(OutOfDeviceMemoryError) as refused:
+        engine.execute(plan, mode)
+    assert sized and _charged(reserves, engine.topology) > 0
+    with pytest.raises(OutOfDeviceMemoryError) as alone:
+        fresh.execute(plan, mode)
+    assert str(refused.value) == str(alone.value)
 
 
 #: Holds Q5's entries (24 KB at SF 0.005) and Q1's filtered lineitem
