@@ -50,19 +50,23 @@ input bytes, input residency), clocks reserved with it.
 
 A warm timeline is a pure function of the program and the stats records
 its cache hits return, so the program also keeps the timeline of its last
-execution in which no kernel ran: every device and link clock, the link
-bytes, the root's ready time, the keys it looked up, the node rows,
-morsels, peak bytes and cardinality report and, traced, the spans.  While
-every one of those keys is still cached, an execution replays it without
-walking the driver: it counts a hit for each key in the kept order
-(:meth:`QueryCache.get_all`), restores the clocks, hands out the kept
-figures and fresh spans, and takes the result from the root chain's
-entry.  It runs no capacity check: those are pure functions of rows and
-device specs, and both are fixed while the keys are cached and the
-program stands.  A key gone from the cache, a disabled cache or a new
-program (the prepared record's stamp — catalog versions, device health,
-memories, link bandwidths, options — drops the old one with its
-timeline) stops the replay; the next all-hit execution charges again.
+execution in which no kernel ran: every device and link clock, the keys
+it looked up, the node rows, morsels, peak bytes, cardinality report and
+figures (simulated seconds, busy times, link bytes) and, traced, the
+spans and the sorted task records.  That execution also leaves its result
+table on the cache entry the columns come from — a sorted root's sorted
+once — charged to the entry's bytes (:meth:`QueryCache.kept`).  While
+the table is kept and every one of those keys is still cached, an
+execution replays without walking the driver: it counts a hit for each
+key in the kept order (:meth:`QueryCache.get_all`), restores the clocks
+and hands out the kept table and report, copies of the kept figures and
+rows, and fresh spans.  It runs no capacity check: those are pure
+functions of rows and device specs, and both are fixed while the keys
+are cached and the program stands.  A key or table gone from the cache,
+a disabled cache or a new program (the prepared record's stamp — catalog
+versions, device health, memories, link bandwidths, options — drops the
+old one with its timeline) stops the replay; the next all-hit execution
+charges again.
 
 Morsel-driven batching
 ----------------------
@@ -215,6 +219,24 @@ class ExecutorOptions:
                            QueryCache.validate_budget(self.cache_budget_bytes))
 
 
+def _result_table(columns: ArrayMap) -> Table:
+    return Table.from_arrays("result", columns
+                             or {"empty": np.asarray([0])[:0]})
+
+
+def _kept_table(columns: ArrayMap) -> tuple[Table, int]:
+    """A result table for a cache entry to keep, made read-only, and the
+    bytes it holds beyond the cache: its writeable arrays, since the cache
+    freezes every array it holds — a sort's output, or a copy a
+    :class:`~repro.storage.column.Column` made to fit its type."""
+    table = _result_table(columns)
+    fresh = [column.values for column in table.columns
+             if column.values.flags.writeable]
+    for values in fresh:
+        values.flags.writeable = False
+    return table, sum(values.nbytes for values in fresh)
+
+
 class Chain(NamedTuple):
     """One chain of a compiled plan: the maximal fused chain of streaming
     operators below its top node (just the node when it starts none), and
@@ -241,14 +263,13 @@ class Replay(NamedTuple):
     """The timeline of a program's last execution in which no kernel ran:
     what a later all-hit execution of the program hands out instead of
     walking the driver again.  Holds clocks, figures and spans, never a
-    batch: the result's columns stay in the cache entries.
+    batch: the result table is kept on the root chain's cache entry
+    (:meth:`QueryCache.kept`).
     """
 
     #: Every device and link clock, and each link's bytes moved
     #: (:meth:`Topology.clock_state`).
     clocks: tuple
-    #: When the root batch was ready.
-    ready: float
     #: The session-cache keys the execution looked up, in order: while
     #: all are cached, an execution of the program runs no kernel.
     lookups: tuple
@@ -262,6 +283,10 @@ class Replay(NamedTuple):
     peak: int
     #: The cardinality report paired with :attr:`rows` (frozen, shared).
     report: CardinalityReport
+    #: ``simulated_seconds``, ``device_busy`` and ``link_bytes`` (both
+    #: copied per result) and, traced, the timeline's records in (start,
+    #: resource) order (``None``: untraced; a tuple of tuples, shared).
+    figures: tuple
 
 
 @dataclass(eq=False)
@@ -270,9 +295,9 @@ class Program:
 
     Holds decisions, prices, the span skeleton (each placed
     description's plan-walk ordinal and device names, so a traced
-    execution walks no plan), the estimated report and the
-    :class:`Replay` of its last execution in which no kernel ran — never
-    a batch.  A session keeps it
+    execution walks no plan), the estimated report, where its result
+    table is kept (:attr:`output`) and the :class:`Replay` of its last
+    execution in which no kernel ran — never a batch.  A session keeps it
     on the plan's prepared record, valid while the catalog versions,
     device health, memories, link bandwidths and options it was compiled
     under hold — the record's stamp drops it when any of them changes.
@@ -284,6 +309,11 @@ class Program:
     #: decays its own copy to evict an entry after its key's last
     #: occurrence.
     refs: dict[tuple, int]
+    #: The cache key of the entry the result columns come from (the root
+    #: chain's, or the first keyed chain below a sort or an exchange) and
+    #: the root's structural key, which an all-hit execution keeps the
+    #: result table under on that entry.
+    output: tuple
     #: The estimated half of the cardinality report, ``(node_id,
     #: estimate)`` items in node order (a session sets it; empty: the
     #: report is): a charged execution pairs it with its actual rows.
@@ -296,7 +326,9 @@ class QueryResult:
     """Everything a query run produces: :meth:`Executor.execute` fills it,
     and a session adds the mode and the pipelines.
 
-    The functional output lives in :attr:`table`; :attr:`simulated_seconds`
+    The functional output lives in :attr:`table` — one object shared by
+    every replay of a kept program (:meth:`QueryCache.kept`), so it is
+    immutable and its arrays are read-only; :attr:`simulated_seconds`
     and :attr:`device_busy` are what the paper's evaluation figures plot.
     :attr:`morsels_dispatched` and :attr:`cache` are wall-clock/working-set
     diagnostics that never influence the simulated timings (warm and cold
@@ -460,8 +492,13 @@ class Executor:
         refs = Counter(structural_key(node, keys, table_versions=versions)
                        for node in nodes if description(node).memoized)
         # Fusion starts below the root: the root is a chain of its own.
-        return Program(self._chain(plan, keys, refs, slots, fuse=False),
-                       {key: count for key, count in refs.items() if count > 1})
+        root = output = self._chain(plan, keys, refs, slots, fuse=False)
+        while output.key is None:  # a sort or an exchange reads its source
+            output = output.source
+        return Program(root,
+                       {key: count for key, count in refs.items() if count > 1},
+                       ((output.key, output.tuning), structural_key(
+                           plan, keys, table_versions=versions)))
 
     def _chain(self, node: PhysicalOp, keys: dict[int, tuple], refs: Counter,
                slots: dict[int, int], *, fuse: bool = True) -> Chain:
@@ -508,14 +545,15 @@ class Executor:
 
         An execution of a kept program in which no kernel ran (the cache
         on, every memoized chain a hit or an overlay read) leaves its
-        :class:`Replay` on the program.  While every key it looked up is
-        still cached, the next execution runs no kernel either and would
-        reserve the same clocks again, so it replays instead, walking no
-        driver: it counts a hit for every kept key in the kept order (the
-        counters and LRU order a charged walk leaves), restores the
-        clocks, hands out the kept rows, morsels, peak bytes and report,
-        and takes the result columns from the root chain's entry
-        (:meth:`_output`).
+        :class:`Replay` on the program and its result table on the cache
+        entry the columns come from (:attr:`Program.output`).  While the
+        table is kept and every key it looked up is still cached, the next
+        execution runs no kernel either and would reserve the same clocks
+        again, so it replays instead, walking no driver: it counts a hit
+        for every kept key in the kept order (the counters and LRU order a
+        charged walk leaves), restores the clocks, and hands out the kept
+        table (shared: it is read-only), the report and copies of the
+        figures and rows.
         """
         self.morsels_dispatched = 0
         self._peak_intermediate = 0
@@ -531,13 +569,15 @@ class Executor:
                 self.topology.reset()
                 self._key_refs = dict(program.refs)
                 result = self._run(program.root)
-                columns, ready = result.columns, result.ready
+                # All hits: the table is kept on its entry (or already was).
+                keep = (kept and self.query_cache.enabled
+                        and not self._kernel_ran)
+                table = (self.query_cache.kept(
+                    *program.output, lambda: _kept_table(result.columns))
+                    if keep else _result_table(result.columns))
             else:
-                replay, hits = replayed
-                columns = self._output(program.root,
-                                       dict(zip(replay.lookups, hits)))
+                replay, table = replayed
                 self.topology.restore_clocks(replay.clocks)
-                ready = replay.ready
                 self.morsels_dispatched = replay.morsels
                 self._peak_intermediate = replay.peak
                 self._node_rows = dict(replay.rows)
@@ -555,36 +595,37 @@ class Executor:
             counters = self.query_cache.counters()
             cache_delta = counters.since(self._cache_mark)
             self._cache_mark = counters
-        if replayed is not None:
-            report = replay.report
-            if spans is not None:
-                spans = [Span(*fields, dict(attrs))
-                         for fields, attrs in replay.spans]
-        else:
+        if replayed is None:
             report = pair_report(program.estimated, self._node_rows)
-            if kept and self.query_cache.enabled and not self._kernel_ran:
+            timeline = self.topology.timeline()
+            figures = (max(timeline.makespan, result.ready),
+                       {clock.resource: clock.busy_time for clock in timeline},
+                       {link.name: link.bytes_moved
+                        for link in self.topology.links},
+                       None if spans is None else tuple(timeline.records()))
+            if keep:
                 program.replay = Replay(
-                    self.topology.clock_state(), ready, tuple(self._lookups),
+                    self.topology.clock_state(), tuple(self._lookups),
                     None if spans is None else tuple(
                         (astuple(span)[:-1], dict(span.attrs))
                         for span in spans),
                     dict(self._node_rows), self.morsels_dispatched,
-                    self._peak_intermediate, report)
-        timeline = self.topology.timeline()
-        makespan = max(timeline.makespan, ready)
-        link_bytes = {link.name: link.bytes_moved
-                      for link in self.topology.links}
+                    self._peak_intermediate, report, figures)
+        else:
+            report, figures = replay.report, replay.figures
+            if spans is not None:
+                spans = [Span(*fields, dict(attrs))
+                         for fields, attrs in replay.spans]
+        seconds, busy, link_bytes, tasks = figures
+        link_bytes = dict(link_bytes)
         # Spans are complete as recorded (Operator.advance).
         trace = None if spans is None else QueryTrace(
-            spans=spans, tasks=tuple(timeline.records()), makespan=makespan,
+            spans=spans, tasks=tasks, makespan=seconds,
             link_bytes=dict(link_bytes),
             morsels_dispatched=self.morsels_dispatched)
-        table = Table.from_arrays("result", columns
-                                  or {"empty": np.asarray([0])[:0]})
         # Each execution starts a new ``_node_rows``: the result keeps it.
         return QueryResult(
-            table=table, simulated_seconds=makespan,
-            device_busy={clock.resource: clock.busy_time for clock in timeline},
+            table=table, simulated_seconds=seconds, device_busy=dict(busy),
             link_bytes=link_bytes, physical_plan=plan,
             morsels_dispatched=self.morsels_dispatched, cache=cache_delta,
             peak_intermediate_bytes=self._peak_intermediate,
@@ -593,28 +634,19 @@ class Executor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _replay(self, program: Program) -> tuple[Replay, list] | None:
-        """``program``'s kept timeline and the values of its lookups when
-        this execution may replay it: traced alike, and every key that
-        execution looked up still cached — then each lookup is counted as
-        a hit here, in the kept order; else nothing is counted."""
+    def _replay(self, program: Program) -> tuple[Replay, Table] | None:
+        """``program``'s kept timeline and result table when this
+        execution may replay it: traced alike, the table still kept and
+        every key that execution looked up still cached — then each lookup
+        is counted as a hit here, in the kept order; else nothing is
+        counted."""
         replay, cache = program.replay, self.query_cache
         if (replay is None or (replay.spans is None) == self.options.tracing
                 or not cache.enabled):
             return None
-        hits = cache.get_all(replay.lookups)
-        return None if hits is None else (replay, hits)
-
-    def _output(self, chain: Chain, hits: dict) -> ArrayMap:
-        """A replayed chain's output columns: its cache entry's, or — a
-        chain the memo does not key, one sort or exchange — its source's,
-        sorted by a sort.  Every memoized chain of an all-hit execution
-        was looked up, so ``hits`` holds its entry."""
-        if chain.key is not None:
-            return hits[chain.key, chain.tuning][0]
-        columns, run = self._output(chain.source, hits), chain.ops[-1].run
-        return columns if run is None else run(
-            NodeResult(columns, 0.0, NOWHERE), None)[0]
+        table = cache.kept(*program.output)
+        return (None if table is None or not cache.get_all(replay.lookups)
+                else (replay, table))
 
     def grant(self, *batch_rows: int) -> int | None:
         """The morsel size for an evaluation over the given input batch

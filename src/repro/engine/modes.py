@@ -21,16 +21,15 @@ class ExecutionMode(enum.Enum):
 
     @classmethod
     def parse(cls, value: "ExecutionMode | str") -> "ExecutionMode":
-        """Accepts either an enum member or its string value."""
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if member.value == value:
-                return member
-        raise ValueError(
-            f"unknown execution mode {value!r}; expected one of "
-            f"{[member.value for member in cls]}"
-        )
+        """Accepts either an enum member or its string value (one dict
+        lookup)."""
+        try:
+            return _PARSED[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(
+                f"unknown execution mode {value!r}; expected one of "
+                f"{[member.value for member in cls]}"
+            ) from None
 
     @property
     def uses_cpus(self) -> bool:
@@ -39,3 +38,8 @@ class ExecutionMode(enum.Enum):
     @property
     def uses_gpus(self) -> bool:
         return self in (ExecutionMode.GPU_ONLY, ExecutionMode.HYBRID)
+
+
+#: Each member under itself and under its value.
+_PARSED = {key: member for member in ExecutionMode
+           for key in (member, member.value)}

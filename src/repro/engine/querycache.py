@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,6 +131,8 @@ class _Entry:
     nbytes: int
     #: Base tables the producing subplan read — the invalidation index.
     tables: frozenset[str] = field(default_factory=frozenset)
+    #: What :meth:`QueryCache.kept` made from the entry, by tag.
+    kept: dict = field(default_factory=dict)
 
 
 def result_nbytes(result: object) -> int:
@@ -243,18 +245,39 @@ class QueryCache:
         self._hits += 1
         return entry.value
 
-    def get_all(self, keys: Sequence[Hashable]) -> list | None:
+    def get_all(self, keys: Sequence[Hashable]) -> bool:
         """Look up every key, all or nothing: when each is cached, count a
         hit per key in order — the counters and LRU order a :meth:`get`
-        per key leaves — and return their values; else count nothing and
-        return ``None``."""
+        per key leaves — and return ``True``; else count nothing."""
         entries = self._entries
         if not all(map(entries.__contains__, keys)):
-            return None
+            return False
         for key in keys:
             entries.move_to_end(key)
         self._hits += len(keys)
-        return [entries[key].value for key in keys]
+        return True
+
+    def kept(self, key: Hashable, tag: Hashable,
+             make: Callable[[], tuple[object, int]] | None = None) -> object:
+        """What the entry of ``key`` keeps under ``tag`` (``None``:
+        nothing).  Given ``make``, a first ask keeps ``make()``'s value and
+        charges its bytes (``make``'s second value) to the entry, so it
+        leaves with the entry and counts under the budget — unless the
+        key is not cached or the budget cannot hold both.  Counts no
+        lookup and moves nothing in the LRU order."""
+        entry = self._entries.get(key)
+        if entry is not None and tag in entry.kept:
+            return entry.kept[tag]
+        if make is None:
+            return None
+        value, nbytes = make()
+        if entry is not None and (self.budget_bytes is None or entry.nbytes
+                                  + nbytes <= self.budget_bytes):
+            entry.kept[tag] = value
+            entry.nbytes += nbytes
+            self._bytes_used += nbytes
+            self._evict_to_budget()
+        return value
 
     def put(self, key: Hashable, value: object, *, nbytes: int,
             tables: frozenset[str] = frozenset()) -> None:

@@ -233,10 +233,12 @@ class HAPEEngine:
         (:meth:`repro.engine.optimizer.Optimizer.choose_mode`); every
         other spelling parses as usual.
         """
-        if isinstance(mode, str) and mode.lower() == "auto":
-            return self.optimizer.choose_mode(logical,
-                                              self.working_set(logical))
-        return ExecutionMode.parse(mode)
+        try:
+            return ExecutionMode.parse(mode)
+        except ValueError:
+            if not (isinstance(mode, str) and mode.lower() == "auto"):
+                raise
+        return self.optimizer.choose_mode(logical, self.working_set(logical))
 
     def _plan_records(self, logical: LogicalPlan) -> LogicalRecord:
         """``logical``'s :class:`LogicalRecord`.

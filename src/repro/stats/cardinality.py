@@ -148,16 +148,14 @@ def q_error(estimated: float, actual: float) -> float:
 
 class OperatorCardinality(NamedTuple):
     """Estimated vs. actual output rows of one executed operator (a tuple:
-    every execution pairs its report anew, cheaply)."""
+    a charged execution pairs its report anew, cheaply)."""
 
     node_id: int
     label: str
     estimated_rows: float
     actual_rows: int
-
-    @property
-    def q_error(self) -> float:
-        return q_error(self.estimated_rows, self.actual_rows)
+    #: :func:`q_error` of the two, computed once when the report is paired.
+    q_error: float
 
     def describe(self) -> str:
         return (f"{self.label}: est={self.estimated_rows:.0f} "
@@ -195,9 +193,10 @@ def pair_report(estimated: list[tuple[int, OperatorEstimate]],
     half of the report, which a session keeps on the plan's prepared
     record — with recorded actual rows."""
     return CardinalityReport(operators=tuple(
-        OperatorCardinality(node_id, estimate.label, estimate.rows,
-                            actual_rows[node_id])
-        for node_id, estimate in estimated if node_id in actual_rows))
+        OperatorCardinality(node_id, estimate.label, estimate.rows, rows,
+                            q_error(estimate.rows, rows))
+        for node_id, estimate in estimated
+        if (rows := actual_rows.get(node_id)) is not None))
 
 
 def build_report(estimates: dict[int, OperatorEstimate],

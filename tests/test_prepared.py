@@ -13,6 +13,7 @@ every change the decisions depend on is a miss.
 
 from __future__ import annotations
 
+import copy
 import cProfile
 import dataclasses
 from collections import Counter
@@ -27,17 +28,20 @@ import pytest
 from repro.engine import Executor, HAPEEngine, descriptions
 from repro.engine.modes import ExecutionMode
 from repro.engine.optimizer import Optimizer, OptimizerOptions
+from repro.engine.querycache import result_nbytes
 from repro.errors import CatalogError, OptimizerError, OutOfDeviceMemoryError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
-from repro.hardware.clock import SimClock
+from repro.hardware.clock import SimClock, Timeline
 from repro.hardware.specs import pcie3_x16
+from repro.hardware.topology import Topology
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
 from repro.relational.physical import PJoin, structural_key
 from repro.server import QueryServer
 from repro.stats import CardinalityEstimator
 from repro.storage import Table, generate_tpch
+from repro.storage.column import Column
 from repro.workloads import all_queries, build_query
 
 MODES = ("cpu", "hybrid", "gpu")
@@ -505,6 +509,42 @@ class TestProgram:
             assert made and all(ref() is None for ref in made)
 
 
+    @pytest.mark.parametrize("drop", ["evicted", "invalidated", "cleared"])
+    def test_the_kept_table_leaves_with_its_entry(self, tpch_dataset, drop):
+        """A sorted root's result table is sorted once and kept on its
+        source's cache entry, its sorted arrays charged to the entry's
+        bytes; table and arrays are gone as soon as the entry is evicted,
+        invalidated or cleared, and the byte ledger is the live entries'."""
+        engine = _session(tpch_dataset)
+        cache = engine.executor.query_cache
+        plan = build_query("Q5", tpch_dataset).plan
+        for _ in range(3):  # cold, all hits (keeps the table), a replay
+            result = engine.execute(plan, "hybrid")
+        program = engine._plan_records(plan).modes[ExecutionMode.HYBRID].program
+        key, tag = program.output
+        entry = cache._entries[key]
+        assert result.table is entry.kept[tag]
+        sorted_ = list(result.table.arrays().values())
+        assert not {id(values) for values in sorted_} & {
+            id(values) for values in entry.value[0].values()}
+        assert entry.nbytes == result_nbytes(entry.value) + sum(
+            values.nbytes for values in sorted_)
+        assert cache.bytes_used == sum(
+            live.nbytes for live in cache._entries.values())
+        kept = [weakref.ref(result.table), *map(weakref.ref, sorted_)]
+        del result, entry, sorted_
+        if drop == "evicted":  # down to a budget no entry with bytes fits
+            engine.cache_budget_bytes = 1
+        elif drop == "invalidated":
+            engine.register_table(tpch_dataset.tables["region"], replace=True)
+        else:
+            engine.clear_query_cache()
+        assert key not in cache
+        assert all(ref() is None for ref in kept)
+        assert cache.bytes_used == sum(
+            live.nbytes for live in cache._entries.values())
+
+
 # ----------------------------------------------------------------------
 # Replay: an all-hit execution restores the timeline its program kept
 # ----------------------------------------------------------------------
@@ -775,6 +815,103 @@ def test_a_replay_hides_no_refusal(sf001, monkeypatch, reserves, mode,
     with pytest.raises(OutOfDeviceMemoryError) as alone:
         fresh.execute(plan, mode)
     assert str(refused.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+def test_a_replay_builds_nothing(sf001, monkeypatch, reserves, tracing):
+    """Every TPC-H query in every mode, named or as a member, replayed:
+    no result table or column is built, nothing sorted, no timeline
+    gathered, no task record sorted and no mode parsed by walking the
+    members — the replay hands out the table kept on the cache entry."""
+    engine = HAPEEngine(default_server(), tracing=tracing)
+    engine.register_dataset(sf001.tables)
+    queries = all_queries(sf001)
+    runs = [(queries[name].plan, mode) for name in ("Q1", "Q5", "Q6", "Q9")
+            for mode in (*MODES, *ExecutionMode)]
+    for _ in range(2):  # cold, then all hits: the timeline is kept
+        kept = [engine.execute(plan, mode).table for plan, mode in runs]
+    built: list[str] = []
+    from_arrays = Table.from_arrays.__func__
+
+    def spying(cls, *args, **kwargs):
+        built.append("from_arrays")
+        return from_arrays(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Table, "from_arrays", classmethod(spying))
+    _spy(monkeypatch, Column, "__init__", built)
+    _spy(monkeypatch, descriptions.Sort, "run", built)
+    _spy(monkeypatch, np, "lexsort", built)
+    _spy(monkeypatch, Topology, "timeline", built)
+    _spy(monkeypatch, Timeline, "records", built)
+    members = type(ExecutionMode).__iter__
+
+    def walking(cls):
+        if cls is ExecutionMode:
+            built.append("walk")
+        return members(cls)
+
+    monkeypatch.setattr(type(ExecutionMode), "__iter__", walking)
+    # The spies see what a charged execution builds and a bad mode walks.
+    uncached = HAPEEngine(default_server(), tracing=tracing,
+                          cache_budget_bytes=0)
+    uncached.register_dataset(sf001.tables)
+    uncached.execute(queries["Q5"].plan, "hybrid")
+    with pytest.raises(ValueError):
+        ExecutionMode.parse("tpu")
+    expected = {"from_arrays", "__init__", "run", "lexsort", "timeline",
+                "walk"} | ({"records"} if tracing else set())
+    assert set(built) == expected
+    _charged(reserves, engine.topology)
+    for (plan, mode), table in zip(runs, kept):
+        built.clear()  # _charged gathers the topology's clocks itself
+        result = engine.execute(plan, mode)
+        assert built == [] and _charged(reserves, engine.topology) == 0
+        assert result.table is table
+
+
+def test_two_roots_over_one_entry_keep_two_tables(tpch_dataset, reserves):
+    """Two plans sorting one scan differently keep one table each on the
+    scan's entry, under their roots' keys: each replay hands out its own
+    order, equal to an uncached session's."""
+    plans = [scan("nation").order_by(keys)
+             for keys in (["n_name"], ["n_regionkey", "n_nationkey"])]
+    engine, uncached = (_session(tpch_dataset, cache_budget_bytes=budget)
+                        for budget in (None, 0))
+    for _ in range(3):
+        for plan in plans:
+            result = engine.execute(plan, "cpu")
+            assert _executed(result)[0] == _executed(
+                uncached.execute(plan, "cpu"))[0]
+    assert _charged(reserves, engine.topology) > 0
+    tables = [engine.execute(plan, "cpu").table for plan in plans]
+    assert _charged(reserves, engine.topology) == 0
+    assert tables[0] is not tables[1]
+    assert tables[0].array("n_name").tobytes() != tables[1].array(
+        "n_name").tobytes()
+
+
+def test_a_replay_hands_out_copies(engine, q5, reserves):
+    """The figures and rows a result hands out are its own: mutating one
+    replay's (or the charged execution's) changes no later replay.  The
+    table is shared, and read-only."""
+    engine.execute(q5, "hybrid")
+    kept = engine.execute(q5, "hybrid")
+    _charged(reserves, engine.topology)
+    first = engine.execute(q5, "hybrid")
+    assert _charged(reserves, engine.topology) == 0
+    expected = copy.deepcopy((_executed(first), first.operator_rows))
+    for result in (kept, first):
+        for figures in (result.device_busy, result.link_bytes,
+                        result.operator_rows):
+            figures[next(iter(figures))] = -1
+            figures["mutated"] = 1
+    second = engine.execute(q5, "hybrid")
+    assert (_executed(second), second.operator_rows) == expected
+    assert second.table is first.table is kept.table
+    for name in second.table.column_names:
+        values = second.table.array(name)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[0]
 
 
 #: Holds Q5's entries (24 KB at SF 0.005) and Q1's filtered lineitem

@@ -48,6 +48,8 @@ from repro.stats import (
     collect_table_statistics,
     q_error,
 )
+from repro.stats.cardinality import (OperatorCardinality, OperatorEstimate,
+                                     pair_report)
 from repro.stats.statistics import SAMPLE_ROWS, SAMPLE_THRESHOLD_ROWS
 from repro.storage import Catalog, Column, DataType, Table, generate_tpch
 from repro.workloads.tpch_queries import all_queries
@@ -375,6 +377,16 @@ class TestQError:
         assert q_error(25, 100) == 4.0
         assert q_error(0, 0) == 1.0  # both floored at one row
         assert q_error(0.2, 1) == 1.0
+
+    def test_a_paired_report_stores_each_q_error(self):
+        """``pair_report`` computes each operator's q-error once; the
+        report's median and max read the stored values."""
+        estimated = [(node, OperatorEstimate(node, "op", rows))
+                     for node, rows in ((1, 10.0), (2, 100.0), (3, 0.2))]
+        report = pair_report(estimated, {1: 10, 2: 25, 3: 1, 4: 7})
+        assert [op.q_error for op in report.operators] == [1.0, 4.0, 1.0]
+        assert "q_error" in OperatorCardinality._fields
+        assert report.median_q_error == 1.0 and report.max_q_error == 4.0
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
-from repro.engine import ExecutionMode
+from repro.engine import ExecutionMode, HAPEEngine
 from repro.hardware import default_server
 from repro.storage import make_join_pair
 from repro.workloads import (
@@ -30,6 +30,28 @@ class TestExecutionModes:
     def test_round_trip_string(self):
         for mode in ExecutionMode:
             assert ExecutionMode.parse(str(mode)) is mode
+
+    @pytest.mark.parametrize("bad", ["tpu", "CPU", "auto", "", None, 3,
+                                     ["cpu"], {"cpu": 1}])
+    def test_a_bad_mode_names_the_three(self, bad, tpch_dataset):
+        """Anything but a member or its exact value — an unhashable value
+        too — is refused with one message, by the parser and by a
+        session (which takes ``"auto"`` in any case)."""
+        message = (f"unknown execution mode {bad!r}; expected one of "
+                   "['cpu', 'gpu', 'hybrid']")
+        with pytest.raises(ValueError) as refused:
+            ExecutionMode.parse(bad)
+        assert str(refused.value) == message
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query("Q6", tpch_dataset).plan
+        if bad == "auto":
+            assert engine.resolve_mode(plan, bad) in ExecutionMode
+            assert engine.resolve_mode(plan, "AUTO") in ExecutionMode
+            return
+        with pytest.raises(ValueError) as refused:
+            engine.resolve_mode(plan, bad)
+        assert str(refused.value) == message
 
 
 class TestTPCHQueryBuilders:
