@@ -38,23 +38,25 @@ class CircuitBreaker:
         self.trips = 0
 
     # Failure/success accounting ----------------------------------------
-    def record_failure(self, device: str, now: float) -> bool:
+    def record_failure(self, device: str, now: float) -> float | None:
         """Record a failed attempt attributed to ``device``.
 
-        Returns True when this failure trips the breaker (the device just
-        transitioned to FAILED with a recovery probe scheduled).
+        When this failure trips the breaker (the device just transitioned
+        to FAILED), returns the server time of its recovery probe —
+        ``now`` plus the cooldown — for the caller to schedule; otherwise
+        ``None``.
         """
         count = self._consecutive_failures.get(device, 0) + 1
         self._consecutive_failures[device] = count
         if count < self.threshold:
-            return False
+            return None
         if not self.topology.device(device).is_available:
-            return False  # already out of rotation (injector or earlier trip)
+            return None  # already out of rotation (injector or earlier trip)
         self.topology.fail_device(device)
         self._tripped.add(device)
-        self._probe_at[device] = now + self.cooldown_seconds
+        probe_at = self._probe_at[device] = now + self.cooldown_seconds
         self.trips += 1
-        return True
+        return probe_at
 
     def record_success(self, devices: Iterable[str]) -> None:
         """Record a successful attempt that ran on ``devices``.
@@ -71,11 +73,6 @@ class CircuitBreaker:
                     self._tripped.discard(name)
 
     # Timeline -----------------------------------------------------------
-    def next_probe_time(self, now: float) -> float | None:
-        """Earliest pending recovery probe strictly after ``now``."""
-        pending = [at for at in self._probe_at.values() if at > now]
-        return min(pending) if pending else None
-
     def advance(self, now: float) -> list[str]:
         """Half-open every tripped device whose cooldown elapsed.
 

@@ -1,10 +1,11 @@
 """Replaying a :class:`FaultPlan` against a live topology.
 
-The injector is driven by the server's event loop: ``next_event_time``
-feeds the loop's time-step computation, ``advance`` applies every fault
-whose time has come (returning the device failures so the server can kill
-in-flight attempts), and ``attempt_fault`` is consulted once per execution
-attempt for transient/targeted faults.  All randomness comes from one
+The injector is driven by the server's event loop: the loop puts every
+one of its scheduled ``times`` on its event heap when the epoch starts,
+``advance`` applies every fault whose time has come (returning the device
+failures so the server can kill in-flight attempts), and
+``attempt_fault`` is consulted once per execution attempt for
+transient/targeted faults.  All randomness comes from one
 ``numpy`` generator seeded by the plan, consumed in dispatch order — the
 same workload replayed against the same plan fails in exactly the same
 places.
@@ -68,12 +69,11 @@ class FaultInjector:
         self._applied: dict[tuple[str, str], list[FaultEvent]] = {}
 
     # Timeline -----------------------------------------------------------
-    def next_event_time(self, now: float) -> float | None:
-        """Earliest scheduled fault strictly after ``now`` (None if done)."""
-        for at, _seq, _event, _heals in self._ops[self._cursor:]:
-            if at > now:
-                return at
-        return None
+    @property
+    def times(self) -> tuple[float, ...]:
+        """Every server time at which a fault strikes or heals, in order
+        and without repeats."""
+        return tuple(sorted({at for at, *_ in self._ops}))
 
     def advance(self, now: float) -> list[str]:
         """Apply every op due at or before ``now``.

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ..errors import AdmissionError, ServingError, UnknownTenantError
 
@@ -289,12 +289,6 @@ class AdmissionController:
         queue = self._tenant(tenant).queue
         queue.remove(next(entry for entry in queue if entry.item is item))
 
-    def queued(self) -> Iterator[Any]:
-        """Every queued item, tenant by tenant in queue order."""
-        for state in self._tenants.values():
-            for entry in state.queue:
-                yield entry.item
-
     def on_finish(self, tenant: str, estimated_bytes: int) -> None:
         """Release the concurrency slot and memory headroom of one query."""
         state = self._tenants[tenant]
@@ -316,17 +310,8 @@ class AdmissionController:
             state.in_flight_bytes = 0
 
     # ------------------------------------------------------------------
-    # Event-loop introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def has_queued(self) -> bool:
-        return any(state.queue for state in self._tenants.values())
-
-    def earliest_future_submit(self, now: float) -> float | None:
-        """Next queue-head submit time strictly after ``now`` (if any)."""
-        future = [state.queue[0].at for state in self._tenants.values()
-                  if state.queue and state.queue[0].at > now]
-        return min(future) if future else None
-
     def queue_depth(self, tenant: str) -> int:
         return len(self._tenant(tenant).queue)
 

@@ -5,11 +5,11 @@ closed loop: new work only appears when the operator hands it over.  The
 paper's serving scenario is open-loop — queries arrive on their own
 schedule, indifferent to how busy the server is — so the server accepts
 *arrival sources*: iterables of :class:`Arrival` entries ordered by
-arrival time on the server's **simulated** clock.  The event loop pumps
-every registered source as server time advances and calls
-:meth:`~repro.server.server.QueryServer.submit` at exactly each entry's
-``at`` time, which makes live submission (``submit()`` while ``run()`` is
-draining) a first-class, deterministic part of the epoch.
+arrival time on the server's **simulated** clock.  When ``run()`` starts,
+the event loop puts every entry of every registered source on its event
+heap and calls :meth:`~repro.server.server.QueryServer.submit` at exactly
+each entry's ``at`` time, which makes live submission (``submit()`` while
+``run()`` is draining) a first-class, deterministic part of the epoch.
 
 Two workload generators cover the bench suites:
 
@@ -65,12 +65,13 @@ class Arrival:
 
 
 class ArrivalSource:
-    """A named, time-ordered stream of arrivals for one epoch.
+    """A named, time-ordered stream of arrivals.
 
-    The server pumps sources in registration order; within a source,
-    entries are submitted in sequence.  Construction validates that the
-    stream is sorted by ``at`` — an out-of-order stream would make the
-    submit order depend on pump timing instead of data.
+    Arrivals due at one instant are submitted source by source in
+    registration order, and in sequence within a source.  Construction
+    validates that the stream is sorted by ``at`` — an out-of-order stream
+    would make the submit order depend on delivery timing instead of data.
+    A source is plain data: the same one can seed any number of epochs.
     """
 
     def __init__(self, name: str, arrivals: Iterable[Arrival]) -> None:
@@ -87,38 +88,12 @@ class ArrivalSource:
                     f"arrival source {self.name!r} is not time-ordered: "
                     f"{arrival.at} after {previous}")
             previous = arrival.at
-        self._cursor = 0
 
     def __len__(self) -> int:
         return len(self.arrivals)
 
     def __iter__(self) -> Iterator[Arrival]:
         return iter(self.arrivals)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.arrivals)
-
-    def peek(self) -> Arrival | None:
-        """The next undelivered arrival, or ``None`` when exhausted."""
-        if self.exhausted:
-            return None
-        return self.arrivals[self._cursor]
-
-    def pop_due(self, now: float) -> list[Arrival]:
-        """Deliver (and advance past) every arrival with ``at <= now``."""
-        due: list[Arrival] = []
-        while not self.exhausted:
-            head = self.arrivals[self._cursor]
-            if head.at > now:
-                break
-            due.append(head)
-            self._cursor += 1
-        return due
-
-    def rewind(self) -> None:
-        """Reset delivery so the same source can seed another epoch."""
-        self._cursor = 0
 
 
 def poisson_arrivals(tenant: str, plans: Sequence[Any], *, rate_qps: float,

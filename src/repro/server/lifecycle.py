@@ -11,7 +11,9 @@ Every status change is announced by exactly one trace event
 (:data:`EVENT_STATUS` names the status each event moves the ticket to),
 so a traced ticket's event sequence *is* its path through the table.
 
-The event loop (:mod:`repro.server.server`) decides *when* things happen;
+The event loop (:mod:`repro.server.server`) decides *when* things happen,
+by draining the one event heap :class:`TicketLifecycle` keeps (see
+:data:`ATTEMPT_END` for its entries and the order of one instant);
 :class:`TicketLifecycle` decides what they mean.  The loop calls
 :meth:`~TicketLifecycle.submit`, :meth:`~TicketLifecycle.admit`,
 :meth:`~TicketLifecycle.expire` (a queued ticket whose deadline passed)
@@ -35,6 +37,8 @@ other error                   running → queued (retry)       waste; one retry 
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -88,6 +92,16 @@ EVENT_STATUS = {
 #: The ways an attempt ends other than with an error (an error outcome is
 #: the exception itself).
 SUCCESS, DEADLINE, PREEMPTED = "success", "deadline", "preempted"
+
+#: Kinds of the event heap's ``(time, kind, seq, payload)`` entries.  The
+#: drain handles one instant in this order — attempts end, scheduled
+#: faults and breaker probes strike, arrivals submit, the admission queues
+#: dispatch, queued tickets past their deadline expire — and entries of
+#: one kind in the order they were posted.  A ``WAKE`` (a submit or resume
+#: time) carries no work of its own: it only makes the instant's dispatch
+#: run.  An attempt's end is dropped once the attempt is cancelled, a wake
+#: or an expiry once its ticket is no longer queued.
+ATTEMPT_END, STRIKE, ARRIVAL, WAKE, EXPIRY = range(5)
 
 
 @dataclass
@@ -166,7 +180,8 @@ class QueryTicket:
 
 @dataclass
 class _Attempt:
-    """One in-flight execution attempt on the completions heap."""
+    """One in-flight execution attempt, the payload of its
+    :data:`ATTEMPT_END` entry."""
 
     ticket: QueryTicket
     #: How the attempt ends if it reaches its reserved finish: ``SUCCESS``,
@@ -201,7 +216,9 @@ class TicketLifecycle:
     Owns what the machine's edges consult — the retry policies (server
     default plus per-tenant overrides) — and, because breaker verdicts
     change device health mid-edge, the ``device_health`` trace events.
-    It holds no reference back to the server.
+    It also keeps the event heap the loop drains, since its edges post to
+    it (a ticket's submit time and deadline, a resume time, a breaker
+    probe).  It holds no reference back to the server.
     """
 
     def __init__(self, admission: AdmissionController,
@@ -216,10 +233,28 @@ class TicketLifecycle:
         self.retry_policies: dict[str, RetryPolicy] = {}
         #: Device-health baseline the transition events are diffed from.
         self._last_health: dict[str, str] = {}
+        #: The event heap of ``(time, kind, seq, payload)`` entries.
+        self.events: list[tuple[float, int, int, object]] = []
+        self._seq = itertools.count()
+        #: Tickets submitted and not yet terminal.
+        self.open = 0
 
     def retry_policy(self, tenant: str) -> RetryPolicy:
         """The retry policy in force for one tenant."""
         return self.retry_policies.get(tenant, self.default_retry_policy)
+
+    # ------------------------------------------------------------------
+    # The event heap
+    # ------------------------------------------------------------------
+    def post(self, at: float, kind: int, payload: object = None) -> None:
+        """Put an event of ``kind`` on the heap at server time ``at``."""
+        heapq.heappush(self.events, (at, kind, next(self._seq), payload))
+
+    def live_attempts(self) -> list[_Attempt]:
+        """The attempts not yet ended, in ``(finish, seq)`` order."""
+        ends = sorted(entry for entry in self.events
+                      if entry[1] == ATTEMPT_END)
+        return [attempt for *_, attempt in ends if not attempt.cancelled]
 
     # ------------------------------------------------------------------
     # Events and transitions
@@ -252,6 +287,8 @@ class TicketLifecycle:
               **attrs: object) -> None:
         """Take the edge ``event`` stands for and announce it."""
         transition(ticket, EVENT_STATUS[event])
+        if ticket.status in TERMINAL:
+            self.open -= 1
         self.event(ticket, at, event, **attrs)
 
     # ------------------------------------------------------------------
@@ -259,6 +296,7 @@ class TicketLifecycle:
     # ------------------------------------------------------------------
     def submit(self, ticket: QueryTicket) -> None:
         """Queue a new ticket; a refused one is rejected and re-raised."""
+        self.open += 1
         self.event(ticket, ticket.submit_time, "submit", mode=ticket.mode)
         try:
             self.admission.submit(ticket.tenant, ticket,
@@ -267,6 +305,9 @@ class TicketLifecycle:
         except AdmissionError as exc:
             self._move(ticket, ticket.submit_time, "reject", reason=str(exc))
             raise
+        self.post(ticket.submit_time, WAKE, ticket)
+        if ticket.deadline_time is not None:
+            self.post(ticket.deadline_time, EXPIRY, ticket)
 
     def expire(self, ticket: QueryTicket) -> None:
         """A queued ticket's deadline passed while it waited: it leaves
@@ -355,7 +396,9 @@ class TicketLifecycle:
         """
         blamed = getattr(error, "device", None)
         if blamed is not None:
-            self.breaker.record_failure(blamed, at)
+            probe_at = self.breaker.record_failure(blamed, at)
+            if probe_at is not None:
+                self.post(probe_at, STRIKE)
             self.trace_health(at, "breaker")
         from_mode = ticket.current_mode
         to_mode = MODE_DEGRADATION.get(from_mode)
@@ -391,6 +434,7 @@ class TicketLifecycle:
         self.admission.requeue(ticket.tenant, ticket,
                                estimated_bytes=ticket.estimated_bytes,
                                at=ready_at)
+        self.post(ready_at, WAKE, ticket)
 
     def _finalize(self, ticket: QueryTicket, at: float,
                   error: Exception) -> None:

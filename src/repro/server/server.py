@@ -55,7 +55,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from statistics import median
 
 import numpy as np
@@ -84,10 +83,15 @@ from ..storage.table import Table
 from .admission import AdmissionController, RetryPolicy, TenantPolicy
 from .arrivals import Arrival, ArrivalSource
 from .lifecycle import (
+    ARRIVAL,
+    ATTEMPT_END,
     DEADLINE,
+    EXPIRY,
     PREEMPTED,
+    STRIKE,
     SUCCESS,
     TERMINAL,
+    WAKE,
     QueryTicket,
     TicketLifecycle,
     _Attempt,
@@ -356,10 +360,9 @@ class QueryServer:
             cooldown_seconds=breaker_cooldown_seconds)
         self._sessions: dict[str, HAPEEngine] = {}
         self._ticket_ids = itertools.count(1)
-        self._event_seq = itertools.count()
         #: Tickets awaiting (or rejected since) the next ``run()`` drain.
         self._epoch_tickets: list[QueryTicket] = []
-        #: Open-loop arrival streams pumped by the next ``run()`` drain.
+        #: Open-loop arrival streams the next ``run()`` drain delivers.
         self._arrival_sources: list[ArrivalSource] = []
         #: The most recent epoch's report — what ``metrics()`` exports.
         self.last_report: ServerReport | None = None
@@ -546,32 +549,19 @@ class QueryServer:
         if not isinstance(source, ArrivalSource):
             source = ArrivalSource(
                 name or f"arrivals-{len(self._arrival_sources) + 1}", source)
-        source.rewind()
         self._arrival_sources.append(source)
         return source
 
-    def _pump_arrivals(self, now: float) -> None:
-        """Submit every registered arrival due at or before ``now``.
-
-        Sources are pumped in registration order, each in stream order —
-        the deterministic submit order the epoch replays run after run.
-        """
-        for source in self._arrival_sources:
-            for arrival in source.pop_due(now):
-                try:
-                    self.submit(arrival.tenant, arrival.resolve_plan(),
-                                arrival.mode, label=arrival.label,
-                                at=arrival.at, deadline=arrival.deadline)
-                except AdmissionError:
-                    # Open-loop clients do not stop arriving because the
-                    # server pushed back; the rejection is on the report.
-                    pass
-
-    def _next_arrival_time(self) -> float | None:
-        """Earliest undelivered arrival across all sources (if any)."""
-        heads = [source.peek().at for source in self._arrival_sources
-                 if not source.exhausted]
-        return min(heads) if heads else None
+    def _arrive(self, arrival: Arrival) -> None:
+        """Submit one arrival as server time reaches it."""
+        try:
+            self.submit(arrival.tenant, arrival.resolve_plan(), arrival.mode,
+                        label=arrival.label, at=arrival.at,
+                        deadline=arrival.deadline)
+        except AdmissionError:
+            # Open-loop clients do not stop arriving because the server
+            # pushed back; the rejection is on the report.
+            pass
 
     # ------------------------------------------------------------------
     # The serving loop
@@ -580,12 +570,14 @@ class QueryServer:
         """Drain every queued submission; deterministic and single-threaded.
 
         Server time starts at zero (a fresh occupancy epoch) and advances
-        event by event: admit everything dispatchable now, else jump to
-        the next completion, future submission, scheduled fault or breaker
-        probe.  Functional execution happens at dispatch — one query at a
-        time, against the shared cache — while the scheduler lays the
-        measured busy seconds onto the occupancy board, which is where
-        concurrency (and therefore throughput) lives.
+        over one event heap: each event is posted as soon as it is known,
+        and each instant is handled in the order of kinds declared at
+        :data:`~repro.server.lifecycle.ATTEMPT_END`.  Open tickets and
+        undelivered arrivals keep the epoch going; faults, probes and
+        deadlines never extend it.  Functional execution happens at
+        dispatch — one query at a time, against the shared cache — while
+        the scheduler lays the measured busy seconds onto the occupancy
+        board, which is where concurrency (and therefore throughput) lives.
 
         The drain is exception-safe: per-query failures are isolated to
         their ticket; anything else (a programming error escaping the
@@ -613,75 +605,63 @@ class QueryServer:
             self._injector.restore_all()
             self.breaker.restore_all()
             self._arrival_sources = []
+            self.lifecycle.events.clear()
         return self._close_epoch()
 
     def _drain(self) -> None:
-        completions: list[tuple[float, int, _Attempt]] = []
+        lifecycle, events = self.lifecycle, self.lifecycle.events
+        for at in self._injector.times:
+            lifecycle.post(at, STRIKE)
+        for source in self._arrival_sources:
+            for arrival in source:
+                lifecycle.post(arrival.at, ARRIVAL, arrival)
+        undelivered = sum(map(len, self._arrival_sources))
         now = self._now = 0.0
-        self._apply_faults(now, completions)
-        self._pump_arrivals(now)
-        while True:
-            self._dispatch_admissible(now, completions)
-            # A ticket still queued past its deadline ends there, not at
-            # whatever dispatch point the loop reaches next.
-            deadlines = [ticket for ticket in self.admission.queued()
-                         if ticket.deadline_time is not None]
-            for ticket in sorted(deadlines,
-                                 key=attrgetter("deadline_time", "ticket_id")):
-                if ticket.deadline_time <= now:
-                    self.lifecycle.expire(ticket)
-            events = []
-            while completions and completions[0][2].cancelled:
-                heapq.heappop(completions)
-            if completions:
-                events.append(completions[0][0])
-            future_submit = self.admission.earliest_future_submit(now)
-            if future_submit is not None:
-                events.append(future_submit)
-            arrival_at = self._next_arrival_time()
-            if arrival_at is not None:
-                # Open-loop: undelivered arrivals extend the epoch — the
-                # server idles forward to the next arrival if it must.
-                events.append(max(arrival_at, now))
-            if not events:
-                if self.admission.has_queued():  # pragma: no cover
-                    raise ServingError(
-                        "admission deadlock: queued work but no runnable "
-                        "query and no pending completion")
+        dispatch_due = False
+        while events or dispatch_due:
+            # Past the last event only the dispatch may still be due.
+            at, kind, _, payload = (events[0] if events
+                                    else (math.inf, EXPIRY, 0, None))
+            if dispatch_due and (at, kind) > (now, WAKE):
+                # Every event of ``now`` that comes before it is handled.
+                dispatch_due = False
+                self._dispatch_admissible(now)
+                continue
+            if at > now and not (lifecycle.open or undelivered):
                 break
-            # Scheduled faults and breaker probes only matter while work
-            # remains; they never extend the epoch on their own.
-            fault_at = self._injector.next_event_time(now)
-            if fault_at is not None:
-                events.append(fault_at)
-            probe_at = self.breaker.next_probe_time(now)
-            if probe_at is not None:
-                events.append(probe_at)
-            events.extend(ticket.deadline_time for ticket in deadlines
-                          if ticket.deadline_time > now)
-            now = self._now = min(events)
-            while completions and completions[0][0] <= now:
-                _, _, attempt = heapq.heappop(completions)
-                if not attempt.cancelled:
-                    self.lifecycle.end_attempt(
-                        attempt.ticket, attempt.placement.finish,
-                        attempt.outcome, attempt)
-            self._apply_faults(now, completions)
-            self._pump_arrivals(now)
+            heapq.heappop(events)
+            # A cancelled attempt's end, and a wake or an expiry of a
+            # ticket no longer queued, stand for nothing.
+            if (payload.cancelled if kind == ATTEMPT_END
+                    else kind >= WAKE and payload.status != "queued"):
+                continue
+            now = self._now = at
+            if kind == ATTEMPT_END:
+                lifecycle.end_attempt(payload.ticket, at, payload.outcome,
+                                      payload)
+            elif kind == STRIKE:
+                self._apply_faults(now)
+            elif kind == ARRIVAL:
+                undelivered -= 1
+                self._arrive(payload)
+            elif kind == EXPIRY:
+                lifecycle.expire(payload)
+                continue
+            dispatch_due = True
+        if lifecycle.open:  # pragma: no cover
+            raise ServingError("admission deadlock: queued work but no "
+                               "runnable query and no pending completion")
 
-    def _apply_faults(self, now: float, completions: list) -> None:
+    def _apply_faults(self, now: float) -> None:
         """Apply scheduled faults/probes due at ``now``; kill stranded work."""
         newly_failed = self._injector.advance(now)
         self.breaker.advance(now)
         self.lifecycle.trace_health(now, "schedule")
         if not newly_failed:
             return
-        for _, _, attempt in completions:
-            placement = attempt.placement
-            if attempt.cancelled or placement.finish <= now:
-                continue
+        for attempt in self.lifecycle.live_attempts():
             lost = next((name for name in newly_failed
-                         if name in placement.resources), None)
+                         if name in attempt.placement.resources), None)
             if lost is not None:
                 # The injector already took the device out of rotation, so
                 # the error blames no device for the breaker to count.
@@ -716,7 +696,7 @@ class QueryServer:
                 error)
 
     def _enqueue_attempt(self, ticket: QueryTicket, now: float,
-                         completions: list, result: QueryResult,
+                         result: QueryResult,
                          cache_delta: CacheCounters) -> None:
         """Reserve a successfully executed attempt on the occupancy board.
 
@@ -733,7 +713,7 @@ class QueryServer:
         if (self.preemption
                 and self.admission.policy(tenant).rank == 0
                 and board.available_at(needed) > now):
-            self._preempt_for(needed, now, completions)
+            self._preempt_for(needed, now)
         # Decide — before reserving — how this attempt will end: an
         # injected fault may kill it mid-run, and the deadline may cut it
         # short.  The start estimate reproduces the occupancy board's own
@@ -769,9 +749,8 @@ class QueryServer:
                 ticket, now, "dispatch", mode=ticket.current_mode,
                 start=placement.start, finish=placement.finish,
                 resources=",".join(placement.resources))
-        heapq.heappush(completions, (
-            placement.finish, next(self._event_seq),
-            _Attempt(ticket, outcome, placement, result, cache_delta)))
+        self.lifecycle.post(placement.finish, ATTEMPT_END, _Attempt(
+            ticket, outcome, placement, result, cache_delta))
 
     # ------------------------------------------------------------------
     # Preemption: interactive arrivals evict running batch work
@@ -794,8 +773,7 @@ class QueryServer:
         index = max(math.ceil((now - start) / delta - 1e-12), 0)
         return min(start + index * delta, finish)
 
-    def _preempt_for(self, needed: dict[str, float], now: float,
-                     completions: list) -> None:
+    def _preempt_for(self, needed: dict[str, float], now: float) -> None:
         """Evict running batch attempts holding resources in ``needed``.
 
         ``needed`` is the arriving attempt's reservations (resource name
@@ -811,11 +789,11 @@ class QueryServer:
         and the query re-queues to run again, its eventual result
         bit-identical.  Stops as soon as every needed resource is free.
         """
-        for _, _, attempt in sorted(completions, key=lambda e: (e[0], e[1])):
+        for attempt in self.lifecycle.live_attempts():
             if self.topology.occupancy.available_at(needed) <= now:
                 break
             placement = attempt.placement
-            if attempt.cancelled or attempt.outcome != SUCCESS:
+            if attempt.outcome != SUCCESS:
                 continue
             if placement.finish <= now:
                 continue
@@ -832,7 +810,7 @@ class QueryServer:
             if kill < placement.finish:
                 self.lifecycle.end_attempt(ticket, kill, PREEMPTED, attempt)
 
-    def _dispatch_admissible(self, now: float, completions: list) -> None:
+    def _dispatch_admissible(self, now: float) -> None:
         """Drain every currently admissible pick.
 
         Three phases per batch, repeated until nothing is admissible, each
@@ -871,8 +849,7 @@ class QueryServer:
                 if error is not None:
                     self.lifecycle.end_attempt(ticket, now, error)
                 else:
-                    self._enqueue_attempt(ticket, now, completions, result,
-                                          cache_delta)
+                    self._enqueue_attempt(ticket, now, result, cache_delta)
 
     # ------------------------------------------------------------------
     # Closing an epoch: report and trace
@@ -905,10 +882,11 @@ class QueryServer:
     def _build_epoch_trace(self, report: ServerReport) -> EpochTrace | None:
         """Assemble the epoch's trace from the tracer's committed events.
 
-        Called once per epoch after the report is built: SLO grades are appended (sorted by tenant), the report's
-        tickets become the trace's rows and the shared occupancy board is
-        snapshotted.  Draining the tracer here also guarantees an aborted
-        epoch cannot leak events into the next one.
+        Called once per epoch after the report is built: SLO grades are
+        appended (sorted by tenant), the report's tickets become the
+        trace's rows and the shared occupancy board is snapshotted.
+        Draining the tracer here also guarantees an aborted epoch cannot
+        leak events into the next one.
         """
         if not self.tracer.enabled:
             return None

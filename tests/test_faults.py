@@ -321,7 +321,8 @@ class TestFaultPlanAndInjector:
         for now, newly_failed, faulted, next_time in steps:
             assert injector.advance(now) == newly_failed
             assert _faulted(topology) == faulted
-            assert injector.next_event_time(now) == next_time
+            assert next((at for at in injector.times if at > now),
+                        None) == next_time
         # Epoch teardown undoes what the plan never restored.
         injector.restore_all()
         assert _faulted(topology) == after_restore
@@ -358,10 +359,13 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(topology, threshold=3, cooldown_seconds=1.0)
         assert not breaker.record_failure("gpu0", now=0.0)
         assert not breaker.record_failure("gpu0", now=0.1)
-        assert breaker.record_failure("gpu0", now=0.2)
+        # The trip hands back its probe time, now + cooldown, to be posted.
+        assert breaker.record_failure("gpu0", now=0.2) == pytest.approx(1.2)
         assert not topology.device("gpu0").is_available
         assert breaker.trips == 1
-        assert breaker.next_probe_time(0.2) == pytest.approx(1.2)
+        # No device half-opens before the cooldown has elapsed.
+        assert breaker.advance(1.1) == []
+        assert not topology.device("gpu0").is_available
         assert breaker.advance(1.2) == ["gpu0"]
         assert topology.device("gpu0").health is DeviceHealth.DEGRADED
         breaker.record_success(["gpu0"])

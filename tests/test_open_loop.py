@@ -34,7 +34,6 @@ from repro.hardware import default_server
 from repro.obs import dumps_line
 from repro.server import (
     Arrival,
-    ArrivalSource,
     DeviceScheduler,
     QueryServer,
     poisson_arrivals,
@@ -129,6 +128,7 @@ class TestArrivalSources:
     def test_poisson_times_are_ordered_and_round_robin(self):
         source = poisson_arrivals("t", ["p0", "p1"], rate_qps=50.0,
                                   count=5, seed=3, start=1.0)
+        assert len(source) == 5
         times = [arrival.at for arrival in source]
         assert times == sorted(times)
         assert all(at > 1.0 for at in times)
@@ -171,16 +171,6 @@ class TestArrivalSources:
         assert arrival.resolve_plan() == "the-plan"
         assert calls == [1]
 
-    def test_source_pop_due_and_rewind(self):
-        source = ArrivalSource("s", [Arrival(at=0.0, tenant="t", plan="a"),
-                                     Arrival(at=1.0, tenant="t", plan="b")])
-        assert len(source) == 2
-        assert [a.plan for a in source.pop_due(0.5)] == ["a"]
-        assert source.peek().at == 1.0
-        assert [a.plan for a in source.pop_due(2.0)] == ["b"]
-        assert source.exhausted and source.peek() is None
-        source.rewind()
-        assert source.peek().plan == "a"
 
 
 # ----------------------------------------------------------------------
