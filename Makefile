@@ -56,16 +56,19 @@ bench-e2e:
 	$(PYTHON) bench/run.py --out $(OUT)
 	$(if $(BASELINE),$(PYTHON) bench/compare.py $(BASELINE) $(OUT))
 
-## Alternating before/after pairs of one bench/run.py workload
+## Alternating before/after pairs of bench/run.py workloads
 ## (tools/bench_pairs.py): PARENT is a second checkout, e.g. a `git
-## archive` of the parent commit; the change is this tree.  Prints
-## compare.py's verdicts and, per end-to-end metric, the change's wins
-## out of the pairs and the parent's IQR.
+## archive` of the parent commit; the change is this tree.  WORKLOAD may
+## name several workloads (WORKLOAD="serve_closed tpch_warm"), run in one
+## alternating loop.  Prints compare.py's verdicts and, per workload and
+## end-to-end metric, the change's wins out of the pairs and the parent's
+## IQR.
 PAIRS ?= 10
 bench-pairs:
 	$(if $(PARENT),,$(error set PARENT=<checkout of the parent commit>))
-	$(if $(WORKLOAD),,$(error set WORKLOAD=<bench/run.py workload>))
-	$(PYTHON) tools/bench_pairs.py $(PARENT) . --workload $(WORKLOAD) \
+	$(if $(WORKLOAD),,$(error set WORKLOAD=<bench/run.py workload(s)>))
+	$(PYTHON) tools/bench_pairs.py $(PARENT) . \
+		$(foreach workload,$(WORKLOAD),--workload $(workload)) \
 		--pairs $(PAIRS)
 
 ## Code lines (comments and docstrings excluded) — the figure simplicity

@@ -425,7 +425,9 @@ class Executor:
             self.options = replace(
                 self.options, cache_budget_bytes=query_cache.budget_bytes)
         self.retune()
-        self._cache_mark = self.query_cache.counters()
+        #: The last execution's cache window (:meth:`QueryCache.window`),
+        #: failed or not; a result carries it as :attr:`QueryResult.cache`.
+        self.cache_delta = CacheCounters()
         #: What tells a GPU's memory from host memory among a batch's
         #: holders (:meth:`deliver` asks per operator).
         self._gpu_names = frozenset(gpu.name for gpu in topology.gpus())
@@ -589,12 +591,10 @@ class Executor:
             self._query_memo = {}
             spans, self._trace_spans, self._trace_kernel = (
                 self._trace_spans, None, {})
-            # Advance the counter mark even on failure, so an aborted
+            # Close the cache window even on failure, so an aborted
             # query's cache activity is not misattributed to the next
             # query's per-query delta.
-            counters = self.query_cache.counters()
-            cache_delta = counters.since(self._cache_mark)
-            self._cache_mark = counters
+            cache_delta = self.cache_delta = self.query_cache.window()
         if replayed is None:
             report = pair_report(program.estimated, self._node_rows)
             timeline = self.topology.timeline()

@@ -58,7 +58,7 @@ Two properties the rest of the engine relies on:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -87,15 +87,6 @@ class CacheCounters:
     misses: int = 0
     evicted: int = 0
     invalidated: int = 0
-
-    def since(self, earlier: "CacheCounters") -> "CacheCounters":
-        """Per-window delta (e.g. counters attributable to one query)."""
-        return CacheCounters(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evicted=self.evicted - earlier.evicted,
-            invalidated=self.invalidated - earlier.invalidated,
-        )
 
     @property
     def lookups(self) -> int:
@@ -189,8 +180,10 @@ class QueryCache:
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes_used = 0
         # Plain ints: a lookup adds 1, and a snapshot is built only when
-        # one is read (counters(), stats()).
+        # one is read (counters(), stats(), window()).
         self._hits = self._misses = self._evicted = self._invalidated = 0
+        #: The counters the current :meth:`window` began at.
+        self._mark = (0, 0, 0, 0)
         self.budget_bytes = self.validate_budget(budget_bytes)
 
     @staticmethod
@@ -224,6 +217,17 @@ class QueryCache:
         return CacheCounters(self._hits, self._misses, self._evicted,
                              self._invalidated)
 
+    def window(self) -> CacheCounters:
+        """The counters since the previous call, which begins the next
+        window.  Every execution takes one as it ends, so on a cache that
+        many sessions share too, it is that execution's own hits, misses
+        and evictions, plus the invalidations since the one before."""
+        counts = (self._hits, self._misses, self._evicted, self._invalidated)
+        hits, misses, evicted, invalidated = self._mark
+        self._mark = counts
+        return CacheCounters(counts[0] - hits, counts[1] - misses,
+                             counts[2] - evicted, counts[3] - invalidated)
+
     def stats(self) -> QueryCacheStats:
         """Counters plus occupancy, as one frozen snapshot."""
         return QueryCacheStats(
@@ -246,14 +250,16 @@ class QueryCache:
         return entry.value
 
     def get_all(self, keys: Sequence[Hashable]) -> bool:
-        """Look up every key, all or nothing: when each is cached, count a
-        hit per key in order — the counters and LRU order a :meth:`get`
-        per key leaves — and return ``True``; else count nothing."""
-        entries = self._entries
-        if not all(map(entries.__contains__, keys)):
+        """Look up every key in one walk, all or nothing: when each is
+        cached, count a hit per key in order — the counters and LRU order
+        a :meth:`get` per key leaves — and return ``True``.  Else count
+        nothing; the keys before the first missing one have moved to the
+        end, as the walk that runs next (a charged execution looking the
+        same keys up in the same order) moves them anyway."""
+        try:
+            deque(map(self._entries.move_to_end, keys), maxlen=0)
+        except KeyError:
             return False
-        for key in keys:
-            entries.move_to_end(key)
         self._hits += len(keys)
         return True
 

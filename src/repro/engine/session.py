@@ -243,17 +243,18 @@ class HAPEEngine:
     def _plan_records(self, logical: LogicalPlan) -> LogicalRecord:
         """``logical``'s :class:`LogicalRecord`.
 
-        Records are made under a stamp: the catalog's table versions, the
-        topology's health fingerprint and the optimizer and executor
-        options.  A call under another stamp starts an empty set, swapped
-        in whole.
+        Records are made under a stamp: the catalog's revision (its
+        table versions), the topology's health fingerprint and the
+        optimizer and executor options.  A call under another stamp starts
+        an empty set, swapped in whole.  While nothing changed, the stamp
+        is built from the same objects and compares in constant time.
 
         Logical plans hold dicts and cannot be dict keys, so records are
         filed under ``id(plan)`` beside a weak reference to the plan: a
         collected plan's records go before its ``id`` can be reused.
         """
         stamp = (self.optimizer.options, self.executor.options,
-                 self.catalog.table_versions, self.topology.health_fingerprint())
+                 self.catalog.revision, self.topology.health_fingerprint())
         taken, records = self._records
         if taken != stamp:
             records = {}

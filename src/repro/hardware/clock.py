@@ -43,7 +43,8 @@ class SimClock:
         self.resource = resource
         self._available_at = 0.0
         self._busy_time = 0.0
-        self._records: list[TaskRecord] = []
+        #: A list, or a restored snapshot's tuple until the next write.
+        self._records: list[TaskRecord] | tuple[TaskRecord, ...] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -79,7 +80,10 @@ class SimClock:
             start = earliest
         end = start + duration
         record = TaskRecord(self.resource, label, start, end)
-        self._records.append(record)
+        try:
+            self._records.append(record)
+        except AttributeError:  # restored by reference: copy on write
+            self._records = [*self._records, record]
         self._available_at = end
         self._busy_time += duration
         return record
@@ -106,6 +110,7 @@ class SimClock:
             ) from None
         truncated = TaskRecord(record.resource, record.label, record.start,
                                record.start + record.duration * fraction)
+        self._records = list(self._records)
         self._records[index] = truncated
         self._busy_time -= record.duration - truncated.duration
         self._available_at = max(
@@ -116,7 +121,7 @@ class SimClock:
         """Forget all scheduled work."""
         self._available_at = 0.0
         self._busy_time = 0.0
-        self._records.clear()
+        self._records = []
 
     def snapshot(self) -> tuple:
         """The clock's whole state — its records, free time and busy time
@@ -124,9 +129,13 @@ class SimClock:
         return tuple(self._records), self._available_at, self._busy_time
 
     def restore(self, state: tuple) -> None:
-        """Return to a :meth:`snapshot`, whatever was reserved since."""
-        records, self._available_at, self._busy_time = state
-        self._records = list(records)
+        """Return to a :meth:`snapshot`, whatever was reserved since.
+
+        The snapshot's records tuple is taken by reference, not copied:
+        the next :meth:`reserve`, :meth:`truncate` or :meth:`reset` puts a
+        new list in its place, so the snapshot never changes.
+        """
+        self._records, self._available_at, self._busy_time = state
 
 
 class Timeline:

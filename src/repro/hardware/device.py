@@ -42,6 +42,13 @@ class Device:
     topology-wide event every later execution observes.
     """
 
+    #: Health, memory and link-bandwidth changes so far, on every device
+    #: and link: :meth:`~repro.hardware.topology.Topology.health_fingerprint`
+    #: is rebuilt only after one.  Shared by every topology, so a change
+    #: on one makes the others rebuild too; their fingerprints, compared
+    #: by value, stay what they were.
+    changes = 0
+
     def __init__(self, spec: DeviceSpec, *, numa_node: int = 0) -> None:
         self.spec = spec
         self.numa_node = numa_node
@@ -79,14 +86,18 @@ class Device:
     def fail(self) -> None:
         """Mark the device failed; placement skips it until restored."""
         self.health = DeviceHealth.FAILED
+        Device.changes += 1
 
     def degrade(self) -> None:
         """Mark the device degraded (half-open: probes allowed)."""
         self.health = DeviceHealth.DEGRADED
+        Device.changes += 1
 
     def restore(self) -> None:
         """Return the device to full health."""
-        self.health = DeviceHealth.HEALTHY
+        if self.health is not DeviceHealth.HEALTHY:
+            self.health = DeviceHealth.HEALTHY
+            Device.changes += 1
 
     def shrink_memory(self, factor: float) -> None:
         """Shrink usable memory to ``factor`` of the nominal capacity.
@@ -102,6 +113,7 @@ class Device:
         self.spec = dataclasses.replace(
             self.spec, memory_capacity_bytes=new_capacity)
         self.cost = CostModel(self.spec)
+        Device.changes += 1
 
     def restore_memory(self) -> None:
         """Undo :meth:`shrink_memory`, returning to nominal capacity."""
@@ -109,6 +121,7 @@ class Device:
             self.spec = dataclasses.replace(
                 self.spec, memory_capacity_bytes=self._nominal_memory_bytes)
             self.cost = CostModel(self.spec)
+            Device.changes += 1
 
     # Memory -------------------------------------------------------------
     def ensure_fits(self, nbytes: int) -> None:

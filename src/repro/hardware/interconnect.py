@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .clock import SimClock, TaskRecord
+from .device import Device
 from .specs import LinkSpec
 
 _GIB = 1024.0 ** 3
@@ -72,12 +73,14 @@ class Link:
         self.spec = dataclasses.replace(
             self.spec,
             bandwidth_gib_s=self._nominal_bandwidth_gib_s * factor)
+        Device.changes += 1
 
     def restore(self) -> None:
         """Undo :meth:`degrade`, returning to nominal bandwidth."""
         if self.spec.bandwidth_gib_s != self._nominal_bandwidth_gib_s:
             self.spec = dataclasses.replace(
                 self.spec, bandwidth_gib_s=self._nominal_bandwidth_gib_s)
+            Device.changes += 1
 
     def reset(self) -> None:
         self.clock.reset()

@@ -58,7 +58,7 @@ class OccupancyBoard:
 
     def available_at(self, resources: Iterable[str]) -> float:
         """Earliest server time at which *all* given resources are free."""
-        return max((self.clock(name).available_at for name in resources),
+        return max([self.clock(name).available_at for name in resources],
                    default=0.0)
 
     def reserve(self, resources: Mapping[str, float], *,
@@ -71,25 +71,23 @@ class OccupancyBoard:
         PCIe-bound query frees the GPU clock early while a saturating scan
         holds its CPUs to the end.  Returns the common start time.
         """
-        start, _ = self.reserve_records(resources, earliest=earliest,
-                                        label=label)
+        start = max(self.available_at(resources), earliest)
+        self.reserve_at(resources, start, label=label)
         return start
 
-    def reserve_records(self, resources: Mapping[str, float], *,
-                        earliest: float = 0.0,
-                        label: str = "query") -> tuple[float, tuple]:
-        """Like :meth:`reserve` but also return the ledger records.
+    def reserve_at(self, resources: Mapping[str, float], start: float, *,
+                   label: str = "query") -> tuple:
+        """Reserve each resource for its busy duration from ``start``, a
+        time no earlier than every one of them frees (:meth:`available_at`),
+        and return the ledger records.
 
         The records are handles for :meth:`truncate`: a scheduler that may
         later kill the reservation early (fault, preemption) keeps them to
         release the occupied tail.
         """
-        start = max(self.available_at(tuple(resources)), earliest)
-        records = tuple(
-            self.clock(name).reserve(float(duration), earliest=start,
-                                     label=label)
-            for name, duration in resources.items())
-        return start, records
+        return tuple([self.clock(name).reserve(float(duration),
+                                               earliest=start, label=label)
+                      for name, duration in resources.items()])
 
     def truncate(self, records: Sequence, fraction: float) -> tuple:
         """Shrink reservations to ``fraction`` of their durations.
@@ -134,6 +132,8 @@ class Topology:
     def __init__(self) -> None:
         self._devices: dict[str, Device] = {}
         self._links: dict[str, Link] = {}
+        #: ``(Device.changes, fingerprint)`` as last built.
+        self._fingerprint: tuple = (-1, ())
         #: Server-time occupancy ledgers (multi-tenant serving); survives
         #: :meth:`reset` on purpose — per-query clocks restart at zero for
         #: every execution, server time never rewinds mid-epoch.
@@ -150,6 +150,7 @@ class Topology:
             raise ValueError(f"duplicate device name {spec.name!r}")
         device = Device(spec, numa_node=numa_node)
         self._devices[spec.name] = device
+        self._fingerprint = (-1, ())
         return device
 
     def connect(self, node_a: str, node_b: str, spec: LinkSpec) -> Link:
@@ -160,6 +161,7 @@ class Topology:
             raise ValueError(f"duplicate link name {spec.name!r}")
         link = Link(spec, node_a, node_b)
         self._links[spec.name] = link
+        self._fingerprint = (-1, ())
         return link
 
     # ------------------------------------------------------------------
@@ -201,14 +203,20 @@ class Topology:
         each device's health and memory capacity, each link's bandwidth.
 
         Read from the devices and links themselves, so a change made
-        directly on one (``gpu.shrink_memory``, a breaker trip) shows too.
-        A session stamps its prepared plans with it and drops them when it
-        changes.
+        directly on one (``gpu.shrink_memory``, a breaker trip) shows too;
+        rebuilt only after one (:attr:`Device.changes`), else the same
+        object is returned.  A session stamps its prepared plans with it
+        and drops them when it changes.
         """
-        return (tuple([(device.health, device.spec.memory_capacity_bytes)
+        built, fingerprint = self._fingerprint
+        if built != Device.changes:
+            fingerprint = (
+                tuple([(device.health, device.spec.memory_capacity_bytes)
                        for device in self._devices.values()]),
                 tuple([link.spec.bandwidth_gib_s
                        for link in self._links.values()]))
+            self._fingerprint = (Device.changes, fingerprint)
+        return fingerprint
 
     def available_cpus(self) -> tuple[Device, ...]:
         return tuple(d for d in self._devices.values()

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..engine.querycache import CacheCounters
@@ -130,7 +130,8 @@ class QueryTicket:
     finish_time: float = 0.0
     reserved: tuple[str, ...] = ()
     result: QueryResult | None = None
-    cache: CacheCounters = field(default_factory=CacheCounters)
+    #: Frozen, so every ticket may start with the one zero default.
+    cache: CacheCounters = CacheCounters()
     #: Execution mode of the current/most recent attempt (the failover
     #: ladder rewrites this; :attr:`mode` keeps the requested mode).
     current_mode: str = ""
@@ -261,9 +262,12 @@ class TicketLifecycle:
     # ------------------------------------------------------------------
     def event(self, ticket: QueryTicket, at: float, kind: str,
               **attrs: object) -> None:
-        """Record a trace event about ``ticket`` (stamped with its names)."""
-        self.tracer.event(at, kind, tenant=ticket.tenant, query=ticket.label,
-                          ticket=ticket.ticket_id, **attrs)
+        """Record a trace event about ``ticket`` (stamped with its names);
+        nothing at all while the tracer is off."""
+        if self.tracer.enabled:
+            self.tracer.event(at, kind, tenant=ticket.tenant,
+                              query=ticket.label, ticket=ticket.ticket_id,
+                              **attrs)
 
     def trace_health(self, at: float, cause: str | None) -> None:
         """Emit a ``device_health`` event per device whose state changed.
@@ -289,7 +293,8 @@ class TicketLifecycle:
         transition(ticket, EVENT_STATUS[event])
         if ticket.status in TERMINAL:
             self.open -= 1
-        self.event(ticket, at, event, **attrs)
+        if self.tracer.enabled:
+            self.event(ticket, at, event, **attrs)
 
     # ------------------------------------------------------------------
     # Into the machine

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..engine.modes import ExecutionMode
 from ..engine.session import QueryResult
 from ..hardware.clock import TaskRecord
 from ..hardware.specs import DeviceKind
@@ -54,6 +55,9 @@ class DeviceScheduler:
             raise ValueError("occupancy_threshold must be in [0, 1)")
         self.topology = topology
         self.occupancy_threshold = occupancy_threshold
+        #: Per execution mode, the health fingerprint it was derived under
+        #: and the devices it always reserves.
+        self._mode_devices: dict = {}
 
     # ------------------------------------------------------------------
     def reservations(self, result: QueryResult) -> dict[str, float]:
@@ -67,25 +71,32 @@ class DeviceScheduler:
         """
         makespan = result.simulated_seconds
         cutoff = makespan * self.occupancy_threshold
-        reservations = {name: busy
-                        for name, busy in result.device_busy.items()
-                        if busy > cutoff}
-        for device in self.topology.devices:
-            if not device.is_available:
-                # A failed device never takes new reservations; executions
-                # that somehow still charged it (a fault striking an
-                # already-measured attempt) keep their threshold-cleared
-                # entry above, but mode membership alone does not pin work
-                # to dead hardware.
-                continue
-            if ((device.is_cpu and result.mode.uses_cpus)
-                    or (device.is_gpu and result.mode.uses_gpus)):
-                reservations.setdefault(
-                    device.name, result.device_busy.get(device.name, 0.0))
+        busy = result.device_busy
+        reservations = {name: seconds for name, seconds in busy.items()
+                        if seconds > cutoff}
+        for name in self._always_reserved(result.mode):
+            reservations.setdefault(name, busy.get(name, 0.0))
         if not reservations:
             anchors = self.topology.available_cpus() or self.topology.cpus()
             reservations = {anchors[0].name: makespan}
         return reservations
+
+    def _always_reserved(self, mode: ExecutionMode) -> tuple[str, ...]:
+        """The available devices of every kind ``mode`` uses, in topology
+        order; derived once per mode while device health stands."""
+        health = self.topology.health_fingerprint()
+        derived = self._mode_devices.get(mode)
+        if derived is None or derived[0] is not health:
+            # A failed device never takes new reservations; executions that
+            # somehow still charged it (a fault striking an already-measured
+            # attempt) keep their threshold-cleared entry, but mode
+            # membership alone does not pin work to dead hardware.
+            derived = self._mode_devices[mode] = (health, tuple(
+                device.name for device in self.topology.devices
+                if device.is_available
+                and ((device.is_cpu and mode.uses_cpus)
+                     or (device.is_gpu and mode.uses_gpus))))
+        return derived[1]
 
     def least_loaded_kind(self) -> DeviceKind:
         """The available device kind with the lowest mean occupancy load.
@@ -111,15 +122,17 @@ class DeviceScheduler:
         return best
 
     def dispatch(self, result: QueryResult, reservations: dict[str, float],
-                 *, earliest: float, label: str,
+                 *, start: float, label: str,
                  fraction: float = 1.0) -> Placement:
         """Reserve the query's :meth:`reservations` (computed once per
-        attempt by the caller); returns the :class:`Placement`.
+        attempt by the caller) from ``start``; returns the
+        :class:`Placement`.
 
-        The start is the earliest server time at which every reserved
-        resource is free (and not before ``earliest``); the query finishes
-        its own makespan later — per-query simulated seconds are never
-        altered by contention, only delayed.
+        ``start`` is the caller's: no earlier than every reserved resource
+        frees (:meth:`~repro.hardware.topology.OccupancyBoard.available_at`),
+        which the caller reads once to decide how the attempt ends.  The
+        query finishes its own makespan later — per-query simulated
+        seconds are never altered by contention, only delayed.
 
         ``fraction`` < 1 reserves only that fraction of every busy time
         and of the makespan: a fault-killed attempt occupies the hardware
@@ -133,8 +146,8 @@ class DeviceScheduler:
             reservations = {name: busy * fraction
                             for name, busy in reservations.items()}
             makespan = makespan * fraction
-        start, records = self.topology.occupancy.reserve_records(
-            reservations, earliest=earliest, label=label)
+        records = self.topology.occupancy.reserve_at(reservations, start,
+                                                     label=label)
         return Placement(start=start, finish=start + makespan,
                          resources=tuple(sorted(reservations)),
                          records=records)

@@ -56,8 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import median
-
-import numpy as np
+from typing import Sequence
 
 from ..engine.querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
@@ -101,6 +100,24 @@ from .scheduler import DeviceScheduler, Placement
 from .sharedcache import SharedQueryCache
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """``np.percentile(values, q)`` bit for bit (linear interpolation
+    between the two order statistics around ``(n - 1) * q / 100``, with
+    NumPy's two-sided formula), without building an array; ``0.0`` for no
+    values."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = math.floor(index)
+    low, high = ordered[below], ordered[below + 1]
+    gamma, diff = index - below, high - low
+    return float(high - diff * (1 - gamma) if gamma >= 0.5
+                 else low + diff * gamma)
+
+
 @dataclass(kw_only=True)
 class TicketCounts:
     """What a set of tickets came to — one tenant's, or the whole epoch's.
@@ -137,12 +154,15 @@ class TenantReport(TicketCounts):
     #: Cost-model busy seconds summed per resource over the tenant's
     #: completed queries (devices and links).
     busy_seconds: dict[str, float] = field(default_factory=dict)
-    cache: CacheCounters = field(default_factory=CacheCounters)
     peak_intermediate_bytes: int = 0
     latencies: list[float] = field(default_factory=list)
     #: The tenant policy's latency objective, copied onto the report so
     #: SLO grading travels with the numbers it grades.
     slo_p99_seconds: float | None = None
+    #: The completed tickets' cache hits, misses, evictions and
+    #: invalidations, summed in place (:attr:`cache`).
+    _cache: list[int] = field(default_factory=lambda: [0, 0, 0, 0],
+                              init=False, repr=False)
 
     def count(self, ticket: QueryTicket) -> None:
         super().count(ticket)
@@ -155,19 +175,22 @@ class TenantReport(TicketCounts):
             if busy > 0:
                 self.busy_seconds[resource] = (
                     self.busy_seconds.get(resource, 0.0) + busy)
-        self.cache = CacheCounters(
-            hits=self.cache.hits + ticket.cache.hits,
-            misses=self.cache.misses + ticket.cache.misses,
-            evicted=self.cache.evicted + ticket.cache.evicted,
-            invalidated=self.cache.invalidated + ticket.cache.invalidated)
+        cache, counts = ticket.cache, self._cache
+        counts[0] += cache.hits
+        counts[1] += cache.misses
+        counts[2] += cache.evicted
+        counts[3] += cache.invalidated
         self.peak_intermediate_bytes = max(self.peak_intermediate_bytes,
                                            result.peak_intermediate_bytes)
         self.latencies.append(ticket.latency)
 
+    @property
+    def cache(self) -> CacheCounters:
+        """The shared-cache counters of the tenant's completed tickets."""
+        return CacheCounters(*self._cache)
+
     def percentile_latency(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
+        return percentile(self.latencies, q)
 
     @property
     def slo_met(self) -> bool | None:
@@ -223,11 +246,8 @@ class ServerReport(TicketCounts):
         return self.serial_seconds / self.makespan
 
     def percentile_latency(self, q: float) -> float:
-        latencies = [t.latency for t in self.tickets
-                     if t.status == "completed"]
-        if not latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(latencies), q))
+        return percentile([t.latency for t in self.tickets
+                           if t.status == "completed"], q)
 
     def describe(self) -> str:
         lines = [
@@ -682,18 +702,22 @@ class QueryServer:
         Touches only the session, the shared cache and the catalog; no
         admission, occupancy or ticket bookkeeping happens here.  The
         shared cache's hits and misses during the attempt — failed or not,
-        its lookups are real traffic — are the attempt's cache delta,
-        attributed to its tenant as they are counted.
+        its lookups are real traffic — are the attempt's cache delta: the
+        window its execution closed, attributed to its tenant.
         """
-        before = self.query_cache.counters()
+        session = self.session(ticket.tenant)
+        last = session.executor.cache_delta
         result = error = None
         try:
-            result = self.session(ticket.tenant).execute(
-                ticket.plan, ticket.current_mode)
+            result = session.execute(ticket.plan, ticket.current_mode)
         except ReproError as exc:
             error = exc
-        return (result, self.query_cache.attribute(ticket.tenant, before),
-                error)
+        # Every execution closes a new window; an attempt refused while it
+        # was planned looked nothing up and closed none.
+        window = session.executor.cache_delta
+        return (result, self.query_cache.attribute(
+            ticket.tenant, CacheCounters() if window is last else window),
+            error)
 
     def _enqueue_attempt(self, ticket: QueryTicket, now: float,
                          result: QueryResult,
@@ -743,12 +767,13 @@ class QueryServer:
             placement = Placement(dies_at, dies_at, (), ())
         else:
             placement = self.scheduler.dispatch(
-                result, needed, earliest=now,
+                result, needed, start=start,
                 label=f"{tenant}:{ticket.label}", fraction=fraction)
-            self.lifecycle.event(
-                ticket, now, "dispatch", mode=ticket.current_mode,
-                start=placement.start, finish=placement.finish,
-                resources=",".join(placement.resources))
+            if self.tracer.enabled:
+                self.lifecycle.event(
+                    ticket, now, "dispatch", mode=ticket.current_mode,
+                    start=placement.start, finish=placement.finish,
+                    resources=",".join(placement.resources))
         self.lifecycle.post(placement.finish, ATTEMPT_END, _Attempt(
             ticket, outcome, placement, result, cache_delta))
 

@@ -12,13 +12,14 @@ and the *server's* shared catalog pushes ``register(replace=True)`` /
 
 What the shared cache adds is a **per-tenant tally**.  One thread drives
 the server and it executes one attempt at a time, so the inherited
-counters count each lookup as it happens; the server reads
-:meth:`~QueryCache.counters` before an attempt and :meth:`attribute`\\ s
-the hits and misses since then to the attempt's tenant.  The tally is
-what the cache really did, evictions included: a subplan evicted between
-two tenants' lookups is a miss for both.  Traffic outside an attempt (a
-tenant session executed directly, outside ``run()``) moves the global
-counters only and is attributed to no tenant.
+counters count each lookup as it happens, and every execution, whichever
+session runs it, ends by closing its :meth:`~QueryCache.window`: the
+hits and misses of its own lookups.  The server :meth:`attribute`\\ s an
+attempt's window to its tenant.  The tally is what the cache really
+did, evictions included: a subplan evicted between two tenants' lookups
+is a miss for both.  Traffic outside an attempt (a tenant session
+executed directly, outside ``run()``) moves the global counters only and
+is attributed to no tenant.
 
 Attribution never affects retention — budget, LRU eviction and
 invalidation treat all tenants as one workload, exactly as
@@ -45,10 +46,10 @@ class SharedQueryCache(QueryCache):
         #: Per tenant, ``[hits, misses]``: ints, like the global counters.
         self._tenant_counts: dict[str, list[int]] = {}
 
-    def attribute(self, tenant: str, before: CacheCounters) -> CacheCounters:
-        """Charge the hits and misses counted since ``before`` (a
-        :meth:`counters` snapshot) to ``tenant``; returns them."""
-        hits, misses = self._hits - before.hits, self._misses - before.misses
+    def attribute(self, tenant: str, window: CacheCounters) -> CacheCounters:
+        """Charge the hits and misses of an attempt's :meth:`window` to
+        ``tenant``; returns them."""
+        hits, misses = window.hits, window.misses
         counts = self._tenant_counts.setdefault(tenant, [0, 0])
         counts[0] += hits
         counts[1] += misses

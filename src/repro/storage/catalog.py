@@ -38,6 +38,9 @@ class Catalog:
         self._statistics: dict[str, TableStatistics] = {}
         self._versions: dict[str, int] = {}
         self._next_version = 1
+        #: Bumped by every :meth:`register` and :meth:`drop`: while it
+        #: stands, :attr:`table_versions` has not changed.
+        self.revision = 0
         self._listeners: list[Callable[[str], None]] = []
 
     def __contains__(self, name: str) -> bool:
@@ -66,6 +69,7 @@ class Catalog:
         self._statistics[table.name] = statistics
         self._versions[table.name] = self._next_version
         self._next_version += 1
+        self.revision += 1
         if replacing:
             self._notify(table.name)
 
@@ -128,6 +132,7 @@ class Catalog:
         del self._tables[name]
         del self._statistics[name]
         del self._versions[name]
+        self.revision += 1
         self._notify(name)
 
     def _notify(self, name: str) -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
 
 from repro.engine import HAPEEngine
+from repro.engine.modes import ExecutionMode
 from repro.errors import OutOfDeviceMemoryError
 from repro.hardware import (
     Device,
@@ -118,6 +120,57 @@ class TestTaskRecord:
         assert records[2] is replacement and records[2] is not second
         with pytest.raises(ValueError):
             clock.truncate(second, 0.5)
+
+    @pytest.mark.parametrize("write", ["reserve", "truncate", "reset"])
+    def test_restore_keeps_the_snapshot_it_shares(self, write):
+        """``restore`` takes the snapshot's records by reference; the next
+        write copies them first, so the snapshot never changes."""
+        clock = SimClock("x")
+        first = clock.reserve(1.0, label="a")
+        clock.reserve(2.0, label="b")
+        state = clock.snapshot()
+        kept = (tuple(state[0]), state[1], state[2])
+        clock.reset()
+        clock.restore(state)
+        assert clock.records == kept[0]
+        if write == "reserve":
+            clock.reserve(0.5, label="c")
+            assert clock.records == kept[0] + (
+                TaskRecord("x", "c", 3.0, 3.5),)
+        elif write == "truncate":
+            clock.truncate(first, 0.5)
+            assert clock.records[0] == TaskRecord("x", "a", 0.0, 0.5)
+        else:
+            clock.reset()
+            assert clock.records == ()
+        assert state == kept
+        clock.restore(state)
+        assert (clock.records, clock.available_at, clock.busy_time) == kept
+
+    def test_a_replay_leaves_its_kept_clocks_unchanged(self, tpch_dataset):
+        """Replays restore a program's kept clocks by reference: the writes
+        of the executions in between (cold ones, other programs) leave
+        every kept tuple as it was, and replaying the program again gives
+        the same timeline."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(tpch_dataset.tables)
+        plans = {name: build_query(name, tpch_dataset).plan
+                 for name in ("Q5", "Q6")}
+        for _ in range(2):  # cold, then all hits: the timeline is kept
+            engine.execute(plans["Q5"], "hybrid")
+        program = engine._prepared(plans["Q5"], ExecutionMode.HYBRID,
+                                   compiled=True).program
+        kept = program.replay.clocks
+        copied = copy.deepcopy(kept)
+        engine.execute(plans["Q5"], "hybrid")
+        replayed = engine.topology.timeline().records()
+        for _ in range(2):  # another program: cold, then all hits
+            engine.execute(plans["Q6"], "gpu")
+        for device in engine.topology.devices:
+            device.clock.reserve(1.0, label="stray")
+        engine.execute(plans["Q5"], "hybrid")
+        assert program.replay.clocks is kept and kept == copied
+        assert engine.topology.timeline().records() == replayed
 
     def test_timeline_records_tie_by_resource_stably(self):
         a, b, c = SimClock("a"), SimClock("b"), SimClock("c")

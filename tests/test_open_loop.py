@@ -31,7 +31,7 @@ from repro.engine import HAPEEngine
 from repro.errors import ServingError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
-from repro.obs import dumps_line
+from repro.obs import TraceEvent, Tracer, dumps_line
 from repro.server import (
     Arrival,
     DeviceScheduler,
@@ -39,6 +39,7 @@ from repro.server import (
     poisson_arrivals,
     trace_arrivals,
 )
+from repro.storage import generate_tpch
 from repro.workloads import EVALUATED_QUERIES, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
@@ -534,13 +535,15 @@ class TestReservationRelease:
         topology.reset_occupancy()
         scheduler = DeviceScheduler(topology)
         reservations = scheduler.reservations(result)
-        victim = scheduler.dispatch(result, reservations, earliest=0.0,
+        victim = scheduler.dispatch(result, reservations, start=0.0,
                                     label="victim")
         released = scheduler.release(victim, fraction=0.25)
         assert released.finish == pytest.approx(
             victim.start + 0.25 * (victim.finish - victim.start))
-        follow_on = scheduler.dispatch(result, reservations, earliest=0.0,
-                                       label="follow-on")
+        follow_on = scheduler.dispatch(
+            result, reservations,
+            start=topology.occupancy.available_at(reservations),
+            label="follow-on")
         kill_ends = {r.resource: r.end for r in released.records}
         expected_start = max(kill_ends[name] for name in follow_on.resources
                              if name in kill_ends)
@@ -554,7 +557,7 @@ class TestReservationRelease:
         result = engine.execute(build_query("Q6", tpch_dataset).plan, "cpu")
         scheduler = DeviceScheduler(engine.topology)
         placement = scheduler.dispatch(result, scheduler.reservations(result),
-                                       earliest=0.0, label="q")
+                                       start=0.0, label="q")
         with pytest.raises(ValueError):
             scheduler.release(placement, fraction=1.5)
 
@@ -582,16 +585,16 @@ class TestOneReservationPerAttempt:
         "e4758d6e0f0422bcfa0b039fa980b36f4d42e7c0c473f40221298eb01ebd9ac7")
 
     @staticmethod
-    def _epoch(tpch_dataset) -> QueryServer:
-        """A traced open-loop epoch that preempts, fails over and retries:
+    def _epoch(tpch_dataset, *, tracing: bool = True) -> QueryServer:
+        """An open-loop epoch that preempts, fails over and retries:
         interactive hybrid arrivals over cpu batch work, gpu0 down for a
-        while and seeded transient faults."""
+        while and seeded transient faults; traced unless told not to."""
         fault_plan = (FaultPlan(seed=3)
                       .transient_errors(rate=0.2, fraction=0.5)
                       .fail_device("gpu0", at=1e-4, recover_at=3e-4))
         server = QueryServer(default_server(), preemption=True,
                              aging_seconds=2e-4, fault_plan=fault_plan,
-                             tracing=True)
+                             tracing=tracing)
         server.register_dataset(tpch_dataset.tables)
         server.open_session("inter", priority="interactive",
                             max_concurrency=2)
@@ -639,3 +642,100 @@ class TestOneReservationPerAttempt:
         assert hashlib.sha256(dumps_line(
             report.tickets[0].result.trace.to_chrome()).encode()
         ).hexdigest() == self.QUERY_CHROME_DIGEST
+
+    def test_an_untraced_epoch_records_nothing(self, tpch_dataset,
+                                               monkeypatch):
+        """The same epoch untraced: not one ``Tracer.event`` call and not
+        one ``TraceEvent`` built, through preemption, faults and retries,
+        and the same schedule as the traced epoch's."""
+        calls = []
+        for owner, name in ((Tracer, "event"), (TraceEvent, "__init__")):
+            original = getattr(owner, name)
+
+            def spy(*args, original=original, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        server = self._epoch(tpch_dataset, tracing=False)
+        report = server.run()
+        assert report.completed == len(report.tickets) == 12
+        assert report.preemptions and any(
+            ticket.failovers for ticket in report.tickets) and any(
+            ticket.retries for ticket in report.tickets)
+        assert calls == [] and server.last_trace is None
+        schedule = [(t.ticket_id, t.tenant, t.label, t.status, t.final_mode,
+                     t.submit_time, t.start_time, t.finish_time, t.attempts,
+                     t.retries, t.failovers, t.preemptions, t.wasted_seconds)
+                    for t in report.tickets]
+        assert hashlib.sha256(
+            repr(schedule).encode()).hexdigest() == self.SCHEDULE_DIGEST
+
+
+# ----------------------------------------------------------------------
+# An untraced served epoch
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tpch_sf001():
+    return generate_tpch(scale_factor=0.01, seed=7)
+
+
+class TestUntracedServedEpoch:
+    """A closed-loop, shared-cache, untraced server: one priming epoch,
+    then two epochs whose every ticket replays a kept timeline."""
+
+    #: sha256 of the three epochs' ticket schedules (times as float.hex),
+    #: taken while each ticket built its prepared-record stamp twice,
+    #: copied every clock's records on restore and traced into a no-op.
+    SCHEDULE_DIGEST = (
+        "d207fc79d532d49dbe95f4c9c9ff8531f00383541430d026605b8748c75746aa")
+    #: sha256 of each epoch's ``metrics()`` as JSON and Prometheus text,
+    #: taken while latency percentiles came from ``np.percentile``.
+    METRICS_DIGEST = (
+        "2489e2e1649318ef359e675149efc9a436668c34ee469d49cadc170ed49ed759")
+    #: sha256 of each epoch's ``report.describe()``.
+    DESCRIBE_DIGEST = (
+        "5fa400733e059d6ea26b2105faf7b42bf05d05687cb1b0f7e031f3e6589ffefc")
+
+    TENANTS = (("cpu-a", "cpu"), ("gpu-a", "gpu"),
+               ("cpu-b", "cpu"), ("gpu-b", "gpu"))
+
+    def _epochs(self, dataset):
+        server = QueryServer(default_server())
+        server.register_dataset(dataset.tables)
+        for tenant, _ in self.TENANTS:
+            # One graded tenant: its p99 lands in the text and the metrics.
+            server.open_session(tenant, max_queue_depth=256,
+                                slo_p99_seconds=2e-3 if tenant == "cpu-a"
+                                else None)
+        plans = {q: build_query(q, dataset).plan for q in EVALUATED_QUERIES}
+        for passes in (1, 2, 2):
+            for _ in range(passes):
+                for tenant, mode in self.TENANTS:
+                    for name, plan in plans.items():
+                        server.submit(tenant, plan, mode,
+                                      label=f"{name}/{mode}")
+            yield server, server.run()
+
+    def test_replayed_epochs_are_byte_identical(self, tpch_sf001):
+        schedules, metrics, describes = [], [], []
+        for epoch, (server, report) in enumerate(self._epochs(tpch_sf001)):
+            assert report.completed == len(report.tickets)
+            assert server.last_trace is None
+            # Past the priming epoch every lookup hits the shared cache.
+            assert epoch == 0 or not any(
+                t.cache.misses for t in report.tickets)
+            schedules.append(repr([
+                (t.ticket_id, t.tenant, t.label, t.status, t.final_mode,
+                 t.submit_time.hex(), t.start_time.hex(),
+                 t.finish_time.hex(), t.simulated_seconds.hex(),
+                 t.reserved, t.cache.hits, t.cache.misses)
+                for t in report.tickets]))
+            snapshot = server.metrics()
+            metrics.append(snapshot.to_json() + snapshot.to_prometheus())
+            describes.append(report.describe())
+        for texts, digest in ((schedules, self.SCHEDULE_DIGEST),
+                              (metrics, self.METRICS_DIGEST),
+                              (describes, self.DESCRIBE_DIGEST)):
+            assert hashlib.sha256(
+                "\n".join(texts).encode()).hexdigest() == digest

@@ -626,6 +626,45 @@ def test_a_replay_equals_a_charged_execution(sf001, reserves, tracing):
     assert reserved[0] > 0 and reserved[24:] == [0] * 12
 
 
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_a_replay_missing_a_key_leaves_what_a_charged_one_does(sf001,
+                                                               position):
+    """One kept key of Q5's replay evicted, the kept table still cached:
+    ``get_all`` counts nothing and the execution charges, and the result,
+    the counters and the LRU order are a charging twin's wherever the key
+    stood among the kept lookups — the keys before it, which ``get_all``
+    moved on its one walk, the charged walk moves again in the same
+    order."""
+    queries = all_queries(sf001)
+    plan = queries["Q5"].plan
+    sessions = []
+    for _ in range(2):
+        session = HAPEEngine(default_server())
+        session.register_dataset(sf001.tables)
+        sessions.append(session)
+    replaying, charged = sessions[0], _charging(sessions[1])
+    for session in sessions:  # cold, then all hits: the timeline is kept
+        for _ in range(2):
+            for name in ("Q1", "Q5", "Q6", "Q9"):
+                session.execute(queries[name].plan, "hybrid")
+    program = replaying._prepared(plan, ExecutionMode.HYBRID,
+                                  compiled=True).program
+    lookups = [key for key in program.replay.lookups
+               if key != program.output[0]]
+    key = {"first": lookups[0], "middle": lookups[len(lookups) // 2],
+           "last": lookups[-1]}[position]
+    assert _left(replaying) == _left(charged)
+    for session in sessions:
+        cache = session.executor.query_cache
+        cache._bytes_used -= cache._entries.pop(key).nbytes
+    result = replaying.execute(plan, "hybrid")
+    twin = charged.execute(plan, "hybrid")
+    assert result.cache.misses > 0
+    assert _executed(result) == _executed(twin)
+    assert _left(replaying) == _left(charged)
+    assert replaying.cache_stats == charged.cache_stats
+
+
 @pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
 def test_a_served_replay_equals_a_charged_one(sf001, reserves, tracing):
     """The same on a server's shared cache: two tenants submit every

@@ -149,10 +149,11 @@ class TestQueryCacheUnit:
 class TestSharedQueryCacheUnit:
     @staticmethod
     def _attempt(cache, tenant, lookups):
-        """One server attempt: snapshot, run ``lookups``, attribute."""
-        before = cache.counters()
+        """One server attempt: open a window, run ``lookups``, attribute
+        the window."""
+        cache.window()
         lookups(cache)
-        return cache.attribute(tenant, before)
+        return cache.attribute(tenant, cache.window())
 
     def test_a_shared_entry_misses_once_then_hits_for_every_tenant(self):
         def compute_or_reuse(cache):

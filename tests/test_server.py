@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import HAPEEngine
 from repro.errors import (
@@ -34,6 +35,7 @@ from repro.server import (
     TenantPolicy,
 )
 from repro.operators import kernel_counts, reset_kernel_counts
+from repro.server.server import percentile
 from repro.storage import Table, generate_tpch
 from repro.workloads import all_queries, build_query
 
@@ -747,3 +749,25 @@ class TestAutoModePlacement:
         assert ticket.status == "completed"
         assert ticket.final_mode in ("hybrid", "cpu")
         assert ticket.mode == "auto"  # the requested mode is preserved
+
+
+# ----------------------------------------------------------------------
+# Latency percentiles
+# ----------------------------------------------------------------------
+class TestPercentile:
+    """The reports' pure-Python percentile is ``np.percentile``'s linear
+    interpolation, bit for bit."""
+
+    @given(values=st.lists(
+        st.one_of(st.floats(1e-9, 1e3),
+                  st.sampled_from([1e-9, 0.5, 1.0, 1e3])),
+        min_size=1, max_size=300),
+        q=st.one_of(st.sampled_from([0.0, 50.0, 99.0, 100.0]),
+                    st.floats(0.0, 100.0)))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_numpy_bit_for_bit(self, values, q):
+        expected = float(np.percentile(np.asarray(values), q))
+        assert percentile(values, q).hex() == expected.hex()
+
+    def test_no_values_read_zero(self):
+        assert percentile([], 99) == 0.0

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Alternating before/after pairs of one benchmark workload.
+"""Alternating before/after pairs of benchmark workloads.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--pairs 10] [--seconds 10] [--seed 2019] [--out-dir DIR]
+        [--workload W2 ...] [--pairs 10] [--seconds 10] [--seed 2019] \\
+        [--out-dir DIR]
 
-``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts.  Each pair runs
-``bench/run.py --workload W --result-json`` of both, one process each, and
-which side goes first alternates from pair to pair, so a drift of the host
-lands on both sides alike.  The runs are written as two results files in
-``bench/run.py --out``'s format (``pairs-W-parent.json`` and
-``pairs-W-change.json`` in ``--out-dir``), ``bench/compare.py`` prints its
-verdicts for them, and a last table gives, per end-to-end metric, the
-change's wins out of the pairs, the parent's quartiles and whether the
-change's median beats the parent's by more than the parent's IQR — the
-numbers a claimed gain is accepted on (a win in at least nine of ten
-pairs and a median gain wider than the parent's IQR).
+``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts.  Each pair runs, for
+every ``--workload`` in the order given, ``bench/run.py --workload W
+--result-json`` of both, one process each, and which side goes first
+alternates from pair to pair, so a drift of the host lands on both sides
+alike and on every workload.  The runs are written as two results files
+in ``bench/run.py --out``'s format (``pairs-W-parent.json`` and
+``pairs-W-change.json`` in ``--out-dir``, ``W`` the workloads joined by
+``+``), ``bench/compare.py`` prints its verdicts for them, and a last
+table gives, per workload and end-to-end metric, the change's wins out of
+the pairs, the parent's quartiles and whether the change's median beats
+the parent's by more than the parent's IQR — the numbers a claimed gain
+is accepted on (a win in at least nine of ten pairs and a median gain
+wider than the parent's IQR).  One invocation so shows a claimed gain on
+one workload and that no metric got worse on the others.
 """
 
 from __future__ import annotations
@@ -63,11 +67,11 @@ def pair_summary(parent: list[float], change: list[float], *,
             "holds": wins >= WIN_SHARE * len(parent) and gain > q3 - q1}
 
 
-def run_side(checkout: Path, args: argparse.Namespace,
+def run_side(checkout: Path, args: argparse.Namespace, workload: str,
              result_json: Path) -> dict:
     """One ``bench/run.py --workload`` process of ``checkout``."""
     command = [sys.executable, str(checkout / "bench" / "run.py"),
-               "--workload", args.workload, "--seed", str(args.seed),
+               "--workload", workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "0",
                "--out-dir", str(args.out_dir), "--result-json",
                str(result_json)]
@@ -80,59 +84,77 @@ def run_side(checkout: Path, args: argparse.Namespace,
     return result
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line; ``--workload`` may repeat (``args.workloads``,
+    in the order given, each once)."""
     parser = argparse.ArgumentParser(
         description=__doc__.strip().splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", dest="workloads", action="append",
+                        required=True, metavar="W")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--out-dir", type=Path,
                         default=REPO / "bench" / "results")
     args = parser.parse_args(argv)
+    args.workloads = list(dict.fromkeys(args.workloads))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    runs = {workload: {side: [] for side in SIDES}
+            for workload in args.workloads}
+    tag = "+".join(args.workloads)
     host = fingerprint(args.seed)
     end_to_end = load_manifest()["end_to_end"]
     headline = "query_geomean_ms"
     for index in range(args.pairs):
-        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_side(
-                checkouts[side], args,
-                args.out_dir / f"pairs-{args.workload}.partial.json"))
-        print(f"pair {index + 1}/{args.pairs}: " + ", ".join(
-            f"{side} {runs[side][-1]['metrics'][headline]['value']:.4g}"
-            for side in SIDES), flush=True)
+        for workload in args.workloads:
+            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                runs[workload][side].append(run_side(
+                    checkouts[side], args, workload,
+                    args.out_dir / f"pairs-{tag}.partial.json"))
+            print(f"pair {index + 1}/{args.pairs} {workload}: " + ", ".join(
+                f"{side} "
+                f"{runs[workload][side][-1]['metrics'][headline]['value']:.4g}"
+                for side in SIDES), flush=True)
     host["load_1min_end"] = os.getloadavg()[0]
     paths = []
     for side in SIDES:
         revision = f"{side}:{checkouts[side]}"
-        paths.append(args.out_dir / f"pairs-{args.workload}-{side}.json")
+        paths.append(args.out_dir / f"pairs-{tag}-{side}.json")
         paths[-1].write_text(json.dumps({
             "fingerprint": dict(host, git_revision=revision),
             "seconds": args.seconds, "scale": "full",
-            "workloads": {args.workload: {"runs": runs[side],
-                                          "traced": None}}}, indent=1)
+            "workloads": {workload: {"runs": runs[workload][side],
+                                     "traced": None}
+                          for workload in args.workloads}}, indent=1)
             + "\n")
     status = compare.main([str(path) for path in paths])
-    print(f"\n{'metric':<20}{'wins':>9}{'ties':>6}{'parent':>12}"
-          f"{'change':>12}{'parent IQR':>24}  gain holds")
-    for metric in end_to_end:
-        summary = pair_summary(
-            compare.metric_values(runs["parent"], metric["name"]),
-            compare.metric_values(runs["change"], metric["name"]),
-            lower_is_better=metric["better"] == "lower")
-        print(f"{metric['name']:<20}"
-              f"{summary['wins']:>5}/{summary['pairs']:<3}"
-              f"{summary['ties']:>6}{summary['parent_median']:>12.5g}"
-              f"{summary['change_median']:>12.5g}"
-              f"{summary['parent_q1']:>12.5g}-{summary['parent_q3']:<11.5g}"
-              f"  {'yes' if summary['holds'] else 'no'}")
+    print(f"\n{'workload':<15}{'metric':<20}{'wins':>9}{'ties':>6}"
+          f"{'parent':>12}{'change':>12}{'parent IQR':>24}  gain holds")
+    for workload in args.workloads:
+        for metric in end_to_end:
+            summary = pair_summary(
+                compare.metric_values(runs[workload]["parent"],
+                                      metric["name"]),
+                compare.metric_values(runs[workload]["change"],
+                                      metric["name"]),
+                lower_is_better=metric["better"] == "lower")
+            print(f"{workload:<15}{metric['name']:<20}"
+                  f"{summary['wins']:>5}/{summary['pairs']:<3}"
+                  f"{summary['ties']:>6}{summary['parent_median']:>12.5g}"
+                  f"{summary['change_median']:>12.5g}"
+                  f"{summary['parent_q1']:>12.5g}-"
+                  f"{summary['parent_q3']:<11.5g}"
+                  f"  {'yes' if summary['holds'] else 'no'}")
     return status
 
 
