@@ -41,6 +41,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 import numpy as np
@@ -308,7 +309,8 @@ class Operator:
         the span list is byte-identical across replays.  The skeleton is
         compiled; the span is
         completed here from what this execution recorded before charging:
-        the node's actual rows and its kernel's cache status.
+        the node's actual rows and its kernel's cache status.  The span is
+        immutable, its ``attrs`` a read-only view of this call's keywords.
         """
         ex = self.ex
         spans = ex._trace_spans
@@ -321,7 +323,7 @@ class Operator:
                 self.slot, self.label, batch.ready if start is None else start,
                 ready, self.device_names, batch.residency.label,
                 int(batch.nbytes), ex._node_rows.get(node_id),
-                self.node.est_rows, cache, morsels, attrs))
+                self.node.est_rows, cache, morsels, MappingProxyType(attrs)))
         batch.ready = ready
         if residency is not None:
             batch.residency = residency

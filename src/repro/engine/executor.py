@@ -51,16 +51,16 @@ input bytes, input residency), clocks reserved with it.
 A warm timeline is a pure function of the program and the stats records
 its cache hits return, so the program also keeps the timeline of its last
 execution in which no kernel ran: every device and link clock, the keys
-it looked up, the node rows, morsels, peak bytes, cardinality report and
-figures (simulated seconds, busy times, link bytes) and, traced, the
-spans and the sorted task records.  That execution also leaves its result
-table on the cache entry the columns come from — a sorted root's sorted
-once — charged to the entry's bytes (:meth:`QueryCache.kept`).  While
-the table is kept and every one of those keys is still cached, an
-execution replays without walking the driver: it counts a hit for each
-key in the kept order (:meth:`QueryCache.get_all`), restores the clocks
-and hands out the kept table and report, copies of the kept figures and
-rows, and fresh spans.  It runs no capacity check: those are pure
+it looked up and the result it handed out without its table — figures,
+rows, morsels, peak bytes, cardinality report and, traced, the trace.
+That execution also leaves its result table on the cache entry the
+columns come from — a sorted root's sorted once — charged to the entry's
+bytes (:meth:`QueryCache.kept`).  While the table is kept and every one
+of those keys is still cached, an execution replays without walking the
+driver: it counts a hit for each key in the kept order
+(:meth:`QueryCache.get_all`), restores the clocks and hands out the kept
+table, report and trace (all immutable) with copies of the kept figures
+and rows.  It runs no capacity check: those are pure
 functions of rows and device specs, and both are fixed while the keys
 are cached and the program stands.  A key or table gone from the cache,
 a disabled cache or a new program (the prepared record's stamp — catalog
@@ -124,8 +124,9 @@ bit-identical whether fusion is on or off, warm or cold.  Like
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import count
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -262,9 +263,9 @@ class Chain(NamedTuple):
 class Replay(NamedTuple):
     """The timeline of a program's last execution in which no kernel ran:
     what a later all-hit execution of the program hands out instead of
-    walking the driver again.  Holds clocks, figures and spans, never a
-    batch: the result table is kept on the root chain's cache entry
-    (:meth:`QueryCache.kept`).
+    walking the driver again.  Holds clocks, lookups and that execution's
+    result, never a batch: the result table is kept on the root chain's
+    cache entry (:meth:`QueryCache.kept`).
     """
 
     #: Every device and link clock, and each link's bytes moved
@@ -273,20 +274,10 @@ class Replay(NamedTuple):
     #: The session-cache keys the execution looked up, in order: while
     #: all are cached, an execution of the program runs no kernel.
     lookups: tuple
-    #: Each span's fields in field order but its ``attrs``, and its
-    #: ``attrs`` (``None``: untraced): copied into new spans per result.
-    spans: tuple | None
-    #: :attr:`QueryResult.operator_rows` (copied per result),
-    #: ``morsels_dispatched`` and ``peak_intermediate_bytes``.
-    rows: dict[int, int]
-    morsels: int
-    peak: int
-    #: The cardinality report paired with :attr:`rows` (frozen, shared).
-    report: CardinalityReport
-    #: ``simulated_seconds``, ``device_busy`` and ``link_bytes`` (both
-    #: copied per result) and, traced, the timeline's records in (start,
-    #: resource) order (``None``: untraced; a tuple of tuples, shared).
-    figures: tuple
+    #: The execution's :class:`QueryResult` without its table.  A replay
+    #: copies its ``device_busy``, ``link_bytes`` and ``operator_rows``
+    #: and shares the rest: the frozen report and the immutable trace.
+    result: QueryResult
 
 
 @dataclass(eq=False)
@@ -295,9 +286,10 @@ class Program:
 
     Holds decisions, prices, the span skeleton (each placed
     description's plan-walk ordinal and device names, so a traced
-    execution walks no plan), the estimated report, where its result
-    table is kept (:attr:`output`) and the :class:`Replay` of its last
-    execution in which no kernel ran — never a batch.  A session keeps it
+    execution walks no plan), the estimated report, the mode its traces
+    carry, where its result table is kept (:attr:`output`) and the
+    :class:`Replay` of its last execution in which no kernel ran — never
+    a batch.  A session keeps it
     on the plan's prepared record, valid while the catalog versions,
     device health, memories, link bandwidths and options it was compiled
     under hold — the record's stamp drops it when any of them changes.
@@ -318,6 +310,9 @@ class Program:
     #: estimate)`` items in node order (a session sets it; empty: the
     #: report is): a charged execution pairs it with its actual rows.
     estimated: list = field(default_factory=list)
+    #: The resolved mode's value, which the session compiled the plan for
+    #: and its traces carry as :attr:`QueryTrace.mode` (empty: none).
+    mode: str = ""
     replay: Replay | None = None
 
 
@@ -361,6 +356,7 @@ class QueryResult:
     #: Operator spans, raw task slices and critical-path analysis for this
     #: query (the ``tracing`` knob); ``None`` when tracing is off.  Purely
     #: additive — every other field is bit-identical with tracing on or off.
+    #: Immutable: the replays of a kept program share one.
     trace: QueryTrace | None = None
     #: The resolved mode and the plan's pipelines (set by the session).
     mode: ExecutionMode | None = None
@@ -554,35 +550,31 @@ class Executor:
         again, so it replays instead, walking no driver: it counts a hit
         for every kept key in the kept order (the counters and LRU order a
         charged walk leaves), restores the clocks, and hands out the kept
-        table (shared: it is read-only), the report and copies of the
-        figures and rows.
+        result: its table, report and trace shared (all are immutable),
+        its figures and rows copied.
         """
-        self.morsels_dispatched = 0
-        self._peak_intermediate = 0
-        self._node_rows = {}
-        self._trace_spans = [] if self.options.tracing else None
-        self._kernel_ran, self._lookups = False, []
         kept = program is not None
         try:
             if not kept:
                 program = self.compile(plan)
             replayed = self._replay(program)
             if replayed is None:
+                self.morsels_dispatched = self._peak_intermediate = 0
+                self._node_rows = {}
+                self._trace_spans = [] if self.options.tracing else None
+                self._kernel_ran, self._lookups = False, []
                 self.topology.reset()
                 self._key_refs = dict(program.refs)
-                result = self._run(program.root)
+                output = self._run(program.root)
                 # All hits: the table is kept on its entry (or already was).
                 keep = (kept and self.query_cache.enabled
                         and not self._kernel_ran)
                 table = (self.query_cache.kept(
-                    *program.output, lambda: _kept_table(result.columns))
-                    if keep else _result_table(result.columns))
+                    *program.output, lambda: _kept_table(output.columns))
+                    if keep else _result_table(output.columns))
             else:
                 replay, table = replayed
                 self.topology.restore_clocks(replay.clocks)
-                self.morsels_dispatched = replay.morsels
-                self._peak_intermediate = replay.peak
-                self._node_rows = dict(replay.rows)
         finally:
             # Overlay entries are evicted after their last structural
             # occurrence; clear the rest so only the budget-bounded
@@ -595,41 +587,38 @@ class Executor:
             # query's cache activity is not misattributed to the next
             # query's per-query delta.
             cache_delta = self.cache_delta = self.query_cache.window()
-        if replayed is None:
-            report = pair_report(program.estimated, self._node_rows)
-            timeline = self.topology.timeline()
-            figures = (max(timeline.makespan, result.ready),
-                       {clock.resource: clock.busy_time for clock in timeline},
-                       {link.name: link.bytes_moved
-                        for link in self.topology.links},
-                       None if spans is None else tuple(timeline.records()))
-            if keep:
-                program.replay = Replay(
-                    self.topology.clock_state(), tuple(self._lookups),
-                    None if spans is None else tuple(
-                        (astuple(span)[:-1], dict(span.attrs))
-                        for span in spans),
-                    dict(self._node_rows), self.morsels_dispatched,
-                    self._peak_intermediate, report, figures)
-        else:
-            report, figures = replay.report, replay.figures
-            if spans is not None:
-                spans = [Span(*fields, dict(attrs))
-                         for fields, attrs in replay.spans]
-        seconds, busy, link_bytes, tasks = figures
-        link_bytes = dict(link_bytes)
+        if replayed is not None:
+            done = replay.result
+            return QueryResult(
+                table, done.simulated_seconds, dict(done.device_busy),
+                dict(done.link_bytes), plan, done.morsels_dispatched,
+                cache_delta, done.peak_intermediate_bytes,
+                dict(done.operator_rows), done.trace,
+                cardinality=done.cardinality)
+        timeline = self.topology.timeline()
+        seconds = max(timeline.makespan, output.ready)
+        link_bytes = {link.name: link.bytes_moved
+                      for link in self.topology.links}
         # Spans are complete as recorded (Operator.advance).
         trace = None if spans is None else QueryTrace(
-            spans=spans, tasks=tasks, makespan=seconds,
-            link_bytes=dict(link_bytes),
-            morsels_dispatched=self.morsels_dispatched)
+            tuple(spans), tuple(timeline.records()), seconds,
+            MappingProxyType(dict(link_bytes)), self.morsels_dispatched,
+            mode=program.mode)
         # Each execution starts a new ``_node_rows``: the result keeps it.
-        return QueryResult(
-            table=table, simulated_seconds=seconds, device_busy=dict(busy),
-            link_bytes=link_bytes, physical_plan=plan,
-            morsels_dispatched=self.morsels_dispatched, cache=cache_delta,
-            peak_intermediate_bytes=self._peak_intermediate,
-            operator_rows=self._node_rows, trace=trace, cardinality=report)
+        result = QueryResult(
+            table, seconds,
+            {clock.resource: clock.busy_time for clock in timeline},
+            link_bytes, plan, self.morsels_dispatched, cache_delta,
+            self._peak_intermediate, self._node_rows, trace,
+            cardinality=pair_report(program.estimated, self._node_rows))
+        if keep:
+            program.replay = Replay(
+                self.topology.clock_state(), tuple(self._lookups),
+                replace(result, table=None,
+                        device_busy=dict(result.device_busy),
+                        link_bytes=dict(result.link_bytes),
+                        operator_rows=dict(result.operator_rows)))
+        return result
 
     # ------------------------------------------------------------------
     # Helpers
@@ -641,7 +630,8 @@ class Executor:
         is counted as a hit here, in the kept order; else nothing is
         counted."""
         replay, cache = program.replay, self.query_cache
-        if (replay is None or (replay.spans is None) == self.options.tracing
+        if (replay is None
+                or (replay.result.trace is None) == self.options.tracing
                 or not cache.enabled):
             return None
         table = cache.kept(*program.output)

@@ -91,8 +91,9 @@ class PreparedPlan(NamedTuple):
     #: The executor's compiled program (chains, placement, memo keys and
     #: tunings, span skeleton, pricing memos) with the estimated half of
     #: the cardinality report (``estimate_physical(physical)``'s items in
-    #: node order, :attr:`Program.estimated`), made by the first
-    #: ``execute``; ``None`` until then.
+    #: node order, :attr:`Program.estimated`) and the mode its traces
+    #: carry (:attr:`Program.mode`), made by the first ``execute``;
+    #: ``None`` until then.
     program: Program | None = None
 
 
@@ -280,6 +281,7 @@ class HAPEEngine:
                 physical, break_into_pipelines(physical))
         if compiled and prepared.program is None:
             program = self.executor.compile(prepared.physical)
+            program.mode = mode.value
             program.estimated = sorted(self.optimizer.estimator
                                        .estimate_physical(prepared.physical)
                                        .items())
@@ -334,8 +336,6 @@ class HAPEEngine:
         mode = self.resolve_mode(logical, mode)
         prepared = self._prepared(logical, mode, compiled=True)
         result = self.executor.execute(prepared.physical, prepared.program)
-        if result.trace is not None:
-            result.trace.mode = mode.value
         result.mode, result.pipelines = mode, prepared.pipelines
         return result
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from ..hardware.clock import TaskRecord
@@ -82,7 +83,11 @@ def holders_label(holders: Collection[str]) -> str:
     return ("distributed:" if len(holders) > 1 else "") + ",".join(holders)
 
 
-@dataclass
+def _read_only() -> Mapping:
+    return MappingProxyType({})
+
+
+@dataclass(frozen=True)
 class Span:
     """One operator-level span of a query's simulated execution.
 
@@ -90,7 +95,7 @@ class Span:
     ``end`` the instant its output was ready — the same list-scheduling
     endpoints the cost model charges; the device/link busy slices inside
     the span live in the trace's :attr:`QueryTrace.tasks`.  Times are
-    query-local simulated seconds.
+    query-local simulated seconds.  Immutable, like the trace holding it.
     """
 
     node_id: int
@@ -120,8 +125,8 @@ class Span:
     #: :attr:`cache`.
     morsels: int | None = None
     #: Operator-specific extras (table name, mem-move destination,
-    #: aggregate phase ...).  Values must be plain JSON scalars.
-    attrs: dict[str, object] = field(default_factory=dict)
+    #: aggregate phase ...), read-only.  Values must be plain JSON scalars.
+    attrs: Mapping[str, object] = field(default_factory=_read_only)
 
     @property
     def q_error(self) -> float | None:
@@ -185,18 +190,22 @@ class _Exporter:
             handle.write("\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryTrace(_Exporter):
-    """Operator spans plus raw task slices of one executed query."""
+    """Operator spans plus raw task slices of one executed query.
 
-    spans: list[Span]
+    Immutable: every replay of a kept program hands out the trace of the
+    execution that kept it (``docs/OBSERVABILITY.md``).
+    """
+
+    spans: tuple[Span, ...]
     #: The per-query timeline's device/link busy slices, sorted by
     #: (start, resource) — the raw material of the critical path.
     tasks: tuple[TaskRecord, ...]
     #: The query's simulated makespan (``QueryResult.simulated_seconds``).
     makespan: float
-    #: Bytes moved per interconnect link.
-    link_bytes: dict[str, int] = field(default_factory=dict)
+    #: Bytes moved per interconnect link, read-only.
+    link_bytes: Mapping[str, int] = field(default_factory=_read_only)
     morsels_dispatched: int = 0
     label: str = ""
     mode: str = ""

@@ -96,11 +96,13 @@ SUCCESS, DEADLINE, PREEMPTED = "success", "deadline", "preempted"
 #: Kinds of the event heap's ``(time, kind, seq, payload)`` entries.  The
 #: drain handles one instant in this order — attempts end, scheduled
 #: faults and breaker probes strike, arrivals submit, the admission queues
-#: dispatch, queued tickets past their deadline expire — and entries of
-#: one kind in the order they were posted.  A ``WAKE`` (a submit or resume
-#: time) carries no work of its own: it only makes the instant's dispatch
-#: run.  An attempt's end is dropped once the attempt is cancelled, a wake
-#: or an expiry once its ticket is no longer queued.
+#: dispatch, queued tickets past their deadline expire and the queues
+#: dispatch again (an expired head may have held back an admissible
+#: ticket) — and entries of one kind in the order they were posted.  A
+#: ``WAKE`` (a submit or resume time) carries no work of its own: it only
+#: makes the instant's dispatch run.  An attempt's end is dropped once the
+#: attempt is cancelled, a wake or an expiry once its ticket is no longer
+#: queued.
 ATTEMPT_END, STRIKE, ARRIVAL, WAKE, EXPIRY = range(5)
 
 

@@ -666,7 +666,6 @@ class QueryServer:
                 self._arrive(payload)
             elif kind == EXPIRY:
                 lifecycle.expire(payload)
-                continue
             dispatch_due = True
         if lifecycle.open:  # pragma: no cover
             raise ServingError("admission deadlock: queued work but no "

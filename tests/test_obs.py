@@ -120,7 +120,6 @@ class TestQueryTrace:
         trace = result.trace
         assert isinstance(trace, QueryTrace)
         assert trace.makespan == result.simulated_seconds
-        assert trace.mode == "hybrid"
         assert trace.spans and trace.tasks
         ops = {span.op for span in trace.spans}
         assert "scan" in ops and "hash-join" in ops
@@ -134,6 +133,16 @@ class TestQueryTrace:
         # Session-owned cache: kernel statuses are recorded.
         assert {span.cache for span in trace.spans} & {"miss", "hit",
                                                        "overlay"}
+
+    @pytest.mark.parametrize("mode", ("cpu", "gpu", "hybrid", "auto"))
+    def test_a_trace_carries_its_mode(self, tpch_dataset, plans, mode):
+        """The resolved mode is in the trace when it is made, whether the
+        execution charges (cold, then all hits: kept) or replays."""
+        engine = _traced_engine(tpch_dataset)
+        results = [engine.execute(plans["Q5"], mode) for _ in range(3)]
+        assert results[2].trace is results[1].trace is not results[0].trace
+        for result in results:
+            assert result.trace.mode == result.mode.value
 
     @pytest.mark.parametrize("mode,by_op", [
         ("cpu", {"filter-project": "cpu0", "aggregate": "cpu0",
@@ -283,6 +292,15 @@ class TestEpochTrace:
         assert all(span.cache is None
                    for row in trace.queries if row.trace is not None
                    for span in row.trace.spans)
+
+    def test_a_failed_over_ticket_traces_its_final_mode(self, tpch_dataset,
+                                                        plans):
+        report = _chaos_server(tpch_dataset, plans).run()
+        moved = [row for row in report.tickets
+                 if row.trace is not None and row.final_mode != row.mode]
+        assert moved and all(row.failovers for row in moved)
+        assert all(row.trace.mode == row.final_mode
+                   for row in report.tickets if row.trace is not None)
 
     def test_slo_grading_in_event_log(self, tpch_dataset, plans):
         server = _chaos_server(tpch_dataset, plans)

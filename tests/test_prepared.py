@@ -18,6 +18,7 @@ import cProfile
 import dataclasses
 from collections import Counter
 import gc
+import operator
 import pstats
 import weakref
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.hardware import default_server
 from repro.hardware.clock import SimClock, Timeline
 from repro.hardware.specs import pcie3_x16
 from repro.hardware.topology import Topology
+from repro.obs import QueryTrace, Span
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
 from repro.relational.physical import PJoin, structural_key
@@ -710,29 +712,30 @@ def test_a_served_replay_equals_a_charged_one(sf001, reserves, tracing):
                     == charged.last_trace.to_jsonl())
 
 
-def test_replayed_results_share_no_trace(engine, q5, reserves):
-    """Each replay hands out its own trace and spans: mutating one
-    result's changes neither the next replay's nor an earlier one's."""
+def test_a_replayed_trace_is_read_only(engine, q5, reserves):
+    """The replays of a kept program hand out the trace of the execution
+    that kept it, so none can change it for a later one: a span's fields
+    and attrs, the trace's mode, link bytes and spans refuse mutation,
+    and the next replay's JSONL is the kept one's."""
     engine.tracing = True
     engine.execute(q5, "hybrid")
     kept = engine.execute(q5, "hybrid")
     _charged(reserves, engine.topology)
-    first, second = (engine.execute(q5, "hybrid") for _ in range(2))
+    trace = engine.execute(q5, "hybrid").trace
     assert _charged(reserves, engine.topology) == 0
-    assert first.trace is not second.trace
-    assert first.trace.spans is not second.trace.spans
-    for result in (kept, first):
-        assert not ({id(span) for span in result.trace.spans}
-                    & {id(span) for span in second.trace.spans})
-        assert not ({id(span.attrs) for span in result.trace.spans}
-                    & {id(span.attrs) for span in second.trace.spans})
-    expected = second.trace.to_jsonl()
-    for result in (kept, first):
-        for span in result.trace.spans:
-            span.end = -1.0
-            span.attrs["mutated"] = True
-        result.trace.spans.pop()
-    assert second.trace.to_jsonl() == expected
+    expected = kept.trace.to_jsonl()
+    span = next(span for span in trace.spans if span.attrs)
+    link = next(iter(trace.link_bytes))
+    for error, mutate in (
+            (dataclasses.FrozenInstanceError,
+             lambda: setattr(span, "end", -1.0)),
+            (dataclasses.FrozenInstanceError,
+             lambda: setattr(trace, "mode", "cpu")),
+            (TypeError, lambda: operator.setitem(span.attrs, "mutated", 1)),
+            (TypeError, lambda: operator.setitem(trace.link_bytes, link, -1)),
+            (AttributeError, lambda: trace.spans.pop())):
+        with pytest.raises(error):
+            mutate()
     assert engine.execute(q5, "hybrid").trace.to_jsonl() == expected
 
 
@@ -755,12 +758,14 @@ def test_a_timeline_kept_untraced_is_not_replayed_traced(engine, q5,
     assert replayed.trace.to_jsonl() == traced.trace.to_jsonl()
 
 
-def _spy(monkeypatch, owner, name: str, calls: list) -> None:
-    """Record ``name`` in ``calls`` on every call of ``owner.name``."""
+def _spy(monkeypatch, owner, name: str, calls: list,
+         label: str | None = None) -> None:
+    """Record ``label`` (default ``name``) in ``calls`` on every call of
+    ``owner.name``."""
     original = owner.__dict__[name]
 
     def spying(*args, **kwargs):
-        calls.append(name)
+        calls.append(label or name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spying)
@@ -860,15 +865,16 @@ def test_a_replay_hides_no_refusal(sf001, monkeypatch, reserves, mode,
 def test_a_replay_builds_nothing(sf001, monkeypatch, reserves, tracing):
     """Every TPC-H query in every mode, named or as a member, replayed:
     no result table or column is built, nothing sorted, no timeline
-    gathered, no task record sorted and no mode parsed by walking the
-    members — the replay hands out the table kept on the cache entry."""
+    gathered, no task record sorted, no span or trace made and no mode
+    parsed by walking the members — the replay hands out the table kept
+    on the cache entry and, traced, the kept execution's trace."""
     engine = HAPEEngine(default_server(), tracing=tracing)
     engine.register_dataset(sf001.tables)
     queries = all_queries(sf001)
     runs = [(queries[name].plan, mode) for name in ("Q1", "Q5", "Q6", "Q9")
             for mode in (*MODES, *ExecutionMode)]
     for _ in range(2):  # cold, then all hits: the timeline is kept
-        kept = [engine.execute(plan, mode).table for plan, mode in runs]
+        kept = [engine.execute(plan, mode) for plan, mode in runs]
     built: list[str] = []
     from_arrays = Table.from_arrays.__func__
 
@@ -882,6 +888,8 @@ def test_a_replay_builds_nothing(sf001, monkeypatch, reserves, tracing):
     _spy(monkeypatch, np, "lexsort", built)
     _spy(monkeypatch, Topology, "timeline", built)
     _spy(monkeypatch, Timeline, "records", built)
+    _spy(monkeypatch, Span, "__init__", built, "Span")
+    _spy(monkeypatch, QueryTrace, "__init__", built, "QueryTrace")
     members = type(ExecutionMode).__iter__
 
     def walking(cls):
@@ -898,14 +906,15 @@ def test_a_replay_builds_nothing(sf001, monkeypatch, reserves, tracing):
     with pytest.raises(ValueError):
         ExecutionMode.parse("tpu")
     expected = {"from_arrays", "__init__", "run", "lexsort", "timeline",
-                "walk"} | ({"records"} if tracing else set())
+                "walk"} | ({"records", "Span", "QueryTrace"} if tracing
+                           else set())
     assert set(built) == expected
     _charged(reserves, engine.topology)
-    for (plan, mode), table in zip(runs, kept):
+    for (plan, mode), done in zip(runs, kept):
         built.clear()  # _charged gathers the topology's clocks itself
         result = engine.execute(plan, mode)
         assert built == [] and _charged(reserves, engine.topology) == 0
-        assert result.table is table
+        assert result.table is done.table and result.trace is done.trace
 
 
 def test_two_roots_over_one_entry_keep_two_tables(tpch_dataset, reserves):

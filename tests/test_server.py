@@ -425,6 +425,32 @@ class TestQueuedDeadlines:
         assert not [record for record in server.topology.occupancy.records()
                     if record.label.startswith("u:")]
 
+    def test_an_expiry_that_uncovers_an_admissible_head_dispatches_it(
+            self, q9_sf0005):
+        """The budget holds a Q9 and a Q6: A (Q9) waits behind the running
+        Q9, B (Q6 gpu) behind A.  A expires at a quarter, which leaves B
+        at the head, within the budget and needing no device the running
+        Q9 holds: B starts then, not when that Q9 finishes."""
+        dataset, plan = q9_sf0005
+        q6 = build_query("Q6", dataset).plan
+        probe = HAPEEngine(default_server())
+        probe.register_dataset(dataset.tables)
+        sizes = [probe.working_set(query) for query in (plan, q6)]
+        assert all(size.backed for size in sizes)
+        server = QueryServer(default_server())
+        server.register_dataset(dataset.tables)
+        server.open_session("t", max_concurrency=3, memory_budget_bytes=sum(
+            int(size.total_bytes) for size in sizes))
+        running = server.submit("t", plan, "cpu")
+        expired = server.submit("t", plan, "cpu", deadline=QUARTER)
+        behind = server.submit("t", q6, "gpu")
+        server.run()
+        assert running.start_time == 0.0
+        assert running.finish_time == pytest.approx(Q9_CPU_SECONDS)
+        assert expired.status == "timed_out" and expired.attempts == 0
+        assert expired.finish_time == QUARTER
+        assert behind.status == "completed" and behind.start_time == QUARTER
+
     def test_an_open_loop_arrival_times_out_in_its_queue(self, q9_sf0005):
         server, plan, _ = self._busy_server(q9_sf0005)
         server.add_arrivals([Arrival(at=QUARTER, tenant="t", plan=plan,
