@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full bench-e2e bench-pairs loc figures serve-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full bench-e2e bench-pairs kernel-ab loc figures serve-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -70,6 +70,17 @@ bench-pairs:
 	$(PYTHON) tools/bench_pairs.py $(PARENT) . \
 		$(foreach workload,$(WORKLOAD),--workload $(workload)) \
 		--pairs $(PAIRS)
+
+## In-process A/B of one workload (tools/kernel_ab.py): PARENT's and this
+## tree's engine and bench/hapebench loaded into one process, their units
+## interleaved for ROUNDS rounds; both sides' facts must be equal.  Prints
+## per-operation floor ratios and the query_geomean_ms ratio.
+ROUNDS ?= 20
+kernel-ab:
+	$(if $(PARENT),,$(error set PARENT=<checkout of the parent commit>))
+	$(if $(WORKLOAD),,$(error set WORKLOAD=<bench/run.py workload>))
+	$(PYTHON) tools/kernel_ab.py $(PARENT) . --workload $(WORKLOAD) \
+		--rounds $(ROUNDS)
 
 ## Code lines (comments and docstrings excluded) — the figure simplicity
 ## PRs quote.  LOC_PATHS=src/repro/server for one package; run the tool

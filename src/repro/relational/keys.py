@@ -260,12 +260,16 @@ class JoinBuildIndex:
     * unique keys spanning fewer than ``SLOT_SPAN_PER_ROW`` values per row
       (primary keys, dense key codes, a filtered primary key) get a *slot
       table*: slot ``key - min + 1`` holds the build row with that key, or
-      -1.  The scatter that fills it proves the keys unique — ``rows``
+      -1, in the narrowest signed integer that holds ``-rows`` — 4 bytes
+      below 2**31 rows, so a 250k-row build's table takes 1 MB and stays
+      in a 2 MiB L2, as the radix join sizes its partitions to the cache.
+      The scatter that fills it proves the keys unique — ``rows``
       occupied slots, no row overwritten — so nothing is counted or
-      ordered.  A probe is one offset, one gather that clamps it (a key
-      outside the span reads an empty end slot) and one ``>= 0`` test;
-      when every probe key hits, the gathered rows are the build positions
-      as they stand and the probe positions ``None``;
+      ordered.  A probe is one offset, one narrow gather that clamps it (a
+      key outside the span reads an empty end slot) and one ``>= 0``
+      test; the hits are widened to ``int64`` once, after the misses are
+      compacted away.  When every probe key hits, the gathered rows are
+      the build positions as they stand and the probe positions ``None``;
     * other keys get a *radix directory* over the sorted keys: bucket
       ``(key - min) >> shift`` starts at sorted position ``starts[bucket]``.
       Keys spanning fewer values than the directory has buckets
@@ -314,8 +318,8 @@ class JoinBuildIndex:
                 # Every row scattered to slot ``key - min + 1``: when no
                 # row overwrote another, the keys are unique and this is
                 # the slot table, its first and last slot empty.
-                slots = np.full(span + 3, -1, dtype=np.int64)
-                slots[1:][buckets] = np.arange(rows)
+                slots = np.full(span + 3, -1, np.min_scalar_type(-rows))
+                slots[1:][buckets] = np.arange(rows, dtype=slots.dtype)
                 if np.count_nonzero(slots >= 0) == rows:
                     # No sorted copy is kept (see ``probe``).
                     self._base = np.subtract(self._base, 1, dtype=np.int64)
@@ -407,15 +411,16 @@ class JoinBuildIndex:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         integral = right_keys.dtype.kind == "i"
         if self._slots is not None and integral:
-            # One gather, in place: a key outside the span (its offset
-            # wrapped or not) is clamped to an empty end slot.
-            left = np.subtract(right_keys, self._base, dtype=np.int64)
-            np.take(self._slots, left, mode="clip", out=left)
+            # One narrow gather — a key outside the span (its offset
+            # wrapped or not) is clamped to an empty end slot — widened
+            # once, after the misses are compacted away.
+            left = self._slots.take(np.subtract(
+                right_keys, self._base, dtype=np.int64), mode="clip")
             hits = left >= 0
             if hits.all():   # every probe key matched: nothing to compact
-                return left, None
+                return left.astype(np.int64), None
             right_indices = np.flatnonzero(hits)
-            return left[right_indices], right_indices
+            return left[right_indices].astype(np.int64), right_indices
         if self._counts is not None and integral:
             # The exact directory: every run's start and length, one
             # gather each.
@@ -424,8 +429,8 @@ class JoinBuildIndex:
         else:
             # Keys the table or an exact directory cannot address search a
             # sorted copy, made for this batch: the index stays as it is.
-            order = (self.order if self._slots is None
-                     else self._slots[self._slots >= 0])
+            order = (self.order if self._slots is None else
+                     self._slots[self._slots >= 0].astype(np.int64))
             sorted_keys = (self.sorted_keys if self.sorted_keys is not None
                            else self._keys[order])
             stepping = self._depth > 0 and integral

@@ -392,6 +392,71 @@ class TestJoinBuildIndex:
         # Unique keys, every probe key hit: the probe rows as they are.
         assert build_idx.tolist() == [2, 1, 0] and probe_idx is None
 
+    def test_every_probe_path_returns_int64_build_positions(self):
+        """A slot table narrower than ``int64`` hands out no narrow
+        positions: every lookup path returns ``int64`` build (and probe)
+        positions, a float probe of a slot table included."""
+        rng = np.random.default_rng(13)
+        slots = rng.permutation(np.arange(0, 3_000, 3))   # 1,000 rows
+        cases = {   # name: (build, probe, path check)
+            "slots, every key hit": (slots, rng.permutation(slots),
+                                     lambda index: index._slots is not None),
+            "slots with misses": (slots, np.arange(-5, 3_005),
+                                  lambda index: index._slots is not None),
+            "float probe of slots": (slots, np.arange(-5, 3_005) + 0.0,
+                                     lambda index: index._slots is not None),
+            "exact directory": (rng.integers(0, 500, 2_000),
+                                np.arange(-5, 505),
+                                lambda index: index._counts is not None),
+            "stepping directory": (
+                rng.integers(0, 10**7, 2_000), rng.integers(0, 10**7, 500),
+                lambda index: index._counts is None and index._depth > 1),
+            "binary search": (rng.integers(0, 60, 2_000).astype(float),
+                              np.arange(-5.0, 65.0, 0.5),
+                              lambda index: index._depth == 0),
+        }
+        for name, (build, probe, taken) in cases.items():
+            index = JoinBuildIndex(build)
+            assert taken(index), name
+            if index._slots is not None:
+                assert index._slots.dtype == np.int16, name
+            build_idx, probe_idx = index.probe(probe)
+            assert build_idx.dtype == np.int64, name
+            assert probe_idx is None or probe_idx.dtype == np.int64, name
+            expected = join_indices_dict([build], [probe])
+            np.testing.assert_array_equal(build_idx, expected[0],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("rows", [127, 128, 129, 32_767, 32_768, 32_769])
+    def test_slot_table_width_boundaries(self, rows):
+        """The slot table holds ``np.min_scalar_type(-rows)``: ``int8`` up
+        to 128 rows, ``int16`` up to 32,768, ``int32`` beyond.  On either
+        side of each width the probe returns the dictionary's pairs, every
+        key hit or half of them missing, keys at both ends of the span
+        included, whole-side or morsel by morsel."""
+        rng = np.random.default_rng(rows)
+        low = -rows   # every other value of the span: half the probes miss
+        build = rng.permutation(np.arange(low, low + 2 * rows, 2))
+        index = JoinBuildIndex(build)
+        assert index._slots is not None
+        assert index._slots.dtype == np.min_scalar_type(-rows)
+        high = low + 2 * rows - 2
+        ends = np.asarray([low - 1, low, low + 1, high - 1, high, high + 1])
+        for probe in (rng.permutation(build),
+                      np.concatenate([ends, rng.permutation(
+                          np.arange(low - 3, high + 4))])):
+            _check_dictionary_oracle(index, build, probe, len(probe) // 3)
+
+    def test_join_micro_dense_build_fits_a_4_byte_slot_table(self):
+        """The benchmark's 250k-row dense build takes the slot table with
+        4-byte entries: 1 MB, inside a 2 MiB L2, where ``int64`` slots
+        took 2 MB."""
+        build = make_join_pair(250_000, seed=2019).build.arrays()["key"]
+        index = JoinBuildIndex(build)
+        assert index._slots is not None
+        assert index._slots.itemsize == 4
+        assert index._slots.nbytes == 4 * (250_000 + 2) < 1 << 20
+
 
 class TestPartitioning:
     def test_radix_partition_preserves_rows(self, cpu):

@@ -1,11 +1,13 @@
-"""Repository-level checks: declared dependencies, the line counter and
-the benchmark-pairs summary."""
+"""Repository-level checks: declared dependencies, the line counter, the
+benchmark-pairs summary and the in-process kernel A/B."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import inspect
+import json
+import math
 import shutil
 import subprocess
 import sys
@@ -232,3 +234,34 @@ def test_make_bench_pairs_passes_every_workload_through():
     assert words[words.index("tools/bench_pairs.py"):] == [
         "tools/bench_pairs.py", "parent", ".", "--workload", "serve_closed",
         "--workload", "tpch_warm", "--pairs", "4"]
+
+
+def test_kernel_ab_runs_both_sides_in_one_process():
+    """``tools/kernel_ab.py`` with this checkout on both sides, at smoke
+    scale: the interleaved units' facts agree, every operation has a
+    finite floor ratio, and the last line printed is the result."""
+    finished = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "kernel_ab.py"), str(REPO),
+         str(REPO), "--workload", "join_micro", "--scale", "smoke",
+         "--rounds", "2"],
+        cwd=REPO, capture_output=True, text=True, check=False)
+    assert finished.returncode == 0, finished.stderr
+    result = json.loads(finished.stdout.splitlines()[-1])
+    assert result["facts_equal"] and result["failed"] == 0
+    assert sorted(result["ratios"]) == sorted(result["floors_ms"]["parent"])
+    assert "hashjoin.dense" in result["ratios"]
+    assert all(math.isfinite(ratio) and ratio > 0
+               for ratio in [*result["ratios"].values(),
+                             result["geomean_ratio"]])
+
+
+@pytest.mark.skipif(shutil.which("make") is None, reason="no make")
+def test_make_kernel_ab_passes_the_workload_through():
+    dry_run = subprocess.run(
+        ["make", "-n", "-s", "kernel-ab", "PARENT=parent",
+         "WORKLOAD=tpch_cold", "ROUNDS=4"],
+        cwd=REPO, capture_output=True, text=True, check=True).stdout
+    words = dry_run.replace("\\\n", " ").split()
+    assert words[words.index("tools/kernel_ab.py"):] == [
+        "tools/kernel_ab.py", "parent", ".", "--workload", "tpch_cold",
+        "--rounds", "4"]
