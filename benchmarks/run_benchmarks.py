@@ -72,6 +72,9 @@ MODES = ("cpu", "hybrid", "gpu")
 #: The ``mem`` suite's scale factor — the scale the PR 2 / PR 4 peak-memory
 #: figures quote.
 MEM_SF = 0.2
+#: The ``mem`` suite's whole-column batching: a morsel size no batch
+#: reaches, so every batch runs as one morsel.
+WHOLE_COLUMN_ROWS = 1 << 40
 #: The serve/chaos tenant mix: a 4-tenant mixed CPU/GPU closed loop.
 SERVE_TENANTS = {"cpu-a": "cpu", "gpu-a": "gpu", "cpu-b": "cpu", "gpu-b": "gpu"}
 SERVE_SESSIONS = dict.fromkeys(SERVE_TENANTS, {})
@@ -447,26 +450,20 @@ def suite_stats(bench: Workbench) -> dict:
                 "morsels peak at {value:.2f}x whole-column packets', over "
                 "the allowed 0.75x — streaming no longer bounds the "
                 "working set"),
-           Gate("fused_peak_vs_morsels", _at_most(1.0),
-                "fused chains peak at {value:.2f}x unfused morsels' — "
-                "fusion materializes more, not less"),
            Gate("simulated_seconds_identical", _true,
                 "simulated seconds differ between the batching variants — "
-                "morsel_rows / pipeline_fusion are working-set knobs only"),
+                "morsel_rows is a working-set knob only"),
        ))
 def suite_mem(bench: Workbench) -> dict:
     """Peak intermediate memory (``tracemalloc``) of Q5 hybrid at
-    ``MEM_SF`` under the three batching variants: whole-column packets,
-    morsels, morsels with pipeline fusion.  The one recorded use of
-    ``morsel_rows=None`` and ``pipeline_fusion=False``: the gates hold
-    what the two knobs buy."""
+    ``MEM_SF`` under the two batchings: whole-column packets (a morsel
+    larger than every batch, ``WHOLE_COLUMN_ROWS``) and the default
+    morsels.  The gates hold what streaming in morsels buys."""
     big = Workbench(MEM_SF, bench.seed, bench.repeat)
     plan = big.queries["Q5"].plan
     variants = {
-        "whole_column_packets": {"morsel_rows": None,
-                                 "pipeline_fusion": False},
-        "morsels": {"pipeline_fusion": False},
-        "morsels_fused": {"pipeline_fusion": True},
+        "whole_column_packets": {"morsel_rows": WHOLE_COLUMN_ROWS},
+        "morsels": {},
     }
     results = {}
     for name, knobs in variants.items():
@@ -491,7 +488,6 @@ def suite_mem(bench: Workbench) -> dict:
             "variants": results,
             "morsels_peak_vs_whole_column":
                 peak["morsels"] / peak["whole_column_packets"],
-            "fused_peak_vs_morsels": peak["morsels_fused"] / peak["morsels"],
             "simulated_seconds_identical": len(
                 {data["simulated_seconds"] for data in results.values()}) == 1}
 

@@ -88,11 +88,9 @@ because memo entries hold fully reassembled batches, never partial streams.
 Pipeline-fused streaming
 ------------------------
 
-With ``ExecutorOptions.pipeline_fusion`` on (the default, surfaced as the
-``pipeline_fusion`` knob on :class:`~repro.engine.session.HAPEEngine`),
-morsels do not materialize a full batch at every plan node: maximal chains
-of streaming operators (scan source -> filter/project -> exchange routing
--> non-partitioned join probes, identified by
+Morsels do not materialize a full batch at every plan node: maximal
+chains of streaming operators (scan source -> filter/project -> exchange
+routing -> non-partitioned join probes, identified by
 :func:`~repro.codegen.pipeline.fused_chain`) are driven end to end — each
 source morsel flows through the *whole* chain before the next one is
 carved, and only the chain's boundary batch (the input of the breaker that
@@ -101,9 +99,9 @@ consumes it) is ever reassembled.  Inside the chain a morsel is a
 positions, each column is gathered once and only when a stage reads it,
 and the view is materialized — every column gathered once, through its
 composed positions — only at the boundary.  Stage stats read the view's
-byte counts, which equal the gathered arrays'.  With fusion off every
-chain simply has length one: the same driver, the same views, one
-materialized batch per plan node.
+byte counts, which equal the gathered arrays'.  A node that starts no
+chain (a breaker, a sort, the plan's root) is a chain of length one: the
+same driver, not a second code path.
 
 Fusion requires *memo-aware deferral*: an operator whose output is never
 materialized cannot be memoized (or session-cached) as a standalone batch.
@@ -116,10 +114,10 @@ exchanges inside and below the chain, so one entry serves every placement
 of the subplan.  Subplans that occur more than once in a
 plan are sharing points and are never deferred (:meth:`Executor.compile`
 cuts the chain there), which preserves single evaluation; and because cost
-charging is replayed per stage from the recorded stats in exactly the
-unfused order, simulated seconds, device busy times and link bytes are
-bit-identical whether fusion is on or off, warm or cold.  Like
-``morsel_rows``, the knob is wall-clock/working-set only.
+charging is replayed per stage, bottom-up, from the recorded stats —
+each stage's record equals its standalone kernel's — simulated seconds,
+device busy times and link bytes are those of pricing every operator on
+its own, warm or cold.
 """
 from __future__ import annotations
 
@@ -181,24 +179,17 @@ class ExecutorOptions:
     #: Rows per morsel: the driver carves every chain source into slices
     #: of at most this many rows and streams them through the chain, which
     #: bounds the working set of the streaming operators (breakers take
-    #: their input whole).  A positive ``int``; ``None`` disables batching
-    #: (whole-column packets).  The cache key deliberately ignores this
-    #: knob, so cached results stay valid across re-tunes.
-    morsel_rows: int | None = DEFAULT_MORSEL_ROWS
+    #: their input whole).  A positive ``int``; one larger than every
+    #: batch runs each batch as a single morsel.  The cache key
+    #: deliberately ignores this knob, so cached results stay valid across
+    #: re-tunes.
+    morsel_rows: int = DEFAULT_MORSEL_ROWS
     #: Byte budget of the session-lifetime cross-query kernel cache
     #: (:mod:`repro.engine.querycache`), in bytes of pinned result
     #: columns: ``0`` disables cross-query caching, ``None`` lifts the
     #: bound.  Shrinking evicts down to the new budget immediately.  Cost
     #: is charged per occurrence regardless of cache hits.
     cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES
-    #: Drive maximal chains of streaming operators (scan ->
-    #: filter/project -> exchange routing -> hash-join probes)
-    #: morsel-at-a-time end to end, materializing only at fusion
-    #: boundaries (aggregate and join-build inputs).  Off = every chain
-    #: has length one.  Chains of different depth use distinct cache
-    #: entries, so retuning mid-session can cause cold misses but never
-    #: wrong reuse.
-    pipeline_fusion: bool = True
     #: Record a :class:`~repro.obs.trace.QueryTrace` on
     #: :attr:`QueryResult.trace`: operator spans (placement, timing,
     #: bytes, rows, cache status), the raw device/link task slices and a
@@ -211,11 +202,10 @@ class ExecutorOptions:
         rows = self.morsel_rows
         # ``type is int``: a float would die inside the first kernel, and
         # ``True`` is an int that means one-row morsels.
-        if rows is not None and (type(rows) is not int or rows <= 0):
-            raise ValueError("morsel_rows must be a positive int or None")
-        for knob in ("pipeline_fusion", "tracing"):
-            if not isinstance(getattr(self, knob), bool):
-                raise ValueError(f"{knob} must be a bool")
+        if type(rows) is not int or rows <= 0:
+            raise ValueError("morsel_rows must be a positive int")
+        if not isinstance(self.tracing, bool):
+            raise ValueError("tracing must be a bool")
         object.__setattr__(self, "cache_budget_bytes",
                            QueryCache.validate_budget(self.cache_budget_bytes))
 
@@ -337,8 +327,7 @@ class QueryResult:
     physical_plan: PhysicalOp
     #: Morsels granted to kernels for this query (:meth:`Executor.grant`):
     #: one per input batch that fits a single morsel, more when batches
-    #: stream, zero when batching is disabled (``morsel_rows=None``) and
-    #: for kernel evaluations the session cache served.
+    #: stream, none for kernel evaluations the session cache served.
     morsels_dispatched: int = 0
     #: Session-cache activity attributable to this query: hits/misses of
     #: distinct subplans, evictions during the query, plus invalidations
@@ -511,7 +500,7 @@ class Executor:
         and each placed description takes its span skeleton from it.
         """
         nodes = (fused_chain(node, lambda op: refs[keys[id(op)]] == 1)
-                 if fuse and self.options.pipeline_fusion else []) or [node]
+                 if fuse else []) or [node]
         ops = [description(op)(op, self) for op in nodes]
         for op in ops:
             if isinstance(op.node, PJoin):
@@ -638,7 +627,7 @@ class Executor:
         return (None if table is None or not cache.get_all(replay.lookups)
                 else (replay, table))
 
-    def grant(self, *batch_rows: int) -> int | None:
+    def grant(self, *batch_rows: int) -> int:
         """The morsel size for an evaluation over the given input batch
         sizes, counting the morsels they amount to into
         :attr:`morsels_dispatched`.
@@ -656,9 +645,8 @@ class Executor:
         morsels otherwise.
         """
         rows = self.options.morsel_rows
-        if rows is not None:
-            for num_rows in batch_rows:
-                self.morsels_dispatched += morsel_count(num_rows, rows)
+        for num_rows in batch_rows:
+            self.morsels_dispatched += morsel_count(num_rows, rows)
         return rows
 
     def _memoized_kernel(self, chain: Chain,
@@ -746,9 +734,9 @@ class Executor:
         """Execute one compiled chain and return its output batch.
 
         The chain is the maximal fused chain of streaming operators below
-        its top node when fusion is on and the node starts one, else just
-        the node — unfused execution is the one-stage case, not a second
-        code path.  Every chain runs the same four steps:
+        its top node when the node starts one, else just the node — the
+        one-stage case, not a second code path.  Every chain runs the same
+        four steps:
 
         1. the build side of every join (top-down) and then the source are
            executed, so all their charges land on the simulated clocks
@@ -835,7 +823,7 @@ class Executor:
                                                           zip(*stage_flows))
             records.append((op.stats(build, in_rows, in_bytes, out_nbytes),
                             out_nbytes, out_rows))
-        return concat_columns(parts, consume=True), tuple(records)
+        return concat_columns(parts), tuple(records)
 
     # ------------------------------------------------------------------
     # Pricing and reserving: the helpers the descriptions share

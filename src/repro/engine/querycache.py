@@ -38,16 +38,16 @@ Two properties the rest of the engine relies on:
   ``morsel_rows`` setting, so the ``morsel_rows`` knob is deliberately
   *not* part of the cache key — a result computed at one granularity is
   valid at every other.
-* **Fusion-boundary granularity.**  Under pipeline-fused streaming the
-  executor defers a fused chain's intermediate outputs (they stream, one
-  morsel at a time, and never materialize), so such chains are cached as
-  ONE entry keyed at the chain top with a fused-chain tuning marker (the
-  chain's count of relational stages); the value couples the boundary
-  batch with one stats record per relational stage, which lets warm runs
-  replay every deferred stage's cost.  The marker keeps fused and
-  standalone entries for the same subplan apart, so retuning
-  ``pipeline_fusion`` mid-session can cause cold misses but never wrong
-  reuse (see ``docs/CACHING.md``).
+* **Fusion-boundary granularity.**  The executor defers a fused chain's
+  intermediate outputs (they stream, one morsel at a time, and never
+  materialize), so such chains are cached as ONE entry keyed at the chain
+  top with a fused-chain tuning marker (the chain's count of relational
+  stages); the value couples the boundary batch with one stats record per
+  relational stage, which lets warm runs replay every deferred stage's
+  cost.  The marker keeps a subplan's fused entry apart from its
+  standalone one (a plan's root, or a subplan the plan repeats, is a
+  chain of its own), so a subplan cut differently in another plan can
+  cause cold misses but never wrong reuse (see ``docs/CACHING.md``).
 * **Placement transparency.**  Structural keys look through the exchange
   operators (routers, mem-moves, device crossings), which move or route
   packets without changing them, so the cpu, hybrid and gpu placements

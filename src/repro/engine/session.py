@@ -54,8 +54,7 @@ from .querycache import QueryCacheStats
 
 #: The :class:`ExecutorOptions` fields a session exposes as constructor
 #: keywords and as get/set attributes.
-SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "pipeline_fusion",
-                 "tracing")
+SESSION_KNOBS = ("morsel_rows", "cache_budget_bytes", "tracing")
 
 
 def _knob(name: str) -> property:
@@ -126,12 +125,12 @@ class HAPEEngine:
         (2 CPU sockets + 2 GPUs, :func:`~repro.hardware.default_server`).
     optimizer_options / executor_options:
         Fine-grained knob records; usually left at their defaults.
-    morsel_rows / cache_budget_bytes / pipeline_fusion / tracing:
+    morsel_rows / cache_budget_bytes / tracing:
         The session knobs.  Each is the :class:`ExecutorOptions` field of
         the same name — documented there, once — and overrides
         ``executor_options`` when both are given.  After construction the
         same names are attributes: reading returns the value in force,
-        assigning re-tunes the live session.  All four are
+        assigning re-tunes the live session.  All three are
         wall-clock/working-set only: results and simulated seconds are
         bit-identical for every setting, and a bad value raises
         ``ValueError`` whichever way it arrives.
@@ -182,7 +181,6 @@ class HAPEEngine:
 
     morsel_rows = _knob("morsel_rows")
     cache_budget_bytes = _knob("cache_budget_bytes")
-    pipeline_fusion = _knob("pipeline_fusion")
     tracing = _knob("tracing")
 
     @property

@@ -42,9 +42,10 @@ The contract has three invariants the executor (and the tests) rely on:
    (aggregates, join build sides, the partitioned joins) is handed the
    resident batch, a plain column map.
    The whole-batch kernel is therefore the reference the driver's
-   streaming is tested against: for every engine ``morsel_rows`` the
-   streamed columns and the accumulated stats equal the kernel's, bit for
-   bit — only the peak working set and the wall-clock schedule change.
+   streaming is tested against: for every engine ``morsel_rows``, alone
+   or as a stage of a fused chain, the streamed columns and the
+   accumulated stats equal the kernel's, bit for bit — only the peak
+   working set and the wall-clock schedule change.
 
 The join helpers of the microbenchmarks (``non_partitioned_join``,
 ``cpu_radix_join``, ...) call the kernel and the estimator back to back.

@@ -18,7 +18,7 @@ and the count ``Executor.grant``'s accounting shares with it:
 * :func:`iter_morsels` — carve a column batch into a stream of morsels
   (the producer side),
 * :func:`concat_columns` — materialize a list of per-morsel outputs back
-  into one batch (the boundary of a streamed chain), and
+  into one batch, consuming them (the boundary of a streamed chain), and
 * :func:`morsel_count` — how many morsels a batch is carved into.
 
 Pipeline breakers (aggregates, join builds, partitioned joins) never see
@@ -41,54 +41,51 @@ import numpy as np
 DEFAULT_MORSEL_ROWS = 1 << 19
 
 
-def morsel_count(num_rows: int, morsel_rows: int | None) -> int:
+def morsel_count(num_rows: int, morsel_rows: int) -> int:
     """How many morsels a batch of ``num_rows`` rows is carved into.
 
     Every batch yields at least one morsel — an empty batch streams as a
     single empty morsel so downstream operators still see the schema.
     """
-    if morsel_rows is None:
-        return 1
     if morsel_rows <= 0:
         raise ValueError("morsel_rows must be positive")
     return max(-(-num_rows // morsel_rows), 1)
 
 
 def iter_morsels(columns: Mapping[str, np.ndarray],
-                 morsel_rows: int | None = DEFAULT_MORSEL_ROWS,
+                 morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  ) -> Iterator[dict[str, np.ndarray]]:
     """Carve a column batch into consecutive morsels (zero-copy views).
 
-    The slices tile the batch in row order.  ``morsel_rows=None``, or a
-    batch that fits one morsel, yields the batch's own arrays; an empty
-    batch therefore yields one empty slice, so consumers always observe
-    the schema.
+    The slices tile the batch in row order.  A batch that fits one morsel
+    yields the batch's own arrays; an empty batch therefore yields one
+    empty slice, so consumers always observe the schema.
     """
     arrays = {name: np.asarray(values) for name, values in columns.items()}
     num_rows = 0 if not arrays else int(len(next(iter(arrays.values()))))
     if morsel_count(num_rows, morsel_rows) == 1:
         yield arrays
         return
-    assert morsel_rows is not None
     for start in range(0, num_rows, morsel_rows):
         yield {name: values[start:start + morsel_rows]
                for name, values in arrays.items()}
 
 
-def concat_columns(parts: Sequence[Mapping[str, np.ndarray]], *,
-                   consume: bool = False) -> dict[str, np.ndarray]:
-    """Reassemble per-morsel operator outputs into one column batch.
+def concat_columns(parts: Sequence[dict[str, np.ndarray]],
+                   ) -> dict[str, np.ndarray]:
+    """Reassemble per-morsel operator outputs into one column batch,
+    consuming the parts.
 
-    A single part is returned as-is (no copy), so whole-batch execution and
-    single-morsel streams stay allocation-identical.
+    A single part's arrays are returned as they are (no copy), so a batch
+    that fits one morsel is not copied at the chain's boundary.
 
-    ``consume=True`` pops each column out of the part dicts as it is
-    concatenated (the parts must then be mutable dicts the caller owns).
-    This bounds the reassembly peak: instead of holding every part *and*
-    the full result until the end, at most one fully concatenated column's
-    worth of parts is alive beyond the result — which is what keeps the
-    materialization spike at a fused chain's boundary near the size of the
-    output itself.
+    Otherwise each column is popped out of the part dicts as it is
+    concatenated (the parts are mutable dicts the caller owns and gives
+    up).  This bounds the reassembly peak: instead of holding every part
+    *and* the full result until the end, at most one fully concatenated
+    column's worth of parts is alive beyond the result — which is what
+    keeps the materialization spike at a fused chain's boundary near the
+    size of the output itself.
     """
     if not parts:
         raise ValueError("cannot concatenate zero batches")
@@ -97,10 +94,7 @@ def concat_columns(parts: Sequence[Mapping[str, np.ndarray]], *,
     names = list(parts[0])
     result: dict[str, np.ndarray] = {}
     for name in names:
-        if consume:
-            arrays = [np.asarray(part.pop(name)) for part in parts]  # type: ignore[attr-defined]
-        else:
-            arrays = [np.asarray(part[name]) for part in parts]
+        arrays = [np.asarray(part.pop(name)) for part in parts]
         result[name] = np.concatenate(arrays)
         del arrays
     return result

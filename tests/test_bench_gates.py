@@ -90,7 +90,6 @@ PASSING = {
     "mem": {"variants": {"morsels": {"peak_intermediate_bytes": 18_600_000,
                                      "wall_clock_seconds": 0.07}},
             "morsels_peak_vs_whole_column": 0.56,
-            "fused_peak_vs_morsels": 0.85,
             "simulated_seconds_identical": True},
     "stats": {"worst_median_q_error": 2.0,
               "queries": {"Q1": {"median_q_error": 2.0, "max_q_error": 3.0},
@@ -174,7 +173,6 @@ DOCTORED = {
         ("warm_simulated_seconds_identical", False),
     ("mem", "morsels_peak_vs_whole_column"):
         ("morsels_peak_vs_whole_column", 0.76),
-    ("mem", "fused_peak_vs_morsels"): ("fused_peak_vs_morsels", 1.01),
     ("mem", "simulated_seconds_identical"):
         ("simulated_seconds_identical", False),
     ("stats", "queries.*.median_q_error"):

@@ -42,9 +42,9 @@ class TestOpCost:
 KNOBS = {
     # A non-integer morsel size used to pass construction and kill the
     # first execute with a bare TypeError; ``True`` ran one-row morsels.
-    "morsel_rows": ([(123, 123), (None, None)], [0, 2.5, 1000.0, "7", True]),
+    "morsel_rows": ([(123, 123), (1 << 40, 1 << 40)],
+                    [0, 2.5, 1000.0, "7", True, None]),
     "cache_budget_bytes": ([(4096, 4096), (None, None), (0, 0)], [-1]),
-    "pipeline_fusion": ([(False, False)], ["yes"]),
     "tracing": ([(True, True)], [1]),
 }
 
@@ -98,6 +98,17 @@ BUILDERS = [pytest.param(HAPEEngine, id="session"),
 
 
 class TestKnobOwnership:
+    def test_the_session_knobs_are_three(self):
+        """Chains always fuse and a morsel is always a row count: there
+        is no fusion knob and no unbatched ``morsel_rows``."""
+        assert SESSION_KNOBS == ("morsel_rows", "cache_budget_bytes",
+                                 "tracing")
+        with pytest.raises(TypeError, match="pipeline_fusion"):
+            HAPEEngine(default_server(), pipeline_fusion=True)
+        session = HAPEEngine(default_server())
+        with pytest.raises(ValueError, match="morsel_rows"):
+            session.morsel_rows = None
+
     def test_workers_is_not_a_knob(self):
         """One thread drives a session or a server: ``workers`` is no
         session knob and no session attribute."""
@@ -139,7 +150,7 @@ class TestKnobOwnership:
             engine.morsel_rows = -1
         assert engine.morsel_rows == 77
 
-    @pytest.mark.parametrize("rows", [500, None])
+    @pytest.mark.parametrize("rows", [500, 7])
     def test_retuned_morsel_rows_drives_the_next_execute(self, tpch_dataset,
                                                          rows):
         plan = build_query("Q5", tpch_dataset).plan

@@ -1,19 +1,18 @@
-"""Engine-wide invariant matrix: (fusion × morsel × cache × warm/cold).
+"""Engine-wide invariant matrix: (morsel × cache × warm/cold).
 
 One parametrized grid replaces the ad-hoc identity checks that used to be
 scattered across ``test_morsels.py`` (morsel invariance over TPC-H) and
 ``test_query_cache.py`` (warm-vs-cold TPC-H timings): for **every** TPC-H
 workload query in **every** device mode, every configuration of
 
-    pipeline_fusion ∈ {off, on}
-  × morsel_rows ∈ {None, 977, engine default}
+    morsel_rows ∈ {2**40 (one morsel per batch), 977, engine default}
   × cache_budget_bytes ∈ {engine default, 256 KiB (evicts), 0 (off)}
   × cache {cold, warm}
 
 must report bit-identical outputs, bit-identical simulated seconds and
 bit-identical execution stats records (per-device busy seconds and
-per-link bytes) to the canonical baseline — fusion off, whole-column
-packets, cold.  These knobs tune the *real* wall-clock/working-set
+per-link bytes) to the canonical baseline — one morsel per batch, cache
+off.  These knobs tune the *real* wall-clock/working-set
 behavior of the engine; nothing the paper's figures plot may move.
 """
 
@@ -24,23 +23,20 @@ import pytest
 
 from repro.engine import HAPEEngine
 from repro.hardware import default_server
-from repro.relational import execute_logical
+from repro.relational import (agg_count, agg_sum, col, execute_logical, lit,
+                              scan)
 from repro.storage import DEFAULT_MORSEL_ROWS
 from repro.workloads import EVALUATED_QUERIES, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
-#: Whole-column packets, a non-divisor morsel size, and the default.
-MORSEL_SETTINGS = (None, 977, DEFAULT_MORSEL_ROWS)
-FUSION_SETTINGS = (False, True)
+#: One morsel per batch, a non-divisor morsel size, and the default.
+MORSEL_SETTINGS = (1 << 40, 977, DEFAULT_MORSEL_ROWS)
 #: A budget that holds every entry, one that evicts some of the grid's
 #: entries before their warm run, and none.
 CACHE_SETTINGS = {"whole": None, "evicting": 256 * 1024, "off": 0}
 
 CONFIGS = [
-    pytest.param(fusion, morsel_rows, cache,
-                 id=(f"fusion={'on' if fusion else 'off'}"
-                     f"-morsel={morsel_rows}-cache={cache}"))
-    for fusion in FUSION_SETTINGS
+    pytest.param(morsel_rows, cache, id=f"morsel={morsel_rows}-cache={cache}")
     for morsel_rows in MORSEL_SETTINGS
     for cache in CACHE_SETTINGS
 ]
@@ -60,9 +56,10 @@ def _record(result) -> tuple:
 
 @pytest.fixture(scope="module")
 def baseline(tpch_dataset):
-    """Canonical per-(query, mode) records: fusion off, no morsels, cold."""
-    engine = HAPEEngine(default_server(), morsel_rows=None,
-                        pipeline_fusion=False, cache_budget_bytes=0)
+    """Canonical per-(query, mode) records: one morsel per batch, no
+    cache."""
+    engine = HAPEEngine(default_server(), morsel_rows=1 << 40,
+                        cache_budget_bytes=0)
     engine.register_dataset(tpch_dataset.tables)
     records = {}
     references = {}
@@ -75,20 +72,19 @@ def baseline(tpch_dataset):
     return records, references
 
 
-@pytest.mark.parametrize("fusion,morsel_rows,cache", CONFIGS)
-def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, fusion,
-                                    morsel_rows, cache):
+@pytest.mark.parametrize("morsel_rows,cache", CONFIGS)
+def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, morsel_rows,
+                                    cache):
     records, references = baseline
     budget = CACHE_SETTINGS[cache]
     knobs = {} if budget is None else {"cache_budget_bytes": budget}
-    engine = HAPEEngine(default_server(), morsel_rows=morsel_rows,
-                        pipeline_fusion=fusion, **knobs)
+    engine = HAPEEngine(default_server(), morsel_rows=morsel_rows, **knobs)
     engine.register_dataset(tpch_dataset.tables)
     for query_name in EVALUATED_QUERIES:
         query = build_query(query_name, tpch_dataset)
         for mode in MODES:
-            context = (f"{query_name}/{mode} fusion={fusion} "
-                       f"morsel_rows={morsel_rows} cache={cache}")
+            context = (f"{query_name}/{mode} morsel_rows={morsel_rows} "
+                       f"cache={cache}")
             cold = engine.execute(query.plan, mode)
             assert _record(cold) == records[(query_name, mode)], (
                 f"{context}: cold run diverged from the canonical baseline")
@@ -116,39 +112,26 @@ def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, fusion,
         assert engine.cache_stats.evicted > 0
 
 
-class TestFusionKnobSurface:
-    def test_default_session_has_fusion_enabled(self):
-        assert HAPEEngine(default_server()).pipeline_fusion is True
-
-    def test_toggling_mid_session_never_reuses_wrong_entries(self,
-                                                             tpch_dataset):
-        """Fused and unfused cache entries are keyed apart: a toggle can
-        cause cold misses but never a wrong (differently shaped) reuse."""
-        engine = HAPEEngine(default_server())
-        engine.register_dataset(tpch_dataset.tables)
-        query = build_query("Q5", tpch_dataset)
-        fused = engine.execute(query.plan, "hybrid")
-        engine.pipeline_fusion = False
-        unfused = engine.execute(query.plan, "hybrid")
-        engine.pipeline_fusion = True
-        refused = engine.execute(query.plan, "hybrid")
-        assert fused.simulated_seconds == unfused.simulated_seconds
-        assert unfused.simulated_seconds == refused.simulated_seconds
-        for name in fused.table.column_names:
-            np.testing.assert_array_equal(fused.table.array(name),
-                                          unfused.table.array(name))
-            np.testing.assert_array_equal(fused.table.array(name),
-                                          refused.table.array(name))
-
-    def test_fused_chains_dispatch_fewer_morsels(self, tpch_dataset):
-        """Fusion collapses per-node streams into per-chain streams."""
-        def run(fusion: bool) -> int:
-            engine = HAPEEngine(default_server(), morsel_rows=512,
-                                pipeline_fusion=fusion)
-            engine.register_dataset(tpch_dataset.tables)
-            query = build_query("Q5", tpch_dataset)
-            return engine.execute(query.plan, "hybrid").morsels_dispatched
-        assert run(True) < run(False)
+def test_a_subplan_cut_differently_is_never_reused_wrongly(tpch_dataset):
+    """Two stacked filters are two chains at a plan's root (the root is a
+    chain of its own) and one fused chain under an aggregate: the
+    fused-chain tuning keys the two cuts apart in one session, so each
+    plan, cold and warm, equals the reference and a fresh session."""
+    filtered = (scan("lineitem", ["l_orderkey", "l_quantity"])
+                .filter(col("l_quantity") > lit(10))
+                .filter(col("l_orderkey") > lit(100)))
+    grouped = filtered.aggregate([], [agg_count("cnt"),
+                                      agg_sum(col("l_quantity"), "q")])
+    engine = HAPEEngine(default_server())
+    engine.register_dataset(tpch_dataset.tables)
+    for plan in (filtered, grouped, filtered, grouped):
+        fresh = HAPEEngine(default_server())
+        fresh.register_dataset(tpch_dataset.tables)
+        result = engine.execute(plan, "hybrid")
+        assert result.table.equals(execute_logical(plan, engine.catalog),
+                                   check_order=True)
+        assert _record(result) == _record(fresh.execute(plan, "hybrid"))
+    assert engine.cache_stats.hits > 0
 
 
 # ----------------------------------------------------------------------

@@ -109,7 +109,7 @@ class TestMorselPrimitives:
         assert morsels[0]["k"].dtype == np.int64
         assert morsels[0]["v"].dtype == np.float64
 
-    @pytest.mark.parametrize("morsel_rows", [None, 500, 10**9])
+    @pytest.mark.parametrize("morsel_rows", [500, 10**9, 1 << 40])
     def test_batch_that_fits_one_morsel_is_yielded_itself(self, morsel_rows):
         columns = _random_columns(500)
         (morsel,) = iter_morsels(columns, morsel_rows)
@@ -121,7 +121,7 @@ class TestMorselPrimitives:
         assert morsel_count(0, 16) == 1
         assert morsel_count(16, 16) == 1
         assert morsel_count(17, 16) == 2
-        assert morsel_count(5, None) == 1
+        assert morsel_count(5, 1 << 40) == 1
         with pytest.raises(ValueError):
             morsel_count(5, 0)
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestEngineMorselInvariance:
                 .filter(col("s_nationkey") >= lit(10))
                 .aggregate(["s_nationkey"], [agg_count("cnt")]))
         reference = execute_logical(plan, engine.catalog)
-        baseline = self._engine(tpch_dataset, None).execute(plan, "cpu")
+        baseline = self._engine(tpch_dataset, 1 << 40).execute(plan, "cpu")
         result = engine.execute(plan, "cpu")
         assert result.table.equals(reference, check_order=False)
         assert result.simulated_seconds == baseline.simulated_seconds
@@ -196,7 +196,7 @@ class TestEngineMorselInvariance:
         reset_kernel_counts()
         engine.executor.execute(physical)
         with_morsels = kernel_counts()
-        engine.morsel_rows = None
+        engine.morsel_rows = 1 << 40
         # Compare cold-vs-cold: without the reset the second run would be
         # served by the session's cross-query cache and run zero kernels.
         engine.clear_query_cache()
@@ -262,13 +262,14 @@ def _scan(table: str) -> PScan:
 class TestStreamedDescriptionsMatchKernels:
     """Kernels take whole batches; carving and streaming is the driver's
     job alone.  This is the cross-check between the two: for every engine
-    ``morsel_rows`` — whole-column packets, a size that puts a morsel
+    ``morsel_rows`` — one morsel per batch, a size that puts a morsel
     boundary inside runs of duplicate keys, and one larger than most
     inputs — the columns (names, order, dtypes, row order) and the stats
     record an operator description produces under the driver equal its
-    whole-batch kernel's, byte for byte."""
+    whole-batch kernel's, byte for byte — alone, and as a stage of a
+    fused chain."""
 
-    MORSEL_ROWS = (None, 7, 4096)
+    MORSEL_ROWS = (1 << 40, 7, 4096)
 
     @staticmethod
     def _stream(node, catalog, morsel_rows, topology=None):
@@ -342,6 +343,58 @@ class TestStreamedDescriptionsMatchKernels:
             assert columns["flag"].shape == (0,)
         self._assert_bytes_equal(columns, expected)
         assert stats == expected_stats
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("cutoff", [24, -1], ids=["rows", "empty"])
+    def test_fused_stages_record_their_kernels(self, engine, morsel_rows,
+                                               cutoff):
+        """A filter, a hash-join probe and a projection fused into one
+        chain below an aggregate: each stage's record — stats, output
+        bytes, output rows — equals what its whole-batch kernel returns
+        on the stage's materialized input, and the boundary batch equals
+        the last kernel's output."""
+        predicate = col("l_quantity") < lit(cutoff)
+        projections = {"o_custkey": col("o_custkey"),
+                       "revenue": col("l_extendedprice") * col("l_quantity")}
+        lineitem = PScan(cpu_traits(), table="lineitem",
+                         columns=("l_orderkey", "l_quantity",
+                                  "l_extendedprice"))
+        join = PJoin(cpu_traits(),
+                     build=PScan(cpu_traits(), table="orders",
+                                 columns=("o_orderkey", "o_custkey")),
+                     probe=PFilterProject(cpu_traits(), child=lineitem,
+                                          predicate=predicate),
+                     build_keys=("o_orderkey",), probe_keys=("l_orderkey",))
+        top = PFilterProject(cpu_traits(), child=join,
+                             projections=projections)
+        root = PAggregate(cpu_traits(), child=top, group_by=("o_custkey",),
+                          aggregates=(agg_sum(col("revenue"), "total"),),
+                          phase="complete")
+        executor = Executor(default_server(), engine.catalog,
+                            ExecutorOptions(morsel_rows=morsel_rows,
+                                            cache_budget_bytes=0))
+        chain = executor.compile(root).root.source
+        assert [op.node for op in chain.ops] == [top.child.probe, join, top]
+        builds = [None if op.build is None else executor._run(op.build)
+                  for op in chain.ops]
+        source = executor._run(chain.source)
+        columns, records = executor._evaluate(chain, source, builds)
+        filtered, filter_stats = filter_project_kernel(source.columns,
+                                                       predicate=predicate)
+        joined, join_stats = hash_join_kernel(
+            builds[1].columns, filtered, build_keys=join.build_keys,
+            probe_keys=join.probe_keys)
+        projected, project_stats = filter_project_kernel(
+            joined, projections=projections)
+        outputs = (filtered, joined, projected)
+        assert [stats for stats, _, _ in records] == [
+            filter_stats, join_stats, project_stats]
+        assert [(nbytes, rows) for _, nbytes, rows in records] == [
+            (sum(v.nbytes for v in out.values()),
+             len(next(iter(out.values())))) for out in outputs]
+        if cutoff < 0:
+            assert records[-1][2] == 0
+        self._assert_bytes_equal(columns, projected)
 
     # -- joins ---------------------------------------------------------
     @staticmethod

@@ -214,10 +214,12 @@ class TestMiss:
 
     def test_retune(self, engine, q5, optimize_calls):
         _replans(engine, q5, "hybrid", optimize_calls,
-                 lambda: engine.executor.retune(pipeline_fusion=False))
+                 lambda: engine.executor.retune(morsel_rows=977))
         # The knob attribute is the same door.
         _replans(engine, q5, "hybrid", optimize_calls,
-                 lambda: setattr(engine, "pipeline_fusion", True))
+                 lambda: setattr(engine, "tracing", True))
+        _replans(engine, q5, "hybrid", optimize_calls,
+                 lambda: setattr(engine, "cache_budget_bytes", 1 << 20))
 
     def test_fail_and_restore_a_device(self, engine, q5, optimize_calls):
         healthy = engine.execute(q5, "hybrid")
@@ -344,21 +346,18 @@ def _replay(result):
             result.trace.to_jsonl())
 
 
-@pytest.mark.parametrize("morsel_rows", [None, 977],
+@pytest.mark.parametrize("morsel_rows", [1 << 40, 977],
                          ids=["whole", "morsels"])
-@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
-def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, fusion,
-                                                        morsel_rows):
+def test_a_kept_program_is_bit_identical_to_a_fresh_one(sf001, morsel_rows):
     """Every TPC-H (query, mode): runs through a program an earlier run
     compiled and priced equal runs through a new one — cold kernels
     (cache off), warm kernels (an equal plan object, so a new program over
     the same cache entries) and a fresh session — in simulated seconds,
     device busy, link bytes, operator rows, cache counters and traces,
-    with whole-column packets and with a non-divisor morsel size."""
+    with one morsel per batch and with a non-divisor morsel size."""
     def session(**knobs):
         engine = HAPEEngine(default_server(), tracing=True,
-                            pipeline_fusion=fusion, morsel_rows=morsel_rows,
-                            **knobs)
+                            morsel_rows=morsel_rows, **knobs)
         engine.register_dataset(sf001.tables)
         return engine
 
@@ -394,7 +393,7 @@ class TestProgram:
         lambda engine, dataset: engine.topology.fail_device("gpu0"),
         lambda engine, dataset: engine.register_table(
             dataset.tables["nation"], replace=True),
-        lambda engine, dataset: engine.executor.retune(pipeline_fusion=False),
+        lambda engine, dataset: engine.executor.retune(morsel_rows=977),
     ], ids=["fail_device", "register_replace", "retune"])
     def test_rebuilt_after_a_change(self, engine, q5, tpch_dataset,
                                     compile_calls, change):
@@ -1006,10 +1005,9 @@ def _fail_run_restore(engine, dataset):
     lambda engine, dataset: engine.topology.degrade_link("pcie0", 0.25),
     lambda engine, dataset: setattr(engine, "tracing", False),
     lambda engine, dataset: setattr(engine, "morsel_rows", 977),
-    lambda engine, dataset: setattr(engine, "pipeline_fusion", False),
 ], ids=["evicted", "clear_query_cache", "register_replace",
         "drop", "fail_and_restore", "shrink_memory", "degrade_link",
-        "tracing", "morsel_rows", "pipeline_fusion"])
+        "tracing", "morsel_rows"])
 @pytest.mark.parametrize("mode", MODES)
 def test_no_replay_after_a_change(tpch_dataset, reserves, change, mode):
     """After anything that drops a cached entry or the program, the next
@@ -1035,12 +1033,13 @@ def test_no_replay_after_a_change(tpch_dataset, reserves, change, mode):
             == fresh.topology.timeline().records())
 
 
-@pytest.mark.parametrize("morsel_rows", [None, 977], ids=["whole", "morsels"])
+@pytest.mark.parametrize("morsel_rows", [1 << 40, 977],
+                         ids=["whole", "morsels"])
 def test_a_cache_off_session_never_replays(tpch_dataset, reserves,
                                            morsel_rows):
     """With the cache off every execution runs kernels — counted as no
-    miss, and, with ``morsel_rows=None``, as no morsel — so none keeps
-    or replays a timeline."""
+    miss, whether each batch is one morsel or streams in several — so
+    none keeps or replays a timeline."""
     engine = _session(tpch_dataset, cache_budget_bytes=0,
                       morsel_rows=morsel_rows)
     plan = build_query("Q5", tpch_dataset).plan
@@ -1111,7 +1110,7 @@ class TestOverlay:
         assert [count for written in overlay_writes for count in written
                 if count < 2] == []
 
-    @pytest.mark.parametrize("morsel_rows", [None, 7],
+    @pytest.mark.parametrize("morsel_rows", [1 << 40, 7],
                              ids=["whole", "morsels"])
     @pytest.mark.parametrize("budget", [0, None])
     def test_a_repeated_subplan_runs_once(self, tpch_dataset, budget,

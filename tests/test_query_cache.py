@@ -487,7 +487,7 @@ class TestWarmSessions:
     # The whole-suite warm-vs-cold TPC-H identity sweep (outputs,
     # simulated seconds and stats records bit-identical for every query ×
     # mode) lives in the configuration matrix of tests/test_invariants.py,
-    # crossed with morsel sizes and pipeline fusion.
+    # crossed with morsel sizes.
 
 
 # ----------------------------------------------------------------------
