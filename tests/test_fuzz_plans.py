@@ -467,9 +467,11 @@ class TestZeroRowEdges:
             assert columns["pk"].dtype == np.int64
             assert all(len(values) == 0 for values in columns.values())
 
+    @pytest.mark.parametrize("morsel_rows", MORSEL_SETTINGS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_grand_aggregate_over_empty_input_matches_reference(self, mode):
-        engine = HAPEEngine(default_server())
+    def test_grand_aggregate_over_empty_input_matches_reference(
+            self, mode, morsel_rows):
+        engine = HAPEEngine(default_server(), morsel_rows=morsel_rows)
         table = Table.from_arrays("empty_grand", {
             "k": np.arange(16, dtype=np.int64),
             "v": np.arange(16, dtype=np.int64) * 3,
@@ -482,7 +484,8 @@ class TestZeroRowEdges:
         reference = execute_logical(plan, engine.catalog)
         result = engine.execute(plan, mode)
         _assert_cell_exact(result.table, reference,
-                           f"empty grand aggregate mode={mode}")
+                           f"empty grand aggregate mode={mode} "
+                           f"morsel_rows={morsel_rows}")
         assert result.table.num_rows == 1
         assert int(result.table.array("cnt")[0]) == 0
 

@@ -134,6 +134,29 @@ def test_a_subplan_cut_differently_is_never_reused_wrongly(tpch_dataset):
     assert engine.cache_stats.hits > 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_retuning_morsels_mid_session_keeps_every_record(tpch_dataset,
+                                                         baseline, mode):
+    """Retuning ``morsel_rows`` between executions of one session, with
+    the cache on, may cost cold misses but never serves an entry under the
+    wrong setting: every TPC-H query after every retune equals the
+    canonical baseline."""
+    records, references = baseline
+    engine = HAPEEngine(default_server())
+    engine.register_dataset(tpch_dataset.tables)
+    plans = {name: build_query(name, tpch_dataset).plan
+             for name in EVALUATED_QUERIES}
+    for morsel_rows in (977, 1 << 40, DEFAULT_MORSEL_ROWS, 977):
+        engine.morsel_rows = morsel_rows
+        for query_name, plan in plans.items():
+            result = engine.execute(plan, mode)
+            context = f"{query_name}/{mode} morsel_rows={morsel_rows}"
+            assert _record(result) == records[(query_name, mode)], context
+            assert result.table.equals(references[query_name],
+                                       check_order=True), context
+    assert engine.cache_stats.hits > 0
+
+
 # ----------------------------------------------------------------------
 # Serving-layer invariance: arrival pattern × tracing
 # ----------------------------------------------------------------------

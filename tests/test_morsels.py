@@ -127,6 +127,14 @@ class TestMorselPrimitives:
         with pytest.raises(ValueError):
             list(iter_morsels(_random_columns(5), 0))
 
+    def test_none_is_no_morsel_size(self):
+        """A morsel is always a row count: there is no unbatched ``None``
+        for the primitives to pass through."""
+        with pytest.raises(TypeError):
+            morsel_count(5, None)
+        with pytest.raises(TypeError):
+            list(iter_morsels(_random_columns(5), None))
+
 
 # ----------------------------------------------------------------------
 # Engine: morsel invariance end to end
@@ -143,7 +151,7 @@ class TestEngineMorselInvariance:
     # The whole-suite TPC-H identity sweep (results + simulated seconds
     # bit-identical for every morsel setting) lives in the configuration
     # matrix of tests/test_invariants.py, which crosses morsel sizes with
-    # pipeline fusion and cache warm/cold in one place.
+    # cache budgets and warm/cold runs in one place.
 
     def test_single_row_morsels_on_small_tables(self, tpch_dataset):
         """morsel_rows=1 is viable (streams every row separately)."""
@@ -157,6 +165,26 @@ class TestEngineMorselInvariance:
         assert result.table.equals(reference, check_order=False)
         assert result.simulated_seconds == baseline.simulated_seconds
         assert result.morsels_dispatched > baseline.morsels_dispatched
+
+    @pytest.mark.parametrize("morsel_rows", [7, 977, 1 << 40])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_chain_dispatches_one_morsel_per_slice(self, mode,
+                                                     morsel_rows):
+        """A filter-projection chain over one scan carves its source into
+        slices of ``morsel_rows`` rows, the last one short, and counts
+        each slice once."""
+        engine = HAPEEngine(default_server(), morsel_rows=morsel_rows,
+                            cache_budget_bytes=0)
+        engine.register_table(Table.from_arrays("sliced", {
+            "k": np.arange(5000, dtype=np.int64),
+            "v": np.arange(5000, dtype=np.int64) * 2,
+        }))
+        plan = (scan("sliced").filter(col("k") > lit(100))
+                .project({"k": col("k"), "w": col("v") * lit(3)}))
+        result = engine.execute(plan, mode)
+        assert result.morsels_dispatched == morsel_count(5000, morsel_rows)
+        assert result.table.equals(execute_logical(plan, engine.catalog),
+                                   check_order=True)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_input_with_morsels(self, tpch_dataset, mode):

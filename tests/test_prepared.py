@@ -1005,9 +1005,10 @@ def _fail_run_restore(engine, dataset):
     lambda engine, dataset: engine.topology.degrade_link("pcie0", 0.25),
     lambda engine, dataset: setattr(engine, "tracing", False),
     lambda engine, dataset: setattr(engine, "morsel_rows", 977),
+    lambda engine, dataset: setattr(engine, "cache_budget_bytes", 1 << 20),
 ], ids=["evicted", "clear_query_cache", "register_replace",
         "drop", "fail_and_restore", "shrink_memory", "degrade_link",
-        "tracing", "morsel_rows"])
+        "tracing", "morsel_rows", "cache_budget_bytes"])
 @pytest.mark.parametrize("mode", MODES)
 def test_no_replay_after_a_change(tpch_dataset, reserves, change, mode):
     """After anything that drops a cached entry or the program, the next
