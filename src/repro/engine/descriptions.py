@@ -13,7 +13,12 @@ operator, once:
   every later execution of the plan;
 * **limits** — :meth:`Operator.check` refuses work that cannot be placed
   (the GPU hash-table capacity check) *before* anything is evaluated or
-  cached, on every execution;
+  cached, on every charged execution.  It reads its inputs' sizes —
+  ``rows`` and ``nbytes``, written from their records — never a column.
+  A limit that needs the data (the co-processed join's co-partition
+  bytes) is checked by ``run`` on the record its kernel just wrote, so
+  a refused evaluation is never cached and a cache hit needs no check:
+  its tuning holds the capacities its miss passed under;
 * **evaluation** — streaming operators' :meth:`Operator.begin` returns a
   pure per-morsel transform (a probe's holds the build index it made),
   pipeline breakers and sources give a whole-batch ``run``; exchanges have
@@ -61,11 +66,9 @@ from ..operators.base import (
     ArrayMap,
     OpCost,
     Rows,
-    columns_num_rows,
     record_kernel_invocation,
 )
 from ..operators.coprocess import (
-    copartition_nbytes,
     coprocessed_join_kernel,
     ensure_copartitions_fit,
     price_coprocessed_join,
@@ -157,19 +160,18 @@ class NodeResult:
     Residency and timing are always present; ``columns`` only where the
     batch is materialized (chain sources and boundaries — the stages inside
     a fused chain exist one morsel at a time, so while the charge replay
-    walks them the record carries their ``nbytes`` alone).  Where it runs
-    is the compiled program's, not the batch's.  Every result has exactly
-    one consumer, so operators advance it in place.
+    walks them the record carries their ``nbytes`` alone).  ``rows`` and
+    ``nbytes`` are written from the stats record the batch is charged
+    from, the one source of its size.  Where it runs is the compiled
+    program's, not the batch's.  Every result has exactly one consumer,
+    so operators advance it in place.
     """
 
     columns: ArrayMap | None
     ready: float
     residency: Residency
     nbytes: int = 0
-
-    @property
-    def num_rows(self) -> int:
-        return columns_num_rows(self.columns)
+    rows: int = 0
 
     def where(self) -> tuple:
         """Bytes and holders, in holder order: what a delivery of this
@@ -482,7 +484,7 @@ class Aggregate(Operator):
             return merge_partials_kernel([batch.columns],
                                          group_by=node.group_by,
                                          aggregates=node.aggregates)
-        self.ex.grant(batch.num_rows)
+        self.ex.grant(batch.rows)
         return hash_aggregate_kernel(
             batch.columns, group_by=node.group_by,
             aggregates=node.aggregates, phase=node.phase)
@@ -597,12 +599,12 @@ class HashJoin(Join):
         # failure mode) is refused before anything streams or is cached.
         for device in self.devices:
             if device.is_gpu:
-                device.ensure_fits(build_table_bytes(build.num_rows))
+                device.ensure_fits(build_table_bytes(build.rows))
                 break
 
     def begin(self, build: NodeResult) -> Transform:
         record_kernel_invocation("hash_join")
-        self.ex.grant(build.num_rows)
+        self.ex.grant(build.rows)
         builder = HashJoinBuild(build.columns,
                                 build_keys=self.node.build_keys)
         probe_keys = self.node.probe_keys
@@ -611,13 +613,13 @@ class HashJoin(Join):
 
     def stats(self, build: NodeResult, in_rows: int, in_bytes: int,
               out_nbytes: int) -> JoinStats:
-        return JoinStats(build_rows=build.num_rows, probe_rows=in_rows,
+        return JoinStats(build_rows=build.rows, probe_rows=in_rows,
                          build_nbytes=build.nbytes,
                          probe_nbytes=in_bytes, output_nbytes=out_nbytes)
 
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, JoinStats]:
-        self.ex.grant(build.num_rows, batch.num_rows)
+        self.ex.grant(build.rows, batch.rows)
         return hash_join_kernel(
             build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
@@ -664,12 +666,12 @@ class RadixJoin(Join):
 
     def check(self, batch: NodeResult, build: NodeResult) -> None:
         if self.kind is DeviceKind.GPU:
-            ensure_gpu_join_fits(build.columns, batch.columns,
+            ensure_gpu_join_fits(build.nbytes + batch.nbytes,
                                  self.devices[0])
 
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, object]:
-        self.ex.grant(build.num_rows, batch.num_rows)
+        self.ex.grant(build.rows, batch.rows)
         return partitioned_join_kernel(
             build.columns, batch.columns,
             build_keys=self.node.build_keys, probe_keys=self.node.probe_keys,
@@ -705,22 +707,17 @@ class CoprocessedJoin(Join):
                 tuple(partition_tuning(gpu.spec) for gpu in self.gpus),
                 tuple(gpu.spec.memory_capacity_bytes for gpu in self.gpus))
 
-    def _on_inputs(self, function, batch: NodeResult, build: NodeResult,
-                   **extra):
-        return function(build.columns, batch.columns,
-                        build_keys=self.node.build_keys,
-                        probe_keys=self.node.probe_keys,
-                        gpu_specs=[gpu.spec for gpu in self.gpus], **extra)
-
-    def check(self, batch: NodeResult, build: NodeResult) -> None:
-        # Sized from bucket counts, so a cached evaluation is refused too.
-        ensure_copartitions_fit(
-            self._on_inputs(copartition_nbytes, batch, build), self.gpus)
-
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, object]:
-        return self._on_inputs(coprocessed_join_kernel, batch, build,
-                               output_order=join_order(self.node))
+        # Sized from the record, before the memo keeps it: a refusal
+        # caches nothing, and a hit's tuning holds the capacities passed.
+        columns, stats = coprocessed_join_kernel(
+            build.columns, batch.columns, build_keys=self.node.build_keys,
+            probe_keys=self.node.probe_keys,
+            gpu_specs=[gpu.spec for gpu in self.gpus],
+            output_order=join_order(self.node))
+        ensure_copartitions_fit(stats, self.gpus)
+        return columns, stats
 
     def charge(self, batch: NodeResult, stats, build: NodeResult) -> None:
         earliest = max(build.ready, batch.ready)

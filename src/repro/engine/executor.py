@@ -742,13 +742,14 @@ class Executor:
            executed, so all their charges land on the simulated clocks
            first;
         2. every operator refuses what its compiled placement cannot hold
-           (the join's GPU capacity check) — before anything streams or is
-           cached;
+           (the join's GPU capacity check) from its inputs' recorded sizes
+           — before anything streams or is cached;
         3. the functional evaluation runs inside the kernel memo, keyed at
            chain granularity, storing the boundary batch and the per-stage
            stats records (warm runs skip the evaluation and reuse both);
         4. the per-stage costs are charged bottom-up from the records,
-           each op reading its own through the chain's compiled layout.
+           each op reading its own through the chain's compiled layout;
+           the batch's ``rows`` and ``nbytes`` are then the record's.
 
         The builds are this execution's and are dropped with it.
         """
@@ -770,9 +771,10 @@ class Executor:
                 op.charge(batch, None, build)
                 continue
             # The rows are recorded before the charge, whose span reads them.
-            stats, nbytes, self._node_rows[op.node.node_id] = records[stage]
+            stats, nbytes, rows = records[stage]
+            self._node_rows[op.node.node_id] = rows
             op.charge(batch, stats, build)
-            batch.nbytes = nbytes
+            batch.nbytes, batch.rows = nbytes, rows
         batch.columns = columns
         if chain.source is not None:
             self._peak_intermediate = max(self._peak_intermediate,
@@ -806,7 +808,7 @@ class Executor:
         parts: list[ArrayMap] = []
         flows: list[list] = []
         for morsel in iter_morsels(source.columns,
-                                   self.grant(source.num_rows)):
+                                   self.grant(source.rows)):
             batch = Rows.of(morsel)
             flow = []
             for _, _, transform in stages:

@@ -49,7 +49,6 @@ from ..errors import ExecutionError
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.topology import Topology
-from ..relational.keys import KeyDomain
 from .base import ArrayMap, OpCost, OpOutput, record_kernel_invocation
 from .gpujoin import GpuJoinConfig, estimate_gpu_partitioned_join
 from .radix import (
@@ -171,27 +170,11 @@ def coprocessed_join_kernel(
         matches.tolist())
 
 
-def copartition_nbytes(build: Mapping[str, np.ndarray],
-                       probe: Mapping[str, np.ndarray], *,
-                       build_keys: Sequence[str],
-                       probe_keys: Sequence[str],
-                       gpu_specs: Sequence[DeviceSpec]) -> list[int]:
-    """Payload bytes of every co-partition, from bucket counts alone.
-
-    What :func:`coprocessed_join_kernel` would record, without matching a
-    row: lets an engine refuse an evaluation it already holds cached.
-    """
-    domain = KeyDomain(build, build_keys)
-    widths = JoinWidths.of(build, probe)
-    _, build_rows, probe_rows = copartition_rows(
-        widths, domain.codes, domain.encode(probe, probe_keys), gpu_specs)
-    return widths.pair_bytes(build_rows, probe_rows).tolist()
-
-
-def ensure_copartitions_fit(pair_nbytes: Sequence[int],
+def ensure_copartitions_fit(stats: CoprocessedJoinStats,
                             gpus: Sequence[Device]) -> None:
-    """Raise when a co-partition cannot fit in the memory of its GPU."""
-    for index, pair_bytes in enumerate(pair_nbytes):
+    """Raise when a recorded co-partition cannot fit in the memory of its
+    GPU."""
+    for index, (pair_bytes, _) in enumerate(stats.copartitions):
         gpus[index % len(gpus)].ensure_fits(pair_bytes)
 
 
@@ -289,8 +272,7 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
     columns, stats = coprocessed_join_kernel(
         build, probe, build_keys=build_keys, probe_keys=probe_keys,
         gpu_specs=[gpu.spec for gpu in gpus], output_order=output_order)
-    ensure_copartitions_fit([nbytes for nbytes, _ in stats.copartitions],
-                            gpus)
+    ensure_copartitions_fit(stats, gpus)
     cost, _ = charge_coprocessed_join(stats, topology,
                                       topology.available_cpus(), gpus,
                                       config=config)

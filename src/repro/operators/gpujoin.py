@@ -141,12 +141,10 @@ def gpu_join_footprint(input_bytes: int) -> int:
     return int(input_bytes * 2.5)
 
 
-def ensure_gpu_join_fits(build: Mapping[str, np.ndarray],
-                         probe: Mapping[str, np.ndarray],
-                         device: Device) -> None:
-    """Raise before any join work when the inputs cannot fit in GPU memory."""
-    device.ensure_fits(gpu_join_footprint(Rows.of(build).nbytes()
-                                          + Rows.of(probe).nbytes()))
+def ensure_gpu_join_fits(input_bytes: int, device: Device) -> None:
+    """Raise before any join work when ``input_bytes`` of inputs cannot fit
+    in GPU memory."""
+    device.ensure_fits(gpu_join_footprint(input_bytes))
 
 
 def estimate_gpu_partitioned_join(stats: PartitionedJoinStats,
@@ -174,7 +172,8 @@ def gpu_partitioned_join(build: Mapping[str, np.ndarray],
     """The full in-GPU partitioned join (partition passes + probe phase)."""
     if not device.is_gpu:
         raise ValueError("gpu_partitioned_join must be placed on a GPU device")
-    ensure_gpu_join_fits(build, probe, device)
+    ensure_gpu_join_fits(Rows.of(build).nbytes() + Rows.of(probe).nbytes(),
+                         device)
     columns, stats = partitioned_join_kernel(
         build, probe, build_keys=build_keys, probe_keys=probe_keys,
         spec=device.spec)

@@ -5,7 +5,7 @@ scattered across ``test_morsels.py`` (morsel invariance over TPC-H) and
 ``test_query_cache.py`` (warm-vs-cold TPC-H timings): for **every** TPC-H
 workload query in **every** device mode, every configuration of
 
-    morsel_rows ∈ {2**40 (one morsel per batch), 977, engine default}
+    morsel_rows ∈ {2**40 (one morsel per batch), 977, 8,192}
   × cache_budget_bytes ∈ {engine default, 256 KiB (evicts), 0 (off)}
   × cache {cold, warm}
 
@@ -29,8 +29,10 @@ from repro.storage import DEFAULT_MORSEL_ROWS
 from repro.workloads import EVALUATED_QUERIES, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
-#: One morsel per batch, a non-divisor morsel size, and the default.
-MORSEL_SETTINGS = (1 << 40, 977, DEFAULT_MORSEL_ROWS)
+#: One morsel per batch, a non-divisor morsel size, and one between it and
+#: the suite's table sizes (the default runs every batch of SF 0.005 as
+#: one morsel, as ``1 << 40`` does).
+MORSEL_SETTINGS = (1 << 40, 977, 8_192)
 #: A budget that holds every entry, one that evicts some of the grid's
 #: entries before their warm run, and none.
 CACHE_SETTINGS = {"whole": None, "evicting": 256 * 1024, "off": 0}
@@ -110,6 +112,22 @@ def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, morsel_rows,
     # The evicting budget is only a test of eviction if it evicted.
     if cache == "evicting":
         assert engine.cache_stats.evicted > 0
+
+
+def test_the_morsel_settings_are_three_configurations(tpch_dataset):
+    """Each morsel setting carves the suite's batches differently: cold
+    TPC-H executions dispatch a different morsel count under each, so no
+    setting of the grid repeats another."""
+    dispatched = set()
+    for morsel_rows in MORSEL_SETTINGS:
+        engine = HAPEEngine(default_server(), morsel_rows=morsel_rows,
+                            cache_budget_bytes=0)
+        engine.register_dataset(tpch_dataset.tables)
+        dispatched.add(tuple(
+            engine.execute(build_query(name, tpch_dataset).plan,
+                           mode).morsels_dispatched
+            for name in EVALUATED_QUERIES for mode in MODES))
+    assert len(dispatched) == len(MORSEL_SETTINGS)
 
 
 def test_a_subplan_cut_differently_is_never_reused_wrongly(tpch_dataset):

@@ -342,7 +342,7 @@ class TestStreamedDescriptionsMatchKernels:
         _, _, source, columns, stats = self._stream(node, engine.catalog,
                                                     morsel_rows)
         if cutoff < 0:
-            assert source.num_rows == 0
+            assert source.rows == 0
         expected, expected_stats = filter_project_kernel(
             source.columns, projections=projections)
         self._assert_bytes_equal(columns, expected)

@@ -835,7 +835,7 @@ def test_a_replay_hides_no_refusal(sf001, monkeypatch, reserves, mode,
         return engine
 
     sized: list[str] = []
-    for name in ("copartition_nbytes", "ensure_gpu_join_fits"):
+    for name in ("ensure_copartitions_fit", "ensure_gpu_join_fits"):
         _spy(monkeypatch, descriptions, name, sized)
     engine, plan = session(), build_query("Q5", sf001).plan
     assert algorithm in {node.algorithm for node in

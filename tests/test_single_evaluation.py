@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import HAPEEngine, OptimizerOptions, descriptions
+from repro.engine.executor import Executor
 from repro.engine.descriptions import (
     CoprocessedJoin,
     HashJoin,
@@ -26,6 +27,7 @@ from repro.errors import OutOfDeviceMemoryError
 from repro.hardware import default_server, gtx_1080
 from repro.operators import (
     JoinStats,
+    Rows,
     charge_coprocessed_join,
     coprocessed_join_kernel,
     cpu_radix_join_kernel,
@@ -38,10 +40,7 @@ from repro.operators import (
     reset_kernel_counts,
 )
 from repro.operators import radix as radix_module
-from repro.operators.coprocess import (
-    COPARTITION_MEMORY_SHARE,
-    copartition_nbytes,
-)
+from repro.operators.coprocess import COPARTITION_MEMORY_SHARE
 from repro.relational import (
     JoinAlgorithm,
     PAggregate,
@@ -279,15 +278,18 @@ class TestCoprocessedJoinInTheEngine:
     def test_mean_copartition_pair_fits_the_budget(self, tpch_sf001,
                                                    monkeypatch):
         """The fan-out is sized at the columns' own widths — the bytes that
-        cross PCIe — so the mean pair is within the GPU memory share."""
+        cross PCIe — so the mean pair the kernel records is within the GPU
+        memory share."""
         sized = []
-        real_check = CoprocessedJoin.check
+        real_kernel = descriptions.coprocessed_join_kernel
 
-        def spy_check(op, batch, build):
-            sized.append(op._on_inputs(copartition_nbytes, batch, build))
-            return real_check(op, batch, build)
+        def spy_kernel(*args, **kwargs):
+            columns, stats = real_kernel(*args, **kwargs)
+            sized.append([nbytes for nbytes, _ in stats.copartitions])
+            return columns, stats
 
-        monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
+        monkeypatch.setattr(descriptions, "coprocessed_join_kernel",
+                            spy_kernel)
         capacity = 64 << 10
         engine = HAPEEngine(default_server(
             gpu_spec=gtx_1080().with_memory_capacity(capacity)))
@@ -300,6 +302,101 @@ class TestCoprocessedJoinInTheEngine:
         for pairs in sized:
             assert (sum(pairs) / len(pairs)
                     <= COPARTITION_MEMORY_SHARE * capacity)
+
+
+    @staticmethod
+    def _forced_session(dataset, shrink: float = 1.0) -> HAPEEngine:
+        """A session whose hybrid Q5 co-processes a join, its GPUs' memory
+        scaled by ``shrink``."""
+        engine = HAPEEngine(default_server(), optimizer_options=(
+            OptimizerOptions(small_build_rows=500)))
+        engine.register_dataset(dataset.tables)
+        for gpu in engine.topology.gpus():
+            engine.topology.shrink_device_memory(gpu.name, shrink)
+        return engine
+
+    def test_a_warm_charged_join_builds_no_key_domain(self, tpch_sf001,
+                                                      monkeypatch):
+        """A cache hit is only read under the GPU capacities its miss was
+        sized against (the join's tuning), so a warm execution that
+        charges the join derives no co-partition from the columns: it
+        builds no key domain at all."""
+        engine = self._forced_session(tpch_sf001)
+        plan = build_query("Q5", tpch_sf001).plan
+        engine.execute(plan, "hybrid")  # cold: every kernel runs
+        built, charged = [], []
+        real_init, real_charge = KeyDomain.__init__, CoprocessedJoin.charge
+
+        def spy_init(domain, *args, **kwargs):
+            built.append(args)
+            real_init(domain, *args, **kwargs)
+
+        def spy_charge(op, *args):
+            charged.append(op)
+            return real_charge(op, *args)
+
+        monkeypatch.setattr(KeyDomain, "__init__", spy_init)
+        monkeypatch.setattr(CoprocessedJoin, "charge", spy_charge)
+        warm = engine.execute(plan, "hybrid")
+        assert warm.cache.misses == 0 and charged
+        assert built == []
+
+    def test_a_refusal_caches_nothing(self, tpch_sf001):
+        """A co-processed join is sized from the record its kernel writes,
+        before the memo keeps it: once the GPUs shrink below a co-partition
+        the join's lookup misses and is counted, no entry is kept for it,
+        and the refusal reads as a fresh session's under the shrink."""
+        engine = self._forced_session(tpch_sf001)
+        plan = build_query("Q5", tpch_sf001).plan
+        for _ in range(2):  # cold, then all hits
+            engine.execute(plan, "hybrid")
+        for gpu in engine.topology.gpus():
+            engine.topology.shrink_device_memory(gpu.name, 1e-7)
+        with pytest.raises(OutOfDeviceMemoryError) as refused:
+            engine.execute(plan, "hybrid")
+        executor = engine.executor
+        lookups, window = executor._lookups, executor.cache_delta
+        join_key = lookups[-1]  # the refusal came right after its lookup
+        assert join_key[1][0][0] == "coprocessed"
+        assert join_key not in executor.query_cache
+        assert window.lookups == len(lookups) and window.misses >= 1
+        with pytest.raises(OutOfDeviceMemoryError) as alone:
+            self._forced_session(tpch_sf001, 1e-7).execute(plan, "hybrid")
+        assert str(refused.value) == str(alone.value)
+
+
+class TestBatchSizesComeFromRecords:
+    @pytest.mark.parametrize("small_build_rows", [None, 500, 10])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_batch_is_sized_by_its_record(self, tpch_sf001,
+                                                monkeypatch, mode,
+                                                small_build_rows):
+        """Every materialized batch the driver hands up — cold and warm,
+        hash, partitioned and co-processed plans — carries the bytes and
+        rows its columns hold, written from the record it was charged
+        from: the sizes capacity checks and grants read."""
+        sized = []
+        real_run = Executor._run
+
+        def spy_run(executor, chain):
+            batch = real_run(executor, chain)
+            if batch.columns is not None:
+                columns = Rows.of(batch.columns)
+                assert batch.nbytes == columns.nbytes()
+                assert batch.rows == columns.num_rows
+                sized.append(batch)
+            return batch
+
+        monkeypatch.setattr(Executor, "_run", spy_run)
+        options = (OptimizerOptions() if small_build_rows is None
+                   else OptimizerOptions(small_build_rows=small_build_rows))
+        engine = HAPEEngine(default_server(), optimizer_options=options)
+        engine.register_dataset(tpch_sf001.tables)
+        for query_name in EVALUATED_QUERIES:
+            plan = build_query(query_name, tpch_sf001).plan
+            for _ in range(2):  # cold, then warm: both charge
+                engine.execute(plan, mode)
+        assert sized and any(batch.rows for batch in sized)
 
 
 class TestEngineMatchesReference:
@@ -655,27 +752,18 @@ class TestChargedBytesEqualKernelBytes:
                                     monkeypatch, query_name):
         """Every input byte — rows x the columns' item sizes, nothing for
         the kernel's key codes — crosses PCIe once, in the co-partitions
-        ``check()`` sized beforehand, and the in-GPU joins are charged for
-        exactly the output rows."""
-        sized: dict = {}
-        real_check = CoprocessedJoin.check
-
-        def spy_check(op, batch, build):
-            sized[op] = op._on_inputs(copartition_nbytes, batch, build)
-            return real_check(op, batch, build)
-
-        monkeypatch.setattr(CoprocessedJoin, "check", spy_check)
+        the kernel recorded, and the in-GPU joins are charged for exactly
+        the output rows."""
         touched, charged = self._spy_on_joins(monkeypatch)
         query, _ = _coprocessed_plan(coprocessing_engine, tpch_dataset,
                                      query_name)
         coprocessing_engine.execute(query.plan, "hybrid")
-        assert sized
-        for op, stats, build in charged:
-            if op not in sized:
-                continue
+        coprocessed = [(op, stats, build) for op, stats, build in charged
+                       if isinstance(op, CoprocessedJoin)]
+        assert coprocessed
+        for op, stats, build in coprocessed:
             probe_nbytes, output_nbytes = touched[op]
             crossed = [nbytes for nbytes, _ in stats.copartitions]
-            assert crossed == sized[op]
             assert sum(crossed) == _nbytes(build) + probe_nbytes
             assert sum(join.output_nbytes
                        for _, join in stats.copartitions) == output_nbytes
