@@ -709,6 +709,7 @@ class CoprocessedJoin(Join):
 
     def run(self, batch: NodeResult,
             build: NodeResult) -> tuple[ArrayMap, object]:
+        self.ex.grant(build.rows, batch.rows)
         # Sized from the record, before the memo keeps it: a refusal
         # caches nothing, and a hit's tuning holds the capacities passed.
         columns, stats = coprocessed_join_kernel(

@@ -150,17 +150,20 @@ def coprocessed_join_kernel(
 
     The matches are found once, as every partitioned join finds them
     (:class:`~repro.operators.radix.JoinSides`); each co-partition's
-    build, probe and match rows are bucket counts (:func:`copartition_rows`,
-    the build bucket of every match — or the probe rows, when every probe
-    row matched once), and :func:`coprocessed_stats` writes the record
-    from them.  ``gpu_specs`` supply tuning only, and the
+    build, probe and match rows are bucket counts of the exact key codes
+    (:func:`copartition_rows`: the probe's are encoded here, whatever code
+    matched it; the build bucket of every match — or the probe rows, when
+    every probe row matched once), and :func:`coprocessed_stats` writes
+    the record from them.  ``gpu_specs`` supply tuning only, and the
     record is identical for every ``output_order``.
     """
     sides = JoinSides(build, probe, build_keys=build_keys,
                       probe_keys=probe_keys, output_order=output_order)
     record_kernel_invocation("coprocessed_radix_join")
+    # Co-partitions split the exact codes, not the matching's masked ones.
     build_buckets, build_rows, probe_rows = copartition_rows(
-        sides.widths, sides.build.domain.codes, sides.probe_codes, gpu_specs)
+        sides.widths, sides.build.domain.codes,
+        sides.build.domain.encode(sides.probe, probe_keys), gpu_specs)
     # Every probe row matched once: a co-partition's matches are its probe
     # rows, with no gather and no count.
     matches = probe_rows if sides.probe_idx is None else np.bincount(

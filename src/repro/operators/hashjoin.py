@@ -21,6 +21,11 @@ concatenated per-morsel outputs equal the whole-column join bit for bit.
 :func:`hash_join_kernel` is build once, probe once — the reference that
 streaming is tested against.
 
+Matching is :meth:`HashJoinBuild.match`: the probe's key tuples coded as
+the build's were — exactly, or masked and verified on every hit for a
+sparse composite key (see :class:`HashJoinBuild`) — and one
+:class:`~repro.relational.keys.JoinBuildIndex` probe.
+
 That probe surface is also what makes this join *fusable*
 (:func:`repro.codegen.pipeline.is_fused_probe`): the executor's
 pipeline-fused chains build the index once and then drive each chain
@@ -43,7 +48,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..hardware.device import Device
-from ..relational.keys import JoinBuildIndex, KeyDomain
+from ..relational.keys import (SLOT_SPAN_PER_ROW, JoinBuildIndex, KeyDomain,
+                                is_integral, key_columns)
 from .base import (
     ArrayMap,
     OpCost,
@@ -81,18 +87,73 @@ class HashJoinBuild:
     per-morsel probe outputs concatenate to exactly the whole-column join
     result, so a morsel scheduler can stream the probe side without
     changing a single output byte.
+
+    The index is sized to the cache, as the paper sizes every hash table.
+    A unique key of two or more integer columns whose exact code spans
+    more than ``SLOT_SPAN_PER_ROW`` values per build row is indexed on a
+    *masked code* instead: the exact fold of the leading columns times
+    ``K``, plus the last column ``& (K - 1)``, with ``K`` the smallest
+    power of two below the last column's span that keeps the build's
+    masked codes unique and the table within ``SLOT_SPAN_PER_ROW`` slots
+    a row (Q9's ``(ps_partkey, ps_suppkey)``: ``K = 4`` and 160 KB at
+    SF 0.05, where the exact code stepped through a 1.25 MB directory).
+    Unique masked codes are a :class:`JoinBuildIndex` slot table, so a
+    slot holds the one build row with its leading tuple and low bits, and
+    :meth:`match` keeps a hit only where that row's last key column equals
+    the probe's: the match list equals the exact code's bit for bit.
+    Every other build — repeated tuples included — indexes the exact code.
+    ``domain`` stays exact either way: the co-processed join's
+    co-partitions and every group-by read exact codes.
     """
 
     def __init__(self, build: Mapping[str, np.ndarray], *,
                  build_keys: Sequence[str]) -> None:
         self.rows = Rows.of(build)
         self.domain = KeyDomain(self.rows, build_keys)
-        self.index = JoinBuildIndex(self.domain.codes)
+        #: The masked path's build key column, verified on every hit, and
+        #: the low bits of it the code keeps (``None``: the exact path).
+        self.last = self.bits = None
+        codes, rows = self.domain.codes, self.rows.num_rows
+        span = self.domain.last_span()
+        if span and self.domain.size > SLOT_SPAN_PER_ROW * rows:
+            leads = self.domain.size // span   # leading codes
+            lead = self.domain.encode(self.rows, build_keys[:-1])
+            last = key_columns(self.rows, build_keys[-1:])[0]
+            # Masks below the column's span whose table fits the slot
+            # budget, from the first with as many slots as rows.
+            for bits in range(((rows - 1) // leads).bit_length(), min(
+                    (span - 1).bit_length(),
+                    (SLOT_SPAN_PER_ROW * rows // leads).bit_length())):
+                masked = _masked(lead.copy(), last, bits)
+                if np.bincount(masked).max() == 1:   # unique: a slot table
+                    codes, self.last, self.bits = masked, last, bits
+                    break
+        self.index = JoinBuildIndex(codes)
 
     def match(self, probe: Mapping[str, np.ndarray],
               probe_keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(build, probe)`` positions of one probe batch's matches."""
-        return self.index.probe(self.domain.encode(probe, probe_keys))
+        """The ``(build, probe)`` positions of one probe batch's matches,
+        in the :meth:`JoinBuildIndex.probe` order and form (probe
+        positions ``None``: every probe row matched once, in order)."""
+        if self.last is None:
+            return self.index.probe(self.domain.encode(probe, probe_keys))
+        # A leading tuple off the build's domain codes -1: its masked code
+        # is negative and reads the table's empty first slot.
+        lead = self.domain.encode(probe, probe_keys[:-1])
+        last = key_columns(probe, probe_keys[-1:])[0]
+        if not is_integral(last):   # only its integral values can match
+            with np.errstate(invalid="ignore"):   # NaN, inf
+                values, last = last, last.astype(np.int64)
+            lead[last != values] = -1
+        build_idx, probe_idx = self.index.probe(_masked(lead, last, self.bits))
+        # A slot holds the one build row with the probe's leading tuple and
+        # low bits: the hit stands where the whole last column is equal.
+        hits = self.last.take(build_idx) == (last if probe_idx is None
+                                             else last.take(probe_idx))
+        if hits.all():
+            return build_idx, probe_idx
+        kept = np.flatnonzero(hits)
+        return build_idx[kept], kept if probe_idx is None else probe_idx[kept]
 
     def probe(self, probe: Mapping[str, np.ndarray], *,
               probe_keys: Sequence[str]) -> Rows:
@@ -121,6 +182,15 @@ class HashJoinBuild:
             build_idx, probe_idx = build_idx[order], (
                 order if probe_idx is None else probe_idx[order])
         return Rows.joined(self.rows, probe, build_idx, probe_idx)
+
+
+def _masked(lead: np.ndarray, last: np.ndarray, bits: int) -> np.ndarray:
+    """The masked code ``lead * 2**bits + (last & (2**bits - 1))``, written
+    over ``lead``."""
+    if bits:
+        lead <<= bits
+        lead |= last & np.int64((1 << bits) - 1)
+    return lead
 
 
 def check_output_order(output_order: str) -> None:

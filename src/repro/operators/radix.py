@@ -22,8 +22,9 @@ device's tuning (:meth:`JoinWidths.record`): a pass reads and writes its
 whole input once whatever chunks the earlier passes left (one kernel
 launch per pass on a GPU), so its price depends on rows and fan-out only.
 So the host never partitions: :class:`JoinSides` codes the keys once
-(:class:`~repro.relational.keys.KeyDomain`), finds every match with one
-:class:`~repro.relational.keys.JoinBuildIndex` probe in the canonical
+(:class:`~repro.relational.keys.KeyDomain`), finds every match with the
+hash join's own :meth:`~repro.operators.hashjoin.HashJoinBuild.match`
+(which verifies a masked composite key on every hit) in the canonical
 order, gathers every payload column once, and writes the record from the
 row and match counts.  The CPU radix join, the in-GPU partitioned join
 and the co-processed join of :mod:`repro.operators.coprocess` differ only
@@ -350,11 +351,12 @@ class JoinSides:
 
     The build side is a :class:`~repro.operators.hashjoin.HashJoinBuild`
     (key coding, :class:`~repro.relational.keys.JoinBuildIndex`); the probe
-    side is coded in its domain and matched in one probe, in the canonical
-    probe-major order (``probe_idx`` ``None``: every probe row matched
-    once, in order), and :meth:`gather` fetches every payload column
-    once through the build's ``Rows.joined`` view.  What is
-    partition-specific is kept here: the tuple widths the record is
+    side is matched by its
+    :meth:`~repro.operators.hashjoin.HashJoinBuild.match` in one probe,
+    in the canonical probe-major order (``probe_idx`` ``None``: every
+    probe row matched once, in order), and :meth:`gather` fetches every
+    payload column once through the build's ``Rows.joined`` view.  What
+    is partition-specific is kept here: the tuple widths the record is
     charged by.
 
     The partitioned join breaks the pipeline on *both* sides — the
@@ -372,9 +374,8 @@ class JoinSides:
         self.output_order = output_order
         self.build = HashJoinBuild(build, build_keys=build_keys)
         self.probe = Rows.of(probe)
-        self.probe_codes = self.build.domain.encode(self.probe, probe_keys)
-        self.build_idx, self.probe_idx = self.build.index.probe(
-            self.probe_codes)
+        self.build_idx, self.probe_idx = self.build.match(self.probe,
+                                                          probe_keys)
         self.widths = JoinWidths.of(self.build.rows, self.probe)
 
     def record(self, spec: DeviceSpec) -> PartitionedJoinStats:

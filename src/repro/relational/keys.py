@@ -1,11 +1,18 @@
 """Exact key codes, and the equi-join index and group numbering over them.
 
 Every join and group-by reduces its key columns to one integer *code* per
-row before hashing, partitioning or matching, and nothing looks at the
-columns again — so the code is **injective**: two rows share a code iff
-their key tuples are equal, as NumPy ``==`` compares them (``1.0`` equals
-``1``; ``NaN`` groups with ``NaN`` and joins nothing).  :class:`KeyDomain`
-takes the code's domain from the data of one *defining* side:
+row before hashing, partitioning or matching — so the code is
+**injective**: two rows share a code iff their key tuples are equal, as
+NumPy ``==`` compares them (``1.0`` equals ``1``; ``NaN`` groups with
+``NaN`` and joins nothing).  A group-by and the co-processed join's
+co-partitions never look at the key columns again.  A join's match may:
+a unique composite key too sparse for a slot table is indexed on its
+leading columns' code and the low bits of its last column, and
+:meth:`~repro.operators.hashjoin.HashJoinBuild.match` reads the last key
+column of both sides again to verify every hit
+(:meth:`KeyDomain.last_span` says when a key may be masked).
+:class:`KeyDomain` takes the code's domain from the data of one
+*defining* side:
 
 * a single signed-integer column is its own code, as it stands and at its
   own width (whoever subtracts a low from a code widens the difference
@@ -56,7 +63,7 @@ def key_columns(columns: Mapping[str, np.ndarray],
     return [ColumnRef(name).evaluate(columns) for name in keys]
 
 
-def _is_integral(values: np.ndarray) -> bool:
+def is_integral(values: np.ndarray) -> bool:
     """Whether every value of the column's dtype is exactly an ``int64``."""
     kind = values.dtype.kind
     return kind in "ib" or (kind == "u" and values.dtype.itemsize < 8)
@@ -105,7 +112,7 @@ class KeyDomain:
         self.size = None   # a column that is its own code: no bound
         if not rows or not arrays:   # no tuples, or only the empty one
             self.codes, self.size = np.zeros(rows, dtype=np.int64), min(rows, 1)
-        elif len(arrays) == 1 and _is_integral(arrays[0]):
+        elif len(arrays) == 1 and is_integral(arrays[0]):
             self._steps.append((None, 0, None, None))   # its own code
             self.codes = _own_code(arrays[0])
         else:
@@ -133,7 +140,7 @@ class KeyDomain:
             if checks is None:
                 prefix = distinct = None
                 low, span = 0, _CODE_LIMIT   # not integral: ranked below
-                if _is_integral(values):
+                if is_integral(values):
                     low = int(values.min())
                     span = int(values.max()) - low + 1
                 if size * span >= _CODE_LIMIT:
@@ -153,7 +160,7 @@ class KeyDomain:
                 if distinct is not None:
                     digits = _ranks(distinct, values, valid)
                 elif checks[index]:
-                    if not _is_integral(values):
+                    if not is_integral(values):
                         with np.errstate(invalid="ignore"):   # NaN, inf
                             digits = values.astype(np.int64)
                         valid &= digits == values
@@ -175,6 +182,15 @@ class KeyDomain:
         if offset:
             codes -= offset
         return codes, size
+
+    def last_span(self) -> int | None:
+        """The span of the last key column, when there are two or more and
+        each is folded as ``value - low`` (none ranked): the digit a join
+        may mask (:class:`~repro.operators.hashjoin.HashJoinBuild`)."""
+        offsets = len(self._steps) > 1 and all(
+            prefix is None and distinct is None
+            for prefix, _, _, distinct in self._steps)
+        return self._steps[-1][2] if offsets else None
 
     def decode(self, codes: np.ndarray,
                like: Sequence[np.ndarray]) -> list[np.ndarray] | None:
@@ -211,11 +227,11 @@ class KeyDomain:
         rows = len(arrays[0])   # a join has at least one key column
         if not (rows and len(self.codes)):
             return np.full(rows, -1, dtype=np.int64)
-        if self.size is None and _is_integral(arrays[0]):
+        if self.size is None and is_integral(arrays[0]):
             return _own_code(arrays[0])
         # A column is checked when it is ranked, not integral, or strays
         # out of its step's range; a column that is its own code has none.
-        checks = [distinct is not None or not _is_integral(values)
+        checks = [distinct is not None or not is_integral(values)
                   or span is not None and not low <= int(values.min())
                   <= int(values.max()) < low + span
                   for values, (_, low, span, distinct)
@@ -288,6 +304,13 @@ class JoinBuildIndex:
       when no bucket holds two keys;
     * a fuller bucket than ``DIRECTORY_MAX_DEPTH``, or keys that are not
       integers, keep the binary search.
+
+    :class:`~repro.operators.hashjoin.HashJoinBuild` also hands it
+    *masked* codes of a unique composite key — the leading columns' code
+    and the last column's low bits, unique by construction and no wider
+    than ``SLOT_SPAN_PER_ROW`` values a row — which always make a slot
+    table; the caller verifies the last key column on every hit, so the
+    index needs to know nothing of it.
 
     The index is read-only after construction — no probe caches anything
     on it.

@@ -47,6 +47,7 @@ import pytest
 
 from repro.engine import HAPEEngine, OptimizerOptions
 from repro.hardware import default_server
+from repro.operators import HashJoinBuild
 from repro.relational import (
     LogicalPlan,
     agg_avg,
@@ -184,6 +185,13 @@ class _Case:
                      right_keys: list[str]) -> None:
         if len(left_keys) > 1:
             self.shapes.add("multi-column")
+        for names in (left_keys, right_keys):   # either side may build
+            # Two columns of one table, coded as a build over it would be.
+            if len({name.rpartition("_")[0] for name in names}) == 1 < len(
+                    names) and HashJoinBuild(
+                        {name: self.columns[name] for name in names},
+                        build_keys=names).bits is not None:
+                self.shapes.add("two-column unique key, sparse last column")
         for position, names in enumerate(zip(left_keys, right_keys)):
             for values in map(self.columns.get, names):
                 if values.dtype.kind == "f":
@@ -336,7 +344,8 @@ class _Case:
 #: must keep generating every one of them.
 KEY_SHAPES = {"multi-column", "negative", "float",
               "second column past 2**20", "second column past 2**40",
-              "unique, spanning 4x to 32x its rows", "narrow signed key"}
+              "unique, spanning 4x to 32x its rows", "narrow signed key",
+              "two-column unique key, sparse last column"}
 
 
 def test_default_seeds_cover_every_key_shape():

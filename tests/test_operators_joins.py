@@ -14,6 +14,7 @@ from repro.operators import (
     HASH_ENTRY_BYTES,
     CoprocessedJoinStats,
     GpuJoinConfig,
+    HashJoinBuild,
     PartitionedJoinStats,
     PartitionRunStats,
     coprocessed_radix_join,
@@ -40,6 +41,7 @@ from repro.relational.keys import (
     SLOT_SPAN_PER_ROW,
 )
 from repro.storage import (
+    generate_tpch,
     make_join_pair,
     make_partial_match_pair,
     make_skewed_relation,
@@ -456,6 +458,225 @@ class TestJoinBuildIndex:
         assert index._slots is not None
         assert index._slots.itemsize == 4
         assert index._slots.nbytes == 4 * (250_000 + 2) < 1 << 20
+
+
+def _tuple_pairs(build, build_keys, probe, probe_keys) -> list:
+    """A dictionary lookup's ``(build, probe)`` pairs over key tuples,
+    probe-major with ties build-ascending (``2 == 2.0``; NaN finds
+    nothing)."""
+    positions: dict[tuple, list[int]] = {}
+    for position, key in enumerate(zip(*(build[name].tolist()
+                                         for name in build_keys))):
+        positions.setdefault(key, []).append(position)
+    return [(b, p) for p, key in enumerate(zip(*(probe[name].tolist()
+                                                  for name in probe_keys)))
+            for b in positions.get(key, [])]
+
+
+def _pairs(build_idx, probe_idx, rows: int) -> list:
+    assert build_idx.dtype == np.int64
+    assert probe_idx is None or probe_idx.dtype == np.int64
+    return list(zip(build_idx.tolist(), (range(rows) if probe_idx is None
+                                         else probe_idx.tolist())))
+
+
+def _check_composite_match(build: dict, probe: dict, bits: int | None, *,
+                           cut: int = 7) -> HashJoinBuild:
+    """``HashJoinBuild.match`` over the columns' composite key returns the
+    dictionary's pairs and equals the exact path's result bit for bit
+    (probe positions ``None`` included), whole-side or split at ``cut``;
+    the build masks ``bits`` low bits of its last column (``None``: the
+    exact path)."""
+    build_keys, probe_keys = list(build), list(probe)
+    builder = HashJoinBuild(build, build_keys=build_keys)
+    assert builder.bits == bits
+    if bits is not None:   # the masked code is unique: a slot table
+        assert builder.index._slots is not None
+    rows = len(probe[probe_keys[0]])
+    build_idx, probe_idx = builder.match(probe, probe_keys)
+    assert _pairs(build_idx, probe_idx, rows) == _tuple_pairs(
+        build, build_keys, probe, probe_keys)
+    exact = JoinBuildIndex(builder.domain.codes).probe(
+        builder.domain.encode(probe, probe_keys))
+    assert (probe_idx is None) == (exact[1] is None)
+    for got, want in zip((build_idx, probe_idx), exact):
+        if want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    head = _pairs(*builder.match({name: values[:cut] for name, values
+                                  in probe.items()}, probe_keys),
+                  min(cut, rows))
+    tail = _pairs(*builder.match({name: values[cut:] for name, values
+                                  in probe.items()}, probe_keys),
+                  max(rows - cut, 0))
+    assert head + [(b, p + cut) for b, p in tail] == _pairs(
+        build_idx, probe_idx, rows)
+    return builder
+
+
+def _two_per_lead(leads: int, low: int, high: int,
+                  first: tuple[int, int] | None = None) -> dict:
+    """Leading keys ``0 .. leads - 1``, each with the last keys ``low``
+    and ``high`` — lead 0 with ``first`` (default ``high`` and
+    ``2 * high - low``)."""
+    lead = np.repeat(np.arange(leads, dtype=np.int64), 2)
+    last = np.tile(np.asarray([low, high], dtype=np.int64), leads)
+    last[:2] = first or (high, 2 * high - low)
+    return {"a": lead, "b": last}
+
+
+class TestMaskedCompositeKey:
+    """A unique composite key too sparse for the exact slot table is
+    indexed on its leading columns' code and the last column's low bits,
+    and a hit stands only where the whole last column is equal."""
+
+    @pytest.mark.parametrize("build, bits", [
+        # One row per leading key: the leading code alone (K = 1).
+        ({"a": np.arange(100, dtype=np.int64),
+          "b": np.arange(100, dtype=np.int64) * 7_919_000}, 0),
+        # Two rows per leading key, odd and even last keys (K = 2).
+        (_two_per_lead(50, 0, 1_001), 1),
+        # Last keys 0 and 32 (lead 0: 32 and 64) part only at bit 5, and
+        # 64 is the last power of two below the span 0 .. 64 (K = 64).
+        (_two_per_lead(20, 0, 32), 6),
+        # 0 and 64 share every bit below the span: no mask holds them
+        # apart, so the exact path indexes the key.
+        (_two_per_lead(20, 0, 32, first=(0, 64)), None),
+    ], ids=["K=1", "K=2", "K=64", "exact"])
+    def test_mask_bits_at_their_bounds(self, build, bits):
+        rng = np.random.default_rng(5)
+        order = rng.permutation(len(build["a"]))
+        build = {name: values[order] for name, values in build.items()}
+        probe = {"x": np.concatenate([build["a"], build["a"][:9]]),
+                 "y": np.concatenate([build["b"], build["b"][:9] + 1])}
+        _check_composite_match(build, probe, bits)
+        # Every build tuple once, shuffled: every probe row hits.
+        hits = rng.permutation(len(build["a"]))
+        _check_composite_match(
+            build, {"x": build["a"][hits], "y": build["b"][hits]}, bits)
+
+    def test_a_duplicate_tuple_takes_the_exact_path(self):
+        build = {"a": np.asarray([3, 1, 3, 2, 3], dtype=np.int64),
+                 "b": np.asarray([10**9, 5, 7 * 10**8, 6, 10**9],
+                                 dtype=np.int64)}
+        probe = {"x": np.asarray([3, 1, 2, 3, 4], dtype=np.int64),
+                 "y": np.asarray([10**9, 5, 7, 7 * 10**8, 5],
+                                 dtype=np.int64)}
+        assert len(_tuple_pairs(build, "ab", probe, "xy")) == 4
+        _check_composite_match(build, probe, None)
+
+    @pytest.mark.parametrize("probe_type", [np.int8, np.int16, np.int64])
+    def test_negative_and_narrow_keys(self, probe_type):
+        """Negative leading and last keys in ``int8`` and ``int16`` build
+        columns, probed at each width: the ``int16`` build's 9-bit mask is
+        wider than an ``int8`` probe column."""
+        rng = np.random.default_rng(7)
+        # 20 leads, two last keys each, an odd distance apart: K = 2.
+        narrow = (np.repeat(np.arange(-60, -40), 2),
+                  np.tile([-128, -27], 20) + np.repeat(np.arange(20), 2))
+        # Two leads of 20 last keys: 0 and 256 part only at bit 8, and the
+        # span -300 .. 400 is past 32 slots a row: K = 512.
+        group = np.concatenate([[0, 256], np.arange(1, 19)])
+        wide = (np.repeat([-3, -2], 20),
+                np.concatenate([group, group[:-1], [700]]) - 300)
+        info = np.iinfo(probe_type)
+        for (lead, last), build_type, bits in ((narrow, np.int8, 1),
+                                               (wide, np.int16, 9)):
+            build = {"a": lead.astype(build_type),
+                     "b": last.astype(build_type)}
+            x = rng.integers(lead.min() - 2, lead.max() + 3, 300)
+            y = np.where(rng.integers(0, 2, 300) == 0,
+                         last[rng.integers(0, len(last), 300)],
+                         rng.integers(-400, 400, 300))
+            x, y = (np.clip(values, info.min, info.max).astype(probe_type)
+                    for values in (x, y))
+            _check_composite_match(build, {"x": x, "y": y}, bits)
+
+    def test_leading_keys_off_the_build_range_miss(self):
+        """A leading key below or above the build's range — or a middle
+        column past its span, which a fold would carry into the column
+        before it — reads an empty slot, though its last key is a build
+        row's; a float last key matches only at integral values."""
+        build = _two_per_lead(50, 0, 1_001)
+        probe = {"x": np.asarray([-1, 50, 51, -2**62, 2**62, 0, 49, 7]),
+                 "y": build["b"][[2, 2, 3, 2, 3, 0, 99, 15]]}
+        _check_composite_match(build, probe, 1)
+        three = {"a": np.repeat(np.arange(10), 4),
+                 "c": np.tile(np.arange(4), 10),
+                 "b": np.arange(40, dtype=np.int64) * 10**6}
+        # (0, 4, .) folds onto (1, 0, .) and (1, -1, .) onto (0, 3, .).
+        carried = {"x": np.asarray([0, 1, 1, 0, 9, 10]),
+                   "z": np.asarray([4, -1, 0, 3, 3, 0]),
+                   "y": three["b"][[4, 3, 4, 3, 39, 39]]}
+        _check_composite_match(three, carried, 0)
+        floats = {"x": build["a"][:6],
+                  "y": build["b"][:6] + np.asarray([0, 0.5, 0, -0.25,
+                                                    np.nan, np.inf])}
+        _check_composite_match(build, floats, 1)
+
+    def test_a_hit_on_the_low_bits_alone_is_rejected(self):
+        """A probe with a build row's leading key and low bits but another
+        last key reads that row's slot; verification drops the hit."""
+        build = _two_per_lead(20, 0, 32)   # K = 64
+        probe = {"x": build["a"].copy(),
+                 "y": build["b"] + np.tile([64, 0, -64, 128], 10)}
+        builder = _check_composite_match(build, probe, 6)
+        build_idx, probe_idx = builder.match(probe, ["x", "y"])
+        assert probe_idx.tolist() == list(range(1, 40, 4))
+        # Every probe row reaches a build row through the slot table.
+        masked = (builder.domain.encode(probe, ["x"]) << 6) | (
+            probe["y"] & 63)
+        assert (builder.index.probe(masked)[1] is None)
+
+    def test_empty_sides(self):
+        build = _two_per_lead(50, 0, 1_001)
+        empty_probe = {"x": np.empty(0, np.int64), "y": np.empty(0, np.int64)}
+        _check_composite_match(build, empty_probe, 1)
+        empty_build = {name: values[:0] for name, values in build.items()}
+        _check_composite_match(empty_build, {"x": build["a"],
+                                             "y": build["b"]}, None)
+        _check_composite_match(empty_build, empty_probe, None)
+
+    def test_build_major_order(self):
+        """The masked match feeds the same canonical orders: build-major
+        is the dictionary's pairs sorted by build position."""
+        from repro.operators import hash_join_kernel
+        rng = np.random.default_rng(11)
+        build = _two_per_lead(50, 0, 1_001)
+        build["v"] = rng.normal(size=100)
+        pick = rng.integers(0, 100, 250)
+        probe = {"x": build["a"][pick],
+                 "y": build["b"][pick] + rng.integers(0, 2, 250) * 2,
+                 "w": rng.normal(size=250)}
+        assert HashJoinBuild(build, build_keys=["a", "b"]).bits == 1
+        pairs = sorted(_tuple_pairs(build, "ab", probe, "xy"))
+        assert pairs
+        columns, _ = hash_join_kernel(build, probe, build_keys=["a", "b"],
+                                      probe_keys=["x", "y"],
+                                      output_order="build")
+        build_idx, probe_idx = map(np.asarray, zip(*pairs))
+        for name, values in build.items():
+            np.testing.assert_array_equal(columns[name], values[build_idx])
+        for name, values in probe.items():
+            np.testing.assert_array_equal(columns[name], values[probe_idx])
+
+    def test_q9_partsupp_build_masks_two_bits(self):
+        """Q9's ``(ps_partkey, ps_suppkey)`` build at SF 0.05: 40,000 rows
+        over 5,000,000 exact codes, four suppliers a part with distinct
+        low two bits, so K = 4 and a 160 KB slot table; every lineitem
+        probe tuple hits it."""
+        dataset = generate_tpch(0.05, seed=2019)
+        partsupp = dataset.tables["partsupp"].arrays()
+        lineitem = dataset.tables["lineitem"].arrays()
+        build = {name: partsupp[name] for name in ("ps_partkey", "ps_suppkey")}
+        builder = HashJoinBuild(build, build_keys=list(build))
+        assert builder.bits == 2 and builder.domain.size == 5_000_000
+        assert builder.index._slots.nbytes <= 160 << 10
+        probe = {name: lineitem[name] for name in ("l_partkey", "l_suppkey")}
+        build_idx, probe_idx = builder.match(probe, list(probe))
+        assert probe_idx is None
+        for build_name, probe_name in zip(build, probe):
+            np.testing.assert_array_equal(build[build_name][build_idx],
+                                          probe[probe_name])
 
 
 class TestPartitioning:

@@ -26,6 +26,7 @@ from repro.engine.descriptions import (
 from repro.errors import OutOfDeviceMemoryError
 from repro.hardware import default_server, gtx_1080
 from repro.operators import (
+    HashJoinBuild,
     JoinStats,
     Rows,
     charge_coprocessed_join,
@@ -341,6 +342,33 @@ class TestCoprocessedJoinInTheEngine:
         assert warm.cache.misses == 0 and charged
         assert built == []
 
+    def test_the_join_grants_its_build_and_probe(self, tpch_sf001,
+                                                 monkeypatch):
+        """The grant contract: a join's evaluation grants its build and its
+        probe rows, so a co-processed join's inputs count into
+        ``morsels_dispatched`` — the yield grid a preemption is placed
+        on — as a radix or hash join's do."""
+        granted, during = [], []
+        real_run, real_grant = CoprocessedJoin.run, Executor.grant
+
+        def spy_run(op, batch, build):
+            before = len(granted)
+            result = real_run(op, batch, build)
+            during.append((granted[before:], [(build.rows, batch.rows)]))
+            return result
+
+        def spy_grant(executor, *batch_rows):
+            granted.append(batch_rows)
+            return real_grant(executor, *batch_rows)
+
+        monkeypatch.setattr(CoprocessedJoin, "run", spy_run)
+        monkeypatch.setattr(Executor, "grant", spy_grant)
+        engine = self._forced_session(tpch_sf001)
+        engine.execute(build_query("Q5", tpch_sf001).plan, "hybrid")
+        assert during
+        for grants, inputs in during:
+            assert grants == inputs
+
     def test_a_refusal_caches_nothing(self, tpch_sf001):
         """A co-processed join is sized from the record its kernel writes,
         before the memo keeps it: once the GPUs shrink below a co-partition
@@ -408,6 +436,35 @@ class TestEngineMatchesReference:
         reference = execute_logical(query.plan, engine.catalog)
         result = engine.execute(query.plan, mode)
         assert result.table.equals(reference, check_order=False)
+
+    @pytest.mark.parametrize("small_build_rows", [500, 10, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_join_algorithm_matches_reference(self, tpch_sf001,
+                                                    monkeypatch, mode,
+                                                    small_build_rows):
+        """With small builds pushed to the partitioned and co-processed
+        joins, every query still equals the reference at SF 0.01 — where
+        Q5's ``(s_suppkey, n_nationkey)`` build masks its last key column,
+        so each join algorithm matches through the verified masked probe
+        (``HashJoinBuild.match``), not the bare slot table."""
+        masked = []
+        real_init = HashJoinBuild.__init__
+
+        def spy_init(builder, *args, **kwargs):
+            real_init(builder, *args, **kwargs)
+            masked.append(builder.bits is not None)
+
+        monkeypatch.setattr(HashJoinBuild, "__init__", spy_init)
+        engine = HAPEEngine(default_server(), optimizer_options=(
+            OptimizerOptions(small_build_rows=small_build_rows)))
+        engine.register_dataset(tpch_sf001.tables)
+        for query_name in EVALUATED_QUERIES:
+            plan = build_query(query_name, tpch_sf001).plan
+            reference = execute_logical(plan, engine.catalog)
+            result = engine.execute(plan, mode)
+            assert result.table.equals(reference, check_order=False), (
+                query_name)
+        assert any(masked)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_group_by_over_empty_input_matches_reference(self, engine, mode):
@@ -479,7 +536,10 @@ class TestSharedKeyFold:
         sides = JoinSides(columns, columns, build_keys=["a", "b"],
                           probe_keys=["a", "b"], output_order="probe")
         np.testing.assert_array_equal(sides.build.domain.codes, codes)
-        np.testing.assert_array_equal(sides.probe_codes, codes)
+        # The co-processed kernel's co-partitions split the probe's exact
+        # codes, encoded in the build's domain.
+        np.testing.assert_array_equal(
+            sides.build.domain.encode(sides.probe, ["a", "b"]), codes)
 
     def test_single_key_is_identity(self):
         values = np.asarray([5, -3, 2**40], dtype=np.int64)

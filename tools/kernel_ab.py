@@ -13,9 +13,10 @@ workload run interleaved — parent, change; change, parent; ... — so a
 drift of the host lands on both sides alike, and each unit's facts (the
 simulated seconds and counters a unit reports) must equal the parent's
 first unit's on both sides.  Printed: each operation's floor (fastest
-unit) on both sides and the change's ratio, then the ratio of the
-workload's ``query_geomean_ms`` (the geomean of its operation floors,
-as ``bench/run.py`` computes it); the last line is the same as one JSON
+unit) on both sides and the change's ratio, then the ratios of the
+workload's ``query_geomean_ms`` (the geomean of its operation floors)
+and of its ``wall_s`` (the sum of its operation floors), both as
+``bench/run.py`` computes them; the last line is the same as one JSON
 object.  Exit status 1 when the facts differ, a unit fails a check or a
 ratio is not finite.
 
@@ -100,7 +101,8 @@ class Side:
 def run(parent: Path, change: Path, *, workload: str, rounds: int,
         scale: str, seed: int) -> dict:
     """Interleaved units of ``workload`` on both checkouts: per-operation
-    floors and ratios, the geomean ratio, and whether the facts agreed."""
+    floors and ratios, the geomean and summed-floor ratios, and whether
+    the facts agreed."""
     sides = {"parent": Side(parent), "change": Side(change)}
     for side in sides.values():
         side.setup(workload, scale, seed)
@@ -121,6 +123,8 @@ def run(parent: Path, change: Path, *, workload: str, rounds: int,
                    for op, floor in floors["parent"].items()},
         "geomean_ratio": (sides["change"].geomean_seconds()
                           / sides["parent"].geomean_seconds()),
+        "sum_ratio": (sides["change"].clock.floor_seconds()
+                      / sides["parent"].clock.floor_seconds()),
     }
 
 
@@ -155,11 +159,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{op:<28}{floors['parent'][op]:>12.4f}"
               f"{floors['change'][op]:>12.4f}{ratio:>9.3f}")
     print(f"{'geomean':<52}{result['geomean_ratio']:>9.3f}")
+    print(f"{'sum of floors (wall_s)':<52}{result['sum_ratio']:>9.3f}")
     print(f"facts equal: {result['facts_equal']}; "
           f"failed checks: {result['failed']}")
     print(json.dumps(result))
     ok = (result["facts_equal"] and not result["failed"]
-          and all(map(math.isfinite, result["ratios"].values())))
+          and all(map(math.isfinite, [*result["ratios"].values(),
+                                      result["sum_ratio"]])))
     return 0 if ok else 1
 
 
