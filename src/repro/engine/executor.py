@@ -39,8 +39,9 @@ it charges the simulated clocks from its stats record and which
 attributes its trace span carries.
 
 A plan is compiled once (:meth:`Executor.compile`) into a
-:class:`Program`: its chains, each with its placed descriptions, memo
-key and tuning, and every description's pricing memo.  A
+:class:`Program`: its chains, each with its placed descriptions and memo
+key (made and hashed once: :meth:`QueryCache.key`), and every
+description's pricing memo.  A
 session keeps the program on the plan's prepared record, so a repeated
 query derives none of it again.  :meth:`Executor._run` is the one driver
 that walks the prepared program: execute the join build sides and the
@@ -155,6 +156,7 @@ from .modes import ExecutionMode
 from .querycache import (
     DEFAULT_CACHE_BUDGET_BYTES,
     CacheCounters,
+    CacheKey,
     QueryCache,
     result_nbytes,
 )
@@ -237,12 +239,15 @@ class Chain(NamedTuple):
     ops: tuple[Operator, ...]
     #: The chain producing the source batch (``None``: the chain is a scan).
     source: "Chain | None"
-    #: Kernel-memo key of the top node (``None``: not memoized) and the
-    #: tuning marker: the device tuning the top's stats record is written
-    #: with (:meth:`Operator.tuning`) and the chain's relational stage
-    #: count, which pins the stats records an entry carries.
-    key: tuple | None
-    tuning: tuple
+    #: Kernel-memo key (``None``: the top is not memoized): the cache's
+    #: canonical :class:`CacheKey` of the top node's catalog-versioned
+    #: structural key and the tuning marker — the device tuning the top's
+    #: stats record is written with (:meth:`Operator.tuning`) and the
+    #: chain's relational stage count, which pins the stats records an
+    #: entry carries.  Made once, at compile, and hashed once: every
+    #: program compiled against the cache holds this object for the same
+    #: subplan and tuning, so each lookup hits on identity.
+    key: CacheKey | None
     #: Per op, the index of its stats record among the relational stages'
     #: (``None``: an exchange, which has none).
     layout: tuple[int | None, ...]
@@ -261,9 +266,11 @@ class Replay(NamedTuple):
     #: Every device and link clock, and each link's bytes moved
     #: (:meth:`Topology.clock_state`).
     clocks: tuple
-    #: The session-cache keys the execution looked up, in order: while
-    #: all are cached, an execution of the program runs no kernel.
-    lookups: tuple
+    #: The session-cache keys the execution looked up, in order — the
+    #: chains' compiled :attr:`Chain.key` objects, so
+    #: :meth:`QueryCache.get_all` hashes each in O(1): while all are
+    #: cached, an execution of the program runs no kernel.
+    lookups: tuple[CacheKey, ...]
     #: The execution's :class:`QueryResult` without its table.  A replay
     #: copies its ``device_busy``, ``link_bytes`` and ``operator_rows``
     #: and shares the rest: the frozen report and the immutable trace.
@@ -286,16 +293,17 @@ class Program:
     """
 
     root: Chain
-    #: Occurrences per memo key the plan repeats (keys occurring once are
-    #: left out): only these enter the per-query overlay, and each query
-    #: decays its own copy to evict an entry after its key's last
-    #: occurrence.
-    refs: dict[tuple, int]
+    #: Occurrences per chain key (:attr:`Chain.key`) the plan repeats (keys
+    #: occurring once are left out): only these enter the per-query
+    #: overlay, and each query decays its own copy to evict an entry after
+    #: its key's last occurrence.
+    refs: dict[CacheKey, int]
     #: The cache key of the entry the result columns come from (the root
     #: chain's, or the first keyed chain below a sort or an exchange) and
-    #: the root's structural key, which an all-hit execution keeps the
-    #: result table under on that entry.
-    output: tuple
+    #: the tag an all-hit execution keeps the result table under on that
+    #: entry: the canonical key of the root's structural key.  Both are
+    #: compiled keys, hashed once.
+    output: tuple[CacheKey, CacheKey]
     #: The estimated half of the cardinality report, ``(node_id,
     #: estimate)`` items in node order (a session sets it; empty: the
     #: report is): a charged execution pairs it with its actual rows.
@@ -426,8 +434,8 @@ class Executor:
         # within-plan repeats single-evaluated regardless of cache budget)
         # and this query's copy of the program's remaining-occurrence
         # counts that bound the overlay's footprint.
-        self._query_memo: dict[tuple, dict[object, object]] = {}
-        self._key_refs: dict[tuple, int] = {}
+        self._query_memo: dict[CacheKey, object] = {}
+        self._key_refs: dict[CacheKey, int] = {}
         # Tracing state: a span list while the current query traces
         # (``None`` = off — the single check every trace point makes) and
         # the per-node cache status / morsel counts recorded inside the
@@ -435,9 +443,9 @@ class Executor:
         self._trace_spans: list[Span] | None = None
         self._trace_kernel: dict[int, tuple[str, int]] = {}
         # Whether a kernel ran in the current execution and the
-        # session-cache keys it looked up.
+        # session-cache keys it looked up (released as it ends).
         self._kernel_ran = False
-        self._lookups: list[tuple] = []
+        self._lookups: list[CacheKey] = []
 
     def retune(self, **changes: object) -> None:
         """Change :class:`ExecutorOptions` fields — the one path every knob
@@ -462,11 +470,14 @@ class Executor:
     def compile(self, plan: PhysicalOp) -> Program:
         """Compile ``plan``: key every node, cut the chains, place them.
 
-        The keys embed the catalog versions read here, once; placement
-        reads device health, the anchor CPU and the router consumers.
-        Every description starts with an empty pricing memo, filled by the
-        first execution that charges it, and is given its span skeleton:
-        its node's plan-walk ordinal and its placed devices' names.
+        The keys embed the catalog versions read here, once, and each
+        chain's memo key, the output key and its tag are made here, once:
+        canonical objects of the query cache (:meth:`QueryCache.key`), so
+        no execution builds or walks a key again.  Placement reads device
+        health, the anchor CPU and the router consumers.  Every
+        description starts with an empty pricing memo, filled by the first
+        execution that charges it, and is given its span skeleton: its
+        node's plan-walk ordinal and its placed devices' names.
         """
         keys: dict[int, tuple] = {}
         versions = self.catalog.table_versions
@@ -476,37 +487,44 @@ class Executor:
         # plan-local ordinals (walk order) instead, making the JSONL of
         # identical plans byte-identical across re-plans and sessions.
         slots = {node.node_id: slot for slot, node in enumerate(nodes)}
-        refs = Counter(structural_key(node, keys, table_versions=versions)
-                       for node in nodes if description(node).memoized)
+        shared = Counter(structural_key(node, keys, table_versions=versions)
+                         for node in nodes if description(node).memoized)
+        refs: Counter = Counter()
         # Fusion starts below the root: the root is a chain of its own.
-        root = output = self._chain(plan, keys, refs, slots, fuse=False)
+        root = output = self._chain(plan, keys, shared, refs, slots,
+                                    fuse=False)
         while output.key is None:  # a sort or an exchange reads its source
             output = output.source
         return Program(root,
                        {key: count for key, count in refs.items() if count > 1},
-                       ((output.key, output.tuning), structural_key(
-                           plan, keys, table_versions=versions)))
+                       (output.key, self.query_cache.key(structural_key(
+                           plan, keys, table_versions=versions))))
 
-    def _chain(self, node: PhysicalOp, keys: dict[int, tuple], refs: Counter,
-               slots: dict[int, int], *, fuse: bool = True) -> Chain:
+    def _chain(self, node: PhysicalOp, keys: dict[int, tuple],
+               shared: Counter, refs: Counter, slots: dict[int, int], *,
+               fuse: bool = True) -> Chain:
         """Compile the chain topped by ``node`` and the chains it reads:
         the build side of every join (top-down), then the source — the
-        order execution reaches them.
+        order execution reaches them — counting each chain key into
+        ``refs``.
 
-        A subplan occurring more than once in the plan is a sharing point
-        (memo-aware deferral): its single evaluation must be materialized
-        so the other occurrences can reuse it, so only single-occurrence
-        subplans join a fused chain.  Placement threads devices bottom-up,
-        and each placed description takes its span skeleton from it.
+        A subplan occurring more than once in the plan (``shared``, by
+        structural key) is a sharing point (memo-aware deferral): its
+        single evaluation must be materialized so the other occurrences
+        can reuse it, so only single-occurrence subplans join a fused
+        chain.  Placement threads devices bottom-up, and each placed
+        description takes its span skeleton from it.
         """
-        nodes = (fused_chain(node, lambda op: refs[keys[id(op)]] == 1)
+        nodes = (fused_chain(node, lambda op: shared[keys[id(op)]] == 1)
                  if fuse else []) or [node]
         ops = [description(op)(op, self) for op in nodes]
         for op in ops:
             if isinstance(op.node, PJoin):
-                op.build = self._chain(op.node.build, keys, refs, slots)
+                op.build = self._chain(op.node.build, keys, shared, refs,
+                                       slots)
         inputs = nodes[-1].children()
-        source = self._chain(inputs[-1], keys, refs, slots) if inputs else None
+        source = (self._chain(inputs[-1], keys, shared, refs, slots)
+                  if inputs else None)
         ops.reverse()  # bottom-up: the order morsels flow
         devices = source.devices if source else []
         for op in ops:
@@ -516,11 +534,13 @@ class Executor:
         top, stage = ops[-1], count()
         layout = tuple(None if op.node.is_exchange() else next(stage)
                        for op in ops)
-        # The next stage index is the number of relational stages.
-        return Chain(tuple(ops), source,
-                     keys[id(node)] if top.memoized else None,
-                     (top.tuning(), ("fused-chain", next(stage))), layout,
-                     top.handoff())
+        key = None
+        if top.memoized:
+            # The next stage index is the number of relational stages.
+            key = self.query_cache.key((keys[id(node)], (
+                top.tuning(), ("fused-chain", next(stage)))))
+            refs[key] += 1
+        return Chain(tuple(ops), source, key, layout, top.handoff())
 
     def execute(self, plan: PhysicalOp,
                 program: Program | None = None) -> QueryResult:
@@ -566,10 +586,12 @@ class Executor:
                 self.topology.restore_clocks(replay.clocks)
         finally:
             # Overlay entries are evicted after their last structural
-            # occurrence; clear the rest so only the budget-bounded
-            # session cache (self.query_cache) outlives the query.  (The
-            # keys hold no data; the next query replaces them.)
-            self._query_memo = {}
+            # occurrence; clear the rest (and a failed query's counts) so
+            # only the budget-bounded session cache (self.query_cache)
+            # outlives the query.  The executor keeps no key past it:
+            # the program and the cache entries hold them.
+            self._query_memo, self._key_refs = {}, {}
+            lookups, self._lookups = self._lookups, []
             spans, self._trace_spans, self._trace_kernel = (
                 self._trace_spans, None, {})
             # Close the cache window even on failure, so an aborted
@@ -602,7 +624,7 @@ class Executor:
             cardinality=pair_report(program.estimated, self._node_rows))
         if keep:
             program.replay = Replay(
-                self.topology.clock_state(), tuple(self._lookups),
+                self.topology.clock_state(), tuple(lookups),
                 replace(result, table=None,
                         device_busy=dict(result.device_busy),
                         link_bytes=dict(result.link_bytes),
@@ -654,10 +676,12 @@ class Executor:
         """Evaluate a chain's functional kernels at most once per distinct
         subplan.
 
-        Keyed by the catalog-versioned structural key of the subtree rooted
-        at the chain's top node and the chain's tuning.  Lookups go through
-        two layers: the per-query overlay first (within-plan repeats, not
-        counted as cache traffic), then the session-lifetime
+        Keyed by :attr:`Chain.key`: the catalog-versioned structural key
+        of the subtree rooted at the chain's top node and the chain's
+        tuning, made and hashed once, at compile, so no execution builds a
+        key or walks one.  Lookups go through two layers: the per-query
+        overlay first (within-plan repeats, not counted as cache traffic),
+        then the session-lifetime
         :class:`QueryCache` (cross-query reuse, counted as hits/misses per
         distinct subplan).  Misses evaluate the kernel and retain the
         result in the session cache, and in the overlay when the plan
@@ -684,19 +708,17 @@ class Executor:
         outlives the query is governed solely by the session cache's LRU
         byte budget.
         """
-        key, tuning, top = chain.key, chain.tuning, chain.ops[-1]
+        key, top = chain.key, chain.ops[-1]
         # A repeated subplan's occurrences left, this one included (0: the
         # key occurs once and never enters the overlay).
         left = self._key_refs.get(key, 0) if self._key_refs else 0
-        variants = self._query_memo.get(key) if left else None
-        result = None if variants is None else variants.get(tuning)
+        result = self._query_memo.get(key) if left else None
         status = "overlay"
         morsel_delta = 0
         if result is None:
-            session_key = (key, tuning)
             if self.query_cache.enabled:
-                self._lookups.append(session_key)
-                result = self.query_cache.get(session_key)
+                self._lookups.append(key)
+                result = self.query_cache.get(key)
             if result is None:
                 status = "miss"
                 self._kernel_ran = True
@@ -705,13 +727,13 @@ class Executor:
                 morsel_delta = self.morsels_dispatched - morsels_before
                 if self.query_cache.enabled:
                     self.query_cache.put(
-                        session_key, result,
+                        key, result,
                         nbytes=0 if top.zero_copy else result_nbytes(result),
                         tables=referenced_tables(top.node))
             else:
                 status = "hit"
             if left > 1:
-                self._query_memo.setdefault(key, {})[tuning] = result
+                self._query_memo[key] = result
         if self._trace_spans is not None and self._owns_cache:
             # Cache warmth is a per-span diagnostic only for session-owned
             # caches: raw lookup outcomes against a server-shared cache

@@ -61,6 +61,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -110,6 +111,29 @@ class QueryCacheStats(CacheCounters):
                   else f"{self.budget_bytes}B")
         return (f"{super().describe()} entries={self.entries} "
                 f"bytes={self.bytes_used} budget={budget}")
+
+
+class CacheKey(frozenset):
+    """A cache key made once, when a plan is compiled (:meth:`QueryCache.key`).
+
+    Its :attr:`value` — a catalog-versioned structural key with its tuning,
+    a nested tuple ~10 levels deep — is hashed here, once: CPython keeps
+    no tuple's hash, so a bare tuple is walked again by every dict probe,
+    but it keeps a frozenset's, and the key is the one-element frozenset
+    of its value.  A cache hands out one object per distinct value, so the
+    probes of a program's keys hit on identity, and neither hashing nor
+    comparing a key runs Python code.  Keys made by different caches are
+    different objects that still compare and hash equal by value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: Hashable) -> "CacheKey":
+        return super().__new__(cls, (value,))
+
+    @property
+    def value(self) -> Hashable:
+        return next(iter(self))
 
 
 @dataclass
@@ -162,11 +186,16 @@ def freeze_result(result: object) -> None:
 class QueryCache:
     """LRU cache of kernel results keyed by versioned structural keys.
 
-    Keys are opaque hashables — the executor uses
-    ``(structural_key(node, table_versions=...), tuning)`` — and values are
-    whatever the kernel returned.  The cache never re-derives anything; it
-    only retains, evicts (LRU under ``budget_bytes``) and invalidates
-    (:meth:`invalidate_table`, driven by catalog subscriptions).
+    Keys are opaque hashables and values are whatever the kernel returned.
+    The executor's keys are the :class:`CacheKey`\\ s of
+    ``(structural_key(node, table_versions=...), tuning)`` that
+    :meth:`key` canonicalizes when a plan is compiled, so a lookup hashes
+    in O(1) and every program of the cache — the cpu, hybrid and gpu
+    lowerings of a query, the tenant sessions sharing a server's cache —
+    holds the same object for the same subplan.  The cache never
+    re-derives anything; it only retains, evicts (LRU under
+    ``budget_bytes``) and invalidates (:meth:`invalidate_table`, driven by
+    catalog subscriptions).
 
     One thread drives a session or a server, so every get, put and
     invalidation runs to completion before the next starts and the
@@ -185,6 +214,9 @@ class QueryCache:
         #: The counters the current :meth:`window` began at.
         self._mark = (0, 0, 0, 0)
         self.budget_bytes = self.validate_budget(budget_bytes)
+        #: The canonical keys (:meth:`key`), held weakly: one lives while a
+        #: program or an entry holds it.
+        self._keys = WeakValueDictionary()
 
     @staticmethod
     def validate_budget(budget_bytes: int | None) -> int | None:
@@ -239,6 +271,13 @@ class QueryCache:
     # ------------------------------------------------------------------
     # The cache protocol
     # ------------------------------------------------------------------
+    def key(self, value: Hashable) -> CacheKey:
+        """The one :class:`CacheKey` of ``value`` while any holds it: what
+        :meth:`Executor.compile` makes a program's keys with, hashing each
+        nested value once."""
+        return self._keys.get(value) or self._keys.setdefault(
+            value, CacheKey(value))
+
     def get(self, key: Hashable) -> object | None:
         """Look up a kernel result; counts a hit or a miss."""
         entry = self._entries.get(key)
@@ -272,10 +311,9 @@ class QueryCache:
         key is not cached or the budget cannot hold both.  Counts no
         lookup and moves nothing in the LRU order."""
         entry = self._entries.get(key)
-        if entry is not None and tag in entry.kept:
-            return entry.kept[tag]
-        if make is None:
-            return None
+        value = None if entry is None else entry.kept.get(tag)
+        if value is not None or make is None:
+            return value
         value, nbytes = make()
         if entry is not None and (self.budget_bytes is None or entry.nbytes
                                   + nbytes <= self.budget_bytes):

@@ -120,14 +120,28 @@ class HashJoinBuild:
             lead = self.domain.encode(self.rows, build_keys[:-1])
             last = key_columns(self.rows, build_keys[-1:])[0]
             # Masks below the column's span whose table fits the slot
-            # budget, from the first with as many slots as rows.
-            for bits in range(((rows - 1) // leads).bit_length(), min(
-                    (span - 1).bit_length(),
-                    (SLOT_SPAN_PER_ROW * rows // leads).bit_length())):
+            # budget, from the first with as many slots as rows.  Unique
+            # under a mask is unique under every wider one: try the
+            # narrowest (Q9's), then the widest — a build no mask
+            # separates costs two trials — then bisect between them.
+            lo = ((rows - 1) // leads).bit_length()
+            ok = hi = min((span - 1).bit_length(),
+                          (SLOT_SPAN_PER_ROW * rows // leads).bit_length())
+            # ``fail``: the widest width known to repeat a code; ``ok``: the
+            # narrowest known unique (``hi``: none yet).
+            fail = lo - 1
+            while ok - fail > 1:
+                bits = (lo if fail < lo else ok - 1 if ok == hi
+                        else (fail + ok) // 2)
                 masked = _masked(lead.copy(), last, bits)
-                if np.bincount(masked).max() == 1:   # unique: a slot table
-                    codes, self.last, self.bits = masked, last, bits
-                    break
+                seen = np.zeros(leads << bits, np.uint8)   # a byte a slot
+                seen[masked] = 1
+                if np.count_nonzero(seen) < rows:   # a repeated code
+                    fail = bits
+                else:
+                    ok, codes = bits, masked
+            if ok < hi:   # unique: a slot table
+                self.last, self.bits = last, ok
         self.index = JoinBuildIndex(codes)
 
     def match(self, probe: Mapping[str, np.ndarray],

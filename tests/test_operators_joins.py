@@ -659,6 +659,48 @@ class TestMaskedCompositeKey:
         for name, values in probe.items():
             np.testing.assert_array_equal(columns[name], values[probe_idx])
 
+    @pytest.mark.parametrize("width", [3, 4, 5, 6, 7, 8, None])
+    def test_the_narrowest_mask_is_bisected(self, width, monkeypatch):
+        """250 leading keys of 8 sparse last keys each: masks of 3 to 8
+        bits fit the slot budget.  Each build's narrowest unique mask —
+        the narrowest of a linear scan — is found in one trial when it is
+        the first, two when no mask separates the build (a repeated
+        tuple), and at most five for the six widths otherwise, each a
+        masked code of the build; the match is the exact path's."""
+        from repro.operators import hashjoin
+        rng = np.random.default_rng(width or 0)
+        lead = np.repeat(np.arange(250, dtype=np.int64), 8)
+        low = np.tile(np.arange(8, dtype=np.int64), 250)   # apart in 3 bits
+        if width and width > 3:   # lead 0's 0 and 2**(w-1) part at bit w-1
+            low[4] = 1 << (width - 1)
+        last = low + (rng.integers(0, 1 << 14, 2000) << 8)
+        if width is None:   # a repeated tuple
+            last[1] = last[0]
+        build = {"a": lead, "b": last}
+        trials: list[int] = []
+        masked = hashjoin._masked
+
+        def trial(codes, column, bits):
+            trials.append(bits)
+            return masked(codes, column, bits)
+
+        monkeypatch.setattr(hashjoin, "_masked", trial)
+        assert HashJoinBuild(build, build_keys=["a", "b"]).bits == width
+        monkeypatch.undo()
+        assert width == next(
+            (bits for bits in range(3, 9) if len(set(zip(
+                lead.tolist(), (last & ((1 << bits) - 1)).tolist())))
+             == 2000), None)
+        # The narrowest width first, then the widest, then bisection.
+        if width == 3:
+            assert trials == [3]
+        else:
+            assert trials[:2] == [3, 8] and len(set(trials)) == len(trials)
+            assert len(trials) == 2 if width is None else len(trials) <= 5
+        pick = rng.integers(0, 2000, 3000)
+        probe = {"x": lead[pick], "y": last[pick] + (pick % 3 == 0)}
+        _check_composite_match(build, probe, width)
+
     def test_q9_partsupp_build_masks_two_bits(self):
         """Q9's ``(ps_partkey, ps_suppkey)`` build at SF 0.05: 40,000 rows
         over 5,000,000 exact codes, four suppliers a part with distinct

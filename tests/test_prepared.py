@@ -27,9 +27,10 @@ import numpy as np
 import pytest
 
 from repro.engine import Executor, HAPEEngine, descriptions
+from repro.engine import executor as executor_module
 from repro.engine.modes import ExecutionMode
 from repro.engine.optimizer import Optimizer, OptimizerOptions
-from repro.engine.querycache import result_nbytes
+from repro.engine.querycache import CacheKey, QueryCache, result_nbytes
 from repro.errors import CatalogError, OptimizerError, OutOfDeviceMemoryError
 from repro.faults import FaultPlan
 from repro.hardware import default_server
@@ -39,6 +40,7 @@ from repro.hardware.topology import Topology
 from repro.obs import QueryTrace, Span
 from repro.operators import kernel_counts, reset_kernel_counts
 from repro.relational import JoinAlgorithm, agg_sum, col, lit, scan
+from repro.relational import physical as physical_module
 from repro.relational.physical import PJoin, structural_key
 from repro.server import QueryServer
 from repro.stats import CardinalityEstimator
@@ -1075,8 +1077,10 @@ class _OverlayWrites(dict):
 
 @pytest.fixture
 def overlay_writes(monkeypatch):
-    """Per execution, the plan's occurrences of every key written into its
-    overlay (counted afresh from the plan, not read from the program)."""
+    """Per execution, the plan's occurrences of the structural key of every
+    key written into its overlay (counted afresh from the plan, not read
+    from the program; a written key's value is its structural key and
+    tuning)."""
     executions: list[list[int]] = []
     original = Executor.execute
 
@@ -1091,7 +1095,8 @@ def overlay_writes(monkeypatch):
             occurrences = Counter(
                 structural_key(node, keys, table_versions=versions)
                 for node in plan.walk())
-            executions.append([occurrences[key] for key in written])
+            executions.append([occurrences[key.value[0]]
+                               for key in written])
 
     monkeypatch.setattr(Executor, "execute", spying)
     return executions
@@ -1139,6 +1144,169 @@ class TestOverlay:
         assert rows == {tpch_dataset.tables["supplier"].num_rows}
         assert [sorted(set(written)) for written in overlay_writes] == [
             [2], [2]]
+
+
+# ----------------------------------------------------------------------
+# Canonical cache keys: made and hashed once, at compile
+# ----------------------------------------------------------------------
+def _chain_keys(program) -> list[CacheKey]:
+    """The key of every memoized chain of ``program``, top-down."""
+    keys, chains = [], [program.root]
+    while chains:
+        chain = chains.pop()
+        keys += [] if chain.key is None else [chain.key]
+        chains += [op.build for op in chain.ops if op.build is not None]
+        chains += [] if chain.source is None else [chain.source]
+    return keys
+
+
+def _program(session: HAPEEngine, plan, mode: str):
+    return session._prepared(plan, ExecutionMode(mode), compiled=True).program
+
+
+def _assert_one_object_per_value(programs) -> None:
+    """Equal keys among those the programs hold are one object."""
+    canonical: dict[CacheKey, CacheKey] = {}
+    for program in programs:
+        for key in [*_chain_keys(program), *program.output]:
+            assert isinstance(key, CacheKey)
+            assert canonical.setdefault(key, key) is key, key
+
+
+class TestCanonicalKeys:
+    def test_the_modes_of_a_query_share_one_key_object(self, sf001):
+        """The cpu, hybrid and gpu programs of each TPC-H query, compiled
+        in one session: a subplan and tuning are one key object, and the
+        three lowerings share every chain key."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(sf001.tables)
+        for name, query in all_queries(sf001).items():
+            programs = [_program(engine, query.plan, mode) for mode in MODES]
+            _assert_one_object_per_value(programs)
+            cpu, hybrid, gpu = (set(map(id, _chain_keys(program)))
+                                for program in programs)
+            assert cpu and cpu == hybrid == gpu, name
+
+    def test_tenant_sessions_share_one_key_object(self, sf001):
+        """Two tenant sessions of one server compile their programs
+        against its shared cache: each (query, mode) is two programs
+        holding the same key objects."""
+        server = QueryServer(default_server())
+        server.register_dataset(sf001.tables)
+        for tenant in ("a", "b"):
+            server.open_session(tenant)
+        a, b = map(server.session, ("a", "b"))
+        for query in all_queries(sf001).values():
+            for mode in MODES:
+                mine, theirs = (_program(session, query.plan, mode)
+                                for session in (a, b))
+                assert mine is not theirs
+                assert list(map(id, _chain_keys(mine))) == list(
+                    map(id, _chain_keys(theirs)))
+                assert list(map(id, mine.output)) == list(
+                    map(id, theirs.output))
+
+    def test_a_recompiled_program_meets_the_cached_key_objects(
+            self, engine, q5):
+        """A record dropped by a re-tune compiles again to the key objects
+        its cache entries hold, and its execution hits every one."""
+        engine.execute(q5, "hybrid")
+        before = _program(engine, q5, "hybrid")
+        engine.morsel_rows = 977
+        after = _program(engine, q5, "hybrid")
+        assert after is not before
+        assert list(map(id, _chain_keys(after))) == list(
+            map(id, _chain_keys(before)))
+        assert {id(key) for key in engine.executor.query_cache._entries} \
+            == set(map(id, _chain_keys(after)))
+        assert engine.execute(q5, "hybrid").cache.misses == 0
+
+    def test_a_replay_compares_and_derives_no_key(self, sf001, monkeypatch,
+                                                  reserves):
+        """Every (query, mode) replayed: ``get_all`` and ``kept`` hit on
+        identity — no Python-level key comparison runs — and no
+        structural key is built; a fresh key of an equal value, by
+        contrast, is compared."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(sf001.tables)
+        queries = all_queries(sf001)
+        for _ in range(2):  # cold, then all hits: the timelines are kept
+            for query in queries.values():
+                for mode in MODES:
+                    engine.execute(query.plan, mode)
+        calls: list[str] = []
+
+        def comparing(key, other):
+            calls.append("__eq__")
+            return frozenset.__eq__(key, other)
+
+        monkeypatch.setattr(CacheKey, "__eq__", comparing)
+        for module in (executor_module, physical_module):
+            _spy(monkeypatch, module, "structural_key", calls)
+        _spy(monkeypatch, QueryCache, "get_all", calls)
+        _spy(monkeypatch, QueryCache, "kept", calls)
+        _charged(reserves, engine.topology)
+        for name, query in queries.items():
+            for mode in MODES:
+                engine.execute(query.plan, mode)
+                assert _charged(reserves, engine.topology) == 0, name
+                assert calls == ["kept", "get_all"], (name, mode, calls)
+                calls.clear()
+        cache = engine.executor.query_cache
+        key = next(iter(cache._entries))
+        assert cache.get(CacheKey(key.value)) is not None
+        assert "__eq__" in calls
+
+    def test_a_replaced_table_gives_new_keys(self, tpch_dataset):
+        """``register(replace=True)`` invalidates exactly the entries that
+        read the table; the recompiled program holds new keys — unequal to
+        the old ones — for the chains that read it and the old objects for
+        the rest, and misses exactly the new ones."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query("Q5", tpch_dataset).plan
+        for _ in range(2):
+            engine.execute(plan, "hybrid")
+        cache = engine.executor.query_cache
+        old = _program(engine, plan, "hybrid")
+        stale = [key for key, entry in cache._entries.items()
+                 if "nation" in entry.tables]
+        invalidated = cache.stats().invalidated
+        engine.register_table(tpch_dataset.tables["nation"], replace=True)
+        assert stale and cache.stats().invalidated == invalidated + len(stale)
+        assert not set(stale) & set(cache._entries)
+        new, fresh = _program(engine, plan, "hybrid"), 0
+        old_keys, new_keys = _chain_keys(old), _chain_keys(new)
+        assert len(old_keys) == len(new_keys)
+        for before, after in zip(old_keys, new_keys):
+            if before in stale:
+                assert after != before and after not in old_keys
+                fresh += 1
+            else:
+                assert after is before
+        assert fresh == len(stale)
+        assert engine.execute(plan, "hybrid").cache.misses == fresh
+
+    def test_no_key_outlives_its_programs_and_entries(self, sf001):
+        """The cache's table of keys holds none: once the plans (and with
+        them their programs) and the entries are gone, so is every key."""
+        engine = HAPEEngine(default_server())
+        engine.register_dataset(sf001.tables)
+        plans = [query.plan for query in all_queries(sf001).values()]
+        for _ in range(3):  # cold, all hits, replays
+            for plan in plans:
+                for mode in MODES:
+                    engine.execute(plan, mode)
+        cache = engine.executor.query_cache
+        keys = [weakref.ref(key) for key in cache._keys.values()]
+        assert keys and len(keys) == len(cache._keys)
+        engine.clear_query_cache()
+        gc.collect()
+        assert all(key() is not None for key in keys)  # the programs'
+        del plans, plan
+        gc.collect()
+        assert [key() for key in keys if key() is not None] == []
+        assert len(cache._keys) == 0
 
 
 # ----------------------------------------------------------------------

@@ -369,7 +369,7 @@ class TestCoprocessedJoinInTheEngine:
         for grants, inputs in during:
             assert grants == inputs
 
-    def test_a_refusal_caches_nothing(self, tpch_sf001):
+    def test_a_refusal_caches_nothing(self, tpch_sf001, monkeypatch):
         """A co-processed join is sized from the record its kernel writes,
         before the memo keeps it: once the GPUs shrink below a co-partition
         the join's lookup misses and is counted, no entry is kept for it,
@@ -380,12 +380,20 @@ class TestCoprocessedJoinInTheEngine:
             engine.execute(plan, "hybrid")
         for gpu in engine.topology.gpus():
             engine.topology.shrink_device_memory(gpu.name, 1e-7)
+        executor = engine.executor
+        lookups, get = [], type(executor.query_cache).get
+
+        def looking_up(cache, key):
+            lookups.append(key)
+            return get(cache, key)
+
+        # The executor holds no key past an execution: record its lookups.
+        monkeypatch.setattr(type(executor.query_cache), "get", looking_up)
         with pytest.raises(OutOfDeviceMemoryError) as refused:
             engine.execute(plan, "hybrid")
-        executor = engine.executor
-        lookups, window = executor._lookups, executor.cache_delta
+        window = executor.cache_delta
         join_key = lookups[-1]  # the refusal came right after its lookup
-        assert join_key[1][0][0] == "coprocessed"
+        assert join_key.value[1][0][0] == "coprocessed"  # its tuning
         assert join_key not in executor.query_cache
         assert window.lookups == len(lookups) and window.misses >= 1
         with pytest.raises(OutOfDeviceMemoryError) as alone:

@@ -13,12 +13,16 @@ workload run interleaved — parent, change; change, parent; ... — so a
 drift of the host lands on both sides alike, and each unit's facts (the
 simulated seconds and counters a unit reports) must equal the parent's
 first unit's on both sides.  Printed: each operation's floor (fastest
-unit) on both sides and the change's ratio, then the ratios of the
-workload's ``query_geomean_ms`` (the geomean of its operation floors)
-and of its ``wall_s`` (the sum of its operation floors), both as
-``bench/run.py`` computes them; the last line is the same as one JSON
-object.  Exit status 1 when the facts differ, a unit fails a check or a
-ratio is not finite.
+unit) on both sides, the change's ratio and the band of its round-by-round
+ratios (the interquartile range of change over parent, one unit each per
+round: ``ratio_iqr``), then the ratios of the workload's
+``query_geomean_ms`` (the geomean of its operation floors) and of its
+``wall_s`` (the sum of its operation floors), both as ``bench/run.py``
+computes them; the last line is the same as one JSON object.  A floor
+ratio is one sample of the host's weather: an A/A run has read an
+unchanged operation at x0.925, so read a ratio against its band — one
+whose band straddles 1.0 has not been shown to move.  Exit status 1
+when the facts differ, a unit fails a check or a ratio is not finite.
 
 Separate ``bench/run.py`` processes of one checkout drift by some 10 %
 on a shared 2-CPU host; one process running both sides does not, which
@@ -35,6 +39,7 @@ import importlib
 import json
 import math
 import os
+import statistics
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -98,11 +103,20 @@ class Side:
             self.workload.operation_seconds(self.clock.floors()))
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The first and third quartiles of ``values`` (inclusive method: the
+    band lies within the samples)."""
+    if len(values) < 2:
+        return values * 2
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return [first, third]
+
+
 def run(parent: Path, change: Path, *, workload: str, rounds: int,
         scale: str, seed: int) -> dict:
     """Interleaved units of ``workload`` on both checkouts: per-operation
-    floors and ratios, the geomean and summed-floor ratios, and whether
-    the facts agreed."""
+    floors and ratios with the quartiles of their round-by-round ratios,
+    the geomean and summed-floor ratios, and whether the facts agreed."""
     sides = {"parent": Side(parent), "change": Side(change)}
     for side in sides.values():
         side.setup(workload, scale, seed)
@@ -113,6 +127,7 @@ def run(parent: Path, change: Path, *, workload: str, rounds: int,
             first = facts if first is None else first
             facts_equal = facts_equal and facts == first
     floors = {name: side.clock.floors() for name, side in sides.items()}
+    samples = {name: side.clock.ops for name, side in sides.items()}
     return {
         "workload": workload, "rounds": rounds, "scale": scale,
         "facts_equal": facts_equal,
@@ -121,6 +136,11 @@ def run(parent: Path, change: Path, *, workload: str, rounds: int,
                       for name, ops in floors.items()},
         "ratios": {op: floors["change"][op] / floor
                    for op, floor in floors["parent"].items()},
+        # A sample per unit, so the i-th of each side ran in round i.
+        "ratio_iqr": {
+            op: quartiles([change / parent for parent, change
+                           in zip(times, samples["change"][op])])
+            for op, times in samples["parent"].items()},
         "geomean_ratio": (sides["change"].geomean_seconds()
                           / sides["parent"].geomean_seconds()),
         "sum_ratio": (sides["change"].clock.floor_seconds()
@@ -154,10 +174,12 @@ def main(argv: list[str] | None = None) -> int:
                  scale=args.scale, seed=args.seed)
     floors = result["floors_ms"]
     print(f"{'operation':<28}{'parent ms':>12}{'change ms':>12}"
-          f"{'ratio':>9}")
+          f"{'ratio':>9}{'round IQR':>16}")
     for op, ratio in result["ratios"].items():
+        low, high = result["ratio_iqr"][op]
         print(f"{op:<28}{floors['parent'][op]:>12.4f}"
-              f"{floors['change'][op]:>12.4f}{ratio:>9.3f}")
+              f"{floors['change'][op]:>12.4f}{ratio:>9.3f}"
+              f"{low:>9.3f}-{high:.3f}")
     print(f"{'geomean':<52}{result['geomean_ratio']:>9.3f}")
     print(f"{'sum of floors (wall_s)':<52}{result['sum_ratio']:>9.3f}")
     print(f"facts equal: {result['facts_equal']}; "
